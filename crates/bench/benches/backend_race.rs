@@ -123,7 +123,7 @@ fn main() {
     );
 
     // ---- race 2: advisor crossover on a calibrated system ---------------
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
     db.create_table("probe", dense_heap(2_000)).unwrap();
     db.deploy(
         &zoo::spec_for(

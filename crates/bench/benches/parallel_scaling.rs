@@ -70,7 +70,10 @@ fn main() {
     core.clear_cache();
     let train_serial = core.run_udf("logisticR", "clicks").unwrap();
     core.clear_cache();
-    let train4 = core.run_udf_sharded("logisticR", "clicks", 4).unwrap();
+    let train4 = core
+        .execute_statement("EXECUTE dana.logisticR('clicks') WITH (shards = 4);")
+        .unwrap();
+    let train4 = train4.report();
     let train_speedup = train_serial.timing.total_seconds / train4.timing.total_seconds;
     println!(
         "train   serial sim {:.4}s | 4-shard sim {:.4}s ({train_speedup:.2}x)",
@@ -84,12 +87,14 @@ fn main() {
     let run_predict = |dest: &str, shards: Option<u16>| {
         core.clear_cache();
         let wall = Instant::now();
-        let report = match shards {
-            None => core.predict("logisticR", "clicks", dest).unwrap(),
-            Some(k) => core
-                .predict_sharded("logisticR", "clicks", dest, k)
-                .unwrap(),
-        };
+        let report = core
+            .execute_statement(&format!(
+                "PREDICT dana.logisticR('clicks') INTO '{dest}' WITH (shards = {});",
+                shards.unwrap_or(1)
+            ))
+            .unwrap()
+            .predict_report()
+            .clone();
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         (report, wall_ms)
     };

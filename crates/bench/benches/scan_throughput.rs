@@ -56,7 +56,7 @@ fn main() {
     let kept: Vec<_> = rows.iter().filter(|(x, _)| x[0] < 0.1).cloned().collect();
     let selectivity = kept.len() as f64 / n as f64;
 
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 1 << 30,
@@ -84,7 +84,7 @@ fn main() {
         selectivity * 100.0
     );
 
-    let mut run = |sql: &str| {
+    let run = |sql: &str| {
         db.clear_cache();
         let wall = Instant::now();
         let out = db.execute_statement(sql).unwrap();

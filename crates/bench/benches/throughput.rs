@@ -2,7 +2,7 @@
 //!
 //! The serving-tier acceptance benchmark. A batch of identical training
 //! queries over the 5810×54 Remote Sensing LR workload is pushed through
-//! (a) serial back-to-back execution on the single-user `Dana` facade and
+//! (a) serial back-to-back execution on an embedded `Dana` and
 //! (b) `DanaServer` with accelerator pools of increasing size. Timing is
 //! the *simulated* accelerator schedule (the same `DanaTiming` model every
 //! figure uses): serial cost is the sum of per-query runtimes; the pool's
@@ -40,7 +40,7 @@ fn main() {
     );
 
     // ---- serial baseline: one Dana, back-to-back ------------------------
-    let mut db = Dana::new(FpgaSpec::vu9p(), pool_cfg, DiskModel::ssd());
+    let db = Dana::new(FpgaSpec::vu9p(), pool_cfg, DiskModel::ssd());
     db.create_table("rs", generate(&w, 32 * 1024, 17).unwrap().heap)
         .unwrap();
     db.prewarm("rs").unwrap();

@@ -17,7 +17,7 @@ use dana_storage::{DiskModel, PageLayoutDesc, TUPLE_HEADER_BYTES};
 use dana_workloads::Workload;
 
 use crate::error::DanaResult;
-use crate::pipeline::CPU_FEED_HANDSHAKE_S;
+use crate::exec::CPU_FEED_HANDSHAKE_S;
 use crate::report::{DanaTiming, Seconds};
 use crate::runtime::{compose, EpochCosts, ExecutionMode};
 

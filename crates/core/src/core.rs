@@ -1,0 +1,1871 @@
+//! The system core: catalog + buffer pool + compiler + accelerator, usable
+//! from any thread.
+//!
+//! Mirrors Fig. 2's flow end-to-end:
+//!
+//! 1. [`SystemCore::deploy`] — the UDF is translated (hDFG), compiled
+//!    (hardware generator + scheduler), and its artifacts — Strider
+//!    instructions, engine design, schedule — are stored in the catalog;
+//! 2. [`SystemCore::bind`] — a parsed statement is bound, once, to a
+//!    [`PhysicalPlan`]: operation, scan, gang size, substrate;
+//! 3. [`SystemCore::execute`] — the plan runs: the buffer pool fills while
+//!    the access engine walks the pages with Striders and the execution
+//!    engine trains or scores; the report carries the result and the
+//!    simulated end-to-end timing of [`crate::runtime`].
+//!
+//! There is one implementation. An embedded [`crate::Dana`] is this core
+//! with a one-shard pool, driven on the caller's thread; the serving tier
+//! is the same core behind admission control and accelerator leases.
+//!
+//! * the **catalog** sits behind an `RwLock`: queries take short read
+//!   locks to snapshot (entry, `Arc<HeapFile>`, accelerator) and then run
+//!   lock-free; DDL takes the write lock only for the map mutation;
+//! * the **buffer pool** is the sharded [`SharedBufferPool`], fetched
+//!   through `&self`;
+//! * the **execution engine is never built per query**: DEPLOY compiles,
+//!   validates, and lowers it once, caching `Arc<ExecutionEngine>` (plus
+//!   budget and estimate) on the catalog entry's `RuntimeCache`. Only
+//!   genuinely per-query state (access engine, model store, stream
+//!   source) is built per request.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
+
+use dana_compiler::{
+    compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
+};
+use dana_engine::{
+    run_training_guarded, BackendKind, CancelToken, EngineError, ExecutionBackend, FaultEvents,
+    FaultPlan, ModelStore, RetryPolicy, RunGuard,
+};
+use dana_fpga::FpgaSpec;
+use dana_hdfg::translate;
+use dana_infer::{MetricKind, MetricPartial, ScoringProgram, ScoringStats};
+use dana_ml::CpuModel;
+use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
+use dana_parallel::{
+    evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
+    train_gang_guarded, GangGuard, ReplaySource, ShardPlan,
+};
+use dana_storage::{
+    AcceleratorEntry, BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId,
+    HeapPage, PageId, RuntimeCache, SharedBufferPool, TableEntry, Tuple, TupleSource,
+};
+use dana_strider::{disassemble, AccessEngine, AccessStats};
+
+use crate::advisor::{self, BackendChoice, HardwareProfile};
+use crate::error::{DanaError, DanaResult};
+use crate::exec::{self, ArtifactBlob, CachedAccelerator, RunArtifacts, ShardArtifacts};
+use crate::plan::{PhysicalPlan, PlanOp, Wrap};
+use crate::query::Statement;
+use crate::report::{
+    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
+    Seconds, StatementOutcome,
+};
+use crate::runtime::ExecutionMode;
+use crate::source::{FeedKind, ScanState, SharedPageStreamSource};
+
+/// How to build a [`SystemCore`].
+#[derive(Debug, Clone, Copy)]
+pub struct SystemCoreConfig {
+    /// Template spec for every accelerator instance in the pool.
+    pub fpga: FpgaSpec,
+    pub pool: BufferPoolConfig,
+    /// Buffer-pool lock shards.
+    pub pool_shards: usize,
+    pub disk: DiskModel,
+}
+
+impl Default for SystemCoreConfig {
+    fn default() -> SystemCoreConfig {
+        SystemCoreConfig {
+            fpga: FpgaSpec::vu9p(),
+            pool: BufferPoolConfig::paper_default(),
+            pool_shards: dana_storage::shared_pool::DEFAULT_SHARDS,
+            disk: DiskModel::ssd(),
+        }
+    }
+}
+
+/// Per-query execution context: the cooperative cancellation token the
+/// epoch loops check at every boundary, the retry policy answering
+/// transient faults, and the out-channel reporting which gang shards
+/// faulted (so the worker can quarantine the pool instances behind
+/// them). Built by the server worker from the statement's `WITH
+/// (timeout_ms / retries)` options; [`QueryCtx::unbounded`] is the
+/// embedded/default path — never cancels, default retries.
+#[derive(Debug, Default)]
+pub struct QueryCtx {
+    /// Cooperative cancellation (deadline and/or manual flag).
+    pub cancel: CancelToken,
+    /// Backoff/retry policy for transient accelerator faults.
+    pub retry: RetryPolicy,
+    /// Gang shards that faulted during this query (filled by the gang
+    /// path; drained by the worker for pool quarantine).
+    faulted: Mutex<Vec<usize>>,
+}
+
+impl QueryCtx {
+    /// A context that never cancels, with the default retry policy.
+    pub fn unbounded() -> QueryCtx {
+        QueryCtx::new(CancelToken::none(), RetryPolicy::default())
+    }
+
+    pub fn new(cancel: CancelToken, retry: RetryPolicy) -> QueryCtx {
+        QueryCtx {
+            cancel,
+            retry,
+            faulted: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Gang shards that faulted while this query ran (ascending, deduped
+    /// by the gang executor).
+    pub fn faulted_shards(&self) -> Vec<usize> {
+        match self.faulted.lock() {
+            Ok(g) => g.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
+        }
+    }
+
+    fn record_faulted(&self, shards: &[usize]) {
+        let mut g = match self.faulted.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        g.extend_from_slice(shards);
+    }
+}
+
+/// Wall seconds a request spent before execution began, charged to the
+/// front stages of its lifecycle trace. An embedded caller measures only
+/// the parse; a server worker adds its admission and lease waits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FrontDoorWalls {
+    pub parse: Seconds,
+    pub admission: Seconds,
+    pub lease: Seconds,
+}
+
+/// What `drop_table` reports back: everything the drop cleaned up.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DropSummary {
+    pub table: String,
+    /// Buffer-pool pages of the dropped heap that were evicted.
+    pub pages_evicted: usize,
+    /// Accelerators compiled against the table, now marked stale.
+    pub invalidated_udfs: Vec<String>,
+    /// Materialized prediction tables derived from this table, now stale
+    /// (typed error on use; their pages are evicted too).
+    pub stale_prediction_tables: Vec<String>,
+}
+
+/// What `deploy` reports back to the data scientist.
+#[derive(Debug, Clone)]
+pub struct DeployInfo {
+    pub udf_name: String,
+    pub num_threads: u16,
+    pub acs_per_thread: u16,
+    pub num_striders: u32,
+    pub estimate: PerfEstimate,
+    /// The generated Strider program, disassembled.
+    pub strider_listing: String,
+    /// Micro-instruction count of the engine schedule.
+    pub micro_ops: usize,
+}
+
+/// The DAnA-enhanced database system: shared catalog + buffer pool +
+/// models.
+pub struct SystemCore {
+    catalog: RwLock<Catalog>,
+    pool: SharedBufferPool,
+    disk: DiskModel,
+    fpga: FpgaSpec,
+    cpu: CpuModel,
+    /// Per-backend throughput estimates the backend advisor prices
+    /// `backend = auto` statements against.
+    profile: RwLock<HardwareProfile>,
+    /// Execution engines constructed (deploy-time builds + cache misses) —
+    /// the EXECUTE path must never grow this past the deploy count.
+    engines_built: AtomicU64,
+    /// EXECUTE/estimate requests served from a cached `Arc<ExecutionEngine>`.
+    engine_cache_hits: AtomicU64,
+    /// Push-side observability counters/histograms (`SHOW STATS` rows the
+    /// core owns; the server layers queue/pool/session rows on top).
+    metrics: MetricsRegistry,
+    /// Deterministic fault-injection plan consulted by every guarded
+    /// training path. `None` (the production state) injects nothing;
+    /// tests and smoke runs install a plan to rehearse recovery.
+    fault_plan: RwLock<Option<Arc<FaultPlan>>>,
+}
+
+/// Engine-construction accounting: how many engines were ever built vs.
+/// how many requests rode the DEPLOY-time cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineCacheStats {
+    pub built: u64,
+    pub hits: u64,
+}
+
+/// What a scoring scan keeps of the predictions it computes — the one
+/// difference between PREDICT (collect them) and EVALUATE (fold a metric)
+/// on either a single stream or a gang of shard streams.
+trait ScoreFold {
+    type Out;
+
+    fn stream(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        source: &mut dyn TupleSource,
+    ) -> DanaResult<(Self::Out, ScoringStats)>;
+
+    fn gang<S: TupleSource + Send>(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        sources: &mut [S],
+    ) -> DanaResult<(Self::Out, Vec<ScoringStats>)>;
+}
+
+/// Keep every prediction, in source page order.
+struct Collect {
+    /// Capacity hint: the scanned heap's tuple count.
+    tuples: usize,
+}
+
+impl ScoreFold for Collect {
+    type Out = Vec<f32>;
+
+    fn stream(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        source: &mut dyn TupleSource,
+    ) -> DanaResult<(Vec<f32>, ScoringStats)> {
+        let mut out = Vec::with_capacity(self.tuples);
+        let stats = dana_infer::score_source(program, lanes, source, &mut out)?;
+        Ok((out, stats))
+    }
+
+    fn gang<S: TupleSource + Send>(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        sources: &mut [S],
+    ) -> DanaResult<(Vec<f32>, Vec<ScoringStats>)> {
+        Ok(score_gang_concat(program, lanes, sources)?)
+    }
+}
+
+/// Fold the `(prediction, label)` stream into one metric value. Gang
+/// partials combine in shard-index order and the metric finishes once.
+struct Fold(MetricKind);
+
+impl ScoreFold for Fold {
+    type Out = f64;
+
+    fn stream(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        source: &mut dyn TupleSource,
+    ) -> DanaResult<(f64, ScoringStats)> {
+        Ok(dana_infer::evaluate_source(program, lanes, source, self.0)?)
+    }
+
+    fn gang<S: TupleSource + Send>(
+        &self,
+        program: &ScoringProgram,
+        lanes: u16,
+        sources: &mut [S],
+    ) -> DanaResult<(f64, Vec<ScoringStats>)> {
+        let evals = evaluate_gang(program, lanes, sources, self.0)?;
+        let mut partial = MetricPartial::default();
+        for e in &evals {
+            partial.absorb(e.partial);
+        }
+        let stats = evals.iter().map(|e| e.stats).collect();
+        Ok((partial.finish(self.0)?, stats))
+    }
+}
+
+impl SystemCore {
+    pub fn new(config: SystemCoreConfig) -> SystemCore {
+        SystemCore {
+            catalog: RwLock::new(Catalog::new()),
+            pool: SharedBufferPool::with_shards(config.pool, config.pool_shards),
+            disk: config.disk,
+            cpu: CpuModel::i7_6700(),
+            engines_built: AtomicU64::new(0),
+            engine_cache_hits: AtomicU64::new(0),
+            metrics: MetricsRegistry::new(),
+            fault_plan: RwLock::new(None),
+            // The default system keeps the paper's behavior: every query
+            // offloads (threshold 0 — DAnA has no CPU tier). Calibrating
+            // the advisor, or installing a profile without a manual
+            // threshold, enables the cost-based choice for `backend = auto`.
+            profile: RwLock::new(
+                HardwareProfile::default()
+                    .with_clock_hz(config.fpga.clock.hz)
+                    .with_offload_threshold(Some(0)),
+            ),
+            fpga: config.fpga,
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Catalog> {
+        match self.catalog.read() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
+        match self.catalog.write() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    pub fn pool_stats(&self) -> BufferPoolStats {
+        self.pool.stats()
+    }
+
+    /// Frames still referenced by a reader — must be zero when idle (the
+    /// frame-leak detector the stress suite asserts on).
+    pub fn held_frames(&self) -> usize {
+        self.pool.held_frames()
+    }
+
+    /// Pages currently resident in the buffer pool (the drop paths must
+    /// leave none behind for dropped or stale heaps).
+    pub fn resident_pages(&self) -> usize {
+        self.pool.resident_pages()
+    }
+
+    /// Engine-construction counters — the proof that repeated EXECUTEs
+    /// share one DEPLOY-time engine.
+    pub fn engine_cache_stats(&self) -> EngineCacheStats {
+        EngineCacheStats {
+            built: self.engines_built.load(Ordering::Relaxed),
+            hits: self.engine_cache_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The core's metrics registry (front doors charge waits and
+    /// completion counters here; `SHOW STATS` folds it into rows).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// Installs (or clears, with `None`) the deterministic
+    /// fault-injection plan every guarded training path consults.
+    pub fn install_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
+        match self.fault_plan.write() {
+            Ok(mut g) => *g = plan,
+            Err(poisoned) => *poisoned.into_inner() = plan,
+        }
+    }
+
+    /// The currently installed fault plan, if any.
+    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        match self.fault_plan.read() {
+            Ok(g) => g.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
+        }
+    }
+
+    /// Folds one guarded run's fault events into the registry and the
+    /// lifecycle trace. A quiet run records nothing — the `fault_retry`
+    /// span exists only when a fault actually fired, so no-fault trace
+    /// structure is a function of the statement alone.
+    fn record_fault_events(&self, events: &FaultEvents, rec: &SpanRecorder) {
+        if events.is_quiet() {
+            return;
+        }
+        self.metrics
+            .transient_faults
+            .add(events.transient_faults as u64);
+        self.metrics.fault_retries.add(events.retries as u64);
+        self.metrics
+            .gang_member_faults
+            .add(events.faulted_shards.len() as u64);
+        rec.add_wall(exec::stage::FAULT_RETRY, events.backoff_seconds);
+        rec.set_count(exec::stage::FAULT_RETRY, events.retries as u64);
+    }
+
+    /// Folds one finished front-door statement into the registry:
+    /// completion/failure counters, the wall-clock histogram, the backend
+    /// split, epochs trained, and the point-query latency series.
+    pub fn record_statement(&self, result: Result<&StatementOutcome, &DanaError>, wall: Seconds) {
+        let m = &self.metrics;
+        match result {
+            Ok(outcome) => {
+                m.queries_completed.inc();
+                m.exec_wall.record(wall);
+                match outcome.backend() {
+                    Some(BackendKind::Fpga) => m.fpga_queries.inc(),
+                    Some(BackendKind::Cpu) => m.cpu_queries.inc(),
+                    None => {}
+                }
+                match outcome {
+                    StatementOutcome::Train(o) => m.epochs_run.add(o.report.epochs_run as u64),
+                    StatementOutcome::Point(_) => {
+                        m.point_queries.inc();
+                        m.point_latency.record(wall);
+                    }
+                    _ => {}
+                }
+            }
+            Err(e) => {
+                m.queries_failed.inc();
+                if e.is_deadline_exceeded() {
+                    m.deadline_exceeded.inc();
+                }
+            }
+        }
+    }
+
+    /// The core-owned `SHOW STATS` rows: registry counters/histograms
+    /// plus pull-side buffer-pool and engine-cache values, read from
+    /// their authoritative owners at snapshot time so they cannot drift.
+    /// The server appends its queue/pool/session rows before filtering.
+    pub fn stats_entries(&self, out: &mut Vec<StatEntry>) {
+        self.metrics.snapshot_into(out);
+        let ps = self.pool.stats();
+        out.push(StatEntry::new("buffer", "hits", ps.hits as f64));
+        out.push(StatEntry::new("buffer", "misses", ps.misses as f64));
+        out.push(StatEntry::new("buffer", "evictions", ps.evictions as f64));
+        out.push(StatEntry::new("buffer", "io_seconds", ps.io_seconds));
+        out.push(StatEntry::new(
+            "buffer",
+            "resident_pages",
+            self.pool.resident_pages() as f64,
+        ));
+        out.push(StatEntry::new(
+            "buffer",
+            "resident_bytes",
+            self.pool.resident_bytes() as f64,
+        ));
+        for (heap_id, frames) in self.pool.per_heap_frames() {
+            out.push(StatEntry::new(
+                "buffer",
+                format!("heap_{heap_id}_frames"),
+                frames as f64,
+            ));
+        }
+        let ec = self.engine_cache_stats();
+        out.push(StatEntry::new("engine", "engines_built", ec.built as f64));
+        out.push(StatEntry::new(
+            "engine",
+            "engine_cache_hits",
+            ec.hits as f64,
+        ));
+    }
+
+    /// A point-in-time snapshot of the core-owned rows — the embedded
+    /// `SHOW STATS` result (the server's adds queue/pool/session rows).
+    pub fn stats_snapshot(&self, subsystem: Option<&str>) -> StatsSnapshot {
+        let mut entries = Vec::new();
+        self.stats_entries(&mut entries);
+        let snap = StatsSnapshot::new(entries);
+        match subsystem {
+            Some(s) => snap.filtered(s),
+            None => snap,
+        }
+    }
+
+    // ---- DDL ------------------------------------------------------------
+
+    /// Registers a training table.
+    pub fn create_table(&self, name: &str, heap: HeapFile) -> DanaResult<HeapId> {
+        Ok(self.write().create_table(name, heap)?)
+    }
+
+    /// Drops a table: detaches it from the catalog, force-evicts its pages
+    /// (in-flight scans keep their `Arc` snapshots and finish cleanly),
+    /// marks accelerators compiled against it stale, and marks prediction
+    /// tables materialized from it stale (force-evicting their pages too).
+    pub fn drop_table(&self, name: &str) -> DanaResult<DropSummary> {
+        let mut cat = self.write();
+        let entry = cat.drop_table(name)?;
+        let invalidated_udfs = cat.invalidate_accelerators_for(name);
+        let derived = cat.invalidate_derived_for(name);
+        drop(cat);
+        // Evict raw frames and the scan tier's compressed shadow frames;
+        // the zone-map/codec sidecar died with the catalog entry above.
+        let pages_evicted = self.pool.evict_heap_force(entry.heap_id)
+            + self.pool.evict_heap_force(entry.heap_id.shadow());
+        let mut stale_prediction_tables = Vec::new();
+        for (table, heap_id) in derived {
+            self.pool.evict_heap_force(heap_id);
+            self.pool.evict_heap_force(heap_id.shadow());
+            stale_prediction_tables.push(table);
+        }
+        self.metrics
+            .staleness_invalidations
+            .add((invalidated_udfs.len() + stale_prediction_tables.len()) as u64);
+        Ok(DropSummary {
+            table: name.to_string(),
+            pages_evicted,
+            invalidated_udfs,
+            stale_prediction_tables,
+        })
+    }
+
+    /// Warm-cache setup: loads the table into the buffer pool without
+    /// charging query I/O.
+    pub fn prewarm(&self, table: &str) -> DanaResult<usize> {
+        let (entry, heap) = self.snapshot_table(table)?;
+        let n = self.pool.prewarm(entry.heap_id, &heap)?;
+        self.pool.reset_stats();
+        Ok(n)
+    }
+
+    /// Cold-cache setup: drops every cached page.
+    pub fn clear_cache(&self) {
+        self.pool.clear();
+        self.pool.reset_stats();
+    }
+
+    /// Shared snapshot of a live table's heap — what a query would scan.
+    /// Useful for inspecting materialized prediction tables without
+    /// reaching into the catalog lock.
+    pub fn table_snapshot(&self, table: &str) -> DanaResult<Arc<HeapFile>> {
+        Ok(self.snapshot_table(table)?.1)
+    }
+
+    /// Pages in a table's heap, if the table exists.
+    pub fn table_pages(&self, table: &str) -> Option<u32> {
+        self.read().table(table).ok().map(|t| t.page_count)
+    }
+
+    pub fn table_names(&self) -> Vec<String> {
+        self.read()
+            .table_names()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    pub fn accelerator_names(&self) -> Vec<String> {
+        self.read()
+            .accelerator_names()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    }
+
+    // ---- deploy ---------------------------------------------------------
+
+    /// Compiles a UDF for `table` and stores the accelerator in the
+    /// catalog under the UDF's name. All expensive resolution happens
+    /// here: the compiled engine (validated + lowered once) is installed
+    /// on the entry's runtime cache — beside the *scoring lowering*, the
+    /// forward-pass recipe PREDICT/EVALUATE bind to trained models — so
+    /// EXECUTE never constructs an engine and scoring never re-derives.
+    /// Compilation runs outside the catalog lock; the write lock is
+    /// re-taken only to install the entry (verifying the table still
+    /// exists, in case a concurrent drop won the race).
+    pub fn deploy(&self, spec: &dana_dsl::AlgoSpec, table: &str) -> DanaResult<DeployInfo> {
+        let (snap, heap) = self.snapshot_table(table)?;
+        let acc = self.compile_for(spec, &heap, snap.tuple_count, None)?;
+        // Scoring lowering: derive the forward pass where the analytic
+        // has one (custom analytics without one still train fine; their
+        // PREDICT is a typed error).
+        let scoring = dana_infer::derive_recipe(spec).ok();
+        let blob = ArtifactBlob::from_compiled(&acc, scoring.clone());
+        let words = dana_strider::isa::encode_program(&acc.strider_program)?;
+        let entry = AcceleratorEntry {
+            udf_name: spec.name.clone(),
+            strider_program: words,
+            design_blob: blob.encode()?,
+            merge_coef: spec.merge_coef(),
+            num_threads: acc.design.num_threads as u32,
+            description: format!(
+                "{} threads × {} ACs, {} Striders",
+                acc.design.num_threads, acc.design.acs_per_thread, acc.budget.num_page_buffers
+            ),
+            bound_table: table.to_string(),
+            stale: false,
+            runtime: RuntimeCache::default(),
+            trained: RuntimeCache::default(),
+        };
+        // The compile already built (validated + lowered) the engine once;
+        // prime the entry so every EXECUTE is a cache hit.
+        exec::prime_runtime(&entry, &acc, scoring);
+        self.engines_built.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut cat = self.write();
+            // The compile raced against DDL: only install if the table the
+            // accelerator was compiled for is still the live one.
+            match cat.table(table) {
+                Ok(t) if t.heap_id == snap.heap_id => cat.deploy_accelerator(entry),
+                Ok(_) | Err(_) => {
+                    return Err(DanaError::Storage(
+                        dana_storage::StorageError::UnknownTable(table.to_string()),
+                    ))
+                }
+            }
+        }
+        Ok(DeployInfo {
+            udf_name: spec.name.clone(),
+            num_threads: acc.design.num_threads,
+            acs_per_thread: acc.design.acs_per_thread,
+            num_striders: acc.budget.num_page_buffers,
+            estimate: acc.estimate,
+            strider_listing: disassemble(&acc.strider_program),
+            micro_ops: acc.design.program.micro_ops(),
+        })
+    }
+
+    /// Parses DSL source text and deploys it (the paper's end-user path).
+    pub fn deploy_source(
+        &self,
+        source: &str,
+        default_name: &str,
+        table: &str,
+    ) -> DanaResult<DeployInfo> {
+        let spec = dana_dsl::parse_udf(source, default_name)?;
+        self.deploy(&spec, table)
+    }
+
+    // ---- the backend advisor --------------------------------------------
+
+    /// The advisor's current cost profile (a copy).
+    pub fn hardware_profile(&self) -> HardwareProfile {
+        match self.profile.read() {
+            Ok(g) => *g,
+            Err(poisoned) => *poisoned.into_inner(),
+        }
+    }
+
+    /// Installs a new advisor profile (e.g. a calibrated one, or one with
+    /// the always-offload default cleared to enable break-even routing).
+    pub fn set_hardware_profile(&self, profile: HardwareProfile) {
+        match self.profile.write() {
+            Ok(mut g) => *g = profile,
+            Err(poisoned) => *poisoned.into_inner() = profile,
+        }
+    }
+
+    /// Calibrates the advisor's CPU lane rate with the one-time
+    /// microbench on this host and enables the break-even model for
+    /// `backend = auto` (clearing the default always-offload threshold).
+    pub fn calibrate_backend_advisor(&self) {
+        let mut profile = self.hardware_profile();
+        profile.cpu_lane_ops_per_second = dana_engine::calibrate_cpu_lane_rate();
+        profile.offload_threshold_rows = None;
+        self.set_hardware_profile(profile);
+    }
+
+    // ---- bind -----------------------------------------------------------
+
+    /// Binds a parsed statement to its [`PhysicalPlan`] — the one place a
+    /// statement's `(udf, table, shards, backend)` and (through
+    /// [`exec::statement_scan`]) its pushdown scan are read. The
+    /// gang is clamped to `lease_cap` (the accelerator instances the
+    /// caller could hold at once) **and** the scanned table's page count
+    /// (the shard planner never makes more shards than pages), so the
+    /// instances leased and the shards run always agree. A `WITH
+    /// (backend = …)` override wins; `auto` asks the advisor; a gang
+    /// request (shards > 1) pins the FPGA tier, and forcing the CPU tier
+    /// alongside one is a typed error. Runs entirely on catalog metadata
+    /// and the cached lowering — no data is touched.
+    ///
+    /// `EXPLAIN [ANALYZE] <stmt>` binds the inner statement and records
+    /// the wrapper in [`PhysicalPlan::wrap`]; `SHOW STATS` executes
+    /// nothing and has no plan.
+    pub fn bind(&self, stmt: &Statement, lease_cap: usize) -> DanaResult<PhysicalPlan> {
+        let (inner, explained) = match stmt {
+            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => (&**inner, true),
+            other => (other, false),
+        };
+        let (op, udf, table, shards, requested) = match inner {
+            Statement::Train(c) => (PlanOp::Train, &c.udf, Some(&c.table), c.shards, c.backend),
+            Statement::Predict(p) => (
+                PlanOp::PredictInto {
+                    dest: p.into.clone(),
+                },
+                &p.udf,
+                Some(&p.table),
+                p.shards,
+                p.backend,
+            ),
+            Statement::Evaluate(e) => (
+                PlanOp::Evaluate { metric: e.metric },
+                &e.udf,
+                Some(&e.table),
+                e.shards,
+                e.backend,
+            ),
+            // The point form scores its literal rows: no table, no scan,
+            // nothing to shard (the parser rejects the option).
+            Statement::PredictPoint(p) => (
+                PlanOp::Point {
+                    rows: p.rows.clone(),
+                },
+                &p.udf,
+                None,
+                None,
+                p.backend,
+            ),
+            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
+                return Err(DanaError::Query("EXPLAIN cannot be nested".to_string()))
+            }
+            Statement::ShowStats(_) => {
+                return Err(DanaError::Query(
+                    "SHOW STATS has no execution backend".to_string(),
+                ))
+            }
+        };
+        let scan = exec::statement_scan(inner);
+        let cached = self.accelerator_runtime(udf)?;
+        let (rows, columns, pages) = match (&op, table) {
+            (PlanOp::Point { rows }, _) => (rows.len() as u64, 0, None),
+            (_, Some(table)) => {
+                let cat = self.read();
+                let t = cat.live_table(table)?;
+                let columns = cat.heap(t.heap_id)?.schema().len();
+                (t.tuple_count, columns, Some(t.page_count))
+            }
+            (_, None) => {
+                return Err(DanaError::Query(format!(
+                    "statement on '{udf}' names no table to scan"
+                )))
+            }
+        };
+
+        let requested = match (shards.is_some_and(|k| k > 1), requested) {
+            (true, BackendChoice::Cpu) => return Err(exec::gang_needs_fpga()),
+            (true, _) => BackendChoice::Fpga,
+            (false, requested) => requested,
+        };
+        let mut k = shards
+            .unwrap_or(1)
+            .clamp(1, lease_cap.clamp(1, u16::MAX as usize) as u16);
+        if let Some(pages) = pages {
+            k = k.min(ShardPlan::effective_shards(pages, k as usize) as u16);
+        }
+
+        let training = op == PlanOp::Train;
+        let table = table.map_or("", String::as_str);
+        let comparison = (explained || requested == BackendChoice::Auto).then(|| {
+            let workload = exec::workload(&cached, rows, columns, training, scan);
+            let label = match &op {
+                _ if !explained => String::new(),
+                PlanOp::PredictInto { dest } => format!("PREDICT {udf} ON {table} INTO {dest}"),
+                PlanOp::Point { rows } => format!("PREDICT {udf} ON {} inline row(s)", rows.len()),
+                PlanOp::Evaluate { .. } => format!("EVALUATE {udf} ON {table}"),
+                PlanOp::Train | PlanOp::Score { .. } => format!("EXECUTE {udf} ON {table}"),
+            };
+            advisor::advise(&self.hardware_profile(), &workload, requested, label)
+        });
+        let backend = match (&comparison, requested) {
+            (Some(c), _) => c.chosen,
+            (None, BackendChoice::Cpu) => BackendKind::Cpu,
+            (None, _) => BackendKind::Fpga,
+        };
+
+        // Training is priced by the deploy-time engine estimate × epochs;
+        // scoring by tuple count × program length across the lanes (a
+        // single pass — under SJF it overtakes long training jobs, and a
+        // handful of inline rows is microseconds of work). An analytic
+        // with no scoring recipe is unknown work: the conservative
+        // (early) hint.
+        let design = cached.engine.design();
+        let serial = if training {
+            exec::estimate_seconds(
+                &cached.estimate,
+                design.convergence.max_epochs(),
+                &self.fpga,
+            )
+        } else {
+            cached.scoring.as_ref().map_or(0.0, |recipe| {
+                exec::scoring_estimate_seconds(recipe, rows, design.num_threads as u32, &self.fpga)
+            })
+        };
+        let wrap = match (stmt, comparison) {
+            (Statement::Explain(_), Some(c)) => Wrap::Explain(Box::new(c)),
+            (Statement::ExplainAnalyze(_), Some(c)) => Wrap::Analyze(Box::new(c)),
+            _ if stmt.wants_trace() => Wrap::Trace,
+            _ => Wrap::None,
+        };
+        Ok(PhysicalPlan {
+            op,
+            udf: udf.clone(),
+            table: table.to_string(),
+            scan: scan.cloned(),
+            shards: k,
+            backend,
+            mode: ExecutionMode::Strider,
+            // EXPLAIN is metadata-only: it runs instantly, schedule it
+            // first.
+            cost_hint: if matches!(wrap, Wrap::Explain(_)) {
+                0.0
+            } else {
+                serial / k as f64
+            },
+            wrap,
+            spec: None,
+        })
+    }
+
+    // ---- run ------------------------------------------------------------
+
+    /// Runs a bound plan the way its statement asked to be reported:
+    /// `EXPLAIN` replies with the advisor's comparison without running;
+    /// `EXPLAIN ANALYZE` and `WITH (trace = on)` run under an enabled
+    /// span recorder whose front stages are charged `walls`. Returns the
+    /// lifecycle trace beside the outcome when `trace = on` asked for it
+    /// (`EXPLAIN ANALYZE` carries its trace inside the outcome).
+    pub fn run(
+        &self,
+        plan: &PhysicalPlan,
+        walls: &FrontDoorWalls,
+        ctx: &QueryCtx,
+    ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
+        let comparison = match &plan.wrap {
+            Wrap::None => return Ok((self.execute(plan, &SpanRecorder::disabled(), ctx)?, None)),
+            Wrap::Explain(c) => return Ok((StatementOutcome::Explain((**c).clone()), None)),
+            Wrap::Trace => None,
+            Wrap::Analyze(c) => Some((**c).clone()),
+        };
+        let rec = SpanRecorder::enabled();
+        exec::begin_trace(&rec, walls.parse, walls.admission);
+        rec.add_wall(exec::stage::LEASE, walls.lease);
+        let start = Instant::now();
+        let outcome = self.execute(plan, &rec, ctx)?;
+        let total_sim = outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0);
+        let trace = exec::finish_trace(&rec, total_sim, start.elapsed().as_secs_f64())
+            .expect("enabled recorder yields a trace");
+        Ok(match comparison {
+            None => (outcome, Some(trace)),
+            Some(comparison) => (
+                StatementOutcome::Analyze(Box::new(AnalyzeReport {
+                    outcome,
+                    trace,
+                    comparison: Some(comparison),
+                })),
+                None,
+            ),
+        })
+    }
+
+    /// Executes a bound plan. `rec` carries the lifecycle trace and is a
+    /// no-op when disabled (the common case); `ctx` carries the query's
+    /// deadline and retry budget — training checks it cooperatively at
+    /// epoch boundaries, scoring (a single pass with no boundaries to
+    /// observe the token at) refuses an already-expired deadline before
+    /// the scan starts. A caller holding accelerator leases is expected
+    /// to hold `plan.shards` of them.
+    pub fn execute(
+        &self,
+        plan: &PhysicalPlan,
+        rec: &SpanRecorder,
+        ctx: &QueryCtx,
+    ) -> DanaResult<StatementOutcome> {
+        if plan.shards > 1 && plan.backend == BackendKind::Cpu {
+            return Err(exec::gang_needs_fpga());
+        }
+        if plan.op != PlanOp::Train {
+            ctx.cancel.check()?;
+        }
+        Ok(match &plan.op {
+            PlanOp::Train => StatementOutcome::Train(QueryOutcome {
+                udf: plan.udf.clone(),
+                table: plan.table.clone(),
+                report: self.train(plan, rec, ctx)?,
+            }),
+            PlanOp::PredictInto { dest } => {
+                StatementOutcome::Predict(self.predict_into(plan, dest, rec)?)
+            }
+            PlanOp::Evaluate { metric } => {
+                StatementOutcome::Evaluate(self.evaluate_scan(plan, *metric, rec)?)
+            }
+            PlanOp::Score { lanes } => StatementOutcome::Point(self.score(plan, *lanes, rec)?),
+            PlanOp::Point { rows } => StatementOutcome::Point(self.point(plan, rows, rec)?),
+        })
+    }
+
+    /// Runs a deployed accelerator by UDF name on the FPGA tier
+    /// (full-Strider mode). The trained model is stored back on the
+    /// catalog entry (last training wins), making it available to
+    /// PREDICT/EVALUATE.
+    pub fn run_udf(&self, udf: &str, table: &str) -> DanaResult<DanaReport> {
+        self.train(
+            &PhysicalPlan::serial(PlanOp::Train, udf, table),
+            &SpanRecorder::disabled(),
+            &QueryCtx::unbounded(),
+        )
+    }
+
+    /// Scores `source` with `udf`'s latest trained model and materializes
+    /// the predictions as a new catalog table `dest`: the source schema
+    /// plus an appended `prediction real` column, registered as a real
+    /// heap — scannable, snapshottable, and droppable like any table.
+    pub fn predict(&self, udf: &str, source: &str, dest: &str) -> DanaResult<PredictReport> {
+        let op = PlanOp::PredictInto {
+            dest: dest.to_string(),
+        };
+        self.predict_into(
+            &PhysicalPlan::serial(op, udf, source),
+            dest,
+            &SpanRecorder::disabled(),
+        )
+    }
+
+    /// Scores `table` and folds an in-database quality metric over the
+    /// `(prediction, label)` stream — no tuple ever leaves the engine and
+    /// nothing is materialized. `metric` defaults to the analytic's
+    /// natural one (mse / log_loss / accuracy / lrmf_rmse).
+    pub fn evaluate(
+        &self,
+        udf: &str,
+        table: &str,
+        metric: Option<MetricKind>,
+    ) -> DanaResult<EvalReport> {
+        self.evaluate_scan(
+            &PhysicalPlan::serial(PlanOp::Evaluate { metric }, udf, table),
+            metric,
+            &SpanRecorder::disabled(),
+        )
+    }
+
+    /// Scores `table` in the given mode and lane count and returns the
+    /// raw prediction stream (differential suite / ablation entry point;
+    /// nothing is materialized).
+    pub fn score_with(
+        &self,
+        udf: &str,
+        table: &str,
+        mode: ExecutionMode,
+        lanes: Option<u16>,
+    ) -> DanaResult<Vec<f32>> {
+        let plan = PhysicalPlan {
+            mode,
+            ..PhysicalPlan::serial(PlanOp::Score { lanes }, udf, table)
+        };
+        Ok(self
+            .score(&plan, lanes, &SpanRecorder::disabled())?
+            .predictions)
+    }
+
+    /// Compiles a spec ad hoc and trains it in the given mode (the
+    /// Fig. 11 / Fig. 16 ablation entry point; nothing is stored in the
+    /// catalog).
+    pub fn train_with_spec(
+        &self,
+        spec: &dana_dsl::AlgoSpec,
+        table: &str,
+        mode: ExecutionMode,
+    ) -> DanaResult<DanaReport> {
+        self.train(
+            &PhysicalPlan::ad_hoc(spec, table, mode),
+            &SpanRecorder::disabled(),
+            &QueryCtx::unbounded(),
+        )
+    }
+
+    // ---- training -------------------------------------------------------
+
+    /// The EXECUTE path. A deployed UDF's engine comes out of the entry's
+    /// runtime cache, primed at DEPLOY — no blob decode, validation,
+    /// lowering, or design clone per query — and its trained model is
+    /// stored back on the entry (last training wins). The ad-hoc form
+    /// compiles against the *same* heap snapshot it then scans: a
+    /// concurrent drop+recreate of the table cannot slip a different
+    /// layout under an accelerator compiled for the old one.
+    fn train(
+        &self,
+        plan: &PhysicalPlan,
+        rec: &SpanRecorder,
+        ctx: &QueryCtx,
+    ) -> DanaResult<DanaReport> {
+        let (acc, entry, heap) = match &plan.spec {
+            None => {
+                let acc = self.accelerator_runtime(&plan.udf)?;
+                let (entry, heap) = self.snapshot_table(&plan.table)?;
+                (acc, entry, heap)
+            }
+            Some(spec) => {
+                let (entry, heap) = self.snapshot_table(&plan.table)?;
+                let threads = (plan.mode == ExecutionMode::Tabla).then_some(1);
+                let compiled = self.compile_for(spec, &heap, entry.tuple_count, threads)?;
+                self.engines_built.fetch_add(1, Ordering::Relaxed);
+                let acc = Arc::new(CachedAccelerator::from_compiled(&compiled, None));
+                (acc, entry, heap)
+            }
+        };
+        let report = if plan.shards > 1 {
+            self.train_gang(plan, &acc, &entry, &heap, rec, ctx)?
+        } else {
+            self.train_serial(plan, &acc, &entry, &heap, rec, ctx)?
+        };
+        if plan.spec.is_none() {
+            // Store through a short read lock (the slot is
+            // interior-mutable). A drop that raced the run cleared
+            // `trained` and marked the entry stale — don't resurrect a
+            // model for a dropped table.
+            let cat = self.read();
+            if let Ok(entry) = cat.accelerator(&plan.udf) {
+                if !entry.stale {
+                    exec::store_trained(entry, &report);
+                }
+            }
+        }
+        Ok(report)
+    }
+
+    /// One query's page stream over `heap`, with the pushdown scan state
+    /// attached when the plan carries one.
+    fn stream<'a>(
+        &'a self,
+        heap: &'a HeapFile,
+        heap_id: HeapId,
+        access: &'a AccessEngine,
+        mode: ExecutionMode,
+        state: Option<&ScanState>,
+    ) -> SharedPageStreamSource<'a> {
+        let base = SharedPageStreamSource::new(
+            &self.pool,
+            &self.disk,
+            heap,
+            heap_id,
+            access,
+            FeedKind::for_mode(mode),
+        );
+        match state {
+            Some(s) => base.with_scan(s.clone()),
+            None => base,
+        }
+    }
+
+    /// One concurrent page-range stream per planned shard.
+    fn shard_streams<'a>(
+        &'a self,
+        heap: &'a HeapFile,
+        heap_id: HeapId,
+        access: &'a AccessEngine,
+        mode: ExecutionMode,
+        shards: u16,
+    ) -> Vec<SharedPageStreamSource<'a>> {
+        ShardPlan::new(heap, shards as usize)
+            .ranges()
+            .iter()
+            .map(|r| {
+                SharedPageStreamSource::with_range(
+                    &self.pool,
+                    &self.disk,
+                    heap,
+                    heap_id,
+                    access,
+                    FeedKind::for_mode(mode),
+                    r.start_page,
+                    r.end_page,
+                )
+            })
+            .collect()
+    }
+
+    /// Serial training: stream the snapshotted heap through the pool into
+    /// the shared DEPLOY-time engine — fetch → extract (Striders or CPU,
+    /// per mode) → train interleave with no full-table materialization
+    /// (Fig. 2), no locks held while training runs. The FPGA tier composes
+    /// the cycle model's timing; the native CPU tier runs the identical
+    /// scan and epoch loop under a stopwatch — models and engine counters
+    /// are bit-identical, the timing is wall-clock only.
+    fn train_serial(
+        &self,
+        plan: &PhysicalPlan,
+        acc: &CachedAccelerator,
+        entry: &TableEntry,
+        heap: &HeapFile,
+        rec: &SpanRecorder,
+        ctx: &QueryCtx,
+    ) -> DanaResult<DanaReport> {
+        let design = acc.engine.design();
+        let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
+        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
+        let mut store = ModelStore::new(design, exec::initial_models(design))?;
+        let mut source = self.stream(heap, entry.heap_id, &access, plan.mode, state.as_ref());
+        let fault = self.fault_plan();
+        let guard = RunGuard::new(&ctx.cancel)
+            .with_fault(fault.as_deref())
+            .with_retry(ctx.retry);
+        let finish_scan = |source: SharedPageStreamSource<'_>| {
+            let (access_stats, io_first) = source.into_stats();
+            if let Some(s) = &state {
+                exec::record_scan_metrics(
+                    &self.metrics,
+                    &access_stats,
+                    &s.sidecar,
+                    heap.tuple_count(),
+                );
+            }
+            (access_stats, io_first)
+        };
+        Ok(match plan.backend {
+            BackendKind::Fpga => {
+                let run = run_training_guarded(&acc.engine, &mut source, &mut store, &guard)?;
+                self.record_fault_events(&run.events, rec);
+                let (access_stats, io_first) = finish_scan(source);
+                exec::assemble_report(
+                    plan.mode,
+                    design,
+                    acc.budget,
+                    &self.fpga,
+                    &self.cpu,
+                    &self.disk,
+                    self.pool.frames(),
+                    heap,
+                    RunArtifacts {
+                        engine_stats: run.stats,
+                        access_stats,
+                        io_first,
+                        epoch_cycles: run.epoch_cycles,
+                    },
+                    store,
+                    rec,
+                )
+            }
+            BackendKind::Cpu => {
+                let (run, events) =
+                    acc.cpu
+                        .run_training_guarded(&mut source, &mut store, &guard)?;
+                self.record_fault_events(&events, rec);
+                let (access_stats, _io_first) = finish_scan(source);
+                exec::assemble_cpu_report(design, run, access_stats, store, rec)
+            }
+        })
+    }
+
+    /// Gang training (`EXECUTE … WITH (shards = k)`): the gang's members
+    /// each stream their own page range through the pool concurrently,
+    /// train the cached lowered program epoch-synchronously, and merge
+    /// partial models deterministically at every epoch boundary (weighted
+    /// averaging for dense analytics, factor-row ownership for LRMF).
+    /// With a pushdown scan the members train from replayed slices of one
+    /// filtered scan instead (see [`SystemCore::filtered_replay_shards`]).
+    fn train_gang(
+        &self,
+        plan: &PhysicalPlan,
+        acc: &CachedAccelerator,
+        entry: &TableEntry,
+        heap: &HeapFile,
+        rec: &SpanRecorder,
+        ctx: &QueryCtx,
+    ) -> DanaResult<DanaReport> {
+        let engine = &acc.engine;
+        let design = engine.design();
+        let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
+        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
+        let fault = self.fault_plan();
+        let guard = GangGuard::new(&ctx.cancel).with_fault(fault.as_deref());
+        let init = exec::initial_models(design);
+        let (outcome, scans) = match &state {
+            None => {
+                let mut sources =
+                    self.shard_streams(heap, entry.heap_id, &access, plan.mode, plan.shards);
+                let outcome = train_gang_guarded(engine, &mut sources, init, &guard)?;
+                let scans = sources.into_iter().map(|s| s.into_stats()).collect();
+                (outcome, scans)
+            }
+            Some(st) => {
+                let (mut sources, scans) =
+                    self.filtered_replay_shards(plan, heap, entry.heap_id, &access, st)?;
+                let outcome = train_gang_guarded(engine, &mut sources, init, &guard)?;
+                (outcome, scans)
+            }
+        };
+        let arts = shard_artifacts(scans, &outcome.shard_stats);
+        if !outcome.faulted_shards.is_empty() {
+            self.record_fault_events(
+                &FaultEvents {
+                    transient_faults: outcome.faulted_shards.len() as u32,
+                    faulted_shards: outcome.faulted_shards.clone(),
+                    ..FaultEvents::default()
+                },
+                rec,
+            );
+            self.metrics
+                .shard_reexecutions
+                .add(outcome.reexecuted_epochs as u64);
+            rec.set_count(exec::stage::FAULT_RETRY, outcome.reexecuted_epochs as u64);
+            ctx.record_faulted(&outcome.faulted_shards);
+        }
+        exec::assemble_gang_report(
+            plan.mode,
+            design,
+            acc.budget,
+            &self.fpga,
+            &self.cpu,
+            &self.disk,
+            self.pool.frames(),
+            heap,
+            arts,
+            outcome.merge_cycles,
+            outcome.models,
+            rec,
+        )
+    }
+
+    /// Streams the whole table once through a pushdown scan and re-splits
+    /// the surviving tuples at the page boundaries a pre-materialized
+    /// filtered table would have (post-filter rows don't align with
+    /// source page boundaries, so page ranges can't partition them):
+    /// shard contents — and so gang merges and concatenated scores — are
+    /// bit-identical to sharding that table, and the shard count never
+    /// exceeds its page count. Returns replaying shard sources plus each
+    /// shard's share of the scan's measured cost.
+    fn filtered_replay_shards(
+        &self,
+        plan: &PhysicalPlan,
+        heap: &HeapFile,
+        heap_id: HeapId,
+        access: &AccessEngine,
+        state: &ScanState,
+    ) -> DanaResult<(Vec<ReplaySource>, Vec<ShardScan>)> {
+        let (batches, stats, io_first) = self
+            .stream(heap, heap_id, access, plan.mode, Some(state))
+            .into_cache()
+            .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
+        exec::record_scan_metrics(&self.metrics, &stats, &state.sidecar, heap.tuple_count());
+        let capacity = exec::packed_page_capacity(heap, &state.spec)?;
+        let splits = packed_tuple_splits(stats.tuples, capacity, plan.shards as usize);
+        let width = state.spec.output_width(heap.schema().len());
+        let sources = split_replay_sources(width, &batches, &splits);
+        let scans = exec::split_filtered_scan_stats(&stats, io_first, &splits);
+        Ok((sources, scans))
+    }
+
+    /// Reference data path, retained for differential testing: compiles
+    /// `spec` like [`SystemCore::train_with_spec`] but materializes the
+    /// entire table as per-tuple `Vec<f32>` rows first (the pre-streaming
+    /// pipeline) and trains via the engine's reference rows path. The
+    /// equivalence suite holds this and the streaming path to
+    /// bit-identical models; it reports models only — no timing.
+    pub fn train_with_spec_reference(
+        &self,
+        spec: &dana_dsl::AlgoSpec,
+        table: &str,
+        mode: ExecutionMode,
+    ) -> DanaResult<Vec<Vec<f32>>> {
+        let (entry, heap) = self.snapshot_table(table)?;
+        let threads = (mode == ExecutionMode::Tabla).then_some(1);
+        let acc = self.compile_for(spec, &heap, entry.tuple_count, threads)?;
+        let access = exec::access_engine_for(&heap, acc.budget, &self.fpga);
+
+        // Full-table materialization: one heap allocation per tuple.
+        let mut tuples: Vec<Vec<f32>> = Vec::with_capacity(heap.tuple_count() as usize);
+        for page_no in 0..heap.page_count() {
+            let (bytes, _) =
+                self.pool
+                    .fetch(PageId::new(entry.heap_id, page_no), &heap, &self.disk)?;
+            if mode.uses_striders() {
+                let (page_tuples, _) = access.extract_page_rows(&bytes)?;
+                tuples.extend(page_tuples.into_iter().map(|t| t.values));
+            } else {
+                let page = HeapPage::from_bytes(bytes.to_vec(), *heap.layout())?;
+                for slot in 0..page.tuple_count() {
+                    let t = Tuple::deform(heap.schema(), page.tuple_bytes(slot)?)?;
+                    tuples.push(t.values.iter().map(|d| d.as_f32()).collect());
+                }
+            }
+        }
+
+        let mut store = ModelStore::new(&acc.design, exec::initial_models(&acc.design))?;
+        acc.engine.run_training_rows(&tuples, &mut store)?;
+        Ok(store.into_values())
+    }
+
+    // ---- the inference tier --------------------------------------------
+
+    /// PREDICT … INTO: the scan runs lock-free on a heap snapshot; the
+    /// result installs under the write lock only if the source is still
+    /// the same live heap (a drop or drop+recreate that raced the scan
+    /// refuses the install instead of registering an orphan). A gang's
+    /// shard outputs concatenate in shard-index order — source page order
+    /// — so the materialized table is bit-identical to the serial one for
+    /// every shard count; with a pushdown scan it keeps only surviving
+    /// tuples and projected columns.
+    fn predict_into(
+        &self,
+        plan: &PhysicalPlan,
+        dest: &str,
+        rec: &SpanRecorder,
+    ) -> DanaResult<PredictReport> {
+        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let (entry, heap) = self.snapshot_table(&plan.table)?;
+        // Cheap early refusal before scanning anything; the authoritative
+        // check is the guarded install below.
+        if self.read().table(dest).is_ok() {
+            return Err(DanaError::Storage(
+                dana_storage::StorageError::DuplicateName(dest.to_string()),
+            ));
+        }
+        let collect = Collect {
+            tuples: heap.tuple_count() as usize,
+        };
+        let (predictions, stats, timing, shards) =
+            self.scoring_scan(plan, &setup, &entry, &heap, &collect, rec)?;
+        let mat_start = Instant::now();
+        let out_heap =
+            exec::materialize_predictions(&entry, &heap, plan.scan.as_ref(), &predictions)?;
+        {
+            let mut cat = self.write();
+            match cat.table(&plan.table) {
+                Ok(t) if t.heap_id == entry.heap_id && !t.stale => {
+                    cat.create_derived_table(dest, out_heap, &plan.table)?;
+                }
+                _ => {
+                    // The source was dropped (or swapped) mid-scan: the
+                    // predictions describe rows that no longer exist.
+                    return Err(DanaError::Storage(
+                        dana_storage::StorageError::UnknownTable(plan.table.clone()),
+                    ));
+                }
+            }
+        }
+        rec.add_wall(exec::stage::MATERIALIZE, mat_start.elapsed().as_secs_f64());
+        Ok(PredictReport {
+            udf: plan.udf.clone(),
+            source_table: plan.table.clone(),
+            output_table: dest.to_string(),
+            rows_scored: stats.tuples,
+            lanes: setup.lanes,
+            shards,
+            backend: plan.backend,
+            scoring: stats,
+            timing,
+        })
+    }
+
+    /// EVALUATE: score and fold the metric; nothing is materialized.
+    fn evaluate_scan(
+        &self,
+        plan: &PhysicalPlan,
+        metric: Option<MetricKind>,
+        rec: &SpanRecorder,
+    ) -> DanaResult<EvalReport> {
+        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
+        setup.recipe.check_metric(metric)?;
+        let (entry, heap) = self.snapshot_table(&plan.table)?;
+        let (value, stats, timing, shards) =
+            self.scoring_scan(plan, &setup, &entry, &heap, &Fold(metric), rec)?;
+        Ok(EvalReport {
+            udf: plan.udf.clone(),
+            table: plan.table.clone(),
+            metric,
+            value,
+            rows_scored: stats.tuples,
+            lanes: setup.lanes,
+            shards,
+            backend: plan.backend,
+            scoring: stats,
+            timing,
+        })
+    }
+
+    /// The raw prediction stream of a table scan, returned inline.
+    fn score(
+        &self,
+        plan: &PhysicalPlan,
+        lanes: Option<u16>,
+        rec: &SpanRecorder,
+    ) -> DanaResult<PointReport> {
+        let setup = self.scoring_setup(&plan.udf, plan.mode, lanes)?;
+        let (entry, heap) = self.snapshot_table(&plan.table)?;
+        let collect = Collect {
+            tuples: heap.tuple_count() as usize,
+        };
+        let (predictions, stats, timing, _) =
+            self.scoring_scan(plan, &setup, &entry, &heap, &collect, rec)?;
+        Ok(PointReport {
+            udf: plan.udf.clone(),
+            predictions,
+            lanes: setup.lanes,
+            backend: plan.backend,
+            cached: false,
+            scoring: stats,
+            timing,
+        })
+    }
+
+    /// The **point fast path**: binds the literal rows straight into the
+    /// cached scoring program and scores them as one in-memory SoA batch
+    /// — no heap scan, no buffer-pool traffic, nothing materialized, and
+    /// (on the CPU tier) no accelerator lease. Bit-identical to the
+    /// materializing path on the same rows because the identical lockstep
+    /// kernel runs in both.
+    fn point(
+        &self,
+        plan: &PhysicalPlan,
+        rows: &[Vec<f32>],
+        rec: &SpanRecorder,
+    ) -> DanaResult<PointReport> {
+        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let batch = exec::point_batch(&plan.udf, &setup.program, rows)?;
+        let start = Instant::now();
+        let (predictions, stats) = dana_infer::score_batch(&setup.program, setup.lanes, &batch)?;
+        let wall = start.elapsed().as_secs_f64();
+        let timing = exec::point_timing(plan.backend, &stats, wall, &self.fpga);
+        match plan.backend {
+            BackendKind::Cpu => exec::record_cpu_spans(rec, wall),
+            BackendKind::Fpga => rec.add_sim(exec::stage::ENGINE, timing.engine_seconds),
+        }
+        Ok(PointReport {
+            udf: plan.udf.clone(),
+            predictions,
+            lanes: setup.lanes,
+            backend: plan.backend,
+            cached: false,
+            scoring: stats,
+            timing,
+        })
+    }
+
+    /// Everything a scoring query resolves under the catalog read lock
+    /// (stale check, cached accelerator — with the engine-cache counters —
+    /// recipe bound to the latest trained models, lane count).
+    fn scoring_setup(
+        &self,
+        udf: &str,
+        mode: ExecutionMode,
+        lanes: Option<u16>,
+    ) -> DanaResult<exec::ScoringSetup> {
+        let cat = self.read();
+        let (entry, cached) = self.live_accelerator(&cat, udf)?;
+        exec::scoring_setup(udf, entry, cached, mode, lanes)
+    }
+
+    /// The one scoring scan over a heap snapshot, shared by
+    /// predict/evaluate/score so the scan plumbing exists exactly once:
+    /// stream pages through the pool into `fold` and compose the timing.
+    /// A serial plan drives one stream on the caller's thread — the
+    /// composed cycle-model timing on the FPGA tier, a stopwatch around
+    /// the scan ([`DanaTiming::wall_only`]) on the CPU tier. A gang opens
+    /// one concurrent range stream per shard (or replays slices of one
+    /// filtered scan) and composes its timing from the critical member.
+    /// Returns the shard count actually run.
+    fn scoring_scan<F: ScoreFold>(
+        &self,
+        plan: &PhysicalPlan,
+        setup: &exec::ScoringSetup,
+        entry: &TableEntry,
+        heap: &HeapFile,
+        fold: &F,
+        rec: &SpanRecorder,
+    ) -> DanaResult<(F::Out, ScoringStats, DanaTiming, u16)> {
+        let budget = setup.cached.budget;
+        let access = exec::access_engine_for(heap, budget, &self.fpga);
+        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
+        if plan.shards > 1 {
+            let (out, stats, scans) = match &state {
+                None => {
+                    let mut sources =
+                        self.shard_streams(heap, entry.heap_id, &access, plan.mode, plan.shards);
+                    let (out, stats) = fold.gang(&setup.program, setup.lanes, &mut sources)?;
+                    let scans = sources.into_iter().map(|s| s.into_stats()).collect();
+                    (out, stats, scans)
+                }
+                Some(st) => {
+                    let (mut sources, scans) =
+                        self.filtered_replay_shards(plan, heap, entry.heap_id, &access, st)?;
+                    let (out, stats) = fold.gang(&setup.program, setup.lanes, &mut sources)?;
+                    (out, stats, scans)
+                }
+            };
+            let arts = shard_artifacts(scans, &[]);
+            let (timing, combined) = exec::assemble_gang_scoring_timing(
+                plan.mode,
+                budget,
+                &self.fpga,
+                &self.cpu,
+                &self.disk,
+                self.pool.frames(),
+                heap,
+                &arts,
+                &stats,
+                rec,
+            );
+            return Ok((out, combined, timing, arts.len() as u16));
+        }
+        let mut stream = self.stream(heap, entry.heap_id, &access, plan.mode, state.as_ref());
+        let start = Instant::now();
+        let (out, stats) = fold.stream(&setup.program, setup.lanes, &mut stream)?;
+        let wall = start.elapsed().as_secs_f64();
+        let (access_stats, io_first) = stream.into_stats();
+        if let Some(s) = &state {
+            exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
+        }
+        let timing = match plan.backend {
+            BackendKind::Cpu => {
+                exec::record_cpu_spans(rec, wall);
+                DanaTiming::wall_only(wall)
+            }
+            BackendKind::Fpga => exec::assemble_scoring_timing(
+                plan.mode,
+                budget,
+                &self.fpga,
+                &self.cpu,
+                &self.disk,
+                self.pool.frames(),
+                heap,
+                &access_stats,
+                io_first,
+                &stats,
+                rec,
+            ),
+        };
+        Ok((out, stats, timing, 1))
+    }
+
+    // ---- catalog resolution ---------------------------------------------
+
+    /// A live (non-stale) accelerator entry and its cached runtime
+    /// artifact, counted against the engine-cache statistics. A stale
+    /// accelerator's Strider program walks a page layout whose table has
+    /// been dropped — refuse with a typed error instead of letting the
+    /// lookup dangle into `UnknownHeap`.
+    fn live_accelerator<'c>(
+        &self,
+        cat: &'c Catalog,
+        udf: &str,
+    ) -> DanaResult<(&'c AcceleratorEntry, Arc<CachedAccelerator>)> {
+        let entry = cat.accelerator(udf)?;
+        if entry.stale {
+            return Err(DanaError::StaleAccelerator {
+                udf: udf.to_string(),
+                dropped_table: entry.bound_table.clone(),
+            });
+        }
+        let (cached, built) = exec::cached_accelerator(entry)?;
+        if built {
+            self.engines_built.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.engine_cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((entry, cached))
+    }
+
+    /// The accelerator's cached runtime artifact (engine + budget +
+    /// estimate), with the stale check. Served from the entry's DEPLOY-time
+    /// cache under a short read lock; a miss (cache invalidated or entry
+    /// restored from a blob) rebuilds from the persisted lowering once.
+    pub fn accelerator_runtime(&self, udf: &str) -> DanaResult<Arc<CachedAccelerator>> {
+        Ok(self.live_accelerator(&self.read(), udf)?.1)
+    }
+
+    /// The UDF's current trained-model generation: the `Arc` in its
+    /// trained-model slot, as an identity witness. `None` when
+    /// untrained, stale, or unknown. The serving tier's prediction
+    /// cache stamps entries with this `Arc` and refuses hits whose
+    /// stamp is no longer pointer-equal to the live one — a retrain
+    /// swaps the `Arc` (last write wins) and a drop clears the slot,
+    /// so either way the stamp mismatch invalidates without any flag
+    /// on the hot path. Holding the `Arc` (not a raw pointer) makes
+    /// the comparison ABA-safe: the old generation's allocation cannot
+    /// be reused while a cache entry still references it.
+    pub fn trained_generation(&self, udf: &str) -> Option<Arc<exec::TrainedModels>> {
+        let cat = self.read();
+        let entry = cat.accelerator(udf).ok()?;
+        if entry.stale {
+            return None;
+        }
+        exec::trained_models(entry)
+    }
+
+    /// Consistent (catalog entry, heap snapshot) for a table, under a read
+    /// lock released before returning. All downstream work (compile,
+    /// execution) must use this one snapshot so concurrent DDL cannot swap
+    /// the heap mid-query. Stale derived tables are refused with a typed
+    /// error.
+    fn snapshot_table(&self, table: &str) -> DanaResult<(TableEntry, Arc<HeapFile>)> {
+        let cat = self.read();
+        let entry = cat.live_table(table)?.clone();
+        let heap = cat.heap_arc(entry.heap_id)?;
+        Ok((entry, heap))
+    }
+
+    fn compile_for(
+        &self,
+        spec: &dana_dsl::AlgoSpec,
+        heap: &HeapFile,
+        expected_tuples: u64,
+        threads: Option<u32>,
+    ) -> DanaResult<CompiledAccelerator> {
+        let hdfg = translate(spec);
+        let input = CompileInput {
+            hdfg: &hdfg,
+            fpga: self.fpga,
+            layout: *heap.layout(),
+            schema_columns: heap.schema().len(),
+            expected_tuples,
+        };
+        Ok(match threads {
+            Some(t) => compile_with_threads(&input, t)?,
+            None => compile(&input)?,
+        })
+    }
+}
+
+/// One shard's first-scan measurements: extraction stats plus the disk
+/// seconds the scan was charged.
+type ShardScan = (AccessStats, Seconds);
+
+/// Pairs each gang member's scan measurements with its engine counters
+/// (absent for scoring gangs, whose compute is accounted separately).
+fn shard_artifacts(
+    scans: Vec<ShardScan>,
+    engine_stats: &[dana_engine::EngineStats],
+) -> Vec<ShardArtifacts> {
+    scans
+        .into_iter()
+        .enumerate()
+        .map(|(i, (access_stats, io_first))| ShardArtifacts {
+            engine_stats: engine_stats.get(i).copied().unwrap_or_default(),
+            access_stats,
+            io_first,
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::tests::linreg_heap;
+    use crate::{parse_statement, Dana};
+    use dana_dsl::zoo::{linear_regression, DenseParams};
+
+    const POOL: BufferPoolConfig = BufferPoolConfig {
+        pool_bytes: 64 << 20,
+        page_size: 8 * 1024,
+    };
+
+    fn small_core() -> SystemCore {
+        SystemCore::new(SystemCoreConfig {
+            fpga: FpgaSpec::vu9p(),
+            pool: POOL,
+            pool_shards: 4,
+            disk: DiskModel::ssd(),
+        })
+    }
+
+    fn linreg_spec(d: usize) -> dana_dsl::AlgoSpec {
+        linear_regression(DenseParams {
+            n_features: d,
+            learning_rate: 0.2,
+            merge_coef: 8,
+            epochs: 25,
+        })
+        .unwrap()
+    }
+
+    fn prediction_column(core: &SystemCore, table: &str, column: usize) -> Vec<f32> {
+        let heap = core.table_snapshot(table).unwrap();
+        let batch = heap.scan_batch().unwrap();
+        batch.rows().map(|r| r[column]).collect()
+    }
+
+    #[test]
+    fn deploy_and_run_through_shared_core() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(500, 8)).unwrap();
+        let info = core.deploy(&linreg_spec(8), "t").unwrap();
+        assert!(info.num_threads >= 1);
+        assert_eq!(core.accelerator_names(), vec!["linearR".to_string()]);
+        let report = core.run_udf("linearR", "t").unwrap();
+        let w = report.dense_model();
+        for (i, v) in w.iter().enumerate() {
+            let truth = 0.3 * i as f32 - 0.5;
+            assert!((v - truth).abs() < 0.05, "w[{i}] = {v}, truth {truth}");
+        }
+        assert_eq!(core.held_frames(), 0, "query must release every frame");
+    }
+
+    /// A four-shard pool scores bit-identically to the embedded one-shard
+    /// system: pool sharding changes locking, never results.
+    #[test]
+    fn concurrent_predict_matches_serial_bit_for_bit() {
+        let core = small_core();
+        let db = Dana::new(FpgaSpec::vu9p(), POOL, DiskModel::ssd());
+        let spec = linreg_spec(10);
+        for sys in [&core, &*db] {
+            sys.create_table("t", linreg_heap(600, 10)).unwrap();
+            sys.deploy(&spec, "t").unwrap();
+            sys.run_udf("linearR", "t").unwrap();
+            let report = sys.predict("linearR", "t", "p").unwrap();
+            assert_eq!(report.rows_scored, 600);
+            assert_eq!(sys.held_frames(), 0, "scoring must release every frame");
+        }
+        assert_eq!(
+            prediction_column(&core, "p", 11),
+            prediction_column(&db, "p", 11),
+            "paths must be bit-identical"
+        );
+        let c = core.evaluate("linearR", "t", None).unwrap();
+        let s = db.evaluate("linearR", "t", None).unwrap();
+        assert_eq!(c.value, s.value);
+        assert_eq!(c.metric, s.metric);
+    }
+
+    #[test]
+    fn predict_without_training_is_typed_error() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(100, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+        assert!(matches!(
+            core.predict("linearR", "t", "p"),
+            Err(DanaError::ModelNotTrained { .. })
+        ));
+        assert!(matches!(
+            core.evaluate("linearR", "t", None),
+            Err(DanaError::ModelNotTrained { .. })
+        ));
+    }
+
+    #[test]
+    fn scoring_hint_prices_tuples_over_program_length() {
+        let core = small_core();
+        core.create_table("small", linreg_heap(200, 8)).unwrap();
+        core.create_table("large", linreg_heap(4000, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "small").unwrap();
+        let hint = |sql: &str| {
+            core.bind(&parse_statement(sql).unwrap(), 1)
+                .unwrap()
+                .cost_hint
+        };
+        let s = hint("EVALUATE dana.linearR('small');");
+        let l = hint("EVALUATE dana.linearR('large');");
+        assert!(s > 0.0);
+        assert!(l > s, "more tuples must cost more: {l} vs {s}");
+        // Scoring is one pass; training the same table runs 25 epochs.
+        let train = hint("SELECT * FROM dana.linearR('small');");
+        assert!(
+            s < train,
+            "a scoring pass must undercut training under SJF: {s} vs {train}"
+        );
+        // A gang finishes its scan ~k× sooner, and is priced so.
+        let gang = core
+            .bind(
+                &parse_statement("EVALUATE dana.linearR('large') WITH (shards = 2);").unwrap(),
+                4,
+            )
+            .unwrap();
+        assert_eq!(gang.shards, 2);
+        assert_eq!(gang.cost_hint, l / 2.0);
+    }
+
+    #[test]
+    fn cpu_backend_matches_fpga_in_shared_core() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(500, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+
+        let fpga = core.run_udf("linearR", "t").unwrap();
+        let cpu = core
+            .execute_statement("SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
+            .unwrap();
+        let cpu = cpu.report();
+        assert_eq!(cpu.backend, BackendKind::Cpu);
+        assert_eq!(cpu.models, fpga.models, "tiers must agree bit-for-bit");
+        assert_eq!(cpu.engine.cycles, fpga.engine.cycles);
+        assert_eq!(cpu.timing.total_seconds, 0.0, "nothing was simulated");
+        assert!(cpu.timing.wall_seconds.is_some());
+        assert_eq!(core.held_frames(), 0, "CPU tier must release every frame");
+
+        // Scoring tiers agree too, and the CPU report keeps the units
+        // separation.
+        let p_fpga = core.predict("linearR", "t", "pf").unwrap();
+        let p_cpu = core
+            .execute_statement("PREDICT dana.linearR('t') INTO 'pc' WITH (backend = cpu);")
+            .unwrap();
+        let p_cpu = p_cpu.predict_report();
+        assert_eq!(p_cpu.backend, BackendKind::Cpu);
+        assert_eq!(p_fpga.backend, BackendKind::Fpga);
+        assert!(p_cpu.timing.wall_seconds.is_some());
+        assert_eq!(
+            prediction_column(&core, "pf", 9),
+            prediction_column(&core, "pc", 9),
+            "predictions must be bit-identical"
+        );
+        let e_fpga = core.evaluate("linearR", "t", None).unwrap();
+        let e_cpu = core
+            .execute_statement("EVALUATE dana.linearR('t') WITH (backend = cpu);")
+            .unwrap();
+        let e_cpu = e_cpu.eval_report();
+        assert_eq!(e_cpu.value, e_fpga.value);
+        assert_eq!(e_cpu.backend, BackendKind::Cpu);
+    }
+
+    #[test]
+    fn advisor_routes_statements_in_shared_core() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(300, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+        let bind = |sql: &str| core.bind(&parse_statement(sql).unwrap(), 4);
+
+        // Default: always offload, and EXPLAIN prices both tiers.
+        let plain = "SELECT * FROM dana.linearR('t');";
+        assert_eq!(bind(plain).unwrap().backend, BackendKind::Fpga);
+        let Wrap::Explain(cmp) = bind(&format!("EXPLAIN {plain}")).unwrap().wrap else {
+            panic!("EXPLAIN binds to an explain plan");
+        };
+        assert_eq!(cmp.rows, 300);
+        assert_eq!(cmp.options.len(), 2);
+        assert_eq!(cmp.chosen, BackendKind::Fpga);
+
+        // Break-even model on: 300 rows routes to the CPU tier, which
+        // needs no accelerator.
+        core.set_hardware_profile(core.hardware_profile().with_offload_threshold(None));
+        let routed = bind(plain).unwrap();
+        assert_eq!(routed.backend, BackendKind::Cpu);
+        assert!(!routed.needs_accelerator());
+        // Forced backend still wins.
+        let forced = bind("SELECT * FROM dana.linearR('t') WITH (backend = fpga);").unwrap();
+        assert_eq!(forced.backend, BackendKind::Fpga);
+        assert!(forced.needs_accelerator());
+        // Gang + cpu is the typed conflict, also for a hand-built plan.
+        assert!(matches!(
+            bind("SELECT * FROM dana.linearR('t') WITH (shards = 2, backend = cpu);"),
+            Err(DanaError::Query(_))
+        ));
+        let conflict = PhysicalPlan {
+            shards: 2,
+            backend: BackendKind::Cpu,
+            ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
+        };
+        assert!(matches!(
+            core.execute(&conflict, &SpanRecorder::disabled(), &QueryCtx::unbounded()),
+            Err(DanaError::Query(_))
+        ));
+        // SHOW STATS executes nothing: there is no plan to bind.
+        assert!(matches!(bind("SHOW STATS;"), Err(DanaError::Query(_))));
+    }
+
+    #[test]
+    fn estimated_seconds_orders_small_before_large() {
+        let core = small_core();
+        core.create_table("small", linreg_heap(200, 8)).unwrap();
+        core.create_table("large", linreg_heap(3000, 8)).unwrap();
+        let mut small_spec = linreg_spec(8);
+        small_spec.name = "smallR".into();
+        let mut large_spec = linreg_spec(8);
+        large_spec.name = "largeR".into();
+        core.deploy(&small_spec, "small").unwrap();
+        core.deploy(&large_spec, "large").unwrap();
+        let hint = |sql: &str| {
+            core.bind(&parse_statement(sql).unwrap(), 1)
+                .unwrap()
+                .cost_hint
+        };
+        let s = hint("SELECT * FROM dana.smallR('small');");
+        let l = hint("SELECT * FROM dana.largeR('large');");
+        assert!(s > 0.0 && l > 0.0);
+        assert!(l > s, "more tuples must cost more: {l} vs {s}");
+    }
+}

@@ -1,15 +1,10 @@
-//! Shared execution machinery: everything the query path needs that is the
-//! same whether one query runs at a time (the [`crate::Dana`] facade) or
-//! many run concurrently (the `dana-server` serving tier).
-//!
-//! The split follows the concurrency refactor: [`crate::Dana`] used to own
-//! catalog-blob codecs, access-engine construction, and the cost-model
-//! composition privately. A concurrent server cannot borrow a `&mut Dana`
-//! per query, so those pieces live here as free functions over *immutable*
-//! inputs — a per-query execution context is just (design, budget, heap,
+//! Execution machinery behind [`crate::SystemCore::execute`]: catalog-blob
+//! codecs, access-engine construction, pushdown-scan plumbing, and the
+//! cost-model composition, as free functions over *immutable* inputs. A
+//! per-query execution context is just (design, budget, heap,
 //! FPGA/CPU/disk models) plus the run's measured stats, and
-//! [`assemble_report`] is a pure function of them. Bit-identical results
-//! between the serial and concurrent paths fall out of that purity.
+//! [`assemble_report`] is a pure function of them — which is why results
+//! are bit-identical however many queries run beside each other.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -29,16 +24,17 @@ use dana_storage::{
 };
 use dana_strider::{AccessEngine, AccessEngineConfig, AccessStats};
 
-use crate::advisor::{self, BackendChoice, HardwareProfile, StrategyComparison, Workload};
+use crate::advisor::Workload;
 use crate::error::{DanaError, DanaResult};
 use crate::query::Statement;
 use crate::report::{DanaReport, DanaTiming, Seconds};
 use crate::runtime::{compose, stage_partition, EpochCosts, ExecutionMode};
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
-/// Both facades pre-register the front half (`parse` → `admission_wait`
-/// → `lease`) and the shared assembly helpers here fill in the execution
-/// stages, so the two paths emit structurally identical traces.
+/// Every traced run pre-registers the front half (`parse` →
+/// `admission_wait` → `lease`) and the assembly helpers here fill in the
+/// execution stages, so embedded and served runs emit structurally
+/// identical traces.
 pub mod stage {
     pub const PARSE: &str = "parse";
     pub const ADMISSION: &str = "admission_wait";
@@ -90,8 +86,8 @@ pub fn finish_trace(
 /// `EXPLAIN ANALYZE` asserts against the query report.
 ///
 /// Counts and children depend only on the statement and the engine's
-/// deterministic epoch outcome — never on gang width or facade — so the
-/// trace *shape* is identical across serial/concurrent paths and shard
+/// deterministic epoch outcome — never on gang width or front door — so
+/// the trace *shape* is identical across embedded/served runs and shard
 /// counts (gang scan work aggregates into the one `scan` stage via the
 /// critical path, which is exactly how the cost model composes it).
 fn record_training_spans(
@@ -313,8 +309,8 @@ pub struct TrainedModels {
 
 /// Records a finished training run's models on the catalog entry so
 /// scoring queries can bind them. Interior-mutable (like the runtime
-/// cache) so both the serial facade and the concurrent core store through
-/// a shared reference; last write wins.
+/// cache) so concurrent queries store through a shared reference; last
+/// write wins.
 pub fn store_trained(entry: &AcceleratorEntry, report: &DanaReport) {
     entry.trained.store(Arc::new(TrainedModels {
         models: report.models.clone(),
@@ -401,7 +397,7 @@ pub fn access_engine_for(heap: &HeapFile, budget: ResourceBudget, fpga: &FpgaSpe
     )
 }
 
-// ---- pushdown scan plumbing (shared by both facades) ---------------------
+// ---- pushdown scan plumbing ---------------------------------------------
 
 /// Resolves a statement's optional `WHERE`/`COLUMNS` spec into the
 /// [`ScanState`] the page sources consume: `None` for no spec or a
@@ -574,8 +570,7 @@ pub struct RunArtifacts {
 }
 
 /// Composes a finished run's stats into the end-to-end [`DanaReport`] via
-/// the pipeline-overlap cost model — pure function, shared verbatim by the
-/// single-query facade and every server worker.
+/// the pipeline-overlap cost model — a pure function.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_report(
     mode: ExecutionMode,
@@ -656,7 +651,7 @@ pub fn assemble_cpu_report(
     }
 }
 
-// ---- the backend advisor (shared dispatch) ------------------------------
+// ---- the backend advisor ------------------------------------------------
 
 /// The typed conflict between a gang and the CPU tier: intra-query
 /// parallelism (shards > 1) is accelerator-side only.
@@ -668,27 +663,28 @@ pub fn gang_needs_fpga() -> DanaError {
     )
 }
 
-/// The advisor's workload shape for one statement against a deployed
+/// The advisor's workload shape for one plan against a deployed
 /// accelerator: rows from the catalog's tuple count, compute shape from
-/// the cached lowering — no data is touched. Training statements price
-/// the full epoch schedule; scoring statements (PREDICT/EVALUATE) price
-/// one forward pass per tuple on both tiers.
-pub fn statement_workload(
+/// the cached lowering — no data is touched. Training prices the full
+/// epoch schedule; scoring (PREDICT/EVALUATE) prices one forward pass per
+/// tuple on both tiers. `columns` is the scanned table's width (0 for the
+/// table-less point form).
+pub fn workload(
     cached: &CachedAccelerator,
     rows: u64,
     columns: usize,
-    stmt: &Statement,
+    training: bool,
+    scan: Option<&ScanSpec>,
 ) -> Workload {
     let design = cached.engine.design();
     let lowered = cached.engine.lowered();
-    let scan = statement_scan(stmt);
     let selectivity = scan.map_or(1.0, ScanSpec::planning_selectivity);
     let width_fraction = match scan.and_then(|s| s.projection.as_ref()) {
         Some(proj) if columns > 0 => (proj.len() as f64 / columns as f64).clamp(0.0, 1.0),
         _ => 1.0,
     };
-    match stmt {
-        Statement::Train(_) | Statement::Explain(_) => Workload {
+    if training {
+        return Workload {
             rows,
             epochs: design.convergence.max_epochs(),
             threads: design.num_threads,
@@ -699,24 +695,22 @@ pub fn statement_workload(
             ops_per_group: lowered.per_group_ops(),
             selectivity,
             width_fraction,
-        },
-        _ => {
-            let per_tuple = cached
-                .scoring
-                .as_ref()
-                .map(|r| r.per_tuple_cycles())
-                .unwrap_or_else(|| lowered.per_tuple_lane_ops());
-            Workload {
-                rows,
-                epochs: 1,
-                threads: design.num_threads,
-                cycles_per_group: per_tuple,
-                lane_ops_per_tuple: per_tuple,
-                ops_per_group: 0,
-                selectivity,
-                width_fraction,
-            }
-        }
+        };
+    }
+    let per_tuple = cached
+        .scoring
+        .as_ref()
+        .map(|r| r.per_tuple_cycles())
+        .unwrap_or_else(|| lowered.per_tuple_lane_ops());
+    Workload {
+        rows,
+        epochs: 1,
+        threads: design.num_threads,
+        cycles_per_group: per_tuple,
+        lane_ops_per_tuple: per_tuple,
+        ops_per_group: 0,
+        selectivity,
+        width_fraction,
     }
 }
 
@@ -732,82 +726,6 @@ pub fn statement_scan(stmt: &Statement) -> Option<&ScanSpec> {
         | Statement::ExplainAnalyze(_)
         | Statement::ShowStats(_) => None,
     }
-}
-
-/// The `WITH (backend = …)` request and shard count a statement carries.
-fn statement_request(stmt: &Statement) -> DanaResult<(BackendChoice, Option<u16>)> {
-    match stmt {
-        Statement::Train(c) => Ok((c.backend, c.shards)),
-        Statement::Predict(p) => Ok((p.backend, p.shards)),
-        // The point form has no scan to shard — the parser rejects the
-        // shards option, so the request is always serial.
-        Statement::PredictPoint(p) => Ok((p.backend, None)),
-        Statement::Evaluate(e) => Ok((e.backend, e.shards)),
-        Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-            Err(DanaError::Query("EXPLAIN cannot be nested".to_string()))
-        }
-        Statement::ShowStats(_) => Err(DanaError::Query(
-            "SHOW STATS has no execution backend".to_string(),
-        )),
-    }
-}
-
-/// Prices a statement on every backend without running it — the
-/// `EXPLAIN` core shared by the serial facade and the serving tier. A
-/// gang (shards > 1) pins the FPGA tier; CPU + gang is a typed conflict.
-pub fn explain_statement(
-    profile: &HardwareProfile,
-    cached: &CachedAccelerator,
-    rows: u64,
-    columns: usize,
-    stmt: &Statement,
-) -> DanaResult<StrategyComparison> {
-    let (requested, shards) = statement_request(stmt)?;
-    let requested = match (shards, requested) {
-        (Some(k), BackendChoice::Cpu) if k > 1 => return Err(gang_needs_fpga()),
-        (Some(k), BackendChoice::Auto) if k > 1 => BackendChoice::Fpga,
-        _ => requested,
-    };
-    let workload = statement_workload(cached, rows, columns, stmt);
-    let statement = match stmt {
-        Statement::Train(c) => format!("EXECUTE {} ON {}", c.udf, c.table),
-        Statement::Predict(p) => format!("PREDICT {} ON {} INTO {}", p.udf, p.table, p.into),
-        Statement::PredictPoint(p) => {
-            format!("PREDICT {} ON {} inline row(s)", p.udf, p.rows.len())
-        }
-        Statement::Evaluate(e) => format!("EVALUATE {} ON {}", e.udf, e.table),
-        Statement::Explain(_) | Statement::ExplainAnalyze(_) | Statement::ShowStats(_) => {
-            unreachable!("rejected by statement_request")
-        }
-    };
-    Ok(advisor::advise(profile, &workload, requested, statement))
-}
-
-/// Resolves the substrate one statement runs on: a `WITH (backend = …)`
-/// override wins; `auto` asks the advisor; a gang (shards > 1) pins the
-/// FPGA tier, and forcing CPU alongside one is a typed error.
-pub fn resolve_backend(
-    profile: &HardwareProfile,
-    cached: &CachedAccelerator,
-    rows: u64,
-    columns: usize,
-    stmt: &Statement,
-) -> DanaResult<BackendKind> {
-    let (requested, shards) = statement_request(stmt)?;
-    if shards.is_some_and(|k| k > 1) {
-        return match requested {
-            BackendChoice::Cpu => Err(gang_needs_fpga()),
-            _ => Ok(BackendKind::Fpga),
-        };
-    }
-    Ok(match requested {
-        BackendChoice::Fpga => BackendKind::Fpga,
-        BackendChoice::Cpu => BackendKind::Cpu,
-        BackendChoice::Auto => {
-            let workload = statement_workload(cached, rows, columns, stmt);
-            advisor::advise(profile, &workload, BackendChoice::Auto, String::new()).chosen
-        }
-    })
 }
 
 /// The per-epoch cost inputs every streamed scan shares (training and
@@ -857,8 +775,7 @@ fn stream_costs(
 
 /// Composes a finished *scoring* scan's stats into its end-to-end timing:
 /// one pass over the heap (scoring has no epochs) with the same pipeline
-/// overlap as training — pure function, shared by the serial facade and
-/// the concurrent serving tier.
+/// overlap as training — a pure function.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_scoring_timing(
     mode: ExecutionMode,
@@ -1104,7 +1021,7 @@ pub fn scoring_estimate_seconds(
 
 /// Validates point-form PREDICT rows against the bound scoring program
 /// and packs them into one in-memory SoA batch — the fast path's bind
-/// step, shared by the serial facade and the serving tier. Every row
+/// step. Every row
 /// must have the same width, at least the program's scoring width
 /// (extra trailing columns, e.g. a label as stored in the source heap,
 /// are carried but ignored by the forward pass — exactly like the

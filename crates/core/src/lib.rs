@@ -6,21 +6,29 @@
 //! DAnA turns a machine-learning UDF — written in a Python-embedded DSL and
 //! invoked from SQL — into an FPGA accelerator whose **Striders** walk raw
 //! buffer-pool pages on-chip, feeding a multi-threaded selective-SIMD
-//! **execution engine** that trains the model. This crate is the façade
+//! **execution engine** that trains the model. This crate is the system
 //! tying the whole stack together:
 //!
 //! ```text
 //!  DSL (dana-dsl) ──► hDFG (dana-hdfg) ──► compiler (dana-compiler)
 //!                                              │ engine design + Strider program
 //!                                              ▼
-//!  SQL query ──► catalog (dana-storage) ──► [Dana::execute]
-//!                     │ buffer pool                │
-//!                     ▼                            ▼
-//!            pages ──AXI──► access engine (dana-strider)
-//!                                  │ tuples
-//!                                  ▼
+//!  SQL ──parse──► Statement ──[SystemCore::bind]──► PhysicalPlan
+//!                     │ catalog (dana-storage)          │
+//!                     ▼                                 ▼
+//!               buffer pool ◄──────────────── [SystemCore::execute]
+//!                     │ pages ──AXI──► access engine (dana-strider)
+//!                                            │ tuples
+//!                                            ▼
 //!                        execution engine (dana-engine) ──► trained model
 //! ```
+//!
+//! [`SystemCore`] is the one implementation: catalog, buffer pool, the
+//! statement binder and the plan executor, usable from any thread.
+//! [`Dana`] is that core embedded — a one-shard pool, statements run on
+//! the caller's thread — plus the SQL string front door. The serving tier
+//! (`dana-server`) puts admission control and accelerator leases in front
+//! of the same core.
 //!
 //! ## Quickstart
 //!
@@ -28,7 +36,7 @@
 //! use dana::prelude::*;
 //!
 //! // A database with a training table.
-//! let mut db = Dana::default_system();
+//! let db = Dana::default_system();
 //! let workload = dana_workloads::workload("Patient").unwrap().scaled(0.01);
 //! let table = dana_workloads::generate(&workload, 32 * 1024, 42).unwrap();
 //! db.create_table("patient_data", table.heap).unwrap();
@@ -44,14 +52,20 @@
 
 pub mod advisor;
 pub mod analytic;
+pub mod core;
 pub mod error;
 pub mod exec;
 pub mod pipeline;
+pub mod plan;
 pub mod query;
 pub mod report;
 pub mod runtime;
 pub mod source;
 
+pub use crate::core::{
+    DeployInfo, DropSummary, EngineCacheStats, FrontDoorWalls, QueryCtx, SystemCore,
+    SystemCoreConfig,
+};
 pub use advisor::{BackendChoice, BackendOption, HardwareProfile, StrategyComparison, Workload};
 pub use analytic::{
     analytic_dana, analytic_dana_threads, analytic_external, analytic_greenplum, analytic_madlib,
@@ -64,7 +78,8 @@ pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{CmpOp, Predicate, ScanSpec};
 pub use error::{DanaError, DanaResult};
 pub use exec::{ArtifactBlob, CachedAccelerator, RunArtifacts, ShardArtifacts, TrainedModels};
-pub use pipeline::{Dana, DeployInfo, DropSummary};
+pub use pipeline::Dana;
+pub use plan::{PhysicalPlan, PlanOp, Wrap};
 pub use query::{
     parse_query, parse_statement, EvaluateCall, PointCall, PredictCall, QueryCall, Statement,
 };
@@ -73,12 +88,13 @@ pub use report::{
     StatementOutcome,
 };
 pub use runtime::ExecutionMode;
-pub use source::{FeedKind, PageStreamSource, ScanState, SharedPageStreamSource};
+pub use source::{FeedKind, ScanState, SharedPageStreamSource};
 
 /// One-stop imports for examples and tests.
 pub mod prelude {
     pub use crate::advisor::{BackendChoice, HardwareProfile, StrategyComparison};
-    pub use crate::pipeline::{Dana, DeployInfo};
+    pub use crate::core::DeployInfo;
+    pub use crate::pipeline::Dana;
     pub use crate::report::{DanaReport, DanaTiming, QueryOutcome};
     pub use crate::runtime::ExecutionMode;
     pub use crate::{DanaError, DanaResult};

@@ -1,115 +1,48 @@
-//! The DAnA system façade: catalog + buffer pool + compiler + accelerator.
+//! The embedded front door: SQL strings in, outcomes out, on the caller's
+//! thread — and [`Dana`], the name for a [`SystemCore`] used that way.
 //!
-//! Mirrors Fig. 2's flow end-to-end:
-//!
-//! 1. [`Dana::deploy`] — the UDF is translated (hDFG), compiled (hardware
-//!    generator + scheduler), and its artifacts — Strider instructions,
-//!    engine design, schedule — are stored in the RDBMS catalog;
-//! 2. [`Dana::execute`] — a SQL query names the UDF; the RDBMS side fills
-//!    the buffer pool while the access engine walks the pages with Striders
-//!    and the execution engine trains the model;
-//! 3. the returned [`DanaReport`] carries the trained model and the
-//!    simulated end-to-end timing with the pipeline-overlap semantics of
-//!    [`crate::runtime`].
+//! There is no second implementation behind it. `Dana::new` builds the
+//! core with a **one-shard** buffer pool — a single second-chance clock
+//! over all frames, so replacement order (and therefore simulated I/O) is
+//! that of one plain pool — and every statement is parsed, bound to its
+//! [`crate::PhysicalPlan`] and run right here; `Deref` exposes the rest of
+//! the core (DDL, deploy, the typed entry points, statistics). The serving
+//! tier puts admission control and accelerator leases in front of the
+//! same core instead.
 
-use dana_compiler::{
-    compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
-};
-use dana_engine::{BackendKind, EngineError, ExecutionBackend, ModelStore};
+use std::ops::Deref;
+use std::time::Instant;
+
 use dana_fpga::FpgaSpec;
-use dana_hdfg::translate;
-use dana_infer::MetricKind;
-use dana_ml::CpuModel;
-use dana_parallel::{
-    evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources, train_gang,
-    ReplaySource, ShardPlan,
-};
-use dana_scan::ScanSpec;
-use dana_storage::{
-    AcceleratorEntry, BufferPool, BufferPoolConfig, Catalog, DiskModel, HeapFile, HeapId, PageId,
-    Tuple,
-};
-use dana_strider::{disassemble, AccessEngine, AccessStats};
+use dana_obs::QueryTrace;
+use dana_storage::{BufferPoolConfig, DiskModel};
 
-use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
+use crate::advisor::StrategyComparison;
+use crate::core::{FrontDoorWalls, QueryCtx, SystemCore, SystemCoreConfig};
+use crate::error::DanaResult;
+use crate::plan::Wrap;
+use crate::query::{parse_query, parse_statement, Statement};
+use crate::report::{QueryOutcome, StatementOutcome};
 
-use crate::advisor::{BackendChoice, HardwareProfile, StrategyComparison};
-use crate::error::{DanaError, DanaResult};
-use crate::exec::{self, ArtifactBlob, RunArtifacts, ShardArtifacts};
-use crate::query::{parse_query, parse_statement, QueryCall, Statement};
-use crate::report::{
-    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
-    Seconds, StatementOutcome,
-};
-use crate::runtime::ExecutionMode;
-use crate::source::{FeedKind, PageStreamSource, ScanState};
+/// The DAnA-enhanced database system, embedded.
+pub struct Dana(SystemCore);
 
-pub use crate::exec::CPU_FEED_HANDSHAKE_S;
+impl Deref for Dana {
+    type Target = SystemCore;
 
-/// What `drop_table` reports back: everything the drop cleaned up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DropSummary {
-    pub table: String,
-    /// Buffer-pool pages of the dropped heap that were evicted.
-    pub pages_evicted: usize,
-    /// Accelerators compiled against the table, now marked stale.
-    pub invalidated_udfs: Vec<String>,
-    /// Materialized prediction tables derived from this table, now stale
-    /// (typed error on use; their pages are evicted too).
-    pub stale_prediction_tables: Vec<String>,
-}
-
-/// What `deploy` reports back to the data scientist.
-#[derive(Debug, Clone)]
-pub struct DeployInfo {
-    pub udf_name: String,
-    pub num_threads: u16,
-    pub acs_per_thread: u16,
-    pub num_striders: u32,
-    pub estimate: PerfEstimate,
-    /// The generated Strider program, disassembled.
-    pub strider_listing: String,
-    /// Micro-instruction count of the engine schedule.
-    pub micro_ops: usize,
-}
-
-/// The DAnA-enhanced database system.
-pub struct Dana {
-    catalog: Catalog,
-    pool: BufferPool,
-    disk: DiskModel,
-    fpga: FpgaSpec,
-    cpu: CpuModel,
-    /// Per-backend throughput estimates the backend advisor prices
-    /// `backend = auto` queries against.
-    profile: HardwareProfile,
-    /// Front-door counters and latency histograms (`SHOW STATS`).
-    metrics: MetricsRegistry,
-    /// The lifecycle-span recorder of the statement currently executing.
-    /// Disabled (every call a no-op) except while a traced statement —
-    /// `EXPLAIN ANALYZE` or `WITH (trace = on)` — is in flight.
-    rec: SpanRecorder,
+    fn deref(&self) -> &SystemCore {
+        &self.0
+    }
 }
 
 impl Dana {
     pub fn new(fpga: FpgaSpec, pool: BufferPoolConfig, disk: DiskModel) -> Dana {
-        // The default system keeps the paper's behavior: every query
-        // offloads (threshold 0 — DAnA has no CPU tier). Calibrating the
-        // advisor, or installing a profile without a manual threshold,
-        // enables the cost-based choice for `backend = auto`.
-        let profile = HardwareProfile::default()
-            .with_clock_hz(fpga.clock.hz)
-            .with_offload_threshold(Some(0));
-        Dana {
-            catalog: Catalog::new(),
-            pool: BufferPool::new(pool),
-            disk,
+        Dana(SystemCore::new(SystemCoreConfig {
             fpga,
-            cpu: CpuModel::i7_6700(),
-            profile,
-            metrics: MetricsRegistry::new(),
-            rec: SpanRecorder::disabled(),
-        }
+            pool,
+            pool_shards: 1,
+            disk,
+        }))
     }
 
     /// The paper's default setup: VU9P FPGA, 8 GB pool of 32 KB pages,
@@ -122,1418 +55,97 @@ impl Dana {
         )
     }
 
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    pub fn fpga(&self) -> &FpgaSpec {
-        &self.fpga
-    }
-
-    /// The backend advisor's hardware profile.
-    pub fn hardware_profile(&self) -> &HardwareProfile {
-        &self.profile
-    }
-
-    /// Replaces the advisor's hardware profile (tests pin decisions with
-    /// synthetic profiles; operators can set a manual offload threshold).
-    pub fn set_hardware_profile(&mut self, profile: HardwareProfile) {
-        self.profile = profile;
-    }
-
-    /// Calibrates the advisor's CPU lane rate with the one-time
-    /// microbench on this host and enables the break-even model for
-    /// `backend = auto` (clearing the default always-offload threshold).
-    pub fn calibrate_backend_advisor(&mut self) {
-        self.profile.cpu_lane_ops_per_second = dana_engine::calibrate_cpu_lane_rate();
-        self.profile.offload_threshold_rows = None;
-    }
-
-    pub fn pool_stats(&self) -> dana_storage::BufferPoolStats {
-        self.pool.stats()
-    }
-
-    /// The front-door metrics registry (`SHOW STATS` reads it; tests
-    /// assert against it directly).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// A point-in-time statistics snapshot — the `SHOW STATS` result
-    /// surface. Push-side counters and histograms come from the registry;
-    /// pull-side values (buffer-pool state) are read from their
-    /// authoritative owners at snapshot time so the numbers can never
-    /// drift from what the subsystems themselves report.
-    pub fn stats_snapshot(&self, subsystem: Option<&str>) -> StatsSnapshot {
-        let mut entries = Vec::new();
-        self.metrics.snapshot_into(&mut entries);
-        let ps = self.pool.stats();
-        entries.push(StatEntry::new("buffer", "hits", ps.hits as f64));
-        entries.push(StatEntry::new("buffer", "misses", ps.misses as f64));
-        entries.push(StatEntry::new("buffer", "evictions", ps.evictions as f64));
-        entries.push(StatEntry::new("buffer", "io_seconds", ps.io_seconds));
-        entries.push(StatEntry::new(
-            "buffer",
-            "resident_pages",
-            self.pool.resident_pages() as f64,
-        ));
-        entries.push(StatEntry::new(
-            "buffer",
-            "resident_bytes",
-            self.pool.resident_bytes() as f64,
-        ));
-        let mut per_heap = self.pool.per_heap_frames();
-        per_heap.sort_unstable();
-        for (heap_id, frames) in per_heap {
-            entries.push(StatEntry::new(
-                "buffer",
-                format!("heap_{heap_id}_frames"),
-                frames as f64,
-            ));
-        }
-        let snap = StatsSnapshot::new(entries);
-        match subsystem {
-            Some(s) => snap.filtered(s),
-            None => snap,
-        }
-    }
-
-    /// Pages currently resident in the buffer pool (the drop paths must
-    /// leave none behind for dropped or stale heaps).
-    pub fn resident_pages(&self) -> usize {
-        self.pool.resident_pages()
-    }
-
-    /// Registers a training table.
-    pub fn create_table(&mut self, name: &str, heap: HeapFile) -> DanaResult<HeapId> {
-        Ok(self.catalog.create_table(name, heap)?)
-    }
-
-    /// Drops a table: removes it from the catalog, evicts its pages from
-    /// the buffer pool (a dropped table must not keep frames resident),
-    /// marks every accelerator compiled against it stale, and marks every
-    /// materialized prediction table derived from it stale (evicting
-    /// their pages too — stale rows must not occupy frames).
-    pub fn drop_table(&mut self, name: &str) -> DanaResult<DropSummary> {
-        // Evict before touching the catalog so a pinned-page refusal
-        // leaves the table fully intact.
-        let heap_id = self.catalog.table(name)?.heap_id;
-        let mut pages_evicted = self.pool.evict_heap(heap_id)?;
-        // Compressed sidecar frames live under the heap's shadow id; a
-        // drop must leave neither raw nor compressed pages resident.
-        pages_evicted += self.pool.evict_heap(heap_id.shadow())?;
-        self.catalog.drop_table(name)?;
-        let invalidated_udfs = self.catalog.invalidate_accelerators_for(name);
-        let mut stale_prediction_tables = Vec::new();
-        for (table, derived_heap) in self.catalog.invalidate_derived_for(name) {
-            self.pool.evict_heap(derived_heap)?;
-            self.pool.evict_heap(derived_heap.shadow())?;
-            stale_prediction_tables.push(table);
-        }
-        self.metrics
-            .staleness_invalidations
-            .add((invalidated_udfs.len() + stale_prediction_tables.len()) as u64);
-        Ok(DropSummary {
-            table: name.to_string(),
-            pages_evicted,
-            invalidated_udfs,
-            stale_prediction_tables,
-        })
-    }
-
-    /// Warm-cache setup: loads the table into the buffer pool without
-    /// charging query I/O.
-    pub fn prewarm(&mut self, table: &str) -> DanaResult<usize> {
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let n = self.pool.prewarm(heap_id, heap)?;
-        self.pool.reset_stats();
-        Ok(n)
-    }
-
-    /// Cold-cache setup: drops every cached page.
-    pub fn clear_cache(&mut self) {
-        self.pool.clear();
-        self.pool.reset_stats();
-    }
-
-    /// Compiles a UDF for `table` and stores the accelerator in the
-    /// catalog under the UDF's name. All expensive resolution happens
-    /// here: the compiled engine (validated + lowered once) is installed
-    /// on the entry's runtime cache — beside the *scoring lowering*, the
-    /// forward-pass recipe PREDICT/EVALUATE bind to trained models — so
-    /// EXECUTE never constructs an engine and scoring never re-derives.
-    pub fn deploy(&mut self, spec: &dana_dsl::AlgoSpec, table: &str) -> DanaResult<DeployInfo> {
-        let acc = self.compile_for(spec, table, None)?;
-        // Scoring lowering: derive the forward pass where the analytic
-        // has one (custom analytics without one still train fine; their
-        // PREDICT is a typed error).
-        let scoring = dana_infer::derive_recipe(spec).ok();
-        let blob = ArtifactBlob::from_compiled(&acc, scoring.clone());
-        let words = dana_strider::isa::encode_program(&acc.strider_program)?;
-        let entry = AcceleratorEntry {
-            udf_name: spec.name.clone(),
-            strider_program: words,
-            design_blob: blob.encode()?,
-            merge_coef: spec.merge_coef(),
-            num_threads: acc.design.num_threads as u32,
-            description: format!(
-                "{} threads × {} ACs, {} Striders",
-                acc.design.num_threads, acc.design.acs_per_thread, acc.budget.num_page_buffers
-            ),
-            bound_table: table.to_string(),
-            stale: false,
-            runtime: dana_storage::RuntimeCache::default(),
-            trained: dana_storage::RuntimeCache::default(),
-        };
-        exec::prime_runtime(&entry, &acc, scoring);
-        self.catalog.deploy_accelerator(entry);
-        Ok(DeployInfo {
-            udf_name: spec.name.clone(),
-            num_threads: acc.design.num_threads,
-            acs_per_thread: acc.design.acs_per_thread,
-            num_striders: acc.budget.num_page_buffers,
-            estimate: acc.estimate,
-            strider_listing: disassemble(&acc.strider_program),
-            micro_ops: acc.design.program.micro_ops(),
-        })
-    }
-
-    /// Parses DSL source text and deploys it (the paper's end-user path).
-    pub fn deploy_source(
-        &mut self,
-        source: &str,
-        default_name: &str,
-        table: &str,
-    ) -> DanaResult<DeployInfo> {
-        let spec = dana_dsl::parse_udf(source, default_name)?;
-        self.deploy(&spec, table)
-    }
-
     /// Executes `SELECT * FROM dana.<udf>('<table>');` (or the same with
-    /// a `WITH (shards = k, backend = …)` clause, routing through the
-    /// gang-parallel path or the chosen execution backend).
-    pub fn execute(&mut self, sql: &str) -> DanaResult<QueryOutcome> {
-        let call = parse_query(sql)?;
-        let report = self.run_train_call(&call)?;
-        Ok(QueryOutcome {
-            udf: call.udf,
-            table: call.table,
-            report,
-        })
+    /// `WHERE`/`COLUMNS` pushdown and a `WITH (shards = k, backend = …)`
+    /// clause, routing through the gang-parallel path or the chosen
+    /// execution backend).
+    pub fn execute(&self, sql: &str) -> DanaResult<QueryOutcome> {
+        match self
+            .run_statement(&Statement::Train(parse_query(sql)?), 0.0)?
+            .0
+        {
+            StatementOutcome::Train(outcome) => Ok(outcome),
+            other => unreachable!("a training statement yields {other:?}"),
+        }
     }
+}
 
-    /// Executes any front-door statement: `SELECT … FROM dana.<udf>(…)`
-    /// (train), `PREDICT … INTO …` (score + materialize), `EVALUATE …`
-    /// (score + metric), `EXPLAIN <stmt>` (price the statement on every
-    /// backend without running it), `EXPLAIN ANALYZE <stmt>` (run it and
-    /// report the lifecycle trace), or `SHOW STATS` (metrics snapshot).
-    pub fn execute_statement(&mut self, sql: &str) -> DanaResult<StatementOutcome> {
+impl SystemCore {
+    /// Executes any front-door statement on the caller's thread: `SELECT …
+    /// FROM dana.<udf>(…)` (train), `PREDICT … INTO …` (score +
+    /// materialize), `EVALUATE …` (score + metric), `EXPLAIN <stmt>`
+    /// (price the statement on every backend without running it),
+    /// `EXPLAIN ANALYZE <stmt>` (run it and report the lifecycle trace),
+    /// or `SHOW STATS` (metrics snapshot).
+    pub fn execute_statement(&self, sql: &str) -> DanaResult<StatementOutcome> {
         Ok(self.execute_statement_traced(sql)?.0)
     }
 
-    /// [`Dana::execute_statement`], returning the lifecycle trace beside
-    /// the outcome when the statement opted in with `WITH (trace = on)`
-    /// (`None` otherwise — tracing off is the free default).
+    /// [`SystemCore::execute_statement`], returning the lifecycle trace
+    /// beside the outcome when the statement opted in with `WITH (trace =
+    /// on)` (`None` otherwise — tracing off is the free default).
     pub fn execute_statement_traced(
-        &mut self,
+        &self,
         sql: &str,
     ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
-        let parse_start = std::time::Instant::now();
+        let parse_start = Instant::now();
         let stmt = parse_statement(sql)?;
-        let parse_wall = parse_start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        let result = if stmt.wants_trace() {
-            let rec = SpanRecorder::enabled();
-            exec::begin_trace(&rec, parse_wall, 0.0);
-            self.rec = rec.clone();
-            let outcome = self.execute_parsed(&stmt, parse_wall);
-            self.rec = SpanRecorder::disabled();
-            outcome.map(|outcome| {
-                let total_sim = outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0);
-                let trace = exec::finish_trace(&rec, total_sim, start.elapsed().as_secs_f64());
-                (outcome, trace)
-            })
-        } else {
-            self.execute_parsed(&stmt, parse_wall).map(|o| (o, None))
+        self.run_statement(&stmt, parse_start.elapsed().as_secs_f64())
+    }
+
+    /// Binds and runs one parsed statement on this thread (an embedded
+    /// caller has no lease capacity to clamp a gang to — only the table's
+    /// pages bound it) and folds it into the metrics registry.
+    fn run_statement(
+        &self,
+        stmt: &Statement,
+        parse_wall: f64,
+    ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
+        let start = Instant::now();
+        let result = match stmt {
+            Statement::ShowStats(filter) => Ok((
+                StatementOutcome::Stats(self.stats_snapshot(filter.as_deref())),
+                None,
+            )),
+            _ => self.bind(stmt, usize::MAX).and_then(|plan| {
+                let walls = FrontDoorWalls {
+                    parse: parse_wall,
+                    ..FrontDoorWalls::default()
+                };
+                self.run(&plan, &walls, &QueryCtx::unbounded())
+            }),
         };
-        self.record_statement_metrics(&result, start.elapsed().as_secs_f64());
+        self.record_statement(
+            result.as_ref().map(|(outcome, _)| outcome),
+            start.elapsed().as_secs_f64(),
+        );
         result
     }
 
-    /// Dispatches one parsed statement. `parse_wall` is the measured
-    /// parse time, forwarded so `EXPLAIN ANALYZE` can charge it to the
-    /// trace's `parse` stage.
-    fn execute_parsed(
-        &mut self,
-        stmt: &Statement,
-        parse_wall: f64,
-    ) -> DanaResult<StatementOutcome> {
-        match stmt {
-            Statement::Train(call) => {
-                let report = self.run_train_call(call)?;
-                Ok(StatementOutcome::Train(QueryOutcome {
-                    udf: call.udf.clone(),
-                    table: call.table.clone(),
-                    report,
-                }))
-            }
-            Statement::Predict(p) => {
-                let backend = self.resolve_backend_for(stmt)?;
-                let scan = p.scan.as_ref();
-                Ok(StatementOutcome::Predict(match (p.shards, backend) {
-                    (Some(k), _) if k > 1 => {
-                        self.predict_sharded_scan(&p.udf, &p.table, &p.into, k, scan)?
-                    }
-                    (_, BackendKind::Cpu) => self.predict_full(
-                        &p.udf,
-                        &p.table,
-                        &p.into,
-                        ExecutionMode::Strider,
-                        None,
-                        BackendKind::Cpu,
-                        scan,
-                    )?,
-                    _ => self.predict_full(
-                        &p.udf,
-                        &p.table,
-                        &p.into,
-                        ExecutionMode::Strider,
-                        None,
-                        BackendKind::Fpga,
-                        scan,
-                    )?,
-                }))
-            }
-            Statement::PredictPoint(p) => {
-                let backend = self.resolve_backend_for(stmt)?;
-                Ok(StatementOutcome::Point(
-                    self.predict_point(&p.udf, &p.rows, backend)?,
-                ))
-            }
-            Statement::Evaluate(e) => {
-                let backend = self.resolve_backend_for(stmt)?;
-                let scan = e.scan.as_ref();
-                Ok(StatementOutcome::Evaluate(match (e.shards, backend) {
-                    (Some(k), _) if k > 1 => {
-                        self.evaluate_sharded_scan(&e.udf, &e.table, e.metric, k, scan)?
-                    }
-                    (_, BackendKind::Cpu) => self.evaluate_full(
-                        &e.udf,
-                        &e.table,
-                        e.metric,
-                        ExecutionMode::Strider,
-                        None,
-                        BackendKind::Cpu,
-                        scan,
-                    )?,
-                    _ => self.evaluate_full(
-                        &e.udf,
-                        &e.table,
-                        e.metric,
-                        ExecutionMode::Strider,
-                        None,
-                        BackendKind::Fpga,
-                        scan,
-                    )?,
-                }))
-            }
-            Statement::Explain(inner) => Ok(StatementOutcome::Explain(self.explain(inner)?)),
-            Statement::ExplainAnalyze(inner) => self.analyze(inner, parse_wall),
-            Statement::ShowStats(filter) => Ok(StatementOutcome::Stats(
-                self.stats_snapshot(filter.as_deref()),
-            )),
-        }
-    }
-
-    /// `EXPLAIN ANALYZE <stmt>`: executes the inner statement with an
-    /// enabled span recorder installed, then packages the lifecycle trace
-    /// beside the outcome and — where the advisor can price the statement
-    /// — the per-backend prediction the observed run calibrates.
-    fn analyze(&mut self, inner: &Statement, parse_wall: f64) -> DanaResult<StatementOutcome> {
-        let rec = SpanRecorder::enabled();
-        exec::begin_trace(&rec, parse_wall, 0.0);
-        let start = std::time::Instant::now();
-        self.rec = rec.clone();
-        let result = self.execute_parsed(inner, 0.0);
-        self.rec = SpanRecorder::disabled();
-        let outcome = result?;
-        let comparison = self.explain(inner).ok();
-        let total_sim = outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0);
-        let trace = exec::finish_trace(&rec, total_sim, start.elapsed().as_secs_f64())
-            .expect("enabled recorder yields a trace");
-        Ok(StatementOutcome::Analyze(Box::new(AnalyzeReport {
-            outcome,
-            trace,
-            comparison,
-        })))
-    }
-
-    /// Folds one finished front-door statement into the metrics registry:
-    /// completion/failure counters, the wall-clock histogram, the
-    /// backend split, and epochs trained.
-    fn record_statement_metrics<T>(&self, result: &DanaResult<(StatementOutcome, T)>, wall: f64) {
-        match result {
-            Ok((outcome, _)) => {
-                self.metrics.queries_completed.inc();
-                self.metrics.exec_wall.record(wall);
-                match outcome.backend() {
-                    Some(BackendKind::Fpga) => self.metrics.fpga_queries.inc(),
-                    Some(BackendKind::Cpu) => self.metrics.cpu_queries.inc(),
-                    None => {}
-                }
-                if let StatementOutcome::Train(o) = outcome {
-                    self.metrics.epochs_run.add(o.report.epochs_run as u64);
-                }
-            }
-            Err(_) => self.metrics.queries_failed.inc(),
-        }
-    }
-
-    /// Runs one parsed training call on the substrate its `WITH` clause
-    /// (or the advisor) picked: gang queries stay on the FPGA tier, CPU
-    /// queries bypass the cycle model entirely.
-    fn run_train_call(&mut self, call: &QueryCall) -> DanaResult<DanaReport> {
-        let backend = self.resolve_backend_for(&Statement::Train(call.clone()))?;
-        let scan = call.scan.as_ref();
-        match (call.shards, backend) {
-            (Some(k), _) if k > 1 => {
-                self.train_sharded_scan(&call.udf, &call.table, ExecutionMode::Strider, k, scan)
-            }
-            (Some(k), BackendKind::Fpga) => {
-                self.train_sharded_scan(&call.udf, &call.table, ExecutionMode::Strider, k, scan)
-            }
-            (_, BackendKind::Cpu) => self.run_udf_cpu_scan(&call.udf, &call.table, scan),
-            (None, BackendKind::Fpga) => self.run_udf_scan(&call.udf, &call.table, scan),
-        }
-    }
-
-    // ---- the backend advisor --------------------------------------------
-
-    /// Prices a parsed statement on every backend without running it —
-    /// the `EXPLAIN` entry point. Pass the *inner* statement (the parser
-    /// already rejects nested EXPLAIN).
-    pub fn explain(&mut self, stmt: &Statement) -> DanaResult<StrategyComparison> {
-        let (cached, rows, columns) = self.advisor_inputs(stmt)?;
-        exec::explain_statement(&self.profile, &cached, rows, columns, stmt)
-    }
-
-    /// Parses and explains one statement (`EXPLAIN`'s string front door).
-    pub fn explain_sql(&mut self, sql: &str) -> DanaResult<StrategyComparison> {
+    /// Prices one statement on every backend without running it
+    /// (`EXPLAIN`'s string front door; the `EXPLAIN` keyword is optional).
+    pub fn explain_sql(&self, sql: &str) -> DanaResult<StrategyComparison> {
         let stmt = match parse_statement(sql)? {
             Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => *inner,
             other => other,
         };
-        self.explain(&stmt)
-    }
-
-    /// The advisor's inputs for a statement: the cached accelerator
-    /// runtime (stale-checked), the catalog's tuple count, and the table's
-    /// column count (0 for the point form) — no data is touched.
-    fn advisor_inputs(
-        &self,
-        stmt: &Statement,
-    ) -> DanaResult<(std::sync::Arc<exec::CachedAccelerator>, u64, usize)> {
-        let (udf, table) = match stmt {
-            Statement::Train(c) => (&c.udf, Some(&c.table)),
-            Statement::Predict(p) => (&p.udf, Some(&p.table)),
-            // The point form scores its literal rows — no table to count.
-            Statement::PredictPoint(p) => (&p.udf, None),
-            Statement::Evaluate(e) => (&e.udf, Some(&e.table)),
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                return Err(DanaError::Query("EXPLAIN cannot be nested".to_string()))
-            }
-            Statement::ShowStats(_) => {
-                return Err(DanaError::Query(
-                    "SHOW STATS has no execution backend".to_string(),
-                ))
-            }
-        };
-        let entry = self.catalog.accelerator(udf)?;
-        if entry.stale {
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, _built) = exec::cached_accelerator(entry)?;
-        let (rows, columns) = match (table, stmt) {
-            (Some(table), _) => {
-                let t = self.catalog.live_table(table)?;
-                let columns = self.catalog.heap(t.heap_id)?.schema().len();
-                (t.tuple_count, columns)
-            }
-            (None, Statement::PredictPoint(p)) => (p.rows.len() as u64, 0),
-            (None, _) => unreachable!("only the point form has no table"),
-        };
-        Ok((cached, rows, columns))
-    }
-
-    /// Resolves the substrate one statement runs on: a `WITH (backend=…)`
-    /// override wins; `auto` asks the advisor; a gang (shards > 1) pins
-    /// the FPGA tier, and forcing CPU alongside one is a typed error.
-    fn resolve_backend_for(&self, stmt: &Statement) -> DanaResult<BackendKind> {
-        // Gang rules and explicit overrides resolve without touching the
-        // catalog; only `auto` on a serial statement prices the workload.
-        let (requested, shards) = match stmt {
-            Statement::Train(c) => (c.backend, c.shards),
-            Statement::Predict(p) => (p.backend, p.shards),
-            Statement::PredictPoint(p) => (p.backend, None),
-            Statement::Evaluate(e) => (e.backend, e.shards),
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                return Err(DanaError::Query("EXPLAIN cannot be nested".to_string()))
-            }
-            Statement::ShowStats(_) => {
-                return Err(DanaError::Query(
-                    "SHOW STATS has no execution backend".to_string(),
-                ))
-            }
-        };
-        if shards.is_some_and(|k| k > 1) {
-            return match requested {
-                BackendChoice::Cpu => Err(exec::gang_needs_fpga()),
-                _ => Ok(BackendKind::Fpga),
-            };
-        }
-        match requested {
-            BackendChoice::Fpga => Ok(BackendKind::Fpga),
-            BackendChoice::Cpu => Ok(BackendKind::Cpu),
-            BackendChoice::Auto => {
-                let (cached, rows, columns) = self.advisor_inputs(stmt)?;
-                exec::resolve_backend(&self.profile, &cached, rows, columns, stmt)
-            }
+        match self
+            .bind(&Statement::Explain(Box::new(stmt)), usize::MAX)?
+            .wrap
+        {
+            Wrap::Explain(comparison) => Ok(*comparison),
+            _ => unreachable!("binding an EXPLAIN yields an explain plan"),
         }
     }
-
-    /// Runs a deployed accelerator by UDF name (full-Strider mode).
-    ///
-    /// The EXECUTE hot path: the engine comes out of the entry's runtime
-    /// cache, primed at DEPLOY — no blob decode, no validation, no
-    /// lowering, no design clone per query. The trained model is stored
-    /// back on the catalog entry (last training wins), making it
-    /// available to PREDICT/EVALUATE.
-    pub fn run_udf(&mut self, udf: &str, table: &str) -> DanaResult<DanaReport> {
-        self.run_udf_scan(udf, table, None)
-    }
-
-    /// [`Dana::run_udf`] with an optional pushdown scan spec (the SQL
-    /// front door's `WHERE` / `COLUMNS` clauses): training sees only the
-    /// filtered, projected tuple stream.
-    fn run_udf_scan(
-        &mut self,
-        udf: &str,
-        table: &str,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<DanaReport> {
-        let entry = self.catalog.accelerator(udf)?;
-        if entry.stale {
-            // The accelerator's Strider program walks a page layout whose
-            // table has been dropped — refuse with a typed error instead
-            // of letting the lookup dangle into `UnknownHeap`.
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, _built) = exec::cached_accelerator(entry)?;
-        // Exercise the catalog round trip: the stored Strider words must
-        // decode back into a program.
-        let decoded = dana_strider::isa::decode_program(&entry.strider_program)?;
-        debug_assert!(!decoded.is_empty());
-        let report = self.run_with_engine(&cached, table, ExecutionMode::Strider, scan)?;
-        exec::store_trained(self.catalog.accelerator(udf)?, &report);
-        Ok(report)
-    }
-
-    /// Runs a deployed accelerator's lowered program on the **native CPU
-    /// backend** (`… WITH (backend = cpu)`, or `auto` below break-even):
-    /// the identical streamed scan and epoch loop, timed with a stopwatch
-    /// instead of the cycle model. Models and engine counters are
-    /// bit-identical to [`Dana::run_udf`]; the report's timing is
-    /// wall-clock only and no accelerator resources are charged.
-    pub fn run_udf_cpu(&mut self, udf: &str, table: &str) -> DanaResult<DanaReport> {
-        self.run_udf_cpu_scan(udf, table, None)
-    }
-
-    /// [`Dana::run_udf_cpu`] with an optional pushdown scan spec.
-    fn run_udf_cpu_scan(
-        &mut self,
-        udf: &str,
-        table: &str,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<DanaReport> {
-        let entry = self.catalog.accelerator(udf)?;
-        if entry.stale {
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, _built) = exec::cached_accelerator(entry)?;
-        let design = cached.engine.design();
-        let table_entry = self.catalog.live_table(table)?;
-        let heap_id = table_entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let access = exec::access_engine_for(heap, cached.budget, &self.fpga);
-        let state = exec::scan_state(table_entry, heap, scan)?;
-        let mut store = ModelStore::new(design, exec::initial_models(design))?;
-        let feed = FeedKind::for_mode(ExecutionMode::Strider);
-        let base = PageStreamSource::new(&mut self.pool, &self.disk, heap, heap_id, &access, feed);
-        let mut source = match &state {
-            Some(s) => base.with_scan(s.clone()),
-            None => base,
-        };
-        let run = cached.cpu.run_training(&mut source, &mut store)?;
-        let access_stats = source.into_stats();
-        if let Some(s) = &state {
-            exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
-        }
-        let report = exec::assemble_cpu_report(design, run, access_stats, store, &self.rec);
-        exec::store_trained(self.catalog.accelerator(udf)?, &report);
-        Ok(report)
-    }
-
-    // ---- intra-query data parallelism -----------------------------------
-
-    /// Runs a deployed accelerator gang-parallel across `shards`
-    /// page-range shards of `table` (`EXECUTE … WITH (shards = k)`): each
-    /// shard trains one epoch of the cached lowered program, partial
-    /// models merge deterministically at every epoch boundary (weighted
-    /// averaging for dense analytics, factor-row ownership for LRMF), and
-    /// the merged model trains the next epoch. `shards = 1` is
-    /// bit-identical to [`Dana::run_udf`].
-    ///
-    /// The serial facade owns a `&mut` buffer pool, so shard extraction
-    /// happens up front (each range streamed once, charged exactly like a
-    /// first scan) and the gang trains from replaying shard caches — the
-    /// simulated timing still models the gang's critical path.
-    pub fn run_udf_sharded(
-        &mut self,
-        udf: &str,
-        table: &str,
-        shards: u16,
-    ) -> DanaResult<DanaReport> {
-        self.train_sharded_with(udf, table, ExecutionMode::Strider, shards)
-    }
-
-    /// [`Dana::run_udf_sharded`]'s engine room, mode-generic (the
-    /// ablation/differential suites drive CpuFed/Tabla through it too).
-    pub fn train_sharded_with(
-        &mut self,
-        udf: &str,
-        table: &str,
-        mode: ExecutionMode,
-        shards: u16,
-    ) -> DanaResult<DanaReport> {
-        self.train_sharded_scan(udf, table, mode, shards, None)
-    }
-
-    /// [`Dana::train_sharded_with`] with an optional pushdown scan spec:
-    /// the filtered stream is extracted once and the surviving tuples are
-    /// re-split at packed page boundaries, so the gang's merge schedule is
-    /// identical to training on a pre-materialized filtered table.
-    fn train_sharded_scan(
-        &mut self,
-        udf: &str,
-        table: &str,
-        mode: ExecutionMode,
-        shards: u16,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<DanaReport> {
-        let entry = self.catalog.accelerator(udf)?;
-        if entry.stale {
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, _built) = exec::cached_accelerator(entry)?;
-        let report = self.run_gang_with_engine(&cached, table, mode, shards, scan)?;
-        exec::store_trained(self.catalog.accelerator(udf)?, &report);
-        Ok(report)
-    }
-
-    /// Compiles `spec` ad hoc and trains it gang-parallel in the given
-    /// mode (the differential suite's mode-matrix entry point; nothing is
-    /// stored in the catalog) — the sharded twin of
-    /// [`Dana::train_with_spec`]. `shards = 1` is bit-identical to it.
-    pub fn train_with_spec_sharded(
-        &mut self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        mode: ExecutionMode,
-        shards: u16,
-    ) -> DanaResult<DanaReport> {
-        let threads = match mode {
-            ExecutionMode::Tabla => Some(1),
-            _ => None,
-        };
-        let acc = self.compile_for(spec, table, threads)?;
-        self.run_gang_with_engine(
-            &exec::CachedAccelerator::from_compiled(&acc, None),
-            table,
-            mode,
-            shards,
-            None,
-        )
-    }
-
-    fn run_gang_with_engine(
-        &mut self,
-        acc: &exec::CachedAccelerator,
-        table: &str,
-        mode: ExecutionMode,
-        shards: u16,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<DanaReport> {
-        let budget = acc.budget;
-        let engine = &acc.engine;
-        let design = engine.design();
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let access = exec::access_engine_for(heap, budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, scan)?;
-        let (mut sources, scans) = shard_replay_sources(
-            &mut self.pool,
-            &self.disk,
-            heap,
-            heap_id,
-            &access,
-            FeedKind::for_mode(mode),
-            shards as usize,
-            state.as_ref(),
-            &self.metrics,
-        )?;
-        let init = exec::initial_models(design);
-        let outcome = train_gang(engine, &mut sources, init)?;
-        let arts = outcome
-            .shard_stats
-            .iter()
-            .zip(&scans)
-            .map(|(stats, (access_stats, io_first))| ShardArtifacts {
-                engine_stats: *stats,
-                access_stats: *access_stats,
-                io_first: *io_first,
-            })
-            .collect();
-        exec::assemble_gang_report(
-            mode,
-            design,
-            budget,
-            &self.fpga,
-            &self.cpu,
-            &self.disk,
-            self.pool.config().frames(),
-            heap,
-            arts,
-            outcome.merge_cycles,
-            outcome.models,
-            &self.rec,
-        )
-    }
-
-    /// Gang-parallel PREDICT (`PREDICT … INTO … WITH (shards = k)`):
-    /// shards score concurrently, outputs concatenate in shard-index
-    /// order (= source page order), and the materialized prediction table
-    /// is **bit-identical to serial PREDICT for every shard count**.
-    pub fn predict_sharded(
-        &mut self,
-        udf: &str,
-        source: &str,
-        dest: &str,
-        shards: u16,
-    ) -> DanaResult<PredictReport> {
-        self.predict_sharded_scan(udf, source, dest, shards, None)
-    }
-
-    /// [`Dana::predict_sharded`] with an optional pushdown scan spec:
-    /// shards score the filtered stream and the materialized table keeps
-    /// only surviving tuples and projected columns.
-    fn predict_sharded_scan(
-        &mut self,
-        udf: &str,
-        source: &str,
-        dest: &str,
-        shards: u16,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<PredictReport> {
-        let setup = self.scoring_setup(udf, ExecutionMode::Strider, None)?;
-        if self.catalog.table(dest).is_ok() {
-            return Err(DanaError::Storage(
-                dana_storage::StorageError::DuplicateName(dest.to_string()),
-            ));
-        }
-        let (predictions, timing, stats, k) =
-            self.sharded_scoring_scan(&setup, source, shards, scan, |program, lanes, sources| {
-                Ok(score_gang_concat(program, lanes, sources)?)
-            })?;
-        let entry = self.catalog.live_table(source)?;
-        let heap = self.catalog.heap(entry.heap_id)?;
-        let mat_start = std::time::Instant::now();
-        let out_heap = exec::materialize_predictions(entry, heap, scan, &predictions)?;
-        self.catalog.create_derived_table(dest, out_heap, source)?;
-        self.rec
-            .add_wall(exec::stage::MATERIALIZE, mat_start.elapsed().as_secs_f64());
-        Ok(PredictReport {
-            udf: udf.to_string(),
-            source_table: source.to_string(),
-            output_table: dest.to_string(),
-            rows_scored: stats.tuples,
-            lanes: setup.lanes,
-            shards: k,
-            backend: BackendKind::Fpga,
-            scoring: stats,
-            timing,
-        })
-    }
-
-    /// Gang-parallel EVALUATE: shards fold their metric partials
-    /// concurrently; partials combine in shard-index order and the metric
-    /// finishes once. `shards = 1` is bit-identical to serial EVALUATE.
-    pub fn evaluate_sharded(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-        shards: u16,
-    ) -> DanaResult<EvalReport> {
-        self.evaluate_sharded_scan(udf, table, metric, shards, None)
-    }
-
-    /// [`Dana::evaluate_sharded`] with an optional pushdown scan spec.
-    fn evaluate_sharded_scan(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-        shards: u16,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<EvalReport> {
-        let setup = self.scoring_setup(udf, ExecutionMode::Strider, None)?;
-        let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
-        setup.recipe.check_metric(metric)?;
-        let (value, timing, stats, k) =
-            self.sharded_scoring_scan(&setup, table, shards, scan, |program, lanes, sources| {
-                let evals = evaluate_gang(program, lanes, sources, metric)?;
-                let mut partial = dana_infer::MetricPartial::default();
-                for e in &evals {
-                    partial.absorb(e.partial);
-                }
-                let stats: Vec<_> = evals.iter().map(|e| e.stats).collect();
-                Ok((partial.finish(metric)?, stats))
-            })?;
-        Ok(EvalReport {
-            udf: udf.to_string(),
-            table: table.to_string(),
-            metric,
-            value,
-            rows_scored: stats.tuples,
-            lanes: setup.lanes,
-            shards: k,
-            backend: BackendKind::Fpga,
-            scoring: stats,
-            timing,
-        })
-    }
-
-    /// Gang-parallel raw scoring (differential-suite entry point).
-    pub fn score_sharded(&mut self, udf: &str, table: &str, shards: u16) -> DanaResult<Vec<f32>> {
-        let setup = self.scoring_setup(udf, ExecutionMode::Strider, None)?;
-        let (predictions, _, _, _) =
-            self.sharded_scoring_scan(&setup, table, shards, None, |program, lanes, sources| {
-                Ok(score_gang_concat(program, lanes, sources)?)
-            })?;
-        Ok(predictions)
-    }
-
-    /// The one sharded scoring scan: plan page ranges, extract each range
-    /// into a replaying shard source, run `scan` (scoring or metric fold)
-    /// over the gang, and compose the gang timing. Shared by
-    /// predict/evaluate/score so the shard plumbing exists exactly once.
-    fn sharded_scoring_scan<R>(
-        &mut self,
-        setup: &exec::ScoringSetup,
-        table: &str,
-        shards: u16,
-        scan: Option<&ScanSpec>,
-        run: impl FnOnce(
-            &dana_infer::ScoringProgram,
-            u16,
-            &mut [ReplaySource],
-        ) -> DanaResult<(R, Vec<dana_infer::ScoringStats>)>,
-    ) -> DanaResult<(R, crate::report::DanaTiming, dana_infer::ScoringStats, u16)> {
-        let mode = ExecutionMode::Strider;
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, scan)?;
-        let (mut sources, scans) = shard_replay_sources(
-            &mut self.pool,
-            &self.disk,
-            heap,
-            heap_id,
-            &access,
-            FeedKind::for_mode(mode),
-            shards as usize,
-            state.as_ref(),
-            &self.metrics,
-        )?;
-        let shard_count = sources.len() as u16;
-        let (result, stats) = run(&setup.program, setup.lanes, &mut sources)?;
-        let arts: Vec<ShardArtifacts> = scans
-            .into_iter()
-            .map(|(access_stats, io_first)| ShardArtifacts {
-                engine_stats: Default::default(),
-                access_stats,
-                io_first,
-            })
-            .collect();
-        let (timing, combined) = exec::assemble_gang_scoring_timing(
-            mode,
-            setup.cached.budget,
-            &self.fpga,
-            &self.cpu,
-            &self.disk,
-            self.pool.config().frames(),
-            heap,
-            &arts,
-            &stats,
-            &self.rec,
-        );
-        Ok((result, timing, combined, shard_count))
-    }
-
-    // ---- the inference tier --------------------------------------------
-
-    /// Scores `source` with `udf`'s latest trained model and materializes
-    /// the predictions as a new catalog table `dest`: the source schema
-    /// plus an appended `prediction real` column, registered as a real
-    /// heap — scannable, snapshottable, and droppable like any table.
-    pub fn predict(&mut self, udf: &str, source: &str, dest: &str) -> DanaResult<PredictReport> {
-        self.predict_with(udf, source, dest, ExecutionMode::Strider, None)
-    }
-
-    /// [`Dana::predict`] with explicit execution mode and lockstep lane
-    /// count (the ablation / differential-suite entry point). Lanes
-    /// default to the deployed design's thread count; TABLA mode is
-    /// single-lane, like training.
-    pub fn predict_with(
-        &mut self,
-        udf: &str,
-        source: &str,
-        dest: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<PredictReport> {
-        self.predict_full(udf, source, dest, mode, lanes, BackendKind::Fpga, None)
-    }
-
-    /// `PREDICT … WITH (backend = cpu)`: the identical scoring scan with
-    /// stopwatch accounting — the materialized predictions are
-    /// bit-identical to the FPGA tier's.
-    pub fn predict_cpu(
-        &mut self,
-        udf: &str,
-        source: &str,
-        dest: &str,
-    ) -> DanaResult<PredictReport> {
-        self.predict_full(
-            udf,
-            source,
-            dest,
-            ExecutionMode::Strider,
-            None,
-            BackendKind::Cpu,
-            None,
-        )
-    }
-
-    /// Point-form `PREDICT dana.<udf>(VALUES ...)`: binds the literal
-    /// rows straight into the cached scoring program and scores them as
-    /// one in-memory SoA batch — no heap scan, no buffer-pool traffic,
-    /// nothing materialized. Bit-identical to the materializing path on
-    /// the same rows because the identical SoA executor runs in both.
-    pub fn predict_point(
-        &mut self,
-        udf: &str,
-        rows: &[Vec<f32>],
-        backend: BackendKind,
-    ) -> DanaResult<PointReport> {
-        let setup = self.scoring_setup(udf, ExecutionMode::Strider, None)?;
-        let batch = exec::point_batch(udf, &setup.program, rows)?;
-        let start = std::time::Instant::now();
-        let (predictions, stats) = dana_infer::score_batch(&setup.program, setup.lanes, &batch)?;
-        let wall = start.elapsed().as_secs_f64();
-        let timing = exec::point_timing(backend, &stats, wall, &self.fpga);
-        match backend {
-            BackendKind::Cpu => exec::record_cpu_spans(&self.rec, wall),
-            BackendKind::Fpga => self.rec.add_sim(exec::stage::ENGINE, timing.engine_seconds),
-        }
-        Ok(PointReport {
-            udf: udf.to_string(),
-            predictions,
-            lanes: setup.lanes,
-            backend,
-            cached: false,
-            scoring: stats,
-            timing,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn predict_full(
-        &mut self,
-        udf: &str,
-        source: &str,
-        dest: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-        backend: BackendKind,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<PredictReport> {
-        let setup = self.scoring_setup(udf, mode, lanes)?;
-        // Refuse an existing destination before scanning anything.
-        if self.catalog.table(dest).is_ok() {
-            return Err(DanaError::Storage(
-                dana_storage::StorageError::DuplicateName(dest.to_string()),
-            ));
-        }
-        let (predictions, stats, timing) =
-            self.scoring_scan(&setup, source, mode, backend, scan, |p, l, stream| {
-                let mut out = Vec::new();
-                let stats = dana_infer::score_source(p, l, stream, &mut out)?;
-                Ok((out, stats))
-            })?;
-        let entry = self.catalog.live_table(source)?;
-        let heap = self.catalog.heap(entry.heap_id)?;
-        let mat_start = std::time::Instant::now();
-        let out_heap = exec::materialize_predictions(entry, heap, scan, &predictions)?;
-        self.catalog.create_derived_table(dest, out_heap, source)?;
-        self.rec
-            .add_wall(exec::stage::MATERIALIZE, mat_start.elapsed().as_secs_f64());
-        Ok(PredictReport {
-            udf: udf.to_string(),
-            source_table: source.to_string(),
-            output_table: dest.to_string(),
-            rows_scored: stats.tuples,
-            lanes: setup.lanes,
-            shards: 1,
-            backend,
-            scoring: stats,
-            timing,
-        })
-    }
-
-    /// Scores `table` and folds an in-database quality metric over the
-    /// `(prediction, label)` stream — no tuple ever leaves the engine and
-    /// nothing is materialized. `metric` defaults to the analytic's
-    /// natural one (mse / log_loss / accuracy / lrmf_rmse).
-    pub fn evaluate(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-    ) -> DanaResult<EvalReport> {
-        self.evaluate_with(udf, table, metric, ExecutionMode::Strider, None)
-    }
-
-    /// [`Dana::evaluate`] with explicit execution mode and lane count.
-    pub fn evaluate_with(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<EvalReport> {
-        self.evaluate_full(udf, table, metric, mode, lanes, BackendKind::Fpga, None)
-    }
-
-    /// `EVALUATE … WITH (backend = cpu)`: the identical metric fold with
-    /// stopwatch accounting.
-    pub fn evaluate_cpu(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-    ) -> DanaResult<EvalReport> {
-        self.evaluate_full(
-            udf,
-            table,
-            metric,
-            ExecutionMode::Strider,
-            None,
-            BackendKind::Cpu,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_full(
-        &mut self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-        backend: BackendKind,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<EvalReport> {
-        let setup = self.scoring_setup(udf, mode, lanes)?;
-        let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
-        setup.recipe.check_metric(metric)?;
-        let (value, stats, timing) =
-            self.scoring_scan(&setup, table, mode, backend, scan, |p, l, stream| {
-                dana_infer::evaluate_source(p, l, stream, metric)
-            })?;
-        Ok(EvalReport {
-            udf: udf.to_string(),
-            table: table.to_string(),
-            metric,
-            value,
-            rows_scored: stats.tuples,
-            lanes: setup.lanes,
-            shards: 1,
-            backend,
-            scoring: stats,
-            timing,
-        })
-    }
-
-    /// Scores `table` and returns the raw prediction stream (differential
-    /// suite / ablation entry point; nothing is materialized).
-    pub fn score_with(
-        &mut self,
-        udf: &str,
-        table: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<Vec<f32>> {
-        let setup = self.scoring_setup(udf, mode, lanes)?;
-        let (predictions, _, _) = self.scoring_scan(
-            &setup,
-            table,
-            mode,
-            BackendKind::Fpga,
-            None,
-            |p, l, stream| {
-                let mut out = Vec::new();
-                let stats = dana_infer::score_source(p, l, stream, &mut out)?;
-                Ok((out, stats))
-            },
-        )?;
-        Ok(predictions)
-    }
-
-    /// Resolves everything a scoring query needs from the catalog (the
-    /// stale check, the cached accelerator, the recipe bound to the
-    /// latest trained models, the lane count) — see
-    /// [`exec::scoring_setup`].
-    fn scoring_setup(
-        &self,
-        udf: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<exec::ScoringSetup> {
-        let entry = self.catalog.accelerator(udf)?;
-        if entry.stale {
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, _built) = exec::cached_accelerator(entry)?;
-        exec::scoring_setup(udf, entry, cached, mode, lanes)
-    }
-
-    /// The one scoring scan: stream `table`'s pages through the data path
-    /// into `run` (which drives the SoA scorer — collecting predictions
-    /// or folding a metric) and account its cost for `backend` — the
-    /// composed cycle-model timing on the FPGA tier, a stopwatch around
-    /// the scan ([`DanaTiming::wall_only`]) on the CPU tier. Shared by
-    /// predict/evaluate/score so the scan plumbing exists exactly once.
-    fn scoring_scan<R>(
-        &mut self,
-        setup: &exec::ScoringSetup,
-        table: &str,
-        mode: ExecutionMode,
-        backend: BackendKind,
-        scan: Option<&ScanSpec>,
-        run: impl FnOnce(
-            &dana_infer::ScoringProgram,
-            u16,
-            &mut PageStreamSource<'_>,
-        ) -> dana_infer::InferResult<(R, dana_infer::ScoringStats)>,
-    ) -> DanaResult<(R, dana_infer::ScoringStats, crate::report::DanaTiming)> {
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let access = exec::access_engine_for(heap, setup.cached.budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, scan)?;
-        let io_before = self.pool.stats().io_seconds;
-        let feed = FeedKind::for_mode(mode);
-        let base = PageStreamSource::new(&mut self.pool, &self.disk, heap, heap_id, &access, feed);
-        let mut stream = match &state {
-            Some(s) => base.with_scan(s.clone()),
-            None => base,
-        };
-        let start = std::time::Instant::now();
-        let (result, stats) = run(&setup.program, setup.lanes, &mut stream)?;
-        let wall = start.elapsed().as_secs_f64();
-        let access_stats = stream.into_stats();
-        if let Some(s) = &state {
-            exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
-        }
-        let io_first = self.pool.stats().io_seconds - io_before;
-        let timing = match backend {
-            BackendKind::Cpu => {
-                exec::record_cpu_spans(&self.rec, wall);
-                DanaTiming::wall_only(wall)
-            }
-            BackendKind::Fpga => exec::assemble_scoring_timing(
-                mode,
-                setup.cached.budget,
-                &self.fpga,
-                &self.cpu,
-                &self.disk,
-                self.pool.config().frames(),
-                heap,
-                &access_stats,
-                io_first,
-                &stats,
-                &self.rec,
-            ),
-        };
-        Ok((result, stats, timing))
-    }
-
-    /// Compiles a spec ad hoc and runs it in the given mode (the Fig. 11 /
-    /// Fig. 16 ablation entry point; nothing is stored in the catalog).
-    /// The engine is the one the compiler already built — no second
-    /// construction.
-    pub fn train_with_spec(
-        &mut self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        mode: ExecutionMode,
-    ) -> DanaResult<DanaReport> {
-        let threads = match mode {
-            ExecutionMode::Tabla => Some(1),
-            _ => None,
-        };
-        let acc = self.compile_for(spec, table, threads)?;
-        self.run_with_engine(
-            &exec::CachedAccelerator::from_compiled(&acc, None),
-            table,
-            mode,
-            None,
-        )
-    }
-
-    fn compile_for(
-        &self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        threads: Option<u32>,
-    ) -> DanaResult<CompiledAccelerator> {
-        let (entry, heap) = self.catalog.table_heap(table)?;
-        let hdfg = translate(spec);
-        let input = CompileInput {
-            hdfg: &hdfg,
-            fpga: self.fpga,
-            layout: *heap.layout(),
-            schema_columns: heap.schema().len(),
-            expected_tuples: entry.tuple_count,
-        };
-        Ok(match threads {
-            Some(t) => compile_with_threads(&input, t)?,
-            None => compile(&input)?,
-        })
-    }
-
-    fn run_with_engine(
-        &mut self,
-        acc: &exec::CachedAccelerator,
-        table: &str,
-        mode: ExecutionMode,
-        scan: Option<&ScanSpec>,
-    ) -> DanaResult<DanaReport> {
-        let budget = acc.budget;
-        let engine = &acc.engine;
-        let design = engine.design();
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let access = exec::access_engine_for(heap, budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, scan)?;
-        let pool = &mut self.pool;
-
-        // ---- compute path, fed by the streaming data path ---------------
-        // The shared, deploy-time-built engine pulls flat batches
-        // page-by-page out of the buffer pool: fetch → extract (Striders
-        // or CPU, per mode) → train interleave with no full-table
-        // materialization (Fig. 2).
-        let mut store = ModelStore::new(design, exec::initial_models(design))?;
-        let io_before = pool.stats().io_seconds;
-        let feed = FeedKind::for_mode(mode);
-        let base = PageStreamSource::new(pool, &self.disk, heap, heap_id, &access, feed);
-        let mut source = match &state {
-            Some(s) => base.with_scan(s.clone()),
-            None => base,
-        };
-        let (stats, epoch_cycles) = engine.run_training_logged(&mut source, &mut store)?;
-        let access_stats = source.into_stats();
-        if let Some(s) = &state {
-            exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
-        }
-        let io_first = pool.stats().io_seconds - io_before;
-
-        // ---- timing composition (shared with the serving tier) -----------
-        let pool_frames = pool.config().frames();
-        Ok(exec::assemble_report(
-            mode,
-            design,
-            budget,
-            &self.fpga,
-            &self.cpu,
-            &self.disk,
-            pool_frames,
-            heap,
-            RunArtifacts {
-                engine_stats: stats,
-                access_stats,
-                io_first,
-                epoch_cycles,
-            },
-            store,
-            &self.rec,
-        ))
-    }
-
-    /// Reference data path, retained for differential testing: compiles
-    /// `spec` like [`Dana::train_with_spec`] but materializes the entire
-    /// table as per-tuple `Vec<f32>` rows first (the pre-streaming
-    /// pipeline) and trains via the engine's reference rows path. The
-    /// equivalence suite holds this and the streaming path to bit-identical
-    /// models; it reports models only — no timing.
-    pub fn train_with_spec_reference(
-        &mut self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        mode: ExecutionMode,
-    ) -> DanaResult<Vec<Vec<f32>>> {
-        let threads = match mode {
-            ExecutionMode::Tabla => Some(1),
-            _ => None,
-        };
-        let acc = self.compile_for(spec, table, threads)?;
-        let entry = self.catalog.live_table(table)?;
-        let heap_id = entry.heap_id;
-        let heap = self.catalog.heap(heap_id)?;
-        let pool = &mut self.pool;
-        let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
-
-        // Full-table materialization: one heap allocation per tuple.
-        let mut tuples: Vec<Vec<f32>> = Vec::with_capacity(heap.tuple_count() as usize);
-        for page_no in 0..heap.page_count() {
-            let (frame, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
-            let bytes = pool.frame_bytes(frame);
-            if mode.uses_striders() {
-                let (page_tuples, _) = access.extract_page_rows(bytes)?;
-                tuples.extend(page_tuples.into_iter().map(|t| t.values));
-            } else {
-                let page = dana_storage::HeapPage::from_bytes(bytes.to_vec(), *heap.layout())?;
-                for slot in 0..page.tuple_count() {
-                    let t = Tuple::deform(heap.schema(), page.tuple_bytes(slot)?)?;
-                    tuples.push(t.values.iter().map(|d| d.as_f32()).collect());
-                }
-            }
-            pool.unpin(frame);
-        }
-
-        let mut store = ModelStore::new(&acc.design, exec::initial_models(&acc.design))?;
-        acc.engine.run_training_rows(&tuples, &mut store)?;
-        Ok(store.into_values())
-    }
-}
-
-/// One shard's first-scan measurements: extraction stats plus the disk
-/// seconds the scan was charged.
-type ShardScan = (AccessStats, Seconds);
-
-/// Extracts every shard's page range once through the serial buffer pool
-/// (identical fetch → extract sequence and per-page batch boundaries to a
-/// streaming first scan, with its disk seconds metered per shard) and
-/// wraps the batches as replaying gang sources.
-///
-/// With a pushdown scan attached the whole table is streamed **once**
-/// through the filter, and the surviving tuples are re-split at the page
-/// boundaries a pre-materialized filtered table would have — so shard
-/// contents (and therefore the gang's merged models) are bit-identical to
-/// sharding that table, and the shard count never exceeds its page count.
-#[allow(clippy::too_many_arguments)]
-fn shard_replay_sources(
-    pool: &mut BufferPool,
-    disk: &DiskModel,
-    heap: &HeapFile,
-    heap_id: HeapId,
-    access: &AccessEngine,
-    feed: FeedKind,
-    requested: usize,
-    scan: Option<&ScanState>,
-    metrics: &MetricsRegistry,
-) -> DanaResult<(Vec<ReplaySource>, Vec<ShardScan>)> {
-    let Some(state) = scan else {
-        let plan = ShardPlan::new(heap, requested);
-        let width = heap.schema().len();
-        let mut sources = Vec::with_capacity(plan.shards());
-        let mut scans = Vec::with_capacity(plan.shards());
-        for r in plan.ranges() {
-            let io_before = pool.stats().io_seconds;
-            let src = PageStreamSource::with_range(
-                pool,
-                disk,
-                heap,
-                heap_id,
-                access,
-                feed,
-                r.start_page,
-                r.end_page,
-            );
-            let (batches, stats) = src
-                .into_cache()
-                .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-            let io_first = pool.stats().io_seconds - io_before;
-            sources.push(ReplaySource::new(width, batches));
-            scans.push((stats, io_first));
-        }
-        return Ok((sources, scans));
-    };
-    let io_before = pool.stats().io_seconds;
-    let src =
-        PageStreamSource::new(pool, disk, heap, heap_id, access, feed).with_scan(state.clone());
-    let (batches, stats) = src
-        .into_cache()
-        .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-    let io_first = pool.stats().io_seconds - io_before;
-    exec::record_scan_metrics(metrics, &stats, &state.sidecar, heap.tuple_count());
-    let capacity = exec::packed_page_capacity(heap, &state.spec)?;
-    let splits = packed_tuple_splits(stats.tuples, capacity, requested);
-    let width = state.spec.output_width(heap.schema().len());
-    let sources = split_replay_sources(width, &batches, &splits);
-    let scans = exec::split_filtered_scan_stats(&stats, io_first, &splits);
-    Ok((sources, scans))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{BackendKind, DanaError, ExecutionMode, MetricKind};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::page::TupleDirection;
-    use dana_storage::{HeapFileBuilder, Schema};
+    use dana_storage::{HeapFile, HeapFileBuilder, Schema, Tuple};
 
     fn small_system() -> Dana {
         Dana::new(
@@ -1546,7 +158,7 @@ mod tests {
         )
     }
 
-    fn linreg_heap(n: usize, d: usize) -> HeapFile {
+    pub(crate) fn linreg_heap(n: usize, d: usize) -> HeapFile {
         let truth: Vec<f32> = (0..d).map(|i| 0.3 * i as f32 - 0.5).collect();
         let mut b =
             HeapFileBuilder::new(Schema::training(d), 8 * 1024, TupleDirection::Ascending).unwrap();
@@ -1562,7 +174,7 @@ mod tests {
 
     #[test]
     fn deploy_then_execute_via_sql() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(500, 8)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 8,
@@ -1574,7 +186,7 @@ mod tests {
         let info = db.deploy(&spec, "t").unwrap();
         assert!(info.num_threads >= 1);
         assert!(info.strider_listing.contains("readB"));
-        assert_eq!(db.catalog().accelerator_names(), vec!["linearR"]);
+        assert_eq!(db.accelerator_names(), vec!["linearR"]);
 
         let out = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
         assert_eq!(out.udf, "linearR");
@@ -1590,7 +202,7 @@ mod tests {
 
     #[test]
     fn deploy_from_source_text() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(200, 10)).unwrap();
         let src = dana_dsl::zoo::linear_regression_source(10, 8, 5);
         let info = db.deploy_source(&src, "fallback", "t").unwrap();
@@ -1600,7 +212,7 @@ mod tests {
 
     #[test]
     fn warm_cache_is_faster_than_cold() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(3000, 16)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 16,
@@ -1625,7 +237,7 @@ mod tests {
 
     #[test]
     fn strider_mode_beats_cpu_fed() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(2000, 32)).unwrap();
         db.prewarm("t").unwrap();
         let spec = linear_regression(DenseParams {
@@ -1653,7 +265,7 @@ mod tests {
 
     #[test]
     fn tabla_mode_is_single_threaded_and_slower() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(2000, 32)).unwrap();
         db.prewarm("t").unwrap();
         let spec = linear_regression(DenseParams {
@@ -1676,7 +288,7 @@ mod tests {
 
     #[test]
     fn drop_table_evicts_pages_and_invalidates_accelerators() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(500, 8)).unwrap();
         db.prewarm("t").unwrap();
         let spec = linear_regression(DenseParams {
@@ -1701,6 +313,7 @@ mod tests {
             }
             other => panic!("expected StaleAccelerator, got {other:?}"),
         }
+        assert_eq!(db.resident_pages(), 0);
         // Dropping again is a typed unknown-table error.
         assert!(matches!(
             db.drop_table("t"),
@@ -1712,7 +325,7 @@ mod tests {
 
     #[test]
     fn redeploy_after_drop_revives_udf() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(300, 8)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 8,
@@ -1731,7 +344,7 @@ mod tests {
 
     #[test]
     fn predict_materializes_and_evaluate_round_trips() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(700, 8)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 8,
@@ -1758,19 +371,12 @@ mod tests {
 
         // Scan it back: source columns + a prediction column holding the
         // CPU reference scores bit-exactly.
-        let (entry, heap) = db.catalog().table_heap("p").unwrap();
-        assert_eq!(entry.tuple_count, 700);
-        assert_eq!(entry.derived_from.as_deref(), Some("t"));
+        let heap = db.table_snapshot("p").unwrap();
+        assert_eq!(heap.tuple_count(), 700);
         assert_eq!(heap.schema().len(), 10); // 8 features + y + prediction
         let batch = heap.scan_batch().unwrap();
         let model = dana_ml::DenseModel(trained.dense_model().to_vec());
-        let src_batch = db
-            .catalog()
-            .table_heap("t")
-            .unwrap()
-            .1
-            .scan_batch()
-            .unwrap();
+        let src_batch = db.table_snapshot("t").unwrap().scan_batch().unwrap();
         let reference = dana_ml::score_dense(&model, &src_batch, dana_ml::Link::Identity);
         let stored: Vec<f32> = batch.rows().map(|r| r[9]).collect();
         assert_eq!(stored, reference, "materialized predictions round-trip");
@@ -1780,7 +386,7 @@ mod tests {
         // identical metric, equal to the whole-batch reference.
         let on_pred = db.evaluate("linearR", "p", None).unwrap();
         let on_src = db.evaluate("linearR", "t", None).unwrap();
-        assert_eq!(on_pred.metric, dana_infer::MetricKind::Mse);
+        assert_eq!(on_pred.metric, MetricKind::Mse);
         assert_eq!(on_pred.value, on_src.value);
         assert_eq!(
             on_src.value,
@@ -1795,12 +401,12 @@ mod tests {
         // The prediction table drops like any heap.
         let summary = db.drop_table("p").unwrap();
         assert_eq!(summary.table, "p");
-        assert!(db.catalog().table("p").is_err());
+        assert!(db.table_snapshot("p").is_err());
     }
 
     #[test]
     fn execute_statement_dispatches_all_three_forms() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(300, 8)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 8,
@@ -1824,7 +430,7 @@ mod tests {
             panic!("expected predict outcome");
         };
         assert_eq!(p.output_table, "scores");
-        assert!(db.catalog().table("scores").is_ok());
+        assert!(db.table_snapshot("scores").is_ok());
 
         let out = db
             .execute_statement("EVALUATE dana.linearR('t', 'mse');")
@@ -1832,7 +438,7 @@ mod tests {
         let StatementOutcome::Evaluate(e) = out else {
             panic!("expected evaluate outcome");
         };
-        assert_eq!(e.metric, dana_infer::MetricKind::Mse);
+        assert_eq!(e.metric, MetricKind::Mse);
         assert!(e.value.is_finite());
 
         // Predicting into an existing table is a typed duplicate error.
@@ -1846,7 +452,7 @@ mod tests {
 
     #[test]
     fn dropping_source_stales_prediction_tables_and_scoring_caches() {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(400, 8)).unwrap();
         db.prewarm("t").unwrap();
         let spec = linear_regression(DenseParams {
@@ -1885,7 +491,7 @@ mod tests {
 
     #[test]
     fn unknown_udf_or_table_errors() {
-        let mut db = small_system();
+        let db = small_system();
         assert!(db.execute("SELECT * FROM dana.ghost('t');").is_err());
         db.create_table("t", linreg_heap(100, 4)).unwrap();
         let spec = linear_regression(DenseParams {
@@ -1898,7 +504,7 @@ mod tests {
     }
 
     fn deployed_db(rows: usize) -> Dana {
-        let mut db = small_system();
+        let db = small_system();
         db.create_table("t", linreg_heap(rows, 8)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 8,
@@ -1915,7 +521,7 @@ mod tests {
     /// `backend = auto` query offloads to the simulated FPGA.
     #[test]
     fn default_profile_always_offloads() {
-        let mut db = deployed_db(300);
+        let db = deployed_db(300);
         assert_eq!(db.hardware_profile().offload_threshold_rows, Some(0));
         let out = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
         assert_eq!(out.report.backend, BackendKind::Fpga);
@@ -1927,7 +533,7 @@ mod tests {
     /// table to the CPU tier — and the CPU run is bit-identical.
     #[test]
     fn auto_routes_small_tables_to_cpu_once_profile_enabled() {
-        let mut db = deployed_db(300);
+        let db = deployed_db(300);
         let fpga = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
         assert_eq!(fpga.report.backend, BackendKind::Fpga);
 
@@ -1963,7 +569,7 @@ mod tests {
     /// anything: the model store stays untrained.
     #[test]
     fn explain_compares_backends_without_executing() {
-        let mut db = deployed_db(400);
+        let db = deployed_db(400);
         let out = db
             .execute_statement("EXPLAIN SELECT * FROM dana.linearR('t');")
             .unwrap();
@@ -1998,7 +604,7 @@ mod tests {
     /// query error, while `auto` quietly resolves to the FPGA.
     #[test]
     fn gang_pins_fpga_and_rejects_cpu_backend() {
-        let mut db = deployed_db(600);
+        let db = deployed_db(600);
         match db.execute("SELECT * FROM dana.linearR('t') WITH (shards = 2, backend = cpu);") {
             Err(DanaError::Query(msg)) => {
                 assert!(msg.contains("gang"), "unexpected message: {msg}")

@@ -1,0 +1,117 @@
+//! The bound physical plan: everything one request needs decided before it
+//! runs, decided once.
+//!
+//! [`crate::SystemCore::bind`] lowers a parsed [`crate::Statement`] into a
+//! [`PhysicalPlan`] — operation, scan, gang size clamped to the table's
+//! pages and the caller's lease capacity, the substrate the advisor (or a
+//! `WITH (backend = …)` override) picked, and the scheduler's cost hint —
+//! and [`crate::SystemCore::execute`] runs it. The embedded front door
+//! binds and runs on the caller's thread; the serving tier binds at submit
+//! and hands the plan to a worker, which leases exactly `shards`
+//! accelerator instances when `backend` is the FPGA tier.
+
+use std::sync::Arc;
+
+use dana_engine::BackendKind;
+use dana_infer::MetricKind;
+use dana_scan::ScanSpec;
+
+use crate::advisor::StrategyComparison;
+use crate::report::Seconds;
+use crate::runtime::ExecutionMode;
+
+/// What a plan does with the tuples it scans.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanOp {
+    /// Train the UDF's model over the scan; a deployed UDF stores the
+    /// result for later scoring.
+    Train,
+    /// Score the scan and materialize the predictions as table `dest`.
+    PredictInto { dest: String },
+    /// Score the scan and fold an in-database metric (`None` = the
+    /// analytic's default) over the `(prediction, label)` stream.
+    Evaluate { metric: Option<MetricKind> },
+    /// Score the scan and return the raw prediction stream inline;
+    /// nothing is materialized. `lanes` overrides the design's lockstep
+    /// lane count (the differential suites sweep it).
+    Score { lanes: Option<u16> },
+    /// Score literal rows straight through the cached scoring program: no
+    /// scan, no buffer-pool traffic, nothing materialized.
+    Point { rows: Vec<Vec<f32>> },
+}
+
+/// How a plan's run is reported: plainly, with its lifecycle trace, or
+/// not run at all.
+#[derive(Debug, Clone)]
+pub enum Wrap {
+    /// Run; reply with the outcome.
+    None,
+    /// `WITH (trace = on)`: run; reply with the outcome and its trace.
+    Trace,
+    /// `EXPLAIN`: do not run; reply with the advisor's comparison.
+    Explain(Box<StrategyComparison>),
+    /// `EXPLAIN ANALYZE`: run traced; reply with outcome, trace and the
+    /// prediction the observed run calibrates.
+    Analyze(Box<StrategyComparison>),
+}
+
+/// One request, bound.
+#[derive(Debug, Clone)]
+pub struct PhysicalPlan {
+    pub op: PlanOp,
+    pub udf: String,
+    /// The scanned table (empty for [`PlanOp::Point`], which scans none).
+    pub table: String,
+    /// `WHERE`/`COLUMNS` pushdown, if any.
+    pub scan: Option<ScanSpec>,
+    /// Gang size: `> 1` runs page-range shards on that many members.
+    pub shards: u16,
+    pub backend: BackendKind,
+    pub mode: ExecutionMode,
+    pub wrap: Wrap,
+    /// Shortest-job-first ordering key: the deploy-time estimate of the
+    /// serial run divided by the gang size (a k-shard gang finishes its
+    /// scan ~k× sooner). Zero for work that cannot be priced or does not
+    /// run, which schedules it first.
+    pub cost_hint: Seconds,
+    /// The ad-hoc form: train this spec, compiled against the table
+    /// snapshot the run takes, instead of a deployed UDF. Nothing is
+    /// stored in the catalog.
+    pub spec: Option<Arc<dana_dsl::AlgoSpec>>,
+}
+
+impl PhysicalPlan {
+    /// The plain plan for `op` over a deployed UDF: serial, full-table,
+    /// FPGA tier, full-Strider mode — what the typed convenience entry
+    /// points run. Callers override fields for the variants they need.
+    pub fn serial(op: PlanOp, udf: &str, table: &str) -> PhysicalPlan {
+        PhysicalPlan {
+            op,
+            udf: udf.to_string(),
+            table: table.to_string(),
+            scan: None,
+            shards: 1,
+            backend: BackendKind::Fpga,
+            mode: ExecutionMode::Strider,
+            wrap: Wrap::None,
+            cost_hint: 0.0,
+            spec: None,
+        }
+    }
+
+    /// The ad-hoc compile-and-train plan (the Fig. 11 / Fig. 16 ablation
+    /// entry point): serial, FPGA tier, in `mode`.
+    pub fn ad_hoc(spec: &dana_dsl::AlgoSpec, table: &str, mode: ExecutionMode) -> PhysicalPlan {
+        PhysicalPlan {
+            mode,
+            spec: Some(Arc::new(spec.clone())),
+            ..PhysicalPlan::serial(PlanOp::Train, &spec.name, table)
+        }
+    }
+
+    /// Whether running this plan occupies accelerator instances: CPU-tier
+    /// runs and `EXPLAIN` never touch the pool.
+    pub fn needs_accelerator(&self) -> bool {
+        self.backend == BackendKind::Fpga && !matches!(self.wrap, Wrap::Explain(_))
+    }
+}

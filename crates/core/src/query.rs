@@ -51,7 +51,7 @@ struct WithOptions {
 }
 
 /// A parsed accelerated-UDF training invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryCall {
     pub udf: String,
     pub table: String,
@@ -75,7 +75,7 @@ pub struct QueryCall {
 }
 
 /// A parsed `PREDICT … INTO …` statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PredictCall {
     pub udf: String,
     /// The table whose rows are scored.
@@ -104,7 +104,7 @@ pub struct PredictCall {
 /// the online fast path. Rows are bound directly from the statement —
 /// there is no source table, no heap scan, and no materialized
 /// destination; predictions come back inline in the reply.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointCall {
     pub udf: String,
     /// The literal parameter vectors to score, one per VALUES group.
@@ -123,7 +123,7 @@ pub struct PointCall {
 }
 
 /// A parsed `EVALUATE` statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvaluateCall {
     pub udf: String,
     pub table: String,

@@ -204,7 +204,7 @@ pub struct EvalReport {
     pub timing: DanaTiming,
 }
 
-/// The outcome of any front-door statement (`Dana::execute_statement`).
+/// The outcome of any front-door statement (`SystemCore::execute_statement`).
 #[derive(Debug, Clone)]
 pub enum StatementOutcome {
     Train(QueryOutcome),
@@ -248,6 +248,31 @@ impl StatementOutcome {
             StatementOutcome::Evaluate(e) => Some(e.backend),
             StatementOutcome::Explain(_) | StatementOutcome::Stats(_) => None,
             StatementOutcome::Analyze(a) => a.outcome.backend(),
+        }
+    }
+
+    /// The training report (panics for other outcome kinds — the
+    /// convenience accessor of callers that know what they ran).
+    pub fn report(&self) -> &DanaReport {
+        match self {
+            StatementOutcome::Train(o) => &o.report,
+            other => panic!("expected a training outcome, got {other:?}"),
+        }
+    }
+
+    /// The prediction report (panics for other outcome kinds).
+    pub fn predict_report(&self) -> &PredictReport {
+        match self {
+            StatementOutcome::Predict(p) => p,
+            other => panic!("expected a predict outcome, got {other:?}"),
+        }
+    }
+
+    /// The evaluation report (panics for other outcome kinds).
+    pub fn eval_report(&self) -> &EvalReport {
+        match self {
+            StatementOutcome::Evaluate(e) => e,
+            other => panic!("expected an evaluate outcome, got {other:?}"),
         }
     }
 }

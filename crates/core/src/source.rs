@@ -3,7 +3,7 @@
 //!
 //! Fig. 2's execution flow interleaves, per page: disk → buffer pool
 //! (misses only), pool → FPGA page streaming, Strider extraction, and
-//! engine compute. [`PageStreamSource`] realizes that schedule in the
+//! engine compute. [`SharedPageStreamSource`] realizes that schedule in the
 //! simulator: each `next_batch` call fetches ONE page through the pool,
 //! extracts it into a flat [`TupleBatch`] (via Striders or the CPU-deform
 //! ablation — the Fig. 11 comparison is just a different [`FeedKind`]),
@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use dana_scan::{BoundScanSpec, ScanSidecar};
 use dana_storage::{
-    BufferPool, ColumnType, DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool,
-    SourceError, StorageResult, TupleBatch, TupleSource,
+    ColumnType, DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError,
+    StorageResult, TupleBatch, TupleSource,
 };
 use dana_strider::{AccessEngine, AccessStats};
 
@@ -104,258 +104,15 @@ impl FeedKind {
     }
 }
 
-/// Streams a table page-by-page out of the buffer pool as flat batches.
-pub struct PageStreamSource<'a> {
-    pool: &'a mut BufferPool,
-    disk: &'a DiskModel,
-    heap: &'a HeapFile,
-    heap_id: HeapId,
-    access: &'a AccessEngine,
-    feed: FeedKind,
-    next_page: u32,
-    /// One past the last page this source scans (`page_count` for a
-    /// whole-table scan; a shard boundary for a page-range scan).
-    end_page: u32,
-    start_page: u32,
-    /// True once the first pass over the range completed and every page's
-    /// batch is cached for epoch replay.
-    scan_done: bool,
-    replay: usize,
-    cache: Vec<TupleBatch>,
-    stats: AccessStats,
-    scan: Option<ScanState>,
-}
-
-impl<'a> PageStreamSource<'a> {
-    pub fn new(
-        pool: &'a mut BufferPool,
-        disk: &'a DiskModel,
-        heap: &'a HeapFile,
-        heap_id: HeapId,
-        access: &'a AccessEngine,
-        feed: FeedKind,
-    ) -> PageStreamSource<'a> {
-        PageStreamSource::with_range(
-            pool,
-            disk,
-            heap,
-            heap_id,
-            access,
-            feed,
-            0,
-            heap.page_count(),
-        )
-    }
-
-    /// A source over the page range `[start_page, end_page)` — one shard
-    /// of an intra-query-parallel scan. Identical extraction math and
-    /// batch boundaries to a whole-table scan of just those pages.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_range(
-        pool: &'a mut BufferPool,
-        disk: &'a DiskModel,
-        heap: &'a HeapFile,
-        heap_id: HeapId,
-        access: &'a AccessEngine,
-        feed: FeedKind,
-        start_page: u32,
-        end_page: u32,
-    ) -> PageStreamSource<'a> {
-        let end_page = end_page.min(heap.page_count());
-        let start_page = start_page.min(end_page);
-        PageStreamSource {
-            pool,
-            disk,
-            heap,
-            heap_id,
-            access,
-            feed,
-            next_page: start_page,
-            end_page,
-            start_page,
-            scan_done: false,
-            replay: 0,
-            cache: Vec::with_capacity((end_page - start_page) as usize),
-            stats: AccessStats::default(),
-            scan: None,
-        }
-    }
-
-    /// Attaches a pushdown [`ScanState`] — see its docs for how it changes
-    /// the data path.
-    pub fn with_scan(mut self, scan: ScanState) -> PageStreamSource<'a> {
-        self.scan = Some(scan);
-        self
-    }
-
-    /// Extraction-pass counters accumulated by the first scan, completed
-    /// into the full access-engine cost model.
-    pub fn into_stats(self) -> AccessStats {
-        let mut stats = self.stats;
-        self.access.finish_stats(&mut stats);
-        stats
-    }
-
-    /// Completes the scan (if it has not finished) and dismantles the
-    /// source into its extracted per-page batches plus the finished
-    /// access stats — the serial facade's way of building cheap replaying
-    /// shard sources for the gang executor, since its `&mut` buffer pool
-    /// cannot run several live scans at once.
-    pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, AccessStats), SourceError> {
-        self.rewind()?;
-        let mut stats = self.stats;
-        self.access.finish_stats(&mut stats);
-        Ok((self.cache, stats))
-    }
-
-    /// Fetches and extracts page `page_no`, appending its batch to the
-    /// cache. Returns `false` when the page was zone-pruned (no fetch, no
-    /// batch).
-    fn extract_next_page(&mut self, page_no: u32) -> Result<bool, SourceError> {
-        if let Some(scan) = &self.scan {
-            if !scan.spec.page_can_match(scan.sidecar.zone(page_no)) {
-                self.stats.pages_skipped += 1;
-                return Ok(false);
-            }
-        }
-        let width = self.width();
-        let mut batch = TupleBatch::with_capacity(width, self.heap.layout().capacity as usize);
-        let extracted = match &self.scan {
-            None => {
-                let (frame, _) =
-                    self.pool
-                        .fetch(PageId::new(self.heap_id, page_no), self.heap, self.disk)?;
-                let bytes = self.pool.frame_bytes(frame);
-                let r = match self.feed {
-                    FeedKind::Strider => self
-                        .access
-                        .extract_page_into(bytes, &mut batch)
-                        .map(|cycles| self.stats.strider_cycles += cycles)
-                        .map_err(|e| SourceError(e.to_string())),
-                    FeedKind::Cpu => PageView::new(bytes, *self.heap.layout())
-                        .and_then(|view| view.deform_all_into(self.heap.schema(), &mut batch))
-                        .map_err(SourceError::from),
-                };
-                // Unpin before propagating any extraction error: a corrupt
-                // page must not leave its frame pinned for the pool's
-                // lifetime.
-                self.pool.unpin(frame);
-                r
-            }
-            Some(scan) => {
-                // The compressed image goes through the pool under the
-                // shadow id (never colliding with raw page frames); the
-                // miss is charged at *compressed* size — the codec's I/O
-                // saving.
-                let (frame, _) = self.pool.fetch_raw(
-                    PageId::new(self.heap_id.shadow(), page_no),
-                    scan.sidecar.page(page_no),
-                    self.disk,
-                )?;
-                let raw = dana_scan::decompress_page(
-                    self.pool.frame_bytes(frame),
-                    self.heap.layout(),
-                    self.heap.schema(),
-                )
-                .map_err(|e| SourceError(e.to_string()));
-                self.pool.unpin(frame);
-                let raw = raw?;
-                self.stats.decompress_cycles += dana_scan::decompress_cycles(raw.len());
-                self.stats.decompressed_bytes += raw.len() as u64;
-                match self.feed {
-                    FeedKind::Strider => self
-                        .access
-                        .extract_page_filtered_into(
-                            &raw,
-                            &mut batch,
-                            scan.spec.projection.as_deref(),
-                            |row| scan.spec.row_matches(row),
-                        )
-                        .map(|cycles| self.stats.strider_cycles += cycles)
-                        .map_err(|e| SourceError(e.to_string())),
-                    FeedKind::Cpu => cpu_extract_filtered(&raw, self.heap, &scan.spec, &mut batch),
-                }
-            }
-        };
-        extracted?;
-        self.stats.pages += 1;
-        self.stats.tuples += batch.len() as u64;
-        self.cache.push(batch);
-        Ok(true)
-    }
-}
-
-impl TupleSource for PageStreamSource<'_> {
-    fn width(&self) -> usize {
-        match &self.scan {
-            Some(s) => s.spec.output_width(self.heap.schema().len()),
-            None => self.heap.schema().len(),
-        }
-    }
-
-    fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
-        if self.scan_done {
-            // Epoch replay from the extraction cache.
-            if self.replay >= self.cache.len() {
-                return Ok(None);
-            }
-            self.replay += 1;
-            return Ok(Some(&self.cache[self.replay - 1]));
-        }
-        loop {
-            if self.next_page >= self.end_page {
-                self.scan_done = true;
-                self.replay = self.cache.len();
-                return Ok(None);
-            }
-            let page_no = self.next_page;
-            self.next_page += 1;
-            // Zone-pruned pages push no batch; keep walking the range.
-            if self.extract_next_page(page_no)? {
-                break;
-            }
-        }
-        Ok(Some(self.cache.last().expect("page just extracted")))
-    }
-
-    fn rewind(&mut self) -> Result<(), SourceError> {
-        // A mid-scan rewind must still visit every page exactly once so
-        // the access stats describe one full extraction pass.
-        while !self.scan_done {
-            if self.next_batch()?.is_none() {
-                break;
-            }
-        }
-        self.replay = 0;
-        Ok(())
-    }
-
-    fn tuple_count_hint(&self) -> Option<u64> {
-        match &self.scan {
-            // Post-filter estimate off the zone maps; a sizing hint only.
-            Some(s) => Some(s.spec.estimated_tuples(
-                &s.sidecar.zones()[self.start_page as usize..self.end_page as usize],
-            )),
-            None => Some(
-                self.heap
-                    .tuples_in_page_range(self.start_page, self.end_page),
-            ),
-        }
-    }
-}
-
-/// The concurrent twin of [`PageStreamSource`]: streams a table out of a
-/// [`SharedBufferPool`] through `&self` fetches, so many queries can scan
+/// Streams a table page-by-page out of the [`SharedBufferPool`] as flat
+/// batches, through `&self` fetches, so many queries can scan
 /// simultaneously. Page bytes come back as `Arc<[u8]>` images; each is
 /// held only for the duration of its extraction, so the source never pins
 /// a frame across engine compute.
 ///
-/// Because the shared pool's statistics aggregate *every* concurrent
-/// query, this source meters its own simulated I/O: the per-query
-/// `io_seconds` it accumulates is exactly what [`PageStreamSource`] would
-/// have read off a private pool's stats delta. Extraction math and batch
-/// boundaries are identical, which is what keeps concurrent results
-/// bit-identical to the single-threaded path.
+/// Because the pool's statistics aggregate *every* concurrent query, this
+/// source meters its own simulated I/O: the per-query `io_seconds` it
+/// accumulates is the disk time of exactly the misses this scan caused.
 pub struct SharedPageStreamSource<'a> {
     pool: &'a SharedBufferPool,
     disk: &'a DiskModel,
@@ -450,9 +207,9 @@ impl<'a> SharedPageStreamSource<'a> {
 
     /// Completes the scan (if it has not finished) and dismantles the
     /// source into its extracted per-page batches, finished access stats,
-    /// and metered I/O — the concurrent facade's way of building replaying
-    /// shard sources for a *filtered* gang, whose post-filter shard
-    /// boundaries do not fall on source page boundaries.
+    /// and metered I/O — how a *filtered* gang builds its replaying shard
+    /// sources, since post-filter shard boundaries do not fall on source
+    /// page boundaries.
     pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, AccessStats, Seconds), SourceError> {
         self.rewind()?;
         let mut stats = self.stats;

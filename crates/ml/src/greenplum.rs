@@ -11,7 +11,9 @@
 
 use crossbeam::thread;
 
-use dana_storage::{BufferPool, DiskModel, HeapFile, HeapId, PageId, PageView, Tuple, TupleBatch};
+use dana_storage::{
+    DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, Tuple, TupleBatch,
+};
 
 use crate::algorithms::{train_reference, DenseModel, LrmfModel, TrainConfig, TrainedModel};
 use crate::cpu::{CpuModel, Seconds};
@@ -53,7 +55,7 @@ impl GreenplumExecutor {
     /// per-epoch model averaging across segments.
     pub fn train(
         &self,
-        pool: &mut BufferPool,
+        pool: &SharedBufferPool,
         heap_id: HeapId,
         heap: &HeapFile,
         cfg: &TrainConfig,
@@ -67,31 +69,23 @@ impl GreenplumExecutor {
             (0..self.segments).map(|_| TupleBatch::new(width)).collect();
         let mut k = 0usize;
         for page_no in 0..heap.page_count() {
-            let (frame, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
-            let distributed = (|| -> dana_storage::StorageResult<()> {
-                let view = PageView::new(pool.frame_bytes(frame), *heap.layout())?;
-                for slot in 0..view.tuple_count() {
-                    Tuple::deform_into(
-                        heap.schema(),
-                        view.tuple_bytes(slot)?,
-                        &mut partitions[k % self.segments as usize],
-                    )?;
-                    k += 1;
-                }
-                Ok(())
-            })();
-            // Unpin before propagating: a corrupt page must not pin its
-            // frame forever.
-            pool.unpin(frame);
-            distributed?;
+            let (bytes, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
+            let view = PageView::new(&bytes, *heap.layout())?;
+            for slot in 0..view.tuple_count() {
+                Tuple::deform_into(
+                    heap.schema(),
+                    view.tuple_bytes(slot)?,
+                    &mut partitions[k % self.segments as usize],
+                )?;
+                k += 1;
+            }
         }
         // Epochs re-scan per segment; charge the pool for the re-reads the
         // way MADlib's iterations do (epochs beyond the first hit cache if
         // the table fits).
         for _ in 1..cfg.epochs.max(1) {
             for page_no in 0..heap.page_count() {
-                let (frame, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
-                pool.unpin(frame);
+                pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
             }
         }
 
@@ -300,11 +294,14 @@ mod tests {
         b.finish()
     }
 
-    fn pool_for(heap: &HeapFile) -> BufferPool {
-        BufferPool::new(BufferPoolConfig {
-            pool_bytes: (heap.page_count() as u64 + 4) * 8 * 1024,
-            page_size: 8 * 1024,
-        })
+    fn pool_for(heap: &HeapFile) -> SharedBufferPool {
+        SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: (heap.page_count() as u64 + 4) * 8 * 1024,
+                page_size: 8 * 1024,
+            },
+            1,
+        )
     }
 
     #[test]
@@ -318,7 +315,7 @@ mod tests {
             ..Default::default()
         };
         let report = exec
-            .train(&mut pool_for(&heap), HeapId(1), &heap, &cfg)
+            .train(&pool_for(&heap), HeapId(1), &heap, &cfg)
             .unwrap();
         let tuples = heap.scan_batch().unwrap();
         let loss = metrics::mse(report.model.as_dense(), &tuples).unwrap();
@@ -336,10 +333,10 @@ mod tests {
             ..Default::default()
         };
         let one = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::instant(), 1)
-            .train(&mut pool_for(&heap), HeapId(1), &heap, &cfg)
+            .train(&pool_for(&heap), HeapId(1), &heap, &cfg)
             .unwrap();
         let eight = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::instant(), 8)
-            .train(&mut pool_for(&heap), HeapId(1), &heap, &cfg)
+            .train(&pool_for(&heap), HeapId(1), &heap, &cfg)
             .unwrap();
         assert!(eight.cpu_seconds < one.cpu_seconds);
     }
@@ -353,10 +350,10 @@ mod tests {
             ..Default::default()
         };
         let gp = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::instant(), 8)
-            .train(&mut pool_for(&heap), HeapId(1), &heap, &cfg)
+            .train(&pool_for(&heap), HeapId(1), &heap, &cfg)
             .unwrap();
         let madlib = crate::MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::instant())
-            .train(&mut pool_for(&heap), HeapId(1), &heap, &cfg)
+            .train(&pool_for(&heap), HeapId(1), &heap, &cfg)
             .unwrap();
         assert!(
             gp.cpu_seconds > madlib.cpu_seconds,

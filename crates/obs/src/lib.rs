@@ -11,10 +11,9 @@
 //! * a **query-lifecycle trace** ([`QueryTrace`]) of named stage spans
 //!   (parse → admission wait → lease → scan → engine → merge →
 //!   materialize → reply), accumulated through a [`SpanRecorder`] that
-//!   both the serial `Dana` facade and the concurrent server worker
-//!   thread through the shared `dana::exec` assembly helpers — so the
-//!   two facades emit structurally identical traces for `EXPLAIN
-//!   ANALYZE` and `WITH (trace = on)`.
+//!   the embedded front door and the server worker both hand to the one
+//!   plan executor — so they emit structurally identical traces for
+//!   `EXPLAIN ANALYZE` and `WITH (trace = on)`.
 //!
 //! The recorder is pay-for-what-you-use: a disabled [`SpanRecorder`] is
 //! a `None` and every call on it is a no-op — queries that don't opt in

@@ -179,7 +179,7 @@ impl Histogram {
     }
 }
 
-/// The push-side metrics both facades charge as queries complete. The
+/// The push-side metrics every front door charges as queries complete. The
 /// pull-side values (queue depth, pool utilization, buffer-pool and
 /// session stats) are read from their authoritative owners at snapshot
 /// time instead of being mirrored here — `SHOW STATS` can never drift

@@ -5,8 +5,8 @@
 //! `parse → admission_wait → lease → scan → engine → merge →
 //! (materialize) → reply` — rather than a free-form span tree: the
 //! *structure* (stage names, nesting, child counts) is a function of the
-//! statement alone, so the serial and concurrent facades (and every gang
-//! width) emit byte-identical shapes and only the recorded times differ.
+//! statement alone, so embedded and served runs (and every gang width)
+//! emit byte-identical shapes and only the recorded times differ.
 //! Per-shard work aggregates into the `scan` stage's count; per-epoch
 //! engine compute hangs off the `engine` stage as one child per epoch.
 //!
@@ -110,7 +110,7 @@ impl QueryTrace {
 
     /// The trace's *shape* — stage names, nesting, and counts, with no
     /// times. Two runs of the same statement must agree on this string
-    /// whatever facade or gang width ran them.
+    /// whatever front door or gang width ran them.
     pub fn structure(&self) -> String {
         fn walk(span: &TraceSpan, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
@@ -207,11 +207,11 @@ impl serde::Deserialize for QueryTrace {
     }
 }
 
-/// The span accumulator threaded through both facades' execution paths.
+/// The span accumulator threaded through the execution path.
 ///
 /// Stages are upserted by name: the first touch fixes a stage's position
-/// in the trace, later touches add time/counts onto it — so a facade can
-/// pre-register the lifecycle skeleton (`parse`, `admission_wait`,
+/// in the trace, later touches add time/counts onto it — so a front door
+/// can pre-register the lifecycle skeleton (`parse`, `admission_wait`,
 /// `lease`) in order and let the shared `exec` assembly helpers fill the
 /// execution stages in.
 ///

@@ -142,13 +142,11 @@ pub fn split_replay_sources(
         .collect()
 }
 
-/// A rewindable [`TupleSource`] over pre-extracted batches — the serial
-/// facade's shard source. `Dana` owns a `&mut` buffer pool, so it cannot
-/// run several streaming scans at once; instead it extracts each shard's
-/// page range once (charging I/O and Strider work exactly like a
-/// streaming first pass) and hands the gang these cheap replaying
-/// sources. Batch boundaries stay one-per-page, so the engine sees the
-/// identical stream a live page scan would produce.
+/// A rewindable [`TupleSource`] over pre-extracted batches — a *filtered*
+/// gang's shard source. Post-filter rows do not align with source page
+/// boundaries, so the table is streamed once through the pushdown scan
+/// (charging I/O and Strider work exactly like a streaming first pass)
+/// and each member replays its slice of the surviving tuples.
 pub struct ReplaySource {
     batches: Vec<TupleBatch>,
     width: usize,

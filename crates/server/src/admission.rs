@@ -17,7 +17,7 @@ use dana::DanaError;
 use dana_engine::EngineError;
 
 use crate::error::{ServerError, ServerResult};
-use crate::server::{QueryRequest, ReplyResult};
+use crate::server::{Admitted, ReplyResult, Work};
 use crate::session::SessionId;
 
 /// Dequeue ordering.
@@ -68,7 +68,11 @@ impl Default for AdmissionConfig {
 pub(crate) struct Job {
     pub seq: u64,
     pub session: SessionId,
-    pub request: QueryRequest,
+    /// What to run, bound once at submit — or the parse/bind error the
+    /// worker replies with.
+    pub work: dana::DanaResult<Work>,
+    /// Wall seconds the submit spent parsing/lowering the request.
+    pub parse_wall: f64,
     /// Admission class: `Interactive` jobs dequeue before any `Batch`
     /// job regardless of policy.
     pub priority: Priority,
@@ -143,9 +147,7 @@ impl AdmissionQueue {
     pub fn submit(
         &self,
         session: SessionId,
-        request: QueryRequest,
-        priority: Priority,
-        cost_hint: f64,
+        admitted: Admitted,
         deadline: Option<Instant>,
         reply: Sender<ReplyResult>,
     ) -> ServerResult<u64> {
@@ -166,9 +168,10 @@ impl AdmissionQueue {
         st.jobs.push(Job {
             seq,
             session,
-            request,
-            priority,
-            cost_hint,
+            work: admitted.work,
+            parse_wall: admitted.parse_wall,
+            priority: admitted.priority,
+            cost_hint: admitted.cost_hint,
             reply,
             submitted_at: Instant::now(),
             deadline,
@@ -263,11 +266,13 @@ mod tests {
     use super::*;
     use crossbeam::channel;
 
-    fn dummy_request() -> QueryRequest {
-        QueryRequest::RunUdf {
-            udf: "linearR".into(),
-            table: "t".into(),
-            shards: None,
+    fn job(priority: Priority, cost_hint: f64) -> Admitted {
+        Admitted {
+            work: Ok(Work::Stats(None)),
+            priority,
+            cost_hint,
+            timeout_ms: None,
+            parse_wall: 0.0,
         }
     }
 
@@ -283,7 +288,7 @@ mod tests {
         let q = queue(16, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
         for cost in [3.0, 1.0, 2.0] {
-            q.submit(1, dummy_request(), Priority::Batch, cost, None, tx.clone())
+            q.submit(1, job(Priority::Batch, cost), None, tx.clone())
                 .unwrap();
         }
         let order: Vec<f64> = (0..3).map(|_| q.pop().unwrap().cost_hint).collect();
@@ -297,7 +302,7 @@ mod tests {
         let seqs: Vec<u64> = [3.0, 1.0, 2.0, 1.0]
             .iter()
             .map(|c| {
-                q.submit(1, dummy_request(), Priority::Batch, *c, None, tx.clone())
+                q.submit(1, job(Priority::Batch, *c), None, tx.clone())
                     .unwrap()
             })
             .collect();
@@ -310,11 +315,11 @@ mod tests {
     fn overload_is_refused_with_counts() {
         let q = queue(2, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, dummy_request(), Priority::Batch, 1.0, None, tx.clone())
+        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
             .unwrap();
-        q.submit(1, dummy_request(), Priority::Batch, 1.0, None, tx.clone())
+        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
             .unwrap();
-        match q.submit(1, dummy_request(), Priority::Batch, 1.0, None, tx.clone()) {
+        match q.submit(1, job(Priority::Batch, 1.0), None, tx.clone()) {
             Err(ServerError::Overloaded {
                 queued: 2,
                 limit: 2,
@@ -335,14 +340,12 @@ mod tests {
         // One job already past its deadline, one without a deadline.
         q.submit(
             1,
-            dummy_request(),
-            Priority::Batch,
-            1.0,
+            job(Priority::Batch, 1.0),
             Some(Instant::now() - std::time::Duration::from_millis(5)),
             expired_tx,
         )
         .unwrap();
-        q.submit(1, dummy_request(), Priority::Batch, 1.0, None, live_tx)
+        q.submit(1, job(Priority::Batch, 1.0), None, live_tx)
             .unwrap();
         // The pop skips the expired job and hands out the live one.
         let job = q.pop().unwrap();
@@ -364,13 +367,13 @@ mod tests {
         let (tx, _rx) = channel::unbounded();
         // Two batch jobs first, then an interactive point query.
         let b0 = q
-            .submit(1, dummy_request(), Priority::Batch, 5.0, None, tx.clone())
+            .submit(1, job(Priority::Batch, 5.0), None, tx.clone())
             .unwrap();
         let b1 = q
-            .submit(1, dummy_request(), Priority::Batch, 5.0, None, tx.clone())
+            .submit(1, job(Priority::Batch, 5.0), None, tx.clone())
             .unwrap();
         let point = q
-            .submit(1, dummy_request(), Priority::Interactive, 0.1, None, tx)
+            .submit(1, job(Priority::Interactive, 0.1), None, tx)
             .unwrap();
         let popped: Vec<u64> = (0..3).map(|_| q.pop().unwrap().seq).collect();
         assert_eq!(
@@ -386,10 +389,10 @@ mod tests {
         let (tx, _rx) = channel::unbounded();
         // The batch job has a *cheaper* cost hint — class still wins.
         let batch = q
-            .submit(1, dummy_request(), Priority::Batch, 0.001, None, tx.clone())
+            .submit(1, job(Priority::Batch, 0.001), None, tx.clone())
             .unwrap();
         let point = q
-            .submit(1, dummy_request(), Priority::Interactive, 1.0, None, tx)
+            .submit(1, job(Priority::Interactive, 1.0), None, tx)
             .unwrap();
         let popped: Vec<u64> = (0..2).map(|_| q.pop().unwrap().seq).collect();
         assert_eq!(popped, vec![point, batch]);
@@ -399,11 +402,11 @@ mod tests {
     fn close_drains_then_ends() {
         let q = queue(16, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, dummy_request(), Priority::Batch, 1.0, None, tx.clone())
+        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
             .unwrap();
         q.close();
         assert!(matches!(
-            q.submit(1, dummy_request(), Priority::Batch, 1.0, None, tx),
+            q.submit(1, job(Priority::Batch, 1.0), None, tx),
             Err(ServerError::ShuttingDown)
         ));
         assert!(q.pop().is_some(), "admitted work still drains");

@@ -2,13 +2,14 @@
 //!
 //! DAnA's premise is an accelerator *inside a live RDBMS* (§1): analytics
 //! queries arrive alongside regular traffic and contend for a fixed set of
-//! FPGA resources. The single-user `dana::Dana` facade cannot express
-//! that — everything funnels through one `&mut`. This crate is the serving
-//! tier on top of the shared core:
+//! FPGA resources. This crate is the serving tier in front of the one
+//! system core:
 //!
-//! * [`SystemCore`] — the thread-safe split of `Dana`: `RwLock` catalog,
-//!   sharded [`dana_storage::SharedBufferPool`], per-query execution
-//!   contexts that share every numerical path with the serial facade;
+//! * [`SystemCore`] (re-exported from `dana`, where it lives) — catalog,
+//!   sharded [`dana_storage::SharedBufferPool`], the statement binder and
+//!   the plan executor. An embedded `dana::Dana` is the same core with a
+//!   one-shard pool on the caller's thread; here it sits behind admission
+//!   and leases, and every request is bound to its plan once, at submit;
 //! * [`SessionManager`] — per-client sessions with query accounting;
 //! * admission control ([`AdmissionConfig`]) — a bounded queue with FIFO
 //!   and shortest-job-first policies, SJF ordered by the deploy-time
@@ -20,20 +21,19 @@
 //!   channels carry replies) execute admitted queries in parallel on
 //!   leased instances.
 //!
-//! Concurrent execution is held **bit-identical** to the single-threaded
-//! path by the equivalence suite: same compiler, same extraction, same
-//! engine interpreter, same report assembly — only the locking changed.
+//! Served execution is **bit-identical** to embedded execution — it is the
+//! same plan on the same executor; the equivalence suite holds an 8-shard
+//! served pool to the 1-shard embedded one.
 
 pub mod accel;
 pub mod admission;
-pub mod core;
 pub mod error;
 pub mod server;
 pub mod session;
 
 pub use accel::{AcceleratorPool, GangLease, Health, Lease, PoolHealth, PoolUtilization};
 pub use admission::{AdmissionConfig, Priority, QueueStats, SchedPolicy};
-pub use core::{EngineCacheStats, QueryCtx, SystemCore, SystemCoreConfig};
+pub use dana::{EngineCacheStats, QueryCtx, SystemCore, SystemCoreConfig};
 pub use error::{ServerError, ServerResult};
 pub use server::{DanaServer, QueryReply, QueryRequest, QueryResponse, ServerConfig, Ticket};
 pub use session::{SessionId, SessionManager, SessionStats};

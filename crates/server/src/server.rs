@@ -29,9 +29,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver};
 
 use dana::{
-    exec, parse_statement, AnalyzeReport, BackendKind, DanaReport, DanaResult, DeployInfo,
-    DropSummary, EvalReport, ExecutionMode, MetricKind, PointReport, PredictReport, QueryTrace,
-    SpanRecorder, Statement, StatementOutcome, StatsSnapshot, StrategyComparison,
+    parse_statement, AnalyzeReport, BackendChoice, DanaReport, DanaResult, DeployInfo, DropSummary,
+    EvalReport, EvaluateCall, ExecutionMode, FrontDoorWalls, MetricKind, PhysicalPlan, PlanOp,
+    PointCall, PointReport, PredictCall, PredictReport, QueryCall, QueryCtx, QueryTrace, Statement,
+    StatementOutcome, StatsSnapshot, StrategyComparison, SystemCore, SystemCoreConfig,
 };
 use dana_engine::{CancelToken, FaultPlan, RetryPolicy};
 use dana_obs::StatEntry;
@@ -39,7 +40,6 @@ use dana_storage::HeapFile;
 
 use crate::accel::{AcceleratorPool, PoolHealth, PoolUtilization};
 use crate::admission::{AdmissionConfig, AdmissionQueue, Priority, QueueStats};
-use crate::core::{QueryCtx, SystemCore, SystemCoreConfig};
 use crate::error::{ServerError, ServerResult};
 use crate::session::{SessionId, SessionManager, SessionStats};
 
@@ -139,18 +139,6 @@ impl QueryResponse {
             QueryResponse::Explained(_) => "explain",
             QueryResponse::Analyzed(_) => "explain-analyze",
             QueryResponse::Stats(_) => "stats",
-        }
-    }
-
-    /// The substrate that ran the query, if one did.
-    fn backend(&self) -> Option<BackendKind> {
-        match self {
-            QueryResponse::Trained(r) => Some(r.backend),
-            QueryResponse::Predicted(p) => Some(p.backend),
-            QueryResponse::Evaluated(e) => Some(e.backend),
-            QueryResponse::Point(p) => Some(p.backend),
-            QueryResponse::Explained(_) | QueryResponse::Stats(_) => None,
-            QueryResponse::Analyzed(a) => a.outcome.backend(),
         }
     }
 }
@@ -417,34 +405,103 @@ impl DanaServer {
     // ---- queries --------------------------------------------------------
 
     /// Admits a query for scheduled execution. Non-blocking: refusal
-    /// (overload, unknown session, shutdown) is immediate and typed.
+    /// (overload, unknown session, shutdown) is immediate and typed. The
+    /// request is parsed and bound to its plan here, once; the worker
+    /// that dequeues it only leases and runs.
     pub fn submit(&self, session: SessionId, request: QueryRequest) -> ServerResult<Ticket> {
         self.sessions.record_submit(session)?;
-        let priority = priority_for(&request);
-        let cost_hint = self.cost_hint(&request);
-        let deadline = self.deadline_for(&request);
+        let admitted = self.admit(request);
+        // The deadline is anchored at submit time: admission wait counts
+        // against it.
+        let deadline = admitted
+            .timeout_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let (tx, rx) = channel::bounded(1);
-        let seq = self
-            .queue
-            .submit(session, request, priority, cost_hint, deadline, tx)?;
+        let seq = self.queue.submit(session, admitted, deadline, tx)?;
         Ok(Ticket { seq, session, rx })
     }
 
-    /// The query's deadline, anchored at submit time (admission wait
-    /// counts against it): the statement's `WITH (timeout_ms = …)`, or
-    /// the server-wide default for statements (and ad-hoc requests)
-    /// without one.
-    fn deadline_for(&self, request: &QueryRequest) -> Option<Instant> {
-        let ms = match request {
-            QueryRequest::Sql(sql) => match parse_statement(sql) {
-                Ok(stmt) => stmt.timeout_ms().or(self.default_timeout_ms),
-                // Parse errors surface typed from the dispatch; don't
-                // let a deadline shed them into a misleading timeout.
-                Err(_) => None,
-            },
-            _ => self.default_timeout_ms,
+    /// Lowers a request to what a worker will run: SQL is parsed, the
+    /// typed forms become the same [`Statement`]s their SQL twins parse to
+    /// (on the FPGA tier, as their contract says — only point predictions
+    /// ask the advisor), and the statement is bound against this server's
+    /// accelerator pool. A parse or bind error rides the job to the
+    /// worker, which replies with it — no lease is ever taken for one.
+    fn admit(&self, request: QueryRequest) -> Admitted {
+        let lower_start = Instant::now();
+        let stmt = match request {
+            QueryRequest::Sql(sql) => parse_statement(&sql),
+            QueryRequest::RunUdf { udf, table, shards } => Ok(Statement::Train(QueryCall {
+                udf,
+                table,
+                shards,
+                backend: BackendChoice::Fpga,
+                ..QueryCall::default()
+            })),
+            QueryRequest::Predict {
+                udf,
+                table,
+                into,
+                shards,
+            } => Ok(Statement::Predict(PredictCall {
+                udf,
+                table,
+                into,
+                shards,
+                backend: BackendChoice::Fpga,
+                ..PredictCall::default()
+            })),
+            QueryRequest::Evaluate {
+                udf,
+                table,
+                metric,
+                shards,
+            } => Ok(Statement::Evaluate(EvaluateCall {
+                udf,
+                table,
+                metric,
+                shards,
+                backend: BackendChoice::Fpga,
+                ..EvaluateCall::default()
+            })),
+            QueryRequest::PredictPoint { udf, rows } => Ok(Statement::PredictPoint(PointCall {
+                udf,
+                rows,
+                ..PointCall::default()
+            })),
+            // The one ad-hoc form: nothing to parse or price.
+            QueryRequest::TrainSpec { spec, table, mode } => {
+                let work = Work::Plan {
+                    plan: Box::new(PhysicalPlan::ad_hoc(&spec, &table, mode)),
+                    retry: RetryPolicy::default(),
+                };
+                return Admitted::new(Ok(work), self.default_timeout_ms, 0.0);
+            }
         };
-        ms.map(|ms| Instant::now() + Duration::from_millis(ms))
+        let parse_wall = lower_start.elapsed().as_secs_f64();
+        let stmt = match stmt {
+            Ok(stmt) => stmt,
+            // No deadline either: the parse error must surface as itself,
+            // not be shed into a misleading timeout.
+            Err(e) => return Admitted::new(Err(e), None, parse_wall),
+        };
+        let timeout_ms = stmt.timeout_ms().or(self.default_timeout_ms);
+        let work = match stmt {
+            Statement::ShowStats(filter) => Ok(Work::Stats(filter)),
+            stmt => self
+                .core
+                .bind(&stmt, self.accels.size())
+                .map(|plan| Work::Plan {
+                    plan: Box::new(plan),
+                    retry: stmt
+                        .retries()
+                        .map_or_else(RetryPolicy::default, |n| RetryPolicy {
+                            max_retries: n,
+                            ..RetryPolicy::default()
+                        }),
+                }),
+        };
+        Admitted::new(work, timeout_ms, parse_wall)
     }
 
     /// Blocks until the ticket's query finishes.
@@ -458,35 +515,11 @@ impl DanaServer {
         self.wait(ticket)
     }
 
-    /// SJF's ordering key. Training queries are priced by the deploy-time
-    /// engine estimate × epochs; scoring queries by tuple count ×
-    /// program length (a single pass — under SJF they overtake long
-    /// training jobs). **Sharded queries divide the estimate by their
-    /// gang size** — a 4-shard gang finishes its scan ~4× sooner, and
-    /// pricing it serially would let SJF wrongly starve it behind
-    /// genuinely shorter singles. Unknown or ad-hoc work gets a neutral
-    /// hint (0), which SJF treats as "probably interactive": it runs
-    /// early, keeping the policy conservative rather than starving
-    /// unknowns.
+    /// SJF's ordering key for a request, as [`DanaServer::submit`] would
+    /// compute it (see [`PhysicalPlan::cost_hint`]): unparseable,
+    /// unbindable, ad-hoc and metadata-only work gets the neutral hint 0.
     pub fn cost_hint(&self, request: &QueryRequest) -> f64 {
-        let serial = match request {
-            QueryRequest::Sql(sql) => match parse_statement(sql) {
-                Ok(stmt) => statement_cost_hint(&self.core, &stmt),
-                Err(_) => 0.0,
-            },
-            QueryRequest::RunUdf { udf, .. } => self.core.estimated_seconds(udf).unwrap_or(0.0),
-            QueryRequest::TrainSpec { .. } => 0.0,
-            QueryRequest::Predict { udf, table, .. }
-            | QueryRequest::Evaluate { udf, table, .. } => self
-                .core
-                .estimated_scoring_seconds(udf, table)
-                .unwrap_or(0.0),
-            QueryRequest::PredictPoint { udf, rows } => self
-                .core
-                .estimated_point_seconds(udf, rows.len() as u64)
-                .unwrap_or(0.0),
-        };
-        serial / gang_size(request, self.accels.size(), &self.core) as f64
+        self.admit(request.clone()).cost_hint
     }
 
     // ---- observability --------------------------------------------------
@@ -561,130 +594,53 @@ impl Drop for DanaServer {
     }
 }
 
-/// The admission class one request rides in: point predictions (typed
-/// or SQL form) are `Interactive` — the dequeue prefers them over any
-/// waiting batch job, so a microsecond lookup is never starved behind
-/// a gang training job. Everything else (including unparseable SQL,
-/// which surfaces its error from the dispatch) is `Batch`.
-fn priority_for(request: &QueryRequest) -> Priority {
-    match request {
-        QueryRequest::PredictPoint { .. } => Priority::Interactive,
-        QueryRequest::Sql(sql) => match parse_statement(sql) {
-            Ok(stmt) => statement_priority(&stmt),
-            Err(_) => Priority::Batch,
-        },
-        _ => Priority::Batch,
-    }
+/// What a worker runs for one admitted request.
+pub(crate) enum Work {
+    /// `SHOW STATS`: the server-wide snapshot — no plan, no lease.
+    Stats(Option<String>),
+    /// Everything else: the plan bound at submit, and the statement's
+    /// retry budget for transient accelerator faults.
+    Plan {
+        plan: Box<PhysicalPlan>,
+        retry: RetryPolicy,
+    },
 }
 
-/// [`priority_for`] for an already-parsed statement (`EXPLAIN ANALYZE`
-/// rides its inner statement's class — it really runs it).
-fn statement_priority(stmt: &Statement) -> Priority {
-    match stmt {
-        Statement::PredictPoint(_) => Priority::Interactive,
-        Statement::ExplainAnalyze(inner) => statement_priority(inner),
-        _ => Priority::Batch,
-    }
+/// A request as admission sees it: what to run, how to order it, and how
+/// long it may take.
+pub(crate) struct Admitted {
+    pub work: DanaResult<Work>,
+    pub priority: Priority,
+    pub cost_hint: f64,
+    /// The statement's `WITH (timeout_ms = …)`, or the server default.
+    pub timeout_ms: Option<u64>,
+    /// Wall seconds spent parsing/lowering (charged to the lifecycle
+    /// trace's `parse` stage).
+    pub parse_wall: f64,
 }
 
-/// SJF's serial ordering key for one parsed statement. `EXPLAIN
-/// ANALYZE` prices its inner statement (it really runs); metadata-only
-/// statements run instantly and schedule first.
-fn statement_cost_hint(core: &SystemCore, stmt: &Statement) -> f64 {
-    match stmt {
-        Statement::Train(call) => core.estimated_seconds(&call.udf).unwrap_or(0.0),
-        Statement::Predict(p) => core
-            .estimated_scoring_seconds(&p.udf, &p.table)
-            .unwrap_or(0.0),
-        Statement::Evaluate(e) => core
-            .estimated_scoring_seconds(&e.udf, &e.table)
-            .unwrap_or(0.0),
-        // Point queries are priced by their inline row count × program
-        // length across the lanes — never the bound table's
-        // tuples × epochs, so SJF sees them for the microseconds of
-        // work they are.
-        Statement::PredictPoint(p) => core
-            .estimated_point_seconds(&p.udf, p.rows.len() as u64)
-            .unwrap_or(0.0),
-        Statement::ExplainAnalyze(inner) => statement_cost_hint(core, inner),
-        // Metadata-only: runs instantly, schedule it first.
-        Statement::Explain(_) | Statement::ShowStats(_) => 0.0,
-    }
-}
-
-/// The shard request and scanned table of one parsed statement
-/// (`EXPLAIN ANALYZE` leases for its inner statement).
-fn statement_shards(stmt: &Statement) -> (Option<u16>, Option<&str>) {
-    match stmt {
-        Statement::Train(c) => (c.shards, Some(&c.table)),
-        Statement::Predict(p) => (p.shards, Some(&p.table)),
-        Statement::Evaluate(e) => (e.shards, Some(&e.table)),
-        // Point-form PREDICT has no scan: nothing to shard, no table.
-        Statement::PredictPoint(_) => (None, None),
-        Statement::ExplainAnalyze(inner) => statement_shards(inner),
-        Statement::Explain(_) | Statement::ShowStats(_) => (None, None),
-    }
-}
-
-/// The gang size a request calls for, clamped to the pool size **and**
-/// the scanned table's page count (the shard planner never makes more
-/// shards than pages) — the number of instances the worker leases
-/// atomically and the shard count the query actually runs with. They
-/// must agree, or the simulated schedule would charge hardware the
-/// query never used.
-fn gang_size(request: &QueryRequest, pool: usize, core: &SystemCore) -> u16 {
-    let (requested, table) = match request {
-        QueryRequest::Sql(sql) => match parse_statement(sql) {
-            Ok(stmt) => return statement_gang_size(&stmt, pool, core),
-            Err(_) => (None, None),
-        },
-        QueryRequest::RunUdf { shards, table, .. }
-        | QueryRequest::Predict { shards, table, .. }
-        | QueryRequest::Evaluate { shards, table, .. } => (*shards, Some(table.clone())),
-        QueryRequest::TrainSpec { .. } | QueryRequest::PredictPoint { .. } => (None, None),
-    };
-    clamp_gang(requested, table.as_deref(), pool, core)
-}
-
-/// [`gang_size`] for an already-parsed statement.
-fn statement_gang_size(stmt: &Statement, pool: usize, core: &SystemCore) -> u16 {
-    let (requested, table) = statement_shards(stmt);
-    clamp_gang(requested, table, pool, core)
-}
-
-fn clamp_gang(requested: Option<u16>, table: Option<&str>, pool: usize, core: &SystemCore) -> u16 {
-    let mut k = requested.unwrap_or(1).clamp(1, pool.max(1) as u16);
-    if let Some(pages) = table.and_then(|t| core.table_pages(t)) {
-        k = k.min(dana_parallel::ShardPlan::effective_shards(pages, k as usize) as u16);
-    }
-    k
-}
-
-/// Whether a request needs the simulated-FPGA tier (and therefore an
-/// accelerator lease). `EXPLAIN`, `SHOW STATS`, and statements the
-/// advisor (or a `WITH (backend = cpu)` override) routes to the native
-/// CPU tier run lease-free — the pool is accelerator hardware, and a CPU
-/// run charging it would corrupt the utilization accounting. Resolution
-/// errors say FPGA here: the execution dispatch re-resolves and surfaces
-/// them typed.
-fn statement_needs_accelerator(core: &SystemCore, stmt: &Statement) -> bool {
-    match stmt {
-        Statement::Explain(_) | Statement::ShowStats(_) => false,
-        Statement::ExplainAnalyze(inner) => statement_needs_accelerator(core, inner),
-        _ => !matches!(core.resolve_backend(stmt), Ok(BackendKind::Cpu)),
-    }
-}
-
-/// [`statement_needs_accelerator`] for ad-hoc (typed, non-SQL)
-/// requests: they run on the accelerator tier — except point
-/// predictions the advisor routes to the CPU tier, which are
-/// lease-free exactly like their SQL form.
-fn request_needs_accelerator(core: &SystemCore, request: &QueryRequest) -> bool {
-    match request {
-        QueryRequest::PredictPoint { udf, rows } => {
-            !matches!(core.point_backend(udf, rows), Ok(BackendKind::Cpu))
+impl Admitted {
+    /// Orders the work: point predictions are `Interactive` — the dequeue
+    /// prefers them over any waiting batch job, so a microsecond lookup
+    /// is never starved behind a gang training job — and everything else
+    /// is `Batch`, keyed by its plan's cost hint. Work with no plan
+    /// (`SHOW STATS`, a parse or bind error) gets the neutral hint 0,
+    /// which SJF treats as "probably interactive" rather than starving it.
+    fn new(work: DanaResult<Work>, timeout_ms: Option<u64>, parse_wall: f64) -> Admitted {
+        let (priority, cost_hint) = match &work {
+            Ok(Work::Plan { plan, .. }) if matches!(plan.op, PlanOp::Point { .. }) => {
+                (Priority::Interactive, plan.cost_hint)
+            }
+            Ok(Work::Plan { plan, .. }) => (Priority::Batch, plan.cost_hint),
+            _ => (Priority::Batch, 0.0),
+        };
+        Admitted {
+            work,
+            priority,
+            cost_hint,
+            timeout_ms,
+            parse_wall,
         }
-        _ => true,
     }
 }
 
@@ -804,45 +760,10 @@ fn server_stats(
     }
 }
 
-/// Folds one finished worker dispatch into the core's metrics registry:
-/// completion/failure counters, the exec-wall histogram, the backend
-/// split, and epochs trained.
-fn record_query_metrics(
-    core: &SystemCore,
-    result: &ServerResult<(QueryResponse, Option<QueryTrace>)>,
-    wall: f64,
-) {
-    let m = core.metrics();
-    match result {
-        Ok((response, _)) => {
-            m.queries_completed.inc();
-            m.exec_wall.record(wall);
-            match response.backend() {
-                Some(BackendKind::Fpga) => m.fpga_queries.inc(),
-                Some(BackendKind::Cpu) => m.cpu_queries.inc(),
-                None => {}
-            }
-            if let QueryResponse::Trained(r) = response {
-                m.epochs_run.add(r.epochs_run as u64);
-            }
-            if let QueryResponse::Point(_) = response {
-                m.point_queries.inc();
-                m.point_latency.record(wall);
-            }
-        }
-        Err(e) => {
-            m.queries_failed.inc();
-            if e.is_deadline_exceeded() {
-                m.deadline_exceeded.inc();
-            }
-        }
-    }
-}
-
 /// One worker: pop an admitted query, atomically lease its gang (size 1
-/// for serial queries; none at all for EXPLAIN/SHOW STATS and CPU-tier
-/// runs), execute, release every member with the simulated runtime,
-/// reply. SQL is parsed exactly once, before leasing — the measured
+/// for serial queries; none at all for EXPLAIN/SHOW STATS, CPU-tier runs
+/// and requests that failed to parse or bind), execute, release every
+/// member with the simulated runtime, reply. The measured
 /// parse/admission/lease walls feed the lifecycle trace when the
 /// statement asked for one.
 fn worker_loop(
@@ -854,78 +775,64 @@ fn worker_loop(
     while let Some(job) = queue.pop() {
         let admission_wall = job.submitted_at.elapsed().as_secs_f64();
         core.metrics().admission_wait.record(admission_wall);
-        let parse_start = Instant::now();
-        let parsed: Option<DanaResult<Statement>> = match &job.request {
-            QueryRequest::Sql(sql) => Some(parse_statement(sql)),
-            _ => None,
+        // The lease is exactly the plan's gang: bind clamped it to this
+        // pool and the table's pages, and the run must agree with it, or
+        // the simulated schedule would charge hardware the query never
+        // used.
+        let (gang_size, retry) = match &job.work {
+            Ok(Work::Plan { plan, retry }) if plan.needs_accelerator() => {
+                (Some(plan.shards as usize), *retry)
+            }
+            Ok(Work::Plan { retry, .. }) => (None, *retry),
+            _ => (None, RetryPolicy::default()),
         };
-        let parse_wall = parse_start.elapsed().as_secs_f64();
-        let needs_lease = match &parsed {
-            Some(Ok(stmt)) => statement_needs_accelerator(core, stmt),
-            // Parse errors surface typed from the dispatch below.
-            Some(Err(_)) => true,
-            None => request_needs_accelerator(core, &job.request),
-        };
-        let (shards, lease, lease_wall) = if needs_lease {
-            let shards = match &parsed {
-                Some(Ok(stmt)) => statement_gang_size(stmt, accels.size(), core),
-                Some(Err(_)) => 1,
-                None => gang_size(&job.request, accels.size(), core),
-            };
-            let lease_start = Instant::now();
-            let Some(lease) = accels.lease_gang(shards as usize) else {
-                let _ = job.reply.send(Err(ServerError::ShuttingDown));
-                continue;
-            };
-            let lease_wall = lease_start.elapsed().as_secs_f64();
-            core.metrics().lease_wait.record(lease_wall);
-            (shards, Some(lease), lease_wall)
-        } else {
-            (1, None, 0.0)
+        let (lease, lease_wall) = match gang_size {
+            Some(k) => {
+                let lease_start = Instant::now();
+                let Some(lease) = accels.lease_gang(k) else {
+                    let _ = job.reply.send(Err(ServerError::ShuttingDown));
+                    continue;
+                };
+                let lease_wall = lease_start.elapsed().as_secs_f64();
+                core.metrics().lease_wait.record(lease_wall);
+                (Some(lease), lease_wall)
+            }
+            None => (None, 0.0),
         };
         let gang: Vec<usize> = lease.as_ref().map(|l| l.ids().to_vec()).unwrap_or_default();
         let accelerator = gang.first().copied().unwrap_or(usize::MAX);
         let queue_seconds = job.submitted_at.elapsed().as_secs_f64();
-        // The query's cancellation/retry context: the deadline was
-        // anchored at submit time (admission wait counts against it);
-        // the statement's `WITH (retries = n)` overrides the default
-        // retry budget.
-        let retry = match &parsed {
-            Some(Ok(stmt)) => stmt
-                .retries()
-                .map(|n| RetryPolicy {
-                    max_retries: n,
-                    ..RetryPolicy::default()
-                })
-                .unwrap_or_default(),
-            _ => RetryPolicy::default(),
-        };
         let cancel = match job.deadline {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::none(),
         };
         let ctx = QueryCtx::new(cancel, retry);
+        let walls = FrontDoorWalls {
+            parse: job.parse_wall,
+            admission: admission_wall,
+            lease: lease_wall,
+        };
         let started = Instant::now();
         // Panic isolation: a panicking dispatch (a bug, or an injected
         // accelerator panic) is caught here and surfaced as the typed
         // `QueryPanicked` reply — the worker thread survives to serve
         // the next query.
-        let dispatched = catch_unwind(AssertUnwindSafe(|| {
-            dispatch_job(
-                core,
-                accels,
-                queue,
-                sessions,
-                &job.request,
-                parsed,
-                shards,
-                &ctx,
-                parse_wall,
-                admission_wall,
-                lease_wall,
-            )
+        let work = job.work;
+        let dispatched = catch_unwind(AssertUnwindSafe(|| match work? {
+            // SHOW STATS sees the whole server (queue/pool/sessions).
+            Work::Stats(filter) => Ok((
+                StatementOutcome::Stats(server_stats(
+                    core,
+                    accels,
+                    queue,
+                    sessions,
+                    filter.as_deref(),
+                )),
+                None,
+            )),
+            Work::Plan { plan, .. } => core.run(&plan, &walls, &ctx),
         }));
-        let result: ServerResult<(QueryResponse, Option<QueryTrace>)> = match dispatched {
+        let result: ServerResult<(StatementOutcome, Option<QueryTrace>)> = match dispatched {
             Ok(r) => r.map_err(ServerError::Dana),
             Err(payload) => {
                 core.metrics().panics_caught.inc();
@@ -947,14 +854,21 @@ fn worker_loop(
             }
         }
         let exec_seconds = started.elapsed().as_secs_f64();
-        let sim_seconds = result.as_ref().map(|(r, _)| r.sim_seconds()).unwrap_or(0.0);
+        let sim_seconds = match &result {
+            Ok((outcome, _)) => outcome.timing().map_or(0.0, |t| t.total_seconds),
+            Err(_) => 0.0,
+        };
         if let Some(lease) = lease {
             lease.release(sim_seconds);
         }
-        record_query_metrics(core, &result, exec_seconds);
+        match &result {
+            Ok((outcome, _)) => core.record_statement(Ok(outcome), exec_seconds),
+            Err(ServerError::Dana(e)) => core.record_statement(Err(e), exec_seconds),
+            Err(_) => core.metrics().queries_failed.inc(),
+        }
         sessions.record_done(job.session, result.is_ok(), sim_seconds, exec_seconds);
-        let reply = result.map(|(response, trace)| QueryReply {
-            response,
+        let reply = result.map(|(outcome, trace)| QueryReply {
+            response: outcome_to_response(outcome),
             accelerator,
             gang,
             queue_seconds,
@@ -974,106 +888,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// One query's dispatch, exactly as the worker runs it (factored out so
-/// the worker can wrap it in `catch_unwind`).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_job(
-    core: &SystemCore,
-    accels: &AcceleratorPool,
-    queue: &AdmissionQueue,
-    sessions: &SessionManager,
-    request: &QueryRequest,
-    parsed: Option<DanaResult<Statement>>,
-    shards: u16,
-    ctx: &QueryCtx,
-    parse_wall: f64,
-    admission_wall: f64,
-    lease_wall: f64,
-) -> DanaResult<(QueryResponse, Option<QueryTrace>)> {
-    match (request, parsed) {
-        (QueryRequest::Sql(_), Some(stmt_result)) => stmt_result.and_then(|stmt| match &stmt {
-            // Worker-level statements: SHOW STATS sees the whole
-            // server (queue/pool/sessions), EXPLAIN ANALYZE charges
-            // the worker's measured front-door walls to its trace.
-            Statement::ShowStats(filter) => Ok((
-                QueryResponse::Stats(server_stats(
-                    core,
-                    accels,
-                    queue,
-                    sessions,
-                    filter.as_deref(),
-                )),
-                None,
-            )),
-            Statement::ExplainAnalyze(inner) => core
-                .analyze_parsed_ctx(inner, shards, parse_wall, admission_wall, lease_wall, ctx)
-                .map(|outcome| (outcome_to_response(outcome), None)),
-            _ if stmt.wants_trace() => {
-                let rec = SpanRecorder::enabled();
-                exec::begin_trace(&rec, parse_wall, admission_wall);
-                rec.add_wall(exec::stage::LEASE, lease_wall);
-                let exec_start = Instant::now();
-                core.execute_parsed_ctx(&stmt, shards, &rec, ctx)
-                    .map(|outcome| {
-                        let total_sim = outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0);
-                        let trace =
-                            exec::finish_trace(&rec, total_sim, exec_start.elapsed().as_secs_f64());
-                        (outcome_to_response(outcome), trace)
-                    })
-            }
-            _ => core
-                .execute_parsed_ctx(&stmt, shards, &SpanRecorder::disabled(), ctx)
-                .map(|outcome| (outcome_to_response(outcome), None)),
-        }),
-        (QueryRequest::Sql(_), None) => {
-            unreachable!("SQL requests are always parsed above")
-        }
-        (QueryRequest::RunUdf { udf, table, .. }, _) if shards > 1 => core
-            .run_udf_sharded(udf, table, shards)
-            .map(|r| (QueryResponse::Trained(r), None)),
-        (QueryRequest::RunUdf { udf, table, .. }, _) => core
-            .run_udf(udf, table)
-            .map(|r| (QueryResponse::Trained(r), None)),
-        (QueryRequest::TrainSpec { spec, table, mode }, _) => core
-            .train_with_spec(spec, table, *mode)
-            .map(|r| (QueryResponse::Trained(r), None)),
-        (
-            QueryRequest::Predict {
-                udf, table, into, ..
-            },
-            _,
-        ) if shards > 1 => core
-            .predict_sharded(udf, table, into, shards)
-            .map(|p| (QueryResponse::Predicted(p), None)),
-        (
-            QueryRequest::Predict {
-                udf, table, into, ..
-            },
-            _,
-        ) => core
-            .predict(udf, table, into)
-            .map(|p| (QueryResponse::Predicted(p), None)),
-        (
-            QueryRequest::Evaluate {
-                udf, table, metric, ..
-            },
-            _,
-        ) if shards > 1 => core
-            .evaluate_sharded(udf, table, *metric, shards)
-            .map(|e| (QueryResponse::Evaluated(e), None)),
-        (
-            QueryRequest::Evaluate {
-                udf, table, metric, ..
-            },
-            _,
-        ) => core
-            .evaluate(udf, table, *metric)
-            .map(|e| (QueryResponse::Evaluated(e), None)),
-        (QueryRequest::PredictPoint { udf, rows }, _) => core
-            .predict_point_ctx(udf, rows, ctx)
-            .map(|p| (QueryResponse::Point(p), None)),
     }
 }

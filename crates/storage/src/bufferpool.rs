@@ -1,18 +1,16 @@
-//! Buffer pool: fixed-size frame cache with clock eviction.
+//! Buffer-pool sizing and counters.
 //!
 //! "During query execution, the RDBMS fills the buffer pool, from which
 //! DAnA ships the data pages to the FPGA for processing." (§3) The pool is
 //! the *hand-off point* between the database and the accelerator, so it
 //! tracks everything the evaluation needs: hit/miss counts, simulated I/O
 //! seconds, and warm/cold residency control (the paper reports both cache
-//! settings for every experiment, §7).
+//! settings for every experiment, §7). The pool itself is
+//! [`crate::SharedBufferPool`]; the tests below hold its one-shard
+//! configuration — the one an embedded system runs on — to the plain
+//! clock-cache contract.
 
-use std::collections::HashMap;
-
-use crate::disk::{DiskModel, Seconds};
-use crate::error::{StorageError, StorageResult};
-use crate::heap::HeapFile;
-use crate::{HeapId, PageId};
+use crate::disk::Seconds;
 
 /// Pool sizing configuration. The paper's default: 8 GB pool, 32 KB pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -59,295 +57,19 @@ impl BufferPoolStats {
     }
 }
 
-struct Frame {
-    page: Option<PageId>,
-    bytes: Vec<u8>,
-    pin_count: u32,
-    referenced: bool,
-}
-
-/// The buffer pool proper.
-///
-/// The pool is deliberately single-writer in this simulation: the modeled
-/// *hardware* is concurrent, but simulated time is composed analytically, so
-/// interior mutability buys nothing and determinism is preserved.
-pub struct BufferPool {
-    config: BufferPoolConfig,
-    frames: Vec<Frame>,
-    page_table: HashMap<PageId, usize>,
-    clock_hand: usize,
-    stats: BufferPoolStats,
-}
-
-impl BufferPool {
-    pub fn new(config: BufferPoolConfig) -> BufferPool {
-        let n = config.frames().max(1);
-        let frames = (0..n)
-            .map(|_| Frame {
-                page: None,
-                bytes: Vec::new(),
-                pin_count: 0,
-                referenced: false,
-            })
-            .collect();
-        BufferPool {
-            config,
-            frames,
-            page_table: HashMap::new(),
-            clock_hand: 0,
-            stats: BufferPoolStats::default(),
-        }
-    }
-
-    pub fn config(&self) -> BufferPoolConfig {
-        self.config
-    }
-
-    pub fn stats(&self) -> BufferPoolStats {
-        self.stats
-    }
-
-    /// Zeroes the statistics (e.g. after prewarming, whose I/O is setup
-    /// cost, not query cost).
-    pub fn reset_stats(&mut self) {
-        self.stats = BufferPoolStats::default();
-    }
-
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.page_table.len()
-    }
-
-    /// Total bytes of resident page images. With raw pages this is
-    /// `resident_pages * page_size`, but compressed shadow frames hold
-    /// fewer bytes than a page — this gauge is the live numerator of the
-    /// pool-level compression ratio.
-    pub fn resident_bytes(&self) -> u64 {
-        self.frames
-            .iter()
-            .filter(|f| f.page.is_some())
-            .map(|f| f.bytes.len() as u64)
-            .sum()
-    }
-
-    /// Resident frame count per heap id (sorted by heap id). Shadow heaps
-    /// appear under their aliased id, so compressed and raw residency of
-    /// the same table show up as separate rows.
-    pub fn per_heap_frames(&self) -> Vec<(u32, usize)> {
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        for f in self.frames.iter() {
-            if let Some(p) = f.page {
-                *counts.entry(p.heap.0).or_insert(0) += 1;
-            }
-        }
-        let mut rows: Vec<(u32, usize)> = counts.into_iter().collect();
-        rows.sort_unstable();
-        rows
-    }
-
-    /// Fetches a page into the pool (if absent), pins it, and returns its
-    /// frame index plus the simulated I/O seconds this access cost.
-    ///
-    /// `heap` provides the bytes on a miss; `disk` prices the read.
-    pub fn fetch(
-        &mut self,
-        page_id: PageId,
-        heap: &HeapFile,
-        disk: &DiskModel,
-    ) -> StorageResult<(usize, Seconds)> {
-        if heap.layout().page_size != self.config.page_size {
-            return Err(StorageError::BadPageSize(heap.layout().page_size));
-        }
-        if let Some(&frame) = self.page_table.get(&page_id) {
-            self.stats.hits += 1;
-            self.frames[frame].pin_count += 1;
-            self.frames[frame].referenced = true;
-            return Ok((frame, 0.0));
-        }
-        self.stats.misses += 1;
-        let io = disk.read_time(self.config.page_size as u64);
-        self.stats.io_seconds += io;
-        let bytes = heap.page_bytes(page_id.page_no)?.to_vec();
-        let frame = self.find_victim()?;
-        if let Some(old) = self.frames[frame].page.take() {
-            self.page_table.remove(&old);
-            self.stats.evictions += 1;
-        }
-        self.frames[frame].bytes = bytes;
-        self.frames[frame].page = Some(page_id);
-        self.frames[frame].pin_count = 1;
-        self.frames[frame].referenced = true;
-        self.page_table.insert(page_id, frame);
-        Ok((frame, io))
-    }
-
-    /// Fetches caller-provided bytes into the pool under `page_id` — the
-    /// scan tier's *compressed-frame* path. Unlike [`BufferPool::fetch`],
-    /// the frame holds exactly `bytes` (typically a compressed page image,
-    /// cached under a shadow heap id) and the miss is priced at the
-    /// *actual* byte count, which is where compressed storage saves its
-    /// I/O. Pin/unpin discipline is identical to `fetch`.
-    pub fn fetch_raw(
-        &mut self,
-        page_id: PageId,
-        bytes: &[u8],
-        disk: &DiskModel,
-    ) -> StorageResult<(usize, Seconds)> {
-        if let Some(&frame) = self.page_table.get(&page_id) {
-            self.stats.hits += 1;
-            self.frames[frame].pin_count += 1;
-            self.frames[frame].referenced = true;
-            return Ok((frame, 0.0));
-        }
-        self.stats.misses += 1;
-        let io = disk.read_time(bytes.len() as u64);
-        self.stats.io_seconds += io;
-        let frame = self.find_victim()?;
-        if let Some(old) = self.frames[frame].page.take() {
-            self.page_table.remove(&old);
-            self.stats.evictions += 1;
-        }
-        self.frames[frame].bytes = bytes.to_vec();
-        self.frames[frame].page = Some(page_id);
-        self.frames[frame].pin_count = 1;
-        self.frames[frame].referenced = true;
-        self.page_table.insert(page_id, frame);
-        Ok((frame, io))
-    }
-
-    /// Releases a pin taken by [`BufferPool::fetch`].
-    pub fn unpin(&mut self, frame: usize) {
-        let f = &mut self.frames[frame];
-        assert!(f.pin_count > 0, "unpin without matching pin");
-        f.pin_count -= 1;
-    }
-
-    /// Borrow the bytes of a (pinned or resident) frame.
-    pub fn frame_bytes(&self, frame: usize) -> &[u8] {
-        &self.frames[frame].bytes
-    }
-
-    /// True if `page_id` is currently resident.
-    pub fn contains(&self, page_id: PageId) -> bool {
-        self.page_table.contains_key(&page_id)
-    }
-
-    /// Number of frames currently pinned (leak detector: after every query
-    /// completes, this must be zero).
-    pub fn pinned_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.pin_count > 0).count()
-    }
-
-    /// Evicts every resident page of `heap_id` — the `DROP TABLE` path. A
-    /// dropped table's pages must not stay pinned-resident forever, silently
-    /// shrinking the pool for every later query.
-    ///
-    /// Errors with [`StorageError::PagePinned`] (evicting nothing) if any
-    /// page of the heap is still pinned by an in-flight scan.
-    pub fn evict_heap(&mut self, heap_id: HeapId) -> StorageResult<usize> {
-        if let Some(pinned) = self
-            .frames
-            .iter()
-            .find_map(|f| f.page.filter(|p| p.heap == heap_id && f.pin_count > 0))
-        {
-            return Err(StorageError::PagePinned {
-                heap: pinned.heap.0,
-                page_no: pinned.page_no,
-            });
-        }
-        let mut evicted = 0;
-        for f in &mut self.frames {
-            if f.page.is_some_and(|p| p.heap == heap_id) {
-                let p = f.page.take().expect("page checked above");
-                self.page_table.remove(&p);
-                f.bytes.clear();
-                f.referenced = false;
-                evicted += 1;
-            }
-        }
-        Ok(evicted)
-    }
-
-    /// Loads as much of `heap` as fits (front-to-back) without counting the
-    /// I/O toward query statistics — the warm-cache setup of §7: "before
-    /// query execution, training data tables ... reside in the buffer pool".
-    ///
-    /// Returns the number of resident pages after prewarming.
-    pub fn prewarm(&mut self, heap_id: crate::HeapId, heap: &HeapFile) -> StorageResult<usize> {
-        let frames = self.frames.len();
-        let pages = heap.page_count().min(frames as u32);
-        for page_no in 0..pages {
-            let page_id = PageId::new(heap_id, page_no);
-            if self.page_table.contains_key(&page_id) {
-                continue;
-            }
-            let bytes = heap.page_bytes(page_no)?.to_vec();
-            let frame = self.find_victim()?;
-            if let Some(old) = self.frames[frame].page.take() {
-                self.page_table.remove(&old);
-            }
-            self.frames[frame].bytes = bytes;
-            self.frames[frame].page = Some(page_id);
-            self.frames[frame].pin_count = 0;
-            self.frames[frame].referenced = false;
-            self.page_table.insert(page_id, frame);
-        }
-        Ok(self.resident_pages())
-    }
-
-    /// Drops every unpinned page — the cold-cache setup of §7: "before
-    /// execution, no training data tables reside in the buffer pool".
-    pub fn clear(&mut self) {
-        for (i, f) in self.frames.iter_mut().enumerate() {
-            if f.pin_count == 0 {
-                if let Some(p) = f.page.take() {
-                    self.page_table.remove(&p);
-                }
-                f.bytes.clear();
-                let _ = i;
-            }
-        }
-        self.clock_hand = 0;
-    }
-
-    /// Second-chance (clock) victim selection over unpinned frames.
-    fn find_victim(&mut self) -> StorageResult<usize> {
-        // Fast path: a never-used frame.
-        if let Some(idx) = self
-            .frames
-            .iter()
-            .position(|f| f.page.is_none() && f.pin_count == 0)
-        {
-            return Ok(idx);
-        }
-        let n = self.frames.len();
-        // Two sweeps: the first clears reference bits, the second takes the
-        // first unreferenced, unpinned frame.
-        for _ in 0..2 * n {
-            let idx = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % n;
-            let f = &mut self.frames[idx];
-            if f.pin_count > 0 {
-                continue;
-            }
-            if f.referenced {
-                f.referenced = false;
-            } else {
-                return Ok(idx);
-            }
-        }
-        Err(StorageError::BufferPoolExhausted)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::heap::HeapFileBuilder;
+    use crate::disk::DiskModel;
+    use crate::error::StorageError;
+    use crate::heap::{HeapFile, HeapFileBuilder};
     use crate::page::TupleDirection;
     use crate::schema::Schema;
+    use crate::shared_pool::SharedBufferPool;
     use crate::tuple::Tuple;
-    use crate::HeapId;
+    use crate::{HeapId, PageId};
 
     fn small_heap(tuples: usize) -> HeapFile {
         let schema = Schema::training(10);
@@ -359,26 +81,29 @@ mod tests {
         b.finish()
     }
 
-    fn pool(frames: usize) -> BufferPool {
-        BufferPool::new(BufferPoolConfig {
-            pool_bytes: (frames * 8 * 1024) as u64,
-            page_size: 8 * 1024,
-        })
+    fn pool(frames: usize) -> SharedBufferPool {
+        SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: (frames * 8 * 1024) as u64,
+                page_size: 8 * 1024,
+            },
+            1,
+        )
+    }
+
+    fn page(page_no: u32) -> PageId {
+        PageId::new(HeapId(1), page_no)
     }
 
     #[test]
     fn miss_then_hit() {
         let heap = small_heap(500);
-        let mut bp = pool(8);
+        let bp = pool(8);
         let disk = DiskModel::ssd();
-        let pid = PageId::new(HeapId(1), 0);
-        let (f1, io1) = bp.fetch(pid, &heap, &disk).unwrap();
+        let (_, io1) = bp.fetch(page(0), &heap, &disk).unwrap();
         assert!(io1 > 0.0);
-        bp.unpin(f1);
-        let (f2, io2) = bp.fetch(pid, &heap, &disk).unwrap();
-        assert_eq!(f1, f2);
+        let (_, io2) = bp.fetch(page(0), &heap, &disk).unwrap();
         assert_eq!(io2, 0.0);
-        bp.unpin(f2);
         assert_eq!(bp.stats().hits, 1);
         assert_eq!(bp.stats().misses, 1);
     }
@@ -387,13 +112,10 @@ mod tests {
     fn eviction_under_pressure() {
         let heap = small_heap(2000); // several pages
         assert!(heap.page_count() >= 4);
-        let mut bp = pool(2);
+        let bp = pool(2);
         let disk = DiskModel::instant();
         for page_no in 0..4 {
-            let (f, _) = bp
-                .fetch(PageId::new(HeapId(1), page_no), &heap, &disk)
-                .unwrap();
-            bp.unpin(f);
+            bp.fetch(page(page_no), &heap, &disk).unwrap();
         }
         assert_eq!(bp.resident_pages(), 2);
         assert_eq!(bp.stats().evictions, 2);
@@ -402,43 +124,38 @@ mod tests {
     #[test]
     fn pinned_pages_are_not_evicted() {
         let heap = small_heap(2000);
-        let mut bp = pool(2);
+        let bp = pool(2);
         let disk = DiskModel::instant();
-        let (f0, _) = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
-        // Keep page 0 pinned; fetch two more pages through the other frame.
-        let (f1, _) = bp.fetch(PageId::new(HeapId(1), 1), &heap, &disk).unwrap();
-        bp.unpin(f1);
-        let (f2, _) = bp.fetch(PageId::new(HeapId(1), 2), &heap, &disk).unwrap();
-        assert_ne!(f2, f0, "pinned frame must not be the victim");
-        bp.unpin(f2);
-        assert!(bp.contains(PageId::new(HeapId(1), 0)));
-        bp.unpin(f0);
+        // Keep page 0 held; fetch two more pages through the other frame.
+        let held = bp.fetch(page(0), &heap, &disk).unwrap();
+        bp.fetch(page(1), &heap, &disk).unwrap();
+        bp.fetch(page(2), &heap, &disk).unwrap();
+        assert!(bp.contains(page(0)), "held frame must not be the victim");
+        assert!(!bp.contains(page(1)));
+        drop(held);
     }
 
     #[test]
     fn all_pinned_exhausts_pool() {
         let heap = small_heap(2000);
-        let mut bp = pool(2);
+        let bp = pool(2);
         let disk = DiskModel::instant();
-        let _f0 = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
-        let _f1 = bp.fetch(PageId::new(HeapId(1), 1), &heap, &disk).unwrap();
-        let err = bp.fetch(PageId::new(HeapId(1), 2), &heap, &disk);
+        let _b0 = bp.fetch(page(0), &heap, &disk).unwrap();
+        let _b1 = bp.fetch(page(1), &heap, &disk).unwrap();
+        let err = bp.fetch(page(2), &heap, &disk);
         assert!(matches!(err, Err(StorageError::BufferPoolExhausted)));
     }
 
     #[test]
     fn prewarm_makes_scans_free() {
         let heap = small_heap(1500);
-        let mut bp = pool(heap.page_count() as usize + 1);
+        let bp = pool(heap.page_count() as usize + 1);
         let disk = DiskModel::ssd();
         bp.prewarm(HeapId(1), &heap).unwrap();
         bp.reset_stats();
         for page_no in 0..heap.page_count() {
-            let (f, io) = bp
-                .fetch(PageId::new(HeapId(1), page_no), &heap, &disk)
-                .unwrap();
+            let (_, io) = bp.fetch(page(page_no), &heap, &disk).unwrap();
             assert_eq!(io, 0.0);
-            bp.unpin(f);
         }
         assert_eq!(bp.stats().misses, 0);
         assert_eq!(bp.stats().io_seconds, 0.0);
@@ -448,30 +165,28 @@ mod tests {
     #[test]
     fn clear_makes_cache_cold() {
         let heap = small_heap(500);
-        let mut bp = pool(8);
+        let bp = pool(8);
         let disk = DiskModel::ssd();
         bp.prewarm(HeapId(1), &heap).unwrap();
         assert!(bp.resident_pages() > 0);
         bp.clear();
         assert_eq!(bp.resident_pages(), 0);
-        let (f, io) = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
+        let (_, io) = bp.fetch(page(0), &heap, &disk).unwrap();
         assert!(io > 0.0);
-        bp.unpin(f);
     }
 
     #[test]
     fn evict_heap_removes_only_that_heap() {
         let heap = small_heap(500);
-        let mut bp = pool(8);
+        let bp = pool(8);
         let disk = DiskModel::instant();
         bp.prewarm(HeapId(1), &heap).unwrap();
-        let (f, _) = bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
-        bp.unpin(f);
+        bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
         let resident_before = bp.resident_pages();
         let evicted = bp.evict_heap(HeapId(1)).unwrap();
         assert!(evicted > 0);
         assert_eq!(bp.resident_pages(), resident_before - evicted);
-        assert!(!bp.contains(PageId::new(HeapId(1), 0)));
+        assert!(!bp.contains(page(0)));
         assert!(bp.contains(PageId::new(HeapId(2), 0)));
         // Idempotent: nothing left to evict.
         assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 0);
@@ -480,10 +195,10 @@ mod tests {
     #[test]
     fn evict_heap_refuses_pinned_pages() {
         let heap = small_heap(500);
-        let mut bp = pool(8);
+        let bp = pool(8);
         let disk = DiskModel::instant();
-        let (f, _) = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
-        assert_eq!(bp.pinned_frames(), 1);
+        let held = bp.fetch(page(0), &heap, &disk).unwrap();
+        assert_eq!(bp.held_frames(), 1);
         assert!(matches!(
             bp.evict_heap(HeapId(1)),
             Err(StorageError::PagePinned {
@@ -491,31 +206,34 @@ mod tests {
                 page_no: 0
             })
         ));
-        assert!(bp.contains(PageId::new(HeapId(1), 0)), "evicted nothing");
-        bp.unpin(f);
-        assert_eq!(bp.pinned_frames(), 0);
+        assert!(bp.contains(page(0)), "evicted nothing");
+        drop(held);
+        assert_eq!(bp.held_frames(), 0);
         assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 1);
     }
 
     #[test]
     fn page_size_mismatch_rejected() {
         let heap = small_heap(10); // 8 KB pages
-        let mut bp = BufferPool::new(BufferPoolConfig {
-            pool_bytes: 1 << 20,
-            page_size: 32 * 1024,
-        });
-        let err = bp.fetch(PageId::new(HeapId(1), 0), &heap, &DiskModel::ssd());
+        let bp = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: 1 << 20,
+                page_size: 32 * 1024,
+            },
+            1,
+        );
+        let err = bp.fetch(page(0), &heap, &DiskModel::ssd());
         assert!(matches!(err, Err(StorageError::BadPageSize(_))));
     }
 
     #[test]
     fn frame_bytes_are_the_page_image() {
         let heap = small_heap(100);
-        let mut bp = pool(4);
-        let (f, _) = bp
-            .fetch(PageId::new(HeapId(1), 0), &heap, &DiskModel::instant())
-            .unwrap();
-        assert_eq!(bp.frame_bytes(f), heap.page_bytes(0).unwrap());
-        bp.unpin(f);
+        let bp = pool(4);
+        let disk = DiskModel::instant();
+        let (first, _) = bp.fetch(page(0), &heap, &disk).unwrap();
+        assert_eq!(&*first, heap.page_bytes(0).unwrap());
+        let (again, _) = bp.fetch(page(0), &heap, &disk).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a hit shares the cached image");
     }
 }

@@ -38,7 +38,7 @@ pub mod shared_pool;
 pub mod tuple;
 
 pub use batch::{OneBatchSource, SourceError, TupleBatch, TupleSource};
-pub use bufferpool::{BufferPool, BufferPoolConfig, BufferPoolStats};
+pub use bufferpool::{BufferPoolConfig, BufferPoolStats};
 pub use catalog::{AcceleratorEntry, Catalog, RuntimeCache, TableEntry};
 pub use disk::DiskModel;
 pub use error::{StorageError, StorageResult};

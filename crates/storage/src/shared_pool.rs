@@ -216,10 +216,11 @@ impl SharedBufferPool {
     }
 
     /// Fetches caller-provided bytes into the pool under `page_id` — the
-    /// scan tier's *compressed-frame* path (see
-    /// [`crate::BufferPool::fetch_raw`]). The miss is priced at the actual
-    /// byte count rather than the configured page size, which is where
-    /// compressed storage saves its I/O. Honors tombstones exactly like
+    /// scan tier's *compressed-frame* path. The frame holds exactly
+    /// `bytes` (typically a compressed page image, cached under a shadow
+    /// heap id) and the miss is priced at the actual byte count rather
+    /// than the configured page size, which is where compressed storage
+    /// saves its I/O. Honors tombstones exactly like
     /// [`SharedBufferPool::fetch`].
     pub fn fetch_raw(
         &self,
@@ -324,7 +325,7 @@ impl SharedBufferPool {
 
     /// Warm-cache setup: loads `heap` front-to-back without charging query
     /// I/O. Pages land in their hash shards; a shard that fills evicts its
-    /// own oldest pages, mirroring [`crate::BufferPool::prewarm`].
+    /// own oldest pages.
     pub fn prewarm(&self, heap_id: HeapId, heap: &HeapFile) -> StorageResult<usize> {
         for page_no in 0..heap.page_count() {
             let page_id = PageId::new(heap_id, page_no);

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = table.heap.scan_batch()?;
 
     // --- DAnA path -----------------------------------------------------
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
     db.create_table("ad_serving_history", table.heap.clone())?;
     db.prewarm("ad_serving_history")?;
     db.deploy(&w.spec(), "ad_serving_history")?;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- In-database software path (MADlib-class) -----------------------
     let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());
-    let mut pool = dana_storage::BufferPool::new(BufferPoolConfig {
+    let pool = dana_storage::SharedBufferPool::new(BufferPoolConfig {
         pool_bytes: 1 << 30,
         page_size: 32 * 1024,
     });
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epochs: w.epochs,
         ..Default::default()
     };
-    let madlib = exec.train(&mut pool, HeapId(0), &table.heap, &cfg)?;
+    let madlib = exec.train(&pool, HeapId(0), &table.heap, &cfg)?;
 
     // --- Report ----------------------------------------------------------
     println!(

@@ -39,7 +39,7 @@ fn dense_heap(n: usize) -> HeapFile {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::var("DANA_SMOKE").is_ok();
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
 
     let spec = zoo::spec_for(
         Algorithm::Linear,

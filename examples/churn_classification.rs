@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = generate(&w, 32 * 1024, 99)?;
     let data = table.heap.scan_batch()?;
 
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
     db.create_table("customers", table.heap.clone())?;
     db.prewarm("customers")?;
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.prewarm("customers_pm1")?;
     db.deploy(&svm_w.spec(), "customers_pm1")?;
 
-    println!("deployed UDFs: {:?}", db.catalog().accelerator_names());
+    println!("deployed UDFs: {:?}", db.accelerator_names());
 
     let logistic = db.execute("SELECT * FROM dana.logisticR('customers');")?;
     let lm = dana_ml::DenseModel(logistic.report.dense_model().to_vec());
@@ -62,23 +62,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let mk_pool = || {
-        dana_storage::BufferPool::new(BufferPoolConfig {
+        dana_storage::SharedBufferPool::new(BufferPoolConfig {
             pool_bytes: 1 << 30,
             page_size: 32 * 1024,
         })
     };
-    let mut pool = mk_pool();
+    let pool = mk_pool();
     pool.prewarm(HeapId(0), &table.heap)?;
     let madlib = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd()).train(
-        &mut pool,
+        &pool,
         HeapId(0),
         &table.heap,
         &cfg,
     )?;
-    let mut pool = mk_pool();
+    let pool = mk_pool();
     pool.prewarm(HeapId(0), &table.heap)?;
     let gp = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::ssd(), 8).train(
-        &mut pool,
+        &pool,
         HeapId(0),
         &table.heap,
         &cfg,

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = generate(&w, 32 * 1024, 2024)?;
     let ratings = table.heap.scan_batch()?;
 
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
     db.create_table("ratings", table.heap)?;
     db.prewarm("ratings")?;
 

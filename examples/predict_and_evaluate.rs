@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::var("DANA_SMOKE").is_ok();
     let n = if smoke { 400 } else { 4000 };
     let d = 12;
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
 
     println!("=== in-database inference: train → predict → evaluate ===\n");
 
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             algo.name(),
             p.rows_scored,
             p.output_table,
-            db.catalog().table(&scores).unwrap().page_count,
+            db.table_pages(&scores).unwrap(),
             e.metric.name(),
             e.value,
             trained.report.timing.total_seconds * 1e3,
@@ -139,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- the prediction tables are real tables ---------------------------
-    println!("\ncatalog tables: {:?}", db.catalog().table_names());
+    println!("\ncatalog tables: {:?}", db.table_names());
     let summary = db.drop_table("linearR_scores")?;
     println!(
         "dropped 'linearR_scores': {} pages evicted",

@@ -45,7 +45,7 @@ fn main() {
     let smoke = std::env::var("DANA_SMOKE").is_ok();
     let (n, d) = if smoke { (60_000, 12) } else { (400_000, 12) };
 
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 1 << 30,
@@ -80,7 +80,7 @@ fn main() {
     println!("EXPLAIN {filtered_sql}\n{cmp}\n");
 
     // Full scan, then the pushdown scan, both cold-cache.
-    let mut train = |sql: &str| {
+    let train = |sql: &str| {
         db.clear_cache();
         let out = db.execute_statement(sql).unwrap();
         let StatementOutcome::Train(q) = out else {

@@ -11,7 +11,7 @@ use dana_workloads::{generate, workload};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A database with a training table (the "Patient" workload of the
     //    paper's Table 3, scaled for an in-memory demo).
-    let mut db = Dana::default_system();
+    let db = Dana::default_system();
     let mut w = workload("Patient").unwrap().scaled(0.02);
     w.epochs = 30;
     let table = generate(&w, 32 * 1024, 42)?;

@@ -8,7 +8,7 @@ use dana_workloads::{generate, workload};
 
 fn db_with(table_name: &str, w: &dana_workloads::Workload, seed: u64) -> Dana {
     let table = generate(w, 32 * 1024, seed).unwrap();
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 256 << 20,
@@ -28,7 +28,7 @@ fn strider_ablation_functional() {
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.005);
     w.epochs = 4;
     w.merge_coef = 16;
-    let mut db = db_with("rs", &w, 1);
+    let db = db_with("rs", &w, 1);
     let spec = w.spec();
     let with = db
         .train_with_spec(&spec, "rs", ExecutionMode::Strider)
@@ -50,7 +50,7 @@ fn tabla_ablation_functional() {
     let mut w = workload("Patient").unwrap().scaled(0.01);
     w.epochs = 3;
     w.merge_coef = 16;
-    let mut db = db_with("patient", &w, 2);
+    let db = db_with("patient", &w, 2);
     let spec = w.spec();
     let dana = db
         .train_with_spec(&spec, "patient", ExecutionMode::Strider)
@@ -70,7 +70,7 @@ fn tabla_ablation_functional() {
 fn thread_scaling_functional() {
     let mut w = workload("Remote Sensing SVM").unwrap().scaled(0.003);
     w.epochs = 2;
-    let mut db = db_with("rssvm", &w, 3);
+    let db = db_with("rssvm", &w, 3);
     let mut cycles = Vec::new();
     for threads in [1u32, 4, 16] {
         let mut wt = w.with_merge_coef(threads);
@@ -124,7 +124,7 @@ fn descending_layout_end_to_end() {
         let y: f32 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
         b.insert(&Tuple::training(&x, y)).unwrap();
     }
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 64 << 20,
@@ -162,7 +162,7 @@ fn arria10_compiles_all_algorithms() {
     w.features = 32;
     w.epochs = 2;
     let table = generate(&w, 32 * 1024, 9).unwrap();
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::arria10(),
         BufferPoolConfig {
             pool_bytes: 64 << 20,
@@ -174,7 +174,7 @@ fn arria10_compiles_all_algorithms() {
     let info = db.deploy(&w.spec(), "t").unwrap();
     assert!(db.run_udf("logisticR", "t").is_ok());
     // The VU9P hosts strictly more clusters than the Arria 10.
-    let mut big = Dana::new(
+    let big = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 64 << 20,

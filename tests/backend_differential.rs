@@ -206,7 +206,7 @@ fn lrmf_bit_identical_across_lanes() {
 #[test]
 fn sql_backends_agree_end_to_end() {
     for algo in [Algorithm::Linear, Algorithm::Logistic, Algorithm::Svm] {
-        let mut db = system();
+        let db = system();
         db.create_table("t", dense_heap(700, 12, algo)).unwrap();
         let spec = zoo::spec_for(
             algo,
@@ -243,15 +243,18 @@ fn sql_backends_agree_end_to_end() {
 
         // Scoring tiers: bit-identical materialized predictions.
         let pf = db.predict(&udf, "t", "pf").unwrap();
-        let pc = db.predict_cpu(&udf, "t", "pc").unwrap();
+        let pc = db
+            .execute_statement(&format!(
+                "PREDICT dana.{udf}('t') INTO 'pc' WITH (backend = cpu);"
+            ))
+            .unwrap();
+        let pc = pc.predict_report();
         assert_eq!(pf.backend, BackendKind::Fpga);
         assert_eq!(pc.backend, BackendKind::Cpu);
         assert_eq!(pf.rows_scored, pc.rows_scored);
         let scan = |db: &Dana, t: &str| -> Vec<f32> {
-            db.catalog()
-                .table_heap(t)
+            db.table_snapshot(t)
                 .unwrap()
-                .1
                 .scan_batch()
                 .unwrap()
                 .rows()
@@ -262,14 +265,17 @@ fn sql_backends_agree_end_to_end() {
 
         // Metrics agree exactly.
         let ef = db.evaluate(&udf, "t", None).unwrap();
-        let ec = db.evaluate_cpu(&udf, "t", None).unwrap();
+        let ec = db
+            .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = cpu);"))
+            .unwrap();
+        let ec = ec.eval_report();
         assert_eq!(ec.value, ef.value, "{udf}: metric");
         assert_eq!(ec.metric, ef.metric);
     }
 
     // LRMF through the same front door (training + metric; factor models
     // live in two variables).
-    let mut db = system();
+    let db = system();
     db.create_table("ratings", rating_heap(600, 24, 18))
         .unwrap();
     let spec = zoo::lrmf(LrmfParams {
@@ -291,7 +297,10 @@ fn sql_backends_agree_end_to_end() {
     assert_eq!(cpu.report.models, fpga.report.models, "lrmf: factors");
     assert_eq!(cpu.report.backend, BackendKind::Cpu);
     let ef = db.evaluate("lrmf", "ratings", None).unwrap();
-    let ec = db.evaluate_cpu("lrmf", "ratings", None).unwrap();
+    let ec = db
+        .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = cpu);")
+        .unwrap();
+    let ec = ec.eval_report();
     assert_eq!(ec.value, ef.value, "lrmf: metric");
 }
 

@@ -29,7 +29,7 @@ fn logistic_regression_full_pipeline() {
     let table = generate(&w, 32 * 1024, 11).unwrap();
     let data = tuples_of(&table.heap);
 
-    let mut db = small_db();
+    let db = small_db();
     db.create_table("remote_sensing", table.heap).unwrap();
     db.deploy(&w.spec(), "remote_sensing").unwrap();
     let out = db
@@ -55,7 +55,7 @@ fn svm_full_pipeline() {
     let table = generate(&w, 32 * 1024, 12).unwrap();
     let data = tuples_of(&table.heap);
 
-    let mut db = small_db();
+    let db = small_db();
     db.create_table("rs_svm", table.heap).unwrap();
     db.deploy(&w.spec(), "rs_svm").unwrap();
     let report = db.run_udf("svm", "rs_svm").unwrap();
@@ -73,7 +73,7 @@ fn linear_regression_via_textual_dsl() {
     let data = tuples_of(&table.heap);
     let truth = table.truth.clone().unwrap();
 
-    let mut db = small_db();
+    let db = small_db();
     db.create_table("patient", table.heap).unwrap();
     let source = dana_dsl::zoo::linear_regression_source(w.features, 8, 25);
     let info = db.deploy_source(&source, "linearR", "patient").unwrap();
@@ -108,7 +108,7 @@ fn lrmf_full_pipeline() {
     let table = generate(&w, 32 * 1024, 14).unwrap();
     let data = tuples_of(&table.heap);
 
-    let mut db = small_db();
+    let db = small_db();
     db.create_table("ratings", table.heap).unwrap();
     db.deploy(&w.spec(), "ratings").unwrap();
     let report = db.run_udf("lrmf", "ratings").unwrap();
@@ -152,7 +152,7 @@ fn convergence_condition_stops_training_early() {
     w.features = 8;
     let table = generate(&w, 32 * 1024, 15).unwrap();
 
-    let mut db = small_db();
+    let db = small_db();
     db.create_table("t", table.heap).unwrap();
     db.deploy_source(src, "convlin", "t").unwrap();
     let report = db.run_udf("convlin", "t").unwrap();
@@ -165,7 +165,7 @@ fn convergence_condition_stops_training_early() {
 
 #[test]
 fn catalog_survives_multiple_udfs_and_tables() {
-    let mut db = small_db();
+    let db = small_db();
     for (i, name) in ["alpha", "beta"].iter().enumerate() {
         let mut w = workload("Blog Feedback").unwrap().scaled(0.003);
         w.features = 16;
@@ -182,7 +182,7 @@ fn catalog_survives_multiple_udfs_and_tables() {
     spec_b.name = "lin_b".into();
     db.deploy(&spec_a, "alpha").unwrap();
     db.deploy(&spec_b, "beta").unwrap();
-    assert_eq!(db.catalog().accelerator_names(), vec!["lin_a", "lin_b"]);
+    assert_eq!(db.accelerator_names(), vec!["lin_a", "lin_b"]);
     assert!(db.execute("SELECT * FROM dana.lin_a('alpha')").is_ok());
     assert!(db.execute("SELECT * FROM dana.lin_b('beta')").is_ok());
     // Cross-wiring a UDF to the other (schema-compatible) table also works.
@@ -196,7 +196,7 @@ fn page_sizes_8_16_32k_all_work() {
         w.features = 20;
         w.epochs = 5;
         let table = generate(&w, page_size, 30).unwrap();
-        let mut db = Dana::new(
+        let db = Dana::new(
             FpgaSpec::vu9p(),
             BufferPoolConfig {
                 pool_bytes: 128 << 20,

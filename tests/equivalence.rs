@@ -74,7 +74,7 @@ fn streaming_path_matches_reference_path_across_modes() {
         w.epochs = 3;
         w.merge_coef = 8;
         let table = generate(&w, 32 * 1024, 123).unwrap();
-        let mut db = Dana::new(
+        let db = Dana::new(
             FpgaSpec::vu9p(),
             BufferPoolConfig {
                 pool_bytes: 256 << 20,
@@ -144,17 +144,26 @@ fn lowered_executor_matches_both_interpreter_tiers() {
     }
 }
 
-/// The serving tier's concurrent execution path (shared catalog + sharded
-/// buffer pool + `SharedPageStreamSource`) must train the bit-identical
-/// model to the single-threaded `Dana` facade, in every execution mode —
-/// the differential test holding the concurrency refactor to the serial
-/// path's math.
+/// Pool sharding changes locking, never results: an eight-shard core (the
+/// serving default) must train the bit-identical model, with the
+/// bit-identical cycle counts and simulated timing, to the embedded
+/// one-shard `Dana` — for every zoo model, in every execution mode, ad hoc
+/// and deployed.
 #[test]
 fn concurrent_core_matches_single_threaded_across_modes() {
-    use dana_server::{SystemCore, SystemCoreConfig};
+    use dana::{SystemCore, SystemCoreConfig};
 
-    for (name, scale) in [("Remote Sensing LR", 0.004), ("Patient", 0.01)] {
+    for (name, scale) in [
+        ("Remote Sensing LR", 0.004),
+        ("Remote Sensing SVM", 0.004),
+        ("Patient", 0.01),
+        ("Netflix", 1.0),
+    ] {
         let mut w = workload(name).unwrap().scaled(scale);
+        if w.algorithm == Algorithm::Lrmf {
+            w.lrmf = Some((50, 40, 10));
+            w.tuples = 2_000;
+        }
         w.epochs = 3;
         w.merge_coef = 8;
         let pool = dana_storage::BufferPoolConfig {
@@ -168,33 +177,43 @@ fn concurrent_core_matches_single_threaded_across_modes() {
             pool_shards: 8,
             disk: DiskModel::ssd(),
         });
-        core.create_table("t", generate(&w, 32 * 1024, 123).unwrap().heap)
-            .unwrap();
-        core.prewarm("t").unwrap();
-
-        let mut db = Dana::new(FpgaSpec::vu9p(), pool, DiskModel::ssd());
-        db.create_table("t", generate(&w, 32 * 1024, 123).unwrap().heap)
-            .unwrap();
-        db.prewarm("t").unwrap();
-
+        let db = Dana::new(FpgaSpec::vu9p(), pool, DiskModel::ssd());
         let spec = w.spec();
+        for sys in [&core, &*db] {
+            sys.create_table("t", generate(&w, 32 * 1024, 123).unwrap().heap)
+                .unwrap();
+            sys.prewarm("t").unwrap();
+            sys.deploy(&spec, "t").unwrap();
+        }
+
+        let check = |label: &str, concurrent: DanaReport, serial: DanaReport| {
+            assert_eq!(
+                concurrent.models, serial.models,
+                "{name}: {label} eight-shard run diverged from one-shard"
+            );
+            assert_eq!(concurrent.epochs_run, serial.epochs_run, "{name}: {label}");
+            assert_eq!(
+                concurrent.engine.cycles, serial.engine.cycles,
+                "{name}: {label} cycle counts diverged"
+            );
+            assert_eq!(concurrent.timing, serial.timing, "{name}: {label} timing");
+        };
         for mode in [
             ExecutionMode::Strider,
             ExecutionMode::CpuFed,
             ExecutionMode::Tabla,
         ] {
-            let concurrent = core.train_with_spec(&spec, "t", mode).unwrap();
-            let serial = db.train_with_spec(&spec, "t", mode).unwrap();
-            assert_eq!(
-                concurrent.models, serial.models,
-                "{name}: {mode:?} concurrent path diverged from serial"
-            );
-            assert_eq!(concurrent.epochs_run, serial.epochs_run, "{name}: {mode:?}");
-            assert_eq!(
-                concurrent.engine.cycles, serial.engine.cycles,
-                "{name}: {mode:?} cycle counts diverged"
+            check(
+                &format!("{mode:?}"),
+                core.train_with_spec(&spec, "t", mode).unwrap(),
+                db.train_with_spec(&spec, "t", mode).unwrap(),
             );
         }
+        check(
+            "deployed",
+            core.run_udf(&spec.name, "t").unwrap(),
+            db.run_udf(&spec.name, "t").unwrap(),
+        );
         assert_eq!(core.held_frames(), 0, "{name}: leaked buffer-pool frames");
     }
 }

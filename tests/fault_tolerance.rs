@@ -50,7 +50,7 @@ fn spec(d: usize) -> dana_dsl::AlgoSpec {
     .unwrap()
 }
 
-fn server(accelerators: usize, workers: usize) -> DanaServer {
+fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) -> DanaServer {
     DanaServer::start(ServerConfig {
         accelerators,
         workers,
@@ -58,7 +58,7 @@ fn server(accelerators: usize, workers: usize) -> DanaServer {
             max_queued: 256,
             policy: SchedPolicy::Fifo,
         },
-        default_timeout_ms: None,
+        default_timeout_ms,
         core: SystemCoreConfig {
             fpga: FpgaSpec::vu9p(),
             pool: BufferPoolConfig {
@@ -72,7 +72,15 @@ fn server(accelerators: usize, workers: usize) -> DanaServer {
 }
 
 fn trained_server(accelerators: usize, workers: usize) -> DanaServer {
-    let srv = server(accelerators, workers);
+    deployed_server(accelerators, workers, None)
+}
+
+fn deployed_server(
+    accelerators: usize,
+    workers: usize,
+    default_timeout_ms: Option<u64>,
+) -> DanaServer {
+    let srv = server(accelerators, workers, default_timeout_ms);
     srv.create_table("t", linreg_heap(600, 8)).unwrap();
     srv.prewarm("t").unwrap();
     srv.deploy(&spec(8), "t").unwrap();
@@ -81,48 +89,53 @@ fn trained_server(accelerators: usize, workers: usize) -> DanaServer {
 
 /// A gang run that loses member 1 at epoch 3 completes via shard
 /// re-execution on a survivor, bit-identical to the undisturbed run;
-/// the faulted member's pool instance is reported to the health machine.
+/// the faulted member's pool instance is reported to the health machine
+/// — whether the gang was asked for in SQL or through the typed request.
 #[test]
 fn gang_member_fault_degrades_bit_identically() {
-    let srv = trained_server(4, 2);
-    let session = srv.open_session("gang-fault");
-    let sql = "SELECT * FROM dana.linearR('t') WITH (shards = 3);";
+    for request in [
+        QueryRequest::Sql("SELECT * FROM dana.linearR('t') WITH (shards = 3);".into()),
+        QueryRequest::RunUdf {
+            udf: "linearR".into(),
+            table: "t".into(),
+            shards: Some(3),
+        },
+    ] {
+        let srv = trained_server(4, 2);
+        let session = srv.open_session("gang-fault");
 
-    let clean = srv
-        .call(session, QueryRequest::Sql(sql.into()))
-        .unwrap()
-        .report()
-        .clone();
-    assert_eq!(clean.shards, 3);
+        let clean = srv.call(session, request.clone()).unwrap().report().clone();
+        assert_eq!(clean.shards, 3);
 
-    srv.install_fault_plan(Some(Arc::new(FaultPlan::shard_fault(1, 3))));
-    let reply = srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
-    let degraded = reply.try_report().unwrap();
-    srv.install_fault_plan(None);
+        srv.install_fault_plan(Some(Arc::new(FaultPlan::shard_fault(1, 3))));
+        let reply = srv.call(session, request.clone()).unwrap();
+        let degraded = reply.try_report().unwrap();
+        srv.install_fault_plan(None);
 
-    assert_eq!(degraded.models, clean.models, "merge must be bit-identical");
-    assert_eq!(degraded.epochs_run, clean.epochs_run);
-    assert_eq!(degraded.engine.cycles, clean.engine.cycles);
+        assert_eq!(degraded.models, clean.models, "merge must be bit-identical");
+        assert_eq!(degraded.epochs_run, clean.epochs_run);
+        assert_eq!(degraded.engine.cycles, clean.engine.cycles);
 
-    // The faulted shard's instance was reported: health stepped off
-    // Healthy and the counters advanced.
-    let health = srv.pool_health();
-    assert_eq!(health.faults_reported, 1);
-    assert_eq!(
-        health
-            .states
-            .iter()
-            .filter(|h| **h != Health::Healthy)
-            .count(),
-        1,
-        "exactly one instance reported: {:?}",
-        health.states
-    );
-    let stats = srv.stats_snapshot(Some("faults"));
-    assert_eq!(stats.get("faults", "gang_member_faults"), Some(1.0));
-    assert_eq!(stats.get("faults", "faults_reported"), Some(1.0));
-    assert!(stats.get("faults", "shard_reexecutions").unwrap_or(0.0) >= 1.0);
-    assert_eq!(srv.core().held_frames(), 0);
+        // The faulted shard's instance was reported: health stepped off
+        // Healthy and the counters advanced.
+        let health = srv.pool_health();
+        assert_eq!(health.faults_reported, 1, "{request:?}");
+        assert_eq!(
+            health
+                .states
+                .iter()
+                .filter(|h| **h != Health::Healthy)
+                .count(),
+            1,
+            "exactly one instance reported: {:?}",
+            health.states
+        );
+        let stats = srv.stats_snapshot(Some("faults"));
+        assert_eq!(stats.get("faults", "gang_member_faults"), Some(1.0));
+        assert_eq!(stats.get("faults", "faults_reported"), Some(1.0));
+        assert!(stats.get("faults", "shard_reexecutions").unwrap_or(0.0) >= 1.0);
+        assert_eq!(srv.core().held_frames(), 0);
+    }
 }
 
 /// Serial transient faults retry with backoff (warm-started from the
@@ -180,40 +193,67 @@ fn serial_transient_fault_retries_bit_identically() {
 
 /// A query whose deadline expires mid-flight surfaces the typed
 /// deadline error, releases its lease and every buffer-pool frame, and
-/// the server keeps serving.
+/// the server keeps serving — for a statement's own `timeout_ms` and for
+/// typed requests running under the server's default deadline alike.
 #[test]
 fn timed_out_query_releases_lease_and_frames() {
-    let srv = trained_server(1, 1);
-    let session = srv.open_session("deadline");
-
-    // Stall every lease grant long enough that a 5 ms deadline expires
-    // while the query holds the lease; the epoch-0 cooperative check
-    // then fires deterministically.
-    srv.install_fault_plan(Some(Arc::new(FaultPlan::lease_stall(
-        Duration::from_millis(40),
-    ))));
-    let err = srv
-        .call(
-            session,
+    let typed = |request: QueryRequest| (Some(5), request);
+    let (udf, table) = ("linearR".to_string(), "t".to_string());
+    for (default_timeout_ms, request) in [
+        (
+            None,
             QueryRequest::Sql("SELECT * FROM dana.linearR('t') WITH (timeout_ms = 5);".into()),
-        )
-        .unwrap_err();
-    assert!(err.is_deadline_exceeded(), "got {err}");
-    srv.install_fault_plan(None);
+        ),
+        typed(QueryRequest::RunUdf {
+            udf: udf.clone(),
+            table: table.clone(),
+            shards: None,
+        }),
+        typed(QueryRequest::Predict {
+            udf: udf.clone(),
+            table: table.clone(),
+            into: "p".into(),
+            shards: None,
+        }),
+        typed(QueryRequest::Evaluate {
+            udf: udf.clone(),
+            table: table.clone(),
+            metric: None,
+            shards: None,
+        }),
+    ] {
+        let srv = deployed_server(1, 1, default_timeout_ms);
+        let session = srv.open_session("deadline");
+        // Scoring requests need a model to reach their deadline check.
+        srv.core().run_udf("linearR", "t").unwrap();
 
-    // The lease and frames came back: gauges are clean and the very
-    // next query (same single worker, same single instance) succeeds.
-    assert_eq!(srv.core().held_frames(), 0, "frames must be released");
-    let stats = srv.stats_snapshot(None);
-    assert_eq!(stats.get("faults", "deadline_exceeded"), Some(1.0));
-    let reply = srv
-        .call(
-            session,
-            QueryRequest::Sql("SELECT * FROM dana.linearR('t');".into()),
-        )
-        .unwrap();
-    assert_eq!(reply.accelerator, 0, "the instance is schedulable again");
-    assert_eq!(srv.core().held_frames(), 0);
+        // Stall every lease grant long enough that a 5 ms deadline
+        // expires while the query holds the lease; the first cooperative
+        // check (epoch 0, or the scoring scan's start) then fires
+        // deterministically.
+        srv.install_fault_plan(Some(Arc::new(FaultPlan::lease_stall(
+            Duration::from_millis(40),
+        ))));
+        let err = srv.call(session, request.clone()).unwrap_err();
+        assert!(err.is_deadline_exceeded(), "{request:?}: got {err}");
+        srv.install_fault_plan(None);
+
+        // The lease and frames came back: gauges are clean and the very
+        // next query (same single worker, same single instance) succeeds.
+        assert_eq!(srv.core().held_frames(), 0, "frames must be released");
+        let stats = srv.stats_snapshot(None);
+        assert_eq!(stats.get("faults", "deadline_exceeded"), Some(1.0));
+        let reply = srv
+            .call(
+                session,
+                QueryRequest::Sql(
+                    "SELECT * FROM dana.linearR('t') WITH (timeout_ms = 60000);".into(),
+                ),
+            )
+            .unwrap();
+        assert_eq!(reply.accelerator, 0, "the instance is schedulable again");
+        assert_eq!(srv.core().held_frames(), 0);
+    }
 }
 
 /// A deadline that passes while the query waits in the admission queue

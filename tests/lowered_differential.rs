@@ -161,7 +161,7 @@ proptest! {
         w.epochs = epochs;
         w.merge_coef = merge_coef;
         let table = generate(&w, 32 * 1024, seed).unwrap();
-        let mut db = Dana::new(
+        let db = Dana::new(
             FpgaSpec::vu9p(),
             BufferPoolConfig {
                 pool_bytes: 64 << 20,

@@ -5,10 +5,9 @@
 //! * the epoch-boundary merge is a pure function of (partials, shard
 //!   indices) — **every completion-order permutation** of partial-model
 //!   arrival yields bit-identical merged models;
-//! * `shards = 1` training is **bit-identical to the serial path** —
-//!   models, engine stats, and simulated timing — for all four zoo
-//!   models across Strider / CpuFed / Tabla, on both the serial `Dana`
-//!   facade and the concurrent `SystemCore`;
+//! * a gang the shard planner collapses to **one member is bit-identical
+//!   to the serial path** — models, engine stats, and simulated timing —
+//!   for all four zoo models across Strider / CpuFed / Tabla;
 //! * parallel PREDICT materializes **bit-identical prediction tables to
 //!   serial PREDICT for every shard count** (1, 2, 4) — shard outputs
 //!   concatenate in page order and per-tuple scoring math is
@@ -16,7 +15,10 @@
 //! * multi-shard training is reproducible run-to-run and still learns.
 
 use dana::prelude::*;
-use dana::ExecutionMode;
+use dana::{
+    ExecutionMode, PhysicalPlan, PlanOp, QueryCtx, SpanRecorder, StatementOutcome, SystemCore,
+    SystemCoreConfig,
+};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_parallel::{MergeBuffer, MergeSpec, ShardOwnership};
 use dana_storage::page::TupleDirection;
@@ -246,21 +248,54 @@ fn merge_is_bit_identical_for_every_completion_order_permutation() {
     }
 }
 
+/// A four-shard pool, as a served core would run.
+fn fresh_core() -> SystemCore {
+    SystemCore::new(SystemCoreConfig {
+        fpga: FpgaSpec::vu9p(),
+        pool: BufferPoolConfig {
+            pool_bytes: 64 << 20,
+            page_size: PAGE,
+        },
+        pool_shards: 4,
+        disk: DiskModel::ssd(),
+    })
+}
+
+/// A one-page table: whatever gang a plan asks for, the shard planner
+/// gives it one member. (`bind` clamps such a request up front; a
+/// hand-built plan — or a table replaced between bind and run — reaches
+/// the gang executor with it.)
+fn one_page_heap(algo: Algorithm) -> HeapFile {
+    let heap = heap_for(algo, 100);
+    assert_eq!(heap.page_count(), 1);
+    heap
+}
+
+fn run(core: &SystemCore, plan: &PhysicalPlan) -> StatementOutcome {
+    core.execute(plan, &SpanRecorder::disabled(), &QueryCtx::unbounded())
+        .unwrap()
+}
+
 #[test]
 fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
     for algo in ZOO {
         for mode in MODES {
             let spec = spec_for(algo, 4);
             // Serial reference.
-            let mut db = fresh_dana();
-            db.create_table("t", heap_for(algo, 600)).unwrap();
+            let db = fresh_dana();
+            db.create_table("t", one_page_heap(algo)).unwrap();
             db.prewarm("t").unwrap();
             let serial = db.train_with_spec(&spec, "t", mode).unwrap();
-            // One-shard gang on a fresh system.
-            let mut db = fresh_dana();
-            db.create_table("t", heap_for(algo, 600)).unwrap();
+            // One-member gang on a fresh system.
+            let db = fresh_dana();
+            db.create_table("t", one_page_heap(algo)).unwrap();
             db.prewarm("t").unwrap();
-            let gang = db.train_with_spec_sharded(&spec, "t", mode, 1).unwrap();
+            let plan = PhysicalPlan {
+                shards: 2,
+                ..PhysicalPlan::ad_hoc(&spec, "t", mode)
+            };
+            let gang = run(&db, &plan);
+            let gang = gang.report();
             assert_eq!(
                 gang.models, serial.models,
                 "{algo:?}/{mode:?}: models must be bit-identical"
@@ -276,37 +311,11 @@ fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
 }
 
 #[test]
-fn one_shard_run_udf_matches_serial_on_both_facades() {
-    // Serial Dana facade.
+fn one_shard_run_udf_matches_serial() {
     let spec = spec_for(Algorithm::Linear, 8);
-    let mut a = fresh_dana();
-    a.create_table("t", heap_for(Algorithm::Linear, 700))
-        .unwrap();
-    a.deploy(&spec, "t").unwrap();
-    let serial = a.run_udf("linearR", "t").unwrap();
-    let mut b = fresh_dana();
-    b.create_table("t", heap_for(Algorithm::Linear, 700))
-        .unwrap();
-    b.deploy(&spec, "t").unwrap();
-    let gang = b.run_udf_sharded("linearR", "t", 1).unwrap();
-    assert_eq!(gang.models, serial.models);
-    assert_eq!(gang.engine, serial.engine);
-    assert_eq!(gang.timing, serial.timing);
-    // Sharded training stores the trained model: PREDICT binds it.
-    assert!(b.predict("linearR", "t", "p").is_ok());
-
-    // Concurrent SystemCore.
     let core = || {
-        let c = dana_server::SystemCore::new(dana_server::SystemCoreConfig {
-            fpga: FpgaSpec::vu9p(),
-            pool: BufferPoolConfig {
-                pool_bytes: 64 << 20,
-                page_size: PAGE,
-            },
-            pool_shards: 4,
-            disk: DiskModel::ssd(),
-        });
-        c.create_table("t", heap_for(Algorithm::Linear, 700))
+        let c = fresh_core();
+        c.create_table("t", one_page_heap(Algorithm::Linear))
             .unwrap();
         c.deploy(&spec, "t").unwrap();
         c
@@ -314,11 +323,24 @@ fn one_shard_run_udf_matches_serial_on_both_facades() {
     let c1 = core();
     let serial = c1.run_udf("linearR", "t").unwrap();
     let c2 = core();
-    let gang = c2.run_udf_sharded("linearR", "t", 1).unwrap();
+    let plan = PhysicalPlan {
+        shards: 2,
+        ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
+    };
+    let gang = run(&c2, &plan);
+    let gang = gang.report();
     assert_eq!(gang.models, serial.models);
     assert_eq!(gang.engine, serial.engine);
     assert_eq!(gang.timing, serial.timing);
+    // Gang training stores the trained model: PREDICT binds it.
+    assert!(c2.predict("linearR", "t", "p").is_ok());
     assert_eq!(c2.held_frames(), 0, "gang scans must release every frame");
+}
+
+fn rows_of(core: &SystemCore, table: &str) -> Vec<Vec<f32>> {
+    let heap = core.table_snapshot(table).unwrap();
+    let batch = heap.scan_batch().unwrap();
+    batch.rows().map(|r| r.to_vec()).collect()
 }
 
 #[test]
@@ -326,35 +348,26 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
     for algo in ZOO {
         let spec = spec_for(algo, 6);
         let udf = spec.name.clone();
-        let mut db = fresh_dana();
+        let db = fresh_dana();
         db.create_table("t", heap_for(algo, 900)).unwrap();
         db.deploy(&spec, "t").unwrap();
         db.run_udf(&udf, "t").unwrap();
 
         let serial = db.predict(&udf, "t", "p_serial").unwrap();
-        let reference: Vec<Vec<f32>> = {
-            let (_, heap) = db.catalog().table_heap("p_serial").unwrap();
-            heap.scan_batch()
-                .unwrap()
-                .rows()
-                .map(|r| r.to_vec())
-                .collect()
-        };
+        let reference = rows_of(&db, "p_serial");
         for k in [1u16, 2, 4] {
             let dest = format!("p_{k}");
-            let report = db.predict_sharded(&udf, "t", &dest, k).unwrap();
+            let report = db
+                .execute_statement(&format!(
+                    "PREDICT dana.{udf}('t') INTO '{dest}' WITH (shards = {k});"
+                ))
+                .unwrap();
+            let report = report.predict_report();
             assert_eq!(report.rows_scored, serial.rows_scored, "{algo:?} k={k}");
             assert_eq!(report.shards, k, "{algo:?}: plan must honor the request");
-            let rows: Vec<Vec<f32>> = {
-                let (_, heap) = db.catalog().table_heap(&dest).unwrap();
-                heap.scan_batch()
-                    .unwrap()
-                    .rows()
-                    .map(|r| r.to_vec())
-                    .collect()
-            };
             assert_eq!(
-                rows, reference,
+                rows_of(&db, &dest),
+                reference,
                 "{algo:?}: {k}-shard prediction table differs from serial"
             );
             // One shard reproduces the serial simulated timing exactly.
@@ -366,12 +379,18 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
 
         // Sharded EVALUATE: k = 1 bit-identical; k > 1 same metric to
         // tight f64 tolerance (fold order differs across shards only).
+        let evaluate_sharded = |k: u16| {
+            db.execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (shards = {k});"))
+                .unwrap()
+                .eval_report()
+                .clone()
+        };
         let es = db.evaluate(&udf, "t", None).unwrap();
-        let e1 = db.evaluate_sharded(&udf, "t", None, 1).unwrap();
+        let e1 = evaluate_sharded(1);
         assert_eq!(e1.value, es.value, "{algo:?}: 1-shard EVALUATE");
         assert_eq!(e1.metric, es.metric);
         for k in [2u16, 4] {
-            let ek = db.evaluate_sharded(&udf, "t", None, k).unwrap();
+            let ek = evaluate_sharded(k);
             assert!(
                 (ek.value - es.value).abs() <= es.value.abs() * 1e-12 + 1e-12,
                 "{algo:?} k={k}: {} vs {}",
@@ -386,15 +405,7 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
 #[test]
 fn concurrent_core_scoring_matches_serial_for_every_shard_count() {
     let spec = spec_for(Algorithm::Logistic, 6);
-    let core = dana_server::SystemCore::new(dana_server::SystemCoreConfig {
-        fpga: FpgaSpec::vu9p(),
-        pool: BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        pool_shards: 4,
-        disk: DiskModel::ssd(),
-    });
+    let core = fresh_core();
     core.create_table("t", heap_for(Algorithm::Logistic, 800))
         .unwrap();
     core.deploy(&spec, "t").unwrap();
@@ -403,23 +414,25 @@ fn concurrent_core_scoring_matches_serial_for_every_shard_count() {
         .score_with("logisticR", "t", ExecutionMode::Strider, None)
         .unwrap();
     for k in [1u16, 2, 4] {
-        let sharded = core.score_sharded("logisticR", "t", k).unwrap();
-        assert_eq!(sharded, serial, "{k}-shard score stream");
+        let plan = PhysicalPlan {
+            shards: k,
+            ..PhysicalPlan::serial(PlanOp::Score { lanes: None }, "logisticR", "t")
+        };
+        let StatementOutcome::Point(sharded) = run(&core, &plan) else {
+            panic!("a score plan yields inline predictions");
+        };
+        assert_eq!(sharded.predictions, serial, "{k}-shard score stream");
     }
     // Sharded predict materializes identically through the write-locked
     // install path.
     core.predict("logisticR", "t", "ps").unwrap();
-    core.predict_sharded("logisticR", "t", "p4", 4).unwrap();
-    let read = |name: &str| -> Vec<Vec<f32>> {
-        core.table_snapshot(name)
-            .unwrap()
-            .scan_batch()
-            .unwrap()
-            .rows()
-            .map(|r| r.to_vec())
-            .collect()
-    };
-    assert_eq!(read("ps"), read("p4"), "materialized tables identical");
+    core.execute_statement("PREDICT dana.logisticR('t') INTO 'p4' WITH (shards = 4);")
+        .unwrap();
+    assert_eq!(
+        rows_of(&core, "ps"),
+        rows_of(&core, "p4"),
+        "materialized tables identical"
+    );
     assert_eq!(core.held_frames(), 0);
 }
 
@@ -432,7 +445,7 @@ fn multi_shard_training_is_reproducible_and_still_learns() {
         let spec = spec_for(algo, if algo == Algorithm::Lrmf { 40 } else { 10 });
         let udf = spec.name.clone();
         let run = || {
-            let mut db = fresh_dana();
+            let db = fresh_dana();
             db.create_table("t", heap_for(algo, 900)).unwrap();
             db.deploy(&spec, "t").unwrap();
             let out = db
@@ -461,7 +474,7 @@ fn multi_shard_training_is_reproducible_and_still_learns() {
         // averaged (k-times-smaller) step, so the bound there is "still
         // clearly learning": far below the no-model baseline (predicting
         // 0 for every rating ≈ the rating RMS, ~2.6 on this data).
-        let mut db = fresh_dana();
+        let db = fresh_dana();
         db.create_table("t", heap_for(algo, 900)).unwrap();
         db.deploy(&spec, "t").unwrap();
         db.run_udf(&udf, "t").unwrap();

@@ -84,7 +84,7 @@ const LANES: [u16; 3] = [1, 4, 16];
 /// scoring path against the CPU reference.
 fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
     let d = 12;
-    let mut db = system();
+    let db = system();
     db.create_table("t", dense_heap(900, d, algo)).unwrap();
     let spec = zoo::spec_for(
         algo,
@@ -100,13 +100,7 @@ fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
     db.deploy(&spec, "t").unwrap();
     let trained = db.run_udf(&udf, "t").unwrap();
 
-    let batch = db
-        .catalog()
-        .table_heap("t")
-        .unwrap()
-        .1
-        .scan_batch()
-        .unwrap();
+    let batch = db.table_snapshot("t").unwrap().scan_batch().unwrap();
     let model = DenseModel(trained.dense_model().to_vec());
     let reference = scorer::score_dense(&model, &batch, link);
     assert_eq!(reference.len(), 900);
@@ -143,7 +137,7 @@ fn svm_predictions_bit_identical() {
 #[test]
 fn lrmf_predictions_bit_identical() {
     let (rows, cols, rank) = (24usize, 18usize, 8usize);
-    let mut db = system();
+    let db = system();
     db.create_table("ratings", rating_heap(800, rows, cols))
         .unwrap();
     let spec = zoo::lrmf(LrmfParams {
@@ -170,13 +164,7 @@ fn lrmf_predictions_bit_identical() {
         cols,
         rank,
     };
-    let batch = db
-        .catalog()
-        .table_heap("ratings")
-        .unwrap()
-        .1
-        .scan_batch()
-        .unwrap();
+    let batch = db.table_snapshot("ratings").unwrap().scan_batch().unwrap();
     let reference = scorer::score_lrmf(&model, &batch);
 
     for mode in MODES {
@@ -199,7 +187,7 @@ fn lrmf_predictions_bit_identical() {
 #[test]
 fn prediction_table_round_trips_through_the_catalog() {
     let d = 10;
-    let mut db = system();
+    let db = system();
     db.create_table("t", dense_heap(1200, d, Algorithm::Linear))
         .unwrap();
     let spec = zoo::linear_regression(DenseParams {
@@ -215,24 +203,16 @@ fn prediction_table_round_trips_through_the_catalog() {
     // PREDICT → a real catalog table with the derived schema.
     let report = db.predict("linearR", "t", "t_scores").unwrap();
     assert_eq!(report.rows_scored, 1200);
-    assert!(db.catalog().table_names().contains(&"t_scores"));
+    assert!(db.table_names().contains(&"t_scores".to_string()));
 
     // Scan back: predictions are stored as Float4 and recover the CPU
     // reference bit-exactly.
     let model = DenseModel(trained.dense_model().to_vec());
-    let src = db
-        .catalog()
-        .table_heap("t")
-        .unwrap()
-        .1
-        .scan_batch()
-        .unwrap();
+    let src = db.table_snapshot("t").unwrap().scan_batch().unwrap();
     let reference = scorer::score_dense(&model, &src, dana_ml::Link::Identity);
     let scanned: Vec<f32> = db
-        .catalog()
-        .table_heap("t_scores")
+        .table_snapshot("t_scores")
         .unwrap()
-        .1
         .scan_batch()
         .unwrap()
         .rows()

@@ -4,8 +4,9 @@ use proptest::prelude::*;
 
 use dana_dsl::Dims;
 use dana_storage::page::TupleDirection;
+use dana_storage::shared_pool::DEFAULT_SHARDS;
 use dana_storage::{
-    BufferPool, BufferPoolConfig, DiskModel, HeapFileBuilder, HeapId, PageId, Schema, Tuple,
+    BufferPoolConfig, DiskModel, HeapFileBuilder, HeapId, PageId, Schema, SharedBufferPool, Tuple,
 };
 use dana_strider::isa::{decode_program, encode_program, Instr, Opcode, Operand, Reg};
 use dana_strider::{AccessEngine, AccessEngineConfig};
@@ -103,10 +104,17 @@ proptest! {
         }
     }
 
-    /// The buffer pool never exceeds its frame budget, never loses a
-    /// pinned page, and hits+misses always equals total fetches.
+    /// The buffer pool never exceeds its frame budget, never loses or
+    /// mutates an image a reader still holds, counts hits + misses ==
+    /// fetches, and holds no frame once every reader has dropped its
+    /// image — with one lock shard (an embedded system's pool) and with
+    /// the serving default.
     #[test]
-    fn bufferpool_invariants(ops in prop::collection::vec(0u32..12, 1..150), frames in 2usize..8) {
+    fn bufferpool_invariants(
+        ops in prop::collection::vec(0u32..12, 1..150),
+        frames in 2usize..8,
+        sharded in any::<bool>(),
+    ) {
         let schema = Schema::training(4);
         let mut b = HeapFileBuilder::new(schema, 8 * 1024, TupleDirection::Ascending).unwrap();
         for k in 0..2400 {
@@ -114,22 +122,39 @@ proptest! {
         }
         let heap = b.finish();
         prop_assume!(heap.page_count() >= 12);
-        let mut pool = BufferPool::new(BufferPoolConfig {
-            pool_bytes: (frames * 8 * 1024) as u64,
-            page_size: 8 * 1024,
-        });
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: (frames * 8 * 1024) as u64,
+                page_size: 8 * 1024,
+            },
+            if sharded { DEFAULT_SHARDS } else { 1 },
+        );
         let disk = DiskModel::instant();
         let mut fetches = 0u64;
-        for page_no in ops {
-            if let Ok((frame, _)) = pool.fetch(PageId::new(HeapId(0), page_no), &heap, &disk) {
-                fetches += 1;
-                prop_assert!(pool.frame_bytes(frame).len() == 8 * 1024);
-                pool.unpin(frame);
+        // One image stays held across later fetches; every third fetch
+        // swaps it for the page just read.
+        let mut held = None;
+        for (i, page_no) in ops.into_iter().enumerate() {
+            let page = PageId::new(HeapId(0), page_no);
+            // A fetch refused because every frame of the shard is held
+            // still counts (as a miss).
+            fetches += 1;
+            if let Ok((bytes, _)) = pool.fetch(page, &heap, &disk) {
+                prop_assert_eq!(&*bytes, heap.page_bytes(page_no).unwrap());
+                if i % 3 == 0 {
+                    held = Some((page, bytes));
+                }
             }
-            prop_assert!(pool.resident_pages() <= frames);
+            if let Some((page, bytes)) = &held {
+                prop_assert!(pool.contains(*page), "a held page was evicted");
+                prop_assert_eq!(&**bytes, heap.page_bytes(page.page_no).unwrap());
+            }
+            prop_assert!(pool.resident_pages() <= pool.frames());
         }
         let stats = pool.stats();
         prop_assert_eq!(stats.hits + stats.misses, fetches);
+        drop(held);
+        prop_assert_eq!(pool.held_frames(), 0);
     }
 
     /// Page checksums detect any single-byte corruption of the data area.
@@ -162,4 +187,40 @@ proptest! {
         prop_assert_eq!(AluOp::Gt.apply(a, b), if a > b { 1.0 } else { 0.0 });
         prop_assert_eq!(AluOp::Mov.apply(a, b), a);
     }
+}
+
+/// The one-shard pool's replacement order, stated once: a second-chance
+/// clock over all frames. An embedded system's simulated I/O seconds are a
+/// function of exactly this hit/miss sequence, so a change here is a
+/// change to every cold-cache number it reports. (LRU would keep the hot
+/// page 0 resident throughout and score six hits on this string.)
+#[test]
+fn one_shard_pool_replacement_order_is_pinned() {
+    let mut b =
+        HeapFileBuilder::new(Schema::training(4), 8 * 1024, TupleDirection::Ascending).unwrap();
+    for k in 0..2400 {
+        b.insert(&Tuple::training(&[k as f32; 4], 0.0)).unwrap();
+    }
+    let heap = b.finish();
+    assert!(heap.page_count() >= 7);
+    let pool = SharedBufferPool::with_shards(
+        BufferPoolConfig {
+            pool_bytes: 3 * 8 * 1024,
+            page_size: 8 * 1024,
+        },
+        1,
+    );
+    let disk = DiskModel::instant();
+    let page = |page_no| PageId::new(HeapId(1), page_no);
+    let mut trace = String::new();
+    for page_no in [0, 1, 2, 0, 3, 0, 1, 4, 0, 5, 0, 6, 1, 0, 2] {
+        let hits = pool.stats().hits;
+        pool.fetch(page(page_no), &heap, &disk).unwrap();
+        trace.push(if pool.stats().hits > hits { 'h' } else { 'm' });
+    }
+    assert_eq!(trace, "mmmhmmmmhmhmmmm");
+    let stats = pool.stats();
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 12, 9));
+    let resident: Vec<u32> = (0..7).filter(|&p| pool.contains(page(p))).collect();
+    assert_eq!(resident, [0, 1, 2]);
 }

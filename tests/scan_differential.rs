@@ -5,30 +5,19 @@
 //! must behave **bit-identically** to running the same statement over a
 //! manually pre-materialized filtered table — models, materialized
 //! prediction pages, and metric values — across all four zoo analytics,
-//! on the serial `Dana` facade and the concurrent `SystemCore`, for
-//! gangs of 1, 2, and 4 shards. A drop racing a filtered scan must
+//! for gangs of 1, 2, and 4 shards. A drop racing a filtered scan must
 //! leave no buffer-pool frame held and no compressed sidecar resident.
 
 use dana::prelude::*;
-use dana::{parse_statement, SpanRecorder, StatementOutcome};
+use dana::{SystemCore, SystemCoreConfig};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
-use dana_server::{SystemCore, SystemCoreConfig};
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
 
 const PAGE: usize = 8 * 1024;
 
-fn fresh_dana() -> Dana {
-    Dana::new(
-        FpgaSpec::vu9p(),
-        BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        DiskModel::ssd(),
-    )
-}
-
+/// A four-shard pool, as a served core would run (sharding changes
+/// locking, never results).
 fn fresh_core() -> SystemCore {
     SystemCore::new(SystemCoreConfig {
         fpga: FpgaSpec::vu9p(),
@@ -147,86 +136,17 @@ const ZOO: [Algorithm; 4] = [
     Algorithm::Lrmf,
 ];
 
-fn train_report(outcome: StatementOutcome) -> DanaReport {
-    match outcome {
-        StatementOutcome::Train(q) => q.report,
-        other => panic!("expected a train outcome, got {other:?}"),
-    }
-}
-
-fn eval_report(outcome: StatementOutcome) -> dana::EvalReport {
-    match outcome {
-        StatementOutcome::Evaluate(e) => e,
-        other => panic!("expected an evaluate outcome, got {other:?}"),
-    }
-}
-
 fn pages_of(heap: &HeapFile) -> Vec<Vec<u8>> {
     (0..heap.page_count())
         .map(|p| heap.page_bytes(p).unwrap().to_vec())
         .collect()
 }
 
-/// Serial facade: filtered EXECUTE / PREDICT / EVALUATE against the full
-/// table must be bit-identical to the plain statement against the
-/// pre-materialized filtered table, for every zoo model × shard count.
-#[test]
-fn filtered_statements_match_prematerialized_table_serial_facade() {
-    for algo in ZOO {
-        let spec = spec_for(algo, 3);
-        let udf = spec.name.clone();
-        let (full, filtered, wher) = tables_for(algo);
-        let mut db = fresh_dana();
-        db.create_table("t", full).unwrap();
-        db.create_table("tf", filtered).unwrap();
-        db.deploy(&spec, "tf").unwrap();
-
-        for k in [1u16, 2, 4] {
-            let with = format!("WITH (shards = {k}, backend = fpga)");
-            // EXECUTE: models bit-identical.
-            let got = train_report(
-                db.execute_statement(&format!("SELECT * FROM dana.{udf}('t') {wher} {with};"))
-                    .unwrap(),
-            );
-            let want = train_report(
-                db.execute_statement(&format!("SELECT * FROM dana.{udf}('tf') {with};"))
-                    .unwrap(),
-            );
-            assert_eq!(got.models, want.models, "{algo:?} k={k}: trained models");
-            assert_eq!(got.engine, want.engine, "{algo:?} k={k}: engine counters");
-
-            // PREDICT: materialized pages byte-identical. (The reference
-            // train above bound the model both runs score with.)
-            db.execute_statement(&format!(
-                "PREDICT dana.{udf}('t') INTO 'pf_{k}' {wher} {with};"
-            ))
-            .unwrap();
-            db.execute_statement(&format!("PREDICT dana.{udf}('tf') INTO 'pr_{k}' {with};"))
-                .unwrap();
-            let got_pages = pages_of(db.catalog().table_heap(&format!("pf_{k}")).unwrap().1);
-            let want_pages = pages_of(db.catalog().table_heap(&format!("pr_{k}")).unwrap().1);
-            assert_eq!(got_pages, want_pages, "{algo:?} k={k}: prediction pages");
-
-            // EVALUATE: metric value and row count bit-identical.
-            let got = eval_report(
-                db.execute_statement(&format!("EVALUATE dana.{udf}('t') {wher} {with};"))
-                    .unwrap(),
-            );
-            let want = eval_report(
-                db.execute_statement(&format!("EVALUATE dana.{udf}('tf') {with};"))
-                    .unwrap(),
-            );
-            assert_eq!(got.value, want.value, "{algo:?} k={k}: metric value");
-            assert_eq!(got.rows_scored, want.rows_scored, "{algo:?} k={k}");
-        }
-    }
-}
-
-/// Concurrent facade: the same contract through `SystemCore`'s parsed
-/// dispatcher (the path every server worker takes).
+/// Filtered EXECUTE / PREDICT / EVALUATE against the full table must be
+/// bit-identical to the plain statement against the pre-materialized
+/// filtered table, for every zoo model × shard count.
 #[test]
 fn filtered_statements_match_prematerialized_table_concurrent_facade() {
-    let rec = SpanRecorder::disabled();
     for algo in ZOO {
         let spec = spec_for(algo, 3);
         let udf = spec.name.clone();
@@ -236,42 +156,30 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
         core.create_table("tf", filtered).unwrap();
         core.deploy(&spec, "tf").unwrap();
 
-        let run = |sql: &str, shards: u16| {
-            core.execute_parsed(&parse_statement(sql).unwrap(), shards, &rec)
-                .unwrap()
-        };
+        let run = |sql: String| core.execute_statement(&sql).unwrap();
         for k in [1u16, 2, 4] {
-            let got = train_report(run(
-                &format!("SELECT * FROM dana.{udf}('t') {wher} WITH (backend = fpga);"),
-                k,
-            ));
-            let want = train_report(run(
-                &format!("SELECT * FROM dana.{udf}('tf') WITH (backend = fpga);"),
-                k,
-            ));
+            let with = format!("WITH (shards = {k}, backend = fpga)");
+            // EXECUTE: models bit-identical.
+            let got = run(format!("SELECT * FROM dana.{udf}('t') {wher} {with};"));
+            let want = run(format!("SELECT * FROM dana.{udf}('tf') {with};"));
+            let (got, want) = (got.report(), want.report());
             assert_eq!(got.models, want.models, "{algo:?} k={k}: trained models");
             assert_eq!(got.engine, want.engine, "{algo:?} k={k}: engine counters");
 
-            run(
-                &format!("PREDICT dana.{udf}('t') INTO 'pf_{k}' {wher} WITH (backend = fpga);"),
-                k,
-            );
-            run(
-                &format!("PREDICT dana.{udf}('tf') INTO 'pr_{k}' WITH (backend = fpga);"),
-                k,
-            );
+            // PREDICT: materialized pages byte-identical. (The reference
+            // train above bound the model both runs score with.)
+            run(format!(
+                "PREDICT dana.{udf}('t') INTO 'pf_{k}' {wher} {with};"
+            ));
+            run(format!("PREDICT dana.{udf}('tf') INTO 'pr_{k}' {with};"));
             let got_pages = pages_of(&core.table_snapshot(&format!("pf_{k}")).unwrap());
             let want_pages = pages_of(&core.table_snapshot(&format!("pr_{k}")).unwrap());
             assert_eq!(got_pages, want_pages, "{algo:?} k={k}: prediction pages");
 
-            let got = eval_report(run(
-                &format!("EVALUATE dana.{udf}('t') {wher} WITH (backend = fpga);"),
-                k,
-            ));
-            let want = eval_report(run(
-                &format!("EVALUATE dana.{udf}('tf') WITH (backend = fpga);"),
-                k,
-            ));
+            // EVALUATE: metric value and row count bit-identical.
+            let got = run(format!("EVALUATE dana.{udf}('t') {wher} {with};"));
+            let want = run(format!("EVALUATE dana.{udf}('tf') {with};"));
+            let (got, want) = (got.eval_report(), want.eval_report());
             assert_eq!(got.value, want.value, "{algo:?} k={k}: metric value");
             assert_eq!(got.rows_scored, want.rows_scored, "{algo:?} k={k}");
         }
@@ -302,7 +210,7 @@ fn projection_matches_prematerialized_table() {
     .unwrap();
     let cols = "COLUMNS (x0, x1, x2, x3, x4, x5, x6, x7, y)";
 
-    let mut db = fresh_dana();
+    let db = fresh_core();
     db.create_table("wide", dense_heap_of(&rows, d_wide))
         .unwrap();
     db.create_table("tp", dense_heap_of(&kept, d)).unwrap();
@@ -312,17 +220,19 @@ fn projection_matches_prematerialized_table() {
 
     for k in [1u16, 2, 4] {
         let with = format!("WITH (shards = {k}, backend = fpga)");
-        let got = train_report(
-            db.execute_statement(&format!(
+        let got = db
+            .execute_statement(&format!(
                 "SELECT * FROM dana.linearR('wide') WHERE x0 < 0 {cols} {with};"
             ))
-            .unwrap(),
+            .unwrap();
+        let want = db
+            .execute_statement(&format!("SELECT * FROM dana.linearR('tp') {with};"))
+            .unwrap();
+        assert_eq!(
+            got.report().models,
+            want.report().models,
+            "k={k}: projected training"
         );
-        let want = train_report(
-            db.execute_statement(&format!("SELECT * FROM dana.linearR('tp') {with};"))
-                .unwrap(),
-        );
-        assert_eq!(got.models, want.models, "k={k}: projected training");
 
         db.execute_statement(&format!(
             "PREDICT dana.linearR('wide') INTO 'pf_{k}' WHERE x0 < 0 {cols} {with};"
@@ -330,16 +240,16 @@ fn projection_matches_prematerialized_table() {
         .unwrap();
         db.execute_statement(&format!("PREDICT dana.linearR('tp') INTO 'pr_{k}' {with};"))
             .unwrap();
-        let (_, got_heap) = db.catalog().table_heap(&format!("pf_{k}")).unwrap();
-        let (_, want_heap) = db.catalog().table_heap(&format!("pr_{k}")).unwrap();
+        let got_heap = db.table_snapshot(&format!("pf_{k}")).unwrap();
+        let want_heap = db.table_snapshot(&format!("pr_{k}")).unwrap();
         assert_eq!(
             got_heap.schema().columns().len(),
             d + 2,
             "projected prediction schema: {d} features + y + prediction"
         );
         assert_eq!(
-            pages_of(got_heap),
-            pages_of(want_heap),
+            pages_of(&got_heap),
+            pages_of(&want_heap),
             "k={k}: projected prediction pages"
         );
     }
@@ -356,21 +266,20 @@ fn drop_racing_filtered_scan_releases_every_frame() {
     core.create_table("seed", dense_heap_of(&rows, 10)).unwrap();
     core.deploy(&spec, "seed").unwrap();
     core.run_udf("linearR", "seed").unwrap();
-    let rec = SpanRecorder::disabled();
 
     for round in 0..6 {
         let name = format!("t{round}");
         core.create_table(&name, dense_heap_of(&rows, 10)).unwrap();
-        let stmt = parse_statement(&format!(
-            "EVALUATE dana.linearR('{name}') WHERE x0 < 0 WITH (backend = fpga);"
-        ))
-        .unwrap();
+        let sql = format!(
+            "EVALUATE dana.linearR('{name}') WHERE x0 < 0 WITH (shards = {}, backend = fpga);",
+            1 + round % 2
+        );
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
                     // The scan runs on its catalog snapshot; a drop that
                     // lands first surfaces as a typed catalog error.
-                    let _ = core.execute_parsed(&stmt, 1 + round % 2, &rec);
+                    let _ = core.execute_statement(&sql);
                 });
             }
             s.spawn(|| {

@@ -38,7 +38,7 @@ fn server(accelerators: usize, policy: SchedPolicy, max_queued: usize) -> DanaSe
 /// generated table, same spec, same mode.
 fn serial_models(w: &dana_workloads::Workload, seed: u64, mode: ExecutionMode) -> Vec<Vec<f32>> {
     let table = generate(w, 32 * 1024, seed).unwrap();
-    let mut db = Dana::new(
+    let db = Dana::new(
         FpgaSpec::vu9p(),
         BufferPoolConfig {
             pool_bytes: 128 << 20,
@@ -819,8 +819,15 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
         .find(|(k, _)| *k == "gang")
         .map(|(_, r)| r.report().models.clone())
         .unwrap();
-    let direct = srv.core().run_udf_sharded("logisticR", "t", 4).unwrap();
-    assert_eq!(gang_models, direct.models, "gang training is deterministic");
+    let direct = srv
+        .core()
+        .execute_statement("EXECUTE dana.logisticR('t') WITH (shards = 4);")
+        .unwrap();
+    assert_eq!(
+        gang_models,
+        direct.report().models,
+        "gang training is deterministic"
+    );
 
     let util = srv.shutdown();
     assert!(

@@ -3,13 +3,13 @@
 //! The tracing contract, held across the four zoo analytics:
 //!
 //! * the trace *shape* — stage names, nesting, and per-stage counts — is
-//!   a pure function of the statement: the serial `Dana` facade and the
-//!   concurrent `DanaServer` emit structurally identical traces, and the
+//!   a pure function of the statement: an embedded `Dana` and a served
+//!   `DanaServer` emit structurally identical traces, and the
 //!   shape does not change with the gang width (1, 2, 4 shards). Only
 //!   the recorded times may differ;
 //! * `EXPLAIN ANALYZE` stage accounting is honest: the per-stage
 //!   simulated times sum to the query's own end-to-end report within 5%
-//!   on both facades;
+//!   embedded and served;
 //! * `WITH (trace = on)` attaches the same-shaped trace to an ordinary
 //!   reply instead of replacing the result surface;
 //! * `SHOW STATS` gauges agree exactly with the values the pool and
@@ -129,8 +129,8 @@ fn fresh_server(accelerators: usize) -> DanaServer {
     })
 }
 
-/// `EXPLAIN ANALYZE` through the serial facade, returning the report.
-fn serial_analyze(db: &mut Dana, sql: &str) -> dana::AnalyzeReport {
+/// `EXPLAIN ANALYZE` through the embedded front door, returning the report.
+fn serial_analyze(db: &Dana, sql: &str) -> dana::AnalyzeReport {
     match db.execute_statement(sql).unwrap() {
         StatementOutcome::Analyze(a) => *a,
         other => panic!("expected analyze outcome, got {other:?}"),
@@ -153,8 +153,8 @@ fn server_analyze(
 }
 
 /// The trace's *shape* must be a pure function of the statement: same
-/// stages, same nesting, same counts on the serial facade and the
-/// concurrent server, at every gang width — for all four zoo analytics.
+/// stages, same nesting, same counts embedded (one-shard pool, caller's
+/// thread) and served (eight-shard pool, worker threads), at every gang width — for all four zoo analytics.
 #[test]
 fn trace_shape_is_facade_and_shard_invariant() {
     for algo in ZOO {
@@ -167,10 +167,10 @@ fn trace_shape_is_facade_and_shard_invariant() {
                 "EXPLAIN ANALYZE EXECUTE dana.{udf}('t') WITH (backend = fpga, shards = {shards});"
             );
 
-            let mut db = fresh_dana();
+            let db = fresh_dana();
             db.create_table("t", heap_for(algo, 900)).unwrap();
             db.deploy(&spec, "t").unwrap();
-            let serial = serial_analyze(&mut db, &sql);
+            let serial = serial_analyze(&db, &sql);
             shapes.push((format!("serial/x{shards}"), serial.trace.structure()));
 
             let srv = fresh_server(4);
@@ -208,7 +208,7 @@ fn trace_shape_is_facade_and_shard_invariant() {
 }
 
 /// Stage accounting is honest: simulated per-stage times sum to the
-/// query's own end-to-end simulated total within 5%, on both facades,
+/// query's own end-to-end simulated total within 5%, embedded and served,
 /// serial and ganged.
 #[test]
 fn explain_analyze_stage_sums_match_end_to_end_report() {
@@ -232,11 +232,11 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
         let sql = format!(
             "EXPLAIN ANALYZE EXECUTE dana.linearR('t') WITH (backend = fpga, shards = {shards});"
         );
-        let mut db = fresh_dana();
+        let db = fresh_dana();
         db.create_table("t", heap_for(Algorithm::Linear, 900))
             .unwrap();
         db.deploy(&spec, "t").unwrap();
-        check(&format!("serial/x{shards}"), &serial_analyze(&mut db, &sql));
+        check(&format!("serial/x{shards}"), &serial_analyze(&db, &sql));
 
         let srv = fresh_server(4);
         srv.create_table("t", heap_for(Algorithm::Linear, 900))
@@ -257,13 +257,13 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
 fn opt_in_trace_matches_explain_analyze_shape() {
     let spec = spec_for(Algorithm::Logistic);
 
-    // Serial facade.
-    let mut db = fresh_dana();
+    // Embedded.
+    let db = fresh_dana();
     db.create_table("t", heap_for(Algorithm::Logistic, 900))
         .unwrap();
     db.deploy(&spec, "t").unwrap();
     let analyzed = serial_analyze(
-        &mut db,
+        &db,
         "EXPLAIN ANALYZE EXECUTE dana.logisticR('t') WITH (backend = fpga);",
     );
     let (outcome, trace) = db
@@ -278,7 +278,7 @@ fn opt_in_trace_matches_explain_analyze_shape() {
         .unwrap();
     assert!(no_trace.is_none());
 
-    // Server facade: the reply carries the trace beside the result.
+    // Served: the reply carries the trace beside the result.
     let srv = fresh_server(2);
     srv.create_table("t", heap_for(Algorithm::Logistic, 900))
         .unwrap();
