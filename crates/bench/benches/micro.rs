@@ -4,8 +4,8 @@
 //! simulators run on the host), plus ablation comparisons for design
 //! choices DESIGN.md calls out: Strider page-walk throughput, engine
 //! cycles/tuple, scheduler cost, buffer-pool hit path, end-to-end
-//! small-scale training, and — the headline of the streaming refactor —
-//! the flat `TupleBatch` data path against the retained per-tuple
+//! small-scale training, and the flat `TupleBatch` data path (strider
+//! extraction + the lowered executor) against the per-tuple
 //! `Vec<Vec<f32>>` reference path on the same extraction+train loop.
 
 use std::hint::black_box;
@@ -49,14 +49,11 @@ fn strider_page_walk(c: &mut Criterion) {
     });
 }
 
-/// The streaming refactor's acceptance benchmark: one extraction+train
-/// micro loop (every page extracted, one training epoch) through (a) the
-/// retained per-tuple `Vec<Vec<f32>>` reference path and (b) the flat
-/// `TupleBatch` path *on the streaming interpreter*. Same math, same
-/// pages, same executor tier — only the data representation differs, so
-/// this A/B keeps isolating the data-path change. A third arm runs the
-/// deploy-time-lowered SoA executor on the same loop; the executor-tier
-/// A/B lives in `benches/engine_hot_loop.rs`.
+/// One extraction+train micro loop (every page extracted, one training
+/// epoch) through (a) the per-tuple `Vec<Vec<f32>>` reference path
+/// (`extract_page_rows` + the rows interpreter) and (b) the production
+/// path: flat `TupleBatch` extraction into the deploy-time-lowered SoA
+/// executor. Same math, same pages.
 fn data_path_ablation(c: &mut Criterion) {
     let w = workload("Remote Sensing LR").unwrap().scaled(0.01); // 5810 × 54
     let table = generate(&w, 32 * 1024, 17).unwrap();
@@ -103,21 +100,6 @@ fn data_path_ablation(c: &mut Criterion) {
             let mut store = ModelStore::new(&design, vec![vec![0.0; 54]]).unwrap();
             engine
                 .run_training_rows(black_box(&tuples), &mut store)
-                .unwrap();
-            store
-        })
-    });
-    group.bench_function("flat_batch", |b| {
-        b.iter(|| {
-            let mut batch = TupleBatch::with_capacity(width, heap.tuple_count() as usize);
-            for p in 0..heap.page_count() {
-                access
-                    .extract_page_into(heap.page_bytes(p).unwrap(), &mut batch)
-                    .unwrap();
-            }
-            let mut store = ModelStore::new(&design, vec![vec![0.0; 54]]).unwrap();
-            engine
-                .run_training_interpreter_batch(black_box(&batch), &mut store)
                 .unwrap();
             store
         })

@@ -8,9 +8,6 @@
 //! holds. EXPERIMENTS.md records the same comparisons.
 
 pub mod paper;
-pub mod record;
-
-pub use record::{common_fields, common_fields_compat, read_series, series_path, BenchRecord};
 
 use dana::{analytic_dana, analytic_greenplum, analytic_madlib, ExecutionMode, SystemParams};
 use dana_workloads::Workload;

@@ -7,18 +7,19 @@
 //! putting a small trait, [`ExecutionBackend`], over the lowered SoA
 //! program with two implementations:
 //!
-//! * [`FpgaBackend`] — the existing simulated-FPGA tier. Cycle-model
-//!   semantics are untouched: it is exactly
-//!   [`ExecutionEngine::run_training`], and its cost is the simulated
+//! * [`FpgaBackend`] — the simulated-FPGA tier: its cost is the simulated
 //!   cycle count (converted to seconds by the caller's clock model).
 //! * [`CpuBackend`] — a native CPU tier that executes the **same**
 //!   [`LoweredProgram`](crate::lowered::LoweredProgram) through the same
 //!   slot-major `buf[word * lanes + l]` lockstep lane loops (op dispatch
 //!   hoisted out of the lane loop, LRMF's sequential gather/scatter path
-//!   preserved), but whose cost is **measured wall time**. Because both
-//!   backends run the identical per-epoch code over the identical SoA
-//!   workspace, their trained models and cycle counters are bit-identical
-//!   by construction — the differential suite holds them to it.
+//!   preserved), but whose cost is **measured wall time**.
+//!
+//! Both run the one serial epoch loop
+//! ([`run_training_guarded`](crate::fault::run_training_guarded)) over
+//! the identical SoA workspace, so their trained models and cycle
+//! counters are bit-identical by construction — the differential suite
+//! holds them to it. A backend supplies only its kind and its engine.
 //!
 //! The distinction is *what the number means*: the FPGA tier's
 //! [`EngineStats::cycles`] model a 150 MHz accelerator fed by Striders;
@@ -32,8 +33,8 @@ use std::time::Instant;
 use dana_storage::TupleSource;
 
 use crate::engine::{EngineStats, ExecutionEngine, ModelStore};
-use crate::error::{EngineError, EngineResult};
-use crate::fault::{run_training_guarded, FaultEvents, RunGuard};
+use crate::error::EngineResult;
+use crate::fault::{run_training_guarded, CancelToken, FaultEvents, RunGuard};
 
 /// Which execution substrate ran (or should run) a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -82,22 +83,27 @@ pub trait ExecutionBackend: Send + Sync {
     /// Which substrate this is.
     fn kind(&self) -> BackendKind;
 
+    /// The engine whose lowered program this backend executes.
+    fn engine(&self) -> &ExecutionEngine;
+
     /// Runs training to convergence (or the epoch cap) from a streaming
-    /// source, exactly like [`ExecutionEngine::run_training`].
+    /// source, exactly like [`ExecutionEngine::run_training`]: the guarded
+    /// loop under a guard that never cancels and injects nothing.
     fn run_training(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
-    ) -> EngineResult<BackendRun>;
+    ) -> EngineResult<BackendRun> {
+        let never = CancelToken::none();
+        Ok(self
+            .run_training_guarded(source, store, &RunGuard::new(&never))?
+            .0)
+    }
 
-    /// The engine whose lowered program this backend executes.
-    fn engine(&self) -> &ExecutionEngine;
-
-    /// Guarded variant of [`ExecutionBackend::run_training`]: the same
-    /// epoch loop, with cooperative cancellation, deterministic fault
-    /// injection, and bounded-backoff retry at epoch boundaries (see
-    /// [`run_training_guarded`]). An undisturbed guarded run is
-    /// bit-identical to the plain one.
+    /// The serial epoch loop with cooperative cancellation, deterministic
+    /// fault injection, and bounded-backoff retry at epoch boundaries (see
+    /// [`run_training_guarded`]), timed when the backend executes
+    /// natively.
     fn run_training_guarded(
         &self,
         source: &mut dyn TupleSource,
@@ -117,8 +123,8 @@ pub trait ExecutionBackend: Send + Sync {
     }
 }
 
-/// The simulated-FPGA tier behind the [`ExecutionBackend`] trait —
-/// a zero-cost wrapper over [`ExecutionEngine::run_training`].
+/// The simulated-FPGA tier behind the [`ExecutionBackend`] trait: cost is
+/// the engine's cycle count, so runs report no wall time.
 #[derive(Debug, Clone)]
 pub struct FpgaBackend {
     engine: Arc<ExecutionEngine>,
@@ -135,32 +141,16 @@ impl ExecutionBackend for FpgaBackend {
         BackendKind::Fpga
     }
 
-    fn run_training(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<BackendRun> {
-        let stats = self.engine.run_training(source, store)?;
-        Ok(BackendRun {
-            stats,
-            wall_seconds: None,
-        })
-    }
-
     fn engine(&self) -> &ExecutionEngine {
         &self.engine
     }
 }
 
 /// The native CPU tier: the same lowered program, the same epoch loop,
-/// timed with a stopwatch instead of the cycle model.
-///
-/// The run is the identical [`TrainingSession`](crate::TrainingSession)
-/// epoch loop the FPGA tier uses, so models and counters are
-/// bit-identical; the only addition is the [`Instant`] around it. The
-/// SoA lane loops it executes are the host's SIMD path — `rustc`
-/// auto-vectorizes the per-op lane loops because the op match is hoisted
-/// out of them (see `lowered::lockstep_lanes`).
+/// timed with a stopwatch instead of the cycle model. The SoA lane loops
+/// it executes are the host's SIMD path — `rustc` auto-vectorizes the
+/// per-op lane loops because the op match is hoisted out of them (see
+/// `lowered::lockstep_lanes`).
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     engine: Arc<ExecutionEngine>,
@@ -175,34 +165,6 @@ impl CpuBackend {
 impl ExecutionBackend for CpuBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Cpu
-    }
-
-    fn run_training(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<BackendRun> {
-        let start = Instant::now();
-        let mut session = self.engine.training_session();
-        let max_epochs = self.engine.design().convergence.max_epochs();
-        let mut epochs_run = 0u32;
-        let mut converged_early = false;
-        for epoch in 0..max_epochs {
-            if epoch > 0 {
-                source.rewind().map_err(EngineError::from)?;
-            }
-            let converged = session.run_epoch(source, store)?;
-            epochs_run += 1;
-            if converged {
-                converged_early = true;
-                break;
-            }
-        }
-        let stats = session.finish(epochs_run, converged_early);
-        Ok(BackendRun {
-            stats,
-            wall_seconds: Some(start.elapsed().as_secs_f64()),
-        })
     }
 
     fn engine(&self) -> &ExecutionEngine {
@@ -297,14 +259,14 @@ pub fn calibrate_cpu_lane_rate() -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{ConvergenceCheck, EngineDesign, MergePlan, ModelDesc, ModelWrite};
     use crate::isa::{AluOp, EngineProgram, Loc, MicroOp, Src, Step};
     use dana_dsl::MergeOp;
     use dana_storage::{OneBatchSource, TupleBatch};
 
-    fn linreg_design(num_threads: u16) -> EngineDesign {
+    pub(crate) fn linreg_design(num_threads: u16) -> EngineDesign {
         let alu = |au, op, a, b, dst| MicroOp::Alu { au, op, a, b, dst };
         let s = |au, slot| Src::Slot(Loc::new(au, slot));
         EngineDesign {
@@ -354,7 +316,7 @@ mod tests {
         }
     }
 
-    fn tuples(n: usize) -> Vec<Vec<f32>> {
+    pub(crate) fn tuples(n: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|k| {
                 let x = (k % 13) as f32 * 0.2 - 1.0;

@@ -1,4 +1,5 @@
-//! The multi-threaded execution engine interpreter.
+//! The multi-threaded execution engine: the compiled design, the model
+//! store, and the reference interpreter the lowered executor is held to.
 //!
 //! "Our reconfigurable execution engine architecture can run multiple
 //! threads of parallel update rules for different data tuples. ... Results
@@ -11,13 +12,15 @@
 //! the merge result, and writes the model back. Cycle accounting follows
 //! the static schedule: the paper's §6.1 estimator works *because*
 //! "the hDFG does not change, there is no hardware managed cache, and the
-//! accelerator architecture is fixed during execution" — properties this
-//! interpreter preserves exactly.
+//! accelerator architecture is fixed during execution" — properties both
+//! the lowered executor ([`crate::lowered`]) and the rows reference here
+//! preserve exactly.
 
 use dana_dsl::MergeOp;
 use dana_storage::{OneBatchSource, TupleBatch, TupleSource};
 
 use crate::error::{EngineError, EngineResult};
+use crate::fault::{run_training_guarded, CancelToken, RunGuard};
 use crate::isa::{AluOp, EngineProgram, Loc, MicroOp, Src, Step, AUS_PER_AC};
 use crate::lowered::{lower, LoweredProgram};
 
@@ -229,18 +232,16 @@ pub struct EngineStats {
 /// The execution engine: a validated design plus its deploy-time
 /// lowering.
 ///
-/// Two execution tiers share this struct:
+/// There is one training executor and one reference:
 ///
-/// * the **lowered hot path** ([`ExecutionEngine::run_training`]) executes
-///   the pre-resolved [`LoweredProgram`] group-at-a-time over a slot-major
-///   SoA scratchpad — no per-op operand dispatch, no index arithmetic, no
-///   hazard branches;
-/// * the **reference interpreters**
-///   ([`ExecutionEngine::run_training_interpreter`] over the streaming flat
-///   scratchpad, [`ExecutionEngine::run_training_rows`] over the original
-///   nested one) are retained verbatim as differential-testing baselines —
-///   the equivalence suite holds all tiers to bit-identical models *and*
-///   cycle stats.
+/// * [`ExecutionEngine::run_training`] executes the pre-resolved
+///   [`LoweredProgram`] group-at-a-time over a slot-major SoA scratchpad —
+///   no per-op operand dispatch, no index arithmetic, no hazard branches;
+/// * [`ExecutionEngine::run_training_rows`] interprets the design's
+///   `MicroOp`s directly over a nested scratchpad, staging every step's
+///   writes. It shares nothing with the lowering pass (not even its hazard
+///   analysis), which is what makes it the reference: the differential
+///   suites hold the executor to bit-identical models *and* cycle stats.
 ///
 /// Construction is the expensive step (validation + lowering); it happens
 /// once at DEPLOY and the engine is then shared immutably (`Arc`) across
@@ -251,18 +252,7 @@ pub struct ExecutionEngine {
     /// Model-row elements gathered per tuple by the per-tuple program
     /// (precomputed for port-contention accounting).
     gather_elems: u64,
-    /// Slots per AU — the stride of the flat per-thread scratchpad.
-    slots: usize,
-    /// Flat indices of the input/label load slots (schema order).
-    input_flat: Vec<usize>,
-    output_flat: Vec<usize>,
-    /// Per-step hazard flags for the per-tuple / post-merge programs:
-    /// `true` when no op reads a scratchpad location another op in the
-    /// same step writes, so writes can apply immediately instead of going
-    /// through the read-before-write staging buffer.
-    per_tuple_direct: Vec<bool>,
-    post_merge_direct: Vec<bool>,
-    /// The deploy-time lowering of `design` (the hot path's program).
+    /// The deploy-time lowering of `design` (the program that runs).
     lowered: LoweredProgram,
 }
 
@@ -300,22 +290,6 @@ impl ExecutionEngine {
                 _ => 0,
             })
             .sum();
-        let slots = design.slots_per_au as usize;
-        let flat = |loc: &Loc| loc.au as usize * slots + loc.slot as usize;
-        let input_flat = design.input_slots.iter().map(flat).collect();
-        let output_flat = design.output_slots.iter().map(flat).collect();
-        let per_tuple_direct = design
-            .program
-            .per_tuple
-            .iter()
-            .map(|s| step_is_hazard_free(s, slots))
-            .collect();
-        let post_merge_direct = design
-            .program
-            .post_merge
-            .iter()
-            .map(|s| step_is_hazard_free(s, slots))
-            .collect();
         let lowered = match lowered {
             Some(lp) if lp.is_consistent_with(&design) => lp,
             _ => lower(&design),
@@ -323,11 +297,6 @@ impl ExecutionEngine {
         Ok(ExecutionEngine {
             design,
             gather_elems,
-            slots,
-            input_flat,
-            output_flat,
-            per_tuple_direct,
-            post_merge_direct,
             lowered,
         })
     }
@@ -342,8 +311,8 @@ impl ExecutionEngine {
     }
 
     /// Runs training to convergence (or the epoch cap), pulling tuples from
-    /// a streaming [`TupleSource`] — **the hot path**, executing the
-    /// deploy-time [`LoweredProgram`] group-at-a-time over the slot-major
+    /// a streaming [`TupleSource`], executing the deploy-time
+    /// [`LoweredProgram`] group-at-a-time over the slot-major
     /// SoA scratchpad. Batches are consumed as the source produces them —
     /// typically one per buffer-pool page — so extraction and compute
     /// interleave exactly as the paper's access/execution engine pipeline
@@ -352,71 +321,24 @@ impl ExecutionEngine {
     /// how the source happened to batch it.
     ///
     /// At each epoch boundary the source is rewound to replay the scan.
-    /// `store` holds the models and receives the result. Models and cycle
-    /// stats are bit-identical to both retained interpreter tiers.
+    /// `store` holds the models and receives the result. This is the one
+    /// serial epoch loop ([`run_training_guarded`]) under a guard that
+    /// never cancels and injects nothing.
     pub fn run_training(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
     ) -> EngineResult<EngineStats> {
-        self.lowered.run_streaming(&self.design, source, store)
-    }
-
-    /// [`ExecutionEngine::run_training`], also yielding the per-epoch
-    /// engine-cycle log (one delta per epoch run, summing to
-    /// `stats.cycles`) for the query-lifecycle trace's epoch spans.
-    pub fn run_training_logged(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<(EngineStats, Vec<u64>)> {
-        self.lowered
-            .run_streaming_logged(&self.design, source, store)
+        let never = CancelToken::none();
+        Ok(run_training_guarded(self, source, store, &RunGuard::new(&never))?.stats)
     }
 
     /// Starts an epoch-at-a-time [`crate::lowered::TrainingSession`] over
-    /// the deploy-time lowering. `run_training` is exactly an epoch loop
-    /// over one of these; the gang-scheduled shard executor runs one per
-    /// shard and merges models at every epoch boundary.
+    /// the deploy-time lowering. The serial epoch loop runs one of these;
+    /// the gang-scheduled shard executor runs one per shard and merges
+    /// models at every epoch boundary.
     pub fn training_session(&self) -> crate::lowered::TrainingSession<'_> {
         crate::lowered::TrainingSession::new(&self.lowered, self.design.num_threads as usize)
-    }
-
-    /// The retained streaming flat-scratchpad interpreter — the
-    /// pre-lowering hot path, kept verbatim as the second reference tier
-    /// for differential testing (and the `engine_hot_loop` benchmark's
-    /// baseline). Dispatches `MicroOp`/`Src` per op per tuple.
-    pub fn run_training_interpreter(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<EngineStats> {
-        let d = &self.design;
-        let width = d.input_slots.len() + d.output_slots.len();
-        if source.width() != width {
-            return Err(EngineError::TupleWidth {
-                got: source.width(),
-                expected: width,
-            });
-        }
-        let mut mem = self.fresh_flat_memory();
-        // Reusable per-step write buffer: cleared between steps, allocated
-        // once per run (the old path allocated one per step per tuple).
-        let mut writes: Vec<(usize, f32)> = Vec::new();
-        let mut stats = EngineStats::default();
-        let max_epochs = d.convergence.max_epochs();
-        for epoch in 0..max_epochs {
-            if epoch > 0 {
-                source.rewind().map_err(EngineError::from)?;
-            }
-            let converged = self.run_epoch(source, store, &mut mem, &mut writes, &mut stats)?;
-            stats.epochs_run += 1;
-            if converged {
-                stats.converged_early = true;
-                break;
-            }
-        }
-        Ok(stats)
     }
 
     /// [`ExecutionEngine::run_training`] over one materialized batch.
@@ -426,37 +348,6 @@ impl ExecutionEngine {
         store: &mut ModelStore,
     ) -> EngineResult<EngineStats> {
         self.run_training(&mut OneBatchSource::new(batch), store)
-    }
-
-    /// [`ExecutionEngine::run_training_interpreter`] over one materialized
-    /// batch.
-    pub fn run_training_interpreter_batch(
-        &self,
-        batch: &TupleBatch,
-        store: &mut ModelStore,
-    ) -> EngineResult<EngineStats> {
-        self.run_training_interpreter(&mut OneBatchSource::new(batch), store)
-    }
-
-    /// Flat per-thread scratchpad (one contiguous `aus × slots` vec per
-    /// thread, operands indexed as `au * slots + slot`) with meta constants
-    /// loaded — configuration data, loaded once, to every thread.
-    fn fresh_flat_memory(&self) -> Vec<Vec<f32>> {
-        let d = &self.design;
-        let words = d.aus_per_thread() as usize * self.slots;
-        let mut mem: Vec<Vec<f32>> = (0..d.num_threads).map(|_| vec![0.0f32; words]).collect();
-        for m in &mut mem {
-            for (loc, v) in &d.meta {
-                m[self.flat(loc)] = *v;
-            }
-        }
-        mem
-    }
-
-    /// Flat scratchpad index of a (AU, slot) location.
-    #[inline]
-    fn flat(&self, loc: &Loc) -> usize {
-        loc.au as usize * self.slots + loc.slot as usize
     }
 
     /// Nested per-thread scratchpad for the retained reference path
@@ -474,105 +365,11 @@ impl ExecutionEngine {
         mem
     }
 
-    /// Runs one streaming epoch; returns whether the convergence condition
-    /// fired. Tuples accumulate into thread groups of `num_threads`; a
-    /// group flushes (merge → post-merge → write-back) when full, and the
-    /// final partial group flushes at end of scan.
-    fn run_epoch(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-        mem: &mut [Vec<f32>],
-        writes: &mut Vec<(usize, f32)>,
-        stats: &mut EngineStats,
-    ) -> EngineResult<bool> {
-        let d = &self.design;
-        let threads = (d.num_threads as usize).max(1);
-        let width = d.input_slots.len() + d.output_slots.len();
-        let mut active = 0usize;
-        while let Some(batch) = source.next_batch().map_err(EngineError::from)? {
-            if batch.width() != width {
-                return Err(EngineError::TupleWidth {
-                    got: batch.width(),
-                    expected: width,
-                });
-            }
-            for tuple in batch.rows() {
-                if active == 0 {
-                    self.broadcast_models(store, mem, stats);
-                }
-                // Per-tuple programs run in lockstep across active threads.
-                self.load_tuple(&mut mem[active], tuple);
-                self.exec_steps(
-                    &d.program.per_tuple,
-                    &self.per_tuple_direct,
-                    active,
-                    mem,
-                    writes,
-                    store,
-                )?;
-                active += 1;
-                if active == threads {
-                    self.flush_group(active, mem, writes, store, stats)?;
-                    active = 0;
-                }
-            }
-        }
-        if active > 0 {
-            self.flush_group(active, mem, writes, store, stats)?;
-        }
-        stats.cycles = stats.compute_cycles + stats.merge_cycles + stats.broadcast_cycles;
-        // Convergence condition: evaluated once per epoch (§4.4) on the
-        // state left by the final group.
-        if let ConvergenceCheck::Condition { slot, .. } = &d.convergence {
-            let v = mem[0][self.flat(slot)];
-            return Ok(v != 0.0);
-        }
-        Ok(false)
-    }
-
-    /// Completes one thread group of `active` loaded tuples: charge the
-    /// lockstep per-tuple program, merge on the tree bus, run the
-    /// post-merge program on thread 0, and write models back.
-    fn flush_group(
-        &self,
-        active: usize,
-        mem: &mut [Vec<f32>],
-        writes: &mut Vec<(usize, f32)>,
-        store: &mut ModelStore,
-        stats: &mut EngineStats,
-    ) -> EngineResult<()> {
-        let d = &self.design;
-        stats.compute_cycles += d.program.per_tuple_cycles();
-        // Model-memory port contention: all threads' row gathers share
-        // MODEL_PORTS BRAM ports.
-        if self.gather_elems > 0 {
-            stats.merge_cycles += (active as u64 * self.gather_elems).div_ceil(MODEL_PORTS);
-        }
-        // Tree-bus merge into thread 0.
-        stats.merge_cycles += self.merge(active, mem);
-        // Post-merge program on thread 0.
-        self.exec_steps(
-            &d.program.post_merge,
-            &self.post_merge_direct,
-            0,
-            mem,
-            writes,
-            store,
-        )?;
-        stats.compute_cycles += d.program.post_merge_cycles();
-        // Model write-back.
-        stats.merge_cycles += self.write_models(active, mem, store)?;
-        stats.batches += 1;
-        stats.tuples_processed += active as u64;
-        Ok(())
-    }
-
-    /// Reference per-tuple training path over `Vec<f32>` rows — the
-    /// pre-streaming implementation, retained verbatim for differential
-    /// testing of the batch pipeline (`tests/equivalence.rs` holds the two
-    /// paths to bit-identical trained models). Never used on the
-    /// deploy/execute hot path.
+    /// The reference: per-tuple `MicroOp` interpretation over `Vec<f32>`
+    /// rows, every step's writes staged (register-file semantics, no
+    /// hazard analysis). The differential suites hold `run_training` to
+    /// bit-identical models and stats against it. Never used on the
+    /// deploy/execute path.
     pub fn run_training_rows(
         &self,
         tuples: &[Vec<f32>],
@@ -639,221 +436,12 @@ impl ExecutionEngine {
         Ok(false)
     }
 
-    /// Streams dense models from model memory to every thread's scratchpad.
-    fn broadcast_models(&self, store: &ModelStore, mem: &mut [Vec<f32>], stats: &mut EngineStats) {
-        for (mi, mdesc) in self.design.models.iter().enumerate() {
-            let Some(slots) = &mdesc.broadcast_slots else {
-                continue;
-            };
-            let values = store.model(mi);
-            for m in mem.iter_mut() {
-                for (loc, v) in slots.iter().zip(values) {
-                    m[self.flat(loc)] = *v;
-                }
-            }
-            // One stream over the shared bus; all threads listen.
-            stats.broadcast_cycles += (values.len() as u64).div_ceil(BUS_WORDS);
-        }
-    }
-
-    fn load_tuple(&self, thread_mem: &mut [f32], tuple: &[f32]) {
-        for (k, &i) in self.input_flat.iter().enumerate() {
-            thread_mem[i] = tuple[k];
-        }
-        let base = self.input_flat.len();
-        for (k, &i) in self.output_flat.iter().enumerate() {
-            thread_mem[i] = tuple[base + k];
-        }
-    }
-
-    /// Executes steps on the flat scratchpad. Hazard-free steps (see the
-    /// `*_direct` flags) apply writes immediately; steps with an
-    /// intra-step read-after-write go through `writes`, the reusable
-    /// read-before-write staging buffer (register-file semantics).
-    fn exec_steps(
-        &self,
-        steps: &[Step],
-        direct: &[bool],
-        thread: usize,
-        mem: &mut [Vec<f32>],
-        writes: &mut Vec<(usize, f32)>,
-        store: &mut ModelStore,
-    ) -> EngineResult<()> {
-        for (step, &is_direct) in steps.iter().zip(direct) {
-            if is_direct {
-                let (t_mem, _) = mem.split_at_mut(thread + 1);
-                let t_mem = &mut t_mem[thread];
-                for op in &step.ops {
-                    match op {
-                        MicroOp::Alu { au, op, a, b, dst } => {
-                            let av = self.read(t_mem, a);
-                            let bv = self.read(t_mem, b);
-                            t_mem[*au as usize * self.slots + *dst as usize] = op.apply(av, bv);
-                        }
-                        MicroOp::Gather { model, index, dst } => {
-                            let row = self.row_index(t_mem, index, *model)?;
-                            let mdesc = &self.design.models[*model as usize];
-                            let base = row * mdesc.cols;
-                            let values = store.model(*model as usize);
-                            for (k, loc) in dst.iter().enumerate() {
-                                t_mem[self.flat(loc)] = values[base + k];
-                            }
-                        }
-                        MicroOp::Scatter { model, index, src } => {
-                            let row = self.row_index(t_mem, index, *model)?;
-                            let mdesc = &self.design.models[*model as usize];
-                            let base = row * mdesc.cols;
-                            let m = store.model_mut(*model as usize);
-                            for (k, loc) in src.iter().enumerate() {
-                                m[base + k] = t_mem[self.flat(loc)];
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            writes.clear();
-            for op in &step.ops {
-                match op {
-                    MicroOp::Alu { au, op, a, b, dst } => {
-                        let av = self.read(&mem[thread], a);
-                        let bv = self.read(&mem[thread], b);
-                        writes.push((*au as usize * self.slots + *dst as usize, op.apply(av, bv)));
-                    }
-                    MicroOp::Gather { model, index, dst } => {
-                        let row = self.row_index(&mem[thread], index, *model)?;
-                        let base = row * self.design.models[*model as usize].cols;
-                        let values = store.model(*model as usize);
-                        for (k, loc) in dst.iter().enumerate() {
-                            writes.push((self.flat(loc), values[base + k]));
-                        }
-                    }
-                    MicroOp::Scatter { model, index, src } => {
-                        let row = self.row_index(&mem[thread], index, *model)?;
-                        let base = row * self.design.models[*model as usize].cols;
-                        let t_mem = &mem[thread];
-                        let m = store.model_mut(*model as usize);
-                        for (k, loc) in src.iter().enumerate() {
-                            m[base + k] = t_mem[self.flat(loc)];
-                        }
-                    }
-                }
-            }
-            let t_mem = &mut mem[thread];
-            for &(i, v) in writes.iter() {
-                t_mem[i] = v;
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn read(&self, thread_mem: &[f32], src: &Src) -> f32 {
-        match src {
-            Src::Slot(l) => thread_mem[self.flat(l)],
-            Src::Const(c) => *c,
-        }
-    }
-
-    fn row_index(&self, thread_mem: &[f32], index: &Src, model: u8) -> EngineResult<usize> {
-        let raw = self.read(thread_mem, index);
-        let row = raw.round() as i64;
-        let rows = self.design.models[model as usize].rows;
-        if row < 0 || row as usize >= rows {
-            return Err(EngineError::RowOutOfRange { model, row, rows });
-        }
-        Ok(row as usize)
-    }
-
-    /// Tree-bus merge of the designated variable into thread 0. Returns the
-    /// cycles charged.
-    fn merge(&self, active: usize, mem: &mut [Vec<f32>]) -> u64 {
-        let MergePlan::Whole { op, slots } = &self.design.merge else {
-            return 0;
-        };
-        if active <= 1 {
-            return 0;
-        }
-        for loc in slots {
-            let i = self.flat(loc);
-            let mut acc = mem[0][i];
-            for t in mem.iter().take(active).skip(1) {
-                let v = t[i];
-                acc = match op {
-                    MergeOp::Sum | MergeOp::Avg => acc + v,
-                    MergeOp::Max => acc.max(v),
-                };
-            }
-            if *op == MergeOp::Avg {
-                acc /= active as f32;
-            }
-            mem[0][i] = acc;
-        }
-        // Elements stream through a log-depth ALU tree.
-        slots.len() as u64 + (64 - (active as u64 - 1).leading_zeros() as u64)
-    }
-
-    /// Applies model write-backs; returns tree-bus cycles charged.
-    fn write_models(
-        &self,
-        active: usize,
-        mem: &[Vec<f32>],
-        store: &mut ModelStore,
-    ) -> EngineResult<u64> {
-        let mut cycles = 0u64;
-        for w in &self.design.model_writes {
-            match w {
-                ModelWrite::Whole { model, src } => {
-                    let m = store.model_mut(*model as usize);
-                    debug_assert_eq!(m.len(), src.len());
-                    for (k, loc) in src.iter().enumerate() {
-                        m[k] = mem[0][self.flat(loc)];
-                    }
-                    cycles += (src.len() as u64).div_ceil(BUS_WORDS);
-                }
-                ModelWrite::Row { model, index, src } => {
-                    // Validate every thread's row index before charging or
-                    // touching model memory: an out-of-range row must not
-                    // inflate `merge_cycles` (or half-apply the scatter)
-                    // on the error path.
-                    let mdesc = &self.design.models[*model as usize];
-                    for t_mem in mem.iter().take(active) {
-                        let row = t_mem[self.flat(index)].round() as i64;
-                        if row < 0 || row as usize >= mdesc.rows {
-                            return Err(EngineError::RowOutOfRange {
-                                model: *model,
-                                row,
-                                rows: mdesc.rows,
-                            });
-                        }
-                    }
-                    // Every active thread scatters its rows through the
-                    // shared model-memory ports — the LRMF merge overhead
-                    // of §7.2.
-                    cycles += (active as u64 * src.len() as u64).div_ceil(MODEL_PORTS);
-                    let m = store.model_mut(*model as usize);
-                    for t_mem in mem.iter().take(active) {
-                        let base = t_mem[self.flat(index)].round() as usize * mdesc.cols;
-                        for (k, loc) in src.iter().enumerate() {
-                            m[base + k] = t_mem[self.flat(loc)];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(cycles)
-    }
-
-    // ---- retained reference interpreter (pre-streaming representation) ----
+    // ---- reference interpreter helpers ----
     //
-    // These are the pre-refactor helper implementations: nested
-    // thread→AU→slot scratchpads and a per-step write vec. They exist so
-    // `run_training_rows` is a faithful baseline — both for differential
-    // correctness tests and for the microbenchmarks' before/after
-    // comparisons. (Two semantics-preserving cleanups are applied to both
-    // interpreter tiers: model-slice lookups hoisted out of per-element
-    // gather/scatter loops, and row write-back validation moved ahead of
-    // cycle charging.)
+    // Nested thread→AU→slot scratchpads and a per-step write vec: written
+    // independently of `lowered.rs` on purpose, so a bug in the lowering
+    // (offset resolution, hazard staging, constant folding) cannot be
+    // mirrored here.
 
     fn broadcast_models_rows(
         &self,
@@ -994,7 +582,10 @@ impl ExecutionEngine {
                     cycles += (src.len() as u64).div_ceil(BUS_WORDS);
                 }
                 ModelWrite::Row { model, index, src } => {
-                    // Validate-then-charge, mirroring `write_models`.
+                    // Validate every thread's row index before charging
+                    // or touching model memory: an out-of-range row must
+                    // not inflate `merge_cycles` (or half-apply the
+                    // scatter) on the error path.
                     let mdesc = &self.design.models[*model as usize];
                     for t_mem in mem.iter().take(active) {
                         let row = t_mem[index.au as usize][index.slot as usize].round() as i64;
@@ -1022,7 +613,7 @@ impl ExecutionEngine {
     }
 
     /// Static per-batch cycle estimate (used by the compiler's performance
-    /// estimator; tests pin it to the interpreter's accounting).
+    /// estimator; tests pin it to the executor's accounting).
     pub fn estimated_batch_cycles(&self, active: usize) -> u64 {
         let d = &self.design;
         let mut c = d.program.per_tuple_cycles() + d.program.post_merge_cycles();
@@ -1049,41 +640,6 @@ impl ExecutionEngine {
         }
         c
     }
-}
-
-/// True when no op in `step` reads a scratchpad location that another op
-/// in the same step writes — i.e. immediate write application is
-/// indistinguishable from the hardware's read-before-write register-file
-/// semantics. (Write-write collisions resolve in program order on both
-/// paths, so only read-after-write forces staging. Scatter store writes
-/// and Gather store reads happen in program order on both paths too.)
-pub(crate) fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
-    let flat = |au: u16, slot: u16| au as usize * slots + slot as usize;
-    let mut written: Vec<usize> = Vec::new();
-    for op in &step.ops {
-        match op {
-            MicroOp::Alu { au, dst, .. } => written.push(flat(*au, *dst)),
-            MicroOp::Gather { dst, .. } => written.extend(dst.iter().map(|l| flat(l.au, l.slot))),
-            MicroOp::Scatter { .. } => {}
-        }
-    }
-    let reads_written = |src: &Src| match src {
-        Src::Slot(l) => written.contains(&flat(l.au, l.slot)),
-        Src::Const(_) => false,
-    };
-    for op in &step.ops {
-        let hazard = match op {
-            MicroOp::Alu { a, b, .. } => reads_written(a) || reads_written(b),
-            MicroOp::Gather { index, .. } => reads_written(index),
-            MicroOp::Scatter { index, src, .. } => {
-                reads_written(index) || src.iter().any(|l| written.contains(&flat(l.au, l.slot)))
-            }
-        };
-        if hazard {
-            return false;
-        }
-    }
-    true
 }
 
 /// Structural validation of a design's program.

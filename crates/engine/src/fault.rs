@@ -13,13 +13,14 @@
 //! * [`FaultPlan`] — a deterministic injection plan for tests and smoke
 //!   runs. Faults fire at exact epoch boundaries with a bounded budget, so
 //!   a seeded test replays bit-identically: no timers, no randomness.
-//! * [`run_training_guarded`] — the serial epoch loop (identical to
-//!   [`crate::backend::CpuBackend`]/[`crate::backend::FpgaBackend`]'s,
-//!   hence bit-identical models) with cancellation checks, fault
-//!   injection, and bounded-exponential-backoff retry that warm-starts
-//!   from the last completed epoch's model snapshot — Bismarck's
-//!   observation that epoch-structured UDA training is naturally
-//!   restartable from a model snapshot, applied to fault recovery.
+//! * [`run_training_guarded`] — **the** serial epoch loop (every
+//!   unguarded entry point, [`ExecutionEngine::run_training`] and both
+//!   backends, is this loop under a guard that never fires) with
+//!   cancellation checks, fault injection, and
+//!   bounded-exponential-backoff retry that warm-starts from the last
+//!   completed epoch's model snapshot — Bismarck's observation that
+//!   epoch-structured UDA training is naturally restartable from a model
+//!   snapshot, applied to fault recovery.
 //!
 //! Injection happens *at* epoch boundaries — before any of the epoch's
 //! tuples are processed — so a retried epoch re-runs from exactly the
@@ -320,9 +321,9 @@ pub struct GuardedRun {
     pub events: FaultEvents,
 }
 
-/// The guarded serial epoch loop. Identical per-epoch code to the plain
-/// backends — an undisturbed guarded run is bit-identical in models and
-/// stats — plus, at every epoch boundary:
+/// The serial epoch loop — the only one on the serial training path. An
+/// undisturbed run (no plan, a token that never cancels) just rewinds and
+/// runs epochs; otherwise, at every epoch boundary:
 ///
 /// 1. a cooperative [`CancelToken::check`] (typed
 ///    [`EngineError::DeadlineExceeded`] on expiry);
@@ -345,8 +346,11 @@ pub fn run_training_guarded(
     let mut epochs_run = 0u32;
     let mut converged_early = false;
     let mut events = FaultEvents::default();
-    // Last epoch-boundary snapshot (initial models before epoch 0).
-    let mut snapshot = store.snapshot();
+    // Last epoch-boundary snapshot (initial models before epoch 0). Only
+    // a fault plan can trigger `restore`, so runs without one skip the
+    // per-epoch model clone.
+    let snapshot_of = |store: &ModelStore| guard.fault.map(|_| store.snapshot());
+    let mut snapshot = snapshot_of(store);
     let mut epoch = 0u32;
     // Consecutive failed attempts at the current epoch boundary.
     let mut attempt = 0u32;
@@ -368,7 +372,10 @@ pub fn run_training_guarded(
                 std::thread::sleep(pause);
                 // Bismarck-style warm start: restore the last completed
                 // epoch's model snapshot, then re-run this epoch.
-                store.restore(&snapshot)?;
+                let last = snapshot
+                    .as_deref()
+                    .expect("snapshot kept under a fault plan");
+                store.restore(last)?;
                 continue;
             }
         }
@@ -377,7 +384,7 @@ pub fn run_training_guarded(
         }
         let converged = session.run_epoch(source, store)?;
         epochs_run += 1;
-        snapshot = store.snapshot();
+        snapshot = snapshot_of(store);
         attempt = 0;
         epoch += 1;
         if converged {
@@ -396,6 +403,8 @@ pub fn run_training_guarded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::{linreg_design, tuples};
+    use dana_storage::{OneBatchSource, TupleBatch};
 
     #[test]
     fn token_none_never_cancels() {
@@ -471,5 +480,34 @@ mod tests {
         a.absorb(&b);
         assert!(!a.is_quiet());
         assert_eq!(a.faulted_shards, vec![2]);
+    }
+
+    #[test]
+    fn quiet_guard_is_run_training_and_a_faulted_run_recovers_bit_identically() {
+        let design = linreg_design(4); // three epochs
+        let engine = ExecutionEngine::new(design.clone()).unwrap();
+        let batch = TupleBatch::from_rows(2, tuples(53));
+        let mut plain_store = ModelStore::zeroed(&design);
+        let plain = engine
+            .run_training(&mut OneBatchSource::new(&batch), &mut plain_store)
+            .unwrap();
+
+        let never = CancelToken::none();
+        let plan = FaultPlan::transient_at_epoch(1, 2);
+        let mut logs = Vec::new();
+        for (fault, retries) in [(None, 0), (Some(&plan), 2)] {
+            let guard = RunGuard::new(&never).with_fault(fault);
+            let mut store = ModelStore::zeroed(&design);
+            let mut source = OneBatchSource::new(&batch);
+            let run = run_training_guarded(&engine, &mut source, &mut store, &guard).unwrap();
+            assert_eq!(store, plain_store, "retries {retries}");
+            assert_eq!(run.stats, plain, "retries {retries}");
+            assert_eq!(run.events.retries, retries);
+            assert_eq!(run.epoch_cycles.iter().sum::<u64>(), plain.cycles);
+            logs.push(run.epoch_cycles);
+        }
+        assert_eq!(logs[0].len(), 3);
+        assert_eq!(logs[0], logs[1]);
+        assert_eq!(plan.injected(), 2);
     }
 }

@@ -26,22 +26,23 @@
 //!   (Table 1's operation set), plus row `Gather`/`Scatter` against model
 //!   memory for LRMF.
 //!
-//! Execution is two-tier. The hot path is the **deploy-time-lowered SoA
-//! lockstep executor** ([`lowered`]): the scheduled program is lowered
-//! once — at deploy — into flat pre-resolved ops (raw scratchpad offsets,
-//! inlined constants, statically staged hazards, pre-bound model shapes)
-//! and executed group-at-a-time over a slot-major structure-of-arrays
+//! There is one training executor: the **deploy-time-lowered SoA lockstep
+//! executor** ([`lowered`]). The scheduled program is lowered once — at
+//! deploy — into flat pre-resolved ops (raw scratchpad offsets, inlined
+//! constants, statically staged hazards, pre-bound model shapes) and
+//! executed group-at-a-time over a slot-major structure-of-arrays
 //! scratchpad, one tight inner loop per op across all lockstep threads.
-//! The original interpreters ([`ExecutionEngine::run_training_interpreter`]
-//! over the flat scratchpad, [`ExecutionEngine::run_training_rows`] over
-//! the nested one) are retained as differential-testing reference tiers.
+//! Every serial run goes through one epoch loop
+//! ([`run_training_guarded`]). [`ExecutionEngine::run_training_rows`], a
+//! direct `MicroOp` interpreter that shares nothing with the lowering
+//! pass, is kept as the one reference the executor is tested against.
 //!
-//! Every tier is functional *and* cycle-accurate: it computes real f32
+//! Both are functional *and* cycle-accurate: they compute real f32
 //! results (trained models are checked against software references in the
 //! integration tests) while charging the static schedule's cycle cost —
 //! the same cost the compiler's performance estimator predicts. The
-//! equivalence and differential suites hold all tiers bit-identical in
-//! models and stats.
+//! equivalence and differential suites hold them bit-identical in models
+//! and stats.
 
 pub mod backend;
 pub mod engine;

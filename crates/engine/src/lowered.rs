@@ -1,12 +1,12 @@
 //! Deploy-time program lowering and the SoA lockstep executor — the
-//! engine's hot path.
+//! engine's one training executor.
 //!
 //! The paper's premise is that all resolution work happens at DEPLOY:
 //! "the hDFG does not change, there is no hardware managed cache, and the
-//! accelerator architecture is fixed during execution" (§6.1). The
-//! [`crate::engine::ExecutionEngine`] interpreter honors that for cycle
-//! *accounting* but still pays interpretation cost per op per tuple:
-//! `MicroOp`/`Src` enum dispatch, `au * slots + slot` flattening, and a
+//! accelerator architecture is fixed during execution" (§6.1).
+//! Interpreting the design's `MicroOp`s directly (as the rows reference,
+//! [`crate::engine::ExecutionEngine::run_training_rows`], does) pays per
+//! op per tuple: `MicroOp`/`Src` enum dispatch, `Loc` indexing, and a
 //! dynamic read-before-write staging buffer for intra-step hazards.
 //!
 //! [`lower`] runs once, at deploy, and removes all of it:
@@ -26,20 +26,20 @@
 //! tight, auto-vectorizable inner loop — the software analogue of the
 //! paper's lockstep thread model (§5.2). Programs whose per-tuple region
 //! touches the shared model memory (LRMF's gather/scatter) run
-//! thread-at-a-time instead, preserving the interpreter's thread ordering
+//! thread-at-a-time instead, preserving the reference's thread ordering
 //! of model-memory traffic exactly.
 //!
-//! The executor is held bit-identical to both retained interpreter tiers
-//! (`run_training_interpreter`, `run_training_rows`) — models *and* cycle
-//! stats — by the equivalence suite and the randomized differential tests
-//! in `tests/lowered_differential.rs`.
+//! The executor is held bit-identical to the rows reference — models *and*
+//! cycle stats — by the equivalence suite and the randomized differential
+//! tests in `tests/lowered_differential.rs`. The reference stages every
+//! step's writes and never consults `step_is_hazard_free`, so a bug in
+//! the hazard analysis below shows up as a divergence.
 
 use dana_dsl::MergeOp;
 use dana_storage::TupleSource;
 
 use crate::engine::{
-    step_is_hazard_free, EngineDesign, EngineStats, MergePlan, ModelStore, ModelWrite, BUS_WORDS,
-    MODEL_PORTS,
+    EngineDesign, EngineStats, MergePlan, ModelStore, ModelWrite, BUS_WORDS, MODEL_PORTS,
 };
 use crate::error::{EngineError, EngineResult};
 use crate::isa::{AluOp, Loc, MicroOp, Src, Step};
@@ -128,7 +128,7 @@ pub enum LoweredModelWrite {
 /// The deploy-time lowering artifact: everything the runtime loop needs,
 /// pre-resolved. Produced once by [`lower`] (at compile/deploy), carried
 /// through the catalog inside the accelerator's artifact blob, and
-/// executed by [`LoweredProgram::run_streaming`].
+/// executed epoch-at-a-time by a [`TrainingSession`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LoweredProgram {
     /// Architectural words per thread (`aus × slots_per_au`).
@@ -140,7 +140,7 @@ pub struct LoweredProgram {
     pub(crate) post_merge: Vec<LoweredOp>,
     /// True when the per-tuple region reads or writes the shared model
     /// memory (gather/scatter): threads then execute one at a time so
-    /// model-memory traffic interleaves exactly as on the interpreter.
+    /// model-memory traffic interleaves exactly as on the reference.
     /// Dense programs run op-lockstep across the whole group.
     pub(crate) sequential: bool,
     pub(crate) input_offsets: Vec<u32>,
@@ -315,6 +315,41 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
         post_merge_cycles: d.program.post_merge_cycles(),
         gather_elems,
     }
+}
+
+/// True when no op in `step` reads a scratchpad location that another op
+/// in the same step writes — i.e. immediate write application is
+/// indistinguishable from the hardware's read-before-write register-file
+/// semantics. (Write-write collisions resolve in program order on both
+/// paths, so only read-after-write forces staging. Scatter store writes
+/// and Gather store reads happen in program order on both paths too.)
+fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
+    let flat = |au: u16, slot: u16| au as usize * slots + slot as usize;
+    let mut written: Vec<usize> = Vec::new();
+    for op in &step.ops {
+        match op {
+            MicroOp::Alu { au, dst, .. } => written.push(flat(*au, *dst)),
+            MicroOp::Gather { dst, .. } => written.extend(dst.iter().map(|l| flat(l.au, l.slot))),
+            MicroOp::Scatter { .. } => {}
+        }
+    }
+    let reads_written = |src: &Src| match src {
+        Src::Slot(l) => written.contains(&flat(l.au, l.slot)),
+        Src::Const(_) => false,
+    };
+    for op in &step.ops {
+        let hazard = match op {
+            MicroOp::Alu { a, b, .. } => reads_written(a) || reads_written(b),
+            MicroOp::Gather { index, .. } => reads_written(index),
+            MicroOp::Scatter { index, src, .. } => {
+                reads_written(index) || src.iter().any(|l| written.contains(&flat(l.au, l.slot)))
+            }
+        };
+        if hazard {
+            return false;
+        }
+    }
+    true
 }
 
 fn lower_idx(index: &Src, flat: &impl Fn(&Loc) -> u32) -> LowIdx {
@@ -531,47 +566,6 @@ impl LoweredProgram {
         }
     }
 
-    /// Runs training to convergence from a streaming source — the lowered
-    /// twin of the interpreter's `run_training`, bit-identical in models
-    /// and stats. Internally this is just the epoch loop over a
-    /// [`TrainingSession`], so the serial path and the gang-scheduled
-    /// shard path (which merges models at every epoch boundary) execute
-    /// the exact same per-epoch code.
-    pub(crate) fn run_streaming(
-        &self,
-        d: &EngineDesign,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<EngineStats> {
-        Ok(self.run_streaming_logged(d, source, store)?.0)
-    }
-
-    /// [`LoweredProgram::run_streaming`], also yielding the per-epoch
-    /// cycle log.
-    pub(crate) fn run_streaming_logged(
-        &self,
-        d: &EngineDesign,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-    ) -> EngineResult<(EngineStats, Vec<u64>)> {
-        let mut session = TrainingSession::new(self, d.num_threads as usize);
-        let max_epochs = d.convergence.max_epochs();
-        let mut epochs_run = 0u32;
-        let mut converged_early = false;
-        for epoch in 0..max_epochs {
-            if epoch > 0 {
-                source.rewind().map_err(EngineError::from)?;
-            }
-            let converged = session.run_epoch(source, store)?;
-            epochs_run += 1;
-            if converged {
-                converged_early = true;
-                break;
-            }
-        }
-        Ok(session.finish_logged(epochs_run, converged_early))
-    }
-
     /// One streaming epoch: buffer tuples into the group, flush full
     /// groups, flush the final partial group at end of scan. Returns
     /// whether the convergence condition fired.
@@ -613,7 +607,7 @@ impl LoweredProgram {
 
     /// One thread group: broadcast → load → per-tuple program (lockstep or
     /// sequential) → merge → post-merge on thread 0 → model write-back.
-    /// The broadcast→load→execute ordering matches the interpreter's
+    /// The broadcast→load→execute ordering matches the reference's
     /// per-group sequence exactly.
     fn flush_group(
         &self,
@@ -755,12 +749,12 @@ impl LoweredProgram {
 /// supplied per epoch by the caller.
 ///
 /// This is the seam intra-query data parallelism hangs off: the serial
-/// path (`run_streaming`) loops epochs over one session, while the gang
-/// executor in `dana-parallel` runs one session **per shard**, joins them
-/// at every epoch boundary, and feeds each the *merged* model for the
-/// next epoch. Because both paths share this per-epoch code verbatim, a
-/// one-shard gang is bit-identical — models and stats — to the serial
-/// run.
+/// path ([`crate::fault::run_training_guarded`]) loops epochs over one
+/// session, while the gang executor in `dana-parallel` runs one session
+/// **per shard**, joins them at every epoch boundary, and feeds each the
+/// *merged* model for the next epoch. Because both paths share this
+/// per-epoch code verbatim, a one-shard gang is bit-identical — models
+/// and stats — to the serial run.
 pub struct TrainingSession<'e> {
     lowered: &'e LoweredProgram,
     ws: SoaWorkspace,
@@ -1068,7 +1062,9 @@ mod tests {
             "staging drains expected: {:?}",
             lp.per_tuple
         );
-        // And the staged execution matches the interpreter bit-for-bit.
+        // And the staged execution matches the rows reference — which
+        // stages every step and never runs the hazard analysis — bit for
+        // bit: drop the staging from `lower` and this fails.
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
         let tuples: Vec<Vec<f32>> = (0..13).map(|k| vec![k as f32 * 0.5 - 2.0]).collect();
         let batch = TupleBatch::from_rows(1, &tuples);
@@ -1076,12 +1072,10 @@ mod tests {
         let lowered_stats = engine
             .run_training_batch(&batch, &mut lowered_store)
             .unwrap();
-        let mut interp_store = ModelStore::zeroed(&d);
-        let interp_stats = engine
-            .run_training_interpreter_batch(&batch, &mut interp_store)
-            .unwrap();
-        assert_eq!(lowered_store, interp_store);
-        assert_eq!(lowered_stats, interp_stats);
+        let mut rows_store = ModelStore::zeroed(&d);
+        let rows_stats = engine.run_training_rows(&tuples, &mut rows_store).unwrap();
+        assert_eq!(lowered_store, rows_store);
+        assert_eq!(lowered_stats, rows_stats);
     }
 
     #[test]
@@ -1211,19 +1205,19 @@ mod tests {
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
         // Thread 0 in range (would write), thread 1 out of range: the whole
         // write-back must refuse before touching the store.
-        let batch = TupleBatch::from_rows(1, &[vec![0.0], vec![9.0]]);
-        for run in [
-            crate::ExecutionEngine::run_training_batch,
-            crate::ExecutionEngine::run_training_interpreter_batch,
-        ] {
+        let tuples = [vec![0.0], vec![9.0]];
+        let batch = TupleBatch::from_rows(1, &tuples);
+        let refuses = |run: &dyn Fn(&mut ModelStore) -> EngineResult<EngineStats>| {
             let mut store = ModelStore::new(&d, vec![vec![-1.0, -2.0]]).unwrap();
-            let err = run(&engine, &batch, &mut store).unwrap_err();
+            let err = run(&mut store).unwrap_err();
             assert!(matches!(err, EngineError::RowOutOfRange { .. }));
             assert_eq!(
                 store.model(0),
                 &[-1.0, -2.0],
                 "no partial scatter on the error path"
             );
-        }
+        };
+        refuses(&|store| engine.run_training_batch(&batch, store));
+        refuses(&|store| engine.run_training_rows(&tuples, store));
     }
 }

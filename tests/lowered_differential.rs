@@ -1,11 +1,10 @@
 //! Randomized differential tests for the deploy-time-lowered SoA
 //! executor.
 //!
-//! The lowered executor is the hot path; its correctness contract is
-//! *bit-identity* with the two retained reference tiers — the streaming
-//! flat-scratchpad interpreter (`run_training_interpreter`) and the
-//! original per-tuple rows interpreter (`run_training_rows`) — in both
-//! trained models and cycle stats. These properties fuzz that contract
+//! The lowered executor is the only training executor; its correctness
+//! contract is *bit-identity* with the rows reference interpreter
+//! (`run_training_rows`, which shares no code with the lowering pass) in
+//! both trained models and cycle stats. These properties fuzz that contract
 //! over randomized small DSL programs (linear/logistic/SVM and LRMF's
 //! gather/scatter programs), lockstep thread counts 1/4/16, random tuple
 //! streams, and every execution mode of the full `Dana` pipeline.
@@ -38,33 +37,26 @@ fn synth_tuples(n: usize, width: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs all three tiers on the same design + tuples and asserts models and
-/// stats are bit-identical.
-fn assert_three_tier_identical(engine: &ExecutionEngine, tuples: &[Vec<f32>], label: &str) {
+/// Runs the lowered executor and the rows reference on the same design +
+/// tuples and asserts models and stats are bit-identical.
+fn assert_lowered_matches_rows(engine: &ExecutionEngine, tuples: &[Vec<f32>], label: &str) {
     let design = engine.design();
     let batch = TupleBatch::from_rows(tuples[0].len(), tuples);
 
     let mut lowered = ModelStore::new(design, initial_models(design)).unwrap();
     let lowered_stats = engine.run_training_batch(&batch, &mut lowered).unwrap();
 
-    let mut interp = ModelStore::new(design, initial_models(design)).unwrap();
-    let interp_stats = engine
-        .run_training_interpreter_batch(&batch, &mut interp)
-        .unwrap();
-
     let mut rows = ModelStore::new(design, initial_models(design)).unwrap();
     let rows_stats = engine.run_training_rows(tuples, &mut rows).unwrap();
 
-    assert_eq!(lowered, interp, "{label}: lowered vs interpreter models");
     assert_eq!(lowered, rows, "{label}: lowered vs rows models");
-    assert_eq!(lowered_stats, interp_stats, "{label}: stats vs interpreter");
     assert_eq!(lowered_stats, rows_stats, "{label}: stats vs rows");
 }
 
 proptest! {
     /// Random dense programs (linear / logistic / SVM), random shapes and
     /// hyper-parameters, lockstep thread counts 1/4/16: the lowered SoA
-    /// executor is bit-identical to both interpreter tiers.
+    /// executor is bit-identical to the rows reference.
     #[test]
     fn lowered_is_bit_identical_on_random_dense_programs(
         algo in prop::sample::select(vec![0usize, 1, 2]),
@@ -97,7 +89,7 @@ proptest! {
         let design = scheduled.unwrap();
         let engine = ExecutionEngine::new(design).unwrap();
         let tuples = synth_tuples(n, features + 1, seed);
-        assert_three_tier_identical(
+        assert_lowered_matches_rows(
             &engine,
             &tuples,
             &format!("algo {algo}, {features}f × {n}t, {threads} threads"),
@@ -106,7 +98,7 @@ proptest! {
 
     /// Random LRMF programs: the per-tuple region gathers and scatters
     /// model rows, driving the lowered executor's sequential
-    /// (thread-at-a-time) mode. Still bit-identical to both tiers.
+    /// (thread-at-a-time) mode. Still bit-identical to the reference.
     #[test]
     fn lowered_is_bit_identical_on_random_lrmf_programs(
         rows in 6usize..30,
@@ -138,7 +130,7 @@ proptest! {
             !acc.engine.lowered().is_lockstep(),
             "LRMF gather/scatter must force the sequential tier"
         );
-        assert_three_tier_identical(
+        assert_lowered_matches_rows(
             &acc.engine,
             &tuples,
             &format!("lrmf {rows}×{cols} rank {rank}, {n}t"),

@@ -182,6 +182,10 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             let (got, want) = (got.eval_report(), want.eval_report());
             assert_eq!(got.value, want.value, "{algo:?} k={k}: metric value");
             assert_eq!(got.rows_scored, want.rows_scored, "{algo:?} k={k}");
+            // The codec's cost is charged, not hidden: only the pushdown
+            // scan reads compressed frames.
+            assert!(got.timing.decompress_seconds > 0.0, "{algo:?} k={k}");
+            assert_eq!(want.timing.decompress_seconds, 0.0, "{algo:?} k={k}");
         }
         assert_eq!(core.held_frames(), 0, "{algo:?}: leaked frames");
     }
