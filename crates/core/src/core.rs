@@ -15,7 +15,12 @@
 //!
 //! There is one implementation. An embedded [`crate::Dana`] is this core
 //! with a one-shard pool, driven on the caller's thread; the serving tier
-//! is the same core behind admission control and accelerator leases.
+//! is the same core behind admission control and accelerator leases. And
+//! there is one scan shape: every plan opens one `Scan` of `k ≥ 1` member
+//! streams (`SystemCore::open_scan`), so a serial statement is a gang of
+//! one — the same fold, the same `Scan::finish`, the same report
+//! assembler — and only training's epoch loop (two fault policies) is
+//! chosen by the member count.
 //!
 //! * the **catalog** sits behind an `RwLock`: queries take short read
 //!   locks to snapshot (entry, `Arc<HeapFile>`, accelerator) and then run
@@ -36,12 +41,12 @@ use dana_compiler::{
     compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
 };
 use dana_engine::{
-    run_training_guarded, BackendKind, CancelToken, EngineError, ExecutionBackend, FaultEvents,
-    FaultPlan, ModelStore, RetryPolicy, RunGuard,
+    run_training_guarded, BackendKind, BackendRun, CancelToken, EngineError, EngineStats,
+    FaultEvents, FaultPlan, ModelStore, RetryPolicy, RunGuard,
 };
-use dana_fpga::FpgaSpec;
+use dana_fpga::{FpgaSpec, ResourceBudget};
 use dana_hdfg::translate;
-use dana_infer::{MetricKind, MetricPartial, ScoringProgram, ScoringStats};
+use dana_infer::{MetricKind, MetricPartial, ScoringStats};
 use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
 use dana_parallel::{
@@ -50,13 +55,14 @@ use dana_parallel::{
 };
 use dana_storage::{
     AcceleratorEntry, BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId,
-    HeapPage, PageId, RuntimeCache, SharedBufferPool, TableEntry, Tuple, TupleSource,
+    HeapPage, PageId, RuntimeCache, SharedBufferPool, SourceError, TableEntry, Tuple, TupleBatch,
+    TupleSource,
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
 
 use crate::advisor::{self, BackendChoice, HardwareProfile};
 use crate::error::{DanaError, DanaResult};
-use crate::exec::{self, ArtifactBlob, CachedAccelerator, RunArtifacts, ShardArtifacts};
+use crate::exec::{self, ArtifactBlob, CachedAccelerator, ShardArtifacts};
 use crate::plan::{PhysicalPlan, PlanOp, Wrap};
 use crate::query::Statement;
 use crate::report::{
@@ -208,86 +214,98 @@ pub struct EngineCacheStats {
     pub hits: u64,
 }
 
-/// What a scoring scan keeps of the predictions it computes — the one
-/// difference between PREDICT (collect them) and EVALUATE (fold a metric)
-/// on either a single stream or a gang of shard streams.
-trait ScoreFold {
-    type Out;
-
-    fn stream(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        source: &mut dyn TupleSource,
-    ) -> DanaResult<(Self::Out, ScoringStats)>;
-
-    fn gang<S: TupleSource + Send>(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        sources: &mut [S],
-    ) -> DanaResult<(Self::Out, Vec<ScoringStats>)>;
+/// One member of a statement's scan, behind one source type: a page-range
+/// stream through the pool, or a replayed slice of one filtered scan
+/// carrying its share of that scan's measured cost.
+enum Member<'a> {
+    Pages(SharedPageStreamSource<'a>),
+    Replay(ReplaySource, ShardScan),
 }
 
-/// Keep every prediction, in source page order.
-struct Collect {
-    /// Capacity hint: the scanned heap's tuple count.
-    tuples: usize,
-}
+/// One member's first-scan measurements: extraction stats plus the disk
+/// seconds the scan was charged.
+type ShardScan = (AccessStats, Seconds);
 
-impl ScoreFold for Collect {
-    type Out = Vec<f32>;
-
-    fn stream(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        source: &mut dyn TupleSource,
-    ) -> DanaResult<(Vec<f32>, ScoringStats)> {
-        let mut out = Vec::with_capacity(self.tuples);
-        let stats = dana_infer::score_source(program, lanes, source, &mut out)?;
-        Ok((out, stats))
-    }
-
-    fn gang<S: TupleSource + Send>(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        sources: &mut [S],
-    ) -> DanaResult<(Vec<f32>, Vec<ScoringStats>)> {
-        Ok(score_gang_concat(program, lanes, sources)?)
-    }
-}
-
-/// Fold the `(prediction, label)` stream into one metric value. Gang
-/// partials combine in shard-index order and the metric finishes once.
-struct Fold(MetricKind);
-
-impl ScoreFold for Fold {
-    type Out = f64;
-
-    fn stream(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        source: &mut dyn TupleSource,
-    ) -> DanaResult<(f64, ScoringStats)> {
-        Ok(dana_infer::evaluate_source(program, lanes, source, self.0)?)
-    }
-
-    fn gang<S: TupleSource + Send>(
-        &self,
-        program: &ScoringProgram,
-        lanes: u16,
-        sources: &mut [S],
-    ) -> DanaResult<(f64, Vec<ScoringStats>)> {
-        let evals = evaluate_gang(program, lanes, sources, self.0)?;
-        let mut partial = MetricPartial::default();
-        for e in &evals {
-            partial.absorb(e.partial);
+impl TupleSource for Member<'_> {
+    fn width(&self) -> usize {
+        match self {
+            Member::Pages(s) => s.width(),
+            Member::Replay(s, _) => s.width(),
         }
-        let stats = evals.iter().map(|e| e.stats).collect();
-        Ok((partial.finish(self.0)?, stats))
+    }
+
+    fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
+        match self {
+            Member::Pages(s) => s.next_batch(),
+            Member::Replay(s, _) => s.next_batch(),
+        }
+    }
+
+    fn rewind(&mut self) -> Result<(), SourceError> {
+        match self {
+            Member::Pages(s) => s.rewind(),
+            Member::Replay(s, _) => s.rewind(),
+        }
+    }
+
+    fn tuple_count_hint(&self) -> Option<u64> {
+        match self {
+            Member::Pages(s) => s.tuple_count_hint(),
+            Member::Replay(s, _) => s.tuple_count_hint(),
+        }
+    }
+}
+
+/// The one scan a statement runs: `k ≥ 1` member tuple streams in shard
+/// order, opened by [`SystemCore::open_scan`] and closed by
+/// [`Scan::finish`]. A serial statement's scan has one member; nothing
+/// downstream of the open asks which shape it got.
+struct Scan<'a> {
+    members: Vec<Member<'a>>,
+    /// The pushdown state every member was opened under, if any.
+    state: Option<ScanState>,
+}
+
+impl Scan<'_> {
+    /// Closes the scan: drains every member's measurements into
+    /// [`ShardArtifacts`] (paired with `engine_stats` by shard index —
+    /// empty for scoring, whose compute is accounted separately) and
+    /// charges a pushdown scan to the `SHOW STATS ('scan')` counters —
+    /// once per statement, whatever the member count, because the
+    /// members' tuple, skipped-page and decompressed-byte counts sum to
+    /// the one logical scan's.
+    fn finish(
+        self,
+        metrics: &MetricsRegistry,
+        heap: &HeapFile,
+        engine_stats: &[EngineStats],
+    ) -> Vec<ShardArtifacts> {
+        let shards: Vec<ShardArtifacts> = self
+            .members
+            .into_iter()
+            .enumerate()
+            .map(|(i, member)| {
+                let (access_stats, io_first) = match member {
+                    Member::Pages(s) => s.into_stats(),
+                    Member::Replay(_, scan) => scan,
+                };
+                ShardArtifacts {
+                    engine_stats: engine_stats.get(i).copied().unwrap_or_default(),
+                    access_stats,
+                    io_first,
+                }
+            })
+            .collect();
+        if let Some(state) = &self.state {
+            let mut total = AccessStats::default();
+            for s in &shards {
+                total.tuples += s.access_stats.tuples;
+                total.pages_skipped += s.access_stats.pages_skipped;
+                total.decompressed_bytes += s.access_stats.decompressed_bytes;
+            }
+            exec::record_scan_metrics(metrics, &total, &state.sidecar, heap.tuple_count());
+        }
+        shards
     }
 }
 
@@ -999,10 +1017,80 @@ impl SystemCore {
                 (acc, entry, heap)
             }
         };
-        let report = if plan.shards > 1 {
-            self.train_gang(plan, &acc, &entry, &heap, rec, ctx)?
-        } else {
-            self.train_serial(plan, &acc, &entry, &heap, rec, ctx)?
+        let design = acc.engine.design();
+        let access = exec::access_engine_for(&heap, acc.budget, &self.fpga);
+        let mut scan = self.open_scan(plan, &entry, &heap, &access)?;
+        let fault = self.fault_plan();
+        let init = exec::initial_models(design);
+        // The epoch loop follows the members actually opened, not the
+        // shards asked for. They are two fault policies, not two copies:
+        // a lone member retries in place from its last epoch-boundary
+        // snapshot under the statement's retry policy; a gang re-executes
+        // a faulted member's epoch on a survivor after the barrier.
+        let start = Instant::now();
+        let (engine_stats, merge_cycles, epoch_cycles, models) = match scan.members.as_mut_slice() {
+            [member] => {
+                let mut store = ModelStore::new(design, init)?;
+                let guard = RunGuard::new(&ctx.cancel)
+                    .with_fault(fault.as_deref())
+                    .with_retry(ctx.retry);
+                let run = run_training_guarded(&acc.engine, member, &mut store, &guard)?;
+                self.record_fault_events(&run.events, rec);
+                (vec![run.stats], 0, run.epoch_cycles, store.into_values())
+            }
+            members => {
+                let guard = GangGuard::new(&ctx.cancel).with_fault(fault.as_deref());
+                let outcome = train_gang_guarded(&acc.engine, members, init, &guard)?;
+                if !outcome.faulted_shards.is_empty() {
+                    self.record_fault_events(
+                        &FaultEvents {
+                            transient_faults: outcome.faulted_shards.len() as u32,
+                            faulted_shards: outcome.faulted_shards.clone(),
+                            ..FaultEvents::default()
+                        },
+                        rec,
+                    );
+                    self.metrics
+                        .shard_reexecutions
+                        .add(outcome.reexecuted_epochs as u64);
+                    rec.set_count(exec::stage::FAULT_RETRY, outcome.reexecuted_epochs as u64);
+                    ctx.record_faulted(&outcome.faulted_shards);
+                }
+                // Gang members log cycles per shard; the trace shares the
+                // engine stage uniformly across epochs.
+                (
+                    outcome.shard_stats,
+                    outcome.merge_cycles,
+                    Vec::new(),
+                    outcome.models,
+                )
+            }
+        };
+        let wall = start.elapsed().as_secs_f64();
+        let shards = scan.finish(&self.metrics, &heap, &engine_stats);
+        let report = match plan.backend {
+            // The native CPU tier ran the identical scan and epoch loop
+            // (one member: `execute` refuses a CPU gang) — same models and
+            // counters; its timing is the stopwatch, nothing is simulated.
+            BackendKind::Cpu => exec::assemble_cpu_report(
+                design,
+                BackendRun {
+                    stats: engine_stats[0],
+                    wall_seconds: Some(wall),
+                },
+                shards[0].access_stats,
+                models,
+                rec,
+            ),
+            BackendKind::Fpga => exec::assemble_training_report(
+                &self.cost_inputs(plan, acc.budget, &heap),
+                design,
+                shards,
+                merge_cycles,
+                &epoch_cycles,
+                models,
+                rec,
+            ),
         };
         if plan.spec.is_none() {
             // Store through a short read lock (the slot is
@@ -1019,226 +1107,90 @@ impl SystemCore {
         Ok(report)
     }
 
-    /// One query's page stream over `heap`, with the pushdown scan state
-    /// attached when the plan carries one.
-    fn stream<'a>(
+    /// Opens a statement's [`Scan`] — the only place that looks at the
+    /// plan's `(shards, pushdown)` pair:
+    ///
+    /// * no pushdown → one contiguous page-range stream per planned shard
+    ///   (the planner never makes more shards than pages; one shard is the
+    ///   whole heap), each fetching through the pool concurrently;
+    /// * pushdown, one shard → the whole-heap stream with the scan state
+    ///   attached, still streaming page by page;
+    /// * pushdown, several shards → the table is streamed **once** through
+    ///   the pushdown scan and the surviving tuples re-split at the page
+    ///   boundaries a pre-materialized filtered table would have
+    ///   (post-filter rows don't align with source page boundaries, so page
+    ///   ranges can't partition them): member contents — and so gang merges
+    ///   and concatenated scores — are bit-identical to sharding that
+    ///   table, the member count never exceeds its page count, and each
+    ///   member carries its share of the scan's measured cost.
+    fn open_scan<'a>(
         &'a self,
-        heap: &'a HeapFile,
-        heap_id: HeapId,
-        access: &'a AccessEngine,
-        mode: ExecutionMode,
-        state: Option<&ScanState>,
-    ) -> SharedPageStreamSource<'a> {
-        let base = SharedPageStreamSource::new(
-            &self.pool,
-            &self.disk,
-            heap,
-            heap_id,
-            access,
-            FeedKind::for_mode(mode),
-        );
-        match state {
-            Some(s) => base.with_scan(s.clone()),
-            None => base,
-        }
-    }
-
-    /// One concurrent page-range stream per planned shard.
-    fn shard_streams<'a>(
-        &'a self,
-        heap: &'a HeapFile,
-        heap_id: HeapId,
-        access: &'a AccessEngine,
-        mode: ExecutionMode,
-        shards: u16,
-    ) -> Vec<SharedPageStreamSource<'a>> {
-        ShardPlan::new(heap, shards as usize)
-            .ranges()
-            .iter()
-            .map(|r| {
-                SharedPageStreamSource::with_range(
-                    &self.pool,
-                    &self.disk,
-                    heap,
-                    heap_id,
-                    access,
-                    FeedKind::for_mode(mode),
-                    r.start_page,
-                    r.end_page,
-                )
-            })
-            .collect()
-    }
-
-    /// Serial training: stream the snapshotted heap through the pool into
-    /// the shared DEPLOY-time engine — fetch → extract (Striders or CPU,
-    /// per mode) → train interleave with no full-table materialization
-    /// (Fig. 2), no locks held while training runs. The FPGA tier composes
-    /// the cycle model's timing; the native CPU tier runs the identical
-    /// scan and epoch loop under a stopwatch — models and engine counters
-    /// are bit-identical, the timing is wall-clock only.
-    fn train_serial(
-        &self,
         plan: &PhysicalPlan,
-        acc: &CachedAccelerator,
         entry: &TableEntry,
-        heap: &HeapFile,
-        rec: &SpanRecorder,
-        ctx: &QueryCtx,
-    ) -> DanaResult<DanaReport> {
-        let design = acc.engine.design();
-        let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
+        heap: &'a HeapFile,
+        access: &'a AccessEngine,
+    ) -> DanaResult<Scan<'a>> {
         let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
-        let mut store = ModelStore::new(design, exec::initial_models(design))?;
-        let mut source = self.stream(heap, entry.heap_id, &access, plan.mode, state.as_ref());
-        let fault = self.fault_plan();
-        let guard = RunGuard::new(&ctx.cancel)
-            .with_fault(fault.as_deref())
-            .with_retry(ctx.retry);
-        let finish_scan = |source: SharedPageStreamSource<'_>| {
-            let (access_stats, io_first) = source.into_stats();
-            if let Some(s) = &state {
-                exec::record_scan_metrics(
-                    &self.metrics,
-                    &access_stats,
-                    &s.sidecar,
-                    heap.tuple_count(),
-                );
-            }
-            (access_stats, io_first)
-        };
-        Ok(match plan.backend {
-            BackendKind::Fpga => {
-                let run = run_training_guarded(&acc.engine, &mut source, &mut store, &guard)?;
-                self.record_fault_events(&run.events, rec);
-                let (access_stats, io_first) = finish_scan(source);
-                exec::assemble_report(
-                    plan.mode,
-                    design,
-                    acc.budget,
-                    &self.fpga,
-                    &self.cpu,
-                    &self.disk,
-                    self.pool.frames(),
-                    heap,
-                    RunArtifacts {
-                        engine_stats: run.stats,
-                        access_stats,
-                        io_first,
-                        epoch_cycles: run.epoch_cycles,
-                    },
-                    store,
-                    rec,
-                )
-            }
-            BackendKind::Cpu => {
-                let (run, events) =
-                    acc.cpu
-                        .run_training_guarded(&mut source, &mut store, &guard)?;
-                self.record_fault_events(&events, rec);
-                let (access_stats, _io_first) = finish_scan(source);
-                exec::assemble_cpu_report(design, run, access_stats, store, rec)
-            }
-        })
-    }
-
-    /// Gang training (`EXECUTE … WITH (shards = k)`): the gang's members
-    /// each stream their own page range through the pool concurrently,
-    /// train the cached lowered program epoch-synchronously, and merge
-    /// partial models deterministically at every epoch boundary (weighted
-    /// averaging for dense analytics, factor-row ownership for LRMF).
-    /// With a pushdown scan the members train from replayed slices of one
-    /// filtered scan instead (see [`SystemCore::filtered_replay_shards`]).
-    fn train_gang(
-        &self,
-        plan: &PhysicalPlan,
-        acc: &CachedAccelerator,
-        entry: &TableEntry,
-        heap: &HeapFile,
-        rec: &SpanRecorder,
-        ctx: &QueryCtx,
-    ) -> DanaResult<DanaReport> {
-        let engine = &acc.engine;
-        let design = engine.design();
-        let access = exec::access_engine_for(heap, acc.budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
-        let fault = self.fault_plan();
-        let guard = GangGuard::new(&ctx.cancel).with_fault(fault.as_deref());
-        let init = exec::initial_models(design);
-        let (outcome, scans) = match &state {
-            None => {
-                let mut sources =
-                    self.shard_streams(heap, entry.heap_id, &access, plan.mode, plan.shards);
-                let outcome = train_gang_guarded(engine, &mut sources, init, &guard)?;
-                let scans = sources.into_iter().map(|s| s.into_stats()).collect();
-                (outcome, scans)
-            }
+        let (heap_id, feed) = (entry.heap_id, FeedKind::for_mode(plan.mode));
+        let members = match &state {
+            None => ShardPlan::new(heap, plan.shards as usize)
+                .ranges()
+                .iter()
+                .map(|r| {
+                    Member::Pages(SharedPageStreamSource::with_range(
+                        &self.pool,
+                        &self.disk,
+                        heap,
+                        heap_id,
+                        access,
+                        feed,
+                        r.start_page,
+                        r.end_page,
+                    ))
+                })
+                .collect(),
             Some(st) => {
-                let (mut sources, scans) =
-                    self.filtered_replay_shards(plan, heap, entry.heap_id, &access, st)?;
-                let outcome = train_gang_guarded(engine, &mut sources, init, &guard)?;
-                (outcome, scans)
+                let whole = SharedPageStreamSource::new(
+                    &self.pool, &self.disk, heap, heap_id, access, feed,
+                )
+                .with_scan(st.clone());
+                if plan.shards <= 1 {
+                    vec![Member::Pages(whole)]
+                } else {
+                    let (batches, stats, io_first) = whole
+                        .into_cache()
+                        .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
+                    let capacity = exec::packed_page_capacity(heap, &st.spec)?;
+                    let splits = packed_tuple_splits(stats.tuples, capacity, plan.shards as usize);
+                    let width = st.spec.output_width(heap.schema().len());
+                    split_replay_sources(width, &batches, &splits)
+                        .into_iter()
+                        .zip(exec::split_filtered_scan_stats(&stats, io_first, &splits))
+                        .map(|(source, scan)| Member::Replay(source, scan))
+                        .collect()
+                }
             }
         };
-        let arts = shard_artifacts(scans, &outcome.shard_stats);
-        if !outcome.faulted_shards.is_empty() {
-            self.record_fault_events(
-                &FaultEvents {
-                    transient_faults: outcome.faulted_shards.len() as u32,
-                    faulted_shards: outcome.faulted_shards.clone(),
-                    ..FaultEvents::default()
-                },
-                rec,
-            );
-            self.metrics
-                .shard_reexecutions
-                .add(outcome.reexecuted_epochs as u64);
-            rec.set_count(exec::stage::FAULT_RETRY, outcome.reexecuted_epochs as u64);
-            ctx.record_faulted(&outcome.faulted_shards);
-        }
-        exec::assemble_gang_report(
-            plan.mode,
-            design,
-            acc.budget,
-            &self.fpga,
-            &self.cpu,
-            &self.disk,
-            self.pool.frames(),
-            heap,
-            arts,
-            outcome.merge_cycles,
-            outcome.models,
-            rec,
-        )
+        Ok(Scan { members, state })
     }
 
-    /// Streams the whole table once through a pushdown scan and re-splits
-    /// the surviving tuples at the page boundaries a pre-materialized
-    /// filtered table would have (post-filter rows don't align with
-    /// source page boundaries, so page ranges can't partition them):
-    /// shard contents — and so gang merges and concatenated scores — are
-    /// bit-identical to sharding that table, and the shard count never
-    /// exceeds its page count. Returns replaying shard sources plus each
-    /// shard's share of the scan's measured cost.
-    fn filtered_replay_shards(
-        &self,
+    /// What `plan`'s run over `heap` is priced against (see
+    /// [`exec::CostInputs`]).
+    fn cost_inputs<'a>(
+        &'a self,
         plan: &PhysicalPlan,
-        heap: &HeapFile,
-        heap_id: HeapId,
-        access: &AccessEngine,
-        state: &ScanState,
-    ) -> DanaResult<(Vec<ReplaySource>, Vec<ShardScan>)> {
-        let (batches, stats, io_first) = self
-            .stream(heap, heap_id, access, plan.mode, Some(state))
-            .into_cache()
-            .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-        exec::record_scan_metrics(&self.metrics, &stats, &state.sidecar, heap.tuple_count());
-        let capacity = exec::packed_page_capacity(heap, &state.spec)?;
-        let splits = packed_tuple_splits(stats.tuples, capacity, plan.shards as usize);
-        let width = state.spec.output_width(heap.schema().len());
-        let sources = split_replay_sources(width, &batches, &splits);
-        let scans = exec::split_filtered_scan_stats(&stats, io_first, &splits);
-        Ok((sources, scans))
+        budget: ResourceBudget,
+        heap: &'a HeapFile,
+    ) -> exec::CostInputs<'a> {
+        exec::CostInputs {
+            mode: plan.mode,
+            budget,
+            fpga: &self.fpga,
+            cpu: &self.cpu,
+            disk: &self.disk,
+            pool_frames: self.pool.frames(),
+            heap,
+        }
     }
 
     /// Reference data path, retained for differential testing: compiles
@@ -1306,11 +1258,10 @@ impl SystemCore {
                 dana_storage::StorageError::DuplicateName(dest.to_string()),
             ));
         }
-        let collect = Collect {
-            tuples: heap.tuple_count() as usize,
-        };
         let (predictions, stats, timing, shards) =
-            self.scoring_scan(plan, &setup, &entry, &heap, &collect, rec)?;
+            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+                Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
+            })?;
         let mat_start = Instant::now();
         let out_heap =
             exec::materialize_predictions(&entry, &heap, plan.scan.as_ref(), &predictions)?;
@@ -1354,8 +1305,20 @@ impl SystemCore {
         let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
         setup.recipe.check_metric(metric)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
+        // Member partials combine in shard-index order and the metric
+        // finishes once.
         let (value, stats, timing, shards) =
-            self.scoring_scan(plan, &setup, &entry, &heap, &Fold(metric), rec)?;
+            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+                let evals = evaluate_gang(&setup.program, setup.lanes, members, metric)?;
+                let mut partial = MetricPartial::default();
+                for e in &evals {
+                    partial.absorb(e.partial);
+                }
+                Ok((
+                    partial.finish(metric)?,
+                    evals.iter().map(|e| e.stats).collect(),
+                ))
+            })?;
         Ok(EvalReport {
             udf: plan.udf.clone(),
             table: plan.table.clone(),
@@ -1379,11 +1342,10 @@ impl SystemCore {
     ) -> DanaResult<PointReport> {
         let setup = self.scoring_setup(&plan.udf, plan.mode, lanes)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
-        let collect = Collect {
-            tuples: heap.tuple_count() as usize,
-        };
         let (predictions, stats, timing, _) =
-            self.scoring_scan(plan, &setup, &entry, &heap, &collect, rec)?;
+            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+                Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
+            })?;
         Ok(PointReport {
             udf: plan.udf.clone(),
             predictions,
@@ -1444,84 +1406,41 @@ impl SystemCore {
 
     /// The one scoring scan over a heap snapshot, shared by
     /// predict/evaluate/score so the scan plumbing exists exactly once:
-    /// stream pages through the pool into `fold` and compose the timing.
-    /// A serial plan drives one stream on the caller's thread — the
-    /// composed cycle-model timing on the FPGA tier, a stopwatch around
-    /// the scan ([`DanaTiming::wall_only`]) on the CPU tier. A gang opens
-    /// one concurrent range stream per shard (or replays slices of one
-    /// filtered scan) and composes its timing from the critical member.
-    /// Returns the shard count actually run.
-    fn scoring_scan<F: ScoreFold>(
+    /// open the plan's [`Scan`], hand its members to `fold` — what the
+    /// statement keeps of the predictions: PREDICT collects them, EVALUATE
+    /// folds a metric — and compose the timing. The gang tier runs one
+    /// member inline on this thread and spawns only for several; the FPGA
+    /// tier composes the cycle model from the critical member, the CPU
+    /// tier reports the stopwatch around the fold
+    /// ([`DanaTiming::wall_only`]). Returns the member count actually run.
+    fn scoring_scan<T>(
         &self,
         plan: &PhysicalPlan,
         setup: &exec::ScoringSetup,
         entry: &TableEntry,
         heap: &HeapFile,
-        fold: &F,
         rec: &SpanRecorder,
-    ) -> DanaResult<(F::Out, ScoringStats, DanaTiming, u16)> {
+        fold: impl FnOnce(&mut [Member<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
+    ) -> DanaResult<(T, ScoringStats, DanaTiming, u16)> {
         let budget = setup.cached.budget;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
-        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
-        if plan.shards > 1 {
-            let (out, stats, scans) = match &state {
-                None => {
-                    let mut sources =
-                        self.shard_streams(heap, entry.heap_id, &access, plan.mode, plan.shards);
-                    let (out, stats) = fold.gang(&setup.program, setup.lanes, &mut sources)?;
-                    let scans = sources.into_iter().map(|s| s.into_stats()).collect();
-                    (out, stats, scans)
-                }
-                Some(st) => {
-                    let (mut sources, scans) =
-                        self.filtered_replay_shards(plan, heap, entry.heap_id, &access, st)?;
-                    let (out, stats) = fold.gang(&setup.program, setup.lanes, &mut sources)?;
-                    (out, stats, scans)
-                }
-            };
-            let arts = shard_artifacts(scans, &[]);
-            let (timing, combined) = exec::assemble_gang_scoring_timing(
-                plan.mode,
-                budget,
-                &self.fpga,
-                &self.cpu,
-                &self.disk,
-                self.pool.frames(),
-                heap,
-                &arts,
-                &stats,
-                rec,
-            );
-            return Ok((out, combined, timing, arts.len() as u16));
-        }
-        let mut stream = self.stream(heap, entry.heap_id, &access, plan.mode, state.as_ref());
+        let mut scan = self.open_scan(plan, entry, heap, &access)?;
         let start = Instant::now();
-        let (out, stats) = fold.stream(&setup.program, setup.lanes, &mut stream)?;
+        let (out, stats) = fold(&mut scan.members)?;
         let wall = start.elapsed().as_secs_f64();
-        let (access_stats, io_first) = stream.into_stats();
-        if let Some(s) = &state {
-            exec::record_scan_metrics(&self.metrics, &access_stats, &s.sidecar, heap.tuple_count());
-        }
-        let timing = match plan.backend {
+        let shards = scan.finish(&self.metrics, heap, &[]);
+        let (timing, combined) = match plan.backend {
+            // `execute` refuses a CPU gang, so this scan had one member.
             BackendKind::Cpu => {
                 exec::record_cpu_spans(rec, wall);
-                DanaTiming::wall_only(wall)
+                (DanaTiming::wall_only(wall), stats[0])
             }
-            BackendKind::Fpga => exec::assemble_scoring_timing(
-                plan.mode,
-                budget,
-                &self.fpga,
-                &self.cpu,
-                &self.disk,
-                self.pool.frames(),
-                heap,
-                &access_stats,
-                io_first,
-                &stats,
-                rec,
-            ),
+            BackendKind::Fpga => {
+                let inputs = self.cost_inputs(plan, budget, heap);
+                exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
+            }
         };
-        Ok((out, stats, timing, 1))
+        Ok((out, combined, timing, shards.len() as u16))
     }
 
     // ---- catalog resolution ---------------------------------------------
@@ -1611,27 +1530,6 @@ impl SystemCore {
             None => compile(&input)?,
         })
     }
-}
-
-/// One shard's first-scan measurements: extraction stats plus the disk
-/// seconds the scan was charged.
-type ShardScan = (AccessStats, Seconds);
-
-/// Pairs each gang member's scan measurements with its engine counters
-/// (absent for scoring gangs, whose compute is accounted separately).
-fn shard_artifacts(
-    scans: Vec<ShardScan>,
-    engine_stats: &[dana_engine::EngineStats],
-) -> Vec<ShardArtifacts> {
-    scans
-        .into_iter()
-        .enumerate()
-        .map(|(i, (access_stats, io_first))| ShardArtifacts {
-            engine_stats: engine_stats.get(i).copied().unwrap_or_default(),
-            access_stats,
-            io_first,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -2,9 +2,13 @@
 //! codecs, access-engine construction, pushdown-scan plumbing, and the
 //! cost-model composition, as free functions over *immutable* inputs. A
 //! per-query execution context is just (design, budget, heap,
-//! FPGA/CPU/disk models) plus the run's measured stats, and
-//! [`assemble_report`] is a pure function of them — which is why results
-//! are bit-identical however many queries run beside each other.
+//! FPGA/CPU/disk models) plus what each of the scan's k ≥ 1 members
+//! measured ([`ShardArtifacts`]), and [`assemble_training_report`] /
+//! [`assemble_scoring_timing`] are pure functions of them — which is why
+//! results are bit-identical however many queries run beside each other.
+//! There is one assembler per statement kind, not one per scan shape: the
+//! critical-path and sum reductions are identities over one member, so a
+//! serial statement is the k = 1 case of the same arithmetic.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -12,7 +16,7 @@ use std::sync::Arc;
 use dana_compiler::{CompiledAccelerator, PerfEstimate};
 use dana_engine::{
     BackendKind, BackendRun, CpuBackend, EngineDesign, EngineStats, ExecutionEngine, FpgaBackend,
-    LoweredProgram, ModelStore,
+    LoweredProgram,
 };
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
@@ -497,18 +501,14 @@ pub fn packed_page_capacity(heap: &HeapFile, spec: &BoundScanSpec) -> DanaResult
 /// boundaries) and replays slices of it per member; this divides the
 /// scan's cost model the same way — tuples exactly per split, integer
 /// counters evenly with the remainder on the earliest shards, float
-/// terms evenly. One shard passes the stats through untouched, which is
-/// what keeps a `shards = 1` filtered gang bit-identical to the serial
-/// filtered query.
+/// terms evenly. The integer shares sum back to the scan's totals, and a
+/// single split is the scan's own stats.
 pub fn split_filtered_scan_stats(
     stats: &AccessStats,
     io_first: Seconds,
     splits: &[u64],
 ) -> Vec<(AccessStats, Seconds)> {
     let k = splits.len().max(1) as u64;
-    if k == 1 {
-        return vec![(*stats, io_first)];
-    }
     let div = |v: u64, i: u64| v / k + u64::from(i < v % k);
     splits
         .iter()
@@ -557,72 +557,6 @@ pub fn materialize_predictions(
     }
 }
 
-/// Everything one training run measured, handed to [`assemble_report`].
-pub struct RunArtifacts {
-    pub engine_stats: EngineStats,
-    pub access_stats: AccessStats,
-    /// Simulated disk seconds charged by the first (cold-ish) scan.
-    pub io_first: Seconds,
-    /// Per-epoch engine-cycle deltas from the training session's log
-    /// (sums to `engine_stats.cycles`). Empty when the run didn't log —
-    /// the trace then shares the engine stage uniformly across epochs.
-    pub epoch_cycles: Vec<u64>,
-}
-
-/// Composes a finished run's stats into the end-to-end [`DanaReport`] via
-/// the pipeline-overlap cost model — a pure function.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_report(
-    mode: ExecutionMode,
-    design: &EngineDesign,
-    budget: ResourceBudget,
-    fpga: &FpgaSpec,
-    cpu: &CpuModel,
-    disk: &DiskModel,
-    pool_frames: usize,
-    heap: &HeapFile,
-    run: RunArtifacts,
-    store: ModelStore,
-    rec: &SpanRecorder,
-) -> DanaReport {
-    let RunArtifacts {
-        engine_stats: stats,
-        access_stats,
-        io_first,
-        epoch_cycles,
-    } = run;
-    let epochs = stats.epochs_run.max(1);
-    let engine_per_epoch = stats.cycles as f64 / epochs as f64 / fpga.clock.hz;
-    let costs = stream_costs(
-        budget,
-        fpga,
-        cpu,
-        disk,
-        pool_frames,
-        heap,
-        heap.page_count(),
-        &access_stats,
-        io_first,
-        engine_per_epoch,
-    );
-    let timing: DanaTiming = compose(mode, epochs, &costs);
-    record_training_spans(rec, mode, epochs, &costs, fpga.clock.hz, &epoch_cycles, 0);
-
-    let model_names = design.models.iter().map(|m| m.name.clone()).collect();
-    DanaReport {
-        models: store.into_values(),
-        model_names,
-        epochs_run: stats.epochs_run,
-        converged_early: stats.converged_early,
-        num_threads: design.num_threads,
-        shards: 1,
-        backend: BackendKind::Fpga,
-        timing,
-        engine: stats,
-        access: access_stats,
-    }
-}
-
 /// Composes a finished **native CPU** training run into a [`DanaReport`]:
 /// no cycle-model composition at all — the timing is the stopwatch the
 /// backend measured ([`DanaTiming::wall_only`]), every simulated slot
@@ -632,13 +566,13 @@ pub fn assemble_cpu_report(
     design: &EngineDesign,
     run: BackendRun,
     access_stats: AccessStats,
-    store: ModelStore,
+    models: Vec<Vec<f32>>,
     rec: &SpanRecorder,
 ) -> DanaReport {
     record_cpu_spans(rec, run.wall_seconds.unwrap_or(0.0));
     let model_names = design.models.iter().map(|m| m.name.clone()).collect();
     DanaReport {
-        models: store.into_values(),
+        models,
         model_names,
         epochs_run: run.stats.epochs_run,
         converged_early: run.stats.converged_early,
@@ -728,40 +662,49 @@ pub fn statement_scan(stmt: &Statement) -> Option<&ScanSpec> {
     }
 }
 
-/// The per-epoch cost inputs every streamed scan shares (training and
+/// What one statement's run is priced against, as opposed to what it
+/// measured: the execution mode, the accelerator's resource budget, the
+/// FPGA/CPU/disk models, the buffer pool's frame count and the scanned
+/// heap. Immutable for the statement's lifetime.
+pub struct CostInputs<'a> {
+    pub mode: ExecutionMode,
+    pub budget: ResourceBudget,
+    pub fpga: &'a FpgaSpec,
+    pub cpu: &'a CpuModel,
+    pub disk: &'a DiskModel,
+    pub pool_frames: usize,
+    pub heap: &'a HeapFile,
+}
+
+/// The per-epoch costs every streamed scan shares (training and
 /// scoring): disk, AXI, Strider extraction, CPU-feed ablation — only the
 /// engine-compute term differs between the two query types. `scan_pages`
-/// is how many pages one pass of *this* scan touches — the whole heap
-/// for a serial query, the critical shard's range for a gang member.
-#[allow(clippy::too_many_arguments)]
+/// is how many pages one later pass of *this* scan touches (see
+/// [`critical_scan`]).
 fn stream_costs(
-    budget: ResourceBudget,
-    fpga: &FpgaSpec,
-    cpu: &CpuModel,
-    disk: &DiskModel,
-    pool_frames: usize,
-    heap: &HeapFile,
+    inputs: &CostInputs<'_>,
     scan_pages: u32,
     access_stats: &AccessStats,
     io_first: Seconds,
     engine_per_epoch: Seconds,
 ) -> EpochCosts {
+    let (fpga, cpu, heap) = (inputs.fpga, inputs.cpu, inputs.heap);
     let clock = fpga.clock;
     let page_size = heap.layout().page_size;
-    let missing_later = scan_pages.saturating_sub(pool_frames as u32) as f64;
+    let missing_later = scan_pages.saturating_sub(inputs.pool_frames as u32) as f64;
     let width = heap.schema().len();
     let tuple_bytes = heap.layout().tuple_bytes;
     let float_bytes = access_stats.tuples as f64 * width as f64 * 4.0;
     let axi = AxiLink::with_bandwidth(fpga.axi_bandwidth);
     EpochCosts {
         io_first,
-        io_later: missing_later * disk.read_time(page_size as u64),
+        io_later: missing_later * inputs.disk.read_time(page_size as u64),
         axi: access_stats.axi_seconds,
         decompress: clock.to_seconds(access_stats.decompress_cycles),
         strider: clock.to_seconds(
             access_stats
                 .strider_cycles
-                .div_ceil(budget.num_page_buffers.max(1) as u64),
+                .div_ceil(inputs.budget.num_page_buffers.max(1) as u64),
         ),
         engine: engine_per_epoch,
         cpu_feed: access_stats.tuples as f64
@@ -773,53 +716,23 @@ fn stream_costs(
     }
 }
 
-/// Composes a finished *scoring* scan's stats into its end-to-end timing:
-/// one pass over the heap (scoring has no epochs) with the same pipeline
-/// overlap as training — a pure function.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_scoring_timing(
-    mode: ExecutionMode,
-    budget: ResourceBudget,
-    fpga: &FpgaSpec,
-    cpu: &CpuModel,
-    disk: &DiskModel,
-    pool_frames: usize,
-    heap: &HeapFile,
-    access_stats: &AccessStats,
-    io_first: Seconds,
-    scoring: &ScoringStats,
-    rec: &SpanRecorder,
-) -> DanaTiming {
-    let costs = stream_costs(
-        budget,
-        fpga,
-        cpu,
-        disk,
-        pool_frames,
-        heap,
-        heap.page_count(),
-        access_stats,
-        io_first,
-        scoring.engine_seconds(fpga.clock.hz),
-    );
-    record_scoring_spans(rec, mode, &costs);
-    compose(mode, 1, &costs)
-}
+// ---- report composition over a scan of k ≥ 1 members ---------------------
 
-// ---- gang (intra-query-parallel) report composition ---------------------
-
-/// What one gang member (shard) measured: its engine counters, its
-/// range-scan extraction stats, and its first-scan disk seconds.
+/// What one member of a statement's scan measured: its engine counters
+/// (zero for scoring, whose compute is accounted in [`ScoringStats`]), its
+/// extraction stats, and its first-scan disk seconds. A serial statement
+/// has exactly one.
 pub struct ShardArtifacts {
     pub engine_stats: EngineStats,
     pub access_stats: AccessStats,
     pub io_first: Seconds,
 }
 
-/// Element-wise maximum of the shards' access stats — the gang's
-/// critical extraction path (shards stream their ranges simultaneously,
-/// so one epoch's extraction costs what the slowest member costs).
-fn critical_access(shards: &[ShardArtifacts]) -> AccessStats {
+/// The scan's critical path: members stream simultaneously, so one pass
+/// costs what the slowest member costs — the element-wise maximum of the
+/// access stats and of the first-scan disk seconds (the identity over one
+/// member) — plus the pages one later pass touches.
+fn critical_scan(heap: &HeapFile, shards: &[ShardArtifacts]) -> (AccessStats, Seconds, u32) {
     let mut crit = AccessStats::default();
     for s in shards {
         let a = &s.access_stats;
@@ -834,56 +747,44 @@ fn critical_access(shards: &[ShardArtifacts]) -> AccessStats {
         crit.pages_skipped = crit.pages_skipped.max(a.pages_skipped);
         crit.access_seconds = crit.access_seconds.max(a.access_seconds);
     }
-    crit
+    let io_first = shards.iter().map(|s| s.io_first).fold(0.0, f64::max);
+    // The one rule that is not a reduction: a lone member is charged the
+    // whole heap for its later passes even when zone maps let its first
+    // pass skip pages, while a gang is charged the pages its critical
+    // member actually touched.
+    let scan_pages = match shards {
+        [_] => heap.page_count(),
+        _ => shards
+            .iter()
+            .map(|s| s.access_stats.pages as u32)
+            .max()
+            .unwrap_or(0),
+    };
+    (crit, io_first, scan_pages)
 }
 
-/// Composes a gang-scheduled training run into one [`DanaReport`].
+/// Composes a finished training run over `shards` (one per scan member,
+/// in shard order) into the end-to-end [`DanaReport`] via the
+/// pipeline-overlap cost model — a pure function.
 ///
-/// A one-shard gang delegates straight to [`assemble_report`] — the
-/// report is bit-identical to the serial query's. For `k > 1`, the
-/// simulated engine/extraction/I/O terms take the **critical path**
-/// (element-wise max across members: the gang's epoch ends when its
-/// slowest member does), the epoch-boundary merge tier's cycles ride the
+/// The simulated engine/extraction/I/O terms take the **critical path**
+/// (element-wise max across members: an epoch ends when its slowest
+/// member does), the epoch-boundary merge tier's `merge_cycles` ride the
 /// engine's merge counter, and throughput counters (tuples, batches) sum
-/// across members so the report still states true totals.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_gang_report(
-    mode: ExecutionMode,
+/// so the report states true totals. Every one of those reductions is
+/// the identity over one member, so a serial statement's report is its
+/// single member's measurements. `epoch_cycles` is the per-epoch cycle
+/// log the trace distributes the engine stage by; empty (gangs log per
+/// member) shares it uniformly.
+pub fn assemble_training_report(
+    inputs: &CostInputs<'_>,
     design: &EngineDesign,
-    budget: ResourceBudget,
-    fpga: &FpgaSpec,
-    cpu: &CpuModel,
-    disk: &DiskModel,
-    pool_frames: usize,
-    heap: &HeapFile,
     shards: Vec<ShardArtifacts>,
     merge_cycles: u64,
+    epoch_cycles: &[u64],
     models: Vec<Vec<f32>>,
     rec: &SpanRecorder,
-) -> DanaResult<DanaReport> {
-    let store = ModelStore::new(design, models)?;
-    let shard_count = shards.len() as u16;
-    if shards.len() == 1 && merge_cycles == 0 {
-        let s = shards.into_iter().next().expect("one shard");
-        return Ok(assemble_report(
-            mode,
-            design,
-            budget,
-            fpga,
-            cpu,
-            disk,
-            pool_frames,
-            heap,
-            RunArtifacts {
-                engine_stats: s.engine_stats,
-                access_stats: s.access_stats,
-                io_first: s.io_first,
-                epoch_cycles: Vec::new(),
-            },
-            store,
-            rec,
-        ));
-    }
+) -> DanaReport {
     let mut stats = EngineStats::default();
     for s in &shards {
         let e = &s.engine_stats;
@@ -895,62 +796,47 @@ pub fn assemble_gang_report(
         stats.epochs_run = stats.epochs_run.max(e.epochs_run);
         stats.converged_early |= e.converged_early;
     }
-    // The merge tier runs after the members join; it extends the gang's
+    // The merge tier runs after the members join; it extends the
     // critical path like the engine's own tree-bus merge does.
     stats.merge_cycles += merge_cycles;
     stats.cycles = stats.compute_cycles + stats.merge_cycles + stats.broadcast_cycles;
-    let access = critical_access(&shards);
-    let io_first = shards.iter().map(|s| s.io_first).fold(0.0, f64::max);
-    let scan_pages = shards
-        .iter()
-        .map(|s| s.access_stats.pages as u32)
-        .max()
-        .unwrap_or(0);
+    let (access, io_first, scan_pages) = critical_scan(inputs.heap, &shards);
 
+    let (mode, clock_hz) = (inputs.mode, inputs.fpga.clock.hz);
     let epochs = stats.epochs_run.max(1);
-    let engine_per_epoch = stats.cycles as f64 / epochs as f64 / fpga.clock.hz;
-    let costs = stream_costs(
-        budget,
-        fpga,
-        cpu,
-        disk,
-        pool_frames,
-        heap,
-        scan_pages,
-        &access,
-        io_first,
-        engine_per_epoch,
-    );
+    let engine_per_epoch = stats.cycles as f64 / epochs as f64 / clock_hz;
+    let costs = stream_costs(inputs, scan_pages, &access, io_first, engine_per_epoch);
     let timing: DanaTiming = compose(mode, epochs, &costs);
-    record_training_spans(rec, mode, epochs, &costs, fpga.clock.hz, &[], merge_cycles);
-    let model_names = design.models.iter().map(|m| m.name.clone()).collect();
-    Ok(DanaReport {
-        models: store.into_values(),
-        model_names,
+    record_training_spans(
+        rec,
+        mode,
+        epochs,
+        &costs,
+        clock_hz,
+        epoch_cycles,
+        merge_cycles,
+    );
+    DanaReport {
+        models,
+        model_names: design.models.iter().map(|m| m.name.clone()).collect(),
         epochs_run: stats.epochs_run,
         converged_early: stats.converged_early,
         num_threads: design.num_threads,
-        shards: shard_count,
+        shards: shards.len() as u16,
         backend: BackendKind::Fpga,
         timing,
         engine: stats,
         access,
-    })
+    }
 }
 
-/// Composes a gang-scheduled *scoring* scan's timing and combined
-/// counters. One shard delegates to [`assemble_scoring_timing`]
-/// (bit-identical to serial); `k > 1` takes the critical member for the
-/// timing terms while tuple/group counters sum.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_gang_scoring_timing(
-    mode: ExecutionMode,
-    budget: ResourceBudget,
-    fpga: &FpgaSpec,
-    cpu: &CpuModel,
-    disk: &DiskModel,
-    pool_frames: usize,
-    heap: &HeapFile,
+/// Composes a finished *scoring* scan's timing and combined counters: one
+/// pass over the heap (scoring has no epochs) with the same pipeline
+/// overlap as training — a pure function. The critical member carries the
+/// timing terms while tuple/group counters sum; over one member both are
+/// that member's own stats.
+pub fn assemble_scoring_timing(
+    inputs: &CostInputs<'_>,
     shards: &[ShardArtifacts],
     scoring: &[ScoringStats],
     rec: &SpanRecorder,
@@ -958,51 +844,19 @@ pub fn assemble_gang_scoring_timing(
     assert_eq!(
         shards.len(),
         scoring.len(),
-        "one scoring-stat entry per gang member"
+        "one scoring-stat entry per scan member"
     );
-    if shards.len() == 1 {
-        let timing = assemble_scoring_timing(
-            mode,
-            budget,
-            fpga,
-            cpu,
-            disk,
-            pool_frames,
-            heap,
-            &shards[0].access_stats,
-            shards[0].io_first,
-            &scoring[0],
-            rec,
-        );
-        return (timing, scoring[0]);
-    }
     let combined = ScoringStats {
         tuples: scoring.iter().map(|s| s.tuples).sum(),
         groups: scoring.iter().map(|s| s.groups).sum(),
         cycles: scoring.iter().map(|s| s.cycles).max().unwrap_or(0),
         lanes: scoring.first().map(|s| s.lanes).unwrap_or(0),
     };
-    let access = critical_access(shards);
-    let io_first = shards.iter().map(|s| s.io_first).fold(0.0, f64::max);
-    let scan_pages = shards
-        .iter()
-        .map(|s| s.access_stats.pages as u32)
-        .max()
-        .unwrap_or(0);
-    let costs = stream_costs(
-        budget,
-        fpga,
-        cpu,
-        disk,
-        pool_frames,
-        heap,
-        scan_pages,
-        &access,
-        io_first,
-        combined.engine_seconds(fpga.clock.hz),
-    );
-    record_scoring_spans(rec, mode, &costs);
-    (compose(mode, 1, &costs), combined)
+    let (access, io_first, scan_pages) = critical_scan(inputs.heap, shards);
+    let engine = combined.engine_seconds(inputs.fpga.clock.hz);
+    let costs = stream_costs(inputs, scan_pages, &access, io_first, engine);
+    record_scoring_spans(rec, inputs.mode, &costs);
+    (compose(inputs.mode, 1, &costs), combined)
 }
 
 /// SJF's ordering key for a *scoring* query: tuple count × per-tuple
@@ -1019,13 +873,26 @@ pub fn scoring_estimate_seconds(
         .to_seconds(groups.saturating_mul(recipe.per_tuple_cycles()))
 }
 
+/// Refuses a point-form row holding a NaN or an infinity, in the wording
+/// the SQL parser uses for the same literal: a typed request reaches the
+/// scorer without passing the parser, and a non-finite feature would
+/// score (and cache) a NaN while a NaN LRMF index would silently read
+/// factor row 0.
+pub fn check_point_row(row: &[f32]) -> DanaResult<()> {
+    match row.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(DanaError::Query(format!(
+            "non-finite value '{v}' in VALUES row"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Validates point-form PREDICT rows against the bound scoring program
 /// and packs them into one in-memory SoA batch — the fast path's bind
-/// step. Every row
-/// must have the same width, at least the program's scoring width
-/// (extra trailing columns, e.g. a label as stored in the source heap,
-/// are carried but ignored by the forward pass — exactly like the
-/// materializing scan).
+/// step. Every row must be finite and have the same width, at least the
+/// program's scoring width (extra trailing columns, e.g. a label as
+/// stored in the source heap, are carried but ignored by the forward
+/// pass — exactly like the materializing scan).
 pub fn point_batch(
     udf: &str,
     program: &ScoringProgram,
@@ -1052,6 +919,7 @@ pub fn point_batch(
                 row.len()
             )));
         }
+        check_point_row(row)?;
     }
     Ok(dana_storage::TupleBatch::from_rows(width, rows))
 }

@@ -77,7 +77,7 @@ pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, Tra
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{CmpOp, Predicate, ScanSpec};
 pub use error::{DanaError, DanaResult};
-pub use exec::{ArtifactBlob, CachedAccelerator, RunArtifacts, ShardArtifacts, TrainedModels};
+pub use exec::{ArtifactBlob, CachedAccelerator, ShardArtifacts, TrainedModels};
 pub use pipeline::Dana;
 pub use plan::{PhysicalPlan, PlanOp, Wrap};
 pub use query::{

@@ -61,11 +61,6 @@ impl CancelToken {
         }
     }
 
-    /// Cancels `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> CancelToken {
-        CancelToken::with_deadline(Instant::now() + timeout)
-    }
-
     /// A manually cancellable token (no deadline). Clone it into the
     /// query; call [`CancelToken::cancel`] on either clone.
     pub fn manual() -> CancelToken {

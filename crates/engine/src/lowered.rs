@@ -806,12 +806,6 @@ impl<'e> TrainingSession<'e> {
         self.stats
     }
 
-    /// The per-epoch cycle deltas recorded so far (one entry per
-    /// completed [`TrainingSession::run_epoch`] call).
-    pub fn epoch_cycle_log(&self) -> &[u64] {
-        &self.epoch_cycles
-    }
-
     /// Seals the run: stamps the epoch-loop outcome onto the accumulated
     /// counters.
     pub fn finish(self, epochs_run: u32, converged_early: bool) -> EngineStats {

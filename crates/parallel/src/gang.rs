@@ -12,11 +12,15 @@
 //! Shard threads are real OS threads (`std::thread::scope`), so on a
 //! multi-core host the wall clock shrinks too; the *simulated* timing is
 //! composed by the caller from the per-shard counters returned here
-//! (critical-path shard + merge-tier cycles).
+//! (critical-path shard + merge-tier cycles). A **one-member scoring
+//! gang spawns nothing**: it runs inline on the caller's thread, which
+//! is what lets every serial PREDICT/EVALUATE be a gang of one instead of
+//! a second code path.
 
 use dana_engine::{CancelToken, EngineStats, ExecutionEngine, FaultPlan, ModelStore};
 use dana_infer::{
-    evaluate_source_partial, score_source, MetricKind, MetricPartial, ScoringProgram, ScoringStats,
+    evaluate_source_partial, score_source, InferError, MetricKind, MetricPartial, ScoringProgram,
+    ScoringStats,
 };
 use dana_storage::{SourceError, TupleBatch, TupleSource};
 
@@ -43,14 +47,6 @@ pub struct GangOutcome {
     pub faulted_shards: Vec<usize>,
     /// Shard-epochs re-executed to recover from faults.
     pub reexecuted_epochs: u32,
-}
-
-impl GangOutcome {
-    /// The merge tier's seconds at an accelerator clock — the lifecycle
-    /// trace's `merge` span for a gang-scheduled query.
-    pub fn merge_seconds(&self, clock_hz: f64) -> f64 {
-        self.merge_cycles as f64 / clock_hz.max(1.0)
-    }
 }
 
 /// Watches a shard's first scan to record which factor rows its tuples
@@ -337,50 +333,87 @@ pub fn train_gang_guarded<S: TupleSource + Send>(
     })
 }
 
-/// One shard's scoring output.
-#[derive(Debug, Clone)]
-pub struct ShardScore {
-    pub predictions: Vec<f32>,
-    pub stats: ScoringStats,
-}
-
-/// Scores every shard concurrently with the same bound program. Returns
-/// per-shard outputs in shard order; concatenating `predictions` yields
-/// the full table's predictions in source page order, bit-identical to a
-/// serial scan (per-tuple scoring math is lane- and boundary-invariant).
-pub fn score_gang<S: TupleSource + Send>(
-    program: &ScoringProgram,
-    lanes: u16,
+/// Runs `work` over every member's source and returns the results in
+/// shard order, failures tagged with their shard index. One member runs
+/// **inline on the calling thread** — a serial statement is a gang of
+/// one, and pays for no thread; several members get one OS thread each,
+/// joined before returning.
+fn run_members<S: TupleSource + Send, T: Send>(
     sources: &mut [S],
-) -> ParallelResult<Vec<ShardScore>> {
-    if sources.is_empty() {
-        return Err(ParallelError::EmptyGang);
-    }
-    let results: Vec<Result<ShardScore, dana_infer::InferError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sources
-            .iter_mut()
-            .map(|source| {
-                scope.spawn(move || {
-                    let mut out =
-                        Vec::with_capacity(source.tuple_count_hint().unwrap_or(0) as usize);
-                    let stats = score_source(program, lanes, source, &mut out)?;
-                    Ok(ShardScore {
-                        predictions: out,
-                        stats,
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard thread must not panic"))
-            .collect()
-    });
+    work: impl Fn(&mut S) -> Result<T, InferError> + Sync,
+) -> ParallelResult<Vec<T>> {
+    let results: Vec<Result<T, InferError>> = match sources {
+        [] => return Err(ParallelError::EmptyGang),
+        [only] => vec![work(only)],
+        many => std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = many
+                .iter_mut()
+                .map(|source| scope.spawn(move || work(source)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard thread must not panic"))
+                .collect()
+        }),
+    };
     results
         .into_iter()
         .enumerate()
         .map(|(shard, r)| r.map_err(|source| ParallelError::Infer { shard, source }))
         .collect()
+}
+
+/// Scores every member with the same bound program and stitches the
+/// outputs back together — the single place shard outputs are
+/// concatenated. Returns the full prediction stream in shard order, which
+/// is source page order and therefore bit-identical to one serial scan
+/// (per-tuple scoring math is lane- and boundary-invariant), and the
+/// per-member counters beside it. The first member's vector is the one
+/// returned, extended by the rest: a one-member gang copies nothing.
+pub fn score_gang_concat<S: TupleSource + Send>(
+    program: &ScoringProgram,
+    lanes: u16,
+    sources: &mut [S],
+) -> ParallelResult<(Vec<f32>, Vec<ScoringStats>)> {
+    let shards = run_members(sources, |source| {
+        let mut out = Vec::with_capacity(source.tuple_count_hint().unwrap_or(0) as usize);
+        let stats = score_source(program, lanes, source, &mut out)?;
+        Ok((out, stats))
+    })?;
+    let total: usize = shards.iter().map(|(p, _)| p.len()).sum();
+    let mut stats = Vec::with_capacity(shards.len());
+    let mut shards = shards.into_iter();
+    let (mut predictions, first) = shards.next().expect("a gang has at least one member");
+    stats.push(first);
+    predictions.reserve(total - predictions.len());
+    for (p, s) in shards {
+        predictions.extend(p);
+        stats.push(s);
+    }
+    Ok((predictions, stats))
+}
+
+/// One shard's metric fold.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardEval {
+    pub partial: MetricPartial,
+    pub stats: ScoringStats,
+}
+
+/// Evaluates every member; the caller absorbs the partials in
+/// shard-index order and finishes the metric once. A one-member gang's
+/// finished value is the serial streamed metric — same fold, same thread.
+pub fn evaluate_gang<S: TupleSource + Send>(
+    program: &ScoringProgram,
+    lanes: u16,
+    sources: &mut [S],
+    metric: MetricKind,
+) -> ParallelResult<Vec<ShardEval>> {
+    run_members(sources, |source| {
+        let (partial, stats) = evaluate_source_partial(program, lanes, source, metric)?;
+        Ok(ShardEval { partial, stats })
+    })
 }
 
 #[cfg(test)]
@@ -582,6 +615,31 @@ mod tests {
         assert!(matches!(err, ParallelError::Cancelled), "{err}");
     }
 
+    /// Wraps a member's source and notes which thread pulls its batches.
+    struct ThreadProbe {
+        inner: crate::ReplaySource,
+        pulled_on: Option<std::thread::ThreadId>,
+    }
+
+    impl TupleSource for ThreadProbe {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+
+        fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
+            self.pulled_on = Some(std::thread::current().id());
+            self.inner.next_batch()
+        }
+
+        fn rewind(&mut self) -> Result<(), SourceError> {
+            self.inner.rewind()
+        }
+    }
+
+    /// Every gang size scores and evaluates bit-identically to the serial
+    /// scorer, and a one-member gang *is* the serial path: it runs where
+    /// the caller stands, while several members run on threads of their
+    /// own.
     #[test]
     fn score_gang_concat_matches_serial_scan() {
         let program = ScoringProgram::Dense {
@@ -590,81 +648,50 @@ mod tests {
             signed_labels: false,
         };
         let rows = tuples(101);
-        let mut serial_src = replay(&rows, 13);
         let mut serial = Vec::new();
-        let serial_stats = score_source(&program, 4, &mut serial_src, &mut serial).unwrap();
+        let serial_stats = score_source(&program, 4, &mut replay(&rows, 13), &mut serial).unwrap();
+        // Accuracy folds integer counts, so shard partials combine exactly.
+        let metric = MetricKind::Accuracy;
+        let (serial_value, _) =
+            dana_infer::evaluate_source(&program, 4, &mut replay(&rows, 13), metric).unwrap();
 
+        let here = std::thread::current().id();
         for split in [1usize, 2, 4] {
-            let chunk = rows.len().div_ceil(split);
-            let mut sources: Vec<_> = rows.chunks(chunk).map(|c| replay(c, 13)).collect();
-            let shards = score_gang(&program, 4, &mut sources).unwrap();
-            let concat: Vec<f32> = shards
-                .iter()
-                .flat_map(|s| s.predictions.iter().copied())
-                .collect();
+            let probes = || -> Vec<ThreadProbe> {
+                rows.chunks(rows.len().div_ceil(split))
+                    .map(|c| ThreadProbe {
+                        inner: replay(c, 13),
+                        pulled_on: None,
+                    })
+                    .collect()
+            };
+            let ran_inline_iff_alone = |sources: &[ThreadProbe]| {
+                for s in sources {
+                    let on = s.pulled_on.expect("every member was scanned");
+                    assert_eq!(on == here, split == 1, "{split} shards");
+                }
+            };
+
+            let mut sources = probes();
+            let (concat, stats) = score_gang_concat(&program, 4, &mut sources).unwrap();
             assert_eq!(concat, serial, "{split} shards");
-            let total: u64 = shards.iter().map(|s| s.stats.tuples).sum();
+            assert_eq!(stats.len(), split);
+            let total: u64 = stats.iter().map(|s| s.tuples).sum();
             assert_eq!(total, serial_stats.tuples);
+            ran_inline_iff_alone(&sources);
+
+            let mut sources = probes();
+            let evals = evaluate_gang(&program, 4, &mut sources, metric).unwrap();
+            let mut partial = MetricPartial::default();
+            for e in &evals {
+                partial.absorb(e.partial);
+            }
+            assert_eq!(
+                partial.finish(metric).unwrap(),
+                serial_value,
+                "{split} shards"
+            );
+            ran_inline_iff_alone(&sources);
         }
     }
-}
-
-/// [`score_gang`] plus the order-preserving concatenation every caller
-/// wants: the full prediction stream in source page order, and the
-/// per-shard counters beside it. This is the single place shard outputs
-/// are stitched back together.
-pub fn score_gang_concat<S: TupleSource + Send>(
-    program: &ScoringProgram,
-    lanes: u16,
-    sources: &mut [S],
-) -> ParallelResult<(Vec<f32>, Vec<ScoringStats>)> {
-    let shards = score_gang(program, lanes, sources)?;
-    let mut predictions = Vec::with_capacity(shards.iter().map(|s| s.predictions.len()).sum());
-    let mut stats = Vec::with_capacity(shards.len());
-    for s in shards {
-        predictions.extend(s.predictions);
-        stats.push(s.stats);
-    }
-    Ok((predictions, stats))
-}
-
-/// One shard's metric fold.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardEval {
-    pub partial: MetricPartial,
-    pub stats: ScoringStats,
-}
-
-/// Evaluates every shard concurrently; the caller absorbs the partials in
-/// shard-index order and finishes the metric once. A one-shard gang's
-/// finished value is bit-identical to the serial streamed metric.
-pub fn evaluate_gang<S: TupleSource + Send>(
-    program: &ScoringProgram,
-    lanes: u16,
-    sources: &mut [S],
-    metric: MetricKind,
-) -> ParallelResult<Vec<ShardEval>> {
-    if sources.is_empty() {
-        return Err(ParallelError::EmptyGang);
-    }
-    let results: Vec<Result<ShardEval, dana_infer::InferError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sources
-            .iter_mut()
-            .map(|source| {
-                scope.spawn(move || {
-                    let (partial, stats) = evaluate_source_partial(program, lanes, source, metric)?;
-                    Ok(ShardEval { partial, stats })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard thread must not panic"))
-            .collect()
-    });
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(shard, r)| r.map_err(|source| ParallelError::Infer { shard, source }))
-        .collect()
 }

@@ -28,8 +28,16 @@
 //! Determinism contract:
 //! * partials merge **in shard-index order**, whatever order shards
 //!   complete in ([`merge::MergeBuffer`] buffers by index);
-//! * a one-shard gang is the **identity merge** — `shards = 1` training
-//!   is bit-identical (models *and* stats) to the serial engine;
+//! * a one-shard training gang is the **identity merge** — bit-identical
+//!   (models *and* stats) to the serial engine. The system still runs a
+//!   one-member training scan on the serial epoch loop: the two loops
+//!   answer a fault differently (in-place retry vs. survivor
+//!   re-execution), which is policy, not duplication;
+//! * a one-member **scoring** gang is not merely bit-identical to serial
+//!   scoring — it *is* the serial path: [`score_gang_concat`] and
+//!   [`evaluate_gang`] run a lone member inline on the caller's thread,
+//!   return its prediction vector without a copy, and spawn only for
+//!   `k > 1`. Every serial PREDICT/EVALUATE in the system is this call;
 //! * parallel scoring concatenates shard outputs in shard order, which is
 //!   source page order — bit-identical to serial scoring for every shard
 //!   count, because per-tuple scoring math is lane- and
@@ -42,8 +50,8 @@ pub mod shard;
 
 pub use error::{ParallelError, ParallelResult};
 pub use gang::{
-    evaluate_gang, score_gang, score_gang_concat, train_gang, train_gang_guarded, GangGuard,
-    GangOutcome, ShardEval, ShardScore,
+    evaluate_gang, score_gang_concat, train_gang, train_gang_guarded, GangGuard, GangOutcome,
+    ShardEval,
 };
 pub use merge::{MergeBuffer, MergeSpec, ModelMergeKind, ShardOwnership};
 pub use shard::{packed_tuple_splits, split_replay_sources, ReplaySource, ShardPlan, ShardRange};

@@ -98,12 +98,6 @@ impl MergeSpec {
             })
             .collect()
     }
-
-    pub fn has_row_models(&self) -> bool {
-        self.kinds
-            .iter()
-            .any(|k| matches!(k, ModelMergeKind::RowOwnership { .. }))
-    }
 }
 
 /// Which factor rows one shard's tuples touch, per row-owned model:
@@ -130,13 +124,6 @@ impl ShardOwnership {
             .iter()
             .find(|(mi, _)| *mi == model)
             .map(|(_, bits)| bits.as_slice())
-    }
-
-    /// Rows this shard owns for `model` (test/report convenience).
-    pub fn owned_rows(&self, model: usize) -> usize {
-        self.rows_for(model)
-            .map(|bits| bits.iter().filter(|b| **b).count())
-            .unwrap_or(0)
     }
 }
 

@@ -83,6 +83,9 @@ impl ServeTier {
         udf: &str,
         row: &[f32],
     ) -> ServeResult<PointReply> {
+        // Refused here, not at the dispatch: a non-finite row must not
+        // fail the finite rows it would have been coalesced with.
+        dana::exec::check_point_row(row)?;
         let metrics = self.server.core().metrics();
         let start = Instant::now();
 
@@ -169,24 +172,5 @@ impl ServeTier {
             },
         )?;
         Ok(reply.try_point_report()?.predictions.clone())
-    }
-
-    /// Proactively flushes every cached prediction for one UDF (e.g.
-    /// alongside an explicit redeploy); returns how many entries were
-    /// dropped. The generation stamp already guarantees stale entries
-    /// are never *served* — this just reclaims their space eagerly.
-    pub fn flush_udf(&self, udf: &str) -> usize {
-        let flushed = self.cache.invalidate_udf(udf);
-        self.server
-            .core()
-            .metrics()
-            .prediction_cache_invalidations
-            .add(flushed as u64);
-        flushed
-    }
-
-    /// Live prediction-cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 }

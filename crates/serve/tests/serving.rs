@@ -15,9 +15,10 @@ use std::time::Duration;
 
 use dana::prelude::*;
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
-use dana_serve::{BatcherConfig, CacheConfig, ServeConfig, ServeTier};
+use dana_serve::{BatcherConfig, CacheConfig, ServeConfig, ServeError, ServeTier};
 use dana_server::{
-    AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, SystemCoreConfig,
+    AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, ServerError,
+    SystemCoreConfig,
 };
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
@@ -415,6 +416,83 @@ fn coalesced_predictions_are_bit_identical_to_serial() {
     let snap = srv.stats_snapshot(Some("serving"));
     assert!(snap.get("serving", "coalesced_dispatches").unwrap() >= 1.0);
     assert!(snap.get("serving", "batch_occupancy_count").unwrap() >= 1.0);
+}
+
+/// A typed point request never passes the SQL parser, so the scorer must
+/// refuse what `parse_values_rows` would have: a non-finite feature would
+/// score (and cache) a NaN, and a NaN LRMF index would silently read
+/// factor row 0. The refusal is the parser's typed error, lands before
+/// the cache is probed or anything dispatched, and leaves the session
+/// serving.
+#[test]
+fn non_finite_point_rows_are_refused_before_scoring_or_caching() {
+    let srv = server();
+    let dense = dense_setup(&srv, Algorithm::Linear, 300, 6);
+    srv.create_table("ratings", rating_heap(400, 24, 18))
+        .unwrap();
+    let spec = zoo::lrmf(LrmfParams {
+        rows: 24,
+        cols: 18,
+        rank: 8,
+        learning_rate: 0.05,
+        merge_coef: 4,
+        epochs: 4,
+    })
+    .unwrap();
+    srv.deploy(&spec, "ratings").unwrap();
+    let session = srv.open_session("client");
+    srv.call(
+        session,
+        QueryRequest::RunUdf {
+            udf: "lrmf".to_string(),
+            table: "ratings".to_string(),
+            shards: None,
+        },
+    )
+    .unwrap();
+    let tier = singleton_tier(&srv);
+    let cache_counters = || {
+        let snap = srv.core().stats_snapshot(Some("serving"));
+        let get = |name| snap.get("serving", name).unwrap();
+        (get("cache_hits"), get("cache_misses"))
+    };
+    let refused = |e: &ServerError| matches!(e, ServerError::Dana(DanaError::Query(m)) if m.contains("non-finite"));
+
+    let dense_row = vec![0.5f32; 7];
+    let lrmf_row = vec![3.0f32, 5.0, 1.0];
+    for (udf, good) in [(dense.as_str(), dense_row), ("lrmf", lrmf_row)] {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut row = good.clone();
+            row[0] = bad;
+            let before = cache_counters();
+            // The typed request, with a finite row beside the bad one.
+            let request = QueryRequest::PredictPoint {
+                udf: udf.to_string(),
+                rows: vec![good.clone(), row.clone()],
+            };
+            let e = srv.call(session, request).unwrap_err();
+            assert!(refused(&e), "{udf} {bad}: {e}");
+            // The serve tier — twice, because a scored-and-cached NaN
+            // would come back as a hit the second time.
+            for _ in 0..2 {
+                match tier.predict_point(session, udf, &row).unwrap_err() {
+                    ServeError::Server(e) => assert!(refused(&e), "{udf} {bad}: {e}"),
+                    other => panic!("{udf} {bad}: {other}"),
+                }
+            }
+            match tier.predict_rows(session, udf, vec![row]).unwrap_err() {
+                ServeError::Server(e) => assert!(refused(&e), "{udf} {bad}: {e}"),
+                other => panic!("{udf} {bad}: {other}"),
+            }
+            assert_eq!(cache_counters(), before, "the cache was never touched");
+        }
+        // The same session still serves the finite row: a miss, then a hit.
+        let first = tier.predict_point(session, udf, &good).unwrap();
+        assert!(!first.cached && first.prediction.is_finite(), "{udf}");
+        let again = tier.predict_point(session, udf, &good).unwrap();
+        assert!(again.cached, "{udf}");
+        assert_eq!(again.prediction, first.prediction, "{udf}");
+    }
 }
 
 /// The serving counters surface through `SHOW STATS ('serving')` — the

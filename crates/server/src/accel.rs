@@ -1,20 +1,21 @@
 //! The accelerator pool: N independent FPGA instances behind a lease
-//! scheduler, with atomic **gang leases** for intra-query parallelism.
+//! scheduler that grants atomic **gang leases**.
 //!
 //! The paper deploys *one* accelerator per query; a serving tier
 //! multiplexes many concurrent queries over a fixed pool of FPGA cards
 //! (each a full Strider + execution-engine machine of the same
-//! [`dana_fpga::FpgaSpec`]). Workers lease an instance — or a **gang** of
-//! `k` instances for a sharded query — run the admitted query on it, and
-//! release it with the query's **simulated** runtime.
+//! [`dana_fpga::FpgaSpec`]). There is one lease type: a worker leases a
+//! **gang** of `k ≥ 1` instances ([`AcceleratorPool::lease_gang`]) — a
+//! serial statement is a gang of one — runs the admitted query on it,
+//! and releases it with the query's **simulated** runtime.
 //!
-//! Grant discipline: requests (singles and gangs alike) queue FIFO and
-//! are granted strictly in arrival order, each **atomically** — a gang
-//! takes all `k` instances in one step or keeps waiting. Waiters hold
-//! nothing while they wait, so gangs cannot deadlock against singles or
-//! each other; FIFO order bounds everyone's wait, so gangs are neither
-//! starved by a stream of singles nor able to starve the singles behind
-//! them indefinitely. Instance selection is deterministic: the
+//! Grant discipline: requests of every size queue FIFO and are granted
+//! strictly in arrival order, each **atomically** — a gang takes all `k`
+//! instances in one step or keeps waiting. Waiters hold nothing while
+//! they wait, so gangs cannot deadlock against singles or each other;
+//! FIFO order bounds everyone's wait, so gangs are neither starved by a
+//! stream of singles nor able to starve the singles behind them
+//! indefinitely. Instance selection is deterministic: the
 //! least-loaded free instances win, ties broken by the **lowest instance
 //! id** — so gang placement and utilization metrics are reproducible
 //! run-to-run regardless of how the free list got scrambled by earlier
@@ -134,9 +135,7 @@ impl PoolState {
             self.free.push(id);
         }
     }
-}
 
-impl PoolState {
     /// Deterministically picks the `k` least-loaded free instances
     /// (lowest id on ties), removes them from the free list, counts the
     /// leases, and charges the gang-skew idle gap to every member that
@@ -176,41 +175,12 @@ pub struct AcceleratorPool {
     available: Condvar,
 }
 
-/// Exclusive use of one instance. Release with the query's simulated
-/// runtime; dropping without releasing returns the instance free of
-/// charge (the panic path).
-pub struct Lease<'a> {
-    pool: &'a AcceleratorPool,
-    id: usize,
-    released: bool,
-}
-
-impl Lease<'_> {
-    /// Which instance this lease holds.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Returns the instance, charging `sim_seconds` of simulated busy time
-    /// to its clock.
-    pub fn release(mut self, sim_seconds: Seconds) {
-        self.released = true;
-        self.pool.give_back(&[self.id], sim_seconds.max(0.0));
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        if !self.released {
-            self.pool.give_back(&[self.id], 0.0);
-        }
-    }
-}
-
-/// Exclusive use of `k` instances, acquired atomically — the gang one
-/// sharded query trains or scores on. Releasing charges **every** member
-/// the gang's simulated runtime (lockstep members idle-wait on the
-/// critical shard; the hardware is occupied either way).
+/// Exclusive use of `k ≥ 1` instances, acquired atomically — the gang
+/// one query trains or scores on (one instance for a serial statement).
+/// Releasing charges **every** member the gang's simulated runtime
+/// (lockstep members idle-wait on the critical shard; the hardware is
+/// occupied either way); dropping without releasing returns the members
+/// free of charge (the panic path).
 pub struct GangLease<'a> {
     pool: &'a AcceleratorPool,
     ids: Vec<usize>,
@@ -325,12 +295,15 @@ impl AcceleratorPool {
         self.lock().busy_seconds.len()
     }
 
-    /// Blocks until this request reaches the head of the FIFO *and*
-    /// enough instances are free, then atomically takes the `k`
-    /// least-loaded ones (lowest ids on ties). Returns `None` once the
-    /// pool is closed. `k` is clamped to the pool size — a larger gang
-    /// could never be satisfied.
-    fn acquire(&self, k: usize) -> Option<Vec<usize>> {
+    /// Atomically leases a gang of `k` instances: blocks until this
+    /// request reaches the head of the FIFO *and* enough instances are
+    /// free, then takes the `k` least-loaded ones (lowest ids on ties) in
+    /// one step — it can neither deadlock against other gangs (no
+    /// incremental hoarding) nor be starved by a stream of singles
+    /// (arrival order wins). `k` is clamped to the pool size — a larger
+    /// gang could never be satisfied. Returns `None` once the pool is
+    /// closed.
+    pub fn lease_gang(&self, k: usize) -> Option<GangLease<'_>> {
         let mut st = self.lock();
         let k = k.clamp(1, st.busy_seconds.len());
         if st.closed {
@@ -363,38 +336,17 @@ impl AcceleratorPool {
                     // Injected lease-grant stall (deterministic duration).
                     std::thread::sleep(stall);
                 }
-                return Some(ids);
+                return Some(GangLease {
+                    pool: self,
+                    ids,
+                    released: false,
+                });
             }
             st = match self.available.wait(st) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-    }
-
-    /// Leases one instance (FIFO with every other request). Returns
-    /// `None` once the pool is closed.
-    pub fn lease(&self) -> Option<Lease<'_>> {
-        let ids = self.acquire(1)?;
-        Some(Lease {
-            pool: self,
-            id: ids[0],
-            released: false,
-        })
-    }
-
-    /// Atomically leases a gang of `k` instances (clamped to the pool
-    /// size). The gang waits its FIFO turn and takes all members in one
-    /// step — it can neither deadlock against other gangs (no incremental
-    /// hoarding) nor be starved by a stream of singles (arrival order
-    /// wins). Returns `None` once the pool is closed.
-    pub fn lease_gang(&self, k: usize) -> Option<GangLease<'_>> {
-        let ids = self.acquire(k)?;
-        Some(GangLease {
-            pool: self,
-            ids,
-            released: false,
-        })
     }
 
     fn give_back(&self, ids: &[usize], sim_seconds: Seconds) {
@@ -495,14 +447,18 @@ mod tests {
         let pool = AcceleratorPool::new(2);
         // Two jobs of unequal length, then two more: the greedy schedule
         // puts the later jobs opposite the heavy one.
-        let l0 = pool.lease().unwrap();
-        let l1 = pool.lease().unwrap();
-        assert_ne!(l0.id(), l1.id());
-        let heavy = l0.id();
+        let l0 = pool.lease_gang(1).unwrap();
+        let l1 = pool.lease_gang(1).unwrap();
+        assert_ne!(l0.ids()[0], l1.ids()[0]);
+        let heavy = l0.ids()[0];
         l0.release(10.0);
         l1.release(1.0);
-        let l2 = pool.lease().unwrap();
-        assert_ne!(l2.id(), heavy, "next lease must avoid the loaded instance");
+        let l2 = pool.lease_gang(1).unwrap();
+        assert_ne!(
+            l2.ids()[0],
+            heavy,
+            "next lease must avoid the loaded instance"
+        );
         l2.release(1.0);
 
         let u = pool.utilization();
@@ -522,18 +478,17 @@ mod tests {
         let pool = AcceleratorPool::new(4);
         // Scramble the free list: take all four, release out of order
         // with *equal* charges so every instance stays tied.
-        let leases: Vec<_> = (0..4).map(|_| pool.lease().unwrap()).collect();
-        let mut leases: Vec<_> = leases.into_iter().collect();
+        let mut leases: Vec<_> = (0..4).map(|_| pool.lease_gang(1).unwrap()).collect();
         // Release 2, 0, 3, 1.
         for want in [2usize, 0, 3, 1] {
-            let pos = leases.iter().position(|l| l.id() == want).unwrap();
+            let pos = leases.iter().position(|l| l.ids()[0] == want).unwrap();
             leases.remove(pos).release(1.0);
         }
         // All tied at 1.0s; the next lease must take instance 0, then 1…
-        let a = pool.lease().unwrap();
-        assert_eq!(a.id(), 0, "tie must break to the lowest id");
-        let b = pool.lease().unwrap();
-        assert_eq!(b.id(), 1);
+        let a = pool.lease_gang(1).unwrap();
+        assert_eq!(a.ids()[0], 0, "tie must break to the lowest id");
+        let b = pool.lease_gang(1).unwrap();
+        assert_eq!(b.ids()[0], 1);
         drop((a, b));
 
         // Same for a gang: lowest ids among the least loaded, ascending.
@@ -554,8 +509,8 @@ mod tests {
         assert_eq!(g.size(), 3);
         assert_eq!(g.ids(), &[0, 1, 2]);
         // One instance left for singles while the gang runs.
-        let s = pool.lease().unwrap();
-        assert_eq!(s.id(), 3);
+        let s = pool.lease_gang(1).unwrap();
+        assert_eq!(s.ids()[0], 3);
         s.release(1.0);
         g.release(5.0);
         let u = pool.utilization();
@@ -573,8 +528,8 @@ mod tests {
     #[test]
     fn gang_grant_charges_schedule_hole_idle_to_lighter_members() {
         let pool = AcceleratorPool::new(2);
-        let a = pool.lease().unwrap();
-        let b = pool.lease().unwrap();
+        let a = pool.lease_gang(1).unwrap();
+        let b = pool.lease_gang(1).unwrap();
         a.release(3.0);
         b.release(1.0);
         // Singles accrue no idle, whatever their clocks.
@@ -598,8 +553,8 @@ mod tests {
     #[test]
     fn waiting_gang_neither_starves_nor_is_starved() {
         let pool = Arc::new(AcceleratorPool::new(2));
-        let l0 = pool.lease().unwrap();
-        let l1 = pool.lease().unwrap();
+        let l0 = pool.lease_gang(1).unwrap();
+        let l1 = pool.lease_gang(1).unwrap();
 
         let (tx, rx) = mpsc::channel::<&'static str>();
         let gang_pool = Arc::clone(&pool);
@@ -614,7 +569,7 @@ mod tests {
         let single_pool = Arc::clone(&pool);
         let single_tx = tx.clone();
         let single = std::thread::spawn(move || {
-            let s = single_pool.lease().unwrap();
+            let s = single_pool.lease_gang(1).unwrap();
             single_tx.send("single").unwrap();
             s.release(1.0);
         });
@@ -645,7 +600,7 @@ mod tests {
     fn equal_jobs_reach_near_linear_speedup() {
         let pool = AcceleratorPool::new(4);
         for _ in 0..16 {
-            let lease = pool.lease().unwrap();
+            let lease = pool.lease_gang(1).unwrap();
             lease.release(1.0);
         }
         let u = pool.utilization();
@@ -659,36 +614,26 @@ mod tests {
     fn dropped_lease_returns_instance_without_charge() {
         let pool = AcceleratorPool::new(1);
         {
-            let _lease = pool.lease().unwrap();
+            let _lease = pool.lease_gang(1).unwrap();
             // Dropped without release (the panic path).
         }
-        let again = pool.lease().expect("instance must come back");
+        let again = pool.lease_gang(1).expect("instance must come back");
         again.release(2.0);
         assert_eq!(pool.utilization().serial_seconds(), 2.0);
-        {
-            let _gang = pool.lease_gang(1).unwrap();
-        }
-        assert!(pool.lease().is_some(), "dropped gang frees its members");
     }
 
     #[test]
     fn close_wakes_blocked_leases() {
         let pool = std::sync::Arc::new(AcceleratorPool::new(1));
-        let held = pool.lease().unwrap();
+        let held = pool.lease_gang(1).unwrap();
         let p2 = std::sync::Arc::clone(&pool);
-        let waiter = std::thread::spawn(move || p2.lease().is_none());
-        let p3 = std::sync::Arc::clone(&pool);
-        let gang_waiter = std::thread::spawn(move || p3.lease_gang(1).is_none());
-        // Give the waiters time to block, then close.
+        let waiter = std::thread::spawn(move || p2.lease_gang(1).is_none());
+        // Give the waiter time to block, then close.
         std::thread::sleep(std::time::Duration::from_millis(20));
         pool.close();
         assert!(waiter.join().unwrap(), "blocked lease must see the close");
-        assert!(
-            gang_waiter.join().unwrap(),
-            "blocked gang must see the close"
-        );
         drop(held);
-        assert!(pool.lease().is_none(), "closed pool stays closed");
+        assert!(pool.lease_gang(1).is_none(), "closed pool stays closed");
     }
 
     #[test]
@@ -696,25 +641,25 @@ mod tests {
         let pool = AcceleratorPool::new(2);
         assert_eq!(pool.report_fault(0), Health::Suspect);
         // Suspect instances still schedule.
-        let l = pool.lease().unwrap();
-        assert_eq!(l.id(), 0);
+        let l = pool.lease_gang(1).unwrap();
+        assert_eq!(l.ids()[0], 0);
         l.release(1.0);
         // Second fault quarantines; the idle instance leaves the free
         // list immediately, so the next lease lands elsewhere even though
         // instance 0 is the least loaded... (it is not: 1.0 vs 0.0 — take
         // the other one anyway to prove avoidance).
         assert_eq!(pool.report_fault(0), Health::Quarantined);
-        let l = pool.lease().unwrap();
-        assert_eq!(l.id(), 1);
+        let l = pool.lease_gang(1).unwrap();
+        assert_eq!(l.ids()[0], 1);
         l.release(5.0);
-        let l = pool.lease().unwrap();
-        assert_eq!(l.id(), 1, "quarantined instance must not be leased");
+        let l = pool.lease_gang(1).unwrap();
+        assert_eq!(l.ids()[0], 1, "quarantined instance must not be leased");
         l.release(0.0);
         // Probe reinstates; instance 0 is schedulable again.
         assert!(pool.probe(0));
         assert!(!pool.probe(0), "probe is idempotent");
-        let l = pool.lease().unwrap();
-        assert_eq!(l.id(), 0);
+        let l = pool.lease_gang(1).unwrap();
+        assert_eq!(l.ids()[0], 0);
         l.release(0.0);
         let h = pool.health();
         assert_eq!(h.quarantines, 1);
@@ -746,8 +691,10 @@ mod tests {
             pool.report_fault(id);
         }
         assert_eq!(pool.health().quarantined_now(), 2);
-        let l = pool.lease().expect("self-heal must reinstate an instance");
-        assert_eq!(l.id(), 0, "lowest id is auto-probed");
+        let l = pool
+            .lease_gang(1)
+            .expect("self-heal must reinstate an instance");
+        assert_eq!(l.ids()[0], 0, "lowest id is auto-probed");
         l.release(1.0);
         let h = pool.health();
         assert_eq!(h.quarantined_now(), 1);
@@ -757,13 +704,13 @@ mod tests {
     #[test]
     fn probe_during_lease_does_not_double_free() {
         let pool = AcceleratorPool::new(1);
-        let l = pool.lease().unwrap();
+        let l = pool.lease_gang(1).unwrap();
         pool.report_fault(0);
         pool.report_fault(0);
         // Reinstate while the lease is still out: no double-free.
         assert!(pool.probe(0));
         l.release(1.0);
-        let a = pool.lease().unwrap();
+        let a = pool.lease_gang(1).unwrap();
         let p2: &AcceleratorPool = &pool;
         std::thread::scope(|scope| {
             let t = scope.spawn(move || {
@@ -771,7 +718,10 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(20));
                 p2.close();
             });
-            assert!(p2.lease().is_none(), "second lease must wait, then close");
+            assert!(
+                p2.lease_gang(1).is_none(),
+                "second lease must wait, then close"
+            );
             t.join().unwrap();
         });
         a.release(0.0);
@@ -782,12 +732,12 @@ mod tests {
         let pool = AcceleratorPool::new(1);
         pool.set_lease_stall(Some(Duration::from_millis(25)));
         let t0 = std::time::Instant::now();
-        let l = pool.lease().unwrap();
+        let l = pool.lease_gang(1).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(25));
         l.release(0.0);
         pool.set_lease_stall(None);
         let t0 = std::time::Instant::now();
-        pool.lease().unwrap().release(0.0);
+        pool.lease_gang(1).unwrap().release(0.0);
         assert!(t0.elapsed() < Duration::from_millis(25));
     }
 

@@ -16,7 +16,9 @@
 //!   `DanaTiming` cost estimate;
 //! * [`AcceleratorPool`] — N independent accelerator instances behind a
 //!   lease scheduler that doubles as the simulated-time list scheduler
-//!   (greedy least-loaded placement, makespan and utilization reports);
+//!   (greedy least-loaded placement, makespan and utilization reports).
+//!   Every statement holds one [`GangLease`] of `plan.shards ≥ 1`
+//!   instances; there is no separate single-instance lease;
 //! * [`DanaServer`] — the front door: worker threads (vendored crossbeam
 //!   channels carry replies) execute admitted queries in parallel on
 //!   leased instances.
@@ -31,7 +33,7 @@ pub mod error;
 pub mod server;
 pub mod session;
 
-pub use accel::{AcceleratorPool, GangLease, Health, Lease, PoolHealth, PoolUtilization};
+pub use accel::{AcceleratorPool, GangLease, Health, PoolHealth, PoolUtilization};
 pub use admission::{AdmissionConfig, Priority, QueueStats, SchedPolicy};
 pub use dana::{EngineCacheStats, QueryCtx, SystemCore, SystemCoreConfig};
 pub use error::{ServerError, ServerResult};

@@ -249,11 +249,6 @@ impl QueryReply {
         self.try_comparison().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The EXPLAIN ANALYZE report (panics for other reply kinds).
-    pub fn analyze_report(&self) -> &AnalyzeReport {
-        self.try_analyze_report().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The SHOW STATS snapshot (panics for other reply kinds).
     pub fn stats(&self) -> &StatsSnapshot {
         self.try_stats().unwrap_or_else(|e| panic!("{e}"))
@@ -311,12 +306,6 @@ impl ServerConfig {
             core: SystemCoreConfig::default(),
             default_timeout_ms: None,
         }
-    }
-
-    /// Sets the server-wide default query deadline.
-    pub fn with_default_timeout_ms(mut self, ms: u64) -> ServerConfig {
-        self.default_timeout_ms = Some(ms);
-        self
     }
 }
 

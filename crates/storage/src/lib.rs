@@ -67,11 +67,6 @@ impl HeapId {
     pub fn shadow(self) -> HeapId {
         HeapId(self.0 | Self::SHADOW_BIT)
     }
-
-    /// True if this id is a shadow alias.
-    pub fn is_shadow(self) -> bool {
-        self.0 & Self::SHADOW_BIT != 0
-    }
 }
 
 /// Identifies a page: a heap file plus a page number within it.

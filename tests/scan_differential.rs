@@ -144,23 +144,41 @@ fn pages_of(heap: &HeapFile) -> Vec<Vec<u8>> {
 
 /// Filtered EXECUTE / PREDICT / EVALUATE against the full table must be
 /// bit-identical to the plain statement against the pre-materialized
-/// filtered table, for every zoo model × shard count.
+/// filtered table, for every zoo model × shard count — and each charges
+/// `SHOW STATS ('scan')` for exactly one logical scan, whatever shape
+/// (one stream, or one scan replayed by k members) ran it.
 #[test]
 fn filtered_statements_match_prematerialized_table_concurrent_facade() {
     for algo in ZOO {
         let spec = spec_for(algo, 3);
         let udf = spec.name.clone();
         let (full, filtered, wher) = tables_for(algo);
+        let (rows_full, rows_kept) = (full.tuple_count() as f64, filtered.tuple_count() as f64);
         let core = fresh_core();
         core.create_table("t", full).unwrap();
         core.create_table("tf", filtered).unwrap();
         core.deploy(&spec, "tf").unwrap();
 
         let run = |sql: String| core.execute_statement(&sql).unwrap();
+        let scan_counters = || {
+            let snap = core.stats_snapshot(Some("scan"));
+            ["queries", "rows_considered", "rows_emitted"].map(|c| snap.get("scan", c).unwrap())
+        };
+        let run_filtered = |sql: String| {
+            let before = scan_counters();
+            let outcome = run(sql.clone());
+            let after = scan_counters();
+            assert_eq!(
+                [0, 1, 2].map(|i| after[i] - before[i]),
+                [1.0, rows_full, rows_kept],
+                "{algo:?}: scan counters charged by `{sql}`"
+            );
+            outcome
+        };
         for k in [1u16, 2, 4] {
             let with = format!("WITH (shards = {k}, backend = fpga)");
             // EXECUTE: models bit-identical.
-            let got = run(format!("SELECT * FROM dana.{udf}('t') {wher} {with};"));
+            let got = run_filtered(format!("SELECT * FROM dana.{udf}('t') {wher} {with};"));
             let want = run(format!("SELECT * FROM dana.{udf}('tf') {with};"));
             let (got, want) = (got.report(), want.report());
             assert_eq!(got.models, want.models, "{algo:?} k={k}: trained models");
@@ -168,7 +186,7 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
 
             // PREDICT: materialized pages byte-identical. (The reference
             // train above bound the model both runs score with.)
-            run(format!(
+            run_filtered(format!(
                 "PREDICT dana.{udf}('t') INTO 'pf_{k}' {wher} {with};"
             ));
             run(format!("PREDICT dana.{udf}('tf') INTO 'pr_{k}' {with};"));
@@ -177,7 +195,7 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             assert_eq!(got_pages, want_pages, "{algo:?} k={k}: prediction pages");
 
             // EVALUATE: metric value and row count bit-identical.
-            let got = run(format!("EVALUATE dana.{udf}('t') {wher} {with};"));
+            let got = run_filtered(format!("EVALUATE dana.{udf}('t') {wher} {with};"));
             let want = run(format!("EVALUATE dana.{udf}('tf') {with};"));
             let (got, want) = (got.eval_report(), want.eval_report());
             assert_eq!(got.value, want.value, "{algo:?} k={k}: metric value");
