@@ -3,7 +3,7 @@
 //!
 //! "The hardware generator obtains the database page layout information,
 //! model, and training data schema from the DBMS catalog. FPGA-specific
-//! information ... [is] provided by the user. Using this information, the
+//! information ... \[is\] provided by the user. Using this information, the
 //! hardware generator distributes the resources among access and execution
 //! engine. ... To decide the allocation of resources to each thread vs.
 //! number of threads, we equip the hardware generator with a performance

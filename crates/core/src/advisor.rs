@@ -75,11 +75,6 @@ pub struct HardwareProfile {
     pub fpga_setup_seconds: f64,
     /// Host-side orchestration per epoch on the FPGA tier.
     pub fpga_epoch_overhead_seconds: f64,
-    /// Tuples the CPU tier buffers per scheduling chunk (informational;
-    /// the SoA group size itself is the design's thread count).
-    pub cpu_batch_rows: u32,
-    /// Tuples per streamed page batch on the FPGA tier (informational).
-    pub fpga_batch_rows: u32,
     /// Manual break-even override: below this many rows the advisor
     /// picks CPU, at or above it FPGA, bypassing the throughput model.
     pub offload_threshold_rows: Option<u64>,
@@ -94,8 +89,6 @@ impl Default for HardwareProfile {
             fpga_clock_hz: 150.0e6,
             fpga_setup_seconds: SETUP_SECONDS,
             fpga_epoch_overhead_seconds: EPOCH_OVERHEAD_S,
-            cpu_batch_rows: 4096,
-            fpga_batch_rows: 65_536,
             offload_threshold_rows: None,
         }
     }
@@ -186,8 +179,6 @@ pub struct BackendOption {
     /// This option's speedup over the slowest option (≥ 1.0; the winner
     /// has the largest value).
     pub estimated_speedup: f64,
-    /// Whether the substrate can run this query at all.
-    pub available: bool,
 }
 
 /// The advisor's verdict: per-backend costs, the chosen backend, and the
@@ -229,12 +220,11 @@ impl std::fmt::Display for StrategyComparison {
         for o in &self.options {
             writeln!(
                 f,
-                "  {} {:<4} est {:>10.3} ms  ({:.2}× vs slowest{})",
+                "  {} {:<4} est {:>10.3} ms  ({:.2}× vs slowest)",
                 if o.backend == self.chosen { "→" } else { " " },
                 o.backend.name(),
                 o.estimated_seconds * 1e3,
                 o.estimated_speedup,
-                if o.available { "" } else { ", unavailable" },
             )?;
         }
         match self.break_even_rows {
@@ -317,7 +307,6 @@ pub fn advise(
         backend,
         estimated_seconds: est,
         estimated_speedup: slowest / est.max(f64::MIN_POSITIVE),
-        available: true,
     };
     let rationale = if forced {
         format!("WITH (backend = {}) override", chosen.name())

@@ -60,11 +60,11 @@ use dana_storage::{
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
 
-use crate::advisor::{self, BackendChoice, HardwareProfile};
+use crate::advisor::{self, BackendChoice, HardwareProfile, StrategyComparison};
 use crate::error::{DanaError, DanaResult};
 use crate::exec::{self, ArtifactBlob, CachedAccelerator, ShardArtifacts};
 use crate::plan::{PhysicalPlan, PlanOp, Wrap};
-use crate::query::Statement;
+use crate::query::Call;
 use crate::report::{
     AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
     Seconds, StatementOutcome,
@@ -681,99 +681,65 @@ impl SystemCore {
 
     // ---- bind -----------------------------------------------------------
 
-    /// Binds a parsed statement to its [`PhysicalPlan`] — the one place a
-    /// statement's `(udf, table, shards, backend)` and (through
-    /// [`exec::statement_scan`]) its pushdown scan are read. The
-    /// gang is clamped to `lease_cap` (the accelerator instances the
-    /// caller could hold at once) **and** the scanned table's page count
-    /// (the shard planner never makes more shards than pages), so the
-    /// instances leased and the shards run always agree. A `WITH
-    /// (backend = …)` override wins; `auto` asks the advisor; a gang
-    /// request (shards > 1) pins the FPGA tier, and forcing the CPU tier
-    /// alongside one is a typed error. Runs entirely on catalog metadata
-    /// and the cached lowering — no data is touched.
+    /// Binds a parsed [`Call`] to its [`PhysicalPlan`] — the one place a
+    /// call's `(op, udf, table, scan, with)` are read. The gang is clamped
+    /// to `lease_cap` (the accelerator instances the caller could hold at
+    /// once) **and** the scanned table's page count (the shard planner
+    /// never makes more shards than pages), so the instances leased and
+    /// the shards run always agree. A `WITH (backend = …)` override wins;
+    /// `auto` asks the advisor; a gang request (shards > 1) pins the FPGA
+    /// tier, and forcing the CPU tier alongside one is a typed error. Runs
+    /// entirely on catalog metadata and the cached lowering — no data is
+    /// touched.
     ///
-    /// `EXPLAIN [ANALYZE] <stmt>` binds the inner statement and records
-    /// the wrapper in [`PhysicalPlan::wrap`]; `SHOW STATS` executes
-    /// nothing and has no plan.
-    pub fn bind(&self, stmt: &Statement, lease_cap: usize) -> DanaResult<PhysicalPlan> {
-        let (inner, explained) = match stmt {
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => (&**inner, true),
-            other => (other, false),
-        };
-        let (op, udf, table, shards, requested) = match inner {
-            Statement::Train(c) => (PlanOp::Train, &c.udf, Some(&c.table), c.shards, c.backend),
-            Statement::Predict(p) => (
-                PlanOp::PredictInto {
-                    dest: p.into.clone(),
-                },
-                &p.udf,
-                Some(&p.table),
-                p.shards,
-                p.backend,
-            ),
-            Statement::Evaluate(e) => (
-                PlanOp::Evaluate { metric: e.metric },
-                &e.udf,
-                Some(&e.table),
-                e.shards,
-                e.backend,
-            ),
-            // The point form scores its literal rows: no table, no scan,
-            // nothing to shard (the parser rejects the option).
-            Statement::PredictPoint(p) => (
-                PlanOp::Point {
-                    rows: p.rows.clone(),
-                },
-                &p.udf,
-                None,
-                None,
-                p.backend,
-            ),
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                return Err(DanaError::Query("EXPLAIN cannot be nested".to_string()))
-            }
-            Statement::ShowStats(_) => {
-                return Err(DanaError::Query(
-                    "SHOW STATS has no execution backend".to_string(),
-                ))
-            }
-        };
-        let scan = exec::statement_scan(inner);
+    /// `EXPLAIN [ANALYZE] <call>` passes the [`Wrap`] its advisor
+    /// comparison goes in ([`Wrap::Explain`] / [`Wrap::Analyze`]) as
+    /// `explain`; `SHOW STATS` executes nothing and has nothing to bind.
+    pub fn bind(
+        &self,
+        call: &Call,
+        explain: Option<fn(Box<StrategyComparison>) -> Wrap>,
+        lease_cap: usize,
+    ) -> DanaResult<PhysicalPlan> {
+        let Call {
+            op,
+            udf,
+            table,
+            scan,
+            with,
+        } = call;
+        let scan = scan.as_ref();
         let cached = self.accelerator_runtime(udf)?;
-        let (rows, columns, pages) = match (&op, table) {
-            (PlanOp::Point { rows }, _) => (rows.len() as u64, 0, None),
-            (_, Some(table)) => {
+        // The point form scores its literal rows: no table, no scan,
+        // nothing to shard (the parser rejects the option).
+        let (rows, columns, pages) = match op {
+            PlanOp::Point { rows } => (rows.len() as u64, 0, None),
+            _ => {
                 let cat = self.read();
                 let t = cat.live_table(table)?;
                 let columns = cat.heap(t.heap_id)?.schema().len();
                 (t.tuple_count, columns, Some(t.page_count))
             }
-            (_, None) => {
-                return Err(DanaError::Query(format!(
-                    "statement on '{udf}' names no table to scan"
-                )))
-            }
         };
 
-        let requested = match (shards.is_some_and(|k| k > 1), requested) {
+        let requested = match (with.shards.is_some_and(|k| k > 1), with.backend) {
             (true, BackendChoice::Cpu) => return Err(exec::gang_needs_fpga()),
             (true, _) => BackendChoice::Fpga,
             (false, requested) => requested,
         };
-        let mut k = shards
+        let mut k = with
+            .shards
             .unwrap_or(1)
             .clamp(1, lease_cap.clamp(1, u16::MAX as usize) as u16);
         if let Some(pages) = pages {
             k = k.min(ShardPlan::effective_shards(pages, k as usize) as u16);
         }
 
-        let training = op == PlanOp::Train;
-        let table = table.map_or("", String::as_str);
-        let comparison = (explained || requested == BackendChoice::Auto).then(|| {
+        let training = *op == PlanOp::Train;
+        let comparison = (explain.is_some() || requested == BackendChoice::Auto).then(|| {
             let workload = exec::workload(&cached, rows, columns, training, scan);
-            let label = match &op {
-                _ if !explained => String::new(),
+            let label = match op {
+                _ if explain.is_none() => String::new(),
                 PlanOp::PredictInto { dest } => format!("PREDICT {udf} ON {table} INTO {dest}"),
                 PlanOp::Point { rows } => format!("PREDICT {udf} ON {} inline row(s)", rows.len()),
                 PlanOp::Evaluate { .. } => format!("EVALUATE {udf} ON {table}"),
@@ -805,16 +771,15 @@ impl SystemCore {
                 exec::scoring_estimate_seconds(recipe, rows, design.num_threads as u32, &self.fpga)
             })
         };
-        let wrap = match (stmt, comparison) {
-            (Statement::Explain(_), Some(c)) => Wrap::Explain(Box::new(c)),
-            (Statement::ExplainAnalyze(_), Some(c)) => Wrap::Analyze(Box::new(c)),
-            _ if stmt.wants_trace() => Wrap::Trace,
+        let wrap = match (explain, comparison) {
+            (Some(wrap), Some(c)) => wrap(Box::new(c)),
+            _ if with.trace => Wrap::Trace,
             _ => Wrap::None,
         };
         Ok(PhysicalPlan {
-            op,
+            op: op.clone(),
             udf: udf.clone(),
-            table: table.to_string(),
+            table: table.clone(),
             scan: scan.cloned(),
             shards: k,
             backend,
@@ -1149,6 +1114,14 @@ impl SystemCore {
                     ))
                 })
                 .collect(),
+            // Filter and projection run in the Striders; only a
+            // hand-built plan can ask the CPU-deform feed for them.
+            Some(_) if feed != FeedKind::Strider => {
+                return Err(DanaError::Query(format!(
+                    "WHERE/COLUMNS pushdown needs the Strider feed, not {}",
+                    plan.mode.name()
+                )))
+            }
             Some(st) => {
                 let whole = SharedPageStreamSource::new(
                     &self.pool, &self.disk, heap, heap_id, access, feed,
@@ -1536,7 +1509,7 @@ impl SystemCore {
 mod tests {
     use super::*;
     use crate::pipeline::tests::linreg_heap;
-    use crate::{parse_statement, Dana};
+    use crate::{parse_statement, Dana, Statement};
     use dana_dsl::zoo::{linear_regression, DenseParams};
 
     const POOL: BufferPoolConfig = BufferPoolConfig {
@@ -1551,6 +1524,15 @@ mod tests {
             pool_shards: 4,
             disk: DiskModel::ssd(),
         })
+    }
+
+    /// Binds `sql` — a call, bare or under EXPLAIN — against `cap` leases.
+    fn bind_sql(core: &SystemCore, sql: &str, cap: usize) -> DanaResult<PhysicalPlan> {
+        match parse_statement(sql).unwrap() {
+            Statement::Call(call) => core.bind(&call, None, cap),
+            Statement::Explain(call) => core.bind(&call, Some(Wrap::Explain), cap),
+            other => panic!("{other:?} has no plan to bind"),
+        }
     }
 
     fn linreg_spec(d: usize) -> dana_dsl::AlgoSpec {
@@ -1632,11 +1614,7 @@ mod tests {
         core.create_table("small", linreg_heap(200, 8)).unwrap();
         core.create_table("large", linreg_heap(4000, 8)).unwrap();
         core.deploy(&linreg_spec(8), "small").unwrap();
-        let hint = |sql: &str| {
-            core.bind(&parse_statement(sql).unwrap(), 1)
-                .unwrap()
-                .cost_hint
-        };
+        let hint = |sql: &str| bind_sql(&core, sql, 1).unwrap().cost_hint;
         let s = hint("EVALUATE dana.linearR('small');");
         let l = hint("EVALUATE dana.linearR('large');");
         assert!(s > 0.0);
@@ -1648,12 +1626,12 @@ mod tests {
             "a scoring pass must undercut training under SJF: {s} vs {train}"
         );
         // A gang finishes its scan ~k× sooner, and is priced so.
-        let gang = core
-            .bind(
-                &parse_statement("EVALUATE dana.linearR('large') WITH (shards = 2);").unwrap(),
-                4,
-            )
-            .unwrap();
+        let gang = bind_sql(
+            &core,
+            "EVALUATE dana.linearR('large') WITH (shards = 2);",
+            4,
+        )
+        .unwrap();
         assert_eq!(gang.shards, 2);
         assert_eq!(gang.cost_hint, l / 2.0);
     }
@@ -1705,7 +1683,7 @@ mod tests {
         let core = small_core();
         core.create_table("t", linreg_heap(300, 8)).unwrap();
         core.deploy(&linreg_spec(8), "t").unwrap();
-        let bind = |sql: &str| core.bind(&parse_statement(sql).unwrap(), 4);
+        let bind = |sql: &str| bind_sql(&core, sql, 4);
 
         // Default: always offload, and EXPLAIN prices both tiers.
         let plain = "SELECT * FROM dana.linearR('t');";
@@ -1741,8 +1719,11 @@ mod tests {
             core.execute(&conflict, &SpanRecorder::disabled(), &QueryCtx::unbounded()),
             Err(DanaError::Query(_))
         ));
-        // SHOW STATS executes nothing: there is no plan to bind.
-        assert!(matches!(bind("SHOW STATS;"), Err(DanaError::Query(_))));
+        // SHOW STATS executes nothing: there is no plan to explain.
+        assert!(matches!(
+            core.explain_sql("SHOW STATS;"),
+            Err(DanaError::Query(_))
+        ));
     }
 
     #[test]
@@ -1756,11 +1737,7 @@ mod tests {
         large_spec.name = "largeR".into();
         core.deploy(&small_spec, "small").unwrap();
         core.deploy(&large_spec, "large").unwrap();
-        let hint = |sql: &str| {
-            core.bind(&parse_statement(sql).unwrap(), 1)
-                .unwrap()
-                .cost_hint
-        };
+        let hint = |sql: &str| bind_sql(&core, sql, 1).unwrap().cost_hint;
         let s = hint("SELECT * FROM dana.smallR('small');");
         let l = hint("SELECT * FROM dana.largeR('large');");
         assert!(s > 0.0 && l > 0.0);

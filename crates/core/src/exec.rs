@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use dana_compiler::{CompiledAccelerator, PerfEstimate};
 use dana_engine::{
-    BackendKind, BackendRun, CpuBackend, EngineDesign, EngineStats, ExecutionEngine, FpgaBackend,
-    LoweredProgram,
+    Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine, LoweredProgram,
 };
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
@@ -220,11 +219,6 @@ pub struct CachedAccelerator {
     /// The deploy-time scoring recipe, cached beside the training engine
     /// so PREDICT/EVALUATE never re-derive (or re-parse the blob for) it.
     pub scoring: Option<ScoringRecipe>,
-    /// The simulated-FPGA execution backend over `engine`, cached so the
-    /// hot path never re-wraps per query.
-    pub fpga: Arc<FpgaBackend>,
-    /// The native CPU execution backend over the same lowered program.
-    pub cpu: Arc<CpuBackend>,
 }
 
 impl CachedAccelerator {
@@ -235,8 +229,6 @@ impl CachedAccelerator {
         scoring: Option<ScoringRecipe>,
     ) -> CachedAccelerator {
         CachedAccelerator {
-            fpga: Arc::new(FpgaBackend::new(Arc::clone(&engine))),
-            cpu: Arc::new(CpuBackend::new(Arc::clone(&engine))),
             engine,
             budget,
             estimate,
@@ -251,12 +243,9 @@ impl CachedAccelerator {
         CachedAccelerator::new(Arc::clone(&acc.engine), acc.budget, acc.estimate, scoring)
     }
 
-    /// The cached backend instance for a substrate.
-    pub fn backend(&self, kind: BackendKind) -> Arc<dyn dana_engine::ExecutionBackend> {
-        match kind {
-            BackendKind::Fpga => Arc::clone(&self.fpga) as _,
-            BackendKind::Cpu => Arc::clone(&self.cpu) as _,
-        }
+    /// This accelerator's engine on the `kind` substrate.
+    pub fn backend(&self, kind: BackendKind) -> Backend {
+        Backend::new(kind, Arc::clone(&self.engine))
     }
 }
 
@@ -404,7 +393,7 @@ pub fn access_engine_for(heap: &HeapFile, budget: ResourceBudget, fpga: &FpgaSpe
 // ---- pushdown scan plumbing ---------------------------------------------
 
 /// Resolves a statement's optional `WHERE`/`COLUMNS` spec into the
-/// [`ScanState`] the page sources consume: `None` for no spec or a
+/// [`crate::ScanState`] the page sources consume: `None` for no spec or a
 /// trivial one (plain full scans never touch the sidecar), otherwise the
 /// spec bound to the heap's schema plus the table's compressed sidecar —
 /// built on first use and cached on the catalog entry's runtime slot, so
@@ -648,18 +637,9 @@ pub fn workload(
     }
 }
 
-/// The pushdown scan spec a statement carries, if any. The point form
-/// and the meta statements have none.
+/// The pushdown scan spec of a statement's call, if it has either.
 pub fn statement_scan(stmt: &Statement) -> Option<&ScanSpec> {
-    match stmt {
-        Statement::Train(c) => c.scan.as_ref(),
-        Statement::Predict(p) => p.scan.as_ref(),
-        Statement::Evaluate(e) => e.scan.as_ref(),
-        Statement::PredictPoint(_)
-        | Statement::Explain(_)
-        | Statement::ExplainAnalyze(_)
-        | Statement::ShowStats(_) => None,
-    }
+    stmt.call()?.scan.as_ref()
 }
 
 /// What one statement's run is priced against, as opposed to what it

@@ -13,10 +13,10 @@
 //!  DSL (dana-dsl) ──► hDFG (dana-hdfg) ──► compiler (dana-compiler)
 //!                                              │ engine design + Strider program
 //!                                              ▼
-//!  SQL ──parse──► Statement ──[SystemCore::bind]──► PhysicalPlan
-//!                     │ catalog (dana-storage)          │
-//!                     ▼                                 ▼
-//!               buffer pool ◄──────────────── [SystemCore::execute]
+//!  SQL ─lex─► tokens ─parse─► Statement{Call} ──[SystemCore::bind]──► PhysicalPlan
+//!                     │ catalog (dana-storage)                          │
+//!                     ▼                                                 ▼
+//!               buffer pool ◄──────────────────────────────── [SystemCore::execute]
 //!                     │ pages ──AXI──► access engine (dana-strider)
 //!                                            │ tuples
 //!                                            ▼
@@ -71,7 +71,7 @@ pub use analytic::{
     analytic_dana, analytic_dana_threads, analytic_external, analytic_greenplum, analytic_madlib,
     compile_workload, AnalyticTiming, SystemParams,
 };
-pub use dana_engine::{BackendKind, CpuBackend, ExecutionBackend, FpgaBackend};
+pub use dana_engine::{Backend, BackendKind};
 pub use dana_infer::{MetricKind, ScoringRecipe, ScoringStats};
 pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, TraceSpan};
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
@@ -80,9 +80,7 @@ pub use error::{DanaError, DanaResult};
 pub use exec::{ArtifactBlob, CachedAccelerator, ShardArtifacts, TrainedModels};
 pub use pipeline::Dana;
 pub use plan::{PhysicalPlan, PlanOp, Wrap};
-pub use query::{
-    parse_query, parse_statement, EvaluateCall, PointCall, PredictCall, QueryCall, Statement,
-};
+pub use query::{parse_query, parse_statement, Call, Statement, WithOptions};
 pub use report::{
     AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
     StatementOutcome,

@@ -4,11 +4,12 @@
 //! There is no second implementation behind it. `Dana::new` builds the
 //! core with a **one-shard** buffer pool — a single second-chance clock
 //! over all frames, so replacement order (and therefore simulated I/O) is
-//! that of one plain pool — and every statement is parsed, bound to its
-//! [`crate::PhysicalPlan`] and run right here; `Deref` exposes the rest of
-//! the core (DDL, deploy, the typed entry points, statistics). The serving
-//! tier puts admission control and accelerator leases in front of the
-//! same core instead.
+//! that of one plain pool — and every statement is parsed into its
+//! [`crate::Call`], bound to its [`crate::PhysicalPlan`] and run right
+//! here (`SHOW STATS` has neither and just snapshots the registry);
+//! `Deref` exposes the rest of the core (DDL, deploy, the typed entry
+//! points, statistics). The serving tier puts admission control and
+//! accelerator leases in front of the same core instead.
 
 use std::ops::Deref;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use dana_storage::{BufferPoolConfig, DiskModel};
 
 use crate::advisor::StrategyComparison;
 use crate::core::{FrontDoorWalls, QueryCtx, SystemCore, SystemCoreConfig};
-use crate::error::DanaResult;
+use crate::error::{DanaError, DanaResult};
 use crate::plan::Wrap;
 use crate::query::{parse_query, parse_statement, Statement};
 use crate::report::{QueryOutcome, StatementOutcome};
@@ -55,17 +56,16 @@ impl Dana {
         )
     }
 
-    /// Executes `SELECT * FROM dana.<udf>('<table>');` (or the same with
-    /// `WHERE`/`COLUMNS` pushdown and a `WITH (shards = k, backend = …)`
-    /// clause, routing through the gang-parallel path or the chosen
-    /// execution backend).
+    /// Executes a training statement — `SELECT * FROM dana.<udf>('<table>');`
+    /// or `EXECUTE …`, with the optional `WHERE`/`COLUMNS` pushdown and
+    /// `WITH (...)` clause. Any other statement is a typed query error.
     pub fn execute(&self, sql: &str) -> DanaResult<QueryOutcome> {
-        match self
-            .run_statement(&Statement::Train(parse_query(sql)?), 0.0)?
-            .0
-        {
+        let call = parse_query(sql)?;
+        match self.run_statement(&Statement::Call(call), 0.0)?.0 {
             StatementOutcome::Train(outcome) => Ok(outcome),
-            other => unreachable!("a training statement yields {other:?}"),
+            other => Err(DanaError::Query(format!(
+                "a training statement yields a training outcome, not {other:?}"
+            ))),
         }
     }
 }
@@ -102,18 +102,22 @@ impl SystemCore {
         parse_wall: f64,
     ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
         let start = Instant::now();
+        let bind = |call, explain| {
+            let plan = self.bind(call, explain, usize::MAX)?;
+            let walls = FrontDoorWalls {
+                parse: parse_wall,
+                ..FrontDoorWalls::default()
+            };
+            self.run(&plan, &walls, &QueryCtx::unbounded())
+        };
         let result = match stmt {
             Statement::ShowStats(filter) => Ok((
                 StatementOutcome::Stats(self.stats_snapshot(filter.as_deref())),
                 None,
             )),
-            _ => self.bind(stmt, usize::MAX).and_then(|plan| {
-                let walls = FrontDoorWalls {
-                    parse: parse_wall,
-                    ..FrontDoorWalls::default()
-                };
-                self.run(&plan, &walls, &QueryCtx::unbounded())
-            }),
+            Statement::Call(call) => bind(call, None),
+            Statement::Explain(call) => bind(call, Some(Wrap::Explain)),
+            Statement::ExplainAnalyze(call) => bind(call, Some(Wrap::Analyze)),
         };
         self.record_statement(
             result.as_ref().map(|(outcome, _)| outcome),
@@ -122,19 +126,19 @@ impl SystemCore {
         result
     }
 
-    /// Prices one statement on every backend without running it
-    /// (`EXPLAIN`'s string front door; the `EXPLAIN` keyword is optional).
+    /// Prices one call on every backend without running it (`EXPLAIN`'s
+    /// string front door; the `EXPLAIN` keyword is optional).
     pub fn explain_sql(&self, sql: &str) -> DanaResult<StrategyComparison> {
-        let stmt = match parse_statement(sql)? {
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => *inner,
-            other => other,
-        };
-        match self
-            .bind(&Statement::Explain(Box::new(stmt)), usize::MAX)?
-            .wrap
-        {
-            Wrap::Explain(comparison) => Ok(*comparison),
-            _ => unreachable!("binding an EXPLAIN yields an explain plan"),
+        let stmt = parse_statement(sql)?;
+        let call = stmt
+            .call()
+            .ok_or_else(|| DanaError::Query("SHOW STATS has no plan to explain".into()))?;
+        match self.bind(call, Some(Wrap::Explain), usize::MAX)?.wrap {
+            Wrap::Explain(comparison) | Wrap::Analyze(comparison) => Ok(*comparison),
+            Wrap::None | Wrap::Trace => Err(DanaError::Query(format!(
+                "no advisor comparison for '{}'",
+                call.udf
+            ))),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The bound physical plan: everything one request needs decided before it
 //! runs, decided once.
 //!
-//! [`crate::SystemCore::bind`] lowers a parsed [`crate::Statement`] into a
-//! [`PhysicalPlan`] — operation, scan, gang size clamped to the table's
+//! [`crate::SystemCore::bind`] lowers a parsed [`crate::Call`] — whose
+//! `op` already *is* the plan's [`PlanOp`] — into a
+//! [`PhysicalPlan`]: operation, scan, gang size clamped to the table's
 //! pages and the caller's lease capacity, the substrate the advisor (or a
 //! `WITH (backend = …)` override) picked, and the scheduler's cost hint —
 //! and [`crate::SystemCore::execute`] runs it. The embedded front door
@@ -20,7 +21,7 @@ use crate::advisor::StrategyComparison;
 use crate::report::Seconds;
 use crate::runtime::ExecutionMode;
 
-/// What a plan does with the tuples it scans.
+/// What a call asks for and its plan does with the tuples it scans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// Train the UDF's model over the scan; a deployed UDF stores the

@@ -1,966 +1,658 @@
-//! The SQL front door (§4.3):
+//! The SQL front door (§4.3): one lexer, one call shape.
 //!
-//! * `SELECT * FROM dana.<udf>('<table>');` — train (the paper's form);
-//!   `EXECUTE dana.<udf>('<table>');` is an accepted synonym;
-//! * `PREDICT dana.<udf>('<table>') INTO '<dest>';` — score `table` with
-//!   the UDF's latest trained model and materialize the predictions as a
-//!   new catalog table `dest`;
-//! * `EVALUATE dana.<udf>('<table>'[, '<metric>']);` — score and fold an
-//!   in-database quality metric, exporting nothing.
-//!
-//! Every table-scanning form takes up to three optional trailing clauses,
-//! **in any order**, each at most once:
-//!
-//! * **`WHERE <col> <op> <number> [AND …]`** — pushdown predicate: rows
-//!   are filtered page-at-a-time *before* tuple extraction, and zone maps
-//!   skip pages no row of which can match;
-//! * **`COLUMNS (c1, c2, …)`** — pushdown projection: only the named
-//!   columns reach the engine;
-//! * **`WITH (...)`** — comma-separated options:
-//!   * `shards = k` — the query runs intra-query data-parallel on a gang
-//!     of `k` accelerator instances (page-range shards, epoch-boundary
-//!     model merging; parallel PREDICT stays bit-identical to serial for
-//!     every `k`);
-//!   * `backend = cpu|fpga|auto` — pins the execution substrate, or
-//!     leaves the choice to the cost-based backend advisor (`auto`, the
-//!     default).
-//!
-//! Prefixing any statement with **`EXPLAIN`** parses the inner statement
-//! and asks the advisor for its per-backend [`crate::StrategyComparison`]
-//! without executing anything.
+//! ```text
+//!  SQL ──lex──► tokens ──parse──► Statement { Call | Explain | ExplainAnalyze | ShowStats }
+//! ```
 //!
 //! "The RDBMS parses, optimizes, and executes the query while treating the
-//! UDF as a black box" (§3) — here the interesting query shapes are exactly
-//! the UDF invocations, so the parser accepts those forms (case-insensitive
-//! keywords, optional schema prefix, single- or double-quoted names).
+//! UDF as a black box" (§3) — the interesting query shapes are exactly the
+//! UDF invocations, and every one of them parses into the same [`Call`]:
+//!
+//! ```text
+//! statement := [ EXPLAIN [ANALYZE] ] call { ; } | SHOW STATS [ ( name ) ] { ; }
+//! call      := train | predict | point | evaluate
+//! train     := ( SELECT * FROM | EXECUTE ) udf ( name ) tail
+//! predict   := PREDICT udf ( name ) INTO name tail
+//! point     := PREDICT udf ( VALUES row { , row } ) [ WITH ( options ) ]
+//! evaluate  := EVALUATE udf ( name [ , metric ] ) tail
+//! tail      := { WHERE pred { AND pred } | COLUMNS ( name { , name } ) | WITH ( options ) }
+//! udf       := [ dana . ] word          row  := ( number { , number } )
+//! pred      := column ( < | <= | > | >= | = | != | <> ) number
+//! options   := option { , option }      name := word | 'quoted' | "quoted"
+//! option    := shards = k | backend = cpu|fpga|auto | trace = on|off
+//!            | timeout_ms = n | retries = n
+//! ```
+//!
+//! Keywords are case-insensitive, identifier case is preserved, a bare
+//! `column` is ASCII letters, digits and `_`, and the tail clauses compose
+//! in any order, each at most once. `WHERE` and
+//! `COLUMNS` are the pushdown scan (rows filtered page-at-a-time before
+//! extraction, zone maps skipping pages no row of which can match; only
+//! the named columns reach the engine). `shards = k` runs the statement
+//! on a gang of `k` accelerator instances, `backend` pins the substrate
+//! or leaves it to the advisor (`auto`, the default), `trace = on`
+//! attaches the lifecycle trace, `timeout_ms` is the deadline and
+//! `retries` the transient-fault budget. `EXPLAIN` prices the call on
+//! every backend without running it; `EXPLAIN ANALYZE` runs it traced.
+//!
+//! The lexer (`lex`) is the only code that looks at quotes or whitespace,
+//! and the only code that indexes the source by byte offset; a quoted
+//! string's contents are opaque, so `'with (x = 1)'` is a table name. The parser is a recursive descent
+//! over the token slice and answers every malformed input — any UTF-8
+//! string at all — with a typed [`DanaError::Query`], never a panic.
 
 use dana_infer::MetricKind;
 use dana_scan::{CmpOp, Predicate, ScanSpec};
 
 use crate::advisor::BackendChoice;
 use crate::error::{DanaError, DanaResult};
+use crate::plan::PlanOp;
 
-/// The parsed trailing `WITH (...)` option clause.
+/// A call's `WITH (...)` options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct WithOptions {
-    shards: Option<u16>,
-    backend: BackendChoice,
-    trace: bool,
-    timeout_ms: Option<u64>,
-    retries: Option<u32>,
+pub struct WithOptions {
+    /// `shards = k`: gang size for intra-query parallelism (`None` =
+    /// serial).
+    pub shards: Option<u16>,
+    /// `backend = ...`: the requested execution substrate.
+    pub backend: BackendChoice,
+    /// `trace = on`: attach a query-lifecycle trace to the reply.
+    pub trace: bool,
+    /// `timeout_ms = n`: query deadline; past it, cooperative
+    /// cancellation returns a typed deadline error (`None` = the
+    /// server's default, if any).
+    pub timeout_ms: Option<u64>,
+    /// `retries = n`: transient-fault retry budget override (`None` =
+    /// the server's default policy).
+    pub retries: Option<u32>,
 }
 
-/// A parsed accelerated-UDF training invocation.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueryCall {
+/// One accelerated-UDF invocation — the single shape every verb parses
+/// into and every typed request lowers through.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Call {
+    /// What the call does with the tuples it scans. The parser produces
+    /// every [`PlanOp`] but `Score`.
+    pub op: PlanOp,
     pub udf: String,
+    /// The scanned table (empty for [`PlanOp::Point`], which scans none).
     pub table: String,
     /// `WHERE`/`COLUMNS` pushdown spec compiled at parse time (`None` = a
     /// plain full-table scan).
     pub scan: Option<ScanSpec>,
-    /// `WITH (shards = k)`: gang size for intra-query parallelism
-    /// (`None` = serial).
-    pub shards: Option<u16>,
-    /// `WITH (backend = ...)`: the requested execution substrate.
-    pub backend: BackendChoice,
-    /// `WITH (trace = on)`: attach a query-lifecycle trace to the reply.
-    pub trace: bool,
-    /// `WITH (timeout_ms = n)`: query deadline; past it, cooperative
-    /// cancellation returns a typed deadline error (`None` = the
-    /// server's default, if any).
-    pub timeout_ms: Option<u64>,
-    /// `WITH (retries = n)`: transient-fault retry budget override
-    /// (`None` = the server's default policy).
-    pub retries: Option<u32>,
-}
-
-/// A parsed `PREDICT … INTO …` statement.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PredictCall {
-    pub udf: String,
-    /// The table whose rows are scored.
-    pub table: String,
-    /// The materialized prediction table to create.
-    pub into: String,
-    /// `WHERE`/`COLUMNS` pushdown spec compiled at parse time (`None` = a
-    /// plain full-table scan).
-    pub scan: Option<ScanSpec>,
-    /// `WITH (shards = k)`: gang size for intra-query parallelism.
-    pub shards: Option<u16>,
-    /// `WITH (backend = ...)`: the requested execution substrate.
-    pub backend: BackendChoice,
-    /// `WITH (trace = on)`: attach a query-lifecycle trace to the reply.
-    pub trace: bool,
-    /// `WITH (timeout_ms = n)`: query deadline; past it, cooperative
-    /// cancellation returns a typed deadline error (`None` = the
-    /// server's default, if any).
-    pub timeout_ms: Option<u64>,
-    /// `WITH (retries = n)`: transient-fault retry budget override
-    /// (`None` = the server's default policy).
-    pub retries: Option<u32>,
-}
-
-/// A parsed point-form `PREDICT dana.<udf>(VALUES (...), ...)` statement:
-/// the online fast path. Rows are bound directly from the statement —
-/// there is no source table, no heap scan, and no materialized
-/// destination; predictions come back inline in the reply.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PointCall {
-    pub udf: String,
-    /// The literal parameter vectors to score, one per VALUES group.
-    pub rows: Vec<Vec<f32>>,
-    /// `WITH (backend = ...)`: the requested execution substrate.
-    pub backend: BackendChoice,
-    /// `WITH (trace = on)`: attach a query-lifecycle trace to the reply.
-    pub trace: bool,
-    /// `WITH (timeout_ms = n)`: query deadline; past it, cooperative
-    /// cancellation returns a typed deadline error (`None` = the
-    /// server's default, if any).
-    pub timeout_ms: Option<u64>,
-    /// `WITH (retries = n)`: transient-fault retry budget override
-    /// (`None` = the server's default policy).
-    pub retries: Option<u32>,
-}
-
-/// A parsed `EVALUATE` statement.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EvaluateCall {
-    pub udf: String,
-    pub table: String,
-    /// Explicit metric, or `None` for the analytic's default.
-    pub metric: Option<MetricKind>,
-    /// `WHERE`/`COLUMNS` pushdown spec compiled at parse time (`None` = a
-    /// plain full-table scan).
-    pub scan: Option<ScanSpec>,
-    /// `WITH (shards = k)`: gang size for intra-query parallelism.
-    pub shards: Option<u16>,
-    /// `WITH (backend = ...)`: the requested execution substrate.
-    pub backend: BackendChoice,
-    /// `WITH (trace = on)`: attach a query-lifecycle trace to the reply.
-    pub trace: bool,
-    /// `WITH (timeout_ms = n)`: query deadline; past it, cooperative
-    /// cancellation returns a typed deadline error (`None` = the
-    /// server's default, if any).
-    pub timeout_ms: Option<u64>,
-    /// `WITH (retries = n)`: transient-fault retry budget override
-    /// (`None` = the server's default policy).
-    pub retries: Option<u32>,
+    pub with: WithOptions,
 }
 
 /// Any statement the front door accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
-    /// `SELECT * FROM dana.<udf>('<table>');` — train.
-    Train(QueryCall),
-    /// `PREDICT dana.<udf>('<table>') INTO '<dest>';`.
-    Predict(PredictCall),
-    /// `PREDICT dana.<udf>(VALUES (x, ...), ...);` — the online point
-    /// fast path: score literal rows against the cached scoring program
-    /// without a heap scan or a materialized destination.
-    PredictPoint(PointCall),
-    /// `EVALUATE dana.<udf>('<table>'[, '<metric>']);`.
-    Evaluate(EvaluateCall),
-    /// `EXPLAIN <stmt>;` — price the inner statement on every backend
-    /// without running it.
-    Explain(Box<Statement>),
-    /// `EXPLAIN ANALYZE <stmt>;` — execute the inner statement with the
-    /// lifecycle trace enabled and render the span tree alongside the
-    /// advisor's prediction.
-    ExplainAnalyze(Box<Statement>),
-    /// `SHOW STATS [('<subsystem>')];` — snapshot the metrics registry.
+    /// `SELECT * FROM dana.<udf>('<table>')` / `EXECUTE …` (train),
+    /// `PREDICT … INTO …`, `PREDICT …(VALUES …)` or `EVALUATE …`.
+    Call(Call),
+    /// `EXPLAIN <call>` — price the call on every backend without
+    /// running it.
+    Explain(Call),
+    /// `EXPLAIN ANALYZE <call>` — execute the call with the lifecycle
+    /// trace enabled and render the span tree alongside the advisor's
+    /// prediction.
+    ExplainAnalyze(Call),
+    /// `SHOW STATS [('<subsystem>')]` — snapshot the metrics registry.
     ShowStats(Option<String>),
 }
 
 impl Statement {
+    /// The call this statement names — every form but SHOW STATS has one.
+    pub fn call(&self) -> Option<&Call> {
+        match self {
+            Statement::Call(c) | Statement::Explain(c) | Statement::ExplainAnalyze(c) => Some(c),
+            Statement::ShowStats(_) => None,
+        }
+    }
+
+    /// The call this statement executes: its own, or the one EXPLAIN
+    /// ANALYZE wraps. Plain EXPLAIN prices its call without running it.
+    fn executed(&self) -> Option<&Call> {
+        self.call()
+            .filter(|_| !matches!(self, Statement::Explain(_)))
+    }
+
     /// Whether this statement opted into lifecycle tracing with
-    /// `WITH (trace = on)`. EXPLAIN ANALYZE traces regardless; EXPLAIN
-    /// and SHOW STATS execute nothing and have no trace to opt into.
+    /// `WITH (trace = on)`. EXPLAIN ANALYZE traces regardless.
     pub fn wants_trace(&self) -> bool {
-        match self {
-            Statement::Train(c) => c.trace,
-            Statement::Predict(p) => p.trace,
-            Statement::PredictPoint(p) => p.trace,
-            Statement::Evaluate(e) => e.trace,
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) | Statement::ShowStats(_) => false,
-        }
+        matches!(self, Statement::Call(c) if c.with.trace)
     }
 
-    /// The statement's `WITH (timeout_ms = n)` deadline, if any.
-    /// EXPLAIN ANALYZE executes its inner statement, so it inherits the
-    /// inner clause; plain EXPLAIN and SHOW STATS execute nothing.
+    /// The `WITH (timeout_ms = n)` deadline of the call this statement
+    /// executes, if any.
     pub fn timeout_ms(&self) -> Option<u64> {
-        match self {
-            Statement::Train(c) => c.timeout_ms,
-            Statement::Predict(p) => p.timeout_ms,
-            Statement::PredictPoint(p) => p.timeout_ms,
-            Statement::Evaluate(e) => e.timeout_ms,
-            Statement::ExplainAnalyze(inner) => inner.timeout_ms(),
-            Statement::Explain(_) | Statement::ShowStats(_) => None,
-        }
+        self.executed()?.with.timeout_ms
     }
 
-    /// The statement's `WITH (retries = n)` retry-budget override.
+    /// The `WITH (retries = n)` retry-budget override of the call this
+    /// statement executes.
     pub fn retries(&self) -> Option<u32> {
-        match self {
-            Statement::Train(c) => c.retries,
-            Statement::Predict(p) => p.retries,
-            Statement::PredictPoint(p) => p.retries,
-            Statement::Evaluate(e) => e.retries,
-            Statement::ExplainAnalyze(inner) => inner.retries(),
-            Statement::Explain(_) | Statement::ShowStats(_) => None,
-        }
+        self.executed()?.with.retries
     }
 }
 
 /// Parses any front-door statement.
 pub fn parse_statement(sql: &str) -> DanaResult<Statement> {
-    let s = sql.trim().trim_end_matches(';').trim();
-    let lower_head = s.to_ascii_lowercase();
-    if let Some(rest) = lower_head.strip_prefix("explain") {
-        if !rest.starts_with([' ', '\t']) {
-            return Err(err("expected EXPLAIN <statement>"));
+    let mut toks = lex(sql)?;
+    while toks.last().is_some_and(|t| t.is_punct(";")) {
+        toks.pop();
+    }
+    let mut p = Parser {
+        toks: &toks,
+        pos: 0,
+    };
+    Ok(if p.keyword("explain") {
+        if p.keyword("analyze") {
+            Statement::ExplainAnalyze(p.call()?)
+        } else {
+            Statement::Explain(p.call()?)
         }
-        let tail = s["explain".len()..].trim_start();
-        let tail_lower = tail.to_ascii_lowercase();
-        if let Some(after) = tail_lower.strip_prefix("analyze") {
-            if after.starts_with([' ', '\t']) {
-                let inner = parse_statement(tail["analyze".len()..].trim_start())?;
-                return match inner {
-                    Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                        Err(err("EXPLAIN ANALYZE cannot wrap EXPLAIN"))
-                    }
-                    Statement::ShowStats(_) => Err(err("EXPLAIN ANALYZE cannot wrap SHOW STATS")),
-                    inner => Ok(Statement::ExplainAnalyze(Box::new(inner))),
-                };
-            }
-        }
-        let inner = parse_statement(tail)?;
-        return match inner {
-            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
-                Err(err("EXPLAIN cannot be nested"))
-            }
-            Statement::ShowStats(_) => Err(err("EXPLAIN cannot wrap SHOW STATS")),
-            inner => Ok(Statement::Explain(Box::new(inner))),
-        };
-    }
-    if lower_head.starts_with("show") {
-        return parse_show_stats(s);
-    }
-    let (s, scan, opts) = split_tail_clauses(s)?;
-    let lower = s.to_ascii_lowercase();
-    if lower.starts_with("predict") {
-        return parse_predict(s, &lower, scan, opts);
-    }
-    if lower.starts_with("evaluate") {
-        return parse_evaluate(s, &lower, scan, opts).map(Statement::Evaluate);
-    }
-    if let Some(rest) = lower.strip_prefix("execute") {
-        // `EXECUTE dana.<udf>('<table>')` — the paper's verb for running
-        // a deployed accelerator, synonymous with the SELECT form.
-        if !rest.starts_with([' ', '\t']) {
-            return Err(err("expected EXECUTE <udf>(...)"));
-        }
-        let tail = s["execute".len()..].trim_start();
-        let (udf, args) = parse_udf_call(tail)?;
-        let table = single_arg(&args)?;
-        return Ok(Statement::Train(QueryCall {
-            udf,
-            table,
-            scan,
-            shards: opts.shards,
-            backend: opts.backend,
-            trace: opts.trace,
-            timeout_ms: opts.timeout_ms,
-            retries: opts.retries,
-        }));
-    }
-    parse_select(s, scan, opts).map(Statement::Train)
-}
-
-/// Parses `SELECT * FROM dana.linearR('training_data_table');` (with the
-/// optional trailing `WHERE`/`COLUMNS`/`WITH` clauses).
-pub fn parse_query(sql: &str) -> DanaResult<QueryCall> {
-    let s = sql.trim().trim_end_matches(';').trim();
-    let (s, scan, opts) = split_tail_clauses(s)?;
-    parse_select(s, scan, opts)
-}
-
-fn parse_select(s: &str, scan: Option<ScanSpec>, opts: WithOptions) -> DanaResult<QueryCall> {
-    let lower = s.to_ascii_lowercase();
-    let rest = lower
-        .strip_prefix("select")
-        .ok_or_else(|| err("expected SELECT"))?
-        .trim_start();
-    let rest = rest
-        .strip_prefix('*')
-        .ok_or_else(|| err("expected SELECT *"))?
-        .trim_start();
-    let rest = rest
-        .strip_prefix("from")
-        .ok_or_else(|| err("expected FROM"))?
-        .trim_start();
-    // Work on the original string from here to preserve identifier case.
-    let tail = &s[s.len() - rest.len()..];
-    let (udf, args) = parse_udf_call(tail)?;
-    let table = single_arg(&args)?;
-    Ok(QueryCall {
-        udf,
-        table,
-        scan,
-        shards: opts.shards,
-        backend: opts.backend,
-        trace: opts.trace,
-        timeout_ms: opts.timeout_ms,
-        retries: opts.retries,
+    } else if p.keyword("show") {
+        Statement::ShowStats(p.show_stats()?)
+    } else {
+        Statement::Call(p.call()?)
     })
 }
 
-/// Parses `SHOW STATS [('<subsystem>')]` — the metrics-registry
-/// snapshot query. The subsystem filter is validated against
-/// [`dana_obs::SUBSYSTEMS`] at parse time, so an unknown name is a typed
-/// query error before anything executes.
-fn parse_show_stats(s: &str) -> DanaResult<Statement> {
-    let lower = s.to_ascii_lowercase();
-    let rest = lower.strip_prefix("show").unwrap_or(&lower);
-    if !rest.starts_with([' ', '\t']) {
-        return Err(err("expected SHOW STATS"));
+/// Parses a training statement — `SELECT * FROM dana.linearR('t');` or
+/// its `EXECUTE` synonym, with the optional tail clauses. Any other
+/// statement is a typed error.
+pub fn parse_query(sql: &str) -> DanaResult<Call> {
+    match parse_statement(sql)? {
+        Statement::Call(call) if call.op == PlanOp::Train => Ok(call),
+        _ => Err(err(
+            "expected a training statement: SELECT * FROM dana.<udf>('<table>')",
+        )),
     }
-    let tail = s["show".len()..].trim_start();
-    let tail_lower = tail.to_ascii_lowercase();
-    if !tail_lower.starts_with("stats") {
-        return Err(err("expected SHOW STATS"));
-    }
-    let after = tail["stats".len()..].trim();
-    if !(after.is_empty() || after.starts_with('(')) {
-        return Err(err("expected SHOW STATS [('<subsystem>')]"));
-    }
-    if after.is_empty() {
-        return Ok(Statement::ShowStats(None));
-    }
-    let inner = after
-        .strip_prefix('(')
-        .and_then(|t| t.strip_suffix(')'))
-        .ok_or_else(|| err("expected SHOW STATS ('<subsystem>')"))?;
-    let name = parse_table_arg(inner.trim())?.to_ascii_lowercase();
-    if name.is_empty() {
-        return Err(err("empty stats subsystem name"));
-    }
-    if !dana_obs::known_subsystem(&name) {
-        return Err(err(&format!(
-            "unknown stats subsystem '{name}' (expected admission, pool, buffer, sessions, engine, faults, serving, or scan)"
-        )));
-    }
-    Ok(Statement::ShowStats(Some(name)))
 }
 
-/// Byte offset of the first top-level (outside quotes) trailing-clause
-/// keyword — `where`, `columns`, or `with` — in `s`, or `None`. A keyword
-/// counts only at a word boundary (after whitespace or `)`) and with its
-/// clause shape behind it: `WHERE` needs a following space, `COLUMNS` and
-/// `WITH` must lead a parenthesized group. Anything else — a table named
-/// "with…", the word inside a quoted string (quotes are NOT boundaries, so
-/// a quoted name like 'with (x = 1)' passes through intact) — is left for
-/// the statement parsers to judge.
-fn find_clause_start(s: &str) -> Option<usize> {
-    let lower = s.to_ascii_lowercase();
-    let bytes = lower.as_bytes();
-    let mut quote: Option<u8> = None;
-    for i in 0..bytes.len() {
-        let c = bytes[i];
-        match quote {
-            Some(q) => {
-                if c == q {
-                    quote = None;
-                }
-                continue;
-            }
-            None if c == b'\'' || c == b'"' => {
-                quote = Some(c);
-                continue;
-            }
-            None => {}
-        }
-        if i == 0 || !matches!(bytes[i - 1], b' ' | b'\t' | b')') {
-            continue;
-        }
-        for kw in ["where", "columns", "with"] {
-            if !lower[i..].starts_with(kw) {
-                continue;
-            }
-            let tail = &lower[i + kw.len()..];
-            let ok = match kw {
-                "where" => matches!(tail.as_bytes().first(), Some(b' ' | b'\t')),
-                _ => {
-                    matches!(tail.as_bytes().first(), None | Some(b' ' | b'\t' | b'('))
-                        && tail.trim_start().starts_with('(')
-                }
-            };
-            if ok {
-                return Some(i);
-            }
-        }
-    }
-    None
+// ---- lexer ----------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A maximal run of characters that are not whitespace, quotes or
+    /// punctuation: keywords, identifiers, `dana.f`, and numbers (`-2e1`)
+    /// — the clause that wants a number parses the word.
+    Word,
+    /// `'…'` or `"…"`; the contents are opaque.
+    Quoted,
+    /// One of `( ) , ; * = < > !`, or a two-character comparison.
+    Punct,
 }
 
-/// Splits the optional trailing clauses — `WHERE <preds>`, `COLUMNS (…)`,
-/// `WITH (opts)` — off a statement. The clauses compose **in any order**,
-/// each at most once; a duplicate is a typed error.
-fn split_tail_clauses(s: &str) -> DanaResult<(&str, Option<ScanSpec>, WithOptions)> {
-    let Some(start) = find_clause_start(s) else {
-        return Ok((s, None, WithOptions::default()));
-    };
-    let head = s[..start].trim_end();
-    let mut predicates: Option<Vec<Predicate>> = None;
-    let mut projection: Option<Vec<String>> = None;
-    let mut opts: Option<WithOptions> = None;
-    let mut rest = s[start..].trim_start();
-    while !rest.is_empty() {
-        let lower = rest.to_ascii_lowercase();
-        if lower.starts_with("where") {
-            if predicates.is_some() {
-                return Err(err("duplicate WHERE clause"));
-            }
-            let body = &rest["where".len()..];
-            // The predicate text runs to the next clause keyword (or the
-            // statement's end).
-            let end = find_clause_start(body).unwrap_or(body.len());
-            predicates = Some(parse_predicates(body[..end].trim())?);
-            rest = body[end..].trim_start();
-        } else if lower.starts_with("columns") {
-            if projection.is_some() {
-                return Err(err("duplicate COLUMNS clause"));
-            }
-            let body = rest["columns".len()..].trim_start();
-            let inner = body
-                .strip_prefix('(')
-                .ok_or_else(|| err("COLUMNS list must be parenthesized: COLUMNS (c1, c2, ...)"))?;
-            let close = inner
-                .find(')')
-                .ok_or_else(|| err("COLUMNS list must be parenthesized: COLUMNS (c1, c2, ...)"))?;
-            projection = Some(parse_projection(&inner[..close])?);
-            rest = inner[close + 1..].trim_start();
-        } else if lower.starts_with("with") {
-            if opts.is_some() {
-                return Err(err("duplicate WITH clause"));
-            }
-            let body = rest["with".len()..].trim_start();
-            let inner = body.strip_prefix('(').ok_or_else(|| {
-                err("WITH options must be parenthesized: WITH (opt = value, ...)")
-            })?;
-            let close = inner.find(')').ok_or_else(|| {
-                err("WITH options must be parenthesized: WITH (opt = value, ...)")
-            })?;
-            opts = Some(parse_with_options(&inner[..close])?);
-            rest = inner[close + 1..].trim_start();
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    kind: Kind,
+    /// The token's source text (a quoted string's contents, unquoted).
+    text: &'a str,
+    /// Byte offset of the token in the statement, for error text.
+    at: usize,
+}
+
+impl Token<'_> {
+    fn is_punct(&self, p: &str) -> bool {
+        self.kind == Kind::Punct && self.text == p
+    }
+}
+
+fn is_punct(c: char) -> bool {
+    matches!(c, '(' | ')' | ',' | ';' | '*' | '=' | '<' | '>' | '!')
+}
+
+/// Splits `sql` into tokens. Every slice boundary is a `char` boundary:
+/// `rest` only ever advances past whole characters or to a `find` result.
+fn lex(sql: &str) -> DanaResult<Vec<Token<'_>>> {
+    let mut toks = Vec::with_capacity(sql.len() / 4);
+    let mut rest = sql.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let at = sql.len() - rest.len();
+        let (kind, text, len) = if c == '\'' || c == '"' {
+            let body = &rest[1..];
+            let end = body
+                .find(c)
+                .ok_or_else(|| err(&format!("unbalanced {c} quote at offset {at}")))?;
+            (Kind::Quoted, &body[..end], end + 2)
+        } else if is_punct(c) {
+            let two = matches!(
+                (c, rest.as_bytes().get(1)),
+                ('<' | '>' | '!', Some(b'=')) | ('<', Some(b'>'))
+            );
+            let len = 1 + two as usize;
+            (Kind::Punct, &rest[..len], len)
         } else {
-            return Err(err(&format!("unexpected input after statement: '{rest}'")));
-        }
-    }
-    let scan = if predicates.is_none() && projection.is_none() {
-        None
-    } else {
-        Some(ScanSpec {
-            predicates: predicates.unwrap_or_default(),
-            projection,
-        })
-    };
-    Ok((head, scan, opts.unwrap_or_default()))
-}
-
-/// Parses a `WHERE` body: `<column> <op> <number> [AND …]`.
-fn parse_predicates(text: &str) -> DanaResult<Vec<Predicate>> {
-    if text.is_empty() {
-        return Err(err(
-            "WHERE needs at least one predicate: <column> <op> <number>",
-        ));
-    }
-    split_conjuncts(text)
-        .iter()
-        .map(|c| parse_one_predicate(c.trim()))
-        .collect()
-}
-
-/// Splits a predicate body on the standalone keyword `AND`
-/// (case-insensitive).
-fn split_conjuncts(text: &str) -> Vec<&str> {
-    let lower = text.to_ascii_lowercase();
-    let bytes = lower.as_bytes();
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut i = 0;
-    while i + 3 <= bytes.len() {
-        let before_ok = i == 0 || bytes[i - 1].is_ascii_whitespace();
-        let after_ok = i + 3 == bytes.len() || bytes[i + 3].is_ascii_whitespace();
-        if &lower[i..i + 3] == "and" && before_ok && after_ok {
-            parts.push(&text[start..i]);
-            start = i + 3;
-            i += 3;
-        } else {
-            i += 1;
-        }
-    }
-    parts.push(&text[start..]);
-    parts
-}
-
-/// Parses one `<column> <op> <number>` conjunct.
-fn parse_one_predicate(text: &str) -> DanaResult<Predicate> {
-    // Two-character operators first so `<=` never parses as `<` + `=1`.
-    for op_str in ["<=", ">=", "!=", "<>", "<", ">", "="] {
-        let Some(pos) = text.find(op_str) else {
-            continue;
+            let end = rest
+                .find(|c: char| c.is_whitespace() || c == '\'' || c == '"' || is_punct(c))
+                .unwrap_or(rest.len());
+            (Kind::Word, &rest[..end], end)
         };
-        let column = text[..pos].trim();
-        let value = text[pos + op_str.len()..].trim();
-        if column.is_empty() || !column.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return Err(err(&format!("bad WHERE column name '{column}'")));
-        }
-        let v: f32 = value
-            .parse()
-            .map_err(|_| err(&format!("bad WHERE constant '{value}' (expected a number)")))?;
-        if !v.is_finite() {
-            return Err(err(&format!("non-finite WHERE constant '{value}'")));
-        }
-        let op = CmpOp::parse(op_str).expect("operator table entries all parse");
-        return Ok(Predicate {
-            column: column.to_string(),
-            op,
-            value: v,
-        });
+        toks.push(Token { kind, text, at });
+        rest = rest[len..].trim_start();
     }
-    Err(err(&format!(
-        "bad WHERE predicate '{text}' (expected <column> <op> <number>)"
-    )))
+    Ok(toks)
 }
 
-/// Parses a `COLUMNS (…)` list into projection column names.
-fn parse_projection(inner: &str) -> DanaResult<Vec<String>> {
-    if inner.trim().is_empty() {
-        return Err(err("COLUMNS list cannot be empty"));
-    }
-    let mut cols = Vec::new();
-    for piece in inner.split(',') {
-        let name = parse_table_arg(piece.trim())?;
-        if name.is_empty() {
-            return Err(err("empty column name in COLUMNS list"));
-        }
-        cols.push(name.to_string());
-    }
-    Ok(cols)
+// ---- parser ---------------------------------------------------------------
+
+/// A cursor over the statement's tokens (trailing `;` already dropped).
+struct Parser<'a> {
+    toks: &'a [Token<'a>],
+    pos: usize,
 }
 
-/// Parses the interior of a `WITH (opt = v[, opt = v])` clause (keywords
-/// case-insensitive, whitespace free-form). A group that is *not* a
-/// well-formed option list is a typed error, not silently ignored.
-fn parse_with_options(inner: &str) -> DanaResult<WithOptions> {
-    let mut opts = WithOptions::default();
-    let mut seen_shards = false;
-    let mut seen_backend = false;
-    let mut seen_trace = false;
-    let mut seen_timeout = false;
-    let mut seen_retries = false;
-    for item in inner.split(',') {
-        let (key, value) = item
-            .split_once('=')
-            .ok_or_else(|| err("WITH option must be <name> = <value>"))?;
-        let key = key.trim();
-        let value = value.trim();
-        if key.eq_ignore_ascii_case("shards") {
-            if seen_shards {
-                return Err(err("duplicate WITH option 'shards'"));
-            }
-            seen_shards = true;
-            let n: u16 = value
-                .parse()
-                .map_err(|_| err(&format!("bad shard count '{value}'")))?;
-            if n == 0 {
-                return Err(err("shards must be at least 1"));
-            }
-            opts.shards = Some(n);
-        } else if key.eq_ignore_ascii_case("backend") {
-            if seen_backend {
-                return Err(err("duplicate WITH option 'backend'"));
-            }
-            seen_backend = true;
-            opts.backend = BackendChoice::parse(value)?;
-        } else if key.eq_ignore_ascii_case("trace") {
-            if seen_trace {
-                return Err(err("duplicate WITH option 'trace'"));
-            }
-            seen_trace = true;
-            opts.trace = if value.eq_ignore_ascii_case("on") {
-                true
-            } else if value.eq_ignore_ascii_case("off") {
-                false
-            } else {
-                return Err(err(&format!(
-                    "bad trace value '{value}' (expected on or off)"
-                )));
-            };
-        } else if key.eq_ignore_ascii_case("timeout_ms") {
-            if seen_timeout {
-                return Err(err("duplicate WITH option 'timeout_ms'"));
-            }
-            seen_timeout = true;
-            let ms: u64 = value
-                .parse()
-                .map_err(|_| err(&format!("bad timeout_ms value '{value}'")))?;
-            if ms == 0 {
-                return Err(err("timeout_ms must be at least 1"));
-            }
-            opts.timeout_ms = Some(ms);
-        } else if key.eq_ignore_ascii_case("retries") {
-            if seen_retries {
-                return Err(err("duplicate WITH option 'retries'"));
-            }
-            seen_retries = true;
-            let n: u32 = value
-                .parse()
-                .map_err(|_| err(&format!("bad retries value '{value}'")))?;
-            opts.retries = Some(n);
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.toks.get(self.pos).copied()
+    }
+
+    /// `msg`, followed by where the parse stopped.
+    fn fail(&self, msg: &str) -> DanaError {
+        match self.peek() {
+            Some(t) => err(&format!("{msg} (at '{}', offset {})", t.text, t.at)),
+            None => err(&format!("{msg} (at end of statement)")),
+        }
+    }
+
+    /// Consumes the next token if it is the bare word `kw`, in any case —
+    /// the one keyword test.
+    fn keyword(&mut self, kw: &str) -> bool {
+        let hit = self
+            .peek()
+            .is_some_and(|t| t.kind == Kind::Word && t.text.eq_ignore_ascii_case(kw));
+        self.pos += hit as usize;
+        hit
+    }
+
+    /// Consumes the next token if it is the punctuation `p`.
+    fn punct(&mut self, p: &str) -> bool {
+        let hit = self.peek().is_some_and(|t| t.is_punct(p));
+        self.pos += hit as usize;
+        hit
+    }
+
+    /// [`Parser::punct`], or the typed error `msg`.
+    fn expect(&mut self, p: &str, msg: &str) -> DanaResult<()> {
+        if self.punct(p) {
+            Ok(())
         } else {
-            return Err(err(&format!(
-                "unknown WITH option '{key}' (expected shards, backend, trace, timeout_ms, or retries)"
-            )));
+            Err(self.fail(msg))
         }
     }
-    Ok(opts)
-}
 
-/// Parses the tail of `PREDICT dana.<udf>('<table>') INTO '<dest>'`, or
-/// the point form `PREDICT dana.<udf>(VALUES (x, ...), ...)`.
-fn parse_predict(
-    s: &str,
-    lower: &str,
-    scan: Option<ScanSpec>,
-    opts: WithOptions,
-) -> DanaResult<Statement> {
-    let rest = lower["predict".len()..].to_string();
-    if !rest.starts_with([' ', '\t']) {
-        return Err(err("expected PREDICT <udf>(...)"));
-    }
-    let tail = s["predict".len()..].trim_start();
-    // A call whose argument text leads with the VALUES keyword is the
-    // online point form — dispatch before the INTO requirement kicks in.
-    // The keyword must be followed by whitespace or a row-opening '(' so
-    // a table merely *named* values/values_v2 stays the table form.
-    if let Some(open) = tail.find('(') {
-        let arg_head = tail[open + 1..].trim_start().to_ascii_lowercase();
-        if arg_head.starts_with("values")
-            && matches!(
-                arg_head["values".len()..].chars().next(),
-                Some(' ' | '\t' | '(')
-            )
-        {
+    /// `[EXPLAIN [ANALYZE]]`'s operand: a verb, its UDF call, and the
+    /// tail clauses, through the end of the statement.
+    fn call(&mut self) -> DanaResult<Call> {
+        let select = self.keyword("select");
+        if select {
+            self.expect("*", "expected SELECT *")?;
+            if !self.keyword("from") {
+                return Err(self.fail("expected FROM"));
+            }
+        }
+        // `EXECUTE` — the paper's verb for running a deployed accelerator
+        // — is synonymous with the SELECT form.
+        let (op, udf, table) = if select || self.keyword("execute") {
+            let udf = self.udf_name()?;
+            (PlanOp::Train, udf, self.table_arg()?)
+        } else if self.keyword("predict") {
+            self.predict()?
+        } else if self.keyword("evaluate") {
+            let udf = self.udf_name()?;
+            let args = self.name_list("UDF argument")?;
+            let (table, metric) = match args.as_slice() {
+                [table] => (table, None),
+                [table, name] => (
+                    table,
+                    Some(MetricKind::parse(name).ok_or_else(|| {
+                        err(&format!(
+                            "unknown metric '{name}' (expected mse, log_loss, classification_accuracy, or lrmf_rmse)"
+                        ))
+                    })?),
+                ),
+                _ => {
+                    return Err(err(&format!(
+                        "EVALUATE takes a table and an optional metric ({} arguments given)",
+                        args.len()
+                    )))
+                }
+            };
+            (PlanOp::Evaluate { metric }, udf, table.clone())
+        } else {
+            return Err(self.fail("expected SELECT, EXECUTE, PREDICT or EVALUATE"));
+        };
+        let (scan, with) = self.tail_clauses()?;
+        if matches!(op, PlanOp::Point { .. }) {
             if scan.is_some() {
                 return Err(err(
                     "point-form PREDICT (VALUES ...) has no table scan; drop the WHERE/COLUMNS clause",
                 ));
             }
-            return parse_predict_point(tail, opts).map(Statement::PredictPoint);
-        }
-    }
-    // Split at the INTO keyword (outside the call's parentheses: the call
-    // ends at its closing ')', so a simple case-insensitive search after
-    // the close is exact).
-    let close = tail.rfind(')').ok_or_else(|| err("unclosed ')'"))?;
-    let after = &tail[close + 1..];
-    let after_lower = after.to_ascii_lowercase();
-    let into_at = after_lower
-        .find("into")
-        .ok_or_else(|| err("PREDICT requires INTO '<table>'"))?;
-    if !after[..into_at].trim().is_empty() {
-        return Err(err("unexpected input between UDF call and INTO"));
-    }
-    let (udf, args) = parse_udf_call(&tail[..close + 1])?;
-    let table = single_arg(&args)?;
-    let dest_raw = after[into_at + "into".len()..].trim();
-    if dest_raw.is_empty() {
-        return Err(err("INTO needs a destination table name"));
-    }
-    let into = parse_table_arg(dest_raw)?.to_string();
-    if into.is_empty() {
-        return Err(err("empty destination table name"));
-    }
-    Ok(Statement::Predict(PredictCall {
-        udf,
-        table,
-        into,
-        scan,
-        shards: opts.shards,
-        backend: opts.backend,
-        trace: opts.trace,
-        timeout_ms: opts.timeout_ms,
-        retries: opts.retries,
-    }))
-}
-
-/// Parses the point form's call tail: `dana.<udf>(VALUES (x, ...), ...)`.
-/// Every value is a literal f32; each parenthesized group is one row.
-/// There is no INTO (nothing is materialized) and `shards` is rejected
-/// (there is no scan to shard).
-fn parse_predict_point(tail: &str, opts: WithOptions) -> DanaResult<PointCall> {
-    if opts.shards.is_some() {
-        return Err(err(
-            "point-form PREDICT (VALUES ...) has no scan to shard; drop the 'shards' option",
-        ));
-    }
-    let open = tail
-        .find('(')
-        .ok_or_else(|| err("expected UDF call '(...)'"))?;
-    let close = tail.rfind(')').ok_or_else(|| err("unclosed ')'"))?;
-    if close < open {
-        return Err(err("malformed parentheses"));
-    }
-    let after = tail[close + 1..].trim();
-    if !after.is_empty() {
-        if after.to_ascii_lowercase().starts_with("into") {
-            return Err(err(
-                "point-form PREDICT (VALUES ...) returns predictions inline and takes no INTO",
-            ));
-        }
-        return Err(err("unexpected input after UDF call"));
-    }
-    let mut udf = tail[..open].trim();
-    if let Some(dot) = udf.rfind('.') {
-        let schema = &udf[..dot];
-        if !schema.eq_ignore_ascii_case("dana") {
-            return Err(err(&format!("unknown schema '{schema}' (expected dana)")));
-        }
-        udf = &udf[dot + 1..];
-    }
-    if udf.is_empty() || !udf.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(err(&format!("bad UDF name '{udf}'")));
-    }
-    let inner = tail[open + 1..close].trim();
-    let keyword_len = "values".len();
-    debug_assert!(inner[..keyword_len.min(inner.len())].eq_ignore_ascii_case("values"));
-    let groups_text = inner[keyword_len..].trim_start();
-    if !groups_text.starts_with('(') {
-        return Err(err(
-            "VALUES needs at least one parenthesized row: VALUES (x, ...)",
-        ));
-    }
-    let rows = parse_values_rows(groups_text)?;
-    Ok(PointCall {
-        udf: udf.to_string(),
-        rows,
-        backend: opts.backend,
-        trace: opts.trace,
-        timeout_ms: opts.timeout_ms,
-        retries: opts.retries,
-    })
-}
-
-/// Parses `(x, ...), (y, ...)` row groups into literal f32 vectors.
-/// Rejects empty rows, non-numeric or non-finite values, unbalanced
-/// parentheses, and stray text between groups.
-fn parse_values_rows(text: &str) -> DanaResult<Vec<Vec<f32>>> {
-    let mut rows = Vec::new();
-    let mut rest = text.trim();
-    loop {
-        let body = rest
-            .strip_prefix('(')
-            .ok_or_else(|| err("expected a parenthesized VALUES row: (x, ...)"))?;
-        let end = body.find(')').ok_or_else(|| err("unclosed VALUES row"))?;
-        let row_text = &body[..end];
-        if row_text.trim().is_empty() {
-            return Err(err("VALUES row must have at least one value"));
-        }
-        let mut row = Vec::new();
-        for piece in row_text.split(',') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                return Err(err("empty value in VALUES row"));
+            if with.shards.is_some() {
+                return Err(err(
+                    "point-form PREDICT (VALUES ...) has no scan to shard; drop the 'shards' option",
+                ));
             }
-            let v: f32 = piece
-                .parse()
-                .map_err(|_| err(&format!("bad numeric value '{piece}' in VALUES row")))?;
-            if !v.is_finite() {
-                return Err(err(&format!("non-finite value '{piece}' in VALUES row")));
-            }
-            row.push(v);
         }
-        rows.push(row);
-        rest = body[end + 1..].trim_start();
-        if rest.is_empty() {
-            break;
-        }
-        rest = rest
-            .strip_prefix(',')
-            .ok_or_else(|| err("VALUES rows must be separated by commas"))?
-            .trim_start();
-        if rest.is_empty() {
-            return Err(err("trailing comma after VALUES row"));
-        }
+        Ok(Call {
+            op,
+            udf,
+            table,
+            scan,
+            with,
+        })
     }
-    Ok(rows)
-}
 
-/// Parses the tail of `EVALUATE dana.<udf>('<table>'[, '<metric>'])`.
-fn parse_evaluate(
-    s: &str,
-    lower: &str,
-    scan: Option<ScanSpec>,
-    opts: WithOptions,
-) -> DanaResult<EvaluateCall> {
-    let rest = lower["evaluate".len()..].to_string();
-    if !rest.starts_with([' ', '\t']) {
-        return Err(err("expected EVALUATE <udf>(...)"));
-    }
-    let tail = s["evaluate".len()..].trim_start();
-    let (udf, args) = parse_udf_call(tail)?;
-    let (table, metric_name) = match args.len() {
-        1 => (args[0].clone(), None),
-        2 => (args[0].clone(), Some(args[1].clone())),
-        n => {
-            return Err(err(&format!(
-                "EVALUATE takes a table and an optional metric ({n} arguments given)"
-            )))
-        }
-    };
-    let metric = match metric_name {
-        None => None,
-        Some(name) => Some(MetricKind::parse(&name).ok_or_else(|| {
-            err(&format!(
-                "unknown metric '{name}' (expected mse, log_loss, classification_accuracy, or lrmf_rmse)"
-            ))
-        })?),
-    };
-    if table.is_empty() {
-        return Err(err("empty table name"));
-    }
-    Ok(EvaluateCall {
-        udf,
-        table,
-        metric,
-        scan,
-        shards: opts.shards,
-        backend: opts.backend,
-        trace: opts.trace,
-        timeout_ms: opts.timeout_ms,
-        retries: opts.retries,
-    })
-}
-
-/// Parses `dana.<udf>(arg[, arg])` from `tail`, returning the UDF name
-/// (schema prefix validated and stripped) and the raw argument list.
-/// Rejects trailing garbage after the closing parenthesis.
-fn parse_udf_call(tail: &str) -> DanaResult<(String, Vec<String>)> {
-    let open = tail
-        .find('(')
-        .ok_or_else(|| err("expected UDF call '(...)'"))?;
-    let close = tail.rfind(')').ok_or_else(|| err("unclosed ')'"))?;
-    if close < open {
-        return Err(err("malformed parentheses"));
-    }
-    let mut udf = tail[..open].trim();
-    if let Some(dot) = udf.rfind('.') {
-        let schema = &udf[..dot];
-        if !schema.eq_ignore_ascii_case("dana") {
-            return Err(err(&format!("unknown schema '{schema}' (expected dana)")));
-        }
-        udf = &udf[dot + 1..];
-    }
-    if udf.is_empty() || !udf.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(err(&format!("bad UDF name '{udf}'")));
-    }
-    if !tail[close + 1..].trim().is_empty() {
-        return Err(err("unexpected input after UDF call"));
-    }
-    let args = parse_args(tail[open + 1..close].trim())?;
-    Ok((udf.to_string(), args))
-}
-
-/// Splits a call's argument text into individual quoted-or-bare
-/// identifiers. Unbalanced/mismatched quotes are rejected per argument.
-fn parse_args(text: &str) -> DanaResult<Vec<String>> {
-    if text.is_empty() {
-        return Err(err("UDF call needs at least one argument"));
-    }
-    let mut args = Vec::new();
-    let mut rest = text;
-    loop {
-        let (arg, remainder) = split_one_arg(rest)?;
-        args.push(parse_table_arg(arg)?.to_string());
-        match remainder {
-            None => break,
-            Some(r) => {
-                let r = r.trim_start();
-                if r.is_empty() {
-                    return Err(err("trailing comma in argument list"));
+    /// The rest of `PREDICT`: `<udf>('<table>') INTO '<dest>'`, or the
+    /// point form `<udf>(VALUES (x, ...), ...)` — literal rows, nothing
+    /// scanned, nothing materialized. The point form is exactly a bare
+    /// `VALUES` followed by a row's `(`, so a table merely *named* values
+    /// stays the table form.
+    fn predict(&mut self) -> DanaResult<(PlanOp, String, String)> {
+        let udf = self.udf_name()?;
+        if let [values, open, ..] = &self.toks[self.pos..] {
+            if values.kind == Kind::Word
+                && values.text.eq_ignore_ascii_case("values")
+                && open.is_punct("(")
+            {
+                self.pos += 1;
+                let rows = self.values_rows()?;
+                if self.keyword("into") {
+                    return Err(err(
+                        "point-form PREDICT (VALUES ...) returns predictions inline and takes no INTO",
+                    ));
                 }
-                rest = r;
+                return Ok((PlanOp::Point { rows }, udf, String::new()));
+            }
+        }
+        let table = self.table_arg()?;
+        if !self.keyword("into") {
+            return Err(self.fail("PREDICT requires INTO '<table>'"));
+        }
+        if self.peek().is_none() {
+            return Err(err("INTO needs a destination table name"));
+        }
+        let dest = self.name_arg("destination table name")?;
+        Ok((PlanOp::PredictInto { dest }, udf, table))
+    }
+
+    /// `[dana.]<udf>(` — the UDF's name (schema prefix validated and
+    /// stripped) and the call's opening parenthesis.
+    fn udf_name(&mut self) -> DanaResult<String> {
+        let text = match self.peek() {
+            Some(t) if t.kind == Kind::Word => {
+                self.pos += 1;
+                t.text
+            }
+            _ => "",
+        };
+        let name = match text.rsplit_once('.') {
+            Some((schema, _)) if !schema.eq_ignore_ascii_case("dana") => {
+                return Err(err(&format!("unknown schema '{schema}' (expected dana)")))
+            }
+            Some((_, name)) => name,
+            None => text,
+        };
+        if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+            return Err(err(&format!("bad UDF name '{name}'")));
+        }
+        self.expect("(", "expected UDF call '(...)'")?;
+        Ok(name.to_string())
+    }
+
+    /// A quoted (contents trimmed, otherwise opaque) or bare name; `what`
+    /// names it in the error.
+    fn name_arg(&mut self, what: &str) -> DanaResult<String> {
+        match self.peek() {
+            Some(t) if t.kind != Kind::Punct => {
+                self.pos += 1;
+                match t.text.trim() {
+                    "" => Err(err(&format!("empty {what}"))),
+                    name => Ok(name.to_string()),
+                }
+            }
+            _ => Err(self.fail(&format!("expected a {what}"))),
+        }
+    }
+
+    /// `name [, name]* )` — a call's arguments or a `COLUMNS` list, the
+    /// opening parenthesis already consumed. An empty list comes back
+    /// empty for the caller to word.
+    fn name_list(&mut self, what: &str) -> DanaResult<Vec<String>> {
+        let mut names = Vec::new();
+        if self.punct(")") {
+            return Ok(names);
+        }
+        loop {
+            names.push(self.name_arg(what)?);
+            if self.punct(")") {
+                return Ok(names);
+            }
+            self.expect(",", "expected ',' or ')' in a parenthesized list")?;
+        }
+    }
+
+    /// The single-argument list used by SELECT/EXECUTE and PREDICT's
+    /// source: `'<table>')`.
+    fn table_arg(&mut self) -> DanaResult<String> {
+        match self.name_list("table name")?.as_slice() {
+            [] => Err(err("UDF call needs at least one argument")),
+            [table] => Ok(table.clone()),
+            _ => Err(err("UDF takes exactly one argument (the table name)")),
+        }
+    }
+
+    /// `(x, ...) [, (y, ...)]* )` — the point form's literal rows through
+    /// the call's closing parenthesis. Every value is a finite f32.
+    fn values_rows(&mut self) -> DanaResult<Vec<Vec<f32>>> {
+        let mut rows = Vec::new();
+        loop {
+            self.expect("(", "expected a parenthesized VALUES row: (x, ...)")?;
+            let mut row = Vec::new();
+            loop {
+                row.push(self.number("bad numeric value", "non-finite value")?);
+                if self.punct(")") {
+                    break;
+                }
+                self.expect(",", "expected ',' or ')' in a VALUES row")?;
+            }
+            rows.push(row);
+            if self.punct(")") {
+                return Ok(rows);
+            }
+            self.expect(",", "VALUES rows must be separated by commas")?;
+        }
+    }
+
+    /// The next token as a finite f32; `bad` and `non_finite` word the
+    /// two refusals.
+    fn number(&mut self, bad: &str, non_finite: &str) -> DanaResult<f32> {
+        let Some(t) = self.peek().filter(|t| t.kind == Kind::Word) else {
+            return Err(self.fail(bad));
+        };
+        self.pos += 1;
+        let v: f32 = t
+            .text
+            .parse()
+            .map_err(|_| err(&format!("{bad} '{}'", t.text)))?;
+        if !v.is_finite() {
+            return Err(err(&format!("{non_finite} '{}'", t.text)));
+        }
+        Ok(v)
+    }
+
+    /// The optional trailing clauses — `WHERE <preds>`, `COLUMNS (…)`,
+    /// `WITH (opts)` — through the end of the statement. They compose
+    /// **in any order**, each at most once; a duplicate is a typed error.
+    fn tail_clauses(&mut self) -> DanaResult<(Option<ScanSpec>, WithOptions)> {
+        let mut predicates: Option<Vec<Predicate>> = None;
+        let mut projection: Option<Vec<String>> = None;
+        let mut with: Option<WithOptions> = None;
+        while self.peek().is_some() {
+            if self.keyword("where") {
+                if predicates.is_some() {
+                    return Err(err("duplicate WHERE clause"));
+                }
+                predicates = Some(self.predicates()?);
+            } else if self.keyword("columns") {
+                if projection.is_some() {
+                    return Err(err("duplicate COLUMNS clause"));
+                }
+                self.expect(
+                    "(",
+                    "COLUMNS list must be parenthesized: COLUMNS (c1, c2, ...)",
+                )?;
+                let columns = self.name_list("column name in COLUMNS list")?;
+                if columns.is_empty() {
+                    return Err(err("COLUMNS list cannot be empty"));
+                }
+                projection = Some(columns);
+            } else if self.keyword("with") {
+                if with.is_some() {
+                    return Err(err("duplicate WITH clause"));
+                }
+                self.expect(
+                    "(",
+                    "WITH options must be parenthesized: WITH (opt = value, ...)",
+                )?;
+                with = Some(self.with_options()?);
+            } else {
+                return Err(self.fail("unexpected input after statement"));
+            }
+        }
+        let scan = (predicates.is_some() || projection.is_some()).then(|| ScanSpec {
+            predicates: predicates.unwrap_or_default(),
+            projection,
+        });
+        Ok((scan, with.unwrap_or_default()))
+    }
+
+    /// A `WHERE` body: `<column> <op> <number> [AND …]`.
+    fn predicates(&mut self) -> DanaResult<Vec<Predicate>> {
+        let mut predicates = Vec::new();
+        loop {
+            let Some(column) = self.peek().filter(|t| t.kind == Kind::Word) else {
+                return Err(self.fail("WHERE needs a predicate: <column> <op> <number>"));
+            };
+            let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+            if !column.text.chars().all(ident) {
+                return Err(err(&format!("bad WHERE column name '{}'", column.text)));
+            }
+            self.pos += 1;
+            let Some(op) = self
+                .peek()
+                .filter(|t| t.kind == Kind::Punct)
+                .and_then(|t| CmpOp::parse(t.text))
+            else {
+                return Err(self.fail("bad WHERE predicate (expected <column> <op> <number>)"));
+            };
+            self.pos += 1;
+            predicates.push(Predicate {
+                column: column.text.to_string(),
+                op,
+                value: self.number("bad WHERE constant", "non-finite WHERE constant")?,
+            });
+            if !self.keyword("and") {
+                return Ok(predicates);
             }
         }
     }
-    Ok(args)
-}
 
-/// Splits the first argument off `text` at a comma that is outside any
-/// quotes. Returns the argument text and the remainder after the comma.
-fn split_one_arg(text: &str) -> DanaResult<(&str, Option<&str>)> {
-    let mut quote: Option<char> = None;
-    for (i, c) in text.char_indices() {
-        match (quote, c) {
-            (None, '\'' | '"') => quote = Some(c),
-            (Some(q), c) if c == q => quote = None,
-            (None, ',') => return Ok((text[..i].trim(), Some(&text[i + 1..]))),
-            _ => {}
-        }
-    }
-    if quote.is_some() {
-        return Err(err("unbalanced quote in argument list"));
-    }
-    Ok((text.trim(), None))
-}
-
-/// The single-argument form used by SELECT … and PREDICT's source.
-fn single_arg(args: &[String]) -> DanaResult<String> {
-    if args.len() != 1 {
-        return Err(err("UDF takes exactly one argument (the table name)"));
-    }
-    if args[0].is_empty() {
-        return Err(err("empty table name"));
-    }
-    Ok(args[0].clone())
-}
-
-/// Parses the UDF's single table-name argument: a quoted or bare
-/// identifier, nothing else. Extra arguments (`dana.f('t', 1)`) and
-/// unbalanced/mismatched quotes (`dana.f('t)`, `dana.f('t")`) are rejected
-/// rather than silently accepted.
-fn parse_table_arg(arg: &str) -> DanaResult<&str> {
-    for quote in ['\'', '"'] {
-        if let Some(rest) = arg.strip_prefix(quote) {
-            // `'t', 1` — diagnose the extra argument, not the quoting.
-            if let Some(inner) = rest.split_once(quote).map(|(t, after)| (t, after.trim())) {
-                let (table, after) = inner;
-                if after.starts_with(',') {
-                    return Err(err("UDF takes exactly one argument (the table name)"));
+    /// `opt = v [, opt = v]* )` — the interior of a `WITH` clause, the
+    /// opening parenthesis already consumed. A group that is *not* a
+    /// well-formed option list is a typed error, not silently ignored.
+    fn with_options(&mut self) -> DanaResult<WithOptions> {
+        let mut opts = WithOptions::default();
+        let mut seen: Vec<&str> = Vec::new();
+        loop {
+            let (key, value) = match &self.toks[self.pos..] {
+                [key, eq, value, ..]
+                    if key.kind == Kind::Word && eq.is_punct("=") && value.kind == Kind::Word =>
+                {
+                    (key.text, value.text)
                 }
-                if !after.is_empty() {
+                _ => return Err(self.fail("WITH option must be <name> = <value>")),
+            };
+            self.pos += 3;
+            if seen.iter().any(|s| s.eq_ignore_ascii_case(key)) {
+                return Err(err(&format!("duplicate WITH option '{key}'")));
+            }
+            seen.push(key);
+            let is = |name: &str| key.eq_ignore_ascii_case(name);
+            if is("shards") {
+                let n: u16 = value
+                    .parse()
+                    .map_err(|_| err(&format!("bad shard count '{value}'")))?;
+                if n == 0 {
+                    return Err(err("shards must be at least 1"));
+                }
+                opts.shards = Some(n);
+            } else if is("backend") {
+                opts.backend = BackendChoice::parse(value)?;
+            } else if is("trace") {
+                opts.trace = if value.eq_ignore_ascii_case("on") {
+                    true
+                } else if value.eq_ignore_ascii_case("off") {
+                    false
+                } else {
                     return Err(err(&format!(
-                        "unexpected input after quoted table name: '{after}'"
+                        "bad trace value '{value}' (expected on or off)"
                     )));
+                };
+            } else if is("timeout_ms") {
+                let ms: u64 = value
+                    .parse()
+                    .map_err(|_| err(&format!("bad timeout_ms value '{value}'")))?;
+                if ms == 0 {
+                    return Err(err("timeout_ms must be at least 1"));
                 }
-                return Ok(table.trim());
+                opts.timeout_ms = Some(ms);
+            } else if is("retries") {
+                let n: u32 = value
+                    .parse()
+                    .map_err(|_| err(&format!("bad retries value '{value}'")))?;
+                opts.retries = Some(n);
+            } else {
+                return Err(err(&format!(
+                    "unknown WITH option '{key}' (expected shards, backend, trace, timeout_ms, or retries)"
+                )));
             }
-            return Err(err(&format!("unbalanced {quote} quote in table argument")));
+            if self.punct(")") {
+                return Ok(opts);
+            }
+            self.expect(",", "expected ',' or ')' in WITH options")?;
         }
-        if arg.ends_with(quote) {
-            return Err(err(&format!("unbalanced {quote} quote in table argument")));
+    }
+
+    /// The rest of `SHOW STATS [('<subsystem>')]` — the metrics-registry
+    /// snapshot query. The subsystem filter is case-folded to its entry
+    /// in [`dana_obs::SUBSYSTEMS`], so an unknown name is a typed query
+    /// error before anything executes.
+    fn show_stats(&mut self) -> DanaResult<Option<String>> {
+        if !self.keyword("stats") {
+            return Err(self.fail("expected SHOW STATS"));
         }
+        if self.peek().is_none() {
+            return Ok(None);
+        }
+        self.expect("(", "expected SHOW STATS [('<subsystem>')]")?;
+        let name = self.name_arg("stats subsystem name")?;
+        let known = dana_obs::SUBSYSTEMS
+            .iter()
+            .find(|s| s.eq_ignore_ascii_case(&name))
+            .ok_or_else(|| {
+                err(&format!(
+                    "unknown stats subsystem '{name}' (expected admission, pool, buffer, sessions, engine, faults, serving, or scan)"
+                ))
+            })?;
+        self.expect(")", "expected SHOW STATS ('<subsystem>')")?;
+        if self.peek().is_some() {
+            return Err(self.fail("unexpected input after statement"));
+        }
+        Ok(Some(known.to_string()))
     }
-    // Bare identifier: a single argument with no quoting.
-    if arg.contains(',') {
-        return Err(err("UDF takes exactly one argument (the table name)"));
-    }
-    if arg.contains(['\'', '"', ' ', '\t']) {
-        return Err(err(&format!("bad table argument '{arg}'")));
-    }
-    Ok(arg)
 }
 
 fn err(msg: &str) -> DanaError {
@@ -970,6 +662,17 @@ fn err(msg: &str) -> DanaError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The call a scan-less statement parses to.
+    fn call(op: PlanOp, udf: &str, table: &str, with: WithOptions) -> Call {
+        Call {
+            op,
+            udf: udf.into(),
+            table: table.into(),
+            scan: None,
+            with,
+        }
+    }
 
     #[test]
     fn parses_the_papers_query() {
@@ -1064,46 +767,55 @@ mod tests {
         let s = parse_statement("PREDICT dana.linearR('patients') INTO 'patient_scores';").unwrap();
         assert_eq!(
             s,
-            Statement::Predict(PredictCall {
-                udf: "linearR".into(),
-                table: "patients".into(),
-                into: "patient_scores".into(),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::PredictInto {
+                    dest: "patient_scores".into()
+                },
+                "linearR",
+                "patients",
+                WithOptions::default()
+            ))
         );
         // Case-insensitive keywords, optional schema, mixed quoting.
         let s = parse_statement("predict linearR(\"patients\") into scores").unwrap();
         assert_eq!(
             s,
-            Statement::Predict(PredictCall {
-                udf: "linearR".into(),
-                table: "patients".into(),
-                into: "scores".into(),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::PredictInto {
+                    dest: "scores".into()
+                },
+                "linearR",
+                "patients",
+                WithOptions::default()
+            ))
+        );
+        // Quoted names are opaque, multi-byte contents included.
+        assert_eq!(
+            parse_statement("PREDICT dana.f('t') INTO 'é'").unwrap(),
+            Statement::Call(call(
+                PlanOp::PredictInto { dest: "é".into() },
+                "f",
+                "t",
+                WithOptions::default()
+            ))
         );
     }
 
     #[test]
     fn predict_preserves_identifier_case() {
-        let Statement::Predict(p) =
+        let Statement::Call(p) =
             parse_statement("PREDICT dana.MyUdf('MyTable') INTO 'MyScores';").unwrap()
         else {
-            panic!("expected predict");
+            panic!("expected a call");
         };
         assert_eq!(p.udf, "MyUdf");
         assert_eq!(p.table, "MyTable");
-        assert_eq!(p.into, "MyScores");
+        assert_eq!(
+            p.op,
+            PlanOp::PredictInto {
+                dest: "MyScores".into()
+            }
+        );
     }
 
     #[test]
@@ -1111,32 +823,24 @@ mod tests {
         let s = parse_statement("EVALUATE dana.logisticR('wlan');").unwrap();
         assert_eq!(
             s,
-            Statement::Evaluate(EvaluateCall {
-                udf: "logisticR".into(),
-                table: "wlan".into(),
-                metric: None,
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Evaluate { metric: None },
+                "logisticR",
+                "wlan",
+                WithOptions::default()
+            ))
         );
         let s = parse_statement("EVALUATE dana.linearR('t', 'mse');").unwrap();
         assert_eq!(
             s,
-            Statement::Evaluate(EvaluateCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                metric: Some(MetricKind::Mse),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Evaluate {
+                    metric: Some(MetricKind::Mse)
+                },
+                "linearR",
+                "t",
+                WithOptions::default()
+            ))
         );
         // All four metric names (and case-insensitivity) parse.
         for (name, kind) in [
@@ -1148,17 +852,12 @@ mod tests {
             let s = parse_statement(&format!("evaluate f('t', '{name}')")).unwrap();
             assert_eq!(
                 s,
-                Statement::Evaluate(EvaluateCall {
-                    udf: "f".into(),
-                    table: "t".into(),
-                    metric: Some(kind),
-                    scan: None,
-                    shards: None,
-                    backend: BackendChoice::Auto,
-                    trace: false,
-                    timeout_ms: None,
-                    retries: None,
-                }),
+                Statement::Call(call(
+                    PlanOp::Evaluate { metric: Some(kind) },
+                    "f",
+                    "t",
+                    WithOptions::default()
+                )),
                 "{name}"
             );
         }
@@ -1169,16 +868,7 @@ mod tests {
         let s = parse_statement("SELECT * FROM dana.linearR('t');").unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(PlanOp::Train, "linearR", "t", WithOptions::default()))
         );
     }
 
@@ -1229,22 +919,14 @@ mod tests {
         let s = parse_statement("EXECUTE dana.linearR('t');").unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(PlanOp::Train, "linearR", "t", WithOptions::default()))
         );
         // Case-insensitive, schema optional, identifier case preserved.
         let s = parse_statement("execute MyUdf(\"MyTable\")").unwrap();
-        let Statement::Train(q) = s else {
-            panic!("expected train");
+        let Statement::Call(q) = s else {
+            panic!("expected a call");
         };
+        assert_eq!(q.op, PlanOp::Train);
         assert_eq!(q.udf, "MyUdf");
         assert_eq!(q.table, "MyTable");
     }
@@ -1254,64 +936,60 @@ mod tests {
         let s = parse_statement("EXECUTE dana.linearR('t') WITH (shards = 4);").unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: Some(4),
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Train,
+                "linearR",
+                "t",
+                WithOptions {
+                    shards: Some(4),
+                    ..WithOptions::default()
+                }
+            ))
         );
         let s = parse_statement("SELECT * FROM dana.linearR('t') with (SHARDS=2)").unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: Some(2),
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Train,
+                "linearR",
+                "t",
+                WithOptions {
+                    shards: Some(2),
+                    ..WithOptions::default()
+                }
+            ))
         );
         let s = parse_statement("PREDICT dana.f('t') INTO 'p' WITH (shards = 8);").unwrap();
         assert_eq!(
             s,
-            Statement::Predict(PredictCall {
-                udf: "f".into(),
-                table: "t".into(),
-                into: "p".into(),
-                scan: None,
-                shards: Some(8),
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::PredictInto { dest: "p".into() },
+                "f",
+                "t",
+                WithOptions {
+                    shards: Some(8),
+                    ..WithOptions::default()
+                }
+            ))
         );
         let s = parse_statement("EVALUATE dana.f('t', 'mse') WITH (shards = 3);").unwrap();
         assert_eq!(
             s,
-            Statement::Evaluate(EvaluateCall {
-                udf: "f".into(),
-                table: "t".into(),
-                metric: Some(MetricKind::Mse),
-                scan: None,
-                shards: Some(3),
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Evaluate {
+                    metric: Some(MetricKind::Mse)
+                },
+                "f",
+                "t",
+                WithOptions {
+                    shards: Some(3),
+                    ..WithOptions::default()
+                }
+            ))
         );
         // parse_query handles the clause too.
         let q = parse_query("SELECT * FROM dana.f('t') WITH (shards = 16);").unwrap();
-        assert_eq!(q.shards, Some(16));
+        assert_eq!(q.with.shards, Some(16));
     }
 
     #[test]
@@ -1330,12 +1008,12 @@ mod tests {
         // A table that merely contains "with" is untouched.
         let q = parse_query("SELECT * FROM dana.f('with_t');").unwrap();
         assert_eq!(q.table, "with_t");
-        assert_eq!(q.shards, None);
+        assert_eq!(q.with.shards, None);
         // Even a quoted name shaped exactly like a WITH clause: quotes
         // are not clause boundaries, so it stays an identifier.
         let q = parse_query("SELECT * FROM dana.f('with (shards = 2)');").unwrap();
         assert_eq!(q.table, "with (shards = 2)");
-        assert_eq!(q.shards, None);
+        assert_eq!(q.with.shards, None);
     }
 
     #[test]
@@ -1350,14 +1028,7 @@ mod tests {
     // ---- WITH (backend = ...) grammar ------------------------------------
 
     fn backend_of(s: &Statement) -> BackendChoice {
-        match s {
-            Statement::Train(q) => q.backend,
-            Statement::Predict(p) => p.backend,
-            Statement::PredictPoint(p) => p.backend,
-            Statement::Evaluate(e) => e.backend,
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => backend_of(inner),
-            Statement::ShowStats(_) => panic!("SHOW STATS has no backend"),
-        }
+        s.call().expect("SHOW STATS has no backend").with.backend
     }
 
     #[test]
@@ -1394,33 +1065,32 @@ mod tests {
             .unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: Some(4),
-                backend: BackendChoice::Fpga,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Train,
+                "linearR",
+                "t",
+                WithOptions {
+                    shards: Some(4),
+                    backend: BackendChoice::Fpga,
+                    ..WithOptions::default()
+                }
+            ))
         );
         // Order-insensitive.
         let s = parse_statement("PREDICT dana.f('t') INTO 'p' WITH (backend = cpu, shards = 2);")
             .unwrap();
         assert_eq!(
             s,
-            Statement::Predict(PredictCall {
-                udf: "f".into(),
-                table: "t".into(),
-                into: "p".into(),
-                scan: None,
-                shards: Some(2),
-                backend: BackendChoice::Cpu,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::PredictInto { dest: "p".into() },
+                "f",
+                "t",
+                WithOptions {
+                    shards: Some(2),
+                    backend: BackendChoice::Cpu,
+                    ..WithOptions::default()
+                }
+            ))
         );
     }
 
@@ -1456,28 +1126,24 @@ mod tests {
             "Explain EVALUATE dana.f('t', 'mse') WITH (backend = cpu);",
         ] {
             let s = parse_statement(sql).unwrap();
-            let Statement::Explain(inner) = s else {
-                panic!("{sql} should parse as EXPLAIN");
-            };
             assert!(
-                !matches!(*inner, Statement::Explain(_)),
-                "inner statement must not be EXPLAIN"
+                matches!(s, Statement::Explain(_)),
+                "{sql} should parse as EXPLAIN"
             );
         }
         // The inner statement parses exactly as it would bare.
         let s = parse_statement("EXPLAIN EXECUTE dana.linearR('t') WITH (backend = cpu);").unwrap();
         assert_eq!(
             s,
-            Statement::Explain(Box::new(Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: None,
-                backend: BackendChoice::Cpu,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })))
+            Statement::Explain(call(
+                PlanOp::Train,
+                "linearR",
+                "t",
+                WithOptions {
+                    backend: BackendChoice::Cpu,
+                    ..WithOptions::default()
+                }
+            ))
         );
     }
 
@@ -1495,7 +1161,7 @@ mod tests {
         }
         // A UDF merely *named* explain stays a plain call.
         let s = parse_statement("EXECUTE dana.explainer('t');").unwrap();
-        assert!(matches!(s, Statement::Train(_)));
+        assert!(matches!(s, Statement::Call(_)));
     }
 
     // ---- EXPLAIN ANALYZE / SHOW STATS / trace grammar --------------------
@@ -1506,7 +1172,7 @@ mod tests {
         let Statement::ExplainAnalyze(inner) = s else {
             panic!("should parse as EXPLAIN ANALYZE");
         };
-        assert!(matches!(*inner, Statement::Train(_)));
+        assert_eq!(inner.op, PlanOp::Train);
         // Keywords are case-insensitive; PREDICT/EVALUATE also wrap.
         for sql in [
             "explain analyze PREDICT dana.f('t') INTO 'p';",
@@ -1591,16 +1257,18 @@ mod tests {
         .unwrap();
         assert_eq!(
             s,
-            Statement::Train(QueryCall {
-                udf: "linearR".into(),
-                table: "t".into(),
-                scan: None,
-                shards: Some(2),
-                backend: BackendChoice::Fpga,
-                trace: true,
-                timeout_ms: Some(250),
-                retries: Some(5),
-            })
+            Statement::Call(call(
+                PlanOp::Train,
+                "linearR",
+                "t",
+                WithOptions {
+                    shards: Some(2),
+                    backend: BackendChoice::Fpga,
+                    trace: true,
+                    timeout_ms: Some(250),
+                    retries: Some(5),
+                }
+            ))
         );
         assert_eq!(s.timeout_ms(), Some(250));
         assert_eq!(s.retries(), Some(5));
@@ -1692,14 +1360,14 @@ mod tests {
         let s = parse_statement("PREDICT dana.linearR(VALUES (1.0, 2.5, -3.0));").unwrap();
         assert_eq!(
             s,
-            Statement::PredictPoint(PointCall {
-                udf: "linearR".into(),
-                rows: vec![vec![1.0, 2.5, -3.0]],
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Point {
+                    rows: vec![vec![1.0, 2.5, -3.0]]
+                },
+                "linearR",
+                "",
+                WithOptions::default()
+            ))
         );
     }
 
@@ -1708,23 +1376,28 @@ mod tests {
         let s = parse_statement("predict svm(values (1, 2), (3, 4), (5, 6))").unwrap();
         assert_eq!(
             s,
-            Statement::PredictPoint(PointCall {
-                udf: "svm".into(),
-                rows: vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]],
-                backend: BackendChoice::Auto,
-                trace: false,
-                timeout_ms: None,
-                retries: None,
-            })
+            Statement::Call(call(
+                PlanOp::Point {
+                    rows: vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]
+                },
+                "svm",
+                "",
+                WithOptions::default()
+            ))
         );
         // Schema prefix, free-form whitespace, scientific notation.
-        let Statement::PredictPoint(p) =
+        let Statement::Call(p) =
             parse_statement("PREDICT DANA.MyUdf( VALUES ( 1e-2 ,  2.5E1 ) );").unwrap()
         else {
-            panic!("expected point predict");
+            panic!("expected a call");
         };
         assert_eq!(p.udf, "MyUdf");
-        assert_eq!(p.rows, vec![vec![0.01, 25.0]]);
+        assert_eq!(
+            p.op,
+            PlanOp::Point {
+                rows: vec![vec![0.01, 25.0]]
+            }
+        );
     }
 
     #[test]
@@ -1733,10 +1406,11 @@ mod tests {
             "PREDICT dana.f(VALUES (1.0)) WITH (backend = cpu, trace = on, timeout_ms = 50, retries = 2);",
         )
         .unwrap();
-        let Statement::PredictPoint(p) = &s else {
-            panic!("expected point predict");
+        let Statement::Call(p) = &s else {
+            panic!("expected a call");
         };
-        assert_eq!(p.backend, BackendChoice::Cpu);
+        assert!(matches!(p.op, PlanOp::Point { .. }));
+        assert_eq!(p.with.backend, BackendChoice::Cpu);
         assert!(s.wants_trace());
         assert_eq!(s.timeout_ms(), Some(50));
         assert_eq!(s.retries(), Some(2));
@@ -1794,9 +1468,7 @@ mod tests {
 
     fn scan_of(s: &Statement) -> Option<&ScanSpec> {
         match s {
-            Statement::Train(q) => q.scan.as_ref(),
-            Statement::Predict(p) => p.scan.as_ref(),
-            Statement::Evaluate(e) => e.scan.as_ref(),
+            Statement::Call(c) => c.scan.as_ref(),
             other => panic!("no scan on {other:?}"),
         }
     }
@@ -1817,10 +1489,10 @@ mod tests {
             assert!(scan.projection.is_none(), "{sql}");
         }
         // Column-name case is preserved (binding decides validity).
-        let Statement::Train(q) =
+        let Statement::Call(q) =
             parse_statement("EXECUTE dana.f('t') WHERE MyCol >= -2e1").unwrap()
         else {
-            panic!("expected train");
+            panic!("expected a call");
         };
         assert_eq!(q.scan.as_ref().unwrap().predicates[0].column, "MyCol");
         assert_eq!(q.scan.unwrap().predicates[0].value, -20.0);
@@ -1889,11 +1561,11 @@ mod tests {
             "PREDICT dana.f('t') INTO 'p' WITH (shards = 2) WHERE x0 < 1 COLUMNS (x0);",
         )
         .unwrap();
-        let Statement::Predict(p) = s else {
-            panic!("expected predict");
+        let Statement::Call(p) = s else {
+            panic!("expected a call");
         };
-        assert_eq!(p.into, "p");
-        assert_eq!(p.shards, Some(2));
+        assert_eq!(p.op, PlanOp::PredictInto { dest: "p".into() });
+        assert_eq!(p.with.shards, Some(2));
         assert_eq!(p.scan.unwrap().predicates.len(), 1);
     }
 
@@ -1942,6 +1614,20 @@ mod tests {
             let e = parse_statement(bad).unwrap_err();
             assert!(matches!(e, DanaError::Query(_)), "{bad}: {e:?}");
         }
+        // Multi-byte input is lexed at character boundaries: a non-ASCII
+        // bare column name is refused by name, not by a slicing panic.
+        for (bad, column) in [
+            ("SELECT * FROM dana.f('t') WHERE é > 1", "'é'"),
+            (
+                "SELECT * FROM dana.f('t') WHERE x0 < 1 AND 日本 = 2",
+                "'日本'",
+            ),
+        ] {
+            let e = parse_statement(bad).unwrap_err();
+            assert!(matches!(e, DanaError::Query(_)), "{bad}: {e:?}");
+            assert!(e.to_string().contains("bad WHERE column name"), "{e}");
+            assert!(e.to_string().contains(column), "{e}");
+        }
         // The messages are diagnostic, not generic.
         let e = parse_statement("EXECUTE dana.f('t') WHERE x < banana;").unwrap_err();
         assert!(e.to_string().contains("bad WHERE constant 'banana'"), "{e}");
@@ -1967,7 +1653,7 @@ mod tests {
         let Statement::Explain(inner) = s else {
             panic!("expected explain");
         };
-        assert_eq!(scan_of(&inner).unwrap().predicates.len(), 1);
+        assert_eq!(inner.scan.unwrap().predicates.len(), 1);
         // A quoted table name shaped like a clause stays an identifier.
         let q = parse_query("SELECT * FROM dana.f('where x = 1');").unwrap();
         assert_eq!(q.table, "where x = 1");
@@ -1979,12 +1665,19 @@ mod tests {
         // A source table merely *named* like the keyword stays the
         // materializing form: quoting marks it as an identifier.
         let s = parse_statement("PREDICT dana.f('values') INTO 'p';").unwrap();
-        let Statement::Predict(p) = s else {
-            panic!("expected materializing predict");
+        let Statement::Call(p) = s else {
+            panic!("expected a call");
         };
+        assert!(matches!(p.op, PlanOp::PredictInto { .. }));
         assert_eq!(p.table, "values");
         // And a bare table called values_v2 is not the point form either.
         let s = parse_statement("PREDICT dana.f(values_v2) INTO 'p';").unwrap();
-        assert!(matches!(s, Statement::Predict(_)));
+        assert!(matches!(
+            s,
+            Statement::Call(Call {
+                op: PlanOp::PredictInto { .. },
+                ..
+            })
+        ));
     }
 }

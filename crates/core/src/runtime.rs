@@ -76,6 +76,26 @@ pub const SETUP_SECONDS: Seconds = 30.0e-3;
 /// DAnA rows), documented in EXPERIMENTS.md.
 pub const EPOCH_OVERHEAD_S: Seconds = 25.0e-3;
 
+/// One epoch's simulated seconds given its disk seconds `io` — the one
+/// overlap formula [`compose`] totals and [`stage_partition`] splits.
+fn epoch_seconds(mode: ExecutionMode, io: Seconds, c: &EpochCosts) -> Seconds {
+    match mode {
+        // Full pipeline overlap at page granularity (decompression is
+        // one more page-granular stream to overlap).
+        ExecutionMode::Strider => {
+            io.max(c.decompress).max(c.axi).max(c.strider).max(c.engine) + c.fill + EPOCH_OVERHEAD_S
+        }
+        // CPU feed serializes with compute: the handshake prevents the
+        // interleave ("using the CPU for data extraction would have a
+        // significant overhead due to the handshaking", §5.1.1). Only
+        // disk I/O still overlaps (prefetch). The CPU also does its
+        // own decompression ahead of the deform.
+        ExecutionMode::CpuFed | ExecutionMode::Tabla => {
+            io.max(c.decompress + c.cpu_feed + c.engine) + c.fill + EPOCH_OVERHEAD_S
+        }
+    }
+}
+
 /// Composes per-epoch costs into an end-to-end [`DanaTiming`].
 pub fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
     let epochs = epochs.max(1);
@@ -85,23 +105,7 @@ pub fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
     };
     for e in 0..epochs {
         let io = if e == 0 { c.io_first } else { c.io_later };
-        let epoch = match mode {
-            // Full pipeline overlap at page granularity (decompression is
-            // one more page-granular stream to overlap).
-            ExecutionMode::Strider => {
-                io.max(c.decompress).max(c.axi).max(c.strider).max(c.engine)
-                    + c.fill
-                    + EPOCH_OVERHEAD_S
-            }
-            // CPU feed serializes with compute: the handshake prevents the
-            // interleave ("using the CPU for data extraction would have a
-            // significant overhead due to the handshaking", §5.1.1). Only
-            // disk I/O still overlaps (prefetch). The CPU also does its
-            // own decompression ahead of the deform.
-            ExecutionMode::CpuFed | ExecutionMode::Tabla => {
-                io.max(c.decompress + c.cpu_feed + c.engine) + c.fill + EPOCH_OVERHEAD_S
-            }
-        };
+        let epoch = epoch_seconds(mode, io, c);
         timing.io_seconds += io;
         timing.decompress_seconds += c.decompress;
         timing.axi_seconds += if mode.uses_striders() { c.axi } else { 0.0 };
@@ -116,11 +120,11 @@ pub fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
 /// The simulated time of [`compose`]'s total, split along the trace's
 /// stage vocabulary.
 ///
-/// The split mirrors `compose`'s epoch loop operation-for-operation so
-/// that `setup + scan + engine` reproduces `total_seconds` to float
-/// rounding — `EXPLAIN ANALYZE` holds the rendered stage sum to the
-/// query report, so the partition must be a true decomposition rather
-/// than a second estimate.
+/// The split walks the same epochs through the same `epoch_seconds`, so
+/// `setup + scan + engine` reproduces `total_seconds` to float rounding —
+/// `EXPLAIN ANALYZE` holds the rendered stage sum to the query report, so
+/// the partition must be a true decomposition rather than a second
+/// estimate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StagePartition {
     /// One-time configuration — the trace's `lease` stage (sim side).
@@ -144,16 +148,7 @@ pub fn stage_partition(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> Stag
     };
     for e in 0..epochs {
         let io = if e == 0 { c.io_first } else { c.io_later };
-        let epoch = match mode {
-            ExecutionMode::Strider => {
-                io.max(c.decompress).max(c.axi).max(c.strider).max(c.engine)
-                    + c.fill
-                    + EPOCH_OVERHEAD_S
-            }
-            ExecutionMode::CpuFed | ExecutionMode::Tabla => {
-                io.max(c.decompress + c.cpu_feed + c.engine) + c.fill + EPOCH_OVERHEAD_S
-            }
-        };
+        let epoch = epoch_seconds(mode, io, c);
         // `epoch >= c.engine + fill + overhead` in every mode, so the
         // scan share is non-negative by construction.
         part.scan += epoch - c.engine;

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use dana_scan::{BoundScanSpec, ScanSidecar};
 use dana_storage::{
-    ColumnType, DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError,
-    StorageResult, TupleBatch, TupleSource,
+    DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError, TupleBatch,
+    TupleSource,
 };
 use dana_strider::{AccessEngine, AccessStats};
 
@@ -35,52 +35,13 @@ use crate::report::Seconds;
 /// pages stream *compressed* through the buffer pool (under the heap's
 /// shadow id, charged at compressed size), are decompressed on fetch with
 /// cycles charged to the access stats, zone-unmatchable pages are skipped
-/// without a fetch, and surviving tuples are filtered/projected before the
-/// engine sees them.
+/// without a fetch, and surviving tuples are filtered/projected by the
+/// Striders before the engine sees them — pushdown is a Strider-feed
+/// path; `open_scan` refuses to pair it with [`FeedKind::Cpu`].
 #[derive(Clone)]
 pub struct ScanState {
     pub sidecar: Arc<ScanSidecar>,
     pub spec: Arc<BoundScanSpec>,
-}
-
-/// CPU-deform twin of the Strider filtered extraction: decodes each tuple
-/// full-width with the same per-cell [`ColumnType::decode_f32`] conversion
-/// `deform_all_into` uses, gates it on the spec, and pushes the projected
-/// row — so the Fig. 11 ablation stays bit-identical to the Strider feed
-/// under pushdown too.
-fn cpu_extract_filtered(
-    bytes: &[u8],
-    heap: &HeapFile,
-    spec: &BoundScanSpec,
-    batch: &mut TupleBatch,
-) -> Result<(), SourceError> {
-    let layout = heap.layout();
-    let schema = heap.schema();
-    let view = PageView::new(bytes, *layout)?;
-    let cols: Vec<(usize, ColumnType)> = (0..schema.len())
-        .map(|i| Ok((schema.column_offset(i)?, schema.columns()[i].ty)))
-        .collect::<StorageResult<_>>()?;
-    let mut row = vec![0f32; schema.len()];
-    for slot in 0..view.tuple_count() {
-        let data = &view.tuple_bytes(slot)?[layout.tuple_header_bytes..];
-        for (c, &(off, ty)) in cols.iter().enumerate() {
-            row[c] = ty.decode_f32(&data[off..off + ty.width()]);
-        }
-        if !spec.row_matches(&row) {
-            continue;
-        }
-        match &spec.projection {
-            Some(proj) => {
-                let mut out = batch.start_row();
-                for &c in proj {
-                    out.push(row[c]);
-                }
-                out.finish();
-            }
-            None => batch.push_row(&row),
-        }
-    }
-    Ok(())
 }
 
 /// How raw page bytes become engine-native f32 rows.
@@ -262,19 +223,15 @@ impl<'a> SharedPageStreamSource<'a> {
                 drop(bytes);
                 self.stats.decompress_cycles += dana_scan::decompress_cycles(raw.len());
                 self.stats.decompressed_bytes += raw.len() as u64;
-                match self.feed {
-                    FeedKind::Strider => self
-                        .access
-                        .extract_page_filtered_into(
-                            &raw,
-                            &mut batch,
-                            scan.spec.projection.as_deref(),
-                            |row| scan.spec.row_matches(row),
-                        )
-                        .map(|cycles| self.stats.strider_cycles += cycles)
-                        .map_err(|e| SourceError(e.to_string()))?,
-                    FeedKind::Cpu => cpu_extract_filtered(&raw, self.heap, &scan.spec, &mut batch)?,
-                }
+                self.stats.strider_cycles += self
+                    .access
+                    .extract_page_filtered_into(
+                        &raw,
+                        &mut batch,
+                        scan.spec.projection.as_deref(),
+                        |row| scan.spec.row_matches(row),
+                    )
+                    .map_err(|e| SourceError(e.to_string()))?;
             }
         };
         self.stats.pages += 1;

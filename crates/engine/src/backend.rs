@@ -1,25 +1,24 @@
-//! Pluggable execution backends over the deploy-time-lowered program.
+//! The execution backend: one lowered program, two ways to cost it.
 //!
 //! The paper's argument is that the right execution substrate depends on
 //! the workload: offloading to the FPGA pays off only once the scan is
 //! large enough to amortize configuration and per-epoch orchestration
-//! overhead. This module makes the substrate a first-class choice by
-//! putting a small trait, [`ExecutionBackend`], over the lowered SoA
-//! program with two implementations:
+//! overhead. A [`Backend`] is a [`BackendKind`] and the engine it runs:
 //!
-//! * [`FpgaBackend`] — the simulated-FPGA tier: its cost is the simulated
-//!   cycle count (converted to seconds by the caller's clock model).
-//! * [`CpuBackend`] — a native CPU tier that executes the **same**
+//! * [`BackendKind::Fpga`] — the simulated-FPGA tier: its cost is the
+//!   simulated cycle count (converted to seconds by the caller's clock
+//!   model).
+//! * [`BackendKind::Cpu`] — a native CPU tier that executes the **same**
 //!   [`LoweredProgram`](crate::lowered::LoweredProgram) through the same
 //!   slot-major `buf[word * lanes + l]` lockstep lane loops (op dispatch
-//!   hoisted out of the lane loop, LRMF's sequential gather/scatter path
-//!   preserved), but whose cost is **measured wall time**.
+//!   hoisted out of the lane loop so `rustc` auto-vectorizes them, LRMF's
+//!   sequential gather/scatter path preserved), but whose cost is
+//!   **measured wall time**.
 //!
-//! Both run the one serial epoch loop
-//! ([`run_training_guarded`](crate::fault::run_training_guarded)) over
+//! Both run the one serial epoch loop ([`run_training_guarded`]) over
 //! the identical SoA workspace, so their trained models and cycle
 //! counters are bit-identical by construction — the differential suite
-//! holds them to it. A backend supplies only its kind and its engine.
+//! holds them to it.
 //!
 //! The distinction is *what the number means*: the FPGA tier's
 //! [`EngineStats::cycles`] model a 150 MHz accelerator fed by Striders;
@@ -73,23 +72,26 @@ pub struct BackendRun {
     pub wall_seconds: Option<f64>,
 }
 
-/// A pluggable execution substrate for the lowered training program.
-///
-/// Implementations share the lowered SoA executor and differ only in how
-/// their cost is accounted (simulated cycles vs measured wall time) and
-/// in which system resources a run occupies (the FPGA tier holds an
+/// An execution substrate for one engine's lowered training program.
+/// The tiers share the lowered SoA executor and differ only in how their
+/// cost is accounted (simulated cycles vs measured wall time) and in
+/// which system resources a run occupies (the FPGA tier holds an
 /// accelerator lease; the CPU tier bypasses the pool entirely).
-pub trait ExecutionBackend: Send + Sync {
-    /// Which substrate this is.
-    fn kind(&self) -> BackendKind;
+#[derive(Debug, Clone)]
+pub struct Backend {
+    pub kind: BackendKind,
+    pub engine: Arc<ExecutionEngine>,
+}
 
-    /// The engine whose lowered program this backend executes.
-    fn engine(&self) -> &ExecutionEngine;
+impl Backend {
+    pub fn new(kind: BackendKind, engine: Arc<ExecutionEngine>) -> Backend {
+        Backend { kind, engine }
+    }
 
     /// Runs training to convergence (or the epoch cap) from a streaming
     /// source, exactly like [`ExecutionEngine::run_training`]: the guarded
     /// loop under a guard that never cancels and injects nothing.
-    fn run_training(
+    pub fn run_training(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
@@ -102,17 +104,16 @@ pub trait ExecutionBackend: Send + Sync {
 
     /// The serial epoch loop with cooperative cancellation, deterministic
     /// fault injection, and bounded-backoff retry at epoch boundaries (see
-    /// [`run_training_guarded`]), timed when the backend executes
-    /// natively.
-    fn run_training_guarded(
+    /// [`run_training_guarded`]), timed when the tier executes natively.
+    pub fn run_training_guarded(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
         guard: &RunGuard<'_>,
     ) -> EngineResult<(BackendRun, FaultEvents)> {
-        let wants_wall = self.kind() == BackendKind::Cpu;
+        let wants_wall = self.kind == BackendKind::Cpu;
         let start = Instant::now();
-        let run = run_training_guarded(self.engine(), source, store, guard)?;
+        let run = run_training_guarded(&self.engine, source, store, guard)?;
         Ok((
             BackendRun {
                 stats: run.stats,
@@ -120,55 +121,6 @@ pub trait ExecutionBackend: Send + Sync {
             },
             run.events,
         ))
-    }
-}
-
-/// The simulated-FPGA tier behind the [`ExecutionBackend`] trait: cost is
-/// the engine's cycle count, so runs report no wall time.
-#[derive(Debug, Clone)]
-pub struct FpgaBackend {
-    engine: Arc<ExecutionEngine>,
-}
-
-impl FpgaBackend {
-    pub fn new(engine: Arc<ExecutionEngine>) -> FpgaBackend {
-        FpgaBackend { engine }
-    }
-}
-
-impl ExecutionBackend for FpgaBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fpga
-    }
-
-    fn engine(&self) -> &ExecutionEngine {
-        &self.engine
-    }
-}
-
-/// The native CPU tier: the same lowered program, the same epoch loop,
-/// timed with a stopwatch instead of the cycle model. The SoA lane loops
-/// it executes are the host's SIMD path — `rustc` auto-vectorizes the
-/// per-op lane loops because the op match is hoisted out of them (see
-/// `lowered::lockstep_lanes`).
-#[derive(Debug, Clone)]
-pub struct CpuBackend {
-    engine: Arc<ExecutionEngine>,
-}
-
-impl CpuBackend {
-    pub fn new(engine: Arc<ExecutionEngine>) -> CpuBackend {
-        CpuBackend { engine }
-    }
-}
-
-impl ExecutionBackend for CpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cpu
-    }
-
-    fn engine(&self) -> &ExecutionEngine {
-        &self.engine
     }
 }
 
@@ -233,7 +185,7 @@ pub fn calibrate_cpu_lane_rate() -> f64 {
     };
     let engine = Arc::new(ExecutionEngine::new(design.clone()).expect("calibration design"));
     let lane_ops_per_tuple = engine.lowered().per_tuple_lane_ops() as f64;
-    let backend = CpuBackend::new(engine);
+    let backend = Backend::new(BackendKind::Cpu, engine);
 
     let tuples: Vec<Vec<f32>> = (0..32_768)
         .map(|k| vec![(k % 97) as f32 * 0.01, (k % 31) as f32 * 0.1])
@@ -331,8 +283,8 @@ pub(crate) mod tests {
             let design = linreg_design(threads);
             let engine = Arc::new(ExecutionEngine::new(design.clone()).unwrap());
             let batch = TupleBatch::from_rows(2, tuples(53));
-            let fpga = FpgaBackend::new(engine.clone());
-            let cpu = CpuBackend::new(engine);
+            let fpga = Backend::new(BackendKind::Fpga, engine.clone());
+            let cpu = Backend::new(BackendKind::Cpu, engine);
             let mut fpga_store = ModelStore::zeroed(&design);
             let fpga_run = fpga
                 .run_training(&mut OneBatchSource::new(&batch), &mut fpga_store)
@@ -351,10 +303,8 @@ pub(crate) mod tests {
         let design = linreg_design(4);
         let engine = Arc::new(ExecutionEngine::new(design.clone()).unwrap());
         let batch = TupleBatch::from_rows(2, tuples(20));
-        let fpga = FpgaBackend::new(engine.clone());
-        let cpu = CpuBackend::new(engine);
-        assert_eq!(fpga.kind(), BackendKind::Fpga);
-        assert_eq!(cpu.kind(), BackendKind::Cpu);
+        let fpga = Backend::new(BackendKind::Fpga, engine.clone());
+        let cpu = Backend::new(BackendKind::Cpu, engine);
         let mut store = ModelStore::zeroed(&design);
         let run = fpga
             .run_training(&mut OneBatchSource::new(&batch), &mut store)

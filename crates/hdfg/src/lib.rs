@@ -10,7 +10,7 @@
 //! one operation node per DSL statement, an explicit [`HOp::Merge`] node at
 //! the thread-combination boundary, and regions marking which nodes run
 //! per-tuple (replicated across threads) versus post-merge (once per
-//! batch). Every node knows its output [`Dims`] (inference already ran in
+//! batch). Every node knows its output [`dana_dsl::Dims`] (inference already ran in
 //! the DSL layer and is re-used verbatim) and can report its **atomic
 //! sub-node count** and **depth** — the two quantities the hardware
 //! generator's design-space exploration consumes (§6.1).

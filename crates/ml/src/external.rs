@@ -24,9 +24,9 @@ use crate::cpu::{CpuModel, Seconds};
 /// Which external tool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExternalLibrary {
-    /// Liblinear-Multicore: logistic regression and SVM only [40].
+    /// Liblinear-Multicore: logistic regression and SVM only \[40\].
     Liblinear,
-    /// DimmWitted: SVM, logistic, linear regression (and more) [41].
+    /// DimmWitted: SVM, logistic, linear regression (and more) \[41\].
     DimmWitted,
 }
 

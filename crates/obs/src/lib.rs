@@ -38,8 +38,3 @@ pub const SUBSYSTEMS: &[&str] = &[
     "serving",
     "scan",
 ];
-
-/// Whether `name` is a known stats subsystem.
-pub fn known_subsystem(name: &str) -> bool {
-    SUBSYSTEMS.contains(&name)
-}

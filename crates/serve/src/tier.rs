@@ -16,7 +16,7 @@
 //!    is ambiguous.
 //!
 //! Serving counters (hits, misses, invalidations, occupancy, latency)
-//! land in the core [`MetricsRegistry`] and surface through
+//! land in the core [`dana::MetricsRegistry`] and surface through
 //! `SHOW STATS ('serving')`.
 
 use std::sync::Arc;

@@ -4,7 +4,9 @@
 //!
 //! ```text
 //!  client ──open_session──► SessionManager
-//!    │ submit(SQL / UDF / spec)
+//!    │ submit(SQL / UDF / spec): parsed — or, for a typed request,
+//!    │ built — into the one `Call` shape and bound to its plan, on
+//!    │ the submitting thread (a hostile string is a typed error here)
 //!    ▼
 //!  AdmissionQueue  (bounded; FIFO or SJF by DanaTiming cost estimate)
 //!    │ pop
@@ -29,10 +31,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver};
 
 use dana::{
-    parse_statement, AnalyzeReport, BackendChoice, DanaReport, DanaResult, DeployInfo, DropSummary,
-    EvalReport, EvaluateCall, ExecutionMode, FrontDoorWalls, MetricKind, PhysicalPlan, PlanOp,
-    PointCall, PointReport, PredictCall, PredictReport, QueryCall, QueryCtx, QueryTrace, Statement,
-    StatementOutcome, StatsSnapshot, StrategyComparison, SystemCore, SystemCoreConfig,
+    parse_statement, AnalyzeReport, BackendChoice, Call, DanaReport, DanaResult, DeployInfo,
+    DropSummary, EvalReport, ExecutionMode, FrontDoorWalls, MetricKind, PhysicalPlan, PlanOp,
+    PointReport, PredictReport, QueryCtx, QueryTrace, Statement, StatementOutcome, StatsSnapshot,
+    StrategyComparison, SystemCore, SystemCoreConfig, WithOptions, Wrap,
 };
 use dana_engine::{CancelToken, FaultPlan, RetryPolicy};
 use dana_obs::StatEntry;
@@ -411,61 +413,57 @@ impl DanaServer {
     }
 
     /// Lowers a request to what a worker will run: SQL is parsed, the
-    /// typed forms become the same [`Statement`]s their SQL twins parse to
+    /// typed forms become the same [`Call`] their SQL twins parse to
     /// (on the FPGA tier, as their contract says — only point predictions
-    /// ask the advisor), and the statement is bound against this server's
+    /// ask the advisor), and the call is bound against this server's
     /// accelerator pool. A parse or bind error rides the job to the
     /// worker, which replies with it — no lease is ever taken for one.
     fn admit(&self, request: QueryRequest) -> Admitted {
         let lower_start = Instant::now();
-        let stmt = match request {
-            QueryRequest::Sql(sql) => parse_statement(&sql),
-            QueryRequest::RunUdf { udf, table, shards } => Ok(Statement::Train(QueryCall {
+        let stmt = 'lowered: {
+            let (op, udf, table, shards) = match request {
+                QueryRequest::Sql(sql) => break 'lowered parse_statement(&sql),
+                // The one ad-hoc form: nothing to parse or price.
+                QueryRequest::TrainSpec { spec, table, mode } => {
+                    let work = Work::Plan {
+                        plan: Box::new(PhysicalPlan::ad_hoc(&spec, &table, mode)),
+                        retry: RetryPolicy::default(),
+                    };
+                    return Admitted::new(Ok(work), self.default_timeout_ms, 0.0);
+                }
+                QueryRequest::RunUdf { udf, table, shards } => (PlanOp::Train, udf, table, shards),
+                QueryRequest::Predict {
+                    udf,
+                    table,
+                    into,
+                    shards,
+                } => (PlanOp::PredictInto { dest: into }, udf, table, shards),
+                QueryRequest::Evaluate {
+                    udf,
+                    table,
+                    metric,
+                    shards,
+                } => (PlanOp::Evaluate { metric }, udf, table, shards),
+                QueryRequest::PredictPoint { udf, rows } => {
+                    (PlanOp::Point { rows }, udf, String::new(), None)
+                }
+            };
+            let backend = match op {
+                PlanOp::Point { .. } => BackendChoice::Auto,
+                _ => BackendChoice::Fpga,
+            };
+            let with = WithOptions {
+                shards,
+                backend,
+                ..WithOptions::default()
+            };
+            Ok(Statement::Call(Call {
+                op,
                 udf,
                 table,
-                shards,
-                backend: BackendChoice::Fpga,
-                ..QueryCall::default()
-            })),
-            QueryRequest::Predict {
-                udf,
-                table,
-                into,
-                shards,
-            } => Ok(Statement::Predict(PredictCall {
-                udf,
-                table,
-                into,
-                shards,
-                backend: BackendChoice::Fpga,
-                ..PredictCall::default()
-            })),
-            QueryRequest::Evaluate {
-                udf,
-                table,
-                metric,
-                shards,
-            } => Ok(Statement::Evaluate(EvaluateCall {
-                udf,
-                table,
-                metric,
-                shards,
-                backend: BackendChoice::Fpga,
-                ..EvaluateCall::default()
-            })),
-            QueryRequest::PredictPoint { udf, rows } => Ok(Statement::PredictPoint(PointCall {
-                udf,
-                rows,
-                ..PointCall::default()
-            })),
-            // The one ad-hoc form: nothing to parse or price.
-            QueryRequest::TrainSpec { spec, table, mode } => {
-                let work = Work::Plan {
-                    plan: Box::new(PhysicalPlan::ad_hoc(&spec, &table, mode)),
-                    retry: RetryPolicy::default(),
-                };
-                return Admitted::new(Ok(work), self.default_timeout_ms, 0.0);
-            }
+                scan: None,
+                with,
+            }))
         };
         let parse_wall = lower_start.elapsed().as_secs_f64();
         let stmt = match stmt {
@@ -475,20 +473,21 @@ impl DanaServer {
             Err(e) => return Admitted::new(Err(e), None, parse_wall),
         };
         let timeout_ms = stmt.timeout_ms().or(self.default_timeout_ms);
-        let work = match stmt {
-            Statement::ShowStats(filter) => Ok(Work::Stats(filter)),
-            stmt => self
-                .core
-                .bind(&stmt, self.accels.size())
-                .map(|plan| Work::Plan {
-                    plan: Box::new(plan),
-                    retry: stmt
-                        .retries()
-                        .map_or_else(RetryPolicy::default, |n| RetryPolicy {
-                            max_retries: n,
-                            ..RetryPolicy::default()
-                        }),
-                }),
+        let retry = stmt
+            .retries()
+            .map_or_else(RetryPolicy::default, |n| RetryPolicy {
+                max_retries: n,
+                ..RetryPolicy::default()
+            });
+        let bind = |call, explain| {
+            let plan = Box::new(self.core.bind(call, explain, self.accels.size())?);
+            Ok(Work::Plan { plan, retry })
+        };
+        let work = match &stmt {
+            Statement::ShowStats(filter) => Ok(Work::Stats(filter.clone())),
+            Statement::Call(call) => bind(call, None),
+            Statement::Explain(call) => bind(call, Some(Wrap::Explain)),
+            Statement::ExplainAnalyze(call) => bind(call, Some(Wrap::Analyze)),
         };
         Admitted::new(work, timeout_ms, parse_wall)
     }

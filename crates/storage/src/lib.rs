@@ -6,7 +6,7 @@
 //! layout, so this crate implements a PostgreSQL-style storage engine:
 //!
 //! * [`schema`] — column types and table schemas;
-//! * [`tuple`] — tuple encoding (header + user data) and CPU-side deforming;
+//! * [`mod@tuple`] — tuple encoding (header + user data) and CPU-side deforming;
 //! * [`page`] — byte-exact slotted heap pages (page header, line pointers,
 //!   free space, special space) in 8/16/32 KB sizes;
 //! * [`heap`] — heap files: ordered collections of pages on the simulated

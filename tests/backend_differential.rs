@@ -9,7 +9,7 @@
 //! seconds vs simulated cycle-model seconds). These tests hold the
 //! backends to that contract for every zoo model (linear regression,
 //! logistic regression, SVM, LRMF) across lockstep lane counts 1/4/16,
-//! through both the engine-level [`ExecutionBackend`] trait and the
+//! through both the engine-level [`Backend`] value and the
 //! full `WITH (backend = …)` SQL front door, plus proptest-randomized
 //! dense programs.
 
@@ -21,7 +21,7 @@ use dana::exec::initial_models;
 use dana::prelude::*;
 use dana_compiler::{schedule_hdfg, ScheduleParams};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
-use dana_engine::{CpuBackend, ExecutionBackend, ExecutionEngine, FpgaBackend, ModelStore};
+use dana_engine::{Backend, ExecutionEngine, ModelStore};
 use dana_hdfg::translate;
 use dana_storage::page::TupleDirection;
 use dana_storage::{BufferPoolConfig, HeapFileBuilder, OneBatchSource, Schema, TupleBatch};
@@ -108,12 +108,12 @@ fn assert_backends_identical(engine: &Arc<ExecutionEngine>, tuples: &[Vec<f32>],
     let design = engine.design();
     let batch = TupleBatch::from_rows(tuples[0].len(), tuples);
 
-    let fpga = FpgaBackend::new(Arc::clone(engine));
+    let fpga = Backend::new(BackendKind::Fpga, Arc::clone(engine));
     let mut fpga_store = ModelStore::new(design, initial_models(design)).unwrap();
     let mut src = OneBatchSource::new(&batch);
     let fpga_run = fpga.run_training(&mut src, &mut fpga_store).unwrap();
 
-    let cpu = CpuBackend::new(Arc::clone(engine));
+    let cpu = Backend::new(BackendKind::Cpu, Arc::clone(engine));
     let mut cpu_store = ModelStore::new(design, initial_models(design)).unwrap();
     let mut src = OneBatchSource::new(&batch);
     let cpu_run = cpu.run_training(&mut src, &mut cpu_store).unwrap();

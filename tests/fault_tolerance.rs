@@ -317,6 +317,35 @@ fn panicking_dispatch_is_isolated_and_worker_survives() {
     assert_eq!(stats.get("faults", "panics_caught"), Some(1.0));
 }
 
+/// Hostile SQL never reaches a worker's `catch_unwind` — it is parsed on
+/// the *submitting* thread — so the front door itself must answer it with
+/// a typed error: the caller survives, no lease is taken, and the session
+/// keeps working.
+#[test]
+fn hostile_sql_is_a_typed_error_on_the_submitting_thread() {
+    let srv = trained_server(1, 1);
+    let session = srv.open_session("hostile");
+    let leases = srv.pool_utilization().leases;
+
+    let hostile = "SELECT * FROM dana.linearR('t') WHERE é > 1";
+    let err = srv
+        .call(session, QueryRequest::Sql(hostile.into()))
+        .unwrap_err();
+    assert!(
+        matches!(err, ServerError::Dana(DanaError::Query(_))),
+        "got {err}"
+    );
+    assert_eq!(srv.pool_utilization().leases, leases, "no lease taken");
+
+    let reply = srv
+        .call(
+            session,
+            QueryRequest::Sql("SELECT * FROM dana.linearR('t');".into()),
+        )
+        .unwrap();
+    assert!(reply.try_report().is_ok());
+}
+
 /// Quarantine lifecycle: two strikes quarantine an instance (withheld
 /// from leasing), a probe reinstates it, and the `SHOW STATS('faults')`
 /// rows track every transition.

@@ -189,6 +189,108 @@ proptest! {
     }
 }
 
+/// What `parse_statement_never_panics` glues into statements: every
+/// keyword in both cases, the punctuation and operators, a schema prefix,
+/// numbers (finite, overflowing, non-finite) and multi-byte atoms — the
+/// vendored proptest has no string strategy, so a statement is a vector
+/// of indices into this table.
+const SQL_ATOMS: &[&str] = &[
+    "SELECT",
+    "select",
+    "FROM",
+    "from",
+    "EXECUTE",
+    "execute",
+    "PREDICT",
+    "predict",
+    "INTO",
+    "into",
+    "VALUES",
+    "values",
+    "EVALUATE",
+    "evaluate",
+    "EXPLAIN",
+    "explain",
+    "ANALYZE",
+    "analyze",
+    "SHOW",
+    "show",
+    "STATS",
+    "stats",
+    "WHERE",
+    "where",
+    "AND",
+    "and",
+    "COLUMNS",
+    "columns",
+    "WITH",
+    "with",
+    "shards",
+    "backend",
+    "trace",
+    "timeout_ms",
+    "retries",
+    "(",
+    ")",
+    ",",
+    ";",
+    "'",
+    "\"",
+    "=",
+    "<",
+    "<=",
+    "<>",
+    "!=",
+    "*",
+    "dana.",
+    "f",
+    "'t'",
+    "x0",
+    "1",
+    "-2.5",
+    "1e40",
+    "nan",
+    "inf",
+    "é",
+    "日本",
+    "ß",
+    "İ",
+    "\u{a0}",
+    " ",
+];
+
+/// Whether `parse_statement(sql)` returned — a statement or a typed
+/// query error — rather than unwinding.
+fn parses_or_refuses(sql: &str) -> bool {
+    matches!(
+        std::panic::catch_unwind(|| dana::parse_statement(sql)),
+        Ok(Ok(_) | Err(dana::DanaError::Query(_)))
+    )
+}
+
+// ROADMAP robustness 4(a): the SQL front door answers arbitrary strings
+// with a statement or a typed error, never a panic — it runs on the
+// *caller's* thread of `DanaServer::submit`, outside any `catch_unwind`.
+proptest! {
+    #[test]
+    fn parse_statement_never_panics(
+        soups in prop::collection::vec(prop::collection::vec(0usize..SQL_ATOMS.len(), 1..14), 64),
+        spaced in any::<bool>(),
+        blobs in prop::collection::vec(prop::collection::vec(0u16..256, 0..48), 16),
+    ) {
+        for soup in &soups {
+            let atoms: Vec<&str> = soup.iter().map(|&i| SQL_ATOMS[i]).collect();
+            let sql = atoms.join(if spaced { " " } else { "" });
+            prop_assert!(parses_or_refuses(&sql), "panicked on {sql:?}");
+        }
+        for blob in &blobs {
+            let bytes: Vec<u8> = blob.iter().map(|&b| b as u8).collect();
+            let sql = String::from_utf8_lossy(&bytes);
+            prop_assert!(parses_or_refuses(&sql), "panicked on {sql:?}");
+        }
+    }
+}
+
 /// The one-shard pool's replacement order, stated once: a second-chance
 /// clock over all frames. An embedded system's simulated I/O seconds are a
 /// function of exactly this hit/miss sequence, so a change here is a
