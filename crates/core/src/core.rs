@@ -4,8 +4,9 @@
 //! Mirrors Fig. 2's flow end-to-end:
 //!
 //! 1. [`SystemCore::deploy`] — the UDF is translated (hDFG), compiled
-//!    (hardware generator + scheduler), and its artifacts — Strider
-//!    instructions, engine design, schedule — are stored in the catalog;
+//!    (hardware generator + scheduler), and the accelerator — the
+//!    validated, lowered engine with its budget, estimate and scoring
+//!    recipe — is stored in the catalog, typed, under the UDF's name;
 //! 2. [`SystemCore::bind`] — a parsed statement is bound, once, to a
 //!    [`PhysicalPlan`]: operation, scan, gang size, substrate;
 //! 3. [`SystemCore::execute`] — the plan runs: the buffer pool fills while
@@ -22,17 +23,24 @@
 //! assembler — and only training's epoch loop (two fault policies) is
 //! chosen by the member count.
 //!
-//! * the **catalog** sits behind an `RwLock`: queries take short read
-//!   locks to snapshot (entry, `Arc<HeapFile>`, accelerator) and then run
-//!   lock-free; DDL takes the write lock only for the map mutation;
+//! * the **catalog** — "shared by the database engine and the FPGA" (§3)
+//!   — is one private struct behind one `RwLock`: the storage
+//!   [`Catalog`] (tables + heaps), the deployed accelerators and the scan
+//!   sidecars. Queries take short read locks to snapshot (entry,
+//!   `Arc<HeapFile>`, accelerator) and then run lock-free; DDL, an
+//!   EXECUTE storing its model and a first pushdown scan registering its
+//!   sidecar take the write lock only for the map mutation — never while
+//!   the same thread still holds a read guard (`std::sync::RwLock` is not
+//!   re-entrant);
 //! * the **buffer pool** is the sharded [`SharedBufferPool`], fetched
 //!   through `&self`;
 //! * the **execution engine is never built per query**: DEPLOY compiles,
-//!   validates, and lowers it once, caching `Arc<ExecutionEngine>` (plus
-//!   budget and estimate) on the catalog entry's `RuntimeCache`. Only
-//!   genuinely per-query state (access engine, model store, stream
-//!   source) is built per request.
+//!   validates, and lowers it once, and the catalog entry holds the
+//!   `Arc<CachedAccelerator>` for as long as it is live. Only genuinely
+//!   per-query state (access engine, model store, stream source) is built
+//!   per request.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -53,16 +61,16 @@ use dana_parallel::{
     evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
     train_gang_guarded, GangGuard, ReplaySource, ShardPlan,
 };
+use dana_scan::{ScanSidecar, ScanSpec};
 use dana_storage::{
-    AcceleratorEntry, BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId,
-    HeapPage, PageId, RuntimeCache, SharedBufferPool, SourceError, TableEntry, Tuple, TupleBatch,
-    TupleSource,
+    BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, HeapPage, PageId,
+    SharedBufferPool, SourceError, StorageError, TableEntry, Tuple, TupleBatch, TupleSource,
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
 
 use crate::advisor::{self, BackendChoice, HardwareProfile, StrategyComparison};
 use crate::error::{DanaError, DanaResult};
-use crate::exec::{self, ArtifactBlob, CachedAccelerator, ShardArtifacts};
+use crate::exec::{self, CachedAccelerator, ShardArtifacts, TrainedModels};
 use crate::plan::{PhysicalPlan, PlanOp, Wrap};
 use crate::query::Call;
 use crate::report::{
@@ -70,7 +78,7 @@ use crate::report::{
     Seconds, StatementOutcome,
 };
 use crate::runtime::ExecutionMode;
-use crate::source::{FeedKind, ScanState, SharedPageStreamSource};
+use crate::source::{ScanState, SharedPageStreamSource};
 
 /// How to build a [`SystemCore`].
 #[derive(Debug, Clone, Copy)]
@@ -184,7 +192,7 @@ pub struct DeployInfo {
 /// The DAnA-enhanced database system: shared catalog + buffer pool +
 /// models.
 pub struct SystemCore {
-    catalog: RwLock<Catalog>,
+    catalog: RwLock<CoreCatalog>,
     pool: SharedBufferPool,
     disk: DiskModel,
     fpga: FpgaSpec,
@@ -204,6 +212,60 @@ pub struct SystemCore {
     /// training path. `None` (the production state) injects nothing;
     /// tests and smoke runs install a plan to rehearse recovery.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
+}
+
+/// The catalog "shared by the database engine and the FPGA" (§3): the
+/// database's tables and heaps, and beside them — under the same lock —
+/// what DAnA deploys and derives, typed.
+#[derive(Default)]
+struct CoreCatalog {
+    db: Catalog,
+    /// Deployed accelerators by UDF name.
+    accelerators: HashMap<String, Deployed>,
+    /// Scan-tier sidecars (compressed pages + zone maps) by heap: built
+    /// by a table's first pushdown scan, shared by every later one, and
+    /// removed with the table — a rebuilt table of the same name gets a
+    /// new heap id and so a cold sidecar.
+    sidecars: HashMap<HeapId, Arc<ScanSidecar>>,
+}
+
+/// Catalog record for one deployed accelerator (one UDF).
+enum Deployed {
+    Live {
+        /// The table whose page layout and schema the accelerator was
+        /// compiled against; dropping it turns the entry [`Deployed::Stale`].
+        bound_table: String,
+        /// The DEPLOY-time engine, budget, estimate and scoring recipe.
+        runtime: Arc<CachedAccelerator>,
+        /// The latest EXECUTE's models (last training wins), consumed by
+        /// PREDICT/EVALUATE; `None` until one has run.
+        trained: Option<Arc<TrainedModels>>,
+    },
+    /// The bound table was dropped: the engine was compiled against a
+    /// layout that no longer exists and the model was fit to rows that no
+    /// longer exist, so the entry keeps neither — using it is a typed
+    /// error, never a dangling-heap lookup.
+    Stale { dropped_table: String },
+}
+
+impl CoreCatalog {
+    /// The one accelerator lookup: a live entry's runtime artifact and
+    /// trained models, or the typed reason there is none.
+    fn live_accelerator(
+        &self,
+        udf: &str,
+    ) -> DanaResult<(&Arc<CachedAccelerator>, &Option<Arc<TrainedModels>>)> {
+        match self.accelerators.get(udf) {
+            None => Err(StorageError::UnknownAccelerator(udf.to_string()).into()),
+            Some(Deployed::Stale { dropped_table }) => Err(DanaError::StaleAccelerator {
+                udf: udf.to_string(),
+                dropped_table: dropped_table.clone(),
+            }),
+            Some(Deployed::Live {
+                runtime, trained, ..
+            }) => Ok((runtime, trained)),
+        }
+    }
 }
 
 /// Engine-construction accounting: how many engines were ever built vs.
@@ -312,7 +374,7 @@ impl Scan<'_> {
 impl SystemCore {
     pub fn new(config: SystemCoreConfig) -> SystemCore {
         SystemCore {
-            catalog: RwLock::new(Catalog::new()),
+            catalog: RwLock::new(CoreCatalog::default()),
             pool: SharedBufferPool::with_shards(config.pool, config.pool_shards),
             disk: config.disk,
             cpu: CpuModel::i7_6700(),
@@ -333,14 +395,14 @@ impl SystemCore {
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Catalog> {
+    fn read(&self) -> RwLockReadGuard<'_, CoreCatalog> {
         match self.catalog.read() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
+    fn write(&self) -> RwLockWriteGuard<'_, CoreCatalog> {
         match self.catalog.write() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -499,21 +561,33 @@ impl SystemCore {
 
     /// Registers a training table.
     pub fn create_table(&self, name: &str, heap: HeapFile) -> DanaResult<HeapId> {
-        Ok(self.write().create_table(name, heap)?)
+        Ok(self.write().db.create_table(name, heap)?)
     }
 
-    /// Drops a table: detaches it from the catalog, force-evicts its pages
-    /// (in-flight scans keep their `Arc` snapshots and finish cleanly),
-    /// marks accelerators compiled against it stale, and marks prediction
-    /// tables materialized from it stale (force-evicting their pages too).
+    /// Drops a table: detaches it and its scan sidecar from the catalog,
+    /// force-evicts its pages (in-flight scans keep their `Arc` snapshots
+    /// and finish cleanly), turns every live accelerator compiled against
+    /// it stale (idempotent: an already-stale one is not named again), and
+    /// marks prediction tables materialized from it stale (force-evicting
+    /// their pages too).
     pub fn drop_table(&self, name: &str) -> DanaResult<DropSummary> {
         let mut cat = self.write();
-        let entry = cat.drop_table(name)?;
-        let invalidated_udfs = cat.invalidate_accelerators_for(name);
-        let derived = cat.invalidate_derived_for(name);
+        let entry = cat.db.drop_table(name)?;
+        cat.sidecars.remove(&entry.heap_id);
+        let mut invalidated_udfs = Vec::new();
+        for (udf, acc) in &mut cat.accelerators {
+            if matches!(acc, Deployed::Live { bound_table, .. } if bound_table == name) {
+                *acc = Deployed::Stale {
+                    dropped_table: name.to_string(),
+                };
+                invalidated_udfs.push(udf.clone());
+            }
+        }
+        invalidated_udfs.sort_unstable();
+        let derived = cat.db.invalidate_derived_for(name);
         drop(cat);
         // Evict raw frames and the scan tier's compressed shadow frames;
-        // the zone-map/codec sidecar died with the catalog entry above.
+        // the zone-map/codec sidecar left the catalog above.
         let pages_evicted = self.pool.evict_heap_force(entry.heap_id)
             + self.pool.evict_heap_force(entry.heap_id.shadow());
         let mut stale_prediction_tables = Vec::new();
@@ -557,36 +631,37 @@ impl SystemCore {
 
     /// Pages in a table's heap, if the table exists.
     pub fn table_pages(&self, table: &str) -> Option<u32> {
-        self.read().table(table).ok().map(|t| t.page_count)
+        self.read().db.table(table).ok().map(|t| t.page_count)
     }
 
     pub fn table_names(&self) -> Vec<String> {
         self.read()
+            .db
             .table_names()
             .iter()
             .map(|s| s.to_string())
             .collect()
     }
 
+    /// All deployed UDF names (live and stale), sorted.
     pub fn accelerator_names(&self) -> Vec<String> {
-        self.read()
-            .accelerator_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+        let mut names: Vec<String> = self.read().accelerators.keys().cloned().collect();
+        names.sort_unstable();
+        names
     }
 
     // ---- deploy ---------------------------------------------------------
 
     /// Compiles a UDF for `table` and stores the accelerator in the
-    /// catalog under the UDF's name. All expensive resolution happens
-    /// here: the compiled engine (validated + lowered once) is installed
-    /// on the entry's runtime cache — beside the *scoring lowering*, the
-    /// forward-pass recipe PREDICT/EVALUATE bind to trained models — so
-    /// EXECUTE never constructs an engine and scoring never re-derives.
-    /// Compilation runs outside the catalog lock; the write lock is
-    /// re-taken only to install the entry (verifying the table still
-    /// exists, in case a concurrent drop won the race).
+    /// catalog under the UDF's name, replacing (and so un-training) any
+    /// earlier deployment of that name. All expensive resolution happens
+    /// here: the entry holds the compiled engine (validated + lowered
+    /// once) beside the *scoring lowering*, the forward-pass recipe
+    /// PREDICT/EVALUATE bind to trained models — so EXECUTE never
+    /// constructs an engine and scoring never re-derives. Compilation runs
+    /// outside the catalog lock; the write lock is taken only to install
+    /// the entry (verifying the table still exists, in case a concurrent
+    /// drop won the race).
     pub fn deploy(&self, spec: &dana_dsl::AlgoSpec, table: &str) -> DanaResult<DeployInfo> {
         let (snap, heap) = self.snapshot_table(table)?;
         let acc = self.compile_for(spec, &heap, snap.tuple_count, None)?;
@@ -594,37 +669,28 @@ impl SystemCore {
         // has one (custom analytics without one still train fine; their
         // PREDICT is a typed error).
         let scoring = dana_infer::derive_recipe(spec).ok();
-        let blob = ArtifactBlob::from_compiled(&acc, scoring.clone());
-        let words = dana_strider::isa::encode_program(&acc.strider_program)?;
-        let entry = AcceleratorEntry {
-            udf_name: spec.name.clone(),
-            strider_program: words,
-            design_blob: blob.encode()?,
-            merge_coef: spec.merge_coef(),
-            num_threads: acc.design.num_threads as u32,
-            description: format!(
-                "{} threads × {} ACs, {} Striders",
-                acc.design.num_threads, acc.design.acs_per_thread, acc.budget.num_page_buffers
-            ),
-            bound_table: table.to_string(),
-            stale: false,
-            runtime: RuntimeCache::default(),
-            trained: RuntimeCache::default(),
-        };
+        // Refuse a Strider program that does not fit the 22-bit ISA (every
+        // query regenerates the program for its heap; nothing stores the
+        // words).
+        dana_strider::isa::encode_program(&acc.strider_program)?;
         // The compile already built (validated + lowered) the engine once;
-        // prime the entry so every EXECUTE is a cache hit.
-        exec::prime_runtime(&entry, &acc, scoring);
+        // every EXECUTE shares it.
+        let entry = Deployed::Live {
+            bound_table: table.to_string(),
+            runtime: Arc::new(CachedAccelerator::from_compiled(&acc, scoring)),
+            trained: None,
+        };
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         {
             let mut cat = self.write();
             // The compile raced against DDL: only install if the table the
             // accelerator was compiled for is still the live one.
-            match cat.table(table) {
-                Ok(t) if t.heap_id == snap.heap_id => cat.deploy_accelerator(entry),
+            match cat.db.table(table) {
+                Ok(t) if t.heap_id == snap.heap_id => {
+                    cat.accelerators.insert(spec.name.clone(), entry);
+                }
                 Ok(_) | Err(_) => {
-                    return Err(DanaError::Storage(
-                        dana_storage::StorageError::UnknownTable(table.to_string()),
-                    ))
+                    return Err(StorageError::UnknownTable(table.to_string()).into());
                 }
             }
         }
@@ -716,8 +782,8 @@ impl SystemCore {
             PlanOp::Point { rows } => (rows.len() as u64, 0, None),
             _ => {
                 let cat = self.read();
-                let t = cat.live_table(table)?;
-                let columns = cat.heap(t.heap_id)?.schema().len();
+                let t = cat.db.live_table(table)?;
+                let columns = cat.db.heap(t.heap_id)?.schema().len();
                 (t.tuple_count, columns, Some(t.page_count))
             }
         };
@@ -954,10 +1020,10 @@ impl SystemCore {
 
     // ---- training -------------------------------------------------------
 
-    /// The EXECUTE path. A deployed UDF's engine comes out of the entry's
-    /// runtime cache, primed at DEPLOY — no blob decode, validation,
-    /// lowering, or design clone per query — and its trained model is
-    /// stored back on the entry (last training wins). The ad-hoc form
+    /// The EXECUTE path. A deployed UDF's engine comes off its catalog
+    /// entry, built at DEPLOY — no validation, lowering, or design clone
+    /// per query — and its trained model is stored back on the entry (last
+    /// training wins). The ad-hoc form
     /// compiles against the *same* heap snapshot it then scans: a
     /// concurrent drop+recreate of the table cannot slip a different
     /// layout under an accelerator compiled for the old one.
@@ -1058,15 +1124,17 @@ impl SystemCore {
             ),
         };
         if plan.spec.is_none() {
-            // Store through a short read lock (the slot is
-            // interior-mutable). A drop that raced the run cleared
-            // `trained` and marked the entry stale — don't resurrect a
-            // model for a dropped table.
-            let cat = self.read();
-            if let Ok(entry) = cat.accelerator(&plan.udf) {
-                if !entry.stale {
-                    exec::store_trained(entry, &report);
-                }
+            let models = Arc::new(TrainedModels {
+                models: report.models.clone(),
+                names: report.model_names.clone(),
+            });
+            // A short write lock, taken with no read guard alive on this
+            // thread. A drop that raced the run turned the entry stale —
+            // don't resurrect a model for a dropped table.
+            if let Some(Deployed::Live { trained, .. }) =
+                self.write().accelerators.get_mut(&plan.udf)
+            {
+                *trained = Some(models);
             }
         }
         Ok(report)
@@ -1095,8 +1163,8 @@ impl SystemCore {
         heap: &'a HeapFile,
         access: &'a AccessEngine,
     ) -> DanaResult<Scan<'a>> {
-        let state = exec::scan_state(entry, heap, plan.scan.as_ref())?;
-        let (heap_id, feed) = (entry.heap_id, FeedKind::for_mode(plan.mode));
+        let state = self.scan_state(entry.heap_id, heap, plan.scan.as_ref())?;
+        let (heap_id, mode) = (entry.heap_id, plan.mode);
         let members = match &state {
             None => ShardPlan::new(heap, plan.shards as usize)
                 .ranges()
@@ -1108,7 +1176,7 @@ impl SystemCore {
                         heap,
                         heap_id,
                         access,
-                        feed,
+                        mode,
                         r.start_page,
                         r.end_page,
                     ))
@@ -1116,15 +1184,22 @@ impl SystemCore {
                 .collect(),
             // Filter and projection run in the Striders; only a
             // hand-built plan can ask the CPU-deform feed for them.
-            Some(_) if feed != FeedKind::Strider => {
+            Some(_) if !mode.uses_striders() => {
                 return Err(DanaError::Query(format!(
                     "WHERE/COLUMNS pushdown needs the Strider feed, not {}",
                     plan.mode.name()
                 )))
             }
             Some(st) => {
-                let whole = SharedPageStreamSource::new(
-                    &self.pool, &self.disk, heap, heap_id, access, feed,
+                let whole = SharedPageStreamSource::with_range(
+                    &self.pool,
+                    &self.disk,
+                    heap,
+                    heap_id,
+                    access,
+                    mode,
+                    0,
+                    heap.page_count(),
                 )
                 .with_scan(st.clone());
                 if plan.shards <= 1 {
@@ -1226,30 +1301,25 @@ impl SystemCore {
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         // Cheap early refusal before scanning anything; the authoritative
         // check is the guarded install below.
-        if self.read().table(dest).is_ok() {
-            return Err(DanaError::Storage(
-                dana_storage::StorageError::DuplicateName(dest.to_string()),
-            ));
+        if self.read().db.table(dest).is_ok() {
+            return Err(StorageError::DuplicateName(dest.to_string()).into());
         }
-        let (predictions, stats, timing, shards) =
+        let (predictions, stats, timing, shards, state) =
             self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
                 Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
             })?;
         let mat_start = Instant::now();
-        let out_heap =
-            exec::materialize_predictions(&entry, &heap, plan.scan.as_ref(), &predictions)?;
+        let out_heap = exec::materialize_predictions(&heap, state.as_ref(), &predictions)?;
         {
             let mut cat = self.write();
-            match cat.table(&plan.table) {
+            match cat.db.table(&plan.table) {
                 Ok(t) if t.heap_id == entry.heap_id && !t.stale => {
-                    cat.create_derived_table(dest, out_heap, &plan.table)?;
+                    cat.db.create_derived_table(dest, out_heap, &plan.table)?;
                 }
                 _ => {
                     // The source was dropped (or swapped) mid-scan: the
                     // predictions describe rows that no longer exist.
-                    return Err(DanaError::Storage(
-                        dana_storage::StorageError::UnknownTable(plan.table.clone()),
-                    ));
+                    return Err(StorageError::UnknownTable(plan.table.clone()).into());
                 }
             }
         }
@@ -1280,7 +1350,7 @@ impl SystemCore {
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         // Member partials combine in shard-index order and the metric
         // finishes once.
-        let (value, stats, timing, shards) =
+        let (value, stats, timing, shards, _) =
             self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
                 let evals = evaluate_gang(&setup.program, setup.lanes, members, metric)?;
                 let mut partial = MetricPartial::default();
@@ -1315,7 +1385,7 @@ impl SystemCore {
     ) -> DanaResult<PointReport> {
         let setup = self.scoring_setup(&plan.udf, plan.mode, lanes)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
-        let (predictions, stats, timing, _) =
+        let (predictions, stats, timing, _, _) =
             self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
                 Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
             })?;
@@ -1363,18 +1433,17 @@ impl SystemCore {
         })
     }
 
-    /// Everything a scoring query resolves under the catalog read lock
-    /// (stale check, cached accelerator — with the engine-cache counters —
-    /// recipe bound to the latest trained models, lane count).
+    /// Everything a scoring query resolves from the catalog (stale check,
+    /// cached accelerator — with the engine-cache counters — recipe bound
+    /// to the latest trained models, lane count).
     fn scoring_setup(
         &self,
         udf: &str,
         mode: ExecutionMode,
         lanes: Option<u16>,
     ) -> DanaResult<exec::ScoringSetup> {
-        let cat = self.read();
-        let (entry, cached) = self.live_accelerator(&cat, udf)?;
-        exec::scoring_setup(udf, entry, cached, mode, lanes)
+        let (cached, trained) = self.live_accelerator(udf)?;
+        exec::scoring_setup(udf, cached, trained, mode, lanes)
     }
 
     /// The one scoring scan over a heap snapshot, shared by
@@ -1385,7 +1454,9 @@ impl SystemCore {
     /// member inline on this thread and spawns only for several; the FPGA
     /// tier composes the cycle model from the critical member, the CPU
     /// tier reports the stopwatch around the fold
-    /// ([`DanaTiming::wall_only`]). Returns the member count actually run.
+    /// ([`DanaTiming::wall_only`]). Returns the member count actually run
+    /// and the pushdown state the scan was opened under (PREDICT … INTO
+    /// selects the surviving tuples again when it materializes).
     fn scoring_scan<T>(
         &self,
         plan: &PhysicalPlan,
@@ -1394,10 +1465,11 @@ impl SystemCore {
         heap: &HeapFile,
         rec: &SpanRecorder,
         fold: impl FnOnce(&mut [Member<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
-    ) -> DanaResult<(T, ScoringStats, DanaTiming, u16)> {
+    ) -> DanaResult<(T, ScoringStats, DanaTiming, u16, Option<ScanState>)> {
         let budget = setup.cached.budget;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
         let mut scan = self.open_scan(plan, entry, heap, &access)?;
+        let state = scan.state.clone();
         let start = Instant::now();
         let (out, stats) = fold(&mut scan.members)?;
         let wall = start.elapsed().as_secs_f64();
@@ -1413,62 +1485,84 @@ impl SystemCore {
                 exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
             }
         };
-        Ok((out, combined, timing, shards.len() as u16))
+        Ok((out, combined, timing, shards.len() as u16, state))
     }
 
     // ---- catalog resolution ---------------------------------------------
 
-    /// A live (non-stale) accelerator entry and its cached runtime
-    /// artifact, counted against the engine-cache statistics. A stale
-    /// accelerator's Strider program walks a page layout whose table has
-    /// been dropped — refuse with a typed error instead of letting the
-    /// lookup dangle into `UnknownHeap`.
-    fn live_accelerator<'c>(
+    /// A live accelerator's runtime artifact and latest trained models,
+    /// under a short read lock, counted against the engine-cache
+    /// statistics. Unknown and stale UDFs are typed errors (see
+    /// [`CoreCatalog::live_accelerator`]).
+    fn live_accelerator(
         &self,
-        cat: &'c Catalog,
         udf: &str,
-    ) -> DanaResult<(&'c AcceleratorEntry, Arc<CachedAccelerator>)> {
-        let entry = cat.accelerator(udf)?;
-        if entry.stale {
-            return Err(DanaError::StaleAccelerator {
-                udf: udf.to_string(),
-                dropped_table: entry.bound_table.clone(),
-            });
-        }
-        let (cached, built) = exec::cached_accelerator(entry)?;
-        if built {
-            self.engines_built.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.engine_cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((entry, cached))
-    }
-
-    /// The accelerator's cached runtime artifact (engine + budget +
-    /// estimate), with the stale check. Served from the entry's DEPLOY-time
-    /// cache under a short read lock; a miss (cache invalidated or entry
-    /// restored from a blob) rebuilds from the persisted lowering once.
-    pub fn accelerator_runtime(&self, udf: &str) -> DanaResult<Arc<CachedAccelerator>> {
-        Ok(self.live_accelerator(&self.read(), udf)?.1)
-    }
-
-    /// The UDF's current trained-model generation: the `Arc` in its
-    /// trained-model slot, as an identity witness. `None` when
-    /// untrained, stale, or unknown. The serving tier's prediction
-    /// cache stamps entries with this `Arc` and refuses hits whose
-    /// stamp is no longer pointer-equal to the live one — a retrain
-    /// swaps the `Arc` (last write wins) and a drop clears the slot,
-    /// so either way the stamp mismatch invalidates without any flag
-    /// on the hot path. Holding the `Arc` (not a raw pointer) makes
-    /// the comparison ABA-safe: the old generation's allocation cannot
-    /// be reused while a cache entry still references it.
-    pub fn trained_generation(&self, udf: &str) -> Option<Arc<exec::TrainedModels>> {
+    ) -> DanaResult<(Arc<CachedAccelerator>, Option<Arc<TrainedModels>>)> {
         let cat = self.read();
-        let entry = cat.accelerator(udf).ok()?;
-        if entry.stale {
-            return None;
-        }
-        exec::trained_models(entry)
+        let (runtime, trained) = cat.live_accelerator(udf)?;
+        self.engine_cache_hits.fetch_add(1, Ordering::Relaxed);
+        Ok((Arc::clone(runtime), trained.clone()))
+    }
+
+    /// The accelerator's DEPLOY-time runtime artifact (engine + budget +
+    /// estimate + scoring recipe), with the stale check.
+    pub fn accelerator_runtime(&self, udf: &str) -> DanaResult<Arc<CachedAccelerator>> {
+        Ok(self.live_accelerator(udf)?.0)
+    }
+
+    /// The UDF's current trained-model generation: the `Arc` on its
+    /// catalog entry, as an identity witness. `None` when untrained,
+    /// stale, or unknown. The serving tier's prediction cache stamps
+    /// entries with this `Arc` and refuses hits whose stamp is no longer
+    /// pointer-equal to the live one — a retrain swaps the `Arc` (last
+    /// write wins) and a drop or re-DEPLOY leaves none, so either way the
+    /// stamp mismatch invalidates without any flag on the hot path.
+    /// Holding the `Arc` (not a raw pointer) makes the comparison
+    /// ABA-safe: the old generation's allocation cannot be reused while a
+    /// cache entry still references it.
+    pub fn trained_generation(&self, udf: &str) -> Option<Arc<TrainedModels>> {
+        self.read().live_accelerator(udf).ok()?.1.clone()
+    }
+
+    /// Resolves a statement's optional `WHERE`/`COLUMNS` spec into the
+    /// [`ScanState`] the page sources consume: `None` for no spec or a
+    /// trivial one (plain full scans never touch the sidecar), otherwise
+    /// the spec bound to the heap's schema plus the table's compressed
+    /// sidecar. The sidecar is built outside the lock on first use and
+    /// registered only while its heap still is: concurrent first scans
+    /// converge on the one the map kept, and a scan of a just-dropped
+    /// table keeps its private copy.
+    fn scan_state(
+        &self,
+        heap_id: HeapId,
+        heap: &HeapFile,
+        spec: Option<&ScanSpec>,
+    ) -> DanaResult<Option<ScanState>> {
+        let Some(spec) = spec.filter(|s| !s.is_trivial()) else {
+            return Ok(None);
+        };
+        let bound = spec
+            .bind(heap.schema())
+            .map_err(|e| DanaError::Query(e.to_string()))?;
+        // Its own statement: the read guard must be gone before the miss
+        // arm asks for the write lock.
+        let registered = self.read().sidecars.get(&heap_id).cloned();
+        let sidecar = match registered {
+            Some(sidecar) => sidecar,
+            None => {
+                let built = Arc::new(ScanSidecar::build(heap)?);
+                let mut cat = self.write();
+                if cat.db.heap(heap_id).is_ok() {
+                    Arc::clone(cat.sidecars.entry(heap_id).or_insert(built))
+                } else {
+                    built
+                }
+            }
+        };
+        Ok(Some(ScanState {
+            sidecar,
+            spec: Arc::new(bound),
+        }))
     }
 
     /// Consistent (catalog entry, heap snapshot) for a table, under a read
@@ -1478,8 +1572,8 @@ impl SystemCore {
     /// error.
     fn snapshot_table(&self, table: &str) -> DanaResult<(TableEntry, Arc<HeapFile>)> {
         let cat = self.read();
-        let entry = cat.live_table(table)?.clone();
-        let heap = cat.heap_arc(entry.heap_id)?;
+        let entry = cat.db.live_table(table)?.clone();
+        let heap = cat.db.heap_arc(entry.heap_id)?;
         Ok((entry, heap))
     }
 
@@ -1549,6 +1643,156 @@ mod tests {
         let heap = core.table_snapshot(table).unwrap();
         let batch = heap.scan_batch().unwrap();
         batch.rows().map(|r| r[column]).collect()
+    }
+
+    /// `linreg_spec(d)` under another UDF name.
+    fn named_spec(name: &str, d: usize) -> dana_dsl::AlgoSpec {
+        let mut spec = linreg_spec(d);
+        spec.name = name.into();
+        spec
+    }
+
+    #[test]
+    fn accelerator_round_trip() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(200, 8)).unwrap();
+        let info = core.deploy(&linreg_spec(8), "t").unwrap();
+        assert_eq!(core.accelerator_names(), vec!["linearR".to_string()]);
+        // The entry holds what DEPLOY built, untrained.
+        let runtime = core.accelerator_runtime("linearR").unwrap();
+        assert_eq!(runtime.engine.design().num_threads, info.num_threads);
+        assert_eq!(
+            runtime.estimate.epoch_engine_cycles,
+            info.estimate.epoch_engine_cycles
+        );
+        assert!(runtime.scoring.is_some());
+        assert!(core.trained_generation("linearR").is_none());
+        assert!(core.run_udf("linearR", "t").is_ok());
+        // An unknown UDF is storage's typed error on every path.
+        for result in [
+            core.accelerator_runtime("nope").map(|_| ()),
+            core.run_udf("nope", "t").map(|_| ()),
+            core.evaluate("nope", "t", None).map(|_| ()),
+        ] {
+            assert!(matches!(
+                result,
+                Err(DanaError::Storage(StorageError::UnknownAccelerator(udf))) if udf == "nope"
+            ));
+        }
+        assert!(core.trained_generation("nope").is_none());
+    }
+
+    #[test]
+    fn invalidation_marks_bound_accelerators_stale() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(200, 8)).unwrap();
+        core.create_table("other", linreg_heap(200, 8)).unwrap();
+        core.deploy(&named_spec("svm", 8), "t").unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+        core.deploy(&named_spec("logisticR", 8), "other").unwrap();
+        let hit = core.drop_table("t").unwrap().invalidated_udfs;
+        assert_eq!(hit, vec!["linearR".to_string(), "svm".to_string()]);
+        for udf in ["linearR", "svm"] {
+            match core.run_udf(udf, "other") {
+                Err(DanaError::StaleAccelerator {
+                    udf: u,
+                    dropped_table,
+                }) => assert_eq!((u.as_str(), dropped_table.as_str()), (udf, "t")),
+                other => panic!("expected StaleAccelerator, got {other:?}"),
+            }
+            assert!(core.accelerator_runtime(udf).is_err());
+        }
+        // An accelerator bound to another table is untouched.
+        assert!(core.run_udf("logisticR", "other").is_ok());
+        // Idempotent: re-creating and dropping the table again names no
+        // UDF twice, and stale entries stay listed.
+        core.create_table("t", linreg_heap(200, 8)).unwrap();
+        assert!(core.drop_table("t").unwrap().invalidated_udfs.is_empty());
+        assert_eq!(
+            core.accelerator_names(),
+            vec![
+                "linearR".to_string(),
+                "logisticR".to_string(),
+                "svm".to_string()
+            ]
+        );
+    }
+
+    #[test]
+    fn invalidation_clears_trained_models_too() {
+        let core = small_core();
+        core.create_table("t", linreg_heap(200, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+        let report = core.run_udf("linearR", "t").unwrap();
+        let trained = core.trained_generation("linearR").expect("EXECUTE stored");
+        assert_eq!(trained.models, report.models);
+        assert_eq!(trained.names, report.model_names);
+        core.drop_table("t").unwrap();
+        assert!(core.trained_generation("linearR").is_none());
+    }
+
+    /// `n` training rows whose first feature ascends with the row (so a
+    /// range predicate on it prunes pages), as the full heap and the heap
+    /// pre-materialized under `x0 < 0.25`. `salt` varies the other cells.
+    fn clustered_heaps(n: usize, d: usize, salt: usize) -> (HeapFile, HeapFile) {
+        use dana_storage::page::TupleDirection;
+        use dana_storage::{HeapFileBuilder, Schema};
+        let builder =
+            || HeapFileBuilder::new(Schema::training(d), 8 * 1024, TupleDirection::Ascending);
+        let (mut full, mut kept) = (builder().unwrap(), builder().unwrap());
+        for k in 0..n {
+            let mut x: Vec<f32> = (0..d)
+                .map(|i| (((k * 7 + i * 3 + salt) % 11) as f32 - 5.0) / 5.0)
+                .collect();
+            x[0] = k as f32 / n as f32;
+            let tuple = Tuple::training(&x, x.iter().sum());
+            full.insert(&tuple).unwrap();
+            if x[0] < 0.25 {
+                kept.insert(&tuple).unwrap();
+            }
+        }
+        (full.finish(), kept.finish())
+    }
+
+    #[test]
+    fn sidecar_lives_and_dies_with_its_table() {
+        let core = small_core();
+        let sidecars =
+            || -> Vec<Arc<ScanSidecar>> { core.read().sidecars.values().cloned().collect() };
+        let filtered = || {
+            let out = core.execute_statement("EVALUATE dana.linearR('t') WHERE x0 < 0.25;");
+            out.unwrap().eval_report().value
+        };
+        let mut values = Vec::new();
+        // The second round re-creates `t` under the same name with
+        // different rows: it must start from a cold sidecar of its own.
+        for (n, salt) in [(1200, 0), (900, 4)] {
+            let (full, kept) = clustered_heaps(n, 8, salt);
+            core.create_table("t", full).unwrap();
+            core.create_table("kept", kept).unwrap();
+            core.deploy(&linreg_spec(8), "t").unwrap();
+            core.run_udf("linearR", "t").unwrap();
+            assert!(sidecars().is_empty(), "a full scan builds no sidecar");
+
+            let first = filtered();
+            let registered = sidecars();
+            assert_eq!(registered.len(), 1);
+            let second = filtered();
+            let reused = sidecars();
+            assert_eq!(reused.len(), 1);
+            assert!(Arc::ptr_eq(&registered[0], &reused[0]));
+            assert_eq!(first.to_bits(), second.to_bits());
+            let reference = core.evaluate("linearR", "kept", None).unwrap().value;
+            assert_eq!(first.to_bits(), reference.to_bits());
+            values.push(first);
+
+            core.drop_table("t").unwrap();
+            assert!(sidecars().is_empty(), "the sidecar goes with its table");
+            core.drop_table("kept").unwrap();
+        }
+        assert_ne!(values[0], values[1], "the rounds scored different rows");
+        assert_eq!(core.held_frames(), 0);
+        assert_eq!(core.resident_pages(), 0);
     }
 
     #[test]
@@ -1731,12 +1975,8 @@ mod tests {
         let core = small_core();
         core.create_table("small", linreg_heap(200, 8)).unwrap();
         core.create_table("large", linreg_heap(3000, 8)).unwrap();
-        let mut small_spec = linreg_spec(8);
-        small_spec.name = "smallR".into();
-        let mut large_spec = linreg_spec(8);
-        large_spec.name = "largeR".into();
-        core.deploy(&small_spec, "small").unwrap();
-        core.deploy(&large_spec, "large").unwrap();
+        core.deploy(&named_spec("smallR", 8), "small").unwrap();
+        core.deploy(&named_spec("largeR", 8), "large").unwrap();
         let hint = |sql: &str| bind_sql(&core, sql, 1).unwrap().cost_hint;
         let s = hint("SELECT * FROM dana.smallR('small');");
         let l = hint("SELECT * FROM dana.largeR('large');");

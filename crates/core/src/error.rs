@@ -18,8 +18,6 @@ pub enum DanaError {
     Parallel(dana_parallel::ParallelError),
     /// SQL the query front end cannot parse.
     Query(String),
-    /// Catalog blob corruption (deserialize failure).
-    Blob(String),
     /// The accelerator's backing table has been dropped; its Strider
     /// program walks a page layout that no longer exists.
     StaleAccelerator {
@@ -44,7 +42,6 @@ impl fmt::Display for DanaError {
             DanaError::Infer(e) => write!(f, "infer: {e}"),
             DanaError::Parallel(e) => write!(f, "parallel: {e}"),
             DanaError::Query(msg) => write!(f, "query: {msg}"),
-            DanaError::Blob(msg) => write!(f, "catalog blob: {msg}"),
             DanaError::StaleAccelerator { udf, dropped_table } => write!(
                 f,
                 "accelerator '{udf}' is stale: its table '{dropped_table}' was dropped"

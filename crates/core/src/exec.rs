@@ -1,6 +1,6 @@
-//! Execution machinery behind [`crate::SystemCore::execute`]: catalog-blob
-//! codecs, access-engine construction, pushdown-scan plumbing, and the
-//! cost-model composition, as free functions over *immutable* inputs. A
+//! Execution machinery behind [`crate::SystemCore::execute`]: the typed
+//! deploy artifact, access-engine construction, pushdown-scan plumbing, and
+//! the cost-model composition, as free functions over *immutable* inputs. A
 //! per-query execution context is just (design, budget, heap,
 //! FPGA/CPU/disk models) plus what each of the scan's k ≥ 1 members
 //! measured ([`ShardArtifacts`]), and [`assemble_training_report`] /
@@ -10,21 +10,16 @@
 //! critical-path and sum reductions are identities over one member, so a
 //! serial statement is the k = 1 case of the same arithmetic.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use dana_compiler::{CompiledAccelerator, PerfEstimate};
-use dana_engine::{
-    Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine, LoweredProgram,
-};
+use dana_engine::{Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine};
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
 use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, SpanRecorder};
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
-use dana_storage::{
-    AcceleratorEntry, DiskModel, HeapFile, PageLayoutDesc, TableEntry, TUPLE_HEADER_BYTES,
-};
+use dana_storage::{DiskModel, HeapFile, PageLayoutDesc, TUPLE_HEADER_BYTES};
 use dana_strider::{AccessEngine, AccessEngineConfig, AccessStats};
 
 use crate::advisor::Workload;
@@ -32,6 +27,7 @@ use crate::error::{DanaError, DanaResult};
 use crate::query::Statement;
 use crate::report::{DanaReport, DanaTiming, Seconds};
 use crate::runtime::{compose, stage_partition, EpochCosts, ExecutionMode};
+use crate::source::ScanState;
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
 /// Every traced run pre-registers the front half (`parse` →
@@ -165,128 +161,36 @@ pub fn record_cpu_spans(rec: &SpanRecorder, wall_seconds: Seconds) {
 /// §5.1.1).
 pub const CPU_FEED_HANDSHAKE_S: f64 = 0.35e-6;
 
-/// Catalog payload: everything the query path needs to reconstruct the
-/// accelerator (stored as the `design_blob` JSON in the RDBMS catalog).
-/// Since the deploy-time lowering refactor it also carries the
-/// [`LoweredProgram`] — the pre-resolved executable artifact — so
-/// restoring an engine from the catalog reuses the deploy-time lowering
-/// instead of re-deriving it.
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct ArtifactBlob {
-    pub design: EngineDesign,
-    pub lowered: LoweredProgram,
+/// The runtime artifact one EXECUTE needs, built once at DEPLOY and held
+/// by the accelerator's catalog entry: the validated + lowered engine
+/// behind an `Arc`, plus the resource budget and deploy-time estimate.
+pub struct CachedAccelerator {
+    pub engine: Arc<ExecutionEngine>,
     pub budget: ResourceBudget,
     pub estimate: PerfEstimate,
-    /// The deploy-time *scoring* lowering: the forward-pass recipe that
-    /// PREDICT/EVALUATE bind to trained model values. `None` for
-    /// analytics with no derivable forward pass.
+    /// The deploy-time scoring recipe, held beside the training engine so
+    /// PREDICT/EVALUATE never re-derive it. `None` for analytics with no
+    /// derivable forward pass.
     pub scoring: Option<ScoringRecipe>,
 }
 
-impl ArtifactBlob {
+impl CachedAccelerator {
     pub fn from_compiled(
         acc: &CompiledAccelerator,
         scoring: Option<ScoringRecipe>,
-    ) -> ArtifactBlob {
-        ArtifactBlob {
-            design: acc.design.clone(),
-            lowered: acc.engine.lowered().clone(),
+    ) -> CachedAccelerator {
+        CachedAccelerator {
+            engine: Arc::clone(&acc.engine),
             budget: acc.budget,
             estimate: acc.estimate,
             scoring,
         }
     }
 
-    /// Serializes for catalog storage.
-    pub fn encode(&self) -> DanaResult<String> {
-        serde_json::to_string(self).map_err(|e| DanaError::Blob(e.to_string()))
-    }
-
-    /// Reconstructs the accelerator from a catalog `design_blob`.
-    pub fn decode(blob: &str) -> DanaResult<ArtifactBlob> {
-        serde_json::from_str(blob).map_err(|e| DanaError::Blob(e.to_string()))
-    }
-}
-
-/// The runtime artifact one EXECUTE needs, resolved once per deployed
-/// accelerator and cached on its catalog entry: the validated + lowered
-/// engine behind an `Arc`, plus the resource budget and deploy-time
-/// estimate (so the hot path never re-parses the JSON blob either).
-pub struct CachedAccelerator {
-    pub engine: Arc<ExecutionEngine>,
-    pub budget: ResourceBudget,
-    pub estimate: PerfEstimate,
-    /// The deploy-time scoring recipe, cached beside the training engine
-    /// so PREDICT/EVALUATE never re-derive (or re-parse the blob for) it.
-    pub scoring: Option<ScoringRecipe>,
-}
-
-impl CachedAccelerator {
-    pub fn new(
-        engine: Arc<ExecutionEngine>,
-        budget: ResourceBudget,
-        estimate: PerfEstimate,
-        scoring: Option<ScoringRecipe>,
-    ) -> CachedAccelerator {
-        CachedAccelerator {
-            engine,
-            budget,
-            estimate,
-            scoring,
-        }
-    }
-
-    pub fn from_compiled(
-        acc: &CompiledAccelerator,
-        scoring: Option<ScoringRecipe>,
-    ) -> CachedAccelerator {
-        CachedAccelerator::new(Arc::clone(&acc.engine), acc.budget, acc.estimate, scoring)
-    }
-
     /// This accelerator's engine on the `kind` substrate.
     pub fn backend(&self, kind: BackendKind) -> Backend {
         Backend::new(kind, Arc::clone(&self.engine))
     }
-}
-
-/// Installs the compile-time engine (and the scoring recipe) on a catalog
-/// entry's runtime cache — called at DEPLOY so the first EXECUTE is
-/// already a cache hit.
-pub fn prime_runtime(
-    entry: &AcceleratorEntry,
-    acc: &CompiledAccelerator,
-    scoring: Option<ScoringRecipe>,
-) {
-    entry
-        .runtime
-        .set(Arc::new(CachedAccelerator::from_compiled(acc, scoring)));
-}
-
-/// Resolves a catalog entry's runtime artifact: a cache hit returns the
-/// shared engine untouched; a miss (an entry restored from a persisted
-/// blob, or one whose cache was invalidated) decodes the blob, rebuilds
-/// the engine from the deploy-time lowering, and installs it for every
-/// later query. Returns `(artifact, built_now)`.
-pub fn cached_accelerator(entry: &AcceleratorEntry) -> DanaResult<(Arc<CachedAccelerator>, bool)> {
-    if let Some(cached) = entry
-        .runtime
-        .get()
-        .and_then(|any| Arc::downcast::<CachedAccelerator>(any).ok())
-    {
-        return Ok((cached, false));
-    }
-    let blob = ArtifactBlob::decode(&entry.design_blob)?;
-    let engine = Arc::new(ExecutionEngine::from_artifact(blob.design, blob.lowered)?);
-    let cached = Arc::new(CachedAccelerator::new(
-        engine,
-        blob.budget,
-        blob.estimate,
-        blob.scoring,
-    ));
-    entry
-        .runtime
-        .set(Arc::clone(&cached) as Arc<dyn Any + Send + Sync>);
-    Ok((cached, true))
 }
 
 /// The latest trained model values for one deployed accelerator, stored
@@ -300,25 +204,6 @@ pub struct TrainedModels {
     pub names: Vec<String>,
 }
 
-/// Records a finished training run's models on the catalog entry so
-/// scoring queries can bind them. Interior-mutable (like the runtime
-/// cache) so concurrent queries store through a shared reference; last
-/// write wins.
-pub fn store_trained(entry: &AcceleratorEntry, report: &DanaReport) {
-    entry.trained.store(Arc::new(TrainedModels {
-        models: report.models.clone(),
-        names: report.model_names.clone(),
-    }));
-}
-
-/// The entry's latest trained models, if any EXECUTE has stored some.
-pub fn trained_models(entry: &AcceleratorEntry) -> Option<Arc<TrainedModels>> {
-    entry
-        .trained
-        .get()
-        .and_then(|any| Arc::downcast::<TrainedModels>(any).ok())
-}
-
 /// Everything one scoring query resolves up front: the cached
 /// accelerator, the deploy-time recipe, the recipe bound to the latest
 /// trained model values, and the lockstep lane count.
@@ -329,15 +214,15 @@ pub struct ScoringSetup {
     pub lanes: u16,
 }
 
-/// Builds a [`ScoringSetup`] from an already-resolved runtime artifact
-/// (the caller holds the `Arc` — no second cache resolution). Typed
-/// errors distinguish "this analytic cannot score" from "train it
+/// Builds a [`ScoringSetup`] from an already-resolved catalog entry: its
+/// runtime artifact and the models its latest EXECUTE stored, if any.
+/// Typed errors distinguish "this analytic cannot score" from "train it
 /// first". Lanes default to the design's thread count; TABLA is
 /// single-lane, like training.
 pub fn scoring_setup(
     udf: &str,
-    entry: &AcceleratorEntry,
     cached: Arc<CachedAccelerator>,
+    trained: Option<Arc<TrainedModels>>,
     mode: ExecutionMode,
     lanes: Option<u16>,
 ) -> DanaResult<ScoringSetup> {
@@ -347,7 +232,7 @@ pub fn scoring_setup(
             reason: "no scoring recipe was derived at deploy".to_string(),
         })
     })?;
-    let trained = trained_models(entry).ok_or_else(|| DanaError::ModelNotTrained {
+    let trained = trained.ok_or_else(|| DanaError::ModelNotTrained {
         udf: udf.to_string(),
     })?;
     let program = ScoringProgram::bind(&recipe, &trained.names, &trained.models)?;
@@ -391,49 +276,6 @@ pub fn access_engine_for(heap: &HeapFile, budget: ResourceBudget, fpga: &FpgaSpe
 }
 
 // ---- pushdown scan plumbing ---------------------------------------------
-
-/// Resolves a statement's optional `WHERE`/`COLUMNS` spec into the
-/// [`crate::ScanState`] the page sources consume: `None` for no spec or a
-/// trivial one (plain full scans never touch the sidecar), otherwise the
-/// spec bound to the heap's schema plus the table's compressed sidecar —
-/// built on first use and cached on the catalog entry's runtime slot, so
-/// every later pushdown scan of the table shares one sidecar and a DROP
-/// discards it with the entry.
-pub fn scan_state(
-    entry: &TableEntry,
-    heap: &HeapFile,
-    spec: Option<&ScanSpec>,
-) -> DanaResult<Option<crate::source::ScanState>> {
-    let Some(spec) = spec else { return Ok(None) };
-    if spec.is_trivial() {
-        return Ok(None);
-    }
-    let bound = spec
-        .bind(heap.schema())
-        .map_err(|e| DanaError::Query(e.to_string()))?;
-    let cached = entry
-        .scan
-        .get()
-        .and_then(|a| a.downcast::<ScanSidecar>().ok());
-    let sidecar = match cached {
-        Some(s) => s,
-        None => {
-            let built: Arc<ScanSidecar> = Arc::new(ScanSidecar::build(heap)?);
-            // First write wins; re-read so concurrent builders converge on
-            // one shared sidecar.
-            entry.scan.set(built.clone());
-            entry
-                .scan
-                .get()
-                .and_then(|a| a.downcast::<ScanSidecar>().ok())
-                .unwrap_or(built)
-        }
-    };
-    Ok(Some(crate::source::ScanState {
-        sidecar,
-        spec: Arc::new(bound),
-    }))
-}
 
 /// Charges one finished pushdown scan to the `SHOW STATS ('scan')`
 /// counters. `rows_considered` is the pre-filter tuple count of the
@@ -521,21 +363,22 @@ pub fn split_filtered_scan_stats(
         .collect()
 }
 
-/// Materializes a PREDICT's output heap, honoring an optional pushdown
-/// scan: without one every source tuple is kept (the classic path); with
-/// one, only the tuples the predicates kept and the columns the
-/// projection named survive into the prediction table — byte-for-byte
-/// what scoring a pre-materialized filtered table would build.
+/// Materializes a PREDICT's output heap, honoring the pushdown state its
+/// scan was opened with: without one every source tuple is kept (the
+/// classic path); with one, only the tuples the predicates kept and the
+/// columns the projection named survive into the prediction table —
+/// byte-for-byte what scoring a pre-materialized filtered table would
+/// build. Slot selection prunes with the zone maps the sidecar already
+/// holds.
 pub fn materialize_predictions(
-    entry: &TableEntry,
     heap: &HeapFile,
-    scan: Option<&ScanSpec>,
+    scan: Option<&ScanState>,
     predictions: &[f32],
 ) -> DanaResult<HeapFile> {
-    match scan_state(entry, heap, scan)? {
+    match scan {
         None => Ok(dana_infer::build_prediction_heap(heap, predictions)?),
         Some(state) => {
-            let slots = dana_scan::select_slots(heap, &state.spec)?;
+            let slots = state.sidecar.select_slots(heap, &state.spec)?;
             Ok(dana_infer::build_prediction_heap_selected(
                 heap,
                 &slots,
@@ -941,72 +784,6 @@ pub fn estimate_seconds(estimate: &PerfEstimate, max_epochs: u32, fpga: &FpgaSpe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blob_round_trip_preserves_estimate() {
-        let estimate = PerfEstimate {
-            epoch_engine_cycles: 1000,
-            strider_cycles_per_page: 50,
-            per_tuple_cycles: 7,
-            post_merge_cycles: 3,
-        };
-        let budget = ResourceBudget {
-            data_model_bytes: 1024,
-            page_buffer_bytes: 64 * 1024,
-            num_page_buffers: 2,
-            num_aus: 16,
-            num_acs: 2,
-            num_threads: 2,
-        };
-        let design = test_design();
-        let scoring = dana_infer::derive_recipe(
-            &dana_dsl::zoo::linear_regression(dana_dsl::zoo::DenseParams {
-                n_features: 4,
-                ..Default::default()
-            })
-            .unwrap(),
-        )
-        .ok();
-        let blob = ArtifactBlob {
-            lowered: dana_engine::lower(&design),
-            design,
-            budget,
-            estimate,
-            scoring: scoring.clone(),
-        };
-        let decoded = ArtifactBlob::decode(&blob.encode().unwrap()).unwrap();
-        assert_eq!(decoded.estimate.epoch_engine_cycles, 1000);
-        assert_eq!(decoded.design, blob.design);
-        assert_eq!(decoded.budget, budget);
-        // The deploy-time lowering artifact survives the catalog round
-        // trip bit-for-bit and is consistent with its design.
-        assert_eq!(decoded.lowered, blob.lowered);
-        assert!(decoded.lowered.is_consistent_with(&decoded.design));
-        // The scoring recipe rides the same blob.
-        assert!(scoring.is_some());
-        assert_eq!(decoded.scoring, scoring);
-        // Corrupt blobs surface as typed errors, not panics.
-        assert!(ArtifactBlob::decode("not json").is_err());
-    }
-
-    fn test_design() -> EngineDesign {
-        use dana_dsl::zoo::{linear_regression, DenseParams};
-        let spec = linear_regression(DenseParams {
-            n_features: 4,
-            ..Default::default()
-        })
-        .unwrap();
-        dana_compiler::schedule_hdfg(
-            &dana_hdfg::translate(&spec),
-            dana_compiler::ScheduleParams {
-                num_threads: 2,
-                acs_per_thread: 1,
-                slots_per_au: 1024,
-                bus_lanes: 1,
-            },
-        )
-        .unwrap()
-    }
 
     #[test]
     fn scoring_estimate_scales_with_tuples_and_lanes() {

@@ -77,7 +77,7 @@ pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, Tra
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{CmpOp, Predicate, ScanSpec};
 pub use error::{DanaError, DanaResult};
-pub use exec::{ArtifactBlob, CachedAccelerator, ShardArtifacts, TrainedModels};
+pub use exec::{CachedAccelerator, ShardArtifacts, TrainedModels};
 pub use pipeline::Dana;
 pub use plan::{PhysicalPlan, PlanOp, Wrap};
 pub use query::{parse_query, parse_statement, Call, Statement, WithOptions};
@@ -86,7 +86,7 @@ pub use report::{
     StatementOutcome,
 };
 pub use runtime::ExecutionMode;
-pub use source::{FeedKind, ScanState, SharedPageStreamSource};
+pub use source::{ScanState, SharedPageStreamSource};
 
 /// One-stop imports for examples and tests.
 pub mod prelude {

@@ -16,7 +16,7 @@ pub type Seconds = f64;
 /// one **measured** field, set only by the native CPU backend — the two
 /// units are deliberately separate slots so a gang's simulated total and
 /// a CPU run's stopwatch can never be summed or swapped by accident.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DanaTiming {
     /// Disk → buffer pool (misses only; zero in the warm-cache setting for
     /// resident tables).
@@ -38,58 +38,6 @@ pub struct DanaTiming {
     /// Measured wall-clock seconds of the host execution loop — `Some`
     /// only for CPU-backend runs, `None` whenever the run was simulated.
     pub wall_seconds: Option<Seconds>,
-}
-
-// Hand-written (de)serialization: the vendored serde stub has no
-// `#[serde(default)]`, and artifact blobs written before `wall_seconds`
-// existed must keep deserializing (as simulated-only timings).
-impl serde::Serialize for DanaTiming {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Obj(vec![
-            ("io_seconds".to_string(), self.io_seconds.to_value()),
-            ("axi_seconds".to_string(), self.axi_seconds.to_value()),
-            (
-                "strider_seconds".to_string(),
-                self.strider_seconds.to_value(),
-            ),
-            (
-                "decompress_seconds".to_string(),
-                self.decompress_seconds.to_value(),
-            ),
-            ("engine_seconds".to_string(), self.engine_seconds.to_value()),
-            ("setup_seconds".to_string(), self.setup_seconds.to_value()),
-            ("total_seconds".to_string(), self.total_seconds.to_value()),
-            ("wall_seconds".to_string(), self.wall_seconds.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for DanaTiming {
-    fn from_value(v: &serde::json::Value) -> Result<Self, String> {
-        let obj = serde::json::as_obj(v, "DanaTiming")?;
-        let f = |key: &str| -> Result<Seconds, String> {
-            serde::Deserialize::from_value(serde::json::field(obj, key, "DanaTiming")?)
-        };
-        Ok(DanaTiming {
-            io_seconds: f("io_seconds")?,
-            axi_seconds: f("axi_seconds")?,
-            strider_seconds: f("strider_seconds")?,
-            // Absent in blobs written before the scan tier: raw pages,
-            // nothing decompressed.
-            decompress_seconds: match obj.get("decompress_seconds") {
-                None => 0.0,
-                Some(v) => serde::Deserialize::from_value(v)?,
-            },
-            engine_seconds: f("engine_seconds")?,
-            setup_seconds: f("setup_seconds")?,
-            total_seconds: f("total_seconds")?,
-            // Absent in pre-backend blobs: default to simulated-only.
-            wall_seconds: match obj.get("wall_seconds") {
-                None => None,
-                Some(v) => serde::Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl DanaTiming {
@@ -344,15 +292,10 @@ mod tests {
         assert_eq!(cpu.io_seconds, 0.0);
         assert_eq!(cpu.setup_seconds, 0.0);
 
-        // And the separation survives serialization — old blobs without
-        // the field deserialize as simulated-only.
+        // And the separation survives serialization.
         let json = serde_json::to_string(&cpu).unwrap();
         let back: DanaTiming = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cpu);
-        let legacy = r#"{"io_seconds":0.0,"axi_seconds":0.0,"strider_seconds":0.0,"engine_seconds":0.1,"setup_seconds":0.0,"total_seconds":0.2}"#;
-        let t: DanaTiming = serde_json::from_str(legacy).unwrap();
-        assert_eq!(t.wall_seconds, None);
-        assert_eq!(t.total_seconds, 0.2);
     }
 
     #[test]

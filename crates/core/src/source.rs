@@ -6,7 +6,7 @@
 //! engine compute. [`SharedPageStreamSource`] realizes that schedule in the
 //! simulator: each `next_batch` call fetches ONE page through the pool,
 //! extracts it into a flat [`TupleBatch`] (via Striders or the CPU-deform
-//! ablation — the Fig. 11 comparison is just a different [`FeedKind`]),
+//! ablation — the Fig. 11 comparison is just a different [`ExecutionMode`]),
 //! and hands the batch to the execution engine, which trains on it while
 //! the source is ready to fetch the next page. Allocation is O(pages), not
 //! O(tuples).
@@ -28,41 +28,21 @@ use dana_storage::{
 use dana_strider::{AccessEngine, AccessStats};
 
 use crate::report::Seconds;
+use crate::runtime::ExecutionMode;
 
 /// Pushdown state for one scan: the table's compressed sidecar (shared out
-/// of the catalog's runtime cache) plus the `WHERE`/`COLUMNS` spec bound to
-/// its schema. Attaching this to a page source flips the whole data path:
+/// of the catalog) plus the `WHERE`/`COLUMNS` spec bound to its schema.
+/// Attaching this to a page source flips the whole data path:
 /// pages stream *compressed* through the buffer pool (under the heap's
 /// shadow id, charged at compressed size), are decompressed on fetch with
 /// cycles charged to the access stats, zone-unmatchable pages are skipped
 /// without a fetch, and surviving tuples are filtered/projected by the
 /// Striders before the engine sees them — pushdown is a Strider-feed
-/// path; `open_scan` refuses to pair it with [`FeedKind::Cpu`].
+/// path; `open_scan` refuses to pair it with a CPU-deform mode.
 #[derive(Clone)]
 pub struct ScanState {
     pub sidecar: Arc<ScanSidecar>,
     pub spec: Arc<BoundScanSpec>,
-}
-
-/// How raw page bytes become engine-native f32 rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeedKind {
-    /// On-chip Striders walk the raw page (full DAnA).
-    Strider,
-    /// Host CPU deforms and converts each tuple (Fig. 11 / TABLA ablation).
-    Cpu,
-}
-
-impl FeedKind {
-    /// The feed matching an execution mode: Striders on-chip for full
-    /// DAnA, CPU deform for the ablations.
-    pub fn for_mode(mode: crate::runtime::ExecutionMode) -> FeedKind {
-        if mode.uses_striders() {
-            FeedKind::Strider
-        } else {
-            FeedKind::Cpu
-        }
-    }
 }
 
 /// Streams a table page-by-page out of the [`SharedBufferPool`] as flat
@@ -80,7 +60,9 @@ pub struct SharedPageStreamSource<'a> {
     heap: &'a HeapFile,
     heap_id: HeapId,
     access: &'a AccessEngine,
-    feed: FeedKind,
+    /// How raw page bytes become engine-native f32 rows: on-chip Striders
+    /// (full DAnA) or host-CPU deform (the Fig. 11 / TABLA ablations).
+    mode: ExecutionMode,
     next_page: u32,
     /// One past the last page this source scans (a shard boundary for
     /// gang-parallel scans; `page_count` for a whole-table scan).
@@ -95,26 +77,6 @@ pub struct SharedPageStreamSource<'a> {
 }
 
 impl<'a> SharedPageStreamSource<'a> {
-    pub fn new(
-        pool: &'a SharedBufferPool,
-        disk: &'a DiskModel,
-        heap: &'a HeapFile,
-        heap_id: HeapId,
-        access: &'a AccessEngine,
-        feed: FeedKind,
-    ) -> SharedPageStreamSource<'a> {
-        SharedPageStreamSource::with_range(
-            pool,
-            disk,
-            heap,
-            heap_id,
-            access,
-            feed,
-            0,
-            heap.page_count(),
-        )
-    }
-
     /// A source over the page range `[start_page, end_page)` — one shard
     /// of a gang-parallel scan. The shared pool's `&self` fetches let any
     /// number of shard sources stream simultaneously, each metering its
@@ -126,7 +88,7 @@ impl<'a> SharedPageStreamSource<'a> {
         heap: &'a HeapFile,
         heap_id: HeapId,
         access: &'a AccessEngine,
-        feed: FeedKind,
+        mode: ExecutionMode,
         start_page: u32,
         end_page: u32,
     ) -> SharedPageStreamSource<'a> {
@@ -138,7 +100,7 @@ impl<'a> SharedPageStreamSource<'a> {
             heap,
             heap_id,
             access,
-            feed,
+            mode,
             next_page: start_page,
             end_page,
             start_page,
@@ -194,16 +156,16 @@ impl<'a> SharedPageStreamSource<'a> {
                     self.pool
                         .fetch(PageId::new(self.heap_id, page_no), self.heap, self.disk)?;
                 self.io_seconds += io;
-                match self.feed {
-                    FeedKind::Strider => self
+                if self.mode.uses_striders() {
+                    self.stats.strider_cycles += self
                         .access
                         .extract_page_into(&bytes, &mut batch)
-                        .map(|cycles| self.stats.strider_cycles += cycles)
-                        .map_err(|e| SourceError(e.to_string()))?,
-                    FeedKind::Cpu => PageView::new(&bytes, *self.heap.layout())
+                        .map_err(|e| SourceError(e.to_string()))?;
+                } else {
+                    PageView::new(&bytes, *self.heap.layout())
                         .and_then(|view| view.deform_all_into(self.heap.schema(), &mut batch))
-                        .map_err(SourceError::from)?,
-                };
+                        .map_err(SourceError::from)?;
+                }
                 // `bytes` drops here, releasing the frame hold — errors
                 // included, so a corrupt page cannot leak a held frame.
             }

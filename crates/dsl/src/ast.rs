@@ -354,10 +354,6 @@ impl AlgoSpec {
         &self.vars[id.0 as usize]
     }
 
-    pub fn var_by_name(&self, name: &str) -> Option<&VarDecl> {
-        self.vars.iter().find(|v| v.name == name)
-    }
-
     /// All variables of a given kind, in declaration order.
     pub fn vars_of_kind(&self, kind: DataKind) -> impl Iterator<Item = &VarDecl> {
         self.vars.iter().filter(move |v| v.kind == kind)

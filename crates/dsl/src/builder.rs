@@ -124,17 +124,6 @@ impl AlgoBuilder {
         self.declare(name, DataKind::Meta, Dims::scalar(), Some(vec![value]))
     }
 
-    /// Multi-element meta constant (row-major contents).
-    pub fn meta_vec(&mut self, name: &str, dims: &[usize], values: Vec<f64>) -> VarRef {
-        let d = Dims(dims.to_vec());
-        assert_eq!(
-            d.elements(),
-            values.len(),
-            "meta '{name}' contents/shape mismatch"
-        );
-        self.declare(name, DataKind::Meta, d, Some(values))
-    }
-
     // ----- internals ----------------------------------------------------
 
     fn dims_of(&self, v: VarRef) -> &Dims {

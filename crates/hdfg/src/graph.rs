@@ -234,27 +234,6 @@ impl Hdfg {
         max
     }
 
-    /// Maximum width (atomic ops that could run concurrently) of a region —
-    /// a cheap upper bound: the largest single node's element-parallelism.
-    pub fn max_width(&self, region: Region) -> u64 {
-        self.region_nodes(region)
-            .map(|n| match &n.op {
-                HOp::Group(_, axis) => {
-                    let dims = self.input_dims(n);
-                    dims.first()
-                        .map(|d| {
-                            let k = group_extent(d, *axis) as u64;
-                            (k / 2).max(1) * n.dims.elements() as u64
-                        })
-                        .unwrap_or(1)
-                }
-                HOp::Leaf { .. } | HOp::Const(_) | HOp::Identity => 0,
-                _ => n.dims.elements() as u64,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Structural invariant check: inputs precede their consumers, regions
     /// never flow backwards (PostMerge never feeds PerTuple), and every
     /// binding references an existing node.

@@ -1,11 +1,12 @@
 //! The per-table scan sidecar: every page compressed, plus its zone map.
 //!
 //! Built lazily the first time a table is scanned with a pushdown spec and
-//! cached on the table's catalog entry (a [`dana_storage::RuntimeCache`]
-//! slot), the sidecar is what the scan tier actually reads: compressed
-//! page images go through the buffer pool (charged at their *compressed*
-//! size) and are decompressed on fetch, while the zone maps drive page
-//! skipping and selectivity estimation without touching any page.
+//! kept in the catalog beside the table (`dana::core` maps heap id →
+//! `Arc<ScanSidecar>`; DROP removes it with the table), the sidecar is what
+//! the scan tier actually reads: compressed page images go through the
+//! buffer pool (charged at their *compressed* size) and are decompressed on
+//! fetch, while the zone maps drive page skipping, slot selection and
+//! selectivity estimation without touching any page.
 
 use crate::codec::compress_page;
 use crate::spec::BoundScanSpec;
@@ -83,42 +84,80 @@ impl ScanSidecar {
         }
         self.raw_bytes as f64 / self.compressed_bytes as f64
     }
+
+    /// [`select_slots`] over the heap this sidecar was built from, pruning
+    /// with the zone maps it already holds instead of rebuilding each one
+    /// (a full decode of the page) — what a filtered PREDICT materializes
+    /// from. Page for page the same selection as the free function.
+    pub fn select_slots(
+        &self,
+        heap: &HeapFile,
+        spec: &BoundScanSpec,
+    ) -> StorageResult<Vec<Vec<u16>>> {
+        let mut selector = SlotSelector::new(heap, spec)?;
+        (0..heap.page_count())
+            .map(|page_no| selector.page(page_no, self.zone(page_no)))
+            .collect()
+    }
 }
 
 /// Evaluates `spec` over every page of `heap` and returns, per page, the
 /// slots whose tuples pass every conjunct (zone-pruned pages yield empty
-/// slot lists without being decoded). The selection the materializing
-/// paths (filtered PREDICT) use to copy exactly the surviving tuples'
-/// bytes — the same per-cell [`ColumnType::decode_f32`] conversion the
-/// data paths use, so selection and extraction can never disagree.
+/// slot lists). The sidecar-free reference of
+/// [`ScanSidecar::select_slots`]: it builds each page's zone map itself.
 pub fn select_slots(heap: &HeapFile, spec: &BoundScanSpec) -> StorageResult<Vec<Vec<u16>>> {
-    let layout = heap.layout();
-    let schema = heap.schema();
-    let cols: Vec<(usize, ColumnType)> = (0..schema.len())
-        .map(|i| Ok((schema.column_offset(i)?, schema.columns()[i].ty)))
-        .collect::<StorageResult<_>>()?;
-    let mut selected = Vec::with_capacity(heap.page_count() as usize);
-    let mut row = vec![0f32; schema.len()];
-    for page_no in 0..heap.page_count() {
-        let zone = PageZone::build(heap, page_no)?;
-        if !spec.page_can_match(&zone) {
-            selected.push(Vec::new());
-            continue;
+    let mut selector = SlotSelector::new(heap, spec)?;
+    (0..heap.page_count())
+        .map(|page_no| selector.page(page_no, &PageZone::build(heap, page_no)?))
+        .collect()
+}
+
+/// What both slot selections share: the column cell positions, one
+/// scratch row, and the per-page body. Their callers differ only in where
+/// a page's zone map comes from.
+struct SlotSelector<'a> {
+    heap: &'a HeapFile,
+    spec: &'a BoundScanSpec,
+    cols: Vec<(usize, ColumnType)>,
+    row: Vec<f32>,
+}
+
+impl<'a> SlotSelector<'a> {
+    fn new(heap: &'a HeapFile, spec: &'a BoundScanSpec) -> StorageResult<SlotSelector<'a>> {
+        let schema = heap.schema();
+        let cols = (0..schema.len())
+            .map(|i| Ok((schema.column_offset(i)?, schema.columns()[i].ty)))
+            .collect::<StorageResult<_>>()?;
+        Ok(SlotSelector {
+            heap,
+            spec,
+            cols,
+            row: vec![0f32; schema.len()],
+        })
+    }
+
+    /// The slots of one page that pass every conjunct — empty, without
+    /// decoding the page, when `zone` rules it out. The same per-cell
+    /// [`ColumnType::decode_f32`] conversion the data paths use, so
+    /// selection and extraction can never disagree.
+    fn page(&mut self, page_no: u32, zone: &PageZone) -> StorageResult<Vec<u16>> {
+        if !self.spec.page_can_match(zone) {
+            return Ok(Vec::new());
         }
-        let view = PageView::new(heap.page_bytes(page_no)?, *layout)?;
+        let layout = self.heap.layout();
+        let view = PageView::new(self.heap.page_bytes(page_no)?, *layout)?;
         let mut slots = Vec::new();
         for slot in 0..view.tuple_count() {
             let data = &view.tuple_bytes(slot)?[layout.tuple_header_bytes..];
-            for (c, &(off, ty)) in cols.iter().enumerate() {
-                row[c] = ty.decode_f32(&data[off..off + ty.width()]);
+            for (c, &(off, ty)) in self.cols.iter().enumerate() {
+                self.row[c] = ty.decode_f32(&data[off..off + ty.width()]);
             }
-            if spec.row_matches(&row) {
+            if self.spec.row_matches(&self.row) {
                 slots.push(slot);
             }
         }
-        selected.push(slots);
+        Ok(slots)
     }
-    Ok(selected)
 }
 
 #[cfg(test)]
@@ -156,22 +195,59 @@ mod tests {
 
     #[test]
     fn select_slots_matches_predicate_and_prunes() {
-        let h = heap(800);
-        // x0 holds 0..800 ascending → a range predicate prunes pages.
-        let spec = ScanSpec {
-            predicates: vec![Predicate {
-                column: "x0".into(),
-                op: CmpOp::Lt,
-                value: 100.0,
-            }],
-            projection: None,
+        // x0 ascends (a range predicate on it prunes pages); x1 cycles
+        // 0..10 on every page (nothing to prune) with a NaN every 97th
+        // row; y is NaN on the first 400 rows, so `!=` meets NaN-bearing,
+        // all-NaN and all-equal zones.
+        let rows: Vec<[f32; 3]> = (0..1500usize)
+            .map(|k| {
+                let x1 = if k % 97 == 0 {
+                    f32::NAN
+                } else {
+                    (k % 10) as f32
+                };
+                [k as f32, x1, if k < 400 { f32::NAN } else { 7.0 }]
+            })
+            .collect();
+        let mut b =
+            HeapFileBuilder::new(Schema::training(2), 8 * 1024, TupleDirection::Ascending).unwrap();
+        for r in &rows {
+            b.insert(&Tuple::training(&r[..2], r[2])).unwrap();
         }
-        .bind(h.schema())
-        .unwrap();
-        let sel = select_slots(&h, &spec).unwrap();
-        let total: usize = sel.iter().map(|s| s.len()).sum();
-        assert_eq!(total, 100);
-        // Later pages hold only x0 >= capacity ≥ 100 → empty selections.
-        assert!(sel.last().unwrap().is_empty());
+        let h = b.finish();
+        let sc = ScanSidecar::build(&h).unwrap();
+        let pred = |column: &str, op, value| Predicate {
+            column: column.into(),
+            op,
+            value,
+        };
+        let range = vec![pred("x0", CmpOp::Ge, 300.0), pred("x0", CmpOp::Lt, 420.0)];
+        let projection = Some(vec!["y".to_string(), "x0".to_string()]);
+        // (conjuncts, projection, whether the last page is ruled out)
+        let cases = [
+            (range, None, true),
+            (vec![pred("x1", CmpOp::Eq, 3.0)], None, false),
+            // NaN != c holds: every NaN cell survives a `!=`.
+            (vec![pred("x1", CmpOp::Ne, 3.0)], None, false),
+            (vec![pred("y", CmpOp::Ne, 7.0)], None, true),
+            (vec![pred("x0", CmpOp::Lt, 100.0)], projection, true),
+        ];
+        for (predicates, projection, tail_pruned) in cases {
+            let spec = ScanSpec {
+                predicates,
+                projection,
+            };
+            let bound = spec.bind(h.schema()).unwrap();
+            let sel = select_slots(&h, &bound).unwrap();
+            assert_eq!(sel.len(), h.page_count() as usize);
+            // Pruning never drops a matching row.
+            let total: usize = sel.iter().map(|s| s.len()).sum();
+            let expected = rows.iter().filter(|r| bound.row_matches(&r[..])).count();
+            assert_eq!(total, expected, "{spec:?}");
+            // The sidecar prunes with stored zones, the free function with
+            // zones it rebuilds: page for page they agree.
+            assert_eq!(sc.select_slots(&h, &bound).unwrap(), sel, "{spec:?}");
+            assert_eq!(sel.last().unwrap().is_empty(), tail_pruned, "{spec:?}");
+        }
     }
 }

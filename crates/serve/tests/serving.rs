@@ -323,6 +323,64 @@ fn retrained_model_invalidates_warm_cache_entries() {
     assert!(snap.get("serving", "cache_hits").unwrap() >= 1.0);
 }
 
+/// Re-DEPLOY-vs-cached-hit: deploying the same UDF name again replaces
+/// the catalog entry, so the UDF is untrained until its next EXECUTE —
+/// the warm entry must not answer for a model that no longer exists.
+#[test]
+fn redeploy_starts_untrained_despite_warm_cache() {
+    let d = 12;
+    let srv = server();
+    let udf = dense_setup(&srv, Algorithm::Linear, 600, d);
+    let tier = singleton_tier(&srv);
+    let session = srv.open_session("client");
+    let row: Vec<f32> = srv
+        .core()
+        .table_snapshot("t")
+        .unwrap()
+        .scan_batch()
+        .unwrap()
+        .rows()
+        .next()
+        .unwrap()
+        .to_vec();
+
+    let p1 = tier.predict_point(session, &udf, &row).unwrap();
+    let warm = tier.predict_point(session, &udf, &row).unwrap();
+    assert!(warm.cached);
+    let old_generation = srv.core().trained_generation(&udf).expect("trained");
+
+    // Same UDF name, bound to a table with a shifted truth vector.
+    srv.create_table("t2", dense_heap(600, d, Algorithm::Linear, 1.5))
+        .unwrap();
+    srv.deploy(&dense_spec(Algorithm::Linear, d), "t2").unwrap();
+    assert!(srv.core().trained_generation(&udf).is_none());
+    let err = tier.predict_point(session, &udf, &row).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Server(ServerError::Dana(DanaError::ModelNotTrained { .. }))
+        ),
+        "expected the typed untrained refusal, got: {err}"
+    );
+
+    srv.call(
+        session,
+        QueryRequest::RunUdf {
+            udf: udf.clone(),
+            table: "t2".to_string(),
+            shards: None,
+        },
+    )
+    .unwrap();
+    let new_generation = srv.core().trained_generation(&udf).expect("retrained");
+    assert!(!Arc::ptr_eq(&old_generation, &new_generation));
+    let fresh = tier.predict_rows(session, &udf, vec![row.clone()]).unwrap()[0];
+    let p2 = tier.predict_point(session, &udf, &row).unwrap();
+    assert!(!p2.cached, "the old deployment's entry must not serve");
+    assert_eq!(p2.prediction, fresh);
+    assert_ne!(p2.prediction, p1.prediction);
+}
+
 /// Drop-vs-point-predict: after the bound table is dropped, a warm
 /// cache must not answer — the call refuses with the same typed
 /// stale-accelerator error the scan path uses.

@@ -1,114 +1,21 @@
-//! The RDBMS catalog: tables plus deployed accelerator artifacts.
+//! The RDBMS catalog, the database's half: tables and the heaps behind them.
 //!
 //! "DAnA stores accelerator metadata (Strider and execution engine
 //! instruction schedules) in the RDBMS's catalog along with the name of a
 //! UDF to be invoked from the query. ... the RDBMS catalog is shared by the
 //! database engine and the FPGA." (§3, Fig. 2)
 //!
-//! The catalog keeps accelerator artifacts *opaque* (encoded instruction
-//! words and a serialized design blob) so this crate does not depend on the
-//! compiler; the DAnA runtime deserializes them at query time.
+//! The accelerator half of that catalog — the deployed engines, their
+//! trained models and the scan sidecars — is typed by crates this one must
+//! not depend on, so it lives beside this [`Catalog`] in `dana::core`,
+//! under the same lock.
 
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
 use crate::HeapId;
-
-/// A catalog-attached cache slot for the runtime artifact built from an
-/// accelerator's opaque blobs at DEPLOY time (the validated, lowered
-/// execution engine). Like the blobs themselves, the cached value is
-/// opaque to this crate (`Any`), keeping storage free of an
-/// engine/compiler dependency; the DAnA runtime downcasts it.
-///
-/// The slot uses interior mutability so the query path can populate it
-/// under the catalog's *read* lock, and it is shared by `clone` — every
-/// snapshot of the entry sees the same cached engine. It is deliberately
-/// non-persistent: serialization writes nothing and deserialization yields
-/// an empty slot (the artifact is rebuilt from the design blob on first
-/// use), and it never participates in entry equality.
-#[derive(Clone, Default)]
-pub struct RuntimeCache(Arc<RwLock<Option<Arc<dyn Any + Send + Sync>>>>);
-
-impl RuntimeCache {
-    /// The cached artifact, if one has been installed.
-    pub fn get(&self) -> Option<Arc<dyn Any + Send + Sync>> {
-        match self.0.read() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// Installs the artifact. First write wins: concurrent builders race
-    /// benignly and everyone converges on one shared value.
-    pub fn set(&self, value: Arc<dyn Any + Send + Sync>) {
-        let mut g = match self.0.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if g.is_none() {
-            *g = Some(value);
-        }
-    }
-
-    /// Replaces the artifact unconditionally (last write wins). The slot
-    /// for *results* that supersede each other — a re-trained model
-    /// replaces the previous one — where [`RuntimeCache::set`]'s
-    /// first-write-wins semantics would pin the stalest value instead.
-    pub fn store(&self, value: Arc<dyn Any + Send + Sync>) {
-        let mut g = match self.0.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *g = Some(value);
-    }
-
-    /// Empties the slot (invalidation).
-    pub fn clear(&self) {
-        let mut g = match self.0.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *g = None;
-    }
-
-    pub fn is_primed(&self) -> bool {
-        self.get().is_some()
-    }
-}
-
-impl std::fmt::Debug for RuntimeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RuntimeCache({})",
-            if self.is_primed() { "primed" } else { "empty" }
-        )
-    }
-}
-
-/// Cache state never participates in catalog-entry equality.
-impl PartialEq for RuntimeCache {
-    fn eq(&self, _other: &RuntimeCache) -> bool {
-        true
-    }
-}
-
-/// Non-persistent: serializes as `null` …
-impl serde::Serialize for RuntimeCache {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Null
-    }
-}
-
-/// … and deserializes (from anything) as an empty slot.
-impl serde::Deserialize for RuntimeCache {
-    fn from_value(_v: &serde::json::Value) -> Result<RuntimeCache, String> {
-        Ok(RuntimeCache::default())
-    }
-}
 
 /// Catalog record for one table.
 #[derive(Debug, Clone)]
@@ -124,44 +31,6 @@ pub struct TableEntry {
     /// True once the source table has been dropped. Querying a stale
     /// table is a typed error; dropping it (cleanup) still works.
     pub stale: bool,
-    /// Scan-tier sidecar cache (compressed pages + zone maps), opaque to
-    /// the catalog. Built lazily by the first pushdown scan and shared by
-    /// every later one; dies with the entry on DROP, so a rebuilt table
-    /// of the same name starts with a cold sidecar.
-    pub scan: RuntimeCache,
-}
-
-/// Catalog record for one deployed accelerator (one UDF).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AcceleratorEntry {
-    /// UDF name as invoked from SQL, e.g. `"linearR"`.
-    pub udf_name: String,
-    /// Encoded Strider instruction words (22-bit instructions in u32s).
-    pub strider_program: Vec<u32>,
-    /// Serialized execution-engine design + schedule (JSON blob produced by
-    /// the compiler; the catalog does not interpret it).
-    pub design_blob: String,
-    /// Merge coefficient declared by the UDF (maximum thread count, §4.3).
-    pub merge_coef: u32,
-    /// Threads the hardware generator actually instantiated.
-    pub num_threads: u32,
-    /// Human-readable description for `\d`-style introspection.
-    pub description: String,
-    /// The table whose page layout and schema the accelerator was compiled
-    /// against. Dropping that table invalidates the accelerator: the
-    /// Strider program walks a layout that no longer exists.
-    pub bound_table: String,
-    /// True once the bound table has been dropped; running a stale
-    /// accelerator is a typed error, never a dangling-heap lookup.
-    pub stale: bool,
-    /// DEPLOY-time runtime artifact cache (the built execution engine),
-    /// opaque to the catalog. Primed at deploy; EXECUTE never rebuilds.
-    pub runtime: RuntimeCache,
-    /// Latest trained model values, stored by EXECUTE (last write wins)
-    /// and consumed by PREDICT/EVALUATE. Opaque to the catalog, like the
-    /// runtime cache, and cleared with it on invalidation: a model
-    /// trained against a dropped table must not score anything.
-    pub trained: RuntimeCache,
 }
 
 /// The catalog (and, in this reproduction, the database itself: it owns the
@@ -174,7 +43,6 @@ pub struct Catalog {
     // while the catalog lock is long gone — dropping the table only detaches
     // the name; the pages live until the last scan finishes.
     heaps: HashMap<HeapId, Arc<HeapFile>>,
-    accelerators: HashMap<String, AcceleratorEntry>,
     next_heap: u32,
 }
 
@@ -220,7 +88,6 @@ impl Catalog {
                 page_count: heap.page_count(),
                 derived_from,
                 stale: false,
-                scan: RuntimeCache::default(),
             },
         );
         self.heaps.insert(id, Arc::new(heap));
@@ -275,46 +142,6 @@ impl Catalog {
             .ok_or(StorageError::UnknownHeap(id.0))
     }
 
-    /// Convenience: table entry + heap in one lookup.
-    pub fn table_heap(&self, name: &str) -> StorageResult<(&TableEntry, &HeapFile)> {
-        let entry = self.table(name)?;
-        let heap = self.heap(entry.heap_id)?;
-        Ok((entry, heap))
-    }
-
-    /// Deploys (or replaces) an accelerator under its UDF name.
-    pub fn deploy_accelerator(&mut self, entry: AcceleratorEntry) {
-        self.accelerators.insert(entry.udf_name.clone(), entry);
-    }
-
-    pub fn accelerator(&self, udf_name: &str) -> StorageResult<&AcceleratorEntry> {
-        self.accelerators
-            .get(udf_name)
-            .ok_or_else(|| StorageError::UnknownAccelerator(udf_name.to_string()))
-    }
-
-    /// Marks every accelerator compiled against `table` as stale (its
-    /// backing layout is gone). Returns the affected UDF names, sorted.
-    pub fn invalidate_accelerators_for(&mut self, table: &str) -> Vec<String> {
-        let mut hit: Vec<String> = self
-            .accelerators
-            .values_mut()
-            .filter(|a| a.bound_table == table && !a.stale)
-            .map(|a| {
-                a.stale = true;
-                // The cached engine (and its scoring recipe) is compiled
-                // against the dropped layout, and the trained model was
-                // fit to rows that no longer exist: drop both with the
-                // table.
-                a.runtime.clear();
-                a.trained.clear();
-                a.udf_name.clone()
-            })
-            .collect();
-        hit.sort_unstable();
-        hit
-    }
-
     /// Marks every materialized table derived from `source` as stale (its
     /// provenance is gone; querying it is now a typed error). Returns the
     /// affected `(name, heap_id)` pairs sorted by name, so callers can
@@ -336,13 +163,6 @@ impl Catalog {
     /// All table names, sorted (stable introspection output).
     pub fn table_names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All deployed UDF names, sorted.
-    pub fn accelerator_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.accelerators.keys().map(|s| s.as_str()).collect();
         v.sort_unstable();
         v
     }
@@ -371,9 +191,6 @@ mod tests {
         assert_eq!(entry.heap_id, id);
         assert_eq!(entry.tuple_count, 1);
         assert!(cat.heap(id).is_ok());
-        let (e2, h2) = cat.table_heap("t").unwrap();
-        assert_eq!(e2.name, "t");
-        assert_eq!(h2.tuple_count(), 1);
     }
 
     #[test]
@@ -409,77 +226,6 @@ mod tests {
         assert_eq!(heap.tuple_count(), 1);
     }
 
-    fn test_accelerator(udf: &str, table: &str) -> AcceleratorEntry {
-        AcceleratorEntry {
-            udf_name: udf.into(),
-            strider_program: vec![0x1234, 0x5678],
-            design_blob: "{}".into(),
-            merge_coef: 8,
-            num_threads: 4,
-            description: "linear regression".into(),
-            bound_table: table.into(),
-            stale: false,
-            runtime: RuntimeCache::default(),
-            trained: RuntimeCache::default(),
-        }
-    }
-
-    #[test]
-    fn runtime_cache_is_shared_first_write_wins_and_cleared_on_invalidate() {
-        let mut cat = Catalog::new();
-        cat.deploy_accelerator(test_accelerator("linearR", "t"));
-        let entry = cat.accelerator("linearR").unwrap().clone();
-        assert!(!entry.runtime.is_primed());
-        entry.runtime.set(Arc::new(41u32));
-        entry.runtime.set(Arc::new(99u32)); // loses the race
-                                            // Clones share the slot; the first install wins.
-        let again = cat.accelerator("linearR").unwrap();
-        let v = again.runtime.get().unwrap().downcast::<u32>().unwrap();
-        assert_eq!(*v, 41);
-        // Equality ignores cache state; serialization drops it.
-        assert_eq!(*again, test_accelerator("linearR", "t"));
-        let value = serde::Serialize::to_value(again);
-        let back = <AcceleratorEntry as serde::Deserialize>::from_value(&value).unwrap();
-        assert!(!back.runtime.is_primed());
-        // Invalidation clears the cached engine along with marking stale.
-        cat.invalidate_accelerators_for("t");
-        assert!(!cat.accelerator("linearR").unwrap().runtime.is_primed());
-    }
-
-    #[test]
-    fn accelerator_round_trip() {
-        let mut cat = Catalog::new();
-        let entry = test_accelerator("linearR", "t");
-        cat.deploy_accelerator(entry.clone());
-        assert_eq!(cat.accelerator("linearR").unwrap(), &entry);
-        assert!(cat.accelerator("nope").is_err());
-        assert_eq!(cat.accelerator_names(), vec!["linearR"]);
-    }
-
-    #[test]
-    fn invalidation_marks_bound_accelerators_stale() {
-        let mut cat = Catalog::new();
-        cat.deploy_accelerator(test_accelerator("linearR", "t"));
-        cat.deploy_accelerator(test_accelerator("svm", "t"));
-        cat.deploy_accelerator(test_accelerator("logisticR", "other"));
-        let hit = cat.invalidate_accelerators_for("t");
-        assert_eq!(hit, vec!["linearR".to_string(), "svm".to_string()]);
-        assert!(cat.accelerator("linearR").unwrap().stale);
-        assert!(cat.accelerator("svm").unwrap().stale);
-        assert!(!cat.accelerator("logisticR").unwrap().stale);
-        // Idempotent: already-stale entries are not reported twice.
-        assert!(cat.invalidate_accelerators_for("t").is_empty());
-    }
-
-    #[test]
-    fn runtime_cache_store_overwrites() {
-        let cache = RuntimeCache::default();
-        cache.store(Arc::new(1u32));
-        cache.store(Arc::new(2u32)); // last write wins, unlike `set`
-        let v = cache.get().unwrap().downcast::<u32>().unwrap();
-        assert_eq!(*v, 2);
-    }
-
     #[test]
     fn derived_tables_go_stale_when_source_drops() {
         let mut cat = Catalog::new();
@@ -509,17 +255,6 @@ mod tests {
         }
         // ...but cleanup still works.
         assert!(cat.drop_table("p").is_ok());
-    }
-
-    #[test]
-    fn invalidation_clears_trained_models_too() {
-        let mut cat = Catalog::new();
-        cat.deploy_accelerator(test_accelerator("linearR", "t"));
-        let entry = cat.accelerator("linearR").unwrap();
-        entry.trained.store(Arc::new(vec![1.0f32]));
-        assert!(entry.trained.is_primed());
-        cat.invalidate_accelerators_for("t");
-        assert!(!cat.accelerator("linearR").unwrap().trained.is_primed());
     }
 
     #[test]

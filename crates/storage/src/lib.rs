@@ -18,10 +18,10 @@
 //! * [`shared_pool`] — the concurrent variant: sharded frames behind
 //!   interior mutability, `Arc` page images instead of pin counts, for the
 //!   serving tier's many simultaneous scans;
-//! * [`catalog`] — the RDBMS catalog that stores both table metadata and the
-//!   accelerator artifacts DAnA deploys ("DAnA stores accelerator metadata
-//!   (Strider and execution engine instruction schedules) in the RDBMS's
-//!   catalog", §3).
+//! * [`catalog`] — the RDBMS catalog's database half: table metadata and
+//!   the heaps behind it. The accelerator half ("DAnA stores accelerator
+//!   metadata ... in the RDBMS's catalog", §3) is typed by the engine, so it
+//!   lives beside this one in `dana::core`, under the same lock.
 //!
 //! Everything is deterministic and simulation-timed: reads report the
 //! simulated seconds they would cost, never wall-clock time.
@@ -39,7 +39,7 @@ pub mod tuple;
 
 pub use batch::{OneBatchSource, SourceError, TupleBatch, TupleSource};
 pub use bufferpool::{BufferPoolConfig, BufferPoolStats};
-pub use catalog::{AcceleratorEntry, Catalog, RuntimeCache, TableEntry};
+pub use catalog::{Catalog, TableEntry};
 pub use disk::DiskModel;
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, HeapFileBuilder};

@@ -48,16 +48,6 @@ impl ColumnType {
             ColumnType::Int8 => i64::from_le_bytes(bytes.try_into().unwrap()) as f32,
         }
     }
-
-    /// SQL-ish name for display.
-    pub fn sql_name(&self) -> &'static str {
-        match self {
-            ColumnType::Float4 => "real",
-            ColumnType::Float8 => "double precision",
-            ColumnType::Int4 => "integer",
-            ColumnType::Int8 => "bigint",
-        }
-    }
 }
 
 /// A named column.
