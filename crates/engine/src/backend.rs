@@ -12,7 +12,7 @@
 //!   [`LoweredProgram`](crate::lowered::LoweredProgram) through the same
 //!   slot-major `buf[word * lanes + l]` lockstep lane loops (op dispatch
 //!   hoisted out of the lane loop so `rustc` auto-vectorizes them, LRMF's
-//!   sequential gather/scatter path preserved), but whose cost is
+//!   row gathers one lane at a time inside the op), but whose cost is
 //!   **measured wall time**.
 //!
 //! Both run the one serial epoch loop ([`run_training_guarded`]) over

@@ -31,7 +31,10 @@
 //! deploy — into flat pre-resolved ops (raw scratchpad offsets, inlined
 //! constants, statically staged hazards, pre-bound model shapes) and
 //! executed group-at-a-time over a slot-major structure-of-arrays
-//! scratchpad, one tight inner loop per op across all lockstep threads.
+//! scratchpad, one tight inner loop per op across all lockstep threads —
+//! row `Gather`s included, since they only read the model store; only a
+//! per-tuple `Scatter` (which no compiled design has) falls back to
+//! thread-at-a-time.
 //! Every serial run goes through one epoch loop
 //! ([`run_training_guarded`]). [`ExecutionEngine::run_training_rows`], a
 //! direct `MicroOp` interpreter that shares nothing with the lowering

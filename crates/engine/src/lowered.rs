@@ -24,10 +24,20 @@
 //! scratchpad: word `w` of thread `t` lives at `buf[w * threads + t]`, so
 //! one lowered ALU op executes across all active lockstep threads in a
 //! tight, auto-vectorizable inner loop — the software analogue of the
-//! paper's lockstep thread model (§5.2). Programs whose per-tuple region
-//! touches the shared model memory (LRMF's gather/scatter) run
+//! paper's lockstep thread model (§5.2). A per-tuple `Gather` only *reads*
+//! the model store, which nothing in a scatter-free region writes (model
+//! write-back runs after the region), so LRMF's gathers run lockstep too,
+//! one lane at a time inside the op. Only a per-tuple `Scatter` makes one
+//! thread's result visible to the next; a program with one runs
 //! thread-at-a-time instead, preserving the reference's thread ordering
-//! of model-memory traffic exactly.
+//! of model-memory traffic exactly (no compiled design has one).
+//!
+//! The data movement around the ALU loops follows the same layout rule —
+//! every value moves once, into or out of a contiguous SoA row: the group
+//! load walks offsets outermost and lanes innermost, the tree merge folds
+//! each slot in thread order but several slots' chains at once, and row
+//! gathers / write-backs validate every lane's row once and reuse the row
+//! bases.
 //!
 //! The executor is held bit-identical to the rows reference — models *and*
 //! cycle stats — by the equivalence suite and the randomized differential
@@ -138,10 +148,11 @@ pub struct LoweredProgram {
     pub(crate) words_per_thread: u32,
     pub(crate) per_tuple: Vec<LoweredOp>,
     pub(crate) post_merge: Vec<LoweredOp>,
-    /// True when the per-tuple region reads or writes the shared model
-    /// memory (gather/scatter): threads then execute one at a time so
-    /// model-memory traffic interleaves exactly as on the reference.
-    /// Dense programs run op-lockstep across the whole group.
+    /// True when the per-tuple region has a `Scatter` — the one op that
+    /// makes a thread's result visible to the next: threads then execute
+    /// one at a time so model-memory traffic interleaves exactly as on
+    /// the reference. Everything else (gathers included, which only read
+    /// the store) runs op-lockstep across the whole group.
     pub(crate) sequential: bool,
     pub(crate) input_offsets: Vec<u32>,
     pub(crate) output_offsets: Vec<u32>,
@@ -238,12 +249,7 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
 
     let per_tuple = lower_steps(&d.program.per_tuple);
     let post_merge = lower_steps(&d.program.post_merge);
-    let sequential = d
-        .program
-        .per_tuple
-        .iter()
-        .flat_map(|s| &s.ops)
-        .any(|o| matches!(o, MicroOp::Gather { .. } | MicroOp::Scatter { .. }));
+    let sequential = has_scatter(&per_tuple);
 
     let broadcasts = d
         .models
@@ -352,6 +358,10 @@ fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
     true
 }
 
+fn has_scatter(ops: &[LoweredOp]) -> bool {
+    ops.iter().any(|o| matches!(o, LoweredOp::Scatter { .. }))
+}
+
 fn lower_idx(index: &Src, flat: &impl Fn(&Loc) -> u32) -> LowIdx {
     match index {
         Src::Slot(l) => LowIdx::Slot(flat(l)),
@@ -397,6 +407,10 @@ pub(crate) struct SoaWorkspace {
     buf: Vec<f32>,
     /// Tuples buffered for the current group, row-major `[thread][width]`.
     group: Vec<f32>,
+    /// Each lane's validated model-row base (`row × cols`) for the row
+    /// gather or write-back in flight — one `round()` and one range check
+    /// per lane per op.
+    row_bases: Vec<usize>,
     stride: usize,
     width: usize,
 }
@@ -446,7 +460,7 @@ impl LoweredProgram {
     }
 
     /// True when the per-tuple region runs op-lockstep across the whole
-    /// thread group (no model-memory traffic inside the region).
+    /// thread group (no `Scatter` inside the region).
     pub fn is_lockstep(&self) -> bool {
         !self.sequential
     }
@@ -539,7 +553,10 @@ impl LoweredProgram {
                     && src.iter().all(off_ok)
             }
         });
-        self.per_tuple.iter().all(op_ok)
+        // The tier flag picks the executor; the lockstep one has no
+        // `Scatter` arm.
+        self.sequential == has_scatter(&self.per_tuple)
+            && self.per_tuple.iter().all(op_ok)
             && self.post_merge.iter().all(op_ok)
             && self.input_offsets.iter().all(off_ok)
             && self.output_offsets.iter().all(off_ok)
@@ -561,6 +578,7 @@ impl LoweredProgram {
         SoaWorkspace {
             buf,
             group: vec![0.0f32; stride * width],
+            row_bases: vec![0; stride],
             stride,
             width,
         }
@@ -626,15 +644,15 @@ impl LoweredProgram {
             }
             stats.broadcast_cycles += (values.len() as u64).div_ceil(BUS_WORDS);
         }
-        // Load the buffered tuples into the SoA columns.
-        for t in 0..active {
-            let row = &ws.group[t * ws.width..(t + 1) * ws.width];
-            for (k, &off) in self.input_offsets.iter().enumerate() {
-                ws.buf[off as usize * stride + t] = row[k];
-            }
-            let base = self.input_offsets.len();
-            for (k, &off) in self.output_offsets.iter().enumerate() {
-                ws.buf[off as usize * stride + t] = row[base + k];
+        // Load the buffered tuples into the SoA rows: offsets outermost,
+        // lanes innermost, so each row is written contiguously while the
+        // reads walk `active` tuple rows that stay in L1.
+        let offsets = self.input_offsets.iter().chain(&self.output_offsets);
+        for (k, &off) in offsets.enumerate() {
+            let base = off as usize * stride;
+            let tuples = ws.group.chunks_exact(ws.width);
+            for (lane, tuple) in ws.buf[base..base + active].iter_mut().zip(tuples) {
+                *lane = tuple[k];
             }
         }
         // Per-tuple region.
@@ -643,7 +661,7 @@ impl LoweredProgram {
                 exec_thread(&self.per_tuple, t, &mut ws.buf, stride, store)?;
             }
         } else {
-            exec_lockstep(&self.per_tuple, active, &mut ws.buf, stride);
+            exec_lockstep(&self.per_tuple, active, ws, store)?;
         }
         stats.compute_cycles += self.per_tuple_cycles;
         if self.gather_elems > 0 {
@@ -668,20 +686,15 @@ impl LoweredProgram {
         if active <= 1 {
             return 0;
         }
-        for &off in &m.slots {
-            let base = off as usize * ws.stride;
-            let row = &mut ws.buf[base..base + active];
-            let mut acc = row[0];
-            for &v in row.iter().take(active).skip(1) {
-                acc = match m.op {
-                    MergeOp::Sum | MergeOp::Avg => acc + v,
-                    MergeOp::Max => acc.max(v),
-                };
+        match m.op {
+            MergeOp::Sum => fold_lanes(ws, &m.slots, active, |acc, v| acc + v),
+            MergeOp::Max => fold_lanes(ws, &m.slots, active, f32::max),
+            MergeOp::Avg => {
+                fold_lanes(ws, &m.slots, active, |acc, v| acc + v);
+                for &off in &m.slots {
+                    ws.buf[off as usize * ws.stride] /= active as f32;
+                }
             }
-            if m.op == MergeOp::Avg {
-                acc /= active as f32;
-            }
-            row[0] = acc;
         }
         m.slots.len() as u64 + (64 - (active as u64 - 1).leading_zeros() as u64)
     }
@@ -693,11 +706,10 @@ impl LoweredProgram {
     fn write_models(
         &self,
         active: usize,
-        ws: &SoaWorkspace,
+        ws: &mut SoaWorkspace,
         store: &mut ModelStore,
     ) -> EngineResult<u64> {
         let stride = ws.stride;
-        let buf = &ws.buf;
         let mut cycles = 0u64;
         for w in &self.model_writes {
             match w {
@@ -705,7 +717,7 @@ impl LoweredProgram {
                     let m = store.model_mut(*model as usize);
                     debug_assert_eq!(m.len(), src.len());
                     for (k, &off) in src.iter().enumerate() {
-                        m[k] = buf[off as usize * stride];
+                        m[k] = ws.buf[off as usize * stride];
                     }
                     cycles += (src.len() as u64).div_ceil(BUS_WORDS);
                 }
@@ -716,25 +728,19 @@ impl LoweredProgram {
                     index,
                     src,
                 } => {
-                    let idx_base = *index as usize * stride;
-                    for t in 0..active {
-                        let row = buf[idx_base + t].round() as i64;
-                        if row < 0 || row as u32 >= *rows {
-                            return Err(EngineError::RowOutOfRange {
-                                model: *model,
-                                row,
-                                rows: *rows as usize,
-                            });
-                        }
-                    }
+                    ws.resolve_rows(active, &LowIdx::Slot(*index), *model, *rows, *cols)
+                        .map_err(|(_, e)| e)?;
                     // Every active thread scatters its row through the
                     // shared model-memory ports (§7.2's LRMF overhead).
                     cycles += (active as u64 * src.len() as u64).div_ceil(MODEL_PORTS);
                     let m = store.model_mut(*model as usize);
-                    for t in 0..active {
-                        let base = buf[idx_base + t].round() as usize * *cols as usize;
-                        for (k, &off) in src.iter().enumerate() {
-                            m[base + k] = buf[off as usize * stride + t];
+                    // Per element the lanes still land in thread order, so
+                    // a row two threads share keeps the later thread's.
+                    for (k, &off) in src.iter().enumerate() {
+                        let base = off as usize * stride;
+                        let lanes = &ws.buf[base..base + active];
+                        for (&v, &row_base) in lanes.iter().zip(&ws.row_bases) {
+                            m[row_base + k] = v;
                         }
                     }
                 }
@@ -822,11 +828,58 @@ impl<'e> TrainingSession<'e> {
     }
 }
 
+/// Slots whose merge chains [`fold_lanes`] runs side by side.
+const MERGE_INTERLEAVE: usize = 8;
+
+/// Folds lanes `1..active` of every slot in `slots` into lane 0 with `f`,
+/// each slot in thread order. One slot's fold is a chain of dependent
+/// operations; [`MERGE_INTERLEAVE`] independent slots' chains are advanced
+/// together so they overlap instead of serialising on latency.
+fn fold_lanes(ws: &mut SoaWorkspace, slots: &[u32], active: usize, f: impl Fn(f32, f32) -> f32) {
+    let stride = ws.stride;
+    let mut blocks = slots.chunks_exact(MERGE_INTERLEAVE);
+    for block in &mut blocks {
+        let rows: [&[f32]; MERGE_INTERLEAVE] = std::array::from_fn(|j| {
+            let base = block[j] as usize * stride;
+            &ws.buf[base..base + active]
+        });
+        let mut acc: [f32; MERGE_INTERLEAVE] = std::array::from_fn(|j| rows[j][0]);
+        for t in 1..active {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc = f(*acc, row[t]);
+            }
+        }
+        for (&off, acc) in block.iter().zip(acc) {
+            ws.buf[off as usize * stride] = acc;
+        }
+    }
+    for &off in blocks.remainder() {
+        let base = off as usize * stride;
+        let row = &mut ws.buf[base..base + active];
+        row[0] = row[1..].iter().fold(row[0], |acc, &v| f(acc, v));
+    }
+}
+
 /// Op-lockstep execution: each op dispatches once and then runs a tight
-/// inner loop across all `n` active threads' contiguous SoA rows. Only
-/// reachable for programs with no model-memory ops in the region.
-fn exec_lockstep(ops: &[LoweredOp], n: usize, buf: &mut [f32], stride: usize) {
+/// inner loop across all `n` active threads' contiguous SoA rows. A
+/// `Gather` resolves every lane's row, then copies element by element
+/// across the lanes.
+///
+/// An out-of-range gather row must report what thread-at-a-time order
+/// reports — the lowest failing thread's first failing op. Lanes are
+/// independent here (nothing in the region writes the store), so narrowing
+/// the active lanes to those below each failing lane and returning the
+/// last error recorded is exactly that.
+fn exec_lockstep(
+    ops: &[LoweredOp],
+    mut n: usize,
+    ws: &mut SoaWorkspace,
+    store: &ModelStore,
+) -> EngineResult<()> {
+    let stride = ws.stride;
+    let mut failed = None;
     for op in ops {
+        let buf = &mut ws.buf[..];
         match *op {
             LoweredOp::Bin { op, a, b, dst } => {
                 let (a, b, d) = (
@@ -852,11 +905,32 @@ fn exec_lockstep(ops: &[LoweredOp], n: usize, buf: &mut [f32], stride: usize) {
                 let (s, d) = (src as usize * stride, dst as usize * stride);
                 buf.copy_within(s..s + n, d);
             }
-            LoweredOp::Gather { .. } | LoweredOp::Scatter { .. } => {
-                unreachable!("model-memory ops run on the sequential path")
+            LoweredOp::Gather {
+                model,
+                rows,
+                cols,
+                ref index,
+                ref dst,
+            } => {
+                if let Err((lane, e)) = ws.resolve_rows(n, index, model, rows, cols) {
+                    n = lane;
+                    failed = Some(e);
+                }
+                let values = store.model(model as usize);
+                for (k, &off) in dst.iter().enumerate() {
+                    let base = off as usize * stride;
+                    let lanes = &mut ws.buf[base..base + n];
+                    for (lane, &row_base) in lanes.iter_mut().zip(&ws.row_bases) {
+                        *lane = values[row_base + k];
+                    }
+                }
+            }
+            LoweredOp::Scatter { .. } => {
+                unreachable!("a per-tuple Scatter runs thread-at-a-time")
             }
         }
     }
+    failed.map_or(Ok(()), Err)
 }
 
 /// One binary op across `n` lockstep threads. `fetch` supplies the two
@@ -969,7 +1043,7 @@ fn row_index(
         LowIdx::Const(c) => *c,
     };
     let row = raw.round() as i64;
-    if row < 0 || row as u32 >= rows {
+    if row < 0 || row >= rows as i64 {
         return Err(EngineError::RowOutOfRange {
             model,
             row,
@@ -977,6 +1051,27 @@ fn row_index(
         });
     }
     Ok(row as usize)
+}
+
+impl SoaWorkspace {
+    /// Resolves lanes `0..n`'s row indices for one model-row op into
+    /// `row_bases` (`row × cols`). Stops at the first out-of-range lane,
+    /// returning it with its error; the bases below it are valid.
+    fn resolve_rows(
+        &mut self,
+        n: usize,
+        index: &LowIdx,
+        model: u8,
+        rows: u32,
+        cols: u32,
+    ) -> Result<(), (usize, EngineError)> {
+        for t in 0..n {
+            let row =
+                row_index(&self.buf, self.stride, t, index, model, rows).map_err(|e| (t, e))?;
+            self.row_bases[t] = row * cols as usize;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1090,6 +1185,9 @@ mod tests {
         assert!(matches!(lp.per_tuple[1], LoweredOp::Copy { .. }));
     }
 
+    /// A `Gather` reads a store nothing in a scatter-free region writes, so
+    /// it stays lockstep; only a `Scatter` — one thread's write the next
+    /// thread can read — forces thread-at-a-time.
     #[test]
     fn dense_programs_run_lockstep_and_model_ops_force_sequential() {
         let d = hazardous_design(4);
@@ -1102,7 +1200,134 @@ mod tests {
                 dst: vec![Loc::new(0, 5)],
             }],
         });
+        assert!(lower(&d2).is_lockstep());
+        d2.program.per_tuple.push(Step {
+            ops: vec![MicroOp::Scatter {
+                model: 0,
+                index: Src::Const(0.0),
+                src: vec![Loc::new(0, 5)],
+            }],
+        });
         assert!(!lower(&d2).is_lockstep());
+    }
+
+    /// A 4-thread design over one row-indexed 4×2 model `L`: gather
+    /// `L[x0]`, gather `L[x1]`, add 1 to the first row's elements, then
+    /// write them back to `L[x0]` — with a per-tuple `Scatter`, or with a
+    /// `Row` model write after the region.
+    fn row_model_design(scatter: bool) -> EngineDesign {
+        let bump = |slot| alu(0, AluOp::Add, s(0, slot), Src::Const(1.0), slot);
+        let gather = |index, first| MicroOp::Gather {
+            model: 0,
+            index: s(0, index),
+            dst: vec![Loc::new(0, first), Loc::new(0, first + 1)],
+        };
+        let mut per_tuple: Vec<Step> = [gather(0, 2), gather(1, 4), bump(2), bump(3)]
+            .into_iter()
+            .map(|op| Step { ops: vec![op] })
+            .collect();
+        let src = vec![Loc::new(0, 2), Loc::new(0, 3)];
+        let mut model_writes = vec![];
+        if scatter {
+            per_tuple.push(Step {
+                ops: vec![MicroOp::Scatter {
+                    model: 0,
+                    index: s(0, 0),
+                    src,
+                }],
+            });
+        } else {
+            model_writes.push(ModelWrite::Row {
+                model: 0,
+                index: Loc::new(0, 0),
+                src,
+            });
+        }
+        EngineDesign {
+            num_threads: 4,
+            acs_per_thread: 1,
+            slots_per_au: 8,
+            bus_lanes: 1,
+            program: EngineProgram {
+                per_tuple,
+                post_merge: vec![],
+            },
+            input_slots: vec![Loc::new(0, 0), Loc::new(0, 1)],
+            output_slots: vec![],
+            meta: vec![],
+            models: vec![ModelDesc {
+                name: "L".into(),
+                rows: 4,
+                cols: 2,
+                broadcast_slots: None,
+            }],
+            merge: MergePlan::None,
+            model_writes,
+            convergence: ConvergenceCheck::Epochs(1),
+        }
+    }
+
+    #[test]
+    fn lockstep_gather_reports_the_lowest_failing_threads_first_error() {
+        let d = row_model_design(false);
+        let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
+        assert!(engine.lowered().is_lockstep());
+        // Lane 3's *first* gather and lane 1's *second* gather are out of
+        // range: thread order meets lane 1's error first. (Lane 3's row is
+        // 2³², which must not wrap into range on the way to a `u32`.)
+        let tuples = [
+            vec![0.0, 1.0],
+            vec![1.0, 99.0],
+            vec![2.0, 3.0],
+            vec![4_294_967_296.0, 0.0],
+        ];
+        let init: Vec<f32> = (0..8).map(|v| v as f32).collect();
+        let mut rows_store = ModelStore::new(&d, vec![init.clone()]).unwrap();
+        let rows_err = engine
+            .run_training_rows(&tuples, &mut rows_store)
+            .unwrap_err();
+        assert_eq!(
+            rows_err,
+            EngineError::RowOutOfRange {
+                model: 0,
+                row: 99,
+                rows: 4
+            }
+        );
+        let mut store = ModelStore::new(&d, vec![init.clone()]).unwrap();
+        let err = engine
+            .run_training_batch(&TupleBatch::from_rows(2, &tuples), &mut store)
+            .unwrap_err();
+        assert_eq!(err, rows_err);
+        assert_eq!(store.model(0), &init[..], "store untouched on the error");
+        assert_eq!(store, rows_store);
+    }
+
+    /// Why `Scatter` keeps the thread-at-a-time path: two tuples of one
+    /// group hit the same model row, and the second must gather what the
+    /// first scattered.
+    #[test]
+    fn per_tuple_scatter_is_visible_to_the_next_thread() {
+        let d = row_model_design(true);
+        let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
+        assert!(!engine.lowered().is_lockstep());
+        let tuples = [
+            vec![2.0, 0.0],
+            vec![2.0, 1.0],
+            vec![0.0, 2.0],
+            vec![1.0, 3.0],
+        ];
+        let init: Vec<f32> = (0..8).map(|v| v as f32).collect();
+        let mut store = ModelStore::new(&d, vec![init.clone()]).unwrap();
+        let stats = engine
+            .run_training_batch(&TupleBatch::from_rows(2, &tuples), &mut store)
+            .unwrap();
+        let mut rows_store = ModelStore::new(&d, vec![init]).unwrap();
+        let rows_stats = engine.run_training_rows(&tuples, &mut rows_store).unwrap();
+        assert_eq!(store, rows_store);
+        assert_eq!(stats, rows_stats);
+        // Row 2 (elements 4, 5) was incremented twice.
+        assert_eq!(store.model(0), &[1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! stream's unit: one flat row-major `Vec<f32>` holding every column of
 //! every tuple extracted from (typically) one page — zero per-tuple
 //! allocations, cache-linear reads, and O(pages) total allocation for a
-//! full scan.
+//! full scan. Producers fill it a page at a time
+//! ([`TupleBatch::append_rows`], Strider extraction's bulk decode), a row
+//! at a time ([`TupleBatch::push_row`]) or a value at a time
+//! ([`TupleBatch::start_row`], the CPU deform loop); whichever they use,
+//! only whole rows ever become visible.
 //!
 //! [`TupleSource`] is the seam between the storage/strider side and the
 //! execution engine: a rewindable stream of batches. The engine pulls
@@ -54,8 +58,8 @@ impl TupleBatch {
     }
 
     /// Builds a batch from row slices (test/bench convenience; the hot path
-    /// fills batches in place via [`TupleBatch::push_row`] or
-    /// [`TupleBatch::start_row`]).
+    /// fills batches in place via [`TupleBatch::append_rows`],
+    /// [`TupleBatch::push_row`] or [`TupleBatch::start_row`]).
     pub fn from_rows<R: AsRef<[f32]>>(
         width: usize,
         rows: impl IntoIterator<Item = R>,
@@ -101,6 +105,16 @@ impl TupleBatch {
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.width, "row width mismatch");
         self.data.extend_from_slice(row);
+    }
+
+    /// Appends `rows` zeroed rows and returns them — `rows × width()`
+    /// values, row-major — for a bulk producer to fill in place (Strider
+    /// extraction decodes a whole page's records into it). Like a finished
+    /// [`RowBuilder`], only whole rows ever become visible.
+    pub fn append_rows(&mut self, rows: usize) -> &mut [f32] {
+        let start = self.data.len();
+        self.data.resize(start + rows * self.width, 0.0);
+        &mut self.data[start..]
     }
 
     /// Starts an in-place row append for value-at-a-time producers (page
@@ -250,6 +264,19 @@ mod tests {
         let rows: Vec<&[f32]> = b.rows().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn append_rows_exposes_whole_rows_to_fill() {
+        let mut b = TupleBatch::new(2);
+        b.push_row(&[9.0, 9.0]);
+        let tail = b.append_rows(2);
+        assert_eq!(tail, &[0.0; 4]);
+        tail.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.row(2), &[3.0, 4.0]);
+        assert!(b.append_rows(0).is_empty());
+        assert_eq!(b.len(), 3);
     }
 
     #[test]

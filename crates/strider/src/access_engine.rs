@@ -10,13 +10,23 @@
 //! buffers), and the float-conversion unit that turns extracted column
 //! bytes into the execution engine's f32 operands ("transform user data
 //! into a floating point format", §6.2).
+//!
+//! The conversion is plan-driven: [`AccessEngine::for_table`] resolves the
+//! schema once into a `DecodePlan` (per column: byte offset and type;
+//! plus whether the record *is* a little-endian f32 row, true of every
+//! training schema), and each page's output FIFO is checked once and then
+//! decoded in bulk, whole rows at a time, straight into the batch — which
+//! mirrors how the hardware streams converted values straight to the
+//! execution engine's input buffers (§6.2). The batch, filtered and
+//! reference extraction paths all decode through that one routine, so
+//! they are bit-identical by construction.
 
 use dana_fpga::{AxiLink, Clock, Seconds};
 use dana_storage::{ColumnType, HeapFile, PageLayoutDesc, Schema, TupleBatch};
 
 use crate::codegen::strider_program_for_layout;
 use crate::error::{StriderError, StriderResult};
-use crate::machine::StriderMachine;
+use crate::machine::{StriderMachine, StriderRun};
 
 /// Sizing and timing configuration for the access engine.
 #[derive(Debug, Clone, Copy)]
@@ -55,15 +65,80 @@ impl ExtractedTuple {
     }
 }
 
-/// One column's byte → engine-native f32 conversion (the float-conversion
-/// unit of §6.2). Shared by the batch and reference extraction paths so
-/// they are bit-identical by construction.
-fn convert_cell(ty: ColumnType, bytes: &[u8]) -> f32 {
-    match ty {
-        ColumnType::Float4 => f32::from_le_bytes(bytes.try_into().unwrap()),
-        ColumnType::Float8 => f64::from_le_bytes(bytes.try_into().unwrap()) as f32,
-        ColumnType::Int4 => i32::from_le_bytes(bytes.try_into().unwrap()) as f32,
-        ColumnType::Int8 => i64::from_le_bytes(bytes.try_into().unwrap()) as f32,
+/// The schema's byte → engine-native f32 conversion (the float-conversion
+/// unit of §6.2), resolved once per table.
+struct DecodePlan {
+    /// Per column, in schema order: byte offset within a record, and type.
+    columns: Vec<(usize, ColumnType)>,
+    /// Bytes per cleansed record (the layout's user-data width).
+    record_bytes: usize,
+    /// Every column is `Float4` and the columns tile the record: the byte
+    /// stream is the row stream, little-endian.
+    all_float4: bool,
+}
+
+impl DecodePlan {
+    fn new(schema: &Schema, record_bytes: usize) -> DecodePlan {
+        let mut offset = 0;
+        let columns: Vec<(usize, ColumnType)> = schema
+            .columns()
+            .iter()
+            .map(|col| {
+                let at = offset;
+                offset += col.ty.width();
+                (at, col.ty)
+            })
+            .collect();
+        let all_float4 =
+            offset == record_bytes && columns.iter().all(|&(_, ty)| ty == ColumnType::Float4);
+        DecodePlan {
+            columns,
+            record_bytes,
+            all_float4,
+        }
+    }
+
+    /// Decodes back-to-back records into row-major `out` (one value per
+    /// column per record). The type dispatch runs once per column, not
+    /// once per cell.
+    fn decode(&self, records: &[u8], out: &mut [f32]) {
+        if self.all_float4 {
+            for (v, cell) in out.iter_mut().zip(records.chunks_exact(4)) {
+                *v = f32::from_le_bytes([cell[0], cell[1], cell[2], cell[3]]);
+            }
+            return;
+        }
+        for (c, &(at, ty)) in self.columns.iter().enumerate() {
+            match ty {
+                ColumnType::Float4 => self.decode_column(records, out, c, at, f32::from_le_bytes),
+                ColumnType::Float8 => {
+                    self.decode_column(records, out, c, at, |b| f64::from_le_bytes(b) as f32)
+                }
+                ColumnType::Int4 => {
+                    self.decode_column(records, out, c, at, |b| i32::from_le_bytes(b) as f32)
+                }
+                ColumnType::Int8 => {
+                    self.decode_column(records, out, c, at, |b| i64::from_le_bytes(b) as f32)
+                }
+            }
+        }
+    }
+
+    /// Column `c` of every record: the `W` bytes at `at`, through `convert`.
+    fn decode_column<const W: usize>(
+        &self,
+        records: &[u8],
+        out: &mut [f32],
+        c: usize,
+        at: usize,
+        convert: impl Fn([u8; W]) -> f32,
+    ) {
+        let rows = out.chunks_exact_mut(self.columns.len());
+        for (row, record) in rows.zip(records.chunks_exact(self.record_bytes)) {
+            let mut cell = [0u8; W];
+            cell.copy_from_slice(&record[at..at + W]);
+            row[c] = convert(cell);
+        }
     }
 }
 
@@ -102,6 +177,7 @@ pub struct AccessEngine {
     machine: StriderMachine,
     schema: Schema,
     layout: PageLayoutDesc,
+    plan: DecodePlan,
 }
 
 impl AccessEngine {
@@ -116,6 +192,7 @@ impl AccessEngine {
         AccessEngine {
             config,
             machine: StriderMachine::new(program, regs),
+            plan: DecodePlan::new(&schema, layout.tuple_data_bytes()),
             schema,
             layout,
         }
@@ -131,21 +208,18 @@ impl AccessEngine {
 
     /// Extracts every tuple from one raw page image into `batch` (appended
     /// in slot order), returning the Strider cycles spent (extraction +
-    /// float conversion). This is the hot path: page bytes become flat
-    /// engine-native f32 rows with no per-tuple allocation, mirroring how
-    /// the hardware streams converted values straight to the execution
-    /// engine's input buffers (§6.2).
+    /// float conversion). This is the hot path: the page's records are
+    /// checked once and decoded in one bulk append, with no per-tuple
+    /// allocation and no per-cell dispatch.
     ///
     /// Pages with no live tuples are skipped host-side — the DMA engine
     /// never ships them (heap builders also never produce them).
     pub fn extract_page_into(&self, page: &[u8], batch: &mut TupleBatch) -> StriderResult<u64> {
         let run = self.machine.run(page)?;
-        let mut conversion = 0u64;
-        for rec in run.records() {
-            self.convert_record_into(rec, batch)?;
-            conversion += self.schema.len() as u64;
-        }
-        Ok(run.cycles + conversion)
+        let (n, records, malformed) = self.checked_records(&run);
+        self.plan.decode(records, batch.append_rows(n));
+        malformed?;
+        Ok(run.cycles + self.conversion_cycles(n))
     }
 
     /// Filtered/projected variant of [`AccessEngine::extract_page_into`]:
@@ -167,36 +241,25 @@ impl AccessEngine {
         mut keep: impl FnMut(&[f32]) -> bool,
     ) -> StriderResult<u64> {
         let run = self.machine.run(page)?;
-        let mut conversion = 0u64;
-        let mut row = vec![0f32; self.schema.len()];
-        for rec in run.records() {
-            self.check_record_len(rec)?;
-            let mut off = 0usize;
-            for (c, col) in self.schema.columns().iter().enumerate() {
-                let w = col.ty.width();
-                row[c] = convert_cell(col.ty, &rec[off..off + w]);
-                off += w;
-            }
-            conversion += self.schema.len() as u64;
-            if !keep(&row) {
+        let (n, full, malformed) = self.decoded_rows(&run);
+        let width = self.schema.len();
+        for row in (0..n).map(|i| &full[i * width..(i + 1) * width]) {
+            if !keep(row) {
                 continue;
             }
-            let mut out = batch.start_row();
             match projection {
                 Some(cols) => {
+                    let mut out = batch.start_row();
                     for &c in cols {
                         out.push(row[c]);
                     }
+                    out.finish();
                 }
-                None => {
-                    for &v in &row {
-                        out.push(v);
-                    }
-                }
+                None => batch.push_row(row),
             }
-            out.finish();
         }
-        Ok(run.cycles + conversion)
+        malformed?;
+        Ok(run.cycles + self.conversion_cycles(n))
     }
 
     /// Reference per-tuple extraction path, retained for differential
@@ -205,52 +268,48 @@ impl AccessEngine {
     /// deploy/execute hot path.
     pub fn extract_page_rows(&self, page: &[u8]) -> StriderResult<(Vec<ExtractedTuple>, u64)> {
         let run = self.machine.run(page)?;
-        let mut tuples = Vec::with_capacity(run.len());
-        let mut conversion = 0u64;
-        for rec in run.records() {
-            let t = self.convert_record(rec)?;
-            conversion += t.values.len() as u64;
-            tuples.push(t);
-        }
-        Ok((tuples, run.cycles + conversion))
+        let (n, full, malformed) = self.decoded_rows(&run);
+        malformed?;
+        let width = self.schema.len();
+        let tuples = (0..n)
+            .map(|i| ExtractedTuple {
+                values: full[i * width..(i + 1) * width].to_vec(),
+            })
+            .collect();
+        Ok((tuples, run.cycles + self.conversion_cycles(n)))
     }
 
-    fn check_record_len(&self, rec: &[u8]) -> StriderResult<()> {
-        let expected = self.layout.tuple_data_bytes();
-        if rec.len() != expected {
-            return Err(StriderError::BadTupleBytes(format!(
+    /// The once-per-page check of a run's output FIFO: the leading records
+    /// of exactly the layout's user-data width (count and bytes), and the
+    /// error for the first record that is not — none for a well-formed
+    /// page, where the FIFO is `n × tuple_data_bytes`.
+    fn checked_records<'r>(&self, run: &'r StriderRun) -> (usize, &'r [u8], StriderResult<()>) {
+        let expected = self.plan.record_bytes;
+        let (n, records) = run.fixed_width_prefix(expected);
+        let malformed = if n < run.len() {
+            Err(StriderError::BadTupleBytes(format!(
                 "record is {} bytes, schema expects {expected}",
-                rec.len()
-            )));
-        }
-        Ok(())
+                run.record(n).len()
+            )))
+        } else {
+            Ok(())
+        };
+        (n, records, malformed)
     }
 
-    /// Converts one cleansed record (user-data bytes) into a flat batch row.
-    fn convert_record_into(&self, rec: &[u8], batch: &mut TupleBatch) -> StriderResult<()> {
-        self.check_record_len(rec)?;
-        let mut row = batch.start_row();
-        let mut off = 0usize;
-        for col in self.schema.columns() {
-            let w = col.ty.width();
-            row.push(convert_cell(col.ty, &rec[off..off + w]));
-            off += w;
-        }
-        row.finish();
-        Ok(())
+    /// [`AccessEngine::checked_records`], decoded full-width into one
+    /// row-major buffer of the page's own (allocated per page, never per
+    /// record).
+    fn decoded_rows(&self, run: &StriderRun) -> (usize, Vec<f32>, StriderResult<()>) {
+        let (n, records, malformed) = self.checked_records(run);
+        let mut full = vec![0f32; n * self.schema.len()];
+        self.plan.decode(records, &mut full);
+        (n, full, malformed)
     }
 
-    /// Converts one cleansed record (user-data bytes) into f32 columns.
-    fn convert_record(&self, rec: &[u8]) -> StriderResult<ExtractedTuple> {
-        self.check_record_len(rec)?;
-        let mut values = Vec::with_capacity(self.schema.len());
-        let mut off = 0usize;
-        for col in self.schema.columns() {
-            let w = col.ty.width();
-            values.push(convert_cell(col.ty, &rec[off..off + w]));
-            off += w;
-        }
-        Ok(ExtractedTuple { values })
+    /// The float-conversion unit's charge: one cycle per column value.
+    fn conversion_cycles(&self, records: usize) -> u64 {
+        records as u64 * self.schema.len() as u64
     }
 
     /// Extracts an entire heap file into one flat batch, producing tuples
@@ -307,16 +366,33 @@ impl AccessEngine {
 mod tests {
     use super::*;
     use dana_storage::page::TupleDirection;
-    use dana_storage::{HeapFileBuilder, Tuple};
+    use dana_storage::{Datum, HeapFileBuilder, Tuple};
 
-    fn heap_with(n: usize, features: usize) -> HeapFile {
-        let schema = Schema::training(features);
-        let mut b = HeapFileBuilder::new(schema, 8 * 1024, TupleDirection::Ascending).unwrap();
-        for k in 0..n {
-            let feats: Vec<f32> = (0..features).map(|i| (k + i) as f32 * 0.5).collect();
-            b.insert(&Tuple::training(&feats, -(k as f32))).unwrap();
+    fn heap_of(
+        schema: Schema,
+        direction: TupleDirection,
+        tuples: impl Iterator<Item = Tuple>,
+    ) -> HeapFile {
+        let mut b = HeapFileBuilder::new(schema, 8 * 1024, direction).unwrap();
+        for t in tuples {
+            b.insert(&t).unwrap();
         }
         b.finish()
+    }
+
+    fn training_tuples(n: usize, features: usize) -> impl Iterator<Item = Tuple> {
+        (0..n).map(move |k| {
+            let feats: Vec<f32> = (0..features).map(|i| (k + i) as f32 * 0.5).collect();
+            Tuple::training(&feats, -(k as f32))
+        })
+    }
+
+    fn heap_with(n: usize, features: usize) -> HeapFile {
+        heap_of(
+            Schema::training(features),
+            TupleDirection::Ascending,
+            training_tuples(n, features),
+        )
     }
 
     fn engine_for(heap: &HeapFile, striders: u32) -> AccessEngine {
@@ -341,33 +417,132 @@ mod tests {
         }
     }
 
+    /// Heaps whose schemas take every route through the decode plan: the
+    /// all-`Float4` fast path, `Schema::rating()`, and all four types mixed.
+    fn heaps_of_every_shape(direction: TupleDirection) -> Vec<HeapFile> {
+        let mixed = Schema::new(
+            [
+                ColumnType::Float8,
+                ColumnType::Int8,
+                ColumnType::Int4,
+                ColumnType::Float4,
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ty)| (format!("c{i}"), ty))
+            .collect(),
+        );
+        vec![
+            heap_of(Schema::training(7), direction, training_tuples(200, 7)),
+            heap_of(
+                Schema::rating(),
+                direction,
+                (0..1500).map(|k| Tuple::rating(k % 37, -(k % 11), k as f32 * 0.25 - 3.0)),
+            ),
+            heap_of(
+                mixed,
+                direction,
+                (0..700i64).map(|k| {
+                    Tuple::new(vec![
+                        Datum::Float8(k as f64 * 1e-3 + 0.1),
+                        Datum::Int8(k * 1_000_003 - 5),
+                        Datum::Int4(7 - k as i32),
+                        Datum::Float4(k as f32 * -0.75),
+                    ])
+                }),
+            ),
+        ]
+    }
+
     #[test]
     fn batch_path_matches_reference_rows_path() {
-        let heap = heap_with(200, 7);
-        let engine = engine_for(&heap, 2);
-        let (batch, _) = engine.extract_heap(&heap).unwrap();
-        let mut row_idx = 0usize;
-        let mut ref_cycles = 0u64;
-        for p in 0..heap.page_count() {
-            let (rows, cycles) = engine
-                .extract_page_rows(heap.page_bytes(p).unwrap())
-                .unwrap();
-            ref_cycles += cycles;
-            for t in rows {
-                assert_eq!(batch.row(row_idx), &t.values[..]);
-                row_idx += 1;
+        for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
+            for heap in heaps_of_every_shape(direction) {
+                let engine = engine_for(&heap, 2);
+                let label = format!("{:?}, {direction:?}", heap.schema().columns()[0].ty);
+                assert!(heap.page_count() > 1, "{label}: want a partial last page");
+                // Values and cycles equal the rows reference page for page
+                // (and, independently of the decode plan, the CPU deform).
+                let mut cpu = heap.scan();
+                for p in 0..heap.page_count() {
+                    let page = heap.page_bytes(p).unwrap();
+                    let (rows, ref_cycles) = engine.extract_page_rows(page).unwrap();
+                    let mut batch = TupleBatch::new(heap.schema().len());
+                    let cycles = engine.extract_page_into(page, &mut batch).unwrap();
+                    assert_eq!(cycles, ref_cycles, "{label}: page {p} cycles");
+                    assert_eq!(batch.len(), rows.len(), "{label}: page {p}");
+                    for (got, want) in batch.rows().zip(&rows) {
+                        assert_eq!(got, &want.values[..], "{label}: page {p}");
+                        let cpu: Vec<f32> = cpu
+                            .next()
+                            .unwrap()
+                            .values
+                            .iter()
+                            .map(Datum::as_f32)
+                            .collect();
+                        assert_eq!(got, &cpu[..], "{label}: page {p} vs CPU deform");
+                    }
+                }
+                assert!(cpu.next().is_none());
             }
         }
-        assert_eq!(row_idx, batch.len());
-        // Same cycle accounting either way.
-        let mut scratch = TupleBatch::new(batch.width());
-        let mut batch_cycles = 0u64;
-        for p in 0..heap.page_count() {
-            batch_cycles += engine
-                .extract_page_into(heap.page_bytes(p).unwrap(), &mut scratch)
-                .unwrap();
+    }
+
+    #[test]
+    fn unfiltered_filtered_extraction_equals_plain_extraction() {
+        for heap in heaps_of_every_shape(TupleDirection::Ascending) {
+            let engine = engine_for(&heap, 2);
+            for p in 0..heap.page_count() {
+                let page = heap.page_bytes(p).unwrap();
+                let mut plain = TupleBatch::new(heap.schema().len());
+                let plain_cycles = engine.extract_page_into(page, &mut plain).unwrap();
+                let mut filtered = TupleBatch::new(heap.schema().len());
+                let cycles = engine
+                    .extract_page_filtered_into(page, &mut filtered, None, |_| true)
+                    .unwrap();
+                assert_eq!(filtered, plain);
+                assert_eq!(cycles, plain_cycles);
+            }
         }
-        assert_eq!(batch_cycles, ref_cycles);
+    }
+
+    /// A program emitting one short record: every path reports that record
+    /// and the batch keeps exactly the whole rows before it.
+    #[test]
+    fn short_record_is_a_typed_error_and_leaves_no_partial_row() {
+        let heap = heap_with(3, 1);
+        let program = crate::asm::assemble(
+            "readB 0, 8, %t0\nwriteB 0, 0, 0\n\
+             readB 8, 8, %t0\nwriteB 0, 0, 0\n\
+             readB 16, 4, %t0\nwriteB 0, 0, 0\n\
+             readB 16, 8, %t0\nwriteB 0, 0, 0\n",
+        )
+        .unwrap();
+        let engine = AccessEngine {
+            machine: StriderMachine::new(program, [0; 16]),
+            ..engine_for(&heap, 1)
+        };
+        let page: Vec<u8> = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let expected =
+            StriderError::BadTupleBytes("record is 4 bytes, schema expects 8".to_string());
+
+        let mut batch = TupleBatch::from_rows(2, [[9.0, 9.0]]);
+        let err = engine.extract_page_into(&page, &mut batch).unwrap_err();
+        assert_eq!(err, expected);
+        assert_eq!(batch.as_slice(), &[9.0, 9.0, 1.0, 2.0, 3.0, 4.0]);
+
+        let mut batch = TupleBatch::new(2);
+        let err = engine
+            .extract_page_filtered_into(&page, &mut batch, None, |row| row[0] > 2.0)
+            .unwrap_err();
+        assert_eq!(err, expected);
+        assert_eq!(batch.as_slice(), &[3.0, 4.0]);
+
+        let err = engine.extract_page_rows(&page).unwrap_err();
+        assert_eq!(err, expected);
     }
 
     #[test]

@@ -54,6 +54,20 @@ impl StriderRun {
     pub fn records(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
         (0..self.ends.len()).map(move |i| self.record(i))
     }
+
+    /// The leading records that are each exactly `width` bytes long: how
+    /// many there are, and their bytes back to back — the part of the FIFO
+    /// a fixed-width consumer can take in bulk. All of them, for a
+    /// generated extraction program over a well-formed page.
+    pub fn fixed_width_prefix(&self, width: usize) -> (usize, &[u8]) {
+        let n = self
+            .ends
+            .iter()
+            .zip(1..)
+            .take_while(|&(&end, k)| end as usize == k * width)
+            .count();
+        (n, &self.data[..n * width])
+    }
 }
 
 /// The interpreter. Reusable across pages; [`StriderMachine::run`] resets
@@ -124,29 +138,29 @@ impl StriderMachine {
                 Opcode::ReadB => {
                     let addr = val(&regs, i.a) as usize;
                     let count = val(&regs, i.b) as usize;
-                    if addr + count > page.len() {
+                    let Some(end) = range_end(addr, count, page.len()) else {
                         return Err(StriderError::PageBounds {
                             addr,
                             len: count,
                             page: page.len(),
                         });
-                    }
+                    };
                     staging.clear();
-                    staging.extend_from_slice(&page[addr..addr + count]);
+                    staging.extend_from_slice(&page[addr..end]);
                     set(&mut regs, i.c, le_int(&staging));
                     cycles += extra_move_cycles(count);
                 }
                 Opcode::ExtrB => {
                     let offset = val(&regs, i.a) as usize;
                     let count = val(&regs, i.b) as usize;
-                    if offset + count > staging.len() {
+                    let Some(end) = range_end(offset, count, staging.len()) else {
                         return Err(StriderError::StagingBounds {
                             offset,
                             len: count,
                             staged: staging.len(),
                         });
-                    }
-                    staging.copy_within(offset..offset + count, 0);
+                    };
+                    staging.copy_within(offset..end, 0);
                     staging.truncate(count);
                     set(&mut regs, i.c, le_int(&staging));
                 }
@@ -157,22 +171,21 @@ impl StriderMachine {
                         ends.push(data.len() as u32);
                     } else {
                         let addr = val(&regs, i.b) as usize;
-                        if addr + staging.len() > page.len() {
+                        let Some(end) = range_end(addr, staging.len(), page.len()) else {
                             return Err(StriderError::PageBounds {
                                 addr,
                                 len: staging.len(),
                                 page: page.len(),
                             });
-                        }
-                        page.to_mut()[addr..addr + staging.len()].copy_from_slice(&staging);
+                        };
+                        page.to_mut()[addr..end].copy_from_slice(&staging);
                     }
                     cycles += extra_move_cycles(staging.len());
                 }
                 Opcode::ExtrBi => {
                     let bitoff = val(&regs, i.a) as usize;
                     let bitcount = (val(&regs, i.b) as usize).min(64);
-                    let total_bits = staging.len() * 8;
-                    if bitoff + bitcount > total_bits {
+                    if range_end(bitoff, bitcount, staging.len() * 8).is_none() {
                         return Err(StriderError::StagingBounds {
                             offset: bitoff / 8,
                             len: bitcount.div_ceil(8),
@@ -192,14 +205,14 @@ impl StriderMachine {
                 Opcode::Cln => {
                     let offset = val(&regs, i.a) as usize;
                     let count = val(&regs, i.b) as usize;
-                    if offset + count > staging.len() {
+                    let Some(end) = range_end(offset, count, staging.len()) else {
                         return Err(StriderError::StagingBounds {
                             offset,
                             len: count,
                             staged: staging.len(),
                         });
-                    }
-                    staging.drain(offset..offset + count);
+                    };
+                    staging.drain(offset..end);
                 }
                 Opcode::Ins => {
                     let src = val(&regs, i.a);
@@ -256,6 +269,13 @@ impl StriderMachine {
             executed,
         })
     }
+}
+
+/// `start + count` when `[start, start + count)` lies within `limit` —
+/// `None` also when the sum overflows, so a register near `u64::MAX` is a
+/// bounds error like any other, never a wrapped sum that passes the guard.
+fn range_end(start: usize, count: usize, limit: usize) -> Option<usize> {
+    start.checked_add(count).filter(|&end| end <= limit)
 }
 
 /// Little-endian integer of the first ≤8 bytes.
@@ -386,6 +406,64 @@ bexit 2, %t3, 0
         let page = vec![0u8; 8];
         let err = run_src("readB 4, 8, %t0\n", &page, [0; 16]).unwrap_err();
         assert!(matches!(err, StriderError::PageBounds { .. }));
+    }
+
+    /// Operands are user input (`assemble`, `strider_playground`): a
+    /// register near `u64::MAX` must be a typed bounds error on every
+    /// opcode that adds it to a length, in debug and release alike.
+    #[test]
+    fn hostile_operands_are_typed_errors() {
+        let page = vec![0u8; 64];
+        let mut config = [0u64; 16];
+        config[0] = u64::MAX - 3;
+        config[1] = 8;
+        let huge = (u64::MAX - 3) as usize;
+        let err = run_src("readB %cr0, %cr1, %t1\n", &page, config).unwrap_err();
+        assert_eq!(
+            err,
+            StriderError::PageBounds {
+                addr: huge,
+                len: 8,
+                page: 64
+            }
+        );
+        let err = run_src("readB 0, 8, %t0\nwriteB 1, %cr0, 0\n", &page, config).unwrap_err();
+        assert_eq!(
+            err,
+            StriderError::PageBounds {
+                addr: huge,
+                len: 8,
+                page: 64
+            }
+        );
+        for op in ["extrB", "cln"] {
+            let src = format!("readB 0, 16, %t0\n{op} %cr0, %cr1, %t1\n");
+            assert_eq!(
+                run_src(&src, &page, config).unwrap_err(),
+                StriderError::StagingBounds {
+                    offset: huge,
+                    len: 8,
+                    staged: 16
+                },
+                "{op}"
+            );
+        }
+        let err = run_src("readB 0, 16, %t0\nextrBi %cr0, %cr1, %t1\n", &page, config);
+        assert_eq!(
+            err.unwrap_err(),
+            StriderError::StagingBounds {
+                offset: huge / 8,
+                len: 1,
+                staged: 16
+            }
+        );
+        // Built at run time rather than configured: 0 - 1 saturates, so
+        // multiply up to it instead.
+        let src = "ad 0, 1, %t0\nmul %t0, %cr0, %t0\nreadB %t0, 8, %t1\n";
+        assert!(matches!(
+            run_src(src, &page, config).unwrap_err(),
+            StriderError::PageBounds { .. }
+        ));
     }
 
     #[test]

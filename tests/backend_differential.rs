@@ -157,9 +157,10 @@ fn dense_zoo_models_bit_identical_across_lanes() {
     }
 }
 
-/// Engine-level LRMF: the gather/scatter path forces the sequential
-/// (thread-at-a-time) executor — still bit-identical across backends
-/// for every feasible lane count.
+/// Engine-level LRMF: the per-tuple region gathers model rows but never
+/// scatters (write-back is a `Row` model write after the region), so it
+/// runs the lockstep executor's per-lane gather arm — bit-identical across
+/// backends for every feasible lane count.
 #[test]
 fn lrmf_bit_identical_across_lanes() {
     let (rows, cols, rank) = (20usize, 14usize, 6usize);
@@ -190,8 +191,8 @@ fn lrmf_bit_identical_across_lanes() {
         };
         let engine = Arc::new(ExecutionEngine::new(design).unwrap());
         assert!(
-            !engine.lowered().is_lockstep(),
-            "LRMF must run the sequential tier"
+            engine.lowered().is_lockstep(),
+            "a gather-only region must run lockstep"
         );
         assert_backends_identical(&engine, &tuples, &format!("lrmf × {lanes} lanes"));
         feasible += 1;

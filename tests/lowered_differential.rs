@@ -6,8 +6,9 @@
 //! (`run_training_rows`, which shares no code with the lowering pass) in
 //! both trained models and cycle stats. These properties fuzz that contract
 //! over randomized small DSL programs (linear/logistic/SVM and LRMF's
-//! gather/scatter programs), lockstep thread counts 1/4/16, random tuple
-//! streams, and every execution mode of the full `Dana` pipeline.
+//! row-gathering programs), lockstep thread counts 1/4/16/64 (64 is the
+//! width every benchmark design runs at), random tuple streams cut into
+//! uneven batches, and every execution mode of the full `Dana` pipeline.
 
 use proptest::prelude::*;
 
@@ -17,6 +18,7 @@ use dana_compiler::{schedule_hdfg, ScheduleParams};
 use dana_dsl::zoo::{linear_regression, logistic_regression, svm, DenseParams};
 use dana_engine::{ExecutionEngine, ModelStore};
 use dana_hdfg::translate;
+use dana_parallel::ReplaySource;
 use dana_storage::{BufferPoolConfig, TupleBatch};
 use dana_workloads::{generate, workload};
 
@@ -40,11 +42,33 @@ fn synth_tuples(n: usize, width: usize, seed: u64) -> Vec<Vec<f32>> {
 /// Runs the lowered executor and the rows reference on the same design +
 /// tuples and asserts models and stats are bit-identical.
 fn assert_lowered_matches_rows(engine: &ExecutionEngine, tuples: &[Vec<f32>], label: &str) {
+    assert_streamed_matches_rows(engine, tuples, &[tuples.len()], label);
+}
+
+/// [`assert_lowered_matches_rows`] with the tuples delivered as several
+/// batches, their sizes cycling through `cuts`.
+fn assert_streamed_matches_rows(
+    engine: &ExecutionEngine,
+    tuples: &[Vec<f32>],
+    cuts: &[usize],
+    label: &str,
+) {
     let design = engine.design();
-    let batch = TupleBatch::from_rows(tuples[0].len(), tuples);
+    let width = tuples[0].len();
+    let mut batches = Vec::new();
+    let mut rest = tuples;
+    for &cut in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(cut.min(rest.len()));
+        batches.push(TupleBatch::from_rows(width, head));
+        rest = tail;
+    }
+    let mut source = ReplaySource::new(width, batches);
 
     let mut lowered = ModelStore::new(design, initial_models(design)).unwrap();
-    let lowered_stats = engine.run_training_batch(&batch, &mut lowered).unwrap();
+    let lowered_stats = engine.run_training(&mut source, &mut lowered).unwrap();
 
     let mut rows = ModelStore::new(design, initial_models(design)).unwrap();
     let rows_stats = engine.run_training_rows(tuples, &mut rows).unwrap();
@@ -55,14 +79,14 @@ fn assert_lowered_matches_rows(engine: &ExecutionEngine, tuples: &[Vec<f32>], la
 
 proptest! {
     /// Random dense programs (linear / logistic / SVM), random shapes and
-    /// hyper-parameters, lockstep thread counts 1/4/16: the lowered SoA
+    /// hyper-parameters, lockstep thread counts 1/4/16/64: the lowered SoA
     /// executor is bit-identical to the rows reference.
     #[test]
     fn lowered_is_bit_identical_on_random_dense_programs(
         algo in prop::sample::select(vec![0usize, 1, 2]),
         features in 2usize..24,
         n in 1usize..120,
-        threads in prop::sample::select(vec![1u16, 4, 16]),
+        threads in prop::sample::select(vec![1u16, 4, 16, 64]),
         learning_rate in 0.01f64..0.5,
         merge_coef in prop::sample::select(vec![1u32, 4, 8, 16]),
         epochs in 1u32..4,
@@ -96,16 +120,17 @@ proptest! {
         );
     }
 
-    /// Random LRMF programs: the per-tuple region gathers and scatters
-    /// model rows, driving the lowered executor's sequential
-    /// (thread-at-a-time) mode. Still bit-identical to the reference.
+    /// Random LRMF programs: the per-tuple region gathers model rows (and
+    /// writes them back with `Row` model writes after it — it never
+    /// scatters), driving the lockstep executor's per-lane gather arm at
+    /// thread counts 1/2/4/64. Still bit-identical to the reference.
     #[test]
     fn lowered_is_bit_identical_on_random_lrmf_programs(
         rows in 6usize..30,
         cols in 5usize..24,
         rank in 2usize..6,
         n in 1usize..150,
-        merge_coef in prop::sample::select(vec![1u32, 2, 4]),
+        merge_coef in prop::sample::select(vec![1u32, 2, 4, 64]),
         epochs in 1u32..3,
         seed in 0u64..1_000_000,
     ) {
@@ -118,22 +143,71 @@ proptest! {
         let table = generate(&w, 32 * 1024, seed).unwrap();
         let batch = table.heap.scan_batch().unwrap();
         let tuples: Vec<Vec<f32>> = batch.rows().map(|r| r.to_vec()).collect();
-        let acc = dana_compiler::compile(&dana_compiler::CompileInput {
-            hdfg: &translate(&w.spec()),
-            fpga: FpgaSpec::vu9p(),
-            layout: *table.heap.layout(),
-            schema_columns: table.heap.schema().len(),
-            expected_tuples: table.heap.tuple_count(),
-        })
+        // The merge coefficient is the thread count asked for (the DSE
+        // would settle on fewer).
+        let acc = dana_compiler::compile_with_threads(
+            &dana_compiler::CompileInput {
+                hdfg: &translate(&w.spec()),
+                fpga: FpgaSpec::vu9p(),
+                layout: *table.heap.layout(),
+                schema_columns: table.heap.schema().len(),
+                expected_tuples: table.heap.tuple_count(),
+            },
+            merge_coef,
+        )
         .unwrap();
         assert!(
-            !acc.engine.lowered().is_lockstep(),
-            "LRMF gather/scatter must force the sequential tier"
+            acc.engine.lowered().is_lockstep(),
+            "a gather-only per-tuple region must run lockstep"
         );
         assert_lowered_matches_rows(
             &acc.engine,
             &tuples,
             &format!("lrmf {rows}×{cols} rank {rank}, {n}t"),
+        );
+    }
+
+    /// Batch boundaries carry no meaning: the same tuples delivered as
+    /// several uneven batches — groups straddling batch boundaries, a
+    /// partial last group, merge slot counts below and off the merge's
+    /// interleave width of 8 — train bit-identically, models and stats.
+    #[test]
+    fn lowered_is_bit_identical_across_uneven_batches(
+        algo in prop::sample::select(vec![0usize, 1, 2]),
+        features in 2usize..24,
+        threads in prop::sample::select(vec![4u16, 16, 64]),
+        full_groups in 0usize..4,
+        partial in 0usize..63,
+        cuts in prop::collection::vec(1usize..90, 1..6),
+        epochs in 1u32..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let p = DenseParams { n_features: features, learning_rate: 0.1, merge_coef: 64, epochs };
+        let spec = match algo {
+            0 => linear_regression(p),
+            1 => logistic_regression(p),
+            _ => svm(p),
+        }
+        .unwrap();
+        let scheduled = schedule_hdfg(
+            &translate(&spec),
+            ScheduleParams {
+                num_threads: threads,
+                acs_per_thread: 2,
+                slots_per_au: 4096,
+                bus_lanes: 2,
+            },
+        );
+        prop_assume!(scheduled.is_ok());
+        let engine = ExecutionEngine::new(scheduled.unwrap()).unwrap();
+        let threads = threads as usize;
+        let n = full_groups * threads + 1 + partial % (threads - 1);
+        let tuples = synth_tuples(n, features + 1, seed);
+        assert_streamed_matches_rows(
+            &engine,
+            &tuples,
+            &cuts,
+            &format!("algo {algo}, {features}f × {n}t in {cuts:?}, {threads} threads"),
         );
     }
 
