@@ -21,7 +21,9 @@
 //! streams (`SystemCore::open_scan`), so a serial statement is a gang of
 //! one — the same fold, the same `Scan::finish`, the same report
 //! assembler — and only training's epoch loop (two fault policies) is
-//! chosen by the member count.
+//! chosen by the member count. A pushdown scan's `finish` also hands back
+//! the slots its predicate kept, which is what a filtered PREDICT … INTO
+//! materializes from: the predicate runs in the scan and nowhere else.
 //!
 //! * the **catalog** — "shared by the database engine and the FPGA" (§3)
 //!   — is one private struct behind one `RwLock`: the storage
@@ -42,7 +44,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use dana_compiler::{
@@ -61,9 +63,9 @@ use dana_parallel::{
     evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
     train_gang_guarded, GangGuard, ReplaySource, ShardPlan,
 };
-use dana_scan::{ScanSidecar, ScanSpec};
+use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{
-    BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, HeapPage, PageId,
+    BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, PageId, PageView,
     SharedBufferPool, SourceError, StorageError, TableEntry, Tuple, TupleBatch, TupleSource,
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
@@ -137,18 +139,17 @@ impl QueryCtx {
     /// Gang shards that faulted while this query ran (ascending, deduped
     /// by the gang executor).
     pub fn faulted_shards(&self) -> Vec<usize> {
-        match self.faulted.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        self.faulted
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn record_faulted(&self, shards: &[usize]) {
-        let mut g = match self.faulted.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        g.extend_from_slice(shards);
+        self.faulted
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(shards);
     }
 }
 
@@ -326,6 +327,16 @@ struct Scan<'a> {
     members: Vec<Member<'a>>,
     /// The pushdown state every member was opened under, if any.
     state: Option<ScanState>,
+    /// The slots a filtered gang's one scan kept (it runs at open); a lone
+    /// streaming member hands its list over at [`Scan::finish`].
+    kept: Vec<Vec<u16>>,
+}
+
+/// What a pushdown scan selected: per source page the slots its predicate
+/// kept, and the spec it ran under.
+struct Survivors {
+    slots: Vec<Vec<u16>>,
+    spec: Arc<BoundScanSpec>,
 }
 
 impl Scan<'_> {
@@ -335,20 +346,26 @@ impl Scan<'_> {
     /// charges a pushdown scan to the `SHOW STATS ('scan')` counters —
     /// once per statement, whatever the member count, because the
     /// members' tuple, skipped-page and decompressed-byte counts sum to
-    /// the one logical scan's.
+    /// the one logical scan's. A pushdown scan also hands back what it
+    /// selected.
     fn finish(
         self,
         metrics: &MetricsRegistry,
         heap: &HeapFile,
         engine_stats: &[EngineStats],
-    ) -> Vec<ShardArtifacts> {
+    ) -> (Vec<ShardArtifacts>, Option<Survivors>) {
+        let mut slots = self.kept;
         let shards: Vec<ShardArtifacts> = self
             .members
             .into_iter()
             .enumerate()
             .map(|(i, member)| {
                 let (access_stats, io_first) = match member {
-                    Member::Pages(s) => s.into_stats(),
+                    Member::Pages(s) => {
+                        let mut scan = s.into_stats();
+                        slots.append(&mut scan.kept);
+                        (scan.stats, scan.io_seconds)
+                    }
                     Member::Replay(_, scan) => scan,
                 };
                 ShardArtifacts {
@@ -358,7 +375,7 @@ impl Scan<'_> {
                 }
             })
             .collect();
-        if let Some(state) = &self.state {
+        let survivors = self.state.map(|state| {
             let mut total = AccessStats::default();
             for s in &shards {
                 total.tuples += s.access_stats.tuples;
@@ -366,8 +383,12 @@ impl Scan<'_> {
                 total.decompressed_bytes += s.access_stats.decompressed_bytes;
             }
             exec::record_scan_metrics(metrics, &total, &state.sidecar, heap.tuple_count());
-        }
-        shards
+            Survivors {
+                slots,
+                spec: state.spec,
+            }
+        });
+        (shards, survivors)
     }
 }
 
@@ -395,18 +416,13 @@ impl SystemCore {
         }
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock`.
     fn read(&self) -> RwLockReadGuard<'_, CoreCatalog> {
-        match self.catalog.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.catalog.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn write(&self) -> RwLockWriteGuard<'_, CoreCatalog> {
-        match self.catalog.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.catalog.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn pool_stats(&self) -> BufferPoolStats {
@@ -443,18 +459,18 @@ impl SystemCore {
     /// Installs (or clears, with `None`) the deterministic
     /// fault-injection plan every guarded training path consults.
     pub fn install_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        match self.fault_plan.write() {
-            Ok(mut g) => *g = plan,
-            Err(poisoned) => *poisoned.into_inner() = plan,
-        }
+        *self
+            .fault_plan
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = plan;
     }
 
     /// The currently installed fault plan, if any.
     fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        match self.fault_plan.read() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        self.fault_plan
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Folds one guarded run's fault events into the registry and the
@@ -720,19 +736,13 @@ impl SystemCore {
 
     /// The advisor's current cost profile (a copy).
     pub fn hardware_profile(&self) -> HardwareProfile {
-        match self.profile.read() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
+        *self.profile.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs a new advisor profile (e.g. a calibrated one, or one with
     /// the always-offload default cleared to enable break-even routing).
     pub fn set_hardware_profile(&self, profile: HardwareProfile) {
-        match self.profile.write() {
-            Ok(mut g) => *g = profile,
-            Err(poisoned) => *poisoned.into_inner() = profile,
-        }
+        *self.profile.write().unwrap_or_else(PoisonError::into_inner) = profile;
     }
 
     /// Calibrates the advisor's CPU lane rate with the one-time
@@ -1098,7 +1108,7 @@ impl SystemCore {
             }
         };
         let wall = start.elapsed().as_secs_f64();
-        let shards = scan.finish(&self.metrics, &heap, &engine_stats);
+        let (shards, _) = scan.finish(&self.metrics, &heap, &engine_stats);
         let report = match plan.backend {
             // The native CPU tier ran the identical scan and epoch loop
             // (one member: `execute` refuses a CPU gang) — same models and
@@ -1165,6 +1175,7 @@ impl SystemCore {
     ) -> DanaResult<Scan<'a>> {
         let state = self.scan_state(entry.heap_id, heap, plan.scan.as_ref())?;
         let (heap_id, mode) = (entry.heap_id, plan.mode);
+        let mut kept = Vec::new();
         let members = match &state {
             None => ShardPlan::new(heap, plan.shards as usize)
                 .ranges()
@@ -1205,21 +1216,29 @@ impl SystemCore {
                 if plan.shards <= 1 {
                     vec![Member::Pages(whole)]
                 } else {
-                    let (batches, stats, io_first) = whole
+                    let (batches, scan) = whole
                         .into_cache()
                         .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
+                    kept = scan.kept;
                     let capacity = exec::packed_page_capacity(heap, &st.spec)?;
-                    let splits = packed_tuple_splits(stats.tuples, capacity, plan.shards as usize);
+                    let splits =
+                        packed_tuple_splits(scan.stats.tuples, capacity, plan.shards as usize);
                     let width = st.spec.output_width(heap.schema().len());
+                    let shares =
+                        exec::split_filtered_scan_stats(&scan.stats, scan.io_seconds, &splits);
                     split_replay_sources(width, &batches, &splits)
                         .into_iter()
-                        .zip(exec::split_filtered_scan_stats(&stats, io_first, &splits))
-                        .map(|(source, scan)| Member::Replay(source, scan))
+                        .zip(shares)
+                        .map(|(source, share)| Member::Replay(source, share))
                         .collect()
                 }
             }
         };
-        Ok(Scan { members, state })
+        Ok(Scan {
+            members,
+            state,
+            kept,
+        })
     }
 
     /// What `plan`'s run over `heap` is priced against (see
@@ -1268,7 +1287,7 @@ impl SystemCore {
                 let (page_tuples, _) = access.extract_page_rows(&bytes)?;
                 tuples.extend(page_tuples.into_iter().map(|t| t.values));
             } else {
-                let page = HeapPage::from_bytes(bytes.to_vec(), *heap.layout())?;
+                let page = PageView::new(&bytes, *heap.layout())?;
                 for slot in 0..page.tuple_count() {
                     let t = Tuple::deform(heap.schema(), page.tuple_bytes(slot)?)?;
                     tuples.push(t.values.iter().map(|d| d.as_f32()).collect());
@@ -1304,12 +1323,13 @@ impl SystemCore {
         if self.read().db.table(dest).is_ok() {
             return Err(StorageError::DuplicateName(dest.to_string()).into());
         }
-        let (predictions, stats, timing, shards, state) =
+        let (predictions, stats, timing, shards, survivors) =
             self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
                 Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
             })?;
         let mat_start = Instant::now();
-        let out_heap = exec::materialize_predictions(&heap, state.as_ref(), &predictions)?;
+        let selection = survivors.as_ref().map(|s| (&s.slots[..], &*s.spec));
+        let out_heap = exec::materialize_predictions(&heap, selection, &predictions)?;
         {
             let mut cat = self.write();
             match cat.db.table(&plan.table) {
@@ -1455,8 +1475,8 @@ impl SystemCore {
     /// tier composes the cycle model from the critical member, the CPU
     /// tier reports the stopwatch around the fold
     /// ([`DanaTiming::wall_only`]). Returns the member count actually run
-    /// and the pushdown state the scan was opened under (PREDICT … INTO
-    /// selects the surviving tuples again when it materializes).
+    /// and what a pushdown scan selected (PREDICT … INTO materializes
+    /// exactly those tuples).
     fn scoring_scan<T>(
         &self,
         plan: &PhysicalPlan,
@@ -1465,15 +1485,14 @@ impl SystemCore {
         heap: &HeapFile,
         rec: &SpanRecorder,
         fold: impl FnOnce(&mut [Member<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
-    ) -> DanaResult<(T, ScoringStats, DanaTiming, u16, Option<ScanState>)> {
+    ) -> DanaResult<(T, ScoringStats, DanaTiming, u16, Option<Survivors>)> {
         let budget = setup.cached.budget;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
         let mut scan = self.open_scan(plan, entry, heap, &access)?;
-        let state = scan.state.clone();
         let start = Instant::now();
         let (out, stats) = fold(&mut scan.members)?;
         let wall = start.elapsed().as_secs_f64();
-        let shards = scan.finish(&self.metrics, heap, &[]);
+        let (shards, survivors) = scan.finish(&self.metrics, heap, &[]);
         let (timing, combined) = match plan.backend {
             // `execute` refuses a CPU gang, so this scan had one member.
             BackendKind::Cpu => {
@@ -1485,7 +1504,7 @@ impl SystemCore {
                 exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
             }
         };
-        Ok((out, combined, timing, shards.len() as u16, state))
+        Ok((out, combined, timing, shards.len() as u16, survivors))
     }
 
     // ---- catalog resolution ---------------------------------------------

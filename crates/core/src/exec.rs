@@ -9,6 +9,10 @@
 //! There is one assembler per statement kind, not one per scan shape: the
 //! critical-path and sum reductions are identities over one member, so a
 //! serial statement is the k = 1 case of the same arithmetic.
+//!
+//! Nothing here reads a page or evaluates a predicate:
+//! [`materialize_predictions`] hands the inference tier the slots a
+//! pushdown scan kept.
 
 use std::sync::Arc;
 
@@ -27,7 +31,6 @@ use crate::error::{DanaError, DanaResult};
 use crate::query::Statement;
 use crate::report::{DanaReport, DanaTiming, Seconds};
 use crate::runtime::{compose, stage_partition, EpochCosts, ExecutionMode};
-use crate::source::ScanState;
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
 /// Every traced run pre-registers the front half (`parse` →
@@ -363,30 +366,26 @@ pub fn split_filtered_scan_stats(
         .collect()
 }
 
-/// Materializes a PREDICT's output heap, honoring the pushdown state its
-/// scan was opened with: without one every source tuple is kept (the
-/// classic path); with one, only the tuples the predicates kept and the
-/// columns the projection named survive into the prediction table —
-/// byte-for-byte what scoring a pre-materialized filtered table would
-/// build. Slot selection prunes with the zone maps the sidecar already
-/// holds.
+/// Materializes a PREDICT's output heap. Without a selection every source
+/// tuple is kept (the classic path); with one — the slots its pushdown
+/// scan kept, per source page, and the spec it ran under — only those
+/// tuples and the columns the projection named survive into the prediction
+/// table, byte-for-byte what scoring a pre-materialized filtered table
+/// would build. The scan's survivors *are* the selection.
 pub fn materialize_predictions(
     heap: &HeapFile,
-    scan: Option<&ScanState>,
+    selection: Option<(&[Vec<u16>], &BoundScanSpec)>,
     predictions: &[f32],
 ) -> DanaResult<HeapFile> {
-    match scan {
-        None => Ok(dana_infer::build_prediction_heap(heap, predictions)?),
-        Some(state) => {
-            let slots = state.sidecar.select_slots(heap, &state.spec)?;
-            Ok(dana_infer::build_prediction_heap_selected(
-                heap,
-                &slots,
-                state.spec.projection.as_deref(),
-                predictions,
-            )?)
-        }
-    }
+    Ok(match selection {
+        None => dana_infer::build_prediction_heap(heap, predictions)?,
+        Some((slots, spec)) => dana_infer::build_prediction_heap_selected(
+            heap,
+            slots,
+            spec.projection.as_deref(),
+            predictions,
+        )?,
+    })
 }
 
 /// Composes a finished **native CPU** training run into a [`DanaReport`]:

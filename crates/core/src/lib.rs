@@ -75,7 +75,7 @@ pub use dana_engine::{Backend, BackendKind};
 pub use dana_infer::{MetricKind, ScoringRecipe, ScoringStats};
 pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, TraceSpan};
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
-pub use dana_scan::{CmpOp, Predicate, ScanSpec};
+pub use dana_scan::{select_slots, CmpOp, Predicate, ScanSpec};
 pub use error::{DanaError, DanaResult};
 pub use exec::{CachedAccelerator, ShardArtifacts, TrainedModels};
 pub use pipeline::Dana;
@@ -86,7 +86,7 @@ pub use report::{
     StatementOutcome,
 };
 pub use runtime::ExecutionMode;
-pub use source::{ScanState, SharedPageStreamSource};
+pub use source::{ScanOutcome, ScanState, SharedPageStreamSource};
 
 /// One-stop imports for examples and tests.
 pub mod prelude {

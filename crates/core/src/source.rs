@@ -17,6 +17,11 @@
 //! charges extraction once and [`crate::runtime::compose`] multiplies per
 //! epoch — keeping the simulated timing identical to the hardware schedule
 //! while the functional replay stays cheap and deterministic.
+//!
+//! Under a pushdown [`ScanState`] this is also where a filtered statement's
+//! selection is decided, once: the slots each page's predicate kept are
+//! recorded as the Striders filter ([`ScanOutcome::kept`]), and a filtered
+//! PREDICT materializes from that list.
 
 use std::sync::Arc;
 
@@ -45,6 +50,18 @@ pub struct ScanState {
     pub spec: Arc<BoundScanSpec>,
 }
 
+/// What one source's first scan measured (extraction counters, simulated
+/// disk seconds) and selected.
+#[derive(Default)]
+pub struct ScanOutcome {
+    pub stats: AccessStats,
+    pub io_seconds: Seconds,
+    /// Under a pushdown [`ScanState`], per page of the scanned range, in
+    /// page order: the slots whose records the predicate kept (none for a
+    /// zone-pruned page). Empty without one.
+    pub kept: Vec<Vec<u16>>,
+}
+
 /// Streams a table page-by-page out of the [`SharedBufferPool`] as flat
 /// batches, through `&self` fetches, so many queries can scan
 /// simultaneously. Page bytes come back as `Arc<[u8]>` images; each is
@@ -71,8 +88,7 @@ pub struct SharedPageStreamSource<'a> {
     scan_done: bool,
     replay: usize,
     cache: Vec<TupleBatch>,
-    stats: AccessStats,
-    io_seconds: Seconds,
+    outcome: ScanOutcome,
     scan: Option<ScanState>,
 }
 
@@ -107,8 +123,7 @@ impl<'a> SharedPageStreamSource<'a> {
             scan_done: false,
             replay: 0,
             cache: Vec::with_capacity((end_page - start_page) as usize),
-            stats: AccessStats::default(),
-            io_seconds: 0.0,
+            outcome: ScanOutcome::default(),
             scan: None,
         }
     }
@@ -120,31 +135,28 @@ impl<'a> SharedPageStreamSource<'a> {
         self
     }
 
-    /// Extraction-pass counters plus the simulated disk seconds this
-    /// query's first scan was charged.
-    pub fn into_stats(self) -> (AccessStats, Seconds) {
-        let mut stats = self.stats;
-        self.access.finish_stats(&mut stats);
-        (stats, self.io_seconds)
+    /// What this query's first scan measured, as far as it got.
+    pub fn into_stats(mut self) -> ScanOutcome {
+        self.access.finish_stats(&mut self.outcome.stats);
+        self.outcome
     }
 
     /// Completes the scan (if it has not finished) and dismantles the
-    /// source into its extracted per-page batches, finished access stats,
-    /// and metered I/O — how a *filtered* gang builds its replaying shard
-    /// sources, since post-filter shard boundaries do not fall on source
-    /// page boundaries.
-    pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, AccessStats, Seconds), SourceError> {
+    /// source into its extracted per-page batches and its outcome — how a
+    /// *filtered* gang builds its replaying shard sources, since
+    /// post-filter shard boundaries do not fall on source page boundaries.
+    pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, ScanOutcome), SourceError> {
         self.rewind()?;
-        let mut stats = self.stats;
-        self.access.finish_stats(&mut stats);
-        Ok((self.cache, stats, self.io_seconds))
+        let cache = std::mem::take(&mut self.cache);
+        Ok((cache, self.into_stats()))
     }
 
     /// Returns `false` when the page was zone-pruned (no fetch, no batch).
     fn extract_next_page(&mut self, page_no: u32) -> Result<bool, SourceError> {
         if let Some(scan) = &self.scan {
             if !scan.spec.page_can_match(scan.sidecar.zone(page_no)) {
-                self.stats.pages_skipped += 1;
+                self.outcome.stats.pages_skipped += 1;
+                self.outcome.kept.push(Vec::new());
                 return Ok(false);
             }
         }
@@ -155,15 +167,15 @@ impl<'a> SharedPageStreamSource<'a> {
                 let (bytes, io) =
                     self.pool
                         .fetch(PageId::new(self.heap_id, page_no), self.heap, self.disk)?;
-                self.io_seconds += io;
+                self.outcome.io_seconds += io;
                 if self.mode.uses_striders() {
-                    self.stats.strider_cycles += self
+                    self.outcome.stats.strider_cycles += self
                         .access
                         .extract_page_into(&bytes, &mut batch)
                         .map_err(|e| SourceError(e.to_string()))?;
                 } else {
                     PageView::new(&bytes, *self.heap.layout())
-                        .and_then(|view| view.deform_all_into(self.heap.schema(), &mut batch))
+                        .and_then(|view| view.deform_all_into(self.access.decoder(), &mut batch))
                         .map_err(SourceError::from)?;
                 }
                 // `bytes` drops here, releasing the frame hold — errors
@@ -178,26 +190,38 @@ impl<'a> SharedPageStreamSource<'a> {
                     scan.sidecar.page(page_no),
                     self.disk,
                 )?;
-                self.io_seconds += io;
+                self.outcome.io_seconds += io;
                 let raw =
                     dana_scan::decompress_page(&bytes, self.heap.layout(), self.heap.schema())
                         .map_err(|e| SourceError(e.to_string()))?;
                 drop(bytes);
-                self.stats.decompress_cycles += dana_scan::decompress_cycles(raw.len());
-                self.stats.decompressed_bytes += raw.len() as u64;
-                self.stats.strider_cycles += self
+                self.outcome.stats.decompress_cycles += dana_scan::decompress_cycles(raw.len());
+                self.outcome.stats.decompressed_bytes += raw.len() as u64;
+                // The predicate runs once per record, in slot order: the
+                // call count is the slot number.
+                let mut kept = Vec::new();
+                let mut slot = 0u16;
+                self.outcome.stats.strider_cycles += self
                     .access
                     .extract_page_filtered_into(
                         &raw,
                         &mut batch,
                         scan.spec.projection.as_deref(),
-                        |row| scan.spec.row_matches(row),
+                        |row| {
+                            let keep = scan.spec.row_matches(row);
+                            if keep {
+                                kept.push(slot);
+                            }
+                            slot += 1;
+                            keep
+                        },
                     )
                     .map_err(|e| SourceError(e.to_string()))?;
+                self.outcome.kept.push(kept);
             }
         };
-        self.stats.pages += 1;
-        self.stats.tuples += batch.len() as u64;
+        self.outcome.stats.pages += 1;
+        self.outcome.stats.tuples += batch.len() as u64;
         self.cache.push(batch);
         Ok(true)
     }
@@ -257,6 +281,129 @@ impl TupleSource for SharedPageStreamSource<'_> {
                 self.heap
                     .tuples_in_page_range(self.start_page, self.end_page),
             ),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dana_fpga::{AxiLink, Clock};
+    use dana_scan::{CmpOp, Predicate, ScanSpec};
+    use dana_storage::page::TupleDirection;
+    use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, Tuple};
+    use dana_strider::AccessEngineConfig;
+
+    /// The lists a pushdown scan records are exactly the slots whose rows
+    /// match, page for page — for both placement directions, under a
+    /// projection, across zone-pruned pages and a `!=` over NaN cells —
+    /// whether the source is streamed to its end (a lone member) or
+    /// drained at once (a filtered gang's one scan). The oracle is the
+    /// row data itself, chunked at the page capacity.
+    #[test]
+    fn pushdown_scan_records_the_slots_it_kept() {
+        // x0 ascends (a range on it prunes pages); x1 is NaN every 7th row.
+        let rows: Vec<[f32; 3]> = (0..1200usize)
+            .map(|k| {
+                let x1 = if k % 7 == 0 { f32::NAN } else { (k % 5) as f32 };
+                [k as f32, x1, k as f32 * 0.5]
+            })
+            .collect();
+        let pred = |column: &str, op, value| Predicate {
+            column: column.into(),
+            op,
+            value,
+        };
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: 1 << 20,
+                page_size: 8 * 1024,
+            },
+            2,
+        );
+        let disk = DiskModel::instant();
+        let directions = [TupleDirection::Ascending, TupleDirection::Descending];
+        for (heap_no, direction) in directions.into_iter().enumerate() {
+            let mut b = HeapFileBuilder::new(Schema::training(2), 8 * 1024, direction).unwrap();
+            for r in &rows {
+                b.insert(&Tuple::training(&r[..2], r[2])).unwrap();
+            }
+            let heap = b.finish();
+            let access = AccessEngine::for_table(
+                *heap.layout(),
+                heap.schema().clone(),
+                AccessEngineConfig::new(2, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
+            );
+            let sidecar = Arc::new(ScanSidecar::build(&heap).unwrap());
+            // (conjuncts, projection, whether zone maps rule pages out)
+            let cases = [
+                (
+                    vec![pred("x0", CmpOp::Ge, 300.0), pred("x0", CmpOp::Lt, 420.0)],
+                    None,
+                    true,
+                ),
+                (
+                    vec![pred("x1", CmpOp::Ne, 3.0)],
+                    Some(vec!["y".to_string(), "x0".to_string()]),
+                    false,
+                ),
+            ];
+            for (predicates, projection, prunes) in cases {
+                let spec = ScanSpec {
+                    predicates,
+                    projection,
+                };
+                let bound = Arc::new(spec.bind(heap.schema()).unwrap());
+                let expected: Vec<Vec<u16>> = rows
+                    .chunks(heap.layout().capacity as usize)
+                    .map(|page| {
+                        let matching = page
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, r)| bound.row_matches(*r));
+                        matching.map(|(slot, _)| slot as u16).collect()
+                    })
+                    .collect();
+                let survivors: usize = expected.iter().map(Vec::len).sum();
+                let open = || {
+                    SharedPageStreamSource::with_range(
+                        &pool,
+                        &disk,
+                        &heap,
+                        HeapId(heap_no as u32 + 1),
+                        &access,
+                        ExecutionMode::Strider,
+                        0,
+                        heap.page_count(),
+                    )
+                    .with_scan(ScanState {
+                        sidecar: Arc::clone(&sidecar),
+                        spec: Arc::clone(&bound),
+                    })
+                };
+                let mut streamed = open();
+                let mut emitted = 0;
+                while let Some(batch) = streamed.next_batch().unwrap() {
+                    assert_eq!(batch.width(), bound.output_width(3));
+                    emitted += batch.len();
+                }
+                let streamed = streamed.into_stats();
+                assert_eq!(streamed.kept, expected, "{direction:?} {spec:?}: streamed");
+                assert_eq!(emitted, survivors, "{direction:?} {spec:?}");
+                let (batches, drained) = open().into_cache().unwrap();
+                assert_eq!(drained.kept, expected, "{direction:?} {spec:?}: drained");
+                assert_eq!(drained.stats.tuples as usize, survivors);
+                assert_eq!(
+                    batches.iter().map(TupleBatch::len).sum::<usize>(),
+                    survivors
+                );
+                // A zone-pruned page is never fetched and records nothing.
+                assert_eq!(drained.stats.pages_skipped > 0, prunes, "{spec:?}");
+                assert_eq!(
+                    (drained.stats.pages + drained.stats.pages_skipped) as usize,
+                    expected.len()
+                );
+            }
         }
     }
 }

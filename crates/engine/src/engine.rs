@@ -99,8 +99,9 @@ impl ConvergenceCheck {
 }
 
 /// The complete compiled engine design: architecture parameters plus the
-/// program and all data bindings. Produced by `dana-compiler`, stored in
-/// the catalog, executed here.
+/// program and all data bindings. Produced by `dana-compiler`, held (inside
+/// the engine built from it) by the accelerator's catalog entry, executed
+/// here.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EngineDesign {
     pub num_threads: u16,
@@ -124,16 +125,6 @@ pub struct EngineDesign {
 impl EngineDesign {
     pub fn aus_per_thread(&self) -> u16 {
         self.acs_per_thread * AUS_PER_AC
-    }
-
-    /// Serializes to the catalog's design blob.
-    pub fn to_blob(&self) -> String {
-        serde_json::to_string(self).expect("design serializes")
-    }
-
-    /// Restores from a catalog blob.
-    pub fn from_blob(blob: &str) -> Result<EngineDesign, String> {
-        serde_json::from_str(blob).map_err(|e| e.to_string())
     }
 }
 
@@ -260,25 +251,6 @@ impl ExecutionEngine {
     /// Validates the design's program against its structural constraints,
     /// runs the deploy-time lowering pass, and constructs the engine.
     pub fn new(design: EngineDesign) -> EngineResult<ExecutionEngine> {
-        ExecutionEngine::build(design, None)
-    }
-
-    /// Restores an engine from a catalog artifact: the design plus the
-    /// lowered program produced at deploy time. The design is re-validated;
-    /// the lowered program is reused as-is when structurally consistent
-    /// (and re-derived otherwise, so a corrupt blob degrades to a fresh
-    /// lowering rather than out-of-bounds execution).
-    pub fn from_artifact(
-        design: EngineDesign,
-        lowered: LoweredProgram,
-    ) -> EngineResult<ExecutionEngine> {
-        ExecutionEngine::build(design, Some(lowered))
-    }
-
-    fn build(
-        design: EngineDesign,
-        lowered: Option<LoweredProgram>,
-    ) -> EngineResult<ExecutionEngine> {
         validate(&design)?;
         let gather_elems = design
             .program
@@ -290,10 +262,7 @@ impl ExecutionEngine {
                 _ => 0,
             })
             .sum();
-        let lowered = match lowered {
-            Some(lp) if lp.is_consistent_with(&design) => lp,
-            _ => lower(&design),
-        };
+        let lowered = lower(&design);
         Ok(ExecutionEngine {
             design,
             gather_elems,
@@ -305,7 +274,7 @@ impl ExecutionEngine {
         &self.design
     }
 
-    /// The deploy-time lowering artifact (persisted in the catalog blob).
+    /// The deploy-time lowering artifact (the program that runs).
     pub fn lowered(&self) -> &LoweredProgram {
         &self.lowered
     }
@@ -1244,14 +1213,6 @@ mod tests {
             .unwrap();
         assert_eq!(stats.epochs_run, 1);
         assert!(stats.converged_early);
-    }
-
-    #[test]
-    fn design_blob_round_trips() {
-        let design = linreg_design(4);
-        let blob = design.to_blob();
-        let back = EngineDesign::from_blob(&blob).unwrap();
-        assert_eq!(design, back);
     }
 
     #[test]

@@ -136,9 +136,9 @@ pub enum LoweredModelWrite {
 }
 
 /// The deploy-time lowering artifact: everything the runtime loop needs,
-/// pre-resolved. Produced once by [`lower`] (at compile/deploy), carried
-/// through the catalog inside the accelerator's artifact blob, and
-/// executed epoch-at-a-time by a [`TrainingSession`].
+/// pre-resolved. Produced once by [`lower`] (at compile/deploy), held by
+/// the deployed accelerator's [`crate::ExecutionEngine`], and executed
+/// epoch-at-a-time by a [`TrainingSession`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LoweredProgram {
     /// Architectural words per thread (`aus × slots_per_au`).
@@ -463,108 +463,6 @@ impl LoweredProgram {
     /// thread group (no `Scatter` inside the region).
     pub fn is_lockstep(&self) -> bool {
         !self.sequential
-    }
-
-    /// Structural consistency check against a design — used when restoring
-    /// a lowered artifact from the catalog so a mismatched, corrupt, or
-    /// hand-edited blob falls back to re-lowering instead of executing
-    /// out-of-bounds offsets or silently-wrong pre-bound model shapes.
-    /// Covers *every* offset the executor dereferences (programs, loads,
-    /// meta, broadcasts, merge, model writes, convergence) and every
-    /// pre-bound model index/shape.
-    pub fn is_consistent_with(&self, d: &EngineDesign) -> bool {
-        let arch = d.aus_per_thread() as u32 * d.slots_per_au as u32;
-        if self.arch_words != arch || self.words_per_thread < self.arch_words {
-            return false;
-        }
-        let words = self.words_per_thread;
-        let off_ok = |o: &u32| *o < words;
-        let idx_ok = |i: &LowIdx| match i {
-            LowIdx::Slot(o) => off_ok(o),
-            LowIdx::Const(_) => true,
-        };
-        // A pre-bound (model, rows, cols) triple must name a real model and
-        // match its true shape — a shape mismatch would compute wrong row
-        // bases without ever going out of bounds.
-        let shape_ok = |model: u8, rows: u32, cols: u32| {
-            d.models
-                .get(model as usize)
-                .is_some_and(|m| m.rows as u32 == rows && m.cols as u32 == cols)
-        };
-        let op_ok = |op: &LoweredOp| match op {
-            LoweredOp::Bin { a, b, dst, .. } => off_ok(a) && off_ok(b) && off_ok(dst),
-            LoweredOp::BinImmA { b, dst, .. } => off_ok(b) && off_ok(dst),
-            LoweredOp::BinImmB { a, dst, .. } => off_ok(a) && off_ok(dst),
-            LoweredOp::Imm { dst, .. } => off_ok(dst),
-            LoweredOp::Copy { src, dst } => off_ok(src) && off_ok(dst),
-            LoweredOp::Gather {
-                model,
-                rows,
-                cols,
-                index,
-                dst,
-            } => {
-                shape_ok(*model, *rows, *cols)
-                    && idx_ok(index)
-                    && dst.len() <= *cols as usize
-                    && dst.iter().all(off_ok)
-            }
-            LoweredOp::Scatter {
-                model,
-                rows,
-                cols,
-                index,
-                src,
-            } => {
-                shape_ok(*model, *rows, *cols)
-                    && idx_ok(index)
-                    && src.len() <= *cols as usize
-                    && src.iter().all(off_ok)
-            }
-        };
-        let broadcasts_ok = self.broadcasts.iter().all(|b| {
-            d.models.get(b.model as usize).is_some_and(|m| {
-                m.broadcast_slots.is_some()
-                    && b.dst.len() == m.elements()
-                    && b.dst.iter().all(off_ok)
-            })
-        });
-        let merge_ok = self
-            .merge
-            .as_ref()
-            .is_none_or(|m| m.slots.iter().all(off_ok));
-        let writes_ok = self.model_writes.iter().all(|w| match w {
-            LoweredModelWrite::Whole { model, src } => {
-                d.models
-                    .get(*model as usize)
-                    .is_some_and(|m| src.len() == m.elements())
-                    && src.iter().all(off_ok)
-            }
-            LoweredModelWrite::Row {
-                model,
-                rows,
-                cols,
-                index,
-                src,
-            } => {
-                shape_ok(*model, *rows, *cols)
-                    && off_ok(index)
-                    && src.len() <= *cols as usize
-                    && src.iter().all(off_ok)
-            }
-        });
-        // The tier flag picks the executor; the lockstep one has no
-        // `Scatter` arm.
-        self.sequential == has_scatter(&self.per_tuple)
-            && self.per_tuple.iter().all(op_ok)
-            && self.post_merge.iter().all(op_ok)
-            && self.input_offsets.iter().all(off_ok)
-            && self.output_offsets.iter().all(off_ok)
-            && self.meta.iter().all(|(o, _)| off_ok(o))
-            && broadcasts_ok
-            && merge_ok
-            && writes_ok
-            && self.convergence_slot.as_ref().is_none_or(off_ok)
     }
 
     fn workspace(&self, threads: usize, width: usize) -> SoaWorkspace {
@@ -1328,56 +1226,6 @@ mod tests {
         assert_eq!(stats, rows_stats);
         // Row 2 (elements 4, 5) was incremented twice.
         assert_eq!(store.model(0), &[1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn artifact_round_trip_is_consistent_and_reused() {
-        let d = hazardous_design(4);
-        let lp = lower(&d);
-        assert!(lp.is_consistent_with(&d));
-        let engine = crate::ExecutionEngine::from_artifact(d.clone(), lp.clone()).unwrap();
-        assert_eq!(engine.lowered(), &lp);
-        // A mismatched artifact (different geometry) is rejected and
-        // re-lowered rather than trusted.
-        let mut other = d.clone();
-        other.slots_per_au = 16;
-        let engine = crate::ExecutionEngine::from_artifact(other.clone(), lp.clone()).unwrap();
-        assert!(engine.lowered().is_consistent_with(&other));
-        assert_ne!(engine.lowered(), &lp);
-
-        // Corruption anywhere the executor dereferences — an out-of-range
-        // model-write offset, a wrong pre-bound model shape, a bad merge
-        // slot — must fail the check (and thus trigger re-lowering), never
-        // reach execution.
-        let mut bad = lp.clone();
-        bad.model_writes = vec![LoweredModelWrite::Whole {
-            model: 0,
-            src: vec![99_999],
-        }];
-        assert!(!bad.is_consistent_with(&d));
-        let mut bad = lp.clone();
-        bad.per_tuple.push(LoweredOp::Gather {
-            model: 0,
-            rows: 7, // true shape is 1×1
-            cols: 1,
-            index: LowIdx::Const(0.0),
-            dst: vec![0],
-        });
-        assert!(!bad.is_consistent_with(&d));
-        let mut bad = lp.clone();
-        if let Some(m) = &mut bad.merge {
-            m.slots[0] = 99_999;
-        }
-        assert!(!bad.is_consistent_with(&d));
-        let mut bad = lp.clone();
-        bad.broadcasts[0].dst = vec![99_999];
-        assert!(!bad.is_consistent_with(&d));
-        let rebuilt = crate::ExecutionEngine::from_artifact(d.clone(), bad).unwrap();
-        assert_eq!(
-            rebuilt.lowered(),
-            &lp,
-            "corrupt artifact must be re-lowered"
-        );
     }
 
     #[test]

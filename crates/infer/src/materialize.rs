@@ -7,8 +7,13 @@
 //! plus one appended `prediction real` column; predictions are stored as
 //! Float4, so a scan of the materialized table recovers each prediction
 //! bit-exactly.
+//!
+//! Both public builders are one private walk — every tuple or a slot
+//! selection × every column or a projection — over `PageView::user_data`
+//! and `RowDecoder`'s column spans; no byte offset of the format is known
+//! here.
 
-use dana_storage::{ColumnType, HeapFile, HeapFileBuilder, PageView, Schema, TUPLE_HEADER_BYTES};
+use dana_storage::{ColumnType, HeapFile, HeapFileBuilder, RowDecoder, Schema, StorageError};
 
 use crate::error::{InferError, InferResult};
 
@@ -43,44 +48,16 @@ pub fn prediction_schema(source: &Schema) -> InferResult<Schema> {
 /// four Float4 bytes behind them — no per-tuple `Datum` materialization,
 /// so materialization costs one page walk, not a second full decode.
 pub fn build_prediction_heap(source: &HeapFile, predictions: &[f32]) -> InferResult<HeapFile> {
-    if predictions.len() as u64 != source.tuple_count() {
-        return Err(InferError::PredictionCount {
-            predictions: predictions.len(),
-            tuples: source.tuple_count(),
-        });
-    }
-    let schema = prediction_schema(source.schema())?;
-    let layout = *source.layout();
-    let src_width = source.schema().tuple_data_width();
-    let mut builder = HeapFileBuilder::new(schema, layout.page_size, layout.direction)?;
-    let mut next = predictions.iter();
-    for page_no in 0..source.page_count() {
-        let view = PageView::new(source.page_bytes(page_no)?, layout)?;
-        for rec in view.tuples() {
-            // User data starts at t_hoff (validated like `Tuple::deform`).
-            let hoff = rec.get(10).copied().unwrap_or(0) as usize;
-            if hoff < TUPLE_HEADER_BYTES || hoff + src_width > rec.len() {
-                return Err(InferError::Storage(
-                    dana_storage::StorageError::SchemaMismatch(format!(
-                        "tuple on page {page_no} has bad t_hoff {hoff} for {} bytes",
-                        rec.len()
-                    )),
-                ));
-            }
-            let p = next.next().expect("count checked above");
-            builder.insert_raw(&[&rec[hoff..hoff + src_width], &p.to_le_bytes()])?;
-        }
-    }
-    Ok(builder.finish())
+    materialize(source, None, None, source.tuple_count(), predictions)
 }
 
 /// [`build_prediction_heap`] for a *pushdown* scoring scan: materializes
 /// only the tuples the scan's predicates kept (`slots[page]` lists each
-/// page's surviving slot numbers, in slot order — the scan tier's
-/// `select_slots` output) and only its projected columns, with one
-/// prediction per surviving tuple in scan order. Kept cells are copied
-/// byte-for-byte, so the output heap is identical to scoring a
-/// pre-materialized filtered/projected table.
+/// page's surviving slot numbers, in slot order — what the scan recorded,
+/// or the scan tier's `select_slots` reference) and only its projected
+/// columns, with one prediction per surviving tuple in scan order. Kept
+/// cells are copied byte-for-byte, so the output heap is identical to
+/// scoring a pre-materialized filtered/projected table.
 pub fn build_prediction_heap_selected(
     source: &HeapFile,
     slots: &[Vec<u16>],
@@ -88,64 +65,80 @@ pub fn build_prediction_heap_selected(
     predictions: &[f32],
 ) -> InferResult<HeapFile> {
     if slots.len() != source.page_count() as usize {
-        return Err(InferError::Storage(
-            dana_storage::StorageError::SchemaMismatch(format!(
-                "slot selection covers {} pages, heap has {}",
-                slots.len(),
-                source.page_count()
-            )),
-        ));
+        return Err(StorageError::SchemaMismatch(format!(
+            "slot selection covers {} pages, heap has {}",
+            slots.len(),
+            source.page_count()
+        ))
+        .into());
     }
-    let selected: u64 = slots.iter().map(|s| s.len() as u64).sum();
-    if predictions.len() as u64 != selected {
+    let selected = slots.iter().map(|s| s.len() as u64).sum();
+    materialize(source, Some(slots), projection, selected, predictions)
+}
+
+/// The one materializing walk: the tuples of `slots` (`None` = every live
+/// tuple, `tuples` in total), the columns of `projection` (`None` = all).
+/// Every output tuple is a two-part raw insert — kept cells, prediction —
+/// with no per-tuple allocation: unprojected cells are the source bytes
+/// themselves, projected ones are gathered into one reused buffer.
+fn materialize(
+    source: &HeapFile,
+    slots: Option<&[Vec<u16>]>,
+    projection: Option<&[usize]>,
+    tuples: u64,
+    predictions: &[f32],
+) -> InferResult<HeapFile> {
+    if predictions.len() as u64 != tuples {
         return Err(InferError::PredictionCount {
             predictions: predictions.len(),
-            tuples: selected,
+            tuples,
         });
     }
     let src_schema = source.schema();
-    let cols: Vec<usize> = match projection {
-        Some(p) => p.to_vec(),
-        None => (0..src_schema.len()).collect(),
+    let decoder = RowDecoder::new(src_schema);
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let schema = match projection {
+        None => prediction_schema(src_schema)?,
+        Some(cols) => {
+            let mut projected = Vec::with_capacity(cols.len());
+            for &c in cols {
+                let col = src_schema.columns().get(c).ok_or_else(|| {
+                    StorageError::SchemaMismatch(format!(
+                        "projected column index {c} out of range for {}-column schema",
+                        src_schema.len()
+                    ))
+                })?;
+                projected.push((col.name.clone(), col.ty));
+                spans.push((decoder.columns()[c].0, col.ty.width()));
+            }
+            prediction_schema(&Schema::new(projected))?
+        }
     };
-    let mut projected: Vec<(String, ColumnType)> = Vec::with_capacity(cols.len());
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(cols.len());
-    for &c in &cols {
-        let col = src_schema.columns().get(c).ok_or_else(|| {
-            InferError::Storage(dana_storage::StorageError::SchemaMismatch(format!(
-                "projected column index {c} out of range for {}-column schema",
-                src_schema.len()
-            )))
-        })?;
-        projected.push((col.name.clone(), col.ty));
-        spans.push((src_schema.column_offset(c)?, col.ty.width()));
-    }
-    let schema = prediction_schema(&Schema::new(projected))?;
-    let layout = *source.layout();
-    let src_width = src_schema.tuple_data_width();
+    let layout = source.layout();
     let mut builder = HeapFileBuilder::new(schema, layout.page_size, layout.direction)?;
     let mut next = predictions.iter();
-    for (page_no, keep) in slots.iter().enumerate() {
-        let view = PageView::new(source.page_bytes(page_no as u32)?, layout)?;
-        for &slot in keep {
-            let rec = view.tuple_bytes(slot)?;
-            let hoff = rec.get(10).copied().unwrap_or(0) as usize;
-            if hoff < TUPLE_HEADER_BYTES || hoff + src_width > rec.len() {
-                return Err(InferError::Storage(
-                    dana_storage::StorageError::SchemaMismatch(format!(
-                        "tuple on page {page_no} has bad t_hoff {hoff} for {} bytes",
-                        rec.len()
-                    )),
-                ));
-            }
-            let data = &rec[hoff..hoff + src_width];
-            let p = next.next().expect("count checked above").to_le_bytes();
-            let mut parts: Vec<&[u8]> = Vec::with_capacity(spans.len() + 1);
-            for &(off, w) in &spans {
-                parts.push(&data[off..off + w]);
-            }
-            parts.push(&p);
-            builder.insert_raw(&parts)?;
+    let mut gathered: Vec<u8> = Vec::new();
+    for page_no in 0..source.page_count() {
+        let view = source.page(page_no)?;
+        let mut emit = |slot: u16| -> InferResult<()> {
+            let data = view.user_data(slot, decoder.data_width())?;
+            let cells = if projection.is_some() {
+                gathered.clear();
+                for &(off, w) in &spans {
+                    gathered.extend_from_slice(&data[off..off + w]);
+                }
+                &gathered[..]
+            } else {
+                data
+            };
+            let p = next.next().expect("count checked above");
+            Ok(builder.insert_raw(&[cells, &p.to_le_bytes()])?)
+        };
+        match slots {
+            None => (0..view.tuple_count()).try_for_each(&mut emit)?,
+            Some(slots) => slots[page_no as usize]
+                .iter()
+                .try_for_each(|&slot| emit(slot))?,
         }
     }
     Ok(builder.finish())
@@ -155,7 +148,7 @@ pub fn build_prediction_heap_selected(
 mod tests {
     use super::*;
     use dana_storage::page::TupleDirection;
-    use dana_storage::{Datum, Tuple};
+    use dana_storage::{Datum, PageView, Tuple};
 
     fn rating_heap(n: usize) -> HeapFile {
         let mut b =

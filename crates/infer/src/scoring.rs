@@ -15,10 +15,9 @@
 //! * **LRMF** — the factor product `L[i]·R[j]` (row gathers marked by the
 //!   DSL's `lookup`).
 //!
-//! The recipe is model-value-free: it is cached on the catalog entry (and
-//! persisted in the artifact blob) at DEPLOY, then bound to the *latest
-//! trained model values* at PREDICT/EVALUATE time by
-//! [`ScoringProgram::bind`].
+//! The recipe is model-value-free: it is cached on the catalog entry at
+//! DEPLOY, then bound to the *latest trained model values* at
+//! PREDICT/EVALUATE time by [`ScoringProgram::bind`].
 
 use dana_dsl::ast::{BinOp, DataKind, GroupOp, OpKind, UnaryFn, VarId};
 use dana_dsl::zoo::Algorithm;

@@ -12,7 +12,7 @@
 use crossbeam::thread;
 
 use dana_storage::{
-    DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, Tuple, TupleBatch,
+    DiskModel, HeapFile, HeapId, PageId, PageView, RowDecoder, SharedBufferPool, TupleBatch,
 };
 
 use crate::algorithms::{train_reference, DenseModel, LrmfModel, TrainConfig, TrainedModel};
@@ -67,16 +67,14 @@ impl GreenplumExecutor {
         let width = heap.schema().len();
         let mut partitions: Vec<TupleBatch> =
             (0..self.segments).map(|_| TupleBatch::new(width)).collect();
+        let decoder = RowDecoder::new(heap.schema());
         let mut k = 0usize;
         for page_no in 0..heap.page_count() {
             let (bytes, _) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
             let view = PageView::new(&bytes, *heap.layout())?;
             for slot in 0..view.tuple_count() {
-                Tuple::deform_into(
-                    heap.schema(),
-                    view.tuple_bytes(slot)?,
-                    &mut partitions[k % self.segments as usize],
-                )?;
+                let data = view.user_data(slot, decoder.data_width())?;
+                decoder.decode_row(data, partitions[k % self.segments as usize].append_rows(1));
                 k += 1;
             }
         }
@@ -278,7 +276,7 @@ mod tests {
     use super::*;
     use crate::metrics;
     use dana_storage::page::TupleDirection;
-    use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema};
+    use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, Tuple};
 
     fn heap(n: usize, d: usize) -> HeapFile {
         let truth: Vec<f32> = (0..d).map(|i| 0.5 - 0.1 * i as f32).collect();

@@ -8,7 +8,9 @@
 //! pages DAnA's Striders walk; its simulated runtime combines buffer-pool
 //! I/O accounting with the calibrated per-tuple CPU cost model.
 
-use dana_storage::{DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, TupleBatch};
+use dana_storage::{
+    DiskModel, HeapFile, HeapId, PageId, PageView, RowDecoder, SharedBufferPool, TupleBatch,
+};
 
 use crate::algorithms::{train_reference, TrainConfig, TrainedModel};
 use crate::cpu::{CpuModel, Seconds};
@@ -58,12 +60,13 @@ impl MadlibExecutor {
         // access pattern, and what makes the cold-cache setting matter.)
         let mut tuples =
             TupleBatch::with_capacity(heap.schema().len(), heap.tuple_count() as usize);
+        let decoder = RowDecoder::new(heap.schema());
         for epoch in 0..cfg.epochs.max(1) {
             for page_no in 0..heap.page_count() {
                 let (bytes, _io) = pool.fetch(PageId::new(heap_id, page_no), heap, &self.disk)?;
                 if epoch == 0 {
                     PageView::new(&bytes, *heap.layout())?
-                        .deform_all_into(heap.schema(), &mut tuples)?;
+                        .deform_all_into(&decoder, &mut tuples)?;
                 }
             }
         }

@@ -16,7 +16,7 @@
 //! composed end-to-end total exactly — `EXPLAIN ANALYZE` asserts the
 //! stage sum against the query report.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One named stage (or per-epoch child) of a query's lifecycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,10 +237,8 @@ impl SpanRecorder {
 
     fn with_stage(&self, name: &str, f: impl FnOnce(&mut TraceSpan)) {
         let Some(buf) = &self.0 else { return };
-        let mut stages = match buf.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
+        let mut stages = buf.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(span) = stages.iter_mut().find(|s| s.name == name) {
             f(span);
         } else {
@@ -285,10 +283,7 @@ impl SpanRecorder {
     pub fn finish(&self, total_sim_seconds: f64, total_wall_seconds: f64) -> Option<QueryTrace> {
         let buf = self.0.as_ref()?;
         let stages = {
-            let mut g = match buf.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut g = buf.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *g)
         };
         Some(QueryTrace {

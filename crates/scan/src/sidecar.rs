@@ -5,13 +5,18 @@
 //! `Arc<ScanSidecar>`; DROP removes it with the table), the sidecar is what
 //! the scan tier actually reads: compressed page images go through the
 //! buffer pool (charged at their *compressed* size) and are decompressed on
-//! fetch, while the zone maps drive page skipping, slot selection and
-//! selectivity estimation without touching any page.
+//! fetch, while the zone maps drive page skipping and selectivity
+//! estimation without touching any page.
+//!
+//! Which tuples a filtered scan keeps is decided once, by the scan: the
+//! page source records the slots its predicate kept and PREDICT
+//! materializes from that list. [`select_slots`] is the reference the list
+//! is held to (tests and the benchmark's replay call it; no statement does).
 
 use crate::codec::compress_page;
 use crate::spec::BoundScanSpec;
 use crate::zonemap::PageZone;
-use dana_storage::{ColumnType, HeapFile, PageView, StorageResult};
+use dana_storage::{HeapFile, RowDecoder, StorageResult};
 
 /// Compressed pages + zone maps for one heap.
 #[derive(Debug, Clone)]
@@ -84,80 +89,31 @@ impl ScanSidecar {
         }
         self.raw_bytes as f64 / self.compressed_bytes as f64
     }
-
-    /// [`select_slots`] over the heap this sidecar was built from, pruning
-    /// with the zone maps it already holds instead of rebuilding each one
-    /// (a full decode of the page) — what a filtered PREDICT materializes
-    /// from. Page for page the same selection as the free function.
-    pub fn select_slots(
-        &self,
-        heap: &HeapFile,
-        spec: &BoundScanSpec,
-    ) -> StorageResult<Vec<Vec<u16>>> {
-        let mut selector = SlotSelector::new(heap, spec)?;
-        (0..heap.page_count())
-            .map(|page_no| selector.page(page_no, self.zone(page_no)))
-            .collect()
-    }
 }
 
 /// Evaluates `spec` over every page of `heap` and returns, per page, the
 /// slots whose tuples pass every conjunct (zone-pruned pages yield empty
-/// slot lists). The sidecar-free reference of
-/// [`ScanSidecar::select_slots`]: it builds each page's zone map itself.
+/// slot lists). It reads the raw heap and builds each page's zone map
+/// itself, sharing only the row decoder with the scan it is a reference for.
 pub fn select_slots(heap: &HeapFile, spec: &BoundScanSpec) -> StorageResult<Vec<Vec<u16>>> {
-    let mut selector = SlotSelector::new(heap, spec)?;
+    let decoder = RowDecoder::new(heap.schema());
+    let mut row = vec![0f32; heap.schema().len()];
     (0..heap.page_count())
-        .map(|page_no| selector.page(page_no, &PageZone::build(heap, page_no)?))
-        .collect()
-}
-
-/// What both slot selections share: the column cell positions, one
-/// scratch row, and the per-page body. Their callers differ only in where
-/// a page's zone map comes from.
-struct SlotSelector<'a> {
-    heap: &'a HeapFile,
-    spec: &'a BoundScanSpec,
-    cols: Vec<(usize, ColumnType)>,
-    row: Vec<f32>,
-}
-
-impl<'a> SlotSelector<'a> {
-    fn new(heap: &'a HeapFile, spec: &'a BoundScanSpec) -> StorageResult<SlotSelector<'a>> {
-        let schema = heap.schema();
-        let cols = (0..schema.len())
-            .map(|i| Ok((schema.column_offset(i)?, schema.columns()[i].ty)))
-            .collect::<StorageResult<_>>()?;
-        Ok(SlotSelector {
-            heap,
-            spec,
-            cols,
-            row: vec![0f32; schema.len()],
+        .map(|page_no| {
+            let mut slots = Vec::new();
+            if !spec.page_can_match(&PageZone::build(heap, page_no)?) {
+                return Ok(slots);
+            }
+            let view = heap.page(page_no)?;
+            for slot in 0..view.tuple_count() {
+                decoder.decode_row(view.user_data(slot, decoder.data_width())?, &mut row);
+                if spec.row_matches(&row) {
+                    slots.push(slot);
+                }
+            }
+            Ok(slots)
         })
-    }
-
-    /// The slots of one page that pass every conjunct — empty, without
-    /// decoding the page, when `zone` rules it out. The same per-cell
-    /// [`ColumnType::decode_f32`] conversion the data paths use, so
-    /// selection and extraction can never disagree.
-    fn page(&mut self, page_no: u32, zone: &PageZone) -> StorageResult<Vec<u16>> {
-        if !self.spec.page_can_match(zone) {
-            return Ok(Vec::new());
-        }
-        let layout = self.heap.layout();
-        let view = PageView::new(self.heap.page_bytes(page_no)?, *layout)?;
-        let mut slots = Vec::new();
-        for slot in 0..view.tuple_count() {
-            let data = &view.tuple_bytes(slot)?[layout.tuple_header_bytes..];
-            for (c, &(off, ty)) in self.cols.iter().enumerate() {
-                self.row[c] = ty.decode_f32(&data[off..off + ty.width()]);
-            }
-            if self.spec.row_matches(&self.row) {
-                slots.push(slot);
-            }
-        }
-        Ok(slots)
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -165,7 +121,7 @@ mod tests {
     use super::*;
     use crate::spec::{CmpOp, Predicate, ScanSpec};
     use dana_storage::page::TupleDirection;
-    use dana_storage::{HeapFileBuilder, Schema, Tuple};
+    use dana_storage::{HeapFileBuilder, PageView, Schema, Tuple};
 
     fn heap(n: usize) -> HeapFile {
         let mut b =
@@ -244,10 +200,11 @@ mod tests {
             let total: usize = sel.iter().map(|s| s.len()).sum();
             let expected = rows.iter().filter(|r| bound.row_matches(&r[..])).count();
             assert_eq!(total, expected, "{spec:?}");
-            // The sidecar prunes with stored zones, the free function with
-            // zones it rebuilds: page for page they agree.
-            assert_eq!(sc.select_slots(&h, &bound).unwrap(), sel, "{spec:?}");
             assert_eq!(sel.last().unwrap().is_empty(), tail_pruned, "{spec:?}");
+        }
+        // The zones the function rebuilds equal the sidecar's stored ones.
+        for p in 0..h.page_count() {
+            assert_eq!(&PageZone::build(&h, p).unwrap(), sc.zone(p), "page {p}");
         }
     }
 }

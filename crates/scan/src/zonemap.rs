@@ -2,11 +2,11 @@
 //! prove "no tuple on this page can match" without touching the page.
 //!
 //! Statistics are computed over the engine-native f32 value of every cell
-//! (via [`ColumnType::decode_f32`], the same conversion the data paths
-//! use), ignoring NaN — but remembering whether any NaN was seen, because
-//! `!=` predicates match NaN rows and must not prune on min/max alone.
+//! (via [`RowDecoder`], the same conversion the data paths use), ignoring
+//! NaN — but remembering whether any NaN was seen, because `!=` predicates
+//! match NaN rows and must not prune on min/max alone.
 
-use dana_storage::{ColumnType, HeapFile, PageView, StorageResult};
+use dana_storage::{HeapFile, RowDecoder, StorageResult};
 
 /// Min/max/has-NaN per column for one page, plus its live tuple count.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,23 +24,19 @@ pub struct PageZone {
 impl PageZone {
     /// Computes the zone map of one page of `heap`.
     pub fn build(heap: &HeapFile, page_no: u32) -> StorageResult<PageZone> {
-        let schema = heap.schema();
-        let layout = heap.layout();
-        let view = PageView::new(heap.page_bytes(page_no)?, *layout)?;
-        let ncols = schema.len();
+        let view = heap.page(page_no)?;
+        let decoder = RowDecoder::new(heap.schema());
+        let ncols = heap.schema().len();
         let mut zone = PageZone {
             min: vec![f32::INFINITY; ncols],
             max: vec![f32::NEG_INFINITY; ncols],
             has_nan: vec![false; ncols],
             tuples: view.tuple_count(),
         };
-        let widths: Vec<(usize, ColumnType)> = (0..ncols)
-            .map(|i| Ok((schema.column_offset(i)?, schema.columns()[i].ty)))
-            .collect::<StorageResult<_>>()?;
-        for tuple in view.tuples() {
-            let data = &tuple[layout.tuple_header_bytes..];
-            for (c, &(off, ty)) in widths.iter().enumerate() {
-                let v = ty.decode_f32(&data[off..off + ty.width()]);
+        let mut row = vec![0f32; ncols];
+        for slot in 0..view.tuple_count() {
+            decoder.decode_row(view.user_data(slot, decoder.data_width())?, &mut row);
+            for (c, &v) in row.iter().enumerate() {
                 if v.is_nan() {
                     zone.has_nan[c] = true;
                 } else {

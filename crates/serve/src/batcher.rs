@@ -24,7 +24,7 @@
 //! errors are not cloneable.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender};
@@ -79,11 +79,9 @@ impl BatchCell {
         }
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
     fn lock(&self) -> MutexGuard<'_, BatchInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -103,10 +101,7 @@ impl Batcher {
     }
 
     fn lock_open(&self) -> MutexGuard<'_, HashMap<String, Arc<BatchCell>>> {
-        match self.open.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Submits one row for `udf` and blocks until its prediction is
@@ -187,10 +182,10 @@ impl Batcher {
                 inner.sealed = true;
                 break;
             }
-            let (guard, _timeout) = match cell.full.wait_timeout(inner, deadline - now) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let (guard, _timeout) = cell
+                .full
+                .wait_timeout(inner, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
         let rows = std::mem::take(&mut inner.rows);

@@ -20,7 +20,7 @@
 //! across nearby inputs.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dana::TrainedModels;
 
@@ -85,11 +85,9 @@ impl PredictionCache {
         }
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
     fn lock(&self) -> MutexGuard<'_, CacheState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn key(udf: &str, row: &[f32]) -> Key {

@@ -31,7 +31,7 @@
 //! compares against serial back-to-back execution.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Simulated seconds (matches `dana::report::Seconds`).
@@ -284,11 +284,9 @@ impl AcceleratorPool {
         }
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn size(&self) -> usize {
@@ -342,10 +340,10 @@ impl AcceleratorPool {
                     released: false,
                 });
             }
-            st = match self.available.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = self
+                .available
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 

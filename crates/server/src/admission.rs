@@ -9,7 +9,7 @@
 //! `DanaTiming` cost model by `dana::exec::estimate_seconds`) to let
 //! cheap interactive queries overtake long training jobs.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
@@ -136,11 +136,9 @@ impl AdmissionQueue {
         }
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
     fn lock(&self) -> MutexGuard<'_, QState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Admits a query or refuses it (queue full / shutting down).
@@ -237,10 +235,10 @@ impl AdmissionQueue {
             if st.closed {
                 return None;
             }
-            st = match self.readable.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = self
+                .readable
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::error::{ServerError, ServerResult};
 
@@ -43,11 +43,9 @@ impl SessionManager {
         SessionManager::default()
     }
 
+    // Poisoned locks are recovered — see `SharedBufferPool::lock` (dana-storage).
     fn lock(&self) -> MutexGuard<'_, HashMap<SessionId, SessionStats>> {
-        match self.sessions.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Opens a session and returns its id.

@@ -183,33 +183,13 @@ mod tests {
         bp.prewarm(HeapId(1), &heap).unwrap();
         bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
         let resident_before = bp.resident_pages();
-        let evicted = bp.evict_heap(HeapId(1)).unwrap();
+        let evicted = bp.evict_heap_force(HeapId(1));
         assert!(evicted > 0);
         assert_eq!(bp.resident_pages(), resident_before - evicted);
         assert!(!bp.contains(page(0)));
         assert!(bp.contains(PageId::new(HeapId(2), 0)));
         // Idempotent: nothing left to evict.
-        assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 0);
-    }
-
-    #[test]
-    fn evict_heap_refuses_pinned_pages() {
-        let heap = small_heap(500);
-        let bp = pool(8);
-        let disk = DiskModel::instant();
-        let held = bp.fetch(page(0), &heap, &disk).unwrap();
-        assert_eq!(bp.held_frames(), 1);
-        assert!(matches!(
-            bp.evict_heap(HeapId(1)),
-            Err(StorageError::PagePinned {
-                heap: 1,
-                page_no: 0
-            })
-        ));
-        assert!(bp.contains(page(0)), "evicted nothing");
-        drop(held);
-        assert_eq!(bp.held_frames(), 0);
-        assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 1);
+        assert_eq!(bp.evict_heap_force(HeapId(1)), 0);
     }
 
     #[test]

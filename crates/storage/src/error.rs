@@ -27,9 +27,6 @@ pub enum StorageError {
     SchemaMismatch(String),
     /// Unsupported page size (must be one of 8, 16, 32 KB).
     BadPageSize(usize),
-    /// A page that must be evicted (e.g. its table was dropped) is still
-    /// pinned by an in-flight scan.
-    PagePinned { heap: u32, page_no: u32 },
     /// A materialized (prediction) table whose source table was dropped:
     /// its rows describe data that no longer exists, so queries refuse it.
     StaleDerivedTable {
@@ -65,9 +62,6 @@ impl fmt::Display for StorageError {
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             StorageError::BadPageSize(sz) => {
                 write!(f, "unsupported page size {sz} (expected 8, 16, or 32 KB)")
-            }
-            StorageError::PagePinned { heap, page_no } => {
-                write!(f, "page {page_no} of heap {heap} is pinned; cannot evict")
             }
             StorageError::StaleDerivedTable {
                 table,

@@ -3,7 +3,7 @@
 use crate::batch::TupleBatch;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{HeapPage, PageLayoutDesc, PageView, TupleDirection};
-use crate::schema::Schema;
+use crate::schema::{RowDecoder, Schema};
 use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
 
 /// A table's on-disk storage: a sequence of immutable page images.
@@ -73,9 +73,9 @@ impl HeapFile {
             })
     }
 
-    /// Decodes page `page_no` into a [`HeapPage`] view.
-    pub fn page(&self, page_no: u32) -> StorageResult<HeapPage> {
-        HeapPage::from_bytes(self.page_bytes(page_no)?.to_vec(), self.layout)
+    /// A validated, borrowed view of page `page_no`.
+    pub fn page(&self, page_no: u32) -> StorageResult<PageView<'_>> {
+        PageView::new(self.page_bytes(page_no)?, self.layout)
     }
 
     /// Scans the whole heap into one flat [`TupleBatch`] (zero-copy page
@@ -83,8 +83,9 @@ impl HeapFile {
     /// Striders' batch extraction, shared by the software baselines.
     pub fn scan_batch(&self) -> StorageResult<TupleBatch> {
         let mut batch = TupleBatch::with_capacity(self.schema.len(), self.tuple_count as usize);
-        for bytes in &self.pages {
-            PageView::new(bytes, self.layout)?.deform_all_into(&self.schema, &mut batch)?;
+        let decoder = RowDecoder::new(&self.schema);
+        for page_no in 0..self.page_count() {
+            self.page(page_no)?.deform_all_into(&decoder, &mut batch)?;
         }
         Ok(batch)
     }
@@ -92,16 +93,14 @@ impl HeapFile {
     /// Sequentially scans every tuple (CPU-side decode; this is the code
     /// path software baselines use).
     pub fn scan(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.pages.iter().flat_map(move |bytes| {
-            let page = HeapPage::from_bytes(bytes.clone(), self.layout)
+        (0..self.page_count()).flat_map(move |page_no| {
+            let page = self
+                .page(page_no)
                 .expect("heap pages are well-formed by construction");
-            let schema = self.schema.clone();
-            (0..page.tuple_count())
-                .map(move |s| {
-                    Tuple::deform(&schema, page.tuple_bytes(s).expect("slot < count"))
-                        .expect("heap tuples are well-formed by construction")
-                })
-                .collect::<Vec<_>>()
+            (0..page.tuple_count()).map(move |s| {
+                Tuple::deform(&self.schema, page.tuple_bytes(s).expect("slot < count"))
+                    .expect("heap tuples are well-formed by construction")
+            })
         })
     }
 }
@@ -143,7 +142,7 @@ impl HeapFileBuilder {
 
     /// Appends one tuple.
     pub fn insert(&mut self, tuple: &Tuple) -> StorageResult<()> {
-        let ctid = ((self.pages.len() as u32) << 16) | self.current.tuple_count() as u32;
+        let ctid = ((self.pages.len() as u32) << 16) | self.current.view().tuple_count() as u32;
         let bytes = tuple.form(&self.schema, self.next_xid, ctid)?;
         self.insert_formed(bytes)
     }
@@ -161,7 +160,7 @@ impl HeapFileBuilder {
                 "raw tuple is {total} bytes, schema expects {width}"
             )));
         }
-        let ctid = ((self.pages.len() as u32) << 16) | self.current.tuple_count() as u32;
+        let ctid = ((self.pages.len() as u32) << 16) | self.current.view().tuple_count() as u32;
         let mut bytes = Vec::with_capacity(TUPLE_HEADER_BYTES + width);
         crate::tuple::form_header(self.next_xid, ctid, &mut bytes);
         for p in parts {
@@ -188,7 +187,7 @@ impl HeapFileBuilder {
 
     /// Seals the final page and returns the finished heap file.
     pub fn finish(mut self) -> HeapFile {
-        if self.current.tuple_count() > 0 {
+        if self.current.view().tuple_count() > 0 {
             self.rotate_page();
         }
         HeapFile {

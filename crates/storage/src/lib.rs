@@ -5,10 +5,14 @@
 //! (Fig. 6). That only means something if there are real pages with a real
 //! layout, so this crate implements a PostgreSQL-style storage engine:
 //!
-//! * [`schema`] — column types and table schemas;
-//! * [`mod@tuple`] — tuple encoding (header + user data) and CPU-side deforming;
+//! * [`schema`] — column types and table schemas, and [`RowDecoder`]: the
+//!   one conversion from a record's bytes to an engine-native f32 row;
+//! * [`mod@tuple`] — tuple encoding (header + user data), CPU-side
+//!   deforming, and [`tuple::user_data`]: the one reader of where a
+//!   record's user data starts;
 //! * [`page`] — byte-exact slotted heap pages (page header, line pointers,
-//!   free space, special space) in 8/16/32 KB sizes;
+//!   free space, special space) in 8/16/32 KB sizes; [`PageView`] is the
+//!   one reader, [`HeapPage`] the write side;
 //! * [`heap`] — heap files: ordered collections of pages on the simulated
 //!   disk;
 //! * [`disk`] — a sequential/seek disk timing model (SSD-class by default);
@@ -44,7 +48,7 @@ pub use disk::DiskModel;
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, HeapFileBuilder};
 pub use page::{HeapPage, PageLayoutDesc, PageView, LINE_POINTER_BYTES, PAGE_HEADER_BYTES};
-pub use schema::{ColumnType, Schema};
+pub use schema::{ColumnType, RowDecoder, Schema};
 pub use shared_pool::SharedBufferPool;
 pub use tuple::{Datum, Tuple, TUPLE_HEADER_BYTES};
 

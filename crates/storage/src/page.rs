@@ -37,8 +37,17 @@
 //!   assembly listing walks this way: `ad %treg, %treg, 0`).
 //! * [`TupleDirection::Descending`] — tuples grow downward from the special
 //!   space, like stock PostgreSQL; the walk subtracts the stride.
+//!
+//! [`PageView`] is the only code that validates a header or follows a line
+//! pointer — every host-side reader goes through it and gets a typed
+//! [`StorageError`] on a corrupt or truncated image, never a panic;
+//! [`HeapPage`] is the write side only. Outside this crate only the scan
+//! tier's page codec and the Strider generator (compiled from
+//! [`PageLayoutDesc`]) are entitled to the byte layout.
 
+use crate::batch::TupleBatch;
 use crate::error::{StorageError, StorageResult};
+use crate::schema::RowDecoder;
 
 /// Size of the page header in bytes.
 pub const PAGE_HEADER_BYTES: usize = 24;
@@ -140,9 +149,9 @@ impl PageLayoutDesc {
     }
 }
 
-/// A read-only heap page over *borrowed* bytes — the zero-copy view the
-/// streaming data path uses for buffer-pool frames. Validates the header
-/// like [`HeapPage::from_bytes`] but never clones the page image.
+/// A read-only heap page over *borrowed* bytes — the zero-copy view every
+/// reader uses, for buffer-pool frames and heap pages alike. Validates the
+/// header; never clones the page image.
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
     layout: PageLayoutDesc,
@@ -183,10 +192,6 @@ impl<'a> PageView<'a> {
         Ok(view)
     }
 
-    pub fn layout(&self) -> &PageLayoutDesc {
-        &self.layout
-    }
-
     /// Number of live tuples.
     pub fn tuple_count(&self) -> u16 {
         self.read_u16(16)
@@ -209,34 +214,46 @@ impl<'a> PageView<'a> {
         Ok(&self.bytes[off..off + len])
     }
 
-    /// All live tuples' bytes in slot order.
-    pub fn tuples(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
-        (0..self.tuple_count()).map(move |s| self.tuple_bytes(s).expect("slot < count"))
+    /// The `width` bytes of user data of the tuple in `slot` — see
+    /// [`crate::tuple::user_data`], the one reader of `t_hoff`.
+    pub fn user_data(&self, slot: u16, width: usize) -> StorageResult<&'a [u8]> {
+        crate::tuple::user_data(self.tuple_bytes(slot)?, width)
     }
 
-    /// Deforms every live tuple straight into `batch` in slot order — the
-    /// CPU-side page→batch step of the streaming data path, shared by the
-    /// heap scan and the buffer-pool stream.
+    /// Decodes every live tuple straight into `batch` in slot order — the
+    /// CPU-side page→batch step of the streaming data path. Only whole
+    /// rows are appended: a bad tuple errors before its row starts.
     pub fn deform_all_into(
         &self,
-        schema: &crate::schema::Schema,
-        batch: &mut crate::batch::TupleBatch,
+        decoder: &RowDecoder,
+        batch: &mut TupleBatch,
     ) -> StorageResult<()> {
         for slot in 0..self.tuple_count() {
-            crate::tuple::Tuple::deform_into(schema, self.tuple_bytes(slot)?, batch)?;
+            let data = self.user_data(slot, decoder.data_width())?;
+            decoder.decode_row(data, batch.append_rows(1));
         }
         Ok(())
     }
 
+    /// Verifies the stored checksum (0 means "not computed": accepted).
+    pub fn verify_checksum(&self) -> bool {
+        let stored = self.read_u32(20);
+        stored == 0 || stored == fnv1a(&self.bytes[PAGE_HEADER_BYTES..])
+    }
+
     fn read_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.bytes[off..off + 2].try_into().unwrap())
+    }
+    fn read_u32(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.bytes[off..off + 4].try_into().unwrap())
     }
     fn read_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 }
 
-/// A heap page over an owned byte buffer.
+/// A heap page being written, over an owned byte buffer. Reads go through
+/// [`HeapPage::view`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapPage {
     layout: PageLayoutDesc,
@@ -269,41 +286,12 @@ impl HeapPage {
         page
     }
 
-    /// Reconstructs a page from raw bytes, validating the header.
-    pub fn from_bytes(bytes: Vec<u8>, layout: PageLayoutDesc) -> StorageResult<HeapPage> {
-        if bytes.len() != layout.page_size {
-            return Err(StorageError::CorruptPage(format!(
-                "buffer is {} bytes, layout says {}",
-                bytes.len(),
-                layout.page_size
-            )));
+    /// The read side of this page (well-formed by construction).
+    pub fn view(&self) -> PageView<'_> {
+        PageView {
+            layout: self.layout,
+            bytes: &self.bytes,
         }
-        let page = HeapPage { layout, bytes };
-        if page.read_u64(0) != layout.page_size as u64 {
-            return Err(StorageError::CorruptPage(format!(
-                "header page_size {} != {}",
-                page.read_u64(0),
-                layout.page_size
-            )));
-        }
-        if page.read_u16(8) != PAGE_VERSION {
-            return Err(StorageError::CorruptPage(format!(
-                "bad version {:#x}",
-                page.read_u16(8)
-            )));
-        }
-        let count = page.read_u16(16);
-        if count > layout.capacity {
-            return Err(StorageError::CorruptPage(format!(
-                "tuple_count {count} exceeds capacity {}",
-                layout.capacity
-            )));
-        }
-        Ok(page)
-    }
-
-    pub fn layout(&self) -> &PageLayoutDesc {
-        &self.layout
     }
 
     /// Raw page image — what the buffer pool stores and Striders consume.
@@ -316,14 +304,9 @@ impl HeapPage {
         self.bytes
     }
 
-    /// Number of live tuples.
-    pub fn tuple_count(&self) -> u16 {
-        self.read_u16(16)
-    }
-
     /// Remaining insertion capacity.
     pub fn free_slots(&self) -> u16 {
-        self.layout.capacity - self.tuple_count()
+        self.layout.capacity - self.view().tuple_count()
     }
 
     /// Inserts formed tuple bytes; returns the slot.
@@ -335,7 +318,7 @@ impl HeapPage {
                 self.layout.tuple_bytes
             )));
         }
-        let slot = self.tuple_count();
+        let slot = self.view().tuple_count();
         if slot >= self.layout.capacity {
             return Err(StorageError::PageFull {
                 needed: tuple.len() + LINE_POINTER_BYTES,
@@ -359,49 +342,12 @@ impl HeapPage {
         Ok(slot)
     }
 
-    /// Borrowed bytes of the tuple in `slot` (header + data).
-    pub fn tuple_bytes(&self, slot: u16) -> StorageResult<&[u8]> {
-        let count = self.tuple_count();
-        if slot >= count {
-            return Err(StorageError::SlotOutOfRange { slot, count });
-        }
-        let lp_off = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
-        let off = self.read_u16(lp_off) as usize;
-        let len = self.read_u16(lp_off + 2) as usize;
-        if off + len > self.layout.page_size {
-            return Err(StorageError::CorruptPage(format!(
-                "line pointer {slot} points past page end ({off}+{len})"
-            )));
-        }
-        Ok(&self.bytes[off..off + len])
-    }
-
-    /// Iterates over all live tuples' bytes in slot order.
-    pub fn tuples(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.tuple_count()).map(move |s| self.tuple_bytes(s).expect("slot < count"))
-    }
-
     /// Computes and stores the FNV-1a checksum of the data region.
     pub fn seal(&mut self) {
         let sum = fnv1a(&self.bytes[PAGE_HEADER_BYTES..]);
         self.write_u32(20, sum);
     }
 
-    /// Verifies the stored checksum (0 means "not computed": accepted).
-    pub fn verify_checksum(&self) -> bool {
-        let stored = self.read_u32(20);
-        stored == 0 || stored == fnv1a(&self.bytes[PAGE_HEADER_BYTES..])
-    }
-
-    fn read_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes(self.bytes[off..off + 2].try_into().unwrap())
-    }
-    fn read_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().unwrap())
-    }
-    fn read_u64(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
-    }
     fn write_u16(&mut self, off: usize, v: u16) {
         self.bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
@@ -465,9 +411,9 @@ mod tests {
             let bytes = t.form(&schema, 1, k).unwrap();
             assert_eq!(page.insert(&bytes).unwrap(), k as u16);
         }
-        assert_eq!(page.tuple_count(), 5);
+        assert_eq!(page.view().tuple_count(), 5);
         for k in 0..5u16 {
-            let t = Tuple::deform(&schema, page.tuple_bytes(k).unwrap()).unwrap();
+            let t = Tuple::deform(&schema, page.view().tuple_bytes(k).unwrap()).unwrap();
             let (_, y) = t.as_training();
             assert_eq!(y, k as f32);
         }
@@ -490,7 +436,7 @@ mod tests {
             page.insert(&bytes).unwrap();
         }
         for k in 0..5u16 {
-            let t = Tuple::deform(&schema, page.tuple_bytes(k).unwrap()).unwrap();
+            let t = Tuple::deform(&schema, page.view().tuple_bytes(k).unwrap()).unwrap();
             assert_eq!(t.as_training().1, k as f32);
         }
         // Descending: offsets decrease.
@@ -520,33 +466,33 @@ mod tests {
         let schema = Schema::training(10);
         let l = layout(TupleDirection::Ascending);
         let mut page = HeapPage::new(l);
-        assert_eq!(page.read_u16(10) as usize, PAGE_HEADER_BYTES);
+        assert_eq!(page.view().read_u16(10) as usize, PAGE_HEADER_BYTES);
         let bytes = Tuple::training(&[0.0; 10], 0.0)
             .form(&schema, 1, 0)
             .unwrap();
         page.insert(&bytes).unwrap();
         page.insert(&bytes).unwrap();
-        assert_eq!(page.read_u16(16), 2); // tuple_count
+        let view = page.view();
+        assert_eq!(view.read_u16(16), 2); // tuple_count
         assert_eq!(
-            page.read_u16(10) as usize,
+            view.read_u16(10) as usize,
             PAGE_HEADER_BYTES + 2 * LINE_POINTER_BYTES
         );
         assert_eq!(
-            page.read_u16(12) as usize,
+            view.read_u16(12) as usize,
             l.data_start() + 2 * l.tuple_bytes
         );
-        assert_eq!(page.read_u64(0) as usize, 8 * 1024);
+        assert_eq!(view.read_u64(0) as usize, 8 * 1024);
     }
 
     #[test]
     fn from_bytes_validates() {
         let l = layout(TupleDirection::Ascending);
-        let page = HeapPage::new(l);
-        let mut bytes = page.clone().into_bytes();
-        assert!(HeapPage::from_bytes(bytes.clone(), l).is_ok());
+        let mut bytes = HeapPage::new(l).into_bytes();
+        assert!(PageView::new(&bytes, l).is_ok());
         bytes[8] = 0; // clobber version
-        assert!(HeapPage::from_bytes(bytes, l).is_err());
-        assert!(HeapPage::from_bytes(vec![0u8; 100], l).is_err());
+        assert!(PageView::new(&bytes, l).is_err());
+        assert!(PageView::new(&[0u8; 100], l).is_err());
     }
 
     #[test]
@@ -558,13 +504,13 @@ mod tests {
             .form(&schema, 1, 0)
             .unwrap();
         page.insert(&bytes).unwrap();
-        assert!(page.verify_checksum()); // 0 = not computed, accepted
+        assert!(page.view().verify_checksum()); // 0 = not computed, accepted
         page.seal();
-        assert!(page.verify_checksum());
+        assert!(page.view().verify_checksum());
         // Corrupt a data byte: verification must now fail.
         let mut raw = page.into_bytes();
         raw[PAGE_HEADER_BYTES + 100] ^= 0xFF;
-        let corrupted = HeapPage::from_bytes(raw, l).unwrap();
+        let corrupted = PageView::new(&raw, l).unwrap();
         assert!(!corrupted.verify_checksum());
     }
 
@@ -579,7 +525,7 @@ mod tests {
         let l = layout(TupleDirection::Ascending);
         let page = HeapPage::new(l);
         assert!(matches!(
-            page.tuple_bytes(0),
+            page.view().tuple_bytes(0),
             Err(StorageError::SlotOutOfRange { .. })
         ));
     }

@@ -18,9 +18,14 @@
 //! Timing stays simulated and per-shard: every miss charges the disk
 //! model's read time to the shard it lands in; [`SharedBufferPool::stats`]
 //! sums the shards.
+//!
+//! There is one fetch — [`SharedBufferPool::fetch`] and
+//! [`SharedBufferPool::fetch_raw`] differ only in where the bytes come from
+//! and what length is charged — and one eviction,
+//! [`SharedBufferPool::evict_heap_force`].
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bufferpool::{BufferPoolConfig, BufferPoolStats};
 use crate::disk::{DiskModel, Seconds};
@@ -142,10 +147,10 @@ impl SharedBufferPool {
     }
 
     fn is_tombstoned(&self, heap_id: HeapId) -> bool {
-        match self.tombstones.lock() {
-            Ok(g) => g.contains(&heap_id),
-            Err(poisoned) => poisoned.into_inner().contains(&heap_id),
-        }
+        self.tombstones
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&heap_id)
     }
 
     pub fn config(&self) -> BufferPoolConfig {
@@ -171,13 +176,13 @@ impl SharedBufferPool {
     }
 
     fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard> {
-        // Shard state is valid under panic (a poisoned shard only means a
-        // reader panicked mid-fetch; frames and page table are consistent
-        // between every mutation), so recover rather than propagate.
-        match self.shards[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        // The workspace's lock-poisoning policy: shard state is valid under
+        // panic (a poisoned shard only means a reader panicked mid-fetch;
+        // frames and page table are consistent between every mutation), so
+        // recover rather than propagate.
+        self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fetches a page, returning its shared byte image plus the simulated
@@ -192,27 +197,8 @@ impl SharedBufferPool {
         if heap.layout().page_size != self.config.page_size {
             return Err(StorageError::BadPageSize(heap.layout().page_size));
         }
-        let mut shard = self.lock(self.shard_of(page_id));
-        if let Some(&frame) = shard.page_table.get(&page_id) {
-            shard.stats.hits += 1;
-            shard.frames[frame].referenced = true;
-            return Ok((Arc::clone(&shard.frames[frame].bytes), 0.0));
-        }
-        shard.stats.misses += 1;
-        let io = disk.read_time(self.config.page_size as u64);
-        shard.stats.io_seconds += io;
-        let bytes: Arc<[u8]> = Arc::from(heap.page_bytes(page_id.page_no)?);
-        // Tombstone check under the shard lock: a scan racing a DROP TABLE
-        // still gets its bytes, but must not re-install a dropped heap's
-        // page after the drop's sweep has passed this shard (the orphan-
-        // resident-page leak). `evict_heap_force` tombstones *before* it
-        // sweeps, so whichever side reaches this shard second wins.
-        if self.is_tombstoned(page_id.heap) {
-            return Ok((bytes, io));
-        }
-        let frame = shard.find_victim()?;
-        shard.install(frame, page_id, Arc::clone(&bytes));
-        Ok((bytes, io))
+        let image = heap.page_bytes(page_id.page_no);
+        self.fetch_image(page_id, image, self.config.page_size as u64, disk)
     }
 
     /// Fetches caller-provided bytes into the pool under `page_id` — the
@@ -228,6 +214,18 @@ impl SharedBufferPool {
         bytes: &[u8],
         disk: &DiskModel,
     ) -> StorageResult<(Arc<[u8]>, Seconds)> {
+        self.fetch_image(page_id, Ok(bytes), bytes.len() as u64, disk)
+    }
+
+    /// The one fetch. A miss charges a read of `charged_bytes`, then
+    /// installs `image` (an error in it surfaces only after that charge).
+    fn fetch_image(
+        &self,
+        page_id: PageId,
+        image: StorageResult<&[u8]>,
+        charged_bytes: u64,
+        disk: &DiskModel,
+    ) -> StorageResult<(Arc<[u8]>, Seconds)> {
         let mut shard = self.lock(self.shard_of(page_id));
         if let Some(&frame) = shard.page_table.get(&page_id) {
             shard.stats.hits += 1;
@@ -235,9 +233,14 @@ impl SharedBufferPool {
             return Ok((Arc::clone(&shard.frames[frame].bytes), 0.0));
         }
         shard.stats.misses += 1;
-        let io = disk.read_time(bytes.len() as u64);
+        let io = disk.read_time(charged_bytes);
         shard.stats.io_seconds += io;
-        let bytes: Arc<[u8]> = Arc::from(bytes);
+        let bytes: Arc<[u8]> = Arc::from(image?);
+        // Tombstone check under the shard lock: a scan racing a DROP TABLE
+        // still gets its bytes, but must not re-install a dropped heap's
+        // page after the drop's sweep has passed this shard (the orphan-
+        // resident-page leak). `evict_heap_force` tombstones *before* it
+        // sweeps, so whichever side reaches this shard second wins.
         if self.is_tombstoned(page_id.heap) {
             return Ok((bytes, io));
         }
@@ -371,42 +374,8 @@ impl SharedBufferPool {
         }
     }
 
-    /// Evicts every resident page of `heap_id` — the `DROP TABLE` path.
-    /// Errors with [`StorageError::PagePinned`] (evicting nothing) if a
-    /// page of the heap is still held by an in-flight reader.
-    ///
-    /// Check and evict happen with *every* shard locked at once (in index
-    /// order, so concurrent callers cannot deadlock): the
-    /// nothing-or-everything contract must hold even while other threads
-    /// fetch concurrently.
-    pub fn evict_heap(&self, heap_id: HeapId) -> StorageResult<usize> {
-        let mut guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            })
-            .collect();
-        if let Some(p) = guards
-            .iter()
-            .flat_map(|g| g.frames.iter())
-            .find_map(|f| f.page.filter(|p| p.heap == heap_id && f.is_held()))
-        {
-            return Err(StorageError::PagePinned {
-                heap: p.heap.0,
-                page_no: p.page_no,
-            });
-        }
-        let mut evicted = 0;
-        for shard in guards.iter_mut() {
-            evicted += evict_heap_frames(shard, heap_id);
-        }
-        Ok(evicted)
-    }
-
     /// Evicts every resident page of `heap_id` *unconditionally* — the
-    /// concurrent `DROP TABLE` path. Unlike pin counts, `Arc` page images
+    /// `DROP TABLE` path. Unlike pin counts, `Arc` page images
     /// make this safe mid-scan: an in-flight reader's clone keeps its bytes
     /// alive on its own; the pool merely drops its reference, so the frame
     /// frees the instant the reader finishes instead of leaking forever.
@@ -416,32 +385,27 @@ impl SharedBufferPool {
     /// the tombstone under its shard lock and skips installation — either
     /// way no page of the dropped heap stays resident afterwards.
     pub fn evict_heap_force(&self, heap_id: HeapId) -> usize {
-        match self.tombstones.lock() {
-            Ok(mut g) => g.insert(heap_id),
-            Err(poisoned) => poisoned.into_inner().insert(heap_id),
-        };
+        self.tombstones
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(heap_id);
         let mut evicted = 0;
         for i in 0..self.shards.len() {
-            evicted += evict_heap_frames(&mut self.lock(i), heap_id);
+            // Detach every frame of the heap in this shard, held or not
+            // (readers keep their `Arc` snapshots).
+            let shard = &mut *self.lock(i);
+            for f in shard.frames.iter_mut() {
+                if let Some(p) = f.page.filter(|p| p.heap == heap_id) {
+                    f.page = None;
+                    shard.page_table.remove(&p);
+                    f.bytes = Arc::from(&[][..]);
+                    f.referenced = false;
+                    evicted += 1;
+                }
+            }
         }
         evicted
     }
-}
-
-/// Detaches every frame of `heap_id` in one locked shard, held or not
-/// (readers keep their `Arc` snapshots).
-fn evict_heap_frames(shard: &mut Shard, heap_id: HeapId) -> usize {
-    let mut evicted = 0;
-    for f in shard.frames.iter_mut() {
-        if f.page.is_some_and(|p| p.heap == heap_id) {
-            let p = f.page.take().expect("page checked in condition");
-            shard.page_table.remove(&p);
-            f.bytes = Arc::from(&[][..]);
-            f.referenced = false;
-            evicted += 1;
-        }
-    }
-    evicted
 }
 
 #[cfg(test)]
@@ -544,7 +508,7 @@ mod tests {
         bp.prewarm(HeapId(1), &heap).unwrap();
         bp.prewarm(HeapId(2), &heap).unwrap();
         let before = bp.resident_pages();
-        let evicted = bp.evict_heap(HeapId(1)).unwrap();
+        let evicted = bp.evict_heap_force(HeapId(1));
         assert_eq!(evicted as u32, heap.page_count());
         assert_eq!(bp.resident_pages(), before - evicted);
         assert!(bp.contains(PageId::new(HeapId(2), 0)));
@@ -553,24 +517,6 @@ mod tests {
         let (_, io) = bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
         assert_eq!(io, 0.0, "instant disk");
         assert!(bp.stats().misses > 0);
-    }
-
-    #[test]
-    fn evict_heap_refuses_held_pages() {
-        let heap = small_heap(500);
-        let bp = pool(8, 2);
-        let disk = DiskModel::instant();
-        let held = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
-        assert!(matches!(
-            bp.evict_heap(HeapId(1)),
-            Err(StorageError::PagePinned {
-                heap: 1,
-                page_no: 0
-            })
-        ));
-        assert!(bp.contains(PageId::new(HeapId(1), 0)));
-        drop(held);
-        assert_eq!(bp.evict_heap(HeapId(1)).unwrap(), 1);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Each heap tuple carries a header of transaction/visibility metadata (the
 //! "auxiliary information" the Strider `cln` instruction strips, §5.1.2)
 //! followed by the fixed-width user data laid out per [`crate::Schema`].
+//! [`user_data`] is the one reader of that boundary; nothing else slices a
+//! record at an offset of its own.
 //!
 //! Layout of the 16-byte tuple header (little-endian):
 //!
@@ -16,7 +18,6 @@
 //! 12..16  t_ctid      self-pointer (page_no<<16 | slot), for diagnostics
 //! ```
 
-use crate::batch::TupleBatch;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{ColumnType, Schema};
 
@@ -73,20 +74,15 @@ impl Datum {
         }
     }
 
-    fn read_from(ty: ColumnType, bytes: &[u8]) -> StorageResult<Datum> {
-        let need = ty.width();
-        if bytes.len() < need {
-            return Err(StorageError::SchemaMismatch(format!(
-                "datum needs {need} bytes, {} available",
-                bytes.len()
-            )));
-        }
-        Ok(match ty {
+    /// Reads one cell off the front of `bytes` ([`user_data`] has already
+    /// checked that every column's cell is there).
+    fn read_from(ty: ColumnType, bytes: &[u8]) -> Datum {
+        match ty {
             ColumnType::Float4 => Datum::Float4(f32::from_le_bytes(bytes[..4].try_into().unwrap())),
             ColumnType::Float8 => Datum::Float8(f64::from_le_bytes(bytes[..8].try_into().unwrap())),
             ColumnType::Int4 => Datum::Int4(i32::from_le_bytes(bytes[..4].try_into().unwrap())),
             ColumnType::Int8 => Datum::Int8(i64::from_le_bytes(bytes[..8].try_into().unwrap())),
-        })
+        }
     }
 }
 
@@ -101,6 +97,20 @@ pub(crate) fn form_header(xmin: u32, ctid: u32, out: &mut Vec<u8>) {
     out.push(0); // t_nullmask
     out.extend_from_slice(&ctid.to_le_bytes()); // t_ctid
     debug_assert_eq!(out.len() - start, TUPLE_HEADER_BYTES);
+}
+
+/// The `width` bytes of user data of one on-page record: they start at the
+/// record's `t_hoff` byte, which must clear the fixed header and leave
+/// `width` bytes inside the record.
+pub fn user_data(record: &[u8], width: usize) -> StorageResult<&[u8]> {
+    let hoff = record.get(10).copied().unwrap_or(0) as usize;
+    if hoff < TUPLE_HEADER_BYTES || hoff + width > record.len() {
+        return Err(StorageError::SchemaMismatch(format!(
+            "bad t_hoff {hoff} for {width} data bytes in a {}-byte tuple",
+            record.len()
+        )));
+    }
+    Ok(&record[hoff..hoff + width])
 }
 
 /// A decoded tuple: one datum per schema column.
@@ -161,58 +171,13 @@ impl Tuple {
     /// Deforms on-page bytes back into a tuple — the CPU-side operation that
     /// MADlib performs for every tuple and that Striders replace on-chip.
     pub fn deform(schema: &Schema, bytes: &[u8]) -> StorageResult<Tuple> {
-        if bytes.len() < TUPLE_HEADER_BYTES {
-            return Err(StorageError::SchemaMismatch(format!(
-                "tuple too short for header: {} bytes",
-                bytes.len()
-            )));
-        }
-        let hoff = bytes[10] as usize;
-        if hoff < TUPLE_HEADER_BYTES || hoff > bytes.len() {
-            return Err(StorageError::SchemaMismatch(format!("bad t_hoff {hoff}")));
-        }
-        let mut data = &bytes[hoff..];
+        let mut data = user_data(bytes, schema.tuple_data_width())?;
         let mut values = Vec::with_capacity(schema.len());
         for col in schema.columns() {
-            let d = Datum::read_from(col.ty, data)?;
+            values.push(Datum::read_from(col.ty, data));
             data = &data[col.ty.width()..];
-            values.push(d);
         }
         Ok(Tuple { values })
-    }
-
-    /// Deforms on-page bytes directly into a flat [`TupleBatch`] row — the
-    /// streaming data path's CPU-side deform: same header validation as
-    /// [`Tuple::deform`], but converting each datum straight to the
-    /// engine's native f32 with no [`Datum`] materialization.
-    pub fn deform_into(schema: &Schema, bytes: &[u8], batch: &mut TupleBatch) -> StorageResult<()> {
-        if bytes.len() < TUPLE_HEADER_BYTES {
-            return Err(StorageError::SchemaMismatch(format!(
-                "tuple too short for header: {} bytes",
-                bytes.len()
-            )));
-        }
-        let hoff = bytes[10] as usize;
-        if hoff < TUPLE_HEADER_BYTES || hoff > bytes.len() {
-            return Err(StorageError::SchemaMismatch(format!("bad t_hoff {hoff}")));
-        }
-        let data = &bytes[hoff..];
-        if data.len() < schema.tuple_data_width() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "tuple data is {} bytes, schema expects {}",
-                data.len(),
-                schema.tuple_data_width()
-            )));
-        }
-        let mut row = batch.start_row();
-        let mut off = 0usize;
-        for col in schema.columns() {
-            let w = col.ty.width();
-            row.push(col.ty.decode_f32(&data[off..off + w]));
-            off += w;
-        }
-        row.finish();
-        Ok(())
     }
 
     /// Total on-page size of this tuple under `schema`.
@@ -233,6 +198,9 @@ impl Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::TupleBatch;
+    use crate::page::{HeapPage, PageLayoutDesc, PageView, TupleDirection, PAGE_HEADER_BYTES};
+    use crate::schema::RowDecoder;
 
     #[test]
     fn form_deform_round_trip() {
@@ -301,10 +269,20 @@ mod tests {
     #[test]
     fn deform_into_matches_deform() {
         let schema = Schema::rating();
-        let t = Tuple::rating(17, 923, 4.5);
-        let bytes = t.form(&schema, 1, 0).unwrap();
+        let layout = PageLayoutDesc::new(
+            8 * 1024,
+            0,
+            Tuple::formed_size(&schema),
+            TUPLE_HEADER_BYTES,
+            TupleDirection::Ascending,
+        )
+        .unwrap();
+        let bytes = Tuple::rating(17, 923, 4.5).form(&schema, 1, 0).unwrap();
+        let mut page = HeapPage::new(layout);
+        page.insert(&bytes).unwrap();
+        let decoder = RowDecoder::new(&schema);
         let mut batch = TupleBatch::new(schema.len());
-        Tuple::deform_into(&schema, &bytes, &mut batch).unwrap();
+        page.view().deform_all_into(&decoder, &mut batch).unwrap();
         let via_datum: Vec<f32> = Tuple::deform(&schema, &bytes)
             .unwrap()
             .values
@@ -312,8 +290,12 @@ mod tests {
             .map(|d| d.as_f32())
             .collect();
         assert_eq!(batch.row(0), &via_datum[..]);
-        // Truncated bytes leave the batch unchanged.
-        assert!(Tuple::deform_into(&schema, &bytes[..bytes.len() - 1], &mut batch).is_err());
+        // Truncated bytes (a line pointer one byte short) leave the batch
+        // unchanged.
+        let mut raw = page.into_bytes();
+        raw[PAGE_HEADER_BYTES + 2] -= 1;
+        let short = PageView::new(&raw, layout).unwrap();
+        assert!(short.deform_all_into(&decoder, &mut batch).is_err());
         assert_eq!(batch.len(), 1);
     }
 

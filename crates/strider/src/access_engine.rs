@@ -11,18 +11,17 @@
 //! bytes into the execution engine's f32 operands ("transform user data
 //! into a floating point format", §6.2).
 //!
-//! The conversion is plan-driven: [`AccessEngine::for_table`] resolves the
-//! schema once into a `DecodePlan` (per column: byte offset and type;
-//! plus whether the record *is* a little-endian f32 row, true of every
-//! training schema), and each page's output FIFO is checked once and then
-//! decoded in bulk, whole rows at a time, straight into the batch — which
-//! mirrors how the hardware streams converted values straight to the
-//! execution engine's input buffers (§6.2). The batch, filtered and
-//! reference extraction paths all decode through that one routine, so
-//! they are bit-identical by construction.
+//! The conversion is the storage crate's: [`AccessEngine::for_table`]
+//! resolves the schema once into a [`RowDecoder`], and each page's output
+//! FIFO is checked once and then decoded in bulk, whole rows at a time,
+//! straight into the batch — which mirrors how the hardware streams
+//! converted values straight to the execution engine's input buffers
+//! (§6.2). The batch, filtered and reference extraction paths all decode
+//! through that one routine, so they are bit-identical by construction.
+//! The page walk itself is the generated Strider program's.
 
 use dana_fpga::{AxiLink, Clock, Seconds};
-use dana_storage::{ColumnType, HeapFile, PageLayoutDesc, Schema, TupleBatch};
+use dana_storage::{HeapFile, PageLayoutDesc, RowDecoder, Schema, TupleBatch};
 
 use crate::codegen::strider_program_for_layout;
 use crate::error::{StriderError, StriderResult};
@@ -65,83 +64,6 @@ impl ExtractedTuple {
     }
 }
 
-/// The schema's byte → engine-native f32 conversion (the float-conversion
-/// unit of §6.2), resolved once per table.
-struct DecodePlan {
-    /// Per column, in schema order: byte offset within a record, and type.
-    columns: Vec<(usize, ColumnType)>,
-    /// Bytes per cleansed record (the layout's user-data width).
-    record_bytes: usize,
-    /// Every column is `Float4` and the columns tile the record: the byte
-    /// stream is the row stream, little-endian.
-    all_float4: bool,
-}
-
-impl DecodePlan {
-    fn new(schema: &Schema, record_bytes: usize) -> DecodePlan {
-        let mut offset = 0;
-        let columns: Vec<(usize, ColumnType)> = schema
-            .columns()
-            .iter()
-            .map(|col| {
-                let at = offset;
-                offset += col.ty.width();
-                (at, col.ty)
-            })
-            .collect();
-        let all_float4 =
-            offset == record_bytes && columns.iter().all(|&(_, ty)| ty == ColumnType::Float4);
-        DecodePlan {
-            columns,
-            record_bytes,
-            all_float4,
-        }
-    }
-
-    /// Decodes back-to-back records into row-major `out` (one value per
-    /// column per record). The type dispatch runs once per column, not
-    /// once per cell.
-    fn decode(&self, records: &[u8], out: &mut [f32]) {
-        if self.all_float4 {
-            for (v, cell) in out.iter_mut().zip(records.chunks_exact(4)) {
-                *v = f32::from_le_bytes([cell[0], cell[1], cell[2], cell[3]]);
-            }
-            return;
-        }
-        for (c, &(at, ty)) in self.columns.iter().enumerate() {
-            match ty {
-                ColumnType::Float4 => self.decode_column(records, out, c, at, f32::from_le_bytes),
-                ColumnType::Float8 => {
-                    self.decode_column(records, out, c, at, |b| f64::from_le_bytes(b) as f32)
-                }
-                ColumnType::Int4 => {
-                    self.decode_column(records, out, c, at, |b| i32::from_le_bytes(b) as f32)
-                }
-                ColumnType::Int8 => {
-                    self.decode_column(records, out, c, at, |b| i64::from_le_bytes(b) as f32)
-                }
-            }
-        }
-    }
-
-    /// Column `c` of every record: the `W` bytes at `at`, through `convert`.
-    fn decode_column<const W: usize>(
-        &self,
-        records: &[u8],
-        out: &mut [f32],
-        c: usize,
-        at: usize,
-        convert: impl Fn([u8; W]) -> f32,
-    ) {
-        let rows = out.chunks_exact_mut(self.columns.len());
-        for (row, record) in rows.zip(records.chunks_exact(self.record_bytes)) {
-            let mut cell = [0u8; W];
-            cell.copy_from_slice(&record[at..at + W]);
-            row[c] = convert(cell);
-        }
-    }
-}
-
 /// Aggregate costs of one extraction pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccessStats {
@@ -175,9 +97,8 @@ pub struct AccessStats {
 pub struct AccessEngine {
     config: AccessEngineConfig,
     machine: StriderMachine,
-    schema: Schema,
     layout: PageLayoutDesc,
-    plan: DecodePlan,
+    decoder: RowDecoder,
 }
 
 impl AccessEngine {
@@ -192,18 +113,17 @@ impl AccessEngine {
         AccessEngine {
             config,
             machine: StriderMachine::new(program, regs),
-            plan: DecodePlan::new(&schema, layout.tuple_data_bytes()),
-            schema,
+            decoder: RowDecoder::new(&schema),
             layout,
         }
     }
 
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     pub fn layout(&self) -> &PageLayoutDesc {
         &self.layout
+    }
+
+    pub fn decoder(&self) -> &RowDecoder {
+        &self.decoder
     }
 
     /// Extracts every tuple from one raw page image into `batch` (appended
@@ -217,7 +137,8 @@ impl AccessEngine {
     pub fn extract_page_into(&self, page: &[u8], batch: &mut TupleBatch) -> StriderResult<u64> {
         let run = self.machine.run(page)?;
         let (n, records, malformed) = self.checked_records(&run);
-        self.plan.decode(records, batch.append_rows(n));
+        self.decoder
+            .decode_records(records, self.stride(), batch.append_rows(n));
         malformed?;
         Ok(run.cycles + self.conversion_cycles(n))
     }
@@ -230,9 +151,9 @@ impl AccessEngine {
     /// (schema order; `None` = all). The batch's width must equal the
     /// projected width.
     ///
-    /// The predicate sees the full-width row in schema order, so the same
-    /// closure drives this path and the scan tier's slot selection —
-    /// membership can never disagree between them.
+    /// `keep` is called once per record, in slot order, with the full-width
+    /// row in schema order — a caller counting its calls knows which slots
+    /// survived (the page source records them for PREDICT's materializer).
     pub fn extract_page_filtered_into(
         &self,
         page: &[u8],
@@ -242,7 +163,7 @@ impl AccessEngine {
     ) -> StriderResult<u64> {
         let run = self.machine.run(page)?;
         let (n, full, malformed) = self.decoded_rows(&run);
-        let width = self.schema.len();
+        let width = self.width();
         for row in (0..n).map(|i| &full[i * width..(i + 1) * width]) {
             if !keep(row) {
                 continue;
@@ -270,7 +191,7 @@ impl AccessEngine {
         let run = self.machine.run(page)?;
         let (n, full, malformed) = self.decoded_rows(&run);
         malformed?;
-        let width = self.schema.len();
+        let width = self.width();
         let tuples = (0..n)
             .map(|i| ExtractedTuple {
                 values: full[i * width..(i + 1) * width].to_vec(),
@@ -284,7 +205,7 @@ impl AccessEngine {
     /// error for the first record that is not — none for a well-formed
     /// page, where the FIFO is `n × tuple_data_bytes`.
     fn checked_records<'r>(&self, run: &'r StriderRun) -> (usize, &'r [u8], StriderResult<()>) {
-        let expected = self.plan.record_bytes;
+        let expected = self.stride();
         let (n, records) = run.fixed_width_prefix(expected);
         let malformed = if n < run.len() {
             Err(StriderError::BadTupleBytes(format!(
@@ -302,20 +223,31 @@ impl AccessEngine {
     /// record).
     fn decoded_rows(&self, run: &StriderRun) -> (usize, Vec<f32>, StriderResult<()>) {
         let (n, records, malformed) = self.checked_records(run);
-        let mut full = vec![0f32; n * self.schema.len()];
-        self.plan.decode(records, &mut full);
+        let mut full = vec![0f32; n * self.width()];
+        self.decoder
+            .decode_records(records, self.stride(), &mut full);
         (n, full, malformed)
+    }
+
+    /// Values per extracted row (the schema's column count).
+    fn width(&self) -> usize {
+        self.decoder.columns().len()
+    }
+
+    /// Bytes per cleansed record in the output FIFO.
+    fn stride(&self) -> usize {
+        self.layout.tuple_data_bytes()
     }
 
     /// The float-conversion unit's charge: one cycle per column value.
     fn conversion_cycles(&self, records: usize) -> u64 {
-        records as u64 * self.schema.len() as u64
+        records as u64 * self.width() as u64
     }
 
     /// Extracts an entire heap file into one flat batch, producing tuples
     /// in page/slot order and the aggregate access-engine cost model.
     pub fn extract_heap(&self, heap: &HeapFile) -> StriderResult<(TupleBatch, AccessStats)> {
-        let mut all = TupleBatch::with_capacity(self.schema.len(), heap.tuple_count() as usize);
+        let mut all = TupleBatch::with_capacity(self.width(), heap.tuple_count() as usize);
         let mut stats = AccessStats::default();
         for p in 0..heap.page_count() {
             let page = heap.page_bytes(p).expect("page in range");
@@ -334,7 +266,7 @@ impl AccessEngine {
     /// conversion cycles, and the overlapped wall-clock cost.
     pub fn finish_stats(&self, stats: &mut AccessStats) {
         stats.bytes_transferred = stats.pages * self.layout.page_size as u64;
-        stats.conversion_cycles = stats.tuples * self.schema.len() as u64;
+        stats.conversion_cycles = stats.tuples * self.width() as u64;
         stats.axi_seconds = self
             .config
             .axi
@@ -366,7 +298,7 @@ impl AccessEngine {
 mod tests {
     use super::*;
     use dana_storage::page::TupleDirection;
-    use dana_storage::{Datum, HeapFileBuilder, Tuple};
+    use dana_storage::{ColumnType, Datum, HeapFileBuilder, Tuple};
 
     fn heap_of(
         schema: Schema,
@@ -417,7 +349,7 @@ mod tests {
         }
     }
 
-    /// Heaps whose schemas take every route through the decode plan: the
+    /// Heaps whose schemas take every route through the row decoder: the
     /// all-`Float4` fast path, `Schema::rating()`, and all four types mixed.
     fn heaps_of_every_shape(direction: TupleDirection) -> Vec<HeapFile> {
         let mixed = Schema::new(
@@ -462,7 +394,7 @@ mod tests {
                 let label = format!("{:?}, {direction:?}", heap.schema().columns()[0].ty);
                 assert!(heap.page_count() > 1, "{label}: want a partial last page");
                 // Values and cycles equal the rows reference page for page
-                // (and, independently of the decode plan, the CPU deform).
+                // (and, independently of the bulk kernels, the CPU deform).
                 let mut cpu = heap.scan();
                 for p in 0..heap.page_count() {
                     let page = heap.page_bytes(p).unwrap();

@@ -367,10 +367,10 @@ fn engine_lrmf_converges_like_reference() {
     );
 }
 
-/// The catalog round-trip (serialize → store → reload) must preserve the
-/// engine design exactly.
+/// A compiled Strider program survives the 22-bit ISA encoding — the check
+/// DEPLOY runs before it accepts an accelerator.
 #[test]
-fn catalog_blob_preserves_design() {
+fn strider_program_survives_22_bit_encoding() {
     let w = {
         let mut w = workload("Blog Feedback").unwrap().scaled(0.002);
         w.features = 12;
@@ -378,10 +378,6 @@ fn catalog_blob_preserves_design() {
     };
     let table = generate(&w, 32 * 1024, 55).unwrap();
     let acc = compile_for(&w, &table);
-    let blob = acc.design.to_blob();
-    let restored = dana_engine::EngineDesign::from_blob(&blob).unwrap();
-    assert_eq!(acc.design, restored);
-    // And the Strider program survives 22-bit encoding.
     let words = dana_strider::isa::encode_program(&acc.strider_program).unwrap();
     let decoded = dana_strider::isa::decode_program(&words).unwrap();
     assert_eq!(acc.strider_program, decoded);

@@ -6,10 +6,12 @@ use dana_dsl::Dims;
 use dana_storage::page::TupleDirection;
 use dana_storage::shared_pool::DEFAULT_SHARDS;
 use dana_storage::{
-    BufferPoolConfig, DiskModel, HeapFileBuilder, HeapId, PageId, Schema, SharedBufferPool, Tuple,
+    BufferPoolConfig, ColumnType, Datum, DiskModel, HeapFileBuilder, HeapId, PageId,
+    PageLayoutDesc, PageView, RowDecoder, Schema, SharedBufferPool, StorageResult, Tuple,
+    TupleBatch, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
 };
 use dana_strider::isa::{decode_program, encode_program, Instr, Opcode, Operand, Reg};
-use dana_strider::{AccessEngine, AccessEngineConfig};
+use dana_strider::{AccessEngine, AccessEngineConfig, StriderResult};
 
 proptest! {
     /// Tuple form/deform is the identity for any finite values.
@@ -169,7 +171,7 @@ proptest! {
         let mut bytes = heap.page_bytes(0).unwrap().to_vec();
         let pos = dana_storage::PAGE_HEADER_BYTES + (offset % (bytes.len() - dana_storage::PAGE_HEADER_BYTES));
         bytes[pos] ^= flip;
-        let page = dana_storage::HeapPage::from_bytes(bytes, *heap.layout()).unwrap();
+        let page = dana_storage::PageView::new(&bytes, *heap.layout()).unwrap();
         prop_assert!(!page.verify_checksum());
     }
 }
@@ -288,6 +290,120 @@ proptest! {
             let sql = String::from_utf8_lossy(&bytes);
             prop_assert!(parses_or_refuses(&sql), "panicked on {sql:?}");
         }
+    }
+}
+
+/// Whether every reader of the page format answers `bytes` with a value or
+/// a typed error — no unwinding — and only ever appends whole rows: the one
+/// page reader (`PageView`: header, line pointers, `t_hoff`, checksum), the
+/// zone-map / slot-selection style of decoding (`user_data` → `RowDecoder`),
+/// the CPU deform feed, and Strider extraction.
+fn readers_survive(
+    bytes: &[u8],
+    layout: PageLayoutDesc,
+    decoder: &RowDecoder,
+    engine: &AccessEngine,
+) -> bool {
+    let width = decoder.columns().len();
+    let whole_rows = |b: &TupleBatch| b.as_slice().len() == b.len() * width;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut ok = true;
+        let view: StorageResult<PageView> = PageView::new(bytes, layout);
+        if let Ok(view) = view {
+            let _: bool = view.verify_checksum();
+            let mut row = vec![0f32; width];
+            // Every live slot, and the one past the last.
+            for slot in 0..=view.tuple_count() {
+                let _: StorageResult<&[u8]> = view.tuple_bytes(slot);
+                if let Ok(data) = view.user_data(slot, decoder.data_width()) {
+                    decoder.decode_row(data, &mut row);
+                }
+            }
+            let mut batch = TupleBatch::new(width);
+            let deformed: StorageResult<()> = view.deform_all_into(decoder, &mut batch);
+            ok &= whole_rows(&batch);
+            ok &= deformed.is_err() || batch.len() == view.tuple_count() as usize;
+        }
+        let mut batch = TupleBatch::from_rows(width, [vec![9.0; width]]);
+        let _: StriderResult<u64> = engine.extract_page_into(bytes, &mut batch);
+        ok &= whole_rows(&batch) && batch.row(0).iter().all(|v| *v == 9.0);
+        ok
+    }))
+    .unwrap_or(false)
+}
+
+// ROADMAP robustness 4(a) for the page format: start from builder pages
+// over random schemas and both placement directions, then truncate the
+// image or flip bytes where the readers look — the page header, the tuple
+// count, a line pointer, a tuple's `t_hoff` — and require values or typed
+// `StorageError` / `StriderError`s, never a panic or a partial row.
+proptest! {
+    #[test]
+    fn hostile_pages_are_typed_errors_never_panics(
+        types in prop::collection::vec(0usize..4, 1..7),
+        descending in any::<bool>(),
+        n in 1usize..260,
+        kinds in prop::collection::vec(0usize..5, 1..7),
+        positions in prop::collection::vec(0usize..1 << 16, 6),
+        flips in prop::collection::vec(1u16..256, 6),
+    ) {
+        let types: Vec<ColumnType> = types
+            .iter()
+            .map(|&t| [ColumnType::Float4, ColumnType::Float8, ColumnType::Int4, ColumnType::Int8][t])
+            .collect();
+        let schema = Schema::new(types.iter().enumerate().map(|(i, &ty)| (format!("c{i}"), ty)).collect());
+        let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
+        let mut b = HeapFileBuilder::new(schema.clone(), 8 * 1024, direction).unwrap();
+        for k in 0..n as i32 {
+            let values = types.iter().map(|ty| match ty {
+                ColumnType::Float4 => Datum::Float4(k as f32 * 0.5),
+                ColumnType::Float8 => Datum::Float8(f64::from(k) * -0.25),
+                ColumnType::Int4 => Datum::Int4(k - 7),
+                ColumnType::Int8 => Datum::Int8(i64::from(k) << 33),
+            });
+            b.insert(&Tuple::new(values.collect())).unwrap();
+        }
+        let heap = b.finish();
+        let layout = *heap.layout();
+        let decoder = RowDecoder::new(&schema);
+        let engine = AccessEngine::for_table(
+            layout,
+            schema,
+            AccessEngineConfig::new(1, dana_fpga::Clock::FPGA_150MHZ, dana_fpga::AxiLink::with_bandwidth(2.5e9)),
+        );
+        let clean = heap.page_bytes(0).unwrap();
+        let live = PageView::new(clean, layout).unwrap().tuple_count() as usize;
+        prop_assert!(readers_survive(clean, layout, &decoder, &engine));
+
+        // Each kind of damage alone, then all of them piled on one image.
+        let mut piled = clean.to_vec();
+        for (i, &kind) in kinds.iter().enumerate() {
+            let (pos, flip) = (positions[i], flips[i] as u8);
+            let mut alone = clean.to_vec();
+            for bytes in [&mut alone, &mut piled] {
+                let at = match kind {
+                    0 => {
+                        bytes.truncate(pos % bytes.len().max(1));
+                        continue;
+                    }
+                    1 => pos % PAGE_HEADER_BYTES,
+                    2 => 16 + pos % 2, // tuple count
+                    3 => PAGE_HEADER_BYTES + pos % (live * LINE_POINTER_BYTES),
+                    _ => layout.tuple_offset((pos % live) as u16) + 10, // t_hoff
+                };
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte ^= flip;
+                }
+            }
+            prop_assert!(
+                readers_survive(&alone, layout, &decoder, &engine),
+                "damage {kind} at {pos} ^ {flip:#x}: {types:?} {direction:?} n={n}"
+            );
+        }
+        prop_assert!(
+            readers_survive(&piled, layout, &decoder, &engine),
+            "damage {kinds:?} at {positions:?} ^ {flips:?}: {types:?} {direction:?} n={n}"
+        );
     }
 }
 

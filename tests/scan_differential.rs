@@ -5,8 +5,11 @@
 //! must behave **bit-identically** to running the same statement over a
 //! manually pre-materialized filtered table — models, materialized
 //! prediction pages, and metric values — across all four zoo analytics,
-//! for gangs of 1, 2, and 4 shards. A drop racing a filtered scan must
-//! leave no buffer-pool frame held and no compressed sidecar resident.
+//! for gangs of 1, 2, and 4 shards. A filtered PREDICT materializes from
+//! the slots its scan kept, so its table is also held to the reference
+//! selection (`select_slots` over the raw heap), page for page. A drop
+//! racing a filtered scan must leave no buffer-pool frame held and no
+//! compressed sidecar resident.
 
 use dana::prelude::*;
 use dana::{
@@ -144,6 +147,44 @@ fn pages_of(heap: &HeapFile) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The first `width` user-data bytes of the tuples `slots` names page by
+/// page (`None`: every tuple), in order — byte comparison, so NaN cells
+/// and integer columns compare exactly.
+fn cells_of(heap: &HeapFile, width: usize, slots: Option<&[Vec<u16>]>) -> Vec<Vec<u8>> {
+    let mut cells = Vec::new();
+    for p in 0..heap.page_count() {
+        let page = heap.page(p).unwrap();
+        let every: Vec<u16> = (0..page.tuple_count()).collect();
+        for &slot in slots.map_or(&every, |s| &s[p as usize]) {
+            cells.push(page.user_data(slot, width).unwrap().to_vec());
+        }
+    }
+    cells
+}
+
+/// Holds the table a filtered `PREDICT … INTO dest` built from its scan's
+/// survivor lists to the reference selection: `dest` keeps exactly the
+/// tuples `select_slots` names over `source`'s raw pages, in page and slot
+/// order (the appended prediction cell aside) — zone-pruned pages included,
+/// since the reference lists them empty.
+fn held_to_select_slots(core: &SystemCore, source: &str, dest: &str, wher: &str) {
+    let Statement::Call(call) =
+        parse_statement(&format!("PREDICT dana.f('{source}') INTO 'd' {wher};")).unwrap()
+    else {
+        panic!("expected a call");
+    };
+    let heap = core.table_snapshot(source).unwrap();
+    let bound = call.scan.unwrap().bind(heap.schema()).unwrap();
+    let reference = dana::select_slots(&heap, &bound).unwrap();
+    assert_eq!(reference.len(), heap.page_count() as usize);
+    let width = heap.schema().tuple_data_width();
+    assert_eq!(
+        cells_of(&core.table_snapshot(dest).unwrap(), width, None),
+        cells_of(&heap, width, Some(&reference)),
+        "`{dest}`: {wher} over `{source}`"
+    );
+}
+
 /// Filtered EXECUTE / PREDICT / EVALUATE against the full table must be
 /// bit-identical to the plain statement against the pre-materialized
 /// filtered table, for every zoo model × shard count — and each charges
@@ -160,6 +201,15 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
         core.create_table("t", full).unwrap();
         core.create_table("tf", filtered).unwrap();
         core.deploy(&spec, "tf").unwrap();
+        if algo == Algorithm::Linear {
+            // NaN in x1 on every fifth row: a `!=` keeps those rows, and
+            // no zone map may rule their pages out on min/max alone.
+            let mut rows = dense_rows(1400, 10, algo);
+            for (x, _) in rows.iter_mut().step_by(5) {
+                x[1] = f32::NAN;
+            }
+            core.create_table("tn", dense_heap_of(&rows, 10)).unwrap();
+        }
 
         let run = |sql: String| core.execute_statement(&sql).unwrap();
         let scan_counters = || {
@@ -195,6 +245,17 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             let got_pages = pages_of(&core.table_snapshot(&format!("pf_{k}")).unwrap());
             let want_pages = pages_of(&core.table_snapshot(&format!("pr_{k}")).unwrap());
             assert_eq!(got_pages, want_pages, "{algo:?} k={k}: prediction pages");
+            // The survivors the scan handed PREDICT are the reference
+            // selection, whichever way the scan ran (streamed by one
+            // member, or drained once and replayed by k).
+            held_to_select_slots(&core, "t", &format!("pf_{k}"), wher);
+            if algo == Algorithm::Linear {
+                let wher = "WHERE x1 != 0.25";
+                run(format!(
+                    "PREDICT dana.{udf}('tn') INTO 'pn_{k}' {wher} {with};"
+                ));
+                held_to_select_slots(&core, "tn", &format!("pn_{k}"), wher);
+            }
 
             // EVALUATE: metric value and row count bit-identical.
             let got = run_filtered(format!("EVALUATE dana.{udf}('t') {wher} {with};"));
