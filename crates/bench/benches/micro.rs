@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks: simulator-component throughput.
 //!
 //! These measure the *reproduction's* own performance (how fast the
-//! simulators run on the host), plus ablation comparisons for design
-//! choices DESIGN.md calls out: Strider page-walk throughput, engine
+//! simulators run on the host), plus ablation comparisons for the data
+//! path's design choices: Strider page-walk throughput, engine
 //! cycles/tuple, scheduler cost, buffer-pool hit path, end-to-end
 //! small-scale training, and the flat `TupleBatch` data path (strider
 //! extraction + the lowered executor) against the per-tuple
@@ -237,7 +237,7 @@ fn end_to_end_small(c: &mut Criterion) {
 }
 
 fn ablation_page_layouts(c: &mut Criterion) {
-    // DESIGN.md design-choice ablation: ascending vs descending tuple
+    // Design-choice ablation: ascending vs descending tuple
     // placement should extract at the same rate (the ISA handles both).
     let mut group = c.benchmark_group("strider_layout_ablation");
     for dir in [TupleDirection::Ascending, TupleDirection::Descending] {

@@ -3,10 +3,16 @@
 //! The evaluation's datasets reach 38 GB and 1.3 M × 7 K tuples — far past
 //! what functional simulation should chew through for every figure. This
 //! module prices full-scale runs **through the same compiler** (real
-//! hDFG → real schedule → the §6.1 performance estimator, which the
-//! integration tests pin against the cycle-accurate engine) and the same
-//! cost models the functional executors use. Every bench target in
-//! `dana-bench` goes through these functions.
+//! hDFG → real schedule → the §6.1 performance estimator) and **the same
+//! cost model** the functional executors use: DAnA goes through
+//! [`crate::runtime::epoch_costs`] and [`compose`], the baselines through
+//! the `dana_ml::CpuModel` epoch formulas their executors call. Only the
+//! counts differ — estimated here from Table-3 statistics, measured
+//! there — and one charge: a scan's misses cost one sequential read here,
+//! one random read per page in the buffer pool. `tests/ablations.rs`
+//! (`analytic_harness_is_the_simulators_cost_model`) holds the two sides
+//! together term by term, that difference included. Every figure in
+//! `dana_bench::figures` goes through these functions.
 
 use dana_compiler::{compile, compile_with_threads, CompileInput, CompiledAccelerator};
 use dana_fpga::{AxiLink, FpgaSpec};
@@ -17,9 +23,8 @@ use dana_storage::{DiskModel, PageLayoutDesc, TUPLE_HEADER_BYTES};
 use dana_workloads::Workload;
 
 use crate::error::DanaResult;
-use crate::exec::CPU_FEED_HANDSHAKE_S;
 use crate::report::{DanaTiming, Seconds};
-use crate::runtime::{compose, EpochCosts, ExecutionMode};
+use crate::runtime::{compose, epoch_costs, ExecutionMode, ScanCounts};
 
 /// The evaluation machine/system configuration (§7's experimental setup).
 #[derive(Debug, Clone, Copy)]
@@ -135,40 +140,37 @@ fn dana_timing_for(
     p: &SystemParams,
 ) -> DanaTiming {
     let pages = w.pages_for(p.page_size);
-    let bytes = pages * p.page_size as u64;
-    let clock = p.fpga.clock;
-    let axi = AxiLink::with_bandwidth(p.fpga.axi_bandwidth);
+    let page_bytes = p.page_size as u64;
     let (first_misses, later_misses) = residency(w, p, warm);
-
-    let strider_cycles = pages * acc.estimate.strider_cycles_per_page;
-    let width = w.schema().len();
-    let costs = EpochCosts {
-        io_first: p
-            .disk
-            .sequential_read_time(first_misses * p.page_size as u64),
-        io_later: p
-            .disk
-            .sequential_read_time(later_misses * p.page_size as u64),
-        axi: axi.stream_time(bytes, p.page_size as u64),
-        // Paper-scale analytic workloads model raw (uncompressed) pages.
-        decompress: 0.0,
-        strider: clock
-            .to_seconds(strider_cycles.div_ceil(acc.budget.num_page_buffers.max(1) as u64)),
-        engine: clock.to_seconds(acc.estimate.epoch_engine_cycles),
-        cpu_feed: w.tuples as f64
-            * (w.tuple_bytes() as f64 * p.cpu.deform_s_per_byte
-                + width as f64 * p.cpu.conv_s_per_value
-                + CPU_FEED_HANDSHAKE_S)
-            + (w.tuples as f64 * width as f64 * 4.0) / p.fpga.axi_bandwidth,
-        fill: axi.burst_time(p.page_size as u64),
-    };
+    let costs = epoch_costs(
+        &ScanCounts {
+            tuples: w.tuples,
+            tuple_bytes: w.tuple_bytes(),
+            width: w.schema().len(),
+            page_size: p.page_size,
+            // Every page is charged as a full one (the last is not).
+            strider_cycles: pages * acc.estimate.strider_cycles_per_page,
+            // Paper-scale analytic workloads model raw (uncompressed) pages.
+            decompress_cycles: 0,
+            axi_seconds: AxiLink::with_bandwidth(p.fpga.axi_bandwidth)
+                .stream_time(pages * page_bytes, page_bytes),
+            io_first: p.disk.sequential_read_time(first_misses * page_bytes),
+            io_later: p.disk.sequential_read_time(later_misses * page_bytes),
+            engine_seconds: p.fpga.clock.to_seconds(acc.estimate.epoch_engine_cycles),
+        },
+        &p.fpga,
+        &p.cpu,
+        acc.budget.num_page_buffers,
+    );
     compose(mode, w.epochs, &costs)
 }
 
-/// MADlib + PostgreSQL at full workload scale.
-pub fn analytic_madlib(w: &Workload, warm: bool, p: &SystemParams) -> AnalyticTiming {
-    let pages = w.pages_for(p.page_size);
-    let cpu_epoch = match (w.algorithm, w.lrmf) {
+/// One single-threaded MADlib epoch's CPU seconds — the term
+/// [`analytic_madlib`] multiplies out and [`analytic_greenplum`] splits
+/// across segments. LRMF is priced over the paper's dense-row
+/// representation (see [`CpuModel::madlib_lrmf_epoch_seconds`]).
+fn madlib_epoch_seconds(w: &Workload, p: &SystemParams) -> Seconds {
+    match (w.algorithm, w.lrmf) {
         (Algorithm::Lrmf, Some((rows, cols, rank))) => {
             p.cpu
                 .madlib_lrmf_epoch_seconds(rows as u64, cols as u64, rank, w.paper_pages)
@@ -179,20 +181,37 @@ pub fn analytic_madlib(w: &Workload, warm: bool, p: &SystemParams) -> AnalyticTi
             w.features,
             10,
             w.tuple_bytes(),
-            pages,
+            w.pages_for(p.page_size),
         ),
-    };
+    }
+}
+
+/// Totals `epochs × cpu_epoch` beside the scans' disk seconds (the first
+/// epoch's misses, then what the pool cannot hold on every later one).
+/// Single-threaded PostgreSQL does not overlap reads with the aggregate,
+/// and Greenplum's segments share the one disk: the same bytes move
+/// either way.
+fn baseline_timing(
+    w: &Workload,
+    cpu_epoch: Seconds,
+    warm: bool,
+    p: &SystemParams,
+) -> AnalyticTiming {
     let (first, later) = residency(w, p, warm);
     let io = p.disk.sequential_read_time(first * p.page_size as u64)
         + (w.epochs.max(1) as u64 - 1) as f64
             * p.disk.sequential_read_time(later * p.page_size as u64);
     let cpu = w.epochs.max(1) as f64 * cpu_epoch;
-    // Single-threaded PostgreSQL: the aggregate does not overlap reads.
     AnalyticTiming {
         cpu_seconds: cpu,
         io_seconds: io,
         total_seconds: cpu + io,
     }
+}
+
+/// MADlib + PostgreSQL at full workload scale.
+pub fn analytic_madlib(w: &Workload, warm: bool, p: &SystemParams) -> AnalyticTiming {
+    baseline_timing(w, madlib_epoch_seconds(w, p), warm, p)
 }
 
 /// MADlib + Greenplum at full workload scale.
@@ -202,19 +221,13 @@ pub fn analytic_greenplum(
     warm: bool,
     p: &SystemParams,
 ) -> AnalyticTiming {
-    let single = analytic_madlib(w, warm, p);
-    let single_epoch = single.cpu_seconds / w.epochs.max(1) as f64;
-    let par = CpuModel::greenplum_parallel_fraction(w.algorithm);
-    let model_bytes = w.model_elements() as u64 * 4;
-    let epoch = single_epoch * ((1.0 - par) + par / segments as f64)
-        + p.cpu.greenplum_sync_seconds(segments, model_bytes);
-    let cpu = w.epochs.max(1) as f64 * epoch;
-    // Segments share the one disk: the same bytes move either way.
-    AnalyticTiming {
-        cpu_seconds: cpu,
-        io_seconds: single.io_seconds,
-        total_seconds: cpu + single.io_seconds,
-    }
+    let epoch = p.cpu.greenplum_epoch_seconds(
+        w.algorithm,
+        madlib_epoch_seconds(w, p),
+        segments,
+        w.model_elements() as u64 * 4,
+    );
+    baseline_timing(w, epoch, warm, p)
 }
 
 /// External-library pipeline at full workload scale. `None` when the

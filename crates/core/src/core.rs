@@ -745,16 +745,6 @@ impl SystemCore {
         *self.profile.write().unwrap_or_else(PoisonError::into_inner) = profile;
     }
 
-    /// Calibrates the advisor's CPU lane rate with the one-time
-    /// microbench on this host and enables the break-even model for
-    /// `backend = auto` (clearing the default always-offload threshold).
-    pub fn calibrate_backend_advisor(&self) {
-        let mut profile = self.hardware_profile();
-        profile.cpu_lane_ops_per_second = dana_engine::calibrate_cpu_lane_rate();
-        profile.offload_threshold_rows = None;
-        self.set_hardware_profile(profile);
-    }
-
     // ---- bind -----------------------------------------------------------
 
     /// Binds a parsed [`Call`] to its [`PhysicalPlan`] — the one place a

@@ -8,7 +8,11 @@
 //! results are bit-identical however many queries run beside each other.
 //! There is one assembler per statement kind, not one per scan shape: the
 //! critical-path and sum reductions are identities over one member, so a
-//! serial statement is the k = 1 case of the same arithmetic.
+//! serial statement is the k = 1 case of the same arithmetic. The cost
+//! terms themselves are not written here: `stream_costs` hands what the
+//! scan measured to [`crate::runtime::epoch_costs`], the builder the
+//! paper-scale harness calls with estimated counts, and the trace's stage
+//! split is read off the composed [`DanaTiming`].
 //!
 //! Nothing here reads a page or evaluates a predicate:
 //! [`materialize_predictions`] hands the inference tier the slots a
@@ -30,7 +34,7 @@ use crate::advisor::Workload;
 use crate::error::{DanaError, DanaResult};
 use crate::query::Statement;
 use crate::report::{DanaReport, DanaTiming, Seconds};
-use crate::runtime::{compose, stage_partition, EpochCosts, ExecutionMode};
+use crate::runtime::{compose, epoch_costs, EpochCosts, ExecutionMode, ScanCounts};
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
 /// Every traced run pre-registers the front half (`parse` →
@@ -82,10 +86,12 @@ pub fn finish_trace(
 }
 
 /// Records the execution-stage spans (`scan` / `engine` + per-epoch
-/// children / `merge`) of one composed training run. The stage sims are
-/// an exact partition of [`compose`]'s `total_seconds` — `lease + scan +
-/// engine + merge` reproduces the report total to float rounding, which
-/// `EXPLAIN ANALYZE` asserts against the query report.
+/// children / `merge`) of one composed training run. The stage sims
+/// partition the composed `total_seconds` by construction: `lease` is
+/// the one-time setup, `engine` (+ `merge`) the engine compute, and
+/// `scan` everything else of each epoch — the overlapped feed's surplus
+/// over compute, pipeline fill and host epoch overhead — so `EXPLAIN
+/// ANALYZE`'s stage sum is the query report's total.
 ///
 /// Counts and children depend only on the statement and the engine's
 /// deterministic epoch outcome — never on gang width or front door — so
@@ -94,9 +100,8 @@ pub fn finish_trace(
 /// critical path, which is exactly how the cost model composes it).
 fn record_training_spans(
     rec: &SpanRecorder,
-    mode: ExecutionMode,
+    timing: &DanaTiming,
     epochs: u32,
-    costs: &EpochCosts,
     clock_hz: f64,
     epoch_cycles: &[u64],
     merge_cycles: u64,
@@ -104,14 +109,12 @@ fn record_training_spans(
     if !rec.is_enabled() {
         return;
     }
-    let part = stage_partition(mode, epochs, costs);
-    rec.add_sim(stage::LEASE, part.setup);
-    rec.add_sim(stage::SCAN, part.scan);
+    record_scan_split(rec, timing);
     // The gang's epoch-boundary merge tier rides the engine's cycle
     // counter in the cost model; carve its share back out so the trace
     // attributes it to its own stage (bounded by the engine slice).
-    let merge_sim = (merge_cycles as f64 / clock_hz.max(1.0)).min(part.engine);
-    let engine_sim = part.engine - merge_sim;
+    let merge_sim = (merge_cycles as f64 / clock_hz.max(1.0)).min(timing.engine_seconds);
+    let engine_sim = timing.engine_seconds - merge_sim;
     rec.add_sim(stage::ENGINE, engine_sim);
     let epochs = epochs.max(1) as usize;
     rec.set_count(stage::ENGINE, epochs as u64);
@@ -135,15 +138,23 @@ fn record_training_spans(
 /// merge tier — `engine` carries the forward-pass compute
 /// ([`ScoringStats::engine_seconds`]) and `merge` stays an empty anchor
 /// so scoring traces keep the same stage order as training.
-fn record_scoring_spans(rec: &SpanRecorder, mode: ExecutionMode, costs: &EpochCosts) {
+fn record_scoring_spans(rec: &SpanRecorder, timing: &DanaTiming) {
     if !rec.is_enabled() {
         return;
     }
-    let part = stage_partition(mode, 1, costs);
-    rec.add_sim(stage::LEASE, part.setup);
-    rec.add_sim(stage::SCAN, part.scan);
-    rec.add_sim(stage::ENGINE, part.engine);
+    record_scan_split(rec, timing);
+    rec.add_sim(stage::ENGINE, timing.engine_seconds);
     rec.stage(stage::MERGE);
+}
+
+/// The `lease` and `scan` stage sims of a composed run: setup, and the
+/// total less setup and engine compute.
+fn record_scan_split(rec: &SpanRecorder, timing: &DanaTiming) {
+    rec.add_sim(stage::LEASE, timing.setup_seconds);
+    rec.add_sim(
+        stage::SCAN,
+        timing.total_seconds - timing.setup_seconds - timing.engine_seconds,
+    );
 }
 
 /// Records the wall-clock execution spans of a native-CPU run, where no
@@ -158,11 +169,6 @@ pub fn record_cpu_spans(rec: &SpanRecorder, wall_seconds: Seconds) {
     rec.add_wall(stage::ENGINE, wall_seconds);
     rec.stage(stage::MERGE);
 }
-
-/// Per-tuple CPU→FPGA handshake cost in the Strider-less ablation
-/// ("significant overhead due to the handshaking between CPU and FPGA",
-/// §5.1.1).
-pub const CPU_FEED_HANDSHAKE_S: f64 = 0.35e-6;
 
 /// The runtime artifact one EXECUTE needs, built once at DEPLOY and held
 /// by the accelerator's catalog entry: the validated + lowered engine
@@ -499,10 +505,10 @@ pub struct CostInputs<'a> {
 }
 
 /// The per-epoch costs every streamed scan shares (training and
-/// scoring): disk, AXI, Strider extraction, CPU-feed ablation — only the
-/// engine-compute term differs between the two query types. `scan_pages`
-/// is how many pages one later pass of *this* scan touches (see
-/// [`critical_scan`]).
+/// scoring), from what the scan measured — only the engine-compute term
+/// differs between the two query types. `scan_pages` is how many pages
+/// one later pass of *this* scan touches (see [`critical_scan`]); the
+/// pool charges each one it cannot hold a random page read.
 fn stream_costs(
     inputs: &CostInputs<'_>,
     scan_pages: u32,
@@ -510,32 +516,26 @@ fn stream_costs(
     io_first: Seconds,
     engine_per_epoch: Seconds,
 ) -> EpochCosts {
-    let (fpga, cpu, heap) = (inputs.fpga, inputs.cpu, inputs.heap);
-    let clock = fpga.clock;
+    let heap = inputs.heap;
     let page_size = heap.layout().page_size;
     let missing_later = scan_pages.saturating_sub(inputs.pool_frames as u32) as f64;
-    let width = heap.schema().len();
-    let tuple_bytes = heap.layout().tuple_bytes;
-    let float_bytes = access_stats.tuples as f64 * width as f64 * 4.0;
-    let axi = AxiLink::with_bandwidth(fpga.axi_bandwidth);
-    EpochCosts {
-        io_first,
-        io_later: missing_later * inputs.disk.read_time(page_size as u64),
-        axi: access_stats.axi_seconds,
-        decompress: clock.to_seconds(access_stats.decompress_cycles),
-        strider: clock.to_seconds(
-            access_stats
-                .strider_cycles
-                .div_ceil(inputs.budget.num_page_buffers.max(1) as u64),
-        ),
-        engine: engine_per_epoch,
-        cpu_feed: access_stats.tuples as f64
-            * (tuple_bytes as f64 * cpu.deform_s_per_byte
-                + width as f64 * cpu.conv_s_per_value
-                + CPU_FEED_HANDSHAKE_S)
-            + float_bytes / fpga.axi_bandwidth,
-        fill: axi.burst_time(page_size as u64),
-    }
+    epoch_costs(
+        &ScanCounts {
+            tuples: access_stats.tuples,
+            tuple_bytes: heap.layout().tuple_bytes,
+            width: heap.schema().len(),
+            page_size,
+            strider_cycles: access_stats.strider_cycles,
+            decompress_cycles: access_stats.decompress_cycles,
+            axi_seconds: access_stats.axi_seconds,
+            io_first,
+            io_later: missing_later * inputs.disk.read_time(page_size as u64),
+            engine_seconds: engine_per_epoch,
+        },
+        inputs.fpga,
+        inputs.cpu,
+        inputs.budget.num_page_buffers,
+    )
 }
 
 // ---- report composition over a scan of k ≥ 1 members ---------------------
@@ -629,15 +629,7 @@ pub fn assemble_training_report(
     let engine_per_epoch = stats.cycles as f64 / epochs as f64 / clock_hz;
     let costs = stream_costs(inputs, scan_pages, &access, io_first, engine_per_epoch);
     let timing: DanaTiming = compose(mode, epochs, &costs);
-    record_training_spans(
-        rec,
-        mode,
-        epochs,
-        &costs,
-        clock_hz,
-        epoch_cycles,
-        merge_cycles,
-    );
+    record_training_spans(rec, &timing, epochs, clock_hz, epoch_cycles, merge_cycles);
     DanaReport {
         models,
         model_names: design.models.iter().map(|m| m.name.clone()).collect(),
@@ -677,8 +669,9 @@ pub fn assemble_scoring_timing(
     let (access, io_first, scan_pages) = critical_scan(inputs.heap, shards);
     let engine = combined.engine_seconds(inputs.fpga.clock.hz);
     let costs = stream_costs(inputs, scan_pages, &access, io_first, engine);
-    record_scoring_spans(rec, inputs.mode, &costs);
-    (compose(inputs.mode, 1, &costs), combined)
+    let timing = compose(inputs.mode, 1, &costs);
+    record_scoring_spans(rec, &timing);
+    (timing, combined)
 }
 
 /// SJF's ordering key for a *scoring* query: tuple count × per-tuple

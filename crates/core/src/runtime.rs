@@ -10,6 +10,17 @@
 //! Removing the Striders (Fig. 11's ablation) breaks exactly this overlap:
 //! the CPU must deform/convert every tuple and hand it off, serializing the
 //! feed with the engine.
+//!
+//! This module is the whole DAnA cost model: [`epoch_costs`] is the one
+//! place a scan's counts become per-epoch seconds, [`compose`] the one
+//! place those overlap into a [`DanaTiming`]. The functional simulator
+//! (`exec::stream_costs`, counts measured by the access engine) and the
+//! paper-scale harness (`analytic::dana_timing_for`, counts estimated from
+//! Table-3 statistics) are its two callers, and `tests/ablations.rs` holds
+//! them to each other term by term.
+
+use dana_fpga::{AxiLink, FpgaSpec};
+use dana_ml::CpuModel;
 
 use crate::report::{DanaTiming, Seconds};
 
@@ -63,6 +74,64 @@ pub struct EpochCosts {
     pub fill: Seconds,
 }
 
+/// What one pass of a scan moved and waited on — the inputs of
+/// [`epoch_costs`]. The simulator fills it from what the access engine
+/// and the buffer pool measured, the analytic harness from workload
+/// statistics × the compiler's estimate. Each caller brings its own disk
+/// seconds on purpose: the pool charges one random read per missed page,
+/// the harness one sequential read per scan (README "Reproducing the
+/// paper" states the difference; `tests/ablations.rs` holds both sides).
+#[derive(Debug, Clone, Copy)]
+pub struct ScanCounts {
+    pub tuples: u64,
+    /// On-page bytes of one tuple (header included).
+    pub tuple_bytes: usize,
+    /// Columns per tuple.
+    pub width: usize,
+    pub page_size: usize,
+    /// Strider cycles over the whole pass, before the split across
+    /// page buffers.
+    pub strider_cycles: u64,
+    pub decompress_cycles: u64,
+    pub axi_seconds: Seconds,
+    pub io_first: Seconds,
+    pub io_later: Seconds,
+    pub engine_seconds: Seconds,
+}
+
+/// Per-tuple CPU→FPGA handshake cost in the Strider-less ablation
+/// ("significant overhead due to the handshaking between CPU and FPGA",
+/// §5.1.1).
+const CPU_FEED_HANDSHAKE_S: Seconds = 0.35e-6;
+
+/// Prices one epoch of a scan: cycles become seconds on the FPGA clock
+/// (Strider cycles split across the `page_buffers` parallel Striders),
+/// the CPU-feed ablation deforms, converts, hands off and ships every
+/// tuple as floats, and the pipeline fills with one page burst.
+pub fn epoch_costs(
+    scan: &ScanCounts,
+    fpga: &FpgaSpec,
+    cpu: &CpuModel,
+    page_buffers: u32,
+) -> EpochCosts {
+    let clock = fpga.clock;
+    let (tuples, width) = (scan.tuples as f64, scan.width as f64);
+    EpochCosts {
+        io_first: scan.io_first,
+        io_later: scan.io_later,
+        axi: scan.axi_seconds,
+        decompress: clock.to_seconds(scan.decompress_cycles),
+        strider: clock.to_seconds(scan.strider_cycles.div_ceil(page_buffers.max(1) as u64)),
+        engine: scan.engine_seconds,
+        cpu_feed: tuples
+            * (scan.tuple_bytes as f64 * cpu.deform_s_per_byte
+                + width * cpu.conv_s_per_value
+                + CPU_FEED_HANDSHAKE_S)
+            + tuples * width * 4.0 / fpga.axi_bandwidth,
+        fill: AxiLink::with_bandwidth(fpga.axi_bandwidth).burst_time(scan.page_size as u64),
+    }
+}
+
 /// One-time accelerator configuration (bitstream is pre-loaded; this is
 /// the instruction/meta transfer of §5.1.1's configuration channel plus
 /// host-side query setup).
@@ -73,11 +142,11 @@ pub const SETUP_SECONDS: Seconds = 30.0e-3;
 /// OpenCL-class FPGA runtimes (the AWS F1 / SDAccel stack the paper's
 /// platform family uses) pay tens of milliseconds per enqueue; fitted at
 /// 25 ms against the paper's small public workloads (Table 5's sub-second
-/// DAnA rows), documented in EXPERIMENTS.md.
+/// DAnA rows); EXPERIMENTS.md records the constant under table4 and the
+/// fit under table5.
 pub const EPOCH_OVERHEAD_S: Seconds = 25.0e-3;
 
-/// One epoch's simulated seconds given its disk seconds `io` — the one
-/// overlap formula [`compose`] totals and [`stage_partition`] splits.
+/// One epoch's simulated seconds given its disk seconds `io`.
 fn epoch_seconds(mode: ExecutionMode, io: Seconds, c: &EpochCosts) -> Seconds {
     match mode {
         // Full pipeline overlap at page granularity (decompression is
@@ -115,46 +184,6 @@ pub fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
     }
     timing.total_seconds += timing.setup_seconds;
     timing
-}
-
-/// The simulated time of [`compose`]'s total, split along the trace's
-/// stage vocabulary.
-///
-/// The split walks the same epochs through the same `epoch_seconds`, so
-/// `setup + scan + engine` reproduces `total_seconds` to float rounding —
-/// `EXPLAIN ANALYZE` holds the rendered stage sum to the query report, so
-/// the partition must be a true decomposition rather than a second
-/// estimate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StagePartition {
-    /// One-time configuration — the trace's `lease` stage (sim side).
-    pub setup: Seconds,
-    /// Everything of each epoch that is not engine compute: the
-    /// overlapped feed (I/O / AXI / Strider or CPU feed) surplus over
-    /// compute, pipeline fill, and host epoch overhead — the trace's
-    /// `scan` stage.
-    pub scan: Seconds,
-    /// Engine compute across all epochs — the trace's `engine` stage
-    /// (the gang path carves its merge share out of this).
-    pub engine: Seconds,
-}
-
-/// Splits the composed end-to-end simulated time into trace stages.
-pub fn stage_partition(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> StagePartition {
-    let epochs = epochs.max(1);
-    let mut part = StagePartition {
-        setup: SETUP_SECONDS,
-        ..StagePartition::default()
-    };
-    for e in 0..epochs {
-        let io = if e == 0 { c.io_first } else { c.io_later };
-        let epoch = epoch_seconds(mode, io, c);
-        // `epoch >= c.engine + fill + overhead` in every mode, so the
-        // scan share is non-negative by construction.
-        part.scan += epoch - c.engine;
-        part.engine += c.engine;
-    }
-    part
 }
 
 #[cfg(test)]
@@ -203,29 +232,6 @@ mod tests {
     fn zero_epochs_clamps_to_one() {
         let t = compose(ExecutionMode::Strider, 0, &costs());
         assert!(t.total_seconds > SETUP_SECONDS);
-    }
-
-    #[test]
-    fn stage_partition_reproduces_composed_total() {
-        for mode in [
-            ExecutionMode::Strider,
-            ExecutionMode::CpuFed,
-            ExecutionMode::Tabla,
-        ] {
-            for epochs in [0u32, 1, 3, 17] {
-                let t = compose(mode, epochs, &costs());
-                let p = stage_partition(mode, epochs, &costs());
-                let sum = p.setup + p.scan + p.engine;
-                assert!(
-                    (sum - t.total_seconds).abs() < 1e-12 * t.total_seconds.max(1.0),
-                    "{mode:?} epochs={epochs}: {sum} vs {}",
-                    t.total_seconds
-                );
-                assert!(p.scan >= 0.0);
-                let engine = epochs.max(1) as f64 * costs().engine;
-                assert!((p.engine - engine).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

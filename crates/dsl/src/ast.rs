@@ -232,7 +232,8 @@ pub enum OpKind {
     /// Reduction along `axis` (1-based from the right).
     Group(GroupOp, VarId, usize),
     /// Row gather: `lookup(matrix, index)` — selects row `index` of a
-    /// rank-2 model. Needed by LRMF (DESIGN.md §5.6).
+    /// rank-2 model. Needed by LRMF, whose update rule reads and writes
+    /// the factor rows a rating's `(i, j)` names.
     Gather { matrix: VarId, index: VarId },
     /// Copy / rename.
     Identity(VarId),

@@ -38,8 +38,8 @@ impl FpgaSpec {
     /// Xilinx Virtex UltraScale+ VU9P, the paper's evaluation platform
     /// (Table 4), synthesized at 150 MHz.
     ///
-    /// The AXI effective bandwidth is a fitted constant (DESIGN.md §7):
-    /// 2.5 GB/s reproduces the paper's observation that the wide synthetic
+    /// The AXI effective bandwidth is a fitted constant (EXPERIMENTS.md,
+    /// table4, records it; fig14 is the fit): 2.5 GB/s reproduces the paper's observation that the wide synthetic
     /// workloads are bandwidth-bound at the baseline bandwidth (Fig. 14).
     pub fn vu9p() -> FpgaSpec {
         FpgaSpec {

@@ -17,8 +17,8 @@
 //!   + fixed UDF/aggregate overhead
 //! ```
 //!
-//! Calibration notes (EXPERIMENTS.md records the resulting paper-vs-model
-//! deltas): the vectorization factor encodes the paper's observation that
+//! Calibration notes (EXPERIMENTS.md's *ours/paper* columns record the
+//! resulting paper-vs-model deltas): the vectorization factor encodes the paper's observation that
 //! "Blog Feedback sees the smallest speedup [1.9×] due to the high CPU
 //! vectorization potential of the linear regression algorithm" while
 //! logistic regression's transcendental inner loop vectorizes poorly
@@ -190,23 +190,20 @@ impl CpuModel {
         barrier + transfer
     }
 
-    /// CPU seconds for one Greenplum epoch over `segments` segments
-    /// (Amdahl split plus the per-epoch synchronization).
-    #[allow(clippy::too_many_arguments)] // mirrors the cost model's factor list
+    /// CPU seconds for one Greenplum epoch over `segments` segments: the
+    /// Amdahl split of the single-segment epoch (`single_epoch`, from
+    /// [`CpuModel::madlib_epoch_seconds`] or, for LRMF's row
+    /// representation, [`CpuModel::madlib_lrmf_epoch_seconds`]) plus the
+    /// per-epoch synchronization.
     pub fn greenplum_epoch_seconds(
         &self,
         algo: Algorithm,
-        tuples: u64,
-        width: usize,
-        rank: usize,
-        tuple_bytes: usize,
-        pages: u64,
+        single_epoch: Seconds,
         segments: u32,
         model_bytes: u64,
     ) -> Seconds {
-        let single = self.madlib_epoch_seconds(algo, tuples, width, rank, tuple_bytes, pages);
         let p = CpuModel::greenplum_parallel_fraction(algo);
-        single * ((1.0 - p) + p / segments as f64)
+        single_epoch * ((1.0 - p) + p / segments as f64)
             + self.greenplum_sync_seconds(segments, model_bytes)
     }
 }
@@ -249,17 +246,8 @@ mod tests {
     #[test]
     fn greenplum_scales_then_saturates() {
         let m = CpuModel::i7_6700();
-        let args = (
-            Algorithm::Logistic,
-            500_000u64,
-            500usize,
-            10usize,
-            2020usize,
-            31_000u64,
-        );
-        let e = |s: u32| {
-            m.greenplum_epoch_seconds(args.0, args.1, args.2, args.3, args.4, args.5, s, 2000)
-        };
+        let single = m.madlib_epoch_seconds(Algorithm::Logistic, 500_000, 500, 10, 2020, 31_000);
+        let e = |s: u32| m.greenplum_epoch_seconds(Algorithm::Logistic, single, s, 2000);
         let (e1, e4, e8, e16) = (e(1), e(4), e(8), e(16));
         assert!(e4 < e1 && e8 < e4, "{e1} {e4} {e8}");
         // Diminishing returns beyond 8 segments (the paper's best setting).
@@ -269,11 +257,15 @@ mod tests {
     #[test]
     fn greenplum_lrmf_parallelizes_poorly() {
         let m = CpuModel::i7_6700();
-        let dense =
-            m.greenplum_epoch_seconds(Algorithm::Linear, 100_000, 100, 10, 420, 3000, 8, 400)
-                / m.madlib_epoch_seconds(Algorithm::Linear, 100_000, 100, 10, 420, 3000);
-        let lrmf = m.greenplum_epoch_seconds(Algorithm::Lrmf, 100_000, 2, 10, 28, 3000, 8, 400)
-            / m.madlib_epoch_seconds(Algorithm::Lrmf, 100_000, 2, 10, 28, 3000);
+        let ratio = |algo, single| m.greenplum_epoch_seconds(algo, single, 8, 400) / single;
+        let dense = ratio(
+            Algorithm::Linear,
+            m.madlib_epoch_seconds(Algorithm::Linear, 100_000, 100, 10, 420, 3000),
+        );
+        let lrmf = ratio(
+            Algorithm::Lrmf,
+            m.madlib_epoch_seconds(Algorithm::Lrmf, 100_000, 2, 10, 28, 3000),
+        );
         assert!(
             dense < lrmf,
             "dense ratio {dense} must beat LRMF ratio {lrmf}"

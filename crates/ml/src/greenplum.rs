@@ -95,11 +95,14 @@ impl GreenplumExecutor {
         let cpu_seconds = cfg.epochs.max(1) as f64
             * self.cpu.greenplum_epoch_seconds(
                 cfg.algorithm,
-                heap.tuple_count(),
-                width,
-                cfg.rank,
-                heap.layout().tuple_bytes,
-                heap.page_count() as u64,
+                self.cpu.madlib_epoch_seconds(
+                    cfg.algorithm,
+                    heap.tuple_count(),
+                    width,
+                    cfg.rank,
+                    heap.layout().tuple_bytes,
+                    heap.page_count() as u64,
+                ),
                 self.segments,
                 model_bytes,
             );

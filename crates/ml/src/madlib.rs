@@ -94,37 +94,6 @@ impl MadlibExecutor {
             model,
         })
     }
-
-    /// Analytic-only runtime (no functional pass) for paper-scale
-    /// workloads: same formulas, driven by catalog statistics.
-    #[allow(clippy::too_many_arguments)] // mirrors the cost model's factor list
-    pub fn analytic_seconds(
-        &self,
-        cfg: &TrainConfig,
-        tuples: u64,
-        width: usize,
-        tuple_bytes: usize,
-        pages: u64,
-        resident_pages: u64,
-        page_size: usize,
-    ) -> (Seconds, Seconds) {
-        let cpu = cfg.epochs.max(1) as f64
-            * self.cpu.madlib_epoch_seconds(
-                cfg.algorithm,
-                tuples,
-                width,
-                cfg.rank,
-                tuple_bytes,
-                pages,
-            );
-        // Misses: the first epoch reads everything not resident; later
-        // epochs re-read only what the pool cannot hold.
-        let pool_short = pages.saturating_sub(resident_pages);
-        let first = pool_short;
-        let later = (cfg.epochs.max(1) as u64 - 1) * pool_short;
-        let io = (first + later) as f64 * self.disk.read_time(page_size as u64);
-        (cpu, io)
-    }
 }
 
 #[cfg(test)]
@@ -228,41 +197,6 @@ mod tests {
             )
             .unwrap();
         assert!((four.cpu_seconds / one.cpu_seconds - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn analytic_matches_functional_io_cold() {
-        let heap = heap(3000, 8);
-        let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-        let pool = pool_for(&heap); // big enough: misses only on epoch 1
-        let functional = exec.train(&pool, HeapId(1), &heap, &cfg).unwrap();
-        let (cpu, io) = exec.analytic_seconds(
-            &cfg,
-            heap.tuple_count(),
-            8,
-            heap.layout().tuple_bytes,
-            heap.page_count() as u64,
-            0,
-            8 * 1024,
-        );
-        assert!((cpu - functional.cpu_seconds).abs() / cpu < 1e-9);
-        // Functional: epoch 1 misses everything, epochs 2–3 hit. Analytic
-        // with resident=0 charges misses every epoch — it must be ≥.
-        assert!(io >= functional.io_seconds);
-        let (_, io_resident) = exec.analytic_seconds(
-            &cfg,
-            heap.tuple_count(),
-            8,
-            heap.layout().tuple_bytes,
-            heap.page_count() as u64,
-            heap.page_count() as u64,
-            8 * 1024,
-        );
-        assert_eq!(io_resident, 0.0);
     }
 
     #[test]

@@ -379,7 +379,7 @@ impl MetricsRegistry {
 }
 
 /// One `SHOW STATS` row: `(subsystem, name, value)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatEntry {
     pub subsystem: String,
     pub name: String,
@@ -396,34 +396,9 @@ impl StatEntry {
     }
 }
 
-impl serde::Serialize for StatEntry {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Obj(vec![
-            ("subsystem".to_string(), self.subsystem.to_value()),
-            ("name".to_string(), self.name.to_value()),
-            ("value".to_string(), self.value.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for StatEntry {
-    fn from_value(v: &serde::json::Value) -> Result<Self, String> {
-        let obj = serde::json::as_obj(v, "StatEntry")?;
-        Ok(StatEntry {
-            subsystem: serde::Deserialize::from_value(serde::json::field(
-                obj,
-                "subsystem",
-                "StatEntry",
-            )?)?,
-            name: serde::Deserialize::from_value(serde::json::field(obj, "name", "StatEntry")?)?,
-            value: serde::Deserialize::from_value(serde::json::field(obj, "value", "StatEntry")?)?,
-        })
-    }
-}
-
 /// The registry snapshot `SHOW STATS` returns: a flat result table of
 /// `(subsystem, name, value)` rows.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
     pub entries: Vec<StatEntry>,
 }
@@ -491,30 +466,6 @@ fn format_value(v: f64) -> String {
         format!("{}", v as i64)
     } else {
         format!("{v:.6}")
-    }
-}
-
-impl serde::Serialize for StatsSnapshot {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Obj(vec![(
-            "entries".to_string(),
-            serde::json::Value::Arr(self.entries.iter().map(|e| e.to_value()).collect()),
-        )])
-    }
-}
-
-impl serde::Deserialize for StatsSnapshot {
-    fn from_value(v: &serde::json::Value) -> Result<Self, String> {
-        let obj = serde::json::as_obj(v, "StatsSnapshot")?;
-        let arr = serde::json::field(obj, "entries", "StatsSnapshot")?
-            .as_arr()
-            .ok_or("expected array for StatsSnapshot.entries")?;
-        Ok(StatsSnapshot {
-            entries: arr
-                .iter()
-                .map(serde::Deserialize::from_value)
-                .collect::<Result<_, _>>()?,
-        })
     }
 }
 

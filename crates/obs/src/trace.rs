@@ -19,7 +19,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One named stage (or per-epoch child) of a query's lifecycle.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TraceSpan {
     pub name: String,
     /// How many units of work the stage aggregated (shards for `scan`,
@@ -44,51 +44,9 @@ impl TraceSpan {
     }
 }
 
-impl serde::Serialize for TraceSpan {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Obj(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("count".to_string(), self.count.to_value()),
-            ("sim_seconds".to_string(), self.sim_seconds.to_value()),
-            ("wall_seconds".to_string(), self.wall_seconds.to_value()),
-            (
-                "children".to_string(),
-                serde::json::Value::Arr(self.children.iter().map(|c| c.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for TraceSpan {
-    fn from_value(v: &serde::json::Value) -> Result<Self, String> {
-        let obj = serde::json::as_obj(v, "TraceSpan")?;
-        let children = serde::json::field(obj, "children", "TraceSpan")?
-            .as_arr()
-            .ok_or("expected array for TraceSpan.children")?
-            .iter()
-            .map(serde::Deserialize::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(TraceSpan {
-            name: serde::Deserialize::from_value(serde::json::field(obj, "name", "TraceSpan")?)?,
-            count: serde::Deserialize::from_value(serde::json::field(obj, "count", "TraceSpan")?)?,
-            sim_seconds: serde::Deserialize::from_value(serde::json::field(
-                obj,
-                "sim_seconds",
-                "TraceSpan",
-            )?)?,
-            wall_seconds: serde::Deserialize::from_value(serde::json::field(
-                obj,
-                "wall_seconds",
-                "TraceSpan",
-            )?)?,
-            children,
-        })
-    }
-}
-
 /// A finished query trace: the ordered stage spans plus the end-to-end
 /// totals they partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct QueryTrace {
     pub stages: Vec<TraceSpan>,
     /// The query report's composed simulated total.
@@ -160,50 +118,6 @@ impl QueryTrace {
             walk(s, 1, &mut out);
         }
         out
-    }
-}
-
-impl serde::Serialize for QueryTrace {
-    fn to_value(&self) -> serde::json::Value {
-        serde::json::Value::Obj(vec![
-            (
-                "stages".to_string(),
-                serde::json::Value::Arr(self.stages.iter().map(|s| s.to_value()).collect()),
-            ),
-            (
-                "total_sim_seconds".to_string(),
-                self.total_sim_seconds.to_value(),
-            ),
-            (
-                "total_wall_seconds".to_string(),
-                self.total_wall_seconds.to_value(),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for QueryTrace {
-    fn from_value(v: &serde::json::Value) -> Result<Self, String> {
-        let obj = serde::json::as_obj(v, "QueryTrace")?;
-        let stages = serde::json::field(obj, "stages", "QueryTrace")?
-            .as_arr()
-            .ok_or("expected array for QueryTrace.stages")?
-            .iter()
-            .map(serde::Deserialize::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(QueryTrace {
-            stages,
-            total_sim_seconds: serde::Deserialize::from_value(serde::json::field(
-                obj,
-                "total_sim_seconds",
-                "QueryTrace",
-            )?)?,
-            total_wall_seconds: serde::Deserialize::from_value(serde::json::field(
-                obj,
-                "total_wall_seconds",
-                "QueryTrace",
-            )?)?,
-        })
     }
 }
 

@@ -3,7 +3,7 @@
 //! Each workload's data comes from a planted ground-truth model plus noise,
 //! so training *can actually converge* and accuracy/loss assertions are
 //! meaningful — topology (widths, counts, bytes) matches Table 3; content
-//! is synthetic (DESIGN.md §1).
+//! is synthetic, because the public datasets are not redistributable here.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

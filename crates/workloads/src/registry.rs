@@ -38,7 +38,8 @@ pub struct Workload {
     /// Training epochs used for the Table-5 absolute-runtime reproduction.
     /// The paper does not publish iteration counts; these are fitted so the
     /// MADlib+PostgreSQL cost model lands near Table 5 (EXPERIMENTS.md
-    /// records the residuals). Ratios (the figures) are epoch-independent.
+    /// lists them under table3 and the residuals under table5). Ratios
+    /// (the figures) are epoch-independent.
     pub epochs: u32,
     /// Merge coefficient declared in the UDF (batch size / max threads).
     pub merge_coef: u32,

@@ -1,9 +1,15 @@
-//! Ablation integration tests: the design choices DESIGN.md calls out,
-//! verified at functional scale (their full-scale counterparts are the
-//! Figure 11/12/14/16 bench targets).
+//! Ablation integration tests: the design choices the paper's ablation
+//! figures isolate (Striders vs CPU feed, threads, AXI bandwidth, TABLA;
+//! README "Reproducing the paper"), verified at functional scale. Their
+//! full-scale counterparts are Figs. 11/12/14/16 of `dana_bench::figures`,
+//! and the last test here holds that harness to the simulator it stands
+//! in for.
 
 use dana::prelude::*;
-use dana::{analytic_dana, analytic_dana_threads, SystemParams};
+use dana::{
+    analytic_dana, analytic_dana_threads, analytic_greenplum, analytic_madlib, compile_workload,
+    SystemParams,
+};
 use dana_workloads::{generate, workload};
 
 fn db_with(table_name: &str, w: &dana_workloads::Workload, seed: u64) -> Dana {
@@ -84,7 +90,7 @@ fn thread_scaling_functional() {
     assert!(cycles[1] < cycles[0], "{cycles:?}");
     assert!(cycles[2] < cycles[1], "{cycles:?}");
     // (Saturation appears at higher thread counts; the full-scale sweep is
-    // the fig12_threads bench target.)
+    // fig12 of `dana_bench::figures`.)
 }
 
 /// Fig. 14's shape analytically: halving bandwidth hurts a wide dense
@@ -213,4 +219,147 @@ fn analytic_thread_override_consistency() {
         auto <= best_sweep * 1.05,
         "auto {auto} vs best sweep {best_sweep}"
     );
+}
+
+/// The paper-scale harness is the simulator's cost model, not a second
+/// one: both price a scan through `runtime::epoch_costs` + `compose`, the
+/// harness from Table-3 statistics × the compiler's estimate, the
+/// simulator from what the access engine and the pool measured. On the
+/// six public workloads at 2 % scale, in every execution mode, warm and
+/// cold, the two must agree term by term — and the one term on which they
+/// do not (a cold scan's disk seconds) is asserted on both sides by
+/// formula, so it is written down rather than discovered. The MADlib and
+/// Greenplum executors are held to their harness twins the same way.
+#[test]
+fn analytic_harness_is_the_simulators_cost_model() {
+    use dana_ml::{GreenplumExecutor, MadlibExecutor};
+    use dana_storage::{HeapId, SharedBufferPool};
+    const PAGE: usize = 32 * 1024;
+    let pool = BufferPoolConfig {
+        pool_bytes: 256 << 20,
+        page_size: PAGE,
+    };
+    let p = SystemParams {
+        pool_bytes: pool.pool_bytes,
+        page_size: PAGE,
+        ..SystemParams::default()
+    };
+    // The disk formulas below multiply where the pool sums page by page:
+    // equal to rounding (the worst observed is under 1e-14).
+    let close = |formula: f64, charged: f64| (formula - charged).abs() <= 1e-12 * charged.abs();
+    let page_read = p.disk.read_time(PAGE as u64);
+    for name in [
+        "Remote Sensing LR",
+        "WLAN",
+        "Remote Sensing SVM",
+        "Netflix",
+        "Patient",
+        "Blog Feedback",
+    ] {
+        // Every epoch after the first costs the same on both sides; three
+        // hold the first/later split without Netflix's 110 passes.
+        let mut w = workload(name).unwrap().scaled(0.02);
+        w.epochs = w.epochs.min(3);
+        let db = Dana::new(p.fpga, pool, p.disk);
+        let table = generate(&w, PAGE, 7).unwrap();
+        db.create_table("t", table.heap).unwrap();
+        let pages = w.pages_for(PAGE);
+        assert_eq!(db.table_pages("t"), Some(pages as u32), "{name}");
+        let scan_read = p.disk.sequential_read_time(pages * PAGE as u64);
+
+        for mode in [
+            ExecutionMode::Strider,
+            ExecutionMode::CpuFed,
+            ExecutionMode::Tabla,
+        ] {
+            let threads = (mode == ExecutionMode::Tabla).then_some(1);
+            let estimate = compile_workload(&w, &p, threads).unwrap().estimate;
+            let page_strider = p.fpga.clock.to_seconds(estimate.strider_cycles_per_page);
+            for warm in [true, false] {
+                let at = format!("{name}, {mode:?}, warm = {warm}");
+                if warm {
+                    db.prewarm("t").unwrap();
+                } else {
+                    db.clear_cache();
+                }
+                let misses_before = db.pool_stats().misses;
+                let report = db.train_with_spec(&w.spec(), "t", mode).unwrap();
+                let missed = db.pool_stats().misses - misses_before;
+                let (a, f) = (analytic_dana(&w, mode, warm, &p).unwrap(), report.timing);
+                assert_eq!(report.epochs_run, w.epochs, "{at}");
+                // One model: what it prices from equal counts is equal to
+                // the bit, not merely close.
+                assert_eq!(a.setup_seconds, f.setup_seconds, "{at}");
+                assert_eq!(a.engine_seconds, f.engine_seconds, "{at}");
+                assert_eq!(a.axi_seconds, f.axi_seconds, "{at}");
+                assert_eq!(a.decompress_seconds, f.decompress_seconds, "{at}");
+                // The estimate charges the partial last page as a full one.
+                let over = a.strider_seconds - f.strider_seconds;
+                assert!(
+                    (0.0..w.epochs as f64 * page_strider).contains(&over),
+                    "{at}: {a:?} {f:?}"
+                );
+                // The stated difference: the pool charges every missed
+                // page a random read, the harness one sequential read per
+                // scan. (The table fits the pool: only epoch 1 misses.)
+                assert_eq!(missed, if warm { 0 } else { pages }, "{at}");
+                assert!(
+                    close(missed as f64 * page_read, f.io_seconds),
+                    "{at}: {f:?}"
+                );
+                assert_eq!(a.io_seconds, if warm { 0.0 } else { scan_read }, "{at}");
+                // Warm, only the Strider term differs, and no epoch here
+                // is Strider-bound.
+                if warm {
+                    assert_eq!(a.total_seconds, f.total_seconds, "{at}");
+                }
+            }
+        }
+
+        // The baselines' CPU seconds are the harness's; their disk seconds
+        // differ exactly as above. (The harness prices LRMF over the
+        // paper's dense-row representation, which no executor runs.)
+        if w.lrmf.is_some() {
+            continue;
+        }
+        let heap = db.table_snapshot("t").unwrap();
+        let cfg = TrainConfig {
+            algorithm: w.algorithm,
+            epochs: w.epochs,
+            learning_rate: w.learning_rate as f32,
+            ..TrainConfig::default()
+        };
+        for warm in [true, false] {
+            let fresh_pool = || {
+                let pool = SharedBufferPool::with_shards(pool, 1);
+                if warm {
+                    pool.prewarm(HeapId(1), &heap).unwrap();
+                    pool.reset_stats();
+                }
+                pool
+            };
+            let madlib = MadlibExecutor::new(p.cpu, p.disk)
+                .train(&fresh_pool(), HeapId(1), &heap, &cfg)
+                .unwrap();
+            let greenplum = GreenplumExecutor::new(p.cpu, p.disk, 8)
+                .train(&fresh_pool(), HeapId(1), &heap, &cfg)
+                .unwrap();
+            let (am, ag) = (
+                analytic_madlib(&w, warm, &p),
+                analytic_greenplum(&w, 8, warm, &p),
+            );
+            let at = format!("{name}, warm = {warm}");
+            assert_eq!(am.cpu_seconds, madlib.cpu_seconds, "{at}");
+            assert_eq!(ag.cpu_seconds, greenplum.cpu_seconds, "{at}");
+            let (functional_io, analytic_io) = if warm {
+                (0.0, 0.0)
+            } else {
+                (pages as f64 * page_read, scan_read)
+            };
+            for functional in [madlib.io_seconds, greenplum.io_seconds] {
+                assert!(close(functional_io, functional), "{at}: {functional}");
+            }
+            assert_eq!([am.io_seconds, ag.io_seconds], [analytic_io; 2], "{at}");
+        }
+    }
 }

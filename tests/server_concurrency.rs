@@ -288,6 +288,18 @@ fn drop_while_scanning_leaves_no_orphan_pages() {
             .unwrap()
         })
         .collect();
+    // "In flight" is forced, not hoped for: nothing prewarmed the pool, so
+    // a resident page means some query holds its heap snapshot and is
+    // scanning. On a loaded host the drop otherwise beats every worker's
+    // wake-up now and then, and the burst ends in six typed errors.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while srv.core().resident_pages() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no query began scanning"
+        );
+        std::thread::yield_now();
+    }
     srv.drop_table("t").unwrap();
 
     let mut ok = 0;
