@@ -1156,6 +1156,9 @@ impl SystemCore {
     ///   and concatenated scores — are bit-identical to sharding that
     ///   table, the member count never exceeds its page count, and each
     ///   member carries its share of the scan's measured cost.
+    ///
+    /// It also knows the statement: a streaming member of anything but
+    /// [`PlanOp::Train`] is opened single-pass and holds one batch.
     fn open_scan<'a>(
         &'a self,
         plan: &PhysicalPlan,
@@ -1165,23 +1168,28 @@ impl SystemCore {
     ) -> DanaResult<Scan<'a>> {
         let state = self.scan_state(entry.heap_id, heap, plan.scan.as_ref())?;
         let (heap_id, mode) = (entry.heap_id, plan.mode);
+        let open = |start_page, end_page| {
+            SharedPageStreamSource::with_range(
+                &self.pool, &self.disk, heap, heap_id, access, mode, start_page, end_page,
+            )
+        };
+        // A member that streams its pages. Training re-reads its scan —
+        // every later epoch, and a fault retry even of a one-epoch run —
+        // so its members cache what they extract; a scoring statement
+        // reads each batch once.
+        let streaming = |source: SharedPageStreamSource<'a>| {
+            Member::Pages(if plan.op == PlanOp::Train {
+                source
+            } else {
+                source.single_pass()
+            })
+        };
         let mut kept = Vec::new();
         let members = match &state {
             None => ShardPlan::new(heap, plan.shards as usize)
                 .ranges()
                 .iter()
-                .map(|r| {
-                    Member::Pages(SharedPageStreamSource::with_range(
-                        &self.pool,
-                        &self.disk,
-                        heap,
-                        heap_id,
-                        access,
-                        mode,
-                        r.start_page,
-                        r.end_page,
-                    ))
-                })
+                .map(|r| streaming(open(r.start_page, r.end_page)))
                 .collect(),
             // Filter and projection run in the Striders; only a
             // hand-built plan can ask the CPU-deform feed for them.
@@ -1192,20 +1200,12 @@ impl SystemCore {
                 )))
             }
             Some(st) => {
-                let whole = SharedPageStreamSource::with_range(
-                    &self.pool,
-                    &self.disk,
-                    heap,
-                    heap_id,
-                    access,
-                    mode,
-                    0,
-                    heap.page_count(),
-                )
-                .with_scan(st.clone());
+                let whole = open(0, heap.page_count()).with_scan(st.clone());
                 if plan.shards <= 1 {
-                    vec![Member::Pages(whole)]
+                    vec![streaming(whole)]
                 } else {
+                    // Drained into its cache here and replayed in slices:
+                    // the caching path, whatever the statement.
                     let (batches, scan) = whole
                         .into_cache()
                         .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
@@ -1299,7 +1299,8 @@ impl SystemCore {
     /// shard outputs concatenate in shard-index order — source page order
     /// — so the materialized table is bit-identical to the serial one for
     /// every shard count; with a pushdown scan it keeps only surviving
-    /// tuples and projected columns.
+    /// tuples and projected columns. The table is written by as many
+    /// members as scanned, each a contiguous range of its output pages.
     fn predict_into(
         &self,
         plan: &PhysicalPlan,
@@ -1319,7 +1320,8 @@ impl SystemCore {
             })?;
         let mat_start = Instant::now();
         let selection = survivors.as_ref().map(|s| (&s.slots[..], &*s.spec));
-        let out_heap = exec::materialize_predictions(&heap, selection, &predictions)?;
+        let out_heap =
+            exec::materialize_predictions(&heap, selection, &predictions, shards as usize)?;
         {
             let mut cat = self.write();
             match cat.db.table(&plan.table) {

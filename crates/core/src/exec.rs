@@ -372,26 +372,26 @@ pub fn split_filtered_scan_stats(
         .collect()
 }
 
-/// Materializes a PREDICT's output heap. Without a selection every source
-/// tuple is kept (the classic path); with one — the slots its pushdown
-/// scan kept, per source page, and the spec it ran under — only those
-/// tuples and the columns the projection named survive into the prediction
-/// table, byte-for-byte what scoring a pre-materialized filtered table
-/// would build. The scan's survivors *are* the selection.
+/// Materializes a PREDICT's output heap with as many workers as its scan
+/// had `members` (one writes inline on this thread; the bytes are the same
+/// for every count). Without a selection every source tuple is kept (the
+/// classic path); with one — the slots its pushdown scan kept, per source
+/// page, and the spec it ran under — only those tuples and the columns the
+/// projection named survive into the prediction table, byte-for-byte what
+/// scoring a pre-materialized filtered table would build. The scan's
+/// survivors *are* the selection.
 pub fn materialize_predictions(
     heap: &HeapFile,
     selection: Option<(&[Vec<u16>], &BoundScanSpec)>,
     predictions: &[f32],
+    members: usize,
 ) -> DanaResult<HeapFile> {
-    Ok(match selection {
-        None => dana_infer::build_prediction_heap(heap, predictions)?,
-        Some((slots, spec)) => dana_infer::build_prediction_heap_selected(
-            heap,
-            slots,
-            spec.projection.as_deref(),
-            predictions,
-        )?,
-    })
+    let (slots, projection) = match selection {
+        None => (None, None),
+        Some((slots, spec)) => (Some(slots), spec.projection.as_deref()),
+    };
+    let table = dana_infer::Materialization::new(heap, slots, projection, predictions)?;
+    Ok(dana_parallel::materialize_gang(&table, members)?)
 }
 
 /// Composes a finished **native CPU** training run into a [`DanaReport`]:

@@ -8,15 +8,23 @@
 //! extracts it into a flat [`TupleBatch`] (via Striders or the CPU-deform
 //! ablation — the Fig. 11 comparison is just a different [`ExecutionMode`]),
 //! and hands the batch to the execution engine, which trains on it while
-//! the source is ready to fetch the next page. Allocation is O(pages), not
-//! O(tuples).
+//! the source is ready to fetch the next page.
 //!
-//! Epochs past the first replay the extracted batches from an in-memory
-//! cache rather than re-driving the Striders: the hardware would stream
-//! pages again, but its *per-epoch* cost is identical, so the cost model
-//! charges extraction once and [`crate::runtime::compose`] multiplies per
-//! epoch — keeping the simulated timing identical to the hardware schedule
-//! while the functional replay stays cheap and deterministic.
+//! What a source keeps depends on whether its statement reads it again.
+//! Training does: epochs past the first (and a fault retry) replay the
+//! extracted batches from an in-memory cache rather than re-driving the
+//! Striders — the hardware would stream pages again, but its *per-epoch*
+//! cost is identical, so the cost model charges extraction once and
+//! [`crate::runtime::compose`] multiplies per epoch, keeping the simulated
+//! timing identical to the hardware schedule while the functional replay
+//! stays cheap and deterministic. A training source therefore allocates
+//! one batch per page and holds them all: O(pages) allocations, the
+//! extracted table in memory. PREDICT, EVALUATE and SCORE read their scan
+//! once, so `open_scan` opens their members
+//! [`single_pass`](SharedPageStreamSource::single_pass): every page is
+//! extracted into the same batch, cleared and refilled — one allocation and
+//! one page of rows held, whatever the table's size — and a `rewind()`
+//! after the scan has started is a typed error, not an empty replay.
 //!
 //! Under a pushdown [`ScanState`] this is also where a filtered statement's
 //! selection is decided, once: the slots each page's predicate kept are
@@ -87,7 +95,10 @@ pub struct SharedPageStreamSource<'a> {
     start_page: u32,
     scan_done: bool,
     replay: usize,
+    /// Every batch extracted so far, for replay — or, single-pass, the one
+    /// batch every page is extracted into.
     cache: Vec<TupleBatch>,
+    single_pass: bool,
     outcome: ScanOutcome,
     scan: Option<ScanState>,
 }
@@ -123,9 +134,19 @@ impl<'a> SharedPageStreamSource<'a> {
             scan_done: false,
             replay: 0,
             cache: Vec::with_capacity((end_page - start_page) as usize),
+            single_pass: false,
             outcome: ScanOutcome::default(),
             scan: None,
         }
+    }
+
+    /// Opens the source for a statement that reads its scan exactly once
+    /// (scoring — never training, whose later epochs and fault retries
+    /// rewind): pages are extracted into one reused batch instead of a
+    /// cached batch each, and the scan cannot be replayed.
+    pub fn single_pass(mut self) -> SharedPageStreamSource<'a> {
+        self.single_pass = true;
+        self
     }
 
     /// Attaches a pushdown [`ScanState`] — see its docs for how it changes
@@ -146,6 +167,11 @@ impl<'a> SharedPageStreamSource<'a> {
     /// *filtered* gang builds its replaying shard sources, since
     /// post-filter shard boundaries do not fall on source page boundaries.
     pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, ScanOutcome), SourceError> {
+        if self.single_pass {
+            return Err(SourceError(
+                "a single-pass scan keeps one batch: it has no cache to hand over".into(),
+            ));
+        }
         self.rewind()?;
         let cache = std::mem::take(&mut self.cache);
         Ok((cache, self.into_stats()))
@@ -160,8 +186,20 @@ impl<'a> SharedPageStreamSource<'a> {
                 return Ok(false);
             }
         }
-        let width = self.width();
-        let mut batch = TupleBatch::with_capacity(width, self.heap.layout().capacity as usize);
+        // Single-pass: the previous page's batch is this page's. The
+        // caching path never looks at what it already holds.
+        let reused = if self.single_pass {
+            self.cache.pop()
+        } else {
+            None
+        };
+        let mut batch = match reused {
+            Some(mut batch) => {
+                batch.clear();
+                batch
+            }
+            None => TupleBatch::with_capacity(self.width(), self.heap.layout().capacity as usize),
+        };
         match &self.scan {
             None => {
                 let (bytes, io) =
@@ -260,6 +298,20 @@ impl TupleSource for SharedPageStreamSource<'_> {
     }
 
     fn rewind(&mut self) -> Result<(), SourceError> {
+        if self.single_pass {
+            // Nothing read yet: the scan still starts where a rewind puts
+            // it. After that the pages' batches are gone.
+            if self.next_page == self.start_page {
+                return Ok(());
+            }
+            return Err(SourceError(format!(
+                "a single-pass scan cannot be rewound: PREDICT, EVALUATE and SCORE read \
+                 their scan once and keep one batch ({} of pages {}..{} already streamed)",
+                self.next_page - self.start_page,
+                self.start_page,
+                self.end_page
+            )));
+        }
         // A mid-scan rewind must still visit every page exactly once so
         // the access stats describe one full extraction pass.
         while !self.scan_done {
@@ -294,12 +346,60 @@ mod tests {
     use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, Tuple};
     use dana_strider::AccessEngineConfig;
 
+    /// A single-pass source is the caching source minus the cache: the
+    /// same batches in the same order (bit for bit — the rows hold NaNs),
+    /// the same counters, simulated I/O and kept slots, from one batch it
+    /// clears and refills; and once it has streamed a page, a rewind is a
+    /// typed error instead of an empty replay. Each gets a pool of its
+    /// own, emptied first, so both scans run cold.
+    fn assert_single_pass_is_the_caching_scan<'a>(
+        open: impl Fn(&'a SharedBufferPool) -> SharedPageStreamSource<'a>,
+        pools: &'a [SharedBufferPool; 2],
+    ) {
+        let bits = |b: &TupleBatch| -> (usize, Vec<u32>) {
+            (
+                b.width(),
+                b.as_slice().iter().map(|v| v.to_bits()).collect(),
+            )
+        };
+        pools.iter().for_each(SharedBufferPool::clear);
+        let mut caching = open(&pools[0]);
+        let mut once = open(&pools[1]).single_pass();
+        once.rewind().expect("nothing streamed yet");
+        let mut batches = 0;
+        loop {
+            let expected = caching.next_batch().unwrap().map(bits);
+            let got = once.next_batch().unwrap().map(bits);
+            assert_eq!(got, expected, "batch {batches}");
+            assert!(
+                once.cache.len() <= 1,
+                "a single-pass source holds one batch"
+            );
+            if expected.is_none() {
+                break;
+            }
+            batches += 1;
+        }
+        assert_eq!(caching.cache.len(), batches);
+        assert!(once.next_batch().unwrap().is_none(), "no replay");
+        let refused = once.rewind().unwrap_err();
+        assert!(refused.0.contains("single-pass"), "{refused}");
+        assert!(open(&pools[1]).single_pass().into_cache().is_err());
+        let (caching, once) = (caching.into_stats(), once.into_stats());
+        assert_eq!(once.stats, caching.stats);
+        assert!(caching.io_seconds > 0.0, "both scans ran cold");
+        assert_eq!(once.io_seconds.to_bits(), caching.io_seconds.to_bits());
+        assert_eq!(once.kept, caching.kept);
+    }
+
     /// The lists a pushdown scan records are exactly the slots whose rows
     /// match, page for page — for both placement directions, under a
     /// projection, across zone-pruned pages and a `!=` over NaN cells —
     /// whether the source is streamed to its end (a lone member) or
     /// drained at once (a filtered gang's one scan). The oracle is the
-    /// row data itself, chunked at the page capacity.
+    /// row data itself, chunked at the page capacity. Every scan built
+    /// here, and the unfiltered one, is also run single-pass against its
+    /// caching twin.
     #[test]
     fn pushdown_scan_records_the_slots_it_kept() {
         // x0 ascends (a range on it prunes pages); x1 is NaN every 7th row.
@@ -314,14 +414,17 @@ mod tests {
             op,
             value,
         };
-        let pool = SharedBufferPool::with_shards(
-            BufferPoolConfig {
-                pool_bytes: 1 << 20,
-                page_size: 8 * 1024,
-            },
-            2,
-        );
-        let disk = DiskModel::instant();
+        let new_pool = || {
+            SharedBufferPool::with_shards(
+                BufferPoolConfig {
+                    pool_bytes: 1 << 20,
+                    page_size: 8 * 1024,
+                },
+                2,
+            )
+        };
+        let (pool, cold) = (new_pool(), [new_pool(), new_pool()]);
+        let disk = DiskModel::ssd();
         let directions = [TupleDirection::Ascending, TupleDirection::Descending];
         for (heap_no, direction) in directions.into_iter().enumerate() {
             let mut b = HeapFileBuilder::new(Schema::training(2), 8 * 1024, direction).unwrap();
@@ -334,6 +437,19 @@ mod tests {
                 heap.schema().clone(),
                 AccessEngineConfig::new(2, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
             );
+            let plain = |pool| {
+                SharedPageStreamSource::with_range(
+                    pool,
+                    &disk,
+                    &heap,
+                    HeapId(heap_no as u32 + 1),
+                    &access,
+                    ExecutionMode::Strider,
+                    0,
+                    heap.page_count(),
+                )
+            };
+            assert_single_pass_is_the_caching_scan(plain, &cold);
             let sidecar = Arc::new(ScanSidecar::build(&heap).unwrap());
             // (conjuncts, projection, whether zone maps rule pages out)
             let cases = [
@@ -365,23 +481,14 @@ mod tests {
                     })
                     .collect();
                 let survivors: usize = expected.iter().map(Vec::len).sum();
-                let open = || {
-                    SharedPageStreamSource::with_range(
-                        &pool,
-                        &disk,
-                        &heap,
-                        HeapId(heap_no as u32 + 1),
-                        &access,
-                        ExecutionMode::Strider,
-                        0,
-                        heap.page_count(),
-                    )
-                    .with_scan(ScanState {
+                let open = |pool| {
+                    plain(pool).with_scan(ScanState {
                         sidecar: Arc::clone(&sidecar),
                         spec: Arc::clone(&bound),
                     })
                 };
-                let mut streamed = open();
+                assert_single_pass_is_the_caching_scan(open, &cold);
+                let mut streamed = open(&pool);
                 let mut emitted = 0;
                 while let Some(batch) = streamed.next_batch().unwrap() {
                     assert_eq!(batch.width(), bound.output_width(3));
@@ -390,7 +497,7 @@ mod tests {
                 let streamed = streamed.into_stats();
                 assert_eq!(streamed.kept, expected, "{direction:?} {spec:?}: streamed");
                 assert_eq!(emitted, survivors, "{direction:?} {spec:?}");
-                let (batches, drained) = open().into_cache().unwrap();
+                let (batches, drained) = open(&pool).into_cache().unwrap();
                 assert_eq!(drained.kept, expected, "{direction:?} {spec:?}: drained");
                 assert_eq!(drained.stats.tuples as usize, survivors);
                 assert_eq!(

@@ -34,6 +34,7 @@ pub use executor::{
     ScoringStats,
 };
 pub use materialize::{
-    build_prediction_heap, build_prediction_heap_selected, prediction_schema, PREDICTION_COLUMN,
+    build_prediction_heap, build_prediction_heap_selected, prediction_schema, Materialization,
+    PREDICTION_COLUMN,
 };
 pub use scoring::{derive_recipe, MetricKind, ScoringProgram, ScoringRecipe};

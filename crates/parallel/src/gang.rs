@@ -7,7 +7,9 @@
 //! ([`crate::merge`]) produces the next global model — the shard-level
 //! analogue of the engine's per-batch thread merge. Scoring is
 //! embarrassingly parallel: shards score concurrently and the caller
-//! concatenates outputs in shard-index order (= source page order).
+//! concatenates outputs in shard-index order (= source page order). So is
+//! writing a PREDICT's table: members write disjoint ranges of its output
+//! pages ([`materialize_gang`]).
 //!
 //! Shard threads are real OS threads (`std::thread::scope`), so on a
 //! multi-core host the wall clock shrinks too; the *simulated* timing is
@@ -19,10 +21,10 @@
 
 use dana_engine::{CancelToken, EngineStats, ExecutionEngine, FaultPlan, ModelStore};
 use dana_infer::{
-    evaluate_source_partial, score_source, InferError, MetricKind, MetricPartial, ScoringProgram,
-    ScoringStats,
+    evaluate_source_partial, score_source, InferError, Materialization, MetricKind, MetricPartial,
+    ScoringProgram, ScoringStats,
 };
-use dana_storage::{SourceError, TupleBatch, TupleSource};
+use dana_storage::{HeapFile, HeapFileBuilder, SourceError, TupleBatch, TupleSource};
 
 use crate::error::{ParallelError, ParallelResult};
 use crate::merge::{MergeBuffer, MergeSpec, ShardOwnership};
@@ -333,12 +335,13 @@ pub fn train_gang_guarded<S: TupleSource + Send>(
     })
 }
 
-/// Runs `work` over every member's source and returns the results in
-/// shard order, failures tagged with their shard index. One member runs
-/// **inline on the calling thread** — a serial statement is a gang of
-/// one, and pays for no thread; several members get one OS thread each,
-/// joined before returning.
-fn run_members<S: TupleSource + Send, T: Send>(
+/// Runs `work` over every member's share — its source, or its range of
+/// output pages — and returns the results in shard order, failures tagged
+/// with their shard index. One member runs **inline on the calling
+/// thread** — a serial statement is a gang of one, and pays for no
+/// thread; several members get one OS thread each, joined before
+/// returning.
+fn run_members<S: Send, T: Send>(
     sources: &mut [S],
     work: impl Fn(&mut S) -> Result<T, InferError> + Sync,
 ) -> ParallelResult<Vec<T>> {
@@ -392,6 +395,19 @@ pub fn score_gang_concat<S: TupleSource + Send>(
         stats.push(s);
     }
     Ok((predictions, stats))
+}
+
+/// Writes a PREDICT's output table with `members` workers: the output
+/// pages are cut into that many contiguous ranges, each member writes its
+/// range's pages, and the parts join in range order. Where an output page
+/// starts in the source depends on the page alone, so the table is
+/// byte-identical for every member count; one member — the serial
+/// statement — writes the whole table on the caller's thread.
+pub fn materialize_gang(table: &Materialization<'_>, members: usize) -> ParallelResult<HeapFile> {
+    let parts = run_members(&mut table.ranges(members), |pages| {
+        table.build_range(pages.clone())
+    })?;
+    Ok(HeapFileBuilder::finish_parts(parts).expect("ranges tile the table in full pages"))
 }
 
 /// One shard's metric fold.

@@ -50,8 +50,8 @@ pub mod shard;
 
 pub use error::{ParallelError, ParallelResult};
 pub use gang::{
-    evaluate_gang, score_gang_concat, train_gang, train_gang_guarded, GangGuard, GangOutcome,
-    ShardEval,
+    evaluate_gang, materialize_gang, score_gang_concat, train_gang, train_gang_guarded, GangGuard,
+    GangOutcome, ShardEval,
 };
 pub use merge::{MergeBuffer, MergeSpec, ModelMergeKind, ShardOwnership};
 pub use shard::{packed_tuple_splits, split_replay_sources, ReplaySource, ShardPlan, ShardRange};

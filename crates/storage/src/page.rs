@@ -23,8 +23,24 @@
 //! 14..16  pd_special   offset of the special space
 //! 16..18  tuple_count  number of live tuples
 //! 18..20  flags        bit 0: tuple direction (0 = ascending, 1 = descending)
-//! 20..24  checksum     FNV-1a over the data region (0 = not computed)
+//! 20..24  checksum     lane-parallel FNV-1a over bytes 24.. (0 = not computed)
 //! ```
+//!
+//! The checksum, exactly (PostgreSQL's `checksum_impl.h` interleaves FNV
+//! lanes for the same reason — a loop the compiler can vectorise): with
+//! `step(h, v) = (h ^ v) * 0x0100_0193` (wrapping, 32-bit) and every state
+//! starting at the FNV offset basis `0x811c_9dc5`,
+//!
+//! 1. the bytes past the header are cut into 32-byte blocks; little-endian
+//!    `u32` word `i` of each block is `step`ped into lane state `i` of 8;
+//! 2. the 8 lane states, lane 0 first, are `step`ped into one final state;
+//! 3. the bytes left over (fewer than 32 — 8 on every supported page size)
+//!    are `step`ped into that state one byte at a time, in order;
+//! 4. a result of 0 is stored as 1.
+//!
+//! `step` is a bijection in `h` for a fixed `v` and in `v` for a fixed
+//! `h`, so a change confined to one word (or one tail byte) always changes
+//! the sum.
 //!
 //! Training tuples are fixed-width, so the page pre-sizes its line-pointer
 //! array for the maximum tuple count and places tuples **contiguously**.
@@ -238,7 +254,7 @@ impl<'a> PageView<'a> {
     /// Verifies the stored checksum (0 means "not computed": accepted).
     pub fn verify_checksum(&self) -> bool {
         let stored = self.read_u32(20);
-        stored == 0 || stored == fnv1a(&self.bytes[PAGE_HEADER_BYTES..])
+        stored == 0 || stored == checksum(&self.bytes[PAGE_HEADER_BYTES..])
     }
 
     fn read_u16(&self, off: usize) -> u16 {
@@ -325,26 +341,46 @@ impl HeapPage {
                 free: 0,
             });
         }
-        let off = self.layout.tuple_offset(slot);
-        self.bytes[off..off + tuple.len()].copy_from_slice(tuple);
-        // Line pointer: u16 offset | u16 length.
-        let lp_off = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
-        self.write_u16(lp_off, off as u16);
-        self.write_u16(lp_off + 2, tuple.len() as u16);
-        // Header bookkeeping.
-        self.write_u16(16, slot + 1);
-        self.write_u16(10, (lp_off + LINE_POINTER_BYTES) as u16); // pd_lower
-        let upper = match self.layout.direction {
-            TupleDirection::Ascending => off + tuple.len(),
-            TupleDirection::Descending => off,
-        };
-        self.write_u16(12, upper as u16); // pd_upper
+        self.slot_mut(slot).copy_from_slice(tuple);
+        self.set_live(slot, slot + 1);
         Ok(slot)
     }
 
-    /// Computes and stores the FNV-1a checksum of the data region.
+    /// The bytes `slot`'s tuple occupies, for a writer that forms tuples
+    /// in place. No reader sees them until [`HeapPage::set_live`] covers
+    /// the slot.
+    pub(crate) fn slot_mut(&mut self, slot: u16) -> &mut [u8] {
+        let off = self.layout.tuple_offset(slot);
+        &mut self.bytes[off..off + self.layout.tuple_bytes]
+    }
+
+    /// Makes slots `from..count` live beside the already-live `0..from`:
+    /// their line pointers, then `tuple_count`, `pd_lower` and `pd_upper`
+    /// — once per tuple for [`HeapPage::insert`], once per page for the
+    /// heap builder.
+    pub(crate) fn set_live(&mut self, from: u16, count: u16) {
+        let tuple_bytes = self.layout.tuple_bytes;
+        for slot in from..count {
+            // Line pointer: u16 offset | u16 length.
+            let lp_off = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
+            self.write_u16(lp_off, self.layout.tuple_offset(slot) as u16);
+            self.write_u16(lp_off + 2, tuple_bytes as u16);
+        }
+        self.write_u16(16, count);
+        let lower = PAGE_HEADER_BYTES + count as usize * LINE_POINTER_BYTES;
+        self.write_u16(10, lower as u16); // pd_lower
+        let upper = match self.layout.direction {
+            TupleDirection::Ascending => self.layout.data_start() + count as usize * tuple_bytes,
+            TupleDirection::Descending => {
+                self.layout.special_start() - count as usize * tuple_bytes
+            }
+        };
+        self.write_u16(12, upper as u16); // pd_upper
+    }
+
+    /// Computes and stores the checksum of everything past the header.
     pub fn seal(&mut self) {
-        let sum = fnv1a(&self.bytes[PAGE_HEADER_BYTES..]);
+        let sum = checksum(&self.bytes[PAGE_HEADER_BYTES..]);
         self.write_u32(20, sum);
     }
 
@@ -359,18 +395,31 @@ impl HeapPage {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+const FNV_BASIS: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+const CHECKSUM_LANES: usize = 8;
+
+fn fnv_step(h: u32, v: u32) -> u32 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
+}
+
+/// The page checksum the module docs define. The 8 lane states are
+/// independent, so the block loop has no multiply chain to wait on.
+fn checksum(data: &[u8]) -> u32 {
+    let mut lanes = [FNV_BASIS; CHECKSUM_LANES];
+    let mut blocks = data.chunks_exact(4 * CHECKSUM_LANES);
+    for block in &mut blocks {
+        for (h, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *h = fnv_step(*h, u32::from_le_bytes(word.try_into().unwrap()));
+        }
     }
+    let folded = lanes.into_iter().fold(FNV_BASIS, fnv_step);
+    let h = blocks
+        .remainder()
+        .iter()
+        .fold(folded, |h, &b| fnv_step(h, b as u32));
     // Reserve 0 for "not computed".
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    h.max(1)
 }
 
 #[cfg(test)]
@@ -512,6 +561,66 @@ mod tests {
         raw[PAGE_HEADER_BYTES + 100] ^= 0xFF;
         let corrupted = PageView::new(&raw, l).unwrap();
         assert!(!corrupted.verify_checksum());
+    }
+
+    /// The module docs' checksum definition written a second time, one
+    /// byte and one word at a time, with no lanes array to vectorise.
+    fn scalar_checksum(data: &[u8]) -> u32 {
+        const PRIME: u32 = 0x0100_0193;
+        let mut lanes = [0x811c_9dc5u32; 8];
+        let blocks_end = data.len() - data.len() % 32;
+        for at in (0..blocks_end).step_by(4) {
+            let word = data[at] as u32
+                | (data[at + 1] as u32) << 8
+                | (data[at + 2] as u32) << 16
+                | (data[at + 3] as u32) << 24;
+            let lane = at / 4 % 8;
+            lanes[lane] = (lanes[lane] ^ word).wrapping_mul(PRIME);
+        }
+        let mut h = 0x811c_9dc5u32;
+        for lane in lanes {
+            h = (h ^ lane).wrapping_mul(PRIME);
+        }
+        for &byte in &data[blocks_end..] {
+            h = (h ^ byte as u32).wrapping_mul(PRIME);
+        }
+        if h == 0 {
+            1
+        } else {
+            h
+        }
+    }
+
+    #[test]
+    fn seal_matches_the_scalar_definition() {
+        let schema = Schema::training(10);
+        let tuple_bytes = TUPLE_HEADER_BYTES + schema.tuple_data_width();
+        let directions = [TupleDirection::Ascending, TupleDirection::Descending];
+        for page_size in SUPPORTED_PAGE_SIZES {
+            // Every supported size leaves an 8-byte tail past the blocks.
+            assert_eq!((page_size - PAGE_HEADER_BYTES) % 32, 8);
+            for direction in directions {
+                let l =
+                    PageLayoutDesc::new(page_size, 0, tuple_bytes, TUPLE_HEADER_BYTES, direction)
+                        .unwrap();
+                for tuples in [0, 1, l.capacity] {
+                    let mut page = HeapPage::new(l);
+                    for k in 0..tuples {
+                        let feats: Vec<f32> = (0..10).map(|i| (k * 31 + i) as f32 * 0.37).collect();
+                        let t = Tuple::training(&feats, -(k as f32));
+                        page.insert(&t.form(&schema, 2 + k as u32, k as u32).unwrap())
+                            .unwrap();
+                    }
+                    page.seal();
+                    assert!(page.view().verify_checksum());
+                    assert_eq!(
+                        page.view().read_u32(20),
+                        scalar_checksum(&page.as_bytes()[PAGE_HEADER_BYTES..]),
+                        "{page_size} {direction:?} {tuples} tuples"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! releases automatically when the reader drops it, so a panicking query
 //! can never leak a pinned frame.
 //!
+//! The pool owns its frames: an eviction, a [`SharedBufferPool::clear`] or
+//! a dropped table empties a frame but keeps its buffer, and the next miss
+//! that lands there copies the page into it. Only a frame a reader still
+//! holds, or one of another length (a compressed image), is replaced by a
+//! new allocation — so what a cold scan costs does not depend on which of
+//! the previous scan's frames the allocator happened to keep mapped.
+//!
 //! Timing stays simulated and per-shard: every miss charges the disk
 //! model's read time to the shard it lands in; [`SharedBufferPool::stats`]
 //! sums the shards.
@@ -101,15 +108,23 @@ impl Shard {
         Err(StorageError::BufferPoolExhausted)
     }
 
-    fn install(&mut self, frame: usize, page_id: PageId, bytes: Arc<[u8]>) {
+    /// Puts `image` into `frame` and returns the frame's shared image. A
+    /// victim is never held, so when its buffer has the image's length the
+    /// bytes are copied into it instead of into a new allocation.
+    fn install(&mut self, frame: usize, page_id: PageId, image: &[u8]) -> Arc<[u8]> {
         if let Some(old) = self.frames[frame].page.take() {
             self.page_table.remove(&old);
             self.stats.evictions += 1;
         }
-        self.frames[frame].bytes = bytes;
-        self.frames[frame].page = Some(page_id);
-        self.frames[frame].referenced = true;
+        let f = &mut self.frames[frame];
+        match Arc::get_mut(&mut f.bytes) {
+            Some(buffer) if buffer.len() == image.len() => buffer.copy_from_slice(image),
+            _ => f.bytes = Arc::from(image),
+        }
+        f.page = Some(page_id);
+        f.referenced = true;
         self.page_table.insert(page_id, frame);
+        Arc::clone(&f.bytes)
     }
 }
 
@@ -235,18 +250,17 @@ impl SharedBufferPool {
         shard.stats.misses += 1;
         let io = disk.read_time(charged_bytes);
         shard.stats.io_seconds += io;
-        let bytes: Arc<[u8]> = Arc::from(image?);
+        let image = image?;
         // Tombstone check under the shard lock: a scan racing a DROP TABLE
         // still gets its bytes, but must not re-install a dropped heap's
         // page after the drop's sweep has passed this shard (the orphan-
         // resident-page leak). `evict_heap_force` tombstones *before* it
         // sweeps, so whichever side reaches this shard second wins.
         if self.is_tombstoned(page_id.heap) {
-            return Ok((bytes, io));
+            return Ok((Arc::from(image), io));
         }
         let frame = shard.find_victim()?;
-        shard.install(frame, page_id, Arc::clone(&bytes));
-        Ok((bytes, io))
+        Ok((shard.install(frame, page_id, image), io))
     }
 
     /// Aggregated statistics across every shard.
@@ -336,14 +350,14 @@ impl SharedBufferPool {
             if shard.page_table.contains_key(&page_id) {
                 continue;
             }
-            let bytes: Arc<[u8]> = Arc::from(heap.page_bytes(page_no)?);
+            let image = heap.page_bytes(page_no)?;
             match shard.find_victim() {
                 Ok(frame) => {
                     // Prewarm is setup, not query cost: compensate the
                     // eviction counter only when install actually evicted
                     // a resident page (an empty frame counts nothing).
                     let displaced = shard.frames[frame].page.is_some();
-                    shard.install(frame, page_id, bytes);
+                    shard.install(frame, page_id, image);
                     shard.frames[frame].referenced = false;
                     if displaced {
                         shard.stats.evictions = shard.stats.evictions.saturating_sub(1);
@@ -358,16 +372,14 @@ impl SharedBufferPool {
         Ok(self.resident_pages())
     }
 
-    /// Cold-cache setup: drops every unheld page.
+    /// Cold-cache setup: drops every unheld page. The emptied frames keep
+    /// their buffers for the next misses to fill (see `Shard::install`).
     pub fn clear(&self) {
         for i in 0..self.shards.len() {
             let shard = &mut *self.lock(i);
-            for f in shard.frames.iter_mut() {
-                if !f.is_held() {
-                    if let Some(p) = f.page.take() {
-                        shard.page_table.remove(&p);
-                    }
-                    f.bytes = Arc::from(&[][..]);
+            for f in shard.frames.iter_mut().filter(|f| !f.is_held()) {
+                if let Some(p) = f.page.take() {
+                    shard.page_table.remove(&p);
                 }
             }
             shard.clock_hand = 0;
@@ -396,9 +408,13 @@ impl SharedBufferPool {
             let shard = &mut *self.lock(i);
             for f in shard.frames.iter_mut() {
                 if let Some(p) = f.page.filter(|p| p.heap == heap_id) {
+                    // A held frame hands its buffer over to the readers;
+                    // an unheld one keeps it for the next miss to fill.
+                    if f.is_held() {
+                        f.bytes = Arc::from(&[][..]);
+                    }
                     f.page = None;
                     shard.page_table.remove(&p);
-                    f.bytes = Arc::from(&[][..]);
                     f.referenced = false;
                     evicted += 1;
                 }
@@ -517,6 +533,38 @@ mod tests {
         let (_, io) = bp.fetch(PageId::new(HeapId(2), 0), &heap, &disk).unwrap();
         assert_eq!(io, 0.0, "instant disk");
         assert!(bp.stats().misses > 0);
+    }
+
+    #[test]
+    fn a_cleared_pool_refills_the_frames_it_owns() {
+        let heap = small_heap(4000);
+        let bp = pool(2, 1);
+        let disk = DiskModel::instant();
+        let page = |n| PageId::new(HeapId(1), n);
+        let (first, _) = bp.fetch(page(0), &heap, &disk).unwrap();
+        let buffer = first.as_ptr();
+        drop(first);
+        // After a clear, and after an eviction, the miss lands in the
+        // buffer the frame already had.
+        bp.clear();
+        let (again, _) = bp.fetch(page(1), &heap, &disk).unwrap();
+        assert_eq!(again.as_ptr(), buffer, "a clear must keep the frame");
+        assert_eq!(&*again, heap.page_bytes(1).unwrap());
+        // A reader's image is never written over: with page 1 still held,
+        // a clear leaves it resident and later misses go elsewhere.
+        bp.clear();
+        assert!(bp.contains(page(1)));
+        for n in 2..6 {
+            let (b, _) = bp.fetch(page(n), &heap, &disk).unwrap();
+            assert_ne!(b.as_ptr(), buffer);
+            assert_eq!(&*b, heap.page_bytes(n).unwrap());
+        }
+        assert_eq!(&*again, heap.page_bytes(1).unwrap());
+        // A frame of another length (a compressed image) is replaced.
+        drop(again);
+        bp.clear();
+        let (raw, _) = bp.fetch_raw(page(9), &[7u8; 100], &disk).unwrap();
+        assert_eq!(&*raw, &[7u8; 100][..]);
     }
 
     #[test]

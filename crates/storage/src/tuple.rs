@@ -65,12 +65,13 @@ impl Datum {
         }
     }
 
-    fn write_to(&self, out: &mut Vec<u8>) {
+    /// Writes this cell over the front of `out`.
+    fn write_to(&self, out: &mut [u8]) {
         match self {
-            Datum::Float4(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Datum::Float8(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Datum::Int4(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Datum::Int8(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Datum::Float4(v) => out[..4].copy_from_slice(&v.to_le_bytes()),
+            Datum::Float8(v) => out[..8].copy_from_slice(&v.to_le_bytes()),
+            Datum::Int4(v) => out[..4].copy_from_slice(&v.to_le_bytes()),
+            Datum::Int8(v) => out[..8].copy_from_slice(&v.to_le_bytes()),
         }
     }
 
@@ -86,17 +87,17 @@ impl Datum {
     }
 }
 
-/// Writes the 16-byte on-page tuple header (see the module docs) — shared
-/// by [`Tuple::form`] and the builder's raw byte-copy insert path.
-pub(crate) fn form_header(xmin: u32, ctid: u32, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&xmin.to_le_bytes()); // t_xmin
-    out.extend_from_slice(&0u32.to_le_bytes()); // t_xmax (live)
-    out.extend_from_slice(&0x0001u16.to_le_bytes()); // t_infomask: HEAP_XMIN_COMMITTED
-    out.push(TUPLE_HEADER_BYTES as u8); // t_hoff
-    out.push(0); // t_nullmask
-    out.extend_from_slice(&ctid.to_le_bytes()); // t_ctid
-    debug_assert_eq!(out.len() - start, TUPLE_HEADER_BYTES);
+/// Writes the on-page tuple header (see the module docs) over `header`,
+/// the first [`TUPLE_HEADER_BYTES`] of a record — shared by [`Tuple::form`]
+/// and the heap builder, which forms tuples in their page slots.
+pub(crate) fn write_header(xmin: u32, ctid: u32, header: &mut [u8]) {
+    debug_assert_eq!(header.len(), TUPLE_HEADER_BYTES);
+    header[0..4].copy_from_slice(&xmin.to_le_bytes()); // t_xmin
+    header[4..8].copy_from_slice(&0u32.to_le_bytes()); // t_xmax (live)
+    header[8..10].copy_from_slice(&0x0001u16.to_le_bytes()); // t_infomask: HEAP_XMIN_COMMITTED
+    header[10] = TUPLE_HEADER_BYTES as u8; // t_hoff
+    header[11] = 0; // t_nullmask
+    header[12..16].copy_from_slice(&ctid.to_le_bytes()); // t_ctid
 }
 
 /// The `width` bytes of user data of one on-page record: they start at the
@@ -143,6 +144,16 @@ impl Tuple {
     ///
     /// `xmin` is the inserting transaction id; `ctid` the self-pointer.
     pub fn form(&self, schema: &Schema, xmin: u32, ctid: u32) -> StorageResult<Vec<u8>> {
+        self.check(schema)?;
+        let mut out = vec![0u8; TUPLE_HEADER_BYTES + schema.tuple_data_width()];
+        let (header, data) = out.split_at_mut(TUPLE_HEADER_BYTES);
+        write_header(xmin, ctid, header);
+        self.write_data(data);
+        Ok(out)
+    }
+
+    /// One value per column of `schema`, each of the column's type.
+    pub(crate) fn check(&self, schema: &Schema) -> StorageResult<()> {
         if self.values.len() != schema.len() {
             return Err(StorageError::SchemaMismatch(format!(
                 "tuple has {} values, schema {} columns",
@@ -160,12 +171,17 @@ impl Tuple {
                 )));
             }
         }
-        let mut out = Vec::with_capacity(TUPLE_HEADER_BYTES + schema.tuple_data_width());
-        form_header(xmin, ctid, &mut out);
+        Ok(())
+    }
+
+    /// Writes the cells back to back over `data` — the user-data bytes of
+    /// a record of a schema this tuple passed [`Tuple::check`] against.
+    pub(crate) fn write_data(&self, data: &mut [u8]) {
+        let mut off = 0;
         for v in &self.values {
-            v.write_to(&mut out);
+            v.write_to(&mut data[off..]);
+            off += v.column_type().width();
         }
-        Ok(out)
     }
 
     /// Deforms on-page bytes back into a tuple — the CPU-side operation that

@@ -6,9 +6,9 @@ use dana_dsl::Dims;
 use dana_storage::page::TupleDirection;
 use dana_storage::shared_pool::DEFAULT_SHARDS;
 use dana_storage::{
-    BufferPoolConfig, ColumnType, Datum, DiskModel, HeapFileBuilder, HeapId, PageId,
-    PageLayoutDesc, PageView, RowDecoder, Schema, SharedBufferPool, StorageResult, Tuple,
-    TupleBatch, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
+    BufferPoolConfig, ColumnType, Datum, DiskModel, HeapFile, HeapFileBuilder, HeapId, PageId,
+    PageView, RowDecoder, Schema, SharedBufferPool, SourceError, StorageResult, Tuple, TupleBatch,
+    TupleSource, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
 };
 use dana_strider::isa::{decode_program, encode_program, Instr, Opcode, Operand, Reg};
 use dana_strider::{AccessEngine, AccessEngineConfig, StriderResult};
@@ -174,6 +174,36 @@ proptest! {
         let page = dana_storage::PageView::new(&bytes, *heap.layout()).unwrap();
         prop_assert!(!page.verify_checksum());
     }
+
+    /// One flipped bit anywhere past the page header — the last 8 bytes,
+    /// which the checksum folds byte-wise after its word lanes, as much as
+    /// any lane word — fails verification, on every page size and for both
+    /// placement directions.
+    #[test]
+    fn checksum_detects_any_single_bit_flip(
+        page_kb in prop::sample::select(vec![8usize, 16, 32]),
+        descending in any::<bool>(),
+        n in 1usize..120,
+        in_tail in any::<bool>(),
+        pos in 0usize..1 << 15,
+        bit in 0u8..8,
+    ) {
+        let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
+        let mut b = HeapFileBuilder::new(Schema::training(8), page_kb * 1024, direction).unwrap();
+        for k in 0..n {
+            b.insert(&Tuple::training(&[k as f32 * 0.75; 8], -(k as f32))).unwrap();
+        }
+        let heap = b.finish();
+        let mut bytes = heap.page_bytes(0).unwrap().to_vec();
+        let at = if in_tail {
+            bytes.len() - 8 + pos % 8
+        } else {
+            PAGE_HEADER_BYTES + pos % (bytes.len() - PAGE_HEADER_BYTES)
+        };
+        bytes[at] ^= 1 << bit;
+        let page = PageView::new(&bytes, *heap.layout()).unwrap();
+        prop_assert!(!page.verify_checksum(), "bit {bit} of byte {at} went unnoticed");
+    }
 }
 
 // ALU ops agree with plain f32 arithmetic (non-property spot checks for
@@ -300,10 +330,11 @@ proptest! {
 /// the CPU deform feed, and Strider extraction.
 fn readers_survive(
     bytes: &[u8],
-    layout: PageLayoutDesc,
+    heap: &HeapFile,
     decoder: &RowDecoder,
     engine: &AccessEngine,
 ) -> bool {
+    let layout = *heap.layout();
     let width = decoder.columns().len();
     let whole_rows = |b: &TupleBatch| b.as_slice().len() == b.len() * width;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -327,6 +358,42 @@ fn readers_survive(
         let mut batch = TupleBatch::from_rows(width, [vec![9.0; width]]);
         let _: StriderResult<u64> = engine.extract_page_into(bytes, &mut batch);
         ok &= whole_rows(&batch) && batch.row(0).iter().all(|v| *v == 9.0);
+        // A scoring statement's single-pass scan that finds `bytes` in the
+        // pool as its page 0: whole batches or a typed error, and the
+        // frame hold released either way — mid-scan errors included.
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: 1 << 20,
+                page_size: layout.page_size,
+            },
+            1,
+        );
+        let disk = DiskModel::instant();
+        drop(pool.fetch_raw(PageId::new(HeapId(1), 0), bytes, &disk));
+        for mode in [dana::ExecutionMode::Strider, dana::ExecutionMode::CpuFed] {
+            let mut scan = dana::SharedPageStreamSource::with_range(
+                &pool,
+                &disk,
+                heap,
+                HeapId(1),
+                engine,
+                mode,
+                0,
+                heap.page_count(),
+            )
+            .single_pass();
+            let streamed = loop {
+                match scan.next_batch() {
+                    Ok(Some(batch)) => ok &= whole_rows(batch),
+                    Ok(None) => break true,
+                    Err(SourceError(_)) => break false,
+                }
+            };
+            ok &= pool.held_frames() == 0;
+            // Streamed or failed, the scan has started: no replay.
+            ok &= scan.rewind().is_err();
+            ok &= streamed || bytes != heap.page_bytes(0).unwrap();
+        }
         ok
     }))
     .unwrap_or(false)
@@ -373,7 +440,7 @@ proptest! {
         );
         let clean = heap.page_bytes(0).unwrap();
         let live = PageView::new(clean, layout).unwrap().tuple_count() as usize;
-        prop_assert!(readers_survive(clean, layout, &decoder, &engine));
+        prop_assert!(readers_survive(clean, &heap, &decoder, &engine));
 
         // Each kind of damage alone, then all of them piled on one image.
         let mut piled = clean.to_vec();
@@ -396,12 +463,12 @@ proptest! {
                 }
             }
             prop_assert!(
-                readers_survive(&alone, layout, &decoder, &engine),
+                readers_survive(&alone, &heap, &decoder, &engine),
                 "damage {kind} at {pos} ^ {flip:#x}: {types:?} {direction:?} n={n}"
             );
         }
         prop_assert!(
-            readers_survive(&piled, layout, &decoder, &engine),
+            readers_survive(&piled, &heap, &decoder, &engine),
             "damage {kinds:?} at {positions:?} ^ {flips:?}: {types:?} {direction:?} n={n}"
         );
     }
