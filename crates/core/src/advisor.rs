@@ -9,17 +9,20 @@
 //! break-even reasoning follows: offload only pays above a row threshold
 //! where the FPGA's per-tuple advantage has amortized those fixed costs.
 //!
-//! A [`HardwareProfile`] carries the per-backend throughput estimates —
-//! the CPU side calibrated by a one-time microbench
-//! ([`dana_engine::calibrate_cpu_lane_rate`]) — and [`advise`] turns a
-//! profile plus a workload shape into a [`StrategyComparison`]: estimated
-//! seconds per backend, the chosen backend, and the break-even row count.
+//! A [`HardwareProfile`] carries the two values nothing else knows — the
+//! CPU tier's lane rate, calibrated by a one-time microbench
+//! ([`dana_engine::calibrate_cpu_lane_rate`]), and the manual threshold —
+//! while the FPGA side is priced from the core's own [`FpgaSpec`] and the
+//! constants the cost model composes with. [`advise`] turns the two plus
+//! a workload shape into a [`StrategyComparison`]: estimated seconds per
+//! backend, the chosen backend, and the break-even row count.
 //! `EXPLAIN <stmt>` prints exactly this comparison without running the
 //! statement; `WITH (backend = cpu|fpga)` overrides the choice.
 
 use crate::error::{DanaError, DanaResult};
 use crate::runtime::{EPOCH_OVERHEAD_S, SETUP_SECONDS};
 use dana_engine::BackendKind;
+use dana_fpga::FpgaSpec;
 
 /// What the query (or its `WITH` clause) asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,25 +59,22 @@ impl BackendChoice {
     }
 }
 
-/// Per-backend throughput and overhead estimates the advisor prices
-/// workloads against.
+/// What the advisor cannot read off the accelerator it prices: the CPU
+/// tier's throughput and the manual break-even override. (The FPGA tier's
+/// clock, setup and per-epoch overhead are the core's [`FpgaSpec`],
+/// [`SETUP_SECONDS`] and [`EPOCH_OVERHEAD_S`] — the values a run is
+/// billed by.)
 ///
-/// The defaults are conservative constants; [`HardwareProfile::calibrated`]
-/// replaces the CPU rate with a measured one. The profile is a plain
-/// value — tests construct synthetic profiles to pin the advisor's
-/// decisions deterministically.
+/// The default rate is a conservative constant;
+/// [`HardwareProfile::calibrated`] replaces it with a measured one. The
+/// profile is a plain value — tests construct synthetic profiles to pin
+/// the advisor's decisions deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct HardwareProfile {
     /// CPU tier throughput: lowered SoA lane-ops per second (one lane-op
     /// = one inner-loop element of the lockstep executor). Calibrated by
     /// the one-time microbench.
     pub cpu_lane_ops_per_second: f64,
-    /// Simulated accelerator clock, Hz.
-    pub fpga_clock_hz: f64,
-    /// One-time configuration transfer charged per FPGA run.
-    pub fpga_setup_seconds: f64,
-    /// Host-side orchestration per epoch on the FPGA tier.
-    pub fpga_epoch_overhead_seconds: f64,
     /// Manual break-even override: below this many rows the advisor
     /// picks CPU, at or above it FPGA, bypassing the throughput model.
     pub offload_threshold_rows: Option<u64>,
@@ -86,9 +86,6 @@ impl Default for HardwareProfile {
             // A deliberately conservative scalar-ish rate; calibration
             // typically measures 10–100× this on a vectorizing host.
             cpu_lane_ops_per_second: 50.0e6,
-            fpga_clock_hz: 150.0e6,
-            fpga_setup_seconds: SETUP_SECONDS,
-            fpga_epoch_overhead_seconds: EPOCH_OVERHEAD_S,
             offload_threshold_rows: None,
         }
     }
@@ -103,12 +100,6 @@ impl HardwareProfile {
             cpu_lane_ops_per_second: dana_engine::calibrate_cpu_lane_rate(),
             ..HardwareProfile::default()
         }
-    }
-
-    /// The same profile with the simulated clock taken from an FPGA spec.
-    pub fn with_clock_hz(mut self, hz: f64) -> HardwareProfile {
-        self.fpga_clock_hz = hz;
-        self
     }
 
     /// The same profile with a manual break-even override. `Some(0)`
@@ -160,6 +151,16 @@ impl Workload {
     fn groups(&self) -> u64 {
         let threads = self.threads.max(1) as u64;
         self.effective_rows().div_ceil(threads).max(1)
+    }
+
+    /// Simulated engine seconds of the whole run at `clock_hz`: every
+    /// epoch retires every thread group in the static schedule's
+    /// `cycles_per_group`. The one place cycles become engine seconds at
+    /// bind time — [`fpga_seconds`] and the scheduler's cost hint both
+    /// read it.
+    pub fn engine_seconds(&self, clock_hz: f64) -> f64 {
+        let epoch = (self.groups() * self.cycles_per_group) as f64 / clock_hz;
+        self.epochs.max(1) as f64 * epoch
     }
 
     /// CPU lane-ops per tuple after projection.
@@ -241,13 +242,16 @@ impl std::fmt::Display for StrategyComparison {
     }
 }
 
-/// Estimated FPGA-tier seconds: fixed setup, plus per-epoch host
-/// orchestration and the static schedule's engine cycles at the
-/// accelerator clock.
-pub fn fpga_seconds(p: &HardwareProfile, w: &Workload) -> f64 {
-    let epochs = w.epochs.max(1) as f64;
-    let engine = (w.groups() * w.cycles_per_group) as f64 / p.fpga_clock_hz;
-    p.fpga_setup_seconds + epochs * (p.fpga_epoch_overhead_seconds + engine)
+/// What an FPGA run pays whatever its row count: the one-time setup plus
+/// the per-epoch host orchestration.
+fn fpga_fixed_seconds(w: &Workload) -> f64 {
+    SETUP_SECONDS + w.epochs.max(1) as f64 * EPOCH_OVERHEAD_S
+}
+
+/// Estimated FPGA-tier seconds on `fpga`: the fixed costs plus the static
+/// schedule's engine cycles at the accelerator's clock.
+pub fn fpga_seconds(fpga: &FpgaSpec, w: &Workload) -> f64 {
+    fpga_fixed_seconds(w) + w.engine_seconds(fpga.clock.hz)
 }
 
 /// Projected CPU-tier wall seconds: lane-ops through the calibrated lane
@@ -262,7 +266,7 @@ pub fn cpu_seconds(p: &HardwareProfile, w: &Workload) -> f64 {
 /// The row count at which the FPGA tier's marginal advantage has paid
 /// off its fixed costs for this program shape — `None` when the CPU
 /// tier's marginal rate is at least as good (offload never pays).
-pub fn break_even_rows(p: &HardwareProfile, w: &Workload) -> Option<u64> {
+pub fn break_even_rows(p: &HardwareProfile, fpga: &FpgaSpec, w: &Workload) -> Option<u64> {
     if let Some(rows) = p.offload_threshold_rows {
         return Some(rows);
     }
@@ -271,27 +275,28 @@ pub fn break_even_rows(p: &HardwareProfile, w: &Workload) -> Option<u64> {
     // Marginal seconds per row on each tier.
     let cpu_slope = epochs * (w.cpu_ops_per_tuple() + w.ops_per_group as f64 / threads)
         / p.cpu_lane_ops_per_second;
-    let fpga_slope = epochs * w.cycles_per_group as f64 / threads / p.fpga_clock_hz;
+    let fpga_slope = epochs * w.cycles_per_group as f64 / threads / fpga.clock.hz;
     let advantage = cpu_slope - fpga_slope;
     if advantage <= 0.0 {
         return None;
     }
-    let fixed = p.fpga_setup_seconds + epochs * p.fpga_epoch_overhead_seconds;
-    Some((fixed / advantage).ceil() as u64)
+    Some((fpga_fixed_seconds(w) / advantage).ceil() as u64)
 }
 
-/// Prices `workload` on both backends and picks one: the requested
-/// backend when forced, otherwise the break-even rule (CPU below the
-/// threshold, FPGA at or above it).
+/// Prices `workload` on both backends — the FPGA tier as `fpga`, the
+/// accelerator it would run on — and picks one: the requested backend when
+/// forced, otherwise the break-even rule (CPU below the threshold, FPGA at
+/// or above it).
 pub fn advise(
     profile: &HardwareProfile,
+    fpga: &FpgaSpec,
     workload: &Workload,
     requested: BackendChoice,
     statement: String,
 ) -> StrategyComparison {
-    let fpga = fpga_seconds(profile, workload);
+    let break_even = break_even_rows(profile, fpga, workload);
+    let fpga = fpga_seconds(fpga, workload);
     let cpu = cpu_seconds(profile, workload);
-    let break_even = break_even_rows(profile, workload);
     let rows = workload.effective_rows();
     let auto_choice = match break_even {
         Some(be) if rows >= be => BackendKind::Fpga,
@@ -343,15 +348,24 @@ mod tests {
     /// A synthetic profile with round numbers: the FPGA retires a
     /// 16-thread group in 100 cycles at 100 MHz (62.5 ns/row marginal);
     /// the CPU does 10 lane-ops/tuple at 10 M lane-ops/s (1 µs/row).
-    /// Fixed FPGA cost: 30 ms setup + 25 ms/epoch.
+    /// Fixed FPGA cost: the real 30 ms setup + 25 ms/epoch.
     fn profile() -> HardwareProfile {
         HardwareProfile {
             cpu_lane_ops_per_second: 10.0e6,
-            fpga_clock_hz: 100.0e6,
-            fpga_setup_seconds: 30.0e-3,
-            fpga_epoch_overhead_seconds: 25.0e-3,
-            ..HardwareProfile::default()
+            offload_threshold_rows: None,
         }
+    }
+
+    fn fpga() -> FpgaSpec {
+        FpgaSpec {
+            clock: dana_fpga::Clock::from_mhz(100.0),
+            ..FpgaSpec::vu9p()
+        }
+    }
+
+    /// [`advise`] on the 100 MHz accelerator.
+    fn advised(p: &HardwareProfile, w: &Workload, requested: BackendChoice) -> StrategyComparison {
+        advise(p, &fpga(), w, requested, "E".into())
     }
 
     fn workload(rows: u64) -> Workload {
@@ -367,22 +381,46 @@ mod tests {
         }
     }
 
+    /// The one bind-time price of the engine (the cost hint and the FPGA
+    /// estimate both read it).
+    #[test]
+    fn engine_seconds_scales_with_tuples_lanes_and_epochs() {
+        let hz = 100.0e6;
+        let lanes = |threads| Workload {
+            threads,
+            ..workload(100_000)
+        };
+        let epochs = |epochs| Workload {
+            epochs,
+            ..workload(100_000)
+        };
+        let one = workload(100_000).engine_seconds(hz);
+        assert!(one > workload(1_000).engine_seconds(hz), "more tuples");
+        assert!(lanes(16).engine_seconds(hz) < lanes(4).engine_seconds(hz));
+        // Zero lanes clamps instead of dividing by zero.
+        let unlaned = lanes(0).engine_seconds(hz);
+        assert!(unlaned > 0.0 && unlaned.is_finite());
+        // Epochs multiply; zero epochs clamps to one.
+        assert!((epochs(5).engine_seconds(hz) / one - 5.0).abs() < 1e-9);
+        assert_eq!(epochs(0).engine_seconds(hz), one);
+    }
+
     #[test]
     fn selectivity_scales_both_tiers_and_can_flip_the_choice() {
         let p = profile();
         // A table comfortably past break-even offloads…
-        let full = advise(&p, &workload(100_000), BackendChoice::Auto, "E".into());
+        let full = advised(&p, &workload(100_000), BackendChoice::Auto);
         assert_eq!(full.chosen, dana_engine::BackendKind::Fpga);
         // …but a 10%-selective pushdown scan of it feeds the engine only
         // 10k rows, under break-even, so auto routes it to the CPU tier.
         let mut filtered = workload(100_000);
         filtered.selectivity = 0.1;
         assert_eq!(filtered.effective_rows(), 10_000);
-        let c = advise(&p, &filtered, BackendChoice::Auto, "E".into());
+        let c = advised(&p, &filtered, BackendChoice::Auto);
         assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
         // Both tiers price the filtered scan cheaper than the full one.
         assert!(cpu_seconds(&p, &filtered) < cpu_seconds(&p, &workload(100_000)));
-        assert!(fpga_seconds(&p, &filtered) < fpga_seconds(&p, &workload(100_000)));
+        assert!(fpga_seconds(&fpga(), &filtered) < fpga_seconds(&fpga(), &workload(100_000)));
     }
 
     #[test]
@@ -392,12 +430,12 @@ mod tests {
         narrow.width_fraction = 0.25;
         assert!(cpu_seconds(&p, &narrow) < cpu_seconds(&p, &workload(100_000)));
         assert_eq!(
-            fpga_seconds(&p, &narrow),
-            fpga_seconds(&p, &workload(100_000))
+            fpga_seconds(&fpga(), &narrow),
+            fpga_seconds(&fpga(), &workload(100_000))
         );
         // A narrower CPU feed raises the FPGA's break-even row count.
-        let be_full = break_even_rows(&p, &workload(1)).unwrap();
-        let be_narrow = break_even_rows(&p, &narrow).unwrap();
+        let be_full = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
+        let be_narrow = break_even_rows(&p, &fpga(), &narrow).unwrap();
         assert!(be_narrow > be_full, "full={be_full} narrow={be_narrow}");
     }
 
@@ -405,12 +443,12 @@ mod tests {
     fn tiny_table_prefers_cpu_large_table_prefers_fpga() {
         let p = profile();
         // Break-even ≈ 55 ms / (1.05 µs − 62.5 ns) ≈ 55.7k rows.
-        let be = break_even_rows(&p, &workload(1)).unwrap();
+        let be = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
         assert!((50_000..70_000).contains(&be), "break-even {be}");
-        let small = advise(&p, &workload(1_000), BackendChoice::Auto, "E".into());
+        let small = advised(&p, &workload(1_000), BackendChoice::Auto);
         assert_eq!(small.chosen, dana_engine::BackendKind::Cpu);
         assert!(!small.forced);
-        let large = advise(&p, &workload(1_000_000), BackendChoice::Auto, "E".into());
+        let large = advised(&p, &workload(1_000_000), BackendChoice::Auto);
         assert_eq!(large.chosen, dana_engine::BackendKind::Fpga);
         // And the priced costs agree with the choice.
         assert!(
@@ -434,10 +472,10 @@ mod tests {
     #[test]
     fn exactly_at_break_even_offloads() {
         let p = profile();
-        let be = break_even_rows(&p, &workload(1)).unwrap();
-        let at = advise(&p, &workload(be), BackendChoice::Auto, "E".into());
+        let be = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
+        let at = advised(&p, &workload(be), BackendChoice::Auto);
         assert_eq!(at.chosen, dana_engine::BackendKind::Fpga);
-        let below = advise(&p, &workload(be - 1), BackendChoice::Auto, "E".into());
+        let below = advised(&p, &workload(be - 1), BackendChoice::Auto);
         assert_eq!(below.chosen, dana_engine::BackendKind::Cpu);
     }
 
@@ -445,11 +483,11 @@ mod tests {
     fn with_backend_override_wins_over_auto() {
         let p = profile();
         // Force FPGA on a tiny table auto would route to CPU…
-        let forced = advise(&p, &workload(10), BackendChoice::Fpga, "E".into());
+        let forced = advised(&p, &workload(10), BackendChoice::Fpga);
         assert_eq!(forced.chosen, dana_engine::BackendKind::Fpga);
         assert!(forced.forced);
         // …and CPU on a huge table auto would offload.
-        let forced = advise(&p, &workload(10_000_000), BackendChoice::Cpu, "E".into());
+        let forced = advised(&p, &workload(10_000_000), BackendChoice::Cpu);
         assert_eq!(forced.chosen, dana_engine::BackendKind::Cpu);
         assert!(forced.forced);
     }
@@ -458,9 +496,9 @@ mod tests {
     fn manual_offload_threshold_overrides_the_model() {
         let mut p = profile();
         p.offload_threshold_rows = Some(500);
-        let c = advise(&p, &workload(499), BackendChoice::Auto, "E".into());
+        let c = advised(&p, &workload(499), BackendChoice::Auto);
         assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
-        let c = advise(&p, &workload(500), BackendChoice::Auto, "E".into());
+        let c = advised(&p, &workload(500), BackendChoice::Auto);
         assert_eq!(c.chosen, dana_engine::BackendKind::Fpga);
         assert_eq!(c.break_even_rows, Some(500));
     }
@@ -470,8 +508,8 @@ mod tests {
         let mut p = profile();
         // An absurdly fast CPU: marginal rate beats the FPGA's.
         p.cpu_lane_ops_per_second = 1.0e12;
-        assert_eq!(break_even_rows(&p, &workload(1)), None);
-        let c = advise(&p, &workload(100_000_000), BackendChoice::Auto, "E".into());
+        assert_eq!(break_even_rows(&p, &fpga(), &workload(1)), None);
+        let c = advised(&p, &workload(100_000_000), BackendChoice::Auto);
         assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
         assert!(c.rationale.contains("never pays"));
     }
@@ -485,9 +523,9 @@ mod tests {
         let p = profile();
         let mut w = workload(1);
         w.epochs = 1;
-        let be1 = break_even_rows(&p, &w).unwrap();
+        let be1 = break_even_rows(&p, &fpga(), &w).unwrap();
         w.epochs = 20;
-        let be20 = break_even_rows(&p, &w).unwrap();
+        let be20 = break_even_rows(&p, &fpga(), &w).unwrap();
         assert!(be20 < be1, "be1={be1} be20={be20}");
     }
 
@@ -503,7 +541,13 @@ mod tests {
     #[test]
     fn comparison_display_mentions_both_tiers() {
         let p = profile();
-        let c = advise(&p, &workload(1000), BackendChoice::Auto, "EXECUTE m".into());
+        let c = advise(
+            &p,
+            &fpga(),
+            &workload(1000),
+            BackendChoice::Auto,
+            "EXECUTE m".into(),
+        );
         let text = format!("{c}");
         assert!(text.contains("fpga"), "{text}");
         assert!(text.contains("cpu"), "{text}");

@@ -5,10 +5,13 @@
 //!
 //! 1. [`SystemCore::deploy`] — the UDF is translated (hDFG), compiled
 //!    (hardware generator + scheduler), and the accelerator — the
-//!    validated, lowered engine with its budget, estimate and scoring
-//!    recipe — is stored in the catalog, typed, under the UDF's name;
+//!    validated, lowered engine with its budget and scoring recipe — is
+//!    stored in the catalog, typed, under the UDF's name;
 //! 2. [`SystemCore::bind`] — a parsed statement is bound, once, to a
-//!    [`PhysicalPlan`]: operation, scan, gang size, substrate;
+//!    [`PhysicalPlan`]: operation, scan, gang size, substrate, and one
+//!    engine price (the advisor's FPGA estimate and the scheduler's cost
+//!    hint are the same [`advisor::Workload::engine_seconds`], at this
+//!    core's clock);
 //! 3. [`SystemCore::execute`] — the plan runs: the buffer pool fills while
 //!    the access engine walks the pages with Striders and the execution
 //!    engine trains or scores; the report carries the result and the
@@ -65,8 +68,8 @@ use dana_parallel::{
 };
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{
-    BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, PageId, PageView,
-    SharedBufferPool, SourceError, StorageError, TableEntry, Tuple, TupleBatch, TupleSource,
+    BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, SharedBufferPool,
+    SourceError, StorageError, TableEntry, TupleBatch, TupleSource,
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
 
@@ -194,9 +197,9 @@ pub struct DeployInfo {
 /// models.
 pub struct SystemCore {
     catalog: RwLock<CoreCatalog>,
-    pool: SharedBufferPool,
-    disk: DiskModel,
-    fpga: FpgaSpec,
+    pub(crate) pool: SharedBufferPool,
+    pub(crate) disk: DiskModel,
+    pub(crate) fpga: FpgaSpec,
     cpu: CpuModel,
     /// Per-backend throughput estimates the backend advisor prices
     /// `backend = auto` statements against.
@@ -407,11 +410,7 @@ impl SystemCore {
             // offloads (threshold 0 — DAnA has no CPU tier). Calibrating
             // the advisor, or installing a profile without a manual
             // threshold, enables the cost-based choice for `backend = auto`.
-            profile: RwLock::new(
-                HardwareProfile::default()
-                    .with_clock_hz(config.fpga.clock.hz)
-                    .with_offload_threshold(Some(0)),
-            ),
+            profile: RwLock::new(HardwareProfile::default().with_offload_threshold(Some(0))),
             fpga: config.fpga,
         }
     }
@@ -801,9 +800,11 @@ impl SystemCore {
             k = k.min(ShardPlan::effective_shards(pages, k as usize) as u16);
         }
 
+        // The statement's shape, priced once: the advisor's comparison and
+        // the scheduler's cost hint read the same workload.
         let training = *op == PlanOp::Train;
+        let workload = exec::workload(&cached, rows, columns, training, scan);
         let comparison = (explain.is_some() || requested == BackendChoice::Auto).then(|| {
-            let workload = exec::workload(&cached, rows, columns, training, scan);
             let label = match op {
                 _ if explain.is_none() => String::new(),
                 PlanOp::PredictInto { dest } => format!("PREDICT {udf} ON {table} INTO {dest}"),
@@ -811,7 +812,8 @@ impl SystemCore {
                 PlanOp::Evaluate { .. } => format!("EVALUATE {udf} ON {table}"),
                 PlanOp::Train | PlanOp::Score { .. } => format!("EXECUTE {udf} ON {table}"),
             };
-            advisor::advise(&self.hardware_profile(), &workload, requested, label)
+            let profile = self.hardware_profile();
+            advisor::advise(&profile, &self.fpga, &workload, requested, label)
         });
         let backend = match (&comparison, requested) {
             (Some(c), _) => c.chosen,
@@ -819,23 +821,17 @@ impl SystemCore {
             (None, _) => BackendKind::Fpga,
         };
 
-        // Training is priced by the deploy-time engine estimate × epochs;
-        // scoring by tuple count × program length across the lanes (a
-        // single pass — under SJF it overtakes long training jobs, and a
-        // handful of inline rows is microseconds of work). An analytic
-        // with no scoring recipe is unknown work: the conservative
-        // (early) hint.
-        let design = cached.engine.design();
-        let serial = if training {
-            exec::estimate_seconds(
-                &cached.estimate,
-                design.convergence.max_epochs(),
-                &self.fpga,
-            )
+        // The scheduler's hint is the engine term alone (the dominant,
+        // workload-proportional one): training is thread groups × the
+        // static schedule × epochs, scoring one pass of tuple count ×
+        // program length across the lanes — under SJF it overtakes long
+        // training jobs, and a handful of inline rows is microseconds of
+        // work. An analytic with no scoring recipe is unknown work: the
+        // conservative (early) hint.
+        let serial = if training || cached.scoring.is_some() {
+            workload.engine_seconds(self.fpga.clock.hz)
         } else {
-            cached.scoring.as_ref().map_or(0.0, |recipe| {
-                exec::scoring_estimate_seconds(recipe, rows, design.num_threads as u32, &self.fpga)
-            })
+            0.0
         };
         let wrap = match (explain, comparison) {
             (Some(wrap), Some(c)) => wrap(Box::new(c)),
@@ -1250,46 +1246,6 @@ impl SystemCore {
         }
     }
 
-    /// Reference data path, retained for differential testing: compiles
-    /// `spec` like [`SystemCore::train_with_spec`] but materializes the
-    /// entire table as per-tuple `Vec<f32>` rows first (the pre-streaming
-    /// pipeline) and trains via the engine's reference rows path. The
-    /// equivalence suite holds this and the streaming path to
-    /// bit-identical models; it reports models only — no timing.
-    pub fn train_with_spec_reference(
-        &self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        mode: ExecutionMode,
-    ) -> DanaResult<Vec<Vec<f32>>> {
-        let (entry, heap) = self.snapshot_table(table)?;
-        let threads = (mode == ExecutionMode::Tabla).then_some(1);
-        let acc = self.compile_for(spec, &heap, entry.tuple_count, threads)?;
-        let access = exec::access_engine_for(&heap, acc.budget, &self.fpga);
-
-        // Full-table materialization: one heap allocation per tuple.
-        let mut tuples: Vec<Vec<f32>> = Vec::with_capacity(heap.tuple_count() as usize);
-        for page_no in 0..heap.page_count() {
-            let (bytes, _) =
-                self.pool
-                    .fetch(PageId::new(entry.heap_id, page_no), &heap, &self.disk)?;
-            if mode.uses_striders() {
-                let (page_tuples, _) = access.extract_page_rows(&bytes)?;
-                tuples.extend(page_tuples.into_iter().map(|t| t.values));
-            } else {
-                let page = PageView::new(&bytes, *heap.layout())?;
-                for slot in 0..page.tuple_count() {
-                    let t = Tuple::deform(heap.schema(), page.tuple_bytes(slot)?)?;
-                    tuples.push(t.values.iter().map(|d| d.as_f32()).collect());
-                }
-            }
-        }
-
-        let mut store = ModelStore::new(&acc.design, exec::initial_models(&acc.design))?;
-        acc.engine.run_training_rows(&tuples, &mut store)?;
-        Ok(store.into_values())
-    }
-
     // ---- the inference tier --------------------------------------------
 
     /// PREDICT … INTO: the scan runs lock-free on a heap snapshot; the
@@ -1581,14 +1537,14 @@ impl SystemCore {
     /// execution) must use this one snapshot so concurrent DDL cannot swap
     /// the heap mid-query. Stale derived tables are refused with a typed
     /// error.
-    fn snapshot_table(&self, table: &str) -> DanaResult<(TableEntry, Arc<HeapFile>)> {
+    pub(crate) fn snapshot_table(&self, table: &str) -> DanaResult<(TableEntry, Arc<HeapFile>)> {
         let cat = self.read();
         let entry = cat.db.live_table(table)?.clone();
         let heap = cat.db.heap_arc(entry.heap_id)?;
         Ok((entry, heap))
     }
 
-    fn compile_for(
+    pub(crate) fn compile_for(
         &self,
         spec: &dana_dsl::AlgoSpec,
         heap: &HeapFile,
@@ -1616,6 +1572,7 @@ mod tests {
     use crate::pipeline::tests::linreg_heap;
     use crate::{parse_statement, Dana, Statement};
     use dana_dsl::zoo::{linear_regression, DenseParams};
+    use dana_storage::Tuple;
 
     const POOL: BufferPoolConfig = BufferPoolConfig {
         pool_bytes: 64 << 20,
@@ -1672,10 +1629,7 @@ mod tests {
         // The entry holds what DEPLOY built, untrained.
         let runtime = core.accelerator_runtime("linearR").unwrap();
         assert_eq!(runtime.engine.design().num_threads, info.num_threads);
-        assert_eq!(
-            runtime.estimate.epoch_engine_cycles,
-            info.estimate.epoch_engine_cycles
-        );
+        assert_eq!(runtime.budget.num_page_buffers, info.num_striders);
         assert!(runtime.scoring.is_some());
         assert!(core.trained_generation("linearR").is_none());
         assert!(core.run_udf("linearR", "t").is_ok());
@@ -1889,6 +1843,42 @@ mod tests {
         .unwrap();
         assert_eq!(gang.shards, 2);
         assert_eq!(gang.cost_hint, l / 2.0);
+        // A selective scan feeds the engine fewer tuples, and is priced so.
+        let filtered = hint("EVALUATE dana.linearR('large') WHERE x0 < 0.5;");
+        assert!(0.0 < filtered && filtered < l, "{filtered} vs {l}");
+    }
+
+    /// The advisor prices the FPGA tier as the accelerator this core runs —
+    /// whatever profile is installed, since a profile holds no clock.
+    #[test]
+    fn explain_prices_the_fpga_tier_at_the_cores_own_clock() {
+        use crate::runtime::{EPOCH_OVERHEAD_S, SETUP_SECONDS};
+        let core = SystemCore::new(SystemCoreConfig {
+            fpga: FpgaSpec {
+                clock: dana_fpga::Clock::from_mhz(100.0),
+                ..FpgaSpec::vu9p()
+            },
+            pool: POOL,
+            pool_shards: 4,
+            disk: DiskModel::ssd(),
+        });
+        core.set_hardware_profile(HardwareProfile::default().with_offload_threshold(None));
+        core.create_table("t", linreg_heap(3000, 8)).unwrap();
+        core.deploy(&linreg_spec(8), "t").unwrap();
+        let plan = bind_sql(&core, "EXPLAIN SELECT * FROM dana.linearR('t');", 1).unwrap();
+        let Wrap::Explain(cmp) = plan.wrap else {
+            panic!("EXPLAIN binds to an explain plan");
+        };
+        let engine = &core.accelerator_runtime("linearR").unwrap().engine;
+        let threads = engine.design().num_threads as usize;
+        let epochs = engine.design().convergence.max_epochs() as f64;
+        let cycles = 3000u64.div_ceil(threads as u64) * engine.estimated_batch_cycles(threads);
+        let expected = SETUP_SECONDS + epochs * (EPOCH_OVERHEAD_S + cycles as f64 / 100.0e6);
+        let priced = cmp.estimated_seconds(BackendKind::Fpga).unwrap();
+        assert!(
+            (priced - expected).abs() < 1e-12,
+            "priced {priced} s, 100 MHz says {expected} s"
+        );
     }
 
     #[test]

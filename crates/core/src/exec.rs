@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use dana_compiler::{CompiledAccelerator, PerfEstimate};
+use dana_compiler::CompiledAccelerator;
 use dana_engine::{Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine};
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
@@ -172,11 +172,10 @@ pub fn record_cpu_spans(rec: &SpanRecorder, wall_seconds: Seconds) {
 
 /// The runtime artifact one EXECUTE needs, built once at DEPLOY and held
 /// by the accelerator's catalog entry: the validated + lowered engine
-/// behind an `Arc`, plus the resource budget and deploy-time estimate.
+/// behind an `Arc`, plus the resource budget.
 pub struct CachedAccelerator {
     pub engine: Arc<ExecutionEngine>,
     pub budget: ResourceBudget,
-    pub estimate: PerfEstimate,
     /// The deploy-time scoring recipe, held beside the training engine so
     /// PREDICT/EVALUATE never re-derive it. `None` for analytics with no
     /// derivable forward pass.
@@ -191,7 +190,6 @@ impl CachedAccelerator {
         CachedAccelerator {
             engine: Arc::clone(&acc.engine),
             budget: acc.budget,
-            estimate: acc.estimate,
             scoring,
         }
     }
@@ -674,20 +672,6 @@ pub fn assemble_scoring_timing(
     (timing, combined)
 }
 
-/// SJF's ordering key for a *scoring* query: tuple count × per-tuple
-/// program length, divided across the lockstep lanes — the inference
-/// twin of [`estimate_seconds`].
-pub fn scoring_estimate_seconds(
-    recipe: &ScoringRecipe,
-    tuples: u64,
-    lanes: u32,
-    fpga: &FpgaSpec,
-) -> Seconds {
-    let groups = tuples.div_ceil(lanes.max(1) as u64);
-    fpga.clock
-        .to_seconds(groups.saturating_mul(recipe.per_tuple_cycles()))
-}
-
 /// Refuses a point-form row holding a NaN or an infinity, in the wording
 /// the SQL parser uses for the same literal: a typed request reaches the
 /// scorer without passing the parser, and a non-finite feature would
@@ -758,58 +742,5 @@ pub fn point_timing(
                 ..DanaTiming::default()
             }
         }
-    }
-}
-
-/// Coarse run-time prediction from the *deploy-time* estimate alone — the
-/// shortest-job-first scheduler's ordering key. It deliberately prices only
-/// the engine compute (the dominant, workload-proportional term); ties in
-/// I/O or extraction do not change the SJF order in practice.
-pub fn estimate_seconds(estimate: &PerfEstimate, max_epochs: u32, fpga: &FpgaSpec) -> Seconds {
-    fpga.clock.to_seconds(
-        estimate
-            .epoch_engine_cycles
-            .saturating_mul(max_epochs.max(1) as u64),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scoring_estimate_scales_with_tuples_and_lanes() {
-        let fpga = FpgaSpec::vu9p();
-        let recipe = dana_infer::derive_recipe(
-            &dana_dsl::zoo::linear_regression(dana_dsl::zoo::DenseParams {
-                n_features: 10,
-                ..Default::default()
-            })
-            .unwrap(),
-        )
-        .unwrap();
-        let small = scoring_estimate_seconds(&recipe, 1_000, 4, &fpga);
-        let large = scoring_estimate_seconds(&recipe, 100_000, 4, &fpga);
-        assert!(large > small, "more tuples must cost more");
-        let wide = scoring_estimate_seconds(&recipe, 100_000, 16, &fpga);
-        assert!(wide < large, "more lanes must cost less");
-        // Zero lanes clamps instead of dividing by zero.
-        assert!(scoring_estimate_seconds(&recipe, 100, 0, &fpga) > 0.0);
-    }
-
-    #[test]
-    fn estimate_seconds_scales_with_epochs() {
-        let e = PerfEstimate {
-            epoch_engine_cycles: 150_000_000, // one second at 150 MHz
-            strider_cycles_per_page: 0,
-            per_tuple_cycles: 0,
-            post_merge_cycles: 0,
-        };
-        let fpga = FpgaSpec::vu9p();
-        let one = estimate_seconds(&e, 1, &fpga);
-        let five = estimate_seconds(&e, 5, &fpga);
-        assert!((five / one - 5.0).abs() < 1e-9);
-        // Zero epochs clamps to one.
-        assert_eq!(estimate_seconds(&e, 0, &fpga), one);
     }
 }

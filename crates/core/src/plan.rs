@@ -70,10 +70,11 @@ pub struct PhysicalPlan {
     pub backend: BackendKind,
     pub mode: ExecutionMode,
     pub wrap: Wrap,
-    /// Shortest-job-first ordering key: the deploy-time estimate of the
-    /// serial run divided by the gang size (a k-shard gang finishes its
-    /// scan ~k× sooner). Zero for work that cannot be priced or does not
-    /// run, which schedules it first.
+    /// Shortest-job-first ordering key: the statement's simulated engine
+    /// seconds ([`crate::Workload::engine_seconds`], what `EXPLAIN` prices
+    /// the FPGA tier with) divided by the gang size (a k-shard gang
+    /// finishes its scan ~k× sooner). Zero for work that cannot be priced
+    /// or does not run, which schedules it first.
     pub cost_hint: Seconds,
     /// The ad-hoc form: train this spec, compiled against the table
     /// snapshot the run takes, instead of a deployed UDF. Nothing is

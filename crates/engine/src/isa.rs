@@ -125,17 +125,13 @@ pub enum MicroOp {
     },
     /// Gather a model row: `dst[k] := model[row(index)][k]`. Occupies the
     /// destination AUs for the step. `model` indexes
-    /// [`crate::engine::EngineDesign::models`].
+    /// [`crate::engine::EngineDesign::models`]. A program never writes
+    /// model memory: rows go back after the region, through
+    /// [`crate::engine::ModelWrite::Row`].
     Gather {
         model: u8,
         index: Src,
         dst: Vec<Loc>,
-    },
-    /// Scatter a model row back: `model[row(index)][k] := src[k]`.
-    Scatter {
-        model: u8,
-        index: Src,
-        src: Vec<Loc>,
     },
 }
 
@@ -146,7 +142,6 @@ impl MicroOp {
         let mut aus = match self {
             MicroOp::Alu { au, .. } => vec![*au],
             MicroOp::Gather { dst, .. } => dst.iter().map(|l| l.au).collect(),
-            MicroOp::Scatter { src, .. } => src.iter().map(|l| l.au).collect(),
         };
         aus.sort_unstable();
         aus.dedup();
@@ -159,7 +154,6 @@ impl MicroOp {
             MicroOp::Alu { op, .. } => op.latency(),
             // Row moves stream one element per cycle through the memory port.
             MicroOp::Gather { dst, .. } => dst.len().max(1) as u64,
-            MicroOp::Scatter { src, .. } => src.len().max(1) as u64,
         }
     }
 }
@@ -274,13 +268,6 @@ fn display_op(op: &MicroOp) -> String {
                 "gather m{model}[{}] -> {} slots",
                 display_src(index),
                 dst.len()
-            )
-        }
-        MicroOp::Scatter { model, index, src } => {
-            format!(
-                "scatter {} slots -> m{model}[{}]",
-                src.len(),
-                display_src(index)
             )
         }
     }

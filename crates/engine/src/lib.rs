@@ -23,22 +23,25 @@
 //!   inter-AC bus, with a per-step lane budget — the structural hazard the
 //!   scheduler must honor, checked at execution time here.
 //! * **ALU repertoire**: `+ − × ÷ > <`, `sigmoid`, `gaussian`, `sqrt`
-//!   (Table 1's operation set), plus row `Gather`/`Scatter` against model
-//!   memory for LRMF.
+//!   (Table 1's operation set), plus row `Gather` from model memory for
+//!   LRMF (rows go back after the region, through `ModelWrite::Row`).
 //!
 //! There is one training executor: the **deploy-time-lowered SoA lockstep
 //! executor** ([`lowered`]). The scheduled program is lowered once — at
 //! deploy — into flat pre-resolved ops (raw scratchpad offsets, inlined
 //! constants, statically staged hazards, pre-bound model shapes) and
 //! executed group-at-a-time over a slot-major structure-of-arrays
-//! scratchpad, one tight inner loop per op across all lockstep threads —
-//! row `Gather`s included, since they only read the model store; only a
-//! per-tuple `Scatter` (which no compiled design has) falls back to
-//! thread-at-a-time.
+//! scratchpad, one tight inner loop per op across all lockstep threads.
+//! There is one tier — the paper's one discipline, lockstep threads over
+//! a fixed schedule (§5.2, §6.1) — and it is safe because a region only
+//! *reads* the model store (row `Gather`s) while nothing in it writes one:
+//! model write-back runs after the region. The post-merge region is the
+//! same loop over one lane.
 //! Every serial run goes through one epoch loop
-//! ([`run_training_guarded`]). [`ExecutionEngine::run_training_rows`], a
-//! direct `MicroOp` interpreter that shares nothing with the lowering
-//! pass, is kept as the one reference the executor is tested against.
+//! ([`run_training_guarded`]). [`ExecutionEngine::run_training_rows`]
+//! ([`mod@reference`]), a direct `MicroOp` interpreter that shares nothing
+//! with the lowering pass and that no statement can reach, is kept as the
+//! one reference the executor is tested against.
 //!
 //! Both are functional *and* cycle-accurate: they compute real f32
 //! results (trained models are checked against software references in the
@@ -53,6 +56,7 @@ pub mod error;
 pub mod fault;
 pub mod isa;
 pub mod lowered;
+pub mod reference;
 
 pub use backend::{calibrate_cpu_lane_rate, Backend, BackendKind, BackendRun};
 pub use engine::{

@@ -14,7 +14,7 @@
 //! * every `Src`/`Loc` is resolved to a raw scratchpad word offset;
 //! * constants are inlined (`Const ⊕ Const` folds to an immediate, `Mov`
 //!   becomes a copy or an immediate store);
-//! * gather/scatter row bases and model shapes are pre-bound into the op;
+//! * gather row bases and model shapes are pre-bound into the op;
 //! * intra-step read-after-write hazards are resolved *statically*:
 //!   hazardous writes are redirected to staging slots appended past the
 //!   architectural scratchpad, and drain copies are emitted after the
@@ -24,13 +24,12 @@
 //! scratchpad: word `w` of thread `t` lives at `buf[w * threads + t]`, so
 //! one lowered ALU op executes across all active lockstep threads in a
 //! tight, auto-vectorizable inner loop — the software analogue of the
-//! paper's lockstep thread model (§5.2). A per-tuple `Gather` only *reads*
-//! the model store, which nothing in a scatter-free region writes (model
-//! write-back runs after the region), so LRMF's gathers run lockstep too,
-//! one lane at a time inside the op. Only a per-tuple `Scatter` makes one
-//! thread's result visible to the next; a program with one runs
-//! thread-at-a-time instead, preserving the reference's thread ordering
-//! of model-memory traffic exactly (no compiled design has one).
+//! paper's lockstep thread model (§5.2). There is one tier, and it is safe
+//! because no op writes model memory: a `Gather` only *reads* the store,
+//! and model write-back runs after the region, so no thread can observe
+//! another's result inside one and LRMF's gathers run lockstep too. The
+//! post-merge region is the same loop over one lane (thread 0's column of
+//! the same SoA rows).
 //!
 //! The data movement around the ALU loops follows the same layout rule —
 //! every value moves once, into or out of a contiguous SoA row: the group
@@ -54,8 +53,8 @@ use crate::engine::{
 use crate::error::{EngineError, EngineResult};
 use crate::isa::{AluOp, Loc, MicroOp, Src, Step};
 
-/// Gather/scatter row index operand, pre-resolved at lower time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Gather row index operand, pre-resolved at lower time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LowIdx {
     /// Read the row index from a scratchpad word offset.
     Slot(u32),
@@ -65,7 +64,7 @@ pub enum LowIdx {
 
 /// One fully resolved micro-op: raw word offsets, inlined immediates,
 /// pre-bound model shapes. No `Loc` arithmetic, no operand dispatch.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoweredOp {
     /// `buf[dst] ← op(buf[a], buf[b])`
     Bin { op: AluOp, a: u32, b: u32, dst: u32 },
@@ -95,32 +94,24 @@ pub enum LoweredOp {
         index: LowIdx,
         dst: Vec<u32>,
     },
-    /// Model row scatter with pre-bound shape and source offsets.
-    Scatter {
-        model: u8,
-        rows: u32,
-        cols: u32,
-        index: LowIdx,
-        src: Vec<u32>,
-    },
 }
 
 /// Dense-model broadcast with destination offsets pre-resolved.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredBroadcast {
     pub model: u8,
     pub dst: Vec<u32>,
 }
 
 /// Tree-bus merge over pre-resolved word offsets.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredMerge {
     pub op: MergeOp,
     pub slots: Vec<u32>,
 }
 
 /// Model write-back with offsets and shapes pre-bound.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoweredModelWrite {
     Whole {
         model: u8,
@@ -139,7 +130,7 @@ pub enum LoweredModelWrite {
 /// pre-resolved. Produced once by [`lower`] (at compile/deploy), held by
 /// the deployed accelerator's [`crate::ExecutionEngine`], and executed
 /// epoch-at-a-time by a [`TrainingSession`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredProgram {
     /// Architectural words per thread (`aus × slots_per_au`).
     pub(crate) arch_words: u32,
@@ -148,12 +139,6 @@ pub struct LoweredProgram {
     pub(crate) words_per_thread: u32,
     pub(crate) per_tuple: Vec<LoweredOp>,
     pub(crate) post_merge: Vec<LoweredOp>,
-    /// True when the per-tuple region has a `Scatter` — the one op that
-    /// makes a thread's result visible to the next: threads then execute
-    /// one at a time so model-memory traffic interleaves exactly as on
-    /// the reference. Everything else (gathers included, which only read
-    /// the store) runs op-lockstep across the whole group.
-    pub(crate) sequential: bool,
     pub(crate) input_offsets: Vec<u32>,
     pub(crate) output_offsets: Vec<u32>,
     pub(crate) meta: Vec<(u32, f32)>,
@@ -222,19 +207,6 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
                             dst,
                         });
                     }
-                    MicroOp::Scatter { model, index, src } => {
-                        // Scatter reads scratchpad (pre-step values — the
-                        // staged writes haven't drained) and writes model
-                        // memory: never staged.
-                        let m = &d.models[*model as usize];
-                        out.push(LoweredOp::Scatter {
-                            model: *model,
-                            rows: m.rows as u32,
-                            cols: m.cols as u32,
-                            index: lower_idx(index, &flat),
-                            src: src.iter().map(&flat).collect(),
-                        });
-                    }
                 }
             }
             out.extend(
@@ -249,7 +221,6 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
 
     let per_tuple = lower_steps(&d.program.per_tuple);
     let post_merge = lower_steps(&d.program.post_merge);
-    let sequential = has_scatter(&per_tuple);
 
     let broadcasts = d
         .models
@@ -309,7 +280,6 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
         words_per_thread: words_high as u32,
         per_tuple,
         post_merge,
-        sequential,
         input_offsets: d.input_slots.iter().map(&flat).collect(),
         output_offsets: d.output_slots.iter().map(&flat).collect(),
         meta: d.meta.iter().map(|(l, v)| (flat(l), *v)).collect(),
@@ -327,8 +297,7 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
 /// in the same step writes — i.e. immediate write application is
 /// indistinguishable from the hardware's read-before-write register-file
 /// semantics. (Write-write collisions resolve in program order on both
-/// paths, so only read-after-write forces staging. Scatter store writes
-/// and Gather store reads happen in program order on both paths too.)
+/// paths, so only read-after-write forces staging.)
 fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
     let flat = |au: u16, slot: u16| au as usize * slots + slot as usize;
     let mut written: Vec<usize> = Vec::new();
@@ -336,7 +305,6 @@ fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
         match op {
             MicroOp::Alu { au, dst, .. } => written.push(flat(*au, *dst)),
             MicroOp::Gather { dst, .. } => written.extend(dst.iter().map(|l| flat(l.au, l.slot))),
-            MicroOp::Scatter { .. } => {}
         }
     }
     let reads_written = |src: &Src| match src {
@@ -347,19 +315,12 @@ fn step_is_hazard_free(step: &Step, slots: usize) -> bool {
         let hazard = match op {
             MicroOp::Alu { a, b, .. } => reads_written(a) || reads_written(b),
             MicroOp::Gather { index, .. } => reads_written(index),
-            MicroOp::Scatter { index, src, .. } => {
-                reads_written(index) || src.iter().any(|l| written.contains(&flat(l.au, l.slot)))
-            }
         };
         if hazard {
             return false;
         }
     }
     true
-}
-
-fn has_scatter(ops: &[LoweredOp]) -> bool {
-    ops.iter().any(|o| matches!(o, LoweredOp::Scatter { .. }))
 }
 
 fn lower_idx(index: &Src, flat: &impl Fn(&Loc) -> u32) -> LowIdx {
@@ -416,11 +377,10 @@ pub(crate) struct SoaWorkspace {
 }
 
 /// SoA elements one lowered op touches per lane (scalar ops move one
-/// word; gather/scatter move a model row's worth).
+/// word; a gather moves a model row's worth).
 fn op_elems(op: &LoweredOp) -> u64 {
     match op {
         LoweredOp::Gather { dst, .. } => dst.len() as u64,
-        LoweredOp::Scatter { src, .. } => src.len() as u64,
         _ => 1,
     }
 }
@@ -457,12 +417,6 @@ impl LoweredProgram {
             })
             .sum();
         post + merge + writes
-    }
-
-    /// True when the per-tuple region runs op-lockstep across the whole
-    /// thread group (no `Scatter` inside the region).
-    pub fn is_lockstep(&self) -> bool {
-        !self.sequential
     }
 
     fn workspace(&self, threads: usize, width: usize) -> SoaWorkspace {
@@ -521,8 +475,8 @@ impl LoweredProgram {
         Ok(false)
     }
 
-    /// One thread group: broadcast → load → per-tuple program (lockstep or
-    /// sequential) → merge → post-merge on thread 0 → model write-back.
+    /// One thread group: broadcast → load → per-tuple program across the
+    /// active lanes → merge → post-merge on lane 0 → model write-back.
     /// The broadcast→load→execute ordering matches the reference's
     /// per-group sequence exactly.
     fn flush_group(
@@ -553,21 +507,14 @@ impl LoweredProgram {
                 *lane = tuple[k];
             }
         }
-        // Per-tuple region.
-        if self.sequential {
-            for t in 0..active {
-                exec_thread(&self.per_tuple, t, &mut ws.buf, stride, store)?;
-            }
-        } else {
-            exec_lockstep(&self.per_tuple, active, ws, store)?;
-        }
+        exec_lockstep(&self.per_tuple, active, ws, store)?;
         stats.compute_cycles += self.per_tuple_cycles;
         if self.gather_elems > 0 {
             stats.merge_cycles += (active as u64 * self.gather_elems).div_ceil(MODEL_PORTS);
         }
         stats.merge_cycles += self.merge(active, ws);
-        // Post-merge region on thread 0.
-        exec_thread(&self.post_merge, 0, &mut ws.buf, stride, store)?;
+        // Post-merge region on thread 0: lane 0 of the same SoA rows.
+        exec_lockstep(&self.post_merge, 1, ws, store)?;
         stats.compute_cycles += self.post_merge_cycles;
         stats.merge_cycles += self.write_models(active, ws, store)?;
         stats.batches += 1;
@@ -758,16 +705,18 @@ fn fold_lanes(ws: &mut SoaWorkspace, slots: &[u32], active: usize, f: impl Fn(f3
     }
 }
 
-/// Op-lockstep execution: each op dispatches once and then runs a tight
-/// inner loop across all `n` active threads' contiguous SoA rows. A
+/// Op-lockstep execution — the one interpreter of a [`LoweredOp`]: each op
+/// dispatches once and then runs a tight inner loop across all `n` active
+/// threads' contiguous SoA rows (`n = 1` for the post-merge region). A
 /// `Gather` resolves every lane's row, then copies element by element
-/// across the lanes.
+/// across the lanes. The store is only read.
 ///
-/// An out-of-range gather row must report what thread-at-a-time order
-/// reports — the lowest failing thread's first failing op. Lanes are
-/// independent here (nothing in the region writes the store), so narrowing
-/// the active lanes to those below each failing lane and returning the
-/// last error recorded is exactly that.
+/// An out-of-range gather row must report what the reference's thread
+/// order reports — the lowest failing thread's first failing op. Lanes are
+/// independent (nothing in a region writes the store), so narrowing the
+/// active lanes to those below each failing lane and returning the last
+/// error recorded is exactly that; over one lane it is the first failing
+/// op's error.
 fn exec_lockstep(
     ops: &[LoweredOp],
     mut n: usize,
@@ -823,9 +772,6 @@ fn exec_lockstep(
                     }
                 }
             }
-            LoweredOp::Scatter { .. } => {
-                unreachable!("a per-tuple Scatter runs thread-at-a-time")
-            }
         }
     }
     failed.map_or(Ok(()), Err)
@@ -865,92 +811,6 @@ fn lockstep_lanes(
     }
 }
 
-/// Scalar execution of a lowered op sequence on one thread's SoA column —
-/// used for the post-merge region (thread 0) and for sequential-mode
-/// per-tuple programs. Model slices are hoisted out of the per-element
-/// gather/scatter loops.
-fn exec_thread(
-    ops: &[LoweredOp],
-    t: usize,
-    buf: &mut [f32],
-    stride: usize,
-    store: &mut ModelStore,
-) -> EngineResult<()> {
-    for op in ops {
-        match op {
-            LoweredOp::Bin { op, a, b, dst } => {
-                let x = buf[*a as usize * stride + t];
-                let y = buf[*b as usize * stride + t];
-                buf[*dst as usize * stride + t] = op.apply(x, y);
-            }
-            LoweredOp::BinImmA { op, imm, b, dst } => {
-                let y = buf[*b as usize * stride + t];
-                buf[*dst as usize * stride + t] = op.apply(*imm, y);
-            }
-            LoweredOp::BinImmB { op, a, imm, dst } => {
-                let x = buf[*a as usize * stride + t];
-                buf[*dst as usize * stride + t] = op.apply(x, *imm);
-            }
-            LoweredOp::Imm { v, dst } => buf[*dst as usize * stride + t] = *v,
-            LoweredOp::Copy { src, dst } => {
-                buf[*dst as usize * stride + t] = buf[*src as usize * stride + t]
-            }
-            LoweredOp::Gather {
-                model,
-                rows,
-                cols,
-                index,
-                dst,
-            } => {
-                let row = row_index(buf, stride, t, index, *model, *rows)?;
-                let base = row * *cols as usize;
-                let values = store.model(*model as usize);
-                for (k, &off) in dst.iter().enumerate() {
-                    buf[off as usize * stride + t] = values[base + k];
-                }
-            }
-            LoweredOp::Scatter {
-                model,
-                rows,
-                cols,
-                index,
-                src,
-            } => {
-                let row = row_index(buf, stride, t, index, *model, *rows)?;
-                let base = row * *cols as usize;
-                let m = store.model_mut(*model as usize);
-                for (k, &off) in src.iter().enumerate() {
-                    m[base + k] = buf[off as usize * stride + t];
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn row_index(
-    buf: &[f32],
-    stride: usize,
-    t: usize,
-    index: &LowIdx,
-    model: u8,
-    rows: u32,
-) -> EngineResult<usize> {
-    let raw = match index {
-        LowIdx::Slot(off) => buf[*off as usize * stride + t],
-        LowIdx::Const(c) => *c,
-    };
-    let row = raw.round() as i64;
-    if row < 0 || row >= rows as i64 {
-        return Err(EngineError::RowOutOfRange {
-            model,
-            row,
-            rows: rows as usize,
-        });
-    }
-    Ok(row as usize)
-}
-
 impl SoaWorkspace {
     /// Resolves lanes `0..n`'s row indices for one model-row op into
     /// `row_bases` (`row × cols`). Stops at the first out-of-range lane,
@@ -964,9 +824,16 @@ impl SoaWorkspace {
         cols: u32,
     ) -> Result<(), (usize, EngineError)> {
         for t in 0..n {
-            let row =
-                row_index(&self.buf, self.stride, t, index, model, rows).map_err(|e| (t, e))?;
-            self.row_bases[t] = row * cols as usize;
+            let raw = match index {
+                LowIdx::Slot(off) => self.buf[*off as usize * self.stride + t],
+                LowIdx::Const(c) => *c,
+            };
+            let row = raw.round() as i64;
+            if row < 0 || row >= rows as i64 {
+                let rows = rows as usize;
+                return Err((t, EngineError::RowOutOfRange { model, row, rows }));
+            }
+            self.row_bases[t] = row as usize * cols as usize;
         }
         Ok(())
     }
@@ -1083,71 +950,26 @@ mod tests {
         assert!(matches!(lp.per_tuple[1], LoweredOp::Copy { .. }));
     }
 
-    /// A `Gather` reads a store nothing in a scatter-free region writes, so
-    /// it stays lockstep; only a `Scatter` — one thread's write the next
-    /// thread can read — forces thread-at-a-time.
-    #[test]
-    fn dense_programs_run_lockstep_and_model_ops_force_sequential() {
-        let d = hazardous_design(4);
-        assert!(lower(&d).is_lockstep());
-        let mut d2 = d.clone();
-        d2.program.per_tuple.push(Step {
-            ops: vec![MicroOp::Gather {
-                model: 0,
-                index: Src::Const(0.0),
-                dst: vec![Loc::new(0, 5)],
-            }],
-        });
-        assert!(lower(&d2).is_lockstep());
-        d2.program.per_tuple.push(Step {
-            ops: vec![MicroOp::Scatter {
-                model: 0,
-                index: Src::Const(0.0),
-                src: vec![Loc::new(0, 5)],
-            }],
-        });
-        assert!(!lower(&d2).is_lockstep());
-    }
-
     /// A 4-thread design over one row-indexed 4×2 model `L`: gather
     /// `L[x0]`, gather `L[x1]`, add 1 to the first row's elements, then
-    /// write them back to `L[x0]` — with a per-tuple `Scatter`, or with a
-    /// `Row` model write after the region.
-    fn row_model_design(scatter: bool) -> EngineDesign {
+    /// write them back to `L[x0]` with a `Row` model write after the region.
+    fn row_model_design() -> EngineDesign {
         let bump = |slot| alu(0, AluOp::Add, s(0, slot), Src::Const(1.0), slot);
         let gather = |index, first| MicroOp::Gather {
             model: 0,
             index: s(0, index),
             dst: vec![Loc::new(0, first), Loc::new(0, first + 1)],
         };
-        let mut per_tuple: Vec<Step> = [gather(0, 2), gather(1, 4), bump(2), bump(3)]
-            .into_iter()
-            .map(|op| Step { ops: vec![op] })
-            .collect();
-        let src = vec![Loc::new(0, 2), Loc::new(0, 3)];
-        let mut model_writes = vec![];
-        if scatter {
-            per_tuple.push(Step {
-                ops: vec![MicroOp::Scatter {
-                    model: 0,
-                    index: s(0, 0),
-                    src,
-                }],
-            });
-        } else {
-            model_writes.push(ModelWrite::Row {
-                model: 0,
-                index: Loc::new(0, 0),
-                src,
-            });
-        }
         EngineDesign {
             num_threads: 4,
             acs_per_thread: 1,
             slots_per_au: 8,
             bus_lanes: 1,
             program: EngineProgram {
-                per_tuple,
+                per_tuple: [gather(0, 2), gather(1, 4), bump(2), bump(3)]
+                    .into_iter()
+                    .map(|op| Step { ops: vec![op] })
+                    .collect(),
                 post_merge: vec![],
             },
             input_slots: vec![Loc::new(0, 0), Loc::new(0, 1)],
@@ -1160,16 +982,19 @@ mod tests {
                 broadcast_slots: None,
             }],
             merge: MergePlan::None,
-            model_writes,
+            model_writes: vec![ModelWrite::Row {
+                model: 0,
+                index: Loc::new(0, 0),
+                src: vec![Loc::new(0, 2), Loc::new(0, 3)],
+            }],
             convergence: ConvergenceCheck::Epochs(1),
         }
     }
 
     #[test]
     fn lockstep_gather_reports_the_lowest_failing_threads_first_error() {
-        let d = row_model_design(false);
+        let d = row_model_design();
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
-        assert!(engine.lowered().is_lockstep());
         // Lane 3's *first* gather and lane 1's *second* gather are out of
         // range: thread order meets lane 1's error first. (Lane 3's row is
         // 2³², which must not wrap into range on the way to a `u32`.)
@@ -1201,48 +1026,11 @@ mod tests {
         assert_eq!(store, rows_store);
     }
 
-    /// Why `Scatter` keeps the thread-at-a-time path: two tuples of one
-    /// group hit the same model row, and the second must gather what the
-    /// first scattered.
-    #[test]
-    fn per_tuple_scatter_is_visible_to_the_next_thread() {
-        let d = row_model_design(true);
-        let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
-        assert!(!engine.lowered().is_lockstep());
-        let tuples = [
-            vec![2.0, 0.0],
-            vec![2.0, 1.0],
-            vec![0.0, 2.0],
-            vec![1.0, 3.0],
-        ];
-        let init: Vec<f32> = (0..8).map(|v| v as f32).collect();
-        let mut store = ModelStore::new(&d, vec![init.clone()]).unwrap();
-        let stats = engine
-            .run_training_batch(&TupleBatch::from_rows(2, &tuples), &mut store)
-            .unwrap();
-        let mut rows_store = ModelStore::new(&d, vec![init]).unwrap();
-        let rows_stats = engine.run_training_rows(&tuples, &mut rows_store).unwrap();
-        assert_eq!(store, rows_store);
-        assert_eq!(stats, rows_stats);
-        // Row 2 (elements 4, 5) was incremented twice.
-        assert_eq!(store.model(0), &[1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn lowered_program_serde_round_trips() {
-        let d = hazardous_design(4);
-        let lp = lower(&d);
-        let json = serde_json::to_string(&lp).unwrap();
-        let back: LoweredProgram = serde_json::from_str(&json).unwrap();
-        assert_eq!(lp, back);
-    }
-
-    #[test]
-    fn row_write_back_error_does_not_charge_cycles() {
-        // A Row model write whose index is out of range must fail without
-        // inflating merge_cycles or partially applying the scatter.
-        let d = EngineDesign {
-            num_threads: 2,
+    /// A one-model (`L`, 2×1, row-indexed), one-input design whose
+    /// per-tuple region copies the input to slot 1.
+    fn one_input_design(num_threads: u16) -> EngineDesign {
+        EngineDesign {
+            num_threads,
             acs_per_thread: 1,
             slots_per_au: 8,
             bus_lanes: 1,
@@ -1262,29 +1050,101 @@ mod tests {
                 broadcast_slots: None,
             }],
             merge: MergePlan::None,
-            model_writes: vec![ModelWrite::Row {
-                model: 0,
-                index: Loc::new(0, 0),
-                src: vec![Loc::new(0, 1)],
-            }],
+            model_writes: vec![],
             convergence: ConvergenceCheck::Epochs(1),
-        };
+        }
+    }
+
+    /// Feeds `tuples` (one group, failing after its per-tuple region) to
+    /// the executor and to the rows reference: both must refuse with the
+    /// same typed error — returned — and leave the store untouched, and
+    /// the executor must have charged the group nothing past its per-tuple
+    /// region.
+    fn refuses_after_the_per_tuple_region(d: &EngineDesign, tuples: &[Vec<f32>]) -> EngineError {
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
+        let fresh = || ModelStore::new(d, vec![vec![-1.0, -2.0]]).unwrap();
+        let mut rows_store = fresh();
+        let rows_err = engine
+            .run_training_rows(tuples, &mut rows_store)
+            .unwrap_err();
+        assert_eq!(rows_store, fresh(), "reference: nothing partially applied");
+
+        let batch = TupleBatch::from_rows(1, tuples);
+        let mut store = fresh();
+        let mut session = engine.training_session();
+        let err = session
+            .run_epoch(&mut dana_storage::OneBatchSource::new(&batch), &mut store)
+            .unwrap_err();
+        assert_eq!(err, rows_err);
+        assert_eq!(
+            store,
+            fresh(),
+            "nothing partially applied on the error path"
+        );
+        assert_eq!(
+            session.stats(),
+            EngineStats {
+                compute_cycles: d.program.per_tuple_cycles(),
+                ..EngineStats::default()
+            },
+            "the failing region or write-back must not be charged"
+        );
+        err
+    }
+
+    #[test]
+    fn row_write_back_error_does_not_charge_cycles() {
+        // A Row model write whose index is out of range must fail without
+        // inflating merge_cycles or partially applying the scatter.
+        let mut d = one_input_design(2);
+        d.model_writes = vec![ModelWrite::Row {
+            model: 0,
+            index: Loc::new(0, 0),
+            src: vec![Loc::new(0, 1)],
+        }];
         // Thread 0 in range (would write), thread 1 out of range: the whole
         // write-back must refuse before touching the store.
-        let tuples = [vec![0.0], vec![9.0]];
-        let batch = TupleBatch::from_rows(1, &tuples);
-        let refuses = |run: &dyn Fn(&mut ModelStore) -> EngineResult<EngineStats>| {
-            let mut store = ModelStore::new(&d, vec![vec![-1.0, -2.0]]).unwrap();
-            let err = run(&mut store).unwrap_err();
-            assert!(matches!(err, EngineError::RowOutOfRange { .. }));
-            assert_eq!(
-                store.model(0),
-                &[-1.0, -2.0],
-                "no partial scatter on the error path"
-            );
+        let err = refuses_after_the_per_tuple_region(&d, &[vec![0.0], vec![9.0]]);
+        assert!(matches!(err, EngineError::RowOutOfRange { row: 9, .. }));
+    }
+
+    /// The post-merge region runs the lockstep loop over lane 0. Its first
+    /// step has an intra-step read-after-write — AU 0 bumps slot 1 while
+    /// the gather's index reads the old slot 1 — so the row reported is the
+    /// staged (pre-step) value, as on the reference; the second gather,
+    /// also out of range, is never the error reported.
+    #[test]
+    fn post_merge_gather_error_is_the_references_and_charges_nothing() {
+        let gather = |index, au| MicroOp::Gather {
+            model: 0,
+            index,
+            dst: vec![Loc::new(au, 2)],
         };
-        refuses(&|store| engine.run_training_batch(&batch, store));
-        refuses(&|store| engine.run_training_rows(&tuples, store));
+        let mut d = one_input_design(2);
+        d.program.post_merge = vec![
+            Step {
+                ops: vec![
+                    alu(0, AluOp::Add, s(0, 1), Src::Const(1.0), 1),
+                    gather(s(0, 1), 1),
+                ],
+            },
+            Step {
+                ops: vec![gather(Src::Const(7.0), 2)],
+            },
+        ];
+        // Were the error swallowed, thread 0's slots would land in `L`.
+        d.model_writes = vec![ModelWrite::Whole {
+            model: 0,
+            src: vec![Loc::new(0, 1), Loc::new(1, 2)],
+        }];
+        let err = refuses_after_the_per_tuple_region(&d, &[vec![5.0], vec![0.0]]);
+        assert_eq!(
+            err,
+            EngineError::RowOutOfRange {
+                model: 0,
+                row: 5,
+                rows: 2
+            }
+        );
     }
 }

@@ -27,8 +27,9 @@
 //! simulated seconds (every member of a gang is busy for the gang's whole
 //! runtime — that is what gang scheduling means). For a batch of queries
 //! all submitted up front this computes exactly the greedy
-//! list-scheduling makespan — the number the throughput benchmark
-//! compares against serial back-to-back execution.
+//! list-scheduling makespan — the number `concurrent_server` and
+//! [`PoolUtilization::speedup_vs_serial`] compare against serial
+//! back-to-back execution.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

@@ -4,10 +4,10 @@
 //! controller that (a) bounds the queue so an overload sheds load with a
 //! typed [`crate::ServerError::Overloaded`] instead of unbounded memory
 //! growth, and (b) orders dequeues by policy. FIFO is the fairness
-//! baseline; shortest-job-first uses the deploy-time cost estimate (the
-//! compiler's [`dana_compiler::PerfEstimate`] priced through the
-//! `DanaTiming` cost model by `dana::exec::estimate_seconds`) to let
-//! cheap interactive queries overtake long training jobs.
+//! baseline; shortest-job-first uses the plan's bind-time cost hint
+//! ([`dana::PhysicalPlan::cost_hint`]: the statement's engine seconds, the
+//! term `EXPLAIN` prices the FPGA tier with, divided across its gang) to
+//! let cheap interactive queries overtake long training jobs.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;

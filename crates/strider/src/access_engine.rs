@@ -16,8 +16,9 @@
 //! FIFO is checked once and then decoded in bulk, whole rows at a time,
 //! straight into the batch — which mirrors how the hardware streams
 //! converted values straight to the execution engine's input buffers
-//! (§6.2). The batch, filtered and reference extraction paths all decode
-//! through that one routine, so they are bit-identical by construction.
+//! (§6.2). The batch and filtered extraction paths — and the per-tuple
+//! reference in [`crate::reference`] — all decode through that one
+//! routine, so they are bit-identical by construction.
 //! The page walk itself is the generated Strider program's.
 
 use dana_fpga::{AxiLink, Clock, Seconds};
@@ -46,21 +47,6 @@ impl AccessEngineConfig {
             clock,
             axi,
         }
-    }
-}
-
-/// One extracted, cleansed, float-converted training tuple.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractedTuple {
-    /// All column values in schema order, as the engine's native f32.
-    pub values: Vec<f32>,
-}
-
-impl ExtractedTuple {
-    /// Splits a training-schema tuple into (features, label).
-    pub fn as_training(&self) -> (&[f32], f32) {
-        let n = self.values.len();
-        (&self.values[..n - 1], self.values[n - 1])
     }
 }
 
@@ -96,7 +82,7 @@ pub struct AccessStats {
 /// The access engine for one table's layout + schema.
 pub struct AccessEngine {
     config: AccessEngineConfig,
-    machine: StriderMachine,
+    pub(crate) machine: StriderMachine,
     layout: PageLayoutDesc,
     decoder: RowDecoder,
 }
@@ -183,23 +169,6 @@ impl AccessEngine {
         Ok(run.cycles + self.conversion_cycles(n))
     }
 
-    /// Reference per-tuple extraction path, retained for differential
-    /// testing of the batch pipeline (and for callers that want row
-    /// objects). Allocates one `Vec<f32>` per tuple — never used on the
-    /// deploy/execute hot path.
-    pub fn extract_page_rows(&self, page: &[u8]) -> StriderResult<(Vec<ExtractedTuple>, u64)> {
-        let run = self.machine.run(page)?;
-        let (n, full, malformed) = self.decoded_rows(&run);
-        malformed?;
-        let width = self.width();
-        let tuples = (0..n)
-            .map(|i| ExtractedTuple {
-                values: full[i * width..(i + 1) * width].to_vec(),
-            })
-            .collect();
-        Ok((tuples, run.cycles + self.conversion_cycles(n)))
-    }
-
     /// The once-per-page check of a run's output FIFO: the leading records
     /// of exactly the layout's user-data width (count and bytes), and the
     /// error for the first record that is not — none for a well-formed
@@ -221,7 +190,7 @@ impl AccessEngine {
     /// [`AccessEngine::checked_records`], decoded full-width into one
     /// row-major buffer of the page's own (allocated per page, never per
     /// record).
-    fn decoded_rows(&self, run: &StriderRun) -> (usize, Vec<f32>, StriderResult<()>) {
+    pub(crate) fn decoded_rows(&self, run: &StriderRun) -> (usize, Vec<f32>, StriderResult<()>) {
         let (n, records, malformed) = self.checked_records(run);
         let mut full = vec![0f32; n * self.width()];
         self.decoder
@@ -230,7 +199,7 @@ impl AccessEngine {
     }
 
     /// Values per extracted row (the schema's column count).
-    fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.decoder.columns().len()
     }
 
@@ -240,7 +209,7 @@ impl AccessEngine {
     }
 
     /// The float-conversion unit's charge: one cycle per column value.
-    fn conversion_cycles(&self, records: usize) -> u64 {
+    pub(crate) fn conversion_cycles(&self, records: usize) -> u64 {
         records as u64 * self.width() as u64
     }
 
@@ -295,254 +264,4 @@ impl AccessEngine {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dana_storage::page::TupleDirection;
-    use dana_storage::{ColumnType, Datum, HeapFileBuilder, Tuple};
-
-    fn heap_of(
-        schema: Schema,
-        direction: TupleDirection,
-        tuples: impl Iterator<Item = Tuple>,
-    ) -> HeapFile {
-        let mut b = HeapFileBuilder::new(schema, 8 * 1024, direction).unwrap();
-        for t in tuples {
-            b.insert(&t).unwrap();
-        }
-        b.finish()
-    }
-
-    fn training_tuples(n: usize, features: usize) -> impl Iterator<Item = Tuple> {
-        (0..n).map(move |k| {
-            let feats: Vec<f32> = (0..features).map(|i| (k + i) as f32 * 0.5).collect();
-            Tuple::training(&feats, -(k as f32))
-        })
-    }
-
-    fn heap_with(n: usize, features: usize) -> HeapFile {
-        heap_of(
-            Schema::training(features),
-            TupleDirection::Ascending,
-            training_tuples(n, features),
-        )
-    }
-
-    fn engine_for(heap: &HeapFile, striders: u32) -> AccessEngine {
-        AccessEngine::for_table(
-            *heap.layout(),
-            heap.schema().clone(),
-            AccessEngineConfig::new(striders, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
-        )
-    }
-
-    #[test]
-    fn extracted_tuples_match_cpu_scan() {
-        let heap = heap_with(500, 12);
-        let engine = engine_for(&heap, 4);
-        let (batch, stats) = engine.extract_heap(&heap).unwrap();
-        assert_eq!(batch.len(), 500);
-        assert_eq!(batch.width(), 13);
-        assert_eq!(stats.tuples, 500);
-        for (ext, cpu) in batch.rows().zip(heap.scan()) {
-            let cpu_vals: Vec<f32> = cpu.values.iter().map(|d| d.as_f32()).collect();
-            assert_eq!(ext, &cpu_vals[..]);
-        }
-    }
-
-    /// Heaps whose schemas take every route through the row decoder: the
-    /// all-`Float4` fast path, `Schema::rating()`, and all four types mixed.
-    fn heaps_of_every_shape(direction: TupleDirection) -> Vec<HeapFile> {
-        let mixed = Schema::new(
-            [
-                ColumnType::Float8,
-                ColumnType::Int8,
-                ColumnType::Int4,
-                ColumnType::Float4,
-            ]
-            .into_iter()
-            .enumerate()
-            .map(|(i, ty)| (format!("c{i}"), ty))
-            .collect(),
-        );
-        vec![
-            heap_of(Schema::training(7), direction, training_tuples(200, 7)),
-            heap_of(
-                Schema::rating(),
-                direction,
-                (0..1500).map(|k| Tuple::rating(k % 37, -(k % 11), k as f32 * 0.25 - 3.0)),
-            ),
-            heap_of(
-                mixed,
-                direction,
-                (0..700i64).map(|k| {
-                    Tuple::new(vec![
-                        Datum::Float8(k as f64 * 1e-3 + 0.1),
-                        Datum::Int8(k * 1_000_003 - 5),
-                        Datum::Int4(7 - k as i32),
-                        Datum::Float4(k as f32 * -0.75),
-                    ])
-                }),
-            ),
-        ]
-    }
-
-    #[test]
-    fn batch_path_matches_reference_rows_path() {
-        for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
-            for heap in heaps_of_every_shape(direction) {
-                let engine = engine_for(&heap, 2);
-                let label = format!("{:?}, {direction:?}", heap.schema().columns()[0].ty);
-                assert!(heap.page_count() > 1, "{label}: want a partial last page");
-                // Values and cycles equal the rows reference page for page
-                // (and, independently of the bulk kernels, the CPU deform).
-                let mut cpu = heap.scan();
-                for p in 0..heap.page_count() {
-                    let page = heap.page_bytes(p).unwrap();
-                    let (rows, ref_cycles) = engine.extract_page_rows(page).unwrap();
-                    let mut batch = TupleBatch::new(heap.schema().len());
-                    let cycles = engine.extract_page_into(page, &mut batch).unwrap();
-                    assert_eq!(cycles, ref_cycles, "{label}: page {p} cycles");
-                    assert_eq!(batch.len(), rows.len(), "{label}: page {p}");
-                    for (got, want) in batch.rows().zip(&rows) {
-                        assert_eq!(got, &want.values[..], "{label}: page {p}");
-                        let cpu: Vec<f32> = cpu
-                            .next()
-                            .unwrap()
-                            .values
-                            .iter()
-                            .map(Datum::as_f32)
-                            .collect();
-                        assert_eq!(got, &cpu[..], "{label}: page {p} vs CPU deform");
-                    }
-                }
-                assert!(cpu.next().is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn unfiltered_filtered_extraction_equals_plain_extraction() {
-        for heap in heaps_of_every_shape(TupleDirection::Ascending) {
-            let engine = engine_for(&heap, 2);
-            for p in 0..heap.page_count() {
-                let page = heap.page_bytes(p).unwrap();
-                let mut plain = TupleBatch::new(heap.schema().len());
-                let plain_cycles = engine.extract_page_into(page, &mut plain).unwrap();
-                let mut filtered = TupleBatch::new(heap.schema().len());
-                let cycles = engine
-                    .extract_page_filtered_into(page, &mut filtered, None, |_| true)
-                    .unwrap();
-                assert_eq!(filtered, plain);
-                assert_eq!(cycles, plain_cycles);
-            }
-        }
-    }
-
-    /// A program emitting one short record: every path reports that record
-    /// and the batch keeps exactly the whole rows before it.
-    #[test]
-    fn short_record_is_a_typed_error_and_leaves_no_partial_row() {
-        let heap = heap_with(3, 1);
-        let program = crate::asm::assemble(
-            "readB 0, 8, %t0\nwriteB 0, 0, 0\n\
-             readB 8, 8, %t0\nwriteB 0, 0, 0\n\
-             readB 16, 4, %t0\nwriteB 0, 0, 0\n\
-             readB 16, 8, %t0\nwriteB 0, 0, 0\n",
-        )
-        .unwrap();
-        let engine = AccessEngine {
-            machine: StriderMachine::new(program, [0; 16]),
-            ..engine_for(&heap, 1)
-        };
-        let page: Vec<u8> = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        let expected =
-            StriderError::BadTupleBytes("record is 4 bytes, schema expects 8".to_string());
-
-        let mut batch = TupleBatch::from_rows(2, [[9.0, 9.0]]);
-        let err = engine.extract_page_into(&page, &mut batch).unwrap_err();
-        assert_eq!(err, expected);
-        assert_eq!(batch.as_slice(), &[9.0, 9.0, 1.0, 2.0, 3.0, 4.0]);
-
-        let mut batch = TupleBatch::new(2);
-        let err = engine
-            .extract_page_filtered_into(&page, &mut batch, None, |row| row[0] > 2.0)
-            .unwrap_err();
-        assert_eq!(err, expected);
-        assert_eq!(batch.as_slice(), &[3.0, 4.0]);
-
-        let err = engine.extract_page_rows(&page).unwrap_err();
-        assert_eq!(err, expected);
-    }
-
-    #[test]
-    fn training_split_puts_label_last() {
-        let heap = heap_with(3, 4);
-        let engine = engine_for(&heap, 1);
-        let (tuples, _) = engine
-            .extract_page_rows(heap.page_bytes(0).unwrap())
-            .unwrap();
-        let (x, y) = tuples[2].as_training();
-        assert_eq!(x.len(), 4);
-        assert_eq!(y, -2.0);
-    }
-
-    #[test]
-    fn rating_schema_converts_ints() {
-        let schema = Schema::rating();
-        let mut b =
-            HeapFileBuilder::new(schema.clone(), 8 * 1024, TupleDirection::Ascending).unwrap();
-        b.insert(&Tuple::rating(42, 99, 3.5)).unwrap();
-        let heap = b.finish();
-        let engine = engine_for(&heap, 1);
-        let (batch, _) = engine.extract_heap(&heap).unwrap();
-        assert_eq!(batch.row(0), &[42.0, 99.0, 3.5]);
-    }
-
-    #[test]
-    fn more_striders_reduce_access_time() {
-        let heap = heap_with(3000, 16);
-        let one = engine_for(&heap, 1);
-        let eight = engine_for(&heap, 8);
-        let (_, s1) = one.extract_heap(&heap).unwrap();
-        let (_, s8) = eight.extract_heap(&heap).unwrap();
-        assert_eq!(s1.strider_cycles, s8.strider_cycles, "same total work");
-        assert!(
-            s8.access_seconds < s1.access_seconds,
-            "parallel striders must cut wall time ({} vs {})",
-            s8.access_seconds,
-            s1.access_seconds
-        );
-    }
-
-    #[test]
-    fn access_time_is_bounded_below_by_axi() {
-        let heap = heap_with(2000, 16);
-        // Absurdly many striders: AXI must become the floor.
-        let engine = engine_for(&heap, 1024);
-        let (_, stats) = engine.extract_heap(&heap).unwrap();
-        assert!(stats.access_seconds >= stats.axi_seconds);
-    }
-
-    #[test]
-    fn conversion_cycles_count_every_value() {
-        let heap = heap_with(10, 6);
-        let engine = engine_for(&heap, 1);
-        let (_, stats) = engine.extract_heap(&heap).unwrap();
-        assert_eq!(stats.conversion_cycles, 10 * 7); // 6 features + label
-    }
-
-    #[test]
-    fn empty_heap_costs_nothing() {
-        let schema = Schema::training(4);
-        let heap = HeapFileBuilder::new(schema.clone(), 8 * 1024, TupleDirection::Ascending)
-            .unwrap()
-            .finish();
-        let engine = engine_for(&heap, 2);
-        let (batch, stats) = engine.extract_heap(&heap).unwrap();
-        assert!(batch.is_empty());
-        assert_eq!(stats.access_seconds, 0.0);
-    }
-}
+mod tests;

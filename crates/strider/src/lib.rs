@@ -21,7 +21,9 @@
 //!   wide reads/writes pay one cycle per 8 bytes of data moved;
 //! * [`access_engine`] — the multi-Strider access engine (Fig. 5): page
 //!   buffers, AXI streaming, float conversion of extracted columns, and the
-//!   per-page cycle accounting the runtime overlaps with compute.
+//!   per-page cycle accounting the runtime overlaps with compute;
+//! * [`mod@reference`] — the per-tuple extraction path the batch path is
+//!   tested against (no statement reaches it).
 
 pub mod access_engine;
 pub mod asm;
@@ -29,10 +31,12 @@ pub mod codegen;
 pub mod error;
 pub mod isa;
 pub mod machine;
+pub mod reference;
 
-pub use access_engine::{AccessEngine, AccessEngineConfig, AccessStats, ExtractedTuple};
+pub use access_engine::{AccessEngine, AccessEngineConfig, AccessStats};
 pub use asm::{assemble, disassemble};
 pub use codegen::strider_program_for_layout;
 pub use error::{StriderError, StriderResult};
 pub use isa::{Instr, Opcode, Operand, Reg};
 pub use machine::{StriderMachine, StriderRun};
+pub use reference::ExtractedTuple;

@@ -156,10 +156,6 @@ proptest! {
             merge_coef,
         )
         .unwrap();
-        assert!(
-            acc.engine.lowered().is_lockstep(),
-            "a gather-only per-tuple region must run lockstep"
-        );
         assert_lowered_matches_rows(
             &acc.engine,
             &tuples,
