@@ -28,12 +28,18 @@
 //!
 //! Under a pushdown [`ScanState`] this is also where a filtered statement's
 //! selection is decided, once: the slots each page's predicate kept are
-//! recorded as the Striders filter ([`ScanOutcome::kept`]), and a filtered
-//! PREDICT materializes from that list.
+//! recorded as the page is filtered ([`ScanOutcome::kept`]), and a filtered
+//! PREDICT materializes from that list. A `CODEC_FOR` page is filtered on
+//! its compressed lanes ([`ForPage::filter_into`]): predicate columns
+//! first, then only the kept cells of the projected columns, with no page
+//! image and no Strider walk. The simulated clock does not see the
+//! difference — it charges the page's decompression and the full walk
+//! ([`AccessEngine::canonical_page_cycles`]) exactly as for a `CODEC_RAW`
+//! page, which is decompressed and walked.
 
 use std::sync::Arc;
 
-use dana_scan::{BoundScanSpec, ScanSidecar};
+use dana_scan::{BoundScanSpec, ForPage, ScanSidecar};
 use dana_storage::{
     DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError, TupleBatch,
     TupleSource,
@@ -47,11 +53,13 @@ use crate::runtime::ExecutionMode;
 /// of the catalog) plus the `WHERE`/`COLUMNS` spec bound to its schema.
 /// Attaching this to a page source flips the whole data path:
 /// pages stream *compressed* through the buffer pool (under the heap's
-/// shadow id, charged at compressed size), are decompressed on fetch with
-/// cycles charged to the access stats, zone-unmatchable pages are skipped
-/// without a fetch, and surviving tuples are filtered/projected by the
-/// Striders before the engine sees them — pushdown is a Strider-feed
-/// path; `open_scan` refuses to pair it with a CPU-deform mode.
+/// shadow id, charged at compressed size), zone-unmatchable pages are
+/// skipped without a fetch, and surviving tuples are filtered/projected
+/// before the engine sees them — on the lanes of a `CODEC_FOR` page, by
+/// the Striders over the image of a `CODEC_RAW` one. Either way the
+/// access stats charge a decompression and a full Strider walk per
+/// fetched page — pushdown is a Strider-feed path; `open_scan` refuses to
+/// pair it with a CPU-deform mode.
 #[derive(Clone)]
 pub struct ScanState {
     pub sidecar: Arc<ScanSidecar>,
@@ -221,40 +229,52 @@ impl<'a> SharedPageStreamSource<'a> {
             }
             Some(scan) => {
                 // Compressed image under the shadow id, charged at
-                // compressed size; the frame hold is released as soon as
-                // the page is reconstructed.
+                // compressed size; the frame hold is released when this
+                // arm ends, errors included.
                 let (bytes, io) = self.pool.fetch_raw(
                     PageId::new(self.heap_id.shadow(), page_no),
                     scan.sidecar.page(page_no),
                     self.disk,
                 )?;
                 self.outcome.io_seconds += io;
-                let raw =
-                    dana_scan::decompress_page(&bytes, self.heap.layout(), self.heap.schema())
-                        .map_err(|e| SourceError(e.to_string()))?;
-                drop(bytes);
-                self.outcome.stats.decompress_cycles += dana_scan::decompress_cycles(raw.len());
-                self.outcome.stats.decompressed_bytes += raw.len() as u64;
-                // The predicate runs once per record, in slot order: the
-                // call count is the slot number.
-                let mut kept = Vec::new();
-                let mut slot = 0u16;
-                self.outcome.stats.strider_cycles += self
-                    .access
-                    .extract_page_filtered_into(
-                        &raw,
-                        &mut batch,
-                        scan.spec.projection.as_deref(),
-                        |row| {
-                            let keep = scan.spec.row_matches(row);
-                            if keep {
-                                kept.push(slot);
-                            }
-                            slot += 1;
-                            keep
-                        },
-                    )
+                let (layout, schema) = (self.heap.layout(), self.heap.schema());
+                let lanes = ForPage::open(&bytes, layout, schema)
                     .map_err(|e| SourceError(e.to_string()))?;
+                self.outcome.stats.decompress_cycles +=
+                    dana_scan::decompress_cycles(layout.page_size);
+                self.outcome.stats.decompressed_bytes += layout.page_size as u64;
+                let mut kept = Vec::new();
+                let cycles = match lanes.filter(|page| page.tuple_count() > 0) {
+                    // Filtered on its lanes; the simulated clock still
+                    // charges decompression and the full walk.
+                    Some(page) => {
+                        page.filter_into(&scan.spec, &mut batch, &mut kept);
+                        self.access.canonical_page_cycles(page.tuple_count())
+                    }
+                    None => {
+                        let raw = dana_scan::decompress_page(&bytes, layout, schema)
+                            .map_err(|e| SourceError(e.to_string()))?;
+                        // The predicate runs once per record, in slot
+                        // order: the call count is the slot number.
+                        let mut slot = 0u16;
+                        self.access
+                            .extract_page_filtered_into(
+                                &raw,
+                                &mut batch,
+                                scan.spec.projection.as_deref(),
+                                |row| {
+                                    let keep = scan.spec.row_matches(row);
+                                    if keep {
+                                        kept.push(slot);
+                                    }
+                                    slot += 1;
+                                    keep
+                                },
+                            )
+                            .map_err(|e| SourceError(e.to_string()))?
+                    }
+                };
+                self.outcome.stats.strider_cycles += cycles;
                 self.outcome.kept.push(kept);
             }
         };
@@ -509,6 +529,21 @@ mod tests {
                 assert_eq!(
                     (drained.stats.pages + drained.stats.pages_skipped) as usize,
                     expected.len()
+                );
+                // Every fetched page is charged a decompression and the
+                // full walk of its raw image, whichever path filtered it.
+                let mut walk = 0;
+                for p in (0..heap.page_count()).filter(|&p| bound.page_can_match(sidecar.zone(p))) {
+                    let mut all = TupleBatch::new(3);
+                    walk += access
+                        .extract_page_into(heap.page_bytes(p).unwrap(), &mut all)
+                        .unwrap();
+                }
+                assert_eq!(drained.stats.strider_cycles, walk, "{spec:?}");
+                let page_size = heap.layout().page_size;
+                assert_eq!(
+                    drained.stats.decompress_cycles,
+                    drained.stats.pages * dana_scan::decompress_cycles(page_size)
                 );
             }
         }

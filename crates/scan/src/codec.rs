@@ -19,9 +19,19 @@
 //! original before committing to the FOR form — a page that deviates from
 //! the canonical builder layout in any way (or that doesn't shrink) falls
 //! back to raw, making the round trip bit-exact *unconditionally*.
+//!
+//! There is one parser of the packed form, [`ForPage::open`]: it checks
+//! the whole image and borrows its lanes without unpacking them. A lane is
+//! addressed in place — cell `slot` is the `slot`-th bit-packed code
+//! through the lane's frame — so [`decompress_page`] is that parser plus a
+//! scatter into a page image, and a pushdown scan ([`ForPage::filter_into`])
+//! reads the predicate columns' lanes and then only the kept cells of the
+//! projected columns, building no page image at all.
 
+use crate::spec::BoundScanSpec;
 use dana_storage::{
-    PageLayoutDesc, Schema, StorageError, StorageResult, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
+    ColumnType, PageLayoutDesc, Schema, StorageError, StorageResult, TupleBatch,
+    LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
 };
 
 /// Codec id: page image stored verbatim.
@@ -50,30 +60,176 @@ pub fn compress_page(bytes: &[u8], layout: &PageLayoutDesc, schema: &Schema) -> 
 }
 
 /// Decompresses a page produced by [`compress_page`] back to its exact
-/// image.
+/// image: a `CODEC_FOR` page is [`ForPage::open`] plus a scatter of its
+/// lanes into a zeroed page.
 pub fn decompress_page(
     packed: &[u8],
     layout: &PageLayoutDesc,
     schema: &Schema,
 ) -> StorageResult<Vec<u8>> {
-    let (&codec, body) = packed
-        .split_first()
-        .ok_or_else(|| StorageError::CorruptPage("empty compressed page".to_string()))?;
-    match codec {
-        CODEC_RAW => {
-            if body.len() != layout.page_size {
+    Ok(match ForPage::open(packed, layout, schema)? {
+        Some(page) => page.image(),
+        // `open` checked the raw body's length.
+        None => packed[1..].to_vec(),
+    })
+}
+
+/// A `CODEC_FOR` page parsed in place: the page header, the special space
+/// and one bit-packed lane per tuple-header word and per column, all
+/// borrowed from the compressed image — nothing is unpacked until a cell
+/// is asked for.
+pub struct ForPage<'a> {
+    layout: PageLayoutDesc,
+    header: &'a [u8],
+    special: &'a [u8],
+    count: u16,
+    /// One lane per 4-byte tuple-header word.
+    header_words: Vec<Lane<'a>>,
+    /// One lane per column, in schema order, with the column's type.
+    columns: Vec<(ColumnType, Lane<'a>)>,
+}
+
+impl<'a> ForPage<'a> {
+    /// Parses a [`compress_page`] image. `Ok(None)` is a well-formed
+    /// `CODEC_RAW` page, which has no lanes. A `CODEC_FOR` image is checked
+    /// whole — `tuple_count ≤ capacity`, every lane's mode, bit width
+    /// (≤ 64) and length, every dictionary index of every lane, no trailing
+    /// bytes — so this fails exactly when [`decompress_page`] does, however
+    /// few cells a caller then reads.
+    pub fn open(
+        packed: &'a [u8],
+        layout: &PageLayoutDesc,
+        schema: &Schema,
+    ) -> StorageResult<Option<ForPage<'a>>> {
+        let (&codec, body) = packed
+            .split_first()
+            .ok_or_else(|| StorageError::CorruptPage("empty compressed page".to_string()))?;
+        match codec {
+            CODEC_RAW if body.len() == layout.page_size => return Ok(None),
+            CODEC_RAW => {
                 return Err(StorageError::CorruptPage(format!(
                     "raw codec body is {} bytes, layout says {}",
                     body.len(),
                     layout.page_size
-                )));
+                )))
             }
-            Ok(body.to_vec())
+            CODEC_FOR => {}
+            other => {
+                return Err(StorageError::CorruptPage(format!(
+                    "unknown page codec {other}"
+                )))
+            }
         }
-        CODEC_FOR => decompress_for(body, layout, schema),
-        other => Err(StorageError::CorruptPage(format!(
-            "unknown page codec {other}"
-        ))),
+        let corrupt = |what: &str| StorageError::CorruptPage(format!("FOR codec: {what}"));
+        let mut r = Reader { body, at: 0 };
+        let header = r.take(PAGE_HEADER_BYTES).ok_or_else(|| corrupt("header"))?;
+        let special = r
+            .take(layout.special_bytes)
+            .ok_or_else(|| corrupt("special space"))?;
+        let count = u16::from_le_bytes([header[16], header[17]]);
+        if count > layout.capacity {
+            return Err(corrupt("tuple_count exceeds capacity"));
+        }
+        let n = count as usize;
+        let header_words = (0..layout.tuple_header_bytes / 4)
+            .map(|w| {
+                r.lane(n, 4, w * 4)
+                    .ok_or_else(|| corrupt("tuple-header lane"))
+            })
+            .collect::<StorageResult<_>>()?;
+        let mut offset = layout.tuple_header_bytes;
+        let columns = schema
+            .columns()
+            .iter()
+            .map(|col| {
+                let width = col.ty.width();
+                let lane = r
+                    .lane(n, width, offset)
+                    .ok_or_else(|| corrupt("column lane"))?;
+                offset += width;
+                Ok((col.ty, lane))
+            })
+            .collect::<StorageResult<_>>()?;
+        if r.at != body.len() {
+            return Err(corrupt("trailing bytes"));
+        }
+        Ok(Some(ForPage {
+            layout: *layout,
+            header,
+            special,
+            count,
+            header_words,
+            columns,
+        }))
+    }
+
+    /// Live tuples on the page.
+    pub fn tuple_count(&self) -> u16 {
+        self.count
+    }
+
+    /// The pushdown scan of this page, on its lanes: the predicate columns
+    /// are read first, conjunct by conjunct, narrowing `kept` (overwritten)
+    /// to the slots that pass every one; then only the projected columns
+    /// of those slots are decoded, straight into `batch` (appended; its
+    /// width must be the projected width). Cells convert through
+    /// [`ColumnType::decode_f32`] and compare through [`CmpOp::matches`],
+    /// so rows and slots are exactly what walking the rebuilt image and
+    /// filtering its full-width rows would give.
+    ///
+    /// [`CmpOp::matches`]: crate::CmpOp::matches
+    pub fn filter_into(&self, spec: &BoundScanSpec, batch: &mut TupleBatch, kept: &mut Vec<u16>) {
+        let cell = |(ty, lane): &(ColumnType, Lane), slot: u16| {
+            ty.decode_f32(&lane.value(slot as usize).to_le_bytes()[..ty.width()])
+        };
+        kept.clear();
+        kept.extend(0..self.count);
+        for p in &spec.predicates {
+            let column = &self.columns[p.column];
+            kept.retain(|&slot| p.op.matches(cell(column, slot), p.value));
+        }
+        let width = spec.output_width(self.columns.len());
+        assert_eq!(
+            batch.width(),
+            width,
+            "batch width must be the projected width"
+        );
+        let out = batch.append_rows(kept.len());
+        for j in 0..width {
+            let column = &self.columns[spec.projection.as_ref().map_or(j, |cols| cols[j])];
+            for (row, &slot) in out.chunks_exact_mut(width).zip(kept.iter()) {
+                row[j] = cell(column, slot);
+            }
+        }
+    }
+
+    /// The exact page image: header, regenerated line pointers, every
+    /// lane's cells at their tuple offsets, special space; zeros elsewhere.
+    fn image(&self) -> Vec<u8> {
+        let layout = &self.layout;
+        let mut page = vec![0u8; layout.page_size];
+        page[..PAGE_HEADER_BYTES].copy_from_slice(self.header);
+        page[layout.special_start()..].copy_from_slice(self.special);
+        for slot in 0..self.count {
+            let lp = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
+            page[lp..lp + 2].copy_from_slice(&(layout.tuple_offset(slot) as u16).to_le_bytes());
+            page[lp + 2..lp + 4].copy_from_slice(&(layout.tuple_bytes as u16).to_le_bytes());
+        }
+        let lanes = self
+            .header_words
+            .iter()
+            .chain(self.columns.iter().map(|(_, lane)| lane));
+        for lane in lanes {
+            for slot in 0..self.count {
+                let at = layout.tuple_offset(slot) + lane.offset;
+                let v = lane.value(slot as usize);
+                match lane.width {
+                    4 => page[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+                    _ => page[at..at + 8].copy_from_slice(&v.to_le_bytes()),
+                }
+            }
+        }
+        page
     }
 }
 
@@ -134,57 +290,6 @@ fn try_compress_for(bytes: &[u8], layout: &PageLayoutDesc, schema: &Schema) -> O
         encode_lane(&lane, width, &mut out);
     }
     Some(out)
-}
-
-fn decompress_for(body: &[u8], layout: &PageLayoutDesc, schema: &Schema) -> StorageResult<Vec<u8>> {
-    let corrupt = |what: &str| StorageError::CorruptPage(format!("FOR codec: {what}"));
-    let mut r = Reader { body, at: 0 };
-    let header = r.take(PAGE_HEADER_BYTES).ok_or_else(|| corrupt("header"))?;
-    let special = r
-        .take(layout.special_bytes)
-        .ok_or_else(|| corrupt("special space"))?;
-    let mut page = vec![0u8; layout.page_size];
-    page[..PAGE_HEADER_BYTES].copy_from_slice(header);
-    page[layout.special_start()..].copy_from_slice(special);
-    let count = u16::from_le_bytes(header[16..18].try_into().unwrap());
-    if count > layout.capacity {
-        return Err(corrupt("tuple_count exceeds capacity"));
-    }
-    for slot in 0..count {
-        let lp = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
-        page[lp..lp + 2].copy_from_slice(&(layout.tuple_offset(slot) as u16).to_le_bytes());
-        page[lp + 2..lp + 4].copy_from_slice(&(layout.tuple_bytes as u16).to_le_bytes());
-    }
-    let n = count as usize;
-    let mut lane = Vec::with_capacity(n);
-    let header_words = layout.tuple_header_bytes / 4;
-    for w in 0..header_words {
-        r.decode_lane(n, 4, &mut lane)
-            .ok_or_else(|| corrupt("tuple-header lane"))?;
-        for (slot, &v) in lane.iter().enumerate() {
-            let at = layout.tuple_offset(slot as u16) + w * 4;
-            page[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes());
-        }
-    }
-    for (idx, col) in schema.columns().iter().enumerate() {
-        let col_off = schema
-            .column_offset(idx)
-            .map_err(|e| corrupt(&e.to_string()))?;
-        let width = col.ty.width();
-        r.decode_lane(n, width, &mut lane)
-            .ok_or_else(|| corrupt("column lane"))?;
-        for (slot, &v) in lane.iter().enumerate() {
-            let at = layout.tuple_offset(slot as u16) + layout.tuple_header_bytes + col_off;
-            match width {
-                4 => page[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes()),
-                _ => page[at..at + 8].copy_from_slice(&v.to_le_bytes()),
-            }
-        }
-    }
-    if r.at != body.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(page)
 }
 
 /// Lane mode: frame-of-reference over the raw integer values.
@@ -262,6 +367,89 @@ fn pack_bits(values: impl Iterator<Item = u64>, bw: usize, out: &mut Vec<u8>) {
     }
 }
 
+/// One bit-packed lane, addressed in place: cell `slot` is code `slot`
+/// (`bw` bits at bit `slot × bw`) mapped through the lane's frame.
+struct Lane<'a> {
+    /// Byte offset of the lane's cells within a tuple.
+    offset: usize,
+    /// On-page bytes per cell (4 or 8).
+    width: usize,
+    frame: Frame<'a>,
+    bw: usize,
+    /// The low `bw` bits.
+    mask: u64,
+    packed: &'a [u8],
+}
+
+/// How a lane's codes map to cell values.
+#[derive(Clone, Copy)]
+enum Frame<'a> {
+    /// `LANE_FOR`: the code is a delta from this minimum.
+    Reference(u64),
+    /// `LANE_DICT`: the code indexes `width`-byte little-endian entries.
+    Dict(&'a [u8]),
+}
+
+impl Lane<'_> {
+    fn code(&self, slot: usize) -> u64 {
+        let bit = slot * self.bw;
+        // The code is at most 7 + 64 bits from byte `bit / 8`: one 8-byte
+        // load holds it when `bw ≤ 56`, one 16-byte load always does —
+        // zero-padded past the lane's last byte.
+        let tail = &self.packed[(bit / 8).min(self.packed.len())..];
+        if self.bw <= 56 {
+            if let Some(word) = tail.first_chunk::<8>() {
+                return (u64::from_le_bytes(*word) >> (bit % 8)) & self.mask;
+            }
+        }
+        let word = match tail.first_chunk::<16>() {
+            Some(word) => *word,
+            None => {
+                let mut word = [0u8; 16];
+                word[..tail.len()].copy_from_slice(tail);
+                word
+            }
+        };
+        (u128::from_le_bytes(word) >> (bit % 8)) as u64 & self.mask
+    }
+
+    /// The largest of the first `n` codes (0 when `n` is 0).
+    fn max_code(&self, n: usize) -> u64 {
+        let mut max = 0;
+        let mut slot = 0;
+        if self.bw <= 8 {
+            // Eight codes fill exactly `bw` bytes: one load per eight.
+            while slot + 8 <= n {
+                let Some(word) = self.packed[slot / 8 * self.bw..].first_chunk::<8>() else {
+                    break;
+                };
+                let word = u64::from_le_bytes(*word);
+                max = (0..8).fold(max, |m, k| m.max((word >> (k * self.bw)) & self.mask));
+                slot += 8;
+            }
+        }
+        (slot..n).fold(max, |m, slot| m.max(self.code(slot)))
+    }
+
+    /// Cell `slot`'s bit pattern; a 4-byte cell is the low 32 bits.
+    fn value(&self, slot: usize) -> u64 {
+        let code = self.code(slot);
+        match self.frame {
+            Frame::Reference(min) => min.wrapping_add(code),
+            Frame::Dict(dict) => le_value(&dict[code as usize * self.width..], self.width)
+                .expect("Reader::lane checked every index against the dictionary"),
+        }
+    }
+}
+
+/// The `width`-byte (4 or 8) little-endian value `bytes` starts with.
+fn le_value(bytes: &[u8], width: usize) -> Option<u64> {
+    Some(match width {
+        4 => u32::from_le_bytes(*bytes.first_chunk()?) as u64,
+        _ => u64::from_le_bytes(*bytes.first_chunk()?),
+    })
+}
+
 struct Reader<'a> {
     body: &'a [u8],
     at: usize,
@@ -269,70 +457,48 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.body.get(self.at..self.at + n)?;
+        let s = self.body.get(self.at..self.at.checked_add(n)?)?;
         self.at += n;
         Some(s)
     }
 
-    fn value(&mut self, width: usize) -> Option<u64> {
-        Some(match width {
-            4 => u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as u64,
-            _ => u64::from_le_bytes(self.take(8)?.try_into().unwrap()),
-        })
+    fn byte(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
     }
 
-    /// Decodes one lane of `n` values of on-page `width` into `lane`.
-    fn decode_lane(&mut self, n: usize, width: usize, lane: &mut Vec<u64>) -> Option<()> {
-        let mode = *self.take(1)?.first()?;
-        match mode {
-            LANE_FOR => {
-                let min = self.value(width)?;
-                let raw = self.unpack(n)?;
-                lane.clear();
-                for d in raw {
-                    lane.push(min.wrapping_add(d));
-                }
-            }
+    /// Parses one lane of `n` cells of on-page `width` bytes (at `offset`
+    /// within a tuple), checking its mode, its bit width, its length and —
+    /// unless the dictionary covers every `bw`-bit code — that every index
+    /// is in the dictionary.
+    fn lane(&mut self, n: usize, width: usize, offset: usize) -> Option<Lane<'a>> {
+        let frame = match self.byte()? {
+            LANE_FOR => Frame::Reference(le_value(self.take(width)?, width)?),
             LANE_DICT => {
-                let n_dict = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-                let mut dict = Vec::with_capacity(n_dict);
-                for _ in 0..n_dict {
-                    dict.push(self.value(width)?);
-                }
-                let idx = self.unpack(n)?;
-                lane.clear();
-                for i in idx {
-                    lane.push(*dict.get(i as usize)?);
-                }
+                let n_dict = u16::from_le_bytes(*self.take(2)?.first_chunk()?) as usize;
+                Frame::Dict(self.take(n_dict * width)?)
             }
             _ => return None,
-        }
-        Some(())
-    }
-
-    /// Reads `[bit_width: u8][packed]` and unpacks `n` values.
-    fn unpack(&mut self, n: usize) -> Option<Vec<u64>> {
-        let bw = *self.take(1)?.first()? as usize;
+        };
+        let bw = self.byte()? as usize;
         if bw > 64 {
             return None;
         }
-        let packed = self.take(packed_len(n, bw))?;
-        let mut out = Vec::with_capacity(n);
-        let mut acc: u128 = 0;
-        let mut nbits = 0usize;
-        let mut next = 0usize;
-        let mask: u128 = if bw == 0 { 0 } else { (!0u128) >> (128 - bw) };
-        for _ in 0..n {
-            while nbits < bw {
-                acc |= (packed[next] as u128) << nbits;
-                next += 1;
-                nbits += 8;
+        let lane = Lane {
+            offset,
+            width,
+            frame,
+            bw,
+            mask: ((1u128 << bw) - 1) as u64,
+            packed: self.take(packed_len(n, bw))?,
+        };
+        if let Frame::Dict(dict) = frame {
+            let n_dict = (dict.len() / width) as u64;
+            let covered = bw < 64 && n_dict >= 1 << bw;
+            if !covered && lane.max_code(n) >= n_dict {
+                return None;
             }
-            out.push((acc & mask) as u64);
-            acc >>= bw;
-            nbits -= bw;
         }
-        Some(out)
+        Some(lane)
     }
 }
 

@@ -10,7 +10,10 @@
 //!   bit patterns) with a whole-page raw fallback, chosen per page. Both
 //!   codecs reconstruct the exact page image — compression is bit-exact by
 //!   construction, and [`codec::compress_page`] verifies the round trip
-//!   before committing to the packed form.
+//!   before committing to the packed form. A pushdown scan does not
+//!   reconstruct a FOR page: [`ForPage::filter_into`] evaluates the
+//!   predicate on the packed lanes and decodes only the kept cells of the
+//!   projected columns.
 //! * [`zonemap`] — per-page, per-column min/max/has-NaN statistics that
 //!   let a filtered scan skip pages no tuple of which can match.
 //! * [`spec`] — [`ScanSpec`]: the `WHERE <col> <op> <const> [AND …]` /
@@ -24,7 +27,7 @@ pub mod sidecar;
 pub mod spec;
 pub mod zonemap;
 
-pub use codec::{compress_page, decompress_page, CODEC_FOR, CODEC_RAW};
+pub use codec::{compress_page, decompress_page, ForPage, CODEC_FOR, CODEC_RAW};
 pub use sidecar::{select_slots, ScanSidecar};
 pub use spec::{BoundPredicate, BoundScanSpec, CmpOp, Predicate, ScanError, ScanSpec};
 pub use zonemap::PageZone;

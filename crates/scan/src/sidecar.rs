@@ -4,9 +4,10 @@
 //! kept in the catalog beside the table (`dana::core` maps heap id →
 //! `Arc<ScanSidecar>`; DROP removes it with the table), the sidecar is what
 //! the scan tier actually reads: compressed page images go through the
-//! buffer pool (charged at their *compressed* size) and are decompressed on
-//! fetch, while the zone maps drive page skipping and selectivity
-//! estimation without touching any page.
+//! buffer pool (charged at their *compressed* size) and are filtered on
+//! their lanes (`CODEC_FOR`) or decompressed (`CODEC_RAW`) on fetch, while
+//! the zone maps drive page skipping and selectivity estimation without
+//! touching any page.
 //!
 //! Which tuples a filtered scan keeps is decided once, by the scan: the
 //! page source records the slots its predicate kept and PREDICT

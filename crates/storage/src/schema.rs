@@ -43,6 +43,7 @@ impl ColumnType {
     ///
     /// Panics if `bytes` is not exactly the column's width; callers
     /// validate record length first.
+    #[inline]
     pub fn decode_f32(&self, bytes: &[u8]) -> f32 {
         match self {
             ColumnType::Float4 => f32::from_le_bytes(bytes.try_into().unwrap()),

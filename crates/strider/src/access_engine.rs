@@ -24,7 +24,7 @@
 use dana_fpga::{AxiLink, Clock, Seconds};
 use dana_storage::{HeapFile, PageLayoutDesc, RowDecoder, Schema, TupleBatch};
 
-use crate::codegen::strider_program_for_layout;
+use crate::codegen::{estimated_cycles_per_page, strider_program_for_layout};
 use crate::error::{StriderError, StriderResult};
 use crate::machine::{StriderMachine, StriderRun};
 
@@ -129,13 +129,24 @@ impl AccessEngine {
         Ok(run.cycles + self.conversion_cycles(n))
     }
 
+    /// What [`AccessEngine::extract_page_into`] returns for a canonical
+    /// builder-layout page of `tuples ≥ 1` live tuples: the generated walk
+    /// plus one conversion cycle per value. A pushdown scan that filters a
+    /// compressed page on its lanes charges this for the walk it skipped.
+    pub fn canonical_page_cycles(&self, tuples: u16) -> u64 {
+        estimated_cycles_per_page(&self.layout, tuples as u64)
+            + self.conversion_cycles(tuples as usize)
+    }
+
     /// Filtered/projected variant of [`AccessEngine::extract_page_into`]:
     /// every tuple is still walked and float-converted (the Striders and
     /// conversion unit do full-width work — pushdown saves *downstream*
     /// tuples, not extraction cycles on a matched page), but only rows
     /// passing `keep` reach `batch`, and only the columns in `projection`
     /// (schema order; `None` = all). The batch's width must equal the
-    /// projected width.
+    /// projected width. A pushdown scan takes this path for `CODEC_RAW`
+    /// and empty pages only; it filters a `CODEC_FOR` page on its lanes
+    /// (`dana_scan::ForPage::filter_into`).
     ///
     /// `keep` is called once per record, in slot order, with the full-width
     /// row in schema order — a caller counting its calls knows which slots

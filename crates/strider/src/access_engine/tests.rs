@@ -122,6 +122,30 @@ fn batch_path_matches_reference_rows_path() {
     }
 }
 
+/// What a pushdown scan charges for a page it filters on its compressed
+/// lanes is what walking the page costs, on every builder page — full
+/// pages and partial last pages, both directions, every decoder route.
+#[test]
+fn canonical_page_cycles_is_the_walks_charge() {
+    for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
+        for heap in heaps_of_every_shape(direction) {
+            let engine = engine_for(&heap, 2);
+            for p in 0..heap.page_count() {
+                let page = heap.page(p).unwrap();
+                let mut batch = TupleBatch::new(heap.schema().len());
+                let cycles = engine
+                    .extract_page_into(heap.page_bytes(p).unwrap(), &mut batch)
+                    .unwrap();
+                assert_eq!(
+                    engine.canonical_page_cycles(page.tuple_count()),
+                    cycles,
+                    "{direction:?} page {p}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn unfiltered_filtered_extraction_equals_plain_extraction() {
     for heap in heaps_of_every_shape(TupleDirection::Ascending) {

@@ -178,22 +178,37 @@ mod tests {
         let _ = schema;
     }
 
+    /// A pushdown scan charges this formula for pages it filters on their
+    /// compressed lanes, so it must be the walk's count for both placement
+    /// directions, small and large pages, partial and full pages.
     #[test]
     fn cycle_estimate_matches_interpreter_exactly() {
-        for (n, features) in [(10, 4), (100, 10), (127, 10), (60, 33)] {
-            let heap = build_heap(TupleDirection::Ascending, n, features);
-            let (prog, config) = strider_program_for_layout(heap.layout());
-            let machine = StriderMachine::new(prog, config);
-            for p in 0..heap.page_count() {
-                let page = heap.page_bytes(p).unwrap();
-                let run = machine.run(page).unwrap();
-                let est = estimated_cycles_per_page(heap.layout(), run.len() as u64);
-                assert_eq!(
-                    run.cycles, est,
-                    "estimator must match interpreter ({n} tuples, {features} features)"
-                );
+        let mut full_pages = 0;
+        for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
+            for page_kb in [8, 32] {
+                for (n, features) in [(10, 4), (100, 10), (700, 10), (60, 33), (900, 33)] {
+                    let schema = Schema::training(features);
+                    let mut b = HeapFileBuilder::new(schema, page_kb * 1024, direction).unwrap();
+                    for k in 0..n {
+                        b.insert(&Tuple::training(&vec![k as f32; features], 0.5))
+                            .unwrap();
+                    }
+                    let heap = b.finish();
+                    let (prog, config) = strider_program_for_layout(heap.layout());
+                    let machine = StriderMachine::new(prog, config);
+                    for p in 0..heap.page_count() {
+                        let run = machine.run(heap.page_bytes(p).unwrap()).unwrap();
+                        full_pages += usize::from(run.len() == heap.layout().capacity as usize);
+                        let est = estimated_cycles_per_page(heap.layout(), run.len() as u64);
+                        assert_eq!(
+                            run.cycles, est,
+                            "{direction:?} {page_kb} KB, {n} tuples, {features} features: page {p}"
+                        );
+                    }
+                }
             }
         }
+        assert!(full_pages >= 4, "full-capacity pages: {full_pages}");
     }
 
     #[test]

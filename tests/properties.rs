@@ -414,11 +414,8 @@ proptest! {
         positions in prop::collection::vec(0usize..1 << 16, 6),
         flips in prop::collection::vec(1u16..256, 6),
     ) {
-        let types: Vec<ColumnType> = types
-            .iter()
-            .map(|&t| [ColumnType::Float4, ColumnType::Float8, ColumnType::Int4, ColumnType::Int8][t])
-            .collect();
-        let schema = Schema::new(types.iter().enumerate().map(|(i, &ty)| (format!("c{i}"), ty)).collect());
+        let types: Vec<ColumnType> = types.iter().map(|&t| COLUMN_TYPES[t]).collect();
+        let schema = schema_of(&types);
         let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
         let mut b = HeapFileBuilder::new(schema.clone(), 8 * 1024, direction).unwrap();
         for k in 0..n as i32 {
@@ -469,6 +466,398 @@ proptest! {
         }
         prop_assert!(
             readers_survive(&piled, &heap, &decoder, &engine),
+            "damage {kinds:?} at {positions:?} ^ {flips:?}: {types:?} {direction:?} n={n}"
+        );
+    }
+}
+
+/// Adversarial f32 bit patterns: quiet/signaling NaNs with payloads, ±0,
+/// subnormals, ±inf.
+const ODDBALLS: [u32; 10] = [
+    0x7FC0_0000,
+    0x7FC0_1234,
+    0xFFC0_0001,
+    0x7F80_0001,
+    0x8000_0000,
+    0x0000_0000,
+    0x0000_0001,
+    0x807F_FFFF,
+    0x7F80_0000,
+    0xFF80_0000,
+];
+
+/// What the page fuzzers' `types` indices pick.
+const COLUMN_TYPES: [ColumnType; 4] = [
+    ColumnType::Float4,
+    ColumnType::Float8,
+    ColumnType::Int4,
+    ColumnType::Int8,
+];
+
+/// A schema of `types`, columns named `c0, c1, …`.
+fn schema_of(types: &[ColumnType]) -> Schema {
+    Schema::new(
+        types
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| (format!("c{i}"), ty))
+            .collect(),
+    )
+}
+
+/// A heap over `types` whose column `c` follows pattern
+/// `(patterns >> 3c) & 7` — 0: one value (a lane of bit width 0); 1: the
+/// oddballs and a few dozen other widely spread values, widened for 8-byte
+/// columns (a dictionary lane of up to 6-bit indices); 2: a narrow integer
+/// range (a narrow frame-of-reference lane); 3: random bits shifted right
+/// by `c + 1` (a lane a few bits narrower than its cells: 58–63 bits for
+/// an 8-byte column); otherwise random bit patterns (64 bits wide in Int8
+/// / Float8 columns).
+fn lane_table(
+    types: &[ColumnType],
+    direction: TupleDirection,
+    page_kb: usize,
+    rows: usize,
+    seed: u64,
+    patterns: u64,
+) -> HeapFile {
+    let mut b = HeapFileBuilder::new(schema_of(types), page_kb * 1024, direction).unwrap();
+    for k in 0..rows {
+        let values = types.iter().enumerate().map(|(c, &ty)| {
+            let random = seed
+                .wrapping_add((k * 31 + c) as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(29)
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let level = match random % 3 {
+                0 => ODDBALLS[(random % ODDBALLS.len() as u64) as usize],
+                _ => ((random >> 32) % 50) as u32 * 0x0503_0107,
+            };
+            let bits = match (patterns >> (3 * c)) & 7 {
+                0 => seed.rotate_left(c as u32),
+                1 if ty.width() == 4 => u64::from(level),
+                1 => f64::from(f32::from_bits(level)).to_bits(),
+                2 => random % 100,
+                3 => random >> (c + 1),
+                _ => random,
+            };
+            match ty {
+                ColumnType::Float4 => Datum::Float4(f32::from_bits(bits as u32)),
+                ColumnType::Float8 => Datum::Float8(f64::from_bits(bits)),
+                ColumnType::Int4 => Datum::Int4(bits as u32 as i32),
+                ColumnType::Int8 => Datum::Int8(bits as i64),
+            }
+        });
+        b.insert(&Tuple::new(values.collect())).unwrap();
+    }
+    b.finish()
+}
+
+/// Where one lane of a `CODEC_FOR` image keeps its mode byte, its bit
+/// width byte and its packed codes.
+struct LaneAt {
+    mode: usize,
+    bw: usize,
+    codes: std::ops::Range<usize>,
+}
+
+/// The lanes of a well-formed `CODEC_FOR` image, read off the lane format
+/// `dana_scan::codec` documents (`[mode][min | n_dict, dict][bw][codes]`,
+/// one lane per tuple-header word, then one per column).
+fn lanes_of(packed: &[u8], heap: &HeapFile) -> Vec<LaneAt> {
+    let layout = heap.layout();
+    let n = u16::from_le_bytes([packed[17], packed[18]]) as usize;
+    let widths = std::iter::repeat_n(4, layout.tuple_header_bytes / 4)
+        .chain(heap.schema().columns().iter().map(|c| c.ty.width()));
+    let mut at = 1 + PAGE_HEADER_BYTES + layout.special_bytes;
+    widths
+        .map(|width| {
+            let mode = at;
+            at += 1 + match packed[mode] {
+                0 => width,
+                _ => 2 + width * u16::from_le_bytes([packed[at + 1], packed[at + 2]]) as usize,
+            };
+            let bw = at;
+            at += 1;
+            let codes = at..at + (n * packed[bw] as usize).div_ceil(8);
+            at = codes.end;
+            LaneAt { mode, bw, codes }
+        })
+        .collect()
+}
+
+/// One conjunct per pick: a column, one of the six operators, and a
+/// constant drawn from that column's cells on `page` (NaNs and ±0 among
+/// them whenever the column holds oddballs).
+fn conjuncts_over(page: &PageView, decoder: &RowDecoder, picks: &[usize]) -> Vec<dana::Predicate> {
+    let ops = [
+        dana::CmpOp::Lt,
+        dana::CmpOp::Le,
+        dana::CmpOp::Gt,
+        dana::CmpOp::Ge,
+        dana::CmpOp::Eq,
+        dana::CmpOp::Ne,
+    ];
+    let ncols = decoder.columns().len();
+    let mut row = vec![0f32; ncols];
+    picks
+        .iter()
+        .map(|&pick| {
+            // At most six columns: the three fields of `pick` do not overlap.
+            let column = pick % ncols;
+            let slot = (pick / 64 % page.tuple_count() as usize) as u16;
+            decoder.decode_row(
+                page.user_data(slot, decoder.data_width()).unwrap(),
+                &mut row,
+            );
+            dana::Predicate {
+                column: format!("c{column}"),
+                op: ops[pick / 8 % ops.len()],
+                value: row[column],
+            }
+        })
+        .collect()
+}
+
+fn bits_of(batch: &TupleBatch) -> Vec<u32> {
+    batch.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+// ROADMAP 2(a): a pushdown scan filters a `CODEC_FOR` page on its lanes.
+// Over random schemas, both placement directions, three page sizes,
+// partial and full pages, random conjunctions and projections, that must
+// give exactly what rebuilding the page and walking it gives — batch bits,
+// kept slots, and the Strider cycles it is charged.
+proptest! {
+    #[test]
+    fn lane_filter_is_the_rebuilt_page_walk(
+        types in prop::collection::vec(0usize..4, 1..7),
+        descending in any::<bool>(),
+        page_kb in prop::sample::select(vec![8usize, 16, 32]),
+        fill in 0usize..1 << 16,
+        seed in 0u64..u64::MAX,
+        patterns in 0u64..u64::MAX,
+        picks in prop::collection::vec(0usize..1 << 20, 0..4),
+        projection in prop::collection::vec(0usize..64, 0..5),
+    ) {
+        let types: Vec<ColumnType> = types.iter().map(|&t| COLUMN_TYPES[t]).collect();
+        let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
+        let schema = schema_of(&types);
+        let capacity = HeapFileBuilder::layout_for(&schema, page_kb * 1024, direction).unwrap().capacity as usize;
+        let heap = lane_table(&types, direction, page_kb, 1 + fill % (2 * capacity), seed, patterns);
+        let layout = *heap.layout();
+        let decoder = RowDecoder::new(&schema);
+        let engine = AccessEngine::for_table(
+            layout,
+            schema.clone(),
+            AccessEngineConfig::new(1, dana_fpga::Clock::FPGA_150MHZ, dana_fpga::AxiLink::with_bandwidth(2.5e9)),
+        );
+        for p in 0..heap.page_count() {
+            let packed = dana::compress_page(heap.page_bytes(p).unwrap(), &layout, &schema);
+            if packed[0] != dana::CODEC_FOR {
+                continue;
+            }
+            let spec = dana::ScanSpec {
+                predicates: conjuncts_over(&heap.page(p).unwrap(), &decoder, &picks),
+                projection: (!projection.is_empty())
+                    .then(|| projection.iter().map(|c| format!("c{}", c % types.len())).collect()),
+            };
+            let bound = spec.bind(&schema).unwrap();
+            let width = bound.output_width(types.len());
+
+            let page = dana::ForPage::open(&packed, &layout, &schema).unwrap().unwrap();
+            let (mut lanes, mut kept) = (TupleBatch::new(width), Vec::new());
+            page.filter_into(&bound, &mut lanes, &mut kept);
+
+            let rebuilt = dana::decompress_page(&packed, &layout, &schema).unwrap();
+            let (mut walked, mut walked_kept, mut slot) = (TupleBatch::new(width), Vec::new(), 0u16);
+            let cycles = engine
+                .extract_page_filtered_into(&rebuilt, &mut walked, bound.projection.as_deref(), |row| {
+                    let keep = bound.row_matches(row);
+                    if keep {
+                        walked_kept.push(slot);
+                    }
+                    slot += 1;
+                    keep
+                })
+                .unwrap();
+            prop_assert_eq!(bits_of(&lanes), bits_of(&walked), "page {} {:?} {:?}", p, spec, types);
+            prop_assert_eq!(&kept, &walked_kept, "page {} {:?}", p, spec);
+            prop_assert_eq!(engine.canonical_page_cycles(page.tuple_count()), cycles);
+        }
+    }
+}
+
+/// What `lane_filter_is_the_rebuilt_page_walk` compares reaches every lane
+/// shape the reader has: frame-of-reference and dictionary lanes, bit
+/// width 0, widths past 56 (one 8-byte load no longer holds a code) and
+/// bit width 64.
+#[test]
+fn lane_table_reaches_every_lane_shape() {
+    let mut shapes = std::collections::BTreeSet::new();
+    // Column c gets pattern (c + shift) % 5: every column meets all five.
+    for shift in 0..5u64 {
+        let patterns = (0..4).map(|c| ((c + shift) % 5) << (3 * c)).sum();
+        let heap = lane_table(
+            &COLUMN_TYPES,
+            TupleDirection::Ascending,
+            8,
+            150,
+            7,
+            patterns,
+        );
+        let packed = dana::compress_page(heap.page_bytes(0).unwrap(), heap.layout(), heap.schema());
+        assert_eq!(packed[0], dana::CODEC_FOR);
+        shapes.extend(
+            lanes_of(&packed, &heap)
+                .iter()
+                .map(|lane| (packed[lane.mode], packed[lane.bw])),
+        );
+    }
+    let modes: std::collections::BTreeSet<u8> = shapes.iter().map(|s| s.0).collect();
+    assert_eq!(
+        modes,
+        [0, 1].into(),
+        "frame-of-reference and dictionary lanes"
+    );
+    assert!(shapes.iter().any(|s| s.1 == 0), "bit width 0: {shapes:?}");
+    assert!(
+        shapes.iter().any(|s| s.0 == 1 && s.1 > 4),
+        "wide indices: {shapes:?}"
+    );
+    assert!(
+        shapes.iter().any(|s| (57..64).contains(&s.1)),
+        "57–63 bits: {shapes:?}"
+    );
+    assert!(shapes.iter().any(|s| s.1 == 64), "bit width 64: {shapes:?}");
+}
+
+/// Whether the compressed-page readers answer `packed` (page 0 of `heap`'s
+/// sidecar, possibly damaged) with a value or a typed error, never an
+/// unwind: [`dana::ForPage::open`] must fail exactly when
+/// [`dana::decompress_page`] does, and a scoring statement's single-pass
+/// pushdown scan that finds `packed` in the pool must stream whole rows
+/// exactly when the image opens, and release every frame either way.
+fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEngine) -> bool {
+    let (layout, schema) = (heap.layout(), heap.schema());
+    let width = schema.len();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let opens = dana::ForPage::open(packed, layout, schema).is_ok();
+        let mut ok = opens == dana::decompress_page(packed, layout, schema).is_ok();
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: 1 << 20,
+                page_size: layout.page_size,
+            },
+            1,
+        );
+        let disk = DiskModel::instant();
+        drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), packed, &disk));
+        // `!= NaN` holds for every cell: no page is zone-pruned, every row
+        // is kept and every column decoded.
+        let keep_all = |column: usize| dana::Predicate {
+            column: format!("c{column}"),
+            op: dana::CmpOp::Ne,
+            value: f32::NAN,
+        };
+        let spec = dana::ScanSpec {
+            predicates: vec![keep_all(0), keep_all(width - 1)],
+            projection: None,
+        };
+        let state = dana::ScanState {
+            sidecar: std::sync::Arc::new(dana::ScanSidecar::build(heap).unwrap()),
+            spec: std::sync::Arc::new(spec.bind(schema).unwrap()),
+        };
+        let mut scan = dana::SharedPageStreamSource::with_range(
+            &pool,
+            &disk,
+            heap,
+            HeapId(1),
+            engine,
+            dana::ExecutionMode::Strider,
+            0,
+            heap.page_count(),
+        )
+        .single_pass()
+        .with_scan(state);
+        let streamed = loop {
+            match scan.next_batch() {
+                Ok(Some(batch)) => ok &= batch.as_slice().len() == batch.len() * width,
+                Ok(None) => break true,
+                Err(SourceError(_)) => break false,
+            }
+        };
+        ok &= pool.held_frames() == 0;
+        ok && streamed == opens
+    }))
+    .unwrap_or(false)
+}
+
+// ROADMAP robustness 4(a) for the compressed form: start from FOR images
+// of random-pattern pages and damage them where the lane reader looks —
+// a lane's mode byte, its bit width, a dictionary's size, the dictionary
+// index bits, a truncation, one appended byte.
+proptest! {
+    #[test]
+    fn hostile_compressed_pages_are_typed_errors_never_panics(
+        types in prop::collection::vec(0usize..4, 1..7),
+        descending in any::<bool>(),
+        n in 1usize..260,
+        seed in 0u64..u64::MAX,
+        patterns in 0u64..u64::MAX,
+        kinds in prop::collection::vec(0usize..6, 1..7),
+        positions in prop::collection::vec(0usize..1 << 16, 6),
+        flips in prop::collection::vec(1u16..256, 6),
+    ) {
+        let types: Vec<ColumnType> = types.iter().map(|&t| COLUMN_TYPES[t]).collect();
+        let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
+        let heap = lane_table(&types, direction, 8, n, seed, patterns);
+        let engine = AccessEngine::for_table(
+            *heap.layout(),
+            heap.schema().clone(),
+            AccessEngineConfig::new(1, dana_fpga::Clock::FPGA_150MHZ, dana_fpga::AxiLink::with_bandwidth(2.5e9)),
+        );
+        let clean = dana::compress_page(heap.page_bytes(0).unwrap(), heap.layout(), heap.schema());
+        prop_assume!(clean[0] == dana::CODEC_FOR);
+        prop_assert!(compressed_readers_survive(&clean, &heap, &engine));
+        let lanes = lanes_of(&clean, &heap);
+        let dict: Vec<&LaneAt> = lanes.iter().filter(|l| clean[l.mode] == 1).collect();
+
+        // Each kind of damage alone, then all of them piled on one image.
+        let mut piled = clean.clone();
+        for (i, &kind) in kinds.iter().enumerate() {
+            let (pos, flip) = (positions[i], flips[i] as u8);
+            let lane = &lanes[pos % lanes.len()];
+            let dict_lane = dict.get(pos % dict.len().max(1)).copied().unwrap_or(lane);
+            let mut alone = clean.clone();
+            for bytes in [&mut alone, &mut piled] {
+                let at = match kind {
+                    0 => {
+                        bytes.truncate(pos % bytes.len().max(1));
+                        continue;
+                    }
+                    1 => {
+                        bytes.push(flip);
+                        continue;
+                    }
+                    2 => lane.mode,
+                    3 => lane.bw,
+                    4 if clean[dict_lane.mode] == 1 => dict_lane.mode + 1 + pos % 2, // n_dict
+                    4 => dict_lane.mode,
+                    _ if dict_lane.codes.is_empty() => dict_lane.bw,
+                    _ => dict_lane.codes.start + pos % dict_lane.codes.len(), // index bits
+                };
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte ^= flip;
+                }
+            }
+            prop_assert!(
+                compressed_readers_survive(&alone, &heap, &engine),
+                "damage {kind} at {pos} ^ {flip:#x}: {types:?} {direction:?} n={n}"
+            );
+        }
+        prop_assert!(
+            compressed_readers_survive(&piled, &heap, &engine),
             "damage {kinds:?} at {positions:?} ^ {flips:?}: {types:?} {direction:?} n={n}"
         );
     }

@@ -62,11 +62,35 @@ fn dense_rows(n: usize, d: usize, algo: Algorithm) -> Vec<(Vec<f32>, f32)> {
 }
 
 fn dense_heap_of(rows: &[(Vec<f32>, f32)], d: usize) -> HeapFile {
-    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, TupleDirection::Ascending).unwrap();
+    dense_heap_in(TupleDirection::Ascending, rows, d)
+}
+
+fn dense_heap_in(direction: TupleDirection, rows: &[(Vec<f32>, f32)], d: usize) -> HeapFile {
+    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, direction).unwrap();
     for (x, y) in rows {
         b.insert(&Tuple::training(x, *y)).unwrap();
     }
     b.finish()
+}
+
+/// Deterministic rows of `d` unquantized features in `[-1, 1)` — 24
+/// random mantissa bits each, so no lane packs narrower than the cells —
+/// and a bounded linear label.
+fn unquantized_rows(n: usize, d: usize) -> Vec<(Vec<f32>, f32)> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 40) as f32 / (1u32 << 23) as f32 - 1.0
+    };
+    (0..n)
+        .map(|_| {
+            let x: Vec<f32> = (0..d).map(|_| unit()).collect();
+            let y = 0.5 * x[0] - 0.25 * x[1];
+            (x, y)
+        })
+        .collect()
 }
 
 /// Deterministic ratings clustered by user row.
@@ -356,6 +380,85 @@ fn projection_matches_prematerialized_table() {
             pages_of(&want_heap),
             "k={k}: projected prediction pages"
         );
+    }
+}
+
+/// Both arms of the pushdown page path keep the contract. A descending
+/// table of quantized features compresses to `CODEC_FOR` on every page,
+/// which the scan filters on its lanes; a table of 100 unquantized
+/// features has full pages that do not shrink and stay `CODEC_RAW`, which
+/// the scan decompresses and walks. Filtered EXECUTE / PREDICT / EVALUATE
+/// over each are bit-identical to the pre-materialized table at shards
+/// 1 / 2 / 4, and the PREDICT table holds the reference selection.
+#[test]
+fn both_page_codecs_match_prematerialized_tables() {
+    let cases = [
+        (
+            TupleDirection::Descending,
+            dense_rows(1400, 10, Algorithm::Linear),
+            10,
+        ),
+        (TupleDirection::Ascending, unquantized_rows(700, 100), 100),
+    ];
+    for (direction, rows, d) in cases {
+        let full = dense_heap_in(direction, &rows, d);
+        // The sidecar a scan streams is this build of the same heap.
+        let sidecar = dana::ScanSidecar::build(&full).unwrap();
+        let codecs: Vec<u8> = (0..sidecar.page_count())
+            .map(|p| sidecar.page(p)[0])
+            .collect();
+        let full_pages = &codecs[..codecs.len() - 1];
+        match direction {
+            TupleDirection::Descending => assert!(codecs.iter().all(|&c| c == dana::CODEC_FOR)),
+            TupleDirection::Ascending => {
+                assert!(
+                    full_pages.iter().all(|&c| c == dana::CODEC_RAW),
+                    "{codecs:?}"
+                )
+            }
+        }
+        let kept: Vec<_> = rows.iter().filter(|(x, _)| x[0] < 0.0).cloned().collect();
+        let spec = zoo::linear_regression(DenseParams {
+            n_features: d,
+            learning_rate: 0.01,
+            merge_coef: 8,
+            epochs: 2,
+        })
+        .unwrap();
+        let core = fresh_core();
+        core.create_table("t", full).unwrap();
+        core.create_table("tf", dense_heap_in(direction, &kept, d))
+            .unwrap();
+        core.deploy(&spec, "tf").unwrap();
+        let run = |sql: String| core.execute_statement(&sql).unwrap();
+        let wher = "WHERE x0 < 0";
+        for k in [1u16, 2, 4] {
+            let label = format!("{direction:?}, {d} features, k={k}");
+            let with = format!("WITH (shards = {k}, backend = fpga)");
+            let got = run(format!("SELECT * FROM dana.linearR('t') {wher} {with};"));
+            let want = run(format!("SELECT * FROM dana.linearR('tf') {with};"));
+            let (got, want) = (got.report(), want.report());
+            assert_eq!(got.models, want.models, "{label}: trained models");
+            assert_eq!(got.engine, want.engine, "{label}: engine counters");
+
+            run(format!(
+                "PREDICT dana.linearR('t') INTO 'pf_{k}' {wher} {with};"
+            ));
+            run(format!("PREDICT dana.linearR('tf') INTO 'pr_{k}' {with};"));
+            assert_eq!(
+                pages_of(&core.table_snapshot(&format!("pf_{k}")).unwrap()),
+                pages_of(&core.table_snapshot(&format!("pr_{k}")).unwrap()),
+                "{label}: prediction pages"
+            );
+            held_to_select_slots(&core, "t", &format!("pf_{k}"), wher);
+
+            let got = run(format!("EVALUATE dana.linearR('t') {wher} {with};"));
+            let want = run(format!("EVALUATE dana.linearR('tf') {with};"));
+            let (got, want) = (got.eval_report(), want.eval_report());
+            assert_eq!(got.value, want.value, "{label}: metric value");
+            assert_eq!(got.rows_scored, want.rows_scored, "{label}");
+        }
+        assert_eq!(core.held_frames(), 0);
     }
 }
 
