@@ -363,7 +363,7 @@ mod tests {
     use dana_fpga::{AxiLink, Clock};
     use dana_scan::{CmpOp, Predicate, ScanSpec};
     use dana_storage::page::TupleDirection;
-    use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, Tuple};
+    use dana_storage::{BufferPoolConfig, HeapFileBuilder, HeapPage, Schema, Tuple};
     use dana_strider::AccessEngineConfig;
 
     /// A single-pass source is the caching source minus the cache: the
@@ -546,6 +546,95 @@ mod tests {
                     drained.stats.pages * dana_scan::decompress_cycles(page_size)
                 );
             }
+        }
+    }
+
+    /// A pushdown scan that finds a page whose header says it holds no
+    /// live tuples decompresses it but streams no row, keeps no slot,
+    /// charges no walk, and releases the frame. The pages: a builder page
+    /// with its count zeroed (stored raw: its line pointers disagree with
+    /// its count), a one-tuple page's FOR image with its count zeroed
+    /// (every lane has bit width 0, so the image still opens) and a truly
+    /// empty page (stored raw).
+    #[test]
+    fn pushdown_scan_of_a_page_with_no_live_tuples_streams_nothing() {
+        let heap_of = |rows: usize| {
+            let schema = Schema::training(2);
+            let mut b = HeapFileBuilder::new(schema, 8 * 1024, TupleDirection::Ascending).unwrap();
+            for k in 0..rows {
+                b.insert(&Tuple::training(&[k as f32, 1.0], 0.5)).unwrap();
+            }
+            b.finish()
+        };
+        let heap = heap_of(50);
+        let (layout, schema) = (heap.layout(), heap.schema());
+        let access = AccessEngine::for_table(
+            *layout,
+            schema.clone(),
+            AccessEngineConfig::new(2, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
+        );
+        // `x0 != NaN` holds for every row: no zone map prunes the page.
+        let spec = ScanSpec {
+            predicates: vec![Predicate {
+                column: "x0".into(),
+                op: CmpOp::Ne,
+                value: f32::NAN,
+            }],
+            projection: None,
+        };
+        let state = ScanState {
+            sidecar: Arc::new(ScanSidecar::build(&heap).unwrap()),
+            spec: Arc::new(spec.bind(schema).unwrap()),
+        };
+        let mut zeroed = heap.page_bytes(0).unwrap().to_vec();
+        zeroed[16..18].fill(0);
+        let one = heap_of(1);
+        let mut for_zeroed = dana_scan::compress_page(one.page_bytes(0).unwrap(), layout, schema);
+        for_zeroed[1 + 16..1 + 18].fill(0);
+        let images = [
+            dana_scan::compress_page(&zeroed, layout, schema),
+            for_zeroed,
+            dana_scan::compress_page(HeapPage::new(*layout).as_bytes(), layout, schema),
+        ];
+        assert_eq!(
+            images.each_ref().map(|image| image[0]),
+            [
+                dana_scan::CODEC_RAW,
+                dana_scan::CODEC_FOR,
+                dana_scan::CODEC_RAW
+            ]
+        );
+        for image in images {
+            let pool = SharedBufferPool::with_shards(
+                BufferPoolConfig {
+                    pool_bytes: 1 << 20,
+                    page_size: layout.page_size,
+                },
+                1,
+            );
+            let disk = DiskModel::instant();
+            // The scan finds `image` in the pool as its page 0.
+            drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), &image, &disk));
+            let mut scan = SharedPageStreamSource::with_range(
+                &pool,
+                &disk,
+                &heap,
+                HeapId(1),
+                &access,
+                ExecutionMode::Strider,
+                0,
+                1,
+            )
+            .single_pass()
+            .with_scan(state.clone());
+            assert!(scan.next_batch().unwrap().unwrap().is_empty());
+            assert!(scan.next_batch().unwrap().is_none());
+            let outcome = scan.into_stats();
+            assert_eq!(outcome.kept, [Vec::<u16>::new()]);
+            let stats = outcome.stats;
+            assert_eq!((stats.pages, stats.tuples, stats.strider_cycles), (1, 0, 0));
+            assert_eq!(stats.decompressed_bytes, layout.page_size as u64);
+            assert_eq!(pool.held_frames(), 0);
         }
     }
 }

@@ -11,22 +11,26 @@
 //! bytes into the execution engine's f32 operands ("transform user data
 //! into a floating point format", §6.2).
 //!
+//! The page walk is the generated Strider program's, evaluated in closed
+//! form ([`walk_page`]): the compiler fixes the program at deploy, so
+//! nothing is interpreted per tuple at run time. The walk bounds-checks
+//! the whole page before any row is appended and charges exactly the
+//! cycles the interpreter would; [`crate::reference`] runs the interpreter
+//! itself, and the tests hold the two equal page for page.
+//!
 //! The conversion is the storage crate's: [`AccessEngine::for_table`]
-//! resolves the schema once into a [`RowDecoder`], and each page's output
-//! FIFO is checked once and then decoded in bulk, whole rows at a time,
-//! straight into the batch — which mirrors how the hardware streams
-//! converted values straight to the execution engine's input buffers
-//! (§6.2). The batch and filtered extraction paths — and the per-tuple
-//! reference in [`crate::reference`] — all decode through that one
-//! routine, so they are bit-identical by construction.
-//! The page walk itself is the generated Strider program's.
+//! resolves the schema once into a [`RowDecoder`], and each record is
+//! decoded straight from the page frame into the batch — which mirrors how
+//! the hardware streams converted values straight to the execution
+//! engine's input buffers (§6.2). The batch and filtered extraction paths
+//! decode through that one routine, so they are bit-identical by
+//! construction.
 
 use dana_fpga::{AxiLink, Clock, Seconds};
 use dana_storage::{HeapFile, PageLayoutDesc, RowDecoder, Schema, TupleBatch};
 
-use crate::codegen::{estimated_cycles_per_page, strider_program_for_layout};
-use crate::error::{StriderError, StriderResult};
-use crate::machine::{StriderMachine, StriderRun};
+use crate::codegen::{estimated_cycles_per_page, walk_page, PageWalk};
+use crate::error::StriderResult;
 
 /// Sizing and timing configuration for the access engine.
 #[derive(Debug, Clone, Copy)]
@@ -82,23 +86,21 @@ pub struct AccessStats {
 /// The access engine for one table's layout + schema.
 pub struct AccessEngine {
     config: AccessEngineConfig,
-    pub(crate) machine: StriderMachine,
     layout: PageLayoutDesc,
     decoder: RowDecoder,
 }
 
 impl AccessEngine {
-    /// Builds the engine for a table: generates the Strider program for the
-    /// table's page layout (the deployment-time compiler step).
+    /// Builds the engine for a table: the page layout fixes the Strider
+    /// program (the deployment-time compiler step) and the schema the
+    /// float conversion.
     pub fn for_table(
         layout: PageLayoutDesc,
         schema: Schema,
         config: AccessEngineConfig,
     ) -> AccessEngine {
-        let (program, regs) = strider_program_for_layout(&layout);
         AccessEngine {
             config,
-            machine: StriderMachine::new(program, regs),
             decoder: RowDecoder::new(&schema),
             layout,
         }
@@ -114,19 +116,21 @@ impl AccessEngine {
 
     /// Extracts every tuple from one raw page image into `batch` (appended
     /// in slot order), returning the Strider cycles spent (extraction +
-    /// float conversion). This is the hot path: the page's records are
-    /// checked once and decoded in one bulk append, with no per-tuple
-    /// allocation and no per-cell dispatch.
+    /// float conversion). This is the hot path: the page is walked and
+    /// bounds-checked whole, then every record is decoded from the frame
+    /// into one bulk append, with no per-tuple allocation and no per-cell
+    /// dispatch. On error nothing is appended.
     ///
     /// Pages with no live tuples are skipped host-side — the DMA engine
-    /// never ships them (heap builders also never produce them).
+    /// never ships them (heap builders also never produce them): no rows,
+    /// no cycles.
     pub fn extract_page_into(&self, page: &[u8], batch: &mut TupleBatch) -> StriderResult<u64> {
-        let run = self.machine.run(page)?;
-        let (n, records, malformed) = self.checked_records(&run);
-        self.decoder
-            .decode_records(records, self.stride(), batch.append_rows(n));
-        malformed?;
-        Ok(run.cycles + self.conversion_cycles(n))
+        let walk = walk_page(&self.layout, page)?;
+        let rows = batch.append_rows(walk.len()).chunks_exact_mut(self.width());
+        for (record, row) in walk.records().zip(rows) {
+            self.decoder.decode_records(record, self.stride(), row);
+        }
+        Ok(self.walk_cycles(&walk))
     }
 
     /// What [`AccessEngine::extract_page_into`] returns for a canonical
@@ -158,11 +162,11 @@ impl AccessEngine {
         projection: Option<&[usize]>,
         mut keep: impl FnMut(&[f32]) -> bool,
     ) -> StriderResult<u64> {
-        let run = self.machine.run(page)?;
-        let (n, full, malformed) = self.decoded_rows(&run);
-        let width = self.width();
-        for row in (0..n).map(|i| &full[i * width..(i + 1) * width]) {
-            if !keep(row) {
+        let walk = walk_page(&self.layout, page)?;
+        let mut row = vec![0f32; self.width()];
+        for record in walk.records() {
+            self.decoder.decode_records(record, self.stride(), &mut row);
+            if !keep(&row) {
                 continue;
             }
             match projection {
@@ -173,40 +177,10 @@ impl AccessEngine {
                     }
                     out.finish();
                 }
-                None => batch.push_row(row),
+                None => batch.push_row(&row),
             }
         }
-        malformed?;
-        Ok(run.cycles + self.conversion_cycles(n))
-    }
-
-    /// The once-per-page check of a run's output FIFO: the leading records
-    /// of exactly the layout's user-data width (count and bytes), and the
-    /// error for the first record that is not — none for a well-formed
-    /// page, where the FIFO is `n × tuple_data_bytes`.
-    fn checked_records<'r>(&self, run: &'r StriderRun) -> (usize, &'r [u8], StriderResult<()>) {
-        let expected = self.stride();
-        let (n, records) = run.fixed_width_prefix(expected);
-        let malformed = if n < run.len() {
-            Err(StriderError::BadTupleBytes(format!(
-                "record is {} bytes, schema expects {expected}",
-                run.record(n).len()
-            )))
-        } else {
-            Ok(())
-        };
-        (n, records, malformed)
-    }
-
-    /// [`AccessEngine::checked_records`], decoded full-width into one
-    /// row-major buffer of the page's own (allocated per page, never per
-    /// record).
-    pub(crate) fn decoded_rows(&self, run: &StriderRun) -> (usize, Vec<f32>, StriderResult<()>) {
-        let (n, records, malformed) = self.checked_records(run);
-        let mut full = vec![0f32; n * self.width()];
-        self.decoder
-            .decode_records(records, self.stride(), &mut full);
-        (n, full, malformed)
+        Ok(self.walk_cycles(&walk))
     }
 
     /// Values per extracted row (the schema's column count).
@@ -217,6 +191,12 @@ impl AccessEngine {
     /// Bytes per cleansed record in the output FIFO.
     fn stride(&self) -> usize {
         self.layout.tuple_data_bytes()
+    }
+
+    /// A walked page's charge: the walk, and one conversion cycle per
+    /// value it emitted.
+    fn walk_cycles(&self, walk: &PageWalk) -> u64 {
+        walk.cycles() + self.conversion_cycles(walk.len())
     }
 
     /// The float-conversion unit's charge: one cycle per column value.

@@ -1,6 +1,7 @@
 use super::*;
+use crate::error::StriderError;
 use dana_storage::page::TupleDirection;
-use dana_storage::{ColumnType, Datum, HeapFileBuilder, Tuple};
+use dana_storage::{ColumnType, Datum, HeapFileBuilder, HeapPage, PageView, Tuple};
 
 fn heap_of(
     schema: Schema,
@@ -164,42 +165,73 @@ fn unfiltered_filtered_extraction_equals_plain_extraction() {
     }
 }
 
-/// A program emitting one short record: every path reports that record
-/// and the batch keeps exactly the whole rows before it.
+/// A page whose header says it holds no live tuples extracts nothing and
+/// costs nothing on every path — a builder page with its count zeroed, and
+/// a truly empty page, whose first line pointer is 0 — although the
+/// generated program's do-while loop alone stages one phantom tuple there.
 #[test]
-fn short_record_is_a_typed_error_and_leaves_no_partial_row() {
-    let heap = heap_with(3, 1);
-    let program = crate::asm::assemble(
-        "readB 0, 8, %t0\nwriteB 0, 0, 0\n\
-         readB 8, 8, %t0\nwriteB 0, 0, 0\n\
-         readB 16, 4, %t0\nwriteB 0, 0, 0\n\
-         readB 16, 8, %t0\nwriteB 0, 0, 0\n",
-    )
-    .unwrap();
-    let engine = AccessEngine {
-        machine: StriderMachine::new(program, [0; 16]),
-        ..engine_for(&heap, 1)
-    };
-    let page: Vec<u8> = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]
-        .iter()
-        .flat_map(|v| v.to_le_bytes())
-        .collect();
-    let expected = StriderError::BadTupleBytes("record is 4 bytes, schema expects 8".to_string());
+fn page_with_no_live_tuples_extracts_nothing() {
+    let heap = heap_with(30, 5);
+    let layout = *heap.layout();
+    let engine = engine_for(&heap, 1);
+    let (program, config) = crate::codegen::strider_program_for_layout(&layout);
+    let machine = crate::machine::StriderMachine::new(program, config);
+    let mut zeroed = heap.page_bytes(0).unwrap().to_vec();
+    zeroed[16..18].fill(0);
+    for page in [zeroed, HeapPage::new(layout).into_bytes()] {
+        assert_eq!(PageView::new(&page, layout).unwrap().tuple_count(), 0);
+        assert_eq!(
+            machine.run(&page).unwrap().len(),
+            1,
+            "the program's phantom"
+        );
 
-    let mut batch = TupleBatch::from_rows(2, [[9.0, 9.0]]);
-    let err = engine.extract_page_into(&page, &mut batch).unwrap_err();
-    assert_eq!(err, expected);
-    assert_eq!(batch.as_slice(), &[9.0, 9.0, 1.0, 2.0, 3.0, 4.0]);
+        let mut batch = TupleBatch::from_rows(6, [[9.0; 6]]);
+        assert_eq!(engine.extract_page_into(&page, &mut batch), Ok(0));
+        let mut calls = 0;
+        let filtered = engine.extract_page_filtered_into(&page, &mut batch, None, |_| {
+            calls += 1;
+            true
+        });
+        assert_eq!((filtered, calls), (Ok(0), 0));
+        assert_eq!(batch.as_slice(), &[9.0; 6]);
+        assert_eq!(engine.extract_page_rows(&page), Ok((Vec::new(), 0)));
+    }
+}
 
-    let mut batch = TupleBatch::new(2);
-    let err = engine
-        .extract_page_filtered_into(&page, &mut batch, None, |row| row[0] > 2.0)
-        .unwrap_err();
-    assert_eq!(err, expected);
-    assert_eq!(batch.as_slice(), &[3.0, 4.0]);
-
-    let err = engine.extract_page_rows(&page).unwrap_err();
-    assert_eq!(err, expected);
+/// A page cut inside its last tuple is the program's `PageBounds` error on
+/// every path, and the batch keeps exactly the rows it had.
+#[test]
+fn truncated_page_is_the_programs_error_and_appends_nothing() {
+    for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
+        let heap = heap_of(Schema::training(5), direction, training_tuples(30, 5));
+        let layout = *heap.layout();
+        let engine = engine_for(&heap, 1);
+        let last = layout.tuple_offset(29);
+        let page = &heap.page_bytes(0).unwrap()[..last + layout.tuple_bytes - 1];
+        let expected = StriderError::PageBounds {
+            // Descending, the first tuple staged is the one past the cut.
+            addr: match direction {
+                TupleDirection::Ascending => last,
+                TupleDirection::Descending => layout.tuple_offset(0),
+            },
+            len: layout.tuple_bytes,
+            page: page.len(),
+        };
+        let mut batch = TupleBatch::from_rows(6, [[9.0; 6]]);
+        assert_eq!(
+            engine.extract_page_into(page, &mut batch),
+            Err(expected.clone())
+        );
+        let filtered = engine.extract_page_filtered_into(page, &mut batch, None, |_| true);
+        assert_eq!(filtered, Err(expected.clone()));
+        assert_eq!(batch.as_slice(), &[9.0; 6], "{direction:?}");
+        assert_eq!(
+            engine.extract_page_rows(page),
+            Err(expected),
+            "{direction:?}"
+        );
+    }
 }
 
 #[test]

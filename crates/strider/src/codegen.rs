@@ -11,11 +11,22 @@
 //! the live tuple count is exhausted. Ascending layouts advance with `ad`,
 //! descending (PostgreSQL-style) with `sub`: the same ISA "can be targeted"
 //! at "variations in the database page organization" (§1).
+//!
+//! The program is the same dozen instructions for every layout, so its run
+//! over a page has a closed form, [`walk_page`]: two header reads, then the
+//! tuple offsets as arithmetic over the live count, the first tuple read
+//! past the page's end found before any record is handed out, and the
+//! cycles from [`estimated_cycles_per_page`]. That is what extraction runs;
+//! [`StriderMachine`](crate::machine::StriderMachine) interpreting the
+//! program is the oracle it is held to, record for record, error for error
+//! and cycle for cycle.
 
 use dana_storage::page::TupleDirection;
 use dana_storage::PageLayoutDesc;
 
+use crate::error::{StriderError, StriderResult};
 use crate::isa::{config_regs, Instr, Opcode, Operand, Reg};
+use crate::machine::{le_int, range_end};
 
 /// Builds the extraction program and configuration-register image for a
 /// page layout. Returns `(program, config)`.
@@ -86,8 +97,9 @@ pub fn strider_program_for_layout(layout: &PageLayoutDesc) -> (Vec<Instr>, [u64;
 
 /// Static cycle estimate for extracting one page holding `tuples` tuples —
 /// used by the hardware generator's performance estimator without running
-/// the interpreter. Matches [`crate::machine::StriderMachine`]'s cycle
-/// accounting exactly (tests enforce this).
+/// the interpreter, and what [`walk_page`] charges. Matches
+/// [`crate::machine::StriderMachine`]'s cycle accounting exactly (tests
+/// enforce this).
 pub fn estimated_cycles_per_page(layout: &PageLayoutDesc, tuples: u64) -> u64 {
     // Header processing: readB(2B)=1, readB(4B)=1, extrB=1, ad, ad — plus
     // the one-time bentr.
@@ -98,6 +110,116 @@ pub fn estimated_cycles_per_page(layout: &PageLayoutDesc, tuples: u64) -> u64 {
     let data_words = (layout.tuple_data_bytes() as u64).div_ceil(8);
     let per_tuple = tuple_words + 1 + data_words + 3;
     header + tuples * per_tuple
+}
+
+/// The generated program's run over one page, as [`walk_page`] computes
+/// it: the records the program emits, in order, and the cycles it takes.
+#[derive(Debug, Clone, Copy)]
+pub struct PageWalk<'p> {
+    layout: PageLayoutDesc,
+    page: &'p [u8],
+    /// Offset of the first tuple (the first line pointer's).
+    first: usize,
+    records: usize,
+}
+
+impl<'p> PageWalk<'p> {
+    /// Number of records the walk emits.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// The records' user data — `tuple_data_bytes` each, borrowed from the
+    /// page — in emission order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &'p [u8]> + '_ {
+        let header = self.layout.tuple_header_bytes;
+        (0..self.records).map(move |k| {
+            let at = self.offset(k);
+            &self.page[at + header..at + self.layout.tuple_bytes]
+        })
+    }
+
+    /// Simulated Strider cycles: the program's, or none for a page skipped
+    /// host-side.
+    pub fn cycles(&self) -> u64 {
+        match self.records {
+            0 => 0,
+            n => estimated_cycles_per_page(&self.layout, n as u64),
+        }
+    }
+
+    /// Where the program's `k`-th `readB` stages its tuple: `ad` steps up,
+    /// `sub` steps down and saturates at 0.
+    fn offset(&self, k: usize) -> usize {
+        let step = k * self.layout.tuple_bytes;
+        match self.layout.direction {
+            TupleDirection::Ascending => self.first + step,
+            TupleDirection::Descending => self.first.saturating_sub(step),
+        }
+    }
+}
+
+/// Runs [`strider_program_for_layout`]`(layout)` over `page` in closed
+/// form: the same records, the same cycles, or the same
+/// [`StriderError::PageBounds`] — for a header read, or for the first tuple
+/// read past the page's end, found by arithmetic before any record is
+/// handed out (offsets are monotone). One departure, on purpose: a page
+/// whose header says it holds no live tuples is skipped host-side — no
+/// records, no cycles — where the program's do-while loop would stage one
+/// phantom tuple.
+pub fn walk_page<'p>(layout: &PageLayoutDesc, page: &'p [u8]) -> StriderResult<PageWalk<'p>> {
+    let mut walk = PageWalk {
+        layout: *layout,
+        page,
+        first: 0,
+        records: 0,
+    };
+    let live = live_tuples(page)? as usize;
+    if live == 0 {
+        return Ok(walk);
+    }
+    // `readB 24, 4` then `extrB 0, 2`: the first line pointer's offset.
+    walk.first = read_page(page, 24, 4)? as u16 as usize;
+    let (tuple, len) = (layout.tuple_bytes, page.len());
+    // How many tuples the loop stages before its first read past the end.
+    let fitting = match layout.direction {
+        TupleDirection::Ascending => len
+            .checked_sub(walk.first)
+            .map_or(0, |room| room.checked_div(tuple).unwrap_or(usize::MAX)),
+        // Descending offsets only shrink: the first tuple is the last
+        // that can overrun.
+        TupleDirection::Descending if range_end(walk.first, tuple, len).is_some() => usize::MAX,
+        TupleDirection::Descending => 0,
+    };
+    if fitting < live {
+        return Err(StriderError::PageBounds {
+            addr: walk.offset(fitting),
+            len: tuple,
+            page: len,
+        });
+    }
+    walk.records = live;
+    Ok(walk)
+}
+
+/// The page header's live tuple count — the program's first instruction,
+/// `readB 16, 2` — which decides whether the page is walked at all.
+pub(crate) fn live_tuples(page: &[u8]) -> StriderResult<u16> {
+    Ok(read_page(page, 16, 2)? as u16)
+}
+
+/// `readB addr, len` of the page as an integer, or the interpreter's error.
+fn read_page(page: &[u8], addr: usize, len: usize) -> StriderResult<u64> {
+    let end = range_end(addr, len, page.len()).ok_or(StriderError::PageBounds {
+        addr,
+        len,
+        page: page.len(),
+    })?;
+    Ok(le_int(&page[addr..end]))
 }
 
 #[cfg(test)]
@@ -209,6 +331,60 @@ mod tests {
             }
         }
         assert!(full_pages >= 4, "full-capacity pages: {full_pages}");
+    }
+
+    /// The walk in the interpreter's terms: records and cycles, or the
+    /// error.
+    fn walked(layout: &PageLayoutDesc, page: &[u8]) -> StriderResult<(Vec<Vec<u8>>, u64)> {
+        let walk = walk_page(layout, page)?;
+        Ok((walk.records().map(<[u8]>::to_vec).collect(), walk.cycles()))
+    }
+
+    fn interpreted(layout: &PageLayoutDesc, page: &[u8]) -> StriderResult<(Vec<Vec<u8>>, u64)> {
+        let (prog, config) = strider_program_for_layout(layout);
+        let run = StriderMachine::new(prog, config).run(page)?;
+        Ok((run.records().map(<[u8]>::to_vec).collect(), run.cycles))
+    }
+
+    /// The closed-form walk is the program's run — records, cycles and
+    /// `PageBounds` errors — on clean pages and on pages damaged where
+    /// the program looks: the live count, the first line pointer, the
+    /// length. (`tests/properties.rs` runs the same comparison over random
+    /// layouts and damage.)
+    #[test]
+    fn walk_is_the_interpreters_run() {
+        for direction in [TupleDirection::Ascending, TupleDirection::Descending] {
+            let heap = build_heap(direction, 300, 10);
+            let l = *heap.layout();
+            let clean = heap.page_bytes(0).unwrap();
+            let at = |field: usize, v: u16| {
+                let mut page = clean.to_vec();
+                page[field..field + 2].copy_from_slice(&v.to_le_bytes());
+                page
+            };
+            let mut pages = vec![
+                clean.to_vec(),
+                heap.page_bytes(heap.page_count() - 1).unwrap().to_vec(),
+            ];
+            for count in [1, l.capacity, l.capacity + 1, u16::MAX] {
+                pages.push(at(16, count));
+            }
+            // The last tuple that fits, and one byte past it.
+            let last = l.page_size - l.tuple_bytes;
+            for first in [0, 1, last, last + 1, u16::MAX as usize] {
+                pages.push(at(24, first as u16));
+            }
+            for cut in [10, 20, 27, l.tuple_offset(3) + 5, l.page_size - 1] {
+                pages.push(clean[..cut].to_vec());
+            }
+            let mut errors = 0;
+            for (i, page) in pages.iter().enumerate() {
+                let program = interpreted(&l, page);
+                errors += usize::from(program.is_err());
+                assert_eq!(walked(&l, page), program, "{direction:?} page {i}");
+            }
+            assert!(errors >= 4, "{direction:?}: {errors} errors");
+        }
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub enum StriderError {
     Fuel { executed: u64 },
     /// Program ended inside an open loop.
     UnclosedLoop,
-    /// Extracted bytes do not decode under the tuple format.
-    BadTupleBytes(String),
 }
 
 impl fmt::Display for StriderError {
@@ -62,7 +60,6 @@ impl fmt::Display for StriderError {
                 write!(f, "execution fuel exhausted after {executed} instructions")
             }
             StriderError::UnclosedLoop => write!(f, "program ended inside an open loop"),
-            StriderError::BadTupleBytes(msg) => write!(f, "bad tuple bytes: {msg}"),
         }
     }
 }

@@ -16,14 +16,16 @@
 //! * [`codegen`] — the compiler half that "converts the database page
 //!   configuration into a set of Strider instructions" (§6.2) for any
 //!   [`dana_storage::PageLayoutDesc`] (ascending or descending tuple
-//!   placement, any supported page size);
+//!   placement, any supported page size), and that program's run in
+//!   closed form ([`codegen::walk_page`]), which extraction evaluates;
 //! * [`machine`] — a cycle-accurate interpreter: one instruction per cycle,
-//!   wide reads/writes pay one cycle per 8 bytes of data moved;
+//!   wide reads/writes pay one cycle per 8 bytes of data moved — the oracle
+//!   the closed-form walk is held to;
 //! * [`access_engine`] — the multi-Strider access engine (Fig. 5): page
 //!   buffers, AXI streaming, float conversion of extracted columns, and the
 //!   per-page cycle accounting the runtime overlaps with compute;
 //! * [`mod@reference`] — the per-tuple extraction path the batch path is
-//!   tested against (no statement reaches it).
+//!   tested against, running the interpreter (no statement reaches it).
 
 pub mod access_engine;
 pub mod asm;

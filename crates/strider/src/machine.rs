@@ -5,6 +5,12 @@
 //! staging buffer (shifter output) for wide data, and an output FIFO of
 //! extracted records toward the execution engine.
 //!
+//! No extraction path runs it: the access engine evaluates the generated
+//! program in closed form ([`crate::codegen::walk_page`]). The interpreter
+//! is the oracle that walk is held to (the per-tuple reference,
+//! [`crate::reference`], runs it page by page), and the engine of any
+//! hand-written program (`assemble`, the `strider_playground` example).
+//!
 //! **Cycle model.** Every instruction costs one cycle; `readB`/`writeB`
 //! additionally pay one cycle per 8 bytes moved beyond the first (the
 //! page-buffer BRAM exposes a 64-bit read port). This makes per-page
@@ -53,20 +59,6 @@ impl StriderRun {
     /// All records in extraction order.
     pub fn records(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
         (0..self.ends.len()).map(move |i| self.record(i))
-    }
-
-    /// The leading records that are each exactly `width` bytes long: how
-    /// many there are, and their bytes back to back — the part of the FIFO
-    /// a fixed-width consumer can take in bulk. All of them, for a
-    /// generated extraction program over a well-formed page.
-    pub fn fixed_width_prefix(&self, width: usize) -> (usize, &[u8]) {
-        let n = self
-            .ends
-            .iter()
-            .zip(1..)
-            .take_while(|&(&end, k)| end as usize == k * width)
-            .count();
-        (n, &self.data[..n * width])
     }
 }
 
@@ -274,12 +266,12 @@ impl StriderMachine {
 /// `start + count` when `[start, start + count)` lies within `limit` —
 /// `None` also when the sum overflows, so a register near `u64::MAX` is a
 /// bounds error like any other, never a wrapped sum that passes the guard.
-fn range_end(start: usize, count: usize, limit: usize) -> Option<usize> {
+pub(crate) fn range_end(start: usize, count: usize, limit: usize) -> Option<usize> {
     start.checked_add(count).filter(|&end| end <= limit)
 }
 
 /// Little-endian integer of the first ≤8 bytes.
-fn le_int(bytes: &[u8]) -> u64 {
+pub(crate) fn le_int(bytes: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     let n = bytes.len().min(8);
     buf[..n].copy_from_slice(&bytes[..n]);

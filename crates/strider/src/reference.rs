@@ -1,14 +1,17 @@
-//! The per-tuple extraction reference: one `Vec<f32>` per tuple, the
+//! The per-tuple extraction reference: the generated program run by the
+//! [`StriderMachine`] interpreter, one `Vec<f32>` per tuple — the
 //! pre-batch pipeline.
 //!
 //! No statement can reach this module. Its callers are `dana::reference`
 //! (the end-to-end reference `tests/equivalence.rs` and
 //! `tests/lowered_differential.rs` drive), this crate's unit tests, which
-//! hold the batch path to it page for page, and the `micro` bench's
-//! `data_path/per_tuple_reference` row.
+//! hold the batch path's closed-form walk to it page for page, and the
+//! `micro` bench's `data_path/per_tuple_reference` row.
 
 use crate::access_engine::AccessEngine;
+use crate::codegen::{live_tuples, strider_program_for_layout};
 use crate::error::StriderResult;
+use crate::machine::StriderMachine;
 
 /// One extracted, cleansed, float-converted training tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,17 +32,23 @@ impl AccessEngine {
     /// Reference per-tuple extraction path, retained for differential
     /// testing of the batch pipeline (and for callers that want row
     /// objects). Allocates one `Vec<f32>` per tuple — never used on the
-    /// deploy/execute hot path.
+    /// deploy/execute hot path. A page whose header says it holds no live
+    /// tuples is skipped before the interpreter sees it, as on the batch
+    /// path: no rows, no cycles.
     pub fn extract_page_rows(&self, page: &[u8]) -> StriderResult<(Vec<ExtractedTuple>, u64)> {
-        let run = self.machine.run(page)?;
-        let (n, full, malformed) = self.decoded_rows(&run);
-        malformed?;
-        let width = self.width();
-        let tuples = (0..n)
-            .map(|i| ExtractedTuple {
-                values: full[i * width..(i + 1) * width].to_vec(),
+        if live_tuples(page)? == 0 {
+            return Ok((Vec::new(), 0));
+        }
+        let (program, config) = strider_program_for_layout(self.layout());
+        let run = StriderMachine::new(program, config).run(page)?;
+        let tuples = run
+            .records()
+            .map(|record| {
+                let mut values = vec![0f32; self.width()];
+                self.decoder().decode_row(record, &mut values);
+                ExtractedTuple { values }
             })
             .collect();
-        Ok((tuples, run.cycles + self.conversion_cycles(n)))
+        Ok((tuples, run.cycles + self.conversion_cycles(run.len())))
     }
 }

@@ -7,11 +7,11 @@ use dana_storage::page::TupleDirection;
 use dana_storage::shared_pool::DEFAULT_SHARDS;
 use dana_storage::{
     BufferPoolConfig, ColumnType, Datum, DiskModel, HeapFile, HeapFileBuilder, HeapId, PageId,
-    PageView, RowDecoder, Schema, SharedBufferPool, SourceError, StorageResult, Tuple, TupleBatch,
-    TupleSource, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
+    PageLayoutDesc, PageView, RowDecoder, Schema, SharedBufferPool, SourceError, StorageResult,
+    Tuple, TupleBatch, TupleSource, LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
 };
 use dana_strider::isa::{decode_program, encode_program, Instr, Opcode, Operand, Reg};
-use dana_strider::{AccessEngine, AccessEngineConfig, StriderResult};
+use dana_strider::{AccessEngine, AccessEngineConfig, StriderMachine, StriderResult};
 
 proptest! {
     /// Tuple form/deform is the identity for any finite values.
@@ -468,6 +468,117 @@ proptest! {
             readers_survive(&piled, &heap, &decoder, &engine),
             "damage {kinds:?} at {positions:?} ^ {flips:?}: {types:?} {direction:?} n={n}"
         );
+    }
+}
+
+/// A page's records and cycles, or the error, as the Strider interpreter
+/// running the generated program reports them — the oracle of
+/// `strider_walk_is_the_programs_run`.
+type Run = StriderResult<(Vec<Vec<u8>>, u64)>;
+
+fn interpreted(layout: &PageLayoutDesc, page: &[u8]) -> Run {
+    let (program, config) = dana_strider::strider_program_for_layout(layout);
+    let run = StriderMachine::new(program, config).run(page)?;
+    Ok((run.records().map(<[u8]>::to_vec).collect(), run.cycles))
+}
+
+fn walked(layout: &PageLayoutDesc, page: &[u8]) -> Run {
+    let walk = dana_strider::codegen::walk_page(layout, page)?;
+    Ok((walk.records().map(<[u8]>::to_vec).collect(), walk.cycles()))
+}
+
+// Extraction evaluates the generated Strider program in closed form. Over
+// random layouts — both placement directions, three page sizes, every
+// column type, 1..capacity rows — and builder pages damaged where the
+// program looks (the live count, the first line pointer, the length) or
+// anywhere (bit flips), the walk must be the interpreter's run: the same
+// records byte for byte and the same cycles, or the same error. The one
+// departure is a page whose header says it holds no live tuples: skipped
+// host-side, no records and no cycles. Extraction and the interpreting
+// reference then give the same rows, bit for bit, or the same error.
+proptest! {
+    #[test]
+    fn strider_walk_is_the_programs_run(
+        types in prop::collection::vec(0usize..4, 1..7),
+        descending in any::<bool>(),
+        page_kb in prop::sample::select(vec![8usize, 16, 32]),
+        fill in 0usize..1 << 16,
+        positions in prop::collection::vec(0usize..1 << 16, 13),
+        piled in prop::collection::vec(0usize..13, 2..5),
+    ) {
+        let types: Vec<ColumnType> = types.iter().map(|&t| COLUMN_TYPES[t]).collect();
+        let direction = if descending { TupleDirection::Descending } else { TupleDirection::Ascending };
+        let schema = schema_of(&types);
+        let layout = HeapFileBuilder::layout_for(&schema, page_kb * 1024, direction).unwrap();
+        let capacity = layout.capacity as usize;
+        let rows = 1 + fill % capacity;
+        let heap = lane_table(&types, direction, page_kb, rows, fill as u64, u64::MAX);
+        prop_assert_eq!(heap.page_count(), 1);
+        let engine = AccessEngine::for_table(
+            layout,
+            schema,
+            AccessEngineConfig::new(1, dana_fpga::Clock::FPGA_150MHZ, dana_fpga::AxiLink::with_bandwidth(2.5e9)),
+        );
+        let clean = heap.page_bytes(0).unwrap();
+        let set = |page: &mut Vec<u8>, at: usize, v: usize| {
+            page[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes());
+        };
+        let damage = |page: &mut Vec<u8>, kind: usize, x: usize| {
+            let tuple = layout.tuple_bytes;
+            match kind {
+                // A header field a piled truncation cut off stays cut off.
+                _ if kind < 8 && page.len() < 28 => {}
+                // The live count.
+                0 => set(page, 16, 0),
+                1 => set(page, 16, 1),
+                2 => set(page, 16, capacity),
+                3 => set(page, 16, capacity + 1 + x % 64),
+                4 => set(page, 16, u16::MAX as usize),
+                // The first line pointer.
+                5 => set(page, 24, 0),
+                6 => set(page, 24, layout.page_size - 1 - x % tuple),
+                7 => set(page, 24, layout.page_size + x % (u16::MAX as usize - layout.page_size)),
+                // Truncation: inside the live count, inside the first line
+                // pointer, inside a tuple.
+                8 => page.truncate(x % 18),
+                9 => page.truncate(18 + x % 10),
+                10 => page.truncate(layout.tuple_offset((x % rows) as u16) + 1 + x % (tuple - 1)),
+                // A bit flip in the header and first line pointer, or anywhere.
+                _ => {
+                    let at = if kind == 11 { x % 28 } else { x % page.len().max(1) };
+                    if let Some(byte) = page.get_mut(at) {
+                        *byte ^= 1 << (x >> 10 & 7);
+                    }
+                }
+            }
+        };
+        let mut pages = vec![clean.to_vec()];
+        for (kind, &x) in positions.iter().enumerate() {
+            let mut page = clean.to_vec();
+            damage(&mut page, kind, x);
+            pages.push(page);
+        }
+        let mut page = clean.to_vec();
+        for &kind in &piled {
+            damage(&mut page, kind, positions[kind]);
+        }
+        pages.push(page);
+
+        for (i, page) in pages.iter().enumerate() {
+            let skipped = page.get(16..18) == Some(&[0, 0][..]);
+            let expected = if skipped { Ok((Vec::new(), 0)) } else { interpreted(&layout, page) };
+            prop_assert_eq!(walked(&layout, page), expected, "page {} {:?} {:?} rows={}", i, types, direction, rows);
+
+            let mut batch = TupleBatch::new(types.len());
+            let extracted = engine
+                .extract_page_into(page, &mut batch)
+                .map(|cycles| (bits_of(&batch), cycles));
+            let reference = engine.extract_page_rows(page).map(|(tuples, cycles)| {
+                let bits = tuples.iter().flat_map(|t| t.values.iter().map(|v| v.to_bits()));
+                (bits.collect::<Vec<u32>>(), cycles)
+            });
+            prop_assert_eq!(extracted, reference, "page {} {:?} {:?} rows={}", i, types, direction, rows);
+        }
     }
 }
 
