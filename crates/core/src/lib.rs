@@ -77,8 +77,8 @@ pub use dana_infer::{MetricKind, ScoringRecipe, ScoringStats};
 pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, TraceSpan};
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{
-    compress_page, decompress_page, select_slots, CmpOp, ForPage, Predicate, ScanSidecar, ScanSpec,
-    CODEC_FOR, CODEC_RAW,
+    compress_page, decompress_page, select_slots, CmpOp, ForPage, LaneScratch, Predicate,
+    ScanSidecar, ScanSpec, CODEC_FOR, CODEC_RAW,
 };
 pub use error::{DanaError, DanaResult};
 pub use exec::{CachedAccelerator, ShardArtifacts, TrainedModels};

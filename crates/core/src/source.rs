@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use dana_scan::{BoundScanSpec, ForPage, ScanSidecar};
+use dana_scan::{BoundScanSpec, ForPage, LaneScratch, ScanSidecar};
 use dana_storage::{
     DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError, TupleBatch,
     TupleSource,
@@ -109,6 +109,8 @@ pub struct SharedPageStreamSource<'a> {
     single_pass: bool,
     outcome: ScanOutcome,
     scan: Option<ScanState>,
+    /// The lane reader's buffers, kept across the scan's `CODEC_FOR` pages.
+    lane_scratch: LaneScratch,
 }
 
 impl<'a> SharedPageStreamSource<'a> {
@@ -145,6 +147,7 @@ impl<'a> SharedPageStreamSource<'a> {
             single_pass: false,
             outcome: ScanOutcome::default(),
             scan: None,
+            lane_scratch: LaneScratch::default(),
         }
     }
 
@@ -248,7 +251,7 @@ impl<'a> SharedPageStreamSource<'a> {
                     // Filtered on its lanes; the simulated clock still
                     // charges decompression and the full walk.
                     Some(page) => {
-                        page.filter_into(&scan.spec, &mut batch, &mut kept);
+                        page.filter_into(&scan.spec, &mut batch, &mut kept, &mut self.lane_scratch);
                         self.access.canonical_page_cycles(page.tuple_count())
                     }
                     None => {

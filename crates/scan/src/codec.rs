@@ -27,6 +27,22 @@
 //! scatter into a page image, and a pushdown scan ([`ForPage::filter_into`])
 //! reads the predicate columns' lanes and then only the kept cells of the
 //! projected columns, building no page image at all.
+//!
+//! The reader works per lane and per dictionary entry rather than per
+//! cell wherever the format allows. Eight codes of bit width ≤ 8 fill
+//! exactly `bw` bytes, so one 64-bit load reads eight of them: `open`
+//! checks a dictionary lane's indexes a word at a time (a carry test, see
+//! `Lane::escapes_dictionary`), and a lane whose every slot is still kept
+//! is unpacked a word at a time too. A conjunct over a dictionary lane is
+//! evaluated once per dictionary entry into a pass table, so each code
+//! costs one table load; a projected dictionary lane is decoded once per
+//! entry into a table, so each kept cell costs one load. A lane of bit
+//! width 0 holds one value, so its conjunct is decided once per page. Only
+//! a frame-of-reference lane converts per code — and per *kept* code when
+//! it is projected. Every cell value still goes through
+//! [`ColumnType::decode_f32`] and every comparison through
+//! [`CmpOp::matches`](crate::CmpOp::matches); the buffers for codes and
+//! tables are a [`LaneScratch`] the caller keeps across pages.
 
 use crate::spec::BoundScanSpec;
 use dana_storage::{
@@ -131,25 +147,20 @@ impl<'a> ForPage<'a> {
             return Err(corrupt("tuple_count exceeds capacity"));
         }
         let n = count as usize;
-        let header_words = (0..layout.tuple_header_bytes / 4)
-            .map(|w| {
-                r.lane(n, 4, w * 4)
-                    .ok_or_else(|| corrupt("tuple-header lane"))
-            })
-            .collect::<StorageResult<_>>()?;
+        let words = layout.tuple_header_bytes / 4;
+        let mut header_words = Vec::with_capacity(words);
+        for w in 0..words {
+            let lane = r.lane(n, 4, w * 4);
+            header_words.push(lane.ok_or_else(|| corrupt("tuple-header lane"))?);
+        }
+        let mut columns = Vec::with_capacity(schema.len());
         let mut offset = layout.tuple_header_bytes;
-        let columns = schema
-            .columns()
-            .iter()
-            .map(|col| {
-                let width = col.ty.width();
-                let lane = r
-                    .lane(n, width, offset)
-                    .ok_or_else(|| corrupt("column lane"))?;
-                offset += width;
-                Ok((col.ty, lane))
-            })
-            .collect::<StorageResult<_>>()?;
+        for col in schema.columns() {
+            let width = col.ty.width();
+            let lane = r.lane(n, width, offset);
+            columns.push((col.ty, lane.ok_or_else(|| corrupt("column lane"))?));
+            offset += width;
+        }
         if r.at != body.len() {
             return Err(corrupt("trailing bytes"));
         }
@@ -177,16 +188,48 @@ impl<'a> ForPage<'a> {
     /// so rows and slots are exactly what walking the rebuilt image and
     /// filtering its full-width rows would give.
     ///
+    /// A conjunct over a dictionary lane is evaluated once per dictionary
+    /// entry, a conjunct over a lane of bit width 0 once per page, and a
+    /// projected dictionary lane decoded once per entry; `scratch` holds
+    /// the codes and tables in between (its contents on entry are
+    /// ignored).
+    ///
     /// [`CmpOp::matches`]: crate::CmpOp::matches
-    pub fn filter_into(&self, spec: &BoundScanSpec, batch: &mut TupleBatch, kept: &mut Vec<u16>) {
-        let cell = |(ty, lane): &(ColumnType, Lane), slot: u16| {
-            ty.decode_f32(&lane.value(slot as usize).to_le_bytes()[..ty.width()])
-        };
+    pub fn filter_into(
+        &self,
+        spec: &BoundScanSpec,
+        batch: &mut TupleBatch,
+        kept: &mut Vec<u16>,
+        scratch: &mut LaneScratch,
+    ) {
+        let n = self.count as usize;
+        let LaneScratch { codes, table, pass } = scratch;
         kept.clear();
         kept.extend(0..self.count);
         for p in &spec.predicates {
-            let column = &self.columns[p.column];
-            kept.retain(|&slot| p.op.matches(cell(column, slot), p.value));
+            if kept.is_empty() {
+                break;
+            }
+            let (ty, lane) = &self.columns[p.column];
+            let matches = |cell: f32| p.op.matches(cell, p.value);
+            if lane.bw == 0 {
+                // One value on the whole page: one verdict for every slot.
+                if !matches(decode(*ty, lane.bits(0))) {
+                    kept.clear();
+                }
+                continue;
+            }
+            lane.codes_of(n, kept, codes);
+            match lane.frame {
+                Frame::Dict(dict) => {
+                    pass.clear();
+                    pass.extend(dict_entries(*ty, dict).map(matches));
+                    retain_codes(kept, codes, |code| pass[code as usize]);
+                }
+                Frame::Reference(min) => retain_codes(kept, codes, |code| {
+                    matches(decode(*ty, min.wrapping_add(code)))
+                }),
+            }
         }
         let width = spec.output_width(self.columns.len());
         assert_eq!(
@@ -195,10 +238,31 @@ impl<'a> ForPage<'a> {
             "batch width must be the projected width"
         );
         let out = batch.append_rows(kept.len());
+        if kept.is_empty() {
+            return;
+        }
         for j in 0..width {
-            let column = &self.columns[spec.projection.as_ref().map_or(j, |cols| cols[j])];
-            for (row, &slot) in out.chunks_exact_mut(width).zip(kept.iter()) {
-                row[j] = cell(column, slot);
+            let (ty, lane) = &self.columns[spec.projection.as_ref().map_or(j, |cols| cols[j])];
+            let cells = out.chunks_exact_mut(width).map(|row| &mut row[j]);
+            if lane.bw == 0 {
+                let value = decode(*ty, lane.bits(0));
+                cells.for_each(|cell| *cell = value);
+                continue;
+            }
+            lane.codes_of(n, kept, codes);
+            match lane.frame {
+                Frame::Dict(dict) => {
+                    table.clear();
+                    table.extend(dict_entries(*ty, dict));
+                    for (cell, &code) in cells.zip(codes.iter()) {
+                        *cell = table[code as usize];
+                    }
+                }
+                Frame::Reference(min) => {
+                    for (cell, &code) in cells.zip(codes.iter()) {
+                        *cell = decode(*ty, min.wrapping_add(code));
+                    }
+                }
             }
         }
     }
@@ -219,10 +283,12 @@ impl<'a> ForPage<'a> {
             .header_words
             .iter()
             .chain(self.columns.iter().map(|(_, lane)| lane));
+        let mut codes = Vec::new();
         for lane in lanes {
-            for slot in 0..self.count {
+            lane.unpack(self.count as usize, &mut codes);
+            for (slot, &code) in (0..self.count).zip(&codes) {
                 let at = layout.tuple_offset(slot) + lane.offset;
-                let v = lane.value(slot as usize);
+                let v = lane.bits(code);
                 match lane.width {
                     4 => page[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes()),
                     _ => page[at..at + 8].copy_from_slice(&v.to_le_bytes()),
@@ -231,6 +297,42 @@ impl<'a> ForPage<'a> {
         }
         page
     }
+}
+
+/// The buffers [`ForPage::filter_into`] reads lanes through, kept across
+/// a scan's pages so a page costs no allocation once they have grown.
+#[derive(Default)]
+pub struct LaneScratch {
+    /// The codes of one lane's kept slots, in slot order.
+    codes: Vec<u64>,
+    /// A projected dictionary lane's entries, decoded.
+    table: Vec<f32>,
+    /// A conjunct's verdict on each entry of a dictionary lane.
+    pass: Vec<bool>,
+}
+
+/// A cell of `ty` from its bit pattern (a 4-byte cell is the low 32 bits).
+fn decode(ty: ColumnType, bits: u64) -> f32 {
+    ty.decode_f32(&bits.to_le_bytes()[..ty.width()])
+}
+
+/// A dictionary's entries of `ty`, decoded.
+fn dict_entries(ty: ColumnType, dict: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    dict.chunks_exact(ty.width())
+        .map(move |entry| ty.decode_f32(entry))
+}
+
+/// Keeps the slots of `kept` whose code — `codes[i]` is slot `kept[i]`'s —
+/// passes `keep`.
+fn retain_codes(kept: &mut Vec<u16>, codes: &[u64], keep: impl Fn(u64) -> bool) {
+    // Every slot is written where the next kept one goes; only a kept
+    // slot advances the cursor — no branch on the verdict.
+    let mut len = 0;
+    for (i, &code) in codes.iter().enumerate().take(kept.len()) {
+        kept[len] = kept[i];
+        len += usize::from(keep(code));
+    }
+    kept.truncate(len);
 }
 
 /// Attempts the FOR encoding. Returns `None` when the page visibly
@@ -413,27 +515,112 @@ impl Lane<'_> {
         (u128::from_le_bytes(word) >> (bit % 8)) as u64 & self.mask
     }
 
-    /// The largest of the first `n` codes (0 when `n` is 0).
-    fn max_code(&self, n: usize) -> u64 {
-        let mut max = 0;
-        let mut slot = 0;
-        if self.bw <= 8 {
-            // Eight codes fill exactly `bw` bytes: one load per eight.
-            while slot + 8 <= n {
-                let Some(word) = self.packed[slot / 8 * self.bw..].first_chunk::<8>() else {
-                    break;
-                };
-                let word = u64::from_le_bytes(*word);
-                max = (0..8).fold(max, |m, k| m.max((word >> (k * self.bw)) & self.mask));
-                slot += 8;
-            }
+    /// Folds `f` over the lane's first `groups` runs of eight codes, at
+    /// bit widths 1–8, where eight codes fill exactly `bw` bytes: run
+    /// `group` holds codes `8 × group ..` in the low `8 × bw` bits of its
+    /// word, and zeros above. The byte count is a constant in each arm, so
+    /// a run is one fixed-size load.
+    fn fold_groups<B>(&self, groups: usize, init: B, f: impl FnMut(B, u64) -> B) -> B {
+        fn fold<const BW: usize, B>(
+            packed: &[u8],
+            groups: usize,
+            init: B,
+            mut f: impl FnMut(B, u64) -> B,
+        ) -> B {
+            packed
+                .chunks_exact(BW)
+                .take(groups)
+                .fold(init, |acc, bytes| {
+                    let mut word = [0u8; 8];
+                    word[..BW].copy_from_slice(bytes);
+                    f(acc, u64::from_le_bytes(word))
+                })
         }
-        (slot..n).fold(max, |m, slot| m.max(self.code(slot)))
+        let packed = self.packed;
+        match self.bw {
+            1 => fold::<1, B>(packed, groups, init, f),
+            2 => fold::<2, B>(packed, groups, init, f),
+            3 => fold::<3, B>(packed, groups, init, f),
+            4 => fold::<4, B>(packed, groups, init, f),
+            5 => fold::<5, B>(packed, groups, init, f),
+            6 => fold::<6, B>(packed, groups, init, f),
+            7 => fold::<7, B>(packed, groups, init, f),
+            8 => fold::<8, B>(packed, groups, init, f),
+            bw => unreachable!("bit width {bw} has no eight-code groups"),
+        }
     }
 
-    /// Cell `slot`'s bit pattern; a 4-byte cell is the low 32 bits.
-    fn value(&self, slot: usize) -> u64 {
-        let code = self.code(slot);
+    /// Whether the first `n` codes do not all index a dictionary of
+    /// `n_dict` entries: whether the largest of them is `≥ n_dict`, the
+    /// largest of no codes being 0 — so an empty dictionary is refused
+    /// even over no codes.
+    fn escapes_dictionary(&self, n: usize, n_dict: u64) -> bool {
+        let bw = self.bw;
+        if bw < 64 && n_dict >> bw != 0 {
+            // Every `bw`-bit code is an index.
+            return false;
+        }
+        if n_dict == 0 {
+            return true;
+        }
+        let mut slot = 0;
+        if bw <= 8 {
+            // `bw` ≥ 1 here. Fields 0, 2, 4, 6 of a group, and 1, 3, 5, 7
+            // shifted onto them, each have `bw` clear bits above once
+            // masked: adding `2^bw − n_dict` to a field carries into the
+            // bit above it exactly when the field is ≥ `n_dict`.
+            let spread = |field: u64| (0..4).fold(0, |word, k| word | field << (2 * k * bw));
+            let (even, bias, carries) = (
+                spread(self.mask),
+                spread((1 << bw) - n_dict),
+                spread(1 << bw),
+            );
+            let sums = self.fold_groups(n / 8, 0, |sums, word| {
+                sums | ((word & even) + bias) | (((word >> bw) & even) + bias)
+            });
+            if sums & carries != 0 {
+                return true;
+            }
+            slot = n / 8 * 8;
+        }
+        (slot..n).any(|slot| self.code(slot) >= n_dict)
+    }
+
+    /// The codes of the `kept` slots (ascending, of the lane's `n`), into
+    /// `codes` (overwritten): the whole lane [unpacked](Lane::unpack) when
+    /// every slot is kept, each kept slot's code read where it lies
+    /// otherwise.
+    fn codes_of(&self, n: usize, kept: &[u16], codes: &mut Vec<u64>) {
+        if kept.len() == n {
+            self.unpack(n, codes);
+        } else {
+            codes.clear();
+            codes.extend(kept.iter().map(|&slot| self.code(slot as usize)));
+        }
+    }
+
+    /// The first `n` codes, in slot order, into `codes` (overwritten):
+    /// eight per load at bit widths 1–8.
+    fn unpack(&self, n: usize, codes: &mut Vec<u64>) {
+        codes.clear();
+        codes.resize(n, 0);
+        let mut grouped = 0;
+        if (1..=8).contains(&self.bw) {
+            grouped = self.fold_groups(n / 8, 0, |group, word| {
+                for (k, code) in codes[8 * group..][..8].iter_mut().enumerate() {
+                    *code = (word >> (k * self.bw)) & self.mask;
+                }
+                group + 1
+            }) * 8;
+        }
+        for (slot, code) in codes.iter_mut().enumerate().skip(grouped) {
+            *code = self.code(slot);
+        }
+    }
+
+    /// The bit pattern code `code` stands for; a 4-byte cell's is the low
+    /// 32 bits.
+    fn bits(&self, code: u64) -> u64 {
         match self.frame {
             Frame::Reference(min) => min.wrapping_add(code),
             Frame::Dict(dict) => le_value(&dict[code as usize * self.width..], self.width)
@@ -467,9 +654,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Parses one lane of `n` cells of on-page `width` bytes (at `offset`
-    /// within a tuple), checking its mode, its bit width, its length and —
-    /// unless the dictionary covers every `bw`-bit code — that every index
-    /// is in the dictionary.
+    /// within a tuple), checking its mode, its bit width, its length and
+    /// that every index is in the dictionary.
     fn lane(&mut self, n: usize, width: usize, offset: usize) -> Option<Lane<'a>> {
         let frame = match self.byte()? {
             LANE_FOR => Frame::Reference(le_value(self.take(width)?, width)?),
@@ -491,14 +677,10 @@ impl<'a> Reader<'a> {
             mask: ((1u128 << bw) - 1) as u64,
             packed: self.take(packed_len(n, bw))?,
         };
-        if let Frame::Dict(dict) = frame {
-            let n_dict = (dict.len() / width) as u64;
-            let covered = bw < 64 && n_dict >= 1 << bw;
-            if !covered && lane.max_code(n) >= n_dict {
-                return None;
-            }
+        match frame {
+            Frame::Dict(dict) if lane.escapes_dictionary(n, (dict.len() / width) as u64) => None,
+            _ => Some(lane),
         }
-        Some(lane)
     }
 }
 
@@ -590,5 +772,96 @@ mod tests {
         assert!(decompress_page(&[9, 0, 0], &layout, &schema).is_err());
         assert!(decompress_page(&[CODEC_RAW, 0], &layout, &schema).is_err());
         assert!(decompress_page(&[CODEC_FOR, 1, 2], &layout, &schema).is_err());
+    }
+
+    /// A lane of `codes` packed at bit width `bw` (its frame is unused).
+    fn lane_of<'a>(codes: &[u64], bw: usize, packed: &'a mut Vec<u8>) -> Lane<'a> {
+        packed.clear();
+        pack_bits(codes.iter().copied(), bw, packed);
+        Lane {
+            offset: 0,
+            width: 8,
+            frame: Frame::Reference(0),
+            bw,
+            mask: ((1u128 << bw) - 1) as u64,
+            packed,
+        }
+    }
+
+    /// The rule `Lane::escapes_dictionary` must decide, read one code at a
+    /// time: the largest of the first `n` codes (0 when `n` is 0).
+    fn max_code(lane: &Lane, n: usize) -> u64 {
+        (0..n).map(|slot| lane.code(slot)).max().unwrap_or(0)
+    }
+
+    /// The word-at-a-time index check is `max_code(n) ≥ n_dict` — the
+    /// empty dictionary refused even over no codes — at every bit width
+    /// with eight-code groups and at 9 (code by code), for every
+    /// dictionary size that leaves some code out of range, over zero to
+    /// three whole groups plus every tail length, with the first
+    /// out-of-range code (the smallest or the largest) in a group's first
+    /// field, a group's last field or the tail, or nowhere.
+    #[test]
+    fn word_at_a_time_index_check_is_the_per_code_rule() {
+        let mut packed = Vec::new();
+        let mut escapes = 0;
+        for bw in (1..=8).chain([9]) {
+            let top = (1u64 << bw) - 1;
+            for n_dict in 0..=top {
+                for n in 0..4 * 8usize {
+                    let places = [None, Some(0), Some(7), Some(15), Some(23), Some(n / 8 * 8)];
+                    let places = places.into_iter().chain([n.checked_sub(1)]);
+                    for place in places.filter(|at| at.is_none_or(|at| at < n)) {
+                        for escape in [n_dict, top] {
+                            let codes: Vec<u64> = (0..n as u64)
+                                .map(|slot| match place {
+                                    Some(at) if slot == at as u64 => escape,
+                                    _ if n_dict == 0 => slot & top,
+                                    _ if slot % 3 == 0 => n_dict - 1,
+                                    _ => slot * 5 % n_dict,
+                                })
+                                .collect();
+                            let lane = lane_of(&codes, bw, &mut packed);
+                            let verdict = lane.escapes_dictionary(n, n_dict);
+                            assert_eq!(
+                                verdict,
+                                max_code(&lane, n) >= n_dict,
+                                "bw {bw}, {n_dict} entries, {n} codes, escape {escape} at {place:?}"
+                            );
+                            escapes += usize::from(verdict);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(escapes > 0);
+        // Every code of a dictionary covering the bit width is an index.
+        let lane = lane_of(&[3, 0, 3, 1, 2, 3, 3, 0, 1], 2, &mut packed);
+        assert!(!lane.escapes_dictionary(9, 4) && !lane.escapes_dictionary(9, 5));
+    }
+
+    /// A lane's kept codes are its codes, whether the whole lane is
+    /// unpacked (every slot kept) or each kept slot is read in place — at
+    /// bit widths with and without eight-code groups, tails included.
+    #[test]
+    fn kept_codes_are_the_lane_codes_either_way() {
+        let mut packed = Vec::new();
+        let mut codes = Vec::new();
+        for bw in [0, 1, 3, 5, 8, 9, 13, 31, 56, 57, 63, 64] {
+            for n in [0, 1, 7, 8, 9, 37, 372] {
+                let mask = ((1u128 << bw) - 1) as u64;
+                let values: Vec<u64> = (0..n as u64)
+                    .map(|slot| slot.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7) & mask)
+                    .collect();
+                let lane = lane_of(&values, bw, &mut packed);
+                let every: Vec<u16> = (0..n as u16).collect();
+                lane.codes_of(n, &every, &mut codes);
+                assert_eq!(codes, values, "bw {bw}, n {n}: unpacked");
+                let some: Vec<u16> = every.iter().copied().filter(|s| s % 3 != 1).collect();
+                lane.codes_of(n, &some, &mut codes);
+                let expected: Vec<u64> = some.iter().map(|&s| values[s as usize]).collect();
+                assert_eq!(codes, expected, "bw {bw}, n {n}: read in place");
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ pub mod sidecar;
 pub mod spec;
 pub mod zonemap;
 
-pub use codec::{compress_page, decompress_page, ForPage, CODEC_FOR, CODEC_RAW};
+pub use codec::{compress_page, decompress_page, ForPage, LaneScratch, CODEC_FOR, CODEC_RAW};
 pub use sidecar::{select_slots, ScanSidecar};
 pub use spec::{BoundPredicate, BoundScanSpec, CmpOp, Predicate, ScanError, ScanSpec};
 pub use zonemap::PageZone;

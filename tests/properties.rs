@@ -622,8 +622,10 @@ fn schema_of(types: &[ColumnType]) -> Schema {
 /// columns (a dictionary lane of up to 6-bit indices); 2: a narrow integer
 /// range (a narrow frame-of-reference lane); 3: random bits shifted right
 /// by `c + 1` (a lane a few bits narrower than its cells: 58–63 bits for
-/// an 8-byte column); otherwise random bit patterns (64 bits wide in Int8
-/// / Float8 columns).
+/// an 8-byte column); 4: one of `k` widely spread bit patterns, `k` in
+/// 2..=256 from byte `c` of `seed` (on a full page, a dictionary lane of
+/// any index width 1–8, its dictionary often short of `2^bw` entries);
+/// otherwise random bit patterns (64 bits wide in Int8 / Float8 columns).
 fn lane_table(
     types: &[ColumnType],
     direction: TupleDirection,
@@ -650,6 +652,10 @@ fn lane_table(
                 1 => f64::from(f32::from_bits(level)).to_bits(),
                 2 => random % 100,
                 3 => random >> (c + 1),
+                4 => {
+                    let k = 2 + (seed.rotate_right(8 * c as u32) & 0xFF) % 255;
+                    (1 + (random >> 8) % k).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                }
                 _ => random,
             };
             match ty {
@@ -778,7 +784,7 @@ proptest! {
 
             let page = dana::ForPage::open(&packed, &layout, &schema).unwrap().unwrap();
             let (mut lanes, mut kept) = (TupleBatch::new(width), Vec::new());
-            page.filter_into(&bound, &mut lanes, &mut kept);
+            page.filter_into(&bound, &mut lanes, &mut kept, &mut dana::LaneScratch::default());
 
             let rebuilt = dana::decompress_page(&packed, &layout, &schema).unwrap();
             let (mut walked, mut walked_kept, mut slot) = (TupleBatch::new(width), Vec::new(), 0u16);
@@ -801,29 +807,43 @@ proptest! {
 
 /// What `lane_filter_is_the_rebuilt_page_walk` compares reaches every lane
 /// shape the reader has: frame-of-reference and dictionary lanes, bit
-/// width 0, widths past 56 (one 8-byte load no longer holds a code) and
-/// bit width 64.
+/// width 0, widths past 56 (one 8-byte load no longer holds a code), bit
+/// width 64, and dictionary lanes of every index width 1–8 — the widths
+/// whose indexes are checked and unpacked eight at a time — with fewer
+/// than `2^bw` entries at widths 2–8, so that `ForPage::open` checks them.
+/// (A dictionary of 1-bit indexes has two entries: every code indexes it.)
 #[test]
 fn lane_table_reaches_every_lane_shape() {
     let mut shapes = std::collections::BTreeSet::new();
-    // Column c gets pattern (c + shift) % 5: every column meets all five.
-    for shift in 0..5u64 {
-        let patterns = (0..4).map(|c| ((c + shift) % 5) << (3 * c)).sum();
+    let mut shapes_of = |page_kb, rows, seed, patterns| {
         let heap = lane_table(
             &COLUMN_TYPES,
             TupleDirection::Ascending,
-            8,
-            150,
-            7,
+            page_kb,
+            rows,
+            seed,
             patterns,
         );
         let packed = dana::compress_page(heap.page_bytes(0).unwrap(), heap.layout(), heap.schema());
         assert_eq!(packed[0], dana::CODEC_FOR);
-        shapes.extend(
-            lanes_of(&packed, &heap)
-                .iter()
-                .map(|lane| (packed[lane.mode], packed[lane.bw])),
-        );
+        shapes.extend(lanes_of(&packed, &heap).iter().map(|lane| {
+            let n_dict = u16::from_le_bytes([packed[lane.mode + 1], packed[lane.mode + 2]]);
+            let (mode, bw) = (packed[lane.mode], packed[lane.bw]);
+            (mode, bw, mode == 1 && u32::from(n_dict) < 1 << bw)
+        }));
+    };
+    // Column c gets pattern (c + shift) % 6: every column meets all six.
+    for shift in 0..6u64 {
+        let patterns = (0..4).map(|c| ((c + shift) % 6) << (3 * c)).sum();
+        shapes_of(8, 150, 7, patterns);
+    }
+    // Pattern 4 in every column, k values per column, on a full 32 KB page.
+    let schema = schema_of(&COLUMN_TYPES);
+    let layout =
+        HeapFileBuilder::layout_for(&schema, 32 * 1024, TupleDirection::Ascending).unwrap();
+    for k in [2u64, 3, 6, 12, 24, 48, 96, 192] {
+        let seed = (k - 2) * 0x0101_0101_0101_0101;
+        shapes_of(32, layout.capacity as usize, seed, 0o4444);
     }
     let modes: std::collections::BTreeSet<u8> = shapes.iter().map(|s| s.0).collect();
     assert_eq!(
@@ -832,10 +852,14 @@ fn lane_table_reaches_every_lane_shape() {
         "frame-of-reference and dictionary lanes"
     );
     assert!(shapes.iter().any(|s| s.1 == 0), "bit width 0: {shapes:?}");
-    assert!(
-        shapes.iter().any(|s| s.0 == 1 && s.1 > 4),
-        "wide indices: {shapes:?}"
-    );
+    for bw in 1..=8 {
+        assert!(
+            shapes
+                .iter()
+                .any(|s| s.0 == 1 && s.1 == bw && (s.2 || bw == 1)),
+            "a dictionary lane of {bw}-bit indexes: {shapes:?}"
+        );
+    }
     assert!(
         shapes.iter().any(|s| (57..64).contains(&s.1)),
         "57–63 bits: {shapes:?}"
