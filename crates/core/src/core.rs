@@ -23,8 +23,9 @@
 //! there is one scan shape: every plan opens one `Scan` of `k ≥ 1` member
 //! streams (`SystemCore::open_scan`), so a serial statement is a gang of
 //! one — the same fold, the same `Scan::finish`, the same report
-//! assembler — and only training's epoch loop (two fault policies) is
-//! chosen by the member count. A pushdown scan's `finish` also hands back
+//! assembler, and for EXECUTE the same guarded epoch loop with its one
+//! fault policy (`dana_parallel::train_gang_guarded`): nothing is chosen
+//! by the member count. A pushdown scan's `finish` also hands back
 //! the slots its predicate kept, which is what a filtered PREDICT … INTO
 //! materializes from: the predicate runs in the scan and nowhere else.
 //!
@@ -54,8 +55,8 @@ use dana_compiler::{
     compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
 };
 use dana_engine::{
-    run_training_guarded, BackendKind, BackendRun, CancelToken, EngineError, EngineStats,
-    FaultEvents, FaultPlan, ModelStore, RetryPolicy, RunGuard,
+    BackendKind, BackendRun, CancelToken, EngineError, EngineStats, FaultEvents, FaultPlan,
+    RetryPolicy, RunGuard,
 };
 use dana_fpga::{FpgaSpec, ResourceBudget};
 use dana_hdfg::translate;
@@ -64,7 +65,7 @@ use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
 use dana_parallel::{
     evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
-    train_gang_guarded, GangGuard, ReplaySource, ShardPlan,
+    train_gang_guarded, ReplaySource, ShardPlan,
 };
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{
@@ -108,20 +109,21 @@ impl Default for SystemCoreConfig {
 }
 
 /// Per-query execution context: the cooperative cancellation token the
-/// epoch loops check at every boundary, the retry policy answering
-/// transient faults, and the out-channel reporting which gang shards
-/// faulted (so the worker can quarantine the pool instances behind
-/// them). Built by the server worker from the statement's `WITH
-/// (timeout_ms / retries)` options; [`QueryCtx::unbounded`] is the
-/// embedded/default path — never cancels, default retries.
+/// epoch loop checks at every boundary, the retry policy answering
+/// transient faults, and the out-channel reporting which gang members
+/// faulted, recovered or not (so the worker can report the pool
+/// instances behind them). Built by the server worker from the
+/// statement's `WITH (timeout_ms / retries)` options;
+/// [`QueryCtx::unbounded`] is the embedded/default path — never cancels,
+/// default retries.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
     /// Cooperative cancellation (deadline and/or manual flag).
     pub cancel: CancelToken,
     /// Backoff/retry policy for transient accelerator faults.
     pub retry: RetryPolicy,
-    /// Gang shards that faulted during this query (filled by the gang
-    /// path; drained by the worker for pool quarantine).
+    /// Gang members that faulted during this query (filled by EXECUTE;
+    /// drained by the worker for pool quarantine).
     faulted: Mutex<Vec<usize>>,
 }
 
@@ -139,8 +141,8 @@ impl QueryCtx {
         }
     }
 
-    /// Gang shards that faulted while this query ran (ascending, deduped
-    /// by the gang executor).
+    /// Gang members that faulted while this query ran, recovered or not
+    /// (ascending, deduped by the epoch loop).
     pub fn faulted_shards(&self) -> Vec<usize> {
         self.faulted
             .lock()
@@ -1048,53 +1050,26 @@ impl SystemCore {
         let access = exec::access_engine_for(&heap, acc.budget, &self.fpga);
         let mut scan = self.open_scan(plan, &entry, &heap, &access)?;
         let fault = self.fault_plan();
-        let init = exec::initial_models(design);
-        // The epoch loop follows the members actually opened, not the
-        // shards asked for. They are two fault policies, not two copies:
-        // a lone member retries in place from its last epoch-boundary
-        // snapshot under the statement's retry policy; a gang re-executes
-        // a faulted member's epoch on a survivor after the barrier.
+        let guard = RunGuard::new(&ctx.cancel)
+            .with_fault(fault.as_deref())
+            .with_retry(ctx.retry);
+        // One epoch loop for every member count: a serial EXECUTE is a
+        // gang of one. The members that faulted are reported whether or
+        // not the run recovered.
+        let mut events = FaultEvents::default();
         let start = Instant::now();
-        let (engine_stats, merge_cycles, epoch_cycles, models) = match scan.members.as_mut_slice() {
-            [member] => {
-                let mut store = ModelStore::new(design, init)?;
-                let guard = RunGuard::new(&ctx.cancel)
-                    .with_fault(fault.as_deref())
-                    .with_retry(ctx.retry);
-                let run = run_training_guarded(&acc.engine, member, &mut store, &guard)?;
-                self.record_fault_events(&run.events, rec);
-                (vec![run.stats], 0, run.epoch_cycles, store.into_values())
-            }
-            members => {
-                let guard = GangGuard::new(&ctx.cancel).with_fault(fault.as_deref());
-                let outcome = train_gang_guarded(&acc.engine, members, init, &guard)?;
-                if !outcome.faulted_shards.is_empty() {
-                    self.record_fault_events(
-                        &FaultEvents {
-                            transient_faults: outcome.faulted_shards.len() as u32,
-                            faulted_shards: outcome.faulted_shards.clone(),
-                            ..FaultEvents::default()
-                        },
-                        rec,
-                    );
-                    self.metrics
-                        .shard_reexecutions
-                        .add(outcome.reexecuted_epochs as u64);
-                    rec.set_count(exec::stage::FAULT_RETRY, outcome.reexecuted_epochs as u64);
-                    ctx.record_faulted(&outcome.faulted_shards);
-                }
-                // Gang members log cycles per shard; the trace shares the
-                // engine stage uniformly across epochs.
-                (
-                    outcome.shard_stats,
-                    outcome.merge_cycles,
-                    Vec::new(),
-                    outcome.models,
-                )
-            }
-        };
+        let run = train_gang_guarded(
+            &acc.engine,
+            &mut scan.members,
+            exec::initial_models(design),
+            &guard,
+            &mut events,
+        );
         let wall = start.elapsed().as_secs_f64();
-        let (shards, _) = scan.finish(&self.metrics, &heap, &engine_stats);
+        self.record_fault_events(&events, rec);
+        ctx.record_faulted(&events.faulted_shards);
+        let outcome = run?;
+        let (shards, _) = scan.finish(&self.metrics, &heap, &outcome.shard_stats);
         let report = match plan.backend {
             // The native CPU tier ran the identical scan and epoch loop
             // (one member: `execute` refuses a CPU gang) — same models and
@@ -1102,20 +1077,20 @@ impl SystemCore {
             BackendKind::Cpu => exec::assemble_cpu_report(
                 design,
                 BackendRun {
-                    stats: engine_stats[0],
+                    stats: outcome.shard_stats[0],
                     wall_seconds: Some(wall),
                 },
                 shards[0].access_stats,
-                models,
+                outcome.models,
                 rec,
             ),
             BackendKind::Fpga => exec::assemble_training_report(
                 &self.cost_inputs(plan, acc.budget, &heap),
                 design,
                 shards,
-                merge_cycles,
-                &epoch_cycles,
-                models,
+                outcome.merge_cycles,
+                &outcome.epoch_cycles,
+                outcome.models,
                 rec,
             ),
         };
@@ -1169,10 +1144,9 @@ impl SystemCore {
                 &self.pool, &self.disk, heap, heap_id, access, mode, start_page, end_page,
             )
         };
-        // A member that streams its pages. Training re-reads its scan —
-        // every later epoch, and a fault retry even of a one-epoch run —
-        // so its members cache what they extract; a scoring statement
-        // reads each batch once.
+        // A member that streams its pages. Training re-reads its scan
+        // every later epoch, so its members cache what they extract; a
+        // scoring statement reads each batch once.
         let streaming = |source: SharedPageStreamSource<'a>| {
             Member::Pages(if plan.op == PlanOp::Train {
                 source

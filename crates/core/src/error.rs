@@ -99,12 +99,12 @@ impl From<dana_parallel::ParallelError> for DanaError {
 }
 
 impl DanaError {
-    /// Whether this error is the cooperative-cancellation deadline
-    /// signal, surfaced from either the serial engine path or a gang.
+    /// Whether this error is the deadline signal: admission shedding a
+    /// queued query, a scoring statement's up-front check, or a gang
+    /// member's epoch boundary (every EXECUTE's).
     pub fn is_deadline_exceeded(&self) -> bool {
         match self {
             DanaError::Engine(e) => e.is_deadline(),
-            DanaError::Parallel(dana_parallel::ParallelError::Cancelled) => true,
             DanaError::Parallel(dana_parallel::ParallelError::Engine { source, .. }) => {
                 source.is_deadline()
             }

@@ -118,18 +118,22 @@ fn record_training_spans(
     rec.add_sim(stage::ENGINE, engine_sim);
     let epochs = epochs.max(1) as usize;
     rec.set_count(stage::ENGINE, epochs as u64);
+    // The critical member's per-epoch cycle log distributes the engine
+    // slice in the measured proportions (a run that charged no cycles
+    // shares it uniformly); the children sum to the parent stage.
     let logged: u64 = epoch_cycles.iter().sum();
-    for e in 0..epochs {
-        // A real per-epoch cycle log distributes the engine slice in the
-        // measured proportions; without one (gang members log per shard)
-        // the epochs share it uniformly. Either way the children sum to
-        // the parent stage.
-        let share = if epoch_cycles.len() == epochs && logged > 0 {
-            engine_sim * epoch_cycles[e] as f64 / logged as f64
-        } else {
-            engine_sim / epochs as f64
-        };
-        rec.child(stage::ENGINE, "epoch", share);
+    if logged > 0 {
+        for &cycles in epoch_cycles {
+            rec.child(
+                stage::ENGINE,
+                "epoch",
+                engine_sim * cycles as f64 / logged as f64,
+            );
+        }
+    } else {
+        for _ in 0..epochs {
+            rec.child(stage::ENGINE, "epoch", engine_sim / epochs as f64);
+        }
     }
     rec.add_sim(stage::MERGE, merge_sim);
 }
@@ -593,9 +597,9 @@ fn critical_scan(heap: &HeapFile, shards: &[ShardArtifacts]) -> (AccessStats, Se
 /// engine's merge counter, and throughput counters (tuples, batches) sum
 /// so the report states true totals. Every one of those reductions is
 /// the identity over one member, so a serial statement's report is its
-/// single member's measurements. `epoch_cycles` is the per-epoch cycle
-/// log the trace distributes the engine stage by; empty (gangs log per
-/// member) shares it uniformly.
+/// single member's measurements. `epoch_cycles` is the critical member's
+/// per-epoch cycle log ([`dana_parallel::GangOutcome::epoch_cycles`]),
+/// which the trace distributes the engine stage by.
 pub fn assemble_training_report(
     inputs: &CostInputs<'_>,
     design: &EngineDesign,

@@ -15,10 +15,11 @@
 //!   row gathers one lane at a time inside the op), but whose cost is
 //!   **measured wall time**.
 //!
-//! Both run the one serial epoch loop ([`run_training_guarded`]) over
-//! the identical SoA workspace, so their trained models and cycle
-//! counters are bit-identical by construction — the differential suite
-//! holds them to it.
+//! Both run [`ExecutionEngine::run_training`] over the identical SoA
+//! workspace, so their trained models and cycle counters are
+//! bit-identical by construction — the differential suite holds them to
+//! it. (A statement's EXECUTE runs the same sessions in
+//! `dana_parallel`'s guarded gang loop and times it there.)
 //!
 //! The distinction is *what the number means*: the FPGA tier's
 //! [`EngineStats::cycles`] model a 150 MHz accelerator fed by Striders;
@@ -33,7 +34,6 @@ use dana_storage::TupleSource;
 
 use crate::engine::{EngineStats, ExecutionEngine, ModelStore};
 use crate::error::EngineResult;
-use crate::fault::{run_training_guarded, CancelToken, FaultEvents, RunGuard};
 
 /// Which execution substrate ran (or should run) a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -88,39 +88,19 @@ impl Backend {
         Backend { kind, engine }
     }
 
-    /// Runs training to convergence (or the epoch cap) from a streaming
-    /// source, exactly like [`ExecutionEngine::run_training`]: the guarded
-    /// loop under a guard that never cancels and injects nothing.
+    /// [`ExecutionEngine::run_training`], timed when the tier executes
+    /// natively.
     pub fn run_training(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
     ) -> EngineResult<BackendRun> {
-        let never = CancelToken::none();
-        Ok(self
-            .run_training_guarded(source, store, &RunGuard::new(&never))?
-            .0)
-    }
-
-    /// The serial epoch loop with cooperative cancellation, deterministic
-    /// fault injection, and bounded-backoff retry at epoch boundaries (see
-    /// [`run_training_guarded`]), timed when the tier executes natively.
-    pub fn run_training_guarded(
-        &self,
-        source: &mut dyn TupleSource,
-        store: &mut ModelStore,
-        guard: &RunGuard<'_>,
-    ) -> EngineResult<(BackendRun, FaultEvents)> {
-        let wants_wall = self.kind == BackendKind::Cpu;
         let start = Instant::now();
-        let run = run_training_guarded(&self.engine, source, store, guard)?;
-        Ok((
-            BackendRun {
-                stats: run.stats,
-                wall_seconds: wants_wall.then(|| start.elapsed().as_secs_f64()),
-            },
-            run.events,
-        ))
+        let stats = self.engine.run_training(source, store)?;
+        Ok(BackendRun {
+            stats,
+            wall_seconds: (self.kind == BackendKind::Cpu).then(|| start.elapsed().as_secs_f64()),
+        })
     }
 }
 

@@ -20,7 +20,6 @@ use dana_dsl::MergeOp;
 use dana_storage::{OneBatchSource, TupleBatch, TupleSource};
 
 use crate::error::{EngineError, EngineResult};
-use crate::fault::{run_training_guarded, CancelToken, RunGuard};
 use crate::isa::{AluOp, EngineProgram, Loc, MicroOp, Src, AUS_PER_AC};
 use crate::lowered::{lower, LoweredProgram};
 
@@ -180,30 +179,6 @@ impl ModelStore {
     pub fn into_values(self) -> Vec<Vec<f32>> {
         self.values
     }
-
-    /// Clones the current model values — the epoch-boundary snapshot the
-    /// retry path warm-starts from (Bismarck-style restartability).
-    pub fn snapshot(&self) -> Vec<Vec<f32>> {
-        self.values.clone()
-    }
-
-    /// Restores a snapshot taken from this store (shapes must match).
-    pub fn restore(&mut self, snapshot: &[Vec<f32>]) -> EngineResult<()> {
-        if snapshot.len() != self.values.len()
-            || snapshot
-                .iter()
-                .zip(&self.values)
-                .any(|(s, v)| s.len() != v.len())
-        {
-            return Err(EngineError::ModelShape(
-                "snapshot shape disagrees with the store".to_string(),
-            ));
-        }
-        for (v, s) in self.values.iter_mut().zip(snapshot) {
-            v.clone_from(s);
-        }
-        Ok(())
-    }
 }
 
 /// Cycle and progress counters for one training run.
@@ -291,21 +266,35 @@ impl ExecutionEngine {
     /// how the source happened to batch it.
     ///
     /// At each epoch boundary the source is rewound to replay the scan.
-    /// `store` holds the models and receives the result. This is the one
-    /// serial epoch loop ([`run_training_guarded`]) under a guard that
-    /// never cancels and injects nothing.
+    /// `store` holds the models and receives the result.
+    ///
+    /// This is the quiet loop over one [`crate::lowered::TrainingSession`]
+    /// — no token, no fault plan, no merge — that the backends, the
+    /// calibration and the tests call. No statement reaches it: every
+    /// EXECUTE runs `dana_parallel`'s guarded gang loop, whose one-member
+    /// case is held bit-identical to this loop in models and stats.
     pub fn run_training(
         &self,
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
     ) -> EngineResult<EngineStats> {
-        let never = CancelToken::none();
-        Ok(run_training_guarded(self, source, store, &RunGuard::new(&never))?.stats)
+        let mut session = self.training_session();
+        let max_epochs = self.design.convergence.max_epochs();
+        let mut epochs_run = 0u32;
+        let mut converged = false;
+        while epochs_run < max_epochs && !converged {
+            if epochs_run > 0 {
+                source.rewind()?;
+            }
+            converged = session.run_epoch(source, store)?;
+            epochs_run += 1;
+        }
+        Ok(session.finish(epochs_run, converged))
     }
 
     /// Starts an epoch-at-a-time [`crate::lowered::TrainingSession`] over
-    /// the deploy-time lowering. The serial epoch loop runs one of these;
-    /// the gang-scheduled shard executor runs one per shard and merges
+    /// the deploy-time lowering. [`ExecutionEngine::run_training`] runs
+    /// one of these; the guarded gang loop runs one per member and merges
     /// models at every epoch boundary.
     pub fn training_session(&self) -> crate::lowered::TrainingSession<'_> {
         crate::lowered::TrainingSession::new(&self.lowered, self.design.num_threads as usize)

@@ -30,18 +30,18 @@ pub enum EngineError {
     /// The upstream tuple source failed while producing a batch.
     Source(String),
     /// The query's deadline passed; raised by cooperative cancellation
-    /// checks at epoch boundaries.
+    /// checks at epoch boundaries and by admission shedding.
     DeadlineExceeded,
     /// A transient accelerator fault (injected or reported) at an epoch
-    /// boundary. Retryable: training resumes from the last completed
-    /// epoch's model snapshot.
+    /// boundary. Retryable: the member re-runs the epoch from the
+    /// epoch-start model.
     TransientFault { epoch: u32 },
 }
 
 impl EngineError {
-    /// Whether a retry (warm-started from the last epoch-boundary model
-    /// snapshot) can possibly succeed. Deterministic program errors —
-    /// bad schedules, shape mismatches — are not retryable.
+    /// Whether a retry (the epoch re-run from the epoch-start model) can
+    /// possibly succeed. Deterministic program errors — bad schedules,
+    /// shape mismatches — are not retryable.
     pub fn is_transient(&self) -> bool {
         matches!(self, EngineError::TransientFault { .. })
     }

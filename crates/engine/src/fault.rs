@@ -1,9 +1,10 @@
-//! Fault injection, cooperative cancellation, and guarded training runs.
+//! Fault injection, cooperative cancellation, and the guard a training
+//! run carries.
 //!
 //! The serving stack assumes accelerators that can hiccup mid-query: an
 //! instance drops a lease, a gang member faults at an epoch boundary, a
-//! query overruns its deadline. This module provides the three primitives
-//! the rest of the stack builds fault tolerance from:
+//! query overruns its deadline. This module provides the primitives the
+//! rest of the stack builds fault tolerance from:
 //!
 //! * [`CancelToken`] — cooperative cancellation. Queries carry a token and
 //!   the epoch loop checks it at every epoch boundary; an expired deadline
@@ -11,30 +12,27 @@
 //!   caller unwinds cleanly (leases released, buffer-pool frames dropped)
 //!   instead of being killed mid-scatter.
 //! * [`FaultPlan`] — a deterministic injection plan for tests and smoke
-//!   runs. Faults fire at exact epoch boundaries with a bounded budget, so
-//!   a seeded test replays bit-identically: no timers, no randomness.
-//! * [`run_training_guarded`] — **the** serial epoch loop (every
-//!   unguarded entry point, [`ExecutionEngine::run_training`] and both
-//!   backends, is this loop under a guard that never fires) with
-//!   cancellation checks, fault injection, and
-//!   bounded-exponential-backoff retry that warm-starts from the last
-//!   completed epoch's model snapshot — Bismarck's observation that
-//!   epoch-structured UDA training is naturally restartable from a model
-//!   snapshot, applied to fault recovery.
+//!   runs. Faults fire at exact (member, epoch) boundaries with a bounded
+//!   budget, so a seeded test replays bit-identically: no timers, no
+//!   randomness.
+//! * [`RunGuard`] — the token, the plan and the [`RetryPolicy`] one
+//!   statement's training runs under; [`FaultEvents`] is what fired.
 //!
-//! Injection happens *at* epoch boundaries — before any of the epoch's
-//! tuples are processed — so a retried epoch re-runs from exactly the
-//! state the no-fault run would have seen. That is what makes the
-//! recovered run's models **and** cycle counters bit-identical to an
-//! undisturbed one.
+//! The epoch loop that consults them is `dana_parallel`'s
+//! `train_gang_guarded`: every EXECUTE, of one member or several, is a
+//! gang. Its one fault policy is Bismarck's observation that
+//! epoch-structured training restarts from a model snapshot and that
+//! data-parallel training averages models: a faulted member re-runs its
+//! epoch from the epoch-start global model after a bounded-exponential
+//! backoff. Injection happens *at* the boundary — before any of the
+//! epoch's tuples are processed — so the re-run sees exactly the state
+//! the no-fault run would have, which is what keeps the recovered run's
+//! models **and** cycle counters bit-identical to an undisturbed one.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dana_storage::TupleSource;
-
-use crate::engine::{EngineStats, ExecutionEngine, ModelStore};
 use crate::error::{EngineError, EngineResult};
 
 /// Cooperative cancellation handle: a deadline, an explicit cancel flag,
@@ -103,15 +101,15 @@ impl CancelToken {
 }
 
 /// A deterministic fault-injection plan, installed per-test (or per smoke
-/// run) and consulted by the guarded epoch loops and the accelerator
-/// pool. Every fault site is an exact (shard, epoch) coordinate with a
+/// run) and consulted by the guarded epoch loop and the accelerator
+/// pool. Every fault site is an exact (member, epoch) coordinate with a
 /// bounded budget, so injected runs replay deterministically.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Epoch boundary at which to inject a transient fault.
     fail_epoch: Option<u32>,
-    /// Restrict the injection to one gang shard (`None` hits serial runs
-    /// and every shard alike).
+    /// Restrict the injection to one gang member (`None` hits every
+    /// member alike).
     fail_shard: Option<usize>,
     /// Epoch boundary at which to panic (worker isolation tests).
     panic_epoch: Option<u32>,
@@ -124,8 +122,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Injects `budget` transient faults at the boundary of `epoch` in
-    /// serial (non-gang) training runs.
+    /// Injects `budget` transient faults at the boundary of `epoch`, to
+    /// whichever gang members consult the plan first — members in order,
+    /// then their retries. A serial run is a gang of one.
     pub fn transient_at_epoch(epoch: u32, budget: u32) -> FaultPlan {
         FaultPlan {
             fail_epoch: Some(epoch),
@@ -167,14 +166,13 @@ impl FaultPlan {
         self.stall
     }
 
-    /// Consumes one injection if the plan targets this (shard, epoch)
-    /// coordinate. Serial runs pass `shard = None`; a shard-targeted plan
-    /// never fires for them.
-    pub fn should_fail(&self, shard: Option<usize>, epoch: u32) -> bool {
+    /// Consumes one injection if the plan targets this (member, epoch)
+    /// coordinate. A serial run's lone member is member 0.
+    pub fn should_fail(&self, member: usize, epoch: u32) -> bool {
         if self.fail_epoch != Some(epoch) {
             return false;
         }
-        if self.fail_shard.is_some() && self.fail_shard != shard {
+        if self.fail_shard.is_some_and(|s| s != member) {
             return false;
         }
         self.take_budget()
@@ -253,11 +251,11 @@ impl RetryPolicy {
 pub struct FaultEvents {
     /// Transient faults observed (injected or reported).
     pub transient_faults: u32,
-    /// Retries performed (each warm-started from the last snapshot).
+    /// Member epochs re-run from the epoch-start model after a fault.
     pub retries: u32,
     /// Total backoff pause across retries.
     pub backoff_seconds: f64,
-    /// Gang shards that faulted and were re-executed on a survivor.
+    /// Gang members that faulted, recovered or not (ascending, deduped).
     pub faulted_shards: Vec<usize>,
 }
 
@@ -278,7 +276,8 @@ impl FaultEvents {
 }
 
 /// Guard context for one training run: cancellation, optional fault
-/// injection, and the retry policy answering transient faults.
+/// injection, and the retry policy answering transient faults. The epoch
+/// loop consults it at every member's epoch boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct RunGuard<'a> {
     pub cancel: &'a CancelToken,
@@ -307,99 +306,9 @@ impl<'a> RunGuard<'a> {
     }
 }
 
-/// Result of a guarded training run: the sealed counters, the per-epoch
-/// cycle log (for lifecycle traces), and the fault events that occurred.
-#[derive(Debug, Clone)]
-pub struct GuardedRun {
-    pub stats: EngineStats,
-    pub epoch_cycles: Vec<u64>,
-    pub events: FaultEvents,
-}
-
-/// The serial epoch loop — the only one on the serial training path. An
-/// undisturbed run (no plan, a token that never cancels) just rewinds and
-/// runs epochs; otherwise, at every epoch boundary:
-///
-/// 1. a cooperative [`CancelToken::check`] (typed
-///    [`EngineError::DeadlineExceeded`] on expiry);
-/// 2. fault injection per the guard's [`FaultPlan`], if any;
-/// 3. on a transient fault: bounded exponential backoff, then retry the
-///    epoch warm-started from the last completed epoch's model snapshot.
-///    Because injection precedes the epoch's work, the snapshot equals
-///    the store's live state and the recovered run stays bit-identical.
-///
-/// Retries exhausted ⇒ the transient fault surfaces typed; the caller
-/// (server worker) releases the lease and reports the instance.
-pub fn run_training_guarded(
-    engine: &ExecutionEngine,
-    source: &mut dyn TupleSource,
-    store: &mut ModelStore,
-    guard: &RunGuard<'_>,
-) -> EngineResult<GuardedRun> {
-    let mut session = engine.training_session();
-    let max_epochs = engine.design().convergence.max_epochs();
-    let mut epochs_run = 0u32;
-    let mut converged_early = false;
-    let mut events = FaultEvents::default();
-    // Last epoch-boundary snapshot (initial models before epoch 0). Only
-    // a fault plan can trigger `restore`, so runs without one skip the
-    // per-epoch model clone.
-    let snapshot_of = |store: &ModelStore| guard.fault.map(|_| store.snapshot());
-    let mut snapshot = snapshot_of(store);
-    let mut epoch = 0u32;
-    // Consecutive failed attempts at the current epoch boundary.
-    let mut attempt = 0u32;
-    while epoch < max_epochs {
-        guard.cancel.check()?;
-        if let Some(plan) = guard.fault {
-            if plan.should_panic(epoch) {
-                panic!("injected accelerator panic at epoch {epoch}");
-            }
-            if plan.should_fail(None, epoch) {
-                events.transient_faults += 1;
-                if attempt >= guard.retry.max_retries {
-                    return Err(EngineError::TransientFault { epoch });
-                }
-                let pause = guard.retry.backoff_for(attempt);
-                attempt += 1;
-                events.retries += 1;
-                events.backoff_seconds += pause.as_secs_f64();
-                std::thread::sleep(pause);
-                // Bismarck-style warm start: restore the last completed
-                // epoch's model snapshot, then re-run this epoch.
-                let last = snapshot
-                    .as_deref()
-                    .expect("snapshot kept under a fault plan");
-                store.restore(last)?;
-                continue;
-            }
-        }
-        if epoch > 0 {
-            source.rewind().map_err(EngineError::from)?;
-        }
-        let converged = session.run_epoch(source, store)?;
-        epochs_run += 1;
-        snapshot = snapshot_of(store);
-        attempt = 0;
-        epoch += 1;
-        if converged {
-            converged_early = true;
-            break;
-        }
-    }
-    let (stats, epoch_cycles) = session.finish_logged(epochs_run, converged_early);
-    Ok(GuardedRun {
-        stats,
-        epoch_cycles,
-        events,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::{linreg_design, tuples};
-    use dana_storage::{OneBatchSource, TupleBatch};
 
     #[test]
     fn token_none_never_cancels() {
@@ -428,20 +337,25 @@ mod tests {
     #[test]
     fn plan_budget_is_consumed() {
         let plan = FaultPlan::transient_at_epoch(2, 2);
-        assert!(!plan.should_fail(None, 1));
-        assert!(plan.should_fail(None, 2));
-        assert!(plan.should_fail(None, 2));
-        assert!(!plan.should_fail(None, 2), "budget spent");
+        assert!(!plan.should_fail(0, 1));
+        assert!(plan.should_fail(0, 2));
+        assert!(
+            plan.should_fail(3, 2),
+            "an untargeted plan hits every member"
+        );
+        assert!(!plan.should_fail(0, 2), "budget spent");
         assert_eq!(plan.injected(), 2);
     }
 
     #[test]
-    fn shard_targeted_plan_skips_serial_and_other_shards() {
+    fn shard_targeted_plan_fires_for_its_member_only() {
         let plan = FaultPlan::shard_fault(1, 0);
-        assert!(!plan.should_fail(None, 0), "serial run untouched");
-        assert!(!plan.should_fail(Some(0), 0), "other shard untouched");
-        assert!(plan.should_fail(Some(1), 0));
-        assert!(!plan.should_fail(Some(1), 0), "single-shot");
+        assert!(!plan.should_fail(0, 0), "other member untouched");
+        assert!(!plan.should_fail(1, 1), "other epoch untouched");
+        assert!(plan.should_fail(1, 0));
+        assert!(!plan.should_fail(1, 0), "single-shot");
+        // A serial run's lone member is member 0, so member 0's plan hits it.
+        assert!(FaultPlan::shard_fault(0, 0).should_fail(0, 0));
     }
 
     #[test]
@@ -475,34 +389,5 @@ mod tests {
         a.absorb(&b);
         assert!(!a.is_quiet());
         assert_eq!(a.faulted_shards, vec![2]);
-    }
-
-    #[test]
-    fn quiet_guard_is_run_training_and_a_faulted_run_recovers_bit_identically() {
-        let design = linreg_design(4); // three epochs
-        let engine = ExecutionEngine::new(design.clone()).unwrap();
-        let batch = TupleBatch::from_rows(2, tuples(53));
-        let mut plain_store = ModelStore::zeroed(&design);
-        let plain = engine
-            .run_training(&mut OneBatchSource::new(&batch), &mut plain_store)
-            .unwrap();
-
-        let never = CancelToken::none();
-        let plan = FaultPlan::transient_at_epoch(1, 2);
-        let mut logs = Vec::new();
-        for (fault, retries) in [(None, 0), (Some(&plan), 2)] {
-            let guard = RunGuard::new(&never).with_fault(fault);
-            let mut store = ModelStore::zeroed(&design);
-            let mut source = OneBatchSource::new(&batch);
-            let run = run_training_guarded(&engine, &mut source, &mut store, &guard).unwrap();
-            assert_eq!(store, plain_store, "retries {retries}");
-            assert_eq!(run.stats, plain, "retries {retries}");
-            assert_eq!(run.events.retries, retries);
-            assert_eq!(run.epoch_cycles.iter().sum::<u64>(), plain.cycles);
-            logs.push(run.epoch_cycles);
-        }
-        assert_eq!(logs[0].len(), 3);
-        assert_eq!(logs[0], logs[1]);
-        assert_eq!(plan.injected(), 2);
     }
 }

@@ -37,8 +37,10 @@
 //! *reads* the model store (row `Gather`s) while nothing in it writes one:
 //! model write-back runs after the region. The post-merge region is the
 //! same loop over one lane.
-//! Every serial run goes through one epoch loop
-//! ([`run_training_guarded`]). [`ExecutionEngine::run_training_rows`]
+//! A statement's EXECUTE drives [`TrainingSession`]s from one guarded
+//! epoch loop, `dana_parallel`'s gang loop, for one member or several;
+//! [`ExecutionEngine::run_training`] is the quiet loop over one session
+//! that the backends and tests call. [`ExecutionEngine::run_training_rows`]
 //! ([`mod@reference`]), a direct `MicroOp` interpreter that shares nothing
 //! with the lowering pass and that no statement can reach, is kept as the
 //! one reference the executor is tested against.
@@ -63,8 +65,6 @@ pub use engine::{
     ConvergenceCheck, EngineDesign, EngineStats, ExecutionEngine, MergePlan, ModelStore, ModelWrite,
 };
 pub use error::{EngineError, EngineResult};
-pub use fault::{
-    run_training_guarded, CancelToken, FaultEvents, FaultPlan, GuardedRun, RetryPolicy, RunGuard,
-};
+pub use fault::{CancelToken, FaultEvents, FaultPlan, RetryPolicy, RunGuard};
 pub use isa::{AluOp, EngineProgram, Loc, MicroOp, Src, Step, AUS_PER_AC};
 pub use lowered::{lower, LoweredOp, LoweredProgram, TrainingSession};

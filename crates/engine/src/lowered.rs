@@ -599,13 +599,14 @@ impl LoweredProgram {
 /// SoA workspace and the accumulated cycle counters, with the model store
 /// supplied per epoch by the caller.
 ///
-/// This is the seam intra-query data parallelism hangs off: the serial
-/// path ([`crate::fault::run_training_guarded`]) loops epochs over one
-/// session, while the gang executor in `dana-parallel` runs one session
-/// **per shard**, joins them at every epoch boundary, and feeds each the
-/// *merged* model for the next epoch. Because both paths share this
-/// per-epoch code verbatim, a one-shard gang is bit-identical — models
-/// and stats — to the serial run.
+/// This is the seam intra-query data parallelism hangs off. Its epoch has
+/// two callers: the quiet loop
+/// ([`crate::engine::ExecutionEngine::run_training`]) runs epochs over one
+/// session, while the guarded gang loop in `dana-parallel` — the one every
+/// EXECUTE runs — holds one session **per member**, joins them at every
+/// epoch boundary, and feeds each the *merged* model for the next epoch.
+/// Because both share this per-epoch code verbatim, a one-member gang is
+/// bit-identical — models and stats — to the quiet loop.
 pub struct TrainingSession<'e> {
     lowered: &'e LoweredProgram,
     ws: SoaWorkspace,
@@ -630,7 +631,7 @@ impl<'e> TrainingSession<'e> {
     }
 
     /// Runs one full epoch over `source` (the caller rewinds between
-    /// epochs, exactly like the serial loop), training into `store`.
+    /// epochs), training into `store`.
     /// Returns whether the design's convergence condition fired.
     pub fn run_epoch(
         &mut self,

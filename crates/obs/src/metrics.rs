@@ -203,14 +203,13 @@ pub struct MetricsRegistry {
     pub staleness_invalidations: Counter,
     /// Transient accelerator faults observed (injected or reported).
     pub transient_faults: Counter,
-    /// Retries performed, each warm-started from the last epoch snapshot.
+    /// Member epochs re-run from the epoch-start model after a fault.
     pub fault_retries: Counter,
     /// Queries that hit their deadline during execution.
     pub deadline_exceeded: Counter,
-    /// Gang members that faulted mid-training.
+    /// Gang members that faulted mid-training, recovered or not (a serial
+    /// EXECUTE's lone member included).
     pub gang_member_faults: Counter,
-    /// Failed shards re-executed on a surviving gang member.
-    pub shard_reexecutions: Counter,
     /// Panicking dispatches caught and turned into typed replies.
     pub panics_caught: Counter,
     // ---- online serving tier ------------------------------------------
@@ -324,7 +323,6 @@ impl MetricsRegistry {
             ("retries", &self.fault_retries),
             ("deadline_exceeded", &self.deadline_exceeded),
             ("gang_member_faults", &self.gang_member_faults),
-            ("shard_reexecutions", &self.shard_reexecutions),
             ("panics_caught", &self.panics_caught),
         ];
         for (name, c) in faults {

@@ -8,8 +8,10 @@ use dana_infer::InferError;
 /// Failures planning or executing a gang-scheduled parallel query.
 #[derive(Debug)]
 pub enum ParallelError {
-    /// A shard's engine run failed (reported for the lowest-index failing
-    /// shard, so concurrent failures surface deterministically).
+    /// A shard's engine run failed, or its epoch boundary did: the query
+    /// deadline passed, or a transient fault outlived the retry policy
+    /// (reported for the lowest-index failing shard, so concurrent
+    /// failures surface deterministically).
     Engine { shard: usize, source: EngineError },
     /// A shard's scoring run failed.
     Infer { shard: usize, source: InferError },
@@ -20,9 +22,6 @@ pub enum ParallelError {
     UnsupportedMerge { model: String, reason: String },
     /// A gang needs at least one shard.
     EmptyGang,
-    /// The gang's query deadline passed at an epoch boundary
-    /// (cooperative cancellation).
-    Cancelled,
     /// Per-shard partial models disagree with the design's model shapes.
     ModelShape(String),
 }
@@ -43,9 +42,6 @@ impl fmt::Display for ParallelError {
                 )
             }
             ParallelError::EmptyGang => write!(f, "a gang needs at least one shard"),
-            ParallelError::Cancelled => {
-                write!(f, "gang training cancelled: query deadline exceeded")
-            }
             ParallelError::ModelShape(msg) => write!(f, "partial-model shape: {msg}"),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! A gang runs the *same* cached lowered program on every member, each
 //! member streaming its own page-range shard. Training is
-//! **epoch-synchronous**: all shards run one epoch from the same global
+//! **epoch-synchronous**: all members run one epoch from the same global
 //! model, join at the epoch boundary, and the merge tier
 //! ([`crate::merge`]) produces the next global model — the shard-level
 //! analogue of the engine's per-batch thread merge. Scoring is
@@ -11,15 +11,21 @@
 //! writing a PREDICT's table: members write disjoint ranges of its output
 //! pages ([`materialize_gang`]).
 //!
-//! Shard threads are real OS threads (`std::thread::scope`), so on a
-//! multi-core host the wall clock shrinks too; the *simulated* timing is
-//! composed by the caller from the per-shard counters returned here
-//! (critical-path shard + merge-tier cycles). A **one-member scoring
-//! gang spawns nothing**: it runs inline on the caller's thread, which
-//! is what lets every serial PREDICT/EVALUATE be a gang of one instead of
-//! a second code path.
+//! Every statement is a gang, a serial one of one member: training,
+//! scoring and materialization all hand their members to one spawn helper
+//! that runs a **lone member inline** on the caller's thread and gives
+//! several one OS thread each (`std::thread::scope`), so on a multi-core
+//! host the wall clock shrinks too. Every EXECUTE runs one guarded epoch
+//! loop ([`train_gang_guarded`]) with one fault policy: a faulted member
+//! re-runs its epoch from the epoch-start global model after a bounded
+//! backoff. The *simulated* timing is composed by the caller from the
+//! per-member counters returned here (critical-path member + merge-tier
+//! cycles).
 
-use dana_engine::{CancelToken, EngineStats, ExecutionEngine, FaultPlan, ModelStore};
+use dana_engine::{
+    CancelToken, EngineError, EngineResult, EngineStats, ExecutionEngine, FaultEvents, ModelStore,
+    RunGuard, TrainingSession,
+};
 use dana_infer::{
     evaluate_source_partial, score_source, InferError, Materialization, MetricKind, MetricPartial,
     ScoringProgram, ScoringStats,
@@ -44,11 +50,10 @@ pub struct GangOutcome {
     /// Tree-bus / model-port cycles the epoch-boundary merge tier
     /// charged, summed over all epochs. Zero for a one-shard gang.
     pub merge_cycles: u64,
-    /// Shards that faulted mid-training and were re-executed on a
-    /// survivor (deduplicated, ascending). Empty for a no-fault run.
-    pub faulted_shards: Vec<usize>,
-    /// Shard-epochs re-executed to recover from faults.
-    pub reexecuted_epochs: u32,
+    /// Engine cycles of each epoch on the critical member: the
+    /// element-wise maximum of the members' per-epoch logs (a lone
+    /// member's own log). The lifecycle trace's epoch spans follow it.
+    pub epoch_cycles: Vec<u64>,
 }
 
 /// Watches a shard's first scan to record which factor rows its tuples
@@ -109,12 +114,12 @@ impl TupleSource for OwnershipRecorder<'_> {
 }
 
 /// Runs gang-scheduled, epoch-synchronous training: one
-/// [`dana_engine::TrainingSession`] per shard, all executing the shared
-/// engine's lowered program, merged deterministically at every epoch
-/// boundary. `sources` are the per-shard tuple streams in shard order;
-/// `init` is the initial global model.
+/// [`TrainingSession`] per member, all executing the shared engine's
+/// lowered program, merged deterministically at every epoch boundary.
+/// `sources` are the per-member tuple streams in member order; `init` is
+/// the initial global model.
 ///
-/// A one-shard gang is **bit-identical** to
+/// A one-member gang is **bit-identical** to
 /// [`ExecutionEngine::run_training`] — same per-epoch code, identity
 /// merge — in both models and cycle stats.
 pub fn train_gang<S: TupleSource + Send>(
@@ -122,59 +127,48 @@ pub fn train_gang<S: TupleSource + Send>(
     sources: &mut [S],
     init: Vec<Vec<f32>>,
 ) -> ParallelResult<GangOutcome> {
-    let cancel = CancelToken::none();
-    train_gang_guarded(engine, sources, init, &GangGuard::new(&cancel))
+    let never = CancelToken::none();
+    let guard = RunGuard::new(&never);
+    train_gang_guarded(engine, sources, init, &guard, &mut FaultEvents::default())
 }
 
-/// Guard context for a gang run: cooperative cancellation plus an
-/// optional deterministic fault plan (see [`dana_engine::FaultPlan`]).
-#[derive(Debug, Clone, Copy)]
-pub struct GangGuard<'a> {
-    pub cancel: &'a CancelToken,
-    pub fault: Option<&'a FaultPlan>,
-}
-
-impl<'a> GangGuard<'a> {
-    /// Cancellation only, no injection.
-    pub fn new(cancel: &'a CancelToken) -> GangGuard<'a> {
-        GangGuard {
-            cancel,
-            fault: None,
-        }
-    }
-
-    pub fn with_fault(mut self, fault: Option<&'a FaultPlan>) -> GangGuard<'a> {
-        self.fault = fault;
-        self
-    }
-}
-
-/// [`train_gang`] with graceful degradation. At every epoch boundary the
-/// guard's token is checked (typed [`ParallelError::Cancelled`] on
-/// expiry) and the fault plan, if any, may fail a gang member. A faulted
-/// shard's epoch is **re-executed on a survivor** after the barrier:
-/// because every shard starts each epoch from a fresh store holding the
-/// merged global model, and injection precedes the epoch's work, the
-/// re-executed epoch — and therefore the deterministic merge and the
-/// final models — is bit-identical to the no-fault run. The outcome
-/// reports which shards faulted so the pool can quarantine the instances
-/// that backed them.
+/// [`train_gang`] under a statement's guard: the epoch loop every EXECUTE
+/// runs, at any member count and on either backend. At every epoch
+/// boundary, member by member in order, the token is checked (a passed
+/// deadline fails the run with [`EngineError::DeadlineExceeded`]) and the
+/// fault plan is consulted. A member the plan faults re-runs its epoch
+/// from the epoch-start global model after the retry policy's backoff;
+/// after `max_retries` consecutive faults the run fails with the
+/// transient fault, naming the member. Because injection precedes the
+/// epoch's work and the merge folds in member order, a recovered run is
+/// bit-identical to the undisturbed one.
+///
+/// `events` records what fired — every member that faulted, recovered or
+/// not — and is filled even when the run fails, so the caller can report
+/// the instances behind those members. A lone member pays for nothing it
+/// does not use: it runs on the caller's thread and trains the global
+/// model in place, with no copy, no merge and no ownership recording.
 pub fn train_gang_guarded<S: TupleSource + Send>(
     engine: &ExecutionEngine,
     sources: &mut [S],
     init: Vec<Vec<f32>>,
-    guard: &GangGuard<'_>,
+    guard: &RunGuard<'_>,
+    events: &mut FaultEvents,
 ) -> ParallelResult<GangOutcome> {
     let k = sources.len();
     if k == 0 {
         return Err(ParallelError::EmptyGang);
     }
     let design = engine.design();
-    let spec = MergeSpec::derive(design)?;
-    let own_columns = spec.ownership_columns();
-    let mut ownership: Vec<ShardOwnership> =
-        (0..k).map(|_| ShardOwnership::for_spec(&spec)).collect();
-
+    // A lone member's merge is the identity: there are no merge semantics
+    // to derive and no factor-row ownership to record.
+    let spec = (k > 1).then(|| MergeSpec::derive(design)).transpose()?;
+    let own_columns = spec
+        .as_ref()
+        .map(MergeSpec::ownership_columns)
+        .unwrap_or_default();
+    let unowned = spec.as_ref().map(ShardOwnership::for_spec);
+    let mut ownership = vec![unowned.unwrap_or_default(); k];
     let mut sessions: Vec<_> = (0..k).map(|_| engine.training_session()).collect();
     let mut global = init;
     let max_epochs = design.convergence.max_epochs();
@@ -182,147 +176,85 @@ pub fn train_gang_guarded<S: TupleSource + Send>(
     let mut converged_early = false;
     let mut merge_cycles = 0u64;
     let mut shard_tuples: Vec<u64> = vec![0; k];
-    let mut faulted_shards: Vec<usize> = Vec::new();
-    let mut reexecuted_epochs = 0u32;
 
-    for epoch in 0..max_epochs {
-        if guard.cancel.is_cancelled() {
-            return Err(ParallelError::Cancelled);
+    while epochs_run < max_epochs && !converged_early {
+        let epoch = epochs_run;
+        if guard.fault.is_some_and(|plan| plan.should_panic(epoch)) {
+            panic!("injected accelerator panic at epoch {epoch}");
         }
-        if let Some(plan) = guard.fault {
-            if plan.should_panic(epoch) {
-                panic!("injected accelerator panic at gang epoch {epoch}");
-            }
-        }
-        // Every shard starts the epoch from the merged global model.
-        let mut stores: Vec<ModelStore> = Vec::with_capacity(k);
-        for _ in 0..k {
-            stores.push(
-                ModelStore::new(design, global.clone())
-                    .map_err(|e| ParallelError::ModelShape(e.to_string()))?,
-            );
-        }
-
-        // One OS thread per shard, joined at the epoch boundary (the
-        // gang's barrier). Each thread owns its shard's source, session,
-        // store, and ownership bitmap for the duration of the epoch.
-        let results: Vec<Result<bool, dana_engine::EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .iter_mut()
-                .zip(sessions.iter_mut())
-                .zip(stores.iter_mut())
-                .zip(ownership.iter_mut())
-                .enumerate()
-                .map(|(shard, (((source, session), store), own))| {
-                    let columns = own_columns.as_slice();
-                    let fault = guard.fault;
-                    scope.spawn(move || {
-                        if let Some(plan) = fault {
-                            // The member faults *before* touching any of
-                            // the epoch's tuples, so the survivor re-runs
-                            // from exactly the epoch-start state.
-                            if plan.should_fail(Some(shard), epoch) {
-                                return Err(dana_engine::EngineError::TransientFault { epoch });
-                            }
-                        }
-                        if epoch > 0 {
-                            source.rewind().map_err(dana_engine::EngineError::from)?;
-                            session.run_epoch(source, store)
-                        } else if columns.is_empty() {
-                            session.run_epoch(source, store)
-                        } else {
-                            // First scan: record factor-row ownership.
-                            let mut recorder = OwnershipRecorder {
-                                inner: source,
-                                columns,
-                                ownership: own,
-                            };
-                            session.run_epoch(&mut recorder, store)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread must not panic"))
-                .collect()
-        });
-
-        // Surface the lowest-index *terminal* failure deterministically;
-        // transient member faults degrade to survivor re-execution.
-        let mut flags: Vec<Option<bool>> = vec![None; k];
-        let mut faulted_now: Vec<usize> = Vec::new();
-        for (shard, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(flag) => flags[shard] = Some(flag),
-                Err(source) if source.is_transient() => faulted_now.push(shard),
-                Err(source) => return Err(ParallelError::Engine { shard, source }),
-            }
-        }
-
-        // Graceful degradation: re-execute each faulted shard's epoch on
-        // a survivor. A fresh store from the epoch-start global model and
-        // a rewound source reproduce the epoch bit-identically, keeping
-        // the deterministic merge — and the final models — unchanged.
-        for &s in &faulted_now {
-            stores[s] = ModelStore::new(design, global.clone())
-                .map_err(|e| ParallelError::ModelShape(e.to_string()))?;
-            sources[s].rewind().map_err(|e| ParallelError::Engine {
-                shard: s,
-                source: dana_engine::EngineError::from(e),
-            })?;
-            let run = if epoch == 0 && !own_columns.is_empty() {
-                ownership[s] = ShardOwnership::for_spec(&spec);
-                let mut recorder = OwnershipRecorder {
-                    inner: &mut sources[s],
-                    columns: own_columns.as_slice(),
-                    ownership: &mut ownership[s],
-                };
-                sessions[s].run_epoch(&mut recorder, &mut stores[s])
+        // Every member starts the epoch from the global model; a lone
+        // member takes it rather than a copy.
+        let mut members = Vec::with_capacity(k);
+        let shares = sources.iter_mut().zip(&mut sessions).zip(&mut ownership);
+        for (member, ((source, session), ownership)) in shares.enumerate() {
+            let ready = at_boundary(guard, member, epoch, events)?;
+            let values = if k == 1 {
+                std::mem::take(&mut global)
             } else {
-                sessions[s].run_epoch(&mut sources[s], &mut stores[s])
+                global.clone()
             };
-            let flag = run.map_err(|source| ParallelError::Engine { shard: s, source })?;
-            flags[s] = Some(flag);
-            reexecuted_epochs += 1;
-            if !faulted_shards.contains(&s) {
-                faulted_shards.push(s);
+            members.push(MemberEpoch {
+                source,
+                session,
+                ownership,
+                store: ModelStore::new(design, values)
+                    .map_err(|e| ParallelError::ModelShape(e.to_string()))?,
+                ready,
+            });
+        }
+
+        // The members that passed the boundary run the epoch together;
+        // then each faulted one re-runs it once its retry passes.
+        let mut converged = run_members(&mut members, |m| {
+            if m.ready {
+                m.run(epoch, &own_columns).map(Some)
+            } else {
+                Ok(None)
+            }
+        })?;
+        for (member, (m, flag)) in members.iter_mut().zip(&mut converged).enumerate() {
+            if flag.is_none() {
+                recover(guard, member, epoch, events)?;
+                *flag = Some(m.run(epoch, &own_columns).map_err(|e| e.at(member))?);
             }
         }
-        let flags: Vec<bool> = flags
-            .into_iter()
-            .map(|f| f.expect("every shard either ran or was re-executed"))
-            .collect();
+        let stores: Vec<ModelStore> = members.into_iter().map(|m| m.store).collect();
 
         if epoch == 0 {
-            for (s, session) in sessions.iter().enumerate() {
-                shard_tuples[s] = session.stats().tuples_processed;
+            for (tuples, session) in shard_tuples.iter_mut().zip(&sessions) {
+                *tuples = session.stats().tuples_processed;
             }
         }
-
-        // Epoch-boundary merge, folded in shard-index order.
-        let mut buffer = MergeBuffer::new(&spec, k, std::mem::take(&mut global));
-        for (s, store) in stores.into_iter().enumerate() {
-            buffer.submit(s, store.into_values(), shard_tuples[s]);
-        }
-        let (merged, cycles) = buffer.finish(&ownership)?;
-        global = merged;
-        merge_cycles += cycles;
-
+        global = match &spec {
+            None => stores.into_iter().next().expect("one member").into_values(),
+            // Epoch-boundary merge, folded in member order.
+            Some(spec) => {
+                let mut buffer = MergeBuffer::new(spec, k, std::mem::take(&mut global));
+                for (s, store) in stores.into_iter().enumerate() {
+                    buffer.submit(s, store.into_values(), shard_tuples[s]);
+                }
+                let (merged, cycles) = buffer.finish(&ownership)?;
+                merge_cycles += cycles;
+                merged
+            }
+        };
         epochs_run += 1;
-        // The gang converges when every shard's condition fired — for a
-        // one-shard gang this is exactly the serial check.
-        if !flags.is_empty() && flags.iter().all(|f| *f) {
-            converged_early = true;
-            break;
-        }
+        // The gang converges when every member's condition fired — for a
+        // lone member this is exactly the quiet loop's check.
+        converged_early = converged.iter().all(|c| *c == Some(true));
     }
 
+    let mut epoch_cycles = vec![0u64; epochs_run as usize];
     let shard_stats = sessions
         .into_iter()
-        .map(|s| s.finish(epochs_run, converged_early))
+        .map(|session| {
+            let (stats, log) = session.finish_logged(epochs_run, converged_early);
+            for (critical, cycles) in epoch_cycles.iter_mut().zip(log) {
+                *critical = (*critical).max(cycles);
+            }
+            stats
+        })
         .collect();
-    faulted_shards.sort_unstable();
     Ok(GangOutcome {
         models: global,
         epochs_run,
@@ -330,29 +262,132 @@ pub fn train_gang_guarded<S: TupleSource + Send>(
         shard_stats,
         shard_tuples,
         merge_cycles,
-        faulted_shards,
-        reexecuted_epochs,
+        epoch_cycles,
     })
 }
 
-/// Runs `work` over every member's share — its source, or its range of
-/// output pages — and returns the results in shard order, failures tagged
-/// with their shard index. One member runs **inline on the calling
-/// thread** — a serial statement is a gang of one, and pays for no
-/// thread; several members get one OS thread each, joined before
-/// returning.
-fn run_members<S: Send, T: Send>(
-    sources: &mut [S],
-    work: impl Fn(&mut S) -> Result<T, InferError> + Sync,
+/// One member's share of an epoch: its stream, engine session and
+/// ownership bitmap, the model it trains, and whether it passed the
+/// epoch boundary.
+struct MemberEpoch<'m, 'e, S> {
+    source: &'m mut S,
+    session: &'m mut TrainingSession<'e>,
+    ownership: &'m mut ShardOwnership,
+    store: ModelStore,
+    ready: bool,
+}
+
+impl<S: TupleSource> MemberEpoch<'_, '_, S> {
+    /// Runs the member's epoch: its first attempt and every retry. A
+    /// faulted member has touched neither its source nor its store, so a
+    /// retry starts from the epoch-start global model, like the first
+    /// attempt. A gang member's first scan records the factor rows its
+    /// tuples touch.
+    fn run(&mut self, epoch: u32, columns: &[(usize, usize, usize)]) -> EngineResult<bool> {
+        let mut recorder;
+        let source: &mut dyn TupleSource = if epoch > 0 {
+            self.source.rewind()?;
+            &mut *self.source
+        } else if columns.is_empty() {
+            &mut *self.source
+        } else {
+            recorder = OwnershipRecorder {
+                inner: &mut *self.source,
+                columns,
+                ownership: &mut *self.ownership,
+            };
+            &mut recorder
+        };
+        self.session.run_epoch(source, &mut self.store)
+    }
+}
+
+/// A member's epoch boundary: the token, then the fault plan. Consulted
+/// on the caller's thread in member order, so a plan's budget is spent
+/// the same way every run. `Ok(false)` is a transient fault, recorded in
+/// `events`; a passed deadline is terminal.
+fn at_boundary(
+    guard: &RunGuard<'_>,
+    member: usize,
+    epoch: u32,
+    events: &mut FaultEvents,
+) -> ParallelResult<bool> {
+    guard.cancel.check().map_err(|e| e.at(member))?;
+    if !guard
+        .fault
+        .is_some_and(|plan| plan.should_fail(member, epoch))
+    {
+        return Ok(true);
+    }
+    events.transient_faults += 1;
+    if let Err(at) = events.faulted_shards.binary_search(&member) {
+        events.faulted_shards.insert(at, member);
+    }
+    Ok(false)
+}
+
+/// Answers a member's fault: after each backoff its boundary is tried
+/// again, until it passes or `max_retries` consecutive attempts have
+/// faulted — then the transient fault is terminal and names the member.
+fn recover(
+    guard: &RunGuard<'_>,
+    member: usize,
+    epoch: u32,
+    events: &mut FaultEvents,
+) -> ParallelResult<()> {
+    for attempt in 0..guard.retry.max_retries {
+        let pause = guard.retry.backoff_for(attempt);
+        events.retries += 1;
+        events.backoff_seconds += pause.as_secs_f64();
+        std::thread::sleep(pause);
+        if at_boundary(guard, member, epoch, events)? {
+            return Ok(());
+        }
+    }
+    Err(EngineError::TransientFault { epoch }.at(member))
+}
+
+/// A member's failure, tagged with the member that failed.
+trait MemberError: Send {
+    fn at(self, shard: usize) -> ParallelError;
+}
+
+impl MemberError for EngineError {
+    fn at(self, shard: usize) -> ParallelError {
+        ParallelError::Engine {
+            shard,
+            source: self,
+        }
+    }
+}
+
+impl MemberError for InferError {
+    fn at(self, shard: usize) -> ParallelError {
+        ParallelError::Infer {
+            shard,
+            source: self,
+        }
+    }
+}
+
+/// Runs `work` over every member's share — its epoch, its source, or its
+/// range of output pages — and returns the results in member order, the
+/// first failure tagged with its member. One member runs **inline on the
+/// calling thread** — a serial statement is a gang of one, and pays for
+/// no thread; several members get one OS thread each, joined before
+/// returning (training's epoch barrier).
+fn run_members<S: Send, T: Send, E: MemberError>(
+    members: &mut [S],
+    work: impl Fn(&mut S) -> Result<T, E> + Sync,
 ) -> ParallelResult<Vec<T>> {
-    let results: Vec<Result<T, InferError>> = match sources {
+    let results: Vec<Result<T, E>> = match members {
         [] => return Err(ParallelError::EmptyGang),
         [only] => vec![work(only)],
         many => std::thread::scope(|scope| {
             let work = &work;
             let handles: Vec<_> = many
                 .iter_mut()
-                .map(|source| scope.spawn(move || work(source)))
+                .map(|member| scope.spawn(move || work(member)))
                 .collect();
             handles
                 .into_iter()
@@ -363,7 +398,7 @@ fn run_members<S: Send, T: Send>(
     results
         .into_iter()
         .enumerate()
-        .map(|(shard, r)| r.map_err(|source| ParallelError::Infer { shard, source }))
+        .map(|(shard, r)| r.map_err(|e| e.at(shard)))
         .collect()
 }
 
@@ -379,7 +414,7 @@ pub fn score_gang_concat<S: TupleSource + Send>(
     lanes: u16,
     sources: &mut [S],
 ) -> ParallelResult<(Vec<f32>, Vec<ScoringStats>)> {
-    let shards = run_members(sources, |source| {
+    let shards = run_members(sources, |source| -> Result<_, InferError> {
         let mut out = Vec::with_capacity(source.tuple_count_hint().unwrap_or(0) as usize);
         let stats = score_source(program, lanes, source, &mut out)?;
         Ok((out, stats))
@@ -426,7 +461,7 @@ pub fn evaluate_gang<S: TupleSource + Send>(
     sources: &mut [S],
     metric: MetricKind,
 ) -> ParallelResult<Vec<ShardEval>> {
-    run_members(sources, |source| {
+    run_members(sources, |source| -> Result<_, InferError> {
         let (partial, stats) = evaluate_source_partial(program, lanes, source, metric)?;
         Ok(ShardEval { partial, stats })
     })
@@ -436,7 +471,9 @@ pub fn evaluate_gang<S: TupleSource + Send>(
 mod tests {
     use super::*;
     use dana_engine::isa::{AluOp, EngineProgram, Loc, MicroOp, Src, Step};
-    use dana_engine::{ConvergenceCheck, EngineDesign, MergePlan, ModelWrite};
+    use dana_engine::{
+        ConvergenceCheck, EngineDesign, FaultPlan, MergePlan, ModelWrite, RetryPolicy,
+    };
     use dana_ml::Link;
 
     /// The engine crate's hand-scheduled 2-feature linear regression.
@@ -567,6 +604,56 @@ mod tests {
         assert!((w[1] + 1.0).abs() < 0.15, "w = {w:?}");
     }
 
+    /// Runs `sources` as one gang under `fault` with `retries`, returning
+    /// the outcome and what fired.
+    fn guarded(
+        engine: &ExecutionEngine,
+        sources: &mut [crate::ReplaySource],
+        fault: Option<&FaultPlan>,
+        retries: u32,
+    ) -> (ParallelResult<GangOutcome>, FaultEvents) {
+        let never = CancelToken::none();
+        let retry = RetryPolicy {
+            max_retries: retries,
+            ..RetryPolicy::default()
+        };
+        let guard = RunGuard::new(&never).with_fault(fault).with_retry(retry);
+        let mut events = FaultEvents::default();
+        let run = train_gang_guarded(engine, sources, vec![vec![0.0, 0.0]], &guard, &mut events);
+        (run, events)
+    }
+
+    /// A lone member under a guard that fires nothing is the quiet loop,
+    /// and one whose epoch faults twice recovers bit-identically to it —
+    /// models, counters and per-epoch log.
+    #[test]
+    fn quiet_guard_is_run_training_and_a_faulted_run_recovers_bit_identically() {
+        let design = linreg_design(4, 3);
+        let engine = ExecutionEngine::new(design.clone()).unwrap();
+        let rows = tuples(53);
+        let mut plain_store = ModelStore::new(&design, vec![vec![0.0, 0.0]]).unwrap();
+        let plain = engine
+            .run_training(&mut replay(&rows, 16), &mut plain_store)
+            .unwrap();
+        let plain_models = plain_store.into_values();
+
+        let plan = FaultPlan::transient_at_epoch(1, 2);
+        let mut logs = Vec::new();
+        for (fault, retries) in [(None, 0), (Some(&plan), 2)] {
+            let (run, events) = guarded(&engine, &mut [replay(&rows, 16)], fault, 3);
+            let run = run.unwrap();
+            assert_eq!(run.models, plain_models, "retries {retries}");
+            assert_eq!(run.shard_stats, vec![plain], "retries {retries}");
+            assert_eq!(events.retries, retries);
+            assert_eq!(events.transient_faults, retries);
+            assert_eq!(run.epoch_cycles.iter().sum::<u64>(), plain.cycles);
+            logs.push(run.epoch_cycles);
+        }
+        assert_eq!(logs[0].len(), 3);
+        assert_eq!(logs[0], logs[1]);
+        assert_eq!(plan.injected(), 2);
+    }
+
     #[test]
     fn gang_member_fault_degrades_bit_identically() {
         let design = linreg_design(4, 20);
@@ -575,46 +662,83 @@ mod tests {
         let halves: Vec<&[Vec<f32>]> = vec![&rows[..120], &rows[120..]];
         let run = |fault: Option<&FaultPlan>| {
             let mut sources: Vec<_> = halves.iter().map(|h| replay(h, 16)).collect();
-            let cancel = CancelToken::none();
-            let guard = GangGuard::new(&cancel).with_fault(fault);
-            train_gang_guarded(&engine, &mut sources, vec![vec![0.0, 0.0]], &guard).unwrap()
+            let (run, events) = guarded(&engine, &mut sources, fault, 3);
+            (run.unwrap(), events)
         };
-        let clean = run(None);
-        assert!(clean.faulted_shards.is_empty());
-        assert_eq!(clean.reexecuted_epochs, 0);
+        let (clean, quiet) = run(None);
+        assert!(quiet.is_quiet());
 
         let plan = FaultPlan::shard_fault(1, 3);
-        let degraded = run(Some(&plan));
+        let (degraded, events) = run(Some(&plan));
         assert_eq!(plan.injected(), 1, "the member fault must fire");
-        assert_eq!(degraded.faulted_shards, vec![1]);
-        assert_eq!(degraded.reexecuted_epochs, 1);
+        assert_eq!(events.faulted_shards, vec![1]);
+        assert_eq!(events.retries, 1);
         assert_eq!(
             degraded.models, clean.models,
-            "survivor re-execution must keep the merge bit-identical"
+            "re-running the member's epoch must keep the merge bit-identical"
         );
         assert_eq!(degraded.shard_stats, clean.shard_stats);
         assert_eq!(degraded.merge_cycles, clean.merge_cycles);
+        assert_eq!(degraded.epoch_cycles, clean.epoch_cycles);
     }
 
     #[test]
     fn epoch_zero_member_fault_preserves_ownership_merge() {
-        // Epoch-0 faults exercise the ownership-recorder re-wrap path.
+        // Epoch-0 faults exercise the first scan's ownership recording.
         let design = linreg_design(4, 6);
         let engine = ExecutionEngine::new(design.clone()).unwrap();
         let rows = tuples(160);
         let halves: Vec<&[Vec<f32>]> = vec![&rows[..80], &rows[80..]];
         let run = |fault: Option<&FaultPlan>| {
             let mut sources: Vec<_> = halves.iter().map(|h| replay(h, 16)).collect();
-            let cancel = CancelToken::none();
-            let guard = GangGuard::new(&cancel).with_fault(fault);
-            train_gang_guarded(&engine, &mut sources, vec![vec![0.0, 0.0]], &guard).unwrap()
+            let (run, events) = guarded(&engine, &mut sources, fault, 3);
+            (run.unwrap(), events)
         };
-        let clean = run(None);
+        let (clean, _) = run(None);
         let plan = FaultPlan::shard_fault(0, 0);
-        let degraded = run(Some(&plan));
+        let (degraded, events) = run(Some(&plan));
         assert_eq!(degraded.models, clean.models);
         assert_eq!(degraded.shard_tuples, clean.shard_tuples);
-        assert_eq!(degraded.faulted_shards, vec![0]);
+        assert_eq!(events.faulted_shards, vec![0]);
+    }
+
+    /// A gang honours the retry policy: with no retries a member's fault
+    /// is terminal, typed, and names the member — which `events` reports
+    /// too.
+    #[test]
+    fn exhausted_retries_fail_naming_the_member() {
+        let design = linreg_design(4, 6);
+        let engine = ExecutionEngine::new(design).unwrap();
+        let rows = tuples(160);
+        let plan = FaultPlan::shard_fault(1, 2);
+        let mut sources: Vec<_> = [&rows[..80], &rows[80..]]
+            .iter()
+            .map(|h| replay(h, 16))
+            .collect();
+        let (run, events) = guarded(&engine, &mut sources, Some(&plan), 0);
+        match run.unwrap_err() {
+            ParallelError::Engine { shard, source } => {
+                assert_eq!(shard, 1);
+                assert_eq!(source, EngineError::TransientFault { epoch: 2 });
+            }
+            other => panic!("expected a member's transient fault, got {other}"),
+        }
+        assert_eq!(events.faulted_shards, vec![1]);
+        assert_eq!((events.transient_faults, events.retries), (1, 0));
+    }
+
+    /// The gang's epoch log is its critical member's: the larger half
+    /// charges more cycles per epoch, and each epoch logs its count.
+    #[test]
+    fn gang_epoch_log_is_the_critical_members() {
+        let design = linreg_design(4, 5);
+        let engine = ExecutionEngine::new(design).unwrap();
+        let rows = tuples(240);
+        let mut sources = vec![replay(&rows[..150], 16), replay(&rows[150..], 16)];
+        let outcome = train_gang(&engine, &mut sources, vec![vec![0.0, 0.0]]).unwrap();
+        let critical = outcome.shard_stats.iter().map(|s| s.cycles).max().unwrap();
+        assert!(outcome.shard_stats[1].cycles < critical);
+        assert_eq!(outcome.epoch_cycles, vec![critical / 5; 5]);
     }
 
     #[test]
@@ -625,10 +749,27 @@ mod tests {
         let mut sources = vec![replay(&rows, 16)];
         let cancel = CancelToken::manual();
         cancel.cancel();
-        let guard = GangGuard::new(&cancel);
-        let err =
-            train_gang_guarded(&engine, &mut sources, vec![vec![0.0, 0.0]], &guard).unwrap_err();
-        assert!(matches!(err, ParallelError::Cancelled), "{err}");
+        let guard = RunGuard::new(&cancel);
+        let mut events = FaultEvents::default();
+        let err = train_gang_guarded(
+            &engine,
+            &mut sources,
+            vec![vec![0.0, 0.0]],
+            &guard,
+            &mut events,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ParallelError::Engine {
+                    shard: 0,
+                    source: EngineError::DeadlineExceeded
+                }
+            ),
+            "{err}"
+        );
+        assert!(events.is_quiet());
     }
 
     /// Wraps a member's source and notes which thread pulls its batches.

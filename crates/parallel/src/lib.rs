@@ -29,10 +29,11 @@
 //! * partials merge **in shard-index order**, whatever order shards
 //!   complete in ([`merge::MergeBuffer`] buffers by index);
 //! * a one-shard training gang is the **identity merge** — bit-identical
-//!   (models *and* stats) to the serial engine. The system still runs a
-//!   one-member training scan on the serial epoch loop: the two loops
-//!   answer a fault differently (in-place retry vs. survivor
-//!   re-execution), which is policy, not duplication;
+//!   (models *and* stats) to the engine's quiet loop
+//!   (`ExecutionEngine::run_training`). Every EXECUTE in the system is a
+//!   [`train_gang_guarded`] call, serial ones included, with one fault
+//!   policy: a faulted member re-runs its epoch from the epoch-start
+//!   global model after a bounded backoff;
 //! * a one-member **scoring** gang is not merely bit-identical to serial
 //!   scoring — it *is* the serial path: [`score_gang_concat`] and
 //!   [`evaluate_gang`] run a lone member inline on the caller's thread,
@@ -50,7 +51,7 @@ pub mod shard;
 
 pub use error::{ParallelError, ParallelResult};
 pub use gang::{
-    evaluate_gang, materialize_gang, score_gang_concat, train_gang, train_gang_guarded, GangGuard,
+    evaluate_gang, materialize_gang, score_gang_concat, train_gang, train_gang_guarded,
     GangOutcome, ShardEval,
 };
 pub use merge::{MergeBuffer, MergeSpec, ModelMergeKind, ShardOwnership};

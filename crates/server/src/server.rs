@@ -827,15 +827,11 @@ fn worker_loop(
                 Err(ServerError::QueryPanicked(panic_message(payload.as_ref())))
             }
         };
-        // Quarantine wiring: gang members whose shards faulted (even
-        // when the run recovered) and serially-leased instances whose
-        // retries were exhausted report to the pool's health machine.
+        // Quarantine wiring: the instance behind every gang member that
+        // faulted — recovered or not, a serial statement's lone member
+        // included — reports to the pool's health machine.
         if let Some(lease) = &lease {
-            let mut faulted = ctx.faulted_shards();
-            if matches!(&result, Err(ServerError::Dana(e)) if e.is_transient_fault()) {
-                faulted.push(0);
-            }
-            for shard in faulted {
+            for shard in ctx.faulted_shards() {
                 if let Some(&id) = lease.ids().get(shard) {
                     accels.report_fault(id);
                 }

@@ -16,12 +16,15 @@
 //! * [`heap`] — heap files: ordered collections of pages on the simulated
 //!   disk;
 //! * [`disk`] — a sequential/seek disk timing model (SSD-class by default);
-//! * [`bufferpool`] — a pin-count + clock-eviction buffer pool with warm /
-//!   cold cache control and hit/miss statistics (the paper's default setup
-//!   is an 8 GB pool of 32 KB pages, §7);
-//! * [`shared_pool`] — the concurrent variant: sharded frames behind
-//!   interior mutability, `Arc` page images instead of pin counts, for the
-//!   serving tier's many simultaneous scans;
+//! * [`shared_pool`] — the one buffer pool, [`SharedBufferPool`]: sharded
+//!   clock-eviction frames behind interior mutability, `Arc` page images
+//!   in place of pin counts, warm / cold cache control and hit/miss
+//!   statistics, for one embedded scan or the serving tier's many
+//!   simultaneous ones;
+//! * [`bufferpool`] — its sizing and counters ([`BufferPoolConfig`], the
+//!   paper's default being an 8 GB pool of 32 KB pages, §7;
+//!   [`BufferPoolStats`]) and the tests holding a one-shard pool to the
+//!   plain clock-cache contract;
 //! * [`catalog`] — the RDBMS catalog's database half: table metadata and
 //!   the heaps behind it. The accelerator half ("DAnA stores accelerator
 //!   metadata ... in the RDBMS's catalog", §3) is typed by the engine, so it

@@ -8,13 +8,14 @@
 //! A linear-regression table is trained through the SQL front door of a
 //! running [`dana_server::DanaServer`], twice: once undisturbed, once
 //! with a deterministic [`dana_engine::FaultPlan`] that kills gang
-//! member 1 at epoch 2. The degraded run re-executes the lost shard on
-//! a survivor and the PR 5 merge reproduces the clean model **bit for
-//! bit** (asserted). The faulted instance walks the health machine
-//! (healthy → suspect; a second strike would quarantine it), a probe
-//! reinstates it, and the run closes with the `SHOW STATS('faults')`
-//! table plus a deadline + panic-isolation vignette. `DANA_SMOKE=1`
-//! shrinks the table for CI.
+//! member 1 at epoch 2. The one fault policy — the same for a serial
+//! statement, a gang of one — re-runs the member's epoch from the
+//! epoch-start global model after a backoff, and the deterministic merge
+//! reproduces the clean model **bit for bit** (asserted). The faulted
+//! member's instance walks the health machine (healthy → suspect; a
+//! second strike would quarantine it), and the run closes with the
+//! `SHOW STATS('faults')` table plus a deadline + panic-isolation
+//! vignette. `DANA_SMOKE=1` shrinks the table for CI.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(degraded_report.engine.cycles, clean_report.engine.cycles);
     println!(
-        "faulted run:  gang {:?}, member 1 died at epoch 2 — shard re-executed on a survivor",
+        "faulted run:  gang {:?}, member 1 died at epoch 2 — its epoch re-run after backoff",
         degraded.gang
     );
     println!(
@@ -100,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         degraded_report.models == clean_report.models
     );
 
-    // ---- 3. the health machine and the probe ---------------------------
+    // ---- 3. the health machine ----------------------------------------
     let health = srv.pool_health();
     let suspect = health
         .states

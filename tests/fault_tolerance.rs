@@ -2,11 +2,12 @@
 //! accelerator fault injection ([`dana_engine::FaultPlan`]) rehearsed
 //! against a live [`DanaServer`], asserting
 //!
-//! * a gang run that loses a member mid-training completes degraded but
-//!   **bit-identical** to the no-fault run (quarantine + shard
-//!   re-execution on a survivor);
-//! * serial transient faults retry with bounded backoff, warm-started
-//!   from the last epoch's model snapshot, and stay bit-identical;
+//! * one fault policy at every gang size, a serial statement being a gang
+//!   of one: a faulted member re-runs its epoch from the epoch-start
+//!   model after a bounded backoff, the recovered run is
+//!   **bit-identical** to the no-fault run, exhausted retries are a typed
+//!   fault naming the member, and every faulted member's instance is
+//!   reported to the health machine;
 //! * a timed-out query surfaces the typed deadline error and releases
 //!   its lease and every buffer-pool frame;
 //! * a panicking dispatch returns the typed `QueryPanicked` reply while
@@ -16,8 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dana::prelude::*;
+use dana::{ParallelError, PhysicalPlan, PlanOp, QueryCtx, SpanRecorder, SystemCore};
 use dana_dsl::zoo::{linear_regression, DenseParams};
-use dana_engine::FaultPlan;
+use dana_engine::{CancelToken, EngineError, FaultPlan, RetryPolicy};
 use dana_server::{
     AdmissionConfig, DanaServer, Health, QueryRequest, SchedPolicy, ServerConfig, ServerError,
     SystemCoreConfig,
@@ -87,10 +89,10 @@ fn deployed_server(
     srv
 }
 
-/// A gang run that loses member 1 at epoch 3 completes via shard
-/// re-execution on a survivor, bit-identical to the undisturbed run;
-/// the faulted member's pool instance is reported to the health machine
-/// — whether the gang was asked for in SQL or through the typed request.
+/// A gang run that loses member 1 at epoch 3 completes by re-running the
+/// member's epoch, bit-identical to the undisturbed run; the faulted
+/// member's pool instance is reported to the health machine — whether
+/// the gang was asked for in SQL or through the typed request.
 #[test]
 fn gang_member_fault_degrades_bit_identically() {
     for request in [
@@ -133,15 +135,16 @@ fn gang_member_fault_degrades_bit_identically() {
         let stats = srv.stats_snapshot(Some("faults"));
         assert_eq!(stats.get("faults", "gang_member_faults"), Some(1.0));
         assert_eq!(stats.get("faults", "faults_reported"), Some(1.0));
-        assert!(stats.get("faults", "shard_reexecutions").unwrap_or(0.0) >= 1.0);
+        assert_eq!(stats.get("faults", "transient_faults"), Some(1.0));
+        assert_eq!(stats.get("faults", "retries"), Some(1.0));
         assert_eq!(srv.core().held_frames(), 0);
     }
 }
 
-/// Serial transient faults retry with backoff (warm-started from the
-/// last epoch's snapshot) and the recovered run is bit-identical; with
-/// `WITH (retries = 0)` the same fault is terminal and quarantines the
-/// instance after a second strike.
+/// Serial transient faults retry with backoff (the epoch re-run from the
+/// epoch-start model) and the recovered run is bit-identical; with
+/// `WITH (retries = 0)` the same fault is terminal. Both runs report
+/// their instance, recovered or not.
 #[test]
 fn serial_transient_fault_retries_bit_identically() {
     let srv = trained_server(2, 1);
@@ -162,12 +165,21 @@ fn serial_transient_fault_retries_bit_identically() {
         .unwrap()
         .report()
         .clone();
-    assert_eq!(recovered.models, clean.models, "warm start must be exact");
+    assert_eq!(
+        recovered.models, clean.models,
+        "the re-run epoch must be exact"
+    );
     assert_eq!(recovered.epochs_run, clean.epochs_run);
     assert_eq!(recovered.engine.cycles, clean.engine.cycles);
     let stats = srv.stats_snapshot(Some("faults"));
     assert_eq!(stats.get("faults", "transient_faults"), Some(2.0));
     assert_eq!(stats.get("faults", "retries"), Some(2.0));
+    // The recovered member's instance (1: instance 0 ran the clean run)
+    // was reported.
+    assert_eq!(
+        srv.pool_health().states,
+        vec![Health::Healthy, Health::Suspect]
+    );
 
     // retries = 0 makes the next injected fault terminal and typed.
     srv.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(1, 1))));
@@ -183,12 +195,127 @@ fn serial_transient_fault_retries_bit_identically() {
     }
     srv.install_fault_plan(None);
     let health = srv.pool_health();
-    assert!(
-        health.states.contains(&Health::Suspect),
-        "exhausted retries must report the instance: {:?}",
-        health.states
+    assert_eq!(
+        health.states,
+        vec![Health::Suspect, Health::Suspect],
+        "exhausted retries must report the instance"
     );
+    assert_eq!(health.faults_reported, 2);
     assert_eq!(srv.core().held_frames(), 0);
+}
+
+/// One fault-history matrix instead of hand-picked policies: gangs of
+/// k ∈ {1, 2, 3} members × a plan that faults every member
+/// (`transient_at_epoch`) or one (`shard_fault`), at a seeded epoch and
+/// budget × `retries` ∈ {0, 1, 3}. Under the one rule a run either
+/// recovers bit-identically to the clean run — models, engine counters
+/// (merge cycles included) and per-epoch trace — with one retry per fault
+/// fired, or fails with a typed transient fault naming the first member
+/// that faulted. Either way the reported members are exactly those that
+/// faulted and no buffer-pool frame stays pinned.
+#[test]
+fn fault_history_matrix_follows_one_rule() {
+    let core = SystemCore::new(SystemCoreConfig {
+        fpga: FpgaSpec::vu9p(),
+        pool: BufferPoolConfig {
+            pool_bytes: 64 << 20,
+            page_size: PAGE,
+        },
+        pool_shards: 4,
+        disk: DiskModel::ssd(),
+    });
+    core.create_table("t", linreg_heap(600, 8)).unwrap();
+    core.deploy(&spec(8), "t").unwrap();
+    let epochs = 12u32;
+
+    // One EXECUTE of `shards` members under `retries`: its report (or
+    // error), its engine epoch spans, the members it reported, and the
+    // retries it counted.
+    let execute = |shards: u16, retries: u32| {
+        let plan = PhysicalPlan {
+            shards,
+            ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
+        };
+        let retry = RetryPolicy {
+            max_retries: retries,
+            ..RetryPolicy::default()
+        };
+        let ctx = QueryCtx::new(CancelToken::none(), retry);
+        let rec = SpanRecorder::enabled();
+        let counted = core.metrics().fault_retries.get();
+        let result = core.execute(&plan, &rec, &ctx);
+        let trace = rec.finish(0.0, 0.0).unwrap();
+        let epoch_spans: Vec<f64> = trace
+            .stage("engine")
+            .map(|s| s.children.iter().map(|c| c.sim_seconds).collect())
+            .unwrap_or_default();
+        assert_eq!(core.held_frames(), 0, "{shards} shards, retries {retries}");
+        let report = result.map(|outcome| outcome.report().clone());
+        let counted = core.metrics().fault_retries.get() - counted;
+        (report, epoch_spans, ctx.faulted_shards(), counted)
+    };
+
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed % n
+    };
+    for k in 1..=3u16 {
+        let (clean, clean_spans, quiet, _) = execute(k, 3);
+        let clean = clean.unwrap();
+        assert_eq!(clean.shards, k);
+        assert!(quiet.is_empty());
+        for every_member in [true, false] {
+            for retries in [0u32, 1, 3] {
+                let epoch = draw(epochs as u64) as u32;
+                let (plan, faulted): (FaultPlan, Vec<usize>) = if every_member {
+                    let budget = 1 + draw(4) as u32;
+                    let hit = budget.min(k as u32) as usize;
+                    (
+                        FaultPlan::transient_at_epoch(epoch, budget),
+                        (0..hit).collect(),
+                    )
+                } else {
+                    let member = draw(k as u64) as usize;
+                    (FaultPlan::shard_fault(member, epoch), vec![member])
+                };
+                let case = format!("k {k}, {plan:?}, retries {retries}");
+                let plan = Arc::new(plan);
+                core.install_fault_plan(Some(Arc::clone(&plan)));
+                let (run, spans, reported, counted) = execute(k, retries);
+                core.install_fault_plan(None);
+
+                assert_eq!(reported, faulted, "{case}: reported members");
+                let fired = plan.injected();
+                // Members are retried in order, so a plan's faults beyond
+                // one per member land on the first: it recovers while they
+                // fit in its retries.
+                let extra = fired - faulted.len() as u64;
+                if retries > 0 && extra < retries as u64 {
+                    let run = run.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(run.models, clean.models, "{case}");
+                    assert_eq!(run.engine, clean.engine, "{case}");
+                    assert_eq!(spans, clean_spans, "{case}: epoch spans");
+                    assert_eq!(counted, fired, "{case}: one retry per fault");
+                } else {
+                    match run {
+                        Err(DanaError::Parallel(ParallelError::Engine { shard, source })) => {
+                            assert_eq!(shard, faulted[0], "{case}");
+                            assert!(
+                                matches!(source, EngineError::TransientFault { epoch: e } if e == epoch),
+                                "{case}: {source}"
+                            );
+                        }
+                        other => {
+                            panic!("{case}: expected a member's transient fault, got {other:?}")
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A query whose deadline expires mid-flight surfaces the typed

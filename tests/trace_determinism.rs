@@ -18,12 +18,13 @@
 use dana::prelude::*;
 use dana::{QueryTrace, StatementOutcome};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
+use dana_parallel::{train_gang, ReplaySource, ShardPlan};
 use dana_server::{
     AdmissionConfig, DanaServer, QueryRequest, QueryResponse, SchedPolicy, ServerConfig,
     SystemCoreConfig,
 };
 use dana_storage::page::TupleDirection;
-use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema};
+use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, TupleBatch};
 
 const PAGE: usize = 8 * 1024;
 
@@ -249,6 +250,51 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
         );
         srv.shutdown();
     }
+}
+
+/// A gang's `EXPLAIN ANALYZE` epoch children follow its epoch log — the
+/// per-epoch cycles of its critical member — as a serial run's follow its
+/// own: each child is the engine stage's share in the log's proportion.
+#[test]
+fn gang_epoch_children_follow_its_epoch_log() {
+    let spec = spec_for(Algorithm::Linear);
+    let db = fresh_dana();
+    db.create_table("t", heap_for(Algorithm::Linear, 900))
+        .unwrap();
+    db.deploy(&spec, "t").unwrap();
+    let report = serial_analyze(
+        &db,
+        "EXPLAIN ANALYZE EXECUTE dana.linearR('t') WITH (backend = fpga, shards = 2);",
+    );
+    assert_eq!(report.outcome.report().shards, 2);
+
+    // The same gang replayed: one member per page range of the table.
+    let heap = db.table_snapshot("t").unwrap();
+    let rows = heap.scan_batch().unwrap();
+    let width = rows.width();
+    let mut taken = 0;
+    let mut members: Vec<ReplaySource> = ShardPlan::new(&heap, 2)
+        .tuple_counts()
+        .into_iter()
+        .map(|n| {
+            let batch = TupleBatch::from_rows(width, rows.rows().skip(taken).take(n as usize));
+            taken += n as usize;
+            ReplaySource::new(width, vec![batch])
+        })
+        .collect();
+    let engine = &db.accelerator_runtime("linearR").unwrap().engine;
+    let init = dana::exec::initial_models(engine.design());
+    let log = train_gang(engine, &mut members, init).unwrap().epoch_cycles;
+
+    let stage = report.trace.stage("engine").unwrap();
+    let logged: u64 = log.iter().sum();
+    let children: Vec<f64> = stage.children.iter().map(|c| c.sim_seconds).collect();
+    let expected: Vec<f64> = log
+        .iter()
+        .map(|&c| stage.sim_seconds * c as f64 / logged as f64)
+        .collect();
+    assert_eq!(log.len(), 3);
+    assert_eq!(children, expected);
 }
 
 /// `WITH (trace = on)` rides the trace on an ordinary reply — same
