@@ -7,7 +7,9 @@
 //!    (hardware generator + scheduler), and the accelerator — the
 //!    validated, lowered engine with its budget and scoring recipe — is
 //!    stored in the catalog, typed, under the UDF's name;
-//! 2. [`SystemCore::bind`] — a parsed statement is bound, once, to a
+//! 2. [`SystemCore::bind`] — a parsed statement, lowered by
+//!    [`SystemCore::lower`] (the one place both front doors turn a
+//!    statement into work), is bound, once, to a
 //!    [`PhysicalPlan`]: operation, scan, gang size, substrate, and one
 //!    engine price (the advisor's FPGA estimate and the scheduler's cost
 //!    hint are the same [`advisor::Workload::engine_seconds`], at this
@@ -80,8 +82,8 @@ use crate::exec::{self, CachedAccelerator, ShardArtifacts, TrainedModels};
 use crate::plan::{PhysicalPlan, PlanOp, Wrap};
 use crate::query::Call;
 use crate::report::{
-    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
-    Seconds, StatementOutcome,
+    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryResponse,
+    Seconds,
 };
 use crate::runtime::ExecutionMode;
 use crate::source::{ScanState, SharedPageStreamSource};
@@ -111,10 +113,10 @@ impl Default for SystemCoreConfig {
 /// Per-query execution context: the cooperative cancellation token the
 /// epoch loop checks at every boundary, the retry policy answering
 /// transient faults, and the out-channel reporting which gang members
-/// faulted, recovered or not (so the worker can report the pool
-/// instances behind them). Built by the server worker from the
+/// faulted, recovered or not (so a server worker can report the pool
+/// instances behind them). [`SystemCore::lower`] builds it from the
 /// statement's `WITH (timeout_ms / retries)` options;
-/// [`QueryCtx::unbounded`] is the embedded/default path — never cancels,
+/// [`QueryCtx::unbounded`] is the typed entry points' — never cancels,
 /// default retries.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
@@ -496,7 +498,7 @@ impl SystemCore {
     /// Folds one finished front-door statement into the registry:
     /// completion/failure counters, the wall-clock histogram, the backend
     /// split, epochs trained, and the point-query latency series.
-    pub fn record_statement(&self, result: Result<&StatementOutcome, &DanaError>, wall: Seconds) {
+    pub fn record_statement(&self, result: Result<&QueryResponse, &DanaError>, wall: Seconds) {
         let m = &self.metrics;
         match result {
             Ok(outcome) => {
@@ -508,8 +510,8 @@ impl SystemCore {
                     None => {}
                 }
                 match outcome {
-                    StatementOutcome::Train(o) => m.epochs_run.add(o.report.epochs_run as u64),
-                    StatementOutcome::Point(_) => {
+                    QueryResponse::Trained(r) => m.epochs_run.add(r.epochs_run as u64),
+                    QueryResponse::Point(_) => {
                         m.point_queries.inc();
                         m.point_latency.record(wall);
                     }
@@ -873,10 +875,10 @@ impl SystemCore {
         plan: &PhysicalPlan,
         walls: &FrontDoorWalls,
         ctx: &QueryCtx,
-    ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
+    ) -> DanaResult<(QueryResponse, Option<QueryTrace>)> {
         let comparison = match &plan.wrap {
             Wrap::None => return Ok((self.execute(plan, &SpanRecorder::disabled(), ctx)?, None)),
-            Wrap::Explain(c) => return Ok((StatementOutcome::Explain((**c).clone()), None)),
+            Wrap::Explain(c) => return Ok((QueryResponse::Explained((**c).clone()), None)),
             Wrap::Trace => None,
             Wrap::Analyze(c) => Some((**c).clone()),
         };
@@ -885,13 +887,12 @@ impl SystemCore {
         rec.add_wall(exec::stage::LEASE, walls.lease);
         let start = Instant::now();
         let outcome = self.execute(plan, &rec, ctx)?;
-        let total_sim = outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0);
-        let trace = exec::finish_trace(&rec, total_sim, start.elapsed().as_secs_f64())
+        let trace = exec::finish_trace(&rec, outcome.sim_seconds(), start.elapsed().as_secs_f64())
             .expect("enabled recorder yields a trace");
         Ok(match comparison {
             None => (outcome, Some(trace)),
             Some(comparison) => (
-                StatementOutcome::Analyze(Box::new(AnalyzeReport {
+                QueryResponse::Analyzed(Box::new(AnalyzeReport {
                     outcome,
                     trace,
                     comparison: Some(comparison),
@@ -913,7 +914,7 @@ impl SystemCore {
         plan: &PhysicalPlan,
         rec: &SpanRecorder,
         ctx: &QueryCtx,
-    ) -> DanaResult<StatementOutcome> {
+    ) -> DanaResult<QueryResponse> {
         if plan.shards > 1 && plan.backend == BackendKind::Cpu {
             return Err(exec::gang_needs_fpga());
         }
@@ -921,19 +922,15 @@ impl SystemCore {
             ctx.cancel.check()?;
         }
         Ok(match &plan.op {
-            PlanOp::Train => StatementOutcome::Train(QueryOutcome {
-                udf: plan.udf.clone(),
-                table: plan.table.clone(),
-                report: self.train(plan, rec, ctx)?,
-            }),
+            PlanOp::Train => QueryResponse::Trained(self.train(plan, rec, ctx)?),
             PlanOp::PredictInto { dest } => {
-                StatementOutcome::Predict(self.predict_into(plan, dest, rec)?)
+                QueryResponse::Predicted(self.predict_into(plan, dest, rec)?)
             }
             PlanOp::Evaluate { metric } => {
-                StatementOutcome::Evaluate(self.evaluate_scan(plan, *metric, rec)?)
+                QueryResponse::Evaluated(self.evaluate_scan(plan, *metric, rec)?)
             }
-            PlanOp::Score { lanes } => StatementOutcome::Point(self.score(plan, *lanes, rec)?),
-            PlanOp::Point { rows } => StatementOutcome::Point(self.point(plan, rows, rec)?),
+            PlanOp::Score { lanes } => QueryResponse::Point(self.score(plan, *lanes, rec)?),
+            PlanOp::Point { rows } => QueryResponse::Point(self.point(plan, rows, rec)?),
         })
     }
 
@@ -1544,7 +1541,7 @@ impl SystemCore {
 mod tests {
     use super::*;
     use crate::pipeline::tests::linreg_heap;
-    use crate::{parse_statement, Dana, Statement};
+    use crate::{parse_statement, Dana, Work};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::Tuple;
 
@@ -1562,12 +1559,11 @@ mod tests {
         })
     }
 
-    /// Binds `sql` — a call, bare or under EXPLAIN — against `cap` leases.
+    /// Lowers `sql` — a call, bare or under EXPLAIN — against `cap` leases.
     fn bind_sql(core: &SystemCore, sql: &str, cap: usize) -> DanaResult<PhysicalPlan> {
-        match parse_statement(sql).unwrap() {
-            Statement::Call(call) => core.bind(&call, None, cap),
-            Statement::Explain(call) => core.bind(&call, Some(Wrap::Explain), cap),
-            other => panic!("{other:?} has no plan to bind"),
+        match core.lower(&parse_statement(sql).unwrap(), cap)?.0 {
+            Work::Plan(plan) => Ok(*plan),
+            Work::Stats(_) => panic!("SHOW STATS has no plan to bind"),
         }
     }
 
@@ -1700,7 +1696,7 @@ mod tests {
             || -> Vec<Arc<ScanSidecar>> { core.read().sidecars.values().cloned().collect() };
         let filtered = || {
             let out = core.execute_statement("EVALUATE dana.linearR('t') WHERE x0 < 0.25;");
-            out.unwrap().eval_report().value
+            out.unwrap().eval_report().unwrap().value
         };
         let mut values = Vec::new();
         // The second round re-creates `t` under the same name with
@@ -1865,7 +1861,7 @@ mod tests {
         let cpu = core
             .execute_statement("SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
             .unwrap();
-        let cpu = cpu.report();
+        let cpu = cpu.report().unwrap();
         assert_eq!(cpu.backend, BackendKind::Cpu);
         assert_eq!(cpu.models, fpga.models, "tiers must agree bit-for-bit");
         assert_eq!(cpu.engine.cycles, fpga.engine.cycles);
@@ -1879,7 +1875,7 @@ mod tests {
         let p_cpu = core
             .execute_statement("PREDICT dana.linearR('t') INTO 'pc' WITH (backend = cpu);")
             .unwrap();
-        let p_cpu = p_cpu.predict_report();
+        let p_cpu = p_cpu.predict_report().unwrap();
         assert_eq!(p_cpu.backend, BackendKind::Cpu);
         assert_eq!(p_fpga.backend, BackendKind::Fpga);
         assert!(p_cpu.timing.wall_seconds.is_some());
@@ -1892,7 +1888,7 @@ mod tests {
         let e_cpu = core
             .execute_statement("EVALUATE dana.linearR('t') WITH (backend = cpu);")
             .unwrap();
-        let e_cpu = e_cpu.eval_report();
+        let e_cpu = e_cpu.eval_report().unwrap();
         assert_eq!(e_cpu.value, e_fpga.value);
         assert_eq!(e_cpu.backend, BackendKind::Cpu);
     }
@@ -1938,10 +1934,13 @@ mod tests {
             core.execute(&conflict, &SpanRecorder::disabled(), &QueryCtx::unbounded()),
             Err(DanaError::Query(_))
         ));
-        // SHOW STATS executes nothing: there is no plan to explain.
+        // SHOW STATS executes nothing: there is no comparison to read.
         assert!(matches!(
-            core.explain_sql("SHOW STATS;"),
-            Err(DanaError::Query(_))
+            core.execute_statement("SHOW STATS;").unwrap().comparison(),
+            Err(DanaError::UnexpectedResponse {
+                expected: "explain",
+                got: "stats"
+            })
         ));
     }
 

@@ -29,6 +29,12 @@ pub enum DanaError {
     ModelNotTrained {
         udf: String,
     },
+    /// A typed accessor asked a [`crate::QueryResponse`] for a different
+    /// kind than the statement answered with.
+    UnexpectedResponse {
+        expected: &'static str,
+        got: &'static str,
+    },
 }
 
 impl fmt::Display for DanaError {
@@ -50,6 +56,9 @@ impl fmt::Display for DanaError {
                 f,
                 "accelerator '{udf}' has no trained model yet: run EXECUTE before PREDICT/EVALUATE"
             ),
+            DanaError::UnexpectedResponse { expected, got } => {
+                write!(f, "expected a {expected} response, got {got}")
+            }
         }
     }
 }

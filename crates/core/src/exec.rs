@@ -27,7 +27,7 @@ use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
 use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, SpanRecorder};
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
-use dana_storage::{DiskModel, HeapFile, PageLayoutDesc, TUPLE_HEADER_BYTES};
+use dana_storage::{DiskModel, HeapFile, HeapFileBuilder, Schema};
 use dana_strider::{AccessEngine, AccessEngineConfig, AccessStats};
 
 use crate::advisor::Workload;
@@ -313,9 +313,9 @@ pub fn record_scan_metrics(
 }
 
 /// Tuples per page of the virtual *materialized filtered table* a
-/// pushdown gang plans its shard boundaries against: the page capacity a
-/// [`dana_storage::HeapFileBuilder`] would compute for the projected
-/// schema at the source heap's page size and placement direction.
+/// pushdown gang plans its shard boundaries against: the page capacity
+/// [`HeapFileBuilder::layout_for`] gives the projected schema at the
+/// source heap's page size and placement direction.
 /// Post-filter tuples land densely packed in such a table, so splitting
 /// the filtered stream at multiples of this capacity reproduces the
 /// table's [`dana_parallel::ShardPlan`] boundaries exactly — which is
@@ -323,16 +323,15 @@ pub fn record_scan_metrics(
 /// the pre-materialized table.
 pub fn packed_page_capacity(heap: &HeapFile, spec: &BoundScanSpec) -> DanaResult<u64> {
     let schema = heap.schema();
-    let data_width: usize = match &spec.projection {
-        Some(proj) => proj.iter().map(|&c| schema.columns()[c].ty.width()).sum(),
-        None => schema.tuple_data_width(),
-    };
-    let layout = PageLayoutDesc::new(
-        heap.layout().page_size,
-        0,
-        TUPLE_HEADER_BYTES + data_width,
-        TUPLE_HEADER_BYTES,
-        heap.layout().direction,
+    let projected = spec.projection.as_ref().map(|cols| {
+        let columns = cols.iter().map(|&c| &schema.columns()[c]);
+        Schema::new(columns.map(|col| (col.name.clone(), col.ty)).collect())
+    });
+    let source = heap.layout();
+    let layout = HeapFileBuilder::layout_for(
+        projected.as_ref().unwrap_or(schema),
+        source.page_size,
+        source.direction,
     )?;
     Ok(u64::from(layout.capacity))
 }

@@ -13,7 +13,7 @@
 //!  DSL (dana-dsl) ──► hDFG (dana-hdfg) ──► compiler (dana-compiler)
 //!                                              │ engine design + Strider program
 //!                                              ▼
-//!  SQL ─lex─► tokens ─parse─► Statement{Call} ──[SystemCore::bind]──► PhysicalPlan
+//!  SQL ─lex─► tokens ─parse─► Statement{Call} ──[SystemCore::lower]──► PhysicalPlan
 //!                     │ catalog (dana-storage)                          │
 //!                     ▼                                                 ▼
 //!               buffer pool ◄──────────────────────────────── [SystemCore::execute]
@@ -26,9 +26,11 @@
 //! [`SystemCore`] is the one implementation: catalog, buffer pool, the
 //! statement binder and the plan executor, usable from any thread.
 //! [`Dana`] is that core embedded — a one-shard pool, statements run on
-//! the caller's thread — plus the SQL string front door. The serving tier
-//! (`dana-server`) puts admission control and accelerator leases in front
-//! of the same core.
+//! the caller's thread. Both front doors — the embedded
+//! [`SystemCore::execute_statement`] and the serving tier (`dana-server`),
+//! which puts admission control and accelerator leases in front of the
+//! same core — lower a statement through [`SystemCore::lower`] and answer
+//! with one [`QueryResponse`].
 //!
 //! ## Quickstart
 //!
@@ -46,8 +48,8 @@
 //! db.deploy(&spec, "patient_data").unwrap();
 //!
 //! // Run it from SQL.
-//! let out = db.execute("SELECT * FROM dana.linearR('patient_data');").unwrap();
-//! assert!(out.report.timing.total_seconds > 0.0);
+//! let out = db.execute_statement("SELECT * FROM dana.linearR('patient_data');").unwrap();
+//! assert!(out.report().unwrap().timing.total_seconds > 0.0);
 //! ```
 
 pub mod advisor;
@@ -82,12 +84,11 @@ pub use dana_scan::{
 };
 pub use error::{DanaError, DanaResult};
 pub use exec::{CachedAccelerator, ShardArtifacts, TrainedModels};
-pub use pipeline::Dana;
+pub use pipeline::{Dana, Work};
 pub use plan::{PhysicalPlan, PlanOp, Wrap};
-pub use query::{parse_query, parse_statement, Call, Statement, WithOptions};
+pub use query::{parse_statement, Call, Statement, WithOptions};
 pub use report::{
-    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryOutcome,
-    StatementOutcome,
+    AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryResponse,
 };
 pub use runtime::ExecutionMode;
 pub use source::{ScanOutcome, ScanState, SharedPageStreamSource};
@@ -97,7 +98,7 @@ pub mod prelude {
     pub use crate::advisor::{BackendChoice, HardwareProfile, StrategyComparison};
     pub use crate::core::DeployInfo;
     pub use crate::pipeline::Dana;
-    pub use crate::report::{DanaReport, DanaTiming, QueryOutcome};
+    pub use crate::report::{DanaReport, DanaTiming, QueryResponse};
     pub use crate::runtime::ExecutionMode;
     pub use crate::{DanaError, DanaResult};
     pub use dana_dsl::{parse_udf, AlgoBuilder, AlgoSpec, MergeOp};

@@ -1,29 +1,35 @@
-//! The embedded front door: SQL strings in, outcomes out, on the caller's
-//! thread — and [`Dana`], the name for a [`SystemCore`] used that way.
+//! The front door: one lowering for both doors, and [`Dana`], the name
+//! for a [`SystemCore`] used embedded.
 //!
-//! There is no second implementation behind it. `Dana::new` builds the
-//! core with a **one-shard** buffer pool — a single second-chance clock
-//! over all frames, so replacement order (and therefore simulated I/O) is
-//! that of one plain pool — and every statement is parsed into its
-//! [`crate::Call`], bound to its [`crate::PhysicalPlan`] and run right
-//! here (`SHOW STATS` has neither and just snapshots the registry);
-//! `Deref` exposes the rest of the core (DDL, deploy, the typed entry
-//! points, statistics). The serving tier puts admission control and
-//! accelerator leases in front of the same core instead.
+//! A parsed [`Statement`] becomes work in one place,
+//! [`SystemCore::lower`]: a call — bare, under `EXPLAIN` or under
+//! `EXPLAIN ANALYZE` — is bound to its [`crate::PhysicalPlan`], `SHOW
+//! STATS` binds nothing, and the statement's `WITH (timeout_ms, retries)`
+//! become its [`QueryCtx`]. The embedded door,
+//! [`SystemCore::execute_statement`], lowers and runs on the caller's
+//! thread; the serving tier (`dana-server`) lowers at submit and runs on
+//! a worker holding accelerator leases. Both answer with one
+//! [`QueryResponse`].
+//!
+//! There is no second implementation behind `Dana`. `Dana::new` builds
+//! the core with a **one-shard** buffer pool — a single second-chance
+//! clock over all frames, so replacement order (and therefore simulated
+//! I/O) is that of one plain pool — and `Deref` exposes the rest of the
+//! core (DDL, deploy, the typed entry points, statistics).
 
 use std::ops::Deref;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use dana_engine::{CancelToken, RetryPolicy};
 use dana_fpga::FpgaSpec;
 use dana_obs::QueryTrace;
 use dana_storage::{BufferPoolConfig, DiskModel};
 
-use crate::advisor::StrategyComparison;
 use crate::core::{FrontDoorWalls, QueryCtx, SystemCore, SystemCoreConfig};
-use crate::error::{DanaError, DanaResult};
-use crate::plan::Wrap;
-use crate::query::{parse_query, parse_statement, Statement};
-use crate::report::{QueryOutcome, StatementOutcome};
+use crate::error::DanaResult;
+use crate::plan::{PhysicalPlan, Wrap};
+use crate::query::{parse_statement, Statement};
+use crate::report::QueryResponse;
 
 /// The DAnA-enhanced database system, embedded.
 pub struct Dana(SystemCore);
@@ -55,97 +61,97 @@ impl Dana {
             DiskModel::ssd(),
         )
     }
+}
 
-    /// Executes a training statement — `SELECT * FROM dana.<udf>('<table>');`
-    /// or `EXECUTE …`, with the optional `WHERE`/`COLUMNS` pushdown and
-    /// `WITH (...)` clause. Any other statement is a typed query error.
-    pub fn execute(&self, sql: &str) -> DanaResult<QueryOutcome> {
-        let call = parse_query(sql)?;
-        match self.run_statement(&Statement::Call(call), 0.0)?.0 {
-            StatementOutcome::Train(outcome) => Ok(outcome),
-            other => Err(DanaError::Query(format!(
-                "a training statement yields a training outcome, not {other:?}"
-            ))),
-        }
-    }
+/// What a statement lowers to.
+#[derive(Debug)]
+pub enum Work {
+    /// A call, bound: run it.
+    Plan(Box<PhysicalPlan>),
+    /// `SHOW STATS [('<subsystem>')]`: nothing to bind or run; the door
+    /// answering it snapshots its own rows (a server adds its queue,
+    /// pool and sessions to the core's).
+    Stats(Option<String>),
 }
 
 impl SystemCore {
+    /// Lowers a parsed statement to its work — the one place a
+    /// [`Statement`]'s shape is matched. A call is bound (see
+    /// [`SystemCore::bind`]) with its gang clamped to `lease_cap`; the
+    /// context carries the executed call's `WITH (timeout_ms = …)` as a
+    /// deadline anchored now and its `WITH (retries = …)` as the retry
+    /// budget (plain `EXPLAIN` executes nothing and carries neither).
+    pub fn lower(&self, stmt: &Statement, lease_cap: usize) -> DanaResult<(Work, QueryCtx)> {
+        let cancel = stmt.timeout_ms().map_or_else(CancelToken::none, |ms| {
+            CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms))
+        });
+        let retry = stmt
+            .retries()
+            .map_or_else(RetryPolicy::default, |n| RetryPolicy {
+                max_retries: n,
+                ..RetryPolicy::default()
+            });
+        let work = match stmt {
+            Statement::ShowStats(filter) => Work::Stats(filter.clone()),
+            Statement::Call(call) => Work::Plan(Box::new(self.bind(call, None, lease_cap)?)),
+            Statement::Explain(call) => {
+                Work::Plan(Box::new(self.bind(call, Some(Wrap::Explain), lease_cap)?))
+            }
+            Statement::ExplainAnalyze(call) => {
+                Work::Plan(Box::new(self.bind(call, Some(Wrap::Analyze), lease_cap)?))
+            }
+        };
+        Ok((work, QueryCtx::new(cancel, retry)))
+    }
+
     /// Executes any front-door statement on the caller's thread: `SELECT …
-    /// FROM dana.<udf>(…)` (train), `PREDICT … INTO …` (score +
-    /// materialize), `EVALUATE …` (score + metric), `EXPLAIN <stmt>`
-    /// (price the statement on every backend without running it),
-    /// `EXPLAIN ANALYZE <stmt>` (run it and report the lifecycle trace),
-    /// or `SHOW STATS` (metrics snapshot).
-    pub fn execute_statement(&self, sql: &str) -> DanaResult<StatementOutcome> {
+    /// FROM dana.<udf>(…)` / `EXECUTE …` (train), `PREDICT … INTO …`
+    /// (score + materialize), point `PREDICT …(VALUES …)`, `EVALUATE …`
+    /// (score + metric), `EXPLAIN <stmt>` (price the statement on every
+    /// backend without running it), `EXPLAIN ANALYZE <stmt>` (run it and
+    /// report the lifecycle trace), or `SHOW STATS` (metrics snapshot).
+    pub fn execute_statement(&self, sql: &str) -> DanaResult<QueryResponse> {
         Ok(self.execute_statement_traced(sql)?.0)
     }
 
     /// [`SystemCore::execute_statement`], returning the lifecycle trace
-    /// beside the outcome when the statement opted in with `WITH (trace =
-    /// on)` (`None` otherwise — tracing off is the free default).
+    /// beside the response when the statement opted in with `WITH (trace
+    /// = on)` (`None` otherwise — tracing off is the free default). An
+    /// embedded caller has no lease capacity to clamp a gang to — only the
+    /// table's pages bound it. The statement is folded into the metrics
+    /// registry.
     pub fn execute_statement_traced(
         &self,
         sql: &str,
-    ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
+    ) -> DanaResult<(QueryResponse, Option<QueryTrace>)> {
         let parse_start = Instant::now();
         let stmt = parse_statement(sql)?;
-        self.run_statement(&stmt, parse_start.elapsed().as_secs_f64())
-    }
-
-    /// Binds and runs one parsed statement on this thread (an embedded
-    /// caller has no lease capacity to clamp a gang to — only the table's
-    /// pages bound it) and folds it into the metrics registry.
-    fn run_statement(
-        &self,
-        stmt: &Statement,
-        parse_wall: f64,
-    ) -> DanaResult<(StatementOutcome, Option<QueryTrace>)> {
+        let walls = FrontDoorWalls {
+            parse: parse_start.elapsed().as_secs_f64(),
+            ..FrontDoorWalls::default()
+        };
         let start = Instant::now();
-        let bind = |call, explain| {
-            let plan = self.bind(call, explain, usize::MAX)?;
-            let walls = FrontDoorWalls {
-                parse: parse_wall,
-                ..FrontDoorWalls::default()
-            };
-            self.run(&plan, &walls, &QueryCtx::unbounded())
-        };
-        let result = match stmt {
-            Statement::ShowStats(filter) => Ok((
-                StatementOutcome::Stats(self.stats_snapshot(filter.as_deref())),
-                None,
-            )),
-            Statement::Call(call) => bind(call, None),
-            Statement::Explain(call) => bind(call, Some(Wrap::Explain)),
-            Statement::ExplainAnalyze(call) => bind(call, Some(Wrap::Analyze)),
-        };
+        let result = self
+            .lower(&stmt, usize::MAX)
+            .and_then(|(work, ctx)| match work {
+                Work::Stats(filter) => Ok((
+                    QueryResponse::Stats(self.stats_snapshot(filter.as_deref())),
+                    None,
+                )),
+                Work::Plan(plan) => self.run(&plan, &walls, &ctx),
+            });
         self.record_statement(
-            result.as_ref().map(|(outcome, _)| outcome),
+            result.as_ref().map(|(response, _)| response),
             start.elapsed().as_secs_f64(),
         );
         result
-    }
-
-    /// Prices one call on every backend without running it (`EXPLAIN`'s
-    /// string front door; the `EXPLAIN` keyword is optional).
-    pub fn explain_sql(&self, sql: &str) -> DanaResult<StrategyComparison> {
-        let stmt = parse_statement(sql)?;
-        let call = stmt
-            .call()
-            .ok_or_else(|| DanaError::Query("SHOW STATS has no plan to explain".into()))?;
-        match self.bind(call, Some(Wrap::Explain), usize::MAX)?.wrap {
-            Wrap::Explain(comparison) | Wrap::Analyze(comparison) => Ok(*comparison),
-            Wrap::None | Wrap::Trace => Err(DanaError::Query(format!(
-                "no advisor comparison for '{}'",
-                call.udf
-            ))),
-        }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::report::DanaReport;
     use crate::{BackendKind, DanaError, ExecutionMode, MetricKind};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::page::TupleDirection;
@@ -160,6 +166,11 @@ pub(crate) mod tests {
             },
             DiskModel::ssd(),
         )
+    }
+
+    /// Runs a training statement and returns its report.
+    fn train_sql(db: &SystemCore, sql: &str) -> DanaResult<DanaReport> {
+        Ok(db.execute_statement(sql)?.report()?.clone())
     }
 
     pub(crate) fn linreg_heap(n: usize, d: usize) -> HeapFile {
@@ -192,16 +203,15 @@ pub(crate) mod tests {
         assert!(info.strider_listing.contains("readB"));
         assert_eq!(db.accelerator_names(), vec!["linearR"]);
 
-        let out = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
-        assert_eq!(out.udf, "linearR");
-        let w = out.report.dense_model();
+        let out = train_sql(&db, "SELECT * FROM dana.linearR('t');").unwrap();
+        let w = out.dense_model();
         // The planted model is 0.3i − 0.5.
         for (i, v) in w.iter().enumerate() {
             let truth = 0.3 * i as f32 - 0.5;
             assert!((v - truth).abs() < 0.05, "w[{i}] = {v}, truth {truth}");
         }
-        assert!(out.report.timing.total_seconds > 0.0);
-        assert!(out.report.timing.engine_seconds > 0.0);
+        assert!(out.timing.total_seconds > 0.0);
+        assert!(out.timing.engine_seconds > 0.0);
     }
 
     #[test]
@@ -424,13 +434,13 @@ pub(crate) mod tests {
         let out = db
             .execute_statement("SELECT * FROM dana.linearR('t');")
             .unwrap();
-        assert!(matches!(out, StatementOutcome::Train(_)));
+        assert!(matches!(out, QueryResponse::Trained(_)));
         assert!(out.timing().unwrap().total_seconds > 0.0);
 
         let out = db
             .execute_statement("PREDICT dana.linearR('t') INTO 'scores';")
             .unwrap();
-        let StatementOutcome::Predict(p) = out else {
+        let QueryResponse::Predicted(p) = out else {
             panic!("expected predict outcome");
         };
         assert_eq!(p.output_table, "scores");
@@ -439,7 +449,7 @@ pub(crate) mod tests {
         let out = db
             .execute_statement("EVALUATE dana.linearR('t', 'mse');")
             .unwrap();
-        let StatementOutcome::Evaluate(e) = out else {
+        let QueryResponse::Evaluated(e) = out else {
             panic!("expected evaluate outcome");
         };
         assert_eq!(e.metric, MetricKind::Mse);
@@ -496,7 +506,7 @@ pub(crate) mod tests {
     #[test]
     fn unknown_udf_or_table_errors() {
         let db = small_system();
-        assert!(db.execute("SELECT * FROM dana.ghost('t');").is_err());
+        assert!(train_sql(&db, "SELECT * FROM dana.ghost('t');").is_err());
         db.create_table("t", linreg_heap(100, 4)).unwrap();
         let spec = linear_regression(DenseParams {
             n_features: 4,
@@ -527,10 +537,10 @@ pub(crate) mod tests {
     fn default_profile_always_offloads() {
         let db = deployed_db(300);
         assert_eq!(db.hardware_profile().offload_threshold_rows, Some(0));
-        let out = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
-        assert_eq!(out.report.backend, BackendKind::Fpga);
-        assert!(out.report.timing.total_seconds > 0.0);
-        assert!(out.report.timing.wall_seconds.is_none());
+        let out = train_sql(&db, "SELECT * FROM dana.linearR('t');").unwrap();
+        assert_eq!(out.backend, BackendKind::Fpga);
+        assert!(out.timing.total_seconds > 0.0);
+        assert!(out.timing.wall_seconds.is_none());
     }
 
     /// Once a model-based profile is installed, `auto` routes a tiny
@@ -538,35 +548,33 @@ pub(crate) mod tests {
     #[test]
     fn auto_routes_small_tables_to_cpu_once_profile_enabled() {
         let db = deployed_db(300);
-        let fpga = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
-        assert_eq!(fpga.report.backend, BackendKind::Fpga);
+        let fpga = train_sql(&db, "SELECT * FROM dana.linearR('t');").unwrap();
+        assert_eq!(fpga.backend, BackendKind::Fpga);
 
         // Enable the throughput model: 300 rows is far below the default
         // profile's break-even (~tens of thousands of rows).
         let profile = db.hardware_profile().with_offload_threshold(None);
         db.set_hardware_profile(profile);
-        let cpu = db.execute("SELECT * FROM dana.linearR('t');").unwrap();
-        assert_eq!(cpu.report.backend, BackendKind::Cpu);
-        assert_eq!(cpu.report.timing.total_seconds, 0.0);
-        assert!(cpu.report.timing.wall_seconds.is_some());
-        assert_eq!(
-            cpu.report.models, fpga.report.models,
-            "backends must agree bit-for-bit"
-        );
+        let cpu = train_sql(&db, "SELECT * FROM dana.linearR('t');").unwrap();
+        assert_eq!(cpu.backend, BackendKind::Cpu);
+        assert_eq!(cpu.timing.total_seconds, 0.0);
+        assert!(cpu.timing.wall_seconds.is_some());
+        assert_eq!(cpu.models, fpga.models, "backends must agree bit-for-bit");
 
         // An explicit WITH override beats the advisor both ways.
-        let forced = db
-            .execute("SELECT * FROM dana.linearR('t') WITH (backend = fpga);")
-            .unwrap();
-        assert_eq!(forced.report.backend, BackendKind::Fpga);
-        assert_eq!(forced.report.models, fpga.report.models);
+        let forced = train_sql(
+            &db,
+            "SELECT * FROM dana.linearR('t') WITH (backend = fpga);",
+        )
+        .unwrap();
+        assert_eq!(forced.backend, BackendKind::Fpga);
+        assert_eq!(forced.models, fpga.models);
         let profile = db.hardware_profile().with_offload_threshold(Some(0));
         db.set_hardware_profile(profile);
-        let forced_cpu = db
-            .execute("SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
-            .unwrap();
-        assert_eq!(forced_cpu.report.backend, BackendKind::Cpu);
-        assert_eq!(forced_cpu.report.models, fpga.report.models);
+        let forced_cpu =
+            train_sql(&db, "SELECT * FROM dana.linearR('t') WITH (backend = cpu);").unwrap();
+        assert_eq!(forced_cpu.backend, BackendKind::Cpu);
+        assert_eq!(forced_cpu.models, fpga.models);
     }
 
     /// EXPLAIN prints the per-backend comparison without executing
@@ -577,9 +585,7 @@ pub(crate) mod tests {
         let out = db
             .execute_statement("EXPLAIN SELECT * FROM dana.linearR('t');")
             .unwrap();
-        let StatementOutcome::Explain(cmp) = out else {
-            panic!("expected explain outcome");
-        };
+        let cmp = out.comparison().unwrap();
         assert_eq!(cmp.rows, 400);
         assert_eq!(cmp.options.len(), 2);
         assert!(cmp.estimated_seconds(BackendKind::Fpga).is_some());
@@ -598,8 +604,9 @@ pub(crate) mod tests {
 
         // A forced backend shows up as forced in the comparison.
         let forced = db
-            .explain_sql("EXPLAIN SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
+            .execute_statement("EXPLAIN SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
             .unwrap();
+        let forced = forced.comparison().unwrap();
         assert!(forced.forced);
         assert_eq!(forced.chosen, BackendKind::Cpu);
     }
@@ -609,7 +616,10 @@ pub(crate) mod tests {
     #[test]
     fn gang_pins_fpga_and_rejects_cpu_backend() {
         let db = deployed_db(600);
-        match db.execute("SELECT * FROM dana.linearR('t') WITH (shards = 2, backend = cpu);") {
+        match train_sql(
+            &db,
+            "SELECT * FROM dana.linearR('t') WITH (shards = 2, backend = cpu);",
+        ) {
             Err(DanaError::Query(msg)) => {
                 assert!(msg.contains("gang"), "unexpected message: {msg}")
             }
@@ -618,10 +628,8 @@ pub(crate) mod tests {
         // Even with a CPU-favoring profile, auto + shards stays FPGA.
         let profile = db.hardware_profile().with_offload_threshold(None);
         db.set_hardware_profile(profile);
-        let out = db
-            .execute("SELECT * FROM dana.linearR('t') WITH (shards = 2);")
-            .unwrap();
-        assert_eq!(out.report.backend, BackendKind::Fpga);
-        assert_eq!(out.report.shards, 2);
+        let out = train_sql(&db, "SELECT * FROM dana.linearR('t') WITH (shards = 2);").unwrap();
+        assert_eq!(out.backend, BackendKind::Fpga);
+        assert_eq!(out.shards, 2);
     }
 }

@@ -116,12 +116,6 @@ impl Statement {
             .filter(|_| !matches!(self, Statement::Explain(_)))
     }
 
-    /// Whether this statement opted into lifecycle tracing with
-    /// `WITH (trace = on)`. EXPLAIN ANALYZE traces regardless.
-    pub fn wants_trace(&self) -> bool {
-        matches!(self, Statement::Call(c) if c.with.trace)
-    }
-
     /// The `WITH (timeout_ms = n)` deadline of the call this statement
     /// executes, if any.
     pub fn timeout_ms(&self) -> Option<u64> {
@@ -156,18 +150,6 @@ pub fn parse_statement(sql: &str) -> DanaResult<Statement> {
     } else {
         Statement::Call(p.call()?)
     })
-}
-
-/// Parses a training statement — `SELECT * FROM dana.linearR('t');` or
-/// its `EXECUTE` synonym, with the optional tail clauses. Any other
-/// statement is a typed error.
-pub fn parse_query(sql: &str) -> DanaResult<Call> {
-    match parse_statement(sql)? {
-        Statement::Call(call) if call.op == PlanOp::Train => Ok(call),
-        _ => Err(err(
-            "expected a training statement: SELECT * FROM dana.<udf>('<table>')",
-        )),
-    }
 }
 
 // ---- lexer ----------------------------------------------------------------
@@ -662,6 +644,14 @@ fn err(msg: &str) -> DanaError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a training statement; any other statement is an error.
+    fn parse_query(sql: &str) -> DanaResult<Call> {
+        match parse_statement(sql)? {
+            Statement::Call(call) if call.op == PlanOp::Train => Ok(call),
+            _ => Err(err("expected a training statement")),
+        }
+    }
 
     /// The call a scan-less statement parses to.
     fn call(op: PlanOp, udf: &str, table: &str, with: WithOptions) -> Call {
@@ -1245,7 +1235,8 @@ mod tests {
             ("EVALUATE dana.f('t', 'mse') WITH (trace = on);", true),
         ] {
             let s = parse_statement(sql).unwrap();
-            assert_eq!(s.wants_trace(), want_trace, "{sql}");
+            let traced = matches!(&s, Statement::Call(c) if c.with.trace);
+            assert_eq!(traced, want_trace, "{sql}");
         }
     }
 
@@ -1411,7 +1402,7 @@ mod tests {
         };
         assert!(matches!(p.op, PlanOp::Point { .. }));
         assert_eq!(p.with.backend, BackendChoice::Cpu);
-        assert!(s.wants_trace());
+        assert!(p.with.trace);
         assert_eq!(s.timeout_ms(), Some(50));
         assert_eq!(s.retries(), Some(2));
         // EXPLAIN and EXPLAIN ANALYZE wrap the point form like any other.

@@ -1,7 +1,15 @@
-//! Run reports: trained models plus the simulated-time breakdown, and
-//! the inference tier's scoring/evaluation outcomes.
+//! Run reports — trained models plus the simulated-time breakdown, the
+//! inference tier's scoring/evaluation results — and [`QueryResponse`],
+//! the one type both front doors answer a statement with: the embedded
+//! `SystemCore::execute_statement` returns it, and a served
+//! `QueryReply` carries it as its `response`. Its accessors
+//! (`report`, `predict_report`, `eval_report`, `point_report`,
+//! `comparison`) are the
+//! only typed readers; asking one for the wrong kind is a
+//! [`DanaError::UnexpectedResponse`], never a panic.
 
 use crate::advisor::StrategyComparison;
+use crate::error::{DanaError, DanaResult};
 use dana_engine::{BackendKind, EngineStats};
 use dana_infer::{MetricKind, ScoringStats};
 use dana_strider::AccessStats;
@@ -89,14 +97,6 @@ impl DanaReport {
     }
 }
 
-/// A query execution outcome: what ran, and its report.
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    pub udf: String,
-    pub table: String,
-    pub report: DanaReport,
-}
-
 /// The result of one PREDICT: a materialized prediction table.
 #[derive(Debug, Clone)]
 pub struct PredictReport {
@@ -152,86 +152,129 @@ pub struct EvalReport {
     pub timing: DanaTiming,
 }
 
-/// The outcome of any front-door statement (`SystemCore::execute_statement`).
+/// What any front-door statement answers, through either door:
+/// [`crate::SystemCore::execute_statement`] on the caller's thread, or a
+/// served reply's `response`. One accessor set reads it; a mismatch is a
+/// typed [`DanaError::UnexpectedResponse`].
 #[derive(Debug, Clone)]
-pub enum StatementOutcome {
-    Train(QueryOutcome),
-    Predict(PredictReport),
+pub enum QueryResponse {
+    /// EXECUTE/train: the trained model and its timing.
+    Trained(DanaReport),
+    /// PREDICT … INTO: the materialized prediction table's report.
+    Predicted(PredictReport),
+    /// EVALUATE: the computed metric.
+    Evaluated(EvalReport),
     /// Point-form PREDICT (VALUES ...): inline predictions, no scan.
     Point(PointReport),
-    Evaluate(EvalReport),
     /// `EXPLAIN <stmt>`: the advisor's per-backend comparison. Nothing
     /// was executed, so there is no timing.
-    Explain(StrategyComparison),
-    /// `EXPLAIN ANALYZE <stmt>`: the inner statement's outcome plus its
+    Explained(StrategyComparison),
+    /// `EXPLAIN ANALYZE <stmt>`: the inner statement's response plus its
     /// lifecycle trace and (where the advisor can price it) the
     /// prediction the observed run can be checked against.
-    Analyze(Box<AnalyzeReport>),
-    /// `SHOW STATS`: a snapshot of the metrics registry.
+    Analyzed(Box<AnalyzeReport>),
+    /// `SHOW STATS`: a snapshot of the metrics registry (a server's adds
+    /// its admission queue, accelerator pool and sessions).
     Stats(dana_obs::StatsSnapshot),
 }
 
-impl StatementOutcome {
+impl QueryResponse {
     /// End-to-end timing, whichever statement ran; `None` for EXPLAIN
     /// and SHOW STATS (nothing executed). An EXPLAIN ANALYZE reports its
     /// inner statement's timing.
     pub fn timing(&self) -> Option<&DanaTiming> {
         match self {
-            StatementOutcome::Train(o) => Some(&o.report.timing),
-            StatementOutcome::Predict(p) => Some(&p.timing),
-            StatementOutcome::Point(p) => Some(&p.timing),
-            StatementOutcome::Evaluate(e) => Some(&e.timing),
-            StatementOutcome::Explain(_) | StatementOutcome::Stats(_) => None,
-            StatementOutcome::Analyze(a) => a.outcome.timing(),
+            QueryResponse::Trained(r) => Some(&r.timing),
+            QueryResponse::Predicted(p) => Some(&p.timing),
+            QueryResponse::Point(p) => Some(&p.timing),
+            QueryResponse::Evaluated(e) => Some(&e.timing),
+            QueryResponse::Explained(_) | QueryResponse::Stats(_) => None,
+            QueryResponse::Analyzed(a) => a.outcome.timing(),
         }
+    }
+
+    /// End-to-end simulated seconds: [`QueryResponse::timing`]'s total,
+    /// zero where nothing executed and for CPU-tier runs (nothing
+    /// simulated — their stopwatch is `timing.wall_seconds`).
+    pub fn sim_seconds(&self) -> Seconds {
+        self.timing().map_or(0.0, |t| t.total_seconds)
     }
 
     /// The substrate that ran the statement (`None` for EXPLAIN, which
     /// runs nothing — its *recommended* backend is in the comparison).
     pub fn backend(&self) -> Option<BackendKind> {
         match self {
-            StatementOutcome::Train(o) => Some(o.report.backend),
-            StatementOutcome::Predict(p) => Some(p.backend),
-            StatementOutcome::Point(p) => Some(p.backend),
-            StatementOutcome::Evaluate(e) => Some(e.backend),
-            StatementOutcome::Explain(_) | StatementOutcome::Stats(_) => None,
-            StatementOutcome::Analyze(a) => a.outcome.backend(),
+            QueryResponse::Trained(r) => Some(r.backend),
+            QueryResponse::Predicted(p) => Some(p.backend),
+            QueryResponse::Point(p) => Some(p.backend),
+            QueryResponse::Evaluated(e) => Some(e.backend),
+            QueryResponse::Explained(_) | QueryResponse::Stats(_) => None,
+            QueryResponse::Analyzed(a) => a.outcome.backend(),
         }
     }
 
-    /// The training report (panics for other outcome kinds — the
-    /// convenience accessor of callers that know what they ran).
-    pub fn report(&self) -> &DanaReport {
+    /// The training report.
+    pub fn report(&self) -> DanaResult<&DanaReport> {
         match self {
-            StatementOutcome::Train(o) => &o.report,
-            other => panic!("expected a training outcome, got {other:?}"),
+            QueryResponse::Trained(r) => Ok(r),
+            other => Err(other.unexpected("training")),
         }
     }
 
-    /// The prediction report (panics for other outcome kinds).
-    pub fn predict_report(&self) -> &PredictReport {
+    /// The prediction report.
+    pub fn predict_report(&self) -> DanaResult<&PredictReport> {
         match self {
-            StatementOutcome::Predict(p) => p,
-            other => panic!("expected a predict outcome, got {other:?}"),
+            QueryResponse::Predicted(p) => Ok(p),
+            other => Err(other.unexpected("predict")),
         }
     }
 
-    /// The evaluation report (panics for other outcome kinds).
-    pub fn eval_report(&self) -> &EvalReport {
+    /// The evaluation report.
+    pub fn eval_report(&self) -> DanaResult<&EvalReport> {
         match self {
-            StatementOutcome::Evaluate(e) => e,
-            other => panic!("expected an evaluate outcome, got {other:?}"),
+            QueryResponse::Evaluated(e) => Ok(e),
+            other => Err(other.unexpected("evaluate")),
         }
+    }
+
+    /// The point-prediction report.
+    pub fn point_report(&self) -> DanaResult<&PointReport> {
+        match self {
+            QueryResponse::Point(p) => Ok(p),
+            other => Err(other.unexpected("point-predict")),
+        }
+    }
+
+    /// The `EXPLAIN` comparison.
+    pub fn comparison(&self) -> DanaResult<&StrategyComparison> {
+        match self {
+            QueryResponse::Explained(c) => Ok(c),
+            other => Err(other.unexpected("explain")),
+        }
+    }
+
+    /// The typed accessor-mismatch error, naming both kinds.
+    fn unexpected(&self, expected: &'static str) -> DanaError {
+        let got = match self {
+            QueryResponse::Trained(_) => "training",
+            QueryResponse::Predicted(_) => "predict",
+            QueryResponse::Evaluated(_) => "evaluate",
+            QueryResponse::Point(_) => "point-predict",
+            QueryResponse::Explained(_) => "explain",
+            QueryResponse::Analyzed(_) => "explain-analyze",
+            QueryResponse::Stats(_) => "stats",
+        };
+        DanaError::UnexpectedResponse { expected, got }
     }
 }
 
 /// What `EXPLAIN ANALYZE <stmt>` returns: the executed statement's
-/// outcome, the lifecycle trace of the run, and — for statements the
+/// response, the lifecycle trace of the run, and — for statements the
 /// advisor can price — the predicted per-backend comparison, so observed
 /// stage times sit next to the estimate they calibrate.
 #[derive(Debug, Clone)]
 pub struct AnalyzeReport {
-    pub outcome: StatementOutcome,
+    pub outcome: QueryResponse,
     pub trace: dana_obs::QueryTrace,
     pub comparison: Option<StrategyComparison>,
 }

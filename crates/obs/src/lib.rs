@@ -4,8 +4,8 @@
 //! crate, in two halves:
 //!
 //! * a **metrics registry** ([`MetricsRegistry`]) of lock-cheap
-//!   primitives — [`Counter`], [`Gauge`], and the log-bucketed
-//!   [`Histogram`] with p50/p95/p99 readout — that the serving tier
+//!   primitives — [`Counter`] and the log-bucketed [`Histogram`] with
+//!   p50/p95/p99 readout — that the serving tier
 //!   records into on the hot path and snapshots into a serializable
 //!   [`StatsSnapshot`] for `SHOW STATS`;
 //! * a **query-lifecycle trace** ([`QueryTrace`]) of named stage spans
@@ -22,7 +22,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use metrics::{StatEntry, StatsSnapshot};
 pub use trace::{QueryTrace, SpanRecorder, TraceSpan};
 

@@ -31,24 +31,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins float value (stored as bits in an atomic).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge(AtomicU64::new(0f64.to_bits()))
-    }
-
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// Linear sub-buckets per power of two: 2^4 = 16 keeps the worst-case
 /// relative quantile error at 1/16 ≈ 6.3%.
 const SUB_BITS: u32 = 4;
@@ -472,15 +454,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(0.75);
-        assert_eq!(g.get(), 0.75);
     }
 
     #[test]

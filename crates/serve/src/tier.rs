@@ -131,7 +131,7 @@ impl ServeTier {
                     rows: rows.to_vec(),
                 },
             )?;
-            Ok(reply.try_point_report()?.predictions.clone())
+            Ok(reply.response.point_report()?.predictions.clone())
         })?;
 
         // Stamp-stable insert: cache only if the pre-dispatch
@@ -171,6 +171,6 @@ impl ServeTier {
                 rows,
             },
         )?;
-        Ok(reply.try_point_report()?.predictions.clone())
+        Ok(reply.response.point_report()?.predictions.clone())
     }
 }

@@ -128,11 +128,7 @@ fn dense_setup(srv: &Arc<DanaServer>, algo: Algorithm, n: usize, d: usize) -> St
     let session = srv.open_session("setup");
     srv.call(
         session,
-        QueryRequest::RunUdf {
-            udf: udf.clone(),
-            table: "t".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql(format!("EXECUTE dana.{udf}('t') WITH (backend = fpga);")),
     )
     .unwrap();
     udf
@@ -149,12 +145,9 @@ fn materialized(
     let session = srv.open_session("materialize");
     srv.call(
         session,
-        QueryRequest::Predict {
-            udf: udf.to_string(),
-            table: table.to_string(),
-            into: "scores".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql(format!(
+            "PREDICT dana.{udf}('{table}') INTO 'scores' WITH (backend = fpga);"
+        )),
     )
     .unwrap();
     let src: Vec<Vec<f32>> = srv
@@ -204,7 +197,7 @@ fn dense_point_vs_materialized(algo: Algorithm) {
     let vals: Vec<String> = src[0].iter().map(|v| format!("{v}")).collect();
     let sql = format!("PREDICT dana.{udf}(VALUES ({}));", vals.join(", "));
     let reply = srv.call(session, QueryRequest::Sql(sql)).unwrap();
-    let report = reply.point_report();
+    let report = reply.response.point_report().unwrap();
     assert_eq!(report.predictions, vec![reference[0]]);
     assert_eq!(report.udf, udf);
 }
@@ -243,11 +236,7 @@ fn lrmf_point_matches_materialized_bit_exactly() {
     let session = srv.open_session("setup");
     srv.call(
         session,
-        QueryRequest::RunUdf {
-            udf: "lrmf".to_string(),
-            table: "ratings".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql("EXECUTE dana.lrmf('ratings') WITH (backend = fpga);".into()),
     )
     .unwrap();
     // Rating tuples are (i, j, r); the materialized table appends the
@@ -300,11 +289,7 @@ fn retrained_model_invalidates_warm_cache_entries() {
     srv.deploy(&dense_spec(Algorithm::Linear, d), "t2").unwrap();
     srv.call(
         session,
-        QueryRequest::RunUdf {
-            udf: udf.clone(),
-            table: "t2".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql(format!("EXECUTE dana.{udf}('t2') WITH (backend = fpga);")),
     )
     .unwrap();
 
@@ -365,11 +350,7 @@ fn redeploy_starts_untrained_despite_warm_cache() {
 
     srv.call(
         session,
-        QueryRequest::RunUdf {
-            udf: udf.clone(),
-            table: "t2".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql(format!("EXECUTE dana.{udf}('t2') WITH (backend = fpga);")),
     )
     .unwrap();
     let new_generation = srv.core().trained_generation(&udf).expect("retrained");
@@ -501,11 +482,7 @@ fn non_finite_point_rows_are_refused_before_scoring_or_caching() {
     let session = srv.open_session("client");
     srv.call(
         session,
-        QueryRequest::RunUdf {
-            udf: "lrmf".to_string(),
-            table: "ratings".to_string(),
-            shards: None,
-        },
+        QueryRequest::Sql("EXECUTE dana.lrmf('ratings') WITH (backend = fpga);".into()),
     )
     .unwrap();
     let tier = singleton_tier(&srv);
@@ -581,7 +558,9 @@ fn serving_stats_surface_through_show_stats() {
             QueryRequest::Sql("SHOW STATS ('serving');".to_string()),
         )
         .unwrap();
-    let snap = reply.stats();
+    let QueryResponse::Stats(snap) = &reply.response else {
+        panic!("SHOW STATS answers with a snapshot");
+    };
     assert!(snap.get("serving", "point_queries").unwrap() >= 2.0);
     assert!(snap.get("serving", "cache_hits").unwrap() >= 1.0);
     assert!(snap.get("serving", "cache_misses").unwrap() >= 1.0);

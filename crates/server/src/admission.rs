@@ -13,11 +13,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
-use dana::DanaError;
+use dana::{DanaError, QueryCtx, Work};
 use dana_engine::EngineError;
 
 use crate::error::{ServerError, ServerResult};
-use crate::server::{Admitted, ReplyResult, Work};
+use crate::server::{Admitted, ReplyResult};
 use crate::session::SessionId;
 
 /// Dequeue ordering.
@@ -68,9 +68,14 @@ impl Default for AdmissionConfig {
 pub(crate) struct Job {
     pub seq: u64,
     pub session: SessionId,
-    /// What to run, bound once at submit — or the parse/bind error the
+    /// What to run, lowered once at submit — or the parse/bind error the
     /// worker replies with.
     pub work: dana::DanaResult<Work>,
+    /// The deadline (statement `timeout_ms` or the server default,
+    /// anchored at submission) and retry budget the work runs under.
+    /// Expired jobs are shed at dequeue time — they never reach a worker
+    /// or take a lease.
+    pub ctx: QueryCtx,
     /// Wall seconds the submit spent parsing/lowering the request.
     pub parse_wall: f64,
     /// Admission class: `Interactive` jobs dequeue before any `Batch`
@@ -80,10 +85,6 @@ pub(crate) struct Job {
     pub cost_hint: f64,
     pub reply: Sender<ReplyResult>,
     pub submitted_at: Instant,
-    /// The query's deadline (statement `timeout_ms` or the server
-    /// default), anchored at submission. Expired jobs are shed at
-    /// dequeue time — they never reach a worker or take a lease.
-    pub deadline: Option<Instant>,
 }
 
 /// Queue counters for observability.
@@ -110,7 +111,7 @@ struct QState {
 
 /// Whether a job's deadline has already passed.
 fn expired(job: &Job) -> bool {
-    matches!(job.deadline, Some(d) if Instant::now() >= d)
+    job.ctx.cancel.is_cancelled()
 }
 
 /// The admission queue proper.
@@ -146,7 +147,6 @@ impl AdmissionQueue {
         &self,
         session: SessionId,
         admitted: Admitted,
-        deadline: Option<Instant>,
         reply: Sender<ReplyResult>,
     ) -> ServerResult<u64> {
         let mut st = self.lock();
@@ -167,12 +167,12 @@ impl AdmissionQueue {
             seq,
             session,
             work: admitted.work,
+            ctx: admitted.ctx,
             parse_wall: admitted.parse_wall,
             priority: admitted.priority,
             cost_hint: admitted.cost_hint,
             reply,
             submitted_at: Instant::now(),
-            deadline,
         });
         drop(st);
         self.readable.notify_one();
@@ -189,10 +189,9 @@ impl AdmissionQueue {
             // reply with the typed deadline error now, so they never
             // occupy a worker or an accelerator lease.
             if st.jobs.iter().any(expired) {
-                let now = Instant::now();
                 let mut kept = Vec::with_capacity(st.jobs.len());
                 for job in std::mem::take(&mut st.jobs) {
-                    if matches!(job.deadline, Some(d) if now >= d) {
+                    if expired(&job) {
                         st.shed += 1;
                         let _ = job.reply.send(Err(ServerError::Dana(DanaError::Engine(
                             EngineError::DeadlineExceeded,
@@ -263,13 +262,14 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use crossbeam::channel;
+    use dana_engine::{CancelToken, RetryPolicy};
 
     fn job(priority: Priority, cost_hint: f64) -> Admitted {
         Admitted {
             work: Ok(Work::Stats(None)),
+            ctx: QueryCtx::unbounded(),
             priority,
             cost_hint,
-            timeout_ms: None,
             parse_wall: 0.0,
         }
     }
@@ -286,8 +286,7 @@ mod tests {
         let q = queue(16, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
         for cost in [3.0, 1.0, 2.0] {
-            q.submit(1, job(Priority::Batch, cost), None, tx.clone())
-                .unwrap();
+            q.submit(1, job(Priority::Batch, cost), tx.clone()).unwrap();
         }
         let order: Vec<f64> = (0..3).map(|_| q.pop().unwrap().cost_hint).collect();
         assert_eq!(order, vec![3.0, 1.0, 2.0]);
@@ -299,10 +298,7 @@ mod tests {
         let (tx, _rx) = channel::unbounded();
         let seqs: Vec<u64> = [3.0, 1.0, 2.0, 1.0]
             .iter()
-            .map(|c| {
-                q.submit(1, job(Priority::Batch, *c), None, tx.clone())
-                    .unwrap()
-            })
+            .map(|c| q.submit(1, job(Priority::Batch, *c), tx.clone()).unwrap())
             .collect();
         let popped: Vec<u64> = (0..4).map(|_| q.pop().unwrap().seq).collect();
         // Costs 1.0 (seq 1), 1.0 (seq 3), 2.0 (seq 2), 3.0 (seq 0).
@@ -313,11 +309,9 @@ mod tests {
     fn overload_is_refused_with_counts() {
         let q = queue(2, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
-            .unwrap();
-        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
-            .unwrap();
-        match q.submit(1, job(Priority::Batch, 1.0), None, tx.clone()) {
+        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
+        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
+        match q.submit(1, job(Priority::Batch, 1.0), tx.clone()) {
             Err(ServerError::Overloaded {
                 queued: 2,
                 limit: 2,
@@ -336,18 +330,16 @@ mod tests {
         let (expired_tx, expired_rx) = channel::unbounded();
         let (live_tx, _live_rx) = channel::unbounded();
         // One job already past its deadline, one without a deadline.
-        q.submit(
-            1,
-            job(Priority::Batch, 1.0),
-            Some(Instant::now() - std::time::Duration::from_millis(5)),
-            expired_tx,
-        )
-        .unwrap();
-        q.submit(1, job(Priority::Batch, 1.0), None, live_tx)
-            .unwrap();
+        let past = Instant::now() - std::time::Duration::from_millis(5);
+        let expired = Admitted {
+            ctx: QueryCtx::new(CancelToken::with_deadline(past), RetryPolicy::default()),
+            ..job(Priority::Batch, 1.0)
+        };
+        q.submit(1, expired, expired_tx).unwrap();
+        q.submit(1, job(Priority::Batch, 1.0), live_tx).unwrap();
         // The pop skips the expired job and hands out the live one.
         let job = q.pop().unwrap();
-        assert!(job.deadline.is_none());
+        assert!(job.ctx.cancel.deadline().is_none());
         let shed_reply = expired_rx.try_recv().expect("shed job must be replied to");
         assert!(
             matches!(&shed_reply, Err(e) if e.is_deadline_exceeded()),
@@ -364,15 +356,9 @@ mod tests {
         let q = queue(16, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
         // Two batch jobs first, then an interactive point query.
-        let b0 = q
-            .submit(1, job(Priority::Batch, 5.0), None, tx.clone())
-            .unwrap();
-        let b1 = q
-            .submit(1, job(Priority::Batch, 5.0), None, tx.clone())
-            .unwrap();
-        let point = q
-            .submit(1, job(Priority::Interactive, 0.1), None, tx)
-            .unwrap();
+        let b0 = q.submit(1, job(Priority::Batch, 5.0), tx.clone()).unwrap();
+        let b1 = q.submit(1, job(Priority::Batch, 5.0), tx.clone()).unwrap();
+        let point = q.submit(1, job(Priority::Interactive, 0.1), tx).unwrap();
         let popped: Vec<u64> = (0..3).map(|_| q.pop().unwrap().seq).collect();
         assert_eq!(
             popped,
@@ -387,11 +373,9 @@ mod tests {
         let (tx, _rx) = channel::unbounded();
         // The batch job has a *cheaper* cost hint — class still wins.
         let batch = q
-            .submit(1, job(Priority::Batch, 0.001), None, tx.clone())
+            .submit(1, job(Priority::Batch, 0.001), tx.clone())
             .unwrap();
-        let point = q
-            .submit(1, job(Priority::Interactive, 1.0), None, tx)
-            .unwrap();
+        let point = q.submit(1, job(Priority::Interactive, 1.0), tx).unwrap();
         let popped: Vec<u64> = (0..2).map(|_| q.pop().unwrap().seq).collect();
         assert_eq!(popped, vec![point, batch]);
     }
@@ -400,11 +384,10 @@ mod tests {
     fn close_drains_then_ends() {
         let q = queue(16, SchedPolicy::Fifo);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, job(Priority::Batch, 1.0), None, tx.clone())
-            .unwrap();
+        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
         q.close();
         assert!(matches!(
-            q.submit(1, job(Priority::Batch, 1.0), None, tx),
+            q.submit(1, job(Priority::Batch, 1.0), tx),
             Err(ServerError::ShuttingDown)
         ));
         assert!(q.pop().is_some(), "admitted work still drains");

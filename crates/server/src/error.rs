@@ -26,9 +26,6 @@ pub enum ServerError {
     /// (`catch_unwind`) and kept serving. The payload is the panic
     /// message, if it was a string.
     QueryPanicked(String),
-    /// A typed-accessor mismatch: the reply holds a different response
-    /// kind than the accessor asked for.
-    UnexpectedReply { expected: &'static str, got: String },
 }
 
 impl ServerError {
@@ -51,9 +48,6 @@ impl fmt::Display for ServerError {
             ServerError::WorkerLost => write!(f, "worker lost before replying"),
             ServerError::QueryPanicked(msg) => {
                 write!(f, "query dispatch panicked (worker recovered): {msg}")
-            }
-            ServerError::UnexpectedReply { expected, got } => {
-                write!(f, "expected a {expected} reply, got {got}")
             }
         }
     }

@@ -9,7 +9,9 @@
 //!   sharded [`dana_storage::SharedBufferPool`], the statement binder and
 //!   the plan executor. An embedded `dana::Dana` is the same core with a
 //!   one-shard pool on the caller's thread; here it sits behind admission
-//!   and leases, and every request is bound to its plan once, at submit;
+//!   and leases, and every request is lowered to its plan once, at
+//!   submit, by the same `SystemCore::lower`. Replies carry the embedded
+//!   door's [`QueryResponse`];
 //! * [`SessionManager`] — per-client sessions with query accounting;
 //! * admission control ([`AdmissionConfig`]) — a bounded queue with FIFO
 //!   and shortest-job-first policies, SJF ordered by the deploy-time
@@ -35,7 +37,7 @@ pub mod session;
 
 pub use accel::{AcceleratorPool, GangLease, Health, PoolHealth, PoolUtilization};
 pub use admission::{AdmissionConfig, Priority, QueueStats, SchedPolicy};
-pub use dana::{EngineCacheStats, QueryCtx, SystemCore, SystemCoreConfig};
+pub use dana::{EngineCacheStats, QueryCtx, QueryResponse, SystemCore, SystemCoreConfig};
 pub use error::{ServerError, ServerResult};
-pub use server::{DanaServer, QueryReply, QueryRequest, QueryResponse, ServerConfig, Ticket};
+pub use server::{DanaServer, QueryReply, QueryRequest, ServerConfig, Ticket};
 pub use session::{SessionId, SessionManager, SessionStats};

@@ -4,9 +4,10 @@
 //!
 //! ```text
 //!  client ──open_session──► SessionManager
-//!    │ submit(SQL / UDF / spec): parsed — or, for a typed request,
-//!    │ built — into the one `Call` shape and bound to its plan, on
-//!    │ the submitting thread (a hostile string is a typed error here)
+//!    │ submit(SQL / spec / point rows): SQL is parsed and, like point
+//!    │ rows, lowered by `SystemCore::lower` — the embedded door's own
+//!    │ lowering — to its plan and context, on the submitting thread
+//!    │ (a hostile string is a typed error here)
 //!    ▼
 //!  AdmissionQueue  (bounded; FIFO or SJF by DanaTiming cost estimate)
 //!    │ pop
@@ -14,8 +15,16 @@
 //!  worker thread ──lease──► AcceleratorPool (N FpgaSpec instances)
 //!    │ run on SystemCore (shared catalog + sharded buffer pool)
 //!    ▼
-//!  QueryReply ──crossbeam channel──► Ticket::wait
+//!  QueryReply { response: QueryResponse, … } ──crossbeam channel──► Ticket::wait
 //! ```
+//!
+//! Three request forms reach it: [`QueryRequest::Sql`] for every
+//! statement, and the two SQL cannot say — an ad-hoc
+//! [`QueryRequest::TrainSpec`] and [`QueryRequest::PredictPoint`]'s f32
+//! rows. The reply's [`QueryResponse`] is the one the embedded door
+//! returns, read through the same accessors. The server keeps three jobs
+//! of its own: the default deadline, anchored at submit; the admission
+//! queue that sheds what outlived it; and the server-wide `SHOW STATS`.
 //!
 //! DDL (create/drop/prewarm/deploy) executes synchronously on the caller's
 //! thread — it needs no accelerator, and the catalog's own locking already
@@ -31,12 +40,11 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver};
 
 use dana::{
-    parse_statement, AnalyzeReport, BackendChoice, Call, DanaReport, DanaResult, DeployInfo,
-    DropSummary, EvalReport, ExecutionMode, FrontDoorWalls, MetricKind, PhysicalPlan, PlanOp,
-    PointReport, PredictReport, QueryCtx, QueryTrace, Statement, StatementOutcome, StatsSnapshot,
-    StrategyComparison, SystemCore, SystemCoreConfig, WithOptions, Wrap,
+    parse_statement, Call, DanaResult, DeployInfo, DropSummary, ExecutionMode, FrontDoorWalls,
+    PhysicalPlan, PlanOp, QueryCtx, QueryResponse, QueryTrace, Statement, StatsSnapshot,
+    SystemCore, SystemCoreConfig, WithOptions, Work,
 };
-use dana_engine::{CancelToken, FaultPlan, RetryPolicy};
+use dana_engine::{CancelToken, FaultPlan};
 use dana_obs::StatEntry;
 use dana_storage::HeapFile;
 
@@ -45,109 +53,34 @@ use crate::admission::{AdmissionConfig, AdmissionQueue, Priority, QueueStats};
 use crate::error::{ServerError, ServerResult};
 use crate::session::{SessionId, SessionManager, SessionStats};
 
-/// A query a client can submit for scheduled execution.
+/// A query a client can submit for scheduled execution: SQL, or one of
+/// the two things SQL cannot say.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryRequest {
-    /// Any front-door SQL statement: `SELECT * FROM dana.<udf>(…)`,
-    /// `PREDICT … INTO …`, or `EVALUATE …`.
+    /// Any front-door statement: `SELECT * FROM dana.<udf>(…)` /
+    /// `EXECUTE …`, `PREDICT … INTO …`, point `PREDICT …(VALUES …)`,
+    /// `EVALUATE …`, `EXPLAIN [ANALYZE] …` or `SHOW STATS`.
     Sql(String),
-    /// Direct invocation of a deployed UDF (full-Strider mode).
-    /// `shards > 1` runs it gang-parallel on that many pool instances
-    /// (acquired atomically; clamped to the pool size).
-    RunUdf {
-        udf: String,
-        table: String,
-        shards: Option<u16>,
-    },
-    /// Ad-hoc compile-and-train in a specific execution mode (the
-    /// ablation path; nothing is stored in the catalog).
+    /// Ad-hoc compile-and-train of a spec in a specific execution mode
+    /// (the ablation path; nothing is stored in the catalog).
     TrainSpec {
         spec: dana_dsl::AlgoSpec,
         table: String,
         mode: ExecutionMode,
     },
-    /// Score `table` with `udf`'s latest trained model and materialize
-    /// the predictions as catalog table `into`.
-    Predict {
-        udf: String,
-        table: String,
-        into: String,
-        shards: Option<u16>,
-    },
-    /// Score `table` and compute an in-database quality metric.
-    Evaluate {
-        udf: String,
-        table: String,
-        metric: Option<MetricKind>,
-        shards: Option<u16>,
-    },
-    /// The **point fast path**: score inline parameter rows against
-    /// `udf`'s latest trained model — no heap scan, no buffer-pool
-    /// traffic, no materialization, and no accelerator lease when the
-    /// advisor routes it to the CPU tier. Admitted `Interactive`, so
-    /// it is never starved behind gang training jobs. The typed twin
-    /// of `PREDICT dana.<udf>(VALUES (…), …)`.
+    /// The **point fast path**: score inline f32 rows against `udf`'s
+    /// latest trained model — no heap scan, no buffer-pool traffic, no
+    /// materialization, and no accelerator lease when the advisor routes
+    /// it to the CPU tier. Admitted `Interactive`, so it is never starved
+    /// behind gang training jobs. `PREDICT dana.<udf>(VALUES (…), …)`
+    /// without formatting and re-parsing the rows.
     PredictPoint { udf: String, rows: Vec<Vec<f32>> },
-}
-
-/// What a finished query produced: training, scoring, and evaluation
-/// queries return different artifacts.
-#[derive(Debug, Clone)]
-pub enum QueryResponse {
-    /// EXECUTE/train: the trained model and its timing.
-    Trained(DanaReport),
-    /// PREDICT: the materialized prediction table's report.
-    Predicted(PredictReport),
-    /// EVALUATE: the computed metric.
-    Evaluated(EvalReport),
-    /// EXPLAIN: the advisor's per-backend comparison; nothing executed.
-    Explained(StrategyComparison),
-    /// EXPLAIN ANALYZE: the inner statement's outcome plus its lifecycle
-    /// trace (and the advisor prediction it calibrates).
-    Analyzed(Box<AnalyzeReport>),
-    /// Point-form PREDICT: inline predictions, nothing materialized.
-    Point(PointReport),
-    /// SHOW STATS: the server-wide metrics snapshot (core registry +
-    /// admission queue + accelerator pool + sessions).
-    Stats(StatsSnapshot),
-}
-
-impl QueryResponse {
-    /// End-to-end simulated seconds, whichever query type ran. Zero for
-    /// EXPLAIN / SHOW STATS (nothing executed) and for CPU-tier runs
-    /// (nothing simulated — their stopwatch lives in
-    /// `timing.wall_seconds`). An EXPLAIN ANALYZE charges its inner
-    /// statement's simulated total (it really ran on the lease).
-    pub fn sim_seconds(&self) -> f64 {
-        match self {
-            QueryResponse::Trained(r) => r.timing.total_seconds,
-            QueryResponse::Predicted(p) => p.timing.total_seconds,
-            QueryResponse::Evaluated(e) => e.timing.total_seconds,
-            QueryResponse::Point(p) => p.timing.total_seconds,
-            QueryResponse::Explained(_) | QueryResponse::Stats(_) => 0.0,
-            QueryResponse::Analyzed(a) => {
-                a.outcome.timing().map(|t| t.total_seconds).unwrap_or(0.0)
-            }
-        }
-    }
-
-    /// Short kind name for typed-accessor mismatch errors.
-    fn kind(&self) -> &'static str {
-        match self {
-            QueryResponse::Trained(_) => "training",
-            QueryResponse::Predicted(_) => "predict",
-            QueryResponse::Evaluated(_) => "evaluate",
-            QueryResponse::Point(_) => "point-predict",
-            QueryResponse::Explained(_) => "explain",
-            QueryResponse::Analyzed(_) => "explain-analyze",
-            QueryResponse::Stats(_) => "stats",
-        }
-    }
 }
 
 /// A finished query, as delivered to the submitting client.
 #[derive(Debug, Clone)]
 pub struct QueryReply {
+    /// What the statement answered: the type the embedded door returns.
     pub response: QueryResponse,
     /// Which accelerator-pool instance ran the query (a gang's first
     /// member for sharded queries). `usize::MAX` for lease-free work —
@@ -164,105 +97,6 @@ pub struct QueryReply {
     /// with `WITH (trace = on)`. (`EXPLAIN ANALYZE` carries its trace
     /// inside [`QueryResponse::Analyzed`] instead.)
     pub trace: Option<QueryTrace>,
-}
-
-impl QueryReply {
-    /// The training report, or the typed
-    /// [`ServerError::UnexpectedReply`] for other reply kinds.
-    pub fn try_report(&self) -> ServerResult<&DanaReport> {
-        match &self.response {
-            QueryResponse::Trained(r) => Ok(r),
-            other => Err(unexpected("training", other)),
-        }
-    }
-
-    /// The prediction report, or the typed mismatch error.
-    pub fn try_predict_report(&self) -> ServerResult<&PredictReport> {
-        match &self.response {
-            QueryResponse::Predicted(p) => Ok(p),
-            other => Err(unexpected("predict", other)),
-        }
-    }
-
-    /// The evaluation report, or the typed mismatch error.
-    pub fn try_eval_report(&self) -> ServerResult<&EvalReport> {
-        match &self.response {
-            QueryResponse::Evaluated(e) => Ok(e),
-            other => Err(unexpected("evaluate", other)),
-        }
-    }
-
-    /// The point-prediction report, or the typed mismatch error.
-    pub fn try_point_report(&self) -> ServerResult<&PointReport> {
-        match &self.response {
-            QueryResponse::Point(p) => Ok(p),
-            other => Err(unexpected("point-predict", other)),
-        }
-    }
-
-    /// The EXPLAIN comparison, or the typed mismatch error.
-    pub fn try_comparison(&self) -> ServerResult<&StrategyComparison> {
-        match &self.response {
-            QueryResponse::Explained(c) => Ok(c),
-            other => Err(unexpected("explain", other)),
-        }
-    }
-
-    /// The EXPLAIN ANALYZE report, or the typed mismatch error.
-    pub fn try_analyze_report(&self) -> ServerResult<&AnalyzeReport> {
-        match &self.response {
-            QueryResponse::Analyzed(a) => Ok(a),
-            other => Err(unexpected("explain-analyze", other)),
-        }
-    }
-
-    /// The SHOW STATS snapshot, or the typed mismatch error.
-    pub fn try_stats(&self) -> ServerResult<&StatsSnapshot> {
-        match &self.response {
-            QueryResponse::Stats(s) => Ok(s),
-            other => Err(unexpected("stats", other)),
-        }
-    }
-
-    /// The training report (panics for other reply kinds — the training
-    /// clients' convenience accessor; [`QueryReply::try_report`] is the
-    /// non-panicking form).
-    pub fn report(&self) -> &DanaReport {
-        self.try_report().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The prediction report (panics for other reply kinds).
-    pub fn predict_report(&self) -> &PredictReport {
-        self.try_predict_report().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The evaluation report (panics for other reply kinds).
-    pub fn eval_report(&self) -> &EvalReport {
-        self.try_eval_report().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The point-prediction report (panics for other reply kinds).
-    pub fn point_report(&self) -> &PointReport {
-        self.try_point_report().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The EXPLAIN comparison (panics for other reply kinds).
-    pub fn comparison(&self) -> &StrategyComparison {
-        self.try_comparison().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The SHOW STATS snapshot (panics for other reply kinds).
-    pub fn stats(&self) -> &StatsSnapshot {
-        self.try_stats().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// The typed accessor-mismatch error.
-fn unexpected(expected: &'static str, got: &QueryResponse) -> ServerError {
-    ServerError::UnexpectedReply {
-        expected,
-        got: got.kind().to_string(),
-    }
 }
 
 pub(crate) type ReplyResult = ServerResult<QueryReply>;
@@ -397,99 +231,50 @@ impl DanaServer {
 
     /// Admits a query for scheduled execution. Non-blocking: refusal
     /// (overload, unknown session, shutdown) is immediate and typed. The
-    /// request is parsed and bound to its plan here, once; the worker
-    /// that dequeues it only leases and runs.
+    /// request is lowered to its plan here, once; the worker that
+    /// dequeues it only leases and runs.
     pub fn submit(&self, session: SessionId, request: QueryRequest) -> ServerResult<Ticket> {
         self.sessions.record_submit(session)?;
         let admitted = self.admit(request);
-        // The deadline is anchored at submit time: admission wait counts
-        // against it.
-        let deadline = admitted
-            .timeout_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let (tx, rx) = channel::bounded(1);
-        let seq = self.queue.submit(session, admitted, deadline, tx)?;
+        let seq = self.queue.submit(session, admitted, tx)?;
         Ok(Ticket { seq, session, rx })
     }
 
-    /// Lowers a request to what a worker will run: SQL is parsed, the
-    /// typed forms become the same [`Call`] their SQL twins parse to
-    /// (on the FPGA tier, as their contract says — only point predictions
-    /// ask the advisor), and the call is bound against this server's
-    /// accelerator pool. A parse or bind error rides the job to the
-    /// worker, which replies with it — no lease is ever taken for one.
+    /// Lowers a request to what a worker will run: SQL is parsed and
+    /// point rows become the [`Call`] their SQL twin parses to (asking the
+    /// advisor for a backend), and both go through [`SystemCore::lower`]
+    /// against this server's accelerator pool; an ad-hoc spec is its own
+    /// plan. A parse or bind error rides the job to the worker, which
+    /// replies with it — no lease is ever taken for one.
     fn admit(&self, request: QueryRequest) -> Admitted {
-        let lower_start = Instant::now();
-        let stmt = 'lowered: {
-            let (op, udf, table, shards) = match request {
-                QueryRequest::Sql(sql) => break 'lowered parse_statement(&sql),
-                // The one ad-hoc form: nothing to parse or price.
-                QueryRequest::TrainSpec { spec, table, mode } => {
-                    let work = Work::Plan {
-                        plan: Box::new(PhysicalPlan::ad_hoc(&spec, &table, mode)),
-                        retry: RetryPolicy::default(),
-                    };
-                    return Admitted::new(Ok(work), self.default_timeout_ms, 0.0);
-                }
-                QueryRequest::RunUdf { udf, table, shards } => (PlanOp::Train, udf, table, shards),
-                QueryRequest::Predict {
+        let cap = self.accels.size();
+        let (lowered, parse_wall) = match request {
+            QueryRequest::Sql(sql) => {
+                let start = Instant::now();
+                let stmt = parse_statement(&sql);
+                let parse_wall = start.elapsed().as_secs_f64();
+                (
+                    stmt.and_then(|stmt| self.core.lower(&stmt, cap)),
+                    parse_wall,
+                )
+            }
+            QueryRequest::TrainSpec { spec, table, mode } => {
+                let plan = PhysicalPlan::ad_hoc(&spec, &table, mode);
+                (Ok((Work::Plan(Box::new(plan)), QueryCtx::unbounded())), 0.0)
+            }
+            QueryRequest::PredictPoint { udf, rows } => {
+                let call = Call {
+                    op: PlanOp::Point { rows },
                     udf,
-                    table,
-                    into,
-                    shards,
-                } => (PlanOp::PredictInto { dest: into }, udf, table, shards),
-                QueryRequest::Evaluate {
-                    udf,
-                    table,
-                    metric,
-                    shards,
-                } => (PlanOp::Evaluate { metric }, udf, table, shards),
-                QueryRequest::PredictPoint { udf, rows } => {
-                    (PlanOp::Point { rows }, udf, String::new(), None)
-                }
-            };
-            let backend = match op {
-                PlanOp::Point { .. } => BackendChoice::Auto,
-                _ => BackendChoice::Fpga,
-            };
-            let with = WithOptions {
-                shards,
-                backend,
-                ..WithOptions::default()
-            };
-            Ok(Statement::Call(Call {
-                op,
-                udf,
-                table,
-                scan: None,
-                with,
-            }))
+                    table: String::new(),
+                    scan: None,
+                    with: WithOptions::default(),
+                };
+                (self.core.lower(&Statement::Call(call), cap), 0.0)
+            }
         };
-        let parse_wall = lower_start.elapsed().as_secs_f64();
-        let stmt = match stmt {
-            Ok(stmt) => stmt,
-            // No deadline either: the parse error must surface as itself,
-            // not be shed into a misleading timeout.
-            Err(e) => return Admitted::new(Err(e), None, parse_wall),
-        };
-        let timeout_ms = stmt.timeout_ms().or(self.default_timeout_ms);
-        let retry = stmt
-            .retries()
-            .map_or_else(RetryPolicy::default, |n| RetryPolicy {
-                max_retries: n,
-                ..RetryPolicy::default()
-            });
-        let bind = |call, explain| {
-            let plan = Box::new(self.core.bind(call, explain, self.accels.size())?);
-            Ok(Work::Plan { plan, retry })
-        };
-        let work = match &stmt {
-            Statement::ShowStats(filter) => Ok(Work::Stats(filter.clone())),
-            Statement::Call(call) => bind(call, None),
-            Statement::Explain(call) => bind(call, Some(Wrap::Explain)),
-            Statement::ExplainAnalyze(call) => bind(call, Some(Wrap::Analyze)),
-        };
-        Admitted::new(work, timeout_ms, parse_wall)
+        Admitted::new(lowered, self.default_timeout_ms, parse_wall)
     }
 
     /// Blocks until the ticket's query finishes.
@@ -582,66 +367,60 @@ impl Drop for DanaServer {
     }
 }
 
-/// What a worker runs for one admitted request.
-pub(crate) enum Work {
-    /// `SHOW STATS`: the server-wide snapshot — no plan, no lease.
-    Stats(Option<String>),
-    /// Everything else: the plan bound at submit, and the statement's
-    /// retry budget for transient accelerator faults.
-    Plan {
-        plan: Box<PhysicalPlan>,
-        retry: RetryPolicy,
-    },
-}
-
-/// A request as admission sees it: what to run, how to order it, and how
-/// long it may take.
+/// A request as admission sees it: what to run, how to order it, and the
+/// context it runs under.
 pub(crate) struct Admitted {
     pub work: DanaResult<Work>,
+    /// The statement's deadline and retry budget.
+    pub ctx: QueryCtx,
     pub priority: Priority,
     pub cost_hint: f64,
-    /// The statement's `WITH (timeout_ms = …)`, or the server default.
-    pub timeout_ms: Option<u64>,
-    /// Wall seconds spent parsing/lowering (charged to the lifecycle
+    /// Wall seconds spent parsing the request (charged to the lifecycle
     /// trace's `parse` stage).
     pub parse_wall: f64,
 }
 
 impl Admitted {
-    /// Orders the work: point predictions are `Interactive` — the dequeue
-    /// prefers them over any waiting batch job, so a microsecond lookup
-    /// is never starved behind a gang training job — and everything else
-    /// is `Batch`, keyed by its plan's cost hint. Work with no plan
-    /// (`SHOW STATS`, a parse or bind error) gets the neutral hint 0,
-    /// which SJF treats as "probably interactive" rather than starving it.
-    fn new(work: DanaResult<Work>, timeout_ms: Option<u64>, parse_wall: f64) -> Admitted {
+    /// Applies the server's deadline rule — a statement without `WITH
+    /// (timeout_ms = …)` gets `default_timeout_ms`, anchored now, at
+    /// submit, so admission wait counts against it — and orders the work:
+    /// point predictions are `Interactive` — the dequeue prefers them over
+    /// any waiting batch job, so a microsecond lookup is never starved
+    /// behind a gang training job — and everything else is `Batch`, keyed
+    /// by its plan's cost hint. Work with no plan (`SHOW STATS`, a parse
+    /// or bind error) gets the neutral hint 0, which SJF treats as
+    /// "probably interactive" rather than starving it. An error gets no
+    /// deadline: it must surface as itself, not be shed into a misleading
+    /// timeout.
+    fn new(
+        lowered: DanaResult<(Work, QueryCtx)>,
+        default_timeout_ms: Option<u64>,
+        parse_wall: f64,
+    ) -> Admitted {
+        let (work, ctx) = match lowered {
+            Ok((work, mut ctx)) => {
+                if let (None, Some(ms)) = (ctx.cancel.deadline(), default_timeout_ms) {
+                    ctx.cancel =
+                        CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms));
+                }
+                (Ok(work), ctx)
+            }
+            Err(e) => (Err(e), QueryCtx::unbounded()),
+        };
         let (priority, cost_hint) = match &work {
-            Ok(Work::Plan { plan, .. }) if matches!(plan.op, PlanOp::Point { .. }) => {
+            Ok(Work::Plan(plan)) if matches!(plan.op, PlanOp::Point { .. }) => {
                 (Priority::Interactive, plan.cost_hint)
             }
-            Ok(Work::Plan { plan, .. }) => (Priority::Batch, plan.cost_hint),
+            Ok(Work::Plan(plan)) => (Priority::Batch, plan.cost_hint),
             _ => (Priority::Batch, 0.0),
         };
         Admitted {
             work,
+            ctx,
             priority,
             cost_hint,
-            timeout_ms,
             parse_wall,
         }
-    }
-}
-
-/// Maps a dispatched statement outcome to the wire-level reply variant.
-fn outcome_to_response(outcome: StatementOutcome) -> QueryResponse {
-    match outcome {
-        StatementOutcome::Train(o) => QueryResponse::Trained(o.report),
-        StatementOutcome::Predict(p) => QueryResponse::Predicted(p),
-        StatementOutcome::Evaluate(e) => QueryResponse::Evaluated(e),
-        StatementOutcome::Point(p) => QueryResponse::Point(p),
-        StatementOutcome::Explain(c) => QueryResponse::Explained(c),
-        StatementOutcome::Analyze(a) => QueryResponse::Analyzed(a),
-        StatementOutcome::Stats(s) => QueryResponse::Stats(s),
     }
 }
 
@@ -767,12 +546,9 @@ fn worker_loop(
         // pool and the table's pages, and the run must agree with it, or
         // the simulated schedule would charge hardware the query never
         // used.
-        let (gang_size, retry) = match &job.work {
-            Ok(Work::Plan { plan, retry }) if plan.needs_accelerator() => {
-                (Some(plan.shards as usize), *retry)
-            }
-            Ok(Work::Plan { retry, .. }) => (None, *retry),
-            _ => (None, RetryPolicy::default()),
+        let gang_size = match &job.work {
+            Ok(Work::Plan(plan)) if plan.needs_accelerator() => Some(plan.shards as usize),
+            _ => None,
         };
         let (lease, lease_wall) = match gang_size {
             Some(k) => {
@@ -790,11 +566,7 @@ fn worker_loop(
         let gang: Vec<usize> = lease.as_ref().map(|l| l.ids().to_vec()).unwrap_or_default();
         let accelerator = gang.first().copied().unwrap_or(usize::MAX);
         let queue_seconds = job.submitted_at.elapsed().as_secs_f64();
-        let cancel = match job.deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::none(),
-        };
-        let ctx = QueryCtx::new(cancel, retry);
+        let ctx = job.ctx;
         let walls = FrontDoorWalls {
             parse: job.parse_wall,
             admission: admission_wall,
@@ -809,7 +581,7 @@ fn worker_loop(
         let dispatched = catch_unwind(AssertUnwindSafe(|| match work? {
             // SHOW STATS sees the whole server (queue/pool/sessions).
             Work::Stats(filter) => Ok((
-                StatementOutcome::Stats(server_stats(
+                QueryResponse::Stats(server_stats(
                     core,
                     accels,
                     queue,
@@ -818,9 +590,9 @@ fn worker_loop(
                 )),
                 None,
             )),
-            Work::Plan { plan, .. } => core.run(&plan, &walls, &ctx),
+            Work::Plan(plan) => core.run(&plan, &walls, &ctx),
         }));
-        let result: ServerResult<(StatementOutcome, Option<QueryTrace>)> = match dispatched {
+        let result: ServerResult<(QueryResponse, Option<QueryTrace>)> = match dispatched {
             Ok(r) => r.map_err(ServerError::Dana),
             Err(payload) => {
                 core.metrics().panics_caught.inc();
@@ -838,21 +610,20 @@ fn worker_loop(
             }
         }
         let exec_seconds = started.elapsed().as_secs_f64();
-        let sim_seconds = match &result {
-            Ok((outcome, _)) => outcome.timing().map_or(0.0, |t| t.total_seconds),
-            Err(_) => 0.0,
-        };
+        let sim_seconds = result
+            .as_ref()
+            .map_or(0.0, |(response, _)| response.sim_seconds());
         if let Some(lease) = lease {
             lease.release(sim_seconds);
         }
         match &result {
-            Ok((outcome, _)) => core.record_statement(Ok(outcome), exec_seconds),
+            Ok((response, _)) => core.record_statement(Ok(response), exec_seconds),
             Err(ServerError::Dana(e)) => core.record_statement(Err(e), exec_seconds),
             Err(_) => core.metrics().queries_failed.inc(),
         }
         sessions.record_done(job.session, result.is_ok(), sim_seconds, exec_seconds);
-        let reply = result.map(|(outcome, trace)| QueryReply {
-            response: outcome_to_response(outcome),
+        let reply = result.map(|(response, trace)| QueryReply {
+            response,
             accelerator,
             gang,
             queue_seconds,

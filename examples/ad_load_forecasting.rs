@@ -30,9 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.create_table("ad_serving_history", table.heap.clone())?;
     db.prewarm("ad_serving_history")?;
     db.deploy(&w.spec(), "ad_serving_history")?;
-    let out = db.execute("SELECT * FROM dana.linearR('ad_serving_history');")?;
-    let dana_model = dana_ml::DenseModel(out.report.dense_model().to_vec());
-    let dana_seconds = out.report.timing.total_seconds;
+    let out = db.execute_statement("SELECT * FROM dana.linearR('ad_serving_history');")?;
+    let out = out.report()?;
+    let dana_model = dana_ml::DenseModel(out.dense_model().to_vec());
+    let dana_seconds = out.timing.total_seconds;
 
     // --- In-database software path (MADlib-class) -----------------------
     let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());

@@ -56,14 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== cost-based backend advisor ===\n");
 
     // The stock system always offloads — the paper has no CPU tier.
-    let paper = db.explain_sql("EXPLAIN SELECT * FROM dana.linearR('probe');")?;
+    let paper = db.execute_statement("EXPLAIN SELECT * FROM dana.linearR('probe');")?;
+    let paper = paper.comparison()?;
     println!("-- default profile (paper semantics: always offload)\n{paper}");
     assert_eq!(paper.chosen, BackendKind::Fpga);
 
     // Enable the throughput model and learn this program's break-even.
     let profile = db.hardware_profile().with_offload_threshold(None);
     db.set_hardware_profile(profile);
-    let probe = db.explain_sql("EXPLAIN SELECT * FROM dana.linearR('probe');")?;
+    let probe = db.execute_statement("EXPLAIN SELECT * FROM dana.linearR('probe');")?;
+    let probe = probe.comparison()?;
     let break_even = probe
         .break_even_rows
         .expect("the default constants have a finite break-even");
@@ -79,7 +81,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut chosen = Vec::new();
     for (name, n) in sizes {
         db.create_table(name, dense_heap(n))?;
-        let cmp = db.explain_sql(&format!("EXPLAIN SELECT * FROM dana.linearR('{name}');"))?;
+        let cmp =
+            db.execute_statement(&format!("EXPLAIN SELECT * FROM dana.linearR('{name}');"))?;
+        let cmp = cmp.comparison()?;
         println!("{cmp}");
         chosen.push(cmp.chosen);
     }
@@ -92,19 +96,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // An explicit override beats the advisor — and EXPLAIN says so.
     let forced =
-        db.explain_sql("EXPLAIN SELECT * FROM dana.linearR('tiny') WITH (backend = fpga);")?;
+        db.execute_statement("EXPLAIN SELECT * FROM dana.linearR('tiny') WITH (backend = fpga);")?;
+    let forced = forced.comparison()?;
     assert!(forced.forced && forced.chosen == BackendKind::Fpga);
     println!("{forced}");
 
     // Run the tiny query on the backend the advisor picked: the CPU tier
     // reports measured wall time, not simulated cycles.
-    let out = db.execute("SELECT * FROM dana.linearR('tiny');")?;
-    assert_eq!(out.report.backend, BackendKind::Cpu);
+    let out = db.execute_statement("SELECT * FROM dana.linearR('tiny');")?;
+    let out = out.report()?;
+    assert_eq!(out.backend, BackendKind::Cpu);
     println!(
         "ran tiny on {:?}: wall {:.6}s (simulated slots all zero: {})",
-        out.report.backend,
-        out.report.timing.wall_seconds.unwrap_or(0.0),
-        out.report.timing.total_seconds,
+        out.backend,
+        out.timing.wall_seconds.unwrap_or(0.0),
+        out.timing.total_seconds,
     );
 
     println!("\nadvisor crossover demonstrated — CPU below break-even, FPGA above.");

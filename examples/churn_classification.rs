@@ -37,20 +37,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("deployed UDFs: {:?}", db.accelerator_names());
 
-    let logistic = db.execute("SELECT * FROM dana.logisticR('customers');")?;
-    let lm = dana_ml::DenseModel(logistic.report.dense_model().to_vec());
+    let logistic = db.execute_statement("SELECT * FROM dana.logisticR('customers');")?;
+
+    let logistic = logistic.report()?;
+    let lm = dana_ml::DenseModel(logistic.dense_model().to_vec());
     println!(
         "\nlogistic regression: accuracy {:.1}%  ({} threads, {:.2} ms simulated)",
         100.0 * metrics::classification_accuracy(&lm, &data, false).unwrap(),
-        logistic.report.num_threads,
-        logistic.report.timing.total_seconds * 1e3
+        logistic.num_threads,
+        logistic.timing.total_seconds * 1e3
     );
 
-    let svm = db.execute("SELECT * FROM dana.svm('customers_pm1');")?;
+    let svm = db.execute_statement("SELECT * FROM dana.svm('customers_pm1');")?;
+
+    let svm = svm.report()?;
     println!(
         "svm:                 {} threads, {:.2} ms simulated",
-        svm.report.num_threads,
-        svm.report.timing.total_seconds * 1e3
+        svm.num_threads,
+        svm.timing.total_seconds * 1e3
     );
 
     // Software baselines on the logistic table.
@@ -89,12 +93,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  MADlib/Greenplum-8: {:>9.4} s", gp.total_seconds);
     println!(
         "  DAnA              : {:>9.4} s",
-        logistic.report.timing.total_seconds
+        logistic.timing.total_seconds
     );
     println!(
         "  DAnA speedup      : {:>8.1}x over PostgreSQL, {:.1}x over Greenplum",
-        madlib.total_seconds / logistic.report.timing.total_seconds,
-        gp.total_seconds / logistic.report.timing.total_seconds
+        madlib.total_seconds / logistic.timing.total_seconds,
+        gp.total_seconds / logistic.timing.total_seconds
     );
     Ok(())
 }

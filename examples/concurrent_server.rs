@@ -79,7 +79,7 @@ fn main() {
                 let session = srv.open_session(client);
                 for _ in 0..queries_per_client {
                     let reply = srv.call(session, QueryRequest::Sql(sql.clone())).unwrap();
-                    assert!(!reply.report().models.is_empty());
+                    assert!(!reply.response.report().unwrap().models.is_empty());
                 }
             });
         }

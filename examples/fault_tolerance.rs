@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- 1. the undisturbed gang run -----------------------------------
     let clean = srv.call(session, QueryRequest::Sql(sql.into()))?;
-    let clean_report = clean.try_report()?.clone();
+    let clean_report = clean.response.report()?.clone();
     println!(
         "clean run:    gang {:?}, model[0][..4] = {:?}",
         clean.gang,
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 2. kill gang member 1 at epoch 2 ------------------------------
     srv.install_fault_plan(Some(Arc::new(FaultPlan::shard_fault(1, 2))));
     let degraded = srv.call(session, QueryRequest::Sql(sql.into()))?;
-    let degraded_report = degraded.try_report()?.clone();
+    let degraded_report = degraded.response.report()?.clone();
     srv.install_fault_plan(None);
     assert_eq!(
         degraded_report.models, clean_report.models,
@@ -140,7 +140,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("panic:        {err}");
     srv.install_fault_plan(None);
     srv.call(session, QueryRequest::Sql(sql.into()))?
-        .try_report()?;
+        .response
+        .report()?;
     println!("              …and the same workers serve the next query.");
 
     // ---- 6. the fault ledger -------------------------------------------

@@ -31,11 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let udf = dana_dsl::zoo::lrmf_source(users, movies, rank, 8, w.epochs);
     println!("--- LRMF UDF ---\n{udf}");
     db.deploy_source(&udf, "lrmfA", "ratings")?;
-    let out = db.execute("SELECT * FROM dana.lrmfA('ratings');")?;
+    let out = db.execute_statement("SELECT * FROM dana.lrmfA('ratings');")?;
+    let out = out.report()?;
 
     let model = dana_ml::LrmfModel {
-        l: out.report.model("L").unwrap().to_vec(),
-        r: out.report.model("R").unwrap().to_vec(),
+        l: out.model("L").unwrap().to_vec(),
+        r: out.model("R").unwrap().to_vec(),
         rows: users,
         cols: movies,
         rank,
@@ -44,10 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "trained on {} ratings, {} epochs: rmse {:.3} (simulated {:.1} ms, {} threads)",
         ratings.len(),
-        out.report.epochs_run,
+        out.epochs_run,
         rmse,
-        out.report.timing.total_seconds * 1e3,
-        out.report.num_threads
+        out.timing.total_seconds * 1e3,
+        out.num_threads
     );
 
     // Recommend: for user 7, rank unseen movies by predicted rating.

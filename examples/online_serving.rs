@@ -137,7 +137,7 @@ fn main() {
     let vals: Vec<String> = rows[0].iter().map(|v| format!("{v}")).collect();
     let sql = format!("PREDICT dana.scorer(VALUES ({}));", vals.join(", "));
     let reply = srv.call(admin, QueryRequest::Sql(sql)).unwrap();
-    let report = reply.point_report();
+    let report = reply.response.point_report().unwrap();
     println!(
         "\nPREDICT dana.scorer(VALUES ({}, … {} more));\n-> {:.6} ({:?} tier)",
         vals[..3.min(vals.len())].join(", "),
@@ -150,10 +150,10 @@ fn main() {
     let reply = srv
         .call(admin, QueryRequest::Sql("SHOW STATS ('serving');".into()))
         .unwrap();
-    println!(
-        "\nSHOW STATS ('serving');\n{}",
-        reply.stats().render_table()
-    );
+    let QueryResponse::Stats(snap) = reply.response else {
+        panic!("SHOW STATS answers with a snapshot");
+    };
+    println!("\nSHOW STATS ('serving');\n{}", snap.render_table());
 
     srv.close_session(admin).unwrap();
 }

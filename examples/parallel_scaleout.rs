@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "EXECUTE dana.logisticR('clicks') WITH (shards = {k});"
             )),
         )?;
-        let sim = reply.report().timing.total_seconds;
+        let sim = reply.response.report()?.timing.total_seconds;
         let gang = reply.gang.clone();
         srv.core().clear_cache();
         let loss = srv
@@ -95,7 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "EVALUATE dana.logisticR('clicks') WITH (shards = {k});"
                 )),
             )?
-            .eval_report()
+            .response
+            .eval_report()?
             .value;
         let base = *train_base.get_or_insert(sim);
         println!(
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )),
         )?;
         let gang = reply.gang.clone();
-        let predict = reply.predict_report().clone();
+        let predict = reply.response.predict_report()?.clone();
         let rows: Vec<Vec<f32>> = srv
             .core()
             .table_snapshot(&dest)?

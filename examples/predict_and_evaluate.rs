@@ -12,7 +12,6 @@
 //! engine. `DANA_SMOKE=1` shrinks the tables for CI.
 
 use dana::prelude::*;
-use dana::StatementOutcome;
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
@@ -80,17 +79,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.deploy(&spec, &table)?;
 
         // Train from SQL.
-        let trained = db.execute(&format!("SELECT * FROM dana.{udf}('{table}');"))?;
+        let trained = db.execute_statement(&format!("SELECT * FROM dana.{udf}('{table}');"))?;
+        let trained = trained.report()?;
         // Score from SQL: materialize a prediction table.
         let out =
             db.execute_statement(&format!("PREDICT dana.{udf}('{table}') INTO '{scores}';"))?;
-        let StatementOutcome::Predict(p) = out else {
+        let QueryResponse::Predicted(p) = out else {
             unreachable!()
         };
         // Evaluate from SQL, on the *materialized* table: the appended
         // prediction column rides along, the label column still reads.
         let out = db.execute_statement(&format!("EVALUATE dana.{udf}('{scores}');"))?;
-        let StatementOutcome::Evaluate(e) = out else {
+        let QueryResponse::Evaluated(e) = out else {
             unreachable!()
         };
         println!(
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             db.table_pages(&scores).unwrap(),
             e.metric.name(),
             e.value,
-            trained.report.timing.total_seconds * 1e3,
+            trained.timing.total_seconds * 1e3,
             p.timing.total_seconds * 1e3,
         );
     }
@@ -118,13 +118,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     db.create_table("ratings", rating_heap(n, rows, cols))?;
     db.deploy(&spec, "ratings")?;
-    let trained = db.execute("SELECT * FROM dana.lrmf('ratings');")?;
+    let trained = db.execute_statement("SELECT * FROM dana.lrmf('ratings');")?;
+    let trained = trained.report()?;
     let out = db.execute_statement("PREDICT dana.lrmf('ratings') INTO 'rating_scores';")?;
-    let StatementOutcome::Predict(p) = out else {
+    let QueryResponse::Predicted(p) = out else {
         unreachable!()
     };
     let out = db.execute_statement("EVALUATE dana.lrmf('rating_scores', 'lrmf_rmse');")?;
-    let StatementOutcome::Evaluate(e) = out else {
+    let QueryResponse::Evaluated(e) = out else {
         unreachable!()
     };
     println!(
@@ -134,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p.output_table,
         e.metric.name(),
         e.value,
-        trained.report.timing.total_seconds * 1e3,
+        trained.timing.total_seconds * 1e3,
         p.timing.total_seconds * 1e3,
     );
 

@@ -19,7 +19,6 @@
 //! `DANA_SMOKE=1` shrinks the table for CI.
 
 use dana::prelude::*;
-use dana::StatementOutcome;
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
 
@@ -74,19 +73,14 @@ fn main() {
     let out = db
         .execute_statement(&format!("EXPLAIN {filtered_sql}"))
         .unwrap();
-    let StatementOutcome::Explain(cmp) = out else {
-        panic!("expected EXPLAIN outcome");
-    };
+    let cmp = out.comparison().unwrap();
     println!("EXPLAIN {filtered_sql}\n{cmp}\n");
 
     // Full scan, then the pushdown scan, both cold-cache.
     let train = |sql: &str| {
         db.clear_cache();
         let out = db.execute_statement(sql).unwrap();
-        let StatementOutcome::Train(q) = out else {
-            panic!("expected train outcome");
-        };
-        q.report
+        out.report().unwrap().clone()
     };
     let full = train("SELECT * FROM dana.linearR('facts');");
     let filtered = train(filtered_sql);
@@ -108,8 +102,8 @@ fn main() {
         let out = db
             .execute_statement(&format!("SHOW STATS ('{subsystem}');"))
             .unwrap();
-        let StatementOutcome::Stats(snap) = out else {
-            panic!("expected stats outcome");
+        let QueryResponse::Stats(snap) = out else {
+            panic!("expected stats response");
         };
         println!("\nSHOW STATS ('{subsystem}');\n{}", snap.render_table());
     }

@@ -38,9 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Invoke it from SQL.
-    let out = db.execute("SELECT * FROM dana.linearR('patient_data');")?;
-    let t = &out.report.timing;
-    println!("epochs run: {}", out.report.epochs_run);
+    let out = db.execute_statement("SELECT * FROM dana.linearR('patient_data');")?;
+    let out = out.report()?;
+    let t = &out.timing;
+    println!("epochs run: {}", out.epochs_run);
     println!(
         "simulated time: total {:.1} ms (axi {:.1} ms, striders {:.1} ms, engine {:.1} ms, io {:.1} ms)",
         t.total_seconds * 1e3,
@@ -49,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.engine_seconds * 1e3,
         t.io_seconds * 1e3
     );
-    let m = out.report.dense_model();
+    let m = out.dense_model();
     println!("model (first 8 weights): {:?}", &m[..8.min(m.len())]);
     Ok(())
 }

@@ -219,24 +219,31 @@ fn sql_backends_agree_end_to_end() {
         db.deploy(&spec, "t").unwrap();
 
         let fpga = db
-            .execute(&format!(
+            .execute_statement(&format!(
                 "SELECT * FROM dana.{udf}('t') WITH (backend = fpga);"
             ))
             .unwrap();
         let cpu = db
-            .execute(&format!(
+            .execute_statement(&format!(
                 "SELECT * FROM dana.{udf}('t') WITH (backend = cpu);"
             ))
             .unwrap();
-        assert_eq!(fpga.report.backend, BackendKind::Fpga);
-        assert_eq!(cpu.report.backend, BackendKind::Cpu);
-        assert_eq!(cpu.report.models, fpga.report.models, "{udf}: training");
-        assert_eq!(cpu.report.engine.cycles, fpga.report.engine.cycles);
+        assert_eq!(fpga.report().unwrap().backend, BackendKind::Fpga);
+        assert_eq!(cpu.report().unwrap().backend, BackendKind::Cpu);
+        assert_eq!(
+            cpu.report().unwrap().models,
+            fpga.report().unwrap().models,
+            "{udf}: training"
+        );
+        assert_eq!(
+            cpu.report().unwrap().engine.cycles,
+            fpga.report().unwrap().engine.cycles
+        );
         // Cost units live in distinct slots.
-        assert!(fpga.report.timing.total_seconds > 0.0);
-        assert!(fpga.report.timing.wall_seconds.is_none());
-        assert_eq!(cpu.report.timing.total_seconds, 0.0);
-        assert!(cpu.report.timing.wall_seconds.is_some());
+        assert!(fpga.report().unwrap().timing.total_seconds > 0.0);
+        assert!(fpga.report().unwrap().timing.wall_seconds.is_none());
+        assert_eq!(cpu.report().unwrap().timing.total_seconds, 0.0);
+        assert!(cpu.report().unwrap().timing.wall_seconds.is_some());
 
         // Scoring tiers: bit-identical materialized predictions.
         let pf = db.predict(&udf, "t", "pf").unwrap();
@@ -245,7 +252,7 @@ fn sql_backends_agree_end_to_end() {
                 "PREDICT dana.{udf}('t') INTO 'pc' WITH (backend = cpu);"
             ))
             .unwrap();
-        let pc = pc.predict_report();
+        let pc = pc.predict_report().unwrap();
         assert_eq!(pf.backend, BackendKind::Fpga);
         assert_eq!(pc.backend, BackendKind::Cpu);
         assert_eq!(pf.rows_scored, pc.rows_scored);
@@ -265,7 +272,7 @@ fn sql_backends_agree_end_to_end() {
         let ec = db
             .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = cpu);"))
             .unwrap();
-        let ec = ec.eval_report();
+        let ec = ec.eval_report().unwrap();
         assert_eq!(ec.value, ef.value, "{udf}: metric");
         assert_eq!(ec.metric, ef.metric);
     }
@@ -286,18 +293,22 @@ fn sql_backends_agree_end_to_end() {
     .unwrap();
     db.deploy(&spec, "ratings").unwrap();
     let fpga = db
-        .execute("SELECT * FROM dana.lrmf('ratings') WITH (backend = fpga);")
+        .execute_statement("SELECT * FROM dana.lrmf('ratings') WITH (backend = fpga);")
         .unwrap();
     let cpu = db
-        .execute("SELECT * FROM dana.lrmf('ratings') WITH (backend = cpu);")
+        .execute_statement("SELECT * FROM dana.lrmf('ratings') WITH (backend = cpu);")
         .unwrap();
-    assert_eq!(cpu.report.models, fpga.report.models, "lrmf: factors");
-    assert_eq!(cpu.report.backend, BackendKind::Cpu);
+    assert_eq!(
+        cpu.report().unwrap().models,
+        fpga.report().unwrap().models,
+        "lrmf: factors"
+    );
+    assert_eq!(cpu.report().unwrap().backend, BackendKind::Cpu);
     let ef = db.evaluate("lrmf", "ratings", None).unwrap();
     let ec = db
         .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = cpu);")
         .unwrap();
-    let ec = ec.eval_report();
+    let ec = ec.eval_report().unwrap();
     assert_eq!(ec.value, ef.value, "lrmf: metric");
 }
 

@@ -33,17 +33,17 @@ fn logistic_regression_full_pipeline() {
     db.create_table("remote_sensing", table.heap).unwrap();
     db.deploy(&w.spec(), "remote_sensing").unwrap();
     let out = db
-        .execute("SELECT * FROM dana.logisticR('remote_sensing');")
+        .execute_statement("SELECT * FROM dana.logisticR('remote_sensing');")
         .unwrap();
 
-    let model = dana_ml::DenseModel(out.report.dense_model().to_vec());
+    let model = dana_ml::DenseModel(out.report().unwrap().dense_model().to_vec());
     let acc = metrics::classification_accuracy(&model, &data, false).unwrap();
     assert!(acc > 0.9, "accuracy {acc}");
     assert!(
-        out.report.num_threads > 1,
+        out.report().unwrap().num_threads > 1,
         "DSE should multi-thread this UDF"
     );
-    assert!(out.report.timing.total_seconds > 0.0);
+    assert!(out.report().unwrap().timing.total_seconds > 0.0);
 }
 
 #[test]
@@ -183,10 +183,16 @@ fn catalog_survives_multiple_udfs_and_tables() {
     db.deploy(&spec_a, "alpha").unwrap();
     db.deploy(&spec_b, "beta").unwrap();
     assert_eq!(db.accelerator_names(), vec!["lin_a", "lin_b"]);
-    assert!(db.execute("SELECT * FROM dana.lin_a('alpha')").is_ok());
-    assert!(db.execute("SELECT * FROM dana.lin_b('beta')").is_ok());
+    assert!(db
+        .execute_statement("SELECT * FROM dana.lin_a('alpha')")
+        .is_ok());
+    assert!(db
+        .execute_statement("SELECT * FROM dana.lin_b('beta')")
+        .is_ok());
     // Cross-wiring a UDF to the other (schema-compatible) table also works.
-    assert!(db.execute("SELECT * FROM dana.lin_a('beta')").is_ok());
+    assert!(db
+        .execute_statement("SELECT * FROM dana.lin_a('beta')")
+        .is_ok());
 }
 
 #[test]

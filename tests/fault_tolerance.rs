@@ -21,8 +21,8 @@ use dana::{ParallelError, PhysicalPlan, PlanOp, QueryCtx, SpanRecorder, SystemCo
 use dana_dsl::zoo::{linear_regression, DenseParams};
 use dana_engine::{CancelToken, EngineError, FaultPlan, RetryPolicy};
 use dana_server::{
-    AdmissionConfig, DanaServer, Health, QueryRequest, SchedPolicy, ServerConfig, ServerError,
-    SystemCoreConfig,
+    AdmissionConfig, DanaServer, Health, QueryReply, QueryRequest, SchedPolicy, ServerConfig,
+    ServerError, SystemCoreConfig,
 };
 use dana_storage::page::TupleDirection;
 use dana_storage::{BufferPoolConfig, HeapFile, HeapFileBuilder, Schema, Tuple};
@@ -52,6 +52,18 @@ fn spec(d: usize) -> dana_dsl::AlgoSpec {
     .unwrap()
 }
 
+fn core_config() -> SystemCoreConfig {
+    SystemCoreConfig {
+        fpga: FpgaSpec::vu9p(),
+        pool: BufferPoolConfig {
+            pool_bytes: 64 << 20,
+            page_size: PAGE,
+        },
+        pool_shards: 4,
+        disk: DiskModel::ssd(),
+    }
+}
+
 fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) -> DanaServer {
     DanaServer::start(ServerConfig {
         accelerators,
@@ -61,16 +73,16 @@ fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) 
             policy: SchedPolicy::Fifo,
         },
         default_timeout_ms,
-        core: SystemCoreConfig {
-            fpga: FpgaSpec::vu9p(),
-            pool: BufferPoolConfig {
-                pool_bytes: 64 << 20,
-                page_size: PAGE,
-            },
-            pool_shards: 4,
-            disk: DiskModel::ssd(),
-        },
+        core: core_config(),
     })
+}
+
+/// An embedded core with `linearR` (12 epochs) deployed on table `t`.
+fn deployed_core() -> SystemCore {
+    let core = SystemCore::new(core_config());
+    core.create_table("t", linreg_heap(600, 8)).unwrap();
+    core.deploy(&spec(8), "t").unwrap();
+    core
 }
 
 fn trained_server(accelerators: usize, workers: usize) -> DanaServer {
@@ -92,26 +104,24 @@ fn deployed_server(
 /// A gang run that loses member 1 at epoch 3 completes by re-running the
 /// member's epoch, bit-identical to the undisturbed run; the faulted
 /// member's pool instance is reported to the health machine — whether
-/// the gang was asked for in SQL or through the typed request.
+/// the gang's backend was left to the advisor or pinned.
 #[test]
 fn gang_member_fault_degrades_bit_identically() {
-    for request in [
-        QueryRequest::Sql("SELECT * FROM dana.linearR('t') WITH (shards = 3);".into()),
-        QueryRequest::RunUdf {
-            udf: "linearR".into(),
-            table: "t".into(),
-            shards: Some(3),
-        },
+    for sql in [
+        "SELECT * FROM dana.linearR('t') WITH (shards = 3);",
+        "EXECUTE dana.linearR('t') WITH (shards = 3, backend = fpga);",
     ] {
         let srv = trained_server(4, 2);
         let session = srv.open_session("gang-fault");
+        let request = QueryRequest::Sql(sql.into());
 
-        let clean = srv.call(session, request.clone()).unwrap().report().clone();
+        let reply = srv.call(session, request.clone()).unwrap();
+        let clean = reply.response.report().unwrap().clone();
         assert_eq!(clean.shards, 3);
 
         srv.install_fault_plan(Some(Arc::new(FaultPlan::shard_fault(1, 3))));
-        let reply = srv.call(session, request.clone()).unwrap();
-        let degraded = reply.try_report().unwrap();
+        let reply = srv.call(session, request).unwrap();
+        let degraded = reply.response.report().unwrap();
         srv.install_fault_plan(None);
 
         assert_eq!(degraded.models, clean.models, "merge must be bit-identical");
@@ -121,7 +131,7 @@ fn gang_member_fault_degrades_bit_identically() {
         // The faulted shard's instance was reported: health stepped off
         // Healthy and the counters advanced.
         let health = srv.pool_health();
-        assert_eq!(health.faults_reported, 1, "{request:?}");
+        assert_eq!(health.faults_reported, 1, "{sql}");
         assert_eq!(
             health
                 .states
@@ -151,20 +161,13 @@ fn serial_transient_fault_retries_bit_identically() {
     let session = srv.open_session("retry");
     let sql = "SELECT * FROM dana.linearR('t');";
 
-    let clean = srv
-        .call(session, QueryRequest::Sql(sql.into()))
-        .unwrap()
-        .report()
-        .clone();
+    let train = || srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
+    let clean = train().response.report().unwrap().clone();
 
     // Two injected faults at epoch 1; the default budget (3 retries)
     // absorbs both.
     srv.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(1, 2))));
-    let recovered = srv
-        .call(session, QueryRequest::Sql(sql.into()))
-        .unwrap()
-        .report()
-        .clone();
+    let recovered = train().response.report().unwrap().clone();
     assert_eq!(
         recovered.models, clean.models,
         "the re-run epoch must be exact"
@@ -215,17 +218,7 @@ fn serial_transient_fault_retries_bit_identically() {
 /// faulted and no buffer-pool frame stays pinned.
 #[test]
 fn fault_history_matrix_follows_one_rule() {
-    let core = SystemCore::new(SystemCoreConfig {
-        fpga: FpgaSpec::vu9p(),
-        pool: BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        pool_shards: 4,
-        disk: DiskModel::ssd(),
-    });
-    core.create_table("t", linreg_heap(600, 8)).unwrap();
-    core.deploy(&spec(8), "t").unwrap();
+    let core = deployed_core();
     let epochs = 12u32;
 
     // One EXECUTE of `shards` members under `retries`: its report (or
@@ -250,7 +243,7 @@ fn fault_history_matrix_follows_one_rule() {
             .map(|s| s.children.iter().map(|c| c.sim_seconds).collect())
             .unwrap_or_default();
         assert_eq!(core.held_frames(), 0, "{shards} shards, retries {retries}");
-        let report = result.map(|outcome| outcome.report().clone());
+        let report = result.and_then(|response| response.report().cloned());
         let counted = core.metrics().fault_retries.get() - counted;
         (report, epoch_spans, ctx.faulted_shards(), counted)
     };
@@ -321,33 +314,21 @@ fn fault_history_matrix_follows_one_rule() {
 /// A query whose deadline expires mid-flight surfaces the typed
 /// deadline error, releases its lease and every buffer-pool frame, and
 /// the server keeps serving — for a statement's own `timeout_ms` and for
-/// typed requests running under the server's default deadline alike.
+/// statements without one running under the server's default deadline
+/// alike.
 #[test]
 fn timed_out_query_releases_lease_and_frames() {
-    let typed = |request: QueryRequest| (Some(5), request);
-    let (udf, table) = ("linearR".to_string(), "t".to_string());
-    for (default_timeout_ms, request) in [
+    for (default_timeout_ms, sql) in [
         (
             None,
-            QueryRequest::Sql("SELECT * FROM dana.linearR('t') WITH (timeout_ms = 5);".into()),
+            "SELECT * FROM dana.linearR('t') WITH (timeout_ms = 5);",
         ),
-        typed(QueryRequest::RunUdf {
-            udf: udf.clone(),
-            table: table.clone(),
-            shards: None,
-        }),
-        typed(QueryRequest::Predict {
-            udf: udf.clone(),
-            table: table.clone(),
-            into: "p".into(),
-            shards: None,
-        }),
-        typed(QueryRequest::Evaluate {
-            udf: udf.clone(),
-            table: table.clone(),
-            metric: None,
-            shards: None,
-        }),
+        (Some(5), "EXECUTE dana.linearR('t') WITH (backend = fpga);"),
+        (
+            Some(5),
+            "PREDICT dana.linearR('t') INTO 'p' WITH (backend = fpga);",
+        ),
+        (Some(5), "EVALUATE dana.linearR('t') WITH (backend = fpga);"),
     ] {
         let srv = deployed_server(1, 1, default_timeout_ms);
         let session = srv.open_session("deadline");
@@ -361,8 +342,10 @@ fn timed_out_query_releases_lease_and_frames() {
         srv.install_fault_plan(Some(Arc::new(FaultPlan::lease_stall(
             Duration::from_millis(40),
         ))));
-        let err = srv.call(session, request.clone()).unwrap_err();
-        assert!(err.is_deadline_exceeded(), "{request:?}: got {err}");
+        let err = srv
+            .call(session, QueryRequest::Sql(sql.into()))
+            .unwrap_err();
+        assert!(err.is_deadline_exceeded(), "{sql}: got {err}");
         srv.install_fault_plan(None);
 
         // The lease and frames came back: gauges are clean and the very
@@ -439,7 +422,7 @@ fn panicking_dispatch_is_isolated_and_worker_survives() {
 
     // The worker thread survived the panic and serves the next query.
     let reply = srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
-    assert!(reply.try_report().is_ok());
+    assert!(reply.response.report().is_ok());
     let stats = srv.stats_snapshot(Some("faults"));
     assert_eq!(stats.get("faults", "panics_caught"), Some(1.0));
 }
@@ -470,7 +453,7 @@ fn hostile_sql_is_a_typed_error_on_the_submitting_thread() {
             QueryRequest::Sql("SELECT * FROM dana.linearR('t');".into()),
         )
         .unwrap();
-    assert!(reply.try_report().is_ok());
+    assert!(reply.response.report().is_ok());
 }
 
 /// Quarantine lifecycle: two strikes quarantine an instance (withheld
@@ -529,17 +512,22 @@ fn fault_retry_span_appears_only_when_faults_fired() {
     let session = srv.open_session("trace");
     let sql = "EXPLAIN ANALYZE SELECT * FROM dana.linearR('t');";
 
-    let clean = srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
-    let clean_trace = &clean.try_analyze_report().unwrap().trace;
+    let analyze = || match srv.call(session, QueryRequest::Sql(sql.into())) {
+        Ok(QueryReply {
+            response: QueryResponse::Analyzed(a),
+            ..
+        }) => a.trace,
+        other => panic!("expected an analyzed reply, got {other:?}"),
+    };
+    let clean_trace = analyze();
     assert!(
         !clean_trace.stages.iter().any(|s| s.name == "fault_retry"),
         "undisturbed trace must not grow a fault span"
     );
 
     srv.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(2, 1))));
-    let faulted = srv.call(session, QueryRequest::Sql(sql.into())).unwrap();
+    let trace = analyze();
     srv.install_fault_plan(None);
-    let trace = &faulted.try_analyze_report().unwrap().trace;
     let span = trace
         .stages
         .iter()
@@ -548,8 +536,9 @@ fn fault_retry_span_appears_only_when_faults_fired() {
     assert_eq!(span.count, 1, "one retry");
 }
 
-/// The typed accessor mismatch: asking a stats reply for a training
-/// report returns `UnexpectedReply` instead of panicking.
+/// The typed accessor mismatch: asking a stats response for a training
+/// report returns `UnexpectedResponse`, naming both kinds, instead of
+/// panicking.
 #[test]
 fn try_accessors_return_typed_mismatch() {
     let srv = trained_server(1, 1);
@@ -557,13 +546,46 @@ fn try_accessors_return_typed_mismatch() {
     let reply = srv
         .call(session, QueryRequest::Sql("SHOW STATS;".into()))
         .unwrap();
-    assert!(reply.try_stats().is_ok());
-    let err = reply.try_report().unwrap_err();
-    match &err {
-        ServerError::UnexpectedReply { expected, got } => {
-            assert_eq!(*expected, "training");
-            assert_eq!(got, "stats");
+    assert!(matches!(reply.response, QueryResponse::Stats(_)));
+    match reply.response.report() {
+        Err(DanaError::UnexpectedResponse { expected, got }) => {
+            assert_eq!((expected, got), ("training", "stats"));
         }
-        other => panic!("expected UnexpectedReply, got {other}"),
+        other => panic!("expected UnexpectedResponse, got {other:?}"),
     }
+}
+
+/// The embedded door runs a statement under its own `WITH (retries = …)`:
+/// with no retries, one injected fault at epoch 1 is terminal and names
+/// the lone member.
+#[test]
+fn embedded_door_honours_retries() {
+    let core = deployed_core();
+    core.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(1, 1))));
+    let result = core.execute_statement("EXECUTE dana.linearR('t') WITH (retries = 0);");
+    core.install_fault_plan(None);
+    match result {
+        Err(DanaError::Parallel(ParallelError::Engine {
+            shard: 0,
+            source: EngineError::TransientFault { epoch: 1 },
+        })) => {}
+        other => panic!("expected member 0's transient fault, got {other:?}"),
+    }
+    assert_eq!(core.held_frames(), 0);
+}
+
+/// The embedded door runs a statement under its own `WITH (timeout_ms =
+/// …)`: three faults at epoch 0 back off 1 ms and then 2 ms, which
+/// outlasts a 2 ms deadline.
+#[test]
+fn embedded_door_honours_timeout() {
+    let core = deployed_core();
+    core.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(0, 3))));
+    let result = core.execute_statement("EXECUTE dana.linearR('t') WITH (timeout_ms = 2);");
+    core.install_fault_plan(None);
+    match result {
+        Err(e) => assert!(e.is_deadline_exceeded(), "got {e}"),
+        Ok(_) => panic!("the deadline must cut the retries short"),
+    }
+    assert_eq!(core.held_frames(), 0);
 }

@@ -16,7 +16,7 @@
 
 use dana::prelude::*;
 use dana::{
-    ExecutionMode, PhysicalPlan, PlanOp, QueryCtx, SpanRecorder, StatementOutcome, SystemCore,
+    ExecutionMode, PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SpanRecorder, SystemCore,
     SystemCoreConfig,
 };
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
@@ -271,7 +271,7 @@ fn one_page_heap(algo: Algorithm) -> HeapFile {
     heap
 }
 
-fn run(core: &SystemCore, plan: &PhysicalPlan) -> StatementOutcome {
+fn run(core: &SystemCore, plan: &PhysicalPlan) -> QueryResponse {
     core.execute(plan, &SpanRecorder::disabled(), &QueryCtx::unbounded())
         .unwrap()
 }
@@ -295,7 +295,7 @@ fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
                 ..PhysicalPlan::ad_hoc(&spec, "t", mode)
             };
             let gang = run(&db, &plan);
-            let gang = gang.report();
+            let gang = gang.report().unwrap();
             assert_eq!(
                 gang.models, serial.models,
                 "{algo:?}/{mode:?}: models must be bit-identical"
@@ -328,7 +328,7 @@ fn one_shard_run_udf_matches_serial() {
         ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
     };
     let gang = run(&c2, &plan);
-    let gang = gang.report();
+    let gang = gang.report().unwrap();
     assert_eq!(gang.models, serial.models);
     assert_eq!(gang.engine, serial.engine);
     assert_eq!(gang.timing, serial.timing);
@@ -362,7 +362,7 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
                     "PREDICT dana.{udf}('t') INTO '{dest}' WITH (shards = {k});"
                 ))
                 .unwrap();
-            let report = report.predict_report();
+            let report = report.predict_report().unwrap();
             assert_eq!(report.rows_scored, serial.rows_scored, "{algo:?} k={k}");
             assert_eq!(report.shards, k, "{algo:?}: plan must honor the request");
             assert_eq!(
@@ -383,6 +383,7 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
             db.execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (shards = {k});"))
                 .unwrap()
                 .eval_report()
+                .unwrap()
                 .clone()
         };
         let es = db.evaluate(&udf, "t", None).unwrap();
@@ -418,7 +419,7 @@ fn concurrent_core_scoring_matches_serial_for_every_shard_count() {
             shards: k,
             ..PhysicalPlan::serial(PlanOp::Score { lanes: None }, "logisticR", "t")
         };
-        let StatementOutcome::Point(sharded) = run(&core, &plan) else {
+        let QueryResponse::Point(sharded) = run(&core, &plan) else {
             panic!("a score plan yields inline predictions");
         };
         assert_eq!(sharded.predictions, serial, "{k}-shard score stream");
@@ -451,11 +452,11 @@ fn multi_shard_training_is_reproducible_and_still_learns() {
             let out = db
                 .execute_statement(&format!("EXECUTE dana.{udf}('t') WITH (shards = 4);"))
                 .unwrap();
-            let dana::StatementOutcome::Train(t) = out else {
+            let dana::QueryResponse::Trained(t) = out else {
                 panic!("expected train outcome");
             };
             let e = db.evaluate(&udf, "t", None).unwrap();
-            (t.report, e.value)
+            (t, e.value)
         };
         let (a, loss_a) = run();
         let (b, loss_b) = run();

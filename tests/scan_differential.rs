@@ -256,7 +256,7 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             // EXECUTE: models bit-identical.
             let got = run_filtered(format!("SELECT * FROM dana.{udf}('t') {wher} {with};"));
             let want = run(format!("SELECT * FROM dana.{udf}('tf') {with};"));
-            let (got, want) = (got.report(), want.report());
+            let (got, want) = (got.report().unwrap(), want.report().unwrap());
             assert_eq!(got.models, want.models, "{algo:?} k={k}: trained models");
             assert_eq!(got.engine, want.engine, "{algo:?} k={k}: engine counters");
 
@@ -284,7 +284,7 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             // EVALUATE: metric value and row count bit-identical.
             let got = run_filtered(format!("EVALUATE dana.{udf}('t') {wher} {with};"));
             let want = run(format!("EVALUATE dana.{udf}('tf') {with};"));
-            let (got, want) = (got.eval_report(), want.eval_report());
+            let (got, want) = (got.eval_report().unwrap(), want.eval_report().unwrap());
             assert_eq!(got.value, want.value, "{algo:?} k={k}: metric value");
             assert_eq!(got.rows_scored, want.rows_scored, "{algo:?} k={k}");
             // The codec's cost is charged, not hidden: only the pushdown
@@ -357,8 +357,8 @@ fn projection_matches_prematerialized_table() {
             .execute_statement(&format!("SELECT * FROM dana.linearR('tp') {with};"))
             .unwrap();
         assert_eq!(
-            got.report().models,
-            want.report().models,
+            got.report().unwrap().models,
+            want.report().unwrap().models,
             "k={k}: projected training"
         );
 
@@ -437,7 +437,7 @@ fn both_page_codecs_match_prematerialized_tables() {
             let with = format!("WITH (shards = {k}, backend = fpga)");
             let got = run(format!("SELECT * FROM dana.linearR('t') {wher} {with};"));
             let want = run(format!("SELECT * FROM dana.linearR('tf') {with};"));
-            let (got, want) = (got.report(), want.report());
+            let (got, want) = (got.report().unwrap(), want.report().unwrap());
             assert_eq!(got.models, want.models, "{label}: trained models");
             assert_eq!(got.engine, want.engine, "{label}: engine counters");
 
@@ -454,7 +454,7 @@ fn both_page_codecs_match_prematerialized_tables() {
 
             let got = run(format!("EVALUATE dana.linearR('t') {wher} {with};"));
             let want = run(format!("EVALUATE dana.linearR('tf') {with};"));
-            let (got, want) = (got.eval_report(), want.eval_report());
+            let (got, want) = (got.eval_report().unwrap(), want.eval_report().unwrap());
             assert_eq!(got.value, want.value, "{label}: metric value");
             assert_eq!(got.rows_scored, want.rows_scored, "{label}");
         }

@@ -5,6 +5,7 @@
 //! control sheds overload with typed errors.
 
 use dana::prelude::*;
+use dana::SystemCore;
 use dana_server::{
     AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, ServerError,
     SystemCoreConfig,
@@ -110,7 +111,12 @@ fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
                                 },
                             )
                             .expect("query must succeed");
-                        (i, *seed, *mode, reply.report().models.clone())
+                        (
+                            i,
+                            *seed,
+                            *mode,
+                            reply.response.report().unwrap().models.clone(),
+                        )
                     })
                 })
             })
@@ -191,15 +197,13 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
                     let reply = srv
                         .call(
                             session,
-                            QueryRequest::RunUdf {
-                                udf: uname.clone(),
-                                table: tname.clone(),
-                                shards: None,
-                            },
+                            QueryRequest::Sql(format!(
+                                "EXECUTE dana.{uname}('{tname}') WITH (backend = fpga);"
+                            )),
                         )
                         .expect("private query");
                     assert_eq!(
-                        &reply.report().models,
+                        &reply.response.report().unwrap().models,
                         private_reference,
                         "client {c} round {r}"
                     );
@@ -211,7 +215,7 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
                             QueryRequest::Sql("SELECT * FROM dana.sharedR('shared');".to_string()),
                         )
                         .expect("shared query");
-                    assert_eq!(&reply.report().models, shared_reference);
+                    assert_eq!(&reply.response.report().unwrap().models, shared_reference);
 
                     // Drop the private table; its accelerator must turn
                     // stale with a typed error, not a dangling heap.
@@ -219,11 +223,9 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
                     assert_eq!(summary.invalidated_udfs, vec![uname.clone()]);
                     match srv.call(
                         session,
-                        QueryRequest::RunUdf {
-                            udf: uname.clone(),
-                            table: tname.clone(),
-                            shards: None,
-                        },
+                        QueryRequest::Sql(format!(
+                            "EXECUTE dana.{uname}('{tname}') WITH (backend = fpga);"
+                        )),
                     ) {
                         Err(ServerError::Dana(DanaError::StaleAccelerator {
                             udf,
@@ -279,11 +281,7 @@ fn drop_while_scanning_leaves_no_orphan_pages() {
         .map(|_| {
             srv.submit(
                 session,
-                QueryRequest::RunUdf {
-                    udf: "victimR".into(),
-                    table: "t".into(),
-                    shards: None,
-                },
+                QueryRequest::Sql("EXECUTE dana.victimR('t') WITH (backend = fpga);".into()),
             )
             .unwrap()
         })
@@ -308,7 +306,7 @@ fn drop_while_scanning_leaves_no_orphan_pages() {
             Ok(reply) => {
                 // A query that snapshotted the heap before the drop must
                 // still produce the exact serial model.
-                assert_eq!(reply.report().models, reference);
+                assert_eq!(reply.response.report().unwrap().models, reference);
                 ok += 1;
             }
             Err(ServerError::Dana(
@@ -349,11 +347,7 @@ fn admission_control_sheds_overload() {
     for _ in 0..32 {
         match srv.submit(
             session,
-            QueryRequest::RunUdf {
-                udf: "patientR".into(),
-                table: "t".into(),
-                shards: None,
-            },
+            QueryRequest::Sql("EXECUTE dana.patientR('t') WITH (backend = fpga);".into()),
         ) {
             Ok(t) => tickets.push(t),
             Err(ServerError::Overloaded { queued, limit }) => {
@@ -367,7 +361,7 @@ fn admission_control_sheds_overload() {
     let admitted = tickets.len();
     for t in tickets {
         let reply = srv.wait(t).expect("admitted queries must complete");
-        assert!(!reply.report().models.is_empty());
+        assert!(!reply.response.report().unwrap().models.is_empty());
     }
     let stats = srv.session_stats(session).unwrap();
     assert_eq!(stats.completed, admitted as u64);
@@ -406,31 +400,19 @@ fn sjf_lets_cheap_queries_overtake() {
     let wedge = srv
         .submit(
             session,
-            QueryRequest::RunUdf {
-                udf: "bigR".into(),
-                table: "big".into(),
-                shards: None,
-            },
+            QueryRequest::Sql("EXECUTE dana.bigR('big') WITH (backend = fpga);".into()),
         )
         .unwrap();
     let expensive = srv
         .submit(
             session,
-            QueryRequest::RunUdf {
-                udf: "bigR".into(),
-                table: "big".into(),
-                shards: None,
-            },
+            QueryRequest::Sql("EXECUTE dana.bigR('big') WITH (backend = fpga);".into()),
         )
         .unwrap();
     let cheap = srv
         .submit(
             session,
-            QueryRequest::RunUdf {
-                udf: "smallR".into(),
-                table: "small".into(),
-                shards: None,
-            },
+            QueryRequest::Sql("EXECUTE dana.smallR('small') WITH (backend = fpga);".into()),
         )
         .unwrap();
 
@@ -448,7 +430,7 @@ fn sjf_lets_cheap_queries_overtake() {
 
 /// The deploy-time engine cache: one DEPLOY builds the execution engine
 /// exactly once, and every subsequent EXECUTE — serial or concurrent, via
-/// the SQL front door or `RunUdf` — rides that cached `Arc` rather than
+/// the SQL front door, backend pinned or not — rides that cached `Arc` rather than
 /// reconstructing it. The counter on the server core is the proof.
 #[test]
 fn repeated_executes_build_the_engine_exactly_once() {
@@ -483,7 +465,11 @@ fn repeated_executes_build_the_engine_exactly_once() {
                         QueryRequest::Sql("SELECT * FROM dana.logisticR('t');".to_string()),
                     )
                     .expect("execute");
-                assert_eq!(&reply.report().models, reference, "execute {c}");
+                assert_eq!(
+                    &reply.response.report().unwrap().models,
+                    reference,
+                    "execute {c}"
+                );
             });
         }
     })
@@ -522,12 +508,9 @@ fn predict_and_evaluate_flow_through_the_server() {
     // Train first (PREDICT before training is a typed refusal).
     match srv.call(
         session,
-        QueryRequest::Predict {
-            udf: "logisticR".into(),
-            table: "t".into(),
-            into: "scores".into(),
-            shards: None,
-        },
+        QueryRequest::Sql(
+            "PREDICT dana.logisticR('t') INTO 'scores' WITH (backend = fpga);".into(),
+        ),
     ) {
         Err(ServerError::Dana(DanaError::ModelNotTrained { .. })) => {}
         other => panic!("expected ModelNotTrained, got {other:?}"),
@@ -538,7 +521,7 @@ fn predict_and_evaluate_flow_through_the_server() {
             QueryRequest::Sql("SELECT * FROM dana.logisticR('t');".into()),
         )
         .unwrap();
-    assert!(!trained.report().models.is_empty());
+    assert!(!trained.response.report().unwrap().models.is_empty());
 
     // PREDICT via the SQL front door.
     let reply = srv
@@ -547,7 +530,7 @@ fn predict_and_evaluate_flow_through_the_server() {
             QueryRequest::Sql("PREDICT dana.logisticR('t') INTO 'scores';".into()),
         )
         .unwrap();
-    let p = reply.predict_report();
+    let p = reply.response.predict_report().unwrap();
     assert_eq!(p.output_table, "scores");
     assert!(p.rows_scored > 0);
     assert!(srv.core().table_names().contains(&"scores".to_string()));
@@ -562,17 +545,12 @@ fn predict_and_evaluate_flow_through_the_server() {
     let on_scores = srv
         .call(
             session,
-            QueryRequest::Evaluate {
-                udf: "logisticR".into(),
-                table: "scores".into(),
-                metric: None,
-                shards: None,
-            },
+            QueryRequest::Sql("EVALUATE dana.logisticR('scores') WITH (backend = fpga);".into()),
         )
         .unwrap();
     assert_eq!(
-        on_src.eval_report().value,
-        on_scores.eval_report().value,
+        on_src.response.eval_report().unwrap().value,
+        on_scores.response.eval_report().unwrap().value,
         "the appended prediction column must not disturb the metric"
     );
 
@@ -620,12 +598,9 @@ fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
     // One prediction table exists before the drop; it must go stale.
     srv.call(
         session,
-        QueryRequest::Predict {
-            udf: "logisticR".into(),
-            table: "t".into(),
-            into: "pre_drop_scores".into(),
-            shards: None,
-        },
+        QueryRequest::Sql(
+            "PREDICT dana.logisticR('t') INTO 'pre_drop_scores' WITH (backend = fpga);".into(),
+        ),
     )
     .unwrap();
 
@@ -634,12 +609,9 @@ fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
         .map(|i| {
             srv.submit(
                 session,
-                QueryRequest::Predict {
-                    udf: "logisticR".into(),
-                    table: "t".into(),
-                    into: format!("racing_{i}"),
-                    shards: None,
-                },
+                QueryRequest::Sql(format!(
+                    "PREDICT dana.logisticR('t') INTO 'racing_{i}' WITH (backend = fpga);"
+                )),
             )
             .unwrap()
         })
@@ -655,7 +627,7 @@ fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
         match srv.wait(t) {
             Ok(reply) => {
                 // Raced ahead of the drop entirely.
-                assert!(reply.predict_report().rows_scored > 0);
+                assert!(reply.response.predict_report().unwrap().rows_scored > 0);
                 installed += 1;
             }
             Err(ServerError::Dana(
@@ -673,12 +645,9 @@ fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
     // The stale pre-drop prediction table refuses queries...
     match srv.call(
         session,
-        QueryRequest::Evaluate {
-            udf: "logisticR".into(),
-            table: "pre_drop_scores".into(),
-            metric: None,
-            shards: None,
-        },
+        QueryRequest::Sql(
+            "EVALUATE dana.logisticR('pre_drop_scores') WITH (backend = fpga);".into(),
+        ),
     ) {
         Err(ServerError::Dana(
             DanaError::StaleAccelerator { .. }
@@ -720,16 +689,12 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
     // Admission cost hints divide by the gang size: a 4-shard gang must
     // be priced at a quarter of the serial estimate, so SJF does not
     // misfile it behind genuinely shorter singles.
-    let serial_hint = srv.cost_hint(&QueryRequest::RunUdf {
-        udf: "logisticR".into(),
-        table: "t".into(),
-        shards: None,
-    });
-    let gang_hint = srv.cost_hint(&QueryRequest::RunUdf {
-        udf: "logisticR".into(),
-        table: "t".into(),
-        shards: Some(4),
-    });
+    let serial_hint = srv.cost_hint(&QueryRequest::Sql(
+        "EXECUTE dana.logisticR('t') WITH (backend = fpga);".into(),
+    ));
+    let gang_hint = srv.cost_hint(&QueryRequest::Sql(
+        "EXECUTE dana.logisticR('t') WITH (shards = 4, backend = fpga);".into(),
+    ));
     assert!(serial_hint > 0.0);
     assert!(
         (gang_hint - serial_hint / 4.0).abs() < serial_hint * 1e-12,
@@ -752,11 +717,9 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
                 let reply = srv
                     .call(
                         session,
-                        QueryRequest::RunUdf {
-                            udf: "logisticR".into(),
-                            table: "t".into(),
-                            shards: None,
-                        },
+                        QueryRequest::Sql(
+                            "EXECUTE dana.logisticR('t') WITH (backend = fpga);".into(),
+                        ),
                     )
                     .expect("single query must complete");
                 ("single", reply)
@@ -768,11 +731,9 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
                 let reply = srv
                     .call(
                         session,
-                        QueryRequest::RunUdf {
-                            udf: "logisticR".into(),
-                            table: "t".into(),
-                            shards: Some(4),
-                        },
+                        QueryRequest::Sql(
+                            "EXECUTE dana.logisticR('t') WITH (shards = 4, backend = fpga);".into(),
+                        ),
                     )
                     .expect("gang query must complete");
                 ("gang", reply)
@@ -812,12 +773,12 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
                 let mut ids = reply.gang.clone();
                 ids.dedup();
                 assert_eq!(ids.len(), 4, "gang members must be distinct");
-                assert_eq!(reply.report().shards, 4);
+                assert_eq!(reply.response.report().unwrap().shards, 4);
             }
             "pair" => {
                 pairs += 1;
                 assert_eq!(reply.gang.len(), 2);
-                assert_eq!(reply.report().shards, 2);
+                assert_eq!(reply.response.report().unwrap().shards, 2);
             }
             _ => unreachable!(),
         }
@@ -829,7 +790,7 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
     let gang_models = results
         .iter()
         .find(|(k, _)| *k == "gang")
-        .map(|(_, r)| r.report().models.clone())
+        .map(|(_, r)| r.response.report().unwrap().models.clone())
         .unwrap();
     let direct = srv
         .core()
@@ -837,7 +798,7 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
         .unwrap();
     assert_eq!(
         gang_models,
-        direct.report().models,
+        direct.report().unwrap().models,
         "gang training is deterministic"
     );
 
@@ -890,7 +851,7 @@ fn gang_size_clamps_to_the_tables_page_count() {
         )
         .unwrap();
     assert_eq!(reply.gang.len(), 1, "lease must match the effective plan");
-    assert_eq!(reply.report().shards, 1);
+    assert_eq!(reply.response.report().unwrap().shards, 1);
     let util = srv.shutdown();
     assert_eq!(
         util.busy_seconds.iter().filter(|&&b| b > 0.0).count(),
@@ -922,7 +883,7 @@ fn cpu_tier_and_explain_bypass_the_accelerator_pool() {
             QueryRequest::Sql("EXPLAIN SELECT * FROM dana.logisticR('t');".into()),
         )
         .unwrap();
-    let cmp = explained.comparison();
+    let cmp = explained.response.comparison().unwrap();
     assert_eq!(cmp.options.len(), 2);
     assert!(explained.gang.is_empty(), "EXPLAIN must not lease");
     assert_eq!(explained.accelerator, usize::MAX);
@@ -936,9 +897,9 @@ fn cpu_tier_and_explain_bypass_the_accelerator_pool() {
         .unwrap();
     assert!(cpu.gang.is_empty(), "CPU tier must not lease");
     assert_eq!(cpu.accelerator, usize::MAX);
-    assert_eq!(cpu.report().backend, BackendKind::Cpu);
-    assert_eq!(cpu.report().timing.total_seconds, 0.0);
-    assert!(cpu.report().timing.wall_seconds.is_some());
+    assert_eq!(cpu.response.report().unwrap().backend, BackendKind::Cpu);
+    assert_eq!(cpu.response.report().unwrap().timing.total_seconds, 0.0);
+    assert!(cpu.response.report().unwrap().timing.wall_seconds.is_some());
 
     // The offloaded run leases one instance and agrees bit-for-bit.
     let fpga = srv
@@ -948,10 +909,10 @@ fn cpu_tier_and_explain_bypass_the_accelerator_pool() {
         )
         .unwrap();
     assert_eq!(fpga.gang.len(), 1);
-    assert_eq!(fpga.report().backend, BackendKind::Fpga);
+    assert_eq!(fpga.response.report().unwrap().backend, BackendKind::Fpga);
     assert_eq!(
-        cpu.report().models,
-        fpga.report().models,
+        cpu.response.report().unwrap().models,
+        fpga.response.report().unwrap().models,
         "tiers must agree bit-for-bit through the server"
     );
 
@@ -969,4 +930,116 @@ fn cpu_tier_and_explain_bypass_the_accelerator_pool() {
         "only the FPGA-tier run may charge simulated time: {:?}",
         util.busy_seconds
     );
+}
+
+/// The simulated fields of a response's timing, as bits; `None` where
+/// nothing ran. The measured `wall_seconds` is left out.
+fn sim_bits(response: &QueryResponse) -> Option<[u64; 7]> {
+    response.timing().map(|t| {
+        [
+            t.io_seconds,
+            t.axi_seconds,
+            t.strider_seconds,
+            t.decompress_seconds,
+            t.engine_seconds,
+            t.setup_seconds,
+            t.total_seconds,
+        ]
+        .map(f64::to_bits)
+    })
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every page of `table`, byte for byte.
+fn table_pages(core: &SystemCore, table: &str) -> Vec<Vec<u8>> {
+    let heap = core.table_snapshot(table).unwrap();
+    (0..heap.page_count())
+        .map(|p| heap.page_bytes(p).unwrap().to_vec())
+        .collect()
+}
+
+/// Both front doors answer with one response. Each statement runs through
+/// `SystemCore::execute_statement` on one fresh core and through
+/// `DanaServer::call` on a server whose core has the same configuration:
+/// the same variant comes back, with bit-equal models, metric values,
+/// point predictions and prediction pages, and bit-equal simulated timing.
+#[test]
+fn both_doors_give_the_same_response() {
+    let embedded = SystemCore::new(small_core_config());
+    let srv = server(2, SchedPolicy::Fifo, 64);
+    let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
+    w.epochs = 2;
+    w.merge_coef = 8;
+    let heap = generate(&w, 32 * 1024, 91).unwrap().heap;
+    let rows: Vec<String> = heap
+        .scan_batch()
+        .unwrap()
+        .rows()
+        .take(2)
+        .map(|r| {
+            let vals: Vec<String> = r.iter().map(|v| v.to_string()).collect();
+            format!("({})", vals.join(", "))
+        })
+        .collect();
+    for core in [&embedded, srv.core()] {
+        core.create_table("t", heap.clone()).unwrap();
+        core.deploy(&w.spec(), "t").unwrap();
+    }
+    let session = srv.open_session("doors");
+    let point = format!("PREDICT dana.logisticR(VALUES {});", rows.join(", "));
+    for sql in [
+        "EXECUTE dana.logisticR('t');",
+        "PREDICT dana.logisticR('t') INTO 'p';",
+        "EVALUATE dana.logisticR('t');",
+        point.as_str(),
+        "EXPLAIN EVALUATE dana.logisticR('t');",
+        "EXPLAIN ANALYZE EVALUATE dana.logisticR('t');",
+        "SHOW STATS;",
+    ] {
+        let here = embedded.execute_statement(sql).unwrap();
+        let there = srv
+            .call(session, QueryRequest::Sql(sql.into()))
+            .unwrap()
+            .response;
+        assert_eq!(
+            std::mem::discriminant(&here),
+            std::mem::discriminant(&there),
+            "{sql}: {here:?} vs {there:?}"
+        );
+        assert_eq!(sim_bits(&here), sim_bits(&there), "{sql}: simulated timing");
+        match (&here, &there) {
+            (QueryResponse::Trained(a), QueryResponse::Trained(b)) => {
+                let models = |r: &DanaReport| r.models.iter().map(|m| bits(m)).collect::<Vec<_>>();
+                assert_eq!(models(a), models(b), "{sql}");
+            }
+            (QueryResponse::Predicted(a), QueryResponse::Predicted(b)) => assert_eq!(
+                table_pages(&embedded, &a.output_table),
+                table_pages(srv.core(), &b.output_table),
+                "{sql}"
+            ),
+            (QueryResponse::Evaluated(a), QueryResponse::Evaluated(b)) => {
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{sql}");
+                assert_eq!(a.rows_scored, b.rows_scored, "{sql}");
+            }
+            (QueryResponse::Point(a), QueryResponse::Point(b)) => {
+                assert_eq!(a.predictions.len(), 2, "{sql}");
+                assert_eq!(bits(&a.predictions), bits(&b.predictions), "{sql}");
+            }
+            (QueryResponse::Explained(a), QueryResponse::Explained(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "{sql}")
+            }
+            (QueryResponse::Analyzed(a), QueryResponse::Analyzed(b)) => {
+                let value = |r: &dana::AnalyzeReport| r.outcome.eval_report().unwrap().value;
+                assert_eq!(value(a).to_bits(), value(b).to_bits(), "{sql}");
+                assert_eq!(a.trace.structure(), b.trace.structure(), "{sql}");
+            }
+            // SHOW STATS: a server adds its queue, pool and session rows.
+            (QueryResponse::Stats(_), QueryResponse::Stats(_)) => {}
+            _ => unreachable!("the discriminants matched"),
+        }
+    }
+    srv.shutdown();
 }

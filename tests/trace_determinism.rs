@@ -16,7 +16,7 @@
 //!   queue report through their typed APIs.
 
 use dana::prelude::*;
-use dana::{QueryTrace, StatementOutcome};
+use dana::QueryTrace;
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_parallel::{train_gang, ReplaySource, ShardPlan};
 use dana_server::{
@@ -133,7 +133,7 @@ fn fresh_server(accelerators: usize) -> DanaServer {
 /// `EXPLAIN ANALYZE` through the embedded front door, returning the report.
 fn serial_analyze(db: &Dana, sql: &str) -> dana::AnalyzeReport {
     match db.execute_statement(sql).unwrap() {
-        StatementOutcome::Analyze(a) => *a,
+        QueryResponse::Analyzed(a) => *a,
         other => panic!("expected analyze outcome, got {other:?}"),
     }
 }
@@ -266,7 +266,7 @@ fn gang_epoch_children_follow_its_epoch_log() {
         &db,
         "EXPLAIN ANALYZE EXECUTE dana.linearR('t') WITH (backend = fpga, shards = 2);",
     );
-    assert_eq!(report.outcome.report().shards, 2);
+    assert_eq!(report.outcome.report().unwrap().shards, 2);
 
     // The same gang replayed: one member per page range of the table.
     let heap = db.table_snapshot("t").unwrap();
@@ -316,7 +316,7 @@ fn opt_in_trace_matches_explain_analyze_shape() {
         .execute_statement_traced("EXECUTE dana.logisticR('t') WITH (backend = fpga, trace = on);")
         .unwrap();
     let trace: QueryTrace = trace.expect("trace = on must attach a trace");
-    assert!(matches!(outcome, StatementOutcome::Train(_)));
+    assert!(matches!(outcome, QueryResponse::Trained(_)));
     assert_eq!(trace.structure(), analyzed.trace.structure());
     // Without the opt-in, no trace is paid for.
     let (_, no_trace) = db
@@ -338,7 +338,7 @@ fn opt_in_trace_matches_explain_analyze_shape() {
             ),
         )
         .unwrap();
-    assert!(!reply.report().models.is_empty());
+    assert!(!reply.response.report().unwrap().models.is_empty());
     let server_trace = reply.trace.as_ref().expect("server reply must carry trace");
     assert_eq!(server_trace.structure(), analyzed.trace.structure());
     let plain = srv
