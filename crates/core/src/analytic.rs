@@ -2,16 +2,19 @@
 //!
 //! The evaluation's datasets reach 38 GB and 1.3 M × 7 K tuples — far past
 //! what functional simulation should chew through for every figure. This
-//! module prices full-scale runs **through the same compiler** (real
+//! module prices full-scale DAnA runs **through the same compiler** (real
 //! hDFG → real schedule → the §6.1 performance estimator) and **the same
-//! cost model** the functional executors use: DAnA goes through
-//! [`crate::runtime::epoch_costs`] and [`compose`], the baselines through
-//! the `dana_ml::CpuModel` epoch formulas their executors call. Only the
-//! counts differ — estimated here from Table-3 statistics, measured
-//! there — and one charge: a scan's misses cost one sequential read here,
-//! one random read per page in the buffer pool. `tests/ablations.rs`
-//! (`analytic_harness_is_the_simulators_cost_model`) holds the two sides
-//! together term by term, that difference included. Every figure in
+//! cost model** the functional simulator uses:
+//! [`crate::runtime::epoch_costs`] and [`compose`]. Only the counts
+//! differ — estimated here from Table-3 statistics, measured there — and
+//! one charge: a scan's misses cost one sequential read here, one random
+//! read per page in the buffer pool. The software baselines are priced
+//! here and nowhere else, by the `dana_ml::CpuModel` epoch formulas (and
+//! [`ExternalExecutor::analytic_seconds`] for the external libraries); no
+//! baseline is executed. `tests/ablations.rs`
+//! (`analytic_harness_is_the_simulators_cost_model`) holds DAnA's two sides
+//! together term by term, that difference included, and the baselines to
+//! their formulas over a generated heap's own counts. Every figure in
 //! `dana_bench::figures` goes through these functions.
 
 use dana_compiler::{compile, compile_with_threads, CompileInput, CompiledAccelerator};

@@ -190,8 +190,8 @@ impl UnaryFn {
         }
     }
 
-    /// Reference semantics (used by the software baselines and to check the
-    /// engine's ALU).
+    /// Reference semantics (the engine's ALU evaluates these functions
+    /// through it).
     pub fn apply(&self, x: f64) -> f64 {
         match self {
             UnaryFn::Sigmoid => 1.0 / (1.0 + (-x).exp()),

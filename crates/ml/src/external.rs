@@ -16,9 +16,8 @@
 //! IGD at equal hyper-parameters.
 
 use dana_dsl::zoo::Algorithm;
-use dana_storage::TupleBatch;
 
-use crate::algorithms::{train_reference, TrainConfig, TrainedModel};
+use crate::algorithms::TrainConfig;
 use crate::cpu::{CpuModel, Seconds};
 
 /// Which external tool.
@@ -84,39 +83,6 @@ impl ExternalLibrary {
     }
 }
 
-/// Phase timing + result (Fig. 15a's three bars).
-#[derive(Debug, Clone)]
-pub struct ExternalReport {
-    pub library: ExternalLibrary,
-    /// `COPY table TO STDOUT` + writing the text file.
-    pub export_seconds: Seconds,
-    /// Parsing text into the library's format.
-    pub transform_seconds: Seconds,
-    /// The solver itself (multicore).
-    pub compute_seconds: Seconds,
-    pub model: TrainedModel,
-}
-
-impl ExternalReport {
-    pub fn total_seconds(&self) -> Seconds {
-        self.export_seconds + self.transform_seconds + self.compute_seconds
-    }
-
-    /// Phase fractions (export, transform, compute) — Fig. 15a's stacked
-    /// percentages.
-    pub fn phase_fractions(&self) -> (f64, f64, f64) {
-        let t = self.total_seconds();
-        if t == 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            self.export_seconds / t,
-            self.transform_seconds / t,
-            self.compute_seconds / t,
-        )
-    }
-}
-
 /// Text formatting cost per value during COPY-out (float → decimal string
 /// through PostgreSQL's output functions).
 const EXPORT_S_PER_VALUE: f64 = 120.0e-9;
@@ -125,7 +91,7 @@ const EXPORT_S_PER_TUPLE: f64 = 0.8e-6;
 /// Text → float parse cost per value (strtod-class).
 const TRANSFORM_S_PER_VALUE: f64 = 9.0e-9;
 
-/// The external-tool pipeline model + functional trainer.
+/// The external-tool pipeline model.
 pub struct ExternalExecutor {
     cpu: CpuModel,
     library: ExternalLibrary,
@@ -136,25 +102,8 @@ impl ExternalExecutor {
         ExternalExecutor { cpu, library }
     }
 
-    /// Trains functionally on `tuples` (already-extracted values) and
-    /// prices the three phases for a table of `n_tuples × (width+1)` values.
-    pub fn train(&self, tuples: &TupleBatch, cfg: &TrainConfig) -> Option<ExternalReport> {
-        if !self.library.supports(cfg.algorithm) {
-            return None;
-        }
-        let model = train_reference(tuples, cfg);
-        let (export, transform, compute) =
-            self.analytic_seconds(cfg, tuples.len() as u64, tuples.width().saturating_sub(1));
-        Some(ExternalReport {
-            library: self.library,
-            export_seconds: export,
-            transform_seconds: transform,
-            compute_seconds: compute,
-            model,
-        })
-    }
-
-    /// Phase costs without functional execution (paper-scale workloads).
+    /// Phase costs (export, transform, compute) — Fig. 15a's three bars —
+    /// for a table of `n_tuples × (width + 1)` values.
     pub fn analytic_seconds(
         &self,
         cfg: &TrainConfig,
@@ -180,17 +129,6 @@ impl ExternalExecutor {
 mod tests {
     use super::*;
 
-    fn tuples(n: usize, d: usize) -> TupleBatch {
-        TupleBatch::from_rows(
-            d + 1,
-            (0..n).map(|k| {
-                let mut t: Vec<f32> = (0..d).map(|i| (((k + i) % 7) as f32 - 3.0) / 3.0).collect();
-                t.push(if t[0] > 0.0 { 1.0 } else { 0.0 });
-                t
-            }),
-        )
-    }
-
     #[test]
     fn support_matrix_matches_paper() {
         assert!(ExternalLibrary::Liblinear.supports(Algorithm::Logistic));
@@ -199,16 +137,6 @@ mod tests {
         assert!(!ExternalLibrary::Liblinear.supports(Algorithm::Lrmf));
         assert!(ExternalLibrary::DimmWitted.supports(Algorithm::Linear));
         assert!(!ExternalLibrary::DimmWitted.supports(Algorithm::Lrmf));
-    }
-
-    #[test]
-    fn unsupported_algorithms_return_none() {
-        let exec = ExternalExecutor::new(CpuModel::i7_6700(), ExternalLibrary::Liblinear);
-        let cfg = TrainConfig {
-            algorithm: Algorithm::Linear,
-            ..Default::default()
-        };
-        assert!(exec.train(&tuples(10, 4), &cfg).is_none());
     }
 
     #[test]
@@ -255,23 +183,5 @@ mod tests {
             )
             .2;
         assert!(svm > 10.0 * log, "svm {svm} vs logistic {log}");
-    }
-
-    #[test]
-    fn functional_training_still_works() {
-        let exec = ExternalExecutor::new(CpuModel::i7_6700(), ExternalLibrary::DimmWitted);
-        let cfg = TrainConfig {
-            algorithm: Algorithm::Logistic,
-            epochs: 60,
-            learning_rate: 0.5,
-            ..Default::default()
-        };
-        let data = tuples(200, 4);
-        let report = exec.train(&data, &cfg).unwrap();
-        let acc =
-            crate::metrics::classification_accuracy(report.model.as_dense(), &data, false).unwrap();
-        assert!(acc > 0.9, "accuracy {acc}");
-        let (e, t, c) = report.phase_fractions();
-        assert!((e + t + c - 1.0).abs() < 1e-9);
     }
 }

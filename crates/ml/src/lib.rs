@@ -1,27 +1,27 @@
-//! Reference ML algorithms and the software baselines of the paper's
-//! evaluation (§7).
+//! Reference ML algorithms and the cost model of the paper's software
+//! baselines (§7).
 //!
 //! DAnA is compared against:
 //!
 //! * **MADlib + PostgreSQL** — single-threaded in-RDBMS training over the
-//!   buffer pool ([`madlib`]);
+//!   buffer pool ([`CpuModel::madlib_epoch_seconds`]);
 //! * **MADlib + Greenplum** — the same, partitioned across N segments with
-//!   per-epoch model averaging ([`greenplum`], Fig. 13);
+//!   per-epoch model averaging ([`CpuModel::greenplum_epoch_seconds`],
+//!   Fig. 13);
 //! * **Liblinear / DimmWitted** — optimized external libraries that must
 //!   first export and reformat the data ([`external`], Fig. 15).
 //!
-//! All baselines *functionally train real models* (the math in
-//! [`algorithms`]) over the same storage substrate, while their simulated
-//! runtimes come from the calibrated cost model in [`cpu`] (constants
-//! documented against the paper's testbed: 4-core i7-6700 @ 3.40 GHz,
-//! 32 GB RAM, SATA SSD).
+//! No baseline is executed: each is priced by the calibrated cost model in
+//! [`cpu`] (constants documented against the paper's testbed: 4-core
+//! i7-6700 @ 3.40 GHz, 32 GB RAM, SATA SSD), which `dana::analytic` drives
+//! from a workload's table statistics. [`train_reference`] is the one
+//! software trainer (the math in [`algorithms`]): the oracle the
+//! accelerator's models are checked against.
 
 pub mod algorithms;
 pub mod cpu;
 pub mod external;
-pub mod greenplum;
 pub mod linalg;
-pub mod madlib;
 pub mod metrics;
 pub mod scorer;
 
@@ -30,8 +30,6 @@ pub use algorithms::{
 };
 pub use cpu::CpuModel;
 pub use dana_dsl::zoo::Algorithm;
-pub use external::{ExternalExecutor, ExternalLibrary, ExternalReport};
-pub use greenplum::{GreenplumExecutor, GreenplumReport};
-pub use madlib::{MadlibExecutor, MadlibReport};
+pub use external::{ExternalExecutor, ExternalLibrary};
 pub use metrics::{MetricsError, MetricsResult};
 pub use scorer::{score_dense, score_lrmf, Link};

@@ -1,8 +1,9 @@
 //! Minimal dense linear algebra (f32, matching the engine's native width).
 //!
-//! Only what the four algorithms need — deliberately no external BLAS: the
-//! baselines' *timing* comes from the cost model, so the functional math
-//! only has to be correct, not fast.
+//! Only what the reference trainer, the metrics and the scorers need —
+//! deliberately no external BLAS: no timing is ever read off this math (the
+//! baselines are priced by the cost model in [`crate::cpu`]), so it only
+//! has to be correct, not fast.
 
 /// Dot product.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -28,19 +29,6 @@ pub fn scale(alpha: f32, y: &mut [f32]) {
 /// Euclidean norm.
 pub fn norm2(a: &[f32]) -> f32 {
     dot(a, a).max(0.0).sqrt()
-}
-
-/// Elementwise mean of several equally-sized vectors.
-pub fn mean(vs: &[Vec<f32>]) -> Vec<f32> {
-    assert!(!vs.is_empty());
-    let n = vs[0].len();
-    let mut out = vec![0.0f32; n];
-    for v in vs {
-        debug_assert_eq!(v.len(), n);
-        axpy(1.0, v, &mut out);
-    }
-    scale(1.0 / vs.len() as f32, &mut out);
-    out
 }
 
 /// Numerically-stable sigmoid.
@@ -71,12 +59,6 @@ mod tests {
         assert_eq!(y, vec![7.0, -1.0]);
         scale(0.5, &mut y);
         assert_eq!(y, vec![3.5, -0.5]);
-    }
-
-    #[test]
-    fn mean_of_vectors() {
-        let m = mean(&[vec![1.0, 3.0], vec![3.0, 5.0]]);
-        assert_eq!(m, vec![2.0, 4.0]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ struct Entry {
 struct CacheState {
     map: HashMap<Key, Entry>,
     /// Insertion order for eviction; keys already removed from `map`
-    /// (stale evictions, UDF flushes) are skipped lazily.
+    /// (stale evictions) are skipped lazily.
     order: VecDeque<Key>,
 }
 
@@ -133,7 +133,7 @@ impl PredictionCache {
         }
         while st.map.len() > self.capacity {
             // Skip order keys whose entries were already removed by a
-            // stale eviction or a UDF flush.
+            // stale eviction.
             match st.order.pop_front() {
                 Some(old) => {
                     st.map.remove(&old);
@@ -141,15 +141,6 @@ impl PredictionCache {
                 None => break,
             }
         }
-    }
-
-    /// Flushes every entry for one UDF (the drop/retrain hook); returns
-    /// how many entries were removed.
-    pub fn invalidate_udf(&self, udf: &str) -> usize {
-        let mut st = self.lock();
-        let before = st.map.len();
-        st.map.retain(|(u, _), _| u != udf);
-        before - st.map.len()
     }
 
     /// Live entries.
@@ -205,17 +196,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get("f", &[1.0], &g), CacheLookup::Miss);
         assert_eq!(c.get("f", &[3.0], &g), CacheLookup::Hit(0.3));
-    }
-
-    #[test]
-    fn invalidate_udf_flushes_only_that_udf() {
-        let c = PredictionCache::new(CacheConfig { capacity: 8 });
-        let g = generation();
-        c.insert("f", &[1.0], Arc::clone(&g), 0.1);
-        c.insert("f", &[2.0], Arc::clone(&g), 0.2);
-        c.insert("h", &[1.0], Arc::clone(&g), 0.9);
-        assert_eq!(c.invalidate_udf("f"), 2);
-        assert_eq!(c.get("h", &[1.0], &g), CacheLookup::Hit(0.9));
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub trait TupleSource {
 }
 
 /// [`TupleSource`] over one materialized batch: yields it once per scan.
-/// This is how pre-extracted data (tests, benches, the ml baselines) meets
+/// This is how pre-extracted data (tests, benches) meets
 /// the engine's streaming interface.
 pub struct OneBatchSource<'a> {
     batch: &'a TupleBatch,

@@ -80,7 +80,8 @@ impl HeapFile {
 
     /// Scans the whole heap into one flat [`TupleBatch`] (zero-copy page
     /// views, no per-tuple allocation) — the CPU-side counterpart of the
-    /// Striders' batch extraction, shared by the software baselines.
+    /// Striders' batch extraction (the reference trainer's and the tests'
+    /// input).
     pub fn scan_batch(&self) -> StorageResult<TupleBatch> {
         let mut batch = TupleBatch::with_capacity(self.schema.len(), self.tuple_count as usize);
         let decoder = RowDecoder::new(&self.schema);
@@ -90,8 +91,8 @@ impl HeapFile {
         Ok(batch)
     }
 
-    /// Sequentially scans every tuple (CPU-side decode; this is the code
-    /// path software baselines use).
+    /// Sequentially scans every tuple as typed [`Tuple`]s (CPU-side
+    /// decode).
     pub fn scan(&self) -> impl Iterator<Item = Tuple> + '_ {
         (0..self.page_count()).flat_map(move |page_no| {
             let page = self

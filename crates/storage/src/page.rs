@@ -320,11 +320,6 @@ impl HeapPage {
         self.bytes
     }
 
-    /// Remaining insertion capacity.
-    pub fn free_slots(&self) -> u16 {
-        self.layout.capacity - self.view().tuple_count()
-    }
-
     /// Inserts formed tuple bytes; returns the slot.
     pub fn insert(&mut self, tuple: &[u8]) -> StorageResult<u16> {
         if tuple.len() != self.layout.tuple_bytes {

@@ -2,17 +2,18 @@
 //! hourly ad serving load by running a multi-regression model across a
 //! hundred features available in their data."
 //!
-//! Without DAnA, the data scientist must export her table and hand-design
-//! Verilog. Here she writes the update rule in the DSL, deploys, and the
-//! comparison against in-database MADlib-style execution falls out.
+//! Without DAnA, the data scientist must export the table and hand-design
+//! Verilog. Here the update rule is written in the DSL and deployed; the
+//! MADlib/PostgreSQL side is the reference trainer's model over the same
+//! rows, priced by the analytic harness (`dana::analytic_madlib`, warm).
 //!
 //! ```sh
 //! cargo run --release --example ad_load_forecasting
 //! ```
 
 use dana::prelude::*;
-use dana_ml::{metrics, CpuModel, MadlibExecutor};
-use dana_storage::HeapId;
+use dana::{analytic_madlib, SystemParams};
+use dana_ml::{metrics, train_reference};
 use dana_workloads::{generate, workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,13 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dana_seconds = out.timing.total_seconds;
 
     // --- In-database software path (MADlib-class) -----------------------
-    let exec = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd());
-    let pool = dana_storage::SharedBufferPool::new(BufferPoolConfig {
-        pool_bytes: 1 << 30,
-        page_size: 32 * 1024,
-    });
-    pool.prewarm(HeapId(0), &table.heap)?;
-    pool.reset_stats();
     // Per-tuple SGD needs a gentler step than the batched accelerator run.
     let cfg = TrainConfig {
         algorithm: Algorithm::Linear,
@@ -51,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epochs: w.epochs,
         ..Default::default()
     };
-    let madlib = exec.train(&pool, HeapId(0), &table.heap, &cfg)?;
+    let madlib_model = train_reference(&data, &cfg);
+    let madlib = analytic_madlib(&w, true, &SystemParams::default());
 
     // --- Report ----------------------------------------------------------
     println!(
@@ -66,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  MADlib/PostgreSQL: {:>9.3} s   (mse {:.5})",
         madlib.total_seconds,
-        metrics::mse(madlib.model.as_dense(), &data).unwrap()
+        metrics::mse(madlib_model.as_dense(), &data).unwrap()
     );
     println!(
         "  speedup          : {:>8.1}x",

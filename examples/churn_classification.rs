@@ -1,14 +1,15 @@
 //! Churn classification: logistic regression *and* SVM deployed over the
-//! same customer table, compared across MADlib-style, Greenplum-style, and
-//! DAnA execution.
+//! same customer table. DAnA trains them; MADlib/PostgreSQL and
+//! MADlib/Greenplum-8 on the logistic table are priced by the analytic
+//! harness (`dana::analytic_madlib` / `analytic_greenplum`, warm cache).
 //!
 //! ```sh
 //! cargo run --release --example churn_classification
 //! ```
 
 use dana::prelude::*;
-use dana_ml::{metrics, CpuModel, GreenplumExecutor, MadlibExecutor};
-use dana_storage::HeapId;
+use dana::{analytic_greenplum, analytic_madlib, SystemParams};
+use dana_ml::metrics;
 use dana_workloads::{generate, workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,36 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         svm.timing.total_seconds * 1e3
     );
 
-    // Software baselines on the logistic table.
-    let cfg = TrainConfig {
-        algorithm: Algorithm::Logistic,
-        learning_rate: 0.5,
-        batch: 1,
-        epochs: w.epochs,
-        ..Default::default()
-    };
-    let mk_pool = || {
-        dana_storage::SharedBufferPool::new(BufferPoolConfig {
-            pool_bytes: 1 << 30,
-            page_size: 32 * 1024,
-        })
-    };
-    let pool = mk_pool();
-    pool.prewarm(HeapId(0), &table.heap)?;
-    let madlib = MadlibExecutor::new(CpuModel::i7_6700(), DiskModel::ssd()).train(
-        &pool,
-        HeapId(0),
-        &table.heap,
-        &cfg,
-    )?;
-    let pool = mk_pool();
-    pool.prewarm(HeapId(0), &table.heap)?;
-    let gp = GreenplumExecutor::new(CpuModel::i7_6700(), DiskModel::ssd(), 8).train(
-        &pool,
-        HeapId(0),
-        &table.heap,
-        &cfg,
-    )?;
+    // Software baselines on the logistic table, warm, on the paper's
+    // testbed.
+    let p = SystemParams::default();
+    let madlib = analytic_madlib(&w, true, &p);
+    let gp = analytic_greenplum(&w, 8, true, &p);
 
     println!("\n--- simulated end-to-end comparison (logistic) ---");
     println!("  MADlib/PostgreSQL : {:>9.4} s", madlib.total_seconds);

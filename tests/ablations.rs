@@ -228,12 +228,9 @@ fn analytic_thread_override_consistency() {
 /// six public workloads at 2 % scale, in every execution mode, warm and
 /// cold, the two must agree term by term — and the one term on which they
 /// do not (a cold scan's disk seconds) is asserted on both sides by
-/// formula, so it is written down rather than discovered. The MADlib and
-/// Greenplum executors are held to their harness twins the same way.
+/// formula, so it is written down rather than discovered.
 #[test]
 fn analytic_harness_is_the_simulators_cost_model() {
-    use dana_ml::{GreenplumExecutor, MadlibExecutor};
-    use dana_storage::{HeapId, SharedBufferPool};
     const PAGE: usize = 32 * 1024;
     let pool = BufferPoolConfig {
         pool_bytes: 256 << 20,
@@ -316,49 +313,36 @@ fn analytic_harness_is_the_simulators_cost_model() {
             }
         }
 
-        // The baselines' CPU seconds are the harness's; their disk seconds
-        // differ exactly as above. (The harness prices LRMF over the
-        // paper's dense-row representation, which no executor runs.)
+        // The baselines' CPU seconds are the `CpuModel` epoch formulas over
+        // the generated heap's own counts; their disk seconds are one
+        // sequential read per cold scan, like DAnA's. (The harness prices
+        // LRMF over the paper's dense-row representation instead.)
         if w.lrmf.is_some() {
             continue;
         }
         let heap = db.table_snapshot("t").unwrap();
-        let cfg = TrainConfig {
-            algorithm: w.algorithm,
-            epochs: w.epochs,
-            learning_rate: w.learning_rate as f32,
-            ..TrainConfig::default()
-        };
+        let features = heap.schema().len() - 1;
+        let madlib_epoch = p.cpu.madlib_epoch_seconds(
+            w.algorithm,
+            heap.tuple_count(),
+            features,
+            10,
+            heap.layout().tuple_bytes,
+            heap.page_count() as u64,
+        );
+        let greenplum_epoch =
+            p.cpu
+                .greenplum_epoch_seconds(w.algorithm, madlib_epoch, 8, features as u64 * 4);
+        let epochs = w.epochs as f64;
         for warm in [true, false] {
-            let fresh_pool = || {
-                let pool = SharedBufferPool::with_shards(pool, 1);
-                if warm {
-                    pool.prewarm(HeapId(1), &heap).unwrap();
-                    pool.reset_stats();
-                }
-                pool
-            };
-            let madlib = MadlibExecutor::new(p.cpu, p.disk)
-                .train(&fresh_pool(), HeapId(1), &heap, &cfg)
-                .unwrap();
-            let greenplum = GreenplumExecutor::new(p.cpu, p.disk, 8)
-                .train(&fresh_pool(), HeapId(1), &heap, &cfg)
-                .unwrap();
             let (am, ag) = (
                 analytic_madlib(&w, warm, &p),
                 analytic_greenplum(&w, 8, warm, &p),
             );
             let at = format!("{name}, warm = {warm}");
-            assert_eq!(am.cpu_seconds, madlib.cpu_seconds, "{at}");
-            assert_eq!(ag.cpu_seconds, greenplum.cpu_seconds, "{at}");
-            let (functional_io, analytic_io) = if warm {
-                (0.0, 0.0)
-            } else {
-                (pages as f64 * page_read, scan_read)
-            };
-            for functional in [madlib.io_seconds, greenplum.io_seconds] {
-                assert!(close(functional_io, functional), "{at}: {functional}");
-            }
+            assert_eq!(am.cpu_seconds, epochs * madlib_epoch, "{at}");
+            assert_eq!(ag.cpu_seconds, epochs * greenplum_epoch, "{at}");
+            let analytic_io = if warm { 0.0 } else { scan_read };
             assert_eq!([am.io_seconds, ag.io_seconds], [analytic_io; 2], "{at}");
         }
     }
