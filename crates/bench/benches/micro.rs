@@ -5,8 +5,7 @@
 //! path's design choices: Strider page-walk throughput, engine
 //! cycles/tuple, scheduler cost, buffer-pool hit path, end-to-end
 //! small-scale training, and the flat `TupleBatch` data path (strider
-//! extraction + the lowered executor) against the per-tuple
-//! `Vec<Vec<f32>>` reference path on the same extraction+train loop.
+//! extraction + the lowered executor).
 
 use std::hint::black_box;
 
@@ -50,11 +49,9 @@ fn strider_page_walk(c: &mut Criterion) {
 }
 
 /// One extraction+train micro loop (every page extracted, one training
-/// epoch) through (a) the per-tuple `Vec<Vec<f32>>` reference path
-/// (`extract_page_rows` + the rows interpreter) and (b) the production
-/// path: flat `TupleBatch` extraction into the deploy-time-lowered SoA
-/// executor. Same math, same pages.
-fn data_path_ablation(c: &mut Criterion) {
+/// epoch) through the production path: flat `TupleBatch` extraction into
+/// the deploy-time-lowered SoA executor.
+fn data_path(c: &mut Criterion) {
     let w = workload("Remote Sensing LR").unwrap().scaled(0.01); // 5810 × 54
     let table = generate(&w, 32 * 1024, 17).unwrap();
     let access = AccessEngine::for_table(
@@ -82,28 +79,13 @@ fn data_path_ablation(c: &mut Criterion) {
             bus_lanes: 2,
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let engine = ExecutionEngine::new(design.clone()).unwrap();
     let heap = &table.heap;
     let width = heap.schema().len();
 
     let mut group = c.benchmark_group("data_path");
-    group.bench_function("per_tuple_reference", |b| {
-        b.iter(|| {
-            let mut tuples: Vec<Vec<f32>> = Vec::with_capacity(heap.tuple_count() as usize);
-            for p in 0..heap.page_count() {
-                let (rows, _) = access
-                    .extract_page_rows(heap.page_bytes(p).unwrap())
-                    .unwrap();
-                tuples.extend(rows.into_iter().map(|t| t.values));
-            }
-            let mut store = ModelStore::new(&design, vec![vec![0.0; 54]]).unwrap();
-            engine
-                .run_training_rows(black_box(&tuples), &mut store)
-                .unwrap();
-            store
-        })
-    });
     group.bench_function("flat_batch_lowered", |b| {
         b.iter(|| {
             let mut batch = TupleBatch::with_capacity(width, heap.tuple_count() as usize);
@@ -140,7 +122,8 @@ fn engine_training_throughput(c: &mut Criterion) {
             bus_lanes: 2,
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let engine = ExecutionEngine::new(design.clone()).unwrap();
     let tuples = TupleBatch::from_rows(
         55,
@@ -275,7 +258,7 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = strider_page_walk,
-    data_path_ablation,
+    data_path,
     engine_training_throughput,
     scheduler_cost,
     bufferpool_hit_path,

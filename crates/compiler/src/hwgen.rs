@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use dana_dsl::FoldOrder;
 use dana_engine::{EngineDesign, ExecutionEngine};
 use dana_fpga::{FpgaSpec, ResourceBudget};
 use dana_hdfg::Hdfg;
@@ -68,6 +69,9 @@ pub struct PerfEstimate {
 #[derive(Debug, Clone)]
 pub struct CompiledAccelerator {
     pub design: EngineDesign,
+    /// The order the design's reductions fold in (the training oracle's
+    /// input; nothing on the query path reads it).
+    pub fold_order: FoldOrder,
     /// The validated, lowered engine — shared by every query that runs
     /// this accelerator.
     pub engine: Arc<ExecutionEngine>,
@@ -138,7 +142,7 @@ pub fn compile_with_threads(
         slots_per_au: SCHED_SLOTS_PER_AU,
         bus_lanes: 2,
     };
-    let design = schedule_hdfg(input.hdfg, params)?;
+    let (design, fold_order) = schedule_hdfg(input.hdfg, params)?;
     // The engine re-validates the schedule; failure is a compiler bug.
     let engine = ExecutionEngine::new(design.clone())
         .map_err(|e| CompilerError::EngineRejected(e.to_string()))?;
@@ -179,6 +183,7 @@ pub fn compile_with_threads(
     let estimate = estimate_perf(input, &engine);
     Ok(CompiledAccelerator {
         design,
+        fold_order,
         engine: Arc::new(engine),
         strider_program,
         strider_config,

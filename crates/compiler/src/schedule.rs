@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use dana_dsl::{BinOp, DataKind, GroupOp, UnaryFn, VarId};
+use dana_dsl::{BinOp, DataKind, Fold, FoldOrder, GroupOp, UnaryFn, VarId};
 use dana_engine::engine::ModelDesc;
 use dana_engine::{
     AluOp, ConvergenceCheck, EngineDesign, EngineProgram, Loc, MergePlan, MicroOp, ModelWrite, Src,
@@ -78,11 +78,14 @@ struct Sched<'a> {
     output_slots: Vec<Loc>,
     models: Vec<ModelDesc>,
     model_of_var: HashMap<VarId, u8>,
+    /// The fold order of each group node emitted so far.
+    folds: Vec<Vec<Fold>>,
 }
 
 /// Schedules `g` onto the fabric described by `p`, producing a complete
-/// [`EngineDesign`].
-pub fn schedule_hdfg(g: &Hdfg, p: ScheduleParams) -> CompilerResult<EngineDesign> {
+/// [`EngineDesign`] and the order its reductions fold in (what a DSL-level
+/// interpreter folds in to reproduce them).
+pub fn schedule_hdfg(g: &Hdfg, p: ScheduleParams) -> CompilerResult<(EngineDesign, FoldOrder)> {
     assert!(p.num_threads >= 1 && p.acs_per_thread >= 1);
     let mut s = Sched {
         g,
@@ -97,6 +100,7 @@ pub fn schedule_hdfg(g: &Hdfg, p: ScheduleParams) -> CompilerResult<EngineDesign
         output_slots: Vec::new(),
         models: Vec::new(),
         model_of_var: HashMap::new(),
+        folds: Vec::new(),
     };
     s.allocate_leaves()?;
     for node in &g.nodes {
@@ -384,33 +388,27 @@ impl<'a> Sched<'a> {
     }
 
     /// Two-phase reduction of `srcs` with `op` (Add or Mul) into `dst`.
+    /// Returns the order it folds them in: a chain per AU in operand
+    /// order, then a pairwise tree over the chains sorted by AU, an odd
+    /// one carried up a level.
     fn emit_reduce(
         &mut self,
         region: Region,
         op: AluOp,
-        srcs: &[Src],
+        srcs: &[Loc],
         dst: Loc,
-    ) -> CompilerResult<()> {
-        // Fold constants at compile time.
-        let identity = if op == AluOp::Mul { 1.0f32 } else { 0.0 };
-        let mut const_acc = identity;
-        let mut has_consts = false;
-        let mut by_au: HashMap<u16, Vec<Loc>> = HashMap::new();
-        for s in srcs {
-            match s {
-                Src::Const(c) => {
-                    const_acc = op.apply(const_acc, *c);
-                    has_consts = true;
-                }
-                Src::Slot(l) => by_au.entry(l.au).or_default().push(*l),
-            }
+    ) -> CompilerResult<Fold> {
+        // Each AU's operands, by position in `srcs`.
+        let mut by_au: HashMap<u16, Vec<usize>> = HashMap::new();
+        for (k, l) in srcs.iter().enumerate() {
+            by_au.entry(l.au).or_default().push(k);
         }
         // Phase 1: per-AU chains, all AUs advancing one op per step.
-        let mut partials: Vec<Loc> = Vec::new();
-        let mut chains: Vec<(u16, Vec<Loc>, Loc)> = Vec::new(); // (au, elems, acc)
+        let mut partials: Vec<(Loc, Fold)> = Vec::new();
+        let mut chains: Vec<(u16, Vec<usize>, Loc)> = Vec::new(); // (au, elems, acc)
         for (au, elems) in by_au {
-            if elems.len() == 1 {
-                partials.push(elems[0]);
+            if let [k] = elems[..] {
+                partials.push((srcs[k], Fold::Operand(k)));
             } else {
                 let acc = Loc::new(au, self.alloc_slot(au)?);
                 chains.push((au, elems, acc));
@@ -423,7 +421,7 @@ impl<'a> Sched<'a> {
             for (au, elems, acc) in &chains {
                 if round < elems.len() {
                     let a = if round == 1 {
-                        Src::Slot(elems[0])
+                        Src::Slot(srcs[elems[0]])
                     } else {
                         Src::Slot(*acc)
                     };
@@ -431,7 +429,7 @@ impl<'a> Sched<'a> {
                         au: *au,
                         op,
                         a,
-                        b: Src::Slot(elems[round]),
+                        b: Src::Slot(srcs[elems[round]]),
                         dst: acc.slot,
                     });
                 }
@@ -440,28 +438,30 @@ impl<'a> Sched<'a> {
                 self.steps_mut(region).push(step);
             }
         }
-        partials.extend(chains.iter().map(|(_, _, acc)| *acc));
-        partials.sort_by_key(|l| l.au);
+        partials.extend(chains.into_iter().map(|(_, elems, acc)| {
+            let mut chain = elems.into_iter().map(Fold::Operand);
+            let first = chain.next().expect("a chain has elements");
+            (acc, chain.fold(first, Fold::join))
+        }));
+        partials.sort_by_key(|(l, _)| l.au);
         // Phase 2: cluster-aware pairwise tree.
         while partials.len() > 1 {
             let mut movs = Vec::new();
-            let mut pair_ops: Vec<(Loc, Src)> = Vec::new(); // (left, right src)
-            let mut next: Vec<Loc> = Vec::new();
-            let mut iter = partials.chunks(2);
-            for chunk in &mut iter {
-                match chunk {
-                    [x] => next.push(*x),
-                    [x, y] => {
-                        let rsrc = self.localize(Src::Slot(*y), x.ac(), &mut movs)?;
-                        pair_ops.push((*x, rsrc));
+            let mut pairs: Vec<(Loc, Src, Fold)> = Vec::new(); // (left, right src, fold)
+            let mut next: Vec<(Loc, Fold)> = Vec::new();
+            let mut level = partials.into_iter();
+            while let Some((x, fx)) = level.next() {
+                match level.next() {
+                    None => next.push((x, fx)),
+                    Some((y, fy)) => {
+                        let rsrc = self.localize(Src::Slot(y), x.ac(), &mut movs)?;
+                        pairs.push((x, rsrc, fx.join(fy)));
                     }
-                    _ => unreachable!(),
                 }
             }
             self.flush_movs(region, movs);
             let mut step = Step::default();
-            let mut results = Vec::new();
-            for (x, rsrc) in pair_ops {
+            for (x, rsrc, fold) in pairs {
                 let out = Loc::new(x.au, self.alloc_slot(x.au)?);
                 step.ops.push(MicroOp::Alu {
                     au: x.au,
@@ -470,48 +470,27 @@ impl<'a> Sched<'a> {
                     b: rsrc,
                     dst: out.slot,
                 });
-                results.push(out);
+                next.push((out, fold));
             }
             self.steps_mut(region).push(step);
-            next.extend(results);
-            next.sort_by_key(|l| l.au);
+            next.sort_by_key(|(l, _)| l.au);
             partials = next;
         }
-        // Land the result (and any constant contribution) at `dst`.
-        match partials.first() {
-            Some(p) => {
-                let mut movs = Vec::new();
-                let psrc = self.localize(Src::Slot(*p), dst.ac(), &mut movs)?;
-                self.flush_movs(region, movs);
-                let (op2, b) = if has_consts {
-                    (op, Src::Const(const_acc))
-                } else {
-                    (AluOp::Mov, Src::Const(0.0))
-                };
-                self.steps_mut(region).push(Step {
-                    ops: vec![MicroOp::Alu {
-                        au: dst.au,
-                        op: op2,
-                        a: psrc,
-                        b,
-                        dst: dst.slot,
-                    }],
-                });
-            }
-            None => {
-                // Pure-constant reduction.
-                self.steps_mut(region).push(Step {
-                    ops: vec![MicroOp::Alu {
-                        au: dst.au,
-                        op: AluOp::Mov,
-                        a: Src::Const(const_acc),
-                        b: Src::Const(0.0),
-                        dst: dst.slot,
-                    }],
-                });
-            }
-        }
-        Ok(())
+        // Land the result at `dst`.
+        let (p, fold) = partials.pop().expect("a reduction has operands");
+        let mut movs = Vec::new();
+        let psrc = self.localize(Src::Slot(p), dst.ac(), &mut movs)?;
+        self.flush_movs(region, movs);
+        self.steps_mut(region).push(Step {
+            ops: vec![MicroOp::Alu {
+                au: dst.au,
+                op: AluOp::Mov,
+                a: psrc,
+                b: Src::Const(0.0),
+                dst: dst.slot,
+            }],
+        });
+        Ok(fold)
     }
 
     // ----- node emission --------------------------------------------------
@@ -610,6 +589,9 @@ impl<'a> Sched<'a> {
     }
 
     fn emit_group(&mut self, node: &HNode, g: GroupOp, axis: usize) -> CompilerResult<()> {
+        // Every group gets an entry in the fold order, in program order; a
+        // constant one folds below, in f64, and records no folds.
+        self.folds.push(Vec::new());
         let a_id = node.inputs[0];
         let in_dims = self.g.node(a_id).dims.clone();
         let a_bind = self.binding(a_id).clone();
@@ -645,28 +627,21 @@ impl<'a> Sched<'a> {
             ));
         };
         let out = self.alloc_vec(out_n)?;
+        let region = node.region;
         for (oe, group) in groups.iter().enumerate() {
-            let mut srcs: Vec<Src> = group.iter().map(|i| Src::Slot(a_locs[*i])).collect();
+            let srcs: Vec<Loc> = group.iter().map(|i| a_locs[*i]).collect();
             let dst = out[oe];
-            match g {
-                GroupOp::Sigma => self.emit_reduce(node.region, AluOp::Add, &srcs, dst)?,
-                GroupOp::Pi => self.emit_reduce(node.region, AluOp::Mul, &srcs, dst)?,
+            let fold = match g {
+                GroupOp::Sigma => self.emit_reduce(region, AluOp::Add, &srcs, dst)?,
+                GroupOp::Pi => self.emit_reduce(region, AluOp::Mul, &srcs, dst)?,
                 GroupOp::Norm => {
                     // squares into scratch, sum, sqrt.
-                    let sq: Vec<Loc> = self.alloc_vec(group.len())?;
-                    let region = node.region;
-                    let a_locs_c = a_locs.clone();
-                    let group_c = group.clone();
-                    self.emit_map(
-                        region,
-                        AluOp::Mul,
-                        &sq,
-                        &|k| Src::Slot(a_locs_c[group_c[k]]),
-                        &|k| Src::Slot(a_locs_c[group_c[k]]),
-                    )?;
-                    srcs = sq.iter().map(|l| Src::Slot(*l)).collect();
+                    let sq: Vec<Loc> = self.alloc_vec(srcs.len())?;
+                    self.emit_map(region, AluOp::Mul, &sq, &|k| Src::Slot(srcs[k]), &|k| {
+                        Src::Slot(srcs[k])
+                    })?;
                     let sum = Loc::new(dst.au, self.alloc_slot(dst.au)?);
-                    self.emit_reduce(region, AluOp::Add, &srcs, sum)?;
+                    let fold = self.emit_reduce(region, AluOp::Add, &sq, sum)?;
                     self.steps_mut(region).push(Step {
                         ops: vec![MicroOp::Alu {
                             au: dst.au,
@@ -676,8 +651,10 @@ impl<'a> Sched<'a> {
                             dst: dst.slot,
                         }],
                     });
+                    fold
                 }
-            }
+            };
+            self.folds.last_mut().expect("pushed above").push(fold);
         }
         self.bind.insert(node.id, Binding::Locs(out));
         Ok(())
@@ -713,7 +690,7 @@ impl<'a> Sched<'a> {
 
     // ----- assembly --------------------------------------------------------
 
-    fn finish(self) -> CompilerResult<EngineDesign> {
+    fn finish(self) -> CompilerResult<(EngineDesign, FoldOrder)> {
         // Merge plan: whole-model algorithms combine the merge variable on
         // the tree bus; row-update (LRMF) designs scatter per thread.
         let has_whole = self
@@ -792,7 +769,7 @@ impl<'a> Sched<'a> {
         // Meta preloads: scalar metas folded to constants need no slots;
         // nothing else to preload in this scheme.
         let slots_used = self.slot_next.iter().copied().max().unwrap_or(0);
-        Ok(EngineDesign {
+        let design = EngineDesign {
             num_threads: self.p.num_threads,
             acs_per_thread: self.p.acs_per_thread,
             slots_per_au: slots_used.max(1),
@@ -808,7 +785,8 @@ impl<'a> Sched<'a> {
             merge,
             model_writes,
             convergence,
-        })
+        };
+        Ok((design, FoldOrder { groups: self.folds }))
     }
 }
 
@@ -907,7 +885,7 @@ mod tests {
 
     fn schedule_zoo(spec: &dana_dsl::AlgoSpec, threads: u16, acs: u16) -> EngineDesign {
         let g = translate(spec);
-        schedule_hdfg(&g, params(threads, acs)).unwrap()
+        schedule_hdfg(&g, params(threads, acs)).unwrap().0
     }
 
     #[test]
@@ -1005,6 +983,32 @@ mod tests {
                 w[i]
             );
         }
+    }
+
+    #[test]
+    fn fold_order_records_au_chains_then_the_au_sorted_tree() {
+        let op = Fold::Operand;
+        let order_for = |n_features| {
+            let spec = linear_regression(DenseParams {
+                n_features,
+                ..Default::default()
+            })
+            .unwrap();
+            schedule_hdfg(&translate(&spec), params(1, 1)).unwrap().1
+        };
+        // 20 operands on 8 AUs: AU a chains a, a + 8, a + 16 in order, and
+        // the eight chains join pairwise by AU, 8 → 4 → 2 → 1.
+        let chain = |a: usize| {
+            let mut ks = (a..20).step_by(8).map(op);
+            let first = ks.next().unwrap();
+            ks.fold(first, Fold::join)
+        };
+        let pair = |a: usize| chain(a).join(chain(a + 1));
+        let quad = |a: usize| pair(a).join(pair(a + 2));
+        assert_eq!(order_for(20).groups, vec![vec![quad(0).join(quad(4))]]);
+        // Five single operands: the odd one is carried up each level.
+        let five = op(0).join(op(1)).join(op(2).join(op(3))).join(op(4));
+        assert_eq!(order_for(5).groups, vec![vec![five]]);
     }
 
     #[test]

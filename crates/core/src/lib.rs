@@ -60,7 +60,6 @@ pub mod exec;
 pub mod pipeline;
 pub mod plan;
 pub mod query;
-pub mod reference;
 pub mod report;
 pub mod runtime;
 pub mod source;

@@ -171,6 +171,19 @@ impl BinOp {
             BinOp::Lt => "<",
         }
     }
+
+    /// Reference semantics in f32, the engine's native width; a comparison
+    /// yields 1.0 or 0.0.
+    pub fn apply(&self, a: f32, b: f32) -> f32 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
+            BinOp::Gt => f32::from(a > b),
+            BinOp::Lt => f32::from(a < b),
+        }
+    }
 }
 
 /// Non-linear unary functions (Table 1, "Non linear operations").

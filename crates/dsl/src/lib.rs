@@ -27,12 +27,16 @@
 //! paper assigns to the translator front half (§4.4): operand broadcasting,
 //! group-op axis reduction, model-update shape agreement.
 //!
+//! [`fold`] records the order the compiler folds each group operation in,
+//! so a DSL-level interpreter can reproduce the accelerator's reductions.
+//!
 //! [`zoo`] contains ready-made specs for the paper's four evaluated
 //! algorithms (Linear/Logistic regression, SVM, LRMF).
 
 pub mod ast;
 pub mod builder;
 pub mod error;
+pub mod fold;
 pub mod parser;
 pub mod validate;
 pub mod zoo;
@@ -43,4 +47,5 @@ pub use ast::{
 };
 pub use builder::{AlgoBuilder, VarRef};
 pub use error::{DslError, DslResult};
+pub use fold::{Fold, FoldOrder};
 pub use parser::parse_udf;

@@ -12,9 +12,8 @@
 //! the merge result, and writes the model back. Cycle accounting follows
 //! the static schedule: the paper's §6.1 estimator works *because*
 //! "the hDFG does not change, there is no hardware managed cache, and the
-//! accelerator architecture is fixed during execution" — properties both
-//! the lowered executor ([`crate::lowered`]) and the rows reference
-//! ([`crate::reference`]) preserve exactly.
+//! accelerator architecture is fixed during execution" — properties the
+//! lowered executor ([`crate::lowered`]) preserves exactly.
 
 use dana_dsl::MergeOp;
 use dana_storage::{OneBatchSource, TupleBatch, TupleSource};
@@ -198,17 +197,14 @@ pub struct EngineStats {
 /// The execution engine: a validated design plus its deploy-time
 /// lowering.
 ///
-/// There is one training executor and one reference:
-///
-/// * [`ExecutionEngine::run_training`] executes the pre-resolved
-///   [`LoweredProgram`] group-at-a-time over a slot-major SoA scratchpad —
-///   no per-op operand dispatch, no index arithmetic, no hazard branches;
-/// * [`ExecutionEngine::run_training_rows`] ([`crate::reference`], which
-///   no statement can reach) interprets the design's `MicroOp`s directly
-///   over a nested scratchpad, staging every step's writes. It shares
-///   nothing with the lowering pass (not even its hazard analysis), which
-///   is what makes it the reference: the differential suites hold the
-///   executor to bit-identical models *and* cycle stats.
+/// There is one training executor: [`ExecutionEngine::run_training`]
+/// executes the pre-resolved [`LoweredProgram`] group-at-a-time over a
+/// slot-major SoA scratchpad — no per-op operand dispatch, no index
+/// arithmetic, no hazard branches. There is one oracle, the DSL
+/// interpreter `dana_ml::interp`, which reads the program rather than its
+/// `MicroOp`s: the differential suites hold the executor's models
+/// bit-identical to it and its cycle stats to
+/// [`ExecutionEngine::estimated_batch_cycles`].
 ///
 /// Construction is the expensive step (validation + lowering); it happens
 /// once at DEPLOY and the engine is then shared immutably (`Arc`) across
@@ -655,21 +651,23 @@ mod tests {
 
     #[test]
     fn batch_boundaries_are_invisible() {
-        // The same 50-tuple stream delivered as one batch, page-sized
-        // chunks, and pathological 1-row batches must train identically to
-        // the reference rows path — bit for bit, stats included.
+        // The same 50-tuple stream delivered as page-sized chunks and as
+        // pathological 1-row batches must train identically to the
+        // one-batch run — bit for bit, stats included.
         let tuples = make_tuples(50);
         for threads in [1u16, 4, 8] {
             let design = linreg_design(threads);
             let engine = ExecutionEngine::new(design.clone()).unwrap();
-            let mut ref_store = ModelStore::new(&design, vec![vec![0.1, -0.1]]).unwrap();
-            let ref_stats = engine.run_training_rows(&tuples, &mut ref_store).unwrap();
-            for chunk in [1usize, 3, 7, 50] {
+            let mut one_store = ModelStore::new(&design, vec![vec![0.1, -0.1]]).unwrap();
+            let one_stats = engine
+                .run_training_batch(&batch_of(&tuples), &mut one_store)
+                .unwrap();
+            for chunk in [1usize, 3, 7] {
                 let mut source = ChunkedSource::new(&tuples, chunk);
                 let mut store = ModelStore::new(&design, vec![vec![0.1, -0.1]]).unwrap();
                 let stats = engine.run_training(&mut source, &mut store).unwrap();
-                assert_eq!(store, ref_store, "threads {threads}, chunk {chunk}");
-                assert_eq!(stats, ref_stats, "threads {threads}, chunk {chunk}");
+                assert_eq!(store, one_store, "threads {threads}, chunk {chunk}");
+                assert_eq!(stats, one_stats, "threads {threads}, chunk {chunk}");
             }
         }
     }
@@ -680,14 +678,17 @@ mod tests {
         design.convergence = ConvergenceCheck::Epochs(5);
         let engine = ExecutionEngine::new(design.clone()).unwrap();
         let tuples = make_tuples(30);
-        let mut ref_store = ModelStore::new(&design, vec![vec![0.0, 0.0]]).unwrap();
-        engine.run_training_rows(&tuples, &mut ref_store).unwrap();
+        let mut one_store = ModelStore::new(&design, vec![vec![0.0, 0.0]]).unwrap();
+        let one_stats = engine
+            .run_training_batch(&batch_of(&tuples), &mut one_store)
+            .unwrap();
         let mut source = ChunkedSource::new(&tuples, 4);
         let mut store = ModelStore::new(&design, vec![vec![0.0, 0.0]]).unwrap();
         let stats = engine.run_training(&mut source, &mut store).unwrap();
         assert_eq!(stats.epochs_run, 5);
         assert_eq!(stats.tuples_processed, 150);
-        assert_eq!(store, ref_store);
+        assert_eq!(store, one_store);
+        assert_eq!(stats, one_stats);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The execution-engine ISA: scheduled steps of selective-SIMD micro-ops.
 
-use dana_dsl::UnaryFn;
+use dana_dsl::{BinOp, UnaryFn};
 
 /// AUs per analytic cluster. "The number of AUs per AC are fixed to 8 to
 /// obtain highest operational frequency." (§5.2)
@@ -66,27 +66,16 @@ impl AluOp {
         }
     }
 
-    /// Functional semantics (f32, the engine's native width).
+    /// Functional semantics (f32, the engine's native width): the DSL's
+    /// own ([`BinOp::apply`], [`UnaryFn::apply`]).
     pub fn apply(&self, a: f32, b: f32) -> f32 {
         match self {
-            AluOp::Add => a + b,
-            AluOp::Sub => a - b,
-            AluOp::Mul => a * b,
-            AluOp::Div => a / b,
-            AluOp::Gt => {
-                if a > b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            AluOp::Lt => {
-                if a < b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            AluOp::Add => BinOp::Add.apply(a, b),
+            AluOp::Sub => BinOp::Sub.apply(a, b),
+            AluOp::Mul => BinOp::Mul.apply(a, b),
+            AluOp::Div => BinOp::Div.apply(a, b),
+            AluOp::Gt => BinOp::Gt.apply(a, b),
+            AluOp::Lt => BinOp::Lt.apply(a, b),
             AluOp::Max => a.max(b),
             AluOp::Sigmoid => UnaryFn::Sigmoid.apply(a as f64) as f32,
             AluOp::Gaussian => UnaryFn::Gaussian.apply(a as f64) as f32,

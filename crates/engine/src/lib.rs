@@ -40,17 +40,16 @@
 //! A statement's EXECUTE drives [`TrainingSession`]s from one guarded
 //! epoch loop, `dana_parallel`'s gang loop, for one member or several;
 //! [`ExecutionEngine::run_training`] is the quiet loop over one session
-//! that the backends and tests call. [`ExecutionEngine::run_training_rows`]
-//! ([`mod@reference`]), a direct `MicroOp` interpreter that shares nothing
-//! with the lowering pass and that no statement can reach, is kept as the
-//! one reference the executor is tested against.
+//! that the backends and tests call.
 //!
-//! Both are functional *and* cycle-accurate: they compute real f32
-//! results (trained models are checked against software references in the
-//! integration tests) while charging the static schedule's cycle cost —
-//! the same cost the compiler's performance estimator predicts. The
-//! equivalence and differential suites hold them bit-identical in models
-//! and stats.
+//! The executor is functional *and* cycle-accurate: it computes real f32
+//! results while charging the static schedule's cycle cost. There is one
+//! oracle, outside this crate: `dana_ml::interp`, an interpreter of the
+//! DSL program that folds every reduction in the order the compiler
+//! recorded. The equivalence and differential suites hold the executor's
+//! models bit-identical to it, and its cycle stats to the compiler's
+//! performance estimator ([`ExecutionEngine::estimated_batch_cycles`] per
+//! thread group, the ragged last group at its own size).
 
 pub mod backend;
 pub mod engine;
@@ -58,7 +57,6 @@ pub mod error;
 pub mod fault;
 pub mod isa;
 pub mod lowered;
-pub mod reference;
 
 pub use backend::{calibrate_cpu_lane_rate, Backend, BackendKind, BackendRun};
 pub use engine::{

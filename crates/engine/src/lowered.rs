@@ -4,10 +4,9 @@
 //! The paper's premise is that all resolution work happens at DEPLOY:
 //! "the hDFG does not change, there is no hardware managed cache, and the
 //! accelerator architecture is fixed during execution" (§6.1).
-//! Interpreting the design's `MicroOp`s directly (as the rows reference,
-//! [`crate::engine::ExecutionEngine::run_training_rows`], does) pays per
-//! op per tuple: `MicroOp`/`Src` enum dispatch, `Loc` indexing, and a
-//! dynamic read-before-write staging buffer for intra-step hazards.
+//! Interpreting the design's `MicroOp`s directly would pay per op per
+//! tuple: `MicroOp`/`Src` enum dispatch, `Loc` indexing, and a dynamic
+//! read-before-write staging buffer for intra-step hazards.
 //!
 //! [`lower`] runs once, at deploy, and removes all of it:
 //!
@@ -38,11 +37,11 @@
 //! gathers / write-backs validate every lane's row once and reuse the row
 //! bases.
 //!
-//! The executor is held bit-identical to the rows reference — models *and*
-//! cycle stats — by the equivalence suite and the randomized differential
-//! tests in `tests/lowered_differential.rs`. The reference stages every
-//! step's writes and never consults `step_is_hazard_free`, so a bug in
-//! the hazard analysis below shows up as a divergence.
+//! The executor's models are held bit-identical to the DSL interpreter
+//! `dana_ml::interp` — which reads the program, not its steps, so a bug in
+//! the hazard analysis below shows up as a divergence — and its cycle
+//! stats to the static estimate, by the equivalence suite and the
+//! randomized differential tests in `tests/lowered_differential.rs`.
 
 use dana_dsl::MergeOp;
 use dana_storage::TupleSource;
@@ -477,8 +476,8 @@ impl LoweredProgram {
 
     /// One thread group: broadcast → load → per-tuple program across the
     /// active lanes → merge → post-merge on lane 0 → model write-back.
-    /// The broadcast→load→execute ordering matches the reference's
-    /// per-group sequence exactly.
+    /// The broadcast→load→execute ordering is the hardware's per-group
+    /// sequence.
     fn flush_group(
         &self,
         active: usize,
@@ -712,8 +711,8 @@ fn fold_lanes(ws: &mut SoaWorkspace, slots: &[u32], active: usize, f: impl Fn(f3
 /// `Gather` resolves every lane's row, then copies element by element
 /// across the lanes. The store is only read.
 ///
-/// An out-of-range gather row must report what the reference's thread
-/// order reports — the lowest failing thread's first failing op. Lanes are
+/// An out-of-range gather row must report what thread order reports —
+/// the lowest failing thread's first failing op. Lanes are
 /// independent (nothing in a region writes the store), so narrowing the
 /// active lanes to those below each failing lane and returning the last
 /// error recorded is exactly that; over one lane it is the first failing
@@ -917,20 +916,20 @@ mod tests {
             "staging drains expected: {:?}",
             lp.per_tuple
         );
-        // And the staged execution matches the rows reference — which
-        // stages every step and never runs the hazard analysis — bit for
-        // bit: drop the staging from `lower` and this fails.
+        // And the staged execution computes what the hardware does: per
+        // tuple x, slot 3 = (2x + 1) + 2x, summed over the batch — the
+        // model after two epochs is the last batch's sum. Drop the staging
+        // from `lower` and AU 1 reads 2x + 1, one more per tuple.
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
         let tuples: Vec<Vec<f32>> = (0..13).map(|k| vec![k as f32 * 0.5 - 2.0]).collect();
-        let batch = TupleBatch::from_rows(1, &tuples);
-        let mut lowered_store = ModelStore::zeroed(&d);
-        let lowered_stats = engine
-            .run_training_batch(&batch, &mut lowered_store)
-            .unwrap();
-        let mut rows_store = ModelStore::zeroed(&d);
-        let rows_stats = engine.run_training_rows(&tuples, &mut rows_store).unwrap();
-        assert_eq!(lowered_store, rows_store);
-        assert_eq!(lowered_stats, rows_stats);
+        for (n, want) in [(13, 17.0), (12, 48.0)] {
+            let mut store = ModelStore::zeroed(&d);
+            let stats = engine
+                .run_training_batch(&TupleBatch::from_rows(1, &tuples[..n]), &mut store)
+                .unwrap();
+            assert_eq!(store.model(0), &[want], "{n} tuples");
+            assert_eq!(stats.batches, 2 * n.div_ceil(4) as u64);
+        }
     }
 
     #[test]
@@ -1006,25 +1005,19 @@ mod tests {
             vec![4_294_967_296.0, 0.0],
         ];
         let init: Vec<f32> = (0..8).map(|v| v as f32).collect();
-        let mut rows_store = ModelStore::new(&d, vec![init.clone()]).unwrap();
-        let rows_err = engine
-            .run_training_rows(&tuples, &mut rows_store)
+        let mut store = ModelStore::new(&d, vec![init.clone()]).unwrap();
+        let err = engine
+            .run_training_batch(&TupleBatch::from_rows(2, &tuples), &mut store)
             .unwrap_err();
         assert_eq!(
-            rows_err,
+            err,
             EngineError::RowOutOfRange {
                 model: 0,
                 row: 99,
                 rows: 4
             }
         );
-        let mut store = ModelStore::new(&d, vec![init.clone()]).unwrap();
-        let err = engine
-            .run_training_batch(&TupleBatch::from_rows(2, &tuples), &mut store)
-            .unwrap_err();
-        assert_eq!(err, rows_err);
         assert_eq!(store.model(0), &init[..], "store untouched on the error");
-        assert_eq!(store, rows_store);
     }
 
     /// A one-model (`L`, 2×1, row-indexed), one-input design whose
@@ -1057,26 +1050,18 @@ mod tests {
     }
 
     /// Feeds `tuples` (one group, failing after its per-tuple region) to
-    /// the executor and to the rows reference: both must refuse with the
-    /// same typed error — returned — and leave the store untouched, and
-    /// the executor must have charged the group nothing past its per-tuple
-    /// region.
+    /// the executor: it must refuse with a typed error — returned — leave
+    /// the store untouched, and charge the group nothing past its
+    /// per-tuple region.
     fn refuses_after_the_per_tuple_region(d: &EngineDesign, tuples: &[Vec<f32>]) -> EngineError {
         let engine = crate::ExecutionEngine::new(d.clone()).unwrap();
         let fresh = || ModelStore::new(d, vec![vec![-1.0, -2.0]]).unwrap();
-        let mut rows_store = fresh();
-        let rows_err = engine
-            .run_training_rows(tuples, &mut rows_store)
-            .unwrap_err();
-        assert_eq!(rows_store, fresh(), "reference: nothing partially applied");
-
         let batch = TupleBatch::from_rows(1, tuples);
         let mut store = fresh();
         let mut session = engine.training_session();
         let err = session
             .run_epoch(&mut dana_storage::OneBatchSource::new(&batch), &mut store)
             .unwrap_err();
-        assert_eq!(err, rows_err);
         assert_eq!(
             store,
             fresh(),
@@ -1112,8 +1097,8 @@ mod tests {
     /// The post-merge region runs the lockstep loop over lane 0. Its first
     /// step has an intra-step read-after-write — AU 0 bumps slot 1 while
     /// the gather's index reads the old slot 1 — so the row reported is the
-    /// staged (pre-step) value, as on the reference; the second gather,
-    /// also out of range, is never the error reported.
+    /// staged (pre-step) value; the second gather, also out of range, is
+    /// never the error reported.
     #[test]
     fn post_merge_gather_error_is_the_references_and_charges_nothing() {
         let gather = |index, au| MicroOp::Gather {

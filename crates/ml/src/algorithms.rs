@@ -1,21 +1,23 @@
-//! Reference trainers for the paper's four algorithms (§2.1, Table 3).
-//!
-//! Semantics match the DSL zoo exactly (same update rules, same batched
-//! merge): the integration tests hold the FPGA engine's trained models to
-//! these references.
+//! The model types of the paper's four algorithms (§2.1, Table 3) and
+//! [`train_reference`], which trains them with the DSL zoo's update rules
+//! through the one training oracle ([`crate::interp`]).
 
-use dana_dsl::zoo::Algorithm;
+use dana_dsl::zoo::{self, Algorithm};
+use dana_dsl::{AlgoSpec, DslResult, FoldOrder};
 use dana_storage::TupleBatch;
 
-use crate::linalg::{axpy, dot, sigmoid};
+use crate::interp::train_spec;
+use crate::linalg::dot;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     pub algorithm: Algorithm,
     pub learning_rate: f32,
-    /// Batch size: gradients of a batch are summed with `lr/batch` scaling
-    /// (identical to the DSL's merge-coefficient semantics).
+    /// Batch size, run as that many lockstep threads: the dense
+    /// algorithms sum a batch's gradients with `lr/batch` scaling (the
+    /// DSL's merge-coefficient semantics); LRMF gathers a batch's rows at
+    /// its start and scatters them back in thread order.
     pub batch: usize,
     pub epochs: u32,
     /// LRMF factorization rank (ignored by the dense algorithms).
@@ -107,81 +109,61 @@ impl TrainedModel {
 /// Trains the reference model over a flat batch. Rows hold
 /// features-then-label for the dense algorithms, or `(i, j, rating)` for
 /// LRMF.
+///
+/// A thin wrapper over the one training oracle: it builds the zoo spec
+/// for `cfg` and runs [`crate::interp::train_spec`] with `cfg.batch`
+/// threads on one AU (every reduction one chain in axis order).
 pub fn train_reference(tuples: &TupleBatch, cfg: &TrainConfig) -> TrainedModel {
+    assert!(!tuples.is_empty(), "empty training set");
+    let (batch, rank, epochs) = (cfg.batch.max(1), cfg.rank, cfg.epochs);
+    let (learning_rate, merge_coef) = (cfg.learning_rate as f64, batch as u32);
+    let train = |spec: DslResult<AlgoSpec>, mut models: Vec<Vec<f32>>| {
+        let spec = spec.expect("zoo specs validate");
+        let order = FoldOrder::one_au(&spec);
+        train_spec(&spec, &order, batch, tuples, &mut models).expect("row indices in range");
+        models
+    };
     match cfg.algorithm {
-        Algorithm::Linear => TrainedModel::Dense(train_dense(tuples, cfg, grad_linear)),
-        Algorithm::Logistic => TrainedModel::Dense(train_dense(tuples, cfg, grad_logistic)),
-        Algorithm::Svm => TrainedModel::Dense(train_dense(tuples, cfg, grad_svm)),
-        Algorithm::Lrmf => TrainedModel::Lrmf(train_lrmf(tuples, cfg)),
-    }
-}
-
-/// Per-tuple gradient contribution: adds the gradient of one example into
-/// `g` and returns nothing. `sign = +1` means the model step is `w -= lr·g`.
-type GradFn = fn(w: &[f32], x: &[f32], y: f32, g: &mut [f32]);
-
-fn grad_linear(w: &[f32], x: &[f32], y: f32, g: &mut [f32]) {
-    let er = dot(w, x) - y;
-    axpy(er, x, g);
-}
-
-fn grad_logistic(w: &[f32], x: &[f32], y: f32, g: &mut [f32]) {
-    let er = sigmoid(dot(w, x)) - y;
-    axpy(er, x, g);
-}
-
-fn grad_svm(w: &[f32], x: &[f32], y: f32, g: &mut [f32]) {
-    // Hinge sub-gradient: −y·x inside the margin (labels ±1).
-    if y * dot(w, x) < 1.0 {
-        axpy(-y, x, g);
-    }
-}
-
-fn train_dense(tuples: &TupleBatch, cfg: &TrainConfig, grad: GradFn) -> DenseModel {
-    assert!(!tuples.is_empty(), "empty training set");
-    let width = tuples.width();
-    let d = width - 1;
-    let mut w = vec![0.0f32; d];
-    let step = cfg.learning_rate / cfg.batch as f32;
-    let mut g = vec![0.0f32; d];
-    let batch_values = width * cfg.batch.max(1);
-    for _ in 0..cfg.epochs {
-        for batch in tuples.as_slice().chunks(batch_values) {
-            g.iter_mut().for_each(|v| *v = 0.0);
-            for t in batch.chunks_exact(width) {
-                grad(&w, &t[..d], t[d], &mut g);
-            }
-            axpy(-step, &g, &mut w);
+        Algorithm::Lrmf => {
+            // The shape from the catalog when known, else from the data's
+            // maximum indices.
+            let extent = |c: usize| tuples.rows().map(|t| t[c] as usize).max().unwrap_or(0) + 1;
+            let (rows, cols) = cfg.lrmf_dims.unwrap_or_else(|| (extent(0), extent(1)));
+            let p = zoo::LrmfParams {
+                rows,
+                cols,
+                rank,
+                learning_rate,
+                merge_coef,
+                epochs,
+            };
+            let init = vec![
+                default_lrmf_init(rows * rank),
+                default_lrmf_init(cols * rank),
+            ];
+            let [l, r] = train(zoo::lrmf(p), init).try_into().expect("two factors");
+            TrainedModel::Lrmf(LrmfModel {
+                l,
+                r,
+                rows,
+                cols,
+                rank,
+            })
+        }
+        algo => {
+            let n_features = tuples.width() - 1;
+            let p = zoo::DenseParams {
+                n_features,
+                learning_rate,
+                merge_coef,
+                epochs,
+            };
+            let [w] = train(zoo::spec_for(algo, p), vec![vec![0.0; n_features]])
+                .try_into()
+                .expect("one weight vector");
+            TrainedModel::Dense(DenseModel(w))
         }
     }
-    DenseModel(w)
-}
-
-fn train_lrmf(tuples: &TupleBatch, cfg: &TrainConfig) -> LrmfModel {
-    assert!(!tuples.is_empty(), "empty training set");
-    let (rows, cols) = cfg.lrmf_dims.unwrap_or_else(|| {
-        (
-            tuples.rows().map(|t| t[0] as usize).max().unwrap_or(0) + 1,
-            tuples.rows().map(|t| t[1] as usize).max().unwrap_or(0) + 1,
-        )
-    });
-    let mut m = LrmfModel::zeroed(rows, cols, cfg.rank);
-    let lr = cfg.learning_rate;
-    for _ in 0..cfg.epochs {
-        for t in tuples.rows() {
-            let (i, j, y) = (t[0] as usize, t[1] as usize, t[2]);
-            let e = m.predict(i, j) - y;
-            let lbase = i * cfg.rank;
-            let rbase = j * cfg.rank;
-            for k in 0..cfg.rank {
-                let lv = m.l[lbase + k];
-                let rv = m.r[rbase + k];
-                m.l[lbase + k] = lv - lr * e * rv;
-                m.r[rbase + k] = rv - lr * e * lv;
-            }
-        }
-    }
-    m
 }
 
 #[cfg(test)]

@@ -14,13 +14,18 @@
 //! No baseline is executed: each is priced by the calibrated cost model in
 //! [`cpu`] (constants documented against the paper's testbed: 4-core
 //! i7-6700 @ 3.40 GHz, 32 GB RAM, SATA SSD), which `dana::analytic` drives
-//! from a workload's table statistics. [`train_reference`] is the one
-//! software trainer (the math in [`algorithms`]): the oracle the
-//! accelerator's models are checked against.
+//! from a workload's table statistics.
+//!
+//! There is one training oracle: [`interp`], an interpreter of the DSL
+//! that trains any validated program the way the accelerator does, folding
+//! every reduction in the order the compiler recorded. The differential
+//! suites hold the lowered engine to it bit for bit; [`train_reference`]
+//! is a thin wrapper that runs it on a zoo spec with one AU.
 
 pub mod algorithms;
 pub mod cpu;
 pub mod external;
+pub mod interp;
 pub mod linalg;
 pub mod metrics;
 pub mod scorer;
@@ -31,5 +36,6 @@ pub use algorithms::{
 pub use cpu::CpuModel;
 pub use dana_dsl::zoo::Algorithm;
 pub use external::{ExternalExecutor, ExternalLibrary};
+pub use interp::{train_spec, RowOutOfRange};
 pub use metrics::{MetricsError, MetricsResult};
 pub use scorer::{score_dense, score_lrmf, Link};

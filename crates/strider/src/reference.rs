@@ -2,11 +2,10 @@
 //! [`StriderMachine`] interpreter, one `Vec<f32>` per tuple — the
 //! pre-batch pipeline.
 //!
-//! No statement can reach this module. Its callers are `dana::reference`
-//! (the end-to-end reference `tests/equivalence.rs` and
-//! `tests/lowered_differential.rs` drive), this crate's unit tests, which
-//! hold the batch path's closed-form walk to it page for page, and the
-//! `micro` bench's `data_path/per_tuple_reference` row.
+//! No statement can reach this module. Its callers are this crate's unit
+//! tests, which hold the batch path's closed-form walk to it page for
+//! page, and `tests/properties.rs`. (Training has one oracle of its own,
+//! the DSL interpreter `dana_ml::interp`, fed by `HeapFile::scan_batch`.)
 
 use crate::access_engine::AccessEngine;
 use crate::codegen::{live_tuples, strider_program_for_layout};

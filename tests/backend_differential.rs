@@ -149,7 +149,8 @@ fn dense_zoo_models_bit_identical_across_lanes() {
                     bus_lanes: 2,
                 },
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let engine = Arc::new(ExecutionEngine::new(design).unwrap());
             let tuples = synth_tuples(300, 11, 0xD05E ^ lanes as u64);
             assert_backends_identical(&engine, &tuples, &format!("{:?} × {lanes} lanes", algo));
@@ -178,7 +179,7 @@ fn lrmf_bit_identical_across_lanes() {
     let tuples: Vec<Vec<f32>> = batch.rows().map(|r| r.to_vec()).collect();
     let mut feasible = 0;
     for lanes in LANES {
-        let Ok(design) = schedule_hdfg(
+        let Ok((design, _)) = schedule_hdfg(
             &translate(&spec),
             ScheduleParams {
                 num_threads: lanes,
@@ -345,7 +346,7 @@ proptest! {
         );
         // Some (threads, shape) points are structurally infeasible — skip.
         prop_assume!(scheduled.is_ok());
-        let engine = Arc::new(ExecutionEngine::new(scheduled.unwrap()).unwrap());
+        let engine = Arc::new(ExecutionEngine::new(scheduled.unwrap().0).unwrap());
         let tuples = synth_tuples(n, features + 1, seed);
         assert_backends_identical(
             &engine,

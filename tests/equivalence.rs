@@ -1,34 +1,60 @@
-//! Equivalence tests: the FPGA path must compute exactly what the software
-//! references compute, the streaming batch data path must compute exactly
-//! what the retained per-tuple reference path computes, and the static
-//! estimators must match the cycle-accurate interpreters — the paper's
+//! Equivalence tests: the accelerator path must compute exactly what the
+//! training oracle computes — `dana_ml::train_spec`, the DSL interpreter
+//! that folds every reduction in the order the compiler recorded — and the
+//! static estimators must match the cycle-accurate executor — the paper's
 //! "<5% of physical measurements" claim, held to 0% here because both
 //! sides share the static schedule.
 
 use dana::prelude::*;
-use dana_compiler::{compile, CompileInput};
+use dana_compiler::{compile, compile_with_threads, CompileInput, CompiledAccelerator};
+use dana_dsl::AlgoSpec;
 use dana_engine::{ExecutionEngine, ModelStore};
 use dana_fpga::FpgaSpec;
 use dana_hdfg::translate;
-use dana_ml::{train_reference, Algorithm, TrainConfig};
+use dana_ml::{train_spec, Algorithm};
 use dana_storage::TupleBatch;
 use dana_strider::{AccessEngine, AccessEngineConfig};
 use dana_workloads::{generate, workload, Workload};
 
+/// Compiles `w`'s spec for `table` as DEPLOY does, or at an explicit
+/// thread count.
 fn compile_for(
     w: &Workload,
     table: &dana_workloads::GeneratedTable,
-) -> dana_compiler::CompiledAccelerator {
-    let spec = w.spec();
-    let hdfg = translate(&spec);
-    compile(&CompileInput {
+    threads: Option<u32>,
+) -> CompiledAccelerator {
+    let hdfg = translate(&w.spec());
+    let input = CompileInput {
         hdfg: &hdfg,
         fpga: FpgaSpec::vu9p(),
         layout: *table.heap.layout(),
         schema_columns: table.heap.schema().len(),
         expected_tuples: table.heap.tuple_count(),
-    })
+    };
+    match threads {
+        Some(t) => compile_with_threads(&input, t),
+        None => compile(&input),
+    }
     .unwrap()
+}
+
+/// The oracle's models for `spec` over `batch`, at `acc`'s thread count
+/// and fold order.
+fn oracle(spec: &AlgoSpec, acc: &CompiledAccelerator, batch: &TupleBatch) -> Vec<Vec<f32>> {
+    let mut models = dana::exec::initial_models(&acc.design);
+    let threads = acc.design.num_threads as usize;
+    train_spec(spec, &acc.fold_order, threads, batch, &mut models).unwrap();
+    models
+}
+
+/// A small table of `name`'s shape (LRMF at 50×40, rank 10).
+fn small_workload(name: &str, scale: f64) -> Workload {
+    let mut w = workload(name).unwrap().scaled(scale);
+    if w.algorithm == Algorithm::Lrmf {
+        w.lrmf = Some((50, 40, 10));
+        w.tuples = 2_000;
+    }
+    w
 }
 
 fn extract(table: &dana_workloads::GeneratedTable, striders: u32) -> TupleBatch {
@@ -50,11 +76,7 @@ fn extract(table: &dana_workloads::GeneratedTable, striders: u32) -> TupleBatch 
 #[test]
 fn strider_extraction_equals_cpu_scan() {
     for name in ["Remote Sensing LR", "Patient", "Netflix"] {
-        let mut w = workload(name).unwrap().scaled(0.002);
-        if w.algorithm == Algorithm::Lrmf {
-            w.lrmf = Some((50, 40, 10));
-            w.tuples = 2_000;
-        }
+        let w = small_workload(name, 0.002);
         let table = generate(&w, 32 * 1024, 77).unwrap();
         let strider_batch = extract(&table, 4);
         let cpu_batch = table.heap.scan_batch().unwrap();
@@ -63,17 +85,23 @@ fn strider_extraction_equals_cpu_scan() {
 }
 
 /// The streaming batch data path (pool → extract → engine, page by page)
-/// must train the bit-identical model to the retained per-tuple reference
-/// path (full-table `Vec<Vec<f32>>` materialization + the engine's rows
-/// interpreter), in every execution mode. This is the differential test
-/// holding the refactored hot path to the original data path's math.
+/// must train the bit-identical model to the oracle over the whole table
+/// (`HeapFile::scan_batch`), in every execution mode, for all four zoo
+/// models — at the thread count the mode compiles to (TABLA: one) — and
+/// charge exactly the static estimate's cycles.
 #[test]
 fn streaming_path_matches_reference_path_across_modes() {
-    for (name, scale) in [("Remote Sensing LR", 0.004), ("Patient", 0.01)] {
-        let mut w = workload(name).unwrap().scaled(scale);
+    for (name, scale) in [
+        ("Remote Sensing LR", 0.004),
+        ("Remote Sensing SVM", 0.004),
+        ("Patient", 0.01),
+        ("Netflix", 1.0),
+    ] {
+        let mut w = small_workload(name, scale);
         w.epochs = 3;
         w.merge_coef = 8;
         let table = generate(&w, 32 * 1024, 123).unwrap();
+        let batch = table.heap.scan_batch().unwrap();
         let db = Dana::new(
             FpgaSpec::vu9p(),
             BufferPoolConfig {
@@ -82,7 +110,7 @@ fn streaming_path_matches_reference_path_across_modes() {
             },
             DiskModel::ssd(),
         );
-        db.create_table("t", table.heap).unwrap();
+        db.create_table("t", table.heap.clone()).unwrap();
         db.prewarm("t").unwrap();
         let spec = w.spec();
         for mode in [
@@ -90,47 +118,20 @@ fn streaming_path_matches_reference_path_across_modes() {
             ExecutionMode::CpuFed,
             ExecutionMode::Tabla,
         ] {
+            let acc = compile_for(&w, &table, (mode == ExecutionMode::Tabla).then_some(1));
             let streaming = db.train_with_spec(&spec, "t", mode).unwrap();
-            let reference = db.train_with_spec_reference(&spec, "t", mode).unwrap();
+            assert_eq!(streaming.num_threads, acc.design.num_threads, "{name}");
             assert_eq!(
-                streaming.models, reference,
-                "{name}: {mode:?} batch path diverged from per-tuple reference"
+                streaming.models,
+                oracle(&spec, &acc, &batch),
+                "{name}: {mode:?} batch path diverged from the oracle"
+            );
+            assert_eq!(
+                streaming.engine.cycles,
+                3 * acc.estimate.epoch_engine_cycles,
+                "{name}: {mode:?} cycles vs the static estimate"
             );
         }
-    }
-}
-
-/// Executor equivalence: the deploy-time-lowered SoA lockstep executor
-/// (the one executor behind `run_training`) must produce bit-identical
-/// models *and* cycle stats to the per-tuple rows reference interpreter,
-/// for dense and LRMF programs alike. Both run lockstep: LRMF's per-tuple
-/// region only *gathers* model rows (its write-back is a `Row` model write
-/// after the region), and a gather reads a store nothing in a region
-/// writes.
-#[test]
-fn lowered_executor_matches_rows_reference() {
-    for name in ["Remote Sensing LR", "Patient", "Netflix"] {
-        let mut w = workload(name).unwrap().scaled(0.002);
-        if w.algorithm == Algorithm::Lrmf {
-            w.lrmf = Some((50, 40, 10));
-            w.tuples = 2_000;
-        }
-        w.epochs = 3;
-        let table = generate(&w, 32 * 1024, 31).unwrap();
-        let batch = extract(&table, 4);
-        let tuples: Vec<Vec<f32>> = batch.rows().map(|r| r.to_vec()).collect();
-        let acc = compile_for(&w, &table);
-        // The compile-time engine *is* the deploy artifact — no rebuild.
-        let engine = &acc.engine;
-
-        let init = dana::exec::initial_models(engine.design());
-        let mut lowered = ModelStore::new(engine.design(), init.clone()).unwrap();
-        let lowered_stats = engine.run_training_batch(&batch, &mut lowered).unwrap();
-        let mut rows = ModelStore::new(engine.design(), init).unwrap();
-        let rows_stats = engine.run_training_rows(&tuples, &mut rows).unwrap();
-
-        assert_eq!(lowered, rows, "{name}: lowered vs rows reference");
-        assert_eq!(lowered_stats, rows_stats, "{name}: stats (rows)");
     }
 }
 
@@ -181,11 +182,7 @@ fn concurrent_core_matches_single_threaded_across_modes() {
         ("Patient", 0.01),
         ("Netflix", 1.0),
     ] {
-        let mut w = workload(name).unwrap().scaled(scale);
-        if w.algorithm == Algorithm::Lrmf {
-            w.lrmf = Some((50, 40, 10));
-            w.tuples = 2_000;
-        }
+        let mut w = small_workload(name, scale);
         w.epochs = 3;
         w.merge_coef = 8;
         let pool = dana_storage::BufferPoolConfig {
@@ -240,15 +237,11 @@ fn concurrent_core_matches_single_threaded_across_modes() {
     }
 }
 
-/// The compiled engine must train the same model as the software
-/// reference, for every dense algorithm, to f32 round-off.
+/// The compiled engine, rebuilt from its design, must train the same
+/// model as the oracle, for every dense algorithm, bit for bit.
 #[test]
 fn engine_model_matches_reference_dense() {
-    for (name, algo) in [
-        ("Patient", Algorithm::Linear),
-        ("Remote Sensing LR", Algorithm::Logistic),
-        ("Remote Sensing SVM", Algorithm::Svm),
-    ] {
+    for name in ["Patient", "Remote Sensing LR", "Remote Sensing SVM"] {
         let mut w = workload(name).unwrap().scaled(0.001);
         w.features = 24;
         w.epochs = 6;
@@ -257,64 +250,47 @@ fn engine_model_matches_reference_dense() {
         let table = generate(&w, 32 * 1024, 88).unwrap();
         let tuples = extract(&table, 2);
 
-        // FPGA path.
-        let acc = compile_for(&w, &table);
+        let acc = compile_for(&w, &table, None);
         let engine = ExecutionEngine::new(acc.design.clone()).unwrap();
         let mut store = ModelStore::new(&acc.design, vec![vec![0.0; 24]]).unwrap();
         engine.run_training_batch(&tuples, &mut store).unwrap();
 
-        // Reference path: identical semantics (batch = threads? no — batch
-        // follows the merge coefficient *and* thread count; the engine
-        // batches by its thread count, so mirror that).
-        let threads = acc.design.num_threads as usize;
-        let step_scale = w.merge_coef as f32 / threads as f32;
-        let cfg = TrainConfig {
-            algorithm: algo,
-            learning_rate: w.learning_rate as f32 / step_scale,
-            batch: threads,
-            epochs: w.epochs,
-            ..Default::default()
-        };
-        let reference = train_reference(&tuples, &cfg);
-        let got = store.model(0);
-        let want = &reference.as_dense().0;
-        for i in 0..24 {
-            assert!(
-                (got[i] - want[i]).abs() < 2e-3_f32.max(want[i].abs() * 0.02),
-                "{name} w[{i}]: engine {} vs reference {}",
-                got[i],
-                want[i]
-            );
-        }
+        assert_eq!(
+            store.into_values(),
+            oracle(&w.spec(), &acc, &tuples),
+            "{name}: engine vs oracle"
+        );
     }
 }
 
 /// The hardware generator's performance estimate must match the
-/// cycle-accurate interpreter exactly when batches divide evenly.
+/// cycle-accurate executor exactly, ragged last thread group included,
+/// for all four zoo models.
 #[test]
 fn perf_estimator_matches_interpreter() {
-    let mut w = workload("WLAN").unwrap().scaled(0.001);
-    w.features = 32;
-    w.epochs = 1;
-    w.merge_coef = 8;
-    let table = generate(&w, 32 * 1024, 99).unwrap();
-    // Trim to a multiple of the thread count for exact agreement.
-    let tuples_all = extract(&table, 2);
-    let acc = compile_for(&w, &table);
-    let threads = acc.design.num_threads as usize;
-    let n = (tuples_all.len() / threads) * threads;
-    let tuples = TupleBatch::from_rows(tuples_all.width(), tuples_all.rows().take(n));
+    for name in ["WLAN", "Remote Sensing SVM", "Patient", "Netflix"] {
+        let mut w = small_workload(name, 0.001);
+        w.tuples = 1_001;
+        w.epochs = 1;
+        w.merge_coef = 8;
+        let table = generate(&w, 32 * 1024, 99).unwrap();
+        let tuples = extract(&table, 2);
+        let acc = compile_for(&w, &table, Some(8));
+        assert_ne!(tuples.len() % 8, 0, "{name}: a ragged last group");
 
-    let engine = ExecutionEngine::new(acc.design.clone()).unwrap();
-    let mut store = ModelStore::new(&acc.design, vec![vec![0.0; 32]]).unwrap();
-    let stats = engine.run_training_batch(&tuples, &mut store).unwrap();
-    let batches = (n / threads) as u64;
-    let estimate = batches * engine.estimated_batch_cycles(threads);
-    assert_eq!(stats.cycles, estimate, "estimator must be cycle-exact");
+        let init = dana::exec::initial_models(&acc.design);
+        let mut store = ModelStore::new(&acc.design, init).unwrap();
+        let stats = acc.engine.run_training_batch(&tuples, &mut store).unwrap();
+        assert_eq!(
+            stats.cycles, acc.estimate.epoch_engine_cycles,
+            "{name}: estimator must be cycle-exact"
+        );
+    }
 }
 
-/// LRMF through the engine reduces RMSE like the reference does (exact
-/// equality is not required: thread-batched scatters reorder row updates).
+/// LRMF through the engine trains the oracle's factors bit for bit —
+/// thread-batched scatters land in thread order on both sides — and
+/// reduces RMSE.
 #[test]
 fn engine_lrmf_converges_like_reference() {
     let mut w = workload("Netflix").unwrap();
@@ -326,40 +302,26 @@ fn engine_lrmf_converges_like_reference() {
     let table = generate(&w, 32 * 1024, 101).unwrap();
     let tuples = extract(&table, 2);
 
-    let acc = compile_for(&w, &table);
+    let acc = compile_for(&w, &table, None);
     let engine = ExecutionEngine::new(acc.design.clone()).unwrap();
-    let init: Vec<Vec<f32>> = acc
-        .design
-        .models
-        .iter()
-        .map(|m| dana_ml::default_lrmf_init(m.elements()))
-        .collect();
-    let mut store = ModelStore::new(&acc.design, init).unwrap();
+    let init = dana::exec::initial_models(&acc.design);
+    let mut store = ModelStore::new(&acc.design, init.clone()).unwrap();
     engine.run_training_batch(&tuples, &mut store).unwrap();
-    let engine_model = dana_ml::LrmfModel {
-        l: store.model(0).to_vec(),
-        r: store.model(1).to_vec(),
-        rows: 40,
-        cols: 30,
-        rank: 6,
-    };
+    let trained = store.into_values();
+    assert_eq!(trained, oracle(&w.spec(), &acc, &tuples));
 
-    let cfg = TrainConfig {
-        algorithm: Algorithm::Lrmf,
-        learning_rate: 0.05,
-        batch: 1,
-        epochs: 15,
-        rank: 6,
-        lrmf_dims: Some((40, 30)),
+    let rmse = |m: &[Vec<f32>]| {
+        let factors = dana_ml::LrmfModel {
+            l: m[0].clone(),
+            r: m[1].clone(),
+            rows: 40,
+            cols: 30,
+            rank: 6,
+        };
+        dana_ml::metrics::lrmf_rmse(&factors, &tuples).unwrap()
     };
-    let reference = train_reference(&tuples, &cfg);
-
-    let e_rmse = dana_ml::metrics::lrmf_rmse(&engine_model, &tuples).unwrap();
-    let r_rmse = dana_ml::metrics::lrmf_rmse(reference.as_lrmf(), &tuples).unwrap();
-    assert!(
-        e_rmse < r_rmse * 1.5 + 0.05,
-        "engine rmse {e_rmse} too far above reference {r_rmse}"
-    );
+    let (before, after) = (rmse(&init), rmse(&trained));
+    assert!(after < before, "rmse {before} → {after}");
 }
 
 /// A compiled Strider program survives the 22-bit ISA encoding — the check
@@ -372,7 +334,7 @@ fn strider_program_survives_22_bit_encoding() {
         w
     };
     let table = generate(&w, 32 * 1024, 55).unwrap();
-    let acc = compile_for(&w, &table);
+    let acc = compile_for(&w, &table, None);
     let words = dana_strider::isa::encode_program(&acc.strider_program).unwrap();
     let decoded = dana_strider::isa::decode_program(&words).unwrap();
     assert_eq!(acc.strider_program, decoded);
