@@ -56,10 +56,6 @@ pub struct PerfEstimate {
     pub epoch_engine_cycles: u64,
     /// Strider cycles to extract one (full) page.
     pub strider_cycles_per_page: u64,
-    /// Per-tuple region cost (one thread).
-    pub per_tuple_cycles: u64,
-    /// Post-merge region cost (once per batch).
-    pub post_merge_cycles: u64,
 }
 
 /// A deployable accelerator: engine design + Strider program + budget,
@@ -216,22 +212,12 @@ fn thread_candidates(input: &CompileInput, merge_coef: u32) -> Vec<u32> {
 /// change, there is no hardware managed cache, and the accelerator
 /// architecture is fixed during execution."
 fn estimate_perf(input: &CompileInput, engine: &ExecutionEngine) -> PerfEstimate {
-    let design = engine.design();
-    let threads = design.num_threads as u64;
     let tuples = input.expected_tuples;
-    let full_batches = tuples / threads;
-    let rem = (tuples % threads) as usize;
-    let mut epoch = full_batches * engine.estimated_batch_cycles(threads as usize);
-    if rem > 0 {
-        epoch += engine.estimated_batch_cycles(rem);
-    }
     let tuples_per_page = (input.layout.capacity as u64).min(tuples.max(1));
     PerfEstimate {
-        epoch_engine_cycles: epoch,
+        epoch_engine_cycles: engine.estimated_epoch_cycles(tuples),
         strider_cycles_per_page: estimated_cycles_per_page(&input.layout, tuples_per_page)
             + tuples_per_page * input.schema_columns as u64,
-        per_tuple_cycles: design.program.per_tuple_cycles(),
-        post_merge_cycles: design.program.post_merge_cycles(),
     }
 }
 

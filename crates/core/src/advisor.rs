@@ -1,28 +1,30 @@
 //! The cost-based backend advisor: picks an execution substrate per
 //! query by break-even analysis.
 //!
-//! The FPGA tier is asymptotically faster — its simulated engine retires
-//! a whole thread group of tuples in `cycles_per_group` cycles at the
-//! accelerator clock — but every run pays fixed costs the CPU tier does
-//! not: the one-time configuration transfer ([`SETUP_SECONDS`]) and the
-//! per-epoch host orchestration ([`EPOCH_OVERHEAD_S`]). Tailwind-style
-//! break-even reasoning follows: offload only pays above a row threshold
-//! where the FPGA's per-tuple advantage has amortized those fixed costs.
+//! Both tiers are priced over the same statement — the scan bind
+//! estimates it will run, counted the way the scan itself counts (see
+//! `exec::estimated_counts`). The FPGA tier's price is the bill the run
+//! would get: [`crate::runtime::price`] over those counts (the point
+//! form: `exec::point_timing`), data path and engine, one-time setup and
+//! per-epoch host overhead included. The CPU tier pays the same disk
+//! seconds, decodes every tuple on the host, and runs the lowered
+//! program's lane-ops at a calibrated rate, with nothing fixed. The
+//! FPGA's per-row advantage has to amortize its fixed costs, so offload
+//! pays only above a row threshold, read off the slopes of the two
+//! prices — Tailwind-style break-even reasoning.
 //!
 //! A [`HardwareProfile`] carries the two values nothing else knows — the
 //! CPU tier's lane rate, calibrated by a one-time microbench
-//! ([`dana_engine::calibrate_cpu_lane_rate`]), and the manual threshold —
-//! while the FPGA side is priced from the core's own [`FpgaSpec`] and the
-//! constants the cost model composes with. [`advise`] turns the two plus
-//! a workload shape into a [`StrategyComparison`]: estimated seconds per
-//! backend, the chosen backend, and the break-even row count.
-//! `EXPLAIN <stmt>` prints exactly this comparison without running the
-//! statement; `WITH (backend = cpu|fpga)` overrides the choice.
+//! ([`dana_engine::calibrate_cpu_lane_rate`]), and the manual threshold.
+//! [`advise`] turns a priced [`Workload`] into a [`StrategyComparison`]:
+//! estimated seconds per backend, the chosen backend, and the break-even
+//! row count. `EXPLAIN <stmt>` prints exactly this comparison without
+//! running the statement; `WITH (backend = cpu|fpga)` overrides the
+//! choice.
 
 use crate::error::{DanaError, DanaResult};
-use crate::runtime::{EPOCH_OVERHEAD_S, SETUP_SECONDS};
+use crate::report::Seconds;
 use dana_engine::BackendKind;
-use dana_fpga::FpgaSpec;
 
 /// What the query (or its `WITH` clause) asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,10 +62,8 @@ impl BackendChoice {
 }
 
 /// What the advisor cannot read off the accelerator it prices: the CPU
-/// tier's throughput and the manual break-even override. (The FPGA tier's
-/// clock, setup and per-epoch overhead are the core's [`FpgaSpec`],
-/// [`SETUP_SECONDS`] and [`EPOCH_OVERHEAD_S`] — the values a run is
-/// billed by.)
+/// tier's throughput and the manual break-even override. (The FPGA tier
+/// is priced as it is billed, at the core's own `FpgaSpec`.)
 ///
 /// The default rate is a conservative constant;
 /// [`HardwareProfile::calibrated`] replaces it with a measured one. The
@@ -111,62 +111,23 @@ impl HardwareProfile {
     }
 }
 
-/// The shape of one training or scoring run, as the advisor prices it.
-/// Callers assemble this from the deployed accelerator's lowered program
-/// and static estimate; no data is touched.
+/// One statement as bind priced it: the rows it names, the rows
+/// estimated to reach the engine, and each tier's price.
 #[derive(Debug, Clone, Copy)]
 pub struct Workload {
-    /// Rows one epoch scans.
+    /// Rows the statement names: the table's tuple count, or its inline
+    /// rows.
     pub rows: u64,
+    /// Rows estimated to reach the engine after a pushdown filter.
+    pub effective_rows: u64,
     /// Epochs the run is budgeted for (1 for scoring).
     pub epochs: u32,
-    /// Lockstep threads (lanes) the design runs.
-    pub threads: u16,
-    /// Simulated engine cycles to retire one full thread group (the
-    /// static schedule's per-batch cost).
-    pub cycles_per_group: u64,
-    /// CPU lane-ops per tuple (lowered per-tuple region + broadcast
-    /// refill).
-    pub lane_ops_per_tuple: u64,
-    /// CPU ops per thread group (post-merge, tree merge, write-back).
-    pub ops_per_group: u64,
-    /// Post-filter fraction of `rows` a pushdown `WHERE` is estimated to
-    /// keep (1.0 = no predicates). Every row-proportional term on both
-    /// tiers scales by it — a selective scan feeds the engine fewer
-    /// tuples no matter where it runs.
-    pub selectivity: f64,
-    /// Fraction of the table's columns a `COLUMNS` projection feeds the
-    /// engine (1.0 = full width). Scales the CPU tier's per-tuple ops —
-    /// its lanes touch only projected values — while the FPGA schedule's
-    /// per-group cycles are fixed by the compiled design.
-    pub width_fraction: f64,
-}
-
-impl Workload {
-    /// Rows estimated to reach the engine after the pushdown filter.
-    pub fn effective_rows(&self) -> u64 {
-        (self.rows as f64 * self.selectivity.clamp(0.0, 1.0)).ceil() as u64
-    }
-
-    fn groups(&self) -> u64 {
-        let threads = self.threads.max(1) as u64;
-        self.effective_rows().div_ceil(threads).max(1)
-    }
-
-    /// Simulated engine seconds of the whole run at `clock_hz`: every
-    /// epoch retires every thread group in the static schedule's
-    /// `cycles_per_group`. The one place cycles become engine seconds at
-    /// bind time — [`fpga_seconds`] and the scheduler's cost hint both
-    /// read it.
-    pub fn engine_seconds(&self, clock_hz: f64) -> f64 {
-        let epoch = (self.groups() * self.cycles_per_group) as f64 / clock_hz;
-        self.epochs.max(1) as f64 * epoch
-    }
-
-    /// CPU lane-ops per tuple after projection.
-    fn cpu_ops_per_tuple(&self) -> f64 {
-        self.lane_ops_per_tuple as f64 * self.width_fraction.clamp(0.0, 1.0)
-    }
+    /// The FPGA tier's price, and the part of it no row pays for (setup
+    /// and per-epoch host overhead).
+    pub fpga: Seconds,
+    pub fpga_fixed: Seconds,
+    /// The CPU tier's price; nothing in it is fixed.
+    pub cpu: Seconds,
 }
 
 /// One backend's row in the comparison.
@@ -242,62 +203,34 @@ impl std::fmt::Display for StrategyComparison {
     }
 }
 
-/// What an FPGA run pays whatever its row count: the one-time setup plus
-/// the per-epoch host orchestration.
-fn fpga_fixed_seconds(w: &Workload) -> f64 {
-    SETUP_SECONDS + w.epochs.max(1) as f64 * EPOCH_OVERHEAD_S
-}
-
-/// Estimated FPGA-tier seconds on `fpga`: the fixed costs plus the static
-/// schedule's engine cycles at the accelerator's clock.
-pub fn fpga_seconds(fpga: &FpgaSpec, w: &Workload) -> f64 {
-    fpga_fixed_seconds(w) + w.engine_seconds(fpga.clock.hz)
-}
-
-/// Projected CPU-tier wall seconds: lane-ops through the calibrated lane
-/// rate, no fixed offload costs.
-pub fn cpu_seconds(p: &HardwareProfile, w: &Workload) -> f64 {
-    let epochs = w.epochs.max(1) as f64;
-    let per_tuple = w.effective_rows() as f64 * w.cpu_ops_per_tuple();
-    let per_group = w.groups() as f64 * w.ops_per_group as f64;
-    epochs * (per_tuple + per_group) / p.cpu_lane_ops_per_second
-}
-
-/// The row count at which the FPGA tier's marginal advantage has paid
-/// off its fixed costs for this program shape — `None` when the CPU
-/// tier's marginal rate is at least as good (offload never pays).
-pub fn break_even_rows(p: &HardwareProfile, fpga: &FpgaSpec, w: &Workload) -> Option<u64> {
+/// The row count at which the FPGA tier's per-row advantage has paid off
+/// its fixed costs: the two prices' fixed parts over the difference of
+/// their slopes — `None` when the CPU tier's slope is at least as good
+/// (offload never pays).
+pub fn break_even_rows(p: &HardwareProfile, w: &Workload) -> Option<u64> {
     if let Some(rows) = p.offload_threshold_rows {
         return Some(rows);
     }
-    let threads = w.threads.max(1) as f64;
-    let epochs = w.epochs.max(1) as f64;
-    // Marginal seconds per row on each tier.
-    let cpu_slope = epochs * (w.cpu_ops_per_tuple() + w.ops_per_group as f64 / threads)
-        / p.cpu_lane_ops_per_second;
-    let fpga_slope = epochs * w.cycles_per_group as f64 / threads / fpga.clock.hz;
-    let advantage = cpu_slope - fpga_slope;
+    let rows = w.effective_rows.max(1) as f64;
+    let advantage = (w.cpu - (w.fpga - w.fpga_fixed)) / rows;
     if advantage <= 0.0 {
         return None;
     }
-    Some((fpga_fixed_seconds(w) / advantage).ceil() as u64)
+    Some((w.fpga_fixed / advantage).ceil() as u64)
 }
 
-/// Prices `workload` on both backends — the FPGA tier as `fpga`, the
-/// accelerator it would run on — and picks one: the requested backend when
-/// forced, otherwise the break-even rule (CPU below the threshold, FPGA at
-/// or above it).
+/// Compares a priced `workload`'s two tiers and picks one: the requested
+/// backend when forced, otherwise the break-even rule (CPU below the
+/// threshold, FPGA at or above it).
 pub fn advise(
     profile: &HardwareProfile,
-    fpga: &FpgaSpec,
     workload: &Workload,
     requested: BackendChoice,
     statement: String,
 ) -> StrategyComparison {
-    let break_even = break_even_rows(profile, fpga, workload);
-    let fpga = fpga_seconds(fpga, workload);
-    let cpu = cpu_seconds(profile, workload);
-    let rows = workload.effective_rows();
+    let break_even = break_even_rows(profile, workload);
+    let (fpga, cpu) = (workload.fpga, workload.cpu);
+    let rows = workload.effective_rows;
     let auto_choice = match break_even {
         Some(be) if rows >= be => BackendKind::Fpga,
         _ => BackendKind::Cpu,
@@ -344,11 +277,12 @@ pub fn advise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::linreg_heap;
+    use crate::{Dana, SystemCore};
+    use dana_dsl::zoo::{linear_regression, DenseParams};
 
-    /// A synthetic profile with round numbers: the FPGA retires a
-    /// 16-thread group in 100 cycles at 100 MHz (62.5 ns/row marginal);
-    /// the CPU does 10 lane-ops/tuple at 10 M lane-ops/s (1 µs/row).
-    /// Fixed FPGA cost: the real 30 ms setup + 25 ms/epoch.
+    /// The break-even model with no manual threshold (the synthetic
+    /// prices below are already priced: the lane rate plays no part).
     fn profile() -> HardwareProfile {
         HardwareProfile {
             cpu_lane_ops_per_second: 10.0e6,
@@ -356,127 +290,123 @@ mod tests {
         }
     }
 
-    fn fpga() -> FpgaSpec {
-        FpgaSpec {
-            clock: dana_fpga::Clock::from_mhz(100.0),
-            ..FpgaSpec::vu9p()
+    /// Prices shaped like bind's, in binary round numbers so every one is
+    /// exact: the FPGA pays 2⁻⁵ s of setup and 2⁻⁵ s per epoch, then 2⁻²⁴ s
+    /// per row per epoch; the CPU pays 2⁻²⁰ s per row per epoch and
+    /// nothing fixed.
+    fn priced(rows: u64, epochs: u32) -> Workload {
+        let (e, n) = (epochs as f64, rows as f64);
+        let fixed = (1.0 + e) / 32.0;
+        Workload {
+            rows,
+            effective_rows: rows,
+            epochs,
+            fpga: fixed + e * n / (1 << 24) as f64,
+            fpga_fixed: fixed,
+            cpu: e * n / (1 << 20) as f64,
         }
-    }
-
-    /// [`advise`] on the 100 MHz accelerator.
-    fn advised(p: &HardwareProfile, w: &Workload, requested: BackendChoice) -> StrategyComparison {
-        advise(p, &fpga(), w, requested, "E".into())
     }
 
     fn workload(rows: u64) -> Workload {
-        Workload {
-            rows,
-            epochs: 1,
-            threads: 16,
-            cycles_per_group: 100,
-            lane_ops_per_tuple: 10,
-            ops_per_group: 8,
-            selectivity: 1.0,
-            width_fraction: 1.0,
-        }
+        priced(rows, 1)
     }
 
-    /// The one bind-time price of the engine (the cost hint and the FPGA
-    /// estimate both read it).
-    #[test]
-    fn engine_seconds_scales_with_tuples_lanes_and_epochs() {
-        let hz = 100.0e6;
-        let lanes = |threads| Workload {
-            threads,
-            ..workload(100_000)
-        };
-        let epochs = |epochs| Workload {
+    fn advised(p: &HardwareProfile, w: &Workload, requested: BackendChoice) -> StrategyComparison {
+        advise(p, w, requested, "E".into())
+    }
+
+    /// A core with the break-even model on and `rows` rows of 8 features
+    /// in table `t`, with `linearR` deployed for `epochs` epochs.
+    fn modeled_core(rows: usize, epochs: u32) -> Dana {
+        let db = Dana::new(
+            dana_fpga::FpgaSpec::vu9p(),
+            dana_storage::BufferPoolConfig {
+                pool_bytes: 64 << 20,
+                page_size: 8 * 1024,
+            },
+            dana_storage::DiskModel::ssd(),
+        );
+        db.set_hardware_profile(db.hardware_profile().with_offload_threshold(None));
+        db.create_table("t", linreg_heap(rows, 8)).unwrap();
+        let spec = linear_regression(DenseParams {
+            n_features: 8,
+            learning_rate: 0.2,
+            merge_coef: 8,
             epochs,
-            ..workload(100_000)
-        };
-        let one = workload(100_000).engine_seconds(hz);
-        assert!(one > workload(1_000).engine_seconds(hz), "more tuples");
-        assert!(lanes(16).engine_seconds(hz) < lanes(4).engine_seconds(hz));
-        // Zero lanes clamps instead of dividing by zero.
-        let unlaned = lanes(0).engine_seconds(hz);
-        assert!(unlaned > 0.0 && unlaned.is_finite());
-        // Epochs multiply; zero epochs clamps to one.
-        assert!((epochs(5).engine_seconds(hz) / one - 5.0).abs() < 1e-9);
-        assert_eq!(epochs(0).engine_seconds(hz), one);
+        });
+        db.deploy(&spec.unwrap(), "t").unwrap();
+        db
+    }
+
+    fn explain(core: &SystemCore, sql: &str) -> StrategyComparison {
+        let out = core.execute_statement(&format!("EXPLAIN {sql}")).unwrap();
+        out.comparison().unwrap().clone()
     }
 
     #[test]
     fn selectivity_scales_both_tiers_and_can_flip_the_choice() {
-        let p = profile();
+        let probe = modeled_core(2_000, 4);
+        let full = "SELECT * FROM dana.linearR('t');";
+        let be = explain(&probe, full).break_even_rows.unwrap();
         // A table comfortably past break-even offloads…
-        let full = advised(&p, &workload(100_000), BackendChoice::Auto);
-        assert_eq!(full.chosen, dana_engine::BackendKind::Fpga);
-        // …but a 10%-selective pushdown scan of it feeds the engine only
-        // 10k rows, under break-even, so auto routes it to the CPU tier.
-        let mut filtered = workload(100_000);
-        filtered.selectivity = 0.1;
-        assert_eq!(filtered.effective_rows(), 10_000);
-        let c = advised(&p, &filtered, BackendChoice::Auto);
-        assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
+        let db = modeled_core(2 * be as usize, 4);
+        let whole = explain(&db, full);
+        assert_eq!(whole.chosen, BackendKind::Fpga);
+        // …but an equality pushdown over it feeds the engine an estimated
+        // 5% of the rows, under break-even, so auto routes it to the CPU.
+        let filtered = explain(&db, "SELECT * FROM dana.linearR('t') WHERE x0 = 1;");
+        assert_eq!(filtered.chosen, BackendKind::Cpu, "{filtered}");
         // Both tiers price the filtered scan cheaper than the full one.
-        assert!(cpu_seconds(&p, &filtered) < cpu_seconds(&p, &workload(100_000)));
-        assert!(fpga_seconds(&fpga(), &filtered) < fpga_seconds(&fpga(), &workload(100_000)));
+        for tier in [BackendKind::Fpga, BackendKind::Cpu] {
+            let (f, w) = (
+                filtered.estimated_seconds(tier),
+                whole.estimated_seconds(tier),
+            );
+            assert!(f < w, "{tier:?}: {f:?} vs {w:?}");
+        }
     }
 
     #[test]
     fn projection_cheapens_the_cpu_tier_only() {
-        let p = profile();
-        let mut narrow = workload(100_000);
-        narrow.width_fraction = 0.25;
-        assert!(cpu_seconds(&p, &narrow) < cpu_seconds(&p, &workload(100_000)));
-        assert_eq!(
-            fpga_seconds(&fpga(), &narrow),
-            fpga_seconds(&fpga(), &workload(100_000))
-        );
+        let db = modeled_core(3_000, 4);
+        let full = explain(&db, "SELECT * FROM dana.linearR('t');");
+        let narrow = explain(&db, "SELECT * FROM dana.linearR('t') COLUMNS (x0, x1, y);");
+        let cpu = |c: &StrategyComparison| c.estimated_seconds(BackendKind::Cpu).unwrap();
+        let fpga = |c: &StrategyComparison| c.estimated_seconds(BackendKind::Fpga).unwrap();
+        assert!(cpu(&narrow) < cpu(&full));
+        // The Striders walk every column whatever the projection, and the
+        // projected scan also decompresses its pages.
+        assert!(fpga(&narrow) >= fpga(&full));
         // A narrower CPU feed raises the FPGA's break-even row count.
-        let be_full = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
-        let be_narrow = break_even_rows(&p, &fpga(), &narrow).unwrap();
-        assert!(be_narrow > be_full, "full={be_full} narrow={be_narrow}");
+        let (be_full, be_narrow) = (full.break_even_rows, narrow.break_even_rows);
+        assert!(be_narrow > be_full, "full={be_full:?} narrow={be_narrow:?}");
     }
 
     #[test]
     fn tiny_table_prefers_cpu_large_table_prefers_fpga() {
         let p = profile();
-        // Break-even ≈ 55 ms / (1.05 µs − 62.5 ns) ≈ 55.7k rows.
-        let be = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
-        assert!((50_000..70_000).contains(&be), "break-even {be}");
+        // Break-even = 2⁻⁴ s / (2⁻²⁰ − 2⁻²⁴) s per row = 2²⁰ / 15 rows.
+        let be = break_even_rows(&p, &workload(1)).unwrap();
+        assert_eq!(be, (1u64 << 20).div_ceil(15));
         let small = advised(&p, &workload(1_000), BackendChoice::Auto);
-        assert_eq!(small.chosen, dana_engine::BackendKind::Cpu);
+        assert_eq!(small.chosen, BackendKind::Cpu);
         assert!(!small.forced);
         let large = advised(&p, &workload(1_000_000), BackendChoice::Auto);
-        assert_eq!(large.chosen, dana_engine::BackendKind::Fpga);
+        assert_eq!(large.chosen, BackendKind::Fpga);
         // And the priced costs agree with the choice.
-        assert!(
-            small
-                .estimated_seconds(dana_engine::BackendKind::Cpu)
-                .unwrap()
-                < small
-                    .estimated_seconds(dana_engine::BackendKind::Fpga)
-                    .unwrap()
-        );
-        assert!(
-            large
-                .estimated_seconds(dana_engine::BackendKind::Fpga)
-                .unwrap()
-                < large
-                    .estimated_seconds(dana_engine::BackendKind::Cpu)
-                    .unwrap()
-        );
+        let at = |c: &StrategyComparison, tier| c.estimated_seconds(tier).unwrap();
+        assert!(at(&small, BackendKind::Cpu) < at(&small, BackendKind::Fpga));
+        assert!(at(&large, BackendKind::Fpga) < at(&large, BackendKind::Cpu));
     }
 
     #[test]
     fn exactly_at_break_even_offloads() {
         let p = profile();
-        let be = break_even_rows(&p, &fpga(), &workload(1)).unwrap();
+        let be = break_even_rows(&p, &workload(1)).unwrap();
         let at = advised(&p, &workload(be), BackendChoice::Auto);
-        assert_eq!(at.chosen, dana_engine::BackendKind::Fpga);
+        assert_eq!(at.chosen, BackendKind::Fpga);
         let below = advised(&p, &workload(be - 1), BackendChoice::Auto);
-        assert_eq!(below.chosen, dana_engine::BackendKind::Cpu);
+        assert_eq!(below.chosen, BackendKind::Cpu);
     }
 
     #[test]
@@ -484,11 +414,11 @@ mod tests {
         let p = profile();
         // Force FPGA on a tiny table auto would route to CPU…
         let forced = advised(&p, &workload(10), BackendChoice::Fpga);
-        assert_eq!(forced.chosen, dana_engine::BackendKind::Fpga);
+        assert_eq!(forced.chosen, BackendKind::Fpga);
         assert!(forced.forced);
         // …and CPU on a huge table auto would offload.
         let forced = advised(&p, &workload(10_000_000), BackendChoice::Cpu);
-        assert_eq!(forced.chosen, dana_engine::BackendKind::Cpu);
+        assert_eq!(forced.chosen, BackendKind::Cpu);
         assert!(forced.forced);
     }
 
@@ -497,35 +427,37 @@ mod tests {
         let mut p = profile();
         p.offload_threshold_rows = Some(500);
         let c = advised(&p, &workload(499), BackendChoice::Auto);
-        assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
+        assert_eq!(c.chosen, BackendKind::Cpu);
         let c = advised(&p, &workload(500), BackendChoice::Auto);
-        assert_eq!(c.chosen, dana_engine::BackendKind::Fpga);
+        assert_eq!(c.chosen, BackendKind::Fpga);
         assert_eq!(c.break_even_rows, Some(500));
     }
 
     #[test]
     fn offload_never_pays_when_cpu_rate_dominates() {
-        let mut p = profile();
-        // An absurdly fast CPU: marginal rate beats the FPGA's.
-        p.cpu_lane_ops_per_second = 1.0e12;
-        assert_eq!(break_even_rows(&p, &fpga(), &workload(1)), None);
-        let c = advised(&p, &workload(100_000_000), BackendChoice::Auto);
-        assert_eq!(c.chosen, dana_engine::BackendKind::Cpu);
+        let p = profile();
+        // A CPU whose per-row price beats the FPGA's.
+        let mut w = workload(100_000_000);
+        w.cpu = w.fpga - w.fpga_fixed;
+        assert_eq!(break_even_rows(&p, &w), None);
+        let c = advised(&p, &w, BackendChoice::Auto);
+        assert_eq!(c.chosen, BackendKind::Cpu);
         assert!(c.rationale.contains("never pays"));
     }
 
     #[test]
     fn more_epochs_lower_the_break_even() {
-        // Setup amortizes across epochs, so per-row fixed cost shrinks…
-        // but per-epoch overhead doesn't. Net: more epochs ⇒ the fixed
-        // 30 ms setup matters less ⇒ threshold drops toward the
-        // overhead-only limit.
+        // Setup is paid once and the per-epoch overhead grows slower than
+        // the per-row advantage it buys, so the threshold drops toward the
+        // overhead-only limit as epochs grow — on synthetic prices and on
+        // bind's own.
         let p = profile();
-        let mut w = workload(1);
-        w.epochs = 1;
-        let be1 = break_even_rows(&p, &fpga(), &w).unwrap();
-        w.epochs = 20;
-        let be20 = break_even_rows(&p, &fpga(), &w).unwrap();
+        let be1 = break_even_rows(&p, &priced(1, 1)).unwrap();
+        let be20 = break_even_rows(&p, &priced(1, 20)).unwrap();
+        assert!(be20 < be1, "be1={be1} be20={be20}");
+        let sql = "SELECT * FROM dana.linearR('t');";
+        let be = |epochs| explain(&modeled_core(1_000, epochs), sql).break_even_rows;
+        let (be1, be20) = (be(1).unwrap(), be(20).unwrap());
         assert!(be20 < be1, "be1={be1} be20={be20}");
     }
 
@@ -541,13 +473,7 @@ mod tests {
     #[test]
     fn comparison_display_mentions_both_tiers() {
         let p = profile();
-        let c = advise(
-            &p,
-            &fpga(),
-            &workload(1000),
-            BackendChoice::Auto,
-            "EXECUTE m".into(),
-        );
+        let c = advise(&p, &workload(1000), BackendChoice::Auto, "EXECUTE m".into());
         let text = format!("{c}");
         assert!(text.contains("fpga"), "{text}");
         assert!(text.contains("cpu"), "{text}");

@@ -4,8 +4,7 @@
 //! what functional simulation should chew through for every figure. This
 //! module prices full-scale DAnA runs **through the same compiler** (real
 //! hDFG → real schedule → the §6.1 performance estimator) and **the same
-//! cost model** the functional simulator uses:
-//! [`crate::runtime::epoch_costs`] and [`compose`]. Only the counts
+//! cost model** the functional simulator uses: [`price`]. Only the counts
 //! differ — estimated here from Table-3 statistics, measured there — and
 //! one charge: a scan's misses cost one sequential read here, one random
 //! read per page in the buffer pool. The software baselines are priced
@@ -27,7 +26,7 @@ use dana_workloads::Workload;
 
 use crate::error::DanaResult;
 use crate::report::{DanaTiming, Seconds};
-use crate::runtime::{compose, epoch_costs, ExecutionMode, ScanCounts};
+use crate::runtime::{price, ExecutionMode, ScanCounts};
 
 /// The evaluation machine/system configuration (§7's experimental setup).
 #[derive(Debug, Clone, Copy)]
@@ -145,7 +144,9 @@ fn dana_timing_for(
     let pages = w.pages_for(p.page_size);
     let page_bytes = p.page_size as u64;
     let (first_misses, later_misses) = residency(w, p, warm);
-    let costs = epoch_costs(
+    price(
+        mode,
+        w.epochs,
         &ScanCounts {
             tuples: w.tuples,
             tuple_bytes: w.tuple_bytes(),
@@ -164,8 +165,7 @@ fn dana_timing_for(
         &p.fpga,
         &p.cpu,
         acc.budget.num_page_buffers,
-    );
-    compose(mode, w.epochs, &costs)
+    )
 }
 
 /// One single-threaded MADlib epoch's CPU seconds — the term

@@ -11,9 +11,11 @@
 //!    [`SystemCore::lower`] (the one place both front doors turn a
 //!    statement into work), is bound, once, to a
 //!    [`PhysicalPlan`]: operation, scan, gang size, substrate, and one
-//!    engine price (the advisor's FPGA estimate and the scheduler's cost
-//!    hint are the same [`advisor::Workload::engine_seconds`], at this
-//!    core's clock);
+//!    price — the counts the statement's scan will measure, estimated
+//!    from the snapshot heap and the deployed accelerator, through the
+//!    cost model the run is billed by ([`crate::runtime::price`], at this
+//!    core's clock). The advisor's FPGA estimate is that price, and the
+//!    scheduler's cost hint is the chosen tier's price over the gang;
 //! 3. [`SystemCore::execute`] — the plan runs: the buffer pool fills while
 //!    the access engine walks the pages with Striders and the execution
 //!    engine trains or scores; the report carries the result and the
@@ -758,8 +760,8 @@ impl SystemCore {
     /// the shards run always agree. A `WITH (backend = …)` override wins;
     /// `auto` asks the advisor; a gang request (shards > 1) pins the FPGA
     /// tier, and forcing the CPU tier alongside one is a typed error. Runs
-    /// entirely on catalog metadata and the cached lowering — no data is
-    /// touched.
+    /// on catalog metadata — the heap's page and tuple counts and layout —
+    /// and the cached accelerator; no page is read.
     ///
     /// `EXPLAIN [ANALYZE] <call>` passes the [`Wrap`] its advisor
     /// comparison goes in ([`Wrap::Explain`] / [`Wrap::Analyze`]) as
@@ -781,14 +783,9 @@ impl SystemCore {
         let cached = self.accelerator_runtime(udf)?;
         // The point form scores its literal rows: no table, no scan,
         // nothing to shard (the parser rejects the option).
-        let (rows, columns, pages) = match op {
-            PlanOp::Point { rows } => (rows.len() as u64, 0, None),
-            _ => {
-                let cat = self.read();
-                let t = cat.db.live_table(table)?;
-                let columns = cat.db.heap(t.heap_id)?.schema().len();
-                (t.tuple_count, columns, Some(t.page_count))
-            }
+        let heap = match op {
+            PlanOp::Point { .. } => None,
+            _ => Some(self.snapshot_table(table)?.1),
         };
 
         let requested = match (with.shards.is_some_and(|k| k > 1), with.backend) {
@@ -800,14 +797,21 @@ impl SystemCore {
             .shards
             .unwrap_or(1)
             .clamp(1, lease_cap.clamp(1, u16::MAX as usize) as u16);
-        if let Some(pages) = pages {
-            k = k.min(ShardPlan::effective_shards(pages, k as usize) as u16);
+        if let Some(heap) = &heap {
+            k = k.min(ShardPlan::effective_shards(heap.page_count(), k as usize) as u16);
         }
 
-        // The statement's shape, priced once: the advisor's comparison and
-        // the scheduler's cost hint read the same workload.
-        let training = *op == PlanOp::Train;
-        let workload = exec::workload(&cached, rows, columns, training, scan);
+        // The statement priced once, as its serial run would be billed:
+        // the advisor's comparison and the scheduler's cost hint read the
+        // same two prices.
+        let profile = self.hardware_profile();
+        let mode = ExecutionMode::Strider;
+        let inputs = heap
+            .as_ref()
+            .map(|h| self.cost_inputs(mode, cached.budget, h));
+        let table_inputs = inputs.as_ref().map(|i| (i, scan));
+        let workload =
+            exec::price_statement(&cached, op, table_inputs, &self.fpga, &self.cpu, &profile);
         let comparison = (explain.is_some() || requested == BackendChoice::Auto).then(|| {
             let label = match op {
                 _ if explain.is_none() => String::new(),
@@ -816,26 +820,18 @@ impl SystemCore {
                 PlanOp::Evaluate { .. } => format!("EVALUATE {udf} ON {table}"),
                 PlanOp::Train | PlanOp::Score { .. } => format!("EXECUTE {udf} ON {table}"),
             };
-            let profile = self.hardware_profile();
-            advisor::advise(&profile, &self.fpga, &workload, requested, label)
+            advisor::advise(&profile, &workload, requested, label)
         });
         let backend = match (&comparison, requested) {
             (Some(c), _) => c.chosen,
             (None, BackendChoice::Cpu) => BackendKind::Cpu,
             (None, _) => BackendKind::Fpga,
         };
-
-        // The scheduler's hint is the engine term alone (the dominant,
-        // workload-proportional one): training is thread groups × the
-        // static schedule × epochs, scoring one pass of tuple count ×
-        // program length across the lanes — under SJF it overtakes long
-        // training jobs, and a handful of inline rows is microseconds of
-        // work. An analytic with no scoring recipe is unknown work: the
-        // conservative (early) hint.
-        let serial = if training || cached.scoring.is_some() {
-            workload.engine_seconds(self.fpga.clock.hz)
-        } else {
-            0.0
+        // A gang's members finish their scan ~k× sooner than the serial
+        // run priced above.
+        let serial = match backend {
+            BackendKind::Fpga => workload.fpga,
+            BackendKind::Cpu => workload.cpu,
         };
         let wrap = match (explain, comparison) {
             (Some(wrap), Some(c)) => wrap(Box::new(c)),
@@ -849,7 +845,7 @@ impl SystemCore {
             scan: scan.cloned(),
             shards: k,
             backend,
-            mode: ExecutionMode::Strider,
+            mode,
             // EXPLAIN is metadata-only: it runs instantly, schedule it
             // first.
             cost_hint: if matches!(wrap, Wrap::Explain(_)) {
@@ -1082,7 +1078,7 @@ impl SystemCore {
                 rec,
             ),
             BackendKind::Fpga => exec::assemble_training_report(
-                &self.cost_inputs(plan, acc.budget, &heap),
+                &self.cost_inputs(plan.mode, acc.budget, &heap),
                 design,
                 shards,
                 outcome.merge_cycles,
@@ -1198,16 +1194,16 @@ impl SystemCore {
         })
     }
 
-    /// What `plan`'s run over `heap` is priced against (see
+    /// What a run in `mode` over `heap` is priced against (see
     /// [`exec::CostInputs`]).
     fn cost_inputs<'a>(
         &'a self,
-        plan: &PhysicalPlan,
+        mode: ExecutionMode,
         budget: ResourceBudget,
         heap: &'a HeapFile,
     ) -> exec::CostInputs<'a> {
         exec::CostInputs {
-            mode: plan.mode,
+            mode,
             budget,
             fpga: &self.fpga,
             cpu: &self.cpu,
@@ -1419,7 +1415,7 @@ impl SystemCore {
                 (DanaTiming::wall_only(wall), stats[0])
             }
             BackendKind::Fpga => {
-                let inputs = self.cost_inputs(plan, budget, heap);
+                let inputs = self.cost_inputs(plan.mode, budget, heap);
                 exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
             }
         };
@@ -1819,10 +1815,10 @@ mod tests {
     }
 
     /// The advisor prices the FPGA tier as the accelerator this core runs —
-    /// whatever profile is installed, since a profile holds no clock.
+    /// whatever profile is installed, since a profile holds no clock — and
+    /// as the run is billed: `EXPLAIN`'s estimate is the executed total.
     #[test]
     fn explain_prices_the_fpga_tier_at_the_cores_own_clock() {
-        use crate::runtime::{EPOCH_OVERHEAD_S, SETUP_SECONDS};
         let core = SystemCore::new(SystemCoreConfig {
             fpga: FpgaSpec {
                 clock: dana_fpga::Clock::from_mhz(100.0),
@@ -1833,22 +1829,27 @@ mod tests {
             disk: DiskModel::ssd(),
         });
         core.set_hardware_profile(HardwareProfile::default().with_offload_threshold(None));
-        core.create_table("t", linreg_heap(3000, 8)).unwrap();
+        core.create_table("t", linreg_heap(3001, 8)).unwrap();
         core.deploy(&linreg_spec(8), "t").unwrap();
-        let plan = bind_sql(&core, "EXPLAIN SELECT * FROM dana.linearR('t');", 1).unwrap();
-        let Wrap::Explain(cmp) = plan.wrap else {
+        core.prewarm("t").unwrap();
+        let sql = "SELECT * FROM dana.linearR('t') WITH (backend = fpga);";
+        let Wrap::Explain(cmp) = bind_sql(&core, &format!("EXPLAIN {sql}"), 1).unwrap().wrap else {
             panic!("EXPLAIN binds to an explain plan");
         };
-        let engine = &core.accelerator_runtime("linearR").unwrap().engine;
-        let threads = engine.design().num_threads as usize;
-        let epochs = engine.design().convergence.max_epochs() as f64;
-        let cycles = 3000u64.div_ceil(threads as u64) * engine.estimated_batch_cycles(threads);
-        let expected = SETUP_SECONDS + epochs * (EPOCH_OVERHEAD_S + cycles as f64 / 100.0e6);
         let priced = cmp.estimated_seconds(BackendKind::Fpga).unwrap();
-        assert!(
-            (priced - expected).abs() < 1e-12,
-            "priced {priced} s, 100 MHz says {expected} s"
-        );
+        let out = core.execute_statement(sql).unwrap();
+        let report = out.report().unwrap();
+        assert_eq!(report.epochs_run, 25, "the run spends its whole budget");
+        assert_eq!(priced, report.timing.total_seconds);
+        // The same run at the stock 150 MHz is billed less, and priced so.
+        let stock = small_core();
+        stock.create_table("t", linreg_heap(3001, 8)).unwrap();
+        stock.deploy(&linreg_spec(8), "t").unwrap();
+        let Wrap::Explain(fast) = bind_sql(&stock, &format!("EXPLAIN {sql}"), 1).unwrap().wrap
+        else {
+            panic!("EXPLAIN binds to an explain plan");
+        };
+        assert!(fast.estimated_seconds(BackendKind::Fpga).unwrap() < priced);
     }
 
     #[test]

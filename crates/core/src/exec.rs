@@ -9,10 +9,11 @@
 //! There is one assembler per statement kind, not one per scan shape: the
 //! critical-path and sum reductions are identities over one member, so a
 //! serial statement is the k = 1 case of the same arithmetic. The cost
-//! terms themselves are not written here: `stream_costs` hands what the
-//! scan measured to [`crate::runtime::epoch_costs`], the builder the
-//! paper-scale harness calls with estimated counts, and the trace's stage
-//! split is read off the composed [`DanaTiming`].
+//! terms themselves are not written here: [`stream_counts`] hands what
+//! the scan measured to [`crate::runtime::price`], the one price bind
+//! also composes from [`estimated_counts`] — the same counts, estimated
+//! before the scan runs — and the trace's stage split is read off the
+//! composed [`DanaTiming`].
 //!
 //! Nothing here reads a page or evaluates a predicate:
 //! [`materialize_predictions`] hands the inference tier the slots a
@@ -30,11 +31,12 @@ use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{DiskModel, HeapFile, HeapFileBuilder, Schema};
 use dana_strider::{AccessEngine, AccessEngineConfig, AccessStats};
 
-use crate::advisor::Workload;
+use crate::advisor::{HardwareProfile, Workload};
 use crate::error::{DanaError, DanaResult};
+use crate::plan::PlanOp;
 use crate::query::Statement;
 use crate::report::{DanaReport, DanaTiming, Seconds};
-use crate::runtime::{compose, epoch_costs, EpochCosts, ExecutionMode, ScanCounts};
+use crate::runtime::{self, ExecutionMode, ScanCounts};
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
 /// Every traced run pre-registers the front half (`parse` →
@@ -139,8 +141,8 @@ fn record_training_spans(
 }
 
 /// [`record_training_spans`]'s scoring twin: one pass, no epochs, no
-/// merge tier — `engine` carries the forward-pass compute
-/// ([`ScoringStats::engine_seconds`]) and `merge` stays an empty anchor
+/// merge tier — `engine` carries the forward-pass compute (the scan's
+/// [`ScoringStats::cycles`] at the clock) and `merge` stays an empty anchor
 /// so scoring traces keep the same stage order as training.
 fn record_scoring_spans(rec: &SpanRecorder, timing: &DanaTiming) {
     if !rec.is_enabled() {
@@ -359,14 +361,11 @@ pub fn split_filtered_scan_stats(
             let share = AccessStats {
                 pages: div(stats.pages, i),
                 tuples,
-                bytes_transferred: div(stats.bytes_transferred, i),
                 axi_seconds: stats.axi_seconds / k as f64,
                 strider_cycles: div(stats.strider_cycles, i),
-                conversion_cycles: div(stats.conversion_cycles, i),
                 decompress_cycles: div(stats.decompress_cycles, i),
                 decompressed_bytes: div(stats.decompressed_bytes, i),
                 pages_skipped: div(stats.pages_skipped, i),
-                access_seconds: stats.access_seconds / k as f64,
             };
             (share, io_first / k as f64)
         })
@@ -435,57 +434,6 @@ pub fn gang_needs_fpga() -> DanaError {
     )
 }
 
-/// The advisor's workload shape for one plan against a deployed
-/// accelerator: rows from the catalog's tuple count, compute shape from
-/// the cached lowering — no data is touched. Training prices the full
-/// epoch schedule; scoring (PREDICT/EVALUATE) prices one forward pass per
-/// tuple on both tiers. `columns` is the scanned table's width (0 for the
-/// table-less point form).
-pub fn workload(
-    cached: &CachedAccelerator,
-    rows: u64,
-    columns: usize,
-    training: bool,
-    scan: Option<&ScanSpec>,
-) -> Workload {
-    let design = cached.engine.design();
-    let lowered = cached.engine.lowered();
-    let selectivity = scan.map_or(1.0, ScanSpec::planning_selectivity);
-    let width_fraction = match scan.and_then(|s| s.projection.as_ref()) {
-        Some(proj) if columns > 0 => (proj.len() as f64 / columns as f64).clamp(0.0, 1.0),
-        _ => 1.0,
-    };
-    if training {
-        return Workload {
-            rows,
-            epochs: design.convergence.max_epochs(),
-            threads: design.num_threads,
-            cycles_per_group: cached
-                .engine
-                .estimated_batch_cycles(design.num_threads as usize),
-            lane_ops_per_tuple: lowered.per_tuple_lane_ops(),
-            ops_per_group: lowered.per_group_ops(),
-            selectivity,
-            width_fraction,
-        };
-    }
-    let per_tuple = cached
-        .scoring
-        .as_ref()
-        .map(|r| r.per_tuple_cycles())
-        .unwrap_or_else(|| lowered.per_tuple_lane_ops());
-    Workload {
-        rows,
-        epochs: 1,
-        threads: design.num_threads,
-        cycles_per_group: per_tuple,
-        lane_ops_per_tuple: per_tuple,
-        ops_per_group: 0,
-        selectivity,
-        width_fraction,
-    }
-}
-
 /// The pushdown scan spec of a statement's call, if it has either.
 pub fn statement_scan(stmt: &Statement) -> Option<&ScanSpec> {
     stmt.call()?.scan.as_ref()
@@ -505,38 +453,152 @@ pub struct CostInputs<'a> {
     pub heap: &'a HeapFile,
 }
 
-/// The per-epoch costs every streamed scan shares (training and
-/// scoring), from what the scan measured — only the engine-compute term
-/// differs between the two query types. `scan_pages` is how many pages
-/// one later pass of *this* scan touches (see [`critical_scan`]); the
-/// pool charges each one it cannot hold a random page read.
-fn stream_costs(
+impl CostInputs<'_> {
+    /// The accelerator's bill for `epochs` passes of a scan that counts
+    /// `counts` ([`runtime::price`]).
+    pub fn price(&self, epochs: u32, counts: &ScanCounts) -> DanaTiming {
+        let buffers = self.budget.num_page_buffers;
+        runtime::price(self.mode, epochs, counts, self.fpga, self.cpu, buffers)
+    }
+}
+
+/// The counts a scan measured (`scan_pages` is the pages one later pass
+/// touches: a gang's critical member's), with `engine_per_epoch` as the engine
+/// term — only that term differs between training and scoring. The pool
+/// charges each page of a later pass it cannot hold a random page read.
+pub fn stream_counts(
     inputs: &CostInputs<'_>,
     scan_pages: u32,
     access_stats: &AccessStats,
     io_first: Seconds,
     engine_per_epoch: Seconds,
-) -> EpochCosts {
+) -> ScanCounts {
     let heap = inputs.heap;
     let page_size = heap.layout().page_size;
     let missing_later = scan_pages.saturating_sub(inputs.pool_frames as u32) as f64;
-    epoch_costs(
-        &ScanCounts {
-            tuples: access_stats.tuples,
-            tuple_bytes: heap.layout().tuple_bytes,
-            width: heap.schema().len(),
-            page_size,
-            strider_cycles: access_stats.strider_cycles,
-            decompress_cycles: access_stats.decompress_cycles,
-            axi_seconds: access_stats.axi_seconds,
-            io_first,
-            io_later: missing_later * inputs.disk.read_time(page_size as u64),
-            engine_seconds: engine_per_epoch,
-        },
-        inputs.fpga,
-        inputs.cpu,
-        inputs.budget.num_page_buffers,
-    )
+    ScanCounts {
+        tuples: access_stats.tuples,
+        tuple_bytes: heap.layout().tuple_bytes,
+        width: heap.schema().len(),
+        page_size,
+        strider_cycles: access_stats.strider_cycles,
+        decompress_cycles: access_stats.decompress_cycles,
+        axi_seconds: access_stats.axi_seconds,
+        io_first,
+        io_later: missing_later * inputs.disk.read_time(page_size as u64),
+        engine_seconds: engine_per_epoch,
+    }
+}
+
+/// [`stream_counts`] of a serial Strider scan of `inputs.heap`, estimated
+/// before it runs, with no engine term: every page walked in the walk's
+/// closed form and streamed over AXI, and the first pass charged the
+/// pool's rule for later ones — exact for a resident heap. A pushdown
+/// `scan` decompresses every page it reads, and its zone maps are taken
+/// to skip pages in proportion to the spec's planning selectivity.
+pub fn estimated_counts(inputs: &CostInputs<'_>, scan: Option<&ScanSpec>) -> ScanCounts {
+    let (heap, layout) = (inputs.heap, inputs.heap.layout());
+    let pushdown = scan.filter(|s| !s.is_trivial());
+    let kept = |n: u64| match pushdown {
+        Some(spec) => (n as f64 * spec.planning_selectivity()).ceil() as u64,
+        None => n,
+    };
+    let (pages, tuples) = (kept(u64::from(heap.page_count())), kept(heap.tuple_count()));
+    let page_bytes = layout.page_size as u64;
+    let access = AccessStats {
+        tuples,
+        strider_cycles: dana_strider::codegen::estimated_scan_cycles(layout, pages, tuples)
+            + tuples * heap.schema().len() as u64,
+        decompress_cycles: pushdown.map_or(0, |_| {
+            pages * dana_scan::decompress_cycles(layout.page_size)
+        }),
+        axi_seconds: AxiLink::with_bandwidth(inputs.fpga.axi_bandwidth)
+            .stream_time(pages * page_bytes, page_bytes),
+        ..AccessStats::default()
+    };
+    let later = stream_counts(inputs, heap.page_count(), &access, 0.0, 0.0);
+    ScanCounts {
+        io_first: later.io_later,
+        ..later
+    }
+}
+
+/// Bind's price of a statement on both tiers. `table` is the scanned
+/// table's cost inputs and pushdown spec; the point form scans none and
+/// scores `rows` inline. The FPGA tier is priced as the run will be
+/// billed — [`CostInputs::price`] over [`estimated_counts`], the point
+/// form by [`point_timing`]. The CPU tier pays the same disk seconds,
+/// host decode of every tuple each pass (`CpuModel` deform and convert)
+/// and the program's lane-ops at the profile's calibrated rate.
+pub fn price_statement(
+    cached: &CachedAccelerator,
+    op: &PlanOp,
+    table: Option<(&CostInputs<'_>, Option<&ScanSpec>)>,
+    fpga: &FpgaSpec,
+    cpu: &CpuModel,
+    profile: &HardwareProfile,
+) -> Workload {
+    let engine = &cached.engine;
+    let (design, lowered) = (engine.design(), engine.lowered());
+    let scoring = cached.scoring.as_ref().map(ScoringRecipe::cost);
+    let lanes = design.num_threads;
+    let scored = |tuples| scoring.map_or_else(ScoringStats::default, |c| c.estimate(tuples, lanes));
+    let train = *op == PlanOp::Train;
+    let per_tuple = match scoring {
+        Some(cost) if !train => cost.program_cycles,
+        _ => lowered.per_tuple_lane_ops(),
+    };
+    let (epochs, per_group) = match train {
+        true => (design.convergence.max_epochs(), lowered.per_group_ops()),
+        false => (1, 0),
+    };
+    // The FPGA tier's bill, the part of it no row pays for, and the share
+    // of each tuple's columns the CPU tier's lanes touch.
+    let (rows, counts, bill, fpga_fixed, width_fraction) = match table {
+        None => {
+            let rows = match op {
+                PlanOp::Point { rows } => rows.len() as u64,
+                _ => 0,
+            };
+            let bill = point_timing(BackendKind::Fpga, &scored(rows), 0.0, fpga);
+            let counts = ScanCounts {
+                tuples: rows,
+                ..ScanCounts::default()
+            };
+            (rows, counts, bill, 0.0, 1.0)
+        }
+        Some((inputs, scan)) => {
+            let mut counts = estimated_counts(inputs, scan);
+            counts.engine_seconds = fpga.clock.to_seconds(match train {
+                true => engine.estimated_epoch_cycles(counts.tuples),
+                false => scored(counts.tuples).cycles,
+            });
+            let none = ScanCounts {
+                page_size: counts.page_size,
+                ..ScanCounts::default()
+            };
+            let fixed = inputs.price(epochs, &none).total_seconds;
+            let projected = scan.and_then(|s| s.projection.as_ref());
+            let width = projected.map_or(1.0, |c| c.len() as f64 / counts.width.max(1) as f64);
+            let bill = inputs.price(epochs, &counts);
+            (inputs.heap.tuple_count(), counts, bill, fixed, width)
+        }
+    };
+    let tuples = counts.tuples as f64;
+    let decode = tuples
+        * (counts.tuple_bytes as f64 * cpu.deform_s_per_byte
+            + counts.width as f64 * cpu.conv_s_per_value);
+    let groups = counts.tuples.div_ceil(u64::from(design.num_threads.max(1))) as f64;
+    let lane_ops = tuples * per_tuple as f64 * width_fraction + groups * per_group as f64;
+    let host = decode + lane_ops / profile.cpu_lane_ops_per_second;
+    Workload {
+        rows,
+        effective_rows: counts.tuples,
+        epochs,
+        fpga: bill.total_seconds,
+        fpga_fixed,
+        cpu: bill.io_seconds + epochs as f64 * host,
+    }
 }
 
 // ---- report composition over a scan of k ≥ 1 members ---------------------
@@ -561,14 +623,11 @@ fn critical_scan(heap: &HeapFile, shards: &[ShardArtifacts]) -> (AccessStats, Se
         let a = &s.access_stats;
         crit.pages = crit.pages.max(a.pages);
         crit.tuples = crit.tuples.max(a.tuples);
-        crit.bytes_transferred = crit.bytes_transferred.max(a.bytes_transferred);
         crit.axi_seconds = crit.axi_seconds.max(a.axi_seconds);
         crit.strider_cycles = crit.strider_cycles.max(a.strider_cycles);
-        crit.conversion_cycles = crit.conversion_cycles.max(a.conversion_cycles);
         crit.decompress_cycles = crit.decompress_cycles.max(a.decompress_cycles);
         crit.decompressed_bytes = crit.decompressed_bytes.max(a.decompressed_bytes);
         crit.pages_skipped = crit.pages_skipped.max(a.pages_skipped);
-        crit.access_seconds = crit.access_seconds.max(a.access_seconds);
     }
     let io_first = shards.iter().map(|s| s.io_first).fold(0.0, f64::max);
     // The one rule that is not a reduction: a lone member is charged the
@@ -625,11 +684,11 @@ pub fn assemble_training_report(
     stats.cycles = stats.compute_cycles + stats.merge_cycles + stats.broadcast_cycles;
     let (access, io_first, scan_pages) = critical_scan(inputs.heap, &shards);
 
-    let (mode, clock_hz) = (inputs.mode, inputs.fpga.clock.hz);
+    let clock_hz = inputs.fpga.clock.hz;
     let epochs = stats.epochs_run.max(1);
     let engine_per_epoch = stats.cycles as f64 / epochs as f64 / clock_hz;
-    let costs = stream_costs(inputs, scan_pages, &access, io_first, engine_per_epoch);
-    let timing: DanaTiming = compose(mode, epochs, &costs);
+    let counts = stream_counts(inputs, scan_pages, &access, io_first, engine_per_epoch);
+    let timing = inputs.price(epochs, &counts);
     record_training_spans(rec, &timing, epochs, clock_hz, epoch_cycles, merge_cycles);
     DanaReport {
         models,
@@ -668,9 +727,11 @@ pub fn assemble_scoring_timing(
         lanes: scoring.first().map(|s| s.lanes).unwrap_or(0),
     };
     let (access, io_first, scan_pages) = critical_scan(inputs.heap, shards);
-    let engine = combined.engine_seconds(inputs.fpga.clock.hz);
-    let costs = stream_costs(inputs, scan_pages, &access, io_first, engine);
-    let timing = compose(inputs.mode, 1, &costs);
+    let engine = inputs.fpga.clock.to_seconds(combined.cycles);
+    let timing = inputs.price(
+        1,
+        &stream_counts(inputs, scan_pages, &access, io_first, engine),
+    );
     record_scoring_spans(rec, &timing);
     (timing, combined)
 }
@@ -738,7 +799,7 @@ pub fn point_timing(
     match backend {
         BackendKind::Cpu => DanaTiming::wall_only(wall),
         BackendKind::Fpga => {
-            let engine = stats.engine_seconds(fpga.clock.hz);
+            let engine = fpga.clock.to_seconds(stats.cycles);
             DanaTiming {
                 engine_seconds: engine,
                 total_seconds: engine,

@@ -70,11 +70,11 @@ pub struct PhysicalPlan {
     pub backend: BackendKind,
     pub mode: ExecutionMode,
     pub wrap: Wrap,
-    /// Shortest-job-first ordering key: the statement's simulated engine
-    /// seconds ([`crate::Workload::engine_seconds`], what `EXPLAIN` prices
-    /// the FPGA tier with) divided by the gang size (a k-shard gang
-    /// finishes its scan ~k× sooner). Zero for work that cannot be priced
-    /// or does not run, which schedules it first.
+    /// Shortest-job-first ordering key: the chosen tier's price of the
+    /// statement's serial run — on the FPGA tier, the bill `EXPLAIN`
+    /// prints, data path and fixed costs included — divided by the gang
+    /// size (a k-shard gang finishes its scan ~k× sooner). Zero for work
+    /// that does not run (`EXPLAIN`), which schedules it first.
     pub cost_hint: Seconds,
     /// The ad-hoc form: train this spec, compiled against the table
     /// snapshot the run takes, instead of a deployed UDF. Nothing is

@@ -11,13 +11,16 @@
 //! the CPU must deform/convert every tuple and hand it off, serializing the
 //! feed with the engine.
 //!
-//! This module is the whole DAnA cost model: [`epoch_costs`] is the one
-//! place a scan's counts become per-epoch seconds, [`compose`] the one
-//! place those overlap into a [`DanaTiming`]. The functional simulator
-//! (`exec::stream_costs`, counts measured by the access engine) and the
-//! paper-scale harness (`analytic::dana_timing_for`, counts estimated from
-//! Table-3 statistics) are its two callers, and `tests/ablations.rs` holds
-//! them to each other term by term.
+//! This module is the whole DAnA cost model, and [`price`] its one entry:
+//! `epoch_costs` turns a scan's counts into per-epoch seconds and
+//! `compose` overlaps those into a [`DanaTiming`]. Every accelerator
+//! price goes through it: the simulator's report assemblers bill a run
+//! from the counts its scan measured (`exec::stream_counts`), bind prices
+//! `EXPLAIN`'s FPGA option and the scheduler's cost hint from the counts
+//! it estimates (`exec::estimated_counts`), and the paper-scale harness
+//! from Table-3 statistics (`analytic::dana_timing_for`).
+//! `tests/ablations.rs` holds the simulator and the harness to each other
+//! term by term; `tests/end_to_end.rs` holds `EXPLAIN` to the bill.
 
 use dana_fpga::{AxiLink, FpgaSpec};
 use dana_ml::CpuModel;
@@ -75,13 +78,14 @@ pub struct EpochCosts {
 }
 
 /// What one pass of a scan moved and waited on — the inputs of
-/// [`epoch_costs`]. The simulator fills it from what the access engine
-/// and the buffer pool measured, the analytic harness from workload
-/// statistics × the compiler's estimate. Each caller brings its own disk
+/// [`price`]. The simulator fills it from what the access engine and the
+/// buffer pool measured, bind from the table's heap and the deployed
+/// accelerator, the analytic harness from workload statistics × the
+/// compiler's estimate. Each caller brings its own disk
 /// seconds on purpose: the pool charges one random read per missed page,
 /// the harness one sequential read per scan (README "Reproducing the
 /// paper" states the difference; `tests/ablations.rs` holds both sides).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ScanCounts {
     pub tuples: u64,
     /// On-page bytes of one tuple (header included).
@@ -104,11 +108,24 @@ pub struct ScanCounts {
 /// §5.1.1).
 const CPU_FEED_HANDSHAKE_S: Seconds = 0.35e-6;
 
+/// The accelerator's price of a run: `scan`'s counts, one pass per epoch
+/// on `page_buffers` Striders, composed over `epochs` in `mode`.
+pub fn price(
+    mode: ExecutionMode,
+    epochs: u32,
+    scan: &ScanCounts,
+    fpga: &FpgaSpec,
+    cpu: &CpuModel,
+    page_buffers: u32,
+) -> DanaTiming {
+    compose(mode, epochs, &epoch_costs(scan, fpga, cpu, page_buffers))
+}
+
 /// Prices one epoch of a scan: cycles become seconds on the FPGA clock
 /// (Strider cycles split across the `page_buffers` parallel Striders),
 /// the CPU-feed ablation deforms, converts, hands off and ships every
 /// tuple as floats, and the pipeline fills with one page burst.
-pub fn epoch_costs(
+fn epoch_costs(
     scan: &ScanCounts,
     fpga: &FpgaSpec,
     cpu: &CpuModel,
@@ -166,7 +183,7 @@ fn epoch_seconds(mode: ExecutionMode, io: Seconds, c: &EpochCosts) -> Seconds {
 }
 
 /// Composes per-epoch costs into an end-to-end [`DanaTiming`].
-pub fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
+fn compose(mode: ExecutionMode, epochs: u32, c: &EpochCosts) -> DanaTiming {
     let epochs = epochs.max(1);
     let mut timing = DanaTiming {
         setup_seconds: SETUP_SECONDS,
@@ -226,6 +243,45 @@ mod tests {
         let s = compose(ExecutionMode::Strider, 5, &costs());
         let c = compose(ExecutionMode::CpuFed, 5, &costs());
         assert!(s.total_seconds < c.total_seconds);
+    }
+
+    /// Strider work spreads across the page buffers: the same cycles on
+    /// more Striders price a Strider-bound epoch lower.
+    #[test]
+    fn more_striders_reduce_access_time() {
+        let (fpga, cpu) = (FpgaSpec::vu9p(), CpuModel::i7_6700());
+        let scan = ScanCounts {
+            tuples: 3000,
+            page_size: 8 * 1024,
+            strider_cycles: 3_000_000,
+            axi_seconds: 1.0e-4,
+            ..ScanCounts::default()
+        };
+        let on = |buffers| price(ExecutionMode::Strider, 1, &scan, &fpga, &cpu, buffers);
+        let (one, eight) = (on(1), on(8));
+        assert!(eight.strider_seconds < one.strider_seconds);
+        assert!(
+            eight.total_seconds < one.total_seconds,
+            "{eight:?} vs {one:?}"
+        );
+    }
+
+    /// However many Striders extract, an epoch cannot beat streaming its
+    /// pages over AXI.
+    #[test]
+    fn access_time_is_bounded_below_by_axi() {
+        let (fpga, cpu) = (FpgaSpec::vu9p(), CpuModel::i7_6700());
+        let scan = ScanCounts {
+            tuples: 2000,
+            page_size: 8 * 1024,
+            strider_cycles: 500_000,
+            axi_seconds: 2.0e-3,
+            ..ScanCounts::default()
+        };
+        let t = price(ExecutionMode::Strider, 1, &scan, &fpga, &cpu, 1024);
+        let fixed = SETUP_SECONDS + EPOCH_OVERHEAD_S;
+        assert!(t.strider_seconds < t.axi_seconds);
+        assert!(t.total_seconds - fixed >= t.axi_seconds, "{t:?}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! extracted batches from an in-memory cache rather than re-driving the
 //! Striders — the hardware would stream pages again, but its *per-epoch*
 //! cost is identical, so the cost model charges extraction once and
-//! [`crate::runtime::compose`] multiplies per epoch, keeping the simulated
+//! [`crate::runtime::price`] multiplies per epoch, keeping the simulated
 //! timing identical to the hardware schedule while the functional replay
 //! stays cheap and deterministic. A training source therefore allocates
 //! one batch per page and holds them all: O(pages) allocations, the

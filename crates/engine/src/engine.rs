@@ -305,8 +305,20 @@ impl ExecutionEngine {
         self.run_training(&mut OneBatchSource::new(batch), store)
     }
 
-    /// Static per-batch cycle estimate (used by the compiler's performance
-    /// estimator; tests pin it to the executor's accounting).
+    /// Static cycle estimate of one epoch over `tuples` tuples: every full
+    /// thread group, and the ragged last one at its own size — what the
+    /// compiler's estimator ranks designs by and bind prices a run with.
+    pub fn estimated_epoch_cycles(&self, tuples: u64) -> u64 {
+        let threads = u64::from(self.design.num_threads.max(1));
+        let ragged = match tuples % threads {
+            0 => 0,
+            rem => self.estimated_batch_cycles(rem as usize),
+        };
+        tuples / threads * self.estimated_batch_cycles(threads as usize) + ragged
+    }
+
+    /// Static per-batch cycle estimate (tests pin it to the executor's
+    /// accounting).
     pub fn estimated_batch_cycles(&self, active: usize) -> u64 {
         let d = &self.design;
         let mut c = d.program.per_tuple_cycles() + d.program.post_merge_cycles();
@@ -702,6 +714,29 @@ mod tests {
             .unwrap();
         let per_batch = engine.estimated_batch_cycles(4);
         assert_eq!(stats.cycles, 4 * per_batch);
+    }
+
+    /// The epoch estimate bind prices a run with: full groups at the
+    /// design's width, the ragged last one at its own, every epoch alike.
+    #[test]
+    fn estimated_epoch_cycles_charge_full_and_ragged_groups() {
+        let mut design = linreg_design(4);
+        design.convergence = ConvergenceCheck::Epochs(3);
+        let engine = ExecutionEngine::new(design.clone()).unwrap();
+        let tuples = make_tuples(18); // 4 full groups and a ragged pair
+        let mut store = ModelStore::new(&design, vec![vec![0.0, 0.0]]).unwrap();
+        let mut source = ChunkedSource::new(&tuples, 5);
+        let stats = engine.run_training(&mut source, &mut store).unwrap();
+        assert_eq!(stats.epochs_run, 3);
+        let epoch = engine.estimated_epoch_cycles(18);
+        assert_eq!(stats.cycles, 3 * epoch);
+        let ragged = engine.estimated_batch_cycles(2);
+        assert_eq!(epoch, 4 * engine.estimated_batch_cycles(4) + ragged);
+        assert!(engine.estimated_epoch_cycles(16) < epoch);
+        assert_eq!(engine.estimated_epoch_cycles(0), 0);
+        // One lane retires the same tuples in more cycles.
+        let serial = ExecutionEngine::new(linreg_design(1)).unwrap();
+        assert!(serial.estimated_epoch_cycles(18) > epoch);
     }
 
     #[test]

@@ -38,11 +38,53 @@ pub struct ScoringStats {
     pub lanes: u16,
 }
 
-impl ScoringStats {
-    /// The scan's engine-compute seconds at an accelerator clock — the
-    /// lifecycle trace's `engine` span for a scoring query.
-    pub fn engine_seconds(&self, clock_hz: f64) -> f64 {
-        self.cycles as f64 / clock_hz.max(1.0)
+/// What scoring one lockstep group costs the engine: the one charge the
+/// executor bills per group and bind's estimate sums over a scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScoringCost {
+    /// The program's issue length: one multiply-accumulate per feature
+    /// (or per factor-rank element, twice, for LRMF) plus the link.
+    pub program_cycles: u64,
+    /// Factor elements each tuple gathers (LRMF's two rows; none for a
+    /// dense model), read through the shared [`MODEL_PORTS`].
+    pub gathered: u64,
+}
+
+impl ScoringCost {
+    /// A pass of `macs` multiply-accumulates and the link, whose operands
+    /// are `gathered` factor rows or the tuple's own features.
+    pub(crate) fn new(macs: usize, gathered: bool) -> ScoringCost {
+        let macs = macs as u64;
+        ScoringCost {
+            program_cycles: macs + 1,
+            gathered: if gathered { macs } else { 0 },
+        }
+    }
+
+    /// Engine cycles to score one group of `active` tuples: one program
+    /// issue, and the group's gathers contending for the factor ports.
+    pub fn group_cycles(&self, active: usize) -> u64 {
+        self.program_cycles + (active as u64 * self.gathered).div_ceil(MODEL_PORTS)
+    }
+
+    /// The stats scoring `tuples` tuples `lanes` at a time reports: every
+    /// full group, and the ragged last one at its own size.
+    pub fn estimate(&self, tuples: u64, lanes: u16) -> ScoringStats {
+        let lanes = lanes.max(1);
+        let (full, rem) = (tuples / u64::from(lanes), tuples % u64::from(lanes));
+        let ragged = if rem > 0 {
+            self.group_cycles(rem as usize)
+        } else {
+            0
+        };
+        let cycles = full * self.group_cycles(lanes.into()) + ragged;
+        let groups = tuples.div_ceil(lanes.into());
+        ScoringStats {
+            tuples,
+            groups,
+            cycles,
+            lanes,
+        }
     }
 }
 
@@ -237,23 +279,21 @@ fn exec_group(
                 raw[l] = model.predict(i, j);
                 pred[l] = raw[l];
             }
-            // All lanes' row gathers share the factor-memory ports.
-            stats.cycles += (active as u64 * 2 * model.rank as u64).div_ceil(MODEL_PORTS);
         }
     }
-    stats.cycles += program.per_tuple_cycles();
+    stats.cycles += program.cost().group_cycles(active);
     stats.groups += 1;
     stats.tuples += active as u64;
     Ok(())
 }
 
+/// The factor row a lane's index names, rounded as training gathers it.
 fn check_row(factor: &'static str, index: f32, rows: usize) -> InferResult<usize> {
-    let row = index as i64;
-    if row < 0 || row as usize >= rows {
-        return Err(InferError::RowIndexOutOfRange { factor, row, rows });
-    }
-    // The reference scorer converts with `as usize`; match it exactly.
-    Ok(index as usize)
+    dana_ml::row_index(index, rows).map_err(|row| InferError::RowIndexOutOfRange {
+        factor,
+        row,
+        rows,
+    })
 }
 
 /// A metric fold stopped short of the final division: the running term
@@ -369,7 +409,8 @@ mod tests {
             assert_eq!(stats.tuples, 103);
             assert_eq!(stats.lanes, lanes);
             assert_eq!(stats.groups, 103u64.div_ceil(lanes as u64));
-            assert_eq!(stats.cycles, stats.groups * program.per_tuple_cycles());
+            assert_eq!(stats.cycles, stats.groups * program.cost().program_cycles);
+            assert_eq!(stats, program.cost().estimate(103, lanes));
         }
     }
 
@@ -431,10 +472,11 @@ mod tests {
             let mut left = 40u64;
             while left > 0 {
                 let active = left.min(lanes as u64);
-                expected += (active * 2 * 5).div_ceil(MODEL_PORTS) + program.per_tuple_cycles();
+                expected += (active * 2 * 5).div_ceil(MODEL_PORTS) + program.cost().program_cycles;
                 left -= active;
             }
             assert_eq!(stats.cycles, expected, "{lanes} lanes");
+            assert_eq!(stats, program.cost().estimate(40, lanes));
         }
     }
 

@@ -31,7 +31,7 @@ pub mod scoring;
 pub use error::{InferError, InferResult};
 pub use executor::{
     evaluate_source, evaluate_source_partial, score_batch, score_source, MetricPartial,
-    ScoringStats,
+    ScoringCost, ScoringStats,
 };
 pub use materialize::{
     build_prediction_heap, build_prediction_heap_selected, prediction_schema, Materialization,

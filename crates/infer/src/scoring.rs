@@ -25,6 +25,7 @@ use dana_dsl::AlgoSpec;
 use dana_ml::{Link, LrmfModel};
 
 use crate::error::{InferError, InferResult};
+use crate::executor::ScoringCost;
 
 /// Concurrent ports on the row-indexed factor memory, mirroring the
 /// execution engine's BRAM banking (`dana_engine::MODEL_PORTS`): LRMF row
@@ -89,28 +90,12 @@ pub enum ScoringRecipe {
 }
 
 impl ScoringRecipe {
-    /// Columns the forward pass reads (features, or the two index
-    /// columns). Tables at least this wide are scoreable.
-    pub fn min_width(&self) -> usize {
+    /// What scoring one lockstep group costs the engine — the charge the
+    /// executor bills, known before any model is trained.
+    pub fn cost(&self) -> ScoringCost {
         match self {
-            ScoringRecipe::Dense { features, .. } => *features,
-            ScoringRecipe::Lrmf { .. } => 2,
-        }
-    }
-
-    /// Column EVALUATE reads the label/rating from.
-    pub fn label_column(&self) -> usize {
-        self.min_width()
-    }
-
-    /// Per-tuple scoring program length in engine cycles — one
-    /// multiply-accumulate per feature (or per factor-rank element, twice,
-    /// for LRMF) plus the link. The SJF admission hint prices a scoring
-    /// query as `tuple count × this ÷ lanes`.
-    pub fn per_tuple_cycles(&self) -> u64 {
-        match self {
-            ScoringRecipe::Dense { features, .. } => *features as u64 + 1,
-            ScoringRecipe::Lrmf { rank, .. } => 2 * *rank as u64 + 1,
+            ScoringRecipe::Dense { features, .. } => ScoringCost::new(*features, false),
+            ScoringRecipe::Lrmf { rank, .. } => ScoringCost::new(2 * rank, true),
         }
     }
 
@@ -517,10 +502,11 @@ impl ScoringProgram {
         self.min_width()
     }
 
-    pub fn per_tuple_cycles(&self) -> u64 {
+    /// The recipe's [`ScoringRecipe::cost`], read off the bound values.
+    pub fn cost(&self) -> ScoringCost {
         match self {
-            ScoringProgram::Dense { weights, .. } => weights.len() as u64 + 1,
-            ScoringProgram::Lrmf { model } => 2 * model.rank as u64 + 1,
+            ScoringProgram::Dense { weights, .. } => ScoringCost::new(weights.len(), false),
+            ScoringProgram::Lrmf { model } => ScoringCost::new(2 * model.rank, true),
         }
     }
 }
@@ -552,7 +538,7 @@ mod tests {
             }
         );
         assert_eq!(lin.default_metric(), MetricKind::Mse);
-        assert_eq!(lin.per_tuple_cycles(), 9);
+        assert_eq!(lin.cost().program_cycles, 9);
 
         let log = derive_recipe(&logistic_regression(dense_params(5)).unwrap()).unwrap();
         assert!(matches!(
@@ -597,9 +583,11 @@ mod tests {
                 rank: 6,
             }
         );
-        assert_eq!(r.min_width(), 2);
-        assert_eq!(r.label_column(), 2);
-        assert_eq!(r.per_tuple_cycles(), 13);
+        let cost = ScoringCost {
+            program_cycles: 13,
+            gathered: 12,
+        };
+        assert_eq!(r.cost(), cost);
         assert_eq!(r.default_metric(), MetricKind::LrmfRmse);
     }
 
@@ -784,7 +772,8 @@ mod tests {
         let names = vec!["mo".to_string()];
         let ok = ScoringProgram::bind(&recipe, &names, &[vec![1.0, 2.0, 3.0]]).unwrap();
         assert_eq!(ok.min_width(), 3);
-        assert_eq!(ok.per_tuple_cycles(), 4);
+        assert_eq!(ok.cost(), recipe.cost());
+        assert_eq!(ok.cost().program_cycles, 4);
         // Wrong width and missing name are typed errors.
         assert!(matches!(
             ScoringProgram::bind(&recipe, &names, &[vec![1.0]]),

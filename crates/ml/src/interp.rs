@@ -278,9 +278,17 @@ fn run(ops: &[Op], buf: &mut [f32], models: &[Vec<f32>]) -> Result<(), RowOutOfR
 }
 
 fn checked_row(raw: f32, model: usize, rows: usize) -> Result<usize, RowOutOfRange> {
+    row_index(raw, rows).map_err(|row| RowOutOfRange { model, row, rows })
+}
+
+/// The model row an index value names: the value rounded to the nearest
+/// integer, as the engine gathers it. `Err` carries that row when it
+/// falls outside `0..rows`. Training, scoring and the reference scorer
+/// all read an LRMF index column through this one conversion.
+pub fn row_index(raw: f32, rows: usize) -> Result<usize, i64> {
     let row = raw.round() as i64;
     if row < 0 || row >= rows as i64 {
-        return Err(RowOutOfRange { model, row, rows });
+        return Err(row);
     }
     Ok(row as usize)
 }

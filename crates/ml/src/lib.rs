@@ -36,6 +36,6 @@ pub use algorithms::{
 pub use cpu::CpuModel;
 pub use dana_dsl::zoo::Algorithm;
 pub use external::{ExternalExecutor, ExternalLibrary};
-pub use interp::{train_spec, RowOutOfRange};
+pub use interp::{row_index, train_spec, RowOutOfRange};
 pub use metrics::{MetricsError, MetricsResult};
 pub use scorer::{score_dense, score_lrmf, Link};

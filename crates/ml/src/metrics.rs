@@ -143,7 +143,7 @@ pub fn lrmf_rmse(model: &LrmfModel, tuples: &TupleBatch) -> MetricsResult<f64> {
     non_empty(tuples, "lrmf_rmse")?;
     let sum: f64 = tuples
         .rows()
-        .map(|t| squared_error_term(model.predict(t[0] as usize, t[1] as usize), t[2]))
+        .map(|t| squared_error_term(crate::scorer::score_lrmf_row(model, t), t[2]))
         .sum();
     Ok((sum / tuples.len() as f64).sqrt())
 }

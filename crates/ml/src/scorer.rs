@@ -47,9 +47,12 @@ pub fn score_dense_row(weights: &[f32], row: &[f32], link: Link) -> f32 {
 }
 
 /// Scores one `(i, j, …)` rating row under an LRMF factorization:
-/// `L[i]·R[j]`. Index columns convert exactly as [`crate::metrics`] does.
+/// `L[i]·R[j]`, each index column read by [`crate::row_index`] as the
+/// engine reads it. Panics on an index outside its factor (the engine
+/// refuses one with a typed error).
 pub fn score_lrmf_row(model: &LrmfModel, row: &[f32]) -> f32 {
-    model.predict(row[0] as usize, row[1] as usize)
+    let at = |raw, rows| crate::row_index(raw, rows).expect("LRMF index inside its factor");
+    model.predict(at(row[0], model.rows), at(row[1], model.cols))
 }
 
 /// Per-tuple reference scoring of a whole batch (dense models).

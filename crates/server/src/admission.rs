@@ -5,9 +5,10 @@
 //! typed [`crate::ServerError::Overloaded`] instead of unbounded memory
 //! growth, and (b) orders dequeues by policy. FIFO is the fairness
 //! baseline; shortest-job-first uses the plan's bind-time cost hint
-//! ([`dana::PhysicalPlan::cost_hint`]: the statement's engine seconds, the
-//! term `EXPLAIN` prices the FPGA tier with, divided across its gang) to
-//! let cheap interactive queries overtake long training jobs.
+//! ([`dana::PhysicalPlan::cost_hint`]: the statement's price on its
+//! chosen tier — on the FPGA, the bill `EXPLAIN` prints — divided across
+//! its gang) to let cheap interactive queries overtake long training
+//! jobs.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;

@@ -59,15 +59,11 @@ impl AccessEngineConfig {
 pub struct AccessStats {
     pub pages: u64,
     pub tuples: u64,
-    /// Raw page bytes that crossed the AXI link.
-    pub bytes_transferred: u64,
     /// AXI streaming time (pages pipelined back-to-back).
     pub axi_seconds: Seconds,
-    /// Total Strider cycles across all pages (before dividing across
-    /// parallel Striders).
+    /// Total Strider cycles across all pages, float conversion included
+    /// (before dividing across parallel Striders).
     pub strider_cycles: u64,
-    /// Float-conversion cycles (one per extracted column value).
-    pub conversion_cycles: u64,
     /// Page-decompression cycles spent upstream of the Striders (the scan
     /// tier's codec). Zero on raw-page scans; charged by the page sources
     /// when frames are cached compressed.
@@ -76,11 +72,8 @@ pub struct AccessStats {
     /// of `SHOW STATS ('scan')`'s bytes-decompressed gauge).
     pub decompressed_bytes: u64,
     /// Pages a pushdown scan proved unmatchable from their zone maps and
-    /// never fetched. Excluded from `pages`/`bytes_transferred`.
+    /// never fetched. Excluded from `pages`.
     pub pages_skipped: u64,
-    /// Wall-clock seconds for the access engine with `num_striders`-way
-    /// parallel extraction overlapped against AXI streaming.
-    pub access_seconds: Seconds,
 }
 
 /// The access engine for one table's layout + schema.
@@ -221,36 +214,15 @@ impl AccessEngine {
         Ok((all, stats))
     }
 
-    /// Completes an extraction pass's cost model from its raw counters
-    /// (pages, tuples, strider cycles): bytes shipped, AXI streaming time,
-    /// conversion cycles, and the overlapped wall-clock cost.
+    /// Completes an extraction pass's counters from its raw ones (pages,
+    /// tuples, strider cycles): the AXI time of streaming its pages. What
+    /// the pass costs is `dana::runtime::price`'s to say.
     pub fn finish_stats(&self, stats: &mut AccessStats) {
-        stats.bytes_transferred = stats.pages * self.layout.page_size as u64;
-        stats.conversion_cycles = stats.tuples * self.width() as u64;
+        let page_bytes = self.layout.page_size as u64;
         stats.axi_seconds = self
             .config
             .axi
-            .stream_time(stats.bytes_transferred, self.layout.page_size as u64);
-        stats.access_seconds = self.access_seconds(stats);
-    }
-
-    /// Computes the engine's wall-clock cost: Strider work spreads across
-    /// `num_striders` parallel units and overlaps with AXI streaming; the
-    /// slower of the two dominates, plus one page of pipeline fill.
-    pub fn access_seconds(&self, stats: &AccessStats) -> Seconds {
-        if stats.pages == 0 {
-            return 0.0;
-        }
-        let parallel_cycles = stats
-            .strider_cycles
-            .div_ceil(self.config.num_striders as u64);
-        let strider_seconds = self.config.clock.to_seconds(parallel_cycles);
-        let fill = self.config.axi.burst_time(self.layout.page_size as u64);
-        stats.axi_seconds.max(strider_seconds) + fill
-    }
-
-    pub fn config(&self) -> &AccessEngineConfig {
-        &self.config
+            .stream_time(stats.pages * page_bytes, page_bytes);
     }
 }
 

@@ -101,6 +101,13 @@ pub fn strider_program_for_layout(layout: &PageLayoutDesc) -> (Vec<Instr>, [u64;
 /// [`crate::machine::StriderMachine`]'s cycle accounting exactly (tests
 /// enforce this).
 pub fn estimated_cycles_per_page(layout: &PageLayoutDesc, tuples: u64) -> u64 {
+    estimated_scan_cycles(layout, 1, tuples)
+}
+
+/// [`estimated_cycles_per_page`] summed over `pages` pages that hold
+/// `tuples` in all, each at least one: the walk is affine in a page's
+/// tuple count, so a ragged last page needs no case of its own.
+pub fn estimated_scan_cycles(layout: &PageLayoutDesc, pages: u64, tuples: u64) -> u64 {
     // Header processing: readB(2B)=1, readB(4B)=1, extrB=1, ad, ad — plus
     // the one-time bentr.
     let header = 6u64;
@@ -109,7 +116,7 @@ pub fn estimated_cycles_per_page(layout: &PageLayoutDesc, tuples: u64) -> u64 {
     let tuple_words = (layout.tuple_bytes as u64).div_ceil(8);
     let data_words = (layout.tuple_data_bytes() as u64).div_ceil(8);
     let per_tuple = tuple_words + 1 + data_words + 3;
-    header + tuples * per_tuple
+    pages * header + tuples * per_tuple
 }
 
 /// The generated program's run over one page, as [`walk_page`] computes

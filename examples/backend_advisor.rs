@@ -8,12 +8,18 @@
 //!
 //! The default system keeps the paper's behavior — every query offloads
 //! to the accelerator. Installing a profile without a manual threshold
-//! enables the throughput model: a fixed reconfiguration + epoch
-//! overhead amortized against a higher streaming rate, so small tables
-//! price out on the CPU and large tables on the FPGA. `EXPLAIN` prints
-//! the per-backend comparison without running anything; `WITH
-//! (backend = …)` overrides the advisor. `DANA_SMOKE=1` shrinks the
-//! large table for CI.
+//! enables the throughput model. Both tiers are priced over the scan the
+//! statement will run: the FPGA estimate is the bill the run would get
+//! (setup, per-epoch overhead, and the overlapped disk, AXI, Strider and
+//! engine terms), and the CPU tier pays the same disk seconds plus host
+//! decode and lane-ops at its calibrated rate. The FPGA's fixed costs
+//! amortize against its lower price per row, so small tables price out
+//! on the CPU and large tables on the FPGA; the break-even is read off
+//! the two prices' slopes. `EXPLAIN` prints the per-backend comparison
+//! without running anything; `WITH (backend = …)` overrides the advisor.
+//! `DANA_SMOKE=1` shrinks the large table for CI. With the default
+//! profile every `EXPLAIN` block is a function of the catalog alone, so
+//! only the closing `wall` line differs between runs.
 
 use dana::prelude::*;
 use dana_dsl::zoo::{self, Algorithm, DenseParams};

@@ -67,8 +67,8 @@ fn main() {
     println!("=== pushdown_scan: {n} × {d} training table, {pages} pages ===\n");
 
     // The advisor prices the filtered statement before anything runs:
-    // the scan term reflects the predicate's selectivity and the codec's
-    // decompress cost.
+    // the predicate's planning selectivity scales the pages and tuples
+    // priced, and every page read is charged its decompression.
     let filtered_sql = "SELECT * FROM dana.linearR('facts') WHERE x0 < 0.1;";
     let out = db
         .execute_statement(&format!("EXPLAIN {filtered_sql}"))

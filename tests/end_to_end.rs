@@ -216,3 +216,75 @@ fn page_sizes_8_16_32k_all_work() {
         assert_eq!(report.epochs_run, 5, "page size {page_size}");
     }
 }
+
+/// `EXPLAIN`'s FPGA estimate is the bill, bit for bit: bind prices a
+/// statement through the same cost model the run is billed by, from the
+/// counts the scan will measure. Holds for every zoo model on a resident
+/// table with a ragged last page, at the stock clock and at 100 MHz, for
+/// an EXECUTE that runs its whole epoch budget, an unfiltered EVALUATE,
+/// a PREDICT … INTO and a point PREDICT — and `EXPLAIN ANALYZE` carries
+/// the same estimate beside the run it predicted.
+#[test]
+fn explain_prices_every_statement_as_it_is_billed() {
+    let zoo = [
+        ("Patient", "linearR"),
+        ("Remote Sensing LR", "logisticR"),
+        ("Remote Sensing SVM", "svm"),
+        ("Netflix", "lrmf"),
+    ];
+    for mhz in [150.0, 100.0] {
+        for (name, udf) in zoo {
+            let mut w = workload(name).unwrap();
+            (w.tuples, w.epochs) = (997, 3);
+            let table = generate(&w, 8 * 1024, 11).unwrap();
+            let capacity = u64::from(table.heap.layout().capacity);
+            assert_ne!(table.heap.tuple_count() % capacity, 0, "{name}: ragged");
+            let point = tuples_of(&table.heap).row(0).to_vec();
+            let db = Dana::new(
+                FpgaSpec {
+                    clock: dana_fpga::Clock::from_mhz(mhz),
+                    ..FpgaSpec::vu9p()
+                },
+                BufferPoolConfig {
+                    pool_bytes: 64 << 20,
+                    page_size: 8 * 1024,
+                },
+                DiskModel::ssd(),
+            );
+            db.create_table("t", table.heap).unwrap();
+            db.deploy(&w.spec(), "t").unwrap();
+            db.prewarm("t").unwrap();
+            let values = point.iter().map(f32::to_string).collect::<Vec<_>>();
+            let statements = [
+                format!("SELECT * FROM dana.{udf}('t');"),
+                format!("EVALUATE dana.{udf}('t');"),
+                format!("PREDICT dana.{udf}('t') INTO 'p';"),
+                format!("PREDICT dana.{udf}(VALUES ({}));", values.join(", ")),
+            ];
+            for sql in &statements {
+                let explained = db.execute_statement(&format!("EXPLAIN {sql}")).unwrap();
+                let priced = explained.comparison().unwrap();
+                let estimate = priced.estimated_seconds(BackendKind::Fpga).unwrap();
+                let out = db.execute_statement(sql).unwrap();
+                if let Ok(report) = out.report() {
+                    assert_eq!(report.epochs_run, 3, "{sql}: whole budget");
+                }
+                let billed = out.timing().unwrap().total_seconds;
+                assert!(billed > 0.0, "{sql} at {mhz} MHz");
+                assert_eq!(estimate, billed, "{sql} at {mhz} MHz");
+            }
+            let analyzed = db
+                .execute_statement(&format!("EXPLAIN ANALYZE {}", statements[0]))
+                .unwrap();
+            let QueryResponse::Analyzed(analyzed) = analyzed else {
+                panic!("EXPLAIN ANALYZE answers with an analyzed run");
+            };
+            let priced = analyzed.comparison.as_ref().unwrap();
+            assert_eq!(
+                priced.estimated_seconds(BackendKind::Fpga),
+                Some(analyzed.outcome.sim_seconds()),
+                "{udf} at {mhz} MHz"
+            );
+        }
+    }
+}

@@ -181,6 +181,44 @@ fn lrmf_predictions_bit_identical() {
     }
 }
 
+/// A point PREDICT reads an LRMF index the way training gathers it:
+/// rounded to the nearest row. `2.6` scores row 3, and an index that
+/// rounds outside the factor is a typed error rather than a clamp.
+#[test]
+fn point_predict_rounds_lrmf_indices_as_training_does() {
+    let (rows, cols) = (24usize, 18usize);
+    let db = system();
+    db.create_table("ratings", rating_heap(800, rows, cols))
+        .unwrap();
+    let spec = zoo::lrmf(LrmfParams {
+        rows,
+        cols,
+        rank: 8,
+        learning_rate: 0.05,
+        merge_coef: 4,
+        epochs: 4,
+    })
+    .unwrap();
+    db.deploy(&spec, "ratings").unwrap();
+    db.run_udf("lrmf", "ratings").unwrap();
+    let point = |i: f32| {
+        let sql = format!("PREDICT dana.lrmf(VALUES ({i}, 1.0));");
+        db.execute_statement(&sql)
+            .map(|out| out.point_report().unwrap().predictions[0])
+    };
+    assert_eq!(point(2.6).unwrap(), point(3.0).unwrap());
+    assert_ne!(point(2.6).unwrap(), point(2.0).unwrap());
+    for (index, row) in [(-0.6, -1), (rows as f32 - 0.4, rows as i64)] {
+        match point(index) {
+            Err(DanaError::Infer(e)) => assert_eq!(
+                format!("{e:?}"),
+                format!("RowIndexOutOfRange {{ factor: \"L\", row: {row}, rows: {rows} }}")
+            ),
+            other => panic!("index {index}: expected RowIndexOutOfRange, got {other:?}"),
+        }
+    }
+}
+
 /// The acceptance round trip: PREDICT materializes a table, a scan reads
 /// the predictions back bit-exactly, EVALUATE runs over the materialized
 /// table, and DROP evicts every page.

@@ -1033,3 +1033,78 @@ fn one_shard_pool_replacement_order_is_pinned() {
     let resident: Vec<u32> = (0..7).filter(|&p| pool.contains(page(p))).collect();
     assert_eq!(resident, [0, 1, 2]);
 }
+
+/// Drains `source` to its end, returning how many tuples it streamed.
+fn drain(source: &mut dyn TupleSource) -> usize {
+    let mut tuples = 0;
+    while let Some(batch) = source.next_batch().unwrap() {
+        tuples += batch.len();
+    }
+    tuples
+}
+
+proptest! {
+    /// What bind estimates a scan will count is what the scan counts:
+    /// for one page, many pages and a ragged last page, at any width and
+    /// page size, and whether or not the pool holds the whole table, the
+    /// estimated Strider cycles, AXI seconds, tuples and later-pass disk
+    /// seconds equal those the simulator bills from a real scan of the
+    /// prewarmed heap. `EXPLAIN`'s price equals the bill because of this.
+    #[test]
+    fn estimated_scan_counts_are_the_measured_ones(
+        n in 1usize..900,
+        d in 1usize..24,
+        page_shift in 13u32..16,
+        frames in 2usize..48,
+    ) {
+        let page_size = 1usize << page_shift;
+        let mut b = HeapFileBuilder::new(Schema::training(d), page_size, TupleDirection::Ascending).unwrap();
+        for k in 0..n {
+            let x: Vec<f32> = (0..d).map(|i| (k * 3 + i) as f32 / 7.0).collect();
+            b.insert(&Tuple::training(&x, k as f32)).unwrap();
+        }
+        let heap = b.finish();
+        let (fpga, cpu, disk) = (dana_fpga::FpgaSpec::vu9p(), dana_ml::CpuModel::i7_6700(), DiskModel::ssd());
+        let budget = dana_fpga::ResourceBudget {
+            data_model_bytes: 0,
+            page_buffer_bytes: 0,
+            num_page_buffers: 4,
+            num_aus: 8,
+            num_acs: 1,
+            num_threads: 1,
+        };
+        let pool = SharedBufferPool::with_shards(
+            BufferPoolConfig { pool_bytes: (frames * page_size) as u64, page_size },
+            1,
+        );
+        let access = dana::exec::access_engine_for(&heap, budget, &fpga);
+        let pages = heap.page_count();
+        let open = || dana::SharedPageStreamSource::with_range(
+            &pool, &disk, &heap, HeapId(1), &access, dana::ExecutionMode::Strider, 0, pages,
+        ).single_pass();
+        prop_assert_eq!(drain(&mut open()), n);
+        let mut scan = open();
+        prop_assert_eq!(drain(&mut scan), n);
+        let outcome = scan.into_stats();
+        let inputs = dana::exec::CostInputs {
+            mode: dana::ExecutionMode::Strider,
+            budget,
+            fpga: &fpga,
+            cpu: &cpu,
+            disk: &disk,
+            pool_frames: pool.frames(),
+            heap: &heap,
+        };
+        let measured = dana::exec::stream_counts(&inputs, pages, &outcome.stats, outcome.io_seconds, 0.0);
+        let estimated = dana::exec::estimated_counts(&inputs, None);
+        prop_assert_eq!(estimated.strider_cycles, measured.strider_cycles);
+        prop_assert_eq!(estimated.axi_seconds, measured.axi_seconds);
+        prop_assert_eq!(estimated.tuples, measured.tuples);
+        prop_assert_eq!(estimated.io_later, measured.io_later);
+        prop_assert_eq!((estimated.width, estimated.tuple_bytes), (measured.width, measured.tuple_bytes));
+        // A resident heap's first pass costs what the estimate charges it.
+        if pages as usize <= pool.frames() {
+            prop_assert_eq!(estimated.io_first, measured.io_first);
+        }
+    }
+}
