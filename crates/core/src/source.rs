@@ -80,9 +80,11 @@ pub struct ScanOutcome {
 
 /// Streams a table page-by-page out of the [`SharedBufferPool`] as flat
 /// batches, through `&self` fetches, so many queries can scan
-/// simultaneously. Page bytes come back as `Arc<[u8]>` images; each is
-/// held only for the duration of its extraction, so the source never pins
-/// a frame across engine compute.
+/// simultaneously. Each page comes back as a
+/// [`PageGuard`](dana_storage::PageGuard) over the image the pool lends
+/// (the heap's page, or the sidecar's compressed one); a guard lives only
+/// for the duration of its extraction, so the source never pins a frame
+/// across engine compute.
 ///
 /// Because the pool's statistics aggregate *every* concurrent query, this
 /// source meters its own simulated I/O: the per-query `io_seconds` it
@@ -227,13 +229,13 @@ impl<'a> SharedPageStreamSource<'a> {
                         .and_then(|view| view.deform_all_into(self.access.decoder(), &mut batch))
                         .map_err(SourceError::from)?;
                 }
-                // `bytes` drops here, releasing the frame hold — errors
+                // The guard drops here, unpinning the frame — errors
                 // included, so a corrupt page cannot leak a held frame.
             }
             Some(scan) => {
-                // Compressed image under the shadow id, charged at
-                // compressed size; the frame hold is released when this
-                // arm ends, errors included.
+                // The sidecar's compressed image under the shadow id,
+                // charged at compressed size; the guard unpins the frame
+                // when this arm ends, errors included.
                 let (bytes, io) = self.pool.fetch_raw(
                     PageId::new(self.heap_id.shadow(), page_no),
                     scan.sidecar.page(page_no),
@@ -617,7 +619,7 @@ mod tests {
             );
             let disk = DiskModel::instant();
             // The scan finds `image` in the pool as its page 0.
-            drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), &image, &disk));
+            drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), &Arc::new(image), &disk));
             let mut scan = SharedPageStreamSource::with_range(
                 &pool,
                 &disk,

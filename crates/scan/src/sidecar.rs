@@ -14,6 +14,8 @@
 //! materializes from that list. [`select_slots`] is the reference the list
 //! is held to (tests and the benchmark's replay call it; no statement does).
 
+use std::sync::Arc;
+
 use crate::codec::compress_page;
 use crate::spec::BoundScanSpec;
 use crate::zonemap::PageZone;
@@ -22,8 +24,9 @@ use dana_storage::{HeapFile, RowDecoder, StorageResult};
 /// Compressed pages + zone maps for one heap.
 #[derive(Debug, Clone)]
 pub struct ScanSidecar {
-    /// Per-page compressed image (codec byte + payload).
-    pages: Vec<Vec<u8>>,
+    /// Per-page compressed image (codec byte + payload), as the shared
+    /// handle a buffer-pool miss lends its frame.
+    pages: Vec<Arc<Vec<u8>>>,
     /// Per-page zone map.
     zones: Vec<PageZone>,
     /// Total raw page bytes (the compression-ratio denominator).
@@ -46,7 +49,7 @@ impl ScanSidecar {
             let packed = compress_page(raw, layout, schema);
             raw_bytes += raw.len() as u64;
             compressed_bytes += packed.len() as u64;
-            pages.push(packed);
+            pages.push(Arc::new(packed));
             zones.push(PageZone::build(heap, page_no)?);
         }
         Ok(ScanSidecar {
@@ -57,8 +60,10 @@ impl ScanSidecar {
         })
     }
 
-    /// The compressed image of one page.
-    pub fn page(&self, page_no: u32) -> &[u8] {
+    /// The compressed image of one page — what
+    /// [`SharedBufferPool::fetch_raw`](dana_storage::SharedBufferPool::fetch_raw)
+    /// lends a frame.
+    pub fn page(&self, page_no: u32) -> &Arc<Vec<u8>> {
         &self.pages[page_no as usize]
     }
 

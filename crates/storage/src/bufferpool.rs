@@ -59,8 +59,6 @@ impl BufferPoolStats {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::disk::DiskModel;
     use crate::error::StorageError;
@@ -214,6 +212,10 @@ mod tests {
         let (first, _) = bp.fetch(page(0), &heap, &disk).unwrap();
         assert_eq!(&*first, heap.page_bytes(0).unwrap());
         let (again, _) = bp.fetch(page(0), &heap, &disk).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "a hit shares the cached image");
+        assert_eq!(
+            first.as_ptr(),
+            again.as_ptr(),
+            "a hit shares the cached image"
+        );
     }
 }

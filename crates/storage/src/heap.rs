@@ -1,5 +1,7 @@
 //! Heap files: ordered collections of pages holding one table's tuples.
 
+use std::sync::Arc;
+
 use crate::batch::TupleBatch;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{HeapPage, PageLayoutDesc, PageView, TupleDirection};
@@ -10,12 +12,15 @@ use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
 ///
 /// Training tables are write-once/read-many in the paper's evaluation, so
 /// the heap is built by a [`HeapFileBuilder`] and then only read (by the
-/// buffer pool on behalf of MADlib or the Striders).
+/// buffer pool on behalf of the Striders). Each page is a shared handle:
+/// the builder's page buffer moves in without a copy, and a buffer-pool
+/// miss lends the frame a clone of the handle rather than copying the
+/// bytes — the Strider reads the page where the heap keeps it.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
     schema: Schema,
     layout: PageLayoutDesc,
-    pages: Vec<Vec<u8>>,
+    pages: Vec<Arc<Vec<u8>>>,
     tuple_count: u64,
 }
 
@@ -64,9 +69,14 @@ impl HeapFile {
 
     /// Raw image of page `page_no` (what the disk returns).
     pub fn page_bytes(&self, page_no: u32) -> StorageResult<&[u8]> {
+        self.page_image(page_no).map(|p| p.as_slice())
+    }
+
+    /// The shared handle of page `page_no` — what a buffer-pool miss lends
+    /// its frame.
+    pub(crate) fn page_image(&self, page_no: u32) -> StorageResult<&Arc<Vec<u8>>> {
         self.pages
             .get(page_no as usize)
-            .map(|p| p.as_slice())
             .ok_or(StorageError::PageOutOfRange {
                 page_no,
                 pages: self.pages.len() as u32,
@@ -124,7 +134,7 @@ pub struct HeapFileBuilder {
     layout: PageLayoutDesc,
     /// Heap page number of this builder's first page.
     first_page: u32,
-    pages: Vec<Vec<u8>>,
+    pages: Vec<Arc<Vec<u8>>>,
     current: HeapPage,
     /// Slots of `current` written so far (live only once it rotates).
     filled: u16,
@@ -240,7 +250,7 @@ impl HeapFileBuilder {
         let mut full = std::mem::replace(&mut self.current, HeapPage::new(self.layout));
         full.set_live(0, self.filled);
         full.seal();
-        self.pages.push(full.into_bytes());
+        self.pages.push(Arc::new(full.into_bytes()));
         self.filled = 0;
     }
 

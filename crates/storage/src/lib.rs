@@ -17,8 +17,9 @@
 //!   disk;
 //! * [`disk`] — a sequential/seek disk timing model (SSD-class by default);
 //! * [`shared_pool`] — the one buffer pool, [`SharedBufferPool`]: sharded
-//!   clock-eviction frames behind interior mutability, `Arc` page images
-//!   in place of pin counts, warm / cold cache control and hit/miss
+//!   clock-eviction frames behind interior mutability that lend the
+//!   heaps' page images instead of copying them, [`PageGuard`]s in place
+//!   of pin counts, warm / cold cache control and hit/miss
 //!   statistics, for one embedded scan or the serving tier's many
 //!   simultaneous ones;
 //! * [`bufferpool`] — its sizing and counters ([`BufferPoolConfig`], the
@@ -52,7 +53,7 @@ pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, HeapFileBuilder};
 pub use page::{HeapPage, PageLayoutDesc, PageView, LINE_POINTER_BYTES, PAGE_HEADER_BYTES};
 pub use schema::{ColumnType, RowDecoder, Schema};
-pub use shared_pool::SharedBufferPool;
+pub use shared_pool::{PageGuard, SharedBufferPool};
 pub use tuple::{Datum, Tuple, TUPLE_HEADER_BYTES};
 
 /// Identifies a heap file (a table's storage) within a database.

@@ -9,29 +9,33 @@
 //! same lock, and a fetch holds its shard's lock only long enough to look
 //! up (or install) the page.
 //!
-//! Pin counts are replaced by reference counts: a fetch hands back an
-//! `Arc<[u8]>` page image. While any query still holds the `Arc`, the frame
-//! is ineligible for eviction — exactly a pin, but one the borrow checker
-//! releases automatically when the reader drops it, so a panicking query
-//! can never leak a pinned frame.
+//! The pool lends page images; it owns no page buffers. A [`HeapFile`]
+//! keeps each page as a shared handle (`Arc<Vec<u8>>`), and so does the
+//! scan tier's sidecar for its compressed pages. A miss stores a clone of
+//! that handle in the victim frame — it copies nothing and allocates
+//! nothing — so a Strider reads the page where the database keeps it (§3:
+//! the Striders "directly interface with the buffer pool").
 //!
-//! The pool owns its frames: an eviction, a [`SharedBufferPool::clear`] or
-//! a dropped table empties a frame but keeps its buffer, and the next miss
-//! that lands there copies the page into it. Only a frame a reader still
-//! holds, or one of another length (a compressed image), is replaced by a
-//! new allocation — so what a cold scan costs does not depend on which of
-//! the previous scan's frames the allocator happened to keep mapped.
+//! Pins are reference counts. Every frame owns one pin (an `Arc<()>`,
+//! allocated once), and a fetch hands back a [`PageGuard`] that derefs to
+//! the page's bytes and holds a clone of that pin. A frame is *held* while
+//! any guard of it is alive — exactly a pin count, but one the borrow
+//! checker releases when the reader drops the guard, so a panicking query
+//! can never leak a pinned frame. The pin counts readers and nothing else;
+//! a count on the image handle would also count the heap's own reference
+//! and any other holder of the page.
 //!
 //! Timing stays simulated and per-shard: every miss charges the disk
 //! model's read time to the shard it lands in; [`SharedBufferPool::stats`]
 //! sums the shards.
 //!
 //! There is one fetch — [`SharedBufferPool::fetch`] and
-//! [`SharedBufferPool::fetch_raw`] differ only in where the bytes come from
-//! and what length is charged — and one eviction,
+//! [`SharedBufferPool::fetch_raw`] differ only in where the image comes
+//! from and what length is charged — and one eviction,
 //! [`SharedBufferPool::evict_heap_force`].
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bufferpool::{BufferPoolConfig, BufferPoolStats};
@@ -44,24 +48,60 @@ use crate::{HeapId, PageId};
 /// each other's locks without fragmenting a small pool.
 pub const DEFAULT_SHARDS: usize = 8;
 
+/// A reader's hold on a page image: derefs to the page's bytes, and keeps
+/// the frame it came from pinned against eviction until it drops.
+pub struct PageGuard {
+    image: Arc<Vec<u8>>,
+    _pin: Arc<()>,
+}
+
+impl Deref for PageGuard {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.image
+    }
+}
+
+impl std::fmt::Debug for PageGuard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PageGuard({} bytes)", self.image.len())
+    }
+}
+
 struct SharedFrame {
-    page: Option<PageId>,
-    bytes: Arc<[u8]>,
+    /// The resident page and the image its source lent the frame.
+    resident: Option<(PageId, Arc<Vec<u8>>)>,
+    /// Cloned into every guard of this frame.
+    pin: Arc<()>,
     referenced: bool,
 }
 
 impl SharedFrame {
     fn empty() -> SharedFrame {
         SharedFrame {
-            page: None,
-            bytes: Arc::from(&[][..]),
+            resident: None,
+            pin: Arc::new(()),
             referenced: false,
         }
     }
 
-    /// A frame is "pinned" while any reader still holds the page image.
+    fn page(&self) -> Option<PageId> {
+        self.resident.as_ref().map(|(page, _)| *page)
+    }
+
+    /// A frame is "pinned" while any reader still holds a guard of it.
     fn is_held(&self) -> bool {
-        self.page.is_some() && Arc::strong_count(&self.bytes) > 1
+        Arc::strong_count(&self.pin) > 1
+    }
+
+    /// A guard over the resident image, pinning this frame.
+    fn lend(&self) -> PageGuard {
+        let (_, image) = self.resident.as_ref().expect("a mapped frame is resident");
+        PageGuard {
+            image: Arc::clone(image),
+            _pin: Arc::clone(&self.pin),
+        }
     }
 }
 
@@ -84,11 +124,7 @@ impl Shard {
 
     /// Second-chance (clock) victim selection over unheld frames.
     fn find_victim(&mut self) -> StorageResult<usize> {
-        if let Some(idx) = self
-            .frames
-            .iter()
-            .position(|f| f.page.is_none() && Arc::strong_count(&f.bytes) == 1)
-        {
+        if let Some(idx) = self.frames.iter().position(|f| f.resident.is_none()) {
             return Ok(idx);
         }
         let n = self.frames.len();
@@ -108,23 +144,18 @@ impl Shard {
         Err(StorageError::BufferPoolExhausted)
     }
 
-    /// Puts `image` into `frame` and returns the frame's shared image. A
-    /// victim is never held, so when its buffer has the image's length the
-    /// bytes are copied into it instead of into a new allocation.
-    fn install(&mut self, frame: usize, page_id: PageId, image: &[u8]) -> Arc<[u8]> {
-        if let Some(old) = self.frames[frame].page.take() {
+    /// Maps `page_id` to `frame`, which lends a clone of `image`: no page
+    /// byte is copied. The victim is never held — a guard pins the page
+    /// its frame maps.
+    fn install(&mut self, frame: usize, page_id: PageId, image: &Arc<Vec<u8>>) {
+        if let Some(old) = self.frames[frame].page() {
             self.page_table.remove(&old);
             self.stats.evictions += 1;
         }
         let f = &mut self.frames[frame];
-        match Arc::get_mut(&mut f.bytes) {
-            Some(buffer) if buffer.len() == image.len() => buffer.copy_from_slice(image),
-            _ => f.bytes = Arc::from(image),
-        }
-        f.page = Some(page_id);
+        f.resident = Some((page_id, Arc::clone(image)));
         f.referenced = true;
         self.page_table.insert(page_id, frame);
-        Arc::clone(&f.bytes)
     }
 }
 
@@ -200,36 +231,44 @@ impl SharedBufferPool {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fetches a page, returning its shared byte image plus the simulated
-    /// I/O seconds this access cost. The returned `Arc` holds the frame
-    /// against eviction until the caller drops it.
+    /// A heap of another page size cannot share this pool's frames.
+    fn check_page_size(&self, heap: &HeapFile) -> StorageResult<()> {
+        let size = heap.layout().page_size;
+        if size != self.config.page_size {
+            return Err(StorageError::BadPageSize(size));
+        }
+        Ok(())
+    }
+
+    /// Fetches a page of `heap`, returning a guard over its image plus the
+    /// simulated I/O seconds this access cost. A miss lends the frame the
+    /// heap's own page; the guard pins the frame against eviction until
+    /// the caller drops it.
     pub fn fetch(
         &self,
         page_id: PageId,
         heap: &HeapFile,
         disk: &DiskModel,
-    ) -> StorageResult<(Arc<[u8]>, Seconds)> {
-        if heap.layout().page_size != self.config.page_size {
-            return Err(StorageError::BadPageSize(heap.layout().page_size));
-        }
-        let image = heap.page_bytes(page_id.page_no);
+    ) -> StorageResult<(PageGuard, Seconds)> {
+        self.check_page_size(heap)?;
+        let image = heap.page_image(page_id.page_no);
         self.fetch_image(page_id, image, self.config.page_size as u64, disk)
     }
 
-    /// Fetches caller-provided bytes into the pool under `page_id` — the
-    /// scan tier's *compressed-frame* path. The frame holds exactly
-    /// `bytes` (typically a compressed page image, cached under a shadow
-    /// heap id) and the miss is priced at the actual byte count rather
+    /// Fetches a caller-provided image into the pool under `page_id` — the
+    /// scan tier's *compressed-frame* path. The frame lends exactly
+    /// `image` (typically a sidecar's compressed page, cached under a
+    /// shadow heap id) and the miss is priced at its byte count rather
     /// than the configured page size, which is where compressed storage
     /// saves its I/O. Honors tombstones exactly like
     /// [`SharedBufferPool::fetch`].
     pub fn fetch_raw(
         &self,
         page_id: PageId,
-        bytes: &[u8],
+        image: &Arc<Vec<u8>>,
         disk: &DiskModel,
-    ) -> StorageResult<(Arc<[u8]>, Seconds)> {
-        self.fetch_image(page_id, Ok(bytes), bytes.len() as u64, disk)
+    ) -> StorageResult<(PageGuard, Seconds)> {
+        self.fetch_image(page_id, Ok(image), image.len() as u64, disk)
     }
 
     /// The one fetch. A miss charges a read of `charged_bytes`, then
@@ -237,15 +276,15 @@ impl SharedBufferPool {
     fn fetch_image(
         &self,
         page_id: PageId,
-        image: StorageResult<&[u8]>,
+        image: StorageResult<&Arc<Vec<u8>>>,
         charged_bytes: u64,
         disk: &DiskModel,
-    ) -> StorageResult<(Arc<[u8]>, Seconds)> {
+    ) -> StorageResult<(PageGuard, Seconds)> {
         let mut shard = self.lock(self.shard_of(page_id));
         if let Some(&frame) = shard.page_table.get(&page_id) {
             shard.stats.hits += 1;
             shard.frames[frame].referenced = true;
-            return Ok((Arc::clone(&shard.frames[frame].bytes), 0.0));
+            return Ok((shard.frames[frame].lend(), 0.0));
         }
         shard.stats.misses += 1;
         let io = disk.read_time(charged_bytes);
@@ -255,12 +294,18 @@ impl SharedBufferPool {
         // still gets its bytes, but must not re-install a dropped heap's
         // page after the drop's sweep has passed this shard (the orphan-
         // resident-page leak). `evict_heap_force` tombstones *before* it
-        // sweeps, so whichever side reaches this shard second wins.
+        // sweeps, so whichever side reaches this shard second wins. The
+        // straggler's guard gets a pin of its own: it holds no frame.
         if self.is_tombstoned(page_id.heap) {
-            return Ok((Arc::from(image), io));
+            let detached = PageGuard {
+                image: Arc::clone(image),
+                _pin: Arc::new(()),
+            };
+            return Ok((detached, io));
         }
         let frame = shard.find_victim()?;
-        Ok((shard.install(frame, page_id, image), io))
+        shard.install(frame, page_id, image);
+        Ok((shard.frames[frame].lend(), io))
     }
 
     /// Aggregated statistics across every shard.
@@ -299,8 +344,8 @@ impl SharedBufferPool {
                 shard
                     .frames
                     .iter()
-                    .filter(|f| f.page.is_some())
-                    .map(|f| f.bytes.len() as u64)
+                    .filter_map(|f| f.resident.as_ref())
+                    .map(|(_, image)| image.len() as u64)
                     .sum::<u64>()
             })
             .sum()
@@ -314,7 +359,7 @@ impl SharedBufferPool {
         for i in 0..self.shards.len() {
             let shard = self.lock(i);
             for f in shard.frames.iter() {
-                if let Some(p) = f.page {
+                if let Some(p) = f.page() {
                     *counts.entry(p.heap.0).or_insert(0) += 1;
                 }
             }
@@ -324,9 +369,9 @@ impl SharedBufferPool {
         rows
     }
 
-    /// Frames whose page image is still referenced by a reader. After every
-    /// query has completed and dropped its batches, this must be zero — the
-    /// serving tier's frame-leak detector.
+    /// Frames a reader still holds a guard of. After every query has
+    /// completed and dropped its batches, this must be zero — the serving
+    /// tier's frame-leak detector.
     pub fn held_frames(&self) -> usize {
         (0..self.shards.len())
             .map(|i| self.lock(i).frames.iter().filter(|f| f.is_held()).count())
@@ -342,21 +387,23 @@ impl SharedBufferPool {
 
     /// Warm-cache setup: loads `heap` front-to-back without charging query
     /// I/O. Pages land in their hash shards; a shard that fills evicts its
-    /// own oldest pages.
+    /// own oldest pages. A heap of another page size is refused, as
+    /// [`SharedBufferPool::fetch`] refuses it, before any frame changes.
     pub fn prewarm(&self, heap_id: HeapId, heap: &HeapFile) -> StorageResult<usize> {
+        self.check_page_size(heap)?;
         for page_no in 0..heap.page_count() {
             let page_id = PageId::new(heap_id, page_no);
             let mut shard = self.lock(self.shard_of(page_id));
             if shard.page_table.contains_key(&page_id) {
                 continue;
             }
-            let image = heap.page_bytes(page_no)?;
+            let image = heap.page_image(page_no)?;
             match shard.find_victim() {
                 Ok(frame) => {
                     // Prewarm is setup, not query cost: compensate the
                     // eviction counter only when install actually evicted
                     // a resident page (an empty frame counts nothing).
-                    let displaced = shard.frames[frame].page.is_some();
+                    let displaced = shard.frames[frame].resident.is_some();
                     shard.install(frame, page_id, image);
                     shard.frames[frame].referenced = false;
                     if displaced {
@@ -372,13 +419,13 @@ impl SharedBufferPool {
         Ok(self.resident_pages())
     }
 
-    /// Cold-cache setup: drops every unheld page. The emptied frames keep
-    /// their buffers for the next misses to fill (see `Shard::install`).
+    /// Cold-cache setup: unmaps every unheld page, dropping the frame's
+    /// clone of its image. A held frame stays resident for its readers.
     pub fn clear(&self) {
         for i in 0..self.shards.len() {
             let shard = &mut *self.lock(i);
             for f in shard.frames.iter_mut().filter(|f| !f.is_held()) {
-                if let Some(p) = f.page.take() {
+                if let Some((p, _)) = f.resident.take() {
                     shard.page_table.remove(&p);
                 }
             }
@@ -387,10 +434,10 @@ impl SharedBufferPool {
     }
 
     /// Evicts every resident page of `heap_id` *unconditionally* — the
-    /// `DROP TABLE` path. Unlike pin counts, `Arc` page images
-    /// make this safe mid-scan: an in-flight reader's clone keeps its bytes
-    /// alive on its own; the pool merely drops its reference, so the frame
-    /// frees the instant the reader finishes instead of leaking forever.
+    /// `DROP TABLE` path. Guards make this safe mid-scan: an in-flight
+    /// reader's guard keeps its image alive on its own. A held frame gets
+    /// a fresh pin, so it is free at once and the old reader's guard pins
+    /// nothing any more — the frame cannot leak.
     ///
     /// The heap is tombstoned *before* the sweep: a racing fetch either
     /// installs before the sweep reaches its shard (and is swept) or sees
@@ -404,16 +451,14 @@ impl SharedBufferPool {
         let mut evicted = 0;
         for i in 0..self.shards.len() {
             // Detach every frame of the heap in this shard, held or not
-            // (readers keep their `Arc` snapshots).
+            // (readers keep their guards' images).
             let shard = &mut *self.lock(i);
             for f in shard.frames.iter_mut() {
-                if let Some(p) = f.page.filter(|p| p.heap == heap_id) {
-                    // A held frame hands its buffer over to the readers;
-                    // an unheld one keeps it for the next miss to fill.
+                if let Some(p) = f.page().filter(|p| p.heap == heap_id) {
                     if f.is_held() {
-                        f.bytes = Arc::from(&[][..]);
+                        f.pin = Arc::new(());
                     }
-                    f.page = None;
+                    f.resident = None;
                     shard.page_table.remove(&p);
                     f.referenced = false;
                     evicted += 1;
@@ -462,7 +507,7 @@ mod tests {
         assert!(io1 > 0.0);
         let (b2, io2) = bp.fetch(pid, &heap, &disk).unwrap();
         assert_eq!(io2, 0.0);
-        assert!(Arc::ptr_eq(&b1, &b2), "hit must share the cached image");
+        assert_eq!(b1.as_ptr(), b2.as_ptr(), "hit must share the cached image");
         assert_eq!(&*b1, heap.page_bytes(0).unwrap());
         assert_eq!(bp.stats().hits, 1);
         assert_eq!(bp.stats().misses, 1);
@@ -536,35 +581,76 @@ mod tests {
     }
 
     #[test]
-    fn a_cleared_pool_refills_the_frames_it_owns() {
+    fn a_miss_lends_the_heaps_image() {
         let heap = small_heap(4000);
         let bp = pool(2, 1);
         let disk = DiskModel::instant();
         let page = |n| PageId::new(HeapId(1), n);
-        let (first, _) = bp.fetch(page(0), &heap, &disk).unwrap();
-        let buffer = first.as_ptr();
-        drop(first);
-        // After a clear, and after an eviction, the miss lands in the
-        // buffer the frame already had.
+        // A miss lends the frame the heap's own page: no copy.
+        let (held, _) = bp.fetch(page(0), &heap, &disk).unwrap();
+        assert_eq!(held.as_ptr(), heap.page_bytes(0).unwrap().as_ptr());
+        // A compressed miss lends the handle it is given — the scan
+        // tier's `ScanSidecar::page` — and is charged at its length.
+        let packed = Arc::new(vec![7u8; 100]);
+        let (raw, _) = bp
+            .fetch_raw(PageId::new(HeapId(1).shadow(), 0), &packed, &disk)
+            .unwrap();
+        assert_eq!(raw.as_ptr(), packed.as_ptr());
+        assert_eq!(bp.resident_bytes(), 8 * 1024 + 100);
+        drop(raw);
+        // A held frame survives a clear and the clock; every other miss
+        // lands beside it and lends its own page.
         bp.clear();
-        let (again, _) = bp.fetch(page(1), &heap, &disk).unwrap();
-        assert_eq!(again.as_ptr(), buffer, "a clear must keep the frame");
-        assert_eq!(&*again, heap.page_bytes(1).unwrap());
-        // A reader's image is never written over: with page 1 still held,
-        // a clear leaves it resident and later misses go elsewhere.
-        bp.clear();
-        assert!(bp.contains(page(1)));
-        for n in 2..6 {
+        assert!(bp.contains(page(0)));
+        assert_eq!(bp.resident_pages(), 1);
+        for n in 1..6 {
             let (b, _) = bp.fetch(page(n), &heap, &disk).unwrap();
-            assert_ne!(b.as_ptr(), buffer);
-            assert_eq!(&*b, heap.page_bytes(n).unwrap());
+            assert_eq!(b.as_ptr(), heap.page_bytes(n).unwrap().as_ptr());
         }
-        assert_eq!(&*again, heap.page_bytes(1).unwrap());
-        // A frame of another length (a compressed image) is replaced.
-        drop(again);
-        bp.clear();
-        let (raw, _) = bp.fetch_raw(page(9), &[7u8; 100], &disk).unwrap();
-        assert_eq!(&*raw, &[7u8; 100][..]);
+        assert!(bp.contains(page(0)), "the clock evicted a held frame");
+        assert_eq!(bp.held_frames(), 1);
+        // Force-evicted while held, the frame is re-pinned: the pages it
+        // takes next are not held by the old reader, whose bytes stay.
+        assert_eq!(bp.evict_heap_force(HeapId(1)), 2);
+        assert_eq!(bp.held_frames(), 0);
+        for n in 0..4 {
+            let (b, _) = bp.fetch(PageId::new(HeapId(2), n), &heap, &disk).unwrap();
+            drop(b);
+            assert_eq!(bp.held_frames(), 0);
+        }
+        assert_eq!(&*held, heap.page_bytes(0).unwrap());
+        // A guard over both frames holds both; once every guard drops,
+        // nothing is held.
+        let (a, _) = bp.fetch(PageId::new(HeapId(2), 2), &heap, &disk).unwrap();
+        let (b, _) = bp.fetch(PageId::new(HeapId(2), 3), &heap, &disk).unwrap();
+        assert_eq!(bp.held_frames(), 2);
+        drop((a, b, held));
+        assert_eq!(bp.held_frames(), 0);
+    }
+
+    #[test]
+    fn prewarm_refuses_a_heap_of_another_page_size() {
+        let heap = small_heap(500);
+        let bp = pool(8, 1);
+        bp.prewarm(HeapId(1), &heap).unwrap();
+        let resident = bp.resident_pages();
+        assert_eq!(resident as u32, heap.page_count());
+        let schema = Schema::training(10);
+        let mut b = HeapFileBuilder::new(schema, 16 * 1024, TupleDirection::Ascending).unwrap();
+        for k in 0..2000 {
+            b.insert(&Tuple::training(&[k as f32; 10], 0.0)).unwrap();
+        }
+        let foreign = b.finish();
+        assert!(foreign.page_count() as usize >= bp.frames());
+        assert!(matches!(
+            bp.prewarm(HeapId(2), &foreign),
+            Err(StorageError::BadPageSize(16384))
+        ));
+        // The resident table's pages stay put, and nothing was counted.
+        assert_eq!(bp.resident_pages(), resident);
+        assert!((0..heap.page_count()).all(|p| bp.contains(PageId::new(HeapId(1), p))));
+        assert!(!bp.contains(PageId::new(HeapId(2), 0)));
+        assert_eq!(bp.stats(), BufferPoolStats::default());
     }
 
     #[test]
@@ -591,6 +677,8 @@ mod tests {
         // A straggling scan racing the drop still reads valid bytes...
         let (bytes, _) = bp.fetch(PageId::new(HeapId(1), 0), &heap, &disk).unwrap();
         assert_eq!(&*bytes, heap.page_bytes(0).unwrap());
+        // Its guard pins no frame of the pool.
+        assert_eq!(bp.held_frames(), 0);
         // ...but the dropped heap's page is not re-installed: no orphan
         // resident pages survive the scan.
         assert!(!bp.contains(PageId::new(HeapId(1), 0)));

@@ -1,5 +1,8 @@
 //! Property-based tests on the core data structures and invariants.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use dana_dsl::Dims;
@@ -159,6 +162,22 @@ proptest! {
         prop_assert_eq!(pool.held_frames(), 0);
     }
 
+    /// Random histories over a small multi-shard pool, two heaps and one
+    /// sidecar: fetches (raw and compressed, some guards kept), releases,
+    /// clears, forced evictions and prewarms. After every step each image
+    /// is its source's bytes, lent rather than copied; `held_frames()`
+    /// counts the frames with an outstanding guard; residency stays within
+    /// the frame budget; and the misses' `io_seconds` is the sum of their
+    /// `read_time`s. The stand-in proptest does not shrink, so a failure
+    /// prints the case's seed and step list.
+    #[test]
+    fn pool_histories(seed in 0u64..u64::MAX, len in 1usize..120) {
+        let steps = pool_history(seed, len);
+        if let Err(failure) = run_pool_history(&steps) {
+            panic!("seed {seed:#x}, steps {steps:?}: {failure}");
+        }
+    }
+
     /// Page checksums detect any single-byte corruption of the data area.
     #[test]
     fn checksum_detects_corruption(offset in 0usize..1000, flip in 1u8..255) {
@@ -203,6 +222,196 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let page = PageView::new(&bytes, *heap.layout()).unwrap();
         prop_assert!(!page.verify_checksum(), "bit {bit} of byte {at} went unnoticed");
+    }
+}
+
+/// One step of a random buffer-pool history. Sources 0 and 1 are heaps,
+/// source 2 is heap 0's sidecar (fetched compressed, under its shadow id).
+#[derive(Debug, Clone, Copy)]
+enum PoolStep {
+    /// Fetch one page of a source; keep the guard when `hold`.
+    Fetch {
+        source: usize,
+        page: u32,
+        hold: bool,
+    },
+    /// Drop the `k % n`-th of the `n` outstanding guards.
+    Release(usize),
+    Clear,
+    EvictHeapForce(usize),
+    Prewarm(usize),
+}
+
+/// The steps a seed stands for (splitmix64 draws).
+fn pool_history(seed: u64, len: usize) -> Vec<PoolStep> {
+    let mut state = seed;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..len)
+        .map(|_| {
+            let r = draw();
+            let arg = (r >> 8) as usize;
+            // A forced eviction tombstones its heap for the rest of the
+            // history, so it is the rarest step.
+            match r % 32 {
+                0..=17 => PoolStep::Fetch {
+                    source: arg % 3,
+                    page: (r >> 24) as u32 % 11,
+                    hold: (r >> 40) & 1 == 1,
+                },
+                18..=23 => PoolStep::Release(arg),
+                24..=26 => PoolStep::Clear,
+                27 => PoolStep::EvictHeapForce(arg % 3),
+                _ => PoolStep::Prewarm(arg % 2),
+            }
+        })
+        .collect()
+}
+
+/// Runs `steps`, checking the pool against a model of it after each one.
+fn run_pool_history(steps: &[PoolStep]) -> Result<(), String> {
+    let heap_of = |tuples: usize| {
+        let mut b =
+            HeapFileBuilder::new(Schema::training(4), 8 * 1024, TupleDirection::Ascending).unwrap();
+        for k in 0..tuples {
+            b.insert(&Tuple::training(&[(k % 7) as f32; 4], k as f32))
+                .unwrap();
+        }
+        b.finish()
+    };
+    // 10 and 8 pages: a fetch of page 10 of either, or 8–9 of the
+    // second, is out of range.
+    let heaps = [heap_of(2000), heap_of(1600)];
+    let sidecar = dana::ScanSidecar::build(&heaps[0]).unwrap();
+    let ids = [HeapId(1), HeapId(2), HeapId(1).shadow()];
+    let pool = SharedBufferPool::with_shards(
+        BufferPoolConfig {
+            pool_bytes: 6 * 8 * 1024,
+            page_size: 8 * 1024,
+        },
+        3,
+    );
+    // Dyadic timings: every sum of read times is exact in any order, so
+    // the shards' total can be held to the model's with `==`.
+    let disk = DiskModel {
+        seq_read_bandwidth: (1u64 << 20) as f64,
+        access_latency: 1.0 / 1024.0,
+    };
+    let source = |s: usize, page_no: u32| -> Option<&[u8]> {
+        match s {
+            2 => (page_no < sidecar.page_count()).then(|| sidecar.page(page_no).as_slice()),
+            _ => heaps[s].page_bytes(page_no).ok(),
+        }
+    };
+    struct Held {
+        page: PageId,
+        source: usize,
+        /// False once its heap was force-evicted, or when it was fetched
+        /// from a tombstoned heap.
+        pins: bool,
+        guard: dana_storage::PageGuard,
+    }
+    let mut held: Vec<Held> = Vec::new();
+    let (mut fetches, mut io) = (0u64, 0.0f64);
+    for (i, step) in steps.iter().enumerate() {
+        let fail = |what: String| Err(format!("step {i} ({step:?}): {what}"));
+        match *step {
+            PoolStep::Fetch {
+                source: s,
+                page,
+                hold,
+            } => {
+                let page = if s == 2 {
+                    page % sidecar.page_count()
+                } else {
+                    page
+                };
+                let page_id = PageId::new(ids[s], page);
+                let misses = pool.stats().misses;
+                let (result, charged) = match s {
+                    2 => {
+                        let image = sidecar.page(page);
+                        (pool.fetch_raw(page_id, image, &disk), image.len() as u64)
+                    }
+                    _ => (pool.fetch(page_id, &heaps[s], &disk), 8 * 1024),
+                };
+                fetches += 1;
+                let missed = pool.stats().misses > misses;
+                if missed {
+                    io += disk.read_time(charged);
+                }
+                match (result, source(s, page)) {
+                    (Ok((guard, seconds)), Some(bytes)) => {
+                        if seconds != if missed { disk.read_time(charged) } else { 0.0 } {
+                            return fail(format!("charged {seconds} (miss: {missed})"));
+                        }
+                        if guard.as_ptr() != bytes.as_ptr() || *guard != *bytes {
+                            return fail("the image is not its source's page".into());
+                        }
+                        // A miss of a dropped heap lends the image but pins nothing.
+                        let tombstoned = missed && !pool.contains(page_id);
+                        if hold {
+                            held.push(Held {
+                                page: page_id,
+                                source: s,
+                                pins: !tombstoned,
+                                guard,
+                            });
+                        }
+                    }
+                    (Err(dana_storage::StorageError::PageOutOfRange { .. }), None) => {}
+                    (Err(dana_storage::StorageError::BufferPoolExhausted), Some(_)) => {}
+                    (result, _) => return fail(format!("unexpected {result:?}")),
+                }
+            }
+            PoolStep::Release(k) => {
+                if !held.is_empty() {
+                    held.swap_remove(k % held.len());
+                }
+            }
+            PoolStep::Clear => pool.clear(),
+            PoolStep::EvictHeapForce(s) => {
+                pool.evict_heap_force(ids[s]);
+                for h in held.iter_mut().filter(|h| h.page.heap == ids[s]) {
+                    h.pins = false;
+                }
+            }
+            PoolStep::Prewarm(s) => {
+                if let Err(e) = pool.prewarm(ids[s], &heaps[s]) {
+                    return fail(format!("prewarm: {e}"));
+                }
+            }
+        }
+        for h in &held {
+            if Some(&*h.guard) != source(h.source, h.page.page_no) {
+                return fail(format!("held image of {:?} changed", h.page));
+            }
+        }
+        let pinned: HashSet<PageId> = held.iter().filter(|h| h.pins).map(|h| h.page).collect();
+        if pool.held_frames() != pinned.len() {
+            return fail(format!(
+                "held_frames {} != {}",
+                pool.held_frames(),
+                pinned.len()
+            ));
+        }
+        if pool.resident_pages() > pool.frames() {
+            return fail(format!("{} resident pages", pool.resident_pages()));
+        }
+        let stats = pool.stats();
+        if stats.hits + stats.misses != fetches || stats.io_seconds != io {
+            return fail(format!("{stats:?} after {fetches} fetches, io {io}"));
+        }
+    }
+    drop(held);
+    match pool.held_frames() {
+        0 => Ok(()),
+        n => Err(format!("{n} frames held after every guard dropped")),
     }
 }
 
@@ -369,7 +578,7 @@ fn readers_survive(
             1,
         );
         let disk = DiskModel::instant();
-        drop(pool.fetch_raw(PageId::new(HeapId(1), 0), bytes, &disk));
+        drop(pool.fetch_raw(PageId::new(HeapId(1), 0), &Arc::new(bytes.to_vec()), &disk));
         for mode in [dana::ExecutionMode::Strider, dana::ExecutionMode::CpuFed] {
             let mut scan = dana::SharedPageStreamSource::with_range(
                 &pool,
@@ -887,7 +1096,11 @@ fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEng
             1,
         );
         let disk = DiskModel::instant();
-        drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), packed, &disk));
+        drop(pool.fetch_raw(
+            PageId::new(HeapId(1).shadow(), 0),
+            &Arc::new(packed.to_vec()),
+            &disk,
+        ));
         // `!= NaN` holds for every cell: no page is zone-pruned, every row
         // is kept and every column decoded.
         let keep_all = |column: usize| dana::Predicate {
@@ -900,8 +1113,8 @@ fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEng
             projection: None,
         };
         let state = dana::ScanState {
-            sidecar: std::sync::Arc::new(dana::ScanSidecar::build(heap).unwrap()),
-            spec: std::sync::Arc::new(spec.bind(schema).unwrap()),
+            sidecar: Arc::new(dana::ScanSidecar::build(heap).unwrap()),
+            spec: Arc::new(spec.bind(schema).unwrap()),
         };
         let mut scan = dana::SharedPageStreamSource::with_range(
             &pool,
