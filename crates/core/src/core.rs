@@ -55,9 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use dana_compiler::{
-    compile, compile_with_threads, CompileInput, CompiledAccelerator, PerfEstimate,
-};
+use dana_compiler::{compile, CompileInput, PerfEstimate};
 use dana_engine::{
     BackendKind, BackendRun, CancelToken, EngineError, EngineStats, FaultEvents, FaultPlan,
     RetryPolicy, RunGuard,
@@ -87,7 +85,6 @@ use crate::report::{
     AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryResponse,
     Seconds,
 };
-use crate::runtime::ExecutionMode;
 use crate::source::{ScanState, SharedPageStreamSource};
 
 /// How to build a [`SystemCore`].
@@ -685,7 +682,13 @@ impl SystemCore {
     /// drop won the race).
     pub fn deploy(&self, spec: &dana_dsl::AlgoSpec, table: &str) -> DanaResult<DeployInfo> {
         let (snap, heap) = self.snapshot_table(table)?;
-        let acc = self.compile_for(spec, &heap, snap.tuple_count, None)?;
+        let acc = compile(&CompileInput {
+            hdfg: &translate(spec),
+            fpga: self.fpga,
+            layout: *heap.layout(),
+            schema_columns: heap.schema().len(),
+            expected_tuples: snap.tuple_count,
+        })?;
         // Scoring lowering: derive the forward pass where the analytic
         // has one (custom analytics without one still train fine; their
         // PREDICT is a typed error).
@@ -805,10 +808,7 @@ impl SystemCore {
         // the advisor's comparison and the scheduler's cost hint read the
         // same two prices.
         let profile = self.hardware_profile();
-        let mode = ExecutionMode::Strider;
-        let inputs = heap
-            .as_ref()
-            .map(|h| self.cost_inputs(mode, cached.budget, h));
+        let inputs = heap.as_ref().map(|h| self.cost_inputs(cached.budget, h));
         let table_inputs = inputs.as_ref().map(|i| (i, scan));
         let workload =
             exec::price_statement(&cached, op, table_inputs, &self.fpga, &self.cpu, &profile);
@@ -845,7 +845,6 @@ impl SystemCore {
             scan: scan.cloned(),
             shards: k,
             backend,
-            mode,
             // EXPLAIN is metadata-only: it runs instantly, schedule it
             // first.
             cost_hint: if matches!(wrap, Wrap::Explain(_)) {
@@ -854,7 +853,6 @@ impl SystemCore {
                 serial / k as f64
             },
             wrap,
-            spec: None,
         })
     }
 
@@ -930,10 +928,9 @@ impl SystemCore {
         })
     }
 
-    /// Runs a deployed accelerator by UDF name on the FPGA tier
-    /// (full-Strider mode). The trained model is stored back on the
-    /// catalog entry (last training wins), making it available to
-    /// PREDICT/EVALUATE.
+    /// Runs a deployed accelerator by UDF name on the FPGA tier. The
+    /// trained model is stored back on the catalog entry (last training
+    /// wins), making it available to PREDICT/EVALUATE.
     pub fn run_udf(&self, udf: &str, table: &str) -> DanaResult<DanaReport> {
         self.train(
             &PhysicalPlan::serial(PlanOp::Train, udf, table),
@@ -974,39 +971,14 @@ impl SystemCore {
         )
     }
 
-    /// Scores `table` in the given mode and lane count and returns the
-    /// raw prediction stream (differential suite / ablation entry point;
-    /// nothing is materialized).
-    pub fn score_with(
-        &self,
-        udf: &str,
-        table: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<Vec<f32>> {
-        let plan = PhysicalPlan {
-            mode,
-            ..PhysicalPlan::serial(PlanOp::Score { lanes }, udf, table)
-        };
+    /// Scores `table` at the given lane count and returns the raw
+    /// prediction stream (differential suite entry point; nothing is
+    /// materialized).
+    pub fn score_with(&self, udf: &str, table: &str, lanes: Option<u16>) -> DanaResult<Vec<f32>> {
+        let plan = PhysicalPlan::serial(PlanOp::Score { lanes }, udf, table);
         Ok(self
             .score(&plan, lanes, &SpanRecorder::disabled())?
             .predictions)
-    }
-
-    /// Compiles a spec ad hoc and trains it in the given mode (the
-    /// Fig. 11 / Fig. 16 ablation entry point; nothing is stored in the
-    /// catalog).
-    pub fn train_with_spec(
-        &self,
-        spec: &dana_dsl::AlgoSpec,
-        table: &str,
-        mode: ExecutionMode,
-    ) -> DanaResult<DanaReport> {
-        self.train(
-            &PhysicalPlan::ad_hoc(spec, table, mode),
-            &SpanRecorder::disabled(),
-            &QueryCtx::unbounded(),
-        )
     }
 
     // ---- training -------------------------------------------------------
@@ -1014,31 +986,15 @@ impl SystemCore {
     /// The EXECUTE path. A deployed UDF's engine comes off its catalog
     /// entry, built at DEPLOY — no validation, lowering, or design clone
     /// per query — and its trained model is stored back on the entry (last
-    /// training wins). The ad-hoc form
-    /// compiles against the *same* heap snapshot it then scans: a
-    /// concurrent drop+recreate of the table cannot slip a different
-    /// layout under an accelerator compiled for the old one.
+    /// training wins).
     fn train(
         &self,
         plan: &PhysicalPlan,
         rec: &SpanRecorder,
         ctx: &QueryCtx,
     ) -> DanaResult<DanaReport> {
-        let (acc, entry, heap) = match &plan.spec {
-            None => {
-                let acc = self.accelerator_runtime(&plan.udf)?;
-                let (entry, heap) = self.snapshot_table(&plan.table)?;
-                (acc, entry, heap)
-            }
-            Some(spec) => {
-                let (entry, heap) = self.snapshot_table(&plan.table)?;
-                let threads = (plan.mode == ExecutionMode::Tabla).then_some(1);
-                let compiled = self.compile_for(spec, &heap, entry.tuple_count, threads)?;
-                self.engines_built.fetch_add(1, Ordering::Relaxed);
-                let acc = Arc::new(CachedAccelerator::from_compiled(&compiled, None));
-                (acc, entry, heap)
-            }
-        };
+        let acc = self.accelerator_runtime(&plan.udf)?;
+        let (entry, heap) = self.snapshot_table(&plan.table)?;
         let design = acc.engine.design();
         let access = exec::access_engine_for(&heap, acc.budget, &self.fpga);
         let mut scan = self.open_scan(plan, &entry, &heap, &access)?;
@@ -1078,7 +1034,7 @@ impl SystemCore {
                 rec,
             ),
             BackendKind::Fpga => exec::assemble_training_report(
-                &self.cost_inputs(plan.mode, acc.budget, &heap),
+                &self.cost_inputs(acc.budget, &heap),
                 design,
                 shards,
                 outcome.merge_cycles,
@@ -1087,19 +1043,15 @@ impl SystemCore {
                 rec,
             ),
         };
-        if plan.spec.is_none() {
-            let models = Arc::new(TrainedModels {
-                models: report.models.clone(),
-                names: report.model_names.clone(),
-            });
-            // A short write lock, taken with no read guard alive on this
-            // thread. A drop that raced the run turned the entry stale —
-            // don't resurrect a model for a dropped table.
-            if let Some(Deployed::Live { trained, .. }) =
-                self.write().accelerators.get_mut(&plan.udf)
-            {
-                *trained = Some(models);
-            }
+        let models = Arc::new(TrainedModels {
+            models: report.models.clone(),
+            names: report.model_names.clone(),
+        });
+        // A short write lock, taken with no read guard alive on this
+        // thread. A drop that raced the run turned the entry stale — don't
+        // resurrect a model for a dropped table.
+        if let Some(Deployed::Live { trained, .. }) = self.write().accelerators.get_mut(&plan.udf) {
+            *trained = Some(models);
         }
         Ok(report)
     }
@@ -1131,10 +1083,10 @@ impl SystemCore {
         access: &'a AccessEngine,
     ) -> DanaResult<Scan<'a>> {
         let state = self.scan_state(entry.heap_id, heap, plan.scan.as_ref())?;
-        let (heap_id, mode) = (entry.heap_id, plan.mode);
+        let heap_id = entry.heap_id;
         let open = |start_page, end_page| {
             SharedPageStreamSource::with_range(
-                &self.pool, &self.disk, heap, heap_id, access, mode, start_page, end_page,
+                &self.pool, &self.disk, heap, heap_id, access, start_page, end_page,
             )
         };
         // A member that streams its pages. Training re-reads its scan
@@ -1154,14 +1106,6 @@ impl SystemCore {
                 .iter()
                 .map(|r| streaming(open(r.start_page, r.end_page)))
                 .collect(),
-            // Filter and projection run in the Striders; only a
-            // hand-built plan can ask the CPU-deform feed for them.
-            Some(_) if !mode.uses_striders() => {
-                return Err(DanaError::Query(format!(
-                    "WHERE/COLUMNS pushdown needs the Strider feed, not {}",
-                    plan.mode.name()
-                )))
-            }
             Some(st) => {
                 let whole = open(0, heap.page_count()).with_scan(st.clone());
                 if plan.shards <= 1 {
@@ -1194,16 +1138,14 @@ impl SystemCore {
         })
     }
 
-    /// What a run in `mode` over `heap` is priced against (see
+    /// What a run over `heap` is priced against (see
     /// [`exec::CostInputs`]).
     fn cost_inputs<'a>(
         &'a self,
-        mode: ExecutionMode,
         budget: ResourceBudget,
         heap: &'a HeapFile,
     ) -> exec::CostInputs<'a> {
         exec::CostInputs {
-            mode,
             budget,
             fpga: &self.fpga,
             cpu: &self.cpu,
@@ -1230,7 +1172,7 @@ impl SystemCore {
         dest: &str,
         rec: &SpanRecorder,
     ) -> DanaResult<PredictReport> {
-        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let setup = self.scoring_setup(&plan.udf, None)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         // Cheap early refusal before scanning anything; the authoritative
         // check is the guarded install below.
@@ -1279,7 +1221,7 @@ impl SystemCore {
         metric: Option<MetricKind>,
         rec: &SpanRecorder,
     ) -> DanaResult<EvalReport> {
-        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let setup = self.scoring_setup(&plan.udf, None)?;
         let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
         setup.recipe.check_metric(metric)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
@@ -1318,7 +1260,7 @@ impl SystemCore {
         lanes: Option<u16>,
         rec: &SpanRecorder,
     ) -> DanaResult<PointReport> {
-        let setup = self.scoring_setup(&plan.udf, plan.mode, lanes)?;
+        let setup = self.scoring_setup(&plan.udf, lanes)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         let (predictions, stats, timing, _, _) =
             self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
@@ -1347,7 +1289,7 @@ impl SystemCore {
         rows: &[Vec<f32>],
         rec: &SpanRecorder,
     ) -> DanaResult<PointReport> {
-        let setup = self.scoring_setup(&plan.udf, plan.mode, None)?;
+        let setup = self.scoring_setup(&plan.udf, None)?;
         let batch = exec::point_batch(&plan.udf, &setup.program, rows)?;
         let start = Instant::now();
         let (predictions, stats) = dana_infer::score_batch(&setup.program, setup.lanes, &batch)?;
@@ -1371,14 +1313,9 @@ impl SystemCore {
     /// Everything a scoring query resolves from the catalog (stale check,
     /// cached accelerator — with the engine-cache counters — recipe bound
     /// to the latest trained models, lane count).
-    fn scoring_setup(
-        &self,
-        udf: &str,
-        mode: ExecutionMode,
-        lanes: Option<u16>,
-    ) -> DanaResult<exec::ScoringSetup> {
+    fn scoring_setup(&self, udf: &str, lanes: Option<u16>) -> DanaResult<exec::ScoringSetup> {
         let (cached, trained) = self.live_accelerator(udf)?;
-        exec::scoring_setup(udf, cached, trained, mode, lanes)
+        exec::scoring_setup(udf, cached, trained, lanes)
     }
 
     /// The one scoring scan over a heap snapshot, shared by
@@ -1415,7 +1352,7 @@ impl SystemCore {
                 (DanaTiming::wall_only(wall), stats[0])
             }
             BackendKind::Fpga => {
-                let inputs = self.cost_inputs(plan.mode, budget, heap);
+                let inputs = self.cost_inputs(budget, heap);
                 exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
             }
         };
@@ -1509,27 +1446,6 @@ impl SystemCore {
         let entry = cat.db.live_table(table)?.clone();
         let heap = cat.db.heap_arc(entry.heap_id)?;
         Ok((entry, heap))
-    }
-
-    pub(crate) fn compile_for(
-        &self,
-        spec: &dana_dsl::AlgoSpec,
-        heap: &HeapFile,
-        expected_tuples: u64,
-        threads: Option<u32>,
-    ) -> DanaResult<CompiledAccelerator> {
-        let hdfg = translate(spec);
-        let input = CompileInput {
-            hdfg: &hdfg,
-            fpga: self.fpga,
-            layout: *heap.layout(),
-            schema_columns: heap.schema().len(),
-            expected_tuples,
-        };
-        Ok(match threads {
-            Some(t) => compile_with_threads(&input, t)?,
-            None => compile(&input)?,
-        })
     }
 }
 

@@ -230,13 +230,11 @@ pub struct ScoringSetup {
 /// Builds a [`ScoringSetup`] from an already-resolved catalog entry: its
 /// runtime artifact and the models its latest EXECUTE stored, if any.
 /// Typed errors distinguish "this analytic cannot score" from "train it
-/// first". Lanes default to the design's thread count; TABLA is
-/// single-lane, like training.
+/// first". Lanes default to the design's thread count.
 pub fn scoring_setup(
     udf: &str,
     cached: Arc<CachedAccelerator>,
     trained: Option<Arc<TrainedModels>>,
-    mode: ExecutionMode,
     lanes: Option<u16>,
 ) -> DanaResult<ScoringSetup> {
     let recipe = cached.scoring.clone().ok_or_else(|| {
@@ -249,10 +247,7 @@ pub fn scoring_setup(
         udf: udf.to_string(),
     })?;
     let program = ScoringProgram::bind(&recipe, &trained.names, &trained.models)?;
-    let lanes = match mode {
-        ExecutionMode::Tabla => 1,
-        _ => lanes.unwrap_or(cached.engine.design().num_threads).max(1),
-    };
+    let lanes = lanes.unwrap_or(cached.engine.design().num_threads).max(1);
     Ok(ScoringSetup {
         cached,
         recipe,
@@ -440,11 +435,10 @@ pub fn statement_scan(stmt: &Statement) -> Option<&ScanSpec> {
 }
 
 /// What one statement's run is priced against, as opposed to what it
-/// measured: the execution mode, the accelerator's resource budget, the
+/// measured: the accelerator's resource budget, the
 /// FPGA/CPU/disk models, the buffer pool's frame count and the scanned
 /// heap. Immutable for the statement's lifetime.
 pub struct CostInputs<'a> {
-    pub mode: ExecutionMode,
     pub budget: ResourceBudget,
     pub fpga: &'a FpgaSpec,
     pub cpu: &'a CpuModel,
@@ -455,10 +449,10 @@ pub struct CostInputs<'a> {
 
 impl CostInputs<'_> {
     /// The accelerator's bill for `epochs` passes of a scan that counts
-    /// `counts` ([`runtime::price`]).
+    /// `counts` through the Striders ([`runtime::price`]).
     pub fn price(&self, epochs: u32, counts: &ScanCounts) -> DanaTiming {
-        let buffers = self.budget.num_page_buffers;
-        runtime::price(self.mode, epochs, counts, self.fpga, self.cpu, buffers)
+        let (mode, buffers) = (ExecutionMode::Strider, self.budget.num_page_buffers);
+        runtime::price(mode, epochs, counts, self.fpga, self.cpu, buffers)
     }
 }
 

@@ -98,9 +98,8 @@ pub mod prelude {
     pub use crate::core::DeployInfo;
     pub use crate::pipeline::Dana;
     pub use crate::report::{DanaReport, DanaTiming, QueryResponse};
-    pub use crate::runtime::ExecutionMode;
     pub use crate::{DanaError, DanaResult};
-    pub use dana_dsl::{parse_udf, AlgoBuilder, AlgoSpec, MergeOp};
+    pub use dana_dsl::{parse_udf, AlgoSpec, MergeOp};
     pub use dana_engine::BackendKind;
     pub use dana_fpga::FpgaSpec;
     pub use dana_ml::{Algorithm, TrainConfig};

@@ -152,7 +152,7 @@ impl SystemCore {
 pub(crate) mod tests {
     use super::*;
     use crate::report::DanaReport;
-    use crate::{BackendKind, DanaError, ExecutionMode, MetricKind};
+    use crate::{BackendKind, DanaError, MetricKind};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::page::TupleDirection;
     use dana_storage::{HeapFile, HeapFileBuilder, Schema, Tuple};
@@ -218,7 +218,12 @@ pub(crate) mod tests {
     fn deploy_from_source_text() {
         let db = small_system();
         db.create_table("t", linreg_heap(200, 10)).unwrap();
-        let src = dana_dsl::zoo::linear_regression_source(10, 8, 5);
+        let src = dana_dsl::zoo::linear_regression_source(DenseParams {
+            n_features: 10,
+            learning_rate: 0.1,
+            merge_coef: 8,
+            epochs: 5,
+        });
         let info = db.deploy_source(&src, "fallback", "t").unwrap();
         assert_eq!(info.udf_name, "linearR");
         assert!(db.run_udf("linearR", "t").is_ok());
@@ -247,57 +252,6 @@ pub(crate) mod tests {
         assert!(warm.timing.total_seconds < cold.timing.total_seconds);
         // Same pages, same schedule → identical models.
         assert_eq!(warm.models, cold.models);
-    }
-
-    #[test]
-    fn strider_mode_beats_cpu_fed() {
-        let db = small_system();
-        db.create_table("t", linreg_heap(2000, 32)).unwrap();
-        db.prewarm("t").unwrap();
-        let spec = linear_regression(DenseParams {
-            n_features: 32,
-            learning_rate: 0.1,
-            merge_coef: 16,
-            epochs: 2,
-        })
-        .unwrap();
-        let with = db
-            .train_with_spec(&spec, "t", ExecutionMode::Strider)
-            .unwrap();
-        let without = db
-            .train_with_spec(&spec, "t", ExecutionMode::CpuFed)
-            .unwrap();
-        assert!(
-            with.timing.total_seconds < without.timing.total_seconds,
-            "Striders must win: {} vs {}",
-            with.timing.total_seconds,
-            without.timing.total_seconds
-        );
-        // Same math either way.
-        assert_eq!(with.models, without.models);
-    }
-
-    #[test]
-    fn tabla_mode_is_single_threaded_and_slower() {
-        let db = small_system();
-        db.create_table("t", linreg_heap(2000, 32)).unwrap();
-        db.prewarm("t").unwrap();
-        let spec = linear_regression(DenseParams {
-            n_features: 32,
-            learning_rate: 0.1,
-            merge_coef: 16,
-            epochs: 2,
-        })
-        .unwrap();
-        let dana = db
-            .train_with_spec(&spec, "t", ExecutionMode::Strider)
-            .unwrap();
-        let tabla = db
-            .train_with_spec(&spec, "t", ExecutionMode::Tabla)
-            .unwrap();
-        assert_eq!(tabla.num_threads, 1);
-        assert!(tabla.engine.cycles > dana.engine.cycles);
-        assert!(tabla.timing.total_seconds > dana.timing.total_seconds);
     }
 
     #[test]

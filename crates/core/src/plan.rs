@@ -11,21 +11,18 @@
 //! and hands the plan to a worker, which leases exactly `shards`
 //! accelerator instances when `backend` is the FPGA tier.
 
-use std::sync::Arc;
-
 use dana_engine::BackendKind;
 use dana_infer::MetricKind;
 use dana_scan::ScanSpec;
 
 use crate::advisor::StrategyComparison;
 use crate::report::Seconds;
-use crate::runtime::ExecutionMode;
 
 /// What a call asks for and its plan does with the tuples it scans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
-    /// Train the UDF's model over the scan; a deployed UDF stores the
-    /// result for later scoring.
+    /// Train the UDF's model over the scan and store the result for later
+    /// scoring.
     Train,
     /// Score the scan and materialize the predictions as table `dest`.
     PredictInto { dest: String },
@@ -68,7 +65,6 @@ pub struct PhysicalPlan {
     /// Gang size: `> 1` runs page-range shards on that many members.
     pub shards: u16,
     pub backend: BackendKind,
-    pub mode: ExecutionMode,
     pub wrap: Wrap,
     /// Shortest-job-first ordering key: the chosen tier's price of the
     /// statement's serial run — on the FPGA tier, the bill `EXPLAIN`
@@ -76,15 +72,11 @@ pub struct PhysicalPlan {
     /// size (a k-shard gang finishes its scan ~k× sooner). Zero for work
     /// that does not run (`EXPLAIN`), which schedules it first.
     pub cost_hint: Seconds,
-    /// The ad-hoc form: train this spec, compiled against the table
-    /// snapshot the run takes, instead of a deployed UDF. Nothing is
-    /// stored in the catalog.
-    pub spec: Option<Arc<dana_dsl::AlgoSpec>>,
 }
 
 impl PhysicalPlan {
     /// The plain plan for `op` over a deployed UDF: serial, full-table,
-    /// FPGA tier, full-Strider mode — what the typed convenience entry
+    /// FPGA tier — what the typed convenience entry
     /// points run. Callers override fields for the variants they need.
     pub fn serial(op: PlanOp, udf: &str, table: &str) -> PhysicalPlan {
         PhysicalPlan {
@@ -94,20 +86,8 @@ impl PhysicalPlan {
             scan: None,
             shards: 1,
             backend: BackendKind::Fpga,
-            mode: ExecutionMode::Strider,
             wrap: Wrap::None,
             cost_hint: 0.0,
-            spec: None,
-        }
-    }
-
-    /// The ad-hoc compile-and-train plan (the Fig. 11 / Fig. 16 ablation
-    /// entry point): serial, FPGA tier, in `mode`.
-    pub fn ad_hoc(spec: &dana_dsl::AlgoSpec, table: &str, mode: ExecutionMode) -> PhysicalPlan {
-        PhysicalPlan {
-            mode,
-            spec: Some(Arc::new(spec.clone())),
-            ..PhysicalPlan::serial(PlanOp::Train, &spec.name, table)
         }
     }
 

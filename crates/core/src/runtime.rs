@@ -27,7 +27,9 @@ use dana_ml::CpuModel;
 
 use crate::report::{DanaTiming, Seconds};
 
-/// How the accelerator is fed.
+/// How the accelerator is fed. Every statement the system runs takes the
+/// Strider feed; the two ablations are inputs of the analytic harness only
+/// ([`crate::analytic`]), which is what Figs. 11 and 16 are priced by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Full DAnA: Striders walk raw pages on-chip.

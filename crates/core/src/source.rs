@@ -5,10 +5,9 @@
 //! (misses only), pool → FPGA page streaming, Strider extraction, and
 //! engine compute. [`SharedPageStreamSource`] realizes that schedule in the
 //! simulator: each `next_batch` call fetches ONE page through the pool,
-//! extracts it into a flat [`TupleBatch`] (via Striders or the CPU-deform
-//! ablation — the Fig. 11 comparison is just a different [`ExecutionMode`]),
-//! and hands the batch to the execution engine, which trains on it while
-//! the source is ready to fetch the next page.
+//! extracts it into a flat [`TupleBatch`] with the Striders, and hands
+//! the batch to the execution engine, which trains on it while the source
+//! is ready to fetch the next page.
 //!
 //! What a source keeps depends on whether its statement reads it again.
 //! Training does: epochs past the first (and a fault retry) replay the
@@ -41,13 +40,11 @@ use std::sync::Arc;
 
 use dana_scan::{BoundScanSpec, ForPage, LaneScratch, ScanSidecar};
 use dana_storage::{
-    DiskModel, HeapFile, HeapId, PageId, PageView, SharedBufferPool, SourceError, TupleBatch,
-    TupleSource,
+    DiskModel, HeapFile, HeapId, PageId, SharedBufferPool, SourceError, TupleBatch, TupleSource,
 };
 use dana_strider::{AccessEngine, AccessStats};
 
 use crate::report::Seconds;
-use crate::runtime::ExecutionMode;
 
 /// Pushdown state for one scan: the table's compressed sidecar (shared out
 /// of the catalog) plus the `WHERE`/`COLUMNS` spec bound to its schema.
@@ -58,8 +55,7 @@ use crate::runtime::ExecutionMode;
 /// before the engine sees them — on the lanes of a `CODEC_FOR` page, by
 /// the Striders over the image of a `CODEC_RAW` one. Either way the
 /// access stats charge a decompression and a full Strider walk per
-/// fetched page — pushdown is a Strider-feed path; `open_scan` refuses to
-/// pair it with a CPU-deform mode.
+/// fetched page.
 #[derive(Clone)]
 pub struct ScanState {
     pub sidecar: Arc<ScanSidecar>,
@@ -95,9 +91,6 @@ pub struct SharedPageStreamSource<'a> {
     heap: &'a HeapFile,
     heap_id: HeapId,
     access: &'a AccessEngine,
-    /// How raw page bytes become engine-native f32 rows: on-chip Striders
-    /// (full DAnA) or host-CPU deform (the Fig. 11 / TABLA ablations).
-    mode: ExecutionMode,
     next_page: u32,
     /// One past the last page this source scans (a shard boundary for
     /// gang-parallel scans; `page_count` for a whole-table scan).
@@ -120,14 +113,12 @@ impl<'a> SharedPageStreamSource<'a> {
     /// of a gang-parallel scan. The shared pool's `&self` fetches let any
     /// number of shard sources stream simultaneously, each metering its
     /// own simulated I/O.
-    #[allow(clippy::too_many_arguments)]
     pub fn with_range(
         pool: &'a SharedBufferPool,
         disk: &'a DiskModel,
         heap: &'a HeapFile,
         heap_id: HeapId,
         access: &'a AccessEngine,
-        mode: ExecutionMode,
         start_page: u32,
         end_page: u32,
     ) -> SharedPageStreamSource<'a> {
@@ -139,7 +130,6 @@ impl<'a> SharedPageStreamSource<'a> {
             heap,
             heap_id,
             access,
-            mode,
             next_page: start_page,
             end_page,
             start_page,
@@ -219,16 +209,10 @@ impl<'a> SharedPageStreamSource<'a> {
                     self.pool
                         .fetch(PageId::new(self.heap_id, page_no), self.heap, self.disk)?;
                 self.outcome.io_seconds += io;
-                if self.mode.uses_striders() {
-                    self.outcome.stats.strider_cycles += self
-                        .access
-                        .extract_page_into(&bytes, &mut batch)
-                        .map_err(|e| SourceError(e.to_string()))?;
-                } else {
-                    PageView::new(&bytes, *self.heap.layout())
-                        .and_then(|view| view.deform_all_into(self.access.decoder(), &mut batch))
-                        .map_err(SourceError::from)?;
-                }
+                self.outcome.stats.strider_cycles += self
+                    .access
+                    .extract_page_into(&bytes, &mut batch)
+                    .map_err(|e| SourceError(e.to_string()))?;
                 // The guard drops here, unpinning the frame — errors
                 // included, so a corrupt page cannot leak a held frame.
             }
@@ -469,7 +453,6 @@ mod tests {
                     &heap,
                     HeapId(heap_no as u32 + 1),
                     &access,
-                    ExecutionMode::Strider,
                     0,
                     heap.page_count(),
                 )
@@ -620,18 +603,10 @@ mod tests {
             let disk = DiskModel::instant();
             // The scan finds `image` in the pool as its page 0.
             drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), &Arc::new(image), &disk));
-            let mut scan = SharedPageStreamSource::with_range(
-                &pool,
-                &disk,
-                &heap,
-                HeapId(1),
-                &access,
-                ExecutionMode::Strider,
-                0,
-                1,
-            )
-            .single_pass()
-            .with_scan(state.clone());
+            let mut scan =
+                SharedPageStreamSource::with_range(&pool, &disk, &heap, HeapId(1), &access, 0, 1)
+                    .single_pass()
+                    .with_scan(state.clone());
             assert!(scan.next_batch().unwrap().unwrap().is_empty());
             assert!(scan.next_batch().unwrap().is_none());
             let outcome = scan.into_stats();

@@ -3,14 +3,13 @@
 //! Low-Rank Matrix Factorization — each parameterized by topology, learning
 //! rate, merge coefficient, and epochs.
 //!
-//! Every generator exists in two forms: a builder-API function returning an
-//! [`AlgoSpec`], and a `*_source` function returning the equivalent DSL
-//! text (exercising the parser path end-to-end; these are the "≈30–60 lines
-//! of Python" the paper's abstract counts).
+//! Every algorithm is DSL text: a `*_source` function writes the program
+//! (these are the "≈30–60 lines of Python" the paper's abstract counts),
+//! and the generator of the same name parses it into an [`AlgoSpec`].
 
-use crate::ast::{AlgoSpec, MergeOp};
-use crate::builder::AlgoBuilder;
+use crate::ast::AlgoSpec;
 use crate::error::DslResult;
+use crate::parser::parse_udf;
 
 /// The four algorithm families of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -59,42 +58,13 @@ impl Default for DenseParams {
 /// Linear regression (the paper's running example, §4.3): batched gradient
 /// descent with a summing merge.
 pub fn linear_regression(p: DenseParams) -> DslResult<AlgoSpec> {
-    let mut a = AlgoBuilder::new("linearR");
-    let mo = a.model("mo", &[p.n_features]);
-    let x = a.input("in", &[p.n_features]);
-    let y = a.output("out");
-    let lr = a.meta("lr", p.learning_rate / p.merge_coef as f64);
-    let prod = a.mul(mo, x)?;
-    let s = a.sigma(prod, 1)?;
-    let er = a.sub(s, y)?;
-    let grad = a.mul(er, x)?;
-    let grad = a.merge(grad, p.merge_coef, MergeOp::Sum)?;
-    let up = a.mul(lr, grad)?;
-    let mo_up = a.sub(mo, up)?;
-    a.set_model(mo, mo_up)?;
-    a.set_epochs(p.epochs);
-    a.finish()
+    parse_udf(&linear_regression_source(p), "linearR")
 }
 
 /// Logistic regression: sigmoid hypothesis, cross-entropy gradient
 /// (`(σ(w·x) − y)·x`), batched with a summing merge.
 pub fn logistic_regression(p: DenseParams) -> DslResult<AlgoSpec> {
-    let mut a = AlgoBuilder::new("logisticR");
-    let mo = a.model("mo", &[p.n_features]);
-    let x = a.input("in", &[p.n_features]);
-    let y = a.output("out");
-    let lr = a.meta("lr", p.learning_rate / p.merge_coef as f64);
-    let prod = a.mul(mo, x)?;
-    let s = a.sigma(prod, 1)?;
-    let h = a.sigmoid(s);
-    let er = a.sub(h, y)?;
-    let grad = a.mul(er, x)?;
-    let grad = a.merge(grad, p.merge_coef, MergeOp::Sum)?;
-    let up = a.mul(lr, grad)?;
-    let mo_up = a.sub(mo, up)?;
-    a.set_model(mo, mo_up)?;
-    a.set_epochs(p.epochs);
-    a.finish()
+    parse_udf(&logistic_regression_source(p), "logisticR")
 }
 
 /// Linear SVM with hinge loss. Labels are ±1; a tuple in the margin
@@ -102,24 +72,7 @@ pub fn logistic_regression(p: DenseParams) -> DslResult<AlgoSpec> {
 /// `lr·y·x` for violators and the comparison result gates the gradient —
 /// exactly the `<` operator's role in Table 1.
 pub fn svm(p: DenseParams) -> DslResult<AlgoSpec> {
-    let mut a = AlgoBuilder::new("svm");
-    let mo = a.model("mo", &[p.n_features]);
-    let x = a.input("in", &[p.n_features]);
-    let y = a.output("out");
-    let lr = a.meta("lr", p.learning_rate / p.merge_coef as f64);
-    let one = a.meta("one", 1.0);
-    let prod = a.mul(mo, x)?;
-    let s = a.sigma(prod, 1)?;
-    let margin = a.mul(y, s)?;
-    let viol = a.lt(margin, one)?; // 1.0 inside the margin, else 0.0
-    let yx = a.mul(y, x)?;
-    let g = a.mul(viol, yx)?;
-    let g = a.merge(g, p.merge_coef, MergeOp::Sum)?;
-    let up = a.mul(lr, g)?;
-    let mo_up = a.add(mo, up)?;
-    a.set_model(mo, mo_up)?;
-    a.set_epochs(p.epochs);
-    a.finish()
+    parse_udf(&svm_source(p), "svm")
 }
 
 /// Hyper-parameters for LRMF.
@@ -158,29 +111,7 @@ impl Default for LrmfParams {
 /// deltas — the behaviour §7.2 observes when "merging across multiple
 /// different threads incurs an overhead" for LRMF.
 pub fn lrmf(p: LrmfParams) -> DslResult<AlgoSpec> {
-    let mut a = AlgoBuilder::new("lrmf");
-    let l = a.model("L", &[p.rows, p.rank]);
-    let r = a.model("R", &[p.cols, p.rank]);
-    let i = a.input("i", &[]);
-    let j = a.input("j", &[]);
-    let y = a.output("rating");
-    let lr = a.meta("lr", p.learning_rate);
-    let li = a.lookup(l, i)?;
-    let rj = a.lookup(r, j)?;
-    let prod = a.mul(li, rj)?;
-    let pred = a.sigma(prod, 1)?;
-    let e = a.sub(pred, y)?;
-    let lg = a.mul(e, rj)?;
-    let rg = a.mul(e, li)?;
-    let lup = a.mul(lr, lg)?;
-    let rup = a.mul(lr, rg)?;
-    let l_new = a.sub(li, lup)?;
-    let r_new = a.sub(rj, rup)?;
-    let _ = a.merge(l_new, p.merge_coef, MergeOp::Sum)?;
-    a.set_model_row(l, i, l_new)?;
-    a.set_model_row(r, j, r_new)?;
-    a.set_epochs(p.epochs);
-    a.finish()
+    parse_udf(&lrmf_source(p), "lrmf")
 }
 
 /// Builds the spec for `algo` with dense parameters (LRMF uses defaults
@@ -201,15 +132,18 @@ pub fn spec_for(algo: Algorithm, p: DenseParams) -> DslResult<AlgoSpec> {
     }
 }
 
-/// The §4.3 linear-regression listing as DSL text (for the parser path).
-pub fn linear_regression_source(n_features: usize, merge_coef: u32, epochs: u32) -> String {
+/// The §4.3 linear-regression listing as DSL text. The summed batch
+/// gradient keeps the effective step size by dividing the learning rate by
+/// the merge coefficient.
+pub fn linear_regression_source(p: DenseParams) -> String {
+    let (n, mc, epochs) = (p.n_features, p.merge_coef, p.epochs);
+    let lr = p.learning_rate / mc as f64;
     format!(
         r#"# Linear regression — update rule, merge, convergence (paper §4.3)
-mo  = dana.model([{n_features}])
-in  = dana.input([{n_features}])
+mo  = dana.model([{n}])
+in  = dana.input([{n}])
 out = dana.output()
-lr  = dana.meta(0.0125)
-merge_coef = dana.meta({merge_coef})
+lr  = dana.meta({lr})
 linearR = dana.algo(mo, in, out)
 
 # Gradient of the loss function
@@ -218,7 +152,7 @@ er   = s - out
 grad = er * in
 
 # Batched gradient descent
-grad  = linearR.merge(grad, merge_coef, "+")
+grad  = linearR.merge(grad, {mc}, "+")
 up    = lr * grad
 mo_up = mo - up
 linearR.setModel(mo_up)
@@ -228,19 +162,20 @@ linearR.setEpochs({epochs})
 }
 
 /// Logistic regression as DSL text.
-pub fn logistic_regression_source(n_features: usize, merge_coef: u32, epochs: u32) -> String {
+pub fn logistic_regression_source(p: DenseParams) -> String {
+    let (n, mc, epochs) = (p.n_features, p.merge_coef, p.epochs);
+    let lr = p.learning_rate / mc as f64;
     format!(
-        r#"mo  = dana.model([{n_features}])
-in  = dana.input([{n_features}])
+        r#"mo  = dana.model([{n}])
+in  = dana.input([{n}])
 out = dana.output()
-lr  = dana.meta(0.0125)
-mc  = dana.meta({merge_coef})
+lr  = dana.meta({lr})
 logisticR = dana.algo(mo, in, out)
 s    = sigma(mo * in, 1)
 h    = sigmoid(s)
 er   = h - out
 grad = er * in
-grad = logisticR.merge(grad, mc, "+")
+grad = logisticR.merge(grad, {mc}, "+")
 up    = lr * grad
 mo_up = mo - up
 logisticR.setModel(mo_up)
@@ -250,40 +185,42 @@ logisticR.setEpochs({epochs})
 }
 
 /// SVM as DSL text.
-pub fn svm_source(n_features: usize, merge_coef: u32, epochs: u32) -> String {
+pub fn svm_source(p: DenseParams) -> String {
+    let (n, mc, epochs) = (p.n_features, p.merge_coef, p.epochs);
+    let lr = p.learning_rate / mc as f64;
     format!(
-        r#"mo  = dana.model([{n_features}])
-in  = dana.input([{n_features}])
+        r#"mo  = dana.model([{n}])
+in  = dana.input([{n}])
 out = dana.output()
-lr  = dana.meta(0.0125)
+lr  = dana.meta({lr})
 one = dana.meta(1.0)
-mc  = dana.meta({merge_coef})
-svmA = dana.algo(mo, in, out)
+svm = dana.algo(mo, in, out)
 s      = sigma(mo * in, 1)
 margin = out * s
 viol   = margin < one
 yx     = out * in
 g      = viol * yx
-g      = svmA.merge(g, mc, "+")
+g      = svm.merge(g, {mc}, "+")
 up     = lr * g
 mo_up  = mo + up
-svmA.setModel(mo_up)
-svmA.setEpochs({epochs})
+svm.setModel(mo_up)
+svm.setEpochs({epochs})
 "#
     )
 }
 
 /// LRMF as DSL text (uses `lookup`/`setModelRow`, the row-indexed forms).
-pub fn lrmf_source(rows: usize, cols: usize, rank: usize, merge_coef: u32, epochs: u32) -> String {
+pub fn lrmf_source(p: LrmfParams) -> String {
+    let (rows, cols, rank) = (p.rows, p.cols, p.rank);
+    let (lr, mc, epochs) = (p.learning_rate, p.merge_coef, p.epochs);
     format!(
         r#"L = dana.model([{rows}, {rank}])
 R = dana.model([{cols}, {rank}])
 i = dana.input()
 j = dana.input()
 rating = dana.output()
-lr = dana.meta(0.05)
-mc = dana.meta({merge_coef})
-lrmfA = dana.algo(L, R, i, j, rating)
+lr = dana.meta({lr})
+lrmf = dana.algo(L, R, i, j, rating)
 li = lookup(L, i)
 rj = lookup(R, j)
 pred = sigma(li * rj, 1)
@@ -294,10 +231,10 @@ lup = lr * lg
 rup = lr * rg
 l_new = li - lup
 r_new = rj - rup
-l_new = lrmfA.merge(l_new, mc, "+")
+l_new = lrmf.merge(l_new, {mc}, "+")
 setModelRow(L, i, l_new)
 setModelRow(R, j, r_new)
-lrmfA.setEpochs({epochs})
+lrmf.setEpochs({epochs})
 "#
     )
 }
@@ -305,8 +242,8 @@ lrmfA.setEpochs({epochs})
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::DataKind;
-    use crate::parser::parse_udf;
+    use crate::ast::{DataKind, MergeOp};
+    use crate::builder::AlgoBuilder;
 
     #[test]
     fn all_dense_specs_build() {
@@ -332,28 +269,121 @@ mod tests {
         assert_eq!(spec.model_updates.len(), 2);
     }
 
+    /// The reference: each program built statement by statement with the
+    /// builder API, which is what the DSL text must parse to.
+    fn built(algo: Algorithm, p: DenseParams) -> AlgoSpec {
+        let name = match algo {
+            Algorithm::Linear => "linearR",
+            Algorithm::Logistic => "logisticR",
+            Algorithm::Svm => "svm",
+            Algorithm::Lrmf => "lrmf",
+        };
+        let mut a = AlgoBuilder::new(name);
+        if algo == Algorithm::Lrmf {
+            let (rows, cols) = (p.n_features, p.n_features + 3);
+            let l = a.model("L", &[rows, 10]);
+            let r = a.model("R", &[cols, 10]);
+            let i = a.input("i", &[]);
+            let j = a.input("j", &[]);
+            let y = a.output("rating");
+            let lr = a.meta("lr", p.learning_rate);
+            let li = a.lookup(l, i).unwrap();
+            let rj = a.lookup(r, j).unwrap();
+            let prod = a.mul(li, rj).unwrap();
+            let pred = a.sigma(prod, 1).unwrap();
+            let e = a.sub(pred, y).unwrap();
+            let lg = a.mul(e, rj).unwrap();
+            let rg = a.mul(e, li).unwrap();
+            let lup = a.mul(lr, lg).unwrap();
+            let rup = a.mul(lr, rg).unwrap();
+            let l_new = a.sub(li, lup).unwrap();
+            let r_new = a.sub(rj, rup).unwrap();
+            a.merge(l_new, p.merge_coef, MergeOp::Sum).unwrap();
+            a.set_model_row(l, i, l_new).unwrap();
+            a.set_model_row(r, j, r_new).unwrap();
+            a.set_epochs(p.epochs);
+            return a.finish().unwrap();
+        }
+        let mo = a.model("mo", &[p.n_features]);
+        let x = a.input("in", &[p.n_features]);
+        let y = a.output("out");
+        let lr = a.meta("lr", p.learning_rate / p.merge_coef as f64);
+        let mo_up = if algo == Algorithm::Svm {
+            let one = a.meta("one", 1.0);
+            let prod = a.mul(mo, x).unwrap();
+            let s = a.sigma(prod, 1).unwrap();
+            let margin = a.mul(y, s).unwrap();
+            let viol = a.lt(margin, one).unwrap();
+            let yx = a.mul(y, x).unwrap();
+            let g = a.mul(viol, yx).unwrap();
+            let g = a.merge(g, p.merge_coef, MergeOp::Sum).unwrap();
+            let up = a.mul(lr, g).unwrap();
+            a.add(mo, up).unwrap()
+        } else {
+            let prod = a.mul(mo, x).unwrap();
+            let mut h = a.sigma(prod, 1).unwrap();
+            if algo == Algorithm::Logistic {
+                h = a.sigmoid(h);
+            }
+            let er = a.sub(h, y).unwrap();
+            let grad = a.mul(er, x).unwrap();
+            let grad = a.merge(grad, p.merge_coef, MergeOp::Sum).unwrap();
+            let up = a.mul(lr, grad).unwrap();
+            a.sub(mo, up).unwrap()
+        };
+        a.set_model(mo, mo_up).unwrap();
+        a.set_epochs(p.epochs);
+        a.finish().unwrap()
+    }
+
     #[test]
-    fn source_and_builder_agree_for_linear() {
-        let from_builder = linear_regression(DenseParams {
-            n_features: 10,
-            learning_rate: 0.1,
-            merge_coef: 8,
-            epochs: 100,
-        })
-        .unwrap();
-        let from_text = parse_udf(&linear_regression_source(10, 8, 100), "linearR").unwrap();
-        assert_eq!(from_text.name, "linearR");
-        assert_eq!(from_text.input_width(), from_builder.input_width());
-        assert_eq!(from_text.model_elements(), from_builder.model_elements());
-        assert_eq!(from_text.merge_coef(), from_builder.merge_coef());
-        assert_eq!(from_text.stmts.len(), from_builder.stmts.len());
+    fn sources_parse_to_the_builder_programs() {
+        for (learning_rate, merge_coef) in [(0.1, 8), (0.37, 4), (0.05, 16)] {
+            let p = DenseParams {
+                n_features: 12,
+                learning_rate,
+                merge_coef,
+                epochs: 7,
+            };
+            for algo in [Algorithm::Linear, Algorithm::Logistic, Algorithm::Svm] {
+                assert_eq!(
+                    spec_for(algo, p).unwrap(),
+                    built(algo, p),
+                    "{algo:?} at {p:?}"
+                );
+            }
+            let lp = LrmfParams {
+                rows: 12,
+                cols: 15,
+                rank: 10,
+                learning_rate,
+                merge_coef,
+                epochs: 7,
+            };
+            assert_eq!(
+                lrmf(lp).unwrap(),
+                built(Algorithm::Lrmf, p),
+                "LRMF at {lp:?}"
+            );
+        }
     }
 
     #[test]
     fn all_sources_parse() {
-        assert!(parse_udf(&logistic_regression_source(20, 4, 5), "x").is_ok());
-        assert!(parse_udf(&svm_source(20, 4, 5), "x").is_ok());
-        assert!(parse_udf(&lrmf_source(50, 40, 10, 4, 2), "x").is_ok());
+        let p = DenseParams {
+            n_features: 20,
+            learning_rate: 0.1,
+            merge_coef: 4,
+            epochs: 5,
+        };
+        assert!(parse_udf(&logistic_regression_source(p), "x").is_ok());
+        assert!(parse_udf(&svm_source(p), "x").is_ok());
+        let lp = LrmfParams {
+            rows: 50,
+            cols: 40,
+            ..LrmfParams::default()
+        };
+        assert!(parse_udf(&lrmf_source(lp), "x").is_ok());
     }
 
     #[test]
@@ -388,11 +418,20 @@ mod tests {
     #[test]
     fn paper_line_count_claim_holds() {
         // "express the algorithm in ≈30-60 lines of Python" (abstract).
+        let p = DenseParams {
+            n_features: 100,
+            ..DenseParams::default()
+        };
+        let lp = LrmfParams {
+            rows: 100,
+            cols: 100,
+            ..LrmfParams::default()
+        };
         for src in [
-            linear_regression_source(100, 8, 10),
-            logistic_regression_source(100, 8, 10),
-            svm_source(100, 8, 10),
-            lrmf_source(100, 100, 10, 8, 10),
+            linear_regression_source(p),
+            logistic_regression_source(p),
+            svm_source(p),
+            lrmf_source(lp),
         ] {
             let lines = src.lines().filter(|l| !l.trim().is_empty()).count();
             assert!(lines <= 60, "{lines} lines");

@@ -721,8 +721,13 @@ mod tests {
     fn parsed_dsl_sources_derive_recipes_too() {
         // The textual-DSL path (parser → AlgoSpec) must derive the same
         // families as the builder path.
-        let lin =
-            dana_dsl::parse_udf(&dana_dsl::zoo::linear_regression_source(6, 8, 2), "f").unwrap();
+        use dana_dsl::zoo::{self, DenseParams};
+        let p = DenseParams {
+            n_features: 6,
+            epochs: 2,
+            ..DenseParams::default()
+        };
+        let lin = dana_dsl::parse_udf(&zoo::linear_regression_source(p), "f").unwrap();
         assert!(matches!(
             derive_recipe(&lin).unwrap(),
             ScoringRecipe::Dense {
@@ -731,8 +736,7 @@ mod tests {
                 ..
             }
         ));
-        let log =
-            dana_dsl::parse_udf(&dana_dsl::zoo::logistic_regression_source(6, 8, 2), "f").unwrap();
+        let log = dana_dsl::parse_udf(&zoo::logistic_regression_source(p), "f").unwrap();
         assert!(matches!(
             derive_recipe(&log).unwrap(),
             ScoringRecipe::Dense {
@@ -741,7 +745,7 @@ mod tests {
                 ..
             }
         ));
-        let s = dana_dsl::parse_udf(&dana_dsl::zoo::svm_source(6, 8, 2), "f").unwrap();
+        let s = dana_dsl::parse_udf(&zoo::svm_source(p), "f").unwrap();
         assert!(matches!(
             derive_recipe(&s).unwrap(),
             ScoringRecipe::Dense {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!  client ──open_session──► SessionManager
-//!    │ submit(SQL / spec / point rows): SQL is parsed and, like point
+//!    │ submit(SQL / point rows): SQL is parsed and, like point
 //!    │ rows, lowered by `SystemCore::lower` — the embedded door's own
 //!    │ lowering — to its plan and context, on the submitting thread
 //!    │ (a hostile string is a typed error here)
@@ -18,13 +18,13 @@
 //!  QueryReply { response: QueryResponse, … } ──crossbeam channel──► Ticket::wait
 //! ```
 //!
-//! Three request forms reach it: [`QueryRequest::Sql`] for every
-//! statement, and the two SQL cannot say — an ad-hoc
-//! [`QueryRequest::TrainSpec`] and [`QueryRequest::PredictPoint`]'s f32
-//! rows. The reply's [`QueryResponse`] is the one the embedded door
-//! returns, read through the same accessors. The server keeps three jobs
-//! of its own: the default deadline, anchored at submit; the admission
-//! queue that sheds what outlived it; and the server-wide `SHOW STATS`.
+//! Two request forms reach it: [`QueryRequest::Sql`] for every
+//! statement, and the one thing SQL cannot say without formatting —
+//! [`QueryRequest::PredictPoint`]'s f32 rows. The reply's
+//! [`QueryResponse`] is the one the embedded door returns, read through
+//! the same accessors. The server keeps three jobs of its own: the default
+//! deadline, anchored at submit; the admission queue that sheds what
+//! outlived it; and the server-wide `SHOW STATS`.
 //!
 //! DDL (create/drop/prewarm/deploy) executes synchronously on the caller's
 //! thread — it needs no accelerator, and the catalog's own locking already
@@ -40,9 +40,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver};
 
 use dana::{
-    parse_statement, Call, DanaResult, DeployInfo, DropSummary, ExecutionMode, FrontDoorWalls,
-    PhysicalPlan, PlanOp, QueryCtx, QueryResponse, QueryTrace, Statement, StatsSnapshot,
-    SystemCore, SystemCoreConfig, WithOptions, Work,
+    parse_statement, Call, DanaResult, DeployInfo, DropSummary, FrontDoorWalls, PlanOp, QueryCtx,
+    QueryResponse, QueryTrace, Statement, StatsSnapshot, SystemCore, SystemCoreConfig, WithOptions,
+    Work,
 };
 use dana_engine::{CancelToken, FaultPlan};
 use dana_obs::StatEntry;
@@ -53,21 +53,14 @@ use crate::admission::{AdmissionConfig, AdmissionQueue, Priority, QueueStats};
 use crate::error::{ServerError, ServerResult};
 use crate::session::{SessionId, SessionManager, SessionStats};
 
-/// A query a client can submit for scheduled execution: SQL, or one of
-/// the two things SQL cannot say.
+/// A query a client can submit for scheduled execution: SQL, or point
+/// rows already in f32.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryRequest {
     /// Any front-door statement: `SELECT * FROM dana.<udf>(…)` /
     /// `EXECUTE …`, `PREDICT … INTO …`, point `PREDICT …(VALUES …)`,
     /// `EVALUATE …`, `EXPLAIN [ANALYZE] …` or `SHOW STATS`.
     Sql(String),
-    /// Ad-hoc compile-and-train of a spec in a specific execution mode
-    /// (the ablation path; nothing is stored in the catalog).
-    TrainSpec {
-        spec: dana_dsl::AlgoSpec,
-        table: String,
-        mode: ExecutionMode,
-    },
     /// The **point fast path**: score inline f32 rows against `udf`'s
     /// latest trained model — no heap scan, no buffer-pool traffic, no
     /// materialization, and no accelerator lease when the advisor routes
@@ -244,9 +237,9 @@ impl DanaServer {
     /// Lowers a request to what a worker will run: SQL is parsed and
     /// point rows become the [`Call`] their SQL twin parses to (asking the
     /// advisor for a backend), and both go through [`SystemCore::lower`]
-    /// against this server's accelerator pool; an ad-hoc spec is its own
-    /// plan. A parse or bind error rides the job to the worker, which
-    /// replies with it — no lease is ever taken for one.
+    /// against this server's accelerator pool. A parse or bind error rides
+    /// the job to the worker, which replies with it — no lease is ever
+    /// taken for one.
     fn admit(&self, request: QueryRequest) -> Admitted {
         let cap = self.accels.size();
         let (lowered, parse_wall) = match request {
@@ -258,10 +251,6 @@ impl DanaServer {
                     stmt.and_then(|stmt| self.core.lower(&stmt, cap)),
                     parse_wall,
                 )
-            }
-            QueryRequest::TrainSpec { spec, table, mode } => {
-                let plan = PhysicalPlan::ad_hoc(&spec, &table, mode);
-                (Ok((Work::Plan(Box::new(plan)), QueryCtx::unbounded())), 0.0)
             }
             QueryRequest::PredictPoint { udf, rows } => {
                 let call = Call {
@@ -289,8 +278,8 @@ impl DanaServer {
     }
 
     /// SJF's ordering key for a request, as [`DanaServer::submit`] would
-    /// compute it (see [`PhysicalPlan::cost_hint`]): unparseable,
-    /// unbindable, ad-hoc and metadata-only work gets the neutral hint 0.
+    /// compute it (see [`dana::PhysicalPlan::cost_hint`]): unparseable,
+    /// unbindable and metadata-only work gets the neutral hint 0.
     pub fn cost_hint(&self, request: &QueryRequest) -> f64 {
         self.admit(request.clone()).cost_hint
     }

@@ -21,9 +21,9 @@
 //! access engine and processing it in the execution engine" interleave,
 //! §5.1.1); at each epoch boundary it calls [`TupleSource::rewind`] to
 //! re-scan. Implementations decide where batches come from — the buffer
-//! pool via Striders, a CPU deform loop (the Fig. 11 ablation), or an
-//! already-materialized batch ([`OneBatchSource`]) — so every feeding
-//! strategy meets the engine through the same interface.
+//! pool via Striders, or an already-materialized batch
+//! ([`OneBatchSource`]) — so every feeding strategy meets the engine
+//! through the same interface.
 
 use std::fmt;
 

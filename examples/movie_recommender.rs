@@ -28,10 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The LRMF UDF in DSL text: lookup() gathers the user/movie factor
     // rows; setModelRow() scatters the updates back.
-    let udf = dana_dsl::zoo::lrmf_source(users, movies, rank, 8, w.epochs);
+    let udf = dana_dsl::zoo::lrmf_source(dana_dsl::zoo::LrmfParams {
+        rows: users,
+        cols: movies,
+        rank,
+        learning_rate: w.learning_rate,
+        merge_coef: w.merge_coef,
+        epochs: w.epochs,
+    });
     println!("--- LRMF UDF ---\n{udf}");
-    db.deploy_source(&udf, "lrmfA", "ratings")?;
-    let out = db.execute_statement("SELECT * FROM dana.lrmfA('ratings');")?;
+    db.deploy_source(&udf, "lrmf", "ratings")?;
+    let out = db.execute_statement("SELECT * FROM dana.lrmf('ratings');")?;
     let out = out.report()?;
 
     let model = dana_ml::LrmfModel {

@@ -25,7 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.prewarm("patient_data")?; // warm-cache setting
 
     // 2. The UDF, written in the paper's DSL (about 15 lines of text).
-    let udf = dana_dsl::zoo::linear_regression_source(w.features, 8, w.epochs);
+    let udf = dana_dsl::zoo::linear_regression_source(dana_dsl::zoo::DenseParams {
+        n_features: w.features,
+        learning_rate: 0.1,
+        merge_coef: 8,
+        epochs: w.epochs,
+    });
     println!("\n--- UDF source ---\n{udf}");
     let info = db.deploy_source(&udf, "linearR", "patient_data")?;
     println!(

@@ -1,14 +1,14 @@
 //! Ablation integration tests: the design choices the paper's ablation
-//! figures isolate (Striders vs CPU feed, threads, AXI bandwidth, TABLA;
-//! README "Reproducing the paper"), verified at functional scale. Their
-//! full-scale counterparts are Figs. 11/12/14/16 of `dana_bench::figures`,
-//! and the last test here holds that harness to the simulator it stands
-//! in for.
+//! figures isolate (threads, AXI bandwidth, TABLA; README "Reproducing the
+//! paper"). Thread scaling runs at functional scale; the CPU-fed and TABLA
+//! feeds are priced by the analytic harness only, the figures' source
+//! (Figs. 11/12/14/16 of `dana_bench::figures`), and the last test here
+//! holds that harness to the simulator it stands in for.
 
 use dana::prelude::*;
 use dana::{
     analytic_dana, analytic_dana_threads, analytic_greenplum, analytic_madlib, compile_workload,
-    SystemParams,
+    ExecutionMode, SystemParams,
 };
 use dana_workloads::{generate, workload};
 
@@ -27,47 +27,32 @@ fn db_with(table_name: &str, w: &dana_workloads::Workload, seed: u64) -> Dana {
     db
 }
 
-/// Fig. 11 at functional scale: Striders beat the CPU-fed ablation and
-/// both produce the identical model.
+/// Fig. 16 priced by the analytic harness: TABLA (single-thread,
+/// CPU-fed) compiles to one thread and is slower than DAnA on the same
+/// workload, in the engine and end to end.
 #[test]
-fn strider_ablation_functional() {
-    let mut w = workload("Remote Sensing LR").unwrap().scaled(0.005);
-    w.epochs = 4;
+fn tabla_ablation_analytic() {
+    let mut w = workload("Patient").unwrap();
     w.merge_coef = 16;
-    let db = db_with("rs", &w, 1);
-    let spec = w.spec();
-    let with = db
-        .train_with_spec(&spec, "rs", ExecutionMode::Strider)
-        .unwrap();
-    let without = db
-        .train_with_spec(&spec, "rs", ExecutionMode::CpuFed)
-        .unwrap();
-    assert!(with.timing.total_seconds < without.timing.total_seconds);
+    let p = SystemParams::default();
     assert_eq!(
-        with.models, without.models,
-        "feeding path must not change the math"
+        compile_workload(&w, &p, Some(1))
+            .unwrap()
+            .design
+            .num_threads,
+        1
     );
-}
-
-/// Fig. 16 at functional scale: TABLA (single-thread, CPU-fed) is slower
-/// than DAnA and slower than the Strider-fed multi-thread design.
-#[test]
-fn tabla_ablation_functional() {
-    let mut w = workload("Patient").unwrap().scaled(0.01);
-    w.epochs = 3;
-    w.merge_coef = 16;
-    let db = db_with("patient", &w, 2);
-    let spec = w.spec();
-    let dana = db
-        .train_with_spec(&spec, "patient", ExecutionMode::Strider)
-        .unwrap();
-    let tabla = db
-        .train_with_spec(&spec, "patient", ExecutionMode::Tabla)
-        .unwrap();
-    assert_eq!(tabla.num_threads, 1);
-    assert!(dana.num_threads > 1);
-    assert!(tabla.engine.cycles > dana.engine.cycles);
-    assert!(tabla.timing.total_seconds > dana.timing.total_seconds);
+    assert!(compile_workload(&w, &p, None).unwrap().design.num_threads > 1);
+    let dana = analytic_dana(&w, ExecutionMode::Strider, true, &p).unwrap();
+    let tabla = analytic_dana(&w, ExecutionMode::Tabla, true, &p).unwrap();
+    assert!(
+        tabla.engine_seconds > dana.engine_seconds,
+        "{tabla:?} {dana:?}"
+    );
+    assert!(
+        tabla.total_seconds > dana.total_seconds,
+        "{tabla:?} {dana:?}"
+    );
 }
 
 /// Fig. 12's shape at functional scale: more threads reduce engine cycles
@@ -82,9 +67,8 @@ fn thread_scaling_functional() {
         let mut wt = w.with_merge_coef(threads);
         wt.learning_rate = w.learning_rate; // zoo scales lr by merge coef
         let spec = wt.spec();
-        let report = db
-            .train_with_spec(&spec, "rssvm", ExecutionMode::Strider)
-            .unwrap();
+        db.deploy(&spec, "rssvm").unwrap();
+        let report = db.run_udf(&spec.name, "rssvm").unwrap();
         cycles.push(report.engine.cycles);
     }
     assert!(cycles[1] < cycles[0], "{cycles:?}");
@@ -139,7 +123,12 @@ fn descending_layout_end_to_end() {
         DiskModel::ssd(),
     );
     db.create_table("desc_table", b.finish()).unwrap();
-    let src = dana_dsl::zoo::linear_regression_source(12, 8, 120);
+    let src = dana_dsl::zoo::linear_regression_source(dana_dsl::zoo::DenseParams {
+        n_features: 12,
+        learning_rate: 0.1,
+        merge_coef: 8,
+        epochs: 120,
+    });
     db.deploy_source(&src, "linearR", "desc_table").unwrap();
     let report = db.run_udf("linearR", "desc_table").unwrap();
     // The periodic feature generator makes the design matrix rank-deficient,
@@ -225,8 +214,8 @@ fn analytic_thread_override_consistency() {
 /// one: both price a scan through `runtime::epoch_costs` + `compose`, the
 /// harness from Table-3 statistics × the compiler's estimate, the
 /// simulator from what the access engine and the pool measured. On the
-/// six public workloads at 2 % scale, in every execution mode, warm and
-/// cold, the two must agree term by term — and the one term on which they
+/// six public workloads at 2 % scale, fed by the Striders (the one feed
+/// the system runs), warm and cold, the two must agree term by term — and the one term on which they
 /// do not (a cold scan's disk seconds) is asserted on both sides by
 /// formula, so it is written down rather than discovered.
 #[test]
@@ -264,52 +253,48 @@ fn analytic_harness_is_the_simulators_cost_model() {
         assert_eq!(db.table_pages("t"), Some(pages as u32), "{name}");
         let scan_read = p.disk.sequential_read_time(pages * PAGE as u64);
 
-        for mode in [
-            ExecutionMode::Strider,
-            ExecutionMode::CpuFed,
-            ExecutionMode::Tabla,
-        ] {
-            let threads = (mode == ExecutionMode::Tabla).then_some(1);
-            let estimate = compile_workload(&w, &p, threads).unwrap().estimate;
-            let page_strider = p.fpga.clock.to_seconds(estimate.strider_cycles_per_page);
-            for warm in [true, false] {
-                let at = format!("{name}, {mode:?}, warm = {warm}");
-                if warm {
-                    db.prewarm("t").unwrap();
-                } else {
-                    db.clear_cache();
-                }
-                let misses_before = db.pool_stats().misses;
-                let report = db.train_with_spec(&w.spec(), "t", mode).unwrap();
-                let missed = db.pool_stats().misses - misses_before;
-                let (a, f) = (analytic_dana(&w, mode, warm, &p).unwrap(), report.timing);
-                assert_eq!(report.epochs_run, w.epochs, "{at}");
-                // One model: what it prices from equal counts is equal to
-                // the bit, not merely close.
-                assert_eq!(a.setup_seconds, f.setup_seconds, "{at}");
-                assert_eq!(a.engine_seconds, f.engine_seconds, "{at}");
-                assert_eq!(a.axi_seconds, f.axi_seconds, "{at}");
-                assert_eq!(a.decompress_seconds, f.decompress_seconds, "{at}");
-                // The estimate charges the partial last page as a full one.
-                let over = a.strider_seconds - f.strider_seconds;
-                assert!(
-                    (0.0..w.epochs as f64 * page_strider).contains(&over),
-                    "{at}: {a:?} {f:?}"
-                );
-                // The stated difference: the pool charges every missed
-                // page a random read, the harness one sequential read per
-                // scan. (The table fits the pool: only epoch 1 misses.)
-                assert_eq!(missed, if warm { 0 } else { pages }, "{at}");
-                assert!(
-                    close(missed as f64 * page_read, f.io_seconds),
-                    "{at}: {f:?}"
-                );
-                assert_eq!(a.io_seconds, if warm { 0.0 } else { scan_read }, "{at}");
-                // Warm, only the Strider term differs, and no epoch here
-                // is Strider-bound.
-                if warm {
-                    assert_eq!(a.total_seconds, f.total_seconds, "{at}");
-                }
+        let spec = w.spec();
+        db.deploy(&spec, "t").unwrap();
+        let estimate = compile_workload(&w, &p, None).unwrap().estimate;
+        let page_strider = p.fpga.clock.to_seconds(estimate.strider_cycles_per_page);
+        for warm in [true, false] {
+            let at = format!("{name}, warm = {warm}");
+            if warm {
+                db.prewarm("t").unwrap();
+            } else {
+                db.clear_cache();
+            }
+            let misses_before = db.pool_stats().misses;
+            let report = db.run_udf(&spec.name, "t").unwrap();
+            let missed = db.pool_stats().misses - misses_before;
+            let a = analytic_dana(&w, ExecutionMode::Strider, warm, &p).unwrap();
+            let f = report.timing;
+            assert_eq!(report.epochs_run, w.epochs, "{at}");
+            // One model: what it prices from equal counts is equal to the
+            // bit, not merely close.
+            assert_eq!(a.setup_seconds, f.setup_seconds, "{at}");
+            assert_eq!(a.engine_seconds, f.engine_seconds, "{at}");
+            assert_eq!(a.axi_seconds, f.axi_seconds, "{at}");
+            assert_eq!(a.decompress_seconds, f.decompress_seconds, "{at}");
+            // The estimate charges the partial last page as a full one.
+            let over = a.strider_seconds - f.strider_seconds;
+            assert!(
+                (0.0..w.epochs as f64 * page_strider).contains(&over),
+                "{at}: {a:?} {f:?}"
+            );
+            // The stated difference: the pool charges every missed page a
+            // random read, the harness one sequential read per scan. (The
+            // table fits the pool: only epoch 1 misses.)
+            assert_eq!(missed, if warm { 0 } else { pages }, "{at}");
+            assert!(
+                close(missed as f64 * page_read, f.io_seconds),
+                "{at}: {f:?}"
+            );
+            assert_eq!(a.io_seconds, if warm { 0.0 } else { scan_read }, "{at}");
+            // Warm, only the Strider term differs, and no epoch here is
+            // Strider-bound.
+            if warm {
+                assert_eq!(a.total_seconds, f.total_seconds, "{at}");
             }
         }
 

@@ -75,7 +75,12 @@ fn linear_regression_via_textual_dsl() {
 
     let db = small_db();
     db.create_table("patient", table.heap).unwrap();
-    let source = dana_dsl::zoo::linear_regression_source(w.features, 8, 25);
+    let source = dana_dsl::zoo::linear_regression_source(dana_dsl::zoo::DenseParams {
+        n_features: w.features,
+        learning_rate: 0.1,
+        merge_coef: 8,
+        epochs: 25,
+    });
     let info = db.deploy_source(&source, "linearR", "patient").unwrap();
     assert!(info.micro_ops > 0);
     let report = db.run_udf("linearR", "patient").unwrap();

@@ -86,9 +86,9 @@ fn strider_extraction_equals_cpu_scan() {
 
 /// The streaming batch data path (pool → extract → engine, page by page)
 /// must train the bit-identical model to the oracle over the whole table
-/// (`HeapFile::scan_batch`), in every execution mode, for all four zoo
-/// models — at the thread count the mode compiles to (TABLA: one) — and
-/// charge exactly the static estimate's cycles.
+/// (`HeapFile::scan_batch`), for all four zoo models — at the thread count
+/// DEPLOY compiles to — and charge exactly the static estimate's cycles.
+/// (One-thread schedules are held to the oracle by `lowered_differential`.)
 #[test]
 fn streaming_path_matches_reference_path_across_modes() {
     for (name, scale) in [
@@ -113,25 +113,20 @@ fn streaming_path_matches_reference_path_across_modes() {
         db.create_table("t", table.heap.clone()).unwrap();
         db.prewarm("t").unwrap();
         let spec = w.spec();
-        for mode in [
-            ExecutionMode::Strider,
-            ExecutionMode::CpuFed,
-            ExecutionMode::Tabla,
-        ] {
-            let acc = compile_for(&w, &table, (mode == ExecutionMode::Tabla).then_some(1));
-            let streaming = db.train_with_spec(&spec, "t", mode).unwrap();
-            assert_eq!(streaming.num_threads, acc.design.num_threads, "{name}");
-            assert_eq!(
-                streaming.models,
-                oracle(&spec, &acc, &batch),
-                "{name}: {mode:?} batch path diverged from the oracle"
-            );
-            assert_eq!(
-                streaming.engine.cycles,
-                3 * acc.estimate.epoch_engine_cycles,
-                "{name}: {mode:?} cycles vs the static estimate"
-            );
-        }
+        db.deploy(&spec, "t").unwrap();
+        let acc = compile_for(&w, &table, None);
+        let streaming = db.run_udf(&spec.name, "t").unwrap();
+        assert_eq!(streaming.num_threads, acc.design.num_threads, "{name}");
+        assert_eq!(
+            streaming.models,
+            oracle(&spec, &acc, &batch),
+            "{name}: batch path diverged from the oracle"
+        );
+        assert_eq!(
+            streaming.engine.cycles,
+            3 * acc.estimate.epoch_engine_cycles,
+            "{name}: cycles vs the static estimate"
+        );
     }
 }
 
@@ -170,8 +165,7 @@ fn public_table3_designs_all_run_lockstep() {
 /// Pool sharding changes locking, never results: an eight-shard core (the
 /// serving default) must train the bit-identical model, with the
 /// bit-identical cycle counts and simulated timing, to the embedded
-/// one-shard `Dana` — for every zoo model, in every execution mode, ad hoc
-/// and deployed.
+/// one-shard `Dana` — for every zoo model.
 #[test]
 fn concurrent_core_matches_single_threaded_across_modes() {
     use dana::{SystemCore, SystemCoreConfig};
@@ -217,17 +211,6 @@ fn concurrent_core_matches_single_threaded_across_modes() {
             );
             assert_eq!(concurrent.timing, serial.timing, "{name}: {label} timing");
         };
-        for mode in [
-            ExecutionMode::Strider,
-            ExecutionMode::CpuFed,
-            ExecutionMode::Tabla,
-        ] {
-            check(
-                &format!("{mode:?}"),
-                core.train_with_spec(&spec, "t", mode).unwrap(),
-                db.train_with_spec(&spec, "t", mode).unwrap(),
-            );
-        }
         check(
             "deployed",
             core.run_udf(&spec.name, "t").unwrap(),

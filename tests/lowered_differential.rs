@@ -379,11 +379,10 @@ proptest! {
         );
     }
 
-    /// The full pipeline across every execution mode: `train_with_spec`
-    /// (the lowered executor fed by Striders, the CPU deform, or TABLA's
-    /// one thread) stays bit-identical to the oracle over
-    /// `HeapFile::scan_batch`, at the thread count the mode compiles to,
-    /// for random workload shapes.
+    /// The full pipeline: a deployed UDF's EXECUTE (the lowered executor
+    /// fed by the Striders) stays bit-identical to the oracle over
+    /// `HeapFile::scan_batch`, at the thread count DEPLOY compiles to, for
+    /// random workload shapes.
     #[test]
     fn modes_agree_with_reference_on_random_workloads(
         name in prop::sample::select(vec!["Remote Sensing LR", "Patient"]),
@@ -416,22 +415,17 @@ proptest! {
         );
         db.create_table("t", table.heap).unwrap();
         db.prewarm("t").unwrap();
-        for mode in [ExecutionMode::Strider, ExecutionMode::CpuFed, ExecutionMode::Tabla] {
-            let acc = match mode {
-                ExecutionMode::Tabla => compile_with_threads(&input, 1),
-                _ => compile(&input),
-            }
-            .unwrap();
-            let mut models = initial_models(&acc.design);
-            let threads = acc.design.num_threads as usize;
-            train_spec(&spec, &acc.fold_order, threads, &batch, &mut models).unwrap();
-            let lowered = db.train_with_spec(&spec, "t", mode).unwrap();
-            assert_eq!(
-                bits(&lowered.models),
-                bits(&models),
-                "{name} @ {scale}, {mode:?}: lowered pipeline diverged from the oracle"
-            );
-        }
+        db.deploy(&spec, "t").unwrap();
+        let acc = compile(&input).unwrap();
+        let mut models = initial_models(&acc.design);
+        let threads = acc.design.num_threads as usize;
+        train_spec(&spec, &acc.fold_order, threads, &batch, &mut models).unwrap();
+        let lowered = db.run_udf(&spec.name, "t").unwrap();
+        assert_eq!(
+            bits(&lowered.models),
+            bits(&models),
+            "{name} @ {scale}: lowered pipeline diverged from the oracle"
+        );
         db.drop_table("t").unwrap();
     }
 }

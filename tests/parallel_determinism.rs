@@ -7,7 +7,7 @@
 //!   arrival yields bit-identical merged models;
 //! * a gang the shard planner collapses to **one member is bit-identical
 //!   to the serial path** — models, engine stats, and simulated timing —
-//!   for all four zoo models across Strider / CpuFed / Tabla;
+//!   for all four zoo models;
 //! * parallel PREDICT materializes **bit-identical prediction tables to
 //!   serial PREDICT for every shard count** (1, 2, 4) — shard outputs
 //!   concatenate in page order and per-tuple scoring math is
@@ -16,8 +16,7 @@
 
 use dana::prelude::*;
 use dana::{
-    ExecutionMode, PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SpanRecorder, SystemCore,
-    SystemCoreConfig,
+    PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SpanRecorder, SystemCore, SystemCoreConfig,
 };
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_parallel::{MergeBuffer, MergeSpec, ShardOwnership};
@@ -112,12 +111,6 @@ const ZOO: [Algorithm; 4] = [
     Algorithm::Logistic,
     Algorithm::Svm,
     Algorithm::Lrmf,
-];
-
-const MODES: [ExecutionMode; 3] = [
-    ExecutionMode::Strider,
-    ExecutionMode::CpuFed,
-    ExecutionMode::Tabla,
 ];
 
 /// Compiles a zoo spec against its table and returns the engine design
@@ -279,34 +272,30 @@ fn run(core: &SystemCore, plan: &PhysicalPlan) -> QueryResponse {
 #[test]
 fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
     for algo in ZOO {
-        for mode in MODES {
-            let spec = spec_for(algo, 4);
-            // Serial reference.
+        let spec = spec_for(algo, 4);
+        let db = || {
             let db = fresh_dana();
             db.create_table("t", one_page_heap(algo)).unwrap();
             db.prewarm("t").unwrap();
-            let serial = db.train_with_spec(&spec, "t", mode).unwrap();
-            // One-member gang on a fresh system.
-            let db = fresh_dana();
-            db.create_table("t", one_page_heap(algo)).unwrap();
-            db.prewarm("t").unwrap();
-            let plan = PhysicalPlan {
-                shards: 2,
-                ..PhysicalPlan::ad_hoc(&spec, "t", mode)
-            };
-            let gang = run(&db, &plan);
-            let gang = gang.report().unwrap();
-            assert_eq!(
-                gang.models, serial.models,
-                "{algo:?}/{mode:?}: models must be bit-identical"
-            );
-            assert_eq!(gang.engine, serial.engine, "{algo:?}/{mode:?}: stats");
-            assert_eq!(
-                gang.timing, serial.timing,
-                "{algo:?}/{mode:?}: simulated timing"
-            );
-            assert_eq!(gang.shards, 1);
-        }
+            db.deploy(&spec, "t").unwrap();
+            db
+        };
+        // Serial reference.
+        let serial = db().run_udf(&spec.name, "t").unwrap();
+        // One-member gang on a fresh system.
+        let plan = PhysicalPlan {
+            shards: 2,
+            ..PhysicalPlan::serial(PlanOp::Train, &spec.name, "t")
+        };
+        let gang = run(&db(), &plan);
+        let gang = gang.report().unwrap();
+        assert_eq!(
+            gang.models, serial.models,
+            "{algo:?}: models must be bit-identical"
+        );
+        assert_eq!(gang.engine, serial.engine, "{algo:?}: stats");
+        assert_eq!(gang.timing, serial.timing, "{algo:?}: simulated timing");
+        assert_eq!(gang.shards, 1);
     }
 }
 
@@ -411,9 +400,7 @@ fn concurrent_core_scoring_matches_serial_for_every_shard_count() {
         .unwrap();
     core.deploy(&spec, "t").unwrap();
     core.run_udf("logisticR", "t").unwrap();
-    let serial = core
-        .score_with("logisticR", "t", ExecutionMode::Strider, None)
-        .unwrap();
+    let serial = core.score_with("logisticR", "t", None).unwrap();
     for k in [1u16, 2, 4] {
         let plan = PhysicalPlan {
             shards: k,

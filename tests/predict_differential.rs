@@ -4,8 +4,7 @@
 //! LRMF) the accelerator scoring path — deploy-time scoring lowering,
 //! streamed page extraction, SoA lockstep executor — must produce
 //! predictions **bit-identical** to the `dana_ml::scorer` CPU reference,
-//! across every execution mode (Strider / CpuFed / Tabla) and lockstep
-//! lane count (1 / 4 / 16). A materialized prediction table must also
+//! at every lockstep lane count (1 / 4 / 16). A materialized prediction table must also
 //! round-trip: created by PREDICT, scanned back, evaluated with
 //! EVALUATE, dropped with full page eviction.
 
@@ -73,11 +72,6 @@ fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
     b.finish()
 }
 
-const MODES: [ExecutionMode; 3] = [
-    ExecutionMode::Strider,
-    ExecutionMode::CpuFed,
-    ExecutionMode::Tabla,
-];
 const LANES: [u16; 3] = [1, 4, 16];
 
 /// Trains one dense zoo model in-database, then sweeps the accelerator
@@ -105,17 +99,9 @@ fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
     let reference = scorer::score_dense(&model, &batch, link);
     assert_eq!(reference.len(), 900);
 
-    for mode in MODES {
-        for lanes in LANES {
-            let got = db.score_with(&udf, "t", mode, Some(lanes)).unwrap();
-            assert_eq!(
-                got,
-                reference,
-                "{udf}: {} lanes in {} must be bit-identical",
-                lanes,
-                mode.name()
-            );
-        }
+    for lanes in LANES {
+        let got = db.score_with(&udf, "t", Some(lanes)).unwrap();
+        assert_eq!(got, reference, "{udf}: {lanes} lanes must be bit-identical");
     }
 }
 
@@ -167,17 +153,9 @@ fn lrmf_predictions_bit_identical() {
     let batch = db.table_snapshot("ratings").unwrap().scan_batch().unwrap();
     let reference = scorer::score_lrmf(&model, &batch);
 
-    for mode in MODES {
-        for lanes in LANES {
-            let got = db.score_with("lrmf", "ratings", mode, Some(lanes)).unwrap();
-            assert_eq!(
-                got,
-                reference,
-                "lrmf: {} lanes in {} must be bit-identical",
-                lanes,
-                mode.name()
-            );
-        }
+    for lanes in LANES {
+        let got = db.score_with("lrmf", "ratings", Some(lanes)).unwrap();
+        assert_eq!(got, reference, "lrmf: {lanes} lanes must be bit-identical");
     }
 }
 

@@ -536,7 +536,7 @@ proptest! {
 /// a typed error — no unwinding — and only ever appends whole rows: the one
 /// page reader (`PageView`: header, line pointers, `t_hoff`, checksum), the
 /// zone-map / slot-selection style of decoding (`user_data` → `RowDecoder`),
-/// the CPU deform feed, and Strider extraction.
+/// the CPU deform the oracle reads through, and Strider extraction.
 fn readers_survive(
     bytes: &[u8],
     heap: &HeapFile,
@@ -579,30 +579,27 @@ fn readers_survive(
         );
         let disk = DiskModel::instant();
         drop(pool.fetch_raw(PageId::new(HeapId(1), 0), &Arc::new(bytes.to_vec()), &disk));
-        for mode in [dana::ExecutionMode::Strider, dana::ExecutionMode::CpuFed] {
-            let mut scan = dana::SharedPageStreamSource::with_range(
-                &pool,
-                &disk,
-                heap,
-                HeapId(1),
-                engine,
-                mode,
-                0,
-                heap.page_count(),
-            )
-            .single_pass();
-            let streamed = loop {
-                match scan.next_batch() {
-                    Ok(Some(batch)) => ok &= whole_rows(batch),
-                    Ok(None) => break true,
-                    Err(SourceError(_)) => break false,
-                }
-            };
-            ok &= pool.held_frames() == 0;
-            // Streamed or failed, the scan has started: no replay.
-            ok &= scan.rewind().is_err();
-            ok &= streamed || bytes != heap.page_bytes(0).unwrap();
-        }
+        let mut scan = dana::SharedPageStreamSource::with_range(
+            &pool,
+            &disk,
+            heap,
+            HeapId(1),
+            engine,
+            0,
+            heap.page_count(),
+        )
+        .single_pass();
+        let streamed = loop {
+            match scan.next_batch() {
+                Ok(Some(batch)) => ok &= whole_rows(batch),
+                Ok(None) => break true,
+                Err(SourceError(_)) => break false,
+            }
+        };
+        ok &= pool.held_frames() == 0;
+        // Streamed or failed, the scan has started: no replay.
+        ok &= scan.rewind().is_err();
+        ok &= streamed || bytes != heap.page_bytes(0).unwrap();
         ok
     }))
     .unwrap_or(false)
@@ -1122,7 +1119,6 @@ fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEng
             heap,
             HeapId(1),
             engine,
-            dana::ExecutionMode::Strider,
             0,
             heap.page_count(),
         )
@@ -1293,14 +1289,13 @@ proptest! {
         let access = dana::exec::access_engine_for(&heap, budget, &fpga);
         let pages = heap.page_count();
         let open = || dana::SharedPageStreamSource::with_range(
-            &pool, &disk, &heap, HeapId(1), &access, dana::ExecutionMode::Strider, 0, pages,
+            &pool, &disk, &heap, HeapId(1), &access, 0, pages,
         ).single_pass();
         prop_assert_eq!(drain(&mut open()), n);
         let mut scan = open();
         prop_assert_eq!(drain(&mut scan), n);
         let outcome = scan.into_stats();
         let inputs = dana::exec::CostInputs {
-            mode: dana::ExecutionMode::Strider,
             budget,
             fpga: &fpga,
             cpu: &cpu,

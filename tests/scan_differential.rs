@@ -12,9 +12,7 @@
 //! compressed sidecar resident.
 
 use dana::prelude::*;
-use dana::{
-    parse_statement, PhysicalPlan, QueryCtx, SpanRecorder, Statement, SystemCore, SystemCoreConfig,
-};
+use dana::{parse_statement, Statement, SystemCore, SystemCoreConfig};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
@@ -292,25 +290,6 @@ fn filtered_statements_match_prematerialized_table_concurrent_facade() {
             assert!(got.timing.decompress_seconds > 0.0, "{algo:?} k={k}");
             assert_eq!(want.timing.decompress_seconds, 0.0, "{algo:?} k={k}");
         }
-        // Pushdown extraction is the Striders': a hand-built plan pairing
-        // it with the CPU-deform feed (no statement binds to one) is a
-        // typed error, not a second extraction path.
-        let Statement::Call(call) =
-            parse_statement(&format!("SELECT * FROM dana.{udf}('t') {wher};")).unwrap()
-        else {
-            panic!("expected a call");
-        };
-        let cpu_fed = PhysicalPlan {
-            mode: ExecutionMode::CpuFed,
-            ..core.bind(&call, None, 1).unwrap()
-        };
-        assert!(
-            matches!(
-                core.execute(&cpu_fed, &SpanRecorder::disabled(), &QueryCtx::unbounded()),
-                Err(DanaError::Query(_))
-            ),
-            "{algo:?}: CPU-fed pushdown must be refused"
-        );
         assert_eq!(core.held_frames(), 0, "{algo:?}: leaked frames");
     }
 }

@@ -36,8 +36,8 @@ fn server(accelerators: usize, policy: SchedPolicy, max_queued: usize) -> DanaSe
 }
 
 /// Serial reference: a fresh single-threaded `Dana` over the identical
-/// generated table, same spec, same mode.
-fn serial_models(w: &dana_workloads::Workload, seed: u64, mode: ExecutionMode) -> Vec<Vec<f32>> {
+/// generated table, same spec.
+fn serial_models(w: &dana_workloads::Workload, seed: u64) -> Vec<Vec<f32>> {
     let table = generate(w, 32 * 1024, seed).unwrap();
     let db = Dana::new(
         FpgaSpec::vu9p(),
@@ -49,12 +49,14 @@ fn serial_models(w: &dana_workloads::Workload, seed: u64, mode: ExecutionMode) -
     );
     db.create_table("t", table.heap).unwrap();
     db.prewarm("t").unwrap();
-    db.train_with_spec(&w.spec(), "t", mode).unwrap().models
+    let spec = w.spec();
+    db.deploy(&spec, "t").unwrap();
+    db.run_udf(&spec.name, "t").unwrap().models
 }
 
-/// Many threads training different workloads in every execution mode,
-/// concurrently, against one server — every result must be bit-identical
-/// to the single-threaded reference.
+/// Many threads training different workloads, several clients per
+/// workload, concurrently against one server — every result must be
+/// bit-identical to the single-threaded reference.
 #[test]
 fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
     let cases: Vec<(dana_workloads::Workload, u64)> = vec![
@@ -77,46 +79,34 @@ fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
             42,
         ),
     ];
-    let modes = [
-        ExecutionMode::Strider,
-        ExecutionMode::CpuFed,
-        ExecutionMode::Tabla,
-    ];
+    const CLIENTS: usize = 3;
 
     let srv = server(4, SchedPolicy::Fifo, 1024);
     for (i, (w, seed)) in cases.iter().enumerate() {
         let table = generate(w, 32 * 1024, *seed).unwrap();
         srv.create_table(&format!("t{i}"), table.heap).unwrap();
         srv.prewarm(&format!("t{i}")).unwrap();
+        let mut spec = w.spec();
+        spec.name = format!("udf{i}");
+        srv.deploy(&spec, &format!("t{i}")).unwrap();
     }
 
-    // One client thread per (workload, mode) pair, all submitting at once.
+    // `CLIENTS` client threads per workload, all submitting at once.
     let results = crossbeam::thread::scope(|s| {
         let srv = &srv;
         let cases = &cases;
         let handles: Vec<_> = cases
             .iter()
             .enumerate()
-            .flat_map(|(i, (w, seed))| {
-                modes.iter().map(move |mode| {
+            .flat_map(|(i, (_, seed))| {
+                (0..CLIENTS).map(move |c| {
                     s.spawn(move |_| {
-                        let session = srv.open_session(&format!("client-{i}-{mode:?}"));
+                        let session = srv.open_session(&format!("client-{i}-{c}"));
+                        let sql = format!("SELECT * FROM dana.udf{i}('t{i}');");
                         let reply = srv
-                            .call(
-                                session,
-                                QueryRequest::TrainSpec {
-                                    spec: w.spec(),
-                                    table: format!("t{i}"),
-                                    mode: *mode,
-                                },
-                            )
+                            .call(session, QueryRequest::Sql(sql))
                             .expect("query must succeed");
-                        (
-                            i,
-                            *seed,
-                            *mode,
-                            reply.response.report().unwrap().models.clone(),
-                        )
+                        (i, *seed, reply.response.report().unwrap().models.clone())
                     })
                 })
             })
@@ -128,12 +118,12 @@ fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
     })
     .unwrap();
 
-    assert_eq!(results.len(), cases.len() * modes.len());
-    for (i, seed, mode, models) in results {
-        let reference = serial_models(&cases[i].0, seed, mode);
+    assert_eq!(results.len(), cases.len() * CLIENTS);
+    for (i, seed, models) in results {
+        let reference = serial_models(&cases[i].0, seed);
         assert_eq!(
             models, reference,
-            "case {i} mode {mode:?}: concurrent result diverged from serial"
+            "case {i}: concurrent result diverged from serial"
         );
     }
 
@@ -142,7 +132,7 @@ fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
     let util = srv.shutdown();
     assert_eq!(
         util.leases.iter().sum::<u64>(),
-        (cases.len() * modes.len()) as u64
+        (cases.len() * CLIENTS) as u64
     );
 }
 
@@ -167,14 +157,14 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
     let mut shared_spec = shared.spec();
     shared_spec.name = "sharedR".into();
     srv.deploy(&shared_spec, "shared").unwrap();
-    let shared_reference = serial_models(&shared, 7, ExecutionMode::Strider);
+    let shared_reference = serial_models(&shared, 7);
 
     // Every client's private workload (identical data ⇒ identical expected
     // model, distinct catalog names ⇒ real DDL contention).
     let mut private = workload("Remote Sensing LR").unwrap().scaled(0.002);
     private.epochs = 2;
     private.merge_coef = 8;
-    let private_reference = serial_models(&private, 11, ExecutionMode::Strider);
+    let private_reference = serial_models(&private, 11);
 
     crossbeam::thread::scope(|s| {
         let srv = &srv;
@@ -268,7 +258,7 @@ fn drop_while_scanning_leaves_no_orphan_pages() {
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
-    let reference = serial_models(&w, 13, ExecutionMode::Strider);
+    let reference = serial_models(&w, 13);
     srv.create_table("t", generate(&w, 32 * 1024, 13).unwrap().heap)
         .unwrap();
     let mut spec = w.spec();
@@ -452,7 +442,7 @@ fn repeated_executes_build_the_engine_exactly_once() {
     );
 
     // Concurrent burst of EXECUTEs against the one deployed accelerator.
-    let reference = serial_models(&w, 21, ExecutionMode::Strider);
+    let reference = serial_models(&w, 21);
     crossbeam::thread::scope(|s| {
         let srv = &srv;
         let reference = &reference;
