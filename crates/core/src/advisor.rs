@@ -8,14 +8,14 @@
 //! form: `exec::point_timing`), data path and engine, one-time setup and
 //! per-epoch host overhead included. The CPU tier pays the same disk
 //! seconds, decodes every tuple on the host, and runs the lowered
-//! program's lane-ops at a calibrated rate, with nothing fixed. The
+//! program's lane-ops at the profile's rate, with nothing fixed. The
 //! FPGA's per-row advantage has to amortize its fixed costs, so offload
 //! pays only above a row threshold, read off the slopes of the two
 //! prices — Tailwind-style break-even reasoning.
 //!
 //! A [`HardwareProfile`] carries the two values nothing else knows — the
-//! CPU tier's lane rate, calibrated by a one-time microbench
-//! ([`dana_engine::calibrate_cpu_lane_rate`]), and the manual threshold.
+//! CPU tier's lane rate, a fixed constant so that `EXPLAIN` is a function
+//! of the catalog alone, and the manual threshold.
 //! [`advise`] turns a priced [`Workload`] into a [`StrategyComparison`]:
 //! estimated seconds per backend, the chosen backend, and the break-even
 //! row count. `EXPLAIN <stmt>` prints exactly this comparison without
@@ -65,15 +65,13 @@ impl BackendChoice {
 /// tier's throughput and the manual break-even override. (The FPGA tier
 /// is priced as it is billed, at the core's own `FpgaSpec`.)
 ///
-/// The default rate is a conservative constant;
-/// [`HardwareProfile::calibrated`] replaces it with a measured one. The
-/// profile is a plain value — tests construct synthetic profiles to pin
-/// the advisor's decisions deterministically.
+/// The default rate is a conservative constant, never measured at run
+/// time. The profile is a plain value — tests construct synthetic
+/// profiles to pin the advisor's decisions deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct HardwareProfile {
     /// CPU tier throughput: lowered SoA lane-ops per second (one lane-op
-    /// = one inner-loop element of the lockstep executor). Calibrated by
-    /// the one-time microbench.
+    /// = one inner-loop element of the lockstep executor).
     pub cpu_lane_ops_per_second: f64,
     /// Manual break-even override: below this many rows the advisor
     /// picks CPU, at or above it FPGA, bypassing the throughput model.
@@ -83,8 +81,8 @@ pub struct HardwareProfile {
 impl Default for HardwareProfile {
     fn default() -> HardwareProfile {
         HardwareProfile {
-            // A deliberately conservative scalar-ish rate; calibration
-            // typically measures 10–100× this on a vectorizing host.
+            // A deliberately conservative scalar-ish rate; a vectorizing
+            // host typically runs 10–100× this.
             cpu_lane_ops_per_second: 50.0e6,
             offload_threshold_rows: None,
         }
@@ -92,16 +90,6 @@ impl Default for HardwareProfile {
 }
 
 impl HardwareProfile {
-    /// A profile whose CPU rate was measured on this host by the
-    /// one-time microbench. Call once per process and reuse — the
-    /// microbench trains a small synthetic design a few times.
-    pub fn calibrated() -> HardwareProfile {
-        HardwareProfile {
-            cpu_lane_ops_per_second: dana_engine::calibrate_cpu_lane_rate(),
-            ..HardwareProfile::default()
-        }
-    }
-
     /// The same profile with a manual break-even override. `Some(0)`
     /// means "always offload" (the paper's behavior — DAnA has no CPU
     /// tier); `None` re-enables the throughput model.
@@ -479,12 +467,5 @@ mod tests {
         assert!(text.contains("cpu"), "{text}");
         assert!(text.contains("break-even"), "{text}");
         assert!(text.contains("chosen: cpu"), "{text}");
-    }
-
-    #[test]
-    fn calibrated_profile_beats_the_default_rate() {
-        let p = HardwareProfile::calibrated();
-        assert!(p.cpu_lane_ops_per_second >= 1.0e6);
-        assert!(p.cpu_lane_ops_per_second.is_finite());
     }
 }

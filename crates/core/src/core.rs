@@ -64,7 +64,7 @@ use dana_fpga::{FpgaSpec, ResourceBudget};
 use dana_hdfg::translate;
 use dana_infer::{MetricKind, MetricPartial, ScoringStats};
 use dana_ml::CpuModel;
-use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatEntry, StatsSnapshot};
+use dana_obs::{MetricsRegistry, QueryTrace, StatEntry, StatsSnapshot};
 use dana_parallel::{
     evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
     train_gang_guarded, ReplaySource, ShardPlan,
@@ -78,7 +78,7 @@ use dana_strider::{disassemble, AccessEngine, AccessStats};
 
 use crate::advisor::{self, BackendChoice, HardwareProfile, StrategyComparison};
 use crate::error::{DanaError, DanaResult};
-use crate::exec::{self, CachedAccelerator, ShardArtifacts, TrainedModels};
+use crate::exec::{self, CachedAccelerator, RunLog, ShardArtifacts, TrainedModels};
 use crate::plan::{PhysicalPlan, PlanOp, Wrap};
 use crate::query::Call;
 use crate::report::{
@@ -475,11 +475,9 @@ impl SystemCore {
             .clone()
     }
 
-    /// Folds one guarded run's fault events into the registry and the
-    /// lifecycle trace. A quiet run records nothing — the `fault_retry`
-    /// span exists only when a fault actually fired, so no-fault trace
-    /// structure is a function of the statement alone.
-    fn record_fault_events(&self, events: &FaultEvents, rec: &SpanRecorder) {
+    /// Folds one guarded run's fault events into the registry. A quiet
+    /// run records nothing.
+    fn record_fault_events(&self, events: &FaultEvents) {
         if events.is_quiet() {
             return;
         }
@@ -490,8 +488,6 @@ impl SystemCore {
         self.metrics
             .gang_member_faults
             .add(events.faulted_shards.len() as u64);
-        rec.add_wall(exec::stage::FAULT_RETRY, events.backoff_seconds);
-        rec.set_count(exec::stage::FAULT_RETRY, events.retries as u64);
     }
 
     /// Folds one finished front-door statement into the registry:
@@ -747,8 +743,9 @@ impl SystemCore {
         *self.profile.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Installs a new advisor profile (e.g. a calibrated one, or one with
-    /// the always-offload default cleared to enable break-even routing).
+    /// Installs a new advisor profile (e.g. another CPU lane rate, or one
+    /// with the always-offload default cleared to enable break-even
+    /// routing).
     pub fn set_hardware_profile(&self, profile: HardwareProfile) {
         *self.profile.write().unwrap_or_else(PoisonError::into_inner) = profile;
     }
@@ -860,10 +857,11 @@ impl SystemCore {
 
     /// Runs a bound plan the way its statement asked to be reported:
     /// `EXPLAIN` replies with the advisor's comparison without running;
-    /// `EXPLAIN ANALYZE` and `WITH (trace = on)` run under an enabled
-    /// span recorder whose front stages are charged `walls`. Returns the
-    /// lifecycle trace beside the outcome when `trace = on` asked for it
-    /// (`EXPLAIN ANALYZE` carries its trace inside the outcome).
+    /// `EXPLAIN ANALYZE` and `WITH (trace = on)` run the plan and compose
+    /// its lifecycle trace afterwards ([`exec::trace`]), charging the
+    /// front stages `walls`. Returns the trace beside the outcome when
+    /// `trace = on` asked for it (`EXPLAIN ANALYZE` carries its trace
+    /// inside the outcome).
     pub fn run(
         &self,
         plan: &PhysicalPlan,
@@ -871,18 +869,15 @@ impl SystemCore {
         ctx: &QueryCtx,
     ) -> DanaResult<(QueryResponse, Option<QueryTrace>)> {
         let comparison = match &plan.wrap {
-            Wrap::None => return Ok((self.execute(plan, &SpanRecorder::disabled(), ctx)?, None)),
+            Wrap::None => return Ok((self.execute(plan, ctx)?.0, None)),
             Wrap::Explain(c) => return Ok((QueryResponse::Explained((**c).clone()), None)),
             Wrap::Trace => None,
             Wrap::Analyze(c) => Some((**c).clone()),
         };
-        let rec = SpanRecorder::enabled();
-        exec::begin_trace(&rec, walls.parse, walls.admission);
-        rec.add_wall(exec::stage::LEASE, walls.lease);
         let start = Instant::now();
-        let outcome = self.execute(plan, &rec, ctx)?;
-        let trace = exec::finish_trace(&rec, outcome.sim_seconds(), start.elapsed().as_secs_f64())
-            .expect("enabled recorder yields a trace");
+        let (outcome, log) = self.execute(plan, ctx)?;
+        let wall = start.elapsed().as_secs_f64();
+        let trace = exec::trace(&outcome, &log, walls, self.fpga.clock.hz, wall);
         Ok(match comparison {
             None => (outcome, Some(trace)),
             Some(comparison) => (
@@ -896,47 +891,51 @@ impl SystemCore {
         })
     }
 
-    /// Executes a bound plan. `rec` carries the lifecycle trace and is a
-    /// no-op when disabled (the common case); `ctx` carries the query's
-    /// deadline and retry budget — training checks it cooperatively at
-    /// epoch boundaries, scoring (a single pass with no boundaries to
-    /// observe the token at) refuses an already-expired deadline before
-    /// the scan starts. A caller holding accelerator leases is expected
-    /// to hold `plan.shards` of them.
+    /// Executes a bound plan, returning the response and what the run
+    /// logged beside it for a trace ([`RunLog`]). `ctx` carries the
+    /// query's deadline and retry budget — training checks it
+    /// cooperatively at epoch boundaries, scoring (a single pass with no
+    /// boundaries to observe the token at) refuses an already-expired
+    /// deadline before the scan starts. A caller holding accelerator
+    /// leases is expected to hold `plan.shards` of them.
     pub fn execute(
         &self,
         plan: &PhysicalPlan,
-        rec: &SpanRecorder,
         ctx: &QueryCtx,
-    ) -> DanaResult<QueryResponse> {
+    ) -> DanaResult<(QueryResponse, RunLog)> {
         if plan.shards > 1 && plan.backend == BackendKind::Cpu {
             return Err(exec::gang_needs_fpga());
         }
         if plan.op != PlanOp::Train {
             ctx.cancel.check()?;
         }
-        Ok(match &plan.op {
-            PlanOp::Train => QueryResponse::Trained(self.train(plan, rec, ctx)?),
+        let mut log = RunLog::default();
+        let response = match &plan.op {
+            PlanOp::Train => {
+                let (report, trained) = self.train(plan, ctx)?;
+                log = trained;
+                QueryResponse::Trained(report)
+            }
             PlanOp::PredictInto { dest } => {
-                QueryResponse::Predicted(self.predict_into(plan, dest, rec)?)
+                let (report, wall) = self.predict_into(plan, dest)?;
+                log.materialize_wall = wall;
+                QueryResponse::Predicted(report)
             }
             PlanOp::Evaluate { metric } => {
-                QueryResponse::Evaluated(self.evaluate_scan(plan, *metric, rec)?)
+                QueryResponse::Evaluated(self.evaluate_scan(plan, *metric)?)
             }
-            PlanOp::Score { lanes } => QueryResponse::Point(self.score(plan, *lanes, rec)?),
-            PlanOp::Point { rows } => QueryResponse::Point(self.point(plan, rows, rec)?),
-        })
+            PlanOp::Score { lanes } => QueryResponse::Point(self.score(plan, *lanes)?),
+            PlanOp::Point { rows } => QueryResponse::Point(self.point(plan, rows)?),
+        };
+        Ok((response, log))
     }
 
     /// Runs a deployed accelerator by UDF name on the FPGA tier. The
     /// trained model is stored back on the catalog entry (last training
     /// wins), making it available to PREDICT/EVALUATE.
     pub fn run_udf(&self, udf: &str, table: &str) -> DanaResult<DanaReport> {
-        self.train(
-            &PhysicalPlan::serial(PlanOp::Train, udf, table),
-            &SpanRecorder::disabled(),
-            &QueryCtx::unbounded(),
-        )
+        let plan = PhysicalPlan::serial(PlanOp::Train, udf, table);
+        Ok(self.train(&plan, &QueryCtx::unbounded())?.0)
     }
 
     /// Scores `source` with `udf`'s latest trained model and materializes
@@ -947,11 +946,9 @@ impl SystemCore {
         let op = PlanOp::PredictInto {
             dest: dest.to_string(),
         };
-        self.predict_into(
-            &PhysicalPlan::serial(op, udf, source),
-            dest,
-            &SpanRecorder::disabled(),
-        )
+        Ok(self
+            .predict_into(&PhysicalPlan::serial(op, udf, source), dest)?
+            .0)
     }
 
     /// Scores `table` and folds an in-database quality metric over the
@@ -967,7 +964,6 @@ impl SystemCore {
         self.evaluate_scan(
             &PhysicalPlan::serial(PlanOp::Evaluate { metric }, udf, table),
             metric,
-            &SpanRecorder::disabled(),
         )
     }
 
@@ -976,9 +972,7 @@ impl SystemCore {
     /// materialized).
     pub fn score_with(&self, udf: &str, table: &str, lanes: Option<u16>) -> DanaResult<Vec<f32>> {
         let plan = PhysicalPlan::serial(PlanOp::Score { lanes }, udf, table);
-        Ok(self
-            .score(&plan, lanes, &SpanRecorder::disabled())?
-            .predictions)
+        Ok(self.score(&plan, lanes)?.predictions)
     }
 
     // ---- training -------------------------------------------------------
@@ -987,12 +981,7 @@ impl SystemCore {
     /// entry, built at DEPLOY — no validation, lowering, or design clone
     /// per query — and its trained model is stored back on the entry (last
     /// training wins).
-    fn train(
-        &self,
-        plan: &PhysicalPlan,
-        rec: &SpanRecorder,
-        ctx: &QueryCtx,
-    ) -> DanaResult<DanaReport> {
+    fn train(&self, plan: &PhysicalPlan, ctx: &QueryCtx) -> DanaResult<(DanaReport, RunLog)> {
         let acc = self.accelerator_runtime(&plan.udf)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         let design = acc.engine.design();
@@ -1015,7 +1004,7 @@ impl SystemCore {
             &mut events,
         );
         let wall = start.elapsed().as_secs_f64();
-        self.record_fault_events(&events, rec);
+        self.record_fault_events(&events);
         ctx.record_faulted(&events.faulted_shards);
         let outcome = run?;
         let (shards, _) = scan.finish(&self.metrics, &heap, &outcome.shard_stats);
@@ -1031,16 +1020,13 @@ impl SystemCore {
                 },
                 shards[0].access_stats,
                 outcome.models,
-                rec,
             ),
             BackendKind::Fpga => exec::assemble_training_report(
                 &self.cost_inputs(acc.budget, &heap),
                 design,
                 shards,
                 outcome.merge_cycles,
-                &outcome.epoch_cycles,
                 outcome.models,
-                rec,
             ),
         };
         let models = Arc::new(TrainedModels {
@@ -1053,7 +1039,13 @@ impl SystemCore {
         if let Some(Deployed::Live { trained, .. }) = self.write().accelerators.get_mut(&plan.udf) {
             *trained = Some(models);
         }
-        Ok(report)
+        let log = RunLog {
+            epoch_cycles: outcome.epoch_cycles,
+            merge_cycles: outcome.merge_cycles,
+            faults: events,
+            ..RunLog::default()
+        };
+        Ok((report, log))
     }
 
     /// Opens a statement's [`Scan`] — the only place that looks at the
@@ -1166,12 +1158,12 @@ impl SystemCore {
     /// every shard count; with a pushdown scan it keeps only surviving
     /// tuples and projected columns. The table is written by as many
     /// members as scanned, each a contiguous range of its output pages.
+    /// Returns the wall seconds the materialization took beside the report.
     fn predict_into(
         &self,
         plan: &PhysicalPlan,
         dest: &str,
-        rec: &SpanRecorder,
-    ) -> DanaResult<PredictReport> {
+    ) -> DanaResult<(PredictReport, Seconds)> {
         let setup = self.scoring_setup(&plan.udf, None)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         // Cheap early refusal before scanning anything; the authoritative
@@ -1180,7 +1172,7 @@ impl SystemCore {
             return Err(StorageError::DuplicateName(dest.to_string()).into());
         }
         let (predictions, stats, timing, shards, survivors) =
-            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+            self.scoring_scan(plan, &setup, &entry, &heap, |members| {
                 Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
             })?;
         let mat_start = Instant::now();
@@ -1200,8 +1192,8 @@ impl SystemCore {
                 }
             }
         }
-        rec.add_wall(exec::stage::MATERIALIZE, mat_start.elapsed().as_secs_f64());
-        Ok(PredictReport {
+        let materialize_wall = mat_start.elapsed().as_secs_f64();
+        let report = PredictReport {
             udf: plan.udf.clone(),
             source_table: plan.table.clone(),
             output_table: dest.to_string(),
@@ -1211,7 +1203,8 @@ impl SystemCore {
             backend: plan.backend,
             scoring: stats,
             timing,
-        })
+        };
+        Ok((report, materialize_wall))
     }
 
     /// EVALUATE: score and fold the metric; nothing is materialized.
@@ -1219,7 +1212,6 @@ impl SystemCore {
         &self,
         plan: &PhysicalPlan,
         metric: Option<MetricKind>,
-        rec: &SpanRecorder,
     ) -> DanaResult<EvalReport> {
         let setup = self.scoring_setup(&plan.udf, None)?;
         let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
@@ -1228,7 +1220,7 @@ impl SystemCore {
         // Member partials combine in shard-index order and the metric
         // finishes once.
         let (value, stats, timing, shards, _) =
-            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+            self.scoring_scan(plan, &setup, &entry, &heap, |members| {
                 let evals = evaluate_gang(&setup.program, setup.lanes, members, metric)?;
                 let mut partial = MetricPartial::default();
                 for e in &evals {
@@ -1254,16 +1246,11 @@ impl SystemCore {
     }
 
     /// The raw prediction stream of a table scan, returned inline.
-    fn score(
-        &self,
-        plan: &PhysicalPlan,
-        lanes: Option<u16>,
-        rec: &SpanRecorder,
-    ) -> DanaResult<PointReport> {
+    fn score(&self, plan: &PhysicalPlan, lanes: Option<u16>) -> DanaResult<PointReport> {
         let setup = self.scoring_setup(&plan.udf, lanes)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         let (predictions, stats, timing, _, _) =
-            self.scoring_scan(plan, &setup, &entry, &heap, rec, |members| {
+            self.scoring_scan(plan, &setup, &entry, &heap, |members| {
                 Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
             })?;
         Ok(PointReport {
@@ -1283,22 +1270,13 @@ impl SystemCore {
     /// (on the CPU tier) no accelerator lease. Bit-identical to the
     /// materializing path on the same rows because the identical lockstep
     /// kernel runs in both.
-    fn point(
-        &self,
-        plan: &PhysicalPlan,
-        rows: &[Vec<f32>],
-        rec: &SpanRecorder,
-    ) -> DanaResult<PointReport> {
+    fn point(&self, plan: &PhysicalPlan, rows: &[Vec<f32>]) -> DanaResult<PointReport> {
         let setup = self.scoring_setup(&plan.udf, None)?;
         let batch = exec::point_batch(&plan.udf, &setup.program, rows)?;
         let start = Instant::now();
         let (predictions, stats) = dana_infer::score_batch(&setup.program, setup.lanes, &batch)?;
         let wall = start.elapsed().as_secs_f64();
         let timing = exec::point_timing(plan.backend, &stats, wall, &self.fpga);
-        match plan.backend {
-            BackendKind::Cpu => exec::record_cpu_spans(rec, wall),
-            BackendKind::Fpga => rec.add_sim(exec::stage::ENGINE, timing.engine_seconds),
-        }
         Ok(PointReport {
             udf: plan.udf.clone(),
             predictions,
@@ -1335,7 +1313,6 @@ impl SystemCore {
         setup: &exec::ScoringSetup,
         entry: &TableEntry,
         heap: &HeapFile,
-        rec: &SpanRecorder,
         fold: impl FnOnce(&mut [Member<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
     ) -> DanaResult<(T, ScoringStats, DanaTiming, u16, Option<Survivors>)> {
         let budget = setup.cached.budget;
@@ -1347,13 +1324,10 @@ impl SystemCore {
         let (shards, survivors) = scan.finish(&self.metrics, heap, &[]);
         let (timing, combined) = match plan.backend {
             // `execute` refuses a CPU gang, so this scan had one member.
-            BackendKind::Cpu => {
-                exec::record_cpu_spans(rec, wall);
-                (DanaTiming::wall_only(wall), stats[0])
-            }
+            BackendKind::Cpu => (DanaTiming::wall_only(wall), stats[0]),
             BackendKind::Fpga => {
                 let inputs = self.cost_inputs(budget, heap);
-                exec::assemble_scoring_timing(&inputs, &shards, &stats, rec)
+                exec::assemble_scoring_timing(&inputs, &shards, &stats)
             }
         };
         Ok((out, combined, timing, shards.len() as u16, survivors))
@@ -1848,7 +1822,7 @@ mod tests {
             ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
         };
         assert!(matches!(
-            core.execute(&conflict, &SpanRecorder::disabled(), &QueryCtx::unbounded()),
+            core.execute(&conflict, &QueryCtx::unbounded()),
             Err(DanaError::Query(_))
         ));
         // SHOW STATS executes nothing: there is no comparison to read.

@@ -12,8 +12,9 @@
 //! terms themselves are not written here: [`stream_counts`] hands what
 //! the scan measured to [`crate::runtime::price`], the one price bind
 //! also composes from [`estimated_counts`] — the same counts, estimated
-//! before the scan runs — and the trace's stage split is read off the
-//! composed [`DanaTiming`].
+//! before the scan runs. [`trace`] is the one builder of a statement's
+//! lifecycle trace: it reads the composed [`DanaTiming`] off the response
+//! and what the run logged beside it ([`RunLog`]), after the run.
 //!
 //! Nothing here reads a page or evaluates a predicate:
 //! [`materialize_predictions`] hands the inference tier the slots a
@@ -22,27 +23,27 @@
 use std::sync::Arc;
 
 use dana_compiler::CompiledAccelerator;
-use dana_engine::{Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine};
+use dana_engine::{
+    Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine, FaultEvents,
+};
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
 use dana_ml::CpuModel;
-use dana_obs::{MetricsRegistry, SpanRecorder};
+use dana_obs::{MetricsRegistry, QueryTrace, TraceSpan};
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{DiskModel, HeapFile, HeapFileBuilder, Schema};
 use dana_strider::{AccessEngine, AccessEngineConfig, AccessStats};
 
 use crate::advisor::{HardwareProfile, Workload};
+use crate::core::FrontDoorWalls;
 use crate::error::{DanaError, DanaResult};
 use crate::plan::PlanOp;
 use crate::query::Statement;
-use crate::report::{DanaReport, DanaTiming, Seconds};
+use crate::report::{DanaReport, DanaTiming, QueryResponse, Seconds};
 use crate::runtime::{self, ExecutionMode, ScanCounts};
 
 /// The query-lifecycle trace's stage vocabulary, in lifecycle order.
-/// Every traced run pre-registers the front half (`parse` →
-/// `admission_wait` → `lease`) and the assembly helpers here fill in the
-/// execution stages, so embedded and served runs emit structurally
-/// identical traces.
+/// [`trace`] is the one place that decides which of them a trace holds.
 pub mod stage {
     pub const PARSE: &str = "parse";
     pub const ADMISSION: &str = "admission_wait";
@@ -58,122 +59,111 @@ pub mod stage {
     pub const FAULT_RETRY: &str = "fault_retry";
 }
 
-/// Pre-registers the lifecycle skeleton on a recorder: the three stages
-/// every query passes before execution, in order, with the measured
-/// parse/wait walls. No-op when the recorder is disabled.
-pub fn begin_trace(rec: &SpanRecorder, parse_wall: Seconds, admission_wall: Seconds) {
-    if !rec.is_enabled() {
-        return;
-    }
-    rec.stage(stage::PARSE);
-    rec.add_wall(stage::PARSE, parse_wall);
-    rec.stage(stage::ADMISSION);
-    rec.add_wall(stage::ADMISSION, admission_wall);
-    rec.stage(stage::LEASE);
+/// What a run measured that its [`QueryResponse`] does not carry and its
+/// trace reads: [`crate::SystemCore::execute`] returns it beside the
+/// response. Only EXECUTE fills the first three and only PREDICT … INTO
+/// the last; every other statement's log is the default.
+#[derive(Debug, Default)]
+pub struct RunLog {
+    /// The critical member's per-epoch engine cycles
+    /// ([`dana_parallel::GangOutcome::epoch_cycles`]).
+    pub epoch_cycles: Vec<u64>,
+    /// The gang's epoch-boundary merge-tier cycles.
+    pub merge_cycles: u64,
+    /// The guarded epoch loop's faults, retries and backoff.
+    pub faults: FaultEvents,
+    /// Wall seconds spent writing the prediction table.
+    pub materialize_wall: Seconds,
 }
 
-/// Seals a trace: appends the terminal `reply` stage and drains the
-/// recorder into a [`dana_obs::QueryTrace`] carrying the end-to-end
-/// totals. Returns `None` on a disabled recorder.
-pub fn finish_trace(
-    rec: &SpanRecorder,
-    total_sim: Seconds,
-    total_wall: Seconds,
-) -> Option<dana_obs::QueryTrace> {
-    if !rec.is_enabled() {
-        return None;
-    }
-    rec.stage(stage::REPLY);
-    rec.finish(total_sim, total_wall)
-}
-
-/// Records the execution-stage spans (`scan` / `engine` + per-epoch
-/// children / `merge`) of one composed training run. The stage sims
-/// partition the composed `total_seconds` by construction: `lease` is
-/// the one-time setup, `engine` (+ `merge`) the engine compute, and
-/// `scan` everything else of each epoch — the overlapped feed's surplus
-/// over compute, pipeline fill and host epoch overhead — so `EXPLAIN
-/// ANALYZE`'s stage sum is the query report's total.
+/// Composes the lifecycle trace of one executed statement from its
+/// response and its [`RunLog`] — a pure function, run only when a trace
+/// was asked for. `walls` are the front stages' waits and `wall` the
+/// measured execution.
 ///
-/// Counts and children depend only on the statement and the engine's
-/// deterministic epoch outcome — never on gang width or front door — so
-/// the trace *shape* is identical across embedded/served runs and shard
-/// counts (gang scan work aggregates into the one `scan` stage via the
-/// critical path, which is exactly how the cost model composes it).
-fn record_training_spans(
-    rec: &SpanRecorder,
-    timing: &DanaTiming,
-    epochs: u32,
+/// Every statement has the same stages, so the *shape* is a function of
+/// the statement alone — never of tier, gang width or front door. The
+/// stage sims partition the composed total by construction: `lease` is
+/// the one-time setup, `engine` (+ `merge`) the engine compute, and
+/// `scan` everything else — the overlapped feed's surplus over compute,
+/// pipeline fill and host epoch overhead. A CPU-tier run simulated
+/// nothing: its sims are all zero and its stopwatch lands on `engine`.
+/// An FPGA EXECUTE hangs one child per epoch off `engine`.
+pub fn trace(
+    outcome: &QueryResponse,
+    log: &RunLog,
+    walls: &FrontDoorWalls,
     clock_hz: f64,
-    epoch_cycles: &[u64],
-    merge_cycles: u64,
-) {
-    if !rec.is_enabled() {
-        return;
+    wall: Seconds,
+) -> QueryTrace {
+    let timing = outcome.timing().copied().unwrap_or_default();
+    let span = |name: &str, count, sim_seconds, wall_seconds| TraceSpan {
+        name: name.to_string(),
+        count,
+        sim_seconds,
+        wall_seconds,
+        children: Vec::new(),
+    };
+    let mut stages = vec![
+        span(stage::PARSE, 1, 0.0, walls.parse),
+        span(stage::ADMISSION, 1, 0.0, walls.admission),
+        span(stage::LEASE, 1, timing.setup_seconds, walls.lease),
+    ];
+    if !log.faults.is_quiet() {
+        let retries = u64::from(log.faults.retries);
+        stages.push(span(
+            stage::FAULT_RETRY,
+            retries,
+            0.0,
+            log.faults.backoff_seconds,
+        ));
     }
-    record_scan_split(rec, timing);
-    // The gang's epoch-boundary merge tier rides the engine's cycle
-    // counter in the cost model; carve its share back out so the trace
-    // attributes it to its own stage (bounded by the engine slice).
-    let merge_sim = (merge_cycles as f64 / clock_hz.max(1.0)).min(timing.engine_seconds);
-    let engine_sim = timing.engine_seconds - merge_sim;
-    rec.add_sim(stage::ENGINE, engine_sim);
-    let epochs = epochs.max(1) as usize;
-    rec.set_count(stage::ENGINE, epochs as u64);
-    // The critical member's per-epoch cycle log distributes the engine
-    // slice in the measured proportions (a run that charged no cycles
-    // shares it uniformly); the children sum to the parent stage.
-    let logged: u64 = epoch_cycles.iter().sum();
-    if logged > 0 {
-        for &cycles in epoch_cycles {
-            rec.child(
-                stage::ENGINE,
-                "epoch",
-                engine_sim * cycles as f64 / logged as f64,
-            );
-        }
-    } else {
-        for _ in 0..epochs {
-            rec.child(stage::ENGINE, "epoch", engine_sim / epochs as f64);
-        }
-    }
-    rec.add_sim(stage::MERGE, merge_sim);
-}
-
-/// [`record_training_spans`]'s scoring twin: one pass, no epochs, no
-/// merge tier — `engine` carries the forward-pass compute (the scan's
-/// [`ScoringStats::cycles`] at the clock) and `merge` stays an empty anchor
-/// so scoring traces keep the same stage order as training.
-fn record_scoring_spans(rec: &SpanRecorder, timing: &DanaTiming) {
-    if !rec.is_enabled() {
-        return;
-    }
-    record_scan_split(rec, timing);
-    rec.add_sim(stage::ENGINE, timing.engine_seconds);
-    rec.stage(stage::MERGE);
-}
-
-/// The `lease` and `scan` stage sims of a composed run: setup, and the
-/// total less setup and engine compute.
-fn record_scan_split(rec: &SpanRecorder, timing: &DanaTiming) {
-    rec.add_sim(stage::LEASE, timing.setup_seconds);
-    rec.add_sim(
-        stage::SCAN,
-        timing.total_seconds - timing.setup_seconds - timing.engine_seconds,
+    let scan = timing.total_seconds - timing.setup_seconds - timing.engine_seconds;
+    stages.push(span(stage::SCAN, 1, scan, 0.0));
+    // The gang's merge tier rides the engine's cycle counter in the cost
+    // model; carve its share back out (bounded by the engine slice).
+    let merge = (log.merge_cycles as f64 / clock_hz.max(1.0)).min(timing.engine_seconds);
+    let engine_sim = timing.engine_seconds - merge;
+    let mut engine = span(
+        stage::ENGINE,
+        1,
+        engine_sim,
+        timing.wall_seconds.unwrap_or(0.0),
     );
-}
-
-/// Records the wall-clock execution spans of a native-CPU run, where no
-/// cycle model exists: the measured backend wall lands on `engine`, and
-/// `scan`/`merge` stay structural anchors so CPU traces share the FPGA
-/// trace's stage order.
-pub fn record_cpu_spans(rec: &SpanRecorder, wall_seconds: Seconds) {
-    if !rec.is_enabled() {
-        return;
+    let epochs = match outcome {
+        QueryResponse::Trained(r) if r.backend == BackendKind::Fpga => Some(r.epochs_run.max(1)),
+        _ => None,
+    };
+    if let Some(epochs) = epochs {
+        // The critical member's epoch log distributes the engine slice in
+        // the measured proportions (a run that charged no cycles shares it
+        // uniformly); the children sum to the stage.
+        let logged: u64 = log.epoch_cycles.iter().sum();
+        let shares: Vec<f64> = match logged {
+            0 => vec![engine_sim / f64::from(epochs); epochs as usize],
+            _ => log
+                .epoch_cycles
+                .iter()
+                .map(|&c| engine_sim * c as f64 / logged as f64)
+                .collect(),
+        };
+        engine.count = u64::from(epochs);
+        engine.children = shares
+            .into_iter()
+            .map(|sim| span("epoch", 1, sim, 0.0))
+            .collect();
     }
-    rec.stage(stage::SCAN);
-    rec.add_wall(stage::ENGINE, wall_seconds);
-    rec.stage(stage::MERGE);
+    stages.push(engine);
+    stages.push(span(stage::MERGE, 1, merge, 0.0));
+    if let QueryResponse::Predicted(_) = outcome {
+        stages.push(span(stage::MATERIALIZE, 1, 0.0, log.materialize_wall));
+    }
+    stages.push(span(stage::REPLY, 1, 0.0, 0.0));
+    QueryTrace {
+        stages,
+        total_sim_seconds: outcome.sim_seconds(),
+        total_wall_seconds: wall,
+    }
 }
 
 /// The runtime artifact one EXECUTE needs, built once at DEPLOY and held
@@ -399,9 +389,7 @@ pub fn assemble_cpu_report(
     run: BackendRun,
     access_stats: AccessStats,
     models: Vec<Vec<f32>>,
-    rec: &SpanRecorder,
 ) -> DanaReport {
-    record_cpu_spans(rec, run.wall_seconds.unwrap_or(0.0));
     let model_names = design.models.iter().map(|m| m.name.clone()).collect();
     DanaReport {
         models,
@@ -523,7 +511,7 @@ pub fn estimated_counts(inputs: &CostInputs<'_>, scan: Option<&ScanSpec>) -> Sca
 /// billed — [`CostInputs::price`] over [`estimated_counts`], the point
 /// form by [`point_timing`]. The CPU tier pays the same disk seconds,
 /// host decode of every tuple each pass (`CpuModel` deform and convert)
-/// and the program's lane-ops at the profile's calibrated rate.
+/// and the program's lane-ops at the profile's rate.
 pub fn price_statement(
     cached: &CachedAccelerator,
     op: &PlanOp,
@@ -649,17 +637,13 @@ fn critical_scan(heap: &HeapFile, shards: &[ShardArtifacts]) -> (AccessStats, Se
 /// engine's merge counter, and throughput counters (tuples, batches) sum
 /// so the report states true totals. Every one of those reductions is
 /// the identity over one member, so a serial statement's report is its
-/// single member's measurements. `epoch_cycles` is the critical member's
-/// per-epoch cycle log ([`dana_parallel::GangOutcome::epoch_cycles`]),
-/// which the trace distributes the engine stage by.
+/// single member's measurements.
 pub fn assemble_training_report(
     inputs: &CostInputs<'_>,
     design: &EngineDesign,
     shards: Vec<ShardArtifacts>,
     merge_cycles: u64,
-    epoch_cycles: &[u64],
     models: Vec<Vec<f32>>,
-    rec: &SpanRecorder,
 ) -> DanaReport {
     let mut stats = EngineStats::default();
     for s in &shards {
@@ -683,7 +667,6 @@ pub fn assemble_training_report(
     let engine_per_epoch = stats.cycles as f64 / epochs as f64 / clock_hz;
     let counts = stream_counts(inputs, scan_pages, &access, io_first, engine_per_epoch);
     let timing = inputs.price(epochs, &counts);
-    record_training_spans(rec, &timing, epochs, clock_hz, epoch_cycles, merge_cycles);
     DanaReport {
         models,
         model_names: design.models.iter().map(|m| m.name.clone()).collect(),
@@ -707,7 +690,6 @@ pub fn assemble_scoring_timing(
     inputs: &CostInputs<'_>,
     shards: &[ShardArtifacts],
     scoring: &[ScoringStats],
-    rec: &SpanRecorder,
 ) -> (DanaTiming, ScoringStats) {
     assert_eq!(
         shards.len(),
@@ -726,7 +708,6 @@ pub fn assemble_scoring_timing(
         1,
         &stream_counts(inputs, scan_pages, &access, io_first, engine),
     );
-    record_scoring_spans(rec, &timing);
     (timing, combined)
 }
 

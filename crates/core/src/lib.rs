@@ -75,7 +75,7 @@ pub use analytic::{
 };
 pub use dana_engine::{Backend, BackendKind};
 pub use dana_infer::{MetricKind, ScoringRecipe, ScoringStats};
-pub use dana_obs::{MetricsRegistry, QueryTrace, SpanRecorder, StatsSnapshot, TraceSpan};
+pub use dana_obs::{MetricsRegistry, QueryTrace, StatsSnapshot, TraceSpan};
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{
     compress_page, decompress_page, select_slots, CmpOp, ForPage, LaneScratch, Predicate,

@@ -43,14 +43,6 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionMode::Strider => "DAnA",
-            ExecutionMode::CpuFed => "DAnA w/o Striders",
-            ExecutionMode::Tabla => "TABLA",
-        }
-    }
-
     pub fn uses_striders(&self) -> bool {
         matches!(self, ExecutionMode::Strider)
     }
@@ -294,7 +286,6 @@ mod tests {
 
     #[test]
     fn mode_names() {
-        assert_eq!(ExecutionMode::Strider.name(), "DAnA");
         assert!(ExecutionMode::Strider.uses_striders());
         assert!(!ExecutionMode::Tabla.uses_striders());
     }

@@ -104,92 +104,6 @@ impl Backend {
     }
 }
 
-/// One-time microbenchmark calibrating the CPU tier's throughput:
-/// measures lowered **lane-ops per second** (one lane-op = one SoA
-/// inner-loop element) on a small synthetic dense design. The backend
-/// advisor divides a program's per-tuple lane-op count by this rate to
-/// estimate CPU seconds per tuple.
-///
-/// The synthetic design is dense (lockstep path), multiply/add-heavy,
-/// and wide enough (16 lanes) to hit the vectorized loops — the same
-/// shape the real zoo programs lower to.
-pub fn calibrate_cpu_lane_rate() -> f64 {
-    use crate::engine::{ConvergenceCheck, EngineDesign, MergePlan, ModelDesc, ModelWrite};
-    use crate::isa::{AluOp, EngineProgram, Loc, MicroOp, Src, Step};
-    use dana_dsl::MergeOp;
-    use dana_storage::{OneBatchSource, TupleBatch};
-
-    let alu = |au, op, a, b, dst| MicroOp::Alu { au, op, a, b, dst };
-    let s = |au, slot| Src::Slot(Loc::new(au, slot));
-    // Per-tuple: p = w*x; er = p − y; g = er*x — the linear-model inner
-    // loop, one AU, three steps. Merge sums g; post-merge applies it.
-    let design = EngineDesign {
-        num_threads: 16,
-        acs_per_thread: 1,
-        slots_per_au: 8,
-        bus_lanes: 1,
-        program: EngineProgram {
-            per_tuple: vec![
-                Step {
-                    ops: vec![alu(0, AluOp::Mul, s(0, 0), s(0, 1), 2)],
-                },
-                Step {
-                    ops: vec![alu(0, AluOp::Sub, s(0, 2), s(0, 3), 2)],
-                },
-                Step {
-                    ops: vec![alu(0, AluOp::Mul, s(0, 2), s(0, 0), 2)],
-                },
-            ],
-            post_merge: vec![Step {
-                ops: vec![alu(0, AluOp::Sub, s(0, 1), s(0, 2), 4)],
-            }],
-        },
-        input_slots: vec![Loc::new(0, 0)],
-        output_slots: vec![Loc::new(0, 3)],
-        meta: vec![],
-        models: vec![ModelDesc {
-            name: "w".into(),
-            rows: 1,
-            cols: 1,
-            broadcast_slots: Some(vec![Loc::new(0, 1)]),
-        }],
-        merge: MergePlan::Whole {
-            op: MergeOp::Sum,
-            slots: vec![Loc::new(0, 2)],
-        },
-        model_writes: vec![ModelWrite::Whole {
-            model: 0,
-            src: vec![Loc::new(0, 4)],
-        }],
-        convergence: ConvergenceCheck::Epochs(1),
-    };
-    let engine = Arc::new(ExecutionEngine::new(design.clone()).expect("calibration design"));
-    let lane_ops_per_tuple = engine.lowered().per_tuple_lane_ops() as f64;
-    let backend = Backend::new(BackendKind::Cpu, engine);
-
-    let tuples: Vec<Vec<f32>> = (0..32_768)
-        .map(|k| vec![(k % 97) as f32 * 0.01, (k % 31) as f32 * 0.1])
-        .collect();
-    let batch = TupleBatch::from_rows(2, &tuples);
-    // Warm up once, then take the best of three runs so a scheduler
-    // hiccup can't poison the profile for the whole session.
-    let mut best = f64::INFINITY;
-    for round in 0..4 {
-        let mut store = ModelStore::zeroed(&design);
-        let run = backend
-            .run_training(&mut OneBatchSource::new(&batch), &mut store)
-            .expect("calibration run");
-        let wall = run.wall_seconds.expect("cpu tier measures wall time");
-        if round > 0 && wall > 0.0 {
-            best = best.min(wall);
-        }
-    }
-    let total_lane_ops = lane_ops_per_tuple * tuples.len() as f64;
-    // Clamp to a sane floor so a pathological measurement (e.g. a clock
-    // with no sub-millisecond resolution) still yields a usable rate.
-    (total_lane_ops / best).max(1.0e6)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -298,13 +212,6 @@ pub(crate) mod tests {
             .run_training(&mut OneBatchSource::new(&batch), &mut store)
             .unwrap();
         assert!(run.wall_seconds.is_some_and(|w| w >= 0.0));
-    }
-
-    #[test]
-    fn calibration_yields_a_positive_rate() {
-        let rate = calibrate_cpu_lane_rate();
-        assert!(rate >= 1.0e6, "lane rate {rate} implausibly low");
-        assert!(rate.is_finite());
     }
 
     #[test]

@@ -265,8 +265,8 @@ impl ExecutionEngine {
     /// `store` holds the models and receives the result.
     ///
     /// This is the quiet loop over one [`crate::lowered::TrainingSession`]
-    /// — no token, no fault plan, no merge — that the backends, the
-    /// calibration and the tests call. No statement reaches it: every
+    /// — no token, no fault plan, no merge — that the backends and the
+    /// tests call. No statement reaches it: every
     /// EXECUTE runs `dana_parallel`'s guarded gang loop, whose one-member
     /// case is held bit-identical to this loop in models and stats.
     pub fn run_training(

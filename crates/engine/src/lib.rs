@@ -58,7 +58,7 @@ pub mod fault;
 pub mod isa;
 pub mod lowered;
 
-pub use backend::{calibrate_cpu_lane_rate, Backend, BackendKind, BackendRun};
+pub use backend::{Backend, BackendKind, BackendRun};
 pub use engine::{
     ConvergenceCheck, EngineDesign, EngineStats, ExecutionEngine, MergePlan, ModelStore, ModelWrite,
 };

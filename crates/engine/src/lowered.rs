@@ -393,8 +393,8 @@ impl LoweredProgram {
     /// SoA inner-loop elements ("lane-ops") the CPU tier executes per
     /// tuple: every per-tuple op touches one element per lane, and every
     /// dense-model broadcast element is refilled per lane per group. The
-    /// backend advisor divides this by the calibrated lane rate to
-    /// estimate CPU seconds per tuple.
+    /// backend advisor divides this by the `HardwareProfile`'s lane rate
+    /// to estimate CPU seconds per tuple.
     pub fn per_tuple_lane_ops(&self) -> u64 {
         let ops: u64 = self.per_tuple.iter().map(op_elems).sum();
         let broadcast: u64 = self.broadcasts.iter().map(|b| b.dst.len() as u64).sum();

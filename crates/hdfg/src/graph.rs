@@ -1,4 +1,4 @@
-//! The hDFG data structure and its analysis queries.
+//! The hDFG data structure.
 
 use dana_dsl::{BinOp, Convergence, DataKind, Dims, GroupOp, MergeOp, UnaryFn, VarId};
 
@@ -53,63 +53,6 @@ pub struct HNode {
     pub region: Region,
     /// Source-level name (variable name or a derived label) for diagnostics.
     pub name: String,
-}
-
-impl HNode {
-    /// Number of atomic sub-nodes (single scalar engine operations) this
-    /// multi-dimensional node decomposes into (§4.4).
-    ///
-    /// * elementwise binary/unary: one op per output element;
-    /// * `sigma`/`pi` over an axis of extent `k`: a `(k−1)`-op reduction
-    ///   tree per output element;
-    /// * `norm`: squares (`k`), reduction (`k−1`), and a square root;
-    /// * `gather`: one move per gathered element;
-    /// * leaves, constants, identities: zero compute.
-    pub fn atomic_ops(&self, input_dims: &[&Dims]) -> u64 {
-        let out = self.dims.elements() as u64;
-        match &self.op {
-            HOp::Binary(_) => out,
-            HOp::Unary(_) => out,
-            HOp::Group(g, axis) => {
-                let in_dims = input_dims.first().expect("group has one input");
-                let k = group_extent(in_dims, *axis) as u64;
-                match g {
-                    GroupOp::Sigma | GroupOp::Pi => out * k.saturating_sub(1),
-                    GroupOp::Norm => out * (2 * k).saturating_sub(1).max(1),
-                }
-            }
-            HOp::Gather => out,
-            HOp::Merge(_) => out,
-            HOp::Leaf { .. } | HOp::Identity | HOp::Const(_) => 0,
-        }
-    }
-
-    /// Pipeline depth in "levels" when fully parallelized: elementwise ops
-    /// take one level; reductions take ⌈log₂ k⌉ levels.
-    pub fn depth(&self, input_dims: &[&Dims]) -> u64 {
-        match &self.op {
-            HOp::Binary(_) | HOp::Unary(_) | HOp::Gather | HOp::Merge(_) => 1,
-            HOp::Group(g, axis) => {
-                let in_dims = input_dims.first().expect("group has one input");
-                let k = group_extent(in_dims, *axis).max(1) as u64;
-                let tree = (64 - (k - 1).leading_zeros().min(63)) as u64; // ⌈log₂ k⌉
-                match g {
-                    GroupOp::Sigma | GroupOp::Pi => tree.max(1),
-                    GroupOp::Norm => tree + 2, // squares, tree, sqrt
-                }
-            }
-            HOp::Leaf { .. } | HOp::Identity | HOp::Const(_) => 0,
-        }
-    }
-}
-
-/// Extent of the reduced axis (1-based from the right).
-fn group_extent(dims: &Dims, axis: usize) -> usize {
-    if dims.is_scalar() {
-        1
-    } else {
-        dims.0[dims.rank() - axis]
-    }
 }
 
 /// How the trained model leaves the graph.
@@ -195,43 +138,9 @@ impl Hdfg {
             .map(|(_, vals)| vals.iter().map(|x| *x as f32).collect())
     }
 
-    fn input_dims(&self, node: &HNode) -> Vec<&Dims> {
-        node.inputs.iter().map(|i| &self.node(*i).dims).collect()
-    }
-
     /// Nodes in a region, in topological order.
     pub fn region_nodes(&self, region: Region) -> impl Iterator<Item = &HNode> {
         self.nodes.iter().filter(move |n| n.region == region)
-    }
-
-    /// Total atomic sub-node count in a region — the work one thread
-    /// performs per tuple (PerTuple) or per batch (PostMerge).
-    pub fn atomic_op_count(&self, region: Region) -> u64 {
-        self.region_nodes(region)
-            .map(|n| n.atomic_ops(&self.input_dims(n)))
-            .sum()
-    }
-
-    /// Critical-path depth of a region in levels (infinite-resource bound):
-    /// the longest chain of node depths through the dataflow edges.
-    pub fn critical_path(&self, region: Region) -> u64 {
-        let mut best: Vec<u64> = vec![0; self.nodes.len()];
-        let mut max = 0;
-        for n in &self.nodes {
-            if n.region != region {
-                continue;
-            }
-            let in_best = n
-                .inputs
-                .iter()
-                .map(|i| best[i.0 as usize])
-                .max()
-                .unwrap_or(0);
-            let d = in_best + n.depth(&self.input_dims(n));
-            best[n.id.0 as usize] = d;
-            max = max.max(d);
-        }
-        max
     }
 
     /// Structural invariant check: inputs precede their consumers, regions
@@ -268,30 +177,6 @@ impl Hdfg {
         }
         Ok(())
     }
-
-    /// GraphViz dot output (handy for docs and debugging).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "digraph \"{}\" {{", self.name);
-        for n in &self.nodes {
-            let shape = match n.op {
-                HOp::Leaf { .. } => "ellipse",
-                HOp::Merge(_) => "doubleoctagon",
-                _ => "box",
-            };
-            let _ = writeln!(
-                s,
-                "  n{} [label=\"{} {}\" shape={}];",
-                n.id.0, n.name, n.dims, shape
-            );
-            for i in &n.inputs {
-                let _ = writeln!(s, "  n{} -> n{};", i.0, n.id.0);
-            }
-        }
-        let _ = writeln!(s, "}}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -310,29 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_ops_scale_with_features() {
-        let g8 = linreg_graph(8);
-        let g64 = linreg_graph(64);
-        let w8 = g8.atomic_op_count(Region::PerTuple);
-        let w64 = g64.atomic_op_count(Region::PerTuple);
-        // linear regression per-tuple work: mul n + reduce (n−1) + sub 1 + mul n
-        assert_eq!(w8, 8 + 7 + 1 + 8);
-        assert_eq!(w64, 64 + 63 + 1 + 64);
-        assert!(w64 > w8);
-    }
-
-    #[test]
-    fn critical_path_is_logarithmic_in_features() {
-        let g8 = linreg_graph(8);
-        let g64 = linreg_graph(64);
-        let d8 = g8.critical_path(Region::PerTuple);
-        let d64 = g64.critical_path(Region::PerTuple);
-        // mul (1) + log2 reduction + sub (1) + mul (1)
-        assert_eq!(d8, 1 + 3 + 1 + 1);
-        assert_eq!(d64, 1 + 6 + 1 + 1);
-    }
-
-    #[test]
     fn merge_node_has_correct_shape() {
         let g = linreg_graph(16);
         let m = g.merge.expect("linreg has a merge");
@@ -348,15 +210,5 @@ mod tests {
         linreg_graph(10).check().unwrap();
         let spec = lrmf(LrmfParams::default()).unwrap();
         translate(&spec).check().unwrap();
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node() {
-        let g = linreg_graph(4);
-        let dot = g.to_dot();
-        for n in &g.nodes {
-            assert!(dot.contains(&format!("n{}", n.id.0)));
-        }
-        assert!(dot.contains("doubleoctagon")); // merge node rendered distinctly
     }
 }

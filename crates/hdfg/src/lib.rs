@@ -11,9 +11,8 @@
 //! the thread-combination boundary, and regions marking which nodes run
 //! per-tuple (replicated across threads) versus post-merge (once per
 //! batch). Every node knows its output [`dana_dsl::Dims`] (inference already ran in
-//! the DSL layer and is re-used verbatim) and can report its **atomic
-//! sub-node count** and **depth** — the two quantities the hardware
-//! generator's design-space exploration consumes (§6.1).
+//! the DSL layer and is re-used verbatim). The compiler schedules the graph
+//! and prices each design from that schedule, not from the graph itself.
 
 pub mod graph;
 pub mod translate;

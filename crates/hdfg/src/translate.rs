@@ -209,9 +209,6 @@ mod tests {
             .filter(|n| matches!(n.op, HOp::Unary(UnaryFn::Sigmoid)))
             .count();
         assert_eq!(sigmoids, 1);
-        // logistic is strictly more work per tuple than linear
-        let lin = translate(&linear_regression(DenseParams::default()).unwrap());
-        assert!(g.atomic_op_count(Region::PerTuple) > lin.atomic_op_count(Region::PerTuple));
     }
 
     #[test]

@@ -10,21 +10,17 @@
 //!   [`StatsSnapshot`] for `SHOW STATS`;
 //! * a **query-lifecycle trace** ([`QueryTrace`]) of named stage spans
 //!   (parse → admission wait → lease → scan → engine → merge →
-//!   materialize → reply), accumulated through a [`SpanRecorder`] that
-//!   the embedded front door and the server worker both hand to the one
-//!   plan executor — so they emit structurally identical traces for
-//!   `EXPLAIN ANALYZE` and `WITH (trace = on)`.
-//!
-//! The recorder is pay-for-what-you-use: a disabled [`SpanRecorder`] is
-//! a `None` and every call on it is a no-op — queries that don't opt in
-//! never touch a lock or an allocation.
+//!   materialize → reply) for `EXPLAIN ANALYZE` and `WITH (trace = on)`.
+//!   The core composes it once, after the run, from what the run
+//!   reported — so untraced queries pay nothing for it, and the embedded
+//!   front door and the server worker emit structurally identical traces.
 
 pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use metrics::{StatEntry, StatsSnapshot};
-pub use trace::{QueryTrace, SpanRecorder, TraceSpan};
+pub use trace::{QueryTrace, TraceSpan};
 
 /// The subsystems `SHOW STATS ('<subsystem>')` can filter on. A name
 /// outside this list is a typed query error at parse time.

@@ -12,7 +12,7 @@
 //! statement will run: the FPGA estimate is the bill the run would get
 //! (setup, per-epoch overhead, and the overlapped disk, AXI, Strider and
 //! engine terms), and the CPU tier pays the same disk seconds plus host
-//! decode and lane-ops at its calibrated rate. The FPGA's fixed costs
+//! decode and lane-ops at the profile's fixed rate. The FPGA's fixed costs
 //! amortize against its lower price per row, so small tables price out
 //! on the CPU and large tables on the FPGA; the break-even is read off
 //! the two prices' slopes. `EXPLAIN` prints the per-backend comparison

@@ -8,8 +8,8 @@
 //! * `SHOW STATS` — the server-wide metrics snapshot (admission queue,
 //!   accelerator pool busy/idle clocks, buffer pool, engine counters,
 //!   sessions), rendered as the result table a client would see;
-//! * `EXPLAIN ANALYZE` — one query executed with the span recorder on,
-//!   its span tree rendered beside the backend-advisor comparison.
+//! * `EXPLAIN ANALYZE` — one query executed and traced, its span tree
+//!   rendered beside the backend-advisor comparison.
 //!
 //! Run with `cargo run --release --example observability`;
 //! `DANA_SMOKE=1` shrinks the burst for CI.
@@ -109,7 +109,7 @@ fn main() {
     };
     println!("\nSHOW STATS;\n{}", snap.render_table());
 
-    // One query re-run under the span recorder: the full lifecycle tree
+    // One query re-run traced: the full lifecycle tree
     // plus the backend advisor's take on the same statement.
     let reply = srv
         .call(

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dana::prelude::*;
-use dana::{ParallelError, PhysicalPlan, PlanOp, QueryCtx, SpanRecorder, SystemCore};
+use dana::{FrontDoorWalls, ParallelError, PhysicalPlan, PlanOp, QueryCtx, SystemCore, Wrap};
 use dana_dsl::zoo::{linear_regression, DenseParams};
 use dana_engine::{CancelToken, EngineError, FaultPlan, RetryPolicy};
 use dana_server::{
@@ -227,6 +227,7 @@ fn fault_history_matrix_follows_one_rule() {
     let execute = |shards: u16, retries: u32| {
         let plan = PhysicalPlan {
             shards,
+            wrap: Wrap::Trace,
             ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
         };
         let retry = RetryPolicy {
@@ -234,16 +235,20 @@ fn fault_history_matrix_follows_one_rule() {
             ..RetryPolicy::default()
         };
         let ctx = QueryCtx::new(CancelToken::none(), retry);
-        let rec = SpanRecorder::enabled();
         let counted = core.metrics().fault_retries.get();
-        let result = core.execute(&plan, &rec, &ctx);
-        let trace = rec.finish(0.0, 0.0).unwrap();
-        let epoch_spans: Vec<f64> = trace
-            .stage("engine")
-            .map(|s| s.children.iter().map(|c| c.sim_seconds).collect())
-            .unwrap_or_default();
+        let result = core.run(&plan, &FrontDoorWalls::default(), &ctx);
+        let epoch_spans: Vec<f64> = match &result {
+            Ok((_, Some(trace))) => trace
+                .stage("engine")
+                .unwrap()
+                .children
+                .iter()
+                .map(|c| c.sim_seconds)
+                .collect(),
+            _ => Vec::new(),
+        };
         assert_eq!(core.held_frames(), 0, "{shards} shards, retries {retries}");
-        let report = result.and_then(|response| response.report().cloned());
+        let report = result.and_then(|(response, _)| response.report().cloned());
         let counted = core.metrics().fault_retries.get() - counted;
         (report, epoch_spans, ctx.faulted_shards(), counted)
     };

@@ -15,9 +15,7 @@
 //! * multi-shard training is reproducible run-to-run and still learns.
 
 use dana::prelude::*;
-use dana::{
-    PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SpanRecorder, SystemCore, SystemCoreConfig,
-};
+use dana::{PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SystemCore, SystemCoreConfig};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_parallel::{MergeBuffer, MergeSpec, ShardOwnership};
 use dana_storage::page::TupleDirection;
@@ -265,8 +263,7 @@ fn one_page_heap(algo: Algorithm) -> HeapFile {
 }
 
 fn run(core: &SystemCore, plan: &PhysicalPlan) -> QueryResponse {
-    core.execute(plan, &SpanRecorder::disabled(), &QueryCtx::unbounded())
-        .unwrap()
+    core.execute(plan, &QueryCtx::unbounded()).unwrap().0
 }
 
 #[test]

@@ -7,17 +7,23 @@
 //!   `DanaServer` emit structurally identical traces, and the
 //!   shape does not change with the gang width (1, 2, 4 shards). Only
 //!   the recorded times may differ;
-//! * `EXPLAIN ANALYZE` stage accounting is honest: the per-stage
-//!   simulated times sum to the query's own end-to-end report within 5%
-//!   embedded and served;
+//! * every executed statement — EXECUTE, PREDICT INTO, EVALUATE, point
+//!   PREDICT — has the same stages on both tiers, pinned literally;
+//! * `EXPLAIN ANALYZE` stage accounting is exact: the per-stage
+//!   simulated times partition the query's own end-to-end total, and the
+//!   engine stage's epoch children partition the stage, embedded and
+//!   served;
 //! * `WITH (trace = on)` attaches the same-shaped trace to an ordinary
 //!   reply instead of replacing the result surface;
 //! * `SHOW STATS` gauges agree exactly with the values the pool and
 //!   queue report through their typed APIs.
 
+use std::sync::Arc;
+
 use dana::prelude::*;
 use dana::QueryTrace;
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
+use dana_engine::FaultPlan;
 use dana_parallel::{train_gang, ReplaySource, ShardPlan};
 use dana_server::{
     AdmissionConfig, DanaServer, QueryRequest, QueryResponse, SchedPolicy, ServerConfig,
@@ -208,8 +214,9 @@ fn trace_shape_is_facade_and_shard_invariant() {
     }
 }
 
-/// Stage accounting is honest: simulated per-stage times sum to the
-/// query's own end-to-end simulated total within 5%, embedded and served,
+/// Stage accounting is exact: simulated per-stage times partition the
+/// query's own end-to-end simulated total, and the engine stage's epoch
+/// children partition the stage — to rounding, embedded and served,
 /// serial and ganged.
 #[test]
 fn explain_analyze_stage_sums_match_end_to_end_report() {
@@ -223,10 +230,18 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
         let sum = report.trace.stage_sim_sum();
         assert!(total > 0.0, "{label}: degenerate total");
         assert!(
-            (sum - total).abs() <= 0.05 * total,
-            "{label}: stage sum {sum:.6}s vs end-to-end {total:.6}s (>5% apart)"
+            (sum - total).abs() <= 1e-12 * total,
+            "{label}: stage sum {sum:e}s vs end-to-end {total:e}s"
         );
         assert_eq!(report.trace.total_sim_seconds, total, "{label}");
+        let engine = report.trace.stage("engine").unwrap();
+        let epochs: f64 = engine.children.iter().map(|c| c.sim_seconds).sum();
+        assert_eq!(engine.children.len() as u64, engine.count, "{label}");
+        assert!(
+            (epochs - engine.sim_seconds).abs() <= 1e-12 * engine.sim_seconds,
+            "{label}: epoch sum {epochs:e}s vs engine stage {:e}s",
+            engine.sim_seconds
+        );
     };
 
     for shards in [1u16, 4] {
@@ -250,6 +265,152 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
         );
         srv.shutdown();
     }
+}
+
+/// The stages an EXECUTE on the FPGA tier runs through (3 epochs).
+const FPGA_EXECUTE: &str = "query
+  parse x1
+  admission_wait x1
+  lease x1
+  scan x1
+  engine x3
+    epoch x1
+    epoch x1
+    epoch x1
+  merge x1
+  reply x1
+";
+
+/// An EXECUTE on the CPU tier: its stopwatch is one engine span.
+const CPU_EXECUTE: &str = "query
+  parse x1
+  admission_wait x1
+  lease x1
+  scan x1
+  engine x1
+  merge x1
+  reply x1
+";
+
+/// An EXECUTE that recovered from one transient fault, on the FPGA tier.
+const FPGA_RETRIED: &str = "query
+  parse x1
+  admission_wait x1
+  lease x1
+  fault_retry x1
+  scan x1
+  engine x3
+    epoch x1
+    epoch x1
+    epoch x1
+  merge x1
+  reply x1
+";
+
+/// The same recovery on the CPU tier.
+const CPU_RETRIED: &str = "query
+  parse x1
+  admission_wait x1
+  lease x1
+  fault_retry x1
+  scan x1
+  engine x1
+  merge x1
+  reply x1
+";
+
+/// PREDICT … INTO, either tier: scoring plus the table write.
+const PREDICT_INTO: &str = "query
+  parse x1
+  admission_wait x1
+  lease x1
+  scan x1
+  engine x1
+  merge x1
+  materialize x1
+  reply x1
+";
+
+/// EVALUATE and point PREDICT, either tier: one scoring pass.
+const SCORE: &str = CPU_EXECUTE;
+
+/// Every executed statement's trace shape, pinned literally on both
+/// tiers: EXECUTE (plain, fault-retried, `WHERE`-filtered, a two-member
+/// gang, `trace = on`), PREDICT INTO, EVALUATE and point PREDICT. A
+/// point PREDICT has the same stages as a scan's scoring pass whichever
+/// tier `backend = auto` would pick.
+#[test]
+fn every_statement_has_one_trace_shape_on_both_tiers() {
+    let spec = spec_for(Algorithm::Linear);
+    let db = fresh_dana();
+    db.create_table("t", heap_for(Algorithm::Linear, 900))
+        .unwrap();
+    db.deploy(&spec, "t").unwrap();
+    let row: Vec<String> = (0..10).map(|i| format!("0.{i}")).collect();
+    let row = row.join(", ");
+
+    let mut wrong = Vec::new();
+    let mut expect = |sql: String, trace: QueryTrace, want: &str| {
+        if trace.structure() != want {
+            wrong.push(format!("{sql}\n{}", trace.structure()));
+        }
+    };
+    let analyze = |sql: &str| serial_analyze(&db, sql).trace;
+    for (backend, execute, retried) in [
+        ("fpga", FPGA_EXECUTE, FPGA_RETRIED),
+        ("cpu", CPU_EXECUTE, CPU_RETRIED),
+    ] {
+        let mut cases = vec![
+            (
+                format!("EXECUTE dana.linearR('t') WITH (backend = {backend})"),
+                execute,
+            ),
+            (
+                format!("EXECUTE dana.linearR('t') WHERE x0 < 0.5 WITH (backend = {backend})"),
+                execute,
+            ),
+            (
+                format!("PREDICT dana.linearR('t') INTO 'p_{backend}' WITH (backend = {backend})"),
+                PREDICT_INTO,
+            ),
+            (
+                format!("EVALUATE dana.linearR('t') WITH (backend = {backend})"),
+                SCORE,
+            ),
+            (
+                format!("EVALUATE dana.linearR('t') WHERE x0 < 0.5 WITH (backend = {backend})"),
+                SCORE,
+            ),
+            (
+                format!("PREDICT dana.linearR(VALUES ({row}), ({row})) WITH (backend = {backend})"),
+                SCORE,
+            ),
+        ];
+        if backend == "fpga" {
+            cases.push((
+                "EXECUTE dana.linearR('t') WITH (backend = fpga, shards = 2)".to_string(),
+                execute,
+            ));
+        }
+        for (call, want) in cases {
+            let sql = format!("EXPLAIN ANALYZE {call};");
+            expect(sql.clone(), analyze(&sql), want);
+        }
+
+        db.install_fault_plan(Some(Arc::new(FaultPlan::transient_at_epoch(1, 1))));
+        let sql = format!("EXPLAIN ANALYZE EXECUTE dana.linearR('t') WITH (backend = {backend});");
+        expect(sql.clone(), analyze(&sql), retried);
+        db.install_fault_plan(None);
+
+        let sql = format!("EXECUTE dana.linearR('t') WITH (backend = {backend}, trace = on);");
+        let (_, trace) = db.execute_statement_traced(&sql).unwrap();
+        expect(sql, trace.expect("trace = on attaches a trace"), execute);
+    }
+    assert!(
+        wrong.is_empty(),
+        "shapes that differ:\n{}",
+        wrong.join("\n")
+    );
 }
 
 /// A gang's `EXPLAIN ANALYZE` epoch children follow its epoch log — the
