@@ -215,7 +215,10 @@ fn end_to_end_small(c: &mut Criterion) {
     let spec = spec_w.spec();
     db.deploy(&spec, "rs").unwrap();
     c.bench_function("dana_end_to_end_1162x54", |b| {
-        b.iter(|| db.run_udf(black_box("logisticR"), "rs").unwrap())
+        b.iter(|| {
+            db.execute_statement(black_box("EXECUTE logisticR('rs') WITH (backend = fpga);"))
+                .unwrap()
+        })
     });
 }
 

@@ -72,7 +72,6 @@ pub struct CompiledAccelerator {
     /// this accelerator.
     pub engine: Arc<ExecutionEngine>,
     pub strider_program: Vec<Instr>,
-    pub strider_config: [u64; 16],
     pub budget: ResourceBudget,
     pub estimate: PerfEstimate,
 }
@@ -175,14 +174,13 @@ pub fn compile_with_threads(
         num_threads: threads,
     };
 
-    let (strider_program, strider_config) = strider_program_for_layout(&input.layout);
+    let (strider_program, _) = strider_program_for_layout(&input.layout);
     let estimate = estimate_perf(input, &engine);
     Ok(CompiledAccelerator {
         design,
         fold_order,
         engine: Arc::new(engine),
         strider_program,
-        strider_config,
         budget,
         estimate,
     })

@@ -158,8 +158,8 @@ fn dana_timing_for(
             decompress_cycles: 0,
             axi_seconds: AxiLink::with_bandwidth(p.fpga.axi_bandwidth)
                 .stream_time(pages * page_bytes, page_bytes),
-            io_first: p.disk.sequential_read_time(first_misses * page_bytes),
-            io_later: p.disk.sequential_read_time(later_misses * page_bytes),
+            io_first: p.disk.read_time(first_misses * page_bytes),
+            io_later: p.disk.read_time(later_misses * page_bytes),
             engine_seconds: p.fpga.clock.to_seconds(acc.estimate.epoch_engine_cycles),
         },
         &p.fpga,
@@ -201,9 +201,8 @@ fn baseline_timing(
     p: &SystemParams,
 ) -> AnalyticTiming {
     let (first, later) = residency(w, p, warm);
-    let io = p.disk.sequential_read_time(first * p.page_size as u64)
-        + (w.epochs.max(1) as u64 - 1) as f64
-            * p.disk.sequential_read_time(later * p.page_size as u64);
+    let io = p.disk.read_time(first * p.page_size as u64)
+        + (w.epochs.max(1) as u64 - 1) as f64 * p.disk.read_time(later * p.page_size as u64);
     let cpu = w.epochs.max(1) as f64 * cpu_epoch;
     AnalyticTiming {
         cpu_seconds: cpu,

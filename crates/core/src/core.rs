@@ -52,7 +52,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use dana_compiler::{compile, CompileInput, PerfEstimate};
@@ -110,53 +110,18 @@ impl Default for SystemCoreConfig {
 }
 
 /// Per-query execution context: the cooperative cancellation token the
-/// epoch loop checks at every boundary, the retry policy answering
-/// transient faults, and the out-channel reporting which gang members
-/// faulted, recovered or not (so a server worker can report the pool
-/// instances behind them). [`SystemCore::lower`] builds it from the
-/// statement's `WITH (timeout_ms / retries)` options;
-/// [`QueryCtx::unbounded`] is the typed entry points' — never cancels,
-/// default retries.
+/// epoch loop checks at every boundary and the retry policy answering
+/// transient faults — a plain value. [`SystemCore::lower`] builds it
+/// from the statement's `WITH (timeout_ms / retries)` options; the
+/// default never cancels and retries by the default policy. Which gang
+/// members faulted is not the context's business: the run reports it in
+/// its [`RunLog`]'s `faults`.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
     /// Cooperative cancellation (deadline and/or manual flag).
     pub cancel: CancelToken,
     /// Backoff/retry policy for transient accelerator faults.
     pub retry: RetryPolicy,
-    /// Gang members that faulted during this query (filled by EXECUTE;
-    /// drained by the worker for pool quarantine).
-    faulted: Mutex<Vec<usize>>,
-}
-
-impl QueryCtx {
-    /// A context that never cancels, with the default retry policy.
-    pub fn unbounded() -> QueryCtx {
-        QueryCtx::new(CancelToken::none(), RetryPolicy::default())
-    }
-
-    pub fn new(cancel: CancelToken, retry: RetryPolicy) -> QueryCtx {
-        QueryCtx {
-            cancel,
-            retry,
-            faulted: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Gang members that faulted while this query ran, recovered or not
-    /// (ascending, deduped by the epoch loop).
-    pub fn faulted_shards(&self) -> Vec<usize> {
-        self.faulted
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn record_faulted(&self, shards: &[usize]) {
-        self.faulted
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend_from_slice(shards);
-    }
 }
 
 /// Wall seconds a request spent before execution began, charged to the
@@ -815,7 +780,7 @@ impl SystemCore {
                 PlanOp::PredictInto { dest } => format!("PREDICT {udf} ON {table} INTO {dest}"),
                 PlanOp::Point { rows } => format!("PREDICT {udf} ON {} inline row(s)", rows.len()),
                 PlanOp::Evaluate { .. } => format!("EVALUATE {udf} ON {table}"),
-                PlanOp::Train | PlanOp::Score { .. } => format!("EXECUTE {udf} ON {table}"),
+                PlanOp::Train => format!("EXECUTE {udf} ON {table}"),
             };
             advisor::advise(&profile, &workload, requested, label)
         });
@@ -861,61 +826,82 @@ impl SystemCore {
     /// its lifecycle trace afterwards ([`exec::trace`]), charging the
     /// front stages `walls`. Returns the trace beside the outcome when
     /// `trace = on` asked for it (`EXPLAIN ANALYZE` carries its trace
-    /// inside the outcome).
+    /// inside the outcome), and the run's [`RunLog`] whether or not it
+    /// succeeded (empty for `EXPLAIN`, which runs nothing).
     pub fn run(
         &self,
         plan: &PhysicalPlan,
         walls: &FrontDoorWalls,
         ctx: &QueryCtx,
-    ) -> DanaResult<(QueryResponse, Option<QueryTrace>)> {
+    ) -> (DanaResult<(QueryResponse, Option<QueryTrace>)>, RunLog) {
         let comparison = match &plan.wrap {
-            Wrap::None => return Ok((self.execute(plan, ctx)?.0, None)),
-            Wrap::Explain(c) => return Ok((QueryResponse::Explained((**c).clone()), None)),
+            Wrap::None => {
+                let (outcome, log) = self.execute(plan, ctx);
+                return (outcome.map(|o| (o, None)), log);
+            }
+            Wrap::Explain(c) => {
+                let explained = QueryResponse::Explained((**c).clone());
+                return (Ok((explained, None)), RunLog::default());
+            }
             Wrap::Trace => None,
             Wrap::Analyze(c) => Some((**c).clone()),
         };
         let start = Instant::now();
-        let (outcome, log) = self.execute(plan, ctx)?;
+        let (outcome, log) = self.execute(plan, ctx);
         let wall = start.elapsed().as_secs_f64();
-        let trace = exec::trace(&outcome, &log, walls, self.fpga.clock.hz, wall);
-        Ok(match comparison {
-            None => (outcome, Some(trace)),
-            Some(comparison) => (
-                QueryResponse::Analyzed(Box::new(AnalyzeReport {
-                    outcome,
-                    trace,
-                    comparison: Some(comparison),
-                })),
-                None,
-            ),
-        })
+        let traced = outcome.map(|outcome| {
+            let trace = exec::trace(&outcome, &log, walls, self.fpga.clock.hz, wall);
+            match comparison {
+                None => (outcome, Some(trace)),
+                Some(comparison) => (
+                    QueryResponse::Analyzed(Box::new(AnalyzeReport {
+                        outcome,
+                        trace,
+                        comparison: Some(comparison),
+                    })),
+                    None,
+                ),
+            }
+        });
+        (traced, log)
     }
 
-    /// Executes a bound plan, returning the response and what the run
-    /// logged beside it for a trace ([`RunLog`]). `ctx` carries the
-    /// query's deadline and retry budget — training checks it
-    /// cooperatively at epoch boundaries, scoring (a single pass with no
-    /// boundaries to observe the token at) refuses an already-expired
-    /// deadline before the scan starts. A caller holding accelerator
-    /// leases is expected to hold `plan.shards` of them.
+    /// Executes a plan [`SystemCore::bind`] made — the one way into the
+    /// executor. Returns the response and what the run logged
+    /// ([`RunLog`]: the trace's inputs and the fault events), the log on
+    /// failure too: a gang whose members faulted until its retries ran
+    /// out reports them there. `ctx` carries the query's deadline and
+    /// retry budget — training checks it cooperatively at epoch
+    /// boundaries, scoring (a single pass with no boundaries to observe
+    /// the token at) refuses an already-expired deadline before the scan
+    /// starts. A caller holding accelerator leases is expected to hold
+    /// `plan.shards` of them.
     pub fn execute(
         &self,
         plan: &PhysicalPlan,
         ctx: &QueryCtx,
-    ) -> DanaResult<(QueryResponse, RunLog)> {
+    ) -> (DanaResult<QueryResponse>, RunLog) {
+        let mut log = RunLog::default();
+        let response = self.dispatch(plan, ctx, &mut log);
+        (response, log)
+    }
+
+    /// [`SystemCore::execute`]'s body: runs the plan's op, logging into
+    /// `log` as it goes.
+    fn dispatch(
+        &self,
+        plan: &PhysicalPlan,
+        ctx: &QueryCtx,
+        log: &mut RunLog,
+    ) -> DanaResult<QueryResponse> {
         if plan.shards > 1 && plan.backend == BackendKind::Cpu {
             return Err(exec::gang_needs_fpga());
         }
         if plan.op != PlanOp::Train {
             ctx.cancel.check()?;
         }
-        let mut log = RunLog::default();
-        let response = match &plan.op {
-            PlanOp::Train => {
-                let (report, trained) = self.train(plan, ctx)?;
-                log = trained;
-                QueryResponse::Trained(report)
-            }
+        Ok(match &plan.op {
+            PlanOp::Train => QueryResponse::Trained(self.train(plan, ctx, log)?),
             PlanOp::PredictInto { dest } => {
                 let (report, wall) = self.predict_into(plan, dest)?;
                 log.materialize_wall = wall;
@@ -924,55 +910,8 @@ impl SystemCore {
             PlanOp::Evaluate { metric } => {
                 QueryResponse::Evaluated(self.evaluate_scan(plan, *metric)?)
             }
-            PlanOp::Score { lanes } => QueryResponse::Point(self.score(plan, *lanes)?),
             PlanOp::Point { rows } => QueryResponse::Point(self.point(plan, rows)?),
-        };
-        Ok((response, log))
-    }
-
-    /// Runs a deployed accelerator by UDF name on the FPGA tier. The
-    /// trained model is stored back on the catalog entry (last training
-    /// wins), making it available to PREDICT/EVALUATE.
-    pub fn run_udf(&self, udf: &str, table: &str) -> DanaResult<DanaReport> {
-        let plan = PhysicalPlan::serial(PlanOp::Train, udf, table);
-        Ok(self.train(&plan, &QueryCtx::unbounded())?.0)
-    }
-
-    /// Scores `source` with `udf`'s latest trained model and materializes
-    /// the predictions as a new catalog table `dest`: the source schema
-    /// plus an appended `prediction real` column, registered as a real
-    /// heap — scannable, snapshottable, and droppable like any table.
-    pub fn predict(&self, udf: &str, source: &str, dest: &str) -> DanaResult<PredictReport> {
-        let op = PlanOp::PredictInto {
-            dest: dest.to_string(),
-        };
-        Ok(self
-            .predict_into(&PhysicalPlan::serial(op, udf, source), dest)?
-            .0)
-    }
-
-    /// Scores `table` and folds an in-database quality metric over the
-    /// `(prediction, label)` stream — no tuple ever leaves the engine and
-    /// nothing is materialized. `metric` defaults to the analytic's
-    /// natural one (mse / log_loss / accuracy / lrmf_rmse).
-    pub fn evaluate(
-        &self,
-        udf: &str,
-        table: &str,
-        metric: Option<MetricKind>,
-    ) -> DanaResult<EvalReport> {
-        self.evaluate_scan(
-            &PhysicalPlan::serial(PlanOp::Evaluate { metric }, udf, table),
-            metric,
-        )
-    }
-
-    /// Scores `table` at the given lane count and returns the raw
-    /// prediction stream (differential suite entry point; nothing is
-    /// materialized).
-    pub fn score_with(&self, udf: &str, table: &str, lanes: Option<u16>) -> DanaResult<Vec<f32>> {
-        let plan = PhysicalPlan::serial(PlanOp::Score { lanes }, udf, table);
-        Ok(self.score(&plan, lanes)?.predictions)
+        })
     }
 
     // ---- training -------------------------------------------------------
@@ -980,8 +919,14 @@ impl SystemCore {
     /// The EXECUTE path. A deployed UDF's engine comes off its catalog
     /// entry, built at DEPLOY — no validation, lowering, or design clone
     /// per query — and its trained model is stored back on the entry (last
-    /// training wins).
-    fn train(&self, plan: &PhysicalPlan, ctx: &QueryCtx) -> DanaResult<(DanaReport, RunLog)> {
+    /// training wins). The epoch and merge cycles go into `log`, and so do
+    /// the fault events, whether or not the run recovered.
+    fn train(
+        &self,
+        plan: &PhysicalPlan,
+        ctx: &QueryCtx,
+        log: &mut RunLog,
+    ) -> DanaResult<DanaReport> {
         let acc = self.accelerator_runtime(&plan.udf)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         let design = acc.engine.design();
@@ -992,20 +937,17 @@ impl SystemCore {
             .with_fault(fault.as_deref())
             .with_retry(ctx.retry);
         // One epoch loop for every member count: a serial EXECUTE is a
-        // gang of one. The members that faulted are reported whether or
-        // not the run recovered.
-        let mut events = FaultEvents::default();
+        // gang of one.
         let start = Instant::now();
         let run = train_gang_guarded(
             &acc.engine,
             &mut scan.members,
             exec::initial_models(design),
             &guard,
-            &mut events,
+            &mut log.faults,
         );
         let wall = start.elapsed().as_secs_f64();
-        self.record_fault_events(&events);
-        ctx.record_faulted(&events.faulted_shards);
+        self.record_fault_events(&log.faults);
         let outcome = run?;
         let (shards, _) = scan.finish(&self.metrics, &heap, &outcome.shard_stats);
         let report = match plan.backend {
@@ -1039,13 +981,9 @@ impl SystemCore {
         if let Some(Deployed::Live { trained, .. }) = self.write().accelerators.get_mut(&plan.udf) {
             *trained = Some(models);
         }
-        let log = RunLog {
-            epoch_cycles: outcome.epoch_cycles,
-            merge_cycles: outcome.merge_cycles,
-            faults: events,
-            ..RunLog::default()
-        };
-        Ok((report, log))
+        log.epoch_cycles = outcome.epoch_cycles;
+        log.merge_cycles = outcome.merge_cycles;
+        Ok(report)
     }
 
     /// Opens a statement's [`Scan`] — the only place that looks at the
@@ -1164,7 +1102,7 @@ impl SystemCore {
         plan: &PhysicalPlan,
         dest: &str,
     ) -> DanaResult<(PredictReport, Seconds)> {
-        let setup = self.scoring_setup(&plan.udf, None)?;
+        let setup = self.scoring_setup(&plan.udf)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
         // Cheap early refusal before scanning anything; the authoritative
         // check is the guarded install below.
@@ -1213,7 +1151,7 @@ impl SystemCore {
         plan: &PhysicalPlan,
         metric: Option<MetricKind>,
     ) -> DanaResult<EvalReport> {
-        let setup = self.scoring_setup(&plan.udf, None)?;
+        let setup = self.scoring_setup(&plan.udf)?;
         let metric = metric.unwrap_or_else(|| setup.recipe.default_metric());
         setup.recipe.check_metric(metric)?;
         let (entry, heap) = self.snapshot_table(&plan.table)?;
@@ -1245,25 +1183,6 @@ impl SystemCore {
         })
     }
 
-    /// The raw prediction stream of a table scan, returned inline.
-    fn score(&self, plan: &PhysicalPlan, lanes: Option<u16>) -> DanaResult<PointReport> {
-        let setup = self.scoring_setup(&plan.udf, lanes)?;
-        let (entry, heap) = self.snapshot_table(&plan.table)?;
-        let (predictions, stats, timing, _, _) =
-            self.scoring_scan(plan, &setup, &entry, &heap, |members| {
-                Ok(score_gang_concat(&setup.program, setup.lanes, members)?)
-            })?;
-        Ok(PointReport {
-            udf: plan.udf.clone(),
-            predictions,
-            lanes: setup.lanes,
-            backend: plan.backend,
-            cached: false,
-            scoring: stats,
-            timing,
-        })
-    }
-
     /// The **point fast path**: binds the literal rows straight into the
     /// cached scoring program and scores them as one in-memory SoA batch
     /// — no heap scan, no buffer-pool traffic, nothing materialized, and
@@ -1271,7 +1190,7 @@ impl SystemCore {
     /// materializing path on the same rows because the identical lockstep
     /// kernel runs in both.
     fn point(&self, plan: &PhysicalPlan, rows: &[Vec<f32>]) -> DanaResult<PointReport> {
-        let setup = self.scoring_setup(&plan.udf, None)?;
+        let setup = self.scoring_setup(&plan.udf)?;
         let batch = exec::point_batch(&plan.udf, &setup.program, rows)?;
         let start = Instant::now();
         let (predictions, stats) = dana_infer::score_batch(&setup.program, setup.lanes, &batch)?;
@@ -1291,13 +1210,13 @@ impl SystemCore {
     /// Everything a scoring query resolves from the catalog (stale check,
     /// cached accelerator — with the engine-cache counters — recipe bound
     /// to the latest trained models, lane count).
-    fn scoring_setup(&self, udf: &str, lanes: Option<u16>) -> DanaResult<exec::ScoringSetup> {
+    fn scoring_setup(&self, udf: &str) -> DanaResult<exec::ScoringSetup> {
         let (cached, trained) = self.live_accelerator(udf)?;
-        exec::scoring_setup(udf, cached, trained, lanes)
+        exec::scoring_setup(udf, cached, trained)
     }
 
     /// The one scoring scan over a heap snapshot, shared by
-    /// predict/evaluate/score so the scan plumbing exists exactly once:
+    /// predict/evaluate so the scan plumbing exists exactly once:
     /// open the plan's [`Scan`], hand its members to `fold` — what the
     /// statement keeps of the predictions: PREDICT collects them, EVALUATE
     /// folds a metric — and compose the timing. The gang tier runs one
@@ -1426,7 +1345,7 @@ impl SystemCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::linreg_heap;
+    use crate::pipeline::tests::{evaluate, execute, linreg_heap, predict};
     use crate::{parse_statement, Dana, Work};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::Tuple;
@@ -1488,12 +1407,12 @@ mod tests {
         assert_eq!(runtime.budget.num_page_buffers, info.num_striders);
         assert!(runtime.scoring.is_some());
         assert!(core.trained_generation("linearR").is_none());
-        assert!(core.run_udf("linearR", "t").is_ok());
+        assert!(execute(&core, "linearR", "t").is_ok());
         // An unknown UDF is storage's typed error on every path.
         for result in [
             core.accelerator_runtime("nope").map(|_| ()),
-            core.run_udf("nope", "t").map(|_| ()),
-            core.evaluate("nope", "t", None).map(|_| ()),
+            execute(&core, "nope", "t").map(|_| ()),
+            evaluate(&core, "nope", "t").map(|_| ()),
         ] {
             assert!(matches!(
                 result,
@@ -1514,7 +1433,7 @@ mod tests {
         let hit = core.drop_table("t").unwrap().invalidated_udfs;
         assert_eq!(hit, vec!["linearR".to_string(), "svm".to_string()]);
         for udf in ["linearR", "svm"] {
-            match core.run_udf(udf, "other") {
+            match execute(&core, udf, "other") {
                 Err(DanaError::StaleAccelerator {
                     udf: u,
                     dropped_table,
@@ -1524,7 +1443,7 @@ mod tests {
             assert!(core.accelerator_runtime(udf).is_err());
         }
         // An accelerator bound to another table is untouched.
-        assert!(core.run_udf("logisticR", "other").is_ok());
+        assert!(execute(&core, "logisticR", "other").is_ok());
         // Idempotent: re-creating and dropping the table again names no
         // UDF twice, and stale entries stay listed.
         core.create_table("t", linreg_heap(200, 8)).unwrap();
@@ -1544,7 +1463,7 @@ mod tests {
         let core = small_core();
         core.create_table("t", linreg_heap(200, 8)).unwrap();
         core.deploy(&linreg_spec(8), "t").unwrap();
-        let report = core.run_udf("linearR", "t").unwrap();
+        let report = execute(&core, "linearR", "t").unwrap();
         let trained = core.trained_generation("linearR").expect("EXECUTE stored");
         assert_eq!(trained.models, report.models);
         assert_eq!(trained.names, report.model_names);
@@ -1592,7 +1511,7 @@ mod tests {
             core.create_table("t", full).unwrap();
             core.create_table("kept", kept).unwrap();
             core.deploy(&linreg_spec(8), "t").unwrap();
-            core.run_udf("linearR", "t").unwrap();
+            execute(&core, "linearR", "t").unwrap();
             assert!(sidecars().is_empty(), "a full scan builds no sidecar");
 
             let first = filtered();
@@ -1603,7 +1522,7 @@ mod tests {
             assert_eq!(reused.len(), 1);
             assert!(Arc::ptr_eq(&registered[0], &reused[0]));
             assert_eq!(first.to_bits(), second.to_bits());
-            let reference = core.evaluate("linearR", "kept", None).unwrap().value;
+            let reference = evaluate(&core, "linearR", "kept").unwrap().value;
             assert_eq!(first.to_bits(), reference.to_bits());
             values.push(first);
 
@@ -1623,7 +1542,7 @@ mod tests {
         let info = core.deploy(&linreg_spec(8), "t").unwrap();
         assert!(info.num_threads >= 1);
         assert_eq!(core.accelerator_names(), vec!["linearR".to_string()]);
-        let report = core.run_udf("linearR", "t").unwrap();
+        let report = execute(&core, "linearR", "t").unwrap();
         let w = report.dense_model();
         for (i, v) in w.iter().enumerate() {
             let truth = 0.3 * i as f32 - 0.5;
@@ -1642,8 +1561,8 @@ mod tests {
         for sys in [&core, &*db] {
             sys.create_table("t", linreg_heap(600, 10)).unwrap();
             sys.deploy(&spec, "t").unwrap();
-            sys.run_udf("linearR", "t").unwrap();
-            let report = sys.predict("linearR", "t", "p").unwrap();
+            execute(sys, "linearR", "t").unwrap();
+            let report = predict(sys, "linearR", "t", "p").unwrap();
             assert_eq!(report.rows_scored, 600);
             assert_eq!(sys.held_frames(), 0, "scoring must release every frame");
         }
@@ -1652,8 +1571,8 @@ mod tests {
             prediction_column(&db, "p", 11),
             "paths must be bit-identical"
         );
-        let c = core.evaluate("linearR", "t", None).unwrap();
-        let s = db.evaluate("linearR", "t", None).unwrap();
+        let c = evaluate(&core, "linearR", "t").unwrap();
+        let s = evaluate(&db, "linearR", "t").unwrap();
         assert_eq!(c.value, s.value);
         assert_eq!(c.metric, s.metric);
     }
@@ -1664,11 +1583,11 @@ mod tests {
         core.create_table("t", linreg_heap(100, 8)).unwrap();
         core.deploy(&linreg_spec(8), "t").unwrap();
         assert!(matches!(
-            core.predict("linearR", "t", "p"),
+            predict(&core, "linearR", "t", "p"),
             Err(DanaError::ModelNotTrained { .. })
         ));
         assert!(matches!(
-            core.evaluate("linearR", "t", None),
+            evaluate(&core, "linearR", "t"),
             Err(DanaError::ModelNotTrained { .. })
         ));
     }
@@ -1748,7 +1667,7 @@ mod tests {
         core.create_table("t", linreg_heap(500, 8)).unwrap();
         core.deploy(&linreg_spec(8), "t").unwrap();
 
-        let fpga = core.run_udf("linearR", "t").unwrap();
+        let fpga = execute(&core, "linearR", "t").unwrap();
         let cpu = core
             .execute_statement("SELECT * FROM dana.linearR('t') WITH (backend = cpu);")
             .unwrap();
@@ -1762,7 +1681,7 @@ mod tests {
 
         // Scoring tiers agree too, and the CPU report keeps the units
         // separation.
-        let p_fpga = core.predict("linearR", "t", "pf").unwrap();
+        let p_fpga = predict(&core, "linearR", "t", "pf").unwrap();
         let p_cpu = core
             .execute_statement("PREDICT dana.linearR('t') INTO 'pc' WITH (backend = cpu);")
             .unwrap();
@@ -1775,7 +1694,7 @@ mod tests {
             prediction_column(&core, "pc", 9),
             "predictions must be bit-identical"
         );
-        let e_fpga = core.evaluate("linearR", "t", None).unwrap();
+        let e_fpga = evaluate(&core, "linearR", "t").unwrap();
         let e_cpu = core
             .execute_statement("EVALUATE dana.linearR('t') WITH (backend = cpu);")
             .unwrap();
@@ -1819,10 +1738,10 @@ mod tests {
         let conflict = PhysicalPlan {
             shards: 2,
             backend: BackendKind::Cpu,
-            ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
+            ..bind(plain).unwrap()
         };
         assert!(matches!(
-            core.execute(&conflict, &QueryCtx::unbounded()),
+            core.execute(&conflict, &QueryCtx::default()).0,
             Err(DanaError::Query(_))
         ));
         // SHOW STATS executes nothing: there is no comparison to read.

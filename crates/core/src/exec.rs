@@ -59,10 +59,12 @@ pub mod stage {
     pub const FAULT_RETRY: &str = "fault_retry";
 }
 
-/// What a run measured that its [`QueryResponse`] does not carry and its
-/// trace reads: [`crate::SystemCore::execute`] returns it beside the
-/// response. Only EXECUTE fills the first three and only PREDICT … INTO
-/// the last; every other statement's log is the default.
+/// What a run did that its [`QueryResponse`] does not carry — what its
+/// trace reads and the server quarantines from:
+/// [`crate::SystemCore::execute`] returns it beside the result, a failed
+/// one included. Only EXECUTE fills the first three (`faults` even when
+/// its retries ran out) and only PREDICT … INTO the last; every other
+/// statement's log is the default.
 #[derive(Debug, Default)]
 pub struct RunLog {
     /// The critical member's per-epoch engine cycles
@@ -220,12 +222,11 @@ pub struct ScoringSetup {
 /// Builds a [`ScoringSetup`] from an already-resolved catalog entry: its
 /// runtime artifact and the models its latest EXECUTE stored, if any.
 /// Typed errors distinguish "this analytic cannot score" from "train it
-/// first". Lanes default to the design's thread count.
+/// first". The lane count is the design's thread count.
 pub fn scoring_setup(
     udf: &str,
     cached: Arc<CachedAccelerator>,
     trained: Option<Arc<TrainedModels>>,
-    lanes: Option<u16>,
 ) -> DanaResult<ScoringSetup> {
     let recipe = cached.scoring.clone().ok_or_else(|| {
         DanaError::Infer(dana_infer::InferError::UnsupportedAnalytic {
@@ -237,7 +238,7 @@ pub fn scoring_setup(
         udf: udf.to_string(),
     })?;
     let program = ScoringProgram::bind(&recipe, &trained.names, &trained.models)?;
-    let lanes = lanes.unwrap_or(cached.engine.design().num_threads).max(1);
+    let lanes = cached.engine.design().num_threads.max(1);
     Ok(ScoringSetup {
         cached,
         recipe,

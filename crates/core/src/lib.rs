@@ -74,7 +74,7 @@ pub use analytic::{
     compile_workload, AnalyticTiming, SystemParams,
 };
 pub use dana_engine::{Backend, BackendKind};
-pub use dana_infer::{MetricKind, ScoringRecipe, ScoringStats};
+pub use dana_infer::{score_batch, MetricKind, ScoringRecipe, ScoringStats};
 pub use dana_obs::{MetricsRegistry, QueryTrace, StatsSnapshot, TraceSpan};
 pub use dana_parallel::{ParallelError, ShardPlan, ShardRange};
 pub use dana_scan::{

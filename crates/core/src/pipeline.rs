@@ -15,7 +15,9 @@
 //! the core with a **one-shard** buffer pool — a single second-chance
 //! clock over all frames, so replacement order (and therefore simulated
 //! I/O) is that of one plain pool — and `Deref` exposes the rest of the
-//! core (DDL, deploy, the typed entry points, statistics).
+//! core (DDL, deploy, statistics). A statement is the one way to run an
+//! analytic; [`SystemCore::bind`] followed by [`SystemCore::execute`] is
+//! the same door opened by hand.
 
 use std::ops::Deref;
 use std::time::{Duration, Instant};
@@ -101,7 +103,7 @@ impl SystemCore {
                 Work::Plan(Box::new(self.bind(call, Some(Wrap::Analyze), lease_cap)?))
             }
         };
-        Ok((work, QueryCtx::new(cancel, retry)))
+        Ok((work, QueryCtx { cancel, retry }))
     }
 
     /// Executes any front-door statement on the caller's thread: `SELECT …
@@ -138,7 +140,7 @@ impl SystemCore {
                     QueryResponse::Stats(self.stats_snapshot(filter.as_deref())),
                     None,
                 )),
-                Work::Plan(plan) => self.run(&plan, &walls, &ctx),
+                Work::Plan(plan) => self.run(&plan, &walls, &ctx).0,
             });
         self.record_statement(
             result.as_ref().map(|(response, _)| response),
@@ -151,7 +153,7 @@ impl SystemCore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::report::DanaReport;
+    use crate::report::{DanaReport, EvalReport, PredictReport};
     use crate::{BackendKind, DanaError, MetricKind};
     use dana_dsl::zoo::{linear_regression, DenseParams};
     use dana_storage::page::TupleDirection;
@@ -171,6 +173,28 @@ pub(crate) mod tests {
     /// Runs a training statement and returns its report.
     fn train_sql(db: &SystemCore, sql: &str) -> DanaResult<DanaReport> {
         Ok(db.execute_statement(sql)?.report()?.clone())
+    }
+
+    /// `EXECUTE udf('table')`: trains and stores the model.
+    pub(crate) fn execute(db: &SystemCore, udf: &str, table: &str) -> DanaResult<DanaReport> {
+        train_sql(db, &format!("EXECUTE {udf}('{table}');"))
+    }
+
+    /// `PREDICT udf('table') INTO 'dest'`.
+    pub(crate) fn predict(
+        db: &SystemCore,
+        udf: &str,
+        table: &str,
+        dest: &str,
+    ) -> DanaResult<PredictReport> {
+        let out = db.execute_statement(&format!("PREDICT {udf}('{table}') INTO '{dest}';"))?;
+        Ok(out.predict_report()?.clone())
+    }
+
+    /// `EVALUATE udf('table')` under the analytic's default metric.
+    pub(crate) fn evaluate(db: &SystemCore, udf: &str, table: &str) -> DanaResult<EvalReport> {
+        let out = db.execute_statement(&format!("EVALUATE {udf}('{table}');"))?;
+        Ok(out.eval_report()?.clone())
     }
 
     pub(crate) fn linreg_heap(n: usize, d: usize) -> HeapFile {
@@ -226,7 +250,7 @@ pub(crate) mod tests {
         });
         let info = db.deploy_source(&src, "fallback", "t").unwrap();
         assert_eq!(info.udf_name, "linearR");
-        assert!(db.run_udf("linearR", "t").is_ok());
+        assert!(execute(&db, "linearR", "t").is_ok());
     }
 
     #[test]
@@ -243,11 +267,11 @@ pub(crate) mod tests {
         db.deploy(&spec, "t").unwrap();
 
         db.clear_cache();
-        let cold = db.run_udf("linearR", "t").unwrap();
+        let cold = execute(&db, "linearR", "t").unwrap();
         assert!(cold.timing.io_seconds > 0.0);
 
         db.prewarm("t").unwrap();
-        let warm = db.run_udf("linearR", "t").unwrap();
+        let warm = execute(&db, "linearR", "t").unwrap();
         assert_eq!(warm.timing.io_seconds, 0.0);
         assert!(warm.timing.total_seconds < cold.timing.total_seconds);
         // Same pages, same schedule → identical models.
@@ -274,7 +298,7 @@ pub(crate) mod tests {
 
         // The stale accelerator refuses with a typed error — never a
         // dangling UnknownHeap.
-        match db.run_udf("linearR", "t") {
+        match execute(&db, "linearR", "t") {
             Err(DanaError::StaleAccelerator { udf, dropped_table }) => {
                 assert_eq!(udf, "linearR");
                 assert_eq!(dropped_table, "t");
@@ -302,12 +326,12 @@ pub(crate) mod tests {
         .unwrap();
         db.deploy(&spec, "t").unwrap();
         db.drop_table("t").unwrap();
-        assert!(db.run_udf("linearR", "t").is_err());
+        assert!(execute(&db, "linearR", "t").is_err());
 
         // Re-create the table and redeploy: the UDF name works again.
         db.create_table("t", linreg_heap(300, 8)).unwrap();
         db.deploy(&spec, "t").unwrap();
-        assert!(db.run_udf("linearR", "t").is_ok());
+        assert!(execute(&db, "linearR", "t").is_ok());
     }
 
     #[test]
@@ -325,13 +349,13 @@ pub(crate) mod tests {
 
         // PREDICT before any training is a typed error.
         assert!(matches!(
-            db.predict("linearR", "t", "p"),
+            predict(&db, "linearR", "t", "p"),
             Err(DanaError::ModelNotTrained { .. })
         ));
-        let trained = db.run_udf("linearR", "t").unwrap();
+        let trained = execute(&db, "linearR", "t").unwrap();
 
         // PREDICT materializes a real catalog table.
-        let report = db.predict("linearR", "t", "p").unwrap();
+        let report = predict(&db, "linearR", "t", "p").unwrap();
         assert_eq!(report.rows_scored, 700);
         assert_eq!(report.output_table, "p");
         assert!(report.timing.total_seconds > 0.0);
@@ -352,8 +376,8 @@ pub(crate) mod tests {
         // EVALUATE the prediction table (the trailing prediction column
         // is ignored; the label column is still read) and the source —
         // identical metric, equal to the whole-batch reference.
-        let on_pred = db.evaluate("linearR", "p", None).unwrap();
-        let on_src = db.evaluate("linearR", "t", None).unwrap();
+        let on_pred = evaluate(&db, "linearR", "p").unwrap();
+        let on_src = evaluate(&db, "linearR", "t").unwrap();
         assert_eq!(on_pred.metric, MetricKind::Mse);
         assert_eq!(on_pred.value, on_src.value);
         assert_eq!(
@@ -429,8 +453,8 @@ pub(crate) mod tests {
         })
         .unwrap();
         db.deploy(&spec, "t").unwrap();
-        db.run_udf("linearR", "t").unwrap();
-        db.predict("linearR", "t", "p").unwrap();
+        execute(&db, "linearR", "t").unwrap();
+        predict(&db, "linearR", "t", "p").unwrap();
         // Pull the prediction table into the pool so the drop has pages
         // to evict.
         db.prewarm("p").unwrap();
@@ -450,7 +474,7 @@ pub(crate) mod tests {
         assert_eq!(db.resident_pages(), 0, "stale pages must be evicted");
         // …the scoring cache died with the accelerator…
         assert!(matches!(
-            db.predict("linearR", "p", "q"),
+            predict(&db, "linearR", "p", "q"),
             Err(DanaError::StaleAccelerator { .. })
         ));
         // …and cleanup still works.
@@ -468,7 +492,7 @@ pub(crate) mod tests {
         })
         .unwrap();
         db.deploy(&spec, "t").unwrap();
-        assert!(db.run_udf("linearR", "missing_table").is_err());
+        assert!(execute(&db, "linearR", "missing_table").is_err());
     }
 
     fn deployed_db(rows: usize) -> Dana {
@@ -552,7 +576,7 @@ pub(crate) mod tests {
 
         // Nothing ran: scoring still refuses with ModelNotTrained.
         assert!(matches!(
-            db.predict("linearR", "t", "p"),
+            predict(&db, "linearR", "t", "p"),
             Err(DanaError::ModelNotTrained { .. })
         ));
 

@@ -6,7 +6,9 @@
 //! [`PhysicalPlan`]: operation, scan, gang size clamped to the table's
 //! pages and the caller's lease capacity, the substrate the advisor (or a
 //! `WITH (backend = …)` override) picked, and the scheduler's cost hint —
-//! and [`crate::SystemCore::execute`] runs it. The embedded front door
+//! and [`crate::SystemCore::execute`] runs it. `bind` is the only place a
+//! plan is made; a caller that needs an unusual plan binds a statement and
+//! edits the fields. The embedded front door
 //! binds and runs on the caller's thread; the serving tier binds at submit
 //! and hands the plan to a worker, which leases exactly `shards`
 //! accelerator instances when `backend` is the FPGA tier.
@@ -18,7 +20,8 @@ use dana_scan::ScanSpec;
 use crate::advisor::StrategyComparison;
 use crate::report::Seconds;
 
-/// What a call asks for and its plan does with the tuples it scans.
+/// What a call asks for and its plan does with the tuples it scans — each
+/// one a statement form the parser produces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// Train the UDF's model over the scan and store the result for later
@@ -29,10 +32,6 @@ pub enum PlanOp {
     /// Score the scan and fold an in-database metric (`None` = the
     /// analytic's default) over the `(prediction, label)` stream.
     Evaluate { metric: Option<MetricKind> },
-    /// Score the scan and return the raw prediction stream inline;
-    /// nothing is materialized. `lanes` overrides the design's lockstep
-    /// lane count (the differential suites sweep it).
-    Score { lanes: Option<u16> },
     /// Score literal rows straight through the cached scoring program: no
     /// scan, no buffer-pool traffic, nothing materialized.
     Point { rows: Vec<Vec<f32>> },
@@ -75,22 +74,6 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// The plain plan for `op` over a deployed UDF: serial, full-table,
-    /// FPGA tier — what the typed convenience entry
-    /// points run. Callers override fields for the variants they need.
-    pub fn serial(op: PlanOp, udf: &str, table: &str) -> PhysicalPlan {
-        PhysicalPlan {
-            op,
-            udf: udf.to_string(),
-            table: table.to_string(),
-            scan: None,
-            shards: 1,
-            backend: BackendKind::Fpga,
-            wrap: Wrap::None,
-            cost_hint: 0.0,
-        }
-    }
-
     /// Whether running this plan occupies accelerator instances: CPU-tier
     /// runs and `EXPLAIN` never touch the pool.
     pub fn needs_accelerator(&self) -> bool {

@@ -71,8 +71,9 @@ pub struct WithOptions {
 /// into and every typed request lowers through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Call {
-    /// What the call does with the tuples it scans. The parser produces
-    /// every [`PlanOp`] but `Score`.
+    /// What the call does with the tuples it scans: every [`PlanOp`] is
+    /// a statement the parser produces, so every plan is one a statement
+    /// can name.
     pub op: PlanOp,
     pub udf: String,
     /// The scanned table (empty for [`PlanOp::Point`], which scans none).

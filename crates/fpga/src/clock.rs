@@ -50,11 +50,6 @@ impl Clock {
             raw.ceil() as Cycles
         }
     }
-
-    /// The duration of a single cycle in seconds.
-    pub fn period(&self) -> Seconds {
-        1.0 / self.hz
-    }
 }
 
 #[cfg(test)]
@@ -64,7 +59,6 @@ mod tests {
     #[test]
     fn fpga_clock_period_matches_150mhz() {
         let c = Clock::FPGA_150MHZ;
-        assert!((c.period() - 1.0 / 150.0e6).abs() < 1e-18);
         assert!((c.to_seconds(150_000_000) - 1.0).abs() < 1e-9);
     }
 

@@ -17,7 +17,6 @@ use dana_storage::{HeapFile, SourceError, TupleBatch, TupleSource};
 /// arithmetic — no page decode).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRange {
-    pub index: usize,
     pub start_page: u32,
     pub end_page: u32,
     pub tuples: u64,
@@ -51,7 +50,6 @@ impl ShardPlan {
             let len = base + u32::from((index as u32) < extra);
             let end = start + len;
             ranges.push(ShardRange {
-                index,
                 start_page: start,
                 end_page: end,
                 tuples: heap.tuples_in_page_range(start, end),
@@ -212,8 +210,7 @@ mod tests {
             assert_eq!(plan.shards(), k.min(h.page_count() as usize));
             assert_eq!(plan.total_tuples(), 1000, "shards = {k}");
             let mut next = 0u32;
-            for (i, r) in plan.ranges().iter().enumerate() {
-                assert_eq!(r.index, i);
+            for r in plan.ranges() {
                 assert_eq!(r.start_page, next);
                 assert!(r.end_page > r.start_page, "no empty shards");
                 next = r.end_page;

@@ -23,19 +23,6 @@ pub enum ServeError {
 
 pub type ServeResult<T> = Result<T, ServeError>;
 
-impl ServeError {
-    /// Whether this is the typed stale-accelerator refusal (the bound
-    /// table was dropped): the race the prediction cache must never
-    /// paper over. Matches a batch-follower copy by message.
-    pub fn is_stale_model(&self) -> bool {
-        match self {
-            ServeError::Server(ServerError::Dana(DanaError::StaleAccelerator { .. })) => true,
-            ServeError::Server(_) => false,
-            ServeError::Batch(msg) => msg.contains("stale"),
-        }
-    }
-}
-
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -390,7 +390,10 @@ fn dropped_table_refuses_point_predict_despite_warm_cache() {
     srv.drop_table("t").unwrap();
     let err = tier.predict_point(session, &udf, &row).unwrap_err();
     assert!(
-        err.is_stale_model(),
+        matches!(
+            err,
+            ServeError::Server(ServerError::Dana(DanaError::StaleAccelerator { .. }))
+        ),
         "expected the typed stale-accelerator refusal, got: {err}"
     );
 }

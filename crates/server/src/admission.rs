@@ -268,7 +268,7 @@ mod tests {
     fn job(priority: Priority, cost_hint: f64) -> Admitted {
         Admitted {
             work: Ok(Work::Stats(None)),
-            ctx: QueryCtx::unbounded(),
+            ctx: QueryCtx::default(),
             priority,
             cost_hint,
             parse_wall: 0.0,
@@ -333,7 +333,10 @@ mod tests {
         // One job already past its deadline, one without a deadline.
         let past = Instant::now() - std::time::Duration::from_millis(5);
         let expired = Admitted {
-            ctx: QueryCtx::new(CancelToken::with_deadline(past), RetryPolicy::default()),
+            ctx: QueryCtx {
+                cancel: CancelToken::with_deadline(past),
+                retry: RetryPolicy::default(),
+            },
             ..job(Priority::Batch, 1.0)
         };
         q.submit(1, expired, expired_tx).unwrap();

@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver};
 
+use dana::exec::RunLog;
 use dana::{
     parse_statement, Call, DanaResult, DeployInfo, DropSummary, FrontDoorWalls, PlanOp, QueryCtx,
     QueryResponse, QueryTrace, Statement, StatsSnapshot, SystemCore, SystemCoreConfig, WithOptions,
@@ -394,7 +395,7 @@ impl Admitted {
                 }
                 (Ok(work), ctx)
             }
-            Err(e) => (Err(e), QueryCtx::unbounded()),
+            Err(e) => (Err(e), QueryCtx::default()),
         };
         let (priority, cost_hint) = match &work {
             Ok(Work::Plan(plan)) if matches!(plan.op, PlanOp::Point { .. }) => {
@@ -566,33 +567,28 @@ fn worker_loop(
         // accelerator panic) is caught here and surfaced as the typed
         // `QueryPanicked` reply — the worker thread survives to serve
         // the next query.
-        let work = job.work;
-        let dispatched = catch_unwind(AssertUnwindSafe(|| match work? {
+        let dispatched = catch_unwind(AssertUnwindSafe(|| match job.work {
+            Err(e) => (Err(e), RunLog::default()),
             // SHOW STATS sees the whole server (queue/pool/sessions).
-            Work::Stats(filter) => Ok((
-                QueryResponse::Stats(server_stats(
-                    core,
-                    accels,
-                    queue,
-                    sessions,
-                    filter.as_deref(),
-                )),
-                None,
-            )),
-            Work::Plan(plan) => core.run(&plan, &walls, &ctx),
+            Ok(Work::Stats(filter)) => {
+                let stats = server_stats(core, accels, queue, sessions, filter.as_deref());
+                (Ok((QueryResponse::Stats(stats), None)), RunLog::default())
+            }
+            Ok(Work::Plan(plan)) => core.run(&plan, &walls, &ctx),
         }));
-        let result: ServerResult<(QueryResponse, Option<QueryTrace>)> = match dispatched {
-            Ok(r) => r.map_err(ServerError::Dana),
+        let (result, log) = match dispatched {
+            Ok((r, log)) => (r.map_err(ServerError::Dana), log),
             Err(payload) => {
                 core.metrics().panics_caught.inc();
-                Err(ServerError::QueryPanicked(panic_message(payload.as_ref())))
+                let message = panic_message(payload.as_ref());
+                (Err(ServerError::QueryPanicked(message)), RunLog::default())
             }
         };
-        // Quarantine wiring: the instance behind every gang member that
-        // faulted — recovered or not, a serial statement's lone member
-        // included — reports to the pool's health machine.
+        // Quarantine wiring: the instance behind every gang member the
+        // run logged as faulted — recovered or not, a serial statement's
+        // lone member included — reports to the pool's health machine.
         if let Some(lease) = &lease {
-            for shard in ctx.faulted_shards() {
+            for &shard in &log.faults.faulted_shards {
                 if let Some(&id) = lease.ids().get(shard) {
                     accels.report_fault(id);
                 }

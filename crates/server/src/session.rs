@@ -102,10 +102,6 @@ impl SessionManager {
         v.sort_by_key(|(id, _)| *id);
         v
     }
-
-    pub fn open_sessions(&self) -> usize {
-        self.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +114,6 @@ mod tests {
         let a = mgr.open("alice");
         let b = mgr.open("bob");
         assert_ne!(a, b);
-        assert_eq!(mgr.open_sessions(), 2);
 
         mgr.record_submit(a).unwrap();
         mgr.record_done(a, true, 1.5, 0.1);
@@ -147,7 +142,6 @@ mod tests {
         assert!(matches!(mgr.close(a), Err(ServerError::UnknownSession(_))));
         // A straggler completion for a closed session is dropped silently.
         mgr.record_done(a, true, 1.0, 1.0);
-        assert_eq!(mgr.open_sessions(), 1);
     }
 
     #[test]

@@ -46,17 +46,6 @@ pub struct BufferPoolStats {
     pub io_seconds: Seconds,
 }
 
-impl BufferPoolStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +146,6 @@ mod tests {
         }
         assert_eq!(bp.stats().misses, 0);
         assert_eq!(bp.stats().io_seconds, 0.0);
-        assert!((bp.stats().hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

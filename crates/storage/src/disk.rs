@@ -28,14 +28,6 @@ impl DiskModel {
         }
     }
 
-    /// A slower spinning-disk model (used in sensitivity tests).
-    pub fn hdd() -> DiskModel {
-        DiskModel {
-            seq_read_bandwidth: 150.0e6,
-            access_latency: 8.0e-3,
-        }
-    }
-
     /// An infinitely fast device (isolates CPU/FPGA effects in tests).
     pub fn instant() -> DiskModel {
         DiskModel {
@@ -44,21 +36,14 @@ impl DiskModel {
         }
     }
 
-    /// Time to read `bytes` in one request.
+    /// Time to read `bytes` in one request: one access latency, then
+    /// bandwidth-bound. A page miss passes one page; a cold sequential
+    /// table scan passes the whole table.
     pub fn read_time(&self, bytes: u64) -> Seconds {
         if bytes == 0 {
             return 0.0;
         }
         self.access_latency + bytes as f64 / self.seq_read_bandwidth
-    }
-
-    /// Time to stream `total_bytes` sequentially (one access latency, then
-    /// bandwidth-bound) — the cost of a cold sequential table scan.
-    pub fn sequential_read_time(&self, total_bytes: u64) -> Seconds {
-        if total_bytes == 0 {
-            return 0.0;
-        }
-        self.access_latency + total_bytes as f64 / self.seq_read_bandwidth
     }
 }
 
@@ -79,7 +64,7 @@ mod tests {
         let d = DiskModel::ssd();
         let pages = 1000u64;
         let page = 32 * 1024u64;
-        let seq = d.sequential_read_time(pages * page);
+        let seq = d.read_time(pages * page);
         let random: f64 = (0..pages).map(|_| d.read_time(page)).sum();
         assert!(seq < random);
         assert!(seq >= (pages * page) as f64 / d.seq_read_bandwidth);
@@ -89,12 +74,10 @@ mod tests {
     fn instant_disk_is_free() {
         let d = DiskModel::instant();
         assert_eq!(d.read_time(1 << 30), 0.0);
-        assert_eq!(d.sequential_read_time(1 << 30), 0.0);
     }
 
     #[test]
     fn zero_bytes_cost_nothing() {
         assert_eq!(DiskModel::ssd().read_time(0), 0.0);
-        assert_eq!(DiskModel::hdd().sequential_read_time(0), 0.0);
     }
 }

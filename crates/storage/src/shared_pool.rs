@@ -208,10 +208,6 @@ impl SharedBufferPool {
         self.shards.len() * self.lock(0).frames.len()
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Deterministic page → shard mapping (independent of hasher seeds, so
     /// residency patterns reproduce across runs and platforms).
     fn shard_of(&self, page_id: PageId) -> usize {
@@ -734,7 +730,6 @@ mod tests {
     fn shard_split_covers_all_frames() {
         let bp = pool(16, 4);
         assert_eq!(bp.frames(), 16);
-        assert_eq!(bp.num_shards(), 4);
         // More shards than frames still leaves one frame per shard.
         let bp = pool(2, 8);
         assert_eq!(bp.frames(), 8);

@@ -44,17 +44,6 @@ impl Datum {
         }
     }
 
-    /// Numeric value as f64 (lossless for all supported types' ranges used
-    /// in the workloads).
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            Datum::Float4(v) => *v as f64,
-            Datum::Float8(v) => *v,
-            Datum::Int4(v) => *v as f64,
-            Datum::Int8(v) => *v as f64,
-        }
-    }
-
     /// Numeric value as f32 (the execution engine's native width).
     pub fn as_f32(&self) -> f32 {
         match self {
@@ -196,11 +185,6 @@ impl Tuple {
         Ok(Tuple { values })
     }
 
-    /// Total on-page size of this tuple under `schema`.
-    pub fn formed_size(schema: &Schema) -> usize {
-        TUPLE_HEADER_BYTES + schema.tuple_data_width()
-    }
-
     /// Feature vector and label for a [`Schema::training`]-shaped tuple
     /// (all columns but the last are features, the last is the label).
     pub fn as_training(&self) -> (Vec<f32>, f32) {
@@ -223,7 +207,7 @@ mod tests {
         let schema = Schema::training(4);
         let t = Tuple::training(&[1.0, -2.5, 3.25, 0.0], 7.5);
         let bytes = t.form(&schema, 42, 0x0001_0002).unwrap();
-        assert_eq!(bytes.len(), Tuple::formed_size(&schema));
+        assert_eq!(bytes.len(), TUPLE_HEADER_BYTES + schema.tuple_data_width());
         let back = Tuple::deform(&schema, &bytes).unwrap();
         assert_eq!(back, t);
     }
@@ -288,7 +272,7 @@ mod tests {
         let layout = PageLayoutDesc::new(
             8 * 1024,
             0,
-            Tuple::formed_size(&schema),
+            TUPLE_HEADER_BYTES + schema.tuple_data_width(),
             TUPLE_HEADER_BYTES,
             TupleDirection::Ascending,
         )
@@ -318,7 +302,6 @@ mod tests {
     #[test]
     fn datum_conversions() {
         assert_eq!(Datum::Int4(3).as_f32(), 3.0);
-        assert_eq!(Datum::Int8(-2).as_f64(), -2.0);
         assert_eq!(Datum::Float8(0.5).as_f32(), 0.5);
     }
 }

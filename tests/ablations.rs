@@ -12,6 +12,9 @@ use dana::{
 };
 use dana_workloads::{generate, workload};
 
+mod common;
+use common::execute;
+
 fn db_with(table_name: &str, w: &dana_workloads::Workload, seed: u64) -> Dana {
     let table = generate(w, 32 * 1024, seed).unwrap();
     let db = Dana::new(
@@ -68,7 +71,7 @@ fn thread_scaling_functional() {
         wt.learning_rate = w.learning_rate; // zoo scales lr by merge coef
         let spec = wt.spec();
         db.deploy(&spec, "rssvm").unwrap();
-        let report = db.run_udf(&spec.name, "rssvm").unwrap();
+        let report = execute(&db, &spec.name, "rssvm");
         cycles.push(report.engine.cycles);
     }
     assert!(cycles[1] < cycles[0], "{cycles:?}");
@@ -130,7 +133,7 @@ fn descending_layout_end_to_end() {
         epochs: 120,
     });
     db.deploy_source(&src, "linearR", "desc_table").unwrap();
-    let report = db.run_udf("linearR", "desc_table").unwrap();
+    let report = execute(&db, "linearR", "desc_table");
     // The periodic feature generator makes the design matrix rank-deficient,
     // so weights are not identifiable — check the *predictions* instead.
     let model = dana_ml::DenseModel(report.dense_model().to_vec());
@@ -167,7 +170,7 @@ fn arria10_compiles_all_algorithms() {
     );
     db.create_table("t", table.heap).unwrap();
     let info = db.deploy(&w.spec(), "t").unwrap();
-    assert!(db.run_udf("logisticR", "t").is_ok());
+    execute(&db, "logisticR", "t");
     // The VU9P hosts strictly more clusters than the Arria 10.
     let big = Dana::new(
         FpgaSpec::vu9p(),
@@ -251,7 +254,7 @@ fn analytic_harness_is_the_simulators_cost_model() {
         db.create_table("t", table.heap).unwrap();
         let pages = w.pages_for(PAGE);
         assert_eq!(db.table_pages("t"), Some(pages as u32), "{name}");
-        let scan_read = p.disk.sequential_read_time(pages * PAGE as u64);
+        let scan_read = p.disk.read_time(pages * PAGE as u64);
 
         let spec = w.spec();
         db.deploy(&spec, "t").unwrap();
@@ -265,7 +268,7 @@ fn analytic_harness_is_the_simulators_cost_model() {
                 db.clear_cache();
             }
             let misses_before = db.pool_stats().misses;
-            let report = db.run_udf(&spec.name, "t").unwrap();
+            let report = execute(&db, &spec.name, "t");
             let missed = db.pool_stats().misses - misses_before;
             let a = analytic_dana(&w, ExecutionMode::Strider, warm, &p).unwrap();
             let f = report.timing;

@@ -247,7 +247,12 @@ fn sql_backends_agree_end_to_end() {
         assert!(cpu.report().unwrap().timing.wall_seconds.is_some());
 
         // Scoring tiers: bit-identical materialized predictions.
-        let pf = db.predict(&udf, "t", "pf").unwrap();
+        let pf = db
+            .execute_statement(&format!(
+                "PREDICT dana.{udf}('t') INTO 'pf' WITH (backend = fpga);"
+            ))
+            .unwrap();
+        let pf = pf.predict_report().unwrap();
         let pc = db
             .execute_statement(&format!(
                 "PREDICT dana.{udf}('t') INTO 'pc' WITH (backend = cpu);"
@@ -269,7 +274,10 @@ fn sql_backends_agree_end_to_end() {
         assert_eq!(scan(&db, "pf"), scan(&db, "pc"), "{udf}: predictions");
 
         // Metrics agree exactly.
-        let ef = db.evaluate(&udf, "t", None).unwrap();
+        let ef = db
+            .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = fpga);"))
+            .unwrap();
+        let ef = ef.eval_report().unwrap();
         let ec = db
             .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = cpu);"))
             .unwrap();
@@ -305,7 +313,10 @@ fn sql_backends_agree_end_to_end() {
         "lrmf: factors"
     );
     assert_eq!(cpu.report().unwrap().backend, BackendKind::Cpu);
-    let ef = db.evaluate("lrmf", "ratings", None).unwrap();
+    let ef = db
+        .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = fpga);")
+        .unwrap();
+    let ef = ef.eval_report().unwrap();
     let ec = db
         .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = cpu);")
         .unwrap();

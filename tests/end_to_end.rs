@@ -5,6 +5,9 @@ use dana::prelude::*;
 use dana_ml::metrics;
 use dana_workloads::{generate, workload};
 
+mod common;
+use common::execute;
+
 fn small_db() -> Dana {
     Dana::new(
         FpgaSpec::vu9p(),
@@ -58,7 +61,7 @@ fn svm_full_pipeline() {
     let db = small_db();
     db.create_table("rs_svm", table.heap).unwrap();
     db.deploy(&w.spec(), "rs_svm").unwrap();
-    let report = db.run_udf("svm", "rs_svm").unwrap();
+    let report = execute(&db, "svm", "rs_svm");
 
     let model = dana_ml::DenseModel(report.dense_model().to_vec());
     let acc = metrics::classification_accuracy(&model, &data, true).unwrap();
@@ -83,7 +86,7 @@ fn linear_regression_via_textual_dsl() {
     });
     let info = db.deploy_source(&source, "linearR", "patient").unwrap();
     assert!(info.micro_ops > 0);
-    let report = db.run_udf("linearR", "patient").unwrap();
+    let report = execute(&db, "linearR", "patient");
 
     let model = dana_ml::DenseModel(report.dense_model().to_vec());
     let loss = metrics::mse(&model, &data).unwrap();
@@ -116,7 +119,7 @@ fn lrmf_full_pipeline() {
     let db = small_db();
     db.create_table("ratings", table.heap).unwrap();
     db.deploy(&w.spec(), "ratings").unwrap();
-    let report = db.run_udf("lrmf", "ratings").unwrap();
+    let report = execute(&db, "lrmf", "ratings");
 
     assert_eq!(report.models.len(), 2);
     let l = report.model("L").unwrap();
@@ -160,7 +163,7 @@ fn convergence_condition_stops_training_early() {
     let db = small_db();
     db.create_table("t", table.heap).unwrap();
     db.deploy_source(src, "convlin", "t").unwrap();
-    let report = db.run_udf("convlin", "t").unwrap();
+    let report = execute(&db, "convlin", "t");
     assert!(
         report.converged_early,
         "gradient should shrink below the threshold"
@@ -217,7 +220,7 @@ fn page_sizes_8_16_32k_all_work() {
         );
         db.create_table("t", table.heap).unwrap();
         db.deploy(&w.spec(), "t").unwrap();
-        let report = db.run_udf("logisticR", "t").unwrap();
+        let report = execute(&db, "logisticR", "t");
         assert_eq!(report.epochs_run, 5, "page size {page_size}");
     }
 }

@@ -16,6 +16,9 @@ use dana_storage::TupleBatch;
 use dana_strider::{AccessEngine, AccessEngineConfig};
 use dana_workloads::{generate, workload, Workload};
 
+mod common;
+use common::execute;
+
 /// Compiles `w`'s spec for `table` as DEPLOY does, or at an explicit
 /// thread count.
 fn compile_for(
@@ -115,7 +118,7 @@ fn streaming_path_matches_reference_path_across_modes() {
         let spec = w.spec();
         db.deploy(&spec, "t").unwrap();
         let acc = compile_for(&w, &table, None);
-        let streaming = db.run_udf(&spec.name, "t").unwrap();
+        let streaming = execute(&db, &spec.name, "t");
         assert_eq!(streaming.num_threads, acc.design.num_threads, "{name}");
         assert_eq!(
             streaming.models,
@@ -213,8 +216,8 @@ fn concurrent_core_matches_single_threaded_across_modes() {
         };
         check(
             "deployed",
-            core.run_udf(&spec.name, "t").unwrap(),
-            db.run_udf(&spec.name, "t").unwrap(),
+            execute(&core, &spec.name, "t"),
+            execute(&db, &spec.name, "t"),
         );
         assert_eq!(core.held_frames(), 0, "{name}: leaked buffer-pool frames");
     }

@@ -17,15 +17,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dana::prelude::*;
-use dana::{FrontDoorWalls, ParallelError, PhysicalPlan, PlanOp, QueryCtx, SystemCore, Wrap};
+use dana::{parse_statement, FrontDoorWalls, ParallelError, SystemCore, Work};
 use dana_dsl::zoo::{linear_regression, DenseParams};
-use dana_engine::{CancelToken, EngineError, FaultPlan, RetryPolicy};
+use dana_engine::{EngineError, FaultPlan};
 use dana_server::{
     AdmissionConfig, DanaServer, Health, QueryReply, QueryRequest, SchedPolicy, ServerConfig,
     ServerError, SystemCoreConfig,
 };
 use dana_storage::page::TupleDirection;
 use dana_storage::{BufferPoolConfig, HeapFile, HeapFileBuilder, Schema, Tuple};
+
+mod common;
+use common::execute;
 
 const PAGE: usize = 8 * 1024;
 
@@ -221,22 +224,20 @@ fn fault_history_matrix_follows_one_rule() {
     let core = deployed_core();
     let epochs = 12u32;
 
-    // One EXECUTE of `shards` members under `retries`: its report (or
-    // error), its engine epoch spans, the members it reported, and the
-    // retries it counted.
+    // One traced EXECUTE of `shards` members under `retries`: its report
+    // (or error), its engine epoch spans, the members its run logged as
+    // faulted, and the retries it counted.
     let execute = |shards: u16, retries: u32| {
-        let plan = PhysicalPlan {
-            shards,
-            wrap: Wrap::Trace,
-            ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
+        let sql = format!(
+            "EXECUTE linearR('t') WITH (shards = {shards}, retries = {retries}, trace = on);"
+        );
+        let stmt = parse_statement(&sql).unwrap();
+        let (Work::Plan(plan), ctx) = core.lower(&stmt, usize::MAX).unwrap() else {
+            panic!("EXECUTE lowers to a plan");
         };
-        let retry = RetryPolicy {
-            max_retries: retries,
-            ..RetryPolicy::default()
-        };
-        let ctx = QueryCtx::new(CancelToken::none(), retry);
+        assert_eq!(plan.shards, shards, "the table has a page per member");
         let counted = core.metrics().fault_retries.get();
-        let result = core.run(&plan, &FrontDoorWalls::default(), &ctx);
+        let (result, log) = core.run(&plan, &FrontDoorWalls::default(), &ctx);
         let epoch_spans: Vec<f64> = match &result {
             Ok((_, Some(trace))) => trace
                 .stage("engine")
@@ -250,7 +251,7 @@ fn fault_history_matrix_follows_one_rule() {
         assert_eq!(core.held_frames(), 0, "{shards} shards, retries {retries}");
         let report = result.and_then(|(response, _)| response.report().cloned());
         let counted = core.metrics().fault_retries.get() - counted;
-        (report, epoch_spans, ctx.faulted_shards(), counted)
+        (report, epoch_spans, log.faults.faulted_shards, counted)
     };
 
     let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -338,7 +339,7 @@ fn timed_out_query_releases_lease_and_frames() {
         let srv = deployed_server(1, 1, default_timeout_ms);
         let session = srv.open_session("deadline");
         // Scoring requests need a model to reach their deadline check.
-        srv.core().run_udf("linearR", "t").unwrap();
+        execute(srv.core(), "linearR", "t");
 
         // Stall every lease grant long enough that a 5 ms deadline
         // expires while the query holds the lease; the first cooperative
@@ -459,6 +460,36 @@ fn hostile_sql_is_a_typed_error_on_the_submitting_thread() {
         )
         .unwrap();
     assert!(reply.response.report().is_ok());
+}
+
+/// A two-member gang that exhausts its retries fails typed, and the pool
+/// hears of exactly the members its run logged as faulted: the one a
+/// `shard_fault` plan names, or both when every member faults. The third
+/// instance, which sat the gang out, stays healthy.
+#[test]
+fn exhausted_gang_reports_exactly_its_faulted_members() {
+    for (plan, faulted) in [
+        (FaultPlan::shard_fault(1, 2), 1),
+        (FaultPlan::transient_at_epoch(2, 2), 2),
+    ] {
+        let srv = trained_server(3, 1);
+        let session = srv.open_session("exhausted-gang");
+        srv.install_fault_plan(Some(Arc::new(plan)));
+        let sql = "EXECUTE dana.linearR('t') WITH (shards = 2, retries = 0);";
+        let err = srv
+            .call(session, QueryRequest::Sql(sql.into()))
+            .unwrap_err();
+        srv.install_fault_plan(None);
+        assert!(
+            matches!(&err, ServerError::Dana(e) if e.is_transient_fault()),
+            "got {err}"
+        );
+        let health = srv.pool_health();
+        assert_eq!(health.faults_reported, faulted as u64);
+        let suspects = health.states.iter().filter(|h| **h == Health::Suspect);
+        assert_eq!(suspects.count(), faulted, "states: {:?}", health.states);
+        assert_eq!(srv.core().held_frames(), 0);
+    }
 }
 
 /// Quarantine lifecycle: two strikes quarantine an instance (withheld

@@ -29,6 +29,9 @@ use dana_parallel::ReplaySource;
 use dana_storage::{BufferPoolConfig, TupleBatch};
 use dana_workloads::{generate, workload};
 
+mod common;
+use common::execute;
+
 /// Deterministic pseudo-random tuple values in [-1, 1).
 fn synth_tuples(n: usize, width: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n)
@@ -420,7 +423,7 @@ proptest! {
         let mut models = initial_models(&acc.design);
         let threads = acc.design.num_threads as usize;
         train_spec(&spec, &acc.fold_order, threads, &batch, &mut models).unwrap();
-        let lowered = db.run_udf(&spec.name, "t").unwrap();
+        let lowered = execute(&db, &spec.name, "t");
         assert_eq!(
             bits(&lowered.models),
             bits(&models),

@@ -15,11 +15,16 @@
 //! * multi-shard training is reproducible run-to-run and still learns.
 
 use dana::prelude::*;
-use dana::{PhysicalPlan, PlanOp, QueryCtx, QueryResponse, SystemCore, SystemCoreConfig};
+use dana::{
+    parse_statement, EvalReport, PhysicalPlan, QueryCtx, SystemCore, SystemCoreConfig, Work,
+};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_parallel::{MergeBuffer, MergeSpec, ShardOwnership};
 use dana_storage::page::TupleDirection;
 use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema};
+
+mod common;
+use common::execute;
 
 const PAGE: usize = 8 * 1024;
 
@@ -253,17 +258,48 @@ fn fresh_core() -> SystemCore {
 }
 
 /// A one-page table: whatever gang a plan asks for, the shard planner
-/// gives it one member. (`bind` clamps such a request up front; a
-/// hand-built plan — or a table replaced between bind and run — reaches
-/// the gang executor with it.)
+/// gives it one member. (`bind` clamps such a request up front; a plan
+/// edited after bind — or a table replaced between bind and run —
+/// reaches the gang executor with it.)
 fn one_page_heap(algo: Algorithm) -> HeapFile {
     let heap = heap_for(algo, 100);
     assert_eq!(heap.page_count(), 1);
     heap
 }
 
-fn run(core: &SystemCore, plan: &PhysicalPlan) -> QueryResponse {
-    core.execute(plan, &QueryCtx::unbounded()).unwrap().0
+/// `sql`'s plan, as `bind` made it.
+fn bind(core: &SystemCore, sql: &str) -> PhysicalPlan {
+    match core
+        .lower(&parse_statement(sql).unwrap(), usize::MAX)
+        .unwrap()
+    {
+        (Work::Plan(plan), _) => *plan,
+        (Work::Stats(_), _) => panic!("{sql} binds no plan"),
+    }
+}
+
+/// The plan `bind` makes for `EXECUTE udf('t')`, asking for a two-member
+/// gang after the fact.
+fn two_member_execute(core: &SystemCore, udf: &str) -> PhysicalPlan {
+    PhysicalPlan {
+        shards: 2,
+        ..bind(core, &format!("EXECUTE {udf}('t');"))
+    }
+}
+
+fn run(core: &SystemCore, plan: &PhysicalPlan) -> DanaReport {
+    let response = core.execute(plan, &QueryCtx::default()).0.unwrap();
+    response.report().unwrap().clone()
+}
+
+/// `EVALUATE udf('t')` on the FPGA tier under the default metric.
+fn evaluate(db: &SystemCore, udf: &str) -> EvalReport {
+    let sql = format!("EVALUATE {udf}('t') WITH (backend = fpga);");
+    db.execute_statement(&sql)
+        .unwrap()
+        .eval_report()
+        .unwrap()
+        .clone()
 }
 
 #[test]
@@ -278,14 +314,10 @@ fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
             db
         };
         // Serial reference.
-        let serial = db().run_udf(&spec.name, "t").unwrap();
+        let serial = execute(&db(), &spec.name, "t");
         // One-member gang on a fresh system.
-        let plan = PhysicalPlan {
-            shards: 2,
-            ..PhysicalPlan::serial(PlanOp::Train, &spec.name, "t")
-        };
-        let gang = run(&db(), &plan);
-        let gang = gang.report().unwrap();
+        let gang_db = db();
+        let gang = run(&gang_db, &two_member_execute(&gang_db, &spec.name));
         assert_eq!(
             gang.models, serial.models,
             "{algo:?}: models must be bit-identical"
@@ -297,7 +329,7 @@ fn one_shard_training_is_bit_identical_to_serial_across_zoo_and_modes() {
 }
 
 #[test]
-fn one_shard_run_udf_matches_serial() {
+fn one_shard_execute_matches_serial() {
     let spec = spec_for(Algorithm::Linear, 8);
     let core = || {
         let c = fresh_core();
@@ -307,19 +339,16 @@ fn one_shard_run_udf_matches_serial() {
         c
     };
     let c1 = core();
-    let serial = c1.run_udf("linearR", "t").unwrap();
+    let serial = execute(&c1, "linearR", "t");
     let c2 = core();
-    let plan = PhysicalPlan {
-        shards: 2,
-        ..PhysicalPlan::serial(PlanOp::Train, "linearR", "t")
-    };
-    let gang = run(&c2, &plan);
-    let gang = gang.report().unwrap();
+    let gang = run(&c2, &two_member_execute(&c2, "linearR"));
     assert_eq!(gang.models, serial.models);
     assert_eq!(gang.engine, serial.engine);
     assert_eq!(gang.timing, serial.timing);
     // Gang training stores the trained model: PREDICT binds it.
-    assert!(c2.predict("linearR", "t", "p").is_ok());
+    assert!(c2
+        .execute_statement("PREDICT linearR('t') INTO 'p';")
+        .is_ok());
     assert_eq!(c2.held_frames(), 0, "gang scans must release every frame");
 }
 
@@ -337,9 +366,14 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
         let db = fresh_dana();
         db.create_table("t", heap_for(algo, 900)).unwrap();
         db.deploy(&spec, "t").unwrap();
-        db.run_udf(&udf, "t").unwrap();
+        execute(&db, &udf, "t");
 
-        let serial = db.predict(&udf, "t", "p_serial").unwrap();
+        let serial = db
+            .execute_statement(&format!(
+                "PREDICT dana.{udf}('t') INTO 'p_serial' WITH (backend = fpga);"
+            ))
+            .unwrap();
+        let serial = serial.predict_report().unwrap();
         let reference = rows_of(&db, "p_serial");
         for k in [1u16, 2, 4] {
             let dest = format!("p_{k}");
@@ -372,7 +406,7 @@ fn parallel_predict_is_bit_identical_for_every_shard_count() {
                 .unwrap()
                 .clone()
         };
-        let es = db.evaluate(&udf, "t", None).unwrap();
+        let es = evaluate(&db, &udf);
         let e1 = evaluate_sharded(1);
         assert_eq!(e1.value, es.value, "{algo:?}: 1-shard EVALUATE");
         assert_eq!(e1.metric, es.metric);
@@ -396,28 +430,24 @@ fn concurrent_core_scoring_matches_serial_for_every_shard_count() {
     core.create_table("t", heap_for(Algorithm::Logistic, 800))
         .unwrap();
     core.deploy(&spec, "t").unwrap();
-    core.run_udf("logisticR", "t").unwrap();
-    let serial = core.score_with("logisticR", "t", None).unwrap();
-    for k in [1u16, 2, 4] {
-        let plan = PhysicalPlan {
-            shards: k,
-            ..PhysicalPlan::serial(PlanOp::Score { lanes: None }, "logisticR", "t")
-        };
-        let QueryResponse::Point(sharded) = run(&core, &plan) else {
-            panic!("a score plan yields inline predictions");
-        };
-        assert_eq!(sharded.predictions, serial, "{k}-shard score stream");
-    }
-    // Sharded predict materializes identically through the write-locked
-    // install path.
-    core.predict("logisticR", "t", "ps").unwrap();
-    core.execute_statement("PREDICT dana.logisticR('t') INTO 'p4' WITH (shards = 4);")
+    execute(&core, "logisticR", "t");
+    // The prediction column (the last) of a materialized table.
+    let predictions = |table: &str| -> Vec<f32> {
+        let rows = rows_of(&core, table);
+        rows.iter().map(|r| *r.last().unwrap()).collect()
+    };
+    core.execute_statement("PREDICT dana.logisticR('t') INTO 'ps' WITH (backend = fpga);")
         .unwrap();
-    assert_eq!(
-        rows_of(&core, "ps"),
-        rows_of(&core, "p4"),
-        "materialized tables identical"
-    );
+    let serial = predictions("ps");
+    // Every gang materializes identically through the write-locked
+    // install path.
+    for k in [1u16, 2, 4] {
+        let dest = format!("p{k}");
+        let sql = format!("PREDICT dana.logisticR('t') INTO '{dest}' WITH (shards = {k});");
+        let report = core.execute_statement(&sql).unwrap();
+        assert_eq!(report.predict_report().unwrap().shards, k);
+        assert_eq!(predictions(&dest), serial, "{k}-shard prediction column");
+    }
     assert_eq!(core.held_frames(), 0);
 }
 
@@ -439,8 +469,7 @@ fn multi_shard_training_is_reproducible_and_still_learns() {
             let dana::QueryResponse::Trained(t) = out else {
                 panic!("expected train outcome");
             };
-            let e = db.evaluate(&udf, "t", None).unwrap();
-            (t, e.value)
+            (t, evaluate(&db, &udf).value)
         };
         let (a, loss_a) = run();
         let (b, loss_b) = run();
@@ -462,8 +491,8 @@ fn multi_shard_training_is_reproducible_and_still_learns() {
         let db = fresh_dana();
         db.create_table("t", heap_for(algo, 900)).unwrap();
         db.deploy(&spec, "t").unwrap();
-        db.run_udf(&udf, "t").unwrap();
-        let serial_loss = db.evaluate(&udf, "t", None).unwrap().value;
+        execute(&db, &udf, "t");
+        let serial_loss = evaluate(&db, &udf).value;
         match algo {
             Algorithm::Lrmf => assert!(
                 loss_a < 1.0,

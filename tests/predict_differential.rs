@@ -3,17 +3,21 @@
 //! For every zoo model (linear regression, logistic regression, SVM,
 //! LRMF) the accelerator scoring path — deploy-time scoring lowering,
 //! streamed page extraction, SoA lockstep executor — must produce
-//! predictions **bit-identical** to the `dana_ml::scorer` CPU reference,
-//! at every lockstep lane count (1 / 4 / 16). A materialized prediction table must also
+//! predictions **bit-identical** to the `dana_ml::scorer` CPU reference:
+//! the bound scoring program at every lockstep lane count (1 / 4 / 16),
+//! and a front-door PREDICT at the design's lanes. A materialized prediction table must also
 //! round-trip: created by PREDICT, scanned back, evaluated with
 //! EVALUATE, dropped with full page eviction.
 
 use dana::prelude::*;
-use dana::MetricKind;
+use dana::{exec, SystemCore};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_ml::{scorer, DenseModel, LrmfModel};
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
+
+mod common;
+use common::execute;
 
 const PAGE: usize = 8 * 1024;
 
@@ -74,6 +78,26 @@ fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
 
 const LANES: [u16; 3] = [1, 4, 16];
 
+/// Holds `udf`'s scores of `table` to `reference`, bit for bit: the
+/// scoring program bound to its latest model at every lane count of the
+/// sweep, and a front-door PREDICT — pages, Striders and all — at the
+/// design's lanes.
+fn assert_scores_match(db: &SystemCore, udf: &str, table: &str, reference: &[f32]) {
+    let cached = db.accelerator_runtime(udf).unwrap();
+    let setup = exec::scoring_setup(udf, cached, db.trained_generation(udf)).unwrap();
+    let batch = db.table_snapshot(table).unwrap().scan_batch().unwrap();
+    for lanes in LANES {
+        let (got, _) = dana::score_batch(&setup.program, lanes, &batch).unwrap();
+        assert_eq!(got, reference, "{udf}: {lanes} lanes must be bit-identical");
+    }
+    let sql = format!("PREDICT {udf}('{table}') INTO 'scores' WITH (backend = fpga);");
+    let out = db.execute_statement(&sql).unwrap();
+    assert_eq!(out.predict_report().unwrap().lanes, setup.lanes);
+    let stored = db.table_snapshot("scores").unwrap().scan_batch().unwrap();
+    let got: Vec<f32> = stored.rows().map(|r| *r.last().unwrap()).collect();
+    assert_eq!(got, reference, "{udf}: PREDICT must be bit-identical");
+}
+
 /// Trains one dense zoo model in-database, then sweeps the accelerator
 /// scoring path against the CPU reference.
 fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
@@ -92,17 +116,13 @@ fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
     .unwrap();
     let udf = spec.name.clone();
     db.deploy(&spec, "t").unwrap();
-    let trained = db.run_udf(&udf, "t").unwrap();
+    let trained = execute(&db, &udf, "t");
 
     let batch = db.table_snapshot("t").unwrap().scan_batch().unwrap();
     let model = DenseModel(trained.dense_model().to_vec());
     let reference = scorer::score_dense(&model, &batch, link);
     assert_eq!(reference.len(), 900);
-
-    for lanes in LANES {
-        let got = db.score_with(&udf, "t", Some(lanes)).unwrap();
-        assert_eq!(got, reference, "{udf}: {lanes} lanes must be bit-identical");
-    }
+    assert_scores_match(&db, &udf, "t", &reference);
 }
 
 #[test]
@@ -136,7 +156,7 @@ fn lrmf_predictions_bit_identical() {
     })
     .unwrap();
     db.deploy(&spec, "ratings").unwrap();
-    let trained = db.run_udf("lrmf", "ratings").unwrap();
+    let trained = execute(&db, "lrmf", "ratings");
 
     // Rebuild the reference factorization from the trained factors.
     let l = trained.model("L").unwrap().to_vec();
@@ -152,11 +172,7 @@ fn lrmf_predictions_bit_identical() {
     };
     let batch = db.table_snapshot("ratings").unwrap().scan_batch().unwrap();
     let reference = scorer::score_lrmf(&model, &batch);
-
-    for lanes in LANES {
-        let got = db.score_with("lrmf", "ratings", Some(lanes)).unwrap();
-        assert_eq!(got, reference, "lrmf: {lanes} lanes must be bit-identical");
-    }
+    assert_scores_match(&db, "lrmf", "ratings", &reference);
 }
 
 /// A point PREDICT reads an LRMF index the way training gathers it:
@@ -178,7 +194,7 @@ fn point_predict_rounds_lrmf_indices_as_training_does() {
     })
     .unwrap();
     db.deploy(&spec, "ratings").unwrap();
-    db.run_udf("lrmf", "ratings").unwrap();
+    execute(&db, "lrmf", "ratings");
     let point = |i: f32| {
         let sql = format!("PREDICT dana.lrmf(VALUES ({i}, 1.0));");
         db.execute_statement(&sql)
@@ -214,10 +230,13 @@ fn prediction_table_round_trips_through_the_catalog() {
     })
     .unwrap();
     db.deploy(&spec, "t").unwrap();
-    let trained = db.run_udf("linearR", "t").unwrap();
+    let trained = execute(&db, "linearR", "t");
 
     // PREDICT → a real catalog table with the derived schema.
-    let report = db.predict("linearR", "t", "t_scores").unwrap();
+    let report = db
+        .execute_statement("PREDICT linearR('t') INTO 't_scores';")
+        .unwrap();
+    let report = report.predict_report().unwrap();
     assert_eq!(report.rows_scored, 1200);
     assert!(db.table_names().contains(&"t_scores".to_string()));
 
@@ -240,8 +259,9 @@ fn prediction_table_round_trips_through_the_catalog() {
     // column is ignored, the label column still reads — the metric
     // equals the whole-batch reference on the source table.
     let eval = db
-        .evaluate("linearR", "t_scores", Some(MetricKind::Mse))
+        .execute_statement("EVALUATE linearR('t_scores', 'mse');")
         .unwrap();
+    let eval = eval.eval_report().unwrap();
     assert_eq!(
         eval.value,
         dana_ml::metrics::mse(&model, &src).unwrap(),

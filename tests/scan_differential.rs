@@ -17,6 +17,9 @@ use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFileBuilder, Schema};
 
+mod common;
+use common::execute;
+
 const PAGE: usize = 8 * 1024;
 
 /// A four-shard pool, as a served core would run (sharding changes
@@ -451,7 +454,7 @@ fn drop_racing_filtered_scan_releases_every_frame() {
     let rows = dense_rows(1400, 10, Algorithm::Linear);
     core.create_table("seed", dense_heap_of(&rows, 10)).unwrap();
     core.deploy(&spec, "seed").unwrap();
-    core.run_udf("linearR", "seed").unwrap();
+    execute(&core, "linearR", "seed");
 
     for round in 0..6 {
         let name = format!("t{round}");

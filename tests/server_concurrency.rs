@@ -13,6 +13,9 @@ use dana_server::{
 use dana_storage::BufferPoolConfig;
 use dana_workloads::{generate, workload};
 
+mod common;
+use common::execute;
+
 fn small_core_config() -> SystemCoreConfig {
     SystemCoreConfig {
         fpga: FpgaSpec::vu9p(),
@@ -51,7 +54,7 @@ fn serial_models(w: &dana_workloads::Workload, seed: u64) -> Vec<Vec<f32>> {
     db.prewarm("t").unwrap();
     let spec = w.spec();
     db.deploy(&spec, "t").unwrap();
-    db.run_udf(&spec.name, "t").unwrap().models
+    execute(&db, &spec.name, "t").models
 }
 
 /// Many threads training different workloads, several clients per
