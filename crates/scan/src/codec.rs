@@ -15,10 +15,19 @@
 //!   zero (free space), so only the 24-byte header and the special space
 //!   ride along verbatim.
 //!
-//! [`compress_page`] decompresses its own output and compares against the
-//! original before committing to the FOR form — a page that deviates from
-//! the canonical builder layout in any way (or that doesn't shrink) falls
-//! back to raw, making the round trip bit-exact *unconditionally*.
+//! [`compress_page`] does a page's work in one pass: it gathers every lane,
+//! reading each cell once, and picks each lane's frame of reference
+//! or dictionary with a hash table that stops counting distinct values
+//! once a dictionary can no longer be the smaller; only the distinct
+//! values are sorted, and a cell's dictionary index is its value's rank.
+//! Before committing to the FOR form it checks the round trip in place,
+//! without rebuilding the page: the packed image parses
+//! ([`ForPage::open`]), every lane unpacks to the cells it was gathered
+//! from, the header and special space are the page's, and every byte that
+//! no lane, line pointer, header or special space covers is zero. A page
+//! that deviates from the canonical builder layout in any way (or that
+//! doesn't shrink) falls back to raw, making the round trip bit-exact
+//! *unconditionally*.
 //!
 //! There is one parser of the packed form, [`ForPage::open`]: it checks
 //! the whole image and borrows its lanes without unpacking them. A lane is
@@ -44,9 +53,13 @@
 //! [`CmpOp::matches`](crate::CmpOp::matches); the buffers for codes and
 //! tables are a [`LaneScratch`] the caller keeps across pages.
 
+use std::ops::Range;
+
 use crate::spec::BoundScanSpec;
+use crate::zonemap::PageZone;
+use dana_storage::page::TupleDirection;
 use dana_storage::{
-    ColumnType, PageLayoutDesc, Schema, StorageError, StorageResult, TupleBatch,
+    ColumnType, PageLayoutDesc, PageView, Schema, StorageError, StorageResult, TupleBatch,
     LINE_POINTER_BYTES, PAGE_HEADER_BYTES,
 };
 
@@ -59,20 +72,226 @@ pub const CODEC_FOR: u8 = 1;
 /// byte and always decompresses (via [`decompress_page`] with the same
 /// layout and schema) to exactly `bytes`.
 pub fn compress_page(bytes: &[u8], layout: &PageLayoutDesc, schema: &Schema) -> Vec<u8> {
-    if let Some(packed) = try_compress_for(bytes, layout, schema) {
-        if packed.len() < 1 + bytes.len() {
-            // Commit to FOR only if the reconstruction is bit-exact.
-            if let Ok(back) = decompress_page(&packed, layout, schema) {
-                if back == bytes {
-                    return packed;
-                }
-            }
+    PageEncoder::new(layout, schema).compress(bytes)
+}
+
+/// The compressor of one heap's pages, keeping its buffers from page to
+/// page: [`compress_page`] is one call of it, and
+/// [`ScanSidecar::build`](crate::ScanSidecar::build) runs one over a whole
+/// heap and reads each `CODEC_FOR` page's zone map off the lanes it
+/// gathered ([`PageEncoder::zone`]).
+pub(crate) struct PageEncoder<'a> {
+    layout: PageLayoutDesc,
+    schema: &'a Schema,
+    /// Per lane, the byte offset of its cells within a tuple and their
+    /// width: the tuple-header words, then the columns in schema order.
+    lanes: Vec<(usize, usize)>,
+    /// Bytes at the front of a tuple that the lanes cover.
+    covered: usize,
+    /// Live tuples on the page last gathered.
+    count: u16,
+    /// That page's cells, lane after lane, `count` per lane.
+    cells: Vec<u64>,
+    /// Per lane packed as a dictionary, where in `firsts` its distinct
+    /// values lie, in order of first appearance.
+    firsts_at: Vec<Option<Range<usize>>>,
+    firsts: Vec<u64>,
+    lane: LaneEncoder,
+    /// The packed image being built.
+    out: Vec<u8>,
+    /// One lane's codes and dictionary, unpacked by the round-trip check.
+    codes: Vec<u64>,
+    entries: Vec<u64>,
+}
+
+impl<'a> PageEncoder<'a> {
+    pub(crate) fn new(layout: &PageLayoutDesc, schema: &'a Schema) -> PageEncoder<'a> {
+        let header_words = (0..layout.tuple_header_bytes / 4).map(|w| (w * 4, 4));
+        let mut covered = layout.tuple_header_bytes;
+        let columns = schema.columns().iter().map(|col| {
+            let at = covered;
+            covered += col.ty.width();
+            (at, col.ty.width())
+        });
+        let lanes = header_words.chain(columns).collect();
+        PageEncoder {
+            layout: *layout,
+            schema,
+            lanes,
+            covered,
+            count: 0,
+            cells: Vec::new(),
+            firsts_at: Vec::new(),
+            firsts: Vec::new(),
+            lane: LaneEncoder::default(),
+            out: Vec::new(),
+            codes: Vec::new(),
+            entries: Vec::new(),
         }
     }
-    let mut out = Vec::with_capacity(1 + bytes.len());
-    out.push(CODEC_RAW);
-    out.extend_from_slice(bytes);
-    out
+
+    /// [`compress_page`] of `bytes`: the FOR form when the page packs
+    /// smaller and round-trips, sized exactly; the raw form otherwise.
+    pub(crate) fn compress(&mut self, bytes: &[u8]) -> Vec<u8> {
+        if self.pack(bytes).is_some() && self.out.len() < 1 + bytes.len() && self.round_trips(bytes)
+        {
+            return self.out.as_slice().to_vec();
+        }
+        let mut out = Vec::with_capacity(1 + bytes.len());
+        out.push(CODEC_RAW);
+        out.extend_from_slice(bytes);
+        out
+    }
+
+    /// The zone map of `page`, the page [`compress`](Self::compress) last
+    /// packed to `CODEC_FOR`, folded off its column lanes in slot order —
+    /// [`PageZone::build`]'s, bit for bit. `None` when some tuple's user
+    /// data, as [`PageView::user_data`] finds it, does not start right after
+    /// the tuple header, where the lanes were gathered; a page `PageView`
+    /// cannot read is the error `PageZone::build` returns.
+    ///
+    /// A dictionary lane folds only its distinct values, in order of first
+    /// appearance: the first cell to reach a bound is the first appearance
+    /// of its value, so the fold ends on the same bits.
+    pub(crate) fn zone(&self, page: &[u8]) -> StorageResult<Option<PageZone>> {
+        let (layout, width) = (&self.layout, self.schema.tuple_data_width());
+        let view = PageView::new(page, *layout)?;
+        for slot in 0..view.tuple_count() {
+            let lanes = layout.tuple_offset(slot) + layout.tuple_header_bytes;
+            if view.user_data(slot, width)?.as_ptr() != page.as_ptr().wrapping_add(lanes) {
+                return Ok(None);
+            }
+        }
+        let n = self.count as usize;
+        let header_words = self.layout.tuple_header_bytes / 4;
+        let mut zone = PageZone::empty(self.schema.len(), self.count);
+        for (c, col) in self.schema.columns().iter().enumerate() {
+            let lane = header_words + c;
+            let values = match &self.firsts_at[lane] {
+                Some(at) => &self.firsts[at.clone()],
+                None => &self.cells[lane * n..][..n],
+            };
+            zone.fold_column(c, values.iter().map(|&bits| decode(col.ty, bits)));
+        }
+        Ok(Some(zone))
+    }
+
+    /// Gathers the page's lanes, reading each cell once, and packs them
+    /// into `out`. `None` when the page visibly deviates from the canonical
+    /// builder layout: its size, its tuple count, a line pointer (they are
+    /// regenerated, not stored), or lanes that do not fit in a tuple.
+    fn pack(&mut self, bytes: &[u8]) -> Option<()> {
+        let layout = &self.layout;
+        if bytes.len() != layout.page_size
+            || !layout.tuple_header_bytes.is_multiple_of(4)
+            || self.covered > layout.tuple_bytes
+        {
+            return None;
+        }
+        let count = u16::from_le_bytes([bytes[16], bytes[17]]);
+        if count > layout.capacity {
+            return None;
+        }
+        // Line pointers must be exactly what the layout dictates (used
+        // slots) or zero (unused slots).
+        let pointers =
+            bytes[PAGE_HEADER_BYTES..layout.data_start()].chunks_exact(LINE_POINTER_BYTES);
+        for (slot, lp) in (0..layout.capacity).zip(pointers) {
+            let off = u16::from_le_bytes([lp[0], lp[1]]) as usize;
+            let len = u16::from_le_bytes([lp[2], lp[3]]) as usize;
+            let canonical = if slot < count {
+                (layout.tuple_offset(slot), layout.tuple_bytes)
+            } else {
+                (0, 0)
+            };
+            if (off, len) != canonical {
+                return None;
+            }
+        }
+        let n = count as usize;
+        self.count = count;
+        self.cells.clear();
+        self.cells.resize(n * self.lanes.len(), 0);
+        // The tuples lie back to back, slot 0 first (ascending) or last
+        // (descending). A lane at a time, each cell is read once and the
+        // lane's cells are written in order.
+        let tuples = match layout.direction {
+            TupleDirection::Ascending => layout.data_start()..,
+            TupleDirection::Descending => layout.special_start() - n * layout.tuple_bytes..,
+        };
+        // (A layout of zero-byte tuples has no lanes to read.)
+        let tuples =
+            bytes[tuples][..n * layout.tuple_bytes].chunks_exact(layout.tuple_bytes.max(1));
+        let lanes = self.cells.chunks_exact_mut(n.max(1)).zip(&self.lanes);
+        for (cells, &(offset, width)) in lanes {
+            for (cell, tuple) in cells.iter_mut().zip(tuples.clone()) {
+                *cell = le_value(&tuple[offset..], width)?;
+            }
+            if layout.direction == TupleDirection::Descending {
+                cells.reverse();
+            }
+        }
+        self.out.clear();
+        self.out.push(CODEC_FOR);
+        self.out.extend_from_slice(&bytes[..PAGE_HEADER_BYTES]);
+        self.out.extend_from_slice(&bytes[layout.special_start()..]);
+        self.firsts_at.clear();
+        self.firsts.clear();
+        for (lane, &(_, width)) in self.lanes.iter().enumerate() {
+            let cells = &self.cells[lane * n..][..n];
+            let at = self.firsts.len();
+            let dict = self.lane.encode(cells, width, &mut self.out) == LANE_DICT;
+            if dict {
+                self.firsts.extend_from_slice(&self.lane.distinct);
+            }
+            self.firsts_at.push(dict.then_some(at..self.firsts.len()));
+        }
+        Some(())
+    }
+
+    /// Whether `out` decompresses to exactly `bytes` — checked in place,
+    /// without building the image: the packed form parses
+    /// ([`ForPage::open`]), every lane unpacks to the cells gathered from
+    /// the page, the header and special space are the page's, and every
+    /// byte that no lane, line pointer, header or special space covers —
+    /// free space, tuple padding — is zero. ([`pack`](Self::pack) checked
+    /// the line pointers.)
+    fn round_trips(&mut self, bytes: &[u8]) -> bool {
+        let layout = &self.layout;
+        let Ok(Some(page)) = ForPage::open(&self.out, layout, self.schema) else {
+            return false;
+        };
+        if page.header != &bytes[..PAGE_HEADER_BYTES]
+            || page.special != &bytes[layout.special_start()..]
+        {
+            return false;
+        }
+        let n = self.count as usize;
+        let lanes = page
+            .header_words
+            .iter()
+            .chain(page.columns.iter().map(|(_, lane)| lane));
+        for (i, lane) in lanes.enumerate() {
+            if !lane.holds(
+                &self.cells[i * n..][..n],
+                &mut self.codes,
+                &mut self.entries,
+            ) {
+                return false;
+            }
+        }
+        let tuples = n * layout.tuple_bytes;
+        let free = match layout.direction {
+            TupleDirection::Ascending => layout.data_start() + tuples..layout.special_start(),
+            TupleDirection::Descending => layout.data_start()..layout.special_start() - tuples,
+        };
+        let zero = |bytes: &[u8]| bytes.iter().fold(0, |any, &b| any | b) == 0;
+        zero(&bytes[free])
+            && (self.covered == layout.tuple_bytes
+                || (0..self.count).all(|slot| {
+                    zero(&bytes[layout.tuple_offset(slot)..][self.covered..layout.tuple_bytes])
+                }))
+    }
 }
 
 /// Decompresses a page produced by [`compress_page`] back to its exact
@@ -335,65 +554,6 @@ fn retain_codes(kept: &mut Vec<u16>, codes: &[u64], keep: impl Fn(u64) -> bool) 
     kept.truncate(len);
 }
 
-/// Attempts the FOR encoding. Returns `None` when the page visibly
-/// deviates from the canonical builder layout (the final round-trip check
-/// in [`compress_page`] catches anything this misses).
-fn try_compress_for(bytes: &[u8], layout: &PageLayoutDesc, schema: &Schema) -> Option<Vec<u8>> {
-    if bytes.len() != layout.page_size || !layout.tuple_header_bytes.is_multiple_of(4) {
-        return None;
-    }
-    let count = u16::from_le_bytes(bytes[16..18].try_into().unwrap());
-    if count > layout.capacity {
-        return None;
-    }
-    // Line pointers must be exactly what the layout dictates (used slots)
-    // or zero (unused slots) — they are regenerated, not stored.
-    for slot in 0..layout.capacity {
-        let lp = PAGE_HEADER_BYTES + slot as usize * LINE_POINTER_BYTES;
-        let off = u16::from_le_bytes(bytes[lp..lp + 2].try_into().unwrap());
-        let len = u16::from_le_bytes(bytes[lp + 2..lp + 4].try_into().unwrap());
-        if slot < count {
-            if off as usize != layout.tuple_offset(slot) || len as usize != layout.tuple_bytes {
-                return None;
-            }
-        } else if off != 0 || len != 0 {
-            return None;
-        }
-    }
-    let n = count as usize;
-    let mut out = Vec::with_capacity(layout.page_size / 2);
-    out.push(CODEC_FOR);
-    out.extend_from_slice(&bytes[..PAGE_HEADER_BYTES]);
-    out.extend_from_slice(&bytes[layout.special_start()..]);
-
-    // Tuple-header word lanes.
-    let header_words = layout.tuple_header_bytes / 4;
-    let mut lane = Vec::with_capacity(n);
-    for w in 0..header_words {
-        lane.clear();
-        for slot in 0..count {
-            let at = layout.tuple_offset(slot) + w * 4;
-            lane.push(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as u64);
-        }
-        encode_lane(&lane, 4, &mut out);
-    }
-    // One lane per column: the cells' little-endian bit patterns.
-    for (idx, col) in schema.columns().iter().enumerate() {
-        let col_off = schema.column_offset(idx).ok()?;
-        let width = col.ty.width();
-        lane.clear();
-        for slot in 0..count {
-            let at = layout.tuple_offset(slot) + layout.tuple_header_bytes + col_off;
-            lane.push(match width {
-                4 => u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as u64,
-                _ => u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()),
-            });
-        }
-        encode_lane(&lane, width, &mut out);
-    }
-    Some(out)
-}
-
 /// Lane mode: frame-of-reference over the raw integer values.
 const LANE_FOR: u8 = 0;
 /// Lane mode: sorted dictionary + bit-packed indices (low-cardinality
@@ -404,41 +564,119 @@ const LANE_DICT: u8 = 1;
 /// Maximum dictionary size worth trying (12-bit indices).
 const DICT_MAX: usize = 4096;
 
-/// Encodes one lane, choosing the smaller of
-/// `[LANE_FOR][min: width bytes LE][bit_width: u8][packed deltas]` and
-/// `[LANE_DICT][n_dict: u16 LE][dict: n_dict × width bytes][bit_width: u8][packed indices]`.
-fn encode_lane(values: &[u64], width: usize, out: &mut Vec<u8>) {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let max_delta = values.iter().map(|&v| v - min).max().unwrap_or(0);
-    let for_bw = 64 - max_delta.leading_zeros() as usize; // 0 when all equal
-    let for_len = width + 1 + packed_len(values.len(), for_bw);
+/// The lane encoder, keeping its buffers from lane to lane.
+#[derive(Default)]
+struct LaneEncoder {
+    /// Open-addressing table: a value and 1 + its entry in `distinct`, or
+    /// 0 in an empty slot. Only the slots in `used` are not empty.
+    table: Vec<(u64, u16)>,
+    used: Vec<usize>,
+    /// The lane's distinct values, in order of first appearance.
+    distinct: Vec<u64>,
+    /// Per cell, the entry of `distinct` holding its value.
+    entry: Vec<u16>,
+    /// Each entry's value and entry, sorted by value.
+    sorted: Vec<(u64, u16)>,
+    /// Per entry, its value's rank among the distinct values: the cell's
+    /// dictionary index.
+    rank: Vec<u16>,
+}
 
-    let mut dict: Vec<u64> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    let dict_bw = usize::BITS as usize - (dict.len().max(1) - 1).leading_zeros() as usize;
-    let dict_len = 2 + dict.len() * width + 1 + packed_len(values.len(), dict_bw);
-
-    if dict.len() <= DICT_MAX && dict_len < for_len {
+impl LaneEncoder {
+    /// Encodes one lane, choosing the smaller of
+    /// `[LANE_FOR][min: width bytes LE][bit_width: u8][packed deltas]` and
+    /// `[LANE_DICT][n_dict: u16 LE][dict: n_dict × width bytes][bit_width: u8][packed indices]`
+    /// (the frame of reference on a tie, and no dictionary of more than
+    /// `DICT_MAX` entries). The dictionary is sorted and a cell's index is
+    /// its value's rank in it. Returns the lane mode written.
+    fn encode(&mut self, values: &[u64], width: usize, out: &mut Vec<u8>) -> u8 {
+        let n = values.len();
+        let (min, max) = match values.split_first() {
+            Some((&first, rest)) => rest
+                .iter()
+                .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+            None => (0, 0),
+        };
+        let for_bw = bit_width(max - min); // 0 when all equal
+        let for_len = width + 1 + packed_len(n, for_bw);
+        let dict_len = |d: usize| 2 + d * width + 1 + packed_len(n, bit_width(d.max(1) as u64 - 1));
+        // The most entries a dictionary may have and still be smaller:
+        // `dict_len` grows with the entry count, and no entries beat any
+        // frame of reference.
+        let (mut limit, mut above) = (0, DICT_MAX + 1);
+        while above - limit > 1 {
+            let mid = (limit + above) / 2;
+            if dict_len(mid) < for_len {
+                limit = mid;
+            } else {
+                above = mid;
+            }
+        }
+        if !self.index(values, limit) {
+            out.push(LANE_FOR);
+            put_value(min, width, out);
+            out.push(for_bw as u8);
+            pack_bits(values.iter().map(|&v| v - min), for_bw, out);
+            return LANE_FOR;
+        }
+        self.sorted.clear();
+        self.sorted.extend(self.distinct.iter().copied().zip(0..));
+        self.sorted.sort_unstable();
+        self.rank.clear();
+        self.rank.resize(self.sorted.len(), 0);
+        for (rank, &(_, entry)) in (0..).zip(&self.sorted) {
+            self.rank[entry as usize] = rank;
+        }
+        let dict_bw = bit_width(self.sorted.len().max(1) as u64 - 1);
         out.push(LANE_DICT);
-        out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
-        for &v in &dict {
+        out.extend_from_slice(&(self.sorted.len() as u16).to_le_bytes());
+        for &(v, _) in &self.sorted {
             put_value(v, width, out);
         }
         out.push(dict_bw as u8);
-        pack_bits(
-            values
-                .iter()
-                .map(|v| dict.binary_search(v).expect("value in dict") as u64),
-            dict_bw,
-            out,
-        );
-    } else {
-        out.push(LANE_FOR);
-        put_value(min, width, out);
-        out.push(for_bw as u8);
-        pack_bits(values.iter().map(|&v| v - min), for_bw, out);
+        let codes = self.entry.iter().map(|&e| self.rank[e as usize] as u64);
+        pack_bits(codes, dict_bw, out);
+        LANE_DICT
     }
+
+    /// Indexes `values` by distinct value into `distinct` and `entry`, or
+    /// gives up (`false`) as soon as there are more than `limit` of them.
+    fn index(&mut self, values: &[u64], limit: usize) -> bool {
+        // At most half full: a probe always ends.
+        let slots = (2 * limit.min(values.len())).next_power_of_two().max(2);
+        let shift = u64::BITS - slots.trailing_zeros();
+        for at in self.used.drain(..) {
+            self.table[at] = (0, 0);
+        }
+        if self.table.len() < slots {
+            self.table.resize(slots, (0, 0));
+        }
+        self.distinct.clear();
+        self.entry.clear();
+        self.entry.resize(values.len(), 0);
+        for (entry, &v) in self.entry.iter_mut().zip(values) {
+            let mut at = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            *entry = loop {
+                match self.table[at] {
+                    (key, e) if key == v && e != 0 => break e - 1,
+                    (_, 0) if self.distinct.len() == limit => return false,
+                    (_, 0) => {
+                        self.distinct.push(v);
+                        self.used.push(at);
+                        self.table[at] = (v, self.distinct.len() as u16);
+                        break self.distinct.len() as u16 - 1;
+                    }
+                    _ => at = (at + 1) & (slots - 1),
+                }
+            };
+        }
+        true
+    }
+}
+
+/// Bits needed to write `v` (0 for 0).
+fn bit_width(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()) as usize
 }
 
 fn put_value(v: u64, width: usize, out: &mut Vec<u8>) {
@@ -452,21 +690,37 @@ fn packed_len(n: usize, bw: usize) -> usize {
     (n * bw).div_ceil(8)
 }
 
-fn pack_bits(values: impl Iterator<Item = u64>, bw: usize, out: &mut Vec<u8>) {
-    let mut acc: u128 = 0;
-    let mut nbits = 0usize;
-    for v in values {
-        acc |= (v as u128) << nbits;
-        nbits += bw;
-        while nbits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
+/// Appends `values`, each `bw` bits wide (and below `2^bw`), as one
+/// little-endian bit stream: value `i` at bit `i × bw`, the last byte
+/// zero-padded.
+fn pack_bits(mut values: impl ExactSizeIterator<Item = u64>, bw: usize, out: &mut Vec<u8>) {
+    out.reserve(packed_len(values.len(), bw));
+    if bw <= 8 {
+        // Eight codes fill exactly `bw` bytes: one word per eight.
+        loop {
+            let (mut word, mut k) = (0u64, 0);
+            for v in values.by_ref().take(8) {
+                word |= v << (k * bw);
+                k += 1;
+            }
+            out.extend_from_slice(&word.to_le_bytes()[..packed_len(k, bw)]);
+            if k < 8 {
+                return;
+            }
         }
     }
-    if nbits > 0 {
-        out.push(acc as u8);
+    let (mut acc, mut nbits) = (0u64, 0);
+    for v in values {
+        acc |= v << nbits;
+        nbits += bw;
+        if nbits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            nbits -= 64;
+            // The bits of `v` that did not fit; none when it began the word.
+            acc = v.checked_shr((bw - nbits) as u32).unwrap_or(0);
+        }
     }
+    out.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8)]);
 }
 
 /// One bit-packed lane, addressed in place: cell `slot` is code `slot`
@@ -600,10 +854,13 @@ impl Lane<'_> {
     }
 
     /// The first `n` codes, in slot order, into `codes` (overwritten):
-    /// eight per load at bit widths 1–8.
+    /// eight per load at bit widths 1–8, none at bit width 0.
     fn unpack(&self, n: usize, codes: &mut Vec<u64>) {
         codes.clear();
         codes.resize(n, 0);
+        if self.bw == 0 {
+            return;
+        }
         let mut grouped = 0;
         if (1..=8).contains(&self.bw) {
             grouped = self.fold_groups(n / 8, 0, |group, word| {
@@ -616,6 +873,31 @@ impl Lane<'_> {
         for (slot, code) in codes.iter_mut().enumerate().skip(grouped) {
             *code = self.code(slot);
         }
+    }
+
+    /// Whether the lane's `cells.len()` cells are `cells`: its codes
+    /// unpacked into `codes`, a dictionary's entries read into `entries`
+    /// (both overwritten).
+    fn holds(&self, cells: &[u64], codes: &mut Vec<u64>, entries: &mut Vec<u64>) -> bool {
+        self.unpack(cells.len(), codes);
+        let pairs = codes.iter().zip(cells);
+        let differ = match self.frame {
+            Frame::Reference(min) => pairs.fold(0, |differ, (&code, &cell)| {
+                differ | (min.wrapping_add(code) ^ cell)
+            }),
+            Frame::Dict(dict) => {
+                entries.clear();
+                let values = dict.chunks_exact(self.width);
+                entries.extend(values.filter_map(|entry| le_value(entry, self.width)));
+                pairs.fold(0, |differ, (&code, &cell)| {
+                    differ
+                        | entries
+                            .get(code as usize)
+                            .map_or(u64::MAX, |&entry| entry ^ cell)
+                })
+            }
+        };
+        differ == 0
     }
 
     /// The bit pattern code `code` stands for; a 4-byte cell's is the low
@@ -687,8 +969,10 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dana_storage::page::TupleDirection;
+    use dana_storage::page::HeapPage;
+    use dana_storage::tuple::TUPLE_HEADER_BYTES;
     use dana_storage::{HeapFileBuilder, Tuple};
+    use proptest::prelude::*;
 
     fn build_pages(n: usize, d: usize, dir: TupleDirection) -> (Vec<Vec<u8>>, PageLayoutDesc) {
         let schema = Schema::training(d);
@@ -752,16 +1036,73 @@ mod tests {
         assert_eq!(back.as_slice(), page, "bit patterns must survive exactly");
     }
 
+    /// A page of 40 `Schema::training(3)` tuples under a layout with 8
+    /// bytes of padding past each tuple's data and 16 bytes of special
+    /// space, which holds a pattern.
+    fn padded_page(dir: TupleDirection) -> (Vec<u8>, PageLayoutDesc, Schema) {
+        let schema = Schema::training(3);
+        let tuple_bytes = TUPLE_HEADER_BYTES + schema.tuple_data_width() + 8;
+        let layout =
+            PageLayoutDesc::new(8 * 1024, 16, tuple_bytes, TUPLE_HEADER_BYTES, dir).unwrap();
+        let mut page = HeapPage::new(layout);
+        for k in 0..40u32 {
+            let tuple = Tuple::training(&[k as f32, 0.5, -(k as f32)], (k % 3) as f32);
+            let mut bytes = tuple.form(&schema, 7 + k, k).unwrap();
+            bytes.resize(tuple_bytes, 0);
+            page.insert(&bytes).unwrap();
+        }
+        let mut bytes = page.into_bytes();
+        for (i, b) in bytes[layout.special_start()..].iter_mut().enumerate() {
+            *b = 0xA0 | i as u8;
+        }
+        (bytes, layout, schema)
+    }
+
+    /// Every byte of a page is either stored (header, special space,
+    /// lanes), regenerated (line pointers) or required to be zero: a
+    /// stray byte anywhere regenerated or zero sends the page raw, one in
+    /// a stored byte stays packed — and either way it round-trips.
     #[test]
     fn corrupted_page_falls_back_to_raw() {
-        let (pages, layout) = build_pages(50, 4, TupleDirection::Ascending);
-        let schema = Schema::training(4);
-        let mut bent = pages[0].clone();
-        // Scribble on a line pointer: no longer canonical.
-        bent[PAGE_HEADER_BYTES] ^= 0xFF;
-        let packed = compress_page(&bent, &layout, &schema);
-        assert_eq!(packed[0], CODEC_RAW);
-        assert_eq!(decompress_page(&packed, &layout, &schema).unwrap(), bent);
+        for dir in [TupleDirection::Ascending, TupleDirection::Descending] {
+            let (pages, layout) = build_pages(50, 4, dir);
+            let schema = Schema::training(4);
+            let mut bent = pages[0].clone();
+            // Scribble on a line pointer: no longer canonical.
+            bent[PAGE_HEADER_BYTES] ^= 0xFF;
+            let packed = compress_page(&bent, &layout, &schema);
+            assert_eq!(packed[0], CODEC_RAW);
+            assert_eq!(decompress_page(&packed, &layout, &schema).unwrap(), bent);
+
+            let (page, layout, schema) = padded_page(dir);
+            assert_eq!(compress_page(&page, &layout, &schema)[0], CODEC_FOR);
+            let count = 40;
+            let first = layout.tuple_offset(0);
+            let cases = [
+                ("used line pointer", PAGE_HEADER_BYTES + 1, CODEC_RAW),
+                (
+                    "unused line pointer",
+                    PAGE_HEADER_BYTES + count * 4 + 2,
+                    CODEC_RAW,
+                ),
+                (
+                    "free space",
+                    layout.tuple_offset(count as u16) + 5,
+                    CODEC_RAW,
+                ),
+                ("tuple padding", first + layout.tuple_bytes - 1, CODEC_RAW),
+                ("header byte", 12, CODEC_FOR),
+                ("special space", layout.special_start() + 3, CODEC_FOR),
+            ];
+            for (what, at, codec) in cases {
+                let mut bent = page.clone();
+                bent[at] ^= 0x5A;
+                let packed = compress_page(&bent, &layout, &schema);
+                assert_eq!(packed[0], codec, "{what} at {at}, {dir:?}");
+                let back = decompress_page(&packed, &layout, &schema).unwrap();
+                assert_eq!(back, bent, "{what} at {at}, {dir:?}");
+            }
+        }
     }
 
     #[test]
@@ -863,5 +1204,240 @@ mod tests {
                 assert_eq!(codes, expected, "bw {bw}, n {n}: read in place");
             }
         }
+    }
+
+    /// The round trip's lane check holds a lane to exactly its cells:
+    /// any one cell off, or a code past the dictionary, and it refuses —
+    /// in frame-of-reference and dictionary lanes, in and past the
+    /// eight-code groups.
+    #[test]
+    fn lane_holds_exactly_its_cells() {
+        let (mut packed, mut codes, mut entries) = (Vec::new(), Vec::new(), Vec::new());
+        let dict: Vec<u8> = [7u32, 40, 41]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let lane_codes: Vec<u64> = (0..21).map(|slot| slot % 3).collect();
+        for frame in [Frame::Reference(1 << 40), Frame::Dict(&dict)] {
+            let mut lane = lane_of(&lane_codes, 2, &mut packed);
+            lane.frame = frame;
+            lane.width = 4;
+            let cells: Vec<u64> = lane_codes.iter().map(|&code| lane.bits(code)).collect();
+            assert!(lane.holds(&cells, &mut codes, &mut entries));
+            for slot in [0, 7, 8, 20] {
+                let mut bent = cells.clone();
+                bent[slot] ^= 1;
+                assert!(!lane.holds(&bent, &mut codes, &mut entries), "slot {slot}");
+            }
+        }
+        // Code 3 indexes no entry of a three-entry dictionary.
+        let lane = Lane {
+            frame: Frame::Dict(&dict),
+            width: 4,
+            ..lane_of(&[0, 3, 1], 2, &mut packed)
+        };
+        assert!(!lane.holds(&[7, 7, 40], &mut codes, &mut entries));
+    }
+
+    /// The lane encoder the hash-indexed one replaced, kept as its
+    /// reference: sort a copy of the lane, dedup it, and binary-search
+    /// every cell; pack a byte at a time.
+    fn reference_encode_lane(values: &[u64], width: usize, out: &mut Vec<u8>) {
+        let min = values.iter().copied().min().unwrap_or(0);
+        let max_delta = values.iter().map(|&v| v - min).max().unwrap_or(0);
+        let for_bw = 64 - max_delta.leading_zeros() as usize; // 0 when all equal
+        let for_len = width + 1 + packed_len(values.len(), for_bw);
+
+        let mut dict: Vec<u64> = values.to_vec();
+        dict.sort_unstable();
+        dict.dedup();
+        let dict_bw = usize::BITS as usize - (dict.len().max(1) - 1).leading_zeros() as usize;
+        let dict_len = 2 + dict.len() * width + 1 + packed_len(values.len(), dict_bw);
+
+        if dict.len() <= DICT_MAX && dict_len < for_len {
+            out.push(LANE_DICT);
+            out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
+            for &v in &dict {
+                put_value(v, width, out);
+            }
+            out.push(dict_bw as u8);
+            reference_pack_bits(
+                values
+                    .iter()
+                    .map(|v| dict.binary_search(v).expect("value in dict") as u64),
+                dict_bw,
+                out,
+            );
+        } else {
+            out.push(LANE_FOR);
+            put_value(min, width, out);
+            out.push(for_bw as u8);
+            reference_pack_bits(values.iter().map(|&v| v - min), for_bw, out);
+        }
+    }
+
+    fn reference_pack_bits(values: impl Iterator<Item = u64>, bw: usize, out: &mut Vec<u8>) {
+        let mut acc: u128 = 0;
+        let mut nbits = 0usize;
+        for v in values {
+            acc |= (v as u128) << nbits;
+            nbits += bw;
+            while nbits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                nbits -= 8;
+            }
+        }
+        if nbits > 0 {
+            out.push(acc as u8);
+        }
+    }
+
+    /// SplitMix64's output function: a bijection on `u64`.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `d` distinct values spread over `spread` bits above a random base,
+    /// with 0 and `u64::MAX` among them when `extremes` (and `d ≥ 2`).
+    fn distinct_values(d: usize, spread: u32, seed: u64, extremes: bool) -> Vec<u64> {
+        let base = mix(seed);
+        let step = (1u64 << spread.min(63)) / d.max(1) as u64;
+        let mut values: Vec<u64> = (0..d as u64)
+            .map(|k| base.wrapping_add(k * step.max(1)))
+            .collect();
+        if extremes && d >= 2 {
+            values[0] = 0;
+            values[d - 1] = u64::MAX;
+        }
+        values
+    }
+
+    /// `n` cells drawing on `pool`, every value of it used when `n` allows,
+    /// in a scrambled order.
+    fn cells_of(pool: &[u64], n: usize, seed: u64) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| match i < pool.len() as u64 {
+                true => pool[i as usize],
+                false => pool[(mix(seed ^ i) % pool.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    /// The smallest dictionary and frame-of-reference bit width that tie
+    /// (`dict_len == for_len`) on a lane of `n` cells of `width` bytes.
+    fn tie(n: usize, width: usize) -> Option<(usize, usize)> {
+        (2..=n.min(DICT_MAX)).find_map(|d| {
+            let dict_bw = bit_width(d as u64 - 1);
+            let dict_len = 2 + d * width + 1 + packed_len(n, dict_bw);
+            (dict_bw.max(1)..=64)
+                .find(|&for_bw| width + 1 + packed_len(n, for_bw) == dict_len)
+                .map(|for_bw| (d, for_bw))
+        })
+    }
+
+    /// A lane of `n` cells, `d` distinct, whose range needs exactly
+    /// `for_bw` bits.
+    fn lane_spanning(n: usize, d: usize, for_bw: usize, seed: u64) -> Vec<u64> {
+        let base = mix(seed) >> 1;
+        let top = ((1u128 << for_bw) - 1) as u64;
+        let mut pool: Vec<u64> = (0..d as u64)
+            .map(|k| base.wrapping_add((k as u128 * top as u128 / (d as u128 - 1)) as u64))
+            .collect();
+        pool.dedup();
+        cells_of(&pool, n, seed)
+    }
+
+    /// Every lane shape the oracle is held to, for one case: 1, 2 and 17
+    /// distinct values (with and without 0 and `u64::MAX`), all-distinct
+    /// lanes, a `dict_len == for_len` tie when `n` and `width` have one,
+    /// and `DICT_MAX` ± 1 distinct values over `big` > 4 096 cells.
+    fn oracle_lanes(width: usize, n: usize, big: usize, spread: u32, seed: u64) -> Vec<Vec<u64>> {
+        let mut lanes = Vec::new();
+        for (k, d) in [1usize, 2, 17].into_iter().enumerate() {
+            for extremes in [false, true] {
+                let pool = distinct_values(d, spread, seed ^ k as u64, extremes);
+                lanes.push(cells_of(&pool, n, seed));
+            }
+        }
+        let stride = 1u64 << (spread % 55);
+        let all = (0..n as u64).map(|i| mix(seed).wrapping_add((i * 7919 % n as u64) * stride));
+        lanes.push(all.collect());
+        lanes.push((0..n as u64).map(|i| mix(seed ^ i)).collect());
+        if let Some((d, for_bw)) = tie(n, width) {
+            lanes.push(lane_spanning(n, d, for_bw, seed));
+        }
+        for d in [DICT_MAX - 1, DICT_MAX, DICT_MAX + 1] {
+            let pool = distinct_values(d, 32 + spread % 33, seed, spread.is_multiple_of(2));
+            lanes.push(cells_of(&pool, big, seed));
+        }
+        lanes
+    }
+
+    proptest! {
+        /// The hash-indexed lane encoder writes exactly the bytes the
+        /// sort-and-search one did, with one encoder's buffers reused
+        /// across every lane.
+        #[test]
+        fn lane_encoder_is_the_sorting_reference(
+            width in prop::sample::select(vec![4usize, 8]),
+            n in 0usize..601,
+            big in 4097usize..12289,
+            spread in 0u32..65,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut encoder = LaneEncoder::default();
+            for lane in oracle_lanes(width, n, big, spread, seed) {
+                let (mut fast, mut reference) = (Vec::new(), Vec::new());
+                encoder.encode(&lane, width, &mut fast);
+                reference_encode_lane(&lane, width, &mut reference);
+                prop_assert_eq!(fast, reference, "width {} n {} spread {} seed {}", width, lane.len(), spread, seed);
+            }
+        }
+    }
+
+    /// What the oracle property compares reaches each way a lane is
+    /// chosen: empty lanes, frame-of-reference and dictionary lanes, a
+    /// tie (which takes the frame of reference), and dictionaries of
+    /// exactly `DICT_MAX` entries beside lanes of `DICT_MAX + 1` values.
+    #[test]
+    fn oracle_lanes_reach_every_choice() {
+        let mut seen = std::collections::BTreeSet::new();
+        for (width, n, big, spread) in [(4, 0, 4097, 3), (4, 600, 12288, 40), (8, 377, 12288, 64)] {
+            for lane in oracle_lanes(width, n, big, spread, 11) {
+                let mut out = Vec::new();
+                reference_encode_lane(&lane, width, &mut out);
+                let mut distinct = lane.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let (min, max) = (distinct.first().copied(), distinct.last().copied());
+                let for_bw = bit_width(max.unwrap_or(0) - min.unwrap_or(0));
+                let dict_bw = bit_width(distinct.len().max(1) as u64 - 1);
+                let dict_len = 3 + distinct.len() * width + packed_len(lane.len(), dict_bw);
+                if dict_len == width + 1 + packed_len(lane.len(), for_bw) {
+                    assert_eq!(out[0], LANE_FOR, "a tie takes the frame of reference");
+                    seen.insert("tie");
+                }
+                seen.insert(match (lane.len(), out[0], distinct.len()) {
+                    (0, _, _) => "empty",
+                    (_, LANE_DICT, DICT_MAX) => "dictionary of DICT_MAX",
+                    (_, LANE_FOR, d) if d > DICT_MAX => "more than DICT_MAX",
+                    (_, LANE_DICT, _) => "dictionary",
+                    _ => "frame of reference",
+                });
+            }
+        }
+        let every = [
+            "dictionary",
+            "dictionary of DICT_MAX",
+            "empty",
+            "frame of reference",
+            "more than DICT_MAX",
+            "tie",
+        ];
+        assert_eq!(seen, every.into(), "{seen:?}");
     }
 }

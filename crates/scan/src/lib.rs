@@ -9,8 +9,10 @@
 //!   over the page's integer lanes (tuple-header words, Float4/Int column
 //!   bit patterns) with a whole-page raw fallback, chosen per page. Both
 //!   codecs reconstruct the exact page image — compression is bit-exact by
-//!   construction, and [`codec::compress_page`] verifies the round trip
-//!   before committing to the packed form. A pushdown scan does not
+//!   construction, and [`codec::compress_page`] checks the round trip in
+//!   place (every lane against the cells it packed, every other byte
+//!   stored verbatim or zero) before committing to the packed form. A
+//!   pushdown scan does not
 //!   reconstruct a FOR page: [`ForPage::filter_into`] evaluates the
 //!   predicate on the packed lanes and decodes only the kept cells of the
 //!   projected columns.
@@ -20,7 +22,9 @@
 //!   `COLUMNS (…)` clauses compiled at parse time, bound to a schema into
 //!   a [`BoundScanSpec`] that prunes pages and filters rows.
 //! * [`sidecar`] — [`ScanSidecar`]: the lazily-built per-table compressed
-//!   heap + zone maps the scan tier caches on the catalog entry.
+//!   heap + zone maps the scan tier caches on the catalog entry, built in
+//!   one pass per page (a packed page's zone map is read off the lanes its
+//!   compression gathered).
 
 pub mod codec;
 pub mod sidecar;

@@ -9,14 +9,22 @@
 //! the zone maps drive page skipping and selectivity estimation without
 //! touching any page.
 //!
+//! The build does each page's work once: one compressor runs over the
+//! heap, keeping its buffers from page to page, and a `CODEC_FOR` page's
+//! zone map is folded off the column lanes that compressor gathered, in
+//! slot order, instead of decoding every row again. A page that stays
+//! raw gets [`PageZone::build`], which stays the reference the folded
+//! zones are held to.
+//!
 //! Which tuples a filtered scan keeps is decided once, by the scan: the
 //! page source records the slots its predicate kept and PREDICT
 //! materializes from that list. [`select_slots`] is the reference the list
-//! is held to (tests and the benchmark's replay call it; no statement does).
+//! is held to (tests and the benchmark's replay call it; no statement does);
+//! it rebuilds each page's zone with [`PageZone::build`].
 
 use std::sync::Arc;
 
-use crate::codec::compress_page;
+use crate::codec::{PageEncoder, CODEC_FOR};
 use crate::spec::BoundScanSpec;
 use crate::zonemap::PageZone;
 use dana_storage::{HeapFile, RowDecoder, StorageResult};
@@ -36,21 +44,30 @@ pub struct ScanSidecar {
 }
 
 impl ScanSidecar {
-    /// Compresses every page of `heap` and computes its zone maps.
+    /// Compresses every page of `heap` and computes its zone maps, in one
+    /// pass per page: a `CODEC_FOR` page's zone is folded off the lanes
+    /// its compression gathered, a raw page's comes from
+    /// [`PageZone::build`].
     pub fn build(heap: &HeapFile) -> StorageResult<ScanSidecar> {
-        let layout = heap.layout();
-        let schema = heap.schema();
+        let mut encoder = PageEncoder::new(heap.layout(), heap.schema());
         let mut pages = Vec::with_capacity(heap.page_count() as usize);
         let mut zones = Vec::with_capacity(heap.page_count() as usize);
         let mut raw_bytes = 0u64;
         let mut compressed_bytes = 0u64;
         for page_no in 0..heap.page_count() {
             let raw = heap.page_bytes(page_no)?;
-            let packed = compress_page(raw, layout, schema);
+            let packed = encoder.compress(raw);
             raw_bytes += raw.len() as u64;
             compressed_bytes += packed.len() as u64;
+            let folded = match packed[0] {
+                CODEC_FOR => encoder.zone(raw)?,
+                _ => None,
+            };
+            zones.push(match folded {
+                Some(zone) => zone,
+                None => PageZone::build(heap, page_no)?,
+            });
             pages.push(Arc::new(packed));
-            zones.push(PageZone::build(heap, page_no)?);
         }
         Ok(ScanSidecar {
             pages,
@@ -125,9 +142,10 @@ pub fn select_slots(heap: &HeapFile, spec: &BoundScanSpec) -> StorageResult<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CODEC_RAW;
     use crate::spec::{CmpOp, Predicate, ScanSpec};
     use dana_storage::page::TupleDirection;
-    use dana_storage::{HeapFileBuilder, PageView, Schema, Tuple};
+    use dana_storage::{ColumnType, Datum, HeapFileBuilder, PageView, Schema, Tuple};
 
     fn heap(n: usize) -> HeapFile {
         let mut b =
@@ -146,6 +164,7 @@ mod tests {
         assert_eq!(sc.page_count(), h.page_count());
         assert!(sc.ratio() > 1.0, "clustered pages must shrink");
         for p in 0..h.page_count() {
+            assert_eq!(sc.page(p).capacity(), sc.page(p).len(), "sized exactly");
             let back = crate::codec::decompress_page(sc.page(p), h.layout(), h.schema()).unwrap();
             assert_eq!(back.as_slice(), h.page_bytes(p).unwrap());
             assert_eq!(sc.zone(p).tuples as u64, {
@@ -211,6 +230,93 @@ mod tests {
         // The zones the function rebuilds equal the sidecar's stored ones.
         for p in 0..h.page_count() {
             assert_eq!(&PageZone::build(&h, p).unwrap(), sc.zone(p), "page {p}");
+        }
+    }
+
+    /// A zone's bounds as bit patterns, so `-0.0` and `0.0` differ.
+    fn zone_bits(zone: &PageZone) -> (Vec<u32>, Vec<u32>, Vec<bool>, u16) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(&zone.min),
+            bits(&zone.max),
+            zone.has_nan.clone(),
+            zone.tuples,
+        )
+    }
+
+    /// Zone maps folded off a packed page's lanes are `PageZone::build`'s,
+    /// bit for bit — NaN payloads, both zeros in either order, infinities,
+    /// subnormals, every column type, both tuple directions — and a page
+    /// that stays raw keeps `PageZone::build`'s.
+    #[test]
+    fn lane_zones_are_the_decoded_zones() {
+        let odd = [
+            f32::from_bits(0x7FC0_1234), // NaN with payload
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1), // smallest subnormal
+            f32::from_bits(0x807F_FFFF),
+            1.5,
+            -2.25,
+        ];
+        let schema = Schema::new(vec![
+            ("f4".into(), ColumnType::Float4),
+            ("i4".into(), ColumnType::Int4),
+            ("i8".into(), ColumnType::Int8),
+            ("f8".into(), ColumnType::Float8),
+            ("zeros".into(), ColumnType::Float4),
+        ]);
+        for dir in [TupleDirection::Ascending, TupleDirection::Descending] {
+            let mut b = HeapFileBuilder::new(schema.clone(), 8 * 1024, dir).unwrap();
+            for k in 0..1000usize {
+                let f = odd[(k + k / 150) % odd.len()];
+                // Runs of each zero, so that a page meets either first
+                // and both bounds are zeros.
+                let zero = if k / 37 % 2 == 0 { -0.0 } else { 0.0 };
+                b.insert(&Tuple::new(vec![
+                    Datum::Float4(f),
+                    Datum::Int4(k as i32 % 7 - 3),
+                    Datum::Int8(-(k as i64) << 40),
+                    Datum::Float8(if k % 5 == 0 {
+                        -(f as f64)
+                    } else {
+                        f64::MIN_POSITIVE
+                    }),
+                    Datum::Float4(if k % 97 == 0 { odd[0] } else { zero }),
+                ]))
+                .unwrap();
+            }
+            let h = b.finish();
+            let sc = ScanSidecar::build(&h).unwrap();
+            let mut packed = 0;
+            for p in 0..h.page_count() {
+                packed += usize::from(sc.page(p)[0] == CODEC_FOR);
+                let built = PageZone::build(&h, p).unwrap();
+                assert_eq!(
+                    zone_bits(sc.zone(p)),
+                    zone_bits(&built),
+                    "page {p}, {dir:?}"
+                );
+            }
+            assert_eq!(packed, h.page_count() as usize, "every page packs");
+        }
+        // About 100 unquantized features on an 8 KB page: raw.
+        let mut b = HeapFileBuilder::new(Schema::training(99), 8 * 1024, TupleDirection::Ascending)
+            .unwrap();
+        for k in 0..60u32 {
+            let x: Vec<f32> = (0..99)
+                .map(|i| f32::from_bits((k * 99 + i).wrapping_mul(0x9E37_79B9)))
+                .collect();
+            b.insert(&Tuple::training(&x, -0.0)).unwrap();
+        }
+        let h = b.finish();
+        let sc = ScanSidecar::build(&h).unwrap();
+        assert_eq!(sc.page(0)[0], CODEC_RAW);
+        for p in 0..h.page_count() {
+            let built = PageZone::build(&h, p).unwrap();
+            assert_eq!(zone_bits(sc.zone(p)), zone_bits(&built), "raw page {p}");
         }
     }
 }
