@@ -66,13 +66,12 @@ use dana_infer::{MetricKind, MetricPartial, ScoringStats};
 use dana_ml::CpuModel;
 use dana_obs::{MetricsRegistry, QueryTrace, StatEntry, StatsSnapshot};
 use dana_parallel::{
-    evaluate_gang, packed_tuple_splits, score_gang_concat, split_replay_sources,
-    train_gang_guarded, ReplaySource, ShardPlan,
+    evaluate_gang, packed_tuple_splits, score_gang_concat, train_gang_guarded, ShardPlan,
 };
 use dana_scan::{BoundScanSpec, ScanSidecar, ScanSpec};
 use dana_storage::{
     BufferPoolConfig, BufferPoolStats, Catalog, DiskModel, HeapFile, HeapId, SharedBufferPool,
-    SourceError, StorageError, TableEntry, TupleBatch, TupleSource,
+    StorageError, TableEntry, TupleSource,
 };
 use dana_strider::{disassemble, AccessEngine, AccessStats};
 
@@ -85,7 +84,7 @@ use crate::report::{
     AnalyzeReport, DanaReport, DanaTiming, EvalReport, PointReport, PredictReport, QueryResponse,
     Seconds,
 };
-use crate::source::{ScanState, SharedPageStreamSource};
+use crate::source::{member_selections, ScanState, SharedPageStreamSource};
 
 /// How to build a [`SystemCore`].
 #[derive(Debug, Clone, Copy)]
@@ -248,59 +247,24 @@ pub struct EngineCacheStats {
     pub hits: u64,
 }
 
-/// One member of a statement's scan, behind one source type: a page-range
-/// stream through the pool, or a replayed slice of one filtered scan
-/// carrying its share of that scan's measured cost.
-enum Member<'a> {
-    Pages(SharedPageStreamSource<'a>),
-    Replay(ReplaySource, ShardScan),
-}
-
 /// One member's first-scan measurements: extraction stats plus the disk
 /// seconds the scan was charged.
 type ShardScan = (AccessStats, Seconds);
-
-impl TupleSource for Member<'_> {
-    fn width(&self) -> usize {
-        match self {
-            Member::Pages(s) => s.width(),
-            Member::Replay(s, _) => s.width(),
-        }
-    }
-
-    fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
-        match self {
-            Member::Pages(s) => s.next_batch(),
-            Member::Replay(s, _) => s.next_batch(),
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), SourceError> {
-        match self {
-            Member::Pages(s) => s.rewind(),
-            Member::Replay(s, _) => s.rewind(),
-        }
-    }
-
-    fn tuple_count_hint(&self) -> Option<u64> {
-        match self {
-            Member::Pages(s) => s.tuple_count_hint(),
-            Member::Replay(s, _) => s.tuple_count_hint(),
-        }
-    }
-}
 
 /// The one scan a statement runs: `k ≥ 1` member tuple streams in shard
 /// order, opened by [`SystemCore::open_scan`] and closed by
 /// [`Scan::finish`]. A serial statement's scan has one member; nothing
 /// downstream of the open asks which shape it got.
 struct Scan<'a> {
-    members: Vec<Member<'a>>,
+    members: Vec<SharedPageStreamSource<'a>>,
     /// The pushdown state every member was opened under, if any.
     state: Option<ScanState>,
     /// The slots a filtered gang's one scan kept (it runs at open); a lone
     /// streaming member hands its list over at [`Scan::finish`].
     kept: Vec<Vec<u16>>,
+    /// A filtered gang's members' shares of its one scan's bill, by member;
+    /// empty when every member meters its own first pass.
+    shares: Vec<ShardScan>,
 }
 
 /// What a pushdown scan selected: per source page the slots its predicate
@@ -326,19 +290,17 @@ impl Scan<'_> {
         engine_stats: &[EngineStats],
     ) -> (Vec<ShardArtifacts>, Option<Survivors>) {
         let mut slots = self.kept;
+        let mut shares = self.shares.into_iter();
         let shards: Vec<ShardArtifacts> = self
             .members
             .into_iter()
             .enumerate()
             .map(|(i, member)| {
-                let (access_stats, io_first) = match member {
-                    Member::Pages(s) => {
-                        let mut scan = s.into_stats();
-                        slots.append(&mut scan.kept);
-                        (scan.stats, scan.io_seconds)
-                    }
-                    Member::Replay(_, scan) => scan,
-                };
+                let (access_stats, io_first) = shares.next().unwrap_or_else(|| {
+                    let mut scan = member.into_stats();
+                    slots.append(&mut scan.kept);
+                    (scan.stats, scan.io_seconds)
+                });
                 ShardArtifacts {
                     engine_stats: engine_stats.get(i).copied().unwrap_or_default(),
                     access_stats,
@@ -987,24 +949,26 @@ impl SystemCore {
     }
 
     /// Opens a statement's [`Scan`] — the only place that looks at the
-    /// plan's `(shards, pushdown)` pair:
+    /// plan's `(shards, pushdown)` pair. Every member is a page-range
+    /// stream through the pool that holds one batch; a rewind restarts its
+    /// walk, and only its first pass is metered.
     ///
     /// * no pushdown → one contiguous page-range stream per planned shard
     ///   (the planner never makes more shards than pages; one shard is the
     ///   whole heap), each fetching through the pool concurrently;
     /// * pushdown, one shard → the whole-heap stream with the scan state
-    ///   attached, still streaming page by page;
-    /// * pushdown, several shards → the table is streamed **once** through
-    ///   the pushdown scan and the surviving tuples re-split at the page
-    ///   boundaries a pre-materialized filtered table would have
-    ///   (post-filter rows don't align with source page boundaries, so page
-    ///   ranges can't partition them): member contents — and so gang merges
-    ///   and concatenated scores — are bit-identical to sharding that
-    ///   table, the member count never exceeds its page count, and each
-    ///   member carries its share of the scan's measured cost.
-    ///
-    /// It also knows the statement: a streaming member of anything but
-    /// [`PlanOp::Train`] is opened single-pass and holds one batch.
+    ///   attached;
+    /// * pushdown, several shards → the table is scanned **once** here,
+    ///   metered, keeping only the slots each page's predicate kept. The
+    ///   survivors are cut at the page boundaries a pre-materialized
+    ///   filtered table would have (post-filter rows don't align with
+    ///   source page boundaries, so source page ranges can't partition
+    ///   them), and each member streams the pages that hold its slice,
+    ///   extracting only its slots, on every pass. Member contents — and
+    ///   so gang merges and concatenated scores — are bit-identical to
+    ///   sharding that table, the member count never exceeds its page
+    ///   count, and [`Scan::finish`] bills each member its share of the
+    ///   one scan's measured cost.
     fn open_scan<'a>(
         &'a self,
         plan: &PhysicalPlan,
@@ -1019,52 +983,41 @@ impl SystemCore {
                 &self.pool, &self.disk, heap, heap_id, access, start_page, end_page,
             )
         };
-        // A member that streams its pages. Training re-reads its scan
-        // every later epoch, so its members cache what they extract; a
-        // scoring statement reads each batch once.
-        let streaming = |source: SharedPageStreamSource<'a>| {
-            Member::Pages(if plan.op == PlanOp::Train {
-                source
-            } else {
-                source.single_pass()
-            })
-        };
-        let mut kept = Vec::new();
+        let (mut kept, mut shares) = (Vec::new(), Vec::new());
         let members = match &state {
             None => ShardPlan::new(heap, plan.shards as usize)
                 .ranges()
                 .iter()
-                .map(|r| streaming(open(r.start_page, r.end_page)))
+                .map(|r| open(r.start_page, r.end_page))
                 .collect(),
+            Some(st) if plan.shards <= 1 => vec![open(0, heap.page_count()).with_scan(st.clone())],
             Some(st) => {
-                let whole = open(0, heap.page_count()).with_scan(st.clone());
-                if plan.shards <= 1 {
-                    vec![streaming(whole)]
-                } else {
-                    // Drained into its cache here and replayed in slices:
-                    // the caching path, whatever the statement.
-                    let (batches, scan) = whole
-                        .into_cache()
-                        .map_err(|e| DanaError::Engine(EngineError::from(e)))?;
-                    kept = scan.kept;
-                    let capacity = exec::packed_page_capacity(heap, &st.spec)?;
-                    let splits =
-                        packed_tuple_splits(scan.stats.tuples, capacity, plan.shards as usize);
-                    let width = st.spec.output_width(heap.schema().len());
-                    let shares =
-                        exec::split_filtered_scan_stats(&scan.stats, scan.io_seconds, &splits);
-                    split_replay_sources(width, &batches, &splits)
-                        .into_iter()
-                        .zip(shares)
-                        .map(|(source, share)| Member::Replay(source, share))
-                        .collect()
-                }
+                let mut whole = open(0, heap.page_count()).with_scan(st.clone());
+                while whole
+                    .next_batch()
+                    .map_err(|e| DanaError::Engine(EngineError::from(e)))?
+                    .is_some()
+                {}
+                let scan = whole.into_stats();
+                let capacity = exec::packed_page_capacity(heap, &st.spec)?;
+                let splits = packed_tuple_splits(scan.stats.tuples, capacity, plan.shards as usize);
+                shares = exec::split_filtered_scan_stats(&scan.stats, scan.io_seconds, &splits);
+                kept = scan.kept;
+                member_selections(&kept, &splits)
+                    .into_iter()
+                    .map(|(start, selection)| {
+                        open(start, start + selection.len() as u32)
+                            .with_scan(st.clone())
+                            .with_selection(selection)
+                    })
+                    .collect()
             }
         };
         Ok(Scan {
             members,
             state,
             kept,
+            shares,
         })
     }
 
@@ -1232,7 +1185,7 @@ impl SystemCore {
         setup: &exec::ScoringSetup,
         entry: &TableEntry,
         heap: &HeapFile,
-        fold: impl FnOnce(&mut [Member<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
+        fold: impl FnOnce(&mut [SharedPageStreamSource<'_>]) -> DanaResult<(T, Vec<ScoringStats>)>,
     ) -> DanaResult<(T, ScoringStats, DanaTiming, u16, Option<Survivors>)> {
         let budget = setup.cached.budget;
         let access = exec::access_engine_for(heap, budget, &self.fpga);
@@ -1348,7 +1301,24 @@ mod tests {
     use crate::pipeline::tests::{evaluate, execute, linreg_heap, predict};
     use crate::{parse_statement, Dana, Work};
     use dana_dsl::zoo::{linear_regression, DenseParams};
-    use dana_storage::Tuple;
+    use dana_storage::page::TupleDirection;
+    use dana_storage::{HeapFileBuilder, Schema, Tuple};
+
+    /// [`a_streamed_three_epoch_execute_bills_what_the_cached_one_did`]'s
+    /// bill at commit edfbfa0, which replayed later epochs from a cache.
+    const TIMING_AT_PARENT: [u64; 7] = [
+        4584244844857522396,
+        4563459501891147455,
+        4558497633490102606,
+        0,
+        4562350431986552630,
+        4584304132692975288,
+        4594024959172541220,
+    ];
+    const ACCESS_AT_PARENT: [u64; 7] = [128, 18560, 4556391195633808297, 464768, 0, 0, 0];
+    /// [`filtered_gang_members_are_billed_shares_of_one_scan`]'s digest of
+    /// its statements' bills at commit edfbfa0.
+    const GANG_BILLS_AT_PARENT: u64 = 2463648942315308101;
 
     const POOL: BufferPoolConfig = BufferPoolConfig {
         pool_bytes: 64 << 20,
@@ -1766,5 +1736,271 @@ mod tests {
         let l = hint("SELECT * FROM dana.largeR('large');");
         assert!(s > 0.0 && l > 0.0);
         assert!(l > s, "more tuples must cost more: {l} vs {s}");
+    }
+
+    /// A core whose one-shard pool holds `frames` 8 KiB pages.
+    fn core_with_frames(frames: u64) -> SystemCore {
+        SystemCore::new(SystemCoreConfig {
+            fpga: FpgaSpec::vu9p(),
+            pool: BufferPoolConfig {
+                pool_bytes: frames * 8 * 1024,
+                page_size: 8 * 1024,
+            },
+            pool_shards: 1,
+            disk: DiskModel::ssd(),
+        })
+    }
+
+    /// `linreg_spec(d)` named `name`, trained for `epochs` epochs.
+    fn epochs_spec(name: &str, d: usize, epochs: u32) -> dana_dsl::AlgoSpec {
+        let mut spec = linear_regression(DenseParams {
+            n_features: d,
+            learning_rate: 0.2,
+            merge_coef: 8,
+            epochs,
+        })
+        .unwrap();
+        spec.name = name.into();
+        spec
+    }
+
+    fn timing_bits(t: &DanaTiming) -> [u64; 7] {
+        [
+            t.io_seconds,
+            t.axi_seconds,
+            t.strider_seconds,
+            t.decompress_seconds,
+            t.engine_seconds,
+            t.setup_seconds,
+            t.total_seconds,
+        ]
+        .map(f64::to_bits)
+    }
+
+    fn access_bits(a: &AccessStats) -> [u64; 7] {
+        [
+            a.pages,
+            a.tuples,
+            a.axi_seconds.to_bits(),
+            a.strider_cycles,
+            a.decompress_cycles,
+            a.decompressed_bytes,
+            a.pages_skipped,
+        ]
+    }
+
+    /// `x0, x1, y` rows filling `pages` 8 KiB pages. Every odd page holds
+    /// `x1 = 10` only, which `WHERE x1 < 5` zone-prunes; on the even pages
+    /// `x1` cycles through 0, 0.25, …, 1, so `WHERE x1 < 0.9` keeps four
+    /// rows in five of them.
+    fn banded_heap(pages: usize) -> HeapFile {
+        let capacity = linreg_heap(1, 2).layout().capacity as usize;
+        let mut b =
+            HeapFileBuilder::new(Schema::training(2), 8 * 1024, TupleDirection::Ascending).unwrap();
+        for k in 0..pages * capacity {
+            let x0 = ((k * 7) % 11) as f32 / 5.0 - 1.0;
+            let x1 = if (k / capacity) % 2 == 1 {
+                10.0
+            } else {
+                (k % 5) as f32 * 0.25
+            };
+            b.insert(&Tuple::training(&[x0, x1], 0.3 * x0 - 0.5 * x1))
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    /// Opens `sql`'s scan on a cold pool, streams every member `passes`
+    /// times and closes it: per member, what it is billed (access stats,
+    /// first-pass disk seconds as bits), and what the scan selected.
+    fn run_scan(
+        core: &SystemCore,
+        sql: &str,
+        passes: usize,
+    ) -> (Vec<(AccessStats, u64)>, Option<Survivors>) {
+        let plan = bind_sql(core, sql, 4).unwrap();
+        let (entry, heap) = core.snapshot_table(&plan.table).unwrap();
+        let budget = core.accelerator_runtime(&plan.udf).unwrap().budget;
+        let access = exec::access_engine_for(&heap, budget, &core.fpga);
+        core.clear_cache();
+        let mut scan = core.open_scan(&plan, &entry, &heap, &access).unwrap();
+        for member in &mut scan.members {
+            for _ in 0..passes {
+                member.rewind().unwrap();
+                while member.next_batch().unwrap().is_some() {}
+            }
+        }
+        let (shards, survivors) = scan.finish(&core.metrics, &heap, &[]);
+        let billed = shards
+            .iter()
+            .map(|s| (s.access_stats, s.io_first.to_bits()));
+        (billed.collect(), survivors)
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Training streams its pages every epoch and only the first pass is
+    /// metered, so a three-epoch EXECUTE over a table twice the pool's
+    /// size bills what it billed when later epochs replayed a cached copy
+    /// of the table: its `DanaTiming` and `AccessStats` equal, bit for
+    /// bit, the numbers recorded at commit edfbfa0. Its later passes
+    /// really missed — the pool counts one miss per page per pass — and no
+    /// frame stays held.
+    #[test]
+    fn a_streamed_three_epoch_execute_bills_what_the_cached_one_did() {
+        let core = core_with_frames(64);
+        let capacity = linreg_heap(1, 8).layout().capacity as usize;
+        core.create_table("t", linreg_heap(128 * capacity, 8))
+            .unwrap();
+        assert_eq!(core.table_pages("t"), Some(2 * core.pool.frames() as u32));
+        core.deploy(&epochs_spec("thrice", 8, 3), "t").unwrap();
+        core.clear_cache();
+        let report = execute(&core, "thrice", "t").unwrap();
+        assert_eq!(report.epochs_run, 3);
+        assert_eq!(timing_bits(&report.timing), TIMING_AT_PARENT);
+        assert_eq!(access_bits(&report.access), ACCESS_AT_PARENT);
+        assert_eq!(core.pool_stats().misses, 3 * 128);
+        assert_eq!(core.held_frames(), 0);
+    }
+
+    /// A filtered gang scans its table once, metered, at open, and bills
+    /// each member its share of that scan: at k = 2 and 4, for EXECUTE,
+    /// EVALUATE and PREDICT INTO, every member is billed
+    /// `split_filtered_scan_stats` of the lone member's first pass at
+    /// k = 1, however many passes the members stream. `x1 < 0.9` puts
+    /// member boundaries mid-page; under `x1 < 5` every boundary ends an
+    /// even page and the page after it is zone-pruned. Through the front
+    /// door, the statements' bills digest to what they did at commit
+    /// edfbfa0.
+    #[test]
+    fn filtered_gang_members_are_billed_shares_of_one_scan() {
+        let core = small_core();
+        core.create_table("t", banded_heap(12)).unwrap();
+        core.deploy(&epochs_spec("banded", 2, 3), "t").unwrap();
+        let heap = core.table_snapshot("t").unwrap();
+        let mut bills = Vec::new();
+        for (w, (wher, mid_page)) in [("WHERE x1 < 0.9", true), ("WHERE x1 < 5", false)]
+            .into_iter()
+            .enumerate()
+        {
+            let statements = |k: u16| {
+                let with = format!("{wher} WITH (shards = {k})");
+                [
+                    format!("SELECT * FROM dana.banded('t') {with};"),
+                    format!("EVALUATE dana.banded('t') {with};"),
+                    format!("PREDICT dana.banded('t') INTO 'p{w}_{k}' {with};"),
+                ]
+            };
+            let [train, ..] = statements(1);
+            core.execute_statement(&train).unwrap();
+            let (lone, _) = run_scan(&core, &train, 1);
+            let [(scan, io)] = lone[..] else {
+                panic!("one member: {lone:?}")
+            };
+            let plan = bind_sql(&core, &train, 1).unwrap();
+            let bound = plan.scan.unwrap().bind(heap.schema()).unwrap();
+            let kept = dana_scan::select_slots(&heap, &bound).unwrap();
+            let packed = exec::packed_page_capacity(&heap, &bound).unwrap();
+            for k in [2u16, 4] {
+                let splits = packed_tuple_splits(scan.tuples, packed, k as usize);
+                // Each boundary between members: whether it splits a page,
+                // and whether the next page is empty (an odd, pruned page).
+                let ends: Vec<u64> = kept
+                    .iter()
+                    .scan(0, |n, slots| {
+                        *n += slots.len() as u64;
+                        Some(*n)
+                    })
+                    .collect();
+                let boundaries = splits.iter().scan(0, |n, &split| {
+                    *n += split;
+                    Some(*n)
+                });
+                let cuts: Vec<(bool, bool)> = boundaries
+                    .take(k as usize - 1)
+                    .map(|boundary| {
+                        let page = ends.iter().position(|&end| end >= boundary).unwrap();
+                        let next_empty = kept.get(page + 1).is_some_and(Vec::is_empty);
+                        (ends[page] > boundary, next_empty)
+                    })
+                    .collect();
+                if mid_page {
+                    assert!(cuts.iter().any(|&(mid, _)| mid), "{wher} k={k}: {cuts:?}");
+                } else {
+                    let at_page_ends = cuts.iter().all(|&(mid, next_empty)| !mid && next_empty);
+                    assert!(at_page_ends, "{wher} k={k}: {cuts:?}");
+                }
+                let shares = exec::split_filtered_scan_stats(&scan, f64::from_bits(io), &splits);
+                for sql in statements(k) {
+                    for passes in [1, 2] {
+                        let (members, _) = run_scan(&core, &sql, passes);
+                        assert_eq!(members.len(), k as usize, "{sql}");
+                        for (got, want) in members.iter().zip(&shares) {
+                            assert_eq!(access_bits(&got.0), access_bits(&want.0), "{sql}");
+                            assert_eq!(got.1, want.1.to_bits(), "{sql}");
+                        }
+                    }
+                    core.clear_cache();
+                    let response = core.execute_statement(&sql).unwrap();
+                    let (timing, extra) = match &response {
+                        QueryResponse::Trained(r) => (r.timing, access_bits(&r.access).to_vec()),
+                        QueryResponse::Evaluated(r) => {
+                            (r.timing, vec![r.value.to_bits(), r.rows_scored])
+                        }
+                        QueryResponse::Predicted(r) => (r.timing, vec![r.rows_scored]),
+                        other => panic!("{sql}: {other:?}"),
+                    };
+                    bills.extend(timing_bits(&timing).into_iter().chain(extra));
+                }
+            }
+        }
+        assert_eq!(core.held_frames(), 0);
+        assert_eq!(digest(bills), GANG_BILLS_AT_PARENT);
+    }
+
+    /// Only the first pass meters: a three-epoch filtered EXECUTE charges
+    /// the `SHOW STATS ('scan')` counters and reports the `AccessStats` a
+    /// one-epoch one does, and a scan streamed three times keeps the slots
+    /// one pass keeps — the reference selection.
+    #[test]
+    fn later_passes_are_not_metered_twice() {
+        let core = small_core();
+        core.create_table("t", banded_heap(12)).unwrap();
+        core.deploy(&epochs_spec("once", 2, 1), "t").unwrap();
+        core.deploy(&epochs_spec("thrice", 2, 3), "t").unwrap();
+        let heap = core.table_snapshot("t").unwrap();
+        let counters = || {
+            let snap = core.stats_snapshot(Some("scan"));
+            ["queries", "rows_considered", "rows_emitted"].map(|c| snap.get("scan", c).unwrap())
+        };
+        let sql = |udf: &str| format!("SELECT * FROM dana.{udf}('t') WHERE x1 < 0.9;");
+        let run = |udf: &str| {
+            let before = counters();
+            let response = core.execute_statement(&sql(udf)).unwrap();
+            let after = counters();
+            let report = response.report().unwrap().clone();
+            (report, [0, 1, 2].map(|i| after[i] - before[i]))
+        };
+        let ((once, once_charged), (thrice, thrice_charged)) = (run("once"), run("thrice"));
+        assert_eq!((once.epochs_run, thrice.epochs_run), (1, 3));
+        let plan = bind_sql(&core, &sql("thrice"), 1).unwrap();
+        let bound = plan.scan.unwrap().bind(heap.schema()).unwrap();
+        let reference = dana_scan::select_slots(&heap, &bound).unwrap();
+        let kept: usize = reference.iter().map(Vec::len).sum();
+        assert_eq!(once_charged, [1.0, heap.tuple_count() as f64, kept as f64]);
+        assert_eq!(thrice_charged, once_charged);
+        assert_eq!(access_bits(&thrice.access), access_bits(&once.access));
+        for passes in [1, 3] {
+            let (_, survivors) = run_scan(&core, &sql("thrice"), passes);
+            assert_eq!(survivors.unwrap().slots, reference, "{passes} passes");
+        }
+        assert_eq!(core.held_frames(), 0);
     }
 }

@@ -326,9 +326,10 @@ pub fn packed_page_capacity(heap: &HeapFile, spec: &BoundScanSpec) -> DanaResult
 
 /// Splits one filtered scan's measured stats into per-shard
 /// [`ShardArtifacts`] inputs, `splits[i]` tuples apiece. A filtered gang
-/// runs ONE scan of the source (post-filter rows don't align with page
-/// boundaries) and replays slices of it per member; this divides the
-/// scan's cost model the same way — tuples exactly per split, integer
+/// runs ONE metered scan of the source (post-filter rows don't align with
+/// page boundaries), and each member then streams its slice of the
+/// survivors on every pass, metering nothing; this divides the scan's
+/// cost model the same way — tuples exactly per split, integer
 /// counters evenly with the remainder on the earliest shards, float
 /// terms evenly. The integer shares sum back to the scan's totals, and a
 /// single split is the scan's own stats.

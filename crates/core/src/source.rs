@@ -9,21 +9,12 @@
 //! the batch to the execution engine, which trains on it while the source
 //! is ready to fetch the next page.
 //!
-//! What a source keeps depends on whether its statement reads it again.
-//! Training does: epochs past the first (and a fault retry) replay the
-//! extracted batches from an in-memory cache rather than re-driving the
-//! Striders — the hardware would stream pages again, but its *per-epoch*
-//! cost is identical, so the cost model charges extraction once and
-//! [`crate::runtime::price`] multiplies per epoch, keeping the simulated
-//! timing identical to the hardware schedule while the functional replay
-//! stays cheap and deterministic. A training source therefore allocates
-//! one batch per page and holds them all: O(pages) allocations, the
-//! extracted table in memory. PREDICT, EVALUATE and SCORE read their scan
-//! once, so `open_scan` opens their members
-//! [`single_pass`](SharedPageStreamSource::single_pass): every page is
-//! extracted into the same batch, cleared and refilled — one allocation and
-//! one page of rows held, whatever the table's size — and a `rewind()`
-//! after the scan has started is a typed error, not an empty replay.
+//! A source holds one batch, cleared and refilled by every page, so a scan
+//! allocates once whatever the table's size. A `rewind()` restarts the
+//! page walk: training's later epochs stream their pages through the pool
+//! again, as the hardware does and as [`crate::exec::stream_counts`]
+//! prices them. Only the first pass is metered ([`ScanOutcome`]); a rewind
+//! inside it walks the rest of it first, so the outcome is one whole pass.
 //!
 //! Under a pushdown [`ScanState`] this is also where a filtered statement's
 //! selection is decided, once: the slots each page's predicate kept are
@@ -34,7 +25,10 @@
 //! image and no Strider walk. The simulated clock does not see the
 //! difference — it charges the page's decompression and the full walk
 //! ([`AccessEngine::canonical_page_cycles`]) exactly as for a `CODEC_RAW`
-//! page, which is decompressed and walked.
+//! page, which is decompressed and walked. A filtered gang's member is
+//! handed its slots (`member_selections`) and extracts only those on
+//! every pass: the extract half ([`ForPage::extract_into`]) on a
+//! `CODEC_FOR` page, the Striders keyed by slot on a `CODEC_RAW` one.
 
 use std::sync::Arc;
 
@@ -74,8 +68,8 @@ pub struct ScanOutcome {
     pub kept: Vec<Vec<u16>>,
 }
 
-/// Streams a table page-by-page out of the [`SharedBufferPool`] as flat
-/// batches, through `&self` fetches, so many queries can scan
+/// Streams a table page-by-page out of the [`SharedBufferPool`] into one
+/// batch, through `&self` fetches, so many queries can scan
 /// simultaneously. Each page comes back as a
 /// [`PageGuard`](dana_storage::PageGuard) over the image the pool lends
 /// (the heap's page, or the sidecar's compressed one); a guard lives only
@@ -84,7 +78,8 @@ pub struct ScanOutcome {
 ///
 /// Because the pool's statistics aggregate *every* concurrent query, this
 /// source meters its own simulated I/O: the per-query `io_seconds` it
-/// accumulates is the disk time of exactly the misses this scan caused.
+/// accumulates is the disk time of exactly the misses its first pass
+/// caused.
 pub struct SharedPageStreamSource<'a> {
     pool: &'a SharedBufferPool,
     disk: &'a DiskModel,
@@ -96,14 +91,17 @@ pub struct SharedPageStreamSource<'a> {
     /// gang-parallel scans; `page_count` for a whole-table scan).
     end_page: u32,
     start_page: u32,
-    scan_done: bool,
-    replay: usize,
-    /// Every batch extracted so far, for replay — or, single-pass, the one
-    /// batch every page is extracted into.
-    cache: Vec<TupleBatch>,
-    single_pass: bool,
+    /// Whether the metered first pass is over: later passes record nothing.
+    metered: bool,
+    /// The one batch every page is extracted into.
+    batch: TupleBatch,
     outcome: ScanOutcome,
     scan: Option<ScanState>,
+    /// A filtered gang member's share of its gang's scan: per page of the
+    /// range, the slots it extracts.
+    selection: Option<Vec<Vec<u16>>>,
+    /// A later pass's kept slots, which it does not record.
+    unrecorded: Vec<u16>,
     /// The lane reader's buffers, kept across the scan's `CODEC_FOR` pages.
     lane_scratch: LaneScratch,
 }
@@ -133,29 +131,32 @@ impl<'a> SharedPageStreamSource<'a> {
             next_page: start_page,
             end_page,
             start_page,
-            scan_done: false,
-            replay: 0,
-            cache: Vec::with_capacity((end_page - start_page) as usize),
-            single_pass: false,
+            metered: false,
+            batch: TupleBatch::new(heap.schema().len()),
             outcome: ScanOutcome::default(),
             scan: None,
+            selection: None,
+            unrecorded: Vec::new(),
             lane_scratch: LaneScratch::default(),
         }
-    }
-
-    /// Opens the source for a statement that reads its scan exactly once
-    /// (scoring — never training, whose later epochs and fault retries
-    /// rewind): pages are extracted into one reused batch instead of a
-    /// cached batch each, and the scan cannot be replayed.
-    pub fn single_pass(mut self) -> SharedPageStreamSource<'a> {
-        self.single_pass = true;
-        self
     }
 
     /// Attaches a pushdown [`ScanState`] — see its docs for how it changes
     /// the data path.
     pub fn with_scan(mut self, scan: ScanState) -> SharedPageStreamSource<'a> {
+        self.batch = TupleBatch::new(scan.spec.output_width(self.heap.schema().len()));
         self.scan = Some(scan);
+        self
+    }
+
+    /// Makes this pushdown source one member of a filtered gang:
+    /// `selection` holds, per page of its range, the slots it extracts on
+    /// every pass (as [`member_selections`] cut them). The gang's one scan
+    /// at open was the metered pass, so this source meters nothing.
+    pub(crate) fn with_selection(mut self, selection: Vec<Vec<u16>>) -> SharedPageStreamSource<'a> {
+        assert_eq!(selection.len(), (self.end_page - self.start_page) as usize);
+        self.selection = Some(selection);
+        self.metered = true;
         self
     }
 
@@ -165,79 +166,56 @@ impl<'a> SharedPageStreamSource<'a> {
         self.outcome
     }
 
-    /// Completes the scan (if it has not finished) and dismantles the
-    /// source into its extracted per-page batches and its outcome — how a
-    /// *filtered* gang builds its replaying shard sources, since
-    /// post-filter shard boundaries do not fall on source page boundaries.
-    pub fn into_cache(mut self) -> Result<(Vec<TupleBatch>, ScanOutcome), SourceError> {
-        if self.single_pass {
-            return Err(SourceError(
-                "a single-pass scan keeps one batch: it has no cache to hand over".into(),
-            ));
-        }
-        self.rewind()?;
-        let cache = std::mem::take(&mut self.cache);
-        Ok((cache, self.into_stats()))
-    }
-
-    /// Returns `false` when the page was zone-pruned (no fetch, no batch).
-    fn extract_next_page(&mut self, page_no: u32) -> Result<bool, SourceError> {
-        if let Some(scan) = &self.scan {
-            if !scan.spec.page_can_match(scan.sidecar.zone(page_no)) {
-                self.outcome.stats.pages_skipped += 1;
-                self.outcome.kept.push(Vec::new());
-                return Ok(false);
-            }
-        }
-        // Single-pass: the previous page's batch is this page's. The
-        // caching path never looks at what it already holds.
-        let reused = if self.single_pass {
-            self.cache.pop()
-        } else {
-            None
-        };
-        let mut batch = match reused {
-            Some(mut batch) => {
-                batch.clear();
-                batch
-            }
-            None => TupleBatch::with_capacity(self.width(), self.heap.layout().capacity as usize),
-        };
-        match &self.scan {
+    /// Extracts page `page_no` into the batch, metering it on the first
+    /// pass. Returns `false` when the page was skipped (zone-pruned, or
+    /// none of a member's slots): no fetch, no rows.
+    fn extract_page(&mut self, page_no: u32) -> Result<bool, SourceError> {
+        let selected = self
+            .selection
+            .as_ref()
+            .map(|pages| pages[(page_no - self.start_page) as usize].as_slice());
+        let (batch, mut kept) = (&mut self.batch, std::mem::take(&mut self.unrecorded));
+        batch.clear();
+        kept.clear();
+        // A fetched page's simulated disk seconds and Strider cycles. Each
+        // arm's page guard unpins its frame when the arm ends, errors
+        // included, so a corrupt page cannot leak a held frame.
+        let cost = match &self.scan {
             None => {
                 let (bytes, io) =
                     self.pool
                         .fetch(PageId::new(self.heap_id, page_no), self.heap, self.disk)?;
-                self.outcome.io_seconds += io;
-                self.outcome.stats.strider_cycles += self
-                    .access
-                    .extract_page_into(&bytes, &mut batch)
-                    .map_err(|e| SourceError(e.to_string()))?;
-                // The guard drops here, unpinning the frame — errors
-                // included, so a corrupt page cannot leak a held frame.
+                let cycles = self.access.extract_page_into(&bytes, batch);
+                Some((io, cycles.map_err(|e| SourceError(e.to_string()))?))
+            }
+            Some(scan)
+                if selected.map_or_else(
+                    || !scan.spec.page_can_match(scan.sidecar.zone(page_no)),
+                    <[u16]>::is_empty,
+                ) =>
+            {
+                None
             }
             Some(scan) => {
                 // The sidecar's compressed image under the shadow id,
-                // charged at compressed size; the guard unpins the frame
-                // when this arm ends, errors included.
+                // charged at compressed size.
                 let (bytes, io) = self.pool.fetch_raw(
                     PageId::new(self.heap_id.shadow(), page_no),
                     scan.sidecar.page(page_no),
                     self.disk,
                 )?;
-                self.outcome.io_seconds += io;
                 let (layout, schema) = (self.heap.layout(), self.heap.schema());
                 let lanes = ForPage::open(&bytes, layout, schema)
                     .map_err(|e| SourceError(e.to_string()))?;
-                self.outcome.stats.decompress_cycles +=
-                    dana_scan::decompress_cycles(layout.page_size);
-                self.outcome.stats.decompressed_bytes += layout.page_size as u64;
-                let mut kept = Vec::new();
                 let cycles = match lanes.filter(|page| page.tuple_count() > 0) {
                     // Filtered on its lanes; the simulated clock still
                     // charges decompression and the full walk.
                     Some(page) => {
-                        page.filter_into(&scan.spec, &mut batch, &mut kept, &mut self.lane_scratch);
+                        let scratch = &mut self.lane_scratch;
+                        match selected {
+                            Some(slots) => page.extract_into(&scan.spec, slots, batch, scratch),
+                            None => page.filter_into(&scan.spec, batch, &mut kept, scratch),
+                        }
                         self.access.canonical_page_cycles(page.tuple_count())
                     }
                     None => {
@@ -246,13 +224,17 @@ impl<'a> SharedPageStreamSource<'a> {
                         // The predicate runs once per record, in slot
                         // order: the call count is the slot number.
                         let mut slot = 0u16;
+                        let mut selected = selected.map(|slots| slots.iter().peekable());
                         self.access
                             .extract_page_filtered_into(
                                 &raw,
-                                &mut batch,
+                                batch,
                                 scan.spec.projection.as_deref(),
                                 |row| {
-                                    let keep = scan.spec.row_matches(row);
+                                    let keep = match &mut selected {
+                                        Some(slots) => slots.next_if_eq(&&slot).is_some(),
+                                        None => scan.spec.row_matches(row),
+                                    };
                                     if keep {
                                         kept.push(slot);
                                     }
@@ -263,82 +245,106 @@ impl<'a> SharedPageStreamSource<'a> {
                             .map_err(|e| SourceError(e.to_string()))?
                     }
                 };
-                self.outcome.stats.strider_cycles += cycles;
-                self.outcome.kept.push(kept);
+                Some((io, cycles))
             }
         };
-        self.outcome.stats.pages += 1;
-        self.outcome.stats.tuples += batch.len() as u64;
-        self.cache.push(batch);
-        Ok(true)
+        if self.metered {
+            self.unrecorded = kept;
+            return Ok(cost.is_some());
+        }
+        let stats = &mut self.outcome.stats;
+        match cost {
+            None => stats.pages_skipped += 1,
+            Some((io, cycles)) => {
+                self.outcome.io_seconds += io;
+                stats.pages += 1;
+                stats.tuples += batch.len() as u64;
+                stats.strider_cycles += cycles;
+            }
+        }
+        if self.scan.is_some() {
+            self.outcome.kept.push(kept);
+            if cost.is_some() {
+                let page_size = self.heap.layout().page_size;
+                stats.decompress_cycles += dana_scan::decompress_cycles(page_size);
+                stats.decompressed_bytes += page_size as u64;
+            }
+        }
+        Ok(cost.is_some())
     }
+}
+
+/// A filtered gang's members, cut from its one scan's `kept` slots (per
+/// source page) at the survivor counts `splits` (as from
+/// [`dana_parallel::packed_tuple_splits`]): per member, the first page of
+/// the range that holds its survivors and, per page of that range, the
+/// slots it extracts. Concatenated in member order, the selections are
+/// `kept`'s survivors in order, so member contents are those of sharding
+/// the pre-materialized survivor table. A member's range starts and ends
+/// on a page that holds some of its survivors; a page that a boundary
+/// splits is in both members' ranges.
+pub(crate) fn member_selections(kept: &[Vec<u16>], splits: &[u64]) -> Vec<(u32, Vec<Vec<u16>>)> {
+    let (mut page, mut offset) = (0, 0);
+    splits
+        .iter()
+        .map(|&n| {
+            let mut left = n as usize;
+            // A member starts on the first page with a survivor left.
+            while left > 0 && offset == kept[page].len() {
+                (page, offset) = (page + 1, 0);
+            }
+            let start = page as u32;
+            let mut selection = Vec::new();
+            while left > 0 {
+                let take = (kept[page].len() - offset).min(left);
+                selection.push(kept[page][offset..offset + take].to_vec());
+                (left, offset) = (left - take, offset + take);
+                if offset == kept[page].len() {
+                    (page, offset) = (page + 1, 0);
+                }
+            }
+            (start, selection)
+        })
+        .collect()
 }
 
 impl TupleSource for SharedPageStreamSource<'_> {
     fn width(&self) -> usize {
-        match &self.scan {
-            Some(s) => s.spec.output_width(self.heap.schema().len()),
-            None => self.heap.schema().len(),
-        }
+        self.batch.width()
     }
 
     fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
-        if self.scan_done {
-            if self.replay >= self.cache.len() {
-                return Ok(None);
-            }
-            self.replay += 1;
-            return Ok(Some(&self.cache[self.replay - 1]));
-        }
-        loop {
-            if self.next_page >= self.end_page {
-                self.scan_done = true;
-                self.replay = self.cache.len();
-                return Ok(None);
-            }
+        while self.next_page < self.end_page {
             let page_no = self.next_page;
             self.next_page += 1;
-            // Zone-pruned pages push no batch; keep walking the range.
-            if self.extract_next_page(page_no)? {
-                break;
+            // Skipped pages yield no batch; keep walking the range.
+            if self.extract_page(page_no)? {
+                return Ok(Some(&self.batch));
             }
         }
-        Ok(Some(self.cache.last().expect("page just extracted")))
+        self.metered = true;
+        Ok(None)
     }
 
     fn rewind(&mut self) -> Result<(), SourceError> {
-        if self.single_pass {
-            // Nothing read yet: the scan still starts where a rewind puts
-            // it. After that the pages' batches are gone.
-            if self.next_page == self.start_page {
-                return Ok(());
-            }
-            return Err(SourceError(format!(
-                "a single-pass scan cannot be rewound: PREDICT, EVALUATE and SCORE read \
-                 their scan once and keep one batch ({} of pages {}..{} already streamed)",
-                self.next_page - self.start_page,
-                self.start_page,
-                self.end_page
-            )));
+        // A rewind inside the metered pass walks the rest of it, so the
+        // outcome describes one whole pass. Before its first page the walk
+        // already starts where a rewind puts it.
+        if !self.metered && self.next_page > self.start_page {
+            while self.next_batch()?.is_some() {}
         }
-        // A mid-scan rewind must still visit every page exactly once so
-        // the access stats describe one full extraction pass.
-        while !self.scan_done {
-            if self.next_batch()?.is_none() {
-                break;
-            }
-        }
-        self.replay = 0;
+        self.next_page = self.start_page;
         Ok(())
     }
 
     fn tuple_count_hint(&self) -> Option<u64> {
-        match &self.scan {
+        match (&self.scan, &self.selection) {
+            (_, Some(pages)) => Some(pages.iter().map(|slots| slots.len() as u64).sum()),
             // Post-filter estimate off the zone maps; a sizing hint only.
-            Some(s) => Some(s.spec.estimated_tuples(
+            (Some(s), None) => Some(s.spec.estimated_tuples(
                 &s.sidecar.zones()[self.start_page as usize..self.end_page as usize],
             )),
-            None => Some(
+            (None, None) => Some(
                 self.heap
                     .tuples_in_page_range(self.start_page, self.end_page),
             ),
@@ -355,60 +361,96 @@ mod tests {
     use dana_storage::{BufferPoolConfig, HeapFileBuilder, HeapPage, Schema, Tuple};
     use dana_strider::AccessEngineConfig;
 
-    /// A single-pass source is the caching source minus the cache: the
-    /// same batches in the same order (bit for bit — the rows hold NaNs),
-    /// the same counters, simulated I/O and kept slots, from one batch it
-    /// clears and refills; and once it has streamed a page, a rewind is a
-    /// typed error instead of an empty replay. Each gets a pool of its
-    /// own, emptied first, so both scans run cold.
-    fn assert_single_pass_is_the_caching_scan<'a>(
-        open: impl Fn(&'a SharedBufferPool) -> SharedPageStreamSource<'a>,
-        pools: &'a [SharedBufferPool; 2],
-    ) {
-        let bits = |b: &TupleBatch| -> (usize, Vec<u32>) {
-            (
-                b.width(),
-                b.as_slice().iter().map(|v| v.to_bits()).collect(),
-            )
-        };
-        pools.iter().for_each(SharedBufferPool::clear);
-        let mut caching = open(&pools[0]);
-        let mut once = open(&pools[1]).single_pass();
-        once.rewind().expect("nothing streamed yet");
-        let mut batches = 0;
-        loop {
-            let expected = caching.next_batch().unwrap().map(bits);
-            let got = once.next_batch().unwrap().map(bits);
-            assert_eq!(got, expected, "batch {batches}");
-            assert!(
-                once.cache.len() <= 1,
-                "a single-pass source holds one batch"
-            );
-            if expected.is_none() {
-                break;
-            }
-            batches += 1;
+    /// One pass of `source`, batch by batch, as bits (the rows hold NaNs).
+    fn pass(source: &mut SharedPageStreamSource<'_>) -> Vec<(usize, Vec<u32>)> {
+        let mut batches = Vec::new();
+        while let Some(b) = source.next_batch().unwrap() {
+            let bits = b.as_slice().iter().map(|v| v.to_bits()).collect();
+            batches.push((b.width(), bits));
         }
-        assert_eq!(caching.cache.len(), batches);
-        assert!(once.next_batch().unwrap().is_none(), "no replay");
-        let refused = once.rewind().unwrap_err();
-        assert!(refused.0.contains("single-pass"), "{refused}");
-        assert!(open(&pools[1]).single_pass().into_cache().is_err());
-        let (caching, once) = (caching.into_stats(), once.into_stats());
-        assert_eq!(once.stats, caching.stats);
-        assert!(caching.io_seconds > 0.0, "both scans ran cold");
-        assert_eq!(once.io_seconds.to_bits(), caching.io_seconds.to_bits());
-        assert_eq!(once.kept, caching.kept);
+        batches
+    }
+
+    /// A rewound pass is the first pass again: the same batches in the
+    /// same order, bit for bit, out of the one batch the source clears and
+    /// refills. Only the first pass meters, so two passes leave a single
+    /// pass's outcome — counters, simulated I/O to the bit, kept slots —
+    /// and so does a rewind in the middle of the first pass, which still
+    /// meters all of it. A rewind before the first page walks nothing.
+    /// Each source gets a pool of its own, emptied first, so every first
+    /// pass runs cold. Returns the pass.
+    fn assert_rewound_pass_is_the_first_pass<'a>(
+        open: impl Fn(&'a SharedBufferPool) -> SharedPageStreamSource<'a>,
+        pools: &'a [SharedBufferPool; 3],
+    ) -> Vec<(usize, Vec<u32>)> {
+        pools.iter().for_each(SharedBufferPool::clear);
+        let mut once = open(&pools[0]);
+        let first = pass(&mut once);
+        assert!(once.next_batch().unwrap().is_none(), "a pass ends once");
+        let once = once.into_stats();
+        assert!(once.io_seconds > 0.0, "the first pass ran cold");
+        let mut twice = open(&pools[1]);
+        assert_eq!(pass(&mut twice), first);
+        twice.rewind().unwrap();
+        assert_eq!(pass(&mut twice), first, "the rewound pass");
+        let mut interrupted = open(&pools[2]);
+        assert!(interrupted.next_batch().unwrap().is_some());
+        interrupted.rewind().unwrap();
+        assert_eq!(
+            pass(&mut interrupted),
+            first,
+            "the pass after a rewind mid-pass"
+        );
+        for (what, outcome) in [("rewound", twice), ("interrupted", interrupted)] {
+            let outcome = outcome.into_stats();
+            assert_eq!(outcome.stats, once.stats, "{what}");
+            assert_eq!(
+                outcome.io_seconds.to_bits(),
+                once.io_seconds.to_bits(),
+                "{what}"
+            );
+            assert_eq!(outcome.kept, once.kept, "{what}");
+        }
+        let mut fresh = open(&pools[0]);
+        fresh.rewind().unwrap();
+        assert_eq!(fresh.into_stats().stats, AccessStats::default());
+        assert!(pools.iter().all(|pool| pool.held_frames() == 0));
+        first
+    }
+
+    fn pool_of(page_size: usize) -> SharedBufferPool {
+        SharedBufferPool::with_shards(
+            BufferPoolConfig {
+                pool_bytes: 1 << 20,
+                page_size,
+            },
+            2,
+        )
+    }
+
+    fn access_for(heap: &HeapFile) -> AccessEngine {
+        AccessEngine::for_table(
+            *heap.layout(),
+            heap.schema().clone(),
+            AccessEngineConfig::new(2, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
+        )
+    }
+
+    fn heap_of(rows: &[[f32; 3]], direction: TupleDirection) -> HeapFile {
+        let mut b = HeapFileBuilder::new(Schema::training(2), 8 * 1024, direction).unwrap();
+        for r in rows {
+            b.insert(&Tuple::training(&r[..2], r[2])).unwrap();
+        }
+        b.finish()
     }
 
     /// The lists a pushdown scan records are exactly the slots whose rows
     /// match, page for page — for both placement directions, under a
-    /// projection, across zone-pruned pages and a `!=` over NaN cells —
-    /// whether the source is streamed to its end (a lone member) or
-    /// drained at once (a filtered gang's one scan). The oracle is the
-    /// row data itself, chunked at the page capacity. Every scan built
-    /// here, and the unfiltered one, is also run single-pass against its
-    /// caching twin.
+    /// projection, across zone-pruned pages and a `!=` over NaN cells. A
+    /// filtered gang's one scan at open is this same scan streamed to its
+    /// end. The oracle is the row data itself, chunked at the page
+    /// capacity. Every scan built here, and the unfiltered one, is also
+    /// rewound against its own first pass.
     #[test]
     fn pushdown_scan_records_the_slots_it_kept() {
         // x0 ascends (a range on it prunes pages); x1 is NaN every 7th row.
@@ -423,29 +465,16 @@ mod tests {
             op,
             value,
         };
-        let new_pool = || {
-            SharedBufferPool::with_shards(
-                BufferPoolConfig {
-                    pool_bytes: 1 << 20,
-                    page_size: 8 * 1024,
-                },
-                2,
-            )
-        };
-        let (pool, cold) = (new_pool(), [new_pool(), new_pool()]);
+        let page_size = 8 * 1024;
+        let (pool, cold) = (
+            pool_of(page_size),
+            [pool_of(page_size), pool_of(page_size), pool_of(page_size)],
+        );
         let disk = DiskModel::ssd();
         let directions = [TupleDirection::Ascending, TupleDirection::Descending];
         for (heap_no, direction) in directions.into_iter().enumerate() {
-            let mut b = HeapFileBuilder::new(Schema::training(2), 8 * 1024, direction).unwrap();
-            for r in &rows {
-                b.insert(&Tuple::training(&r[..2], r[2])).unwrap();
-            }
-            let heap = b.finish();
-            let access = AccessEngine::for_table(
-                *heap.layout(),
-                heap.schema().clone(),
-                AccessEngineConfig::new(2, Clock::FPGA_150MHZ, AxiLink::with_bandwidth(2.5e9)),
-            );
+            let heap = heap_of(&rows, direction);
+            let access = access_for(&heap);
             let plain = |pool| {
                 SharedPageStreamSource::with_range(
                     pool,
@@ -457,7 +486,7 @@ mod tests {
                     heap.page_count(),
                 )
             };
-            assert_single_pass_is_the_caching_scan(plain, &cold);
+            assert_rewound_pass_is_the_first_pass(plain, &cold);
             let sidecar = Arc::new(ScanSidecar::build(&heap).unwrap());
             // (conjuncts, projection, whether zone maps rule pages out)
             let cases = [
@@ -495,7 +524,7 @@ mod tests {
                         spec: Arc::clone(&bound),
                     })
                 };
-                assert_single_pass_is_the_caching_scan(open, &cold);
+                assert_rewound_pass_is_the_first_pass(open, &cold);
                 let mut streamed = open(&pool);
                 let mut emitted = 0;
                 while let Some(batch) = streamed.next_batch().unwrap() {
@@ -503,19 +532,13 @@ mod tests {
                     emitted += batch.len();
                 }
                 let streamed = streamed.into_stats();
-                assert_eq!(streamed.kept, expected, "{direction:?} {spec:?}: streamed");
+                assert_eq!(streamed.kept, expected, "{direction:?} {spec:?}");
                 assert_eq!(emitted, survivors, "{direction:?} {spec:?}");
-                let (batches, drained) = open(&pool).into_cache().unwrap();
-                assert_eq!(drained.kept, expected, "{direction:?} {spec:?}: drained");
-                assert_eq!(drained.stats.tuples as usize, survivors);
-                assert_eq!(
-                    batches.iter().map(TupleBatch::len).sum::<usize>(),
-                    survivors
-                );
+                assert_eq!(streamed.stats.tuples as usize, survivors);
                 // A zone-pruned page is never fetched and records nothing.
-                assert_eq!(drained.stats.pages_skipped > 0, prunes, "{spec:?}");
+                assert_eq!(streamed.stats.pages_skipped > 0, prunes, "{spec:?}");
                 assert_eq!(
-                    (drained.stats.pages + drained.stats.pages_skipped) as usize,
+                    (streamed.stats.pages + streamed.stats.pages_skipped) as usize,
                     expected.len()
                 );
                 // Every fetched page is charged a decompression and the
@@ -527,14 +550,123 @@ mod tests {
                         .extract_page_into(heap.page_bytes(p).unwrap(), &mut all)
                         .unwrap();
                 }
-                assert_eq!(drained.stats.strider_cycles, walk, "{spec:?}");
-                let page_size = heap.layout().page_size;
+                assert_eq!(streamed.stats.strider_cycles, walk, "{spec:?}");
                 assert_eq!(
-                    drained.stats.decompress_cycles,
-                    drained.stats.pages * dana_scan::decompress_cycles(page_size)
+                    streamed.stats.decompress_cycles,
+                    streamed.stats.pages * dana_scan::decompress_cycles(page_size)
                 );
             }
         }
+    }
+
+    /// A filtered gang's members, cut from its one scan's kept slots,
+    /// stream exactly that scan's rows between them, in order and bit for
+    /// bit, on every pass, and meter nothing. The cuts fall mid-page, at a
+    /// page's end with a zone-pruned page next, and where the packed
+    /// survivor table's pages put them. Pages reach the members as the
+    /// sidecar's `CODEC_FOR` images (the extract half on the lanes) and,
+    /// in a second pool, as `CODEC_RAW` images (the Striders keyed by
+    /// slot).
+    #[test]
+    fn filtered_gang_members_stream_their_slices_of_one_scan() {
+        let direction = TupleDirection::Ascending;
+        let capacity = HeapFileBuilder::layout_for(&Schema::training(2), 8 * 1024, direction)
+            .unwrap()
+            .capacity as usize;
+        // Every third page holds x1 = 10 only, which `x1 < 4` prunes; the
+        // other pages keep four rows in five.
+        let rows: Vec<[f32; 3]> = (0..capacity * 9 + 17)
+            .map(|k| {
+                let x1 = if (k / capacity) % 3 == 1 {
+                    10.0
+                } else {
+                    (k % 5) as f32
+                };
+                [k as f32, x1, f32::from_bits(0x7fc0_0000 | k as u32)]
+            })
+            .collect();
+        let heap = heap_of(&rows, direction);
+        let access = access_for(&heap);
+        let disk = DiskModel::ssd();
+        let spec = ScanSpec {
+            predicates: vec![Predicate {
+                column: "x1".into(),
+                op: CmpOp::Lt,
+                value: 4.0,
+            }],
+            projection: Some(vec!["y".to_string(), "x0".to_string()]),
+        };
+        let state = ScanState {
+            sidecar: Arc::new(ScanSidecar::build(&heap).unwrap()),
+            spec: Arc::new(spec.bind(heap.schema()).unwrap()),
+        };
+        let (lanes, raw) = (pool_of(8 * 1024), pool_of(8 * 1024));
+        for p in 0..heap.page_count() {
+            let image = [&[dana_scan::CODEC_RAW][..], heap.page_bytes(p).unwrap()].concat();
+            drop(raw.fetch_raw(PageId::new(HeapId(1).shadow(), p), &Arc::new(image), &disk));
+        }
+        let flat = |batches: Vec<(usize, Vec<u32>)>| -> Vec<u32> {
+            batches.into_iter().flat_map(|(_, bits)| bits).collect()
+        };
+        let mut scans = Vec::new();
+        for pool in [&lanes, &raw] {
+            let open = |start, end| {
+                SharedPageStreamSource::with_range(
+                    pool,
+                    &disk,
+                    &heap,
+                    HeapId(1),
+                    &access,
+                    start,
+                    end,
+                )
+                .with_scan(state.clone())
+            };
+            let mut whole = open(0, heap.page_count());
+            let rows_of_scan = flat(pass(&mut whole));
+            let scan = whole.into_stats();
+            let per_page: Vec<u64> = scan.kept.iter().map(|k| k.len() as u64).collect();
+            assert!(per_page[1] == 0 && per_page[4] == 0, "{per_page:?}");
+            let total: u64 = per_page.iter().sum();
+            assert_eq!(total, scan.stats.tuples);
+            let packed = crate::exec::packed_page_capacity(&heap, &state.spec).unwrap();
+            let cuts = [
+                vec![total],
+                // Mid-page: page 0's survivors split between two members.
+                vec![per_page[0] / 2, total - per_page[0] / 2],
+                // At page 0's end; page 1 is zone-pruned.
+                vec![
+                    per_page[0],
+                    per_page[2] + 3,
+                    total - per_page[0] - per_page[2] - 3,
+                ],
+                dana_parallel::packed_tuple_splits(total, packed, 2),
+                dana_parallel::packed_tuple_splits(total, packed, 4),
+            ];
+            for splits in cuts {
+                let members = member_selections(&scan.kept, &splits);
+                assert_eq!(members.len(), splits.len());
+                let mut rows_of_members = Vec::new();
+                for ((start, selection), &n) in members.into_iter().zip(&splits) {
+                    // A member's range starts and ends on a page it reads.
+                    assert!(!selection[0].is_empty() && !selection.last().unwrap().is_empty());
+                    let end = start + selection.len() as u32;
+                    let mut member = open(start, end).with_selection(selection);
+                    assert_eq!(member.tuple_count_hint(), Some(n));
+                    let first = pass(&mut member);
+                    member.rewind().unwrap();
+                    assert_eq!(pass(&mut member), first, "{splits:?}: a later pass");
+                    rows_of_members.extend(flat(first));
+                    let outcome = member.into_stats();
+                    assert_eq!(outcome.stats.pages + outcome.stats.tuples, 0);
+                    assert!(outcome.kept.is_empty() && outcome.io_seconds == 0.0);
+                }
+                assert!(rows_of_members == rows_of_scan, "{splits:?}");
+            }
+            assert_eq!(pool.held_frames(), 0);
+            scans.push(rows_of_scan);
+        }
+        assert!(scans[0] == scans[1], "both codecs filter alike");
     }
 
     /// A pushdown scan that finds a page whose header says it holds no
@@ -605,7 +737,6 @@ mod tests {
             drop(pool.fetch_raw(PageId::new(HeapId(1).shadow(), 0), &Arc::new(image), &disk));
             let mut scan =
                 SharedPageStreamSource::with_range(&pool, &disk, &heap, HeapId(1), &access, 0, 1)
-                    .single_pass()
                     .with_scan(state.clone());
             assert!(scan.next_batch().unwrap().unwrap().is_empty());
             assert!(scan.next_batch().unwrap().is_none());

@@ -261,7 +261,8 @@ impl ExecutionEngine {
     /// the trained model is a pure function of the tuple stream, never of
     /// how the source happened to batch it.
     ///
-    /// At each epoch boundary the source is rewound to replay the scan.
+    /// At each epoch boundary the source is rewound: it streams the same
+    /// tuples again.
     /// `store` holds the models and receives the result.
     ///
     /// This is the quiet loop over one [`crate::lowered::TrainingSession`]

@@ -55,4 +55,4 @@ pub use gang::{
     GangOutcome, ShardEval,
 };
 pub use merge::{MergeBuffer, MergeSpec, ModelMergeKind, ShardOwnership};
-pub use shard::{packed_tuple_splits, split_replay_sources, ReplaySource, ShardPlan, ShardRange};
+pub use shard::{packed_tuple_splits, ReplaySource, ShardPlan, ShardRange};

@@ -102,7 +102,8 @@ impl MergeSpec {
 
 /// Which factor rows one shard's tuples touch, per row-owned model:
 /// `(model index, touched bitmap over rows)`. Constant across epochs (the
-/// shard replays the same tuples), recorded once during the first scan.
+/// shard streams the same tuples every epoch), recorded once during the
+/// first scan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardOwnership {
     pub per_model: Vec<(usize, Vec<bool>)>,

@@ -114,37 +114,9 @@ pub fn packed_tuple_splits(total_tuples: u64, capacity: u64, requested: usize) -
     splits
 }
 
-/// Re-batches a flat tuple stream (page-at-a-time extraction `batches`)
-/// into one [`ReplaySource`] per entry of `splits` (per-shard tuple
-/// counts, as from [`packed_tuple_splits`]). Row order is preserved:
-/// concatenating the shards in order replays the input stream exactly.
-/// Each shard's rows are packed into a single batch — the execution
-/// engine's within-shard results depend only on the flat row stream, so
-/// batch boundaries inside a shard are free.
-pub fn split_replay_sources(
-    width: usize,
-    batches: &[TupleBatch],
-    splits: &[u64],
-) -> Vec<ReplaySource> {
-    let mut rows = batches.iter().flat_map(|b| b.rows());
-    splits
-        .iter()
-        .map(|&n| {
-            let mut batch = TupleBatch::with_capacity(width, n as usize);
-            for _ in 0..n {
-                let row = rows.next().expect("splits exceed available tuples");
-                batch.push_row(row);
-            }
-            ReplaySource::new(width, vec![batch])
-        })
-        .collect()
-}
-
-/// A rewindable [`TupleSource`] over pre-extracted batches — a *filtered*
-/// gang's shard source. Post-filter rows do not align with source page
-/// boundaries, so the table is streamed once through the pushdown scan
-/// (charging I/O and Strider work exactly like a streaming first pass)
-/// and each member replays its slice of the surviving tuples.
+/// A rewindable [`TupleSource`] over pre-extracted batches. No statement
+/// runs one — every member of a statement's scan streams its pages — but
+/// tests and the benchmark's stage replay feed gangs from it.
 pub struct ReplaySource {
     batches: Vec<TupleBatch>,
     width: usize,
@@ -255,25 +227,6 @@ mod tests {
                 assert_eq!(splits, plan.tuple_counts(), "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn split_replay_sources_preserve_order_and_counts() {
-        let batches = vec![
-            TupleBatch::from_rows(1, [[0.0], [1.0], [2.0]]),
-            TupleBatch::from_rows(1, [[3.0], [4.0]]),
-            TupleBatch::from_rows(1, [[5.0], [6.0], [7.0], [8.0]]),
-        ];
-        let mut sources = split_replay_sources(1, &batches, &[4, 3, 2]);
-        assert_eq!(sources.len(), 3);
-        let mut seen = Vec::new();
-        for (src, want) in sources.iter_mut().zip([4u64, 3, 2]) {
-            assert_eq!(src.tuple_count_hint(), Some(want));
-            while let Some(b) = src.next_batch().unwrap() {
-                seen.extend(b.rows().map(|r| r[0]));
-            }
-        }
-        assert_eq!(seen, (0..9).map(|v| v as f32).collect::<Vec<_>>());
     }
 
     #[test]

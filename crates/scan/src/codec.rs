@@ -34,8 +34,10 @@
 //! addressed in place — cell `slot` is the `slot`-th bit-packed code
 //! through the lane's frame — so [`decompress_page`] is that parser plus a
 //! scatter into a page image, and a pushdown scan ([`ForPage::filter_into`])
-//! reads the predicate columns' lanes and then only the kept cells of the
-//! projected columns, building no page image at all.
+//! reads the predicate columns' lanes ([`ForPage::select_into`]) and then
+//! only the kept cells of the projected columns ([`ForPage::extract_into`]),
+//! building no page image at all. A scan that already knows a page's
+//! selection runs the extract half alone.
 //!
 //! The reader works per lane and per dictionary entry rather than per
 //! cell wherever the format allows. Eight codes of bit width ≤ 8 fill
@@ -398,22 +400,10 @@ impl<'a> ForPage<'a> {
         self.count
     }
 
-    /// The pushdown scan of this page, on its lanes: the predicate columns
-    /// are read first, conjunct by conjunct, narrowing `kept` (overwritten)
-    /// to the slots that pass every one; then only the projected columns
-    /// of those slots are decoded, straight into `batch` (appended; its
-    /// width must be the projected width). Cells convert through
-    /// [`ColumnType::decode_f32`] and compare through [`CmpOp::matches`],
-    /// so rows and slots are exactly what walking the rebuilt image and
-    /// filtering its full-width rows would give.
-    ///
-    /// A conjunct over a dictionary lane is evaluated once per dictionary
-    /// entry, a conjunct over a lane of bit width 0 once per page, and a
-    /// projected dictionary lane decoded once per entry; `scratch` holds
-    /// the codes and tables in between (its contents on entry are
-    /// ignored).
-    ///
-    /// [`CmpOp::matches`]: crate::CmpOp::matches
+    /// The pushdown scan of this page, on its lanes: [`ForPage::select_into`]
+    /// then [`ForPage::extract_into`] over the slots it kept. Rows and
+    /// slots are exactly what walking the rebuilt image and filtering its
+    /// full-width rows would give.
     pub fn filter_into(
         &self,
         spec: &BoundScanSpec,
@@ -421,8 +411,28 @@ impl<'a> ForPage<'a> {
         kept: &mut Vec<u16>,
         scratch: &mut LaneScratch,
     ) {
+        self.select_into(spec, kept, scratch);
+        self.extract_into(spec, kept, batch, scratch);
+    }
+
+    /// The select half of a pushdown scan: the predicate columns are read,
+    /// conjunct by conjunct, narrowing `kept` (overwritten) to the slots
+    /// that pass every one, in slot order. Cells convert through
+    /// [`ColumnType::decode_f32`] and compare through [`CmpOp::matches`].
+    /// A conjunct over a dictionary lane is evaluated once per dictionary
+    /// entry and a conjunct over a lane of bit width 0 once per page;
+    /// `scratch` holds the codes and tables in between (its contents on
+    /// entry are ignored).
+    ///
+    /// [`CmpOp::matches`]: crate::CmpOp::matches
+    pub fn select_into(
+        &self,
+        spec: &BoundScanSpec,
+        kept: &mut Vec<u16>,
+        scratch: &mut LaneScratch,
+    ) {
         let n = self.count as usize;
-        let LaneScratch { codes, table, pass } = scratch;
+        let LaneScratch { codes, pass, .. } = scratch;
         kept.clear();
         kept.extend(0..self.count);
         for p in &spec.predicates {
@@ -450,14 +460,33 @@ impl<'a> ForPage<'a> {
                 }),
             }
         }
+    }
+
+    /// The extract half of a pushdown scan: the projected columns of the
+    /// selected `slots` (ascending, each below [`ForPage::tuple_count`], as
+    /// [`ForPage::select_into`] leaves them) decoded straight into `batch`
+    /// (appended; its width must be the projected width), one row per
+    /// slot. A projected dictionary lane is decoded once per entry into a
+    /// table and a lane of bit width 0 once per page.
+    pub fn extract_into(
+        &self,
+        spec: &BoundScanSpec,
+        slots: &[u16],
+        batch: &mut TupleBatch,
+        scratch: &mut LaneScratch,
+    ) {
+        let n = self.count as usize;
+        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(slots.last().is_none_or(|&s| usize::from(s) < n));
+        let LaneScratch { codes, table, .. } = scratch;
         let width = spec.output_width(self.columns.len());
         assert_eq!(
             batch.width(),
             width,
             "batch width must be the projected width"
         );
-        let out = batch.append_rows(kept.len());
-        if kept.is_empty() {
+        let out = batch.append_rows(slots.len());
+        if slots.is_empty() {
             return;
         }
         for j in 0..width {
@@ -468,7 +497,7 @@ impl<'a> ForPage<'a> {
                 cells.for_each(|cell| *cell = value);
                 continue;
             }
-            lane.codes_of(n, kept, codes);
+            lane.codes_of(n, slots, codes);
             match lane.frame {
                 Frame::Dict(dict) => {
                     table.clear();
@@ -518,8 +547,9 @@ impl<'a> ForPage<'a> {
     }
 }
 
-/// The buffers [`ForPage::filter_into`] reads lanes through, kept across
-/// a scan's pages so a page costs no allocation once they have grown.
+/// The buffers [`ForPage::select_into`] and [`ForPage::extract_into`] read
+/// lanes through, kept across a scan's pages so a page costs no allocation
+/// once they have grown.
 #[derive(Default)]
 pub struct LaneScratch {
     /// The codes of one lane's kept slots, in slot order.

@@ -8,12 +8,12 @@
 //! scratchpads as a contiguous float stream. [`TupleBatch`] is that
 //! stream's unit: one flat row-major `Vec<f32>` holding every column of
 //! every tuple extracted from (typically) one page — zero per-tuple
-//! allocations, cache-linear reads, and O(pages) total allocation for a
-//! full scan. Producers fill it a page at a time
-//! ([`TupleBatch::append_rows`], Strider extraction's bulk decode), a row
-//! at a time ([`TupleBatch::push_row`]) or a value at a time
-//! ([`TupleBatch::start_row`], the CPU deform loop); whichever they use,
-//! only whole rows ever become visible.
+//! allocations and cache-linear reads; a page source extracts every page
+//! of a scan into one batch it clears and refills. Producers fill it a
+//! page at a time ([`TupleBatch::append_rows`], Strider extraction's bulk
+//! decode), a row at a time ([`TupleBatch::push_row`]) or a value at a
+//! time ([`TupleBatch::start_row`], the CPU deform loop); whichever they
+//! use, only whole rows ever become visible.
 //!
 //! [`TupleSource`] is the seam between the storage/strider side and the
 //! execution engine: a rewindable stream of batches. The engine pulls

@@ -567,9 +567,9 @@ fn readers_survive(
         let mut batch = TupleBatch::from_rows(width, [vec![9.0; width]]);
         let _: StriderResult<u64> = engine.extract_page_into(bytes, &mut batch);
         ok &= whole_rows(&batch) && batch.row(0).iter().all(|v| *v == 9.0);
-        // A scoring statement's single-pass scan that finds `bytes` in the
-        // pool as its page 0: whole batches or a typed error, and the
-        // frame hold released either way — mid-scan errors included.
+        // A statement's scan that finds `bytes` in the pool as its page 0:
+        // whole batches or a typed error, and the frame hold released
+        // either way — mid-scan errors included.
         let pool = SharedBufferPool::with_shards(
             BufferPoolConfig {
                 pool_bytes: 1 << 20,
@@ -587,18 +587,20 @@ fn readers_survive(
             engine,
             0,
             heap.page_count(),
-        )
-        .single_pass();
-        let streamed = loop {
+        );
+        let mut pass = |scan: &mut dana::SharedPageStreamSource<'_>| loop {
             match scan.next_batch() {
                 Ok(Some(batch)) => ok &= whole_rows(batch),
                 Ok(None) => break true,
                 Err(SourceError(_)) => break false,
             }
         };
+        let streamed = pass(&mut scan);
+        // A rewound pass reads the same page 0 out of the pool again: it
+        // ends as the first pass did.
+        let again = scan.rewind().is_ok() && pass(&mut scan);
         ok &= pool.held_frames() == 0;
-        // Streamed or failed, the scan has started: no replay.
-        ok &= scan.rewind().is_err();
+        ok &= again == streamed;
         ok &= streamed || bytes != heap.page_bytes(0).unwrap();
         ok
     }))
@@ -1076,8 +1078,8 @@ fn lane_table_reaches_every_lane_shape() {
 /// Whether the compressed-page readers answer `packed` (page 0 of `heap`'s
 /// sidecar, possibly damaged) with a value or a typed error, never an
 /// unwind: [`dana::ForPage::open`] must fail exactly when
-/// [`dana::decompress_page`] does, and a scoring statement's single-pass
-/// pushdown scan that finds `packed` in the pool must stream whole rows
+/// [`dana::decompress_page`] does, and a statement's pushdown scan that
+/// finds `packed` in the pool must stream whole rows
 /// exactly when the image opens, and release every frame either way.
 fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEngine) -> bool {
     let (layout, schema) = (heap.layout(), heap.schema());
@@ -1122,7 +1124,6 @@ fn compressed_readers_survive(packed: &[u8], heap: &HeapFile, engine: &AccessEng
             0,
             heap.page_count(),
         )
-        .single_pass()
         .with_scan(state);
         let streamed = loop {
             match scan.next_batch() {
@@ -1290,7 +1291,7 @@ proptest! {
         let pages = heap.page_count();
         let open = || dana::SharedPageStreamSource::with_range(
             &pool, &disk, &heap, HeapId(1), &access, 0, pages,
-        ).single_pass();
+        );
         prop_assert_eq!(drain(&mut open()), n);
         let mut scan = open();
         prop_assert_eq!(drain(&mut scan), n);

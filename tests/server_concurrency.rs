@@ -663,6 +663,79 @@ fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
     srv.shutdown();
 }
 
+/// A drop racing a streaming EXECUTE. Every epoch streams its pages
+/// through a pool half the table's size — the heap's pages, or the
+/// compressed sidecar's under the shadow id — so later epochs fetch pages
+/// after the drop has tombstoned them. Each EXECUTE (unfiltered, filtered,
+/// and a filtered gang of two) either returns the undisturbed model or a
+/// typed error; afterwards no frame is held, no page of the heap or of
+/// its shadow id is resident, and no model is stored for the dropped
+/// table. The drop waits, spinning, until the pool has missed more pages
+/// than the table holds — a later epoch is streaming — or the EXECUTE is
+/// done.
+#[test]
+fn drop_racing_a_streaming_execute_is_undisturbed_or_typed() {
+    let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
+    w.epochs = 6;
+    w.merge_coef = 8;
+    let table = || generate(&w, 32 * 1024, 29).unwrap().heap;
+    let pages = table().page_count();
+    let core = || {
+        SystemCore::new(SystemCoreConfig {
+            pool: BufferPoolConfig {
+                pool_bytes: u64::from(pages / 2) * 32 * 1024,
+                page_size: 32 * 1024,
+            },
+            pool_shards: 2,
+            ..small_core_config()
+        })
+    };
+    let spec = w.spec();
+    let udf = spec.name.clone();
+    for clause in ["", "WHERE x1 > -0.5", "WHERE x1 > -0.5 WITH (shards = 2)"] {
+        let sql = format!("SELECT * FROM dana.{udf}('t') {clause};");
+        let run = |core: &SystemCore| {
+            core.execute_statement(&sql)
+                .map(|r| r.report().unwrap().models.clone())
+        };
+        let reference = {
+            let core = core();
+            core.create_table("t", table()).unwrap();
+            core.deploy(&spec, "t").unwrap();
+            run(&core).unwrap()
+        };
+        let core = core();
+        core.create_table("t", table()).unwrap();
+        core.deploy(&spec, "t").unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let outcome = std::thread::scope(|scope| {
+            let racer = scope.spawn(|| {
+                let outcome = run(&core);
+                done.store(true, std::sync::atomic::Ordering::Release);
+                outcome
+            });
+            while !done.load(std::sync::atomic::Ordering::Acquire)
+                && core.pool_stats().misses <= u64::from(pages)
+            {
+                std::thread::yield_now();
+            }
+            core.drop_table("t").unwrap();
+            racer.join().unwrap()
+        });
+        match outcome {
+            Ok(models) => assert_eq!(models, reference, "`{sql}`"),
+            Err(
+                DanaError::StaleAccelerator { .. }
+                | DanaError::Storage(dana_storage::StorageError::UnknownTable(_)),
+            ) => {}
+            Err(e) => panic!("`{sql}`: unexpected failure: {e}"),
+        }
+        assert_eq!(core.held_frames(), 0, "`{sql}`: frame leak");
+        assert_eq!(core.resident_pages(), 0, "`{sql}`: orphan pages");
+        assert!(core.trained_generation(&udf).is_none(), "`{sql}`");
+    }
+}
+
 /// Intra-query parallelism under load: a 4-shard gang submitted into a
 /// stream of single-instance queries on a 4-instance pool, under SJF.
 /// The FIFO pool grant discipline means the gang is neither starved by
