@@ -18,15 +18,16 @@
 //!
 //! There is one training oracle: [`interp`], an interpreter of the DSL
 //! that trains any validated program the way the accelerator does, folding
-//! every reduction in the order the compiler recorded. The differential
-//! suites hold the lowered engine to it bit for bit; [`train_reference`]
-//! is a thin wrapper that runs it on a zoo spec with one AU.
+//! every reduction in the order the compiler recorded; [`merge`] merges a
+//! gang's members per epoch. The statement matrix holds the executor to
+//! both bit for bit; [`train_reference`] runs [`interp`] on a zoo spec.
 
 pub mod algorithms;
 pub mod cpu;
 pub mod external;
 pub mod interp;
 pub mod linalg;
+pub mod merge;
 pub mod metrics;
 pub mod scorer;
 

@@ -8,14 +8,14 @@
 //! semantics read off the deployed design itself:
 //!
 //! * **dense models** (broadcast + `Whole` write-back — linear/logistic/
-//!   SVM gradient-style analytics): **weighted averaging**, weights being
-//!   each shard's tuple count — the Bismarck-style model-averaging
-//!   aggregation that makes data-parallel in-RDBMS training practical;
+//!   SVM gradient-style analytics): **weighted averaging** in f64, weights
+//!   being each shard's tuple count — the Bismarck-style model averaging
+//!   that makes data-parallel in-RDBMS training practical;
 //! * **row-indexed models** (`Row` write-back — LRMF factors): **row
 //!   ownership partitioning** — each shard owns the factor rows its
 //!   rating tuples touched. Uniquely-owned rows copy from their owner
-//!   verbatim; rows touched by several shards average over exactly the
-//!   touching shards (folded in shard-index order), which mini-batches a
+//!   verbatim; rows touched by several shards average in f64 over exactly
+//!   the touching shards (folded in shard-index order), which mini-batches a
 //!   contended row's updates instead of discarding all but one shard's;
 //! * models a design never writes keep shard 0's values verbatim.
 //!
@@ -283,6 +283,9 @@ impl<'s> MergeBuffer<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dana_dsl::zoo::{self, DenseParams, LrmfParams};
+    use dana_ml::merge::merge_members;
+    use dana_storage::TupleBatch;
 
     fn dense_spec(elements: usize) -> MergeSpec {
         MergeSpec {
@@ -291,22 +294,29 @@ mod tests {
         }
     }
 
-    fn row_spec(rows: usize, cols: usize) -> MergeSpec {
-        MergeSpec {
-            kinds: vec![ModelMergeKind::RowOwnership { column: 0 }],
-            shapes: vec![(rows, cols)],
+    /// The rows `tuples` index in each row-owned model of `spec`.
+    fn owned(spec: &MergeSpec, tuples: &TupleBatch) -> ShardOwnership {
+        let mut own = ShardOwnership::for_spec(spec);
+        for ((_, bits), (_, column, _)) in own.per_model.iter_mut().zip(spec.ownership_columns()) {
+            tuples.rows().for_each(|r| bits[r[column] as usize] = true);
         }
+        own
     }
 
+    /// The weighted average folds in shard order whatever the arrival
+    /// order, and is what the merge oracle `dana_ml::merge` states, bit for
+    /// bit, where the fold order shows: 2^60 − 2^60 + 2·1 is 2 folded in
+    /// shard order and 0 the other way round.
     #[test]
     fn weighted_average_folds_in_shard_order_any_arrival_order() {
         let spec = dense_spec(3);
+        let big = (1u64 << 60) as f32;
         let partials: Vec<Vec<Vec<f32>>> = vec![
-            vec![vec![1.0, 2.0, 3.0]],
-            vec![vec![5.0, 6.0, 7.0]],
-            vec![vec![-1.0, 0.5, 2.5]],
+            vec![vec![big, 2.0, 3.0]],
+            vec![vec![-big, 6.0, 7.0]],
+            vec![vec![1.0, 0.5, 2.5]],
         ];
-        let weights = [100u64, 300, 200];
+        let weights = [1u64, 1, 2];
         let mut reference: Option<Vec<Vec<f32>>> = None;
         // Every arrival permutation must produce bit-identical output.
         for perm in [
@@ -328,10 +338,17 @@ mod tests {
                 Some(r) => assert_eq!(&merged, r, "arrival order {perm:?} changed the merge"),
             }
         }
-        // And the value is the weighted average.
+        // (2^60 − 2^60 + 2·1) / 4, (2 + 6 + 2·0.5) / 4 and (3 + 7 + 2·2.5) / 4.
         let merged = reference.unwrap();
-        let expect = (100.0 * 1.0 + 300.0 * 5.0 - 200.0 * 1.0) / 600.0;
-        assert!((merged[0][0] as f64 - expect).abs() < 1e-6);
+        assert_eq!(merged, [vec![0.5, 2.25, 3.75]]);
+        let tuples = weights.map(|n| TupleBatch::from_rows(4, vec![[0.0f32; 4]; n as usize]));
+        let members: Vec<_> = partials.into_iter().zip(&tuples).collect();
+        let p = DenseParams {
+            n_features: 3,
+            ..DenseParams::default()
+        };
+        let algo = zoo::linear_regression(p).unwrap();
+        assert_eq!(merge_members(&algo, &[vec![0.0; 3]], &members), merged);
     }
 
     #[test]
@@ -345,46 +362,60 @@ mod tests {
         assert_eq!(cycles, 0, "no merge-tier cost for one shard");
     }
 
+    /// A row one shard touches is that shard's verbatim, an untouched row
+    /// stays at base and a contended row averages its touching shards in
+    /// shard order — whatever the arrival order, and as the merge oracle
+    /// `dana_ml::merge` states it, bit for bit: `L`'s row 2 has three
+    /// owners, whose 2^60 − 2^60 + 1 is 1 folded in shard order and 0 the
+    /// other way round.
     #[test]
     fn row_ownership_copies_unique_rows_and_averages_contended_ones() {
-        let spec = row_spec(4, 2);
-        // Base rows are all -1; shard 0 touches rows {0, 2}, shard 1
-        // touches {2, 3}: row 0 is shard 0's verbatim, row 1 stays at
-        // base, row 2 (contended) averages the two shards, row 3 is
-        // shard 1's verbatim.
-        let base = vec![vec![-1.0f32; 8]];
-        let p0 = vec![vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]];
-        let p1 = vec![vec![10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7]];
-        let own = vec![
-            ShardOwnership {
-                per_model: vec![(0, vec![true, false, true, false])],
-            },
-            ShardOwnership {
-                per_model: vec![(0, vec![false, false, true, true])],
-            },
+        // LRMF's `L` (4 × 2, indexed by column 0) and `R` (1 × 2, column 1).
+        let spec = MergeSpec {
+            kinds: vec![
+                ModelMergeKind::RowOwnership { column: 0 },
+                ModelMergeKind::RowOwnership { column: 1 },
+            ],
+            shapes: vec![(4, 2), (1, 2)],
+        };
+        let p = LrmfParams {
+            rows: 4,
+            cols: 1,
+            rank: 2,
+            ..LrmfParams::default()
+        };
+        let algo = zoo::lrmf(p).unwrap();
+        // Shard 0 rates rows 0 and 2, shard 1 rows 2 and 3, shard 2 row 2;
+        // all of them column 0.
+        let tuples = [[0.0, 2.0], [2.0, 3.0], [2.0, 2.0]]
+            .map(|rows| TupleBatch::from_rows(3, rows.map(|i| [i, 0.0, 1.0])));
+        let big = (1u64 << 60) as f32;
+        let partials = [
+            vec![vec![0.0, 0.1, 9.0, 9.0, big, 0.5, 9.0, 9.0], vec![1.0, 2.0]],
+            vec![
+                vec![9.0, 9.0, 9.0, 9.0, -big, 10.5, 10.6, 10.7],
+                vec![3.0, 4.0],
+            ],
+            vec![vec![9.0, 9.0, 9.0, 9.0, 1.0, 2.0, 9.0, 9.0], vec![5.0, 9.0]],
         ];
-        let avg = |a: f32, b: f32| ((a as f64 + b as f64) / 2.0) as f32;
+        let base = vec![vec![-1.0; 8], vec![-1.0; 2]];
+        let third = |sum: f64| (sum / 3.0) as f32;
         let expected = vec![
-            0.0,
-            0.1,
-            -1.0,
-            -1.0,
-            avg(0.4, 10.4),
-            avg(0.5, 10.5),
-            10.6,
-            10.7,
+            vec![0.0, 0.1, -1.0, -1.0, third(1.0), third(13.0), 10.6, 10.7],
+            vec![3.0, 5.0],
         ];
-        for (a, b) in [((0, p0.clone()), (1, p1.clone())), ((1, p1), (0, p0))] {
-            let mut buf = MergeBuffer::new(&spec, 2, base.clone());
-            buf.submit(a.0, a.1.clone(), 10);
-            buf.submit(b.0, b.1.clone(), 10);
-            let (merged, cycles) = buf.finish(&own).unwrap();
-            assert_eq!(
-                merged[0], expected,
-                "unique rows verbatim, untouched row at base, contended row averaged"
-            );
+        let ownership: Vec<_> = tuples.iter().map(|t| owned(&spec, t)).collect();
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut buf = MergeBuffer::new(&spec, 3, base.clone());
+            for s in order {
+                buf.submit(s, partials[s].clone(), 10);
+            }
+            let (merged, cycles) = buf.finish(&ownership).unwrap();
+            assert_eq!(merged, expected, "arrival order {order:?}");
             assert!(cycles > 0);
         }
+        let members: Vec<_> = partials.into_iter().zip(&tuples).collect();
+        assert_eq!(merge_members(&algo, &base, &members), expected);
     }
 
     #[test]

@@ -18,12 +18,11 @@ use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_serve::{BatcherConfig, CacheConfig, ServeConfig, ServeError, ServeTier};
 use dana_server::{
     AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, ServerError,
-    SystemCoreConfig,
 };
-use dana_storage::page::TupleDirection;
-use dana_storage::{HeapFileBuilder, Schema};
 
-const PAGE: usize = 8 * 1024;
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{core_config, dense_rows, rating_heap, rating_rows, PAGE};
 
 fn server() -> Arc<DanaServer> {
     Arc::new(DanaServer::start(ServerConfig {
@@ -34,15 +33,7 @@ fn server() -> Arc<DanaServer> {
             policy: SchedPolicy::Fifo,
         },
         default_timeout_ms: None,
-        core: SystemCoreConfig {
-            fpga: FpgaSpec::vu9p(),
-            pool: BufferPoolConfig {
-                pool_bytes: 64 << 20,
-                page_size: PAGE,
-            },
-            pool_shards: 4,
-            disk: DiskModel::ssd(),
-        },
+        core: core_config(PAGE),
     }))
 }
 
@@ -61,48 +52,17 @@ fn singleton_tier(srv: &Arc<DanaServer>) -> ServeTier {
     )
 }
 
-/// The predict_differential dense table, with a tunable truth offset so
+/// A dense table labelled under the truth `0.35·i − 0.9 + truth_off`, so
 /// two tables can train visibly different models.
 fn dense_heap(n: usize, d: usize, algo: Algorithm, truth_off: f32) -> HeapFile {
-    let truth: Vec<f32> = (0..d).map(|i| 0.35 * i as f32 - 0.9 + truth_off).collect();
-    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((k * 11 + i * 5) % 17) as f32 - 8.0) / 8.0)
-            .collect();
-        let s: f32 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
-        let y = match algo {
-            Algorithm::Linear => s,
-            Algorithm::Logistic => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Algorithm::Svm => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            Algorithm::Lrmf => unreachable!("dense heap"),
-        };
-        b.insert(&Tuple::training(&x, y)).unwrap();
-    }
-    b.finish()
+    common::dense_heap(&dense_rows(n, d, algo, |i| {
+        0.35 * i as f32 - 0.9 + truth_off
+    }))
 }
 
-fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
-    let mut b = HeapFileBuilder::new(Schema::rating(), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let i = (k * 7) % rows;
-        let j = (k * 13) % cols;
-        let r = 1.0 + ((i * 3 + j * 5) % 4) as f32;
-        b.insert(&Tuple::rating(i as i32, j as i32, r)).unwrap();
-    }
-    b.finish()
+/// Ratings scattered over a `rows × cols` matrix.
+fn ratings(n: usize, rows: usize, cols: usize) -> HeapFile {
+    rating_heap(&rating_rows(n, rows, cols, false))
 }
 
 fn dense_spec(algo: Algorithm, d: usize) -> dana_dsl::AlgoSpec {
@@ -221,7 +181,7 @@ fn svm_point_matches_materialized_bit_exactly() {
 fn lrmf_point_matches_materialized_bit_exactly() {
     let (rows, cols) = (24usize, 18usize);
     let srv = server();
-    srv.create_table("ratings", rating_heap(400, rows, cols))
+    srv.create_table("ratings", ratings(400, rows, cols))
         .unwrap();
     let spec = zoo::lrmf(LrmfParams {
         rows,
@@ -470,8 +430,7 @@ fn coalesced_predictions_are_bit_identical_to_serial() {
 fn non_finite_point_rows_are_refused_before_scoring_or_caching() {
     let srv = server();
     let dense = dense_setup(&srv, Algorithm::Linear, 300, 6);
-    srv.create_table("ratings", rating_heap(400, 24, 18))
-        .unwrap();
+    srv.create_table("ratings", ratings(400, 24, 18)).unwrap();
     let spec = zoo::lrmf(LrmfParams {
         rows: 24,
         cols: 18,

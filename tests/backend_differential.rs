@@ -1,17 +1,14 @@
-//! Backend differential suite — the acceptance gate for the pluggable
-//! execution backends.
+//! Backend differential suite: what the statement matrix cannot express.
 //!
 //! The CPU tier's correctness contract is **bit-identity** with the
 //! simulated-FPGA tier: both backends run the identical deploy-time
-//! [`LoweredProgram`] over the identical SoA workspace, so trained
-//! models, engine counters, materialized predictions, and metrics must
-//! match bit-for-bit — only the cost accounting differs (measured wall
-//! seconds vs simulated cycle-model seconds). These tests hold the
-//! backends to that contract for every zoo model (linear regression,
-//! logistic regression, SVM, LRMF) across lockstep lane counts 1/4/16,
-//! through both the engine-level [`Backend`] value and the
-//! full `WITH (backend = …)` SQL front door, plus proptest-randomized
-//! dense programs.
+//! lowered program over the identical SoA workspace, so trained models
+//! and engine counters must match bit for bit — only the cost accounting
+//! differs (measured wall seconds vs simulated cycle-model seconds).
+//! `tests/statements.rs` holds both tiers to one oracle through the SQL
+//! front door; these tests hold the engine-level [`Backend`] values to
+//! each other across lockstep lane counts 1/4/16 for every zoo model, and
+//! on proptest-randomized dense programs.
 
 use std::sync::Arc;
 
@@ -23,66 +20,12 @@ use dana_compiler::{schedule_hdfg, ScheduleParams};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_engine::{Backend, ExecutionEngine, ModelStore};
 use dana_hdfg::translate;
-use dana_storage::page::TupleDirection;
-use dana_storage::{BufferPoolConfig, HeapFileBuilder, OneBatchSource, Schema, TupleBatch};
+use dana_storage::{OneBatchSource, TupleBatch};
 
-const PAGE: usize = 8 * 1024;
+mod common;
+use common::{rating_heap, rating_rows};
+
 const LANES: [u16; 3] = [1, 4, 16];
-
-fn system() -> Dana {
-    Dana::new(
-        FpgaSpec::vu9p(),
-        BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        DiskModel::ssd(),
-    )
-}
-
-/// A deterministic dense training table: `d` features + label.
-fn dense_heap(n: usize, d: usize, algo: Algorithm) -> HeapFile {
-    let truth: Vec<f32> = (0..d).map(|i| 0.35 * i as f32 - 0.9).collect();
-    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((k * 11 + i * 5) % 17) as f32 - 8.0) / 8.0)
-            .collect();
-        let s: f32 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
-        let y = match algo {
-            Algorithm::Linear => s,
-            Algorithm::Logistic => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Algorithm::Svm => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            Algorithm::Lrmf => unreachable!("dense heap"),
-        };
-        b.insert(&Tuple::training(&x, y)).unwrap();
-    }
-    b.finish()
-}
-
-/// A deterministic rating table within `rows × cols`.
-fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
-    let mut b = HeapFileBuilder::new(Schema::rating(), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let i = (k * 7) % rows;
-        let j = (k * 13) % cols;
-        let r = 1.0 + ((i * 3 + j * 5) % 4) as f32;
-        b.insert(&Tuple::rating(i as i32, j as i32, r)).unwrap();
-    }
-    b.finish()
-}
 
 /// Deterministic pseudo-random tuple values in [-1, 1).
 fn synth_tuples(n: usize, width: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -174,7 +117,7 @@ fn lrmf_bit_identical_across_lanes() {
         epochs: 3,
     })
     .unwrap();
-    let heap = rating_heap(500, rows, cols);
+    let heap = rating_heap(&rating_rows(500, rows, cols, false));
     let batch = heap.scan_batch().unwrap();
     let tuples: Vec<Vec<f32>> = batch.rows().map(|r| r.to_vec()).collect();
     let mut feasible = 0;
@@ -195,133 +138,6 @@ fn lrmf_bit_identical_across_lanes() {
         feasible += 1;
     }
     assert!(feasible > 0, "no feasible LRMF lane count");
-}
-
-/// Full-pipeline differential through the SQL front door: for every zoo
-/// model, `WITH (backend = cpu)` trains bit-identically to
-/// `WITH (backend = fpga)`, PREDICT materializes bit-identical
-/// prediction tables on both tiers, and EVALUATE agrees exactly.
-#[test]
-fn sql_backends_agree_end_to_end() {
-    for algo in [Algorithm::Linear, Algorithm::Logistic, Algorithm::Svm] {
-        let db = system();
-        db.create_table("t", dense_heap(700, 12, algo)).unwrap();
-        let spec = zoo::spec_for(
-            algo,
-            DenseParams {
-                n_features: 12,
-                learning_rate: 0.1,
-                merge_coef: 8,
-                epochs: 6,
-            },
-        )
-        .unwrap();
-        let udf = spec.name.clone();
-        db.deploy(&spec, "t").unwrap();
-
-        let fpga = db
-            .execute_statement(&format!(
-                "SELECT * FROM dana.{udf}('t') WITH (backend = fpga);"
-            ))
-            .unwrap();
-        let cpu = db
-            .execute_statement(&format!(
-                "SELECT * FROM dana.{udf}('t') WITH (backend = cpu);"
-            ))
-            .unwrap();
-        assert_eq!(fpga.report().unwrap().backend, BackendKind::Fpga);
-        assert_eq!(cpu.report().unwrap().backend, BackendKind::Cpu);
-        assert_eq!(
-            cpu.report().unwrap().models,
-            fpga.report().unwrap().models,
-            "{udf}: training"
-        );
-        assert_eq!(
-            cpu.report().unwrap().engine.cycles,
-            fpga.report().unwrap().engine.cycles
-        );
-        // Cost units live in distinct slots.
-        assert!(fpga.report().unwrap().timing.total_seconds > 0.0);
-        assert!(fpga.report().unwrap().timing.wall_seconds.is_none());
-        assert_eq!(cpu.report().unwrap().timing.total_seconds, 0.0);
-        assert!(cpu.report().unwrap().timing.wall_seconds.is_some());
-
-        // Scoring tiers: bit-identical materialized predictions.
-        let pf = db
-            .execute_statement(&format!(
-                "PREDICT dana.{udf}('t') INTO 'pf' WITH (backend = fpga);"
-            ))
-            .unwrap();
-        let pf = pf.predict_report().unwrap();
-        let pc = db
-            .execute_statement(&format!(
-                "PREDICT dana.{udf}('t') INTO 'pc' WITH (backend = cpu);"
-            ))
-            .unwrap();
-        let pc = pc.predict_report().unwrap();
-        assert_eq!(pf.backend, BackendKind::Fpga);
-        assert_eq!(pc.backend, BackendKind::Cpu);
-        assert_eq!(pf.rows_scored, pc.rows_scored);
-        let scan = |db: &Dana, t: &str| -> Vec<f32> {
-            db.table_snapshot(t)
-                .unwrap()
-                .scan_batch()
-                .unwrap()
-                .rows()
-                .map(|r| r[13])
-                .collect()
-        };
-        assert_eq!(scan(&db, "pf"), scan(&db, "pc"), "{udf}: predictions");
-
-        // Metrics agree exactly.
-        let ef = db
-            .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = fpga);"))
-            .unwrap();
-        let ef = ef.eval_report().unwrap();
-        let ec = db
-            .execute_statement(&format!("EVALUATE dana.{udf}('t') WITH (backend = cpu);"))
-            .unwrap();
-        let ec = ec.eval_report().unwrap();
-        assert_eq!(ec.value, ef.value, "{udf}: metric");
-        assert_eq!(ec.metric, ef.metric);
-    }
-
-    // LRMF through the same front door (training + metric; factor models
-    // live in two variables).
-    let db = system();
-    db.create_table("ratings", rating_heap(600, 24, 18))
-        .unwrap();
-    let spec = zoo::lrmf(LrmfParams {
-        rows: 24,
-        cols: 18,
-        rank: 8,
-        learning_rate: 0.05,
-        merge_coef: 4,
-        epochs: 4,
-    })
-    .unwrap();
-    db.deploy(&spec, "ratings").unwrap();
-    let fpga = db
-        .execute_statement("SELECT * FROM dana.lrmf('ratings') WITH (backend = fpga);")
-        .unwrap();
-    let cpu = db
-        .execute_statement("SELECT * FROM dana.lrmf('ratings') WITH (backend = cpu);")
-        .unwrap();
-    assert_eq!(
-        cpu.report().unwrap().models,
-        fpga.report().unwrap().models,
-        "lrmf: factors"
-    );
-    assert_eq!(cpu.report().unwrap().backend, BackendKind::Cpu);
-    let ef = db
-        .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = fpga);")
-        .unwrap();
-    let ef = ef.eval_report().unwrap();
-    let ec = db
-        .execute_statement("EVALUATE dana.lrmf('ratings') WITH (backend = cpu);")
-        .unwrap();
-    let ec = ec.eval_report().unwrap();
-    assert_eq!(ec.value, ef.value, "lrmf: metric");
 }
 
 proptest! {

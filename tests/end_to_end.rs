@@ -6,18 +6,10 @@ use dana_ml::metrics;
 use dana_workloads::{generate, workload};
 
 mod common;
-use common::execute;
+use common::{core, execute};
 
-fn small_db() -> Dana {
-    Dana::new(
-        FpgaSpec::vu9p(),
-        BufferPoolConfig {
-            pool_bytes: 256 << 20,
-            page_size: 32 * 1024,
-        },
-        DiskModel::ssd(),
-    )
-}
+/// The page size of the workload tables these tests generate.
+const PAGE: usize = 32 * 1024;
 
 fn tuples_of(heap: &HeapFile) -> dana_storage::TupleBatch {
     heap.scan_batch().expect("heap pages are well-formed")
@@ -29,10 +21,10 @@ fn logistic_regression_full_pipeline() {
     w.epochs = 30;
     w.merge_coef = 8;
     w.learning_rate = 0.5;
-    let table = generate(&w, 32 * 1024, 11).unwrap();
+    let table = generate(&w, PAGE, 11).unwrap();
     let data = tuples_of(&table.heap);
 
-    let db = small_db();
+    let db = core(PAGE);
     db.create_table("remote_sensing", table.heap).unwrap();
     db.deploy(&w.spec(), "remote_sensing").unwrap();
     let out = db
@@ -55,10 +47,10 @@ fn svm_full_pipeline() {
     w.epochs = 25;
     w.merge_coef = 8;
     w.learning_rate = 0.2;
-    let table = generate(&w, 32 * 1024, 12).unwrap();
+    let table = generate(&w, PAGE, 12).unwrap();
     let data = tuples_of(&table.heap);
 
-    let db = small_db();
+    let db = core(PAGE);
     db.create_table("rs_svm", table.heap).unwrap();
     db.deploy(&w.spec(), "rs_svm").unwrap();
     let report = execute(&db, "svm", "rs_svm");
@@ -72,11 +64,11 @@ fn svm_full_pipeline() {
 fn linear_regression_via_textual_dsl() {
     let mut w = workload("Patient").unwrap().scaled(0.01);
     w.epochs = 25;
-    let table = generate(&w, 32 * 1024, 13).unwrap();
+    let table = generate(&w, PAGE, 13).unwrap();
     let data = tuples_of(&table.heap);
     let truth = table.truth.clone().unwrap();
 
-    let db = small_db();
+    let db = core(PAGE);
     db.create_table("patient", table.heap).unwrap();
     let source = dana_dsl::zoo::linear_regression_source(dana_dsl::zoo::DenseParams {
         n_features: w.features,
@@ -113,10 +105,10 @@ fn lrmf_full_pipeline() {
     w.epochs = 25;
     w.merge_coef = 4;
     w.learning_rate = 0.05;
-    let table = generate(&w, 32 * 1024, 14).unwrap();
+    let table = generate(&w, PAGE, 14).unwrap();
     let data = tuples_of(&table.heap);
 
-    let db = small_db();
+    let db = core(PAGE);
     db.create_table("ratings", table.heap).unwrap();
     db.deploy(&w.spec(), "ratings").unwrap();
     let report = execute(&db, "lrmf", "ratings");
@@ -158,9 +150,9 @@ fn convergence_condition_stops_training_early() {
     "#;
     let mut w = workload("Patient").unwrap().scaled(0.005);
     w.features = 8;
-    let table = generate(&w, 32 * 1024, 15).unwrap();
+    let table = generate(&w, PAGE, 15).unwrap();
 
-    let db = small_db();
+    let db = core(PAGE);
     db.create_table("t", table.heap).unwrap();
     db.deploy_source(src, "convlin", "t").unwrap();
     let report = execute(&db, "convlin", "t");
@@ -173,12 +165,12 @@ fn convergence_condition_stops_training_early() {
 
 #[test]
 fn catalog_survives_multiple_udfs_and_tables() {
-    let db = small_db();
+    let db = core(PAGE);
     for (i, name) in ["alpha", "beta"].iter().enumerate() {
         let mut w = workload("Blog Feedback").unwrap().scaled(0.003);
         w.features = 16;
         w.epochs = 3;
-        let table = generate(&w, 32 * 1024, 20 + i as u64).unwrap();
+        let table = generate(&w, PAGE, 20 + i as u64).unwrap();
         db.create_table(name, table.heap).unwrap();
     }
     let mut w = workload("Blog Feedback").unwrap().scaled(0.003);
@@ -210,14 +202,7 @@ fn page_sizes_8_16_32k_all_work() {
         w.features = 20;
         w.epochs = 5;
         let table = generate(&w, page_size, 30).unwrap();
-        let db = Dana::new(
-            FpgaSpec::vu9p(),
-            BufferPoolConfig {
-                pool_bytes: 128 << 20,
-                page_size,
-            },
-            DiskModel::ssd(),
-        );
+        let db = core(page_size);
         db.create_table("t", table.heap).unwrap();
         db.deploy(&w.spec(), "t").unwrap();
         let report = execute(&db, "logisticR", "t");

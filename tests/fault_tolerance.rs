@@ -22,15 +22,13 @@ use dana_dsl::zoo::{linear_regression, DenseParams};
 use dana_engine::{EngineError, FaultPlan};
 use dana_server::{
     AdmissionConfig, DanaServer, Health, QueryReply, QueryRequest, SchedPolicy, ServerConfig,
-    ServerError, SystemCoreConfig,
+    ServerError,
 };
 use dana_storage::page::TupleDirection;
-use dana_storage::{BufferPoolConfig, HeapFile, HeapFileBuilder, Schema, Tuple};
+use dana_storage::{HeapFile, HeapFileBuilder, Schema, Tuple};
 
 mod common;
-use common::execute;
-
-const PAGE: usize = 8 * 1024;
+use common::{core, core_config, execute, PAGE};
 
 fn linreg_heap(n: usize, d: usize) -> HeapFile {
     let truth: Vec<f32> = (0..d).map(|i| 0.3 * i as f32 - 0.5).collect();
@@ -55,18 +53,6 @@ fn spec(d: usize) -> dana_dsl::AlgoSpec {
     .unwrap()
 }
 
-fn core_config() -> SystemCoreConfig {
-    SystemCoreConfig {
-        fpga: FpgaSpec::vu9p(),
-        pool: BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        pool_shards: 4,
-        disk: DiskModel::ssd(),
-    }
-}
-
 fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) -> DanaServer {
     DanaServer::start(ServerConfig {
         accelerators,
@@ -76,16 +62,16 @@ fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) 
             policy: SchedPolicy::Fifo,
         },
         default_timeout_ms,
-        core: core_config(),
+        core: core_config(PAGE),
     })
 }
 
 /// An embedded core with `linearR` (12 epochs) deployed on table `t`.
 fn deployed_core() -> SystemCore {
-    let core = SystemCore::new(core_config());
-    core.create_table("t", linreg_heap(600, 8)).unwrap();
-    core.deploy(&spec(8), "t").unwrap();
-    core
+    let db = core(PAGE);
+    db.create_table("t", linreg_heap(600, 8)).unwrap();
+    db.deploy(&spec(8), "t").unwrap();
+    db
 }
 
 fn trained_server(accelerators: usize, workers: usize) -> DanaServer {

@@ -1,87 +1,33 @@
-//! Inference-tier differential suite — the acceptance gate for PREDICT.
+//! Inference-tier differential suite: what the statement matrix cannot
+//! express.
 //!
-//! For every zoo model (linear regression, logistic regression, SVM,
-//! LRMF) the accelerator scoring path — deploy-time scoring lowering,
-//! streamed page extraction, SoA lockstep executor — must produce
-//! predictions **bit-identical** to the `dana_ml::scorer` CPU reference:
-//! the bound scoring program at every lockstep lane count (1 / 4 / 16),
-//! and a front-door PREDICT at the design's lanes. A materialized prediction table must also
-//! round-trip: created by PREDICT, scanned back, evaluated with
-//! EVALUATE, dropped with full page eviction.
+//! `tests/statements.rs` holds every front-door PREDICT, EVALUATE and
+//! point PREDICT to `dana_ml::scorer` at the design's lanes. Here the
+//! scoring program bound to a trained model is held to the same reference
+//! at every lockstep lane count of the sweep (1 / 4 / 16) for every zoo
+//! model; a point PREDICT rounds an LRMF index as training does; and a
+//! materialized prediction table round-trips: created by PREDICT, scanned
+//! back, evaluated with EVALUATE, dropped with full page eviction.
 
 use dana::prelude::*;
 use dana::{exec, SystemCore};
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_ml::{scorer, DenseModel, LrmfModel};
-use dana_storage::page::TupleDirection;
-use dana_storage::{HeapFileBuilder, Schema};
 
 mod common;
-use common::execute;
+use common::{core, dense_heap, dense_rows, execute, rating_heap, rating_rows, PAGE};
 
-const PAGE: usize = 8 * 1024;
-
-fn system() -> Dana {
-    Dana::new(
-        FpgaSpec::vu9p(),
-        BufferPoolConfig {
-            pool_bytes: 64 << 20,
-            page_size: PAGE,
-        },
-        DiskModel::ssd(),
-    )
-}
-
-/// A deterministic dense training table: `d` features + label.
-fn dense_heap(n: usize, d: usize, algo: Algorithm) -> HeapFile {
-    let truth: Vec<f32> = (0..d).map(|i| 0.35 * i as f32 - 0.9).collect();
-    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((k * 11 + i * 5) % 17) as f32 - 8.0) / 8.0)
-            .collect();
-        let s: f32 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
-        let y = match algo {
-            Algorithm::Linear => s,
-            Algorithm::Logistic => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Algorithm::Svm => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            Algorithm::Lrmf => unreachable!("dense heap"),
-        };
-        b.insert(&Tuple::training(&x, y)).unwrap();
-    }
-    b.finish()
-}
-
-/// A deterministic rating table within `rows × cols`.
-fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
-    let mut b = HeapFileBuilder::new(Schema::rating(), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let i = (k * 7) % rows;
-        let j = (k * 13) % cols;
-        let r = 1.0 + ((i * 3 + j * 5) % 4) as f32;
-        b.insert(&Tuple::rating(i as i32, j as i32, r)).unwrap();
-    }
-    b.finish()
+/// The dense table of this suite: `d` features labelled under the truth
+/// `0.35·i − 0.9`.
+fn dense_table(n: usize, d: usize, algo: Algorithm) -> HeapFile {
+    dense_heap(&dense_rows(n, d, algo, |i| 0.35 * i as f32 - 0.9))
 }
 
 const LANES: [u16; 3] = [1, 4, 16];
 
 /// Holds `udf`'s scores of `table` to `reference`, bit for bit: the
 /// scoring program bound to its latest model at every lane count of the
-/// sweep, and a front-door PREDICT — pages, Striders and all — at the
-/// design's lanes.
+/// sweep.
 fn assert_scores_match(db: &SystemCore, udf: &str, table: &str, reference: &[f32]) {
     let cached = db.accelerator_runtime(udf).unwrap();
     let setup = exec::scoring_setup(udf, cached, db.trained_generation(udf)).unwrap();
@@ -90,20 +36,14 @@ fn assert_scores_match(db: &SystemCore, udf: &str, table: &str, reference: &[f32
         let (got, _) = dana::score_batch(&setup.program, lanes, &batch).unwrap();
         assert_eq!(got, reference, "{udf}: {lanes} lanes must be bit-identical");
     }
-    let sql = format!("PREDICT {udf}('{table}') INTO 'scores' WITH (backend = fpga);");
-    let out = db.execute_statement(&sql).unwrap();
-    assert_eq!(out.predict_report().unwrap().lanes, setup.lanes);
-    let stored = db.table_snapshot("scores").unwrap().scan_batch().unwrap();
-    let got: Vec<f32> = stored.rows().map(|r| *r.last().unwrap()).collect();
-    assert_eq!(got, reference, "{udf}: PREDICT must be bit-identical");
 }
 
 /// Trains one dense zoo model in-database, then sweeps the accelerator
 /// scoring path against the CPU reference.
 fn dense_differential(algo: Algorithm, link: dana_ml::Link) {
     let d = 12;
-    let db = system();
-    db.create_table("t", dense_heap(900, d, algo)).unwrap();
+    let db = core(PAGE);
+    db.create_table("t", dense_table(900, d, algo)).unwrap();
     let spec = zoo::spec_for(
         algo,
         DenseParams {
@@ -143,9 +83,9 @@ fn svm_predictions_bit_identical() {
 #[test]
 fn lrmf_predictions_bit_identical() {
     let (rows, cols, rank) = (24usize, 18usize, 8usize);
-    let db = system();
-    db.create_table("ratings", rating_heap(800, rows, cols))
-        .unwrap();
+    let db = core(PAGE);
+    let ratings = rating_heap(&rating_rows(800, rows, cols, false));
+    db.create_table("ratings", ratings).unwrap();
     let spec = zoo::lrmf(LrmfParams {
         rows,
         cols,
@@ -181,9 +121,9 @@ fn lrmf_predictions_bit_identical() {
 #[test]
 fn point_predict_rounds_lrmf_indices_as_training_does() {
     let (rows, cols) = (24usize, 18usize);
-    let db = system();
-    db.create_table("ratings", rating_heap(800, rows, cols))
-        .unwrap();
+    let db = core(PAGE);
+    let ratings = rating_heap(&rating_rows(800, rows, cols, false));
+    db.create_table("ratings", ratings).unwrap();
     let spec = zoo::lrmf(LrmfParams {
         rows,
         cols,
@@ -219,8 +159,8 @@ fn point_predict_rounds_lrmf_indices_as_training_does() {
 #[test]
 fn prediction_table_round_trips_through_the_catalog() {
     let d = 10;
-    let db = system();
-    db.create_table("t", dense_heap(1200, d, Algorithm::Linear))
+    let db = core(PAGE);
+    db.create_table("t", dense_table(1200, d, Algorithm::Linear))
         .unwrap();
     let spec = zoo::linear_regression(DenseParams {
         n_features: d,

@@ -3,7 +3,7 @@
 //! The tracing contract, held across the four zoo analytics:
 //!
 //! * the trace *shape* — stage names, nesting, and per-stage counts — is
-//!   a pure function of the statement: an embedded `Dana` and a served
+//!   a pure function of the statement: an embedded core and a served
 //!   `DanaServer` emit structurally identical traces, and the
 //!   shape does not change with the gang width (1, 2, 4 shards). Only
 //!   the recorded times may differ;
@@ -21,102 +21,16 @@
 use std::sync::Arc;
 
 use dana::prelude::*;
-use dana::QueryTrace;
-use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
+use dana::{QueryTrace, SystemCore};
 use dana_engine::FaultPlan;
 use dana_parallel::{train_gang, ReplaySource, ShardPlan};
 use dana_server::{
     AdmissionConfig, DanaServer, QueryRequest, QueryResponse, SchedPolicy, ServerConfig,
-    SystemCoreConfig,
 };
-use dana_storage::page::TupleDirection;
-use dana_storage::{BufferPoolConfig, HeapFileBuilder, Schema, TupleBatch};
+use dana_storage::TupleBatch;
 
-const PAGE: usize = 8 * 1024;
-
-const ZOO: [Algorithm; 4] = [
-    Algorithm::Linear,
-    Algorithm::Logistic,
-    Algorithm::Svm,
-    Algorithm::Lrmf,
-];
-
-fn dense_heap(n: usize, d: usize, algo: Algorithm) -> HeapFile {
-    let truth: Vec<f32> = (0..d).map(|i| 0.3 * i as f32 - 0.8).collect();
-    let mut b = HeapFileBuilder::new(Schema::training(d), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let x: Vec<f32> = (0..d)
-            .map(|i| (((k * 11 + i * 5) % 17) as f32 - 8.0) / 8.0)
-            .collect();
-        let s: f32 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
-        let y = match algo {
-            Algorithm::Linear => s,
-            Algorithm::Logistic => (s > 0.0) as u8 as f32,
-            Algorithm::Svm => {
-                if s > 0.0 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            }
-            Algorithm::Lrmf => unreachable!(),
-        };
-        b.insert(&Tuple::training(&x, y)).unwrap();
-    }
-    b.finish()
-}
-
-fn rating_heap(n: usize, rows: usize, cols: usize) -> HeapFile {
-    let mut b = HeapFileBuilder::new(Schema::rating(), PAGE, TupleDirection::Ascending).unwrap();
-    for k in 0..n {
-        let (i, j) = (k * rows / n, (k * 13) % cols);
-        let r = 1.0 + ((i * 3 + j * 5) % 4) as f32;
-        b.insert(&Tuple::rating(i as i32, j as i32, r)).unwrap();
-    }
-    b.finish()
-}
-
-fn spec_for(algo: Algorithm) -> AlgoSpec {
-    match algo {
-        Algorithm::Lrmf => zoo::lrmf(LrmfParams {
-            rows: 24,
-            cols: 18,
-            rank: 6,
-            learning_rate: 0.05,
-            merge_coef: 4,
-            epochs: 3,
-        })
-        .unwrap(),
-        _ => zoo::spec_for(
-            algo,
-            DenseParams {
-                n_features: 10,
-                learning_rate: 0.1,
-                merge_coef: 8,
-                epochs: 3,
-            },
-        )
-        .unwrap(),
-    }
-}
-
-fn heap_for(algo: Algorithm, n: usize) -> HeapFile {
-    match algo {
-        Algorithm::Lrmf => rating_heap(n, 24, 18),
-        _ => dense_heap(n, 10, algo),
-    }
-}
-
-fn buffer_config() -> BufferPoolConfig {
-    BufferPoolConfig {
-        pool_bytes: 64 << 20,
-        page_size: PAGE,
-    }
-}
-
-fn fresh_dana() -> Dana {
-    Dana::new(FpgaSpec::vu9p(), buffer_config(), DiskModel::ssd())
-}
+mod common;
+use common::{core, core_config, zoo_heap, zoo_spec, PAGE, ZOO};
 
 fn fresh_server(accelerators: usize) -> DanaServer {
     DanaServer::start(ServerConfig {
@@ -127,17 +41,12 @@ fn fresh_server(accelerators: usize) -> DanaServer {
             policy: SchedPolicy::Fifo,
         },
         default_timeout_ms: None,
-        core: SystemCoreConfig {
-            fpga: FpgaSpec::vu9p(),
-            pool: buffer_config(),
-            pool_shards: 4,
-            disk: DiskModel::ssd(),
-        },
+        core: core_config(PAGE),
     })
 }
 
 /// `EXPLAIN ANALYZE` through the embedded front door, returning the report.
-fn serial_analyze(db: &Dana, sql: &str) -> dana::AnalyzeReport {
+fn serial_analyze(db: &SystemCore, sql: &str) -> dana::AnalyzeReport {
     match db.execute_statement(sql).unwrap() {
         QueryResponse::Analyzed(a) => *a,
         other => panic!("expected analyze outcome, got {other:?}"),
@@ -165,7 +74,7 @@ fn server_analyze(
 #[test]
 fn trace_shape_is_facade_and_shard_invariant() {
     for algo in ZOO {
-        let spec = spec_for(algo);
+        let spec = zoo_spec(algo, 3);
         let udf = spec.name.clone();
 
         let mut shapes: Vec<(String, String)> = Vec::new();
@@ -174,14 +83,14 @@ fn trace_shape_is_facade_and_shard_invariant() {
                 "EXPLAIN ANALYZE EXECUTE dana.{udf}('t') WITH (backend = fpga, shards = {shards});"
             );
 
-            let db = fresh_dana();
-            db.create_table("t", heap_for(algo, 900)).unwrap();
+            let db = core(PAGE);
+            db.create_table("t", zoo_heap(algo, 900)).unwrap();
             db.deploy(&spec, "t").unwrap();
             let serial = serial_analyze(&db, &sql);
             shapes.push((format!("serial/x{shards}"), serial.trace.structure()));
 
             let srv = fresh_server(4);
-            srv.create_table("t", heap_for(algo, 900)).unwrap();
+            srv.create_table("t", zoo_heap(algo, 900)).unwrap();
             srv.deploy(&spec, "t").unwrap();
             let session = srv.open_session("tracer");
             let server = server_analyze(&srv, session, &sql);
@@ -220,7 +129,7 @@ fn trace_shape_is_facade_and_shard_invariant() {
 /// serial and ganged.
 #[test]
 fn explain_analyze_stage_sums_match_end_to_end_report() {
-    let spec = spec_for(Algorithm::Linear);
+    let spec = zoo_spec(Algorithm::Linear, 3);
     let check = |label: &str, report: &dana::AnalyzeReport| {
         let total = report
             .outcome
@@ -248,14 +157,14 @@ fn explain_analyze_stage_sums_match_end_to_end_report() {
         let sql = format!(
             "EXPLAIN ANALYZE EXECUTE dana.linearR('t') WITH (backend = fpga, shards = {shards});"
         );
-        let db = fresh_dana();
-        db.create_table("t", heap_for(Algorithm::Linear, 900))
+        let db = core(PAGE);
+        db.create_table("t", zoo_heap(Algorithm::Linear, 900))
             .unwrap();
         db.deploy(&spec, "t").unwrap();
         check(&format!("serial/x{shards}"), &serial_analyze(&db, &sql));
 
         let srv = fresh_server(4);
-        srv.create_table("t", heap_for(Algorithm::Linear, 900))
+        srv.create_table("t", zoo_heap(Algorithm::Linear, 900))
             .unwrap();
         srv.deploy(&spec, "t").unwrap();
         let session = srv.open_session("analyzer");
@@ -341,9 +250,9 @@ const SCORE: &str = CPU_EXECUTE;
 /// tier `backend = auto` would pick.
 #[test]
 fn every_statement_has_one_trace_shape_on_both_tiers() {
-    let spec = spec_for(Algorithm::Linear);
-    let db = fresh_dana();
-    db.create_table("t", heap_for(Algorithm::Linear, 900))
+    let spec = zoo_spec(Algorithm::Linear, 3);
+    let db = core(PAGE);
+    db.create_table("t", zoo_heap(Algorithm::Linear, 900))
         .unwrap();
     db.deploy(&spec, "t").unwrap();
     let row: Vec<String> = (0..10).map(|i| format!("0.{i}")).collect();
@@ -418,9 +327,9 @@ fn every_statement_has_one_trace_shape_on_both_tiers() {
 /// own: each child is the engine stage's share in the log's proportion.
 #[test]
 fn gang_epoch_children_follow_its_epoch_log() {
-    let spec = spec_for(Algorithm::Linear);
-    let db = fresh_dana();
-    db.create_table("t", heap_for(Algorithm::Linear, 900))
+    let spec = zoo_spec(Algorithm::Linear, 3);
+    let db = core(PAGE);
+    db.create_table("t", zoo_heap(Algorithm::Linear, 900))
         .unwrap();
     db.deploy(&spec, "t").unwrap();
     let report = serial_analyze(
@@ -462,11 +371,11 @@ fn gang_epoch_children_follow_its_epoch_log() {
 /// shape as `EXPLAIN ANALYZE`, with the normal result still present.
 #[test]
 fn opt_in_trace_matches_explain_analyze_shape() {
-    let spec = spec_for(Algorithm::Logistic);
+    let spec = zoo_spec(Algorithm::Logistic, 3);
 
     // Embedded.
-    let db = fresh_dana();
-    db.create_table("t", heap_for(Algorithm::Logistic, 900))
+    let db = core(PAGE);
+    db.create_table("t", zoo_heap(Algorithm::Logistic, 900))
         .unwrap();
     db.deploy(&spec, "t").unwrap();
     let analyzed = serial_analyze(
@@ -487,7 +396,7 @@ fn opt_in_trace_matches_explain_analyze_shape() {
 
     // Served: the reply carries the trace beside the result.
     let srv = fresh_server(2);
-    srv.create_table("t", heap_for(Algorithm::Logistic, 900))
+    srv.create_table("t", zoo_heap(Algorithm::Logistic, 900))
         .unwrap();
     srv.deploy(&spec, "t").unwrap();
     let session = srv.open_session("opt-in");
@@ -517,9 +426,9 @@ fn opt_in_trace_matches_explain_analyze_shape() {
 /// report for the same scenario.
 #[test]
 fn show_stats_gauges_match_typed_pool_and_queue_apis() {
-    let spec = spec_for(Algorithm::Linear);
+    let spec = zoo_spec(Algorithm::Linear, 3);
     let srv = fresh_server(2);
-    srv.create_table("t", heap_for(Algorithm::Linear, 900))
+    srv.create_table("t", zoo_heap(Algorithm::Linear, 900))
         .unwrap();
     srv.deploy(&spec, "t").unwrap();
     let session = srv.open_session("gauges");
