@@ -664,10 +664,11 @@ mod tests {
 
     #[test]
     fn batch_boundaries_are_invisible() {
-        // The same 50-tuple stream delivered as page-sized chunks and as
-        // pathological 1-row batches must train identically to the
+        // The same 150-tuple stream delivered as page-sized chunks, as
+        // pathological 1-row batches, with an empty batch mid-stream and in
+        // chunks wider than a thread group must train identically to the
         // one-batch run — bit for bit, stats included.
-        let tuples = make_tuples(50);
+        let tuples = make_tuples(150);
         for threads in [1u16, 4, 8] {
             let design = linreg_design(threads);
             let engine = ExecutionEngine::new(design.clone()).unwrap();
@@ -675,12 +676,22 @@ mod tests {
             let one_stats = engine
                 .run_training_batch(&batch_of(&tuples), &mut one_store)
                 .unwrap();
-            for chunk in [1usize, 3, 7] {
+            for (chunk, empty_mid) in [
+                (1usize, false),
+                (3, false),
+                (7, false),
+                (7, true),
+                (64, false),
+            ] {
                 let mut source = ChunkedSource::new(&tuples, chunk);
+                if empty_mid {
+                    source.batches.insert(11, TupleBatch::new(3));
+                }
                 let mut store = ModelStore::new(&design, vec![vec![0.1, -0.1]]).unwrap();
                 let stats = engine.run_training(&mut source, &mut store).unwrap();
-                assert_eq!(store, one_store, "threads {threads}, chunk {chunk}");
-                assert_eq!(stats, one_stats, "threads {threads}, chunk {chunk}");
+                let case = format!("threads {threads}, chunk {chunk}, empty {empty_mid}");
+                assert_eq!(store, one_store, "{case}");
+                assert_eq!(stats, one_stats, "{case}");
             }
         }
     }

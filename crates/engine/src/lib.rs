@@ -36,7 +36,9 @@
 //! a fixed schedule (§5.2, §6.1) — and it is safe because a region only
 //! *reads* the model store (row `Gather`s) while nothing in it writes one:
 //! model write-back runs after the region. The post-merge region is the
-//! same loop over one lane.
+//! same loop over one lane. Tuples reach the SoA rows through
+//! `dana_storage::load_lanes`, the one row-to-lane loader the scoring
+//! executor shares: each value moves once, straight from its batch.
 //! A statement's EXECUTE drives [`TrainingSession`]s from one guarded
 //! epoch loop, `dana_parallel`'s gang loop, for one member or several;
 //! [`ExecutionEngine::run_training`] is the quiet loop over one session

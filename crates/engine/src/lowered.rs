@@ -32,8 +32,11 @@
 //!
 //! The data movement around the ALU loops follows the same layout rule —
 //! every value moves once, into or out of a contiguous SoA row: the group
-//! load walks offsets outermost and lanes innermost, the tree merge folds
-//! each slot in thread order but several slots' chains at once, and row
+//! load is `dana_storage::load_lanes`, the one row-to-lane loader scoring
+//! shares, which writes each tuple column straight from its batch into the
+//! SoA rows (offsets outermost, lanes innermost) and carries a group across
+//! batch boundaries in the SoA buffer itself; the tree merge folds each
+//! slot in thread order but several slots' chains at once, and row
 //! gathers / write-backs validate every lane's row once and reuse the row
 //! bases.
 //!
@@ -44,7 +47,7 @@
 //! randomized differential tests in `tests/lowered_differential.rs`.
 
 use dana_dsl::MergeOp;
-use dana_storage::TupleSource;
+use dana_storage::{load_lanes, TupleSource};
 
 use crate::engine::{
     EngineDesign, EngineStats, MergePlan, ModelStore, ModelWrite, BUS_WORDS, MODEL_PORTS,
@@ -138,8 +141,9 @@ pub struct LoweredProgram {
     pub(crate) words_per_thread: u32,
     pub(crate) per_tuple: Vec<LoweredOp>,
     pub(crate) post_merge: Vec<LoweredOp>,
-    pub(crate) input_offsets: Vec<u32>,
-    pub(crate) output_offsets: Vec<u32>,
+    /// Word each tuple column loads into: the input slots, then the
+    /// output slots.
+    pub(crate) tuple_offsets: Vec<u32>,
     pub(crate) meta: Vec<(u32, f32)>,
     pub(crate) broadcasts: Vec<LoweredBroadcast>,
     pub(crate) merge: Option<LoweredMerge>,
@@ -221,7 +225,13 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
     let per_tuple = lower_steps(&d.program.per_tuple);
     let post_merge = lower_steps(&d.program.post_merge);
 
-    let broadcasts = d
+    let tuple_offsets: Vec<u32> = d
+        .input_slots
+        .iter()
+        .chain(&d.output_slots)
+        .map(&flat)
+        .collect();
+    let broadcasts: Vec<LoweredBroadcast> = d
         .models
         .iter()
         .enumerate()
@@ -232,6 +242,15 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
             })
         })
         .collect();
+    // The compiler gives every leaf its own slots, so a group's tuples load
+    // before its broadcast without either overwriting the other.
+    debug_assert!(
+        broadcasts
+            .iter()
+            .flat_map(|b| &b.dst)
+            .all(|w| !tuple_offsets.contains(w)),
+        "a broadcast slot is also a tuple slot"
+    );
     let merge = match &d.merge {
         MergePlan::None => None,
         MergePlan::Whole { op, slots } => Some(LoweredMerge {
@@ -279,8 +298,7 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
         words_per_thread: words_high as u32,
         per_tuple,
         post_merge,
-        input_offsets: d.input_slots.iter().map(&flat).collect(),
-        output_offsets: d.output_slots.iter().map(&flat).collect(),
+        tuple_offsets,
         meta: d.meta.iter().map(|(l, v)| (flat(l), *v)).collect(),
         broadcasts,
         merge,
@@ -358,21 +376,24 @@ fn lower_alu(op: AluOp, a: &Src, b: &Src, dst: u32, flat: &impl Fn(&Loc) -> u32)
     }
 }
 
-/// Per-run scratch state: the slot-major SoA buffer plus the group's
-/// buffered tuples. Allocated once per training run; the engine itself
-/// stays shared and immutable across concurrent queries.
+/// Per-run scratch state: the slot-major SoA buffer, which also carries
+/// the group being loaded. Allocated once per training run; the engine
+/// itself stays shared and immutable across concurrent queries.
 pub(crate) struct SoaWorkspace {
     /// `words_per_thread × stride` f32 words, slot-major: word `w` of
     /// thread `t` at `buf[w * stride + t]`.
     buf: Vec<f32>,
-    /// Tuples buffered for the current group, row-major `[thread][width]`.
-    group: Vec<f32>,
     /// Each lane's validated model-row base (`row × cols`) for the row
     /// gather or write-back in flight — one `round()` and one range check
     /// per lane per op.
     row_bases: Vec<usize>,
     stride: usize,
-    width: usize,
+}
+
+impl AsMut<[f32]> for SoaWorkspace {
+    fn as_mut(&mut self) -> &mut [f32] {
+        &mut self.buf
+    }
 }
 
 /// SoA elements one lowered op touches per lane (scalar ops move one
@@ -418,7 +439,7 @@ impl LoweredProgram {
         post + merge + writes
     }
 
-    fn workspace(&self, threads: usize, width: usize) -> SoaWorkspace {
+    fn workspace(&self, threads: usize) -> SoaWorkspace {
         let stride = threads.max(1);
         let mut buf = vec![0.0f32; self.words_per_thread() * stride];
         // Meta constants: configuration data, loaded once, to every thread.
@@ -428,16 +449,14 @@ impl LoweredProgram {
         }
         SoaWorkspace {
             buf,
-            group: vec![0.0f32; stride * width],
             row_bases: vec![0; stride],
             stride,
-            width,
         }
     }
 
-    /// One streaming epoch: buffer tuples into the group, flush full
-    /// groups, flush the final partial group at end of scan. Returns
-    /// whether the convergence condition fired.
+    /// One streaming epoch: load tuples into the SoA rows a thread group
+    /// at a time, flushing every full group and the final partial one.
+    /// Returns whether the convergence condition fired.
     fn run_epoch(
         &self,
         source: &mut dyn TupleSource,
@@ -445,28 +464,14 @@ impl LoweredProgram {
         ws: &mut SoaWorkspace,
         stats: &mut EngineStats,
     ) -> EngineResult<bool> {
-        let threads = ws.stride;
-        let width = ws.width;
-        let mut active = 0usize;
-        while let Some(batch) = source.next_batch().map_err(EngineError::from)? {
-            if batch.width() != width {
-                return Err(EngineError::TupleWidth {
-                    got: batch.width(),
-                    expected: width,
-                });
-            }
-            for tuple in batch.rows() {
-                ws.group[active * width..(active + 1) * width].copy_from_slice(tuple);
-                active += 1;
-                if active == threads {
-                    self.flush_group(active, ws, store, stats)?;
-                    active = 0;
-                }
-            }
-        }
-        if active > 0 {
-            self.flush_group(active, ws, store, stats)?;
-        }
+        load_lanes(
+            source,
+            &self.tuple_offsets,
+            ws.stride,
+            ws,
+            |got, expected| EngineError::TupleWidth { got, expected },
+            |ws, active| self.flush_group(active, ws, store, stats),
+        )?;
         stats.cycles = stats.compute_cycles + stats.merge_cycles + stats.broadcast_cycles;
         if let Some(off) = self.convergence_slot {
             return Ok(ws.buf[off as usize * ws.stride] != 0.0);
@@ -474,10 +479,11 @@ impl LoweredProgram {
         Ok(false)
     }
 
-    /// One thread group: broadcast → load → per-tuple program across the
+    /// One loaded thread group: broadcast → per-tuple program across the
     /// active lanes → merge → post-merge on lane 0 → model write-back.
-    /// The broadcast→load→execute ordering is the hardware's per-group
-    /// sequence.
+    /// Broadcast slots and tuple slots are disjoint, so broadcasting after
+    /// the load computes what the hardware's broadcast→load→execute
+    /// sequence does.
     fn flush_group(
         &self,
         active: usize,
@@ -494,17 +500,6 @@ impl LoweredProgram {
                 ws.buf[base..base + stride].fill(v);
             }
             stats.broadcast_cycles += (values.len() as u64).div_ceil(BUS_WORDS);
-        }
-        // Load the buffered tuples into the SoA rows: offsets outermost,
-        // lanes innermost, so each row is written contiguously while the
-        // reads walk `active` tuple rows that stay in L1.
-        let offsets = self.input_offsets.iter().chain(&self.output_offsets);
-        for (k, &off) in offsets.enumerate() {
-            let base = off as usize * stride;
-            let tuples = ws.group.chunks_exact(ws.width);
-            for (lane, tuple) in ws.buf[base..base + active].iter_mut().zip(tuples) {
-                *lane = tuple[k];
-            }
         }
         exec_lockstep(&self.per_tuple, active, ws, store)?;
         stats.compute_cycles += self.per_tuple_cycles;
@@ -619,12 +614,11 @@ pub struct TrainingSession<'e> {
 
 impl<'e> TrainingSession<'e> {
     pub(crate) fn new(lowered: &'e LoweredProgram, threads: usize) -> TrainingSession<'e> {
-        let width = lowered.input_offsets.len() + lowered.output_offsets.len();
         TrainingSession {
-            ws: lowered.workspace(threads, width),
+            ws: lowered.workspace(threads),
             lowered,
             stats: EngineStats::default(),
-            width,
+            width: lowered.tuple_offsets.len(),
             epoch_cycles: Vec::new(),
         }
     }

@@ -36,20 +36,6 @@ impl Clock {
     pub fn to_seconds(&self, cycles: Cycles) -> Seconds {
         cycles as f64 / self.hz
     }
-
-    /// Converts (fractional) seconds to a cycle count, rounding up: an
-    /// operation that takes any part of a cycle occupies the whole cycle.
-    /// (Values within floating-point noise of a whole cycle snap to it so
-    /// `to_cycles(to_seconds(n)) == n`.)
-    pub fn to_cycles(&self, seconds: Seconds) -> Cycles {
-        let raw = seconds * self.hz;
-        let nearest = raw.round();
-        if (raw - nearest).abs() < 1e-6 {
-            nearest as Cycles
-        } else {
-            raw.ceil() as Cycles
-        }
-    }
 }
 
 #[cfg(test)]
@@ -60,22 +46,5 @@ mod tests {
     fn fpga_clock_period_matches_150mhz() {
         let c = Clock::FPGA_150MHZ;
         assert!((c.to_seconds(150_000_000) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn seconds_to_cycles_rounds_up() {
-        let c = Clock::from_mhz(100.0);
-        // 1.5 cycles of work must occupy 2 cycles.
-        assert_eq!(c.to_cycles(15.0e-9), 2);
-        assert_eq!(c.to_cycles(10.0e-9), 1);
-        assert_eq!(c.to_cycles(0.0), 0);
-    }
-
-    #[test]
-    fn round_trip_is_stable() {
-        let c = Clock::FPGA_150MHZ;
-        for cycles in [0u64, 1, 7, 150, 1_000_000] {
-            assert_eq!(c.to_cycles(c.to_seconds(cycles)), cycles);
-        }
     }
 }

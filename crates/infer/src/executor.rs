@@ -1,12 +1,13 @@
 //! The SoA lockstep scoring executor.
 //!
-//! Scoring reuses the execution engine's lowered execution shape: tuples
-//! are grouped `lanes` at a time, the group's columns are transposed into
-//! a slot-major **structure-of-arrays** scratchpad (`xbuf[col*lanes +
-//! lane]`), and each program step dispatches once and runs a tight loop
-//! across all lockstep lanes — the same group-at-a-time discipline as
-//! `dana_engine::lowered`, with the batch data path streaming pages
-//! underneath.
+//! Scoring reuses the execution engine's lowered execution shape: the one
+//! row-to-lane loader training uses, [`dana_storage::load_lanes`], moves
+//! tuples `lanes` at a time straight from their batches into a slot-major
+//! **structure-of-arrays** scratchpad (`xbuf[col*lanes + lane]`, the label
+//! as one more row), and each program step dispatches once and runs a
+//! tight loop across all lockstep lanes — the same group-at-a-time
+//! discipline as `dana_engine::lowered`, with the batch data path
+//! streaming pages underneath.
 //!
 //! **Bit-identical by construction.** Every per-tuple prediction is a
 //! sequential f32 multiply-accumulate over the feature axis followed by
@@ -21,7 +22,7 @@
 
 use dana_ml::metrics::{classified_correctly, log_loss_term, squared_error_term};
 use dana_ml::MetricsError;
-use dana_storage::{TupleBatch, TupleSource};
+use dana_storage::{load_lanes, TupleBatch, TupleSource};
 
 use crate::error::{InferError, InferResult};
 use crate::scoring::{MetricKind, ScoringProgram, MODEL_PORTS};
@@ -166,7 +167,7 @@ pub fn evaluate_source_partial(
     Ok((acc.partial, stats))
 }
 
-/// The streaming core shared by scoring and evaluation: group tuples
+/// The streaming core shared by scoring and evaluation: load tuples
 /// `lanes` at a time into the SoA scratchpad, execute the program
 /// group-at-a-time, emit `(raw, prediction, label)` per lane in tuple
 /// order. The label is `NaN` when the stream has no label column (scoring
@@ -183,60 +184,36 @@ fn run_source(
     if width < need {
         return Err(InferError::SourceWidth { got: width, need });
     }
-    let label_col = program.label_column();
-    let has_label = width > label_col;
-
     // Slot-major SoA scratchpad: column k of lane l lives at k*lanes + l,
-    // so each program step streams contiguously across the lanes.
-    let mut xbuf = vec![0.0f32; need * lanes];
-    let mut labels = vec![0.0f32; lanes];
+    // so each program step streams contiguously across the lanes. The
+    // label column loads into the row after the features, which stays NaN
+    // when the stream has none.
+    let label_row = program.label_column();
+    let loaded: Vec<u32> = (0..width.min(label_row + 1) as u32).collect();
+    let mut xbuf = vec![f32::NAN; (label_row + 1) * lanes];
     let mut raw = vec![0.0f32; lanes];
     let mut pred = vec![0.0f32; lanes];
-    let mut active = 0usize;
     let mut stats = ScoringStats {
         lanes: lanes as u16,
         ..ScoringStats::default()
     };
-
-    while let Some(batch) = source.next_batch()? {
-        if batch.width() != width {
-            return Err(InferError::SourceWidth {
-                got: batch.width(),
-                need: width,
-            });
-        }
-        let mut served = 0usize;
-        while served < batch.len() {
-            // Transpose-load the next run of rows into the free lanes.
-            let take = (batch.len() - served).min(lanes - active);
-            for (offset, row) in (0..take).map(|o| (o, batch.row(served + o))) {
-                let lane = active + offset;
-                for (k, x) in xbuf.chunks_exact_mut(lanes).zip(&row[..need]) {
-                    k[lane] = *x;
-                }
-                labels[lane] = if has_label { row[label_col] } else { f32::NAN };
+    load_lanes(
+        source,
+        &loaded,
+        lanes,
+        &mut xbuf,
+        |got, need| InferError::SourceWidth { got, need },
+        |xbuf, active| {
+            exec_group(
+                program, lanes, active, xbuf, &mut raw, &mut pred, &mut stats,
+            )?;
+            let labels = &xbuf[label_row * lanes..][..active];
+            for l in 0..active {
+                emit(raw[l], pred[l], labels[l])?;
             }
-            served += take;
-            active += take;
-            if active == lanes {
-                exec_group(
-                    program, lanes, active, &xbuf, &mut raw, &mut pred, &mut stats,
-                )?;
-                for l in 0..active {
-                    emit(raw[l], pred[l], labels[l])?;
-                }
-                active = 0;
-            }
-        }
-    }
-    if active > 0 {
-        exec_group(
-            program, lanes, active, &xbuf, &mut raw, &mut pred, &mut stats,
-        )?;
-        for l in 0..active {
-            emit(raw[l], pred[l], labels[l])?;
-        }
-    }
+            Ok(())
+        },
+    )?;
     Ok(stats)
 }
 
@@ -436,11 +413,19 @@ mod tests {
                 Ok(())
             }
         }
+        // Page-sized chunks, 1-row batches, an empty batch mid-stream and
+        // chunks wider than the 4 lanes all score like one batch.
         let w = vec![0.5f32, -0.25, 1.5];
-        let batch = feature_batch(50, 3);
+        let batch = feature_batch(150, 3);
         let program = dense_program(&w, Link::Identity);
         let (whole, _) = score_batch(&program, 4, &batch).unwrap();
-        for chunk in [1usize, 3, 7, 50] {
+        for (chunk, empty_mid) in [
+            (1usize, false),
+            (3, false),
+            (7, false),
+            (7, true),
+            (64, false),
+        ] {
             let rows: Vec<Vec<f32>> = batch.rows().map(|r| r.to_vec()).collect();
             let mut src = Chunked {
                 batches: rows
@@ -449,9 +434,12 @@ mod tests {
                     .collect(),
                 next: 0,
             };
+            if empty_mid {
+                src.batches.insert(11, TupleBatch::new(4));
+            }
             let mut out = Vec::new();
             score_source(&program, 4, &mut src, &mut out).unwrap();
-            assert_eq!(out, whole, "chunk {chunk}");
+            assert_eq!(out, whole, "chunk {chunk}, empty {empty_mid}");
         }
     }
 

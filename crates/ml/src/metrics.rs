@@ -73,11 +73,6 @@ pub fn log_loss_term(probability: f32, label: f32) -> f64 {
     -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
 }
 
-/// Hinge loss of one raw margin score against a ±1 label.
-pub fn hinge_loss_term(score: f32, label: f32) -> f64 {
-    (1.0 - label * score).max(0.0) as f64
-}
-
 /// Whether one raw (pre-link) score classifies its label correctly.
 /// `signed`: labels ±1 (SVM) vs {0, 1} (logistic).
 pub fn classified_correctly(score: f32, label: f32, signed: bool) -> bool {
@@ -108,17 +103,6 @@ pub fn log_loss(model: &DenseModel, tuples: &TupleBatch) -> MetricsResult<f64> {
     let sum: f64 = tuples
         .rows()
         .map(|t| log_loss_term(sigmoid(dot(&model.0, &t[..d])), t[d]))
-        .sum();
-    Ok(sum / tuples.len() as f64)
-}
-
-/// Average hinge loss, labels in {−1, +1}.
-pub fn hinge_loss(model: &DenseModel, tuples: &TupleBatch) -> MetricsResult<f64> {
-    non_empty(tuples, "hinge_loss")?;
-    let d = model.0.len();
-    let sum: f64 = tuples
-        .rows()
-        .map(|t| hinge_loss_term(dot(&model.0, &t[..d]), t[d]))
         .sum();
     Ok(sum / tuples.len() as f64)
 }
@@ -168,13 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn hinge_zero_outside_margin() {
-        let m = DenseModel(vec![10.0]);
-        let tuples = TupleBatch::from_rows(2, [[1.0, 1.0]]); // y·wx = 10 ≥ 1
-        assert_eq!(hinge_loss(&m, &tuples).unwrap(), 0.0);
-    }
-
-    #[test]
     fn log_loss_is_finite_for_confident_wrong_predictions() {
         let m = DenseModel(vec![100.0]);
         let tuples = TupleBatch::from_rows(2, [[1.0, 0.0]]); // confidently wrong
@@ -210,7 +187,6 @@ mod tests {
         for (name, result) in [
             ("mse", mse(&m, &empty)),
             ("log_loss", log_loss(&m, &empty)),
-            ("hinge_loss", hinge_loss(&m, &empty)),
             (
                 "classification_accuracy",
                 classification_accuracy(&m, &empty, true),

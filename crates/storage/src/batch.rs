@@ -24,6 +24,11 @@
 //! pool via Striders, or an already-materialized batch
 //! ([`OneBatchSource`]) — so every feeding strategy meets the engine
 //! through the same interface.
+//!
+//! [`load_lanes`] is the other side of the seam, and the one place batch
+//! rows move into the lockstep lanes: training's thread groups and
+//! scoring's lane groups both load through it, each value once, straight
+//! from the batch into its slot-major structure-of-arrays row.
 
 use std::fmt;
 
@@ -190,7 +195,7 @@ impl From<StorageError> for SourceError {
 /// the next `next_batch` replays the same tuples in the same order (epoch
 /// semantics). Batch boundaries carry no meaning — consumers must produce
 /// identical results whether the stream arrives as one batch or many
-/// (the execution engine re-groups rows by its thread count internally).
+/// ([`load_lanes`] re-groups rows by the consumer's lane count).
 pub trait TupleSource {
     /// Columns per row, fixed for the stream's lifetime.
     fn width(&self) -> usize;
@@ -246,6 +251,121 @@ impl TupleSource for OneBatchSource<'_> {
     fn tuple_count_hint(&self) -> Option<u64> {
         Some(self.batch.len() as u64)
     }
+}
+
+/// The one row-to-lane load: streams `source` into slot-major
+/// structure-of-arrays rows `lanes` tuples at a time — the training
+/// engine's thread groups and the scoring executor's lockstep groups.
+///
+/// Column `k` of a tuple in lane `l` lands at `soa[offsets[k] * lanes +
+/// l]`; columns past `offsets.len()` are not loaded. Rows are written
+/// straight from their batch a tile at a time, offsets outermost and lanes
+/// innermost, so each column of a tile is one contiguous store into its
+/// SoA row. The buffer itself carries a group across batch boundaries, so
+/// boundaries are invisible: `flush(soa, active)` runs once per full group
+/// (`active == lanes`) and once for the ragged last one, never for an
+/// empty group.
+///
+/// A source narrower than `offsets`, or a batch whose width differs from
+/// the source's, fails with `width_error(got, expected)` before any of the
+/// batch's rows load.
+pub fn load_lanes<B: AsMut<[f32]>, E: From<SourceError>>(
+    source: &mut dyn TupleSource,
+    offsets: &[u32],
+    lanes: usize,
+    soa: &mut B,
+    width_error: impl Fn(usize, usize) -> E,
+    mut flush: impl FnMut(&mut B, usize) -> Result<(), E>,
+) -> Result<(), E> {
+    assert!(lanes > 0, "a lane group needs at least one lane");
+    let width = source.width();
+    if width < offsets.len() {
+        return Err(width_error(width, offsets.len()));
+    }
+    let mut active = 0;
+    while let Some(batch) = source.next_batch()? {
+        if batch.width() != width {
+            return Err(width_error(batch.width(), width));
+        }
+        let (mut rows, mut left) = (batch.as_slice(), batch.len());
+        while left > 0 {
+            let free = (lanes - active).min(left);
+            let buf = soa.as_mut();
+            let h = if free >= TILE {
+                load_full_tile::<TILE>(rows, width, offsets, lanes, active, buf)
+            } else if free >= TILE / 2 {
+                load_full_tile::<{ TILE / 2 }>(rows, width, offsets, lanes, active, buf)
+            } else {
+                load_tile(rows, free, width, offsets, lanes, active, buf)
+            };
+            rows = &rows[h * width..];
+            active += h;
+            left -= h;
+            if active == lanes {
+                flush(soa, active)?;
+                active = 0;
+            }
+        }
+    }
+    if active > 0 {
+        flush(soa, active)?;
+    }
+    Ok(())
+}
+
+/// Rows per full tile: a 64-byte cache line of `f32` lanes per column.
+/// Runs of 8–15 rows (an 8-lane group) load as a half tile; shorter runs
+/// (a page's last rows, a group's last lanes) as one partial tile, so a
+/// wide row's SoA rows are visited a few times per page, not once per row.
+const TILE: usize = 16;
+
+/// Loads the first `h ≤ TILE` rows of `rows` into lanes `lane..lane + h`:
+/// per column, `h` reads from rows that stay in L1 and one contiguous
+/// store. Returns `h`.
+fn load_tile(
+    rows: &[f32],
+    h: usize,
+    width: usize,
+    offsets: &[u32],
+    lanes: usize,
+    lane: usize,
+    buf: &mut [f32],
+) -> usize {
+    let n = offsets.len();
+    let mut tile: [&[f32]; TILE] = [&[]; TILE];
+    for (j, t) in tile[..h].iter_mut().enumerate() {
+        *t = &rows[j * width..j * width + n];
+    }
+    let tile = &tile[..h];
+    for (k, &off) in offsets.iter().enumerate() {
+        let base = off as usize * lanes + lane;
+        for (d, row) in buf[base..base + h].iter_mut().zip(tile) {
+            *d = row[k];
+        }
+    }
+    h
+}
+
+/// [`load_tile`] at a constant height `H`, which the compiler unrolls into
+/// one `H`-lane store per column.
+fn load_full_tile<const H: usize>(
+    rows: &[f32],
+    width: usize,
+    offsets: &[u32],
+    lanes: usize,
+    lane: usize,
+    buf: &mut [f32],
+) -> usize {
+    let n = offsets.len();
+    let tile: [&[f32]; H] = std::array::from_fn(|j| &rows[j * width..j * width + n]);
+    for (k, &off) in offsets.iter().enumerate() {
+        let base = off as usize * lanes + lane;
+        let dst: &mut [f32; H] = (&mut buf[base..base + H]).try_into().expect("a full tile");
+        for (d, row) in dst.iter_mut().zip(&tile) {
+            *d = row[k];
+        }
+    }
+    H
 }
 
 #[cfg(test)]
@@ -326,6 +446,99 @@ mod tests {
         assert!(s.next_batch().unwrap().is_none());
         s.rewind().unwrap();
         assert_eq!(s.next_batch().unwrap().unwrap().len(), 2);
+    }
+
+    /// A source replaying `batches` in order.
+    struct Batches(Vec<TupleBatch>, usize);
+
+    impl TupleSource for Batches {
+        fn width(&self) -> usize {
+            self.0[0].width()
+        }
+        fn next_batch(&mut self) -> Result<Option<&TupleBatch>, SourceError> {
+            self.1 += 1;
+            Ok(self.0.get(self.1 - 1))
+        }
+        fn rewind(&mut self) -> Result<(), SourceError> {
+            self.1 = 0;
+            Ok(())
+        }
+    }
+
+    type Flushes = Vec<(usize, Vec<f32>, Vec<f32>)>;
+
+    /// Loads `source` at `lanes` lanes, columns 0 and 1 into SoA rows 1 and
+    /// 0 (column 2 is not loaded), logging each flush's `(active, [row 0
+    /// lanes], [row 1 lanes])`.
+    fn load(source: &mut Batches, lanes: usize) -> (Result<(), SourceError>, Flushes) {
+        let mut soa = vec![0.0f32; 2 * lanes];
+        let mut flushed = Vec::new();
+        let res = load_lanes(
+            source,
+            &[1, 0],
+            lanes,
+            &mut soa,
+            |got, expected| SourceError(format!("width {got}, expected {expected}")),
+            |soa: &mut Vec<f32>, active| {
+                let row = |r: usize| soa[r * lanes..r * lanes + active].to_vec();
+                flushed.push((active, row(0), row(1)));
+                Ok(())
+            },
+        );
+        (res, flushed)
+    }
+
+    #[test]
+    fn load_lanes_carries_groups_across_batches() {
+        let rows = |r: std::ops::Range<u8>| {
+            TupleBatch::from_rows(3, r.map(|i| [f32::from(i), 10.0 * f32::from(i), -1.0]))
+        };
+        // Rows 0..6 over three batches (one empty): the first group spans
+        // all three; rows 4 and 5 are the ragged tail.
+        let mut source = Batches(
+            vec![rows(0..1), rows(1..3), TupleBatch::new(3), rows(3..6)],
+            0,
+        );
+        let (res, flushed) = load(&mut source, 4);
+        assert_eq!(res, Ok(()));
+        assert_eq!(
+            flushed,
+            [
+                (4, vec![0.0, 10.0, 20.0, 30.0], vec![0.0, 1.0, 2.0, 3.0]),
+                (2, vec![40.0, 50.0], vec![4.0, 5.0]),
+            ]
+        );
+
+        // No rows: no flush.
+        let (res, flushed) = load(&mut Batches(vec![TupleBatch::new(3)], 0), 4);
+        assert_eq!(res, Ok(()));
+        assert!(flushed.is_empty());
+
+        // A batch of the wrong width fails before its rows load: its rows
+        // would fill the group in flight (row 4), which is never flushed.
+        let wide = TupleBatch::from_rows(4, [[7.0; 4]; 4]);
+        let (res, flushed) = load(&mut Batches(vec![rows(0..5), wide], 0), 4);
+        assert_eq!(res, Err(SourceError("width 4, expected 3".into())));
+        assert_eq!(flushed.len(), 1);
+        assert_eq!(flushed[0].0, 4);
+        // So does a source narrower than the loaded columns.
+        let (res, _) = load(&mut Batches(vec![TupleBatch::new(1)], 0), 4);
+        assert_eq!(res, Err(SourceError("width 1, expected 2".into())));
+
+        // At 32 lanes a group loads as full and partial tiles: rows 0..16,
+        // 16..20, then 20..32 from the second batch; rows 32..40 are ragged.
+        let (res, flushed) = load(&mut Batches(vec![rows(0..20), rows(20..40)], 0), 32);
+        assert_eq!(res, Ok(()));
+        let lanes = |r: std::ops::Range<u8>, scale: f32| -> Vec<f32> {
+            r.map(|i| scale * f32::from(i)).collect()
+        };
+        assert_eq!(
+            flushed,
+            [
+                (32, lanes(0..32, 10.0), lanes(0..32, 1.0)),
+                (8, lanes(32..40, 10.0), lanes(32..40, 1.0)),
+            ]
+        );
     }
 
     #[test]

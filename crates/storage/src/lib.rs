@@ -45,7 +45,7 @@ pub mod schema;
 pub mod shared_pool;
 pub mod tuple;
 
-pub use batch::{OneBatchSource, SourceError, TupleBatch, TupleSource};
+pub use batch::{load_lanes, OneBatchSource, SourceError, TupleBatch, TupleSource};
 pub use bufferpool::{BufferPoolConfig, BufferPoolStats};
 pub use catalog::{Catalog, TableEntry};
 pub use disk::DiskModel;

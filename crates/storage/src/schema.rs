@@ -9,8 +9,6 @@
 //! [`RowDecoder`] is the one conversion from a record's user-data bytes to
 //! the engine's f32 row; every data path decodes through it.
 
-use crate::error::{StorageError, StorageResult};
-
 /// A fixed-width column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ColumnType {
@@ -213,17 +211,6 @@ impl Schema {
         self.columns.iter().map(|c| c.ty.width()).sum()
     }
 
-    /// Byte offset of column `idx` within the user-data area.
-    pub fn column_offset(&self, idx: usize) -> StorageResult<usize> {
-        if idx >= self.columns.len() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "column index {idx} out of range ({} columns)",
-                self.columns.len()
-            )));
-        }
-        Ok(self.columns[..idx].iter().map(|c| c.ty.width()).sum())
-    }
-
     /// Looks a column up by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
@@ -261,19 +248,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.tuple_data_width(), 12);
         assert_eq!(s.columns()[2].ty, ColumnType::Float4);
-    }
-
-    #[test]
-    fn column_offsets_accumulate() {
-        let s = Schema::new(vec![
-            ("a".into(), ColumnType::Int8),
-            ("b".into(), ColumnType::Float4),
-            ("c".into(), ColumnType::Float8),
-        ]);
-        assert_eq!(s.column_offset(0).unwrap(), 0);
-        assert_eq!(s.column_offset(1).unwrap(), 8);
-        assert_eq!(s.column_offset(2).unwrap(), 12);
-        assert!(s.column_offset(3).is_err());
     }
 
     /// `decode_row`, `decode_records` (records back to back and at a
