@@ -396,7 +396,7 @@ mod tests {
         .unwrap();
         let g = translate(&spec);
         let mut input = input_for(&g, 16, 1000);
-        input.fpga = input.fpga.with_bram_bytes(1024); // 1 KB of BRAM
+        input.fpga.bram_bytes = 1024; // 1 KB of BRAM
         assert!(compile(&input).is_err());
     }
 

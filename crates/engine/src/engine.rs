@@ -286,7 +286,7 @@ impl ExecutionEngine {
             converged = session.run_epoch(source, store)?;
             epochs_run += 1;
         }
-        Ok(session.finish(epochs_run, converged))
+        Ok(session.finish(epochs_run, converged).0)
     }
 
     /// Starts an epoch-at-a-time [`crate::lowered::TrainingSession`] over

@@ -244,7 +244,7 @@ pub fn lower(d: &EngineDesign) -> LoweredProgram {
         .collect();
     // The compiler gives every leaf its own slots, so a group's tuples load
     // before its broadcast without either overwriting the other.
-    debug_assert!(
+    assert!(
         broadcasts
             .iter()
             .flat_map(|b| &b.dst)
@@ -605,7 +605,6 @@ pub struct TrainingSession<'e> {
     lowered: &'e LoweredProgram,
     ws: SoaWorkspace,
     stats: EngineStats,
-    width: usize,
     /// Engine cycles charged by each completed epoch, in order — the
     /// observability layer's per-epoch span source. Cycle deltas, so the
     /// log always sums to `stats.cycles`.
@@ -618,7 +617,6 @@ impl<'e> TrainingSession<'e> {
             ws: lowered.workspace(threads),
             lowered,
             stats: EngineStats::default(),
-            width: lowered.tuple_offsets.len(),
             epoch_cycles: Vec::new(),
         }
     }
@@ -631,10 +629,11 @@ impl<'e> TrainingSession<'e> {
         source: &mut dyn TupleSource,
         store: &mut ModelStore,
     ) -> EngineResult<bool> {
-        if source.width() != self.width {
+        let expected = self.lowered.tuple_offsets.len();
+        if source.width() != expected {
             return Err(EngineError::TupleWidth {
                 got: source.width(),
-                expected: self.width,
+                expected,
             });
         }
         let before = self.stats.cycles;
@@ -652,14 +651,9 @@ impl<'e> TrainingSession<'e> {
     }
 
     /// Seals the run: stamps the epoch-loop outcome onto the accumulated
-    /// counters.
-    pub fn finish(self, epochs_run: u32, converged_early: bool) -> EngineStats {
-        self.finish_logged(epochs_run, converged_early).0
-    }
-
-    /// [`TrainingSession::finish`], also yielding the per-epoch cycle log
-    /// for the lifecycle trace's epoch spans.
-    pub fn finish_logged(self, epochs_run: u32, converged_early: bool) -> (EngineStats, Vec<u64>) {
+    /// counters, and yields the per-epoch cycle log for the lifecycle
+    /// trace's epoch spans.
+    pub fn finish(self, epochs_run: u32, converged_early: bool) -> (EngineStats, Vec<u64>) {
         let mut stats = self.stats;
         stats.epochs_run = epochs_run;
         stats.converged_early = converged_early;

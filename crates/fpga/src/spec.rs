@@ -81,12 +81,6 @@ impl FpgaSpec {
         self.axi_bandwidth *= factor;
         self
     }
-
-    /// Returns a copy with a different BRAM capacity (test hook).
-    pub fn with_bram_bytes(mut self, bytes: u64) -> FpgaSpec {
-        self.bram_bytes = bytes;
-        self
-    }
 }
 
 /// A division of the FPGA's resources between the access engine and the

@@ -152,8 +152,7 @@ pub fn evaluate_source_partial(
             ..
         }
     );
-    let label_col = program.label_column();
-    if source.width() <= label_col {
+    if source.width() <= program.min_width() {
         return Err(InferError::NoLabelColumn {
             metric,
             width: source.width(),
@@ -179,17 +178,13 @@ fn run_source(
     mut emit: impl FnMut(f32, f32, f32) -> InferResult<()>,
 ) -> InferResult<ScoringStats> {
     let lanes = (lanes as usize).max(1);
-    let need = program.min_width();
-    let width = source.width();
-    if width < need {
-        return Err(InferError::SourceWidth { got: width, need });
-    }
     // Slot-major SoA scratchpad: column k of lane l lives at k*lanes + l,
     // so each program step streams contiguously across the lanes. The
     // label column loads into the row after the features, which stays NaN
-    // when the stream has none.
-    let label_row = program.label_column();
-    let loaded: Vec<u32> = (0..width.min(label_row + 1) as u32).collect();
+    // when the stream has none; a stream short of a feature is refused.
+    let label_row = program.min_width();
+    let loaded = label_row + usize::from(source.width() > label_row);
+    let loaded: Vec<u32> = (0..loaded as u32).collect();
     let mut xbuf = vec![f32::NAN; (label_row + 1) * lanes];
     let mut raw = vec![0.0f32; lanes];
     let mut pred = vec![0.0f32; lanes];

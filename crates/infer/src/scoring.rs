@@ -491,15 +491,13 @@ impl ScoringProgram {
         }
     }
 
+    /// Columns a source must carry: the features (an LRMF tuple's two
+    /// indices). The label, when present, is the next column.
     pub fn min_width(&self) -> usize {
         match self {
             ScoringProgram::Dense { weights, .. } => weights.len(),
             ScoringProgram::Lrmf { .. } => 2,
         }
-    }
-
-    pub fn label_column(&self) -> usize {
-        self.min_width()
     }
 
     /// The recipe's [`ScoringRecipe::cost`], read off the bound values.

@@ -248,7 +248,7 @@ pub fn train_gang_guarded<S: TupleSource + Send>(
     let shard_stats = sessions
         .into_iter()
         .map(|session| {
-            let (stats, log) = session.finish_logged(epochs_run, converged_early);
+            let (stats, log) = session.finish(epochs_run, converged_early);
             for (critical, cycles) in epoch_cycles.iter_mut().zip(log) {
                 *critical = (*critical).max(cycles);
             }

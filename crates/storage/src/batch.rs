@@ -289,14 +289,13 @@ pub fn load_lanes<B: AsMut<[f32]>, E: From<SourceError>>(
         }
         let (mut rows, mut left) = (batch.as_slice(), batch.len());
         while left > 0 {
-            let free = (lanes - active).min(left);
-            let buf = soa.as_mut();
-            let h = if free >= TILE {
-                load_full_tile::<TILE>(rows, width, offsets, lanes, active, buf)
-            } else if free >= TILE / 2 {
-                load_full_tile::<{ TILE / 2 }>(rows, width, offsets, lanes, active, buf)
-            } else {
-                load_tile(rows, free, width, offsets, lanes, active, buf)
+            let (buf, free) = (soa.as_mut(), (lanes - active).min(left));
+            let h = match free {
+                16.. => load_tile::<16>(rows, width, offsets, lanes, active, buf),
+                8.. => load_tile::<8>(rows, width, offsets, lanes, active, buf),
+                4.. => load_tile::<4>(rows, width, offsets, lanes, active, buf),
+                2.. => load_tile::<2>(rows, width, offsets, lanes, active, buf),
+                _ => load_tile::<1>(rows, width, offsets, lanes, active, buf),
             };
             rows = &rows[h * width..];
             active += h;
@@ -313,42 +312,14 @@ pub fn load_lanes<B: AsMut<[f32]>, E: From<SourceError>>(
     Ok(())
 }
 
-/// Rows per full tile: a 64-byte cache line of `f32` lanes per column.
-/// Runs of 8–15 rows (an 8-lane group) load as a half tile; shorter runs
-/// (a page's last rows, a group's last lanes) as one partial tile, so a
-/// wide row's SoA rows are visited a few times per page, not once per row.
-const TILE: usize = 16;
-
-/// Loads the first `h ≤ TILE` rows of `rows` into lanes `lane..lane + h`:
-/// per column, `h` reads from rows that stay in L1 and one contiguous
-/// store. Returns `h`.
-fn load_tile(
-    rows: &[f32],
-    h: usize,
-    width: usize,
-    offsets: &[u32],
-    lanes: usize,
-    lane: usize,
-    buf: &mut [f32],
-) -> usize {
-    let n = offsets.len();
-    let mut tile: [&[f32]; TILE] = [&[]; TILE];
-    for (j, t) in tile[..h].iter_mut().enumerate() {
-        *t = &rows[j * width..j * width + n];
-    }
-    let tile = &tile[..h];
-    for (k, &off) in offsets.iter().enumerate() {
-        let base = off as usize * lanes + lane;
-        for (d, row) in buf[base..base + h].iter_mut().zip(tile) {
-            *d = row[k];
-        }
-    }
-    h
-}
-
-/// [`load_tile`] at a constant height `H`, which the compiler unrolls into
-/// one `H`-lane store per column.
-fn load_full_tile<const H: usize>(
+/// Loads the first `H` rows of `rows` into lanes `lane..lane + H`: per
+/// column, `H` reads from rows that stay in L1 and one `H`-lane store,
+/// which the compiler unrolls at each constant height. A run of rows
+/// loads as its binary digits, largest first: 16 rows (a 64-byte line of
+/// `f32` lanes per column) while they last, then 8, 4, 2, 1 — a few
+/// passes over a wide row's SoA rows per page, not one per row. Returns
+/// `H`.
+fn load_tile<const H: usize>(
     rows: &[f32],
     width: usize,
     offsets: &[u32],
@@ -360,7 +331,7 @@ fn load_full_tile<const H: usize>(
     let tile: [&[f32]; H] = std::array::from_fn(|j| &rows[j * width..j * width + n]);
     for (k, &off) in offsets.iter().enumerate() {
         let base = off as usize * lanes + lane;
-        let dst: &mut [f32; H] = (&mut buf[base..base + H]).try_into().expect("a full tile");
+        let dst: &mut [f32; H] = (&mut buf[base..base + H]).try_into().expect("a whole tile");
         for (d, row) in dst.iter_mut().zip(&tile) {
             *d = row[k];
         }
@@ -525,8 +496,9 @@ mod tests {
         let (res, _) = load(&mut Batches(vec![TupleBatch::new(1)], 0), 4);
         assert_eq!(res, Err(SourceError("width 1, expected 2".into())));
 
-        // At 32 lanes a group loads as full and partial tiles: rows 0..16,
-        // 16..20, then 20..32 from the second batch; rows 32..40 are ragged.
+        // At 32 lanes a group loads in tiles of 16, 8 and 4 rows: rows
+        // 0..16 and 16..20, then 20..28 and 28..32 from the second batch;
+        // rows 32..40 are ragged. (The 4-lane case above loads 1 and 2.)
         let (res, flushed) = load(&mut Batches(vec![rows(0..20), rows(20..40)], 0), 32);
         assert_eq!(res, Ok(()));
         let lanes = |r: std::ops::Range<u8>, scale: f32| -> Vec<f32> {

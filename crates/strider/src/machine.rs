@@ -67,6 +67,7 @@ impl StriderRun {
 pub struct StriderMachine {
     program: Vec<Instr>,
     config: [u64; 16],
+    /// Runaway-loop bound (instructions per page).
     fuel: u64,
 }
 
@@ -79,12 +80,6 @@ impl StriderMachine {
             config,
             fuel: 50_000_000,
         }
-    }
-
-    /// Overrides the runaway-loop bound (instructions per page).
-    pub fn with_fuel(mut self, fuel: u64) -> StriderMachine {
-        self.fuel = fuel;
-        self
     }
 
     pub fn program(&self) -> &[Instr] {
@@ -462,7 +457,8 @@ bexit 2, %t3, 0
     fn runaway_loop_hits_fuel() {
         let page = vec![0u8; 8];
         let prog = assemble("bentr\nad %t0, 0, %t0\nbexit 2, %t0, 1\n").unwrap();
-        let m = StriderMachine::new(prog, [0; 16]).with_fuel(1000);
+        let mut m = StriderMachine::new(prog, [0; 16]);
+        m.fuel = 1000;
         assert!(matches!(m.run(&page), Err(StriderError::Fuel { .. })));
     }
 
