@@ -10,12 +10,13 @@
 //! 2. [`SystemCore::bind`] — a parsed statement, lowered by
 //!    [`SystemCore::lower`] (the one place both front doors turn a
 //!    statement into work), is bound, once, to a
-//!    [`PhysicalPlan`]: operation, scan, gang size, substrate, and one
-//!    price — the counts the statement's scan will measure, estimated
-//!    from the snapshot heap and the deployed accelerator, through the
-//!    cost model the run is billed by ([`crate::runtime::price`], at this
-//!    core's clock). The advisor's FPGA estimate is that price, and the
-//!    scheduler's cost hint is the chosen tier's price over the gang;
+//!    [`PhysicalPlan`]: operation, scan, gang size and substrate. When the
+//!    advisor picks the substrate (`backend = auto`) or `EXPLAIN` asks,
+//!    bind prices the statement once — the counts its scan will measure,
+//!    estimated from the snapshot heap and the deployed accelerator,
+//!    through the cost model the run is billed by
+//!    ([`crate::runtime::price`], at this core's clock); the advisor's
+//!    FPGA estimate is that price;
 //! 3. [`SystemCore::execute`] — the plan runs: the buffer pool fills while
 //!    the access engine walks the pages with Striders and the execution
 //!    engine trains or scores; the report carries the result and the
@@ -57,8 +58,8 @@ use std::time::Instant;
 
 use dana_compiler::{compile, CompileInput, PerfEstimate};
 use dana_engine::{
-    BackendKind, BackendRun, CancelToken, EngineError, EngineStats, FaultEvents, FaultPlan,
-    RetryPolicy, RunGuard,
+    BackendKind, CancelToken, EngineError, EngineStats, FaultEvents, FaultPlan, RetryPolicy,
+    RunGuard,
 };
 use dana_fpga::{FpgaSpec, ResourceBudget};
 use dana_hdfg::translate;
@@ -728,15 +729,14 @@ impl SystemCore {
             k = k.min(ShardPlan::effective_shards(heap.page_count(), k as usize) as u16);
         }
 
-        // The statement priced once, as its serial run would be billed:
-        // the advisor's comparison and the scheduler's cost hint read the
-        // same two prices.
-        let profile = self.hardware_profile();
-        let inputs = heap.as_ref().map(|h| self.cost_inputs(cached.budget, h));
-        let table_inputs = inputs.as_ref().map(|i| (i, scan));
-        let workload =
-            exec::price_statement(&cached, op, table_inputs, &self.fpga, &self.cpu, &profile);
+        // The advisor prices the statement as its serial run would be
+        // billed, and only when it reads the price (`auto` or `EXPLAIN`).
         let comparison = (explain.is_some() || requested == BackendChoice::Auto).then(|| {
+            let profile = self.hardware_profile();
+            let inputs = heap.as_ref().map(|h| self.cost_inputs(cached.budget, h));
+            let table_inputs = inputs.as_ref().map(|i| (i, scan));
+            let workload =
+                exec::price_statement(&cached, op, table_inputs, &self.fpga, &self.cpu, &profile);
             let label = match op {
                 _ if explain.is_none() => String::new(),
                 PlanOp::PredictInto { dest } => format!("PREDICT {udf} ON {table} INTO {dest}"),
@@ -751,12 +751,6 @@ impl SystemCore {
             (None, BackendChoice::Cpu) => BackendKind::Cpu,
             (None, _) => BackendKind::Fpga,
         };
-        // A gang's members finish their scan ~k× sooner than the serial
-        // run priced above.
-        let serial = match backend {
-            BackendKind::Fpga => workload.fpga,
-            BackendKind::Cpu => workload.cpu,
-        };
         let wrap = match (explain, comparison) {
             (Some(wrap), Some(c)) => wrap(Box::new(c)),
             _ if with.trace => Wrap::Trace,
@@ -769,13 +763,6 @@ impl SystemCore {
             scan: scan.cloned(),
             shards: k,
             backend,
-            // EXPLAIN is metadata-only: it runs instantly, schedule it
-            // first.
-            cost_hint: if matches!(wrap, Wrap::Explain(_)) {
-                0.0
-            } else {
-                serial / k as f64
-            },
             wrap,
         })
     }
@@ -912,27 +899,21 @@ impl SystemCore {
         self.record_fault_events(&log.faults);
         let outcome = run?;
         let (shards, _) = scan.finish(&self.metrics, &heap, &outcome.shard_stats);
-        let report = match plan.backend {
+        let mut report = exec::assemble_training_report(
+            &self.cost_inputs(acc.budget, &heap),
+            design,
+            shards,
+            outcome.merge_cycles,
+            outcome.models,
+        );
+        if plan.backend == BackendKind::Cpu {
             // The native CPU tier ran the identical scan and epoch loop
-            // (one member: `execute` refuses a CPU gang) — same models and
-            // counters; its timing is the stopwatch, nothing is simulated.
-            BackendKind::Cpu => exec::assemble_cpu_report(
-                design,
-                BackendRun {
-                    stats: outcome.shard_stats[0],
-                    wall_seconds: Some(wall),
-                },
-                shards[0].access_stats,
-                outcome.models,
-            ),
-            BackendKind::Fpga => exec::assemble_training_report(
-                &self.cost_inputs(acc.budget, &heap),
-                design,
-                shards,
-                outcome.merge_cycles,
-                outcome.models,
-            ),
-        };
+            // (one member: `execute` refuses a CPU gang), so its models and
+            // counters are the one-member composition; its timing is the
+            // stopwatch, nothing is simulated.
+            report.timing = DanaTiming::wall_only(wall);
+            report.backend = BackendKind::Cpu;
+        }
         let models = Arc::new(TrainedModels {
             models: report.models.clone(),
             names: report.model_names.clone(),
@@ -1173,9 +1154,9 @@ impl SystemCore {
     /// open the plan's [`Scan`], hand its members to `fold` — what the
     /// statement keeps of the predictions: PREDICT collects them, EVALUATE
     /// folds a metric — and compose the timing. The gang tier runs one
-    /// member inline on this thread and spawns only for several; the FPGA
-    /// tier composes the cycle model from the critical member, the CPU
-    /// tier reports the stopwatch around the fold
+    /// member inline on this thread and spawns only for several; the cycle
+    /// model is composed from the critical member, and on the CPU tier the
+    /// stopwatch around the fold replaces its timing
     /// ([`DanaTiming::wall_only`]). Returns the member count actually run
     /// and what a pushdown scan selected (PREDICT … INTO materializes
     /// exactly those tuples).
@@ -1194,14 +1175,12 @@ impl SystemCore {
         let (out, stats) = fold(&mut scan.members)?;
         let wall = start.elapsed().as_secs_f64();
         let (shards, survivors) = scan.finish(&self.metrics, heap, &[]);
-        let (timing, combined) = match plan.backend {
+        let (mut timing, combined) =
+            exec::assemble_scoring_timing(&self.cost_inputs(budget, heap), &shards, &stats);
+        if plan.backend == BackendKind::Cpu {
             // `execute` refuses a CPU gang, so this scan had one member.
-            BackendKind::Cpu => (DanaTiming::wall_only(wall), stats[0]),
-            BackendKind::Fpga => {
-                let inputs = self.cost_inputs(budget, heap);
-                exec::assemble_scoring_timing(&inputs, &shards, &stats)
-            }
-        };
+            timing = DanaTiming::wall_only(wall);
+        }
         Ok((out, combined, timing, shards.len() as u16, survivors))
     }
 
@@ -1562,24 +1541,31 @@ mod tests {
         ));
     }
 
+    /// The FPGA tier's price as `EXPLAIN` reports it for `sql`.
+    fn fpga_price(core: &SystemCore, sql: &str) -> f64 {
+        let Wrap::Explain(cmp) = bind_sql(core, &format!("EXPLAIN {sql}"), 1).unwrap().wrap else {
+            panic!("EXPLAIN binds to an explain plan");
+        };
+        cmp.estimated_seconds(BackendKind::Fpga).unwrap()
+    }
+
     #[test]
-    fn scoring_hint_prices_tuples_over_program_length() {
+    fn explain_prices_scoring_by_tuples_scanned_below_training() {
         let core = small_core();
         core.create_table("small", linreg_heap(200, 8)).unwrap();
         core.create_table("large", linreg_heap(4000, 8)).unwrap();
         core.deploy(&linreg_spec(8), "small").unwrap();
-        let hint = |sql: &str| bind_sql(&core, sql, 1).unwrap().cost_hint;
-        let s = hint("EVALUATE dana.linearR('small');");
-        let l = hint("EVALUATE dana.linearR('large');");
+        let price = |sql: &str| fpga_price(&core, sql);
+        let s = price("EVALUATE dana.linearR('small');");
+        let l = price("EVALUATE dana.linearR('large');");
         assert!(s > 0.0);
         assert!(l > s, "more tuples must cost more: {l} vs {s}");
         // Scoring is one pass; training the same table runs 25 epochs.
-        let train = hint("SELECT * FROM dana.linearR('small');");
+        let train = price("SELECT * FROM dana.linearR('small');");
         assert!(
             s < train,
-            "a scoring pass must undercut training under SJF: {s} vs {train}"
+            "a scoring pass must undercut training: {s} vs {train}"
         );
-        // A gang finishes its scan ~k× sooner, and is priced so.
         let gang = bind_sql(
             &core,
             "EVALUATE dana.linearR('large') WITH (shards = 2);",
@@ -1587,9 +1573,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(gang.shards, 2);
-        assert_eq!(gang.cost_hint, l / 2.0);
         // A selective scan feeds the engine fewer tuples, and is priced so.
-        let filtered = hint("EVALUATE dana.linearR('large') WHERE x0 < 0.5;");
+        let filtered = price("EVALUATE dana.linearR('large') WHERE x0 < 0.5;");
         assert!(0.0 < filtered && filtered < l, "{filtered} vs {l}");
     }
 
@@ -1612,10 +1597,7 @@ mod tests {
         core.deploy(&linreg_spec(8), "t").unwrap();
         core.prewarm("t").unwrap();
         let sql = "SELECT * FROM dana.linearR('t') WITH (backend = fpga);";
-        let Wrap::Explain(cmp) = bind_sql(&core, &format!("EXPLAIN {sql}"), 1).unwrap().wrap else {
-            panic!("EXPLAIN binds to an explain plan");
-        };
-        let priced = cmp.estimated_seconds(BackendKind::Fpga).unwrap();
+        let priced = fpga_price(&core, sql);
         let out = core.execute_statement(sql).unwrap();
         let report = out.report().unwrap();
         assert_eq!(report.epochs_run, 25, "the run spends its whole budget");
@@ -1624,11 +1606,7 @@ mod tests {
         let stock = small_core();
         stock.create_table("t", linreg_heap(3001, 8)).unwrap();
         stock.deploy(&linreg_spec(8), "t").unwrap();
-        let Wrap::Explain(fast) = bind_sql(&stock, &format!("EXPLAIN {sql}"), 1).unwrap().wrap
-        else {
-            panic!("EXPLAIN binds to an explain plan");
-        };
-        assert!(fast.estimated_seconds(BackendKind::Fpga).unwrap() < priced);
+        assert!(fpga_price(&stock, sql) < priced);
     }
 
     #[test]
@@ -1725,15 +1703,14 @@ mod tests {
     }
 
     #[test]
-    fn estimated_seconds_orders_small_before_large() {
+    fn explain_prices_training_a_larger_table_higher() {
         let core = small_core();
         core.create_table("small", linreg_heap(200, 8)).unwrap();
         core.create_table("large", linreg_heap(3000, 8)).unwrap();
         core.deploy(&named_spec("smallR", 8), "small").unwrap();
         core.deploy(&named_spec("largeR", 8), "large").unwrap();
-        let hint = |sql: &str| bind_sql(&core, sql, 1).unwrap().cost_hint;
-        let s = hint("SELECT * FROM dana.smallR('small');");
-        let l = hint("SELECT * FROM dana.largeR('large');");
+        let s = fpga_price(&core, "SELECT * FROM dana.smallR('small');");
+        let l = fpga_price(&core, "SELECT * FROM dana.largeR('large');");
         assert!(s > 0.0 && l > 0.0);
         assert!(l > s, "more tuples must cost more: {l} vs {s}");
     }

@@ -23,9 +23,7 @@
 use std::sync::Arc;
 
 use dana_compiler::CompiledAccelerator;
-use dana_engine::{
-    Backend, BackendKind, BackendRun, EngineDesign, EngineStats, ExecutionEngine, FaultEvents,
-};
+use dana_engine::{Backend, BackendKind, EngineDesign, EngineStats, ExecutionEngine, FaultEvents};
 use dana_fpga::{AxiLink, FpgaSpec, ResourceBudget};
 use dana_infer::{ScoringProgram, ScoringRecipe, ScoringStats};
 use dana_ml::CpuModel;
@@ -379,32 +377,6 @@ pub fn materialize_predictions(
     };
     let table = dana_infer::Materialization::new(heap, slots, projection, predictions)?;
     Ok(dana_parallel::materialize_gang(&table, members)?)
-}
-
-/// Composes a finished **native CPU** training run into a [`DanaReport`]:
-/// no cycle-model composition at all — the timing is the stopwatch the
-/// backend measured ([`DanaTiming::wall_only`]), every simulated slot
-/// stays zero, and the report is tagged [`BackendKind::Cpu`]. Models and
-/// engine counters are the FPGA tier's bit-identical twins.
-pub fn assemble_cpu_report(
-    design: &EngineDesign,
-    run: BackendRun,
-    access_stats: AccessStats,
-    models: Vec<Vec<f32>>,
-) -> DanaReport {
-    let model_names = design.models.iter().map(|m| m.name.clone()).collect();
-    DanaReport {
-        models,
-        model_names,
-        epochs_run: run.stats.epochs_run,
-        converged_early: run.stats.converged_early,
-        num_threads: design.num_threads,
-        shards: 1,
-        backend: BackendKind::Cpu,
-        timing: DanaTiming::wall_only(run.wall_seconds.unwrap_or(0.0)),
-        engine: run.stats,
-        access: access_stats,
-    }
 }
 
 // ---- the backend advisor ------------------------------------------------

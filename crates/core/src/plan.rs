@@ -4,9 +4,9 @@
 //! [`crate::SystemCore::bind`] lowers a parsed [`crate::Call`] — whose
 //! `op` already *is* the plan's [`PlanOp`] — into a
 //! [`PhysicalPlan`]: operation, scan, gang size clamped to the table's
-//! pages and the caller's lease capacity, the substrate the advisor (or a
-//! `WITH (backend = …)` override) picked, and the scheduler's cost hint —
-//! and [`crate::SystemCore::execute`] runs it. `bind` is the only place a
+//! pages and the caller's lease capacity, and the substrate the advisor
+//! (or a `WITH (backend = …)` override) picked — and
+//! [`crate::SystemCore::execute`] runs it. `bind` is the only place a
 //! plan is made; a caller that needs an unusual plan binds a statement and
 //! edits the fields. The embedded front door
 //! binds and runs on the caller's thread; the serving tier binds at submit
@@ -18,7 +18,6 @@ use dana_infer::MetricKind;
 use dana_scan::ScanSpec;
 
 use crate::advisor::StrategyComparison;
-use crate::report::Seconds;
 
 /// What a call asks for and its plan does with the tuples it scans — each
 /// one a statement form the parser produces.
@@ -65,12 +64,6 @@ pub struct PhysicalPlan {
     pub shards: u16,
     pub backend: BackendKind,
     pub wrap: Wrap,
-    /// Shortest-job-first ordering key: the chosen tier's price of the
-    /// statement's serial run — on the FPGA tier, the bill `EXPLAIN`
-    /// prints, data path and fixed costs included — divided by the gang
-    /// size (a k-shard gang finishes its scan ~k× sooner). Zero for work
-    /// that does not run (`EXPLAIN`), which schedules it first.
-    pub cost_hint: Seconds,
 }
 
 impl PhysicalPlan {

@@ -16,8 +16,8 @@
 //! `compose` overlaps those into a [`DanaTiming`]. Every accelerator
 //! price goes through it: the simulator's report assemblers bill a run
 //! from the counts its scan measured (`exec::stream_counts`), bind prices
-//! `EXPLAIN`'s FPGA option and the scheduler's cost hint from the counts
-//! it estimates (`exec::estimated_counts`), and the paper-scale harness
+//! the advisor's and `EXPLAIN`'s FPGA option from the counts it estimates
+//! (`exec::estimated_counts`), and the paper-scale harness
 //! from Table-3 statistics (`analytic::dana_timing_for`).
 //! `tests/ablations.rs` holds the simulator and the harness to each other
 //! term by term; `tests/end_to_end.rs` holds `EXPLAIN` to the bill.

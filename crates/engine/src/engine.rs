@@ -212,9 +212,6 @@ pub struct EngineStats {
 #[derive(Debug)]
 pub struct ExecutionEngine {
     pub(crate) design: EngineDesign,
-    /// Model-row elements gathered per tuple by the per-tuple program
-    /// (precomputed for port-contention accounting).
-    pub(crate) gather_elems: u64,
     /// The deploy-time lowering of `design` (the program that runs).
     lowered: LoweredProgram,
 }
@@ -224,22 +221,8 @@ impl ExecutionEngine {
     /// runs the deploy-time lowering pass, and constructs the engine.
     pub fn new(design: EngineDesign) -> EngineResult<ExecutionEngine> {
         validate(&design)?;
-        let gather_elems = design
-            .program
-            .per_tuple
-            .iter()
-            .flat_map(|s| &s.ops)
-            .map(|o| match o {
-                MicroOp::Gather { dst, .. } => dst.len() as u64,
-                _ => 0,
-            })
-            .sum();
         let lowered = lower(&design);
-        Ok(ExecutionEngine {
-            design,
-            gather_elems,
-            lowered,
-        })
+        Ok(ExecutionEngine { design, lowered })
     }
 
     pub fn design(&self) -> &EngineDesign {
@@ -341,8 +324,8 @@ impl ExecutionEngine {
                 }
             }
         }
-        if self.gather_elems > 0 {
-            c += (active as u64 * self.gather_elems).div_ceil(MODEL_PORTS);
+        if self.lowered.gather_elems > 0 {
+            c += (active as u64 * self.lowered.gather_elems).div_ceil(MODEL_PORTS);
         }
         c
     }

@@ -16,9 +16,7 @@ use std::time::Duration;
 use dana::prelude::*;
 use dana_dsl::zoo::{self, Algorithm, DenseParams, LrmfParams};
 use dana_serve::{BatcherConfig, CacheConfig, ServeConfig, ServeError, ServeTier};
-use dana_server::{
-    AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, ServerError,
-};
+use dana_server::{AdmissionConfig, DanaServer, QueryRequest, ServerConfig, ServerError};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -28,10 +26,7 @@ fn server() -> Arc<DanaServer> {
     Arc::new(DanaServer::start(ServerConfig {
         accelerators: 2,
         workers: 2,
-        admission: AdmissionConfig {
-            max_queued: 1024,
-            policy: SchedPolicy::Fifo,
-        },
+        admission: AdmissionConfig::default(),
         default_timeout_ms: None,
         core: core_config(PAGE),
     }))

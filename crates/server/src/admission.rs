@@ -3,12 +3,9 @@
 //! Queries are not handed straight to workers: they pass an admission
 //! controller that (a) bounds the queue so an overload sheds load with a
 //! typed [`crate::ServerError::Overloaded`] instead of unbounded memory
-//! growth, and (b) orders dequeues by policy. FIFO is the fairness
-//! baseline; shortest-job-first uses the plan's bind-time cost hint
-//! ([`dana::PhysicalPlan::cost_hint`]: the statement's price on its
-//! chosen tier — on the FPGA, the bill `EXPLAIN` prints — divided across
-//! its gang) to let cheap interactive queries overtake long training
-//! jobs.
+//! growth, and (b) dequeues in one order: every waiting
+//! [`Priority::Interactive`] job before any [`Priority::Batch`] job, and
+//! arrival order within each class.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -21,19 +18,9 @@ use crate::error::{ServerError, ServerResult};
 use crate::server::{Admitted, ReplyResult};
 use crate::session::SessionId;
 
-/// Dequeue ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// First come, first served.
-    #[default]
-    Fifo,
-    /// Shortest (estimated) job first; FIFO among ties.
-    Sjf,
-}
-
 /// Admission priority class. The dequeue always prefers a waiting
-/// `Interactive` job over any `Batch` job, whatever the configured
-/// policy; within a class the policy (FIFO/SJF) orders as before. Point
+/// `Interactive` job over any `Batch` job; within a class jobs leave in
+/// the order they arrived. Point
 /// predictions are `Interactive` — microseconds of work that must never
 /// be starved behind a gang training job occupying the whole pool.
 /// (`Interactive` declares first so the derived `Ord` sorts it ahead.)
@@ -53,15 +40,11 @@ pub struct AdmissionConfig {
     /// Maximum queries waiting for a worker; submissions beyond this are
     /// refused with [`ServerError::Overloaded`].
     pub max_queued: usize,
-    pub policy: SchedPolicy,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            max_queued: 1024,
-            policy: SchedPolicy::Fifo,
-        }
+        AdmissionConfig { max_queued: 1024 }
     }
 }
 
@@ -80,10 +63,8 @@ pub(crate) struct Job {
     /// Wall seconds the submit spent parsing/lowering the request.
     pub parse_wall: f64,
     /// Admission class: `Interactive` jobs dequeue before any `Batch`
-    /// job regardless of policy.
+    /// job.
     pub priority: Priority,
-    /// Estimated simulated runtime (SJF's ordering key; FIFO ignores it).
-    pub cost_hint: f64,
     pub reply: Sender<ReplyResult>,
     pub submitted_at: Instant,
 }
@@ -171,7 +152,6 @@ impl AdmissionQueue {
             ctx: admitted.ctx,
             parse_wall: admitted.parse_wall,
             priority: admitted.priority,
-            cost_hint: admitted.cost_hint,
             reply,
             submitted_at: Instant::now(),
         });
@@ -180,7 +160,8 @@ impl AdmissionQueue {
         Ok(seq)
     }
 
-    /// Blocks for the next job per the configured policy. Returns `None`
+    /// Blocks for the next job: the oldest `Interactive` one, else the
+    /// oldest `Batch` one. Returns `None`
     /// once the queue is closed *and* drained — workers finish admitted
     /// work before exiting.
     pub fn pop(&self) -> Option<Job> {
@@ -205,31 +186,14 @@ impl AdmissionQueue {
             }
             if !st.jobs.is_empty() {
                 // Priority class first — an Interactive point query
-                // beats any Batch job — then the configured policy
-                // within the class.
-                let idx = match self.config.policy {
-                    SchedPolicy::Fifo => st
-                        .jobs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, j)| (j.priority, j.seq))
-                        .map(|(i, _)| i)
-                        .expect("non-empty"),
-                    SchedPolicy::Sjf => st
-                        .jobs
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| {
-                            a.priority.cmp(&b.priority).then(
-                                a.cost_hint
-                                    .partial_cmp(&b.cost_hint)
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                                    .then(a.seq.cmp(&b.seq)),
-                            )
-                        })
-                        .map(|(i, _)| i)
-                        .expect("non-empty"),
-                };
+                // beats any Batch job — then arrival order.
+                let idx = st
+                    .jobs
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, j)| (j.priority, j.seq))
+                    .map(|(i, _)| i)
+                    .expect("non-empty");
                 return Some(st.jobs.swap_remove(idx));
             }
             if st.closed {
@@ -265,54 +229,37 @@ mod tests {
     use crossbeam::channel;
     use dana_engine::{CancelToken, RetryPolicy};
 
-    fn job(priority: Priority, cost_hint: f64) -> Admitted {
+    fn job(priority: Priority) -> Admitted {
         Admitted {
             work: Ok(Work::Stats(None)),
             ctx: QueryCtx::default(),
             priority,
-            cost_hint,
             parse_wall: 0.0,
         }
     }
 
-    fn queue(max: usize, policy: SchedPolicy) -> AdmissionQueue {
-        AdmissionQueue::new(AdmissionConfig {
-            max_queued: max,
-            policy,
-        })
+    fn queue(max_queued: usize) -> AdmissionQueue {
+        AdmissionQueue::new(AdmissionConfig { max_queued })
     }
 
     #[test]
     fn fifo_pops_in_submission_order() {
-        let q = queue(16, SchedPolicy::Fifo);
+        let q = queue(16);
         let (tx, _rx) = channel::unbounded();
-        for cost in [3.0, 1.0, 2.0] {
-            q.submit(1, job(Priority::Batch, cost), tx.clone()).unwrap();
-        }
-        let order: Vec<f64> = (0..3).map(|_| q.pop().unwrap().cost_hint).collect();
-        assert_eq!(order, vec![3.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn sjf_pops_cheapest_first_fifo_on_ties() {
-        let q = queue(16, SchedPolicy::Sjf);
-        let (tx, _rx) = channel::unbounded();
-        let seqs: Vec<u64> = [3.0, 1.0, 2.0, 1.0]
-            .iter()
-            .map(|c| q.submit(1, job(Priority::Batch, *c), tx.clone()).unwrap())
+        let seqs: Vec<u64> = (0..3)
+            .map(|_| q.submit(1, job(Priority::Batch), tx.clone()).unwrap())
             .collect();
-        let popped: Vec<u64> = (0..4).map(|_| q.pop().unwrap().seq).collect();
-        // Costs 1.0 (seq 1), 1.0 (seq 3), 2.0 (seq 2), 3.0 (seq 0).
-        assert_eq!(popped, vec![seqs[1], seqs[3], seqs[2], seqs[0]]);
+        let popped: Vec<u64> = (0..3).map(|_| q.pop().unwrap().seq).collect();
+        assert_eq!(popped, seqs);
     }
 
     #[test]
     fn overload_is_refused_with_counts() {
-        let q = queue(2, SchedPolicy::Fifo);
+        let q = queue(2);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
-        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
-        match q.submit(1, job(Priority::Batch, 1.0), tx.clone()) {
+        q.submit(1, job(Priority::Batch), tx.clone()).unwrap();
+        q.submit(1, job(Priority::Batch), tx.clone()).unwrap();
+        match q.submit(1, job(Priority::Batch), tx.clone()) {
             Err(ServerError::Overloaded {
                 queued: 2,
                 limit: 2,
@@ -327,7 +274,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_shed_at_dequeue_never_leased() {
-        let q = queue(16, SchedPolicy::Fifo);
+        let q = queue(16);
         let (expired_tx, expired_rx) = channel::unbounded();
         let (live_tx, _live_rx) = channel::unbounded();
         // One job already past its deadline, one without a deadline.
@@ -337,10 +284,10 @@ mod tests {
                 cancel: CancelToken::with_deadline(past),
                 retry: RetryPolicy::default(),
             },
-            ..job(Priority::Batch, 1.0)
+            ..job(Priority::Batch)
         };
         q.submit(1, expired, expired_tx).unwrap();
-        q.submit(1, job(Priority::Batch, 1.0), live_tx).unwrap();
+        q.submit(1, job(Priority::Batch), live_tx).unwrap();
         // The pop skips the expired job and hands out the live one.
         let job = q.pop().unwrap();
         assert!(job.ctx.cancel.deadline().is_none());
@@ -357,12 +304,12 @@ mod tests {
 
     #[test]
     fn interactive_overtakes_batch_under_fifo() {
-        let q = queue(16, SchedPolicy::Fifo);
+        let q = queue(16);
         let (tx, _rx) = channel::unbounded();
         // Two batch jobs first, then an interactive point query.
-        let b0 = q.submit(1, job(Priority::Batch, 5.0), tx.clone()).unwrap();
-        let b1 = q.submit(1, job(Priority::Batch, 5.0), tx.clone()).unwrap();
-        let point = q.submit(1, job(Priority::Interactive, 0.1), tx).unwrap();
+        let b0 = q.submit(1, job(Priority::Batch), tx.clone()).unwrap();
+        let b1 = q.submit(1, job(Priority::Batch), tx.clone()).unwrap();
+        let point = q.submit(1, job(Priority::Interactive), tx).unwrap();
         let popped: Vec<u64> = (0..3).map(|_| q.pop().unwrap().seq).collect();
         assert_eq!(
             popped,
@@ -372,26 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn interactive_overtakes_batch_under_sjf_even_when_pricier() {
-        let q = queue(16, SchedPolicy::Sjf);
-        let (tx, _rx) = channel::unbounded();
-        // The batch job has a *cheaper* cost hint — class still wins.
-        let batch = q
-            .submit(1, job(Priority::Batch, 0.001), tx.clone())
-            .unwrap();
-        let point = q.submit(1, job(Priority::Interactive, 1.0), tx).unwrap();
-        let popped: Vec<u64> = (0..2).map(|_| q.pop().unwrap().seq).collect();
-        assert_eq!(popped, vec![point, batch]);
-    }
-
-    #[test]
     fn close_drains_then_ends() {
-        let q = queue(16, SchedPolicy::Fifo);
+        let q = queue(16);
         let (tx, _rx) = channel::unbounded();
-        q.submit(1, job(Priority::Batch, 1.0), tx.clone()).unwrap();
+        q.submit(1, job(Priority::Batch), tx.clone()).unwrap();
         q.close();
         assert!(matches!(
-            q.submit(1, job(Priority::Batch, 1.0), tx),
+            q.submit(1, job(Priority::Batch), tx),
             Err(ServerError::ShuttingDown)
         ));
         assert!(q.pop().is_some(), "admitted work still drains");

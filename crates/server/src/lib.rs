@@ -13,9 +13,10 @@
 //!   submit, by the same `SystemCore::lower`. Replies carry the embedded
 //!   door's [`QueryResponse`];
 //! * [`SessionManager`] — per-client sessions with query accounting;
-//! * admission control ([`AdmissionConfig`]) — a bounded queue with FIFO
-//!   and shortest-job-first policies, SJF ordered by the deploy-time
-//!   `DanaTiming` cost estimate;
+//! * admission control ([`AdmissionConfig`]) — a bounded queue that
+//!   dequeues every waiting [`Priority::Interactive`] job (point
+//!   predictions) before any `Batch` job, first come first served within
+//!   each class;
 //! * [`AcceleratorPool`] — N independent accelerator instances behind a
 //!   lease scheduler that doubles as the simulated-time list scheduler
 //!   (greedy least-loaded placement, makespan and utilization reports).
@@ -36,7 +37,7 @@ pub mod server;
 pub mod session;
 
 pub use accel::{AcceleratorPool, GangLease, Health, PoolHealth, PoolUtilization};
-pub use admission::{AdmissionConfig, Priority, QueueStats, SchedPolicy};
+pub use admission::{AdmissionConfig, Priority, QueueStats};
 pub use dana::{EngineCacheStats, QueryCtx, QueryResponse, SystemCore, SystemCoreConfig};
 pub use error::{ServerError, ServerResult};
 pub use server::{DanaServer, QueryReply, QueryRequest, ServerConfig, Ticket};

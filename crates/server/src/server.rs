@@ -9,7 +9,7 @@
 //!    │ lowering — to its plan and context, on the submitting thread
 //!    │ (a hostile string is a typed error here)
 //!    ▼
-//!  AdmissionQueue  (bounded; FIFO or SJF by DanaTiming cost estimate)
+//!  AdmissionQueue  (bounded; Interactive before Batch, FIFO within each)
 //!    │ pop
 //!    ▼
 //!  worker thread ──lease──► AcceleratorPool (N FpgaSpec instances)
@@ -278,13 +278,6 @@ impl DanaServer {
         self.wait(ticket)
     }
 
-    /// SJF's ordering key for a request, as [`DanaServer::submit`] would
-    /// compute it (see [`dana::PhysicalPlan::cost_hint`]): unparseable,
-    /// unbindable and metadata-only work gets the neutral hint 0.
-    pub fn cost_hint(&self, request: &QueryRequest) -> f64 {
-        self.admit(request.clone()).cost_hint
-    }
-
     // ---- observability --------------------------------------------------
 
     pub fn pool_utilization(&self) -> PoolUtilization {
@@ -364,7 +357,6 @@ pub(crate) struct Admitted {
     /// The statement's deadline and retry budget.
     pub ctx: QueryCtx,
     pub priority: Priority,
-    pub cost_hint: f64,
     /// Wall seconds spent parsing the request (charged to the lifecycle
     /// trace's `parse` stage).
     pub parse_wall: f64,
@@ -373,15 +365,12 @@ pub(crate) struct Admitted {
 impl Admitted {
     /// Applies the server's deadline rule — a statement without `WITH
     /// (timeout_ms = …)` gets `default_timeout_ms`, anchored now, at
-    /// submit, so admission wait counts against it — and orders the work:
+    /// submit, so admission wait counts against it — and classes the work:
     /// point predictions are `Interactive` — the dequeue prefers them over
     /// any waiting batch job, so a microsecond lookup is never starved
-    /// behind a gang training job — and everything else is `Batch`, keyed
-    /// by its plan's cost hint. Work with no plan (`SHOW STATS`, a parse
-    /// or bind error) gets the neutral hint 0, which SJF treats as
-    /// "probably interactive" rather than starving it. An error gets no
-    /// deadline: it must surface as itself, not be shed into a misleading
-    /// timeout.
+    /// behind a gang training job — and everything else is `Batch`. An
+    /// error gets no deadline: it must surface as itself, not be shed into
+    /// a misleading timeout.
     fn new(
         lowered: DanaResult<(Work, QueryCtx)>,
         default_timeout_ms: Option<u64>,
@@ -397,18 +386,16 @@ impl Admitted {
             }
             Err(e) => (Err(e), QueryCtx::default()),
         };
-        let (priority, cost_hint) = match &work {
+        let priority = match &work {
             Ok(Work::Plan(plan)) if matches!(plan.op, PlanOp::Point { .. }) => {
-                (Priority::Interactive, plan.cost_hint)
+                Priority::Interactive
             }
-            Ok(Work::Plan(plan)) => (Priority::Batch, plan.cost_hint),
-            _ => (Priority::Batch, 0.0),
+            _ => Priority::Batch,
         };
         Admitted {
             work,
             ctx,
             priority,
-            cost_hint,
             parse_wall,
         }
     }

@@ -87,9 +87,12 @@ fn main() {
     .unwrap();
     let wall_s = wall.elapsed().as_secs_f64();
 
-    // Per-session accounting.
+    // Per-session accounting, by name: session ids follow the order the
+    // client threads happened to open them.
     println!("\nsession      queries   sim accel time   host exec time   max query");
-    for (_, stats) in srv.all_session_stats() {
+    let mut sessions = srv.all_session_stats();
+    sessions.sort_by(|(_, a), (_, b)| a.name.cmp(&b.name));
+    for (_, stats) in sessions {
         println!(
             "{:<12} {:>7}   {:>11.4}s   {:>11.4}s   {:>8.4}s",
             stats.name,

@@ -21,8 +21,7 @@ use dana::{parse_statement, FrontDoorWalls, ParallelError, SystemCore, Work};
 use dana_dsl::zoo::{linear_regression, DenseParams};
 use dana_engine::{EngineError, FaultPlan};
 use dana_server::{
-    AdmissionConfig, DanaServer, Health, QueryReply, QueryRequest, SchedPolicy, ServerConfig,
-    ServerError,
+    AdmissionConfig, DanaServer, Health, QueryReply, QueryRequest, ServerConfig, ServerError,
 };
 use dana_storage::page::TupleDirection;
 use dana_storage::{HeapFile, HeapFileBuilder, Schema, Tuple};
@@ -57,10 +56,7 @@ fn server(accelerators: usize, workers: usize, default_timeout_ms: Option<u64>) 
     DanaServer::start(ServerConfig {
         accelerators,
         workers,
-        admission: AdmissionConfig {
-            max_queued: 256,
-            policy: SchedPolicy::Fifo,
-        },
+        admission: AdmissionConfig { max_queued: 256 },
         default_timeout_ms,
         core: core_config(PAGE),
     })

@@ -7,8 +7,7 @@
 use dana::prelude::*;
 use dana::SystemCore;
 use dana_server::{
-    AdmissionConfig, DanaServer, QueryRequest, SchedPolicy, ServerConfig, ServerError,
-    SystemCoreConfig,
+    AdmissionConfig, DanaServer, QueryRequest, ServerConfig, ServerError, SystemCoreConfig,
 };
 use dana_storage::BufferPoolConfig;
 use dana_workloads::{generate, workload};
@@ -28,11 +27,11 @@ fn small_core_config() -> SystemCoreConfig {
     }
 }
 
-fn server(accelerators: usize, policy: SchedPolicy, max_queued: usize) -> DanaServer {
+fn server(accelerators: usize, max_queued: usize) -> DanaServer {
     DanaServer::start(ServerConfig {
         accelerators,
         workers: accelerators,
-        admission: AdmissionConfig { max_queued, policy },
+        admission: AdmissionConfig { max_queued },
         default_timeout_ms: None,
         core: small_core_config(),
     })
@@ -84,7 +83,7 @@ fn concurrent_mixed_mode_training_is_bit_identical_to_serial() {
     ];
     const CLIENTS: usize = 3;
 
-    let srv = server(4, SchedPolicy::Fifo, 1024);
+    let srv = server(4, 1024);
     for (i, (w, seed)) in cases.iter().enumerate() {
         let table = generate(w, 32 * 1024, *seed).unwrap();
         srv.create_table(&format!("t{i}"), table.heap).unwrap();
@@ -148,7 +147,7 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 3;
 
-    let srv = server(4, SchedPolicy::Fifo, 1024);
+    let srv = server(4, 1024);
 
     // The long-lived shared workload.
     let mut shared = workload("Patient").unwrap().scaled(0.01);
@@ -257,7 +256,7 @@ fn mixed_ddl_query_drop_stress_leaks_nothing() {
 /// orphan-page variant of the stale-page leak).
 #[test]
 fn drop_while_scanning_leaves_no_orphan_pages() {
-    let srv = server(2, SchedPolicy::Fifo, 64);
+    let srv = server(2, 64);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -325,7 +324,7 @@ fn drop_while_scanning_leaves_no_orphan_pages() {
 /// completes.
 #[test]
 fn admission_control_sheds_overload() {
-    let srv = server(1, SchedPolicy::Fifo, 2);
+    let srv = server(1, 2);
     let mut w = workload("Patient").unwrap().scaled(0.01);
     w.epochs = 2;
     let table = generate(&w, 32 * 1024, 3).unwrap();
@@ -365,62 +364,6 @@ fn admission_control_sheds_overload() {
     srv.shutdown();
 }
 
-/// Shortest-job-first actually reorders a backlog: with one worker wedged
-/// behind a long job, a later-submitted cheap query overtakes an earlier
-/// expensive one.
-#[test]
-fn sjf_lets_cheap_queries_overtake() {
-    let srv = server(1, SchedPolicy::Sjf, 64);
-
-    let mut small = workload("Patient").unwrap().scaled(0.004);
-    small.epochs = 1;
-    let mut big = workload("Patient").unwrap().scaled(0.04);
-    big.epochs = 8;
-
-    let ts = generate(&small, 32 * 1024, 5).unwrap();
-    let tb = generate(&big, 32 * 1024, 6).unwrap();
-    srv.create_table("small", ts.heap).unwrap();
-    srv.create_table("big", tb.heap).unwrap();
-    let mut small_spec = small.spec();
-    small_spec.name = "smallR".into();
-    let mut big_spec = big.spec();
-    big_spec.name = "bigR".into();
-    srv.deploy(&small_spec, "small").unwrap();
-    srv.deploy(&big_spec, "big").unwrap();
-
-    let session = srv.open_session("sjf");
-    // Wedge the single worker, then queue big-before-small.
-    let wedge = srv
-        .submit(
-            session,
-            QueryRequest::Sql("EXECUTE dana.bigR('big') WITH (backend = fpga);".into()),
-        )
-        .unwrap();
-    let expensive = srv
-        .submit(
-            session,
-            QueryRequest::Sql("EXECUTE dana.bigR('big') WITH (backend = fpga);".into()),
-        )
-        .unwrap();
-    let cheap = srv
-        .submit(
-            session,
-            QueryRequest::Sql("EXECUTE dana.smallR('small') WITH (backend = fpga);".into()),
-        )
-        .unwrap();
-
-    let _ = srv.wait(wedge).unwrap();
-    let cheap_reply = srv.wait(cheap).unwrap();
-    let expensive_reply = srv.wait(expensive).unwrap();
-    assert!(
-        cheap_reply.queue_seconds < expensive_reply.queue_seconds,
-        "SJF must start the cheap query first (cheap waited {:.4}s, expensive {:.4}s)",
-        cheap_reply.queue_seconds,
-        expensive_reply.queue_seconds
-    );
-    srv.shutdown();
-}
-
 /// The deploy-time engine cache: one DEPLOY builds the execution engine
 /// exactly once, and every subsequent EXECUTE — serial or concurrent, via
 /// the SQL front door, backend pinned or not — rides that cached `Arc` rather than
@@ -429,7 +372,7 @@ fn sjf_lets_cheap_queries_overtake() {
 fn repeated_executes_build_the_engine_exactly_once() {
     const EXECUTES: usize = 12;
 
-    let srv = server(4, SchedPolicy::Fifo, 1024);
+    let srv = server(4, 1024);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -489,7 +432,7 @@ fn repeated_executes_build_the_engine_exactly_once() {
 /// metric, and concurrent mixed traffic leaves no held frames.
 #[test]
 fn predict_and_evaluate_flow_through_the_server() {
-    let srv = server(2, SchedPolicy::Sjf, 256);
+    let srv = server(2, 256);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -575,7 +518,7 @@ fn predict_and_evaluate_flow_through_the_server() {
 /// the dropped heap or any stale prediction table stays resident.
 #[test]
 fn drop_while_scoring_is_typed_and_leaves_no_orphans() {
-    let srv = server(2, SchedPolicy::Fifo, 64);
+    let srv = server(2, 64);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -737,15 +680,15 @@ fn drop_racing_a_streaming_execute_is_undisturbed_or_typed() {
 }
 
 /// Intra-query parallelism under load: a 4-shard gang submitted into a
-/// stream of single-instance queries on a 4-instance pool, under SJF.
+/// stream of single-instance queries on a 4-instance pool.
 /// The FIFO pool grant discipline means the gang is neither starved by
 /// the singles (its turn comes) nor starves them (they run after it) —
 /// every ticket completes, the gang holds four distinct instances, and
 /// its trained model is bit-identical to training the same shards
 /// directly on the shared core.
 #[test]
-fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
-    let srv = server(4, SchedPolicy::Sjf, 1024);
+fn four_shard_gang_neither_starves_nor_is_starved() {
+    let srv = server(4, 1024);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -753,26 +696,6 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
         .unwrap();
     srv.prewarm("t").unwrap();
     srv.deploy(&w.spec(), "t").unwrap();
-
-    // Admission cost hints divide by the gang size: a 4-shard gang must
-    // be priced at a quarter of the serial estimate, so SJF does not
-    // misfile it behind genuinely shorter singles.
-    let serial_hint = srv.cost_hint(&QueryRequest::Sql(
-        "EXECUTE dana.logisticR('t') WITH (backend = fpga);".into(),
-    ));
-    let gang_hint = srv.cost_hint(&QueryRequest::Sql(
-        "EXECUTE dana.logisticR('t') WITH (shards = 4, backend = fpga);".into(),
-    ));
-    assert!(serial_hint > 0.0);
-    assert!(
-        (gang_hint - serial_hint / 4.0).abs() < serial_hint * 1e-12,
-        "gang hint {gang_hint} must be serial {serial_hint} / 4"
-    );
-    // The SQL front door prices the WITH clause the same way.
-    let sql_gang_hint = srv.cost_hint(&QueryRequest::Sql(
-        "SELECT * FROM dana.logisticR('t') WITH (shards = 4);".into(),
-    ));
-    assert!((sql_gang_hint - gang_hint).abs() < serial_hint * 1e-12);
 
     // Overload mix: singles before, gangs in the middle, singles after —
     // all from concurrent clients. Everything must complete.
@@ -887,7 +810,7 @@ fn four_shard_gang_neither_starves_nor_is_starved_under_sjf() {
 /// phantom-busy hardware.
 #[test]
 fn gang_size_clamps_to_the_tables_page_count() {
-    let srv = server(4, SchedPolicy::Fifo, 64);
+    let srv = server(4, 64);
     // Tiny table: one 32 KB page.
     let mut b = dana_storage::HeapFileBuilder::new(
         dana_storage::Schema::training(8),
@@ -935,7 +858,7 @@ fn gang_size_clamps_to_the_tables_page_count() {
 /// CPU-trained model is still bit-identical to the offloaded one.
 #[test]
 fn cpu_tier_and_explain_bypass_the_accelerator_pool() {
-    let srv = server(2, SchedPolicy::Fifo, 64);
+    let srv = server(2, 64);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;
@@ -1037,7 +960,7 @@ fn table_pages(core: &SystemCore, table: &str) -> Vec<Vec<u8>> {
 #[test]
 fn both_doors_give_the_same_response() {
     let embedded = SystemCore::new(small_core_config());
-    let srv = server(2, SchedPolicy::Fifo, 64);
+    let srv = server(2, 64);
     let mut w = workload("Remote Sensing LR").unwrap().scaled(0.004);
     w.epochs = 2;
     w.merge_coef = 8;

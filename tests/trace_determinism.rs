@@ -24,9 +24,7 @@ use dana::prelude::*;
 use dana::{QueryTrace, SystemCore};
 use dana_engine::FaultPlan;
 use dana_parallel::{train_gang, ReplaySource, ShardPlan};
-use dana_server::{
-    AdmissionConfig, DanaServer, QueryRequest, QueryResponse, SchedPolicy, ServerConfig,
-};
+use dana_server::{AdmissionConfig, DanaServer, QueryRequest, QueryResponse, ServerConfig};
 use dana_storage::TupleBatch;
 
 mod common;
@@ -36,10 +34,7 @@ fn fresh_server(accelerators: usize) -> DanaServer {
     DanaServer::start(ServerConfig {
         accelerators,
         workers: accelerators,
-        admission: AdmissionConfig {
-            max_queued: 256,
-            policy: SchedPolicy::Fifo,
-        },
+        admission: AdmissionConfig { max_queued: 256 },
         default_timeout_ms: None,
         core: core_config(PAGE),
     })
